@@ -78,7 +78,7 @@ use morpheus::{
     Analysis, ConvertOptions, CpuFeatures, DynamicMatrix, ExecPlan, KernelVariant, PartitionConfig,
     PartitionedMatrix, Scalar, Workspace,
 };
-use morpheus_machine::{analyze_from, Op, VirtualEngine};
+use morpheus_machine::{analyze_from, MatrixAnalysis, Op, VirtualEngine};
 use morpheus_ml::serialize::LineParser;
 use morpheus_parallel::ThreadPool;
 use parking_lot::RwLock;
@@ -103,13 +103,59 @@ struct PlanKey {
     cpu: u64,
 }
 
+/// What the cold path knows about one matrix before converting it: the
+/// structure hash it is keyed by and, once computed, the shared analysis
+/// and the machine model's view of it. Each fact is computed at most once
+/// per registration and handed from stage to stage (decide → gate →
+/// realize → plan) instead of being re-derived from the matrix.
+struct Facts {
+    hash: u64,
+    analysis: Option<Analysis>,
+    view: Option<MatrixAnalysis>,
+}
+
+impl Facts {
+    /// Only the structure hash (one index traversal).
+    fn hashed<V: Scalar>(m: &DynamicMatrix<V>) -> Facts {
+        Facts { hash: m.structure_hash(), analysis: None, view: None }
+    }
+}
+
+/// A format decision for one matrix, not yet acted on — what
+/// `OracleService::decide` hands to `OracleService::realize`.
+struct Decided {
+    facts: Facts,
+    key: CacheKey,
+    decision: TuneDecision,
+    cache_hit: bool,
+    /// Decision-cache generation the tuner was consulted under (gates the
+    /// follow-up inserts of `realize`); unused on a hit.
+    generation: u64,
+}
+
 /// What one tuning call learned beyond the report: the structure hash of
 /// the matrix in its realized (post-conversion) format when it is known
-/// without re-hashing, plus the shared analysis built on a decision-cache
-/// miss (reused for plan construction).
+/// without re-hashing, plus whichever of the shared analysis and the
+/// machine view the decision needed (both on a decision-cache miss) —
+/// reused for plan construction and the partition cost gate.
 struct TuneArtifacts {
     realized_hash: Option<u64>,
     analysis: Option<Analysis>,
+    view: Option<MatrixAnalysis>,
+}
+
+/// What the shards of one partitioned registration did, folded into the
+/// handle's [`TuneReport`].
+struct ShardTally {
+    convert_seconds: f64,
+    converted: bool,
+    all_cache_hits: bool,
+}
+
+impl Default for ShardTally {
+    fn default() -> Self {
+        ShardTally { convert_seconds: 0.0, converted: false, all_cache_hits: true }
+    }
 }
 
 /// How one `tune_and_*` execution runs (decided by
@@ -571,36 +617,73 @@ impl<T> OracleService<T> {
         V: Scalar,
         T: FormatTuner<V>,
     {
-        let previous = m.format_id();
-        let hash = m.structure_hash();
+        let decided = self.decide(m, op, Facts::hashed(m));
+        self.realize(m, decided, op)
+    }
+
+    /// The shared analysis of `m`, computed on first use and kept in
+    /// `facts`.
+    fn analysis_of<'f, V: Scalar>(&self, m: &DynamicMatrix<V>, facts: &'f mut Facts) -> &'f Analysis {
+        let hash = facts.hash;
+        facts.analysis.get_or_insert_with(|| Analysis::of_auto_with_hash(m, self.opts.true_diag_alpha, hash))
+    }
+
+    /// The machine model's view of `m`, computed (with the analysis it
+    /// derives from) on first use and kept in `facts`.
+    fn view_of<'f, V: Scalar>(&self, m: &DynamicMatrix<V>, facts: &'f mut Facts) -> &'f MatrixAnalysis {
+        if facts.view.is_none() {
+            let view = analyze_from(m, self.analysis_of(m, facts));
+            facts.view = Some(view);
+        }
+        facts.view.as_ref().expect("view computed above")
+    }
+
+    /// First half of a tune: hash → decision-cache lookup → (on a miss)
+    /// analysis → machine view → tuner. Nothing is converted; `m` is only
+    /// read. Facts the caller already holds are used, never recomputed.
+    fn decide<V>(&self, m: &DynamicMatrix<V>, op: Op, mut facts: Facts) -> Decided
+    where
+        V: Scalar,
+        T: FormatTuner<V>,
+    {
         let key = CacheKey {
-            structure: hash,
+            structure: facts.hash,
             scalar_bytes: std::mem::size_of::<V>(),
             engine: self.engine_fingerprint,
             op,
         };
-
-        let (decision, cache_hit, analysis, generation) = match self.decisions.get_if(&key, |_| true) {
+        match self.decisions.get_if(&key, |_| true) {
             Some(mut cached) => {
                 // Same structure, scalar, engine and op: the tuner would
                 // reproduce this decision, so charge nothing for it.
                 cached.cost = TuningCost::cached();
-                (cached, true, None, 0)
+                Decided { facts, key, decision: cached, cache_hit: true, generation: 0 }
             }
             None => {
                 // Read the cache generation *before* consulting the tuner:
                 // if a model hot-swap clears the cache while this decision
-                // is in flight, the generation-gated inserts below drop it
+                // is in flight, the generation-gated inserts drop it
                 // instead of resurrecting the superseded model's choice.
                 let generation = self.decisions.generation();
-                let analysis = Analysis::of_auto_with_hash(m, self.opts.true_diag_alpha, hash);
-                let machine_view = analyze_from(m, &analysis);
-                let decision = self.tuner.select(m, &machine_view, &self.engine, op);
+                let decision = self.tuner.select(m, self.view_of(m, &mut facts), &self.engine, op);
                 self.decisions.insert_if_generation(key, decision, generation);
-                (decision, false, Some(analysis), generation)
+                Decided { facts, key, decision, cache_hit: false, generation }
             }
-        };
+        }
+    }
 
+    /// Second half of a tune: converts `m` to the decided format (CSR when
+    /// that proves non-viable), caches the realized decision under the
+    /// pre- and post-conversion structure, and notes the features for
+    /// adaptive sampling.
+    fn realize<V: Scalar>(
+        &self,
+        m: &mut DynamicMatrix<V>,
+        decided: Decided,
+        op: Op,
+    ) -> Result<(TuneReport, TuneArtifacts)> {
+        let Decided { facts: Facts { hash, analysis, view }, key, decision, cache_hit, generation } = decided;
+        let previous = m.format_id();
         let predicted = decision.format;
         let (chosen, convert) = match m.convert_to_with(predicted, &self.opts, analysis.as_ref()) {
             Ok(outcome) => (predicted, outcome),
@@ -632,16 +715,16 @@ impl<T> OracleService<T> {
                     generation,
                 );
             }
-        }
-        if let (Some(col), Some(a)) = (&self.collector, analysis.as_ref()) {
-            // Adaptive sampling, off the execution hot path: note the
-            // Table-I features under the hash the tuner saw (features are
-            // format-invariant) and alias the realized structure to it, so
-            // measured executions of the converted layout join the same
-            // population the features were noted for.
-            col.note_features(hash, &FeatureVector::from_analysis(a));
-            if let Some(realized) = realized_hash.filter(|&r| r != hash) {
-                col.alias(realized, hash);
+            if let (Some(col), Some(a)) = (&self.collector, analysis.as_ref()) {
+                // Adaptive sampling, off the execution hot path: note the
+                // Table-I features under the hash the tuner saw (features
+                // are format-invariant) and alias the realized structure to
+                // it, so measured executions of the converted layout join
+                // the same population the features were noted for.
+                col.note_features(hash, &FeatureVector::from_analysis(a));
+                if let Some(realized) = realized_hash.filter(|&r| r != hash) {
+                    col.alias(realized, hash);
+                }
             }
         }
         let report = TuneReport {
@@ -658,7 +741,7 @@ impl<T> OracleService<T> {
             convert,
             shards: 1,
         };
-        Ok((report, TuneArtifacts { realized_hash, analysis }))
+        Ok((report, TuneArtifacts { realized_hash, analysis, view }))
     }
 
     /// Fetches (or builds and caches) the shared execution plan for `m`,
@@ -982,18 +1065,23 @@ impl<T> OracleService<T> {
     {
         match self.partition.auto_nnz_threshold {
             Some(threshold) if m.nnz() >= threshold => self.register_partitioned_for(m, op),
-            _ => self.register_single_for(m, op),
+            _ => {
+                let facts = Facts::hashed(&m);
+                self.register_single_for(m, op, facts)
+            }
         }
     }
 
     /// The whole-matrix registration path: one tune, one conversion, one
-    /// plan.
-    fn register_single_for<V>(&self, mut m: DynamicMatrix<V>, op: Op) -> Result<MatrixHandle<V>>
+    /// plan. `facts` carries whatever the caller already computed about
+    /// `m` (at least its hash), so nothing is derived twice.
+    fn register_single_for<V>(&self, mut m: DynamicMatrix<V>, op: Op, facts: Facts) -> Result<MatrixHandle<V>>
     where
         V: Scalar,
         T: FormatTuner<V>,
     {
-        let (mut report, artifacts) = self.tune_with_artifacts(&mut m, op)?;
+        let decided = self.decide(&m, op, facts);
+        let (mut report, artifacts) = self.realize(&mut m, decided, op)?;
         let threads = self.exec_pool().map_or(1, |p| p.num_threads());
         let (plan, status) = self.acquire_plan_observed(&m, &artifacts, threads, TraceId::NONE);
         report.plan = status;
@@ -1016,12 +1104,22 @@ impl<T> OracleService<T> {
 
     /// [`OracleService::register`], considering a *partitioned* handle: the
     /// matrix is split into row-range shards along its row-nnz histogram
-    /// (balanced nnz, boundaries snapped to regime shifts), each shard is
-    /// tuned, converted and planned independently, and the engine decides
-    /// whether the sharded critical path beats the best whole-matrix
-    /// single-format plan at the service's worker count. If it does not
-    /// (or the matrix yields a single shard), this falls back to the
-    /// whole-matrix path — `register_partitioned` is always safe to call.
+    /// (balanced nnz, boundaries snapped to regime shifts) and the engine
+    /// decides whether the sharded critical path beats the best
+    /// whole-matrix single-format plan at the service's worker count. If it
+    /// does not (or the matrix yields a single shard), this falls back to
+    /// the whole-matrix path — `register_partitioned` is always safe to
+    /// call.
+    ///
+    /// The order is **decide → gate → realize**: every shard's format is
+    /// decided first (hash, decision cache, analysis, tuner — no
+    /// conversion), the cost gate is evaluated from those decisions, and
+    /// only an admitted partition converts and plans its shards. A
+    /// rejected one has materialised nothing but the CSR split, and hands
+    /// the whole-matrix hash, analysis and machine view it computed for
+    /// the partition and the gate to the whole-matrix path, which
+    /// therefore costs what a plain [`OracleService::register`] costs
+    /// minus those passes.
     pub fn register_partitioned<V>(&self, m: DynamicMatrix<V>) -> Result<MatrixHandle<V>>
     where
         V: Scalar,
@@ -1039,31 +1137,69 @@ impl<T> OracleService<T> {
     {
         let threads = self.exec_pool().map_or(1, |p| p.num_threads());
         let previous = m.format_id();
-        let hash = m.structure_hash();
-        let analysis = Analysis::of_auto_with_hash(&m, self.opts.true_diag_alpha, hash);
-        let partition = Partition::from_analysis(&analysis, &self.partition.config(threads));
+        let mut whole = Facts::hashed(&m);
+        let partition =
+            Partition::from_analysis(self.analysis_of(&m, &mut whole), &self.partition.config(threads));
         if partition.num_shards() <= 1 {
-            return self.register_single_for(m, op);
+            return self.register_single_for(m, op, whole);
         }
-        let subs = split_rows(&m, &partition, Some(&analysis))?;
-        let mut shards = Vec::with_capacity(subs.len());
-        let mut shard_times = Vec::with_capacity(subs.len());
+        let subs = split_rows(&m, &partition, whole.analysis.as_ref())?;
+        // With the gate on, every shard needs its machine view (hit or
+        // miss) and the whole matrix its best single-format time.
+        let best_whole = self
+            .partition
+            .cost_gate
+            .then(|| self.engine.best_spmv_time_at(self.view_of(&m, &mut whole), threads).1);
+        let shard_time = |format: FormatId, view: Option<&MatrixAnalysis>| {
+            let view = view.expect("the cost gate computes every shard's view before deciding");
+            self.engine.best_shard_spmv_variant(format, view).1
+        };
+        let mut decided = Vec::with_capacity(subs.len());
         for (rows, csr) in partition.ranges().zip(subs) {
-            let (shard, t) = self.tune_shard(DynamicMatrix::from(csr), rows, op)?;
-            shard_times.push(t);
+            let sm = DynamicMatrix::from(csr);
+            let mut facts = Facts::hashed(&sm);
+            if best_whole.is_some() {
+                self.view_of(&sm, &mut facts);
+            }
+            let d = self.decide(&sm, op, facts);
+            decided.push((rows, sm, d));
+        }
+        if let Some(best_whole) = best_whole {
+            // A shard is realized in its decided format or, when that
+            // proves non-viable, in CSR — so the cheaper of the two bounds
+            // its modelled time from below, and the partitioned time is
+            // monotone in shard times: a partition this floor rejects is
+            // rejected whatever the conversions do, and is never converted.
+            let floor: Vec<f64> = decided
+                .iter()
+                .map(|(_, _, d)| {
+                    let view = d.facts.view.as_ref();
+                    shard_time(d.decision.format, view).min(shard_time(FormatId::Csr, view))
+                })
+                .collect();
+            if self.engine.partitioned_spmv_time(&floor, threads) >= best_whole {
+                // The model says sharding does not pay here: serve whole.
+                return self.register_single_for(m, op, whole);
+            }
+        }
+        let mut tally = ShardTally::default();
+        let mut shards = Vec::with_capacity(decided.len());
+        let mut shard_times = Vec::with_capacity(decided.len());
+        for (rows, sm, d) in decided {
+            let (shard, artifacts) = self.realize_shard(rows, sm, d, op, &mut tally)?;
+            if best_whole.is_some() {
+                shard_times.push(shard_time(shard.format_id(), artifacts.view.as_ref()));
+            }
             shards.push(shard);
         }
-        if self.partition.cost_gate {
-            let whole_view = analyze_from(&m, &analysis);
-            let (_, best_whole) = self.engine.best_spmv_time_at(&whole_view, threads);
-            let parted = self.engine.partitioned_spmv_time(&shard_times, threads);
-            if parted >= best_whole {
-                // The model says sharding does not pay here: serve whole.
-                return self.register_single_for(m, op);
+        if let Some(best_whole) = best_whole {
+            // The verdict proper, on the formats the shards ended up in.
+            if self.engine.partitioned_spmv_time(&shard_times, threads) >= best_whole {
+                return self.register_single_for(m, op, whole);
             }
         }
         let pm = PartitionedMatrix::from_shards(m.nrows(), m.ncols(), shards, threads)?;
-        self.finish_partitioned(pm, previous, op)
+        self.finish_partitioned(pm, previous, op, tally)
     }
 
     /// Registers a matrix ingested shard-by-shard from a row-major entry
@@ -1089,45 +1225,42 @@ impl<T> OracleService<T> {
         let (_, parts) = sp.finish()?;
         if parts.len() == 1 {
             let (_, csr) = parts.into_iter().next().expect("finish yields >= 1 shard");
-            return self.register_single_for(DynamicMatrix::from(csr), Op::Spmv);
+            let m = DynamicMatrix::from(csr);
+            let facts = Facts::hashed(&m);
+            return self.register_single_for(m, Op::Spmv, facts);
         }
+        let mut tally = ShardTally::default();
         let mut shards = Vec::with_capacity(parts.len());
         for (rows, csr) in parts {
-            let (shard, _) = self.tune_shard(DynamicMatrix::from(csr), rows, Op::Spmv)?;
-            shards.push(shard);
+            let sm = DynamicMatrix::from(csr);
+            let decided = self.decide(&sm, Op::Spmv, Facts::hashed(&sm));
+            shards.push(self.realize_shard(rows, sm, decided, Op::Spmv, &mut tally)?.0);
         }
         let pm = PartitionedMatrix::from_shards(nrows, ncols, shards, threads)?;
-        self.finish_partitioned(pm, FormatId::Csr, Op::Spmv)
+        self.finish_partitioned(pm, FormatId::Csr, Op::Spmv, tally)
     }
 
-    /// Tunes, converts and plans one shard: the decision cache is
-    /// consulted under the shard's own structure hash (so adaptive
-    /// learning and repeat registrations see shard-level populations), the
-    /// plan is built for single-threaded execution (parallelism comes from
-    /// running shards concurrently), and the modelled 1-worker time of the
-    /// shard's best (format, variant) feeds the partitioned cost gate.
-    fn tune_shard<V>(
+    /// Converts and plans one decided shard: the decision was cached under
+    /// the shard's own structure hash (so adaptive learning and repeat
+    /// registrations see shard-level populations) and the plan is built
+    /// for single-threaded execution (parallelism comes from running
+    /// shards concurrently). The returned artifacts still hold the shard's
+    /// machine view when the decision computed one.
+    fn realize_shard<V: Scalar>(
         &self,
-        mut sm: DynamicMatrix<V>,
         rows: std::ops::Range<usize>,
+        mut sm: DynamicMatrix<V>,
+        decided: Decided,
         op: Op,
-    ) -> Result<(morpheus::partition::Shard<V>, f64)>
-    where
-        V: Scalar,
-        T: FormatTuner<V>,
-    {
-        let (_, artifacts) = self.tune_with_artifacts(&mut sm, op)?;
+        tally: &mut ShardTally,
+    ) -> Result<(morpheus::partition::Shard<V>, TuneArtifacts)> {
+        let (report, artifacts) = self.realize(&mut sm, decided, op)?;
+        tally.convert_seconds += report.convert.seconds;
+        tally.converted |= report.converted;
+        tally.all_cache_hits &= report.cache_hit;
         let (plan, _) = self.acquire_plan(&sm, &artifacts, 1);
         let structure = artifacts.realized_hash.unwrap_or_else(|| sm.structure_hash());
-        let view = match &artifacts.analysis {
-            Some(a) => analyze_from(&sm, a),
-            None => {
-                let a = self.plan_analysis(&sm, structure);
-                analyze_from(&sm, &a)
-            }
-        };
-        let (_, t) = self.engine.best_shard_spmv_variant(sm.format_id(), &view);
-        Ok((morpheus::partition::Shard::new(rows, sm, plan, structure), t))
+        Ok((morpheus::partition::Shard::new(rows, sm, plan, structure), artifacts))
     }
 
     /// Registry bookkeeping and report synthesis shared by the partitioned
@@ -1137,20 +1270,28 @@ impl<T> OracleService<T> {
         pm: PartitionedMatrix<V>,
         previous: FormatId,
         op: Op,
+        tally: ShardTally,
     ) -> Result<MatrixHandle<V>> {
         let chosen = pm.dominant_format();
+        let convert = if tally.converted {
+            // Shards are split out as CSR, which converts directly to
+            // every format.
+            morpheus::ConvertOutcome { path: morpheus::ConvertPath::Direct, seconds: tally.convert_seconds }
+        } else {
+            morpheus::ConvertOutcome::identity()
+        };
         let report = TuneReport {
             chosen,
             previous,
             predicted: chosen,
             cost: TuningCost::cached(),
-            converted: pm.shards().iter().any(|s| s.format_id() != FormatId::Csr),
+            converted: tally.converted,
             op,
-            cache_hit: false,
+            cache_hit: tally.all_cache_hits,
             plan: PlanStatus::Built,
             serial_fallback: false,
             variant: pm.dominant_variant(),
-            convert: morpheus::ConvertOutcome::identity(),
+            convert,
             shards: pm.num_shards(),
         };
         let id = self.next_handle_id.fetch_add(1, Ordering::Relaxed);

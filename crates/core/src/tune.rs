@@ -50,11 +50,15 @@ pub struct TuneReport {
     /// Cost of the tuning decision on the engine's virtual clock (all
     /// components zero on a cache hit).
     pub cost: TuningCost,
-    /// `true` if a format switch was performed.
+    /// `true` if a format switch was performed. For `shards > 1`: `true`
+    /// when any shard left the CSR it was split out as.
     pub converted: bool,
     /// The operation the matrix was tuned for.
     pub op: Op,
-    /// `true` when the decision came from the session's cache.
+    /// `true` when the decision came from the session's cache. For
+    /// `shards > 1`: `true` only when *every* shard's decision did (shards
+    /// are cached under their own structure hashes, so a repeat
+    /// registration of the same matrix hits on all of them).
     pub cache_hit: bool,
     /// Whether the execution stage built a fresh [`morpheus::ExecPlan`],
     /// replayed a cached one, or ran unplanned. Always
@@ -76,10 +80,13 @@ pub struct TuneReport {
     /// tune-only calls, serial engines, SpMM (its planned bodies are
     /// scalar) and unplanned fallbacks.
     pub variant: KernelVariant,
-    /// Which conversion path realised the switch (direct kernel, COO hub,
-    /// or identity) and its measured wall-clock cost. Unlike
+    /// Which conversion path realised the switch (direct kernel, hub
+    /// through an interchange copy, or identity) and its measured wall-clock cost. Unlike
     /// [`TuneReport::cost`], this is host time, not the engine's virtual
     /// clock — it is the real price §VII's amortisation argument is about.
+    /// For `shards > 1`: the *summed* wall-clock seconds of the shard
+    /// conversions, on the direct path (shards are split out as CSR) when
+    /// any shard converted and the identity outcome when none did.
     pub convert: morpheus::ConvertOutcome,
     /// Shards of the registered matrix: 1 for a whole-matrix registration
     /// (and for all tune-only calls), ≥ 2 when the service decided a

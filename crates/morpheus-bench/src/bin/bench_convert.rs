@@ -1,13 +1,18 @@
 //! Direct-vs-hub conversion benchmark with a machine-readable snapshot.
 //!
-//! Times every CSR/COO → {ELL, DIA, HYB, HDC} conversion on a small corpus
-//! three ways:
+//! Times every CSR/COO → {ELL, DIA, HYB, HDC, BSR, BELL} conversion on a
+//! small corpus three ways:
 //!
 //! * `hub_s` — the legacy route: materialise a COO intermediate, then
 //!   rebuild ([`morpheus::convert_via_hub`]);
 //! * `direct_s` — the dispatcher's direct kernel, planning by rescanning;
 //! * `planned_s` — the direct kernel fed a precomputed
-//!   [`morpheus::Analysis`], the Oracle's hot path.
+//!   [`morpheus::Analysis`], the Oracle's hot path (BSR and BELL have no
+//!   planning step, so theirs equals `direct_s` up to noise).
+//!
+//! Every timed row also carries `direct_ns_per_nnz`, the number that makes
+//! a conversion an order of magnitude off the memory-speed ones stand out
+//! whatever the matrix size.
 //!
 //! Results go to stdout as a table and to `BENCH_convert.json` (override
 //! with `--out PATH`) so the conversion-performance trajectory can be
@@ -72,6 +77,12 @@ struct Row {
     path: String,
 }
 
+impl Row {
+    fn direct_ns_per_nnz(&self) -> f64 {
+        self.direct_s * 1e9 / self.nnz.max(1) as f64
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -83,7 +94,7 @@ fn main() {
         .unwrap_or_else(|| "BENCH_convert.json".to_string());
     let iters = if smoke { 3 } else { 9 };
     let opts = ConvertOptions::default();
-    let targets = [FormatId::Ell, FormatId::Dia, FormatId::Hyb, FormatId::Hdc];
+    let targets = [FormatId::Ell, FormatId::Dia, FormatId::Hyb, FormatId::Hdc, FormatId::Bsr, FormatId::Bell];
 
     let mut rows: Vec<Row> = Vec::new();
     for case in corpus(smoke) {
@@ -131,8 +142,8 @@ fn main() {
         if smoke { "smoke" } else { "full" }
     );
     println!(
-        "{:<14} {:>9} {:>5}->{:<5} {:>11} {:>11} {:>11} {:>8}",
-        "matrix", "nnz", "src", "dst", "hub", "direct", "planned", "speedup"
+        "{:<14} {:>9} {:>5}->{:<5} {:>11} {:>11} {:>11} {:>8} {:>7}",
+        "matrix", "nnz", "src", "dst", "hub", "direct", "planned", "speedup", "ns/nnz"
     );
     for r in &rows {
         if !r.viable {
@@ -150,7 +161,7 @@ fn main() {
             continue;
         }
         println!(
-            "{:<14} {:>9} {:>5}->{:<5} {:>10.3}ms {:>10.3}ms {:>10.3}ms {:>7.2}x",
+            "{:<14} {:>9} {:>5}->{:<5} {:>10.3}ms {:>10.3}ms {:>10.3}ms {:>7.2}x {:>7.2}",
             r.matrix,
             r.nnz,
             r.source.name(),
@@ -159,12 +170,13 @@ fn main() {
             r.direct_s * 1e3,
             r.planned_s * 1e3,
             r.hub_s / r.direct_s.max(1e-12),
+            r.direct_ns_per_nnz(),
         );
     }
 
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"morpheus-bench/convert/v1\",\n");
+    json.push_str("  \"schema\": \"morpheus-bench/convert/v2\",\n");
     json.push_str(&format!("  \"mode\": \"{}\",\n", if smoke { "smoke" } else { "full" }));
     json.push_str(&format!("  \"iters\": {iters},\n"));
     json.push_str(&format!("  \"threads\": {},\n", morpheus_parallel::global_pool().num_threads()));
@@ -173,7 +185,8 @@ fn main() {
         json.push_str(&format!(
             "    {{\"matrix\": \"{}\", \"nrows\": {}, \"nnz\": {}, \"source\": \"{}\", \
              \"target\": \"{}\", \"viable\": {}, \"hub_s\": {:.9}, \"direct_s\": {:.9}, \
-             \"planned_s\": {:.9}, \"speedup\": {:.3}, \"path\": \"{}\"}}{}\n",
+             \"planned_s\": {:.9}, \"direct_ns_per_nnz\": {:.3}, \"speedup\": {:.3}, \
+             \"path\": \"{}\"}}{}\n",
             json_escape(&r.matrix),
             r.nrows,
             r.nnz,
@@ -183,6 +196,7 @@ fn main() {
             r.hub_s,
             r.direct_s,
             r.planned_s,
+            r.direct_ns_per_nnz(),
             if r.viable { r.hub_s / r.direct_s.max(1e-12) } else { 0.0 },
             json_escape(&r.path),
             if i + 1 == rows.len() { "" } else { "," },

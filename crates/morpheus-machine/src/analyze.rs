@@ -256,9 +256,9 @@ pub fn analyze_from<V: Scalar>(m: &DynamicMatrix<V>, shared: &Analysis) -> Matri
     let hyb_width = optimal_hyb_width_u32(&row_hist, std::mem::size_of::<V>());
     let hyb_coo_nnz: usize = row_hist.iter().map(|&l| (l as usize).saturating_sub(hyb_width)).sum();
 
-    // BELL bucketing derives from the row histogram alone: mirror
-    // `BellMatrix::from_rowmajor` with the default power-of-two ladder —
-    // each non-empty row lands in the first bucket wide enough for it.
+    // BELL bucketing derives from the row histogram alone: mirror the
+    // BELL builder with the default power-of-two ladder — each non-empty
+    // row lands in the first bucket wide enough for it.
     let ladder = morpheus::bell::default_bucket_widths(shared.stats.row_nnz_max);
     let mut bucket_rows = vec![0usize; ladder.len()];
     let mut bell_padded = 0usize;

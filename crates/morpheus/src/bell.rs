@@ -72,6 +72,10 @@ pub struct BellMatrix<V> {
     buckets: Vec<BellBucket<V>>,
 }
 
+/// Rows per tile of the column-major slab fill in
+/// [`BellMatrix::from_row_arrays`].
+const FILL_TILE: usize = 16;
+
 /// The default bucket ladder: powers of two up to (and covering) `max_width`.
 pub fn default_bucket_widths(max_width: usize) -> Vec<usize> {
     let mut widths = Vec::new();
@@ -93,14 +97,24 @@ impl<V: Scalar> BellMatrix<V> {
         BellMatrix { nrows, ncols, nnz: 0, buckets: Vec::new() }
     }
 
-    /// Builds from any row-major-walkable source with the given bucket
-    /// width ladder (ascending upper bounds; a final bucket at the maximum
-    /// row width is appended when the ladder does not cover it). An empty
-    /// ladder selects [`default_bucket_widths`].
-    pub(crate) fn from_rowmajor(src: &dyn RowMajor<V>, ncols: usize, widths: &[usize]) -> Self {
-        let nrows = src.nrows();
-        let counts: Vec<usize> = (0..nrows).map(|r| src.row_count(r)).collect();
-        let max_width = counts.iter().copied().max().unwrap_or(0);
+    /// Builds from contiguous row-major arrays — `offsets` (`nrows + 1`
+    /// entries) delimits each row's ascending-column run in `cols`/`vals`:
+    /// CSR's own arrays, or a sorted COO matrix's after one histogram pass
+    /// — with the given bucket width ladder (ascending upper bounds; a
+    /// final bucket at the maximum row width is appended when the ladder
+    /// does not cover it). An empty ladder selects
+    /// [`default_bucket_widths`].
+    pub(crate) fn from_row_arrays(
+        nrows: usize,
+        ncols: usize,
+        offsets: &[usize],
+        cols: &[usize],
+        vals: &[V],
+        widths: &[usize],
+    ) -> Self {
+        assert_eq!(offsets.len(), nrows + 1, "row offsets must delimit every row");
+        let row_len = |r: usize| offsets[r + 1] - offsets[r];
+        let max_width = (0..nrows).map(row_len).max().unwrap_or(0);
         let mut ladder: Vec<usize> = if widths.is_empty() {
             default_bucket_widths(max_width)
         } else {
@@ -112,16 +126,26 @@ impl<V: Scalar> BellMatrix<V> {
         if ladder.last().copied().unwrap_or(0) < max_width {
             ladder.push(max_width);
         }
-        // Assign each non-empty row to the first bucket wide enough for it.
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); ladder.len()];
-        for (r, &n) in counts.iter().enumerate() {
-            if n == 0 {
-                continue;
+        // Row width -> the first bucket wide enough for it, tabulated once
+        // so assigning a row is a load instead of a ladder search.
+        let mut bucket_of = vec![0usize; max_width + 1];
+        let mut b = 0usize;
+        for (w, slot) in bucket_of.iter_mut().enumerate().skip(1) {
+            while ladder[b] < w {
+                b += 1;
             }
-            let b = ladder.partition_point(|&w| w < n);
-            members[b].push(r);
+            *slot = b;
         }
-        let mut nnz = 0usize;
+        // Count, then place: every bucket's row list is allocated at its
+        // final size. Empty rows are stored nowhere.
+        let mut lens = vec![0usize; ladder.len()];
+        for r in (0..nrows).filter(|&r| row_len(r) > 0) {
+            lens[bucket_of[row_len(r)]] += 1;
+        }
+        let mut members: Vec<Vec<usize>> = lens.iter().map(|&n| Vec::with_capacity(n)).collect();
+        for r in (0..nrows).filter(|&r| row_len(r) > 0) {
+            members[bucket_of[row_len(r)]].push(r);
+        }
         let mut buckets = Vec::new();
         for (b, rows) in members.into_iter().enumerate() {
             if rows.is_empty() {
@@ -129,20 +153,31 @@ impl<V: Scalar> BellMatrix<V> {
             }
             let width = ladder[b];
             let len = rows.len();
-            let mut cols = vec![ELL_PAD; width * len];
-            let mut vals = vec![V::ZERO; width * len];
-            for (j, &r) in rows.iter().enumerate() {
-                let mut k = 0usize;
-                src.emit_row(r, &mut |c, v| {
-                    cols[k * len + j] = c;
-                    vals[k * len + j] = v;
-                    k += 1;
-                    nnz += 1;
-                });
+            let mut bcols = vec![ELL_PAD; width * len];
+            let mut bvals = vec![V::ZERO; width * len];
+            // Column-major fill, a tile of rows at a time: entry `k` of the
+            // tile's rows lands in adjacent slots, so each slab cache line
+            // is written once, while the tile's source rows stream in
+            // parallel.
+            for (t, tile) in rows.chunks(FILL_TILE).enumerate() {
+                let mut starts = [0usize; FILL_TILE];
+                let mut counts = [0usize; FILL_TILE];
+                for (i, &r) in tile.iter().enumerate() {
+                    starts[i] = offsets[r];
+                    counts[i] = row_len(r);
+                }
+                let tile_width = counts.iter().copied().max().unwrap_or(0);
+                for k in 0..tile_width {
+                    let base = k * len + t * FILL_TILE;
+                    for i in (0..tile.len()).filter(|&i| k < counts[i]) {
+                        bcols[base + i] = cols[starts[i] + k];
+                        bvals[base + i] = vals[starts[i] + k];
+                    }
+                }
             }
-            buckets.push(BellBucket { width, rows, cols, vals });
+            buckets.push(BellBucket { width, rows, cols: bcols, vals: bvals });
         }
-        BellMatrix { nrows, ncols, nnz, buckets }
+        BellMatrix { nrows, ncols, nnz: offsets[nrows], buckets }
     }
 
     /// Builds from raw buckets, validating the layout: bucket widths
@@ -332,7 +367,20 @@ impl<V: Scalar> RowMajor<V> for BellMatrix<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coo::CooMatrix;
     use crate::test_util::random_coo;
+
+    fn bell_of(coo: &CooMatrix<f64>, widths: &[usize]) -> BellMatrix<f64> {
+        let offsets = crate::convert::kernels::coo_row_offsets(coo.nrows(), coo.row_indices());
+        BellMatrix::from_row_arrays(
+            coo.nrows(),
+            coo.ncols(),
+            &offsets,
+            coo.col_indices(),
+            coo.values(),
+            widths,
+        )
+    }
 
     #[test]
     fn default_ladder_is_powers_of_two_plus_max() {
@@ -345,7 +393,7 @@ mod tests {
     #[test]
     fn buckets_partition_the_nonempty_rows() {
         let coo = random_coo::<f64>(50, 40, 320, 7);
-        let m = BellMatrix::from_rowmajor(&coo, 40, &[]);
+        let m = bell_of(&coo, &[]);
         assert_eq!(m.nnz(), coo.nnz());
         let total_rows: usize = m.buckets().iter().map(|b| b.rows().len()).sum();
         let nonempty = (0..50).filter(|&r| RowMajor::row_count(&coo, r) > 0).count();
@@ -367,7 +415,7 @@ mod tests {
         let coo = random_coo::<f64>(45, 33, 260, 13);
         let expect: Vec<(usize, usize, f64)> = coo.iter().collect();
         for widths in [vec![], vec![3, 9], vec![1, 2, 4, 8, 16]] {
-            let m = BellMatrix::from_rowmajor(&coo, 33, &widths);
+            let m = bell_of(&coo, &widths);
             let mut got = Vec::new();
             for r in 0..RowMajor::nrows(&m) {
                 m.emit_row(r, &mut |c, v| got.push((r, c, v)));
@@ -380,7 +428,7 @@ mod tests {
     fn custom_ladder_is_extended_to_cover_the_max() {
         let coo = random_coo::<f64>(30, 30, 200, 5);
         let max = (0..30).map(|r| RowMajor::row_count(&coo, r)).max().unwrap();
-        let m = BellMatrix::from_rowmajor(&coo, 30, &[2]);
+        let m = bell_of(&coo, &[2]);
         assert!(m.bucket_widths().last().copied().unwrap() >= max);
         assert_eq!(m.nnz(), coo.nnz());
     }
@@ -388,7 +436,7 @@ mod tests {
     #[test]
     fn from_parts_validates_and_roundtrips() {
         let coo = random_coo::<f64>(25, 25, 120, 2);
-        let m = BellMatrix::from_rowmajor(&coo, 25, &[]);
+        let m = bell_of(&coo, &[]);
         let rebuilt = BellMatrix::from_parts(25, 25, m.buckets().to_vec()).unwrap();
         assert_eq!(rebuilt, m);
 

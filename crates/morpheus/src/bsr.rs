@@ -151,52 +151,70 @@ impl<V: Scalar> BsrMatrix<V> {
         Ok(BsrMatrix { nrows, ncols, block_r, block_c, nnz, block_row_offsets, block_cols, masks, values })
     }
 
-    /// Builds from any row-major-walkable source (the registry conversion
-    /// path: every format implements [`RowMajor`], so BSR is reachable from
-    /// all of them without a COO hop).
-    pub(crate) fn from_rowmajor(src: &dyn RowMajor<V>, ncols: usize, block_r: usize, block_c: usize) -> Self {
-        let nrows = src.nrows();
+    /// Builds from contiguous row-major arrays — `offsets` (`nrows + 1`
+    /// entries) delimits each row's ascending-column run in `cols`/`vals`:
+    /// CSR's own arrays, or a sorted COO matrix's after one histogram
+    /// pass. Each block row is an `r`-way merge of its rows' sorted runs:
+    /// the smallest unread column names the next block, and every row
+    /// drains its entries inside that block before the merge moves on — no
+    /// per-block-row sort, no per-entry search.
+    pub(crate) fn from_row_arrays(
+        nrows: usize,
+        ncols: usize,
+        offsets: &[usize],
+        cols: &[usize],
+        vals: &[V],
+        block_r: usize,
+        block_c: usize,
+    ) -> Self {
+        assert_eq!(offsets.len(), nrows + 1, "row offsets must delimit every row");
         let (r, c) = (block_r.max(1), block_c.max(1));
-        debug_assert!(r * c <= 64, "BSR block dims must satisfy r*c <= 64");
+        assert!(r * c <= 64, "BSR block dims must satisfy r*c <= 64");
         let nbr = nblockrows(nrows, r);
-        let mut offsets = Vec::with_capacity(nbr + 1);
-        offsets.push(0usize);
+        let mut block_row_offsets = Vec::with_capacity(nbr + 1);
+        block_row_offsets.push(0usize);
         let mut block_cols: Vec<usize> = Vec::new();
         let mut masks: Vec<u64> = Vec::new();
         let mut values: Vec<V> = Vec::new();
-        let mut nnz = 0usize;
-        let mut bcols_scratch: Vec<usize> = Vec::new();
+        let mut cursor = vec![0usize; r];
         for br in 0..nbr {
             let r0 = br * r;
             let rcount = r.min(nrows - r0);
-            bcols_scratch.clear();
-            for rr in 0..rcount {
-                src.emit_row(r0 + rr, &mut |col, _| bcols_scratch.push(col / c));
+            cursor[..rcount].copy_from_slice(&offsets[r0..r0 + rcount]);
+            loop {
+                let next_col = (0..rcount)
+                    .filter(|&rr| cursor[rr] < offsets[r0 + rr + 1])
+                    .map(|rr| cols[cursor[rr]])
+                    .min();
+                let Some(next_col) = next_col else { break };
+                let bc = next_col / c;
+                let (c0, c1) = (bc * c, (bc + 1) * c);
+                let base = values.len();
+                values.resize(base + r * c, V::ZERO);
+                let mut mask = 0u64;
+                for rr in 0..rcount {
+                    let end = offsets[r0 + rr + 1];
+                    let mut i = cursor[rr];
+                    while i < end && cols[i] < c1 {
+                        let slot = rr * c + (cols[i] - c0);
+                        mask |= 1u64 << slot;
+                        values[base + slot] = vals[i];
+                        i += 1;
+                    }
+                    cursor[rr] = i;
+                }
+                block_cols.push(bc);
+                masks.push(mask);
             }
-            bcols_scratch.sort_unstable();
-            bcols_scratch.dedup();
-            let base = block_cols.len();
-            block_cols.extend_from_slice(&bcols_scratch);
-            masks.resize(base + bcols_scratch.len(), 0u64);
-            values.resize(values.len() + bcols_scratch.len() * r * c, V::ZERO);
-            for rr in 0..rcount {
-                src.emit_row(r0 + rr, &mut |col, v| {
-                    let bi = base + bcols_scratch.binary_search(&(col / c)).unwrap();
-                    let slot = rr * c + col % c;
-                    masks[bi] |= 1u64 << slot;
-                    values[bi * r * c + slot] = v;
-                    nnz += 1;
-                });
-            }
-            offsets.push(block_cols.len());
+            block_row_offsets.push(block_cols.len());
         }
         BsrMatrix {
             nrows,
             ncols,
             block_r: r,
             block_c: c,
-            nnz,
-            block_row_offsets: offsets,
+            nnz: offsets[nrows],
+            block_row_offsets,
             block_cols,
             masks,
             values,
@@ -330,7 +348,21 @@ impl<V: Scalar> RowMajor<V> for BsrMatrix<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coo::CooMatrix;
     use crate::test_util::random_coo;
+
+    fn bsr_of(coo: &CooMatrix<f64>, block_r: usize, block_c: usize) -> BsrMatrix<f64> {
+        let offsets = crate::convert::kernels::coo_row_offsets(coo.nrows(), coo.row_indices());
+        BsrMatrix::from_row_arrays(
+            coo.nrows(),
+            coo.ncols(),
+            &offsets,
+            coo.col_indices(),
+            coo.values(),
+            block_r,
+            block_c,
+        )
+    }
 
     fn sample() -> BsrMatrix<f64> {
         // 4x4, 2x2 blocks:
@@ -339,7 +371,7 @@ mod tests {
         // [----+----]
         // [0 0 | 4 0]
         // [5 0 | 0 6]
-        let coo = crate::CooMatrix::from_triplets(
+        let coo = CooMatrix::from_triplets(
             4,
             4,
             &[0, 0, 1, 2, 3, 3],
@@ -347,7 +379,7 @@ mod tests {
             &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
         )
         .unwrap();
-        BsrMatrix::from_rowmajor(&coo, 4, 2, 2)
+        bsr_of(&coo, 2, 2)
     }
 
     #[test]
@@ -369,7 +401,7 @@ mod tests {
         let coo = random_coo::<f64>(37, 29, 300, 11);
         let expect: Vec<(usize, usize, f64)> = coo.iter().collect();
         for &(r, c) in &[(2, 2), (4, 4), (8, 8), (2, 4), (3, 5)] {
-            let m = BsrMatrix::from_rowmajor(&coo, 29, r, c);
+            let m = bsr_of(&coo, r, c);
             assert_eq!(m.nnz(), expect.len());
             let mut got = Vec::new();
             for row in 0..RowMajor::nrows(&m) {
@@ -422,7 +454,7 @@ mod tests {
     fn tail_blocks_clamp_to_shape() {
         // 5x5 with 4x4 blocks: tail block row/column of size 1.
         let coo = random_coo::<f64>(5, 5, 18, 3);
-        let m = BsrMatrix::from_rowmajor(&coo, 5, 4, 4);
+        let m = bsr_of(&coo, 4, 4);
         assert_eq!(m.nblockrows(), 2);
         assert_eq!(m.nnz(), coo.nnz());
         let mut got = Vec::new();

@@ -1,9 +1,13 @@
 //! Conversions for the parameterized block formats (BSR, BELL).
 //!
-//! Both formats build from *any* source through the [`RowMajor`] trait —
-//! the same per-row sorted walk the direct PR-2 kernels use — so every
-//! format reaches BSR/BELL without a COO hop, and both export back to
-//! COO/CSR generically. Padding guards mirror the DIA/ELL contract:
+//! Both formats are *array-built*: one builder each
+//! ([`BsrMatrix::from_row_arrays`], [`BellMatrix::from_row_arrays`]) reads
+//! contiguous row-major `(offsets, cols, vals)` arrays. CSR passes its own
+//! arrays; a sorted COO matrix's `cols`/`vals` already are such arrays and
+//! only its offsets are built (one histogram pass). Padded sources — rare
+//! on the tuning path — are exported to CSR first (see the dispatcher in
+//! [`crate::convert`]). Both formats export back to COO/CSR through the
+//! generic [`RowMajor`] walk. Padding guards mirror the DIA/ELL contract:
 //! conversions whose padded slabs exceed the [`ConvertOptions`] allowance
 //! fail with [`MorpheusError::ExcessivePadding`] (the tuner's non-viability
 //! signal), although block padding is structurally bounded (at worst
@@ -12,6 +16,7 @@
 
 use crate::bell::BellMatrix;
 use crate::bsr::BsrMatrix;
+use crate::convert::kernels::coo_row_offsets;
 use crate::convert::ConvertOptions;
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
@@ -67,39 +72,44 @@ fn guard_padding(format: FormatId, padded: usize, nnz: usize, opts: &ConvertOpti
     Ok(())
 }
 
-/// Builds a BSR matrix from any row-major source with the options' block
-/// dimensions, enforcing the padding allowance.
-pub(crate) fn rowmajor_to_bsr<V: Scalar>(
-    src: &dyn RowMajor<V>,
-    ncols: usize,
+/// Builds a BSR matrix with the options' block dimensions from contiguous
+/// row-major arrays, enforcing the padding allowance.
+fn bsr_from_arrays<V: Scalar>(
+    (nrows, ncols): (usize, usize),
+    offsets: &[usize],
+    cols: &[usize],
+    vals: &[V],
     opts: &ConvertOptions,
 ) -> Result<BsrMatrix<V>> {
     let (r, c) = opts.params.normalized_block();
-    let m = BsrMatrix::from_rowmajor(src, ncols, r, c);
+    let m = BsrMatrix::from_row_arrays(nrows, ncols, offsets, cols, vals, r, c);
     guard_padding(FormatId::Bsr, m.padded_len(), m.nnz(), opts)?;
     Ok(m)
 }
 
-/// Builds a BELL matrix from any row-major source with the options' bucket
-/// ladder, enforcing the padding allowance.
-pub(crate) fn rowmajor_to_bell<V: Scalar>(
-    src: &dyn RowMajor<V>,
-    ncols: usize,
+/// Builds a BELL matrix with the options' bucket ladder from contiguous
+/// row-major arrays, enforcing the padding allowance.
+fn bell_from_arrays<V: Scalar>(
+    (nrows, ncols): (usize, usize),
+    offsets: &[usize],
+    cols: &[usize],
+    vals: &[V],
     opts: &ConvertOptions,
 ) -> Result<BellMatrix<V>> {
-    let m = BellMatrix::from_rowmajor(src, ncols, opts.params.bell_ladder());
+    let m = BellMatrix::from_row_arrays(nrows, ncols, offsets, cols, vals, opts.params.bell_ladder());
     guard_padding(FormatId::Bell, m.padded_len(), m.nnz(), opts)?;
     Ok(m)
 }
 
 /// COO → BSR with the options' block dimensions.
 pub fn coo_to_bsr<V: Scalar>(a: &CooMatrix<V>, opts: &ConvertOptions) -> Result<BsrMatrix<V>> {
-    rowmajor_to_bsr(a, a.ncols(), opts)
+    let offsets = coo_row_offsets(a.nrows(), a.row_indices());
+    bsr_from_arrays((a.nrows(), a.ncols()), &offsets, a.col_indices(), a.values(), opts)
 }
 
 /// CSR → BSR with the options' block dimensions.
 pub fn csr_to_bsr<V: Scalar>(a: &CsrMatrix<V>, opts: &ConvertOptions) -> Result<BsrMatrix<V>> {
-    rowmajor_to_bsr(a, a.ncols(), opts)
+    bsr_from_arrays((a.nrows(), a.ncols()), a.row_offsets(), a.col_indices(), a.values(), opts)
 }
 
 /// BSR → COO (row-major export; exact structural roundtrip).
@@ -114,12 +124,13 @@ pub fn bsr_to_csr<V: Scalar>(a: &BsrMatrix<V>) -> CsrMatrix<V> {
 
 /// COO → BELL with the options' bucket ladder.
 pub fn coo_to_bell<V: Scalar>(a: &CooMatrix<V>, opts: &ConvertOptions) -> Result<BellMatrix<V>> {
-    rowmajor_to_bell(a, a.ncols(), opts)
+    let offsets = coo_row_offsets(a.nrows(), a.row_indices());
+    bell_from_arrays((a.nrows(), a.ncols()), &offsets, a.col_indices(), a.values(), opts)
 }
 
 /// CSR → BELL with the options' bucket ladder.
 pub fn csr_to_bell<V: Scalar>(a: &CsrMatrix<V>, opts: &ConvertOptions) -> Result<BellMatrix<V>> {
-    rowmajor_to_bell(a, a.ncols(), opts)
+    bell_from_arrays((a.nrows(), a.ncols()), a.row_offsets(), a.col_indices(), a.values(), opts)
 }
 
 /// BELL → COO (row-major export; exact structural roundtrip).

@@ -165,20 +165,27 @@ fn slot_to_diag_map(slots_len: usize, stored: impl Iterator<Item = usize>) -> Ve
 // COO <-> CSR (direct both ways; by-value variants reuse allocations)
 // ---------------------------------------------------------------------------
 
-/// COO → CSR. O(nnz); relies on COO's sorted invariant.
-pub fn coo_to_csr<V: Scalar>(coo: &CooMatrix<V>) -> CsrMatrix<V> {
-    let nrows = coo.nrows();
+/// CSR-style row offsets (`nrows + 1` entries) of a sorted COO row-index
+/// array: one histogram pass plus a prefix sum. With these, a sorted COO
+/// matrix's `cols`/`vals` *are* CSR arrays — every array-based builder
+/// (CSR, BSR, BELL) reads COO sources through them.
+pub(crate) fn coo_row_offsets(nrows: usize, rows: &[usize]) -> Vec<usize> {
     let mut offsets = vec![0usize; nrows + 1];
-    for &r in coo.row_indices() {
+    for &r in rows {
         offsets[r + 1] += 1;
     }
     for i in 0..nrows {
         offsets[i + 1] += offsets[i];
     }
+    offsets
+}
+
+/// COO → CSR. O(nnz); relies on COO's sorted invariant.
+pub fn coo_to_csr<V: Scalar>(coo: &CooMatrix<V>) -> CsrMatrix<V> {
     CsrMatrix::from_parts_unchecked(
-        nrows,
+        coo.nrows(),
         coo.ncols(),
-        offsets,
+        coo_row_offsets(coo.nrows(), coo.row_indices()),
         coo.col_indices().to_vec(),
         coo.values().to_vec(),
     )
@@ -204,13 +211,7 @@ pub fn csr_to_coo<V: Scalar>(csr: &CsrMatrix<V>) -> CooMatrix<V> {
 /// order); only the row representation is rebuilt.
 pub fn coo_into_csr<V: Scalar>(coo: CooMatrix<V>) -> CsrMatrix<V> {
     let (nrows, ncols, rows, cols, vals) = coo.into_parts();
-    let mut offsets = vec![0usize; nrows + 1];
-    for &r in &rows {
-        offsets[r + 1] += 1;
-    }
-    for i in 0..nrows {
-        offsets[i + 1] += offsets[i];
-    }
+    let offsets = coo_row_offsets(nrows, &rows);
     drop(rows);
     CsrMatrix::from_parts_unchecked(nrows, ncols, offsets, cols, vals)
 }

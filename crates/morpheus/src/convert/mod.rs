@@ -12,19 +12,28 @@
 //! * **Identity** — source and target formats coincide: a clone (or a move,
 //!   for [`crate::DynamicMatrix::into_format`]).
 //! * **Direct** — whenever the source or the target is COO or CSR, a
-//!   dedicated kernel in [`kernels`] writes the target arrays straight from
-//!   the source arrays: CSR↔{COO, ELL, DIA, HYB, HDC} and
-//!   COO↔{CSR, ELL, DIA, HYB, HDC}. No intermediate triplet buffers are
-//!   allocated and nothing is sorted (sources are exported row-major in
-//!   ascending column order). Row-partitionable passes — row histograms,
-//!   slab fills, diagonal scatter, row-major export — run in parallel on
-//!   the process pool with nnz-weighted, row-disjoint partitions once the
-//!   matrix exceeds [`kernels::PARALLEL_CONVERT_THRESHOLD`] entries.
-//! * **Hub** — conversions between two padded formats
-//!   ({ELL, DIA, HYB, HDC} × {ELL, DIA, HYB, HDC}) export to COO first and
-//!   rebuild from there. Both legs are themselves direct kernels, but the
-//!   intermediate is materialised; these pairs are rare on the tuning path
-//!   (the Oracle almost always switches from an ingestion format).
+//!   dedicated kernel in [`kernels`] / [`blocked`] writes the target arrays
+//!   straight from the source arrays: CSR↔{COO, ELL, DIA, HYB, HDC, BSR,
+//!   BELL} and COO↔{CSR, ELL, DIA, HYB, HDC, BSR, BELL}. No intermediate
+//!   triplet buffers are allocated and nothing is sorted (sources are
+//!   exported row-major in ascending column order). Row-partitionable
+//!   passes — row histograms, slab fills, diagonal scatter, row-major
+//!   export — run in parallel on the process pool with nnz-weighted,
+//!   row-disjoint partitions once the matrix exceeds
+//!   [`kernels::PARALLEL_CONVERT_THRESHOLD`] entries. BSR and BELL are
+//!   *array-built*: one builder each over contiguous row-major
+//!   `(offsets, cols, vals)` — CSR hands over its own arrays, COO its
+//!   `cols`/`vals` plus offsets from one histogram pass — so the formats the
+//!   tuner picks most often convert at memory speed, without a per-row
+//!   search or a per-entry indirect call.
+//! * **Hub** — every other pair materialises an interchange copy first.
+//!   Conversions between two padded formats
+//!   ({ELL, DIA, HYB, HDC} × {ELL, DIA, HYB, HDC}) export to COO and
+//!   rebuild from there; conversions from a padded or block format *into*
+//!   BSR or BELL export to CSR (the arrays their builders read). Both legs
+//!   are themselves direct kernels, but the intermediate is materialised;
+//!   these pairs are rare on the tuning path (the Oracle almost always
+//!   switches from an ingestion format).
 //!
 //! Which path ran, and how long it took on the wall clock, is reported in
 //! [`ConvertOutcome`] and surfaced by the Oracle in its `TuneReport`.
@@ -61,10 +70,10 @@
 pub mod blocked;
 pub mod kernels;
 
+pub(crate) use blocked::rowmajor_to_coo;
 pub use blocked::{
     bell_to_coo, bell_to_csr, bsr_to_coo, bsr_to_csr, coo_to_bell, coo_to_bsr, csr_to_bell, csr_to_bsr,
 };
-pub(crate) use blocked::{rowmajor_to_bell, rowmajor_to_bsr, rowmajor_to_coo};
 
 pub use kernels::{
     coo_to_csr, coo_to_dia, coo_to_ell, coo_to_hdc, coo_to_hyb, csr_to_coo, csr_to_dia, csr_to_ell,
@@ -146,7 +155,8 @@ pub enum ConvertPath {
     Identity,
     /// A direct kernel wrote the target arrays straight from the source.
     Direct,
-    /// The conversion went through a materialised COO intermediate.
+    /// The conversion went through a materialised interchange copy (COO,
+    /// or CSR when the target is array-built BSR/BELL).
     Hub,
 }
 
@@ -231,11 +241,12 @@ fn dispatch<V: Scalar>(
         (D::Hdc(a), FormatId::Csr) => direct(D::Csr(hdc_to_csr(a))),
         (D::Bsr(a), FormatId::Csr) => direct(D::Csr(bsr_to_csr(a))),
         (D::Bell(a), FormatId::Csr) => direct(D::Csr(bell_to_csr(a))),
-        // The block formats build from any source via the row-major walk:
-        // direct from everywhere, no COO hop.
-        (_, FormatId::Bsr) => direct(D::Bsr(rowmajor_to_bsr(as_rowmajor(m), m.ncols(), opts)?)),
-        (_, FormatId::Bell) => direct(D::Bell(rowmajor_to_bell(as_rowmajor(m), m.ncols(), opts)?)),
-        // COO and CSR sources convert into the padded formats directly.
+        // COO and CSR sources convert into the padded and block formats
+        // directly.
+        (D::Coo(a), FormatId::Bsr) => direct(D::Bsr(coo_to_bsr(a, opts)?)),
+        (D::Coo(a), FormatId::Bell) => direct(D::Bell(coo_to_bell(a, opts)?)),
+        (D::Csr(a), FormatId::Bsr) => direct(D::Bsr(csr_to_bsr(a, opts)?)),
+        (D::Csr(a), FormatId::Bell) => direct(D::Bell(csr_to_bell(a, opts)?)),
         (D::Coo(a), FormatId::Dia) => direct(D::Dia(kernels::coo_to_dia_planned(a, opts, plan)?)),
         (D::Coo(a), FormatId::Ell) => direct(D::Ell(kernels::coo_to_ell_planned(a, opts, plan)?)),
         (D::Coo(a), FormatId::Hyb) => direct(D::Hyb(kernels::coo_to_hyb_planned(a, opts, plan)?)),
@@ -244,8 +255,13 @@ fn dispatch<V: Scalar>(
         (D::Csr(a), FormatId::Ell) => direct(D::Ell(kernels::csr_to_ell_planned(a, opts, plan)?)),
         (D::Csr(a), FormatId::Hyb) => direct(D::Hyb(kernels::csr_to_hyb_planned(a, opts, plan)?)),
         (D::Csr(a), FormatId::Hdc) => direct(D::Hdc(kernels::csr_to_hdc_planned(a, opts, plan)?)),
-        // Padded -> padded: through the COO hub (both legs are direct
-        // kernels, but the intermediate is materialised).
+        // Everything else goes through a materialised interchange copy
+        // (both legs are direct kernels): CSR for the array-built block
+        // formats, COO for the padded ones.
+        (_, FormatId::Bsr | FormatId::Bell) => {
+            let csr = D::Csr(blocked::rowmajor_to_csr(as_rowmajor(m), m.ncols()));
+            (dispatch(&csr, target, opts, plan)?.0, ConvertPath::Hub)
+        }
         (_, _) => {
             let coo = m.to_coo();
             let rebuilt = match target {
@@ -254,7 +270,7 @@ fn dispatch<V: Scalar>(
                 FormatId::Hyb => D::Hyb(kernels::coo_to_hyb_planned(&coo, opts, plan)?),
                 FormatId::Hdc => D::Hdc(kernels::coo_to_hdc_planned(&coo, opts, plan)?),
                 FormatId::Coo | FormatId::Csr | FormatId::Bsr | FormatId::Bell => {
-                    unreachable!("handled by the direct arms")
+                    unreachable!("handled by the arms above")
                 }
             };
             (rebuilt, ConvertPath::Hub)

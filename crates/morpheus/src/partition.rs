@@ -219,7 +219,10 @@ impl Partition {
 /// Each shard keeps the full column space (`ncols` unchanged), so shard
 /// SpMV reads the same `x` and writes a disjoint `y` slice. Pass the
 /// matrix's [`Analysis`] if one is at hand — its row histogram supplies
-/// exact per-row counts; otherwise a counting pass runs first.
+/// exact per-row counts; otherwise a counting pass runs first. COO and CSR
+/// sources already hold every shard's columns and values as one contiguous
+/// run, so their shards are slice copies; other formats are walked entry
+/// by entry.
 pub fn split_rows<V: Scalar>(
     m: &DynamicMatrix<V>,
     p: &Partition,
@@ -240,34 +243,53 @@ pub fn split_rows<V: Scalar>(
             c
         }
     };
+    let contiguous = match m {
+        DynamicMatrix::Coo(a) => Some((a.col_indices(), a.values())),
+        DynamicMatrix::Csr(a) => Some((a.col_indices(), a.values())),
+        _ => None,
+    };
     struct Fill<V> {
         rows: Range<usize>,
         offsets: Vec<usize>,
         cols: Vec<usize>,
         vals: Vec<V>,
     }
-    let mut fills: Vec<Fill<V>> = p
-        .ranges()
-        .map(|rows| {
-            let mut offsets = Vec::with_capacity(rows.len() + 1);
-            offsets.push(0usize);
-            for r in rows.clone() {
-                offsets.push(offsets.last().unwrap() + counts[r] as usize);
-            }
-            let nnz = *offsets.last().unwrap();
-            Fill { rows, offsets, cols: Vec::with_capacity(nnz), vals: Vec::with_capacity(nnz) }
-        })
-        .collect();
-    // Entries arrive row-major with ascending columns, i.e. exactly in each
-    // shard's CSR order — appending is enough.
-    let mut si = 0usize;
-    for_each_entry_row_major(m, |r, c, v| {
-        while r >= fills[si].rows.end {
-            si += 1;
+    let mut first_entry = 0usize;
+    let mut fills = Vec::with_capacity(p.num_shards());
+    for rows in p.ranges() {
+        let mut offsets = Vec::with_capacity(rows.len() + 1);
+        offsets.push(0usize);
+        for r in rows.clone() {
+            offsets.push(offsets.last().unwrap() + counts[r] as usize);
         }
-        fills[si].cols.push(c);
-        fills[si].vals.push(v);
-    });
+        let nnz = *offsets.last().unwrap();
+        let entries = first_entry..first_entry + nnz;
+        first_entry += nnz;
+        let (cols, vals) = match contiguous {
+            Some((cols, vals)) => match (cols.get(entries.clone()), vals.get(entries)) {
+                (Some(c), Some(v)) => (c.to_vec(), v.to_vec()),
+                _ => {
+                    return Err(MorpheusError::InvalidStructure(
+                        "row histogram counts more entries than the matrix stores".into(),
+                    ))
+                }
+            },
+            None => (Vec::with_capacity(nnz), Vec::with_capacity(nnz)),
+        };
+        fills.push(Fill { rows, offsets, cols, vals });
+    }
+    if contiguous.is_none() {
+        // Entries arrive row-major with ascending columns, i.e. exactly in
+        // each shard's CSR order — appending is enough.
+        let mut si = 0usize;
+        for_each_entry_row_major(m, |r, c, v| {
+            while r >= fills[si].rows.end {
+                si += 1;
+            }
+            fills[si].cols.push(c);
+            fills[si].vals.push(v);
+        });
+    }
     passes::record_traversal();
     fills
         .into_iter()

@@ -11,12 +11,19 @@
 //!    additional full matrix traversals (the `passes` counter).
 //! 3. A full Oracle tuning call performs a bounded number of traversals:
 //!    hash + fused analysis + machine walk on a miss, hash only on a hit.
+//! 4. The array-built BSR and BELL conversions equal a per-row reference
+//!    walk kept in this file, from COO and from CSR, for every ladder and
+//!    block-dimension shape.
 
 use morpheus_repro::machine::{systems, Backend, VirtualEngine};
 use morpheus_repro::morpheus::analysis::{passes, Analysis};
+use morpheus_repro::morpheus::convert::{coo_to_bell, coo_to_bsr, coo_to_csr, csr_to_bell, csr_to_bsr};
 use morpheus_repro::morpheus::format::{FormatId, ALL_FORMATS};
 use morpheus_repro::morpheus::stats::stats_of;
-use morpheus_repro::morpheus::{convert_via_hub, ConvertOptions, ConvertPath, CooMatrix, DynamicMatrix};
+use morpheus_repro::morpheus::{
+    convert_via_hub, BellMatrix, BsrMatrix, ConvertOptions, ConvertPath, CooMatrix, DynamicMatrix,
+    FormatParams, ELL_PAD,
+};
 use morpheus_repro::oracle::{FeatureVector, Oracle, RunFirstTuner};
 use proptest::prelude::*;
 
@@ -50,12 +57,11 @@ fn assert_all_pairs_match_hub(base: &DynamicMatrix<f64>, opts: &ConvertOptions) 
             let (got, outcome) = m.to_format_with(target, opts, None).unwrap();
             assert_eq!(got, expect, "{src} -> {target}");
             // The dispatcher must use a direct kernel whenever one side of
-            // the pair is an interchange format, and the block formats
-            // (BSR/BELL) build directly from any row-major source.
+            // the pair is an interchange format; every other pair goes
+            // through a materialised copy (COO, or CSR into BSR/BELL).
             let direct_exists = src == target
                 || matches!(src, FormatId::Coo | FormatId::Csr)
-                || matches!(target, FormatId::Coo | FormatId::Csr)
-                || matches!(target, FormatId::Bsr | FormatId::Bell);
+                || matches!(target, FormatId::Coo | FormatId::Csr);
             let expected_path = if src == target {
                 ConvertPath::Identity
             } else if direct_exists {
@@ -68,12 +74,123 @@ fn assert_all_pairs_match_hub(base: &DynamicMatrix<f64>, opts: &ConvertOptions) 
     }
 }
 
+/// One expected BELL bucket: `(width, rows, column-major cols, vals)`.
+type BucketRef = (usize, Vec<usize>, Vec<usize>, Vec<f64>);
+
+/// Per-row reference for BELL: each row is looked up, measured and copied
+/// on its own, one entry at a time — the walk the array builder replaced.
+fn bell_reference(coo: &CooMatrix<f64>, widths: &[usize]) -> Vec<BucketRef> {
+    let rows: Vec<Vec<(usize, f64)>> =
+        (0..coo.nrows()).map(|r| coo.iter().filter(|e| e.0 == r).map(|e| (e.1, e.2)).collect()).collect();
+    let max_width = rows.iter().map(Vec::len).max().unwrap_or(0);
+    let mut ladder: Vec<usize> = widths.iter().copied().filter(|&w| w > 0).collect();
+    ladder.sort_unstable();
+    ladder.dedup();
+    if widths.is_empty() {
+        // Powers of two below the widest row, then the widest row itself.
+        let mut w = 1;
+        while w < max_width {
+            ladder.push(w);
+            w *= 2;
+        }
+    }
+    if ladder.last().copied().unwrap_or(0) < max_width {
+        ladder.push(max_width);
+    }
+    let mut buckets = Vec::new();
+    for (b, &width) in ladder.iter().enumerate() {
+        let lower = if b == 0 { 0 } else { ladder[b - 1] };
+        let members: Vec<usize> =
+            (0..rows.len()).filter(|&r| rows[r].len() > lower && rows[r].len() <= width).collect();
+        if members.is_empty() {
+            continue;
+        }
+        let len = members.len();
+        let mut cols = vec![ELL_PAD; width * len];
+        let mut vals = vec![0.0; width * len];
+        for (j, &r) in members.iter().enumerate() {
+            for (k, &(c, v)) in rows[r].iter().enumerate() {
+                cols[k * len + j] = c;
+                vals[k * len + j] = v;
+            }
+        }
+        buckets.push((width, members, cols, vals));
+    }
+    buckets
+}
+
+fn assert_bell_eq(got: &BellMatrix<f64>, coo: &CooMatrix<f64>, expect: &[BucketRef], what: &str) {
+    assert_eq!((got.nrows(), got.ncols(), got.nnz()), (coo.nrows(), coo.ncols(), coo.nnz()), "{what}");
+    assert_eq!(got.buckets().len(), expect.len(), "{what}: bucket count");
+    for (b, (width, rows, cols, vals)) in got.buckets().iter().zip(expect) {
+        assert_eq!(b.width(), *width, "{what}");
+        assert_eq!(b.rows(), rows.as_slice(), "{what} width {width}");
+        assert_eq!(b.cols(), cols.as_slice(), "{what} width {width}");
+        assert_eq!(b.vals(), vals.as_slice(), "{what} width {width}");
+    }
+}
+
+/// Per-row reference for BSR: every entry finds its block by searching the
+/// block row's sorted block-column list.
+fn bsr_reference(coo: &CooMatrix<f64>, r: usize, c: usize) -> BsrMatrix<f64> {
+    let mut offsets = vec![0usize];
+    let (mut block_cols, mut masks, mut values) = (Vec::new(), Vec::new(), Vec::new());
+    for br in 0..coo.nrows().div_ceil(r) {
+        let in_block_row = |e: &(usize, usize, f64)| e.0 / r == br;
+        let mut bcols: Vec<usize> = coo.iter().filter(in_block_row).map(|e| e.1 / c).collect();
+        bcols.sort_unstable();
+        bcols.dedup();
+        let base = block_cols.len();
+        masks.resize(base + bcols.len(), 0u64);
+        values.resize((base + bcols.len()) * r * c, 0.0);
+        for (row, col, v) in coo.iter().filter(in_block_row) {
+            let bi = base + bcols.binary_search(&(col / c)).unwrap();
+            let slot = (row % r) * c + col % c;
+            masks[bi] |= 1u64 << slot;
+            values[bi * r * c + slot] = v;
+        }
+        block_cols.extend(bcols);
+        offsets.push(block_cols.len());
+    }
+    BsrMatrix::from_parts(coo.nrows(), coo.ncols(), r, c, offsets, block_cols, masks, values).unwrap()
+}
+
+/// Both array-built formats, from COO and from CSR, against the per-row
+/// references — every ladder shape and every block-dimension pair.
+fn assert_block_builders_match_reference(coo: &CooMatrix<f64>) {
+    let csr = coo_to_csr(coo);
+    let ladders: [&[usize]; 6] = [&[], &[1], &[1000], &[2, 6], &[1, 2, 4, 8, 16, 32], &[6, 2, 2, 0]];
+    for ladder in ladders {
+        let opts =
+            ConvertOptions { params: FormatParams::default().with_bell_ladder(ladder), ..tolerant_opts() };
+        let expect = bell_reference(coo, opts.params.bell_ladder());
+        assert_bell_eq(&coo_to_bell(coo, &opts).unwrap(), coo, &expect, &format!("COO ladder {ladder:?}"));
+        assert_bell_eq(&csr_to_bell(&csr, &opts).unwrap(), coo, &expect, &format!("CSR ladder {ladder:?}"));
+    }
+    for r in [2usize, 4, 8] {
+        for c in [2usize, 4, 8] {
+            let opts = ConvertOptions {
+                params: FormatParams { bsr_block: (r, c), ..Default::default() },
+                ..tolerant_opts()
+            };
+            let expect = bsr_reference(coo, r, c);
+            assert_eq!(coo_to_bsr(coo, &opts).unwrap(), expect, "COO {r}x{c}");
+            assert_eq!(csr_to_bsr(&csr, &opts).unwrap(), expect, "CSR {r}x{c}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn direct_equals_hub_for_all_pairs(base in arb_matrix()) {
         assert_all_pairs_match_hub(&base, &tolerant_opts());
+    }
+
+    #[test]
+    fn block_builders_match_per_row_reference(base in arb_matrix()) {
+        assert_block_builders_match_reference(&base.to_coo());
     }
 
     #[test]
@@ -148,6 +265,34 @@ fn edge_shapes_convert_identically() {
             let conv = m.to_format(fmt, &opts).unwrap();
             assert_eq!(Analysis::of(&conv, 0.2).stats, stats_of(&conv, 0.2), "{fmt}");
         }
+    }
+}
+
+#[test]
+fn block_builders_match_reference_on_edge_shapes() {
+    let t = |nr: usize, nc: usize, rows: &[usize], cols: &[usize]| {
+        let vals: Vec<f64> = (0..rows.len()).map(|i| 1.5 + i as f64).collect();
+        CooMatrix::from_triplets(nr, nc, rows, cols, &vals).unwrap()
+    };
+    let wide = 40usize;
+    let shapes = [
+        // Empty matrix, and a shape no block dimension divides.
+        CooMatrix::<f64>::new(5, 7),
+        t(7, 13, &[0, 0, 3, 3, 4, 6, 6], &[0, 12, 5, 6, 2, 0, 11]),
+        // Leading, interior and trailing empty rows.
+        t(9, 9, &[2, 2, 2, 5, 6, 6], &[0, 4, 8, 3, 1, 2]),
+        // A single row wider than every explicit ladder entry but 1000.
+        t(3, wide, &vec![1; wide], &(0..wide).collect::<Vec<_>>()),
+        // One over-wide row among short ones (tiles mix widths).
+        t(
+            20,
+            wide,
+            &(0..20).chain(std::iter::repeat_n(7, wide - 1)).collect::<Vec<_>>(),
+            &std::iter::repeat_n(0, 20).chain(1..wide).collect::<Vec<_>>(),
+        ),
+    ];
+    for coo in &shapes {
+        assert_block_builders_match_reference(coo);
     }
 }
 

@@ -1,17 +1,21 @@
 //! Partitioned-handle integration tests: shard boundary properties,
 //! partitioned execution vs. the serial reference (bitwise when
 //! order-preserving, ULP-bounded otherwise), streaming ingestion, and the
-//! service-level partitioned registration path.
+//! service-level partitioned registration path — including that deciding
+//! before materialising admits exactly the partitions a
+//! convert-everything-first evaluation admits, at a bounded traversal
+//! cost when it rejects.
 
-use morpheus_repro::corpus::gen::hetero::{hub_plus_banded, three_regime};
-use morpheus_repro::machine::{systems, Backend, VirtualEngine};
+use morpheus_repro::corpus::gen::hetero::{hub_plus_banded, shifted_bands, three_regime};
+use morpheus_repro::machine::{analyze_from, systems, Backend, VirtualEngine};
+use morpheus_repro::morpheus::analysis::passes;
 use morpheus_repro::morpheus::format::FormatId;
 use morpheus_repro::morpheus::partition::split_rows;
 use morpheus_repro::morpheus::spmm::spmm_serial;
 use morpheus_repro::morpheus::spmv::spmv_serial;
 use morpheus_repro::morpheus::{
-    for_each_entry_row_major, Analysis, ConvertOptions, CooBuilder, CooMatrix, DynamicMatrix, Partition,
-    PartitionConfig, PartitionedMatrix, Scalar, StreamingPartitioner,
+    for_each_entry_row_major, Analysis, ConvertOptions, ConvertPath, CooBuilder, CooMatrix, DynamicMatrix,
+    ExecPlan, Partition, PartitionConfig, PartitionedMatrix, Scalar, StreamingPartitioner,
 };
 use morpheus_repro::oracle::adapt::{CollectorConfig, SampleCollector};
 use morpheus_repro::oracle::{Oracle, PartitionPolicy, RunFirstTuner};
@@ -273,6 +277,154 @@ fn service_auto_shards_above_threshold_and_streams() {
     let mut ys = vec![0.0; 5_000];
     service.spmv(&hstream, &x, &mut ys).unwrap();
     assert_close(&ys, &want, 1e-12);
+}
+
+fn cirrus() -> VirtualEngine {
+    VirtualEngine::new(systems::cirrus(), Backend::OpenMp)
+}
+
+fn gated_service(
+    workers: usize,
+    policy: PartitionPolicy,
+) -> morpheus_repro::oracle::OracleService<RunFirstTuner> {
+    Oracle::builder()
+        .engine(cirrus())
+        .tuner(RunFirstTuner::new(1))
+        .workers(workers)
+        .partition_policy(policy)
+        .build_service()
+        .unwrap()
+}
+
+/// `register_partitioned` decides every shard, gates, and only then
+/// converts. Whatever it skips, the outcome must be the one obtained by
+/// tuning and converting every shard first and evaluating the gate on the
+/// realized shards: same verdict, same shard row ranges and formats, and
+/// bitwise the same `y`.
+#[test]
+fn gate_verdict_and_shards_match_convert_first_evaluation() {
+    let mut rng = StdRng::seed_from_u64(77);
+    let corpus: Vec<(&str, DynamicMatrix<f64>)> = vec![
+        ("hub+banded", DynamicMatrix::from(hub_plus_banded(6_000, 200, 80, 3, &mut rng))),
+        ("three-regime", DynamicMatrix::from(three_regime(6_000, 150, 90, 2_000, 9, 2, &mut rng))),
+        (
+            "shifted-bands",
+            DynamicMatrix::from(shifted_bands(6_000, 100, 60, &[(0, 2), (700, 5), (-900, 3)], &mut rng)),
+        ),
+        ("banded", DynamicMatrix::from(hub_plus_banded(6_000, 0, 0, 4, &mut rng))),
+    ];
+    let policy = PartitionPolicy { target_shard_nnz: Some(8_000), ..Default::default() };
+    let (mut admitted, mut rejected) = (0, 0);
+    for workers in 1..=4 {
+        for (name, m) in &corpus {
+            let what = format!("{name} at {workers} workers");
+            let n = m.nrows();
+            let x: Vec<f64> = (0..n).map(|i| ((i % 29) as f64 - 14.0) * 0.125).collect();
+            let service = gated_service(workers, policy);
+            let h = service.register_partitioned(m.clone()).unwrap();
+            let mut y = vec![f64::NAN; n];
+            service.spmv(&h, &x, &mut y).unwrap();
+
+            // Convert-first evaluation through public pieces, on a second
+            // service with cold caches.
+            let reference = gated_service(workers, policy);
+            let engine = cirrus();
+            let analysis = analysis_of(m);
+            let partition = Partition::from_analysis(&analysis, &policy.config(workers));
+            assert!(partition.num_shards() >= 2, "{what}: the corpus must ask the gate a question");
+            let mut shards = Vec::new();
+            let mut shard_times = Vec::new();
+            for csr in split_rows(m, &partition, Some(&analysis)).unwrap() {
+                let mut sm = DynamicMatrix::from(csr);
+                let sa = analysis_of(&sm);
+                let view = analyze_from(&sm, &sa);
+                reference.tune(&mut sm).unwrap();
+                shard_times.push(engine.best_shard_spmv_variant(sm.format_id(), &view).1);
+                shards.push((sm, sa));
+            }
+            let best_whole = engine.best_spmv_time_at(&analyze_from(m, &analysis), workers).1;
+            let expect_partitioned = engine.partitioned_spmv_time(&shard_times, workers) < best_whole;
+
+            assert_eq!(h.is_partitioned(), expect_partitioned, "{what}: gate verdict");
+            let mut want = vec![f64::NAN; n];
+            if expect_partitioned {
+                admitted += 1;
+                let pm = h.partition().unwrap();
+                assert_eq!(pm.num_shards(), partition.num_shards(), "{what}");
+                for ((got, rows), (sm, sa)) in pm.shards().iter().zip(partition.ranges()).zip(&shards) {
+                    assert_eq!(got.rows(), rows, "{what}: shard rows");
+                    assert_eq!(got.format_id(), sm.format_id(), "{what}: shard format");
+                    assert_eq!(got.matrix(), sm, "{what}: shard arrays");
+                    ExecPlan::build(sm, 1, Some(sa)).spmv_unpooled(sm, &x, &mut want[rows]).unwrap();
+                }
+            } else {
+                rejected += 1;
+                let whole = reference.register(m.clone()).unwrap();
+                assert_eq!(h.format_id(), whole.format_id(), "{what}: whole-matrix format");
+                assert_eq!(h.matrix(), whole.matrix(), "{what}: whole-matrix arrays");
+                reference.spmv(&whole, &x, &mut want).unwrap();
+            }
+            assert!(bitwise_eq(&y, &want), "{what}: y must be bitwise what the convert-first path serves");
+        }
+    }
+    assert!(admitted > 0 && rejected > 0, "corpus must exercise both verdicts ({admitted}/{rejected})");
+}
+
+/// A gate-rejected `register_partitioned` converts nothing but the CSR
+/// split and hands its whole-matrix hash, analysis and machine view to the
+/// whole-matrix path: it traverses the matrix no more often than a plain
+/// `register`, plus the split, plus the three passes (hash, analysis,
+/// machine walk) each shard's decision needs.
+#[test]
+fn rejected_partition_traversals_are_register_plus_split() {
+    let mut rng = StdRng::seed_from_u64(5);
+    // One regime throughout: shards buy nothing at one worker.
+    let m = DynamicMatrix::from(hub_plus_banded(6_000, 0, 0, 4, &mut rng));
+    let policy = PartitionPolicy { target_shard_nnz: Some(8_000), ..Default::default() };
+    let shards = Partition::from_analysis(&analysis_of(&m), &policy.config(1)).num_shards() as u64;
+    assert!(shards >= 2);
+
+    let plain = gated_service(1, policy);
+    passes::reset();
+    let whole = plain.register(m.clone()).unwrap();
+    let register_passes = passes::count();
+
+    let service = gated_service(1, policy);
+    passes::reset();
+    let h = service.register_partitioned(m).unwrap();
+    let partitioned_passes = passes::count();
+    assert!(!h.is_partitioned(), "a single-regime band must be served whole");
+    assert_eq!(h.format_id(), whole.format_id());
+    let budget = register_passes + 1 + 3 * shards;
+    assert!(
+        partitioned_passes <= budget,
+        "rejected register_partitioned made {partitioned_passes} traversals, budget {budget} \
+         ({register_passes} for register, 1 split, 3 per each of {shards} shards)"
+    );
+}
+
+/// The report of a partitioned handle says what registration did: summed
+/// shard conversion time on the direct path, and `cache_hit` only when
+/// every shard's decision came from the cache.
+#[test]
+fn partitioned_report_sums_shard_conversions_and_cache_hits() {
+    let policy = PartitionPolicy { target_shard_nnz: Some(4_000), cost_gate: false, ..Default::default() };
+    let service = gated_service(2, policy);
+    let first = service.register_partitioned(hetero(4_000, 150, 60, 9)).unwrap();
+    assert!(first.is_partitioned());
+    let report = first.report();
+    assert!(!report.cache_hit, "cold caches: no shard decision can be a hit");
+    let any_converted = first.partition().unwrap().shards().iter().any(|s| s.format_id() != FormatId::Csr);
+    assert_eq!(report.converted, any_converted);
+    if any_converted {
+        assert_eq!(report.convert.path, ConvertPath::Direct);
+        assert!(report.convert.seconds > 0.0);
+    } else {
+        assert_eq!(report.convert, morpheus_repro::morpheus::ConvertOutcome::identity());
+    }
+    let again = service.register_partitioned(hetero(4_000, 150, 60, 9)).unwrap();
+    assert!(again.report().cache_hit, "same structure again: every shard decision is cached");
+    assert_eq!(again.report().convert.path, report.convert.path);
 }
 
 proptest! {
