@@ -18,15 +18,19 @@
 //!   is a singleton, coalescing is disabled, or the cost-model gate
 //!   declines.
 //!
-//! The gate consults the engine the service tunes with: coalescing k
-//! requests is taken only when `spmm_time(k) < k * spmv_time` for the
-//! handle's realized format — the same [`VirtualEngine`] arithmetic the
-//! tuner trusts for format selection ([`MatrixAnalysis`] is computed once
-//! per handle and cached for the pump's lifetime). Expired requests are
-//! shed *before* grouping and never execute.
+//! The gate asks the engine the service tunes with whether
+//! `spmm_time(k) < k * spmv_time` for the handle's realized format — the
+//! same [`VirtualEngine`] arithmetic the tuner trusts for format selection.
+//! `spmm_time` is affine in `k` (`spmv_time + (k - 1) * per_rhs`), so for
+//! every `k >= 2` that is the one comparison `per_rhs < spmv_time`, and
+//! both numbers were computed at registration from the machine view tuning
+//! already held: the pump reads them off the handle
+//! ([`MatrixHandle::batch_cost`], summed over shards for a partitioned
+//! handle) and never looks at a matrix. Expired requests are shed *before*
+//! grouping and never execute.
 //!
 //! [`VirtualEngine`]: morpheus_machine::VirtualEngine
-//! [`MatrixAnalysis`]: morpheus_machine::MatrixAnalysis
+//! [`MatrixHandle::batch_cost`]: crate::serve::MatrixHandle::batch_cost
 
 use super::queue::{Job, QueuedRequest};
 use super::slo::{expired, Backpressure};
@@ -35,7 +39,6 @@ use crate::obs::{Stage, TraceId};
 use crate::serve::OracleService;
 use crate::OracleError;
 use morpheus::{BatchWorkspace, Scalar};
-use morpheus_machine::{analyze, MatrixAnalysis};
 use std::any::TypeId;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -46,17 +49,15 @@ fn ns(d: std::time::Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Pump-lifetime scratch: the per-scalar gather/scatter blocks and the
-/// per-handle [`MatrixAnalysis`] cache feeding the cost gate.
+/// Pump-lifetime scratch: the per-scalar gather/scatter blocks.
 pub(crate) struct PumpState {
-    analyses: HashMap<u64, MatrixAnalysis>,
     bw_f32: BatchWorkspace<f32>,
     bw_f64: BatchWorkspace<f64>,
 }
 
 impl PumpState {
     pub(crate) fn new() -> Self {
-        PumpState { analyses: HashMap::new(), bw_f32: BatchWorkspace::new(), bw_f64: BatchWorkspace::new() }
+        PumpState { bw_f32: BatchWorkspace::new(), bw_f64: BatchWorkspace::new() }
     }
 }
 
@@ -95,9 +96,9 @@ pub(crate) fn process_batch<T: Send + Sync>(
     for mut group in groups {
         let scalar = group[0].job.scalar();
         if scalar == TypeId::of::<f32>() {
-            execute_group::<T, f32>(service, cfg, stats, &mut state.analyses, &mut state.bw_f32, &mut group);
+            execute_group::<T, f32>(service, cfg, stats, &mut state.bw_f32, &mut group);
         } else if scalar == TypeId::of::<f64>() {
-            execute_group::<T, f64>(service, cfg, stats, &mut state.analyses, &mut state.bw_f64, &mut group);
+            execute_group::<T, f64>(service, cfg, stats, &mut state.bw_f64, &mut group);
         } else {
             // A scalar this pump has no gather block for: still served,
             // one planned SpMV per request — never dropped.
@@ -122,7 +123,6 @@ fn execute_group<T: Send + Sync, V: Scalar>(
     service: &OracleService<T>,
     cfg: &IngressConfig,
     stats: &StatsCells,
-    analyses: &mut HashMap<u64, MatrixAnalysis>,
     bw: &mut BatchWorkspace<V>,
     group: &mut [QueuedRequest<T>],
 ) {
@@ -135,7 +135,7 @@ fn execute_group<T: Send + Sync, V: Scalar>(
                 CoalescePolicy::Never => false,
                 CoalescePolicy::Always => true,
                 CoalescePolicy::CostModel => {
-                    let passes = cost_gate_passes::<T, V>(service, analyses, chunk);
+                    let passes = job_of::<T, V>(&mut chunk[0]).handle.batch_cost().coalescing_pays();
                     if !passes {
                         stats.cost_gate_declined.inc();
                     }
@@ -164,25 +164,9 @@ fn execute_group<T: Send + Sync, V: Scalar>(
     }
 }
 
-/// The cost-model gate: coalescing `k` requests must beat `k` independent
-/// SpMVs under the service's engine for the handle's realized format.
-fn cost_gate_passes<T: Send + Sync, V: Scalar>(
-    service: &OracleService<T>,
-    analyses: &mut HashMap<u64, MatrixAnalysis>,
-    chunk: &mut [QueuedRequest<T>],
-) -> bool {
-    let k = chunk.len();
-    let job = chunk[0].job.as_any().downcast_mut::<Job<V>>().expect("chunk grouped by scalar");
-    let fmt = job.handle.format_id();
-    let Some(m) = job.handle.try_matrix() else {
-        // Partitioned handles coalesce unconditionally: shard SpMM shares
-        // the matrix-array streaming amortisation of the single-matrix
-        // case on every shard, so batching k right-hand sides never loses.
-        return true;
-    };
-    let a = analyses.entry(job.handle.id()).or_insert_with(|| analyze(m));
-    let engine = service.engine();
-    engine.spmm_time(fmt, a, k) < k as f64 * engine.spmv_time(fmt, a)
+/// The typed job behind a request of a group of scalar `V`.
+fn job_of<T, V: Scalar>(req: &mut QueuedRequest<T>) -> &mut Job<V> {
+    req.job.as_any().downcast_mut::<Job<V>>().expect("chunk grouped by scalar")
 }
 
 /// Gathers a chunk's input vectors, executes one planned SpMM, scatters
@@ -202,10 +186,7 @@ fn coalesce_chunk<T: Send + Sync, V: Scalar>(
     // one sample per execution, not per request.
     let mut exec_span: Option<(u64, u64)> = None;
     let run = {
-        let jobs: Vec<&Job<V>> = chunk
-            .iter_mut()
-            .map(|r| &*r.job.as_any().downcast_mut::<Job<V>>().expect("chunk grouped by scalar"))
-            .collect();
+        let jobs: Vec<&Job<V>> = chunk.iter_mut().map(|r| &*job_of::<T, V>(r)).collect();
         let handle = jobs[0].handle.clone();
         let columns: Vec<&[V]> = jobs.iter().map(|j| j.x.as_slice()).collect();
         let exec_span = &mut exec_span;
@@ -226,6 +207,15 @@ fn coalesce_chunk<T: Send + Sync, V: Scalar>(
     };
     match run {
         Ok(()) => {
+            // Like the execution, the scatter is one measurement shared by
+            // the chunk: one histogram sample, the same span per request.
+            // Each request's spent input vector is recycled as its output.
+            let t_sc = obs_on.then(Instant::now);
+            bw.scatter_into(&mut chunk.iter_mut().map(|r| &mut job_of::<T, V>(r).x).collect::<Vec<_>>());
+            let scatter_span = t_sc.map(|t| (stats.obs.instant_ns(t), ns(t.elapsed())));
+            if let Some((_, dur_ns)) = scatter_span {
+                stats.scatter_hist.record_ns(dur_ns);
+            }
             // Counters strictly before the ticket sends, so a client
             // returning from `wait()` never reads stale stats.
             let now = Instant::now();
@@ -236,22 +226,16 @@ fn coalesce_chunk<T: Send + Sync, V: Scalar>(
             if misses > 0 {
                 stats.deadline_misses.add(misses as u64);
             }
-            for (j, req) in chunk.iter_mut().enumerate() {
+            for req in chunk.iter_mut() {
                 let missed = expired(req.meta.deadline, now);
-                let t_sc = req.meta.trace.is_some().then(Instant::now);
-                let mut out = Vec::new();
-                bw.scatter_into(j, &mut out);
-                if let Some(t_sc) = t_sc {
-                    if let Some((start_ns, dur_ns)) = exec_span {
-                        stats.stage_span(&mut req.meta, Stage::Exec, start_ns, dur_ns, 0);
+                for (stage, span) in [(Stage::Exec, exec_span), (Stage::Scatter, scatter_span)] {
+                    if let Some((start_ns, dur_ns)) = span {
+                        stats.stage_span(&mut req.meta, stage, start_ns, dur_ns, 0);
                     }
-                    let sc_ns = ns(t_sc.elapsed());
-                    stats.scatter_hist.record_ns(sc_ns);
-                    let start_ns = stats.obs.instant_ns(t_sc);
-                    stats.stage_span(&mut req.meta, Stage::Scatter, start_ns, sc_ns, 0);
                 }
                 stats.resolve_request(&mut req.meta, u64::from(missed));
-                let job = req.job.as_any().downcast_mut::<Job<V>>().expect("chunk grouped by scalar");
+                let job = job_of::<T, V>(req);
+                let out = std::mem::take(&mut job.x);
                 job.send(Ok(out));
             }
         }
@@ -260,8 +244,7 @@ fn coalesce_chunk<T: Send + Sync, V: Scalar>(
             let shared = Arc::new(OracleError::Morpheus(e));
             for req in chunk.iter_mut() {
                 stats.resolve_request(&mut req.meta, 3);
-                let job = req.job.as_any().downcast_mut::<Job<V>>().expect("chunk grouped by scalar");
-                job.send(Err(IngressError::Exec(Arc::clone(&shared))));
+                job_of::<T, V>(req).send(Err(IngressError::Exec(Arc::clone(&shared))));
             }
         }
     }

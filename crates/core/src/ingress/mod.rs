@@ -10,8 +10,8 @@
 //!   submit ──► admit ──────► queue ──► coalesce-or-direct ──► execute ──► scatter
 //!              │  │            │            │                 (planned       │
 //!   tenant quota  queue cap    │       cost-model gate         SpMM/SpMV)    ▼
-//!   Backpressure::TenantQuota  │       spmm_time(k) <                     Ticket
-//!   Backpressure::QueueFull    │         k·spmv_time?                    resolves
+//!   Backpressure::TenantQuota  │       per_rhs < spmv_time?               Ticket
+//!   Backpressure::QueueFull    │       (read off the handle)             resolves
 //!                              ▼
 //!               deadline expired while queued?
 //!               shed: Backpressure::DeadlineExpired
@@ -27,9 +27,15 @@
 //!   scalar) become *one* planned SpMM over the handle's shared
 //!   [`ExecPlan`](morpheus::ExecPlan) when the engine's cost model prices
 //!   `spmm_time(k)` under `k × spmv_time` — the paper's op-aware cost
-//!   model collecting the batching payoff. Results are scattered back
-//!   per-request, **bitwise identical** to individual SpMVs (the SpMM
-//!   kernels accumulate each output column in exactly the SpMV order).
+//!   model collecting the batching payoff. The model is affine in `k`
+//!   (`spmv_time + (k - 1) × per_rhs`), so the gate is the one
+//!   `k`-independent comparison `per_rhs < spmv_time`; both numbers are
+//!   evaluated once, at registration, on the machine view tuning already
+//!   holds, and ride on the handle ([`MatrixHandle::batch_cost`]; summed
+//!   over shards for a partitioned handle). The pump never analyses a
+//!   matrix. Results are scattered back per-request, **bitwise
+//!   identical** to individual SpMVs (the SpMM kernels accumulate each
+//!   output column in exactly the SpMV order).
 //! * **SLO enforcement** — requests carry deadlines (explicit, or
 //!   [`IngressConfig::default_slo`]). Work that expires while queued is
 //!   shed with [`Backpressure::DeadlineExpired`] *before* any kernel runs;
@@ -92,7 +98,9 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoalescePolicy {
     /// Coalesce only when the engine prices `spmm_time(k)` below
-    /// `k × spmv_time` for the handle's realized format — the default.
+    /// `k × spmv_time` for the handle's realized format — for every `k`
+    /// the comparison [`BatchCost::coalescing_pays`](crate::BatchCost::coalescing_pays)
+    /// makes on the two numbers the handle carries. The default.
     #[default]
     CostModel,
     /// Always coalesce same-handle runs (benchmarking / testing).
@@ -280,12 +288,14 @@ pub(crate) struct StatsCells {
     pub(crate) queue_depth: Gauge,
     /// `ingress.queue_wait_ns` — submission to pump pickup.
     pub(crate) queue_wait_hist: Arc<Histogram>,
-    /// `ingress.coalesce_ns` — cost-gate evaluation per chunk.
+    /// `ingress.coalesce_ns` — cost-gate evaluation per chunk (two numbers
+    /// read off the handle: sub-microsecond, whatever the matrix).
     pub(crate) coalesce_hist: Arc<Histogram>,
     /// `ingress.exec_ns` — one sample per kernel execution (a coalesced
     /// batch records once for its k requests).
     pub(crate) exec_hist: Arc<Histogram>,
-    /// `ingress.scatter_ns` — per-request result scatter + delivery.
+    /// `ingress.scatter_ns` — one sample per coalesced batch: the tiled
+    /// scatter of its k result columns.
     pub(crate) scatter_hist: Arc<Histogram>,
 }
 

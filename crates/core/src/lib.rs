@@ -111,7 +111,9 @@ pub use obs::{
 };
 pub use oracle::{Oracle, OracleBuilder, DEFAULT_CACHE_CAPACITY};
 pub use params::{heuristic_params, propose_params, ParamRegressor, ParamStrategy};
-pub use serve::{HandleInfo, MatrixHandle, OracleService, PartitionPolicy, ServeStats, ServiceSnapshot};
+pub use serve::{
+    BatchCost, HandleInfo, MatrixHandle, OracleService, PartitionPolicy, ServeStats, ServiceSnapshot,
+};
 pub use tune::{PlanStatus, TuneReport};
 pub use tuner::{
     DecisionTreeTuner, FormatTuner, GbtTuner, RandomForestTuner, RunFirstTuner, TuneDecision, TuningCost,

@@ -103,6 +103,45 @@ struct PlanKey {
     cpu: u64,
 }
 
+/// The two engine numbers the ingress coalescing gate compares, computed
+/// once at registration from the machine view tuning already holds and
+/// carried on the [`MatrixHandle`] (and beside the cached decision, so a
+/// decision-cache hit needs no view to get them).
+///
+/// [`VirtualEngine::spmm_time`] is affine in the batch width —
+/// `spmv + (k - 1) * per_rhs` — so "one SpMM of `k` beats `k` SpMVs" is the
+/// same comparison for every `k >= 2`.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct BatchCost {
+    /// Modelled seconds of one SpMV in the realized format
+    /// ([`VirtualEngine::spmv_time`]); summed over the shards of a
+    /// partitioned handle.
+    pub spmv: f64,
+    /// Modelled seconds each further right-hand side adds to an SpMM
+    /// ([`VirtualEngine::spmm_per_rhs_time`]); summed likewise.
+    pub per_rhs: f64,
+}
+
+impl BatchCost {
+    fn of(engine: &VirtualEngine, format: FormatId, view: &MatrixAnalysis) -> BatchCost {
+        BatchCost { spmv: engine.spmv_time(format, view), per_rhs: engine.spmm_per_rhs_time(format, view) }
+    }
+
+    /// `true` when the engine prices an SpMM of any `k >= 2` right-hand
+    /// sides below `k` SpMVs.
+    pub fn coalescing_pays(&self) -> bool {
+        self.per_rhs < self.spmv
+    }
+}
+
+/// A decision-cache entry: the decision and, unless it was imported from a
+/// decisions file, the [`BatchCost`] of its format.
+#[derive(Debug, Clone, Copy)]
+struct CachedDecision {
+    decision: TuneDecision,
+    batch: Option<BatchCost>,
+}
+
 /// What the cold path knows about one matrix before converting it: the
 /// structure hash it is keyed by and, once computed, the shared analysis
 /// and the machine model's view of it. Each fact is computed at most once
@@ -127,6 +166,9 @@ struct Decided {
     facts: Facts,
     key: CacheKey,
     decision: TuneDecision,
+    /// [`BatchCost`] of `decision.format`: always known on a miss (the view
+    /// is at hand), on a hit whenever the entry carries it.
+    batch: Option<BatchCost>,
     cache_hit: bool,
     /// Decision-cache generation the tuner was consulted under (gates the
     /// follow-up inserts of `realize`); unused on a hit.
@@ -142,6 +184,10 @@ struct TuneArtifacts {
     realized_hash: Option<u64>,
     analysis: Option<Analysis>,
     view: Option<MatrixAnalysis>,
+    /// [`BatchCost`] of the realized format; `None` when a hit carried none
+    /// for it (an imported decision, or a fresh CSR fallback) and no view
+    /// was at hand.
+    batch: Option<BatchCost>,
 }
 
 /// What the shards of one partitioned registration did, folded into the
@@ -150,11 +196,17 @@ struct ShardTally {
     convert_seconds: f64,
     converted: bool,
     all_cache_hits: bool,
+    batch: BatchCost,
 }
 
 impl Default for ShardTally {
     fn default() -> Self {
-        ShardTally { convert_seconds: 0.0, converted: false, all_cache_hits: true }
+        ShardTally {
+            convert_seconds: 0.0,
+            converted: false,
+            all_cache_hits: true,
+            batch: BatchCost::default(),
+        }
     }
 }
 
@@ -335,6 +387,7 @@ struct Registered<V: Scalar> {
     id: u64,
     stored: Stored<V>,
     report: TuneReport,
+    batch: BatchCost,
 }
 
 /// What a handle executes: one whole matrix with one plan, or a set of
@@ -397,6 +450,13 @@ impl<V: Scalar> MatrixHandle<V> {
     /// [`TuneReport::shards`] says whether the handle is partitioned).
     pub fn report(&self) -> &TuneReport {
         &self.inner.report
+    }
+
+    /// What the engine prices an SpMV and each further SpMM right-hand side
+    /// at on this handle — the inputs of the ingress coalescing gate, fixed
+    /// at registration.
+    pub fn batch_cost(&self) -> BatchCost {
+        self.inner.batch
     }
 
     /// `true` when the handle executes as row-range shards.
@@ -471,7 +531,7 @@ pub struct OracleService<T> {
     engine: VirtualEngine,
     tuner: T,
     opts: ConvertOptions,
-    decisions: ShardedLru<CacheKey, TuneDecision>,
+    decisions: ShardedLru<CacheKey, CachedDecision>,
     plans: ShardedLru<PlanKey, Arc<dyn Any + Send + Sync>>,
     engine_fingerprint: u64,
     pool: ServicePool,
@@ -653,11 +713,11 @@ impl<T> OracleService<T> {
             op,
         };
         match self.decisions.get_if(&key, |_| true) {
-            Some(mut cached) => {
+            Some(CachedDecision { decision: mut cached, batch }) => {
                 // Same structure, scalar, engine and op: the tuner would
                 // reproduce this decision, so charge nothing for it.
                 cached.cost = TuningCost::cached();
-                Decided { facts, key, decision: cached, cache_hit: true, generation: 0 }
+                Decided { facts, key, decision: cached, batch, cache_hit: true, generation: 0 }
             }
             None => {
                 // Read the cache generation *before* consulting the tuner:
@@ -665,9 +725,11 @@ impl<T> OracleService<T> {
                 // is in flight, the generation-gated inserts drop it
                 // instead of resurrecting the superseded model's choice.
                 let generation = self.decisions.generation();
-                let decision = self.tuner.select(m, self.view_of(m, &mut facts), &self.engine, op);
-                self.decisions.insert_if_generation(key, decision, generation);
-                Decided { facts, key, decision, cache_hit: false, generation }
+                let view = self.view_of(m, &mut facts);
+                let decision = self.tuner.select(m, view, &self.engine, op);
+                let batch = Some(BatchCost::of(&self.engine, decision.format, view));
+                self.decisions.insert_if_generation(key, CachedDecision { decision, batch }, generation);
+                Decided { facts, key, decision, batch, cache_hit: false, generation }
             }
         }
     }
@@ -682,7 +744,8 @@ impl<T> OracleService<T> {
         decided: Decided,
         op: Op,
     ) -> Result<(TuneReport, TuneArtifacts)> {
-        let Decided { facts: Facts { hash, analysis, view }, key, decision, cache_hit, generation } = decided;
+        let Decided { facts: Facts { hash, analysis, view }, key, decision, batch, cache_hit, generation } =
+            decided;
         let previous = m.format_id();
         let predicted = decision.format;
         let (chosen, convert) = match m.convert_to_with(predicted, &self.opts, analysis.as_ref()) {
@@ -693,12 +756,18 @@ impl<T> OracleService<T> {
                 (FormatId::Csr, outcome)
             }
         };
+        // The carried numbers price the decided format; after a CSR
+        // fallback they are re-taken from the view (always at hand on a
+        // miss).
+        let batch = batch
+            .filter(|_| chosen == predicted)
+            .or_else(|| view.as_ref().map(|v| BatchCost::of(&self.engine, chosen, v)));
         let mut realized_hash = (chosen == previous).then_some(hash);
         if !cache_hit {
             // Cache the *realized* format: if the prediction proved
             // non-viable, later hits must not re-pay the failing
             // conversion attempt before falling back.
-            let realized = TuneDecision { format: chosen, ..decision };
+            let realized = CachedDecision { decision: TuneDecision { format: chosen, ..decision }, batch };
             if chosen != predicted {
                 self.decisions.insert_if_generation(key, realized, generation);
             }
@@ -741,7 +810,7 @@ impl<T> OracleService<T> {
             convert,
             shards: 1,
         };
-        Ok((report, TuneArtifacts { realized_hash, analysis, view }))
+        Ok((report, TuneArtifacts { realized_hash, analysis, view, batch }))
     }
 
     /// Fetches (or builds and caches) the shared execution plan for `m`,
@@ -1035,6 +1104,21 @@ impl<T> OracleService<T> {
         self.record_execution::<V>(structure, m.format_id(), op, workers, report.variant, elapsed);
     }
 
+    /// The [`BatchCost`] of a realized matrix: the numbers tuning carried,
+    /// or — only for a decision imported from a file, which has none and
+    /// was hit without a view — two engine evaluations on a view taken now.
+    fn batch_cost_of<V: Scalar>(
+        &self,
+        m: &DynamicMatrix<V>,
+        artifacts: TuneArtifacts,
+        structure: u64,
+    ) -> BatchCost {
+        artifacts.batch.unwrap_or_else(|| {
+            let mut facts = Facts { hash: structure, analysis: artifacts.analysis, view: None };
+            BatchCost::of(&self.engine, m.format_id(), self.view_of(m, &mut facts))
+        })
+    }
+
     /// Registers `m` for serving: tunes it for SpMV, converts it to the
     /// selected format and builds (or fetches from the shared cache) its
     /// execution plan — the whole §VII-E amortisation paid here, once.
@@ -1087,6 +1171,7 @@ impl<T> OracleService<T> {
         report.plan = status;
         report.variant = plan.dominant_variant();
         let structure = artifacts.realized_hash.unwrap_or_else(|| m.structure_hash());
+        let batch = self.batch_cost_of(&m, artifacts, structure);
         let id = self.next_handle_id.fetch_add(1, Ordering::Relaxed);
         self.matrices_registered.inc();
         self.registry.write().push(HandleInfo {
@@ -1099,7 +1184,7 @@ impl<T> OracleService<T> {
             shards: 1,
         });
         let stored = Stored::Single { matrix: m, structure, plan };
-        Ok(MatrixHandle { inner: Arc::new(Registered { id, stored, report }) })
+        Ok(MatrixHandle { inner: Arc::new(Registered { id, stored, report, batch }) })
     }
 
     /// [`OracleService::register`], considering a *partitioned* handle: the
@@ -1186,9 +1271,9 @@ impl<T> OracleService<T> {
         let mut shards = Vec::with_capacity(decided.len());
         let mut shard_times = Vec::with_capacity(decided.len());
         for (rows, sm, d) in decided {
-            let (shard, artifacts) = self.realize_shard(rows, sm, d, op, &mut tally)?;
+            let (shard, view) = self.realize_shard(rows, sm, d, op, &mut tally)?;
             if best_whole.is_some() {
-                shard_times.push(shard_time(shard.format_id(), artifacts.view.as_ref()));
+                shard_times.push(shard_time(shard.format_id(), view.as_ref()));
             }
             shards.push(shard);
         }
@@ -1244,8 +1329,8 @@ impl<T> OracleService<T> {
     /// the shard's own structure hash (so adaptive learning and repeat
     /// registrations see shard-level populations) and the plan is built
     /// for single-threaded execution (parallelism comes from running
-    /// shards concurrently). The returned artifacts still hold the shard's
-    /// machine view when the decision computed one.
+    /// shards concurrently). Adds the shard's [`BatchCost`] to `tally` and
+    /// returns the shard's machine view when the decision computed one.
     fn realize_shard<V: Scalar>(
         &self,
         rows: std::ops::Range<usize>,
@@ -1253,14 +1338,18 @@ impl<T> OracleService<T> {
         decided: Decided,
         op: Op,
         tally: &mut ShardTally,
-    ) -> Result<(morpheus::partition::Shard<V>, TuneArtifacts)> {
-        let (report, artifacts) = self.realize(&mut sm, decided, op)?;
+    ) -> Result<(morpheus::partition::Shard<V>, Option<MatrixAnalysis>)> {
+        let (report, mut artifacts) = self.realize(&mut sm, decided, op)?;
         tally.convert_seconds += report.convert.seconds;
         tally.converted |= report.converted;
         tally.all_cache_hits &= report.cache_hit;
         let (plan, _) = self.acquire_plan(&sm, &artifacts, 1);
         let structure = artifacts.realized_hash.unwrap_or_else(|| sm.structure_hash());
-        Ok((morpheus::partition::Shard::new(rows, sm, plan, structure), artifacts))
+        let view = artifacts.view.take();
+        let batch = self.batch_cost_of(&sm, artifacts, structure);
+        tally.batch.spmv += batch.spmv;
+        tally.batch.per_rhs += batch.per_rhs;
+        Ok((morpheus::partition::Shard::new(rows, sm, plan, structure), view))
     }
 
     /// Registry bookkeeping and report synthesis shared by the partitioned
@@ -1306,7 +1395,7 @@ impl<T> OracleService<T> {
             shards: pm.num_shards(),
         });
         let stored = Stored::Partitioned(pm);
-        Ok(MatrixHandle { inner: Arc::new(Registered { id, stored, report }) })
+        Ok(MatrixHandle { inner: Arc::new(Registered { id, stored, report, batch: tally.batch }) })
     }
 
     /// `y = A x` through a registered handle: the zero-lock steady state.
@@ -1729,7 +1818,7 @@ impl<T> OracleService<T> {
     /// warm-starting with default parameters.
     pub fn export_decisions<W: Write>(&self, w: &mut W) -> Result<()> {
         let mut entries: Vec<(CacheKey, TuneDecision)> = Vec::new();
-        self.decisions.for_each(|k, d| entries.push((*k, *d)));
+        self.decisions.for_each(|k, d| entries.push((*k, d.decision)));
         // Deterministic output independent of shard iteration order.
         entries.sort_by_key(|(k, _)| (k.structure, k.scalar_bytes, k.op.name(), k.op.rhs_count()));
         writeln!(w, "{DECISIONS_MAGIC} {DECISIONS_VERSION}")?;
@@ -1825,7 +1914,7 @@ impl<T> OracleService<T> {
         }
         let count = parsed.len();
         for (key, decision) in parsed {
-            self.decisions.insert(key, decision);
+            self.decisions.insert(key, CachedDecision { decision, batch: None });
         }
         Ok(count)
     }
@@ -2083,6 +2172,11 @@ mod tests {
         let r = restarted.tune(&mut a2).unwrap();
         assert!(r.cache_hit, "warm-started service must skip tuning");
         assert_eq!(r.chosen, a.format_id());
+        // The file carries no gate numbers: a handle registered off an
+        // imported decision takes its own view and prices the same.
+        let warm = restarted.register(tridiag(1300)).unwrap();
+        assert!(warm.report().cache_hit);
+        assert_eq!(warm.batch_cost(), service.register(tridiag(1300)).unwrap().batch_cost());
         // Exporting the restarted cache reproduces the same set.
         let mut buf2 = Vec::new();
         restarted.export_decisions(&mut buf2).unwrap();

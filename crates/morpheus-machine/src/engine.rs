@@ -293,10 +293,18 @@ impl VirtualEngine {
     /// operation-aware.
     pub fn spmm_time(&self, fmt: FormatId, a: &MatrixAnalysis, k: usize) -> f64 {
         let base = self.spmv_time(fmt, a);
-        let k = k.max(1) as f64;
-        if k == 1.0 {
-            return base;
+        match k.max(1) {
+            1 => base,
+            k => base + (k - 1) as f64 * self.spmm_per_rhs_time(fmt, a),
         }
+    }
+
+    /// Modelled seconds each right-hand side beyond the first adds to an
+    /// SpMM in `fmt` — the slope of [`VirtualEngine::spmm_time`], which is
+    /// affine in `k`. Batching `k >= 2` SpMVs into one SpMM is therefore
+    /// modelled as a win exactly when this is below
+    /// [`VirtualEngine::spmv_time`], whatever `k` is.
+    pub fn spmm_per_rhs_time(&self, fmt: FormatId, a: &MatrixAnalysis) -> f64 {
         let work = Self::op_work_slots(fmt, a);
         let bytes = (work + 2.0 * a.nrows() as f64) * 8.0;
         let per_rhs = match self.backend {
@@ -307,7 +315,7 @@ impl VirtualEngine {
                 bytes / dev.bandwidth()
             }
         };
-        base + (k - 1.0) * per_rhs * self.noise(a, fmt)
+        per_rhs * self.noise(a, fmt)
     }
 
     /// `true` when the format's padded storage passes the fill guard.

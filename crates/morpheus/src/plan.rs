@@ -145,9 +145,11 @@ impl<V: Scalar> Workspace<V> {
 /// The batched serving path collects `k` queued right-hand sides for one
 /// matrix, packs them into the row-major `ncols x k` block that
 /// [`ExecPlan::spmm`] expects (`X[i*k + j] = column_j[i]`), executes once,
-/// and unpacks row-major `nrows x k` results back into per-request output
-/// vectors. Both blocks live here and grow to the largest batch they have
-/// carried, so a steady-state coalescing loop allocates nothing.
+/// and unpacks the row-major `nrows x k` result into per-request output
+/// vectors. Both transposes go tile by tile — 64 rows of the block stay in
+/// L1 while each column's run of 64 elements streams — so either side is
+/// read and written once. Both blocks live here and only ever grow, so a
+/// steady-state coalescing loop allocates and zero-fills nothing.
 #[derive(Debug, Clone, Default)]
 pub struct BatchWorkspace<V: Scalar> {
     x: Vec<V>,
@@ -157,6 +159,9 @@ pub struct BatchWorkspace<V: Scalar> {
 }
 
 impl<V: Scalar> BatchWorkspace<V> {
+    /// Block rows per transpose tile (`64 x 32` doubles are 16 KiB).
+    const TILE: usize = 64;
+
     /// An empty batch workspace; the first batch sizes it.
     pub fn new() -> Self {
         BatchWorkspace::default()
@@ -169,11 +174,11 @@ impl<V: Scalar> BatchWorkspace<V> {
     }
 
     /// Gathers `columns` (one equal-length input vector per coalesced
-    /// request) into the row-major `ncols x k` block, sizes the output
-    /// block to `nrows x k`, and runs `exec(x_block, y_block)` — typically
-    /// a closure over [`ExecPlan::spmm`]. The results stay in the
-    /// workspace for [`BatchWorkspace::scatter_into`] /
-    /// [`BatchWorkspace::column`].
+    /// request) into the row-major `ncols x k` block and runs
+    /// `exec(x_block, y_block)` — typically a closure over
+    /// [`ExecPlan::spmm`] — on it and the `nrows x k` output block, which
+    /// `exec` must fill entirely. The results stay in the workspace for
+    /// [`BatchWorkspace::scatter_into`].
     ///
     /// Fails with [`MorpheusError::ShapeMismatch`] if the columns disagree
     /// in length or the batch is empty; `exec` errors propagate unchanged.
@@ -194,36 +199,47 @@ impl<V: Scalar> BatchWorkspace<V> {
                 got: format!("a column of length {}", bad.len()),
             });
         }
-        self.x.resize(ncols * k, V::ZERO);
-        for (j, col) in columns.iter().enumerate() {
-            for (i, &v) in col.iter().enumerate() {
-                self.x[i * k + j] = v;
+        // Grow-only: a smaller batch runs in a prefix of the blocks.
+        if self.x.len() < ncols * k {
+            self.x.resize(ncols * k, V::ZERO);
+        }
+        if self.y.len() < nrows * k {
+            self.y.resize(nrows * k, V::ZERO);
+        }
+        for i0 in (0..ncols).step_by(Self::TILE) {
+            let i1 = (i0 + Self::TILE).min(ncols);
+            let tile = &mut self.x[i0 * k..i1 * k];
+            for (j, col) in columns.iter().enumerate() {
+                for (row, &v) in tile.chunks_exact_mut(k).zip(&col[i0..i1]) {
+                    row[j] = v;
+                }
             }
         }
-        self.y.resize(nrows * k, V::ZERO);
         self.nrows = nrows;
         self.k = k;
         exec(&self.x[..ncols * k], &mut self.y[..nrows * k])
     }
 
-    /// Copies result column `j` (request `j`'s `y = A x_j`) of the most
-    /// recent [`BatchWorkspace::run`] into `out`, replacing its contents.
+    /// Replaces the contents of `outs[j]` with result column `j` (request
+    /// `j`'s `y = A x_j`) of the most recent [`BatchWorkspace::run`]. The
+    /// vectors' allocations are kept, so a caller that hands back the
+    /// request's spent input vectors allocates nothing for a square matrix.
     ///
     /// # Panics
-    /// If `j` is not a column of the last batch.
-    pub fn scatter_into(&self, j: usize, out: &mut Vec<V>) {
-        out.clear();
-        out.extend(self.column(j));
-    }
-
-    /// Iterates result column `j` of the most recent batch (strided view
-    /// of the row-major `nrows x k` output block).
-    ///
-    /// # Panics
-    /// If `j` is not a column of the last batch.
-    pub fn column(&self, j: usize) -> impl Iterator<Item = V> + '_ {
-        assert!(j < self.k, "column {j} out of range for a batch of {}", self.k);
-        (0..self.nrows).map(move |i| self.y[i * self.k + j])
+    /// If `outs` does not hold one vector per column of the last batch.
+    pub fn scatter_into(&self, outs: &mut [&mut Vec<V>]) {
+        let (nrows, k) = (self.nrows, self.k);
+        assert_eq!(outs.len(), k, "one output vector per column of the batch");
+        for out in outs.iter_mut() {
+            out.clear();
+            out.reserve_exact(nrows);
+        }
+        for i0 in (0..nrows).step_by(Self::TILE) {
+            let tile = &self.y[i0 * k..(i0 + Self::TILE).min(nrows) * k];
+            for (j, out) in outs.iter_mut().enumerate() {
+                out.extend(tile.chunks_exact(k).map(|row| row[j]));
+            }
+        }
     }
 }
 
@@ -613,35 +629,26 @@ impl<V: Scalar> ExecPlan<V> {
     ) -> Result<()> {
         self.check(m)?;
         spmm::check_spmm_shapes(m, x, y, k)?;
-        if pool.num_threads() == 1 {
-            // See `spmv`: one worker ⇒ serial kernels, bitwise identical.
-            return spmm::spmm_serial(m, x, y, k);
-        }
+        let pool = Some(pool);
         match (m, &self.parts) {
             (DynamicMatrix::Csr(a), Parts::Csr { rows, .. }) => {
-                spmm::spmm_csr_ranges::<V, false>(a, x, y, k, pool, rows)
+                spmm::spmm_csr::<V, false>(a, x, y, k, pool, rows)
             }
             (DynamicMatrix::Coo(a), Parts::Coo { entries }) => {
-                spmm::spmm_coo_ranges(a, x, y, k, pool, entries)
+                spmm::spmm_coo::<V, false>(a, x, y, k, pool, entries)
             }
-            (DynamicMatrix::Dia(a), Parts::Rows { rows, .. }) => {
-                spmm::spmm_dia_ranges(a, x, y, k, pool, rows)
-            }
-            (DynamicMatrix::Ell(a), Parts::Rows { rows, .. }) => {
-                spmm::spmm_ell_ranges(a, x, y, k, pool, rows)
-            }
+            (DynamicMatrix::Dia(a), Parts::Rows { rows, .. }) => spmm::spmm_dia(a, x, y, k, pool, rows),
+            (DynamicMatrix::Ell(a), Parts::Rows { rows, .. }) => spmm::spmm_ell(a, x, y, k, pool, rows),
             (DynamicMatrix::Hyb(a), Parts::Hyb { rows, coo_entries, .. }) => {
-                spmm::spmm_ell_ranges(a.ell(), x, y, k, pool, rows);
-                spmm::spmm_coo_acc_ranges(a.coo(), x, y, k, pool, coo_entries);
+                spmm::spmm_ell(a.ell(), x, y, k, pool, rows);
+                spmm::spmm_coo::<V, true>(a.coo(), x, y, k, pool, coo_entries);
             }
             (DynamicMatrix::Hdc(a), Parts::Hdc { rows, csr_rows, .. }) => {
-                spmm::spmm_dia_ranges(a.dia(), x, y, k, pool, rows);
-                spmm::spmm_csr_ranges::<V, true>(a.csr(), x, y, k, pool, csr_rows);
+                spmm::spmm_dia(a.dia(), x, y, k, pool, rows);
+                spmm::spmm_csr::<V, true>(a.csr(), x, y, k, pool, csr_rows);
             }
-            (DynamicMatrix::Bsr(a), Parts::Bsr { brows, .. }) => {
-                spmm::spmm_bsr_ranges(a, x, y, k, pool, brows)
-            }
-            (DynamicMatrix::Bell(a), Parts::Bell { segs }) => spmm::spmm_bell_ranges(a, x, y, k, pool, segs),
+            (DynamicMatrix::Bsr(a), Parts::Bsr { brows, .. }) => spmm::spmm_bsr(a, x, y, k, pool, brows),
+            (DynamicMatrix::Bell(a), Parts::Bell { segs }) => spmm::spmm_bell(a, x, y, k, pool, Some(segs)),
             _ => unreachable!("plan/matrix format agreement checked above"),
         }
         Ok(())
@@ -1144,12 +1151,13 @@ mod tests {
         let mut bw = BatchWorkspace::new();
         bw.run(70, &refs, |x, y| plan.spmm(&m, x, y, k, &pool)).unwrap();
 
-        let mut out = Vec::new();
+        // Outputs land in recycled vectors of any previous size.
+        let mut outs: Vec<Vec<f64>> = (0..k).map(|j| vec![f64::NAN; 30 * j]).collect();
+        bw.scatter_into(&mut outs.iter_mut().collect::<Vec<_>>());
         for (j, col) in columns.iter().enumerate() {
             let mut y_ref = vec![f64::NAN; 70];
             plan.spmv(&m, col, &mut y_ref, &pool).unwrap();
-            bw.scatter_into(j, &mut out);
-            assert!(bitwise_eq(&out, &y_ref), "column {j}");
+            assert!(bitwise_eq(&outs[j], &y_ref), "column {j}");
         }
 
         // Steady state: a same-shape batch must not grow the blocks.

@@ -9,11 +9,14 @@
 //! entry across the `k` right-hand sides, which is exactly why SpMM beats
 //! `k` separate SpMVs.
 //!
-//! The threaded kernels partition output **rows** across workers — each
-//! `k`-wide row block of `Y` has exactly one writer, and the per-row
-//! accumulation order matches the serial kernels, so threaded results are
-//! bitwise identical to serial. Partitions come from a
-//! [`crate::plan::ExecPlan`]: [`spmm_threaded`] builds a throwaway plan per
+//! Each format has **one** kernel body, run over ranges of its rows: the
+//! serial entry point runs it over everything, the planned one over a
+//! [`crate::plan::ExecPlan`]'s ranges across the pool (each `k`-wide row
+//! block of `Y` has exactly one writer). A body holds a row's sums in
+//! registers — a const-generic panel of up to 16 right-hand sides, wider `k`
+//! in several panels — and adds them in the order the format's SpMV kernel
+//! does, so every output column is **bitwise identical** to an SpMV on that
+//! column, serial or planned. [`spmm_threaded`] builds a throwaway plan per
 //! call; iterative callers should build the plan once and call
 //! [`crate::plan::ExecPlan::spmm`] directly (or go through the Oracle,
 //! which caches plans per matrix structure).
@@ -26,8 +29,6 @@ use crate::dia::DiaMatrix;
 use crate::dynamic::DynamicMatrix;
 use crate::ell::{EllMatrix, ELL_PAD};
 use crate::error::MorpheusError;
-use crate::hdc::HdcMatrix;
-use crate::hyb::HybMatrix;
 use crate::plan::ExecPlan;
 use crate::scalar::Scalar;
 use crate::spmv::ExecPolicy;
@@ -73,15 +74,25 @@ pub fn spmm<V: Scalar>(
 /// `Y = A X` on the serial backend.
 pub fn spmm_serial<V: Scalar>(m: &DynamicMatrix<V>, x: &[V], y: &mut [V], k: usize) -> Result<()> {
     check_spmm_shapes(m, x, y, k)?;
+    // One part covering every unit: the ranged bodies are the serial kernels.
+    let one = std::slice::from_ref::<Range<usize>>;
+    let rows = &(0..m.nrows());
+    let rows = one(rows);
     match m {
-        DynamicMatrix::Coo(a) => spmm_coo(a, x, y, k),
-        DynamicMatrix::Csr(a) => spmm_csr(a, x, y, k),
-        DynamicMatrix::Dia(a) => spmm_dia(a, x, y, k),
-        DynamicMatrix::Ell(a) => spmm_ell(a, x, y, k),
-        DynamicMatrix::Hyb(a) => spmm_hyb(a, x, y, k),
-        DynamicMatrix::Hdc(a) => spmm_hdc(a, x, y, k),
-        DynamicMatrix::Bsr(a) => spmm_bsr(a, x, y, k),
-        DynamicMatrix::Bell(a) => spmm_bell(a, x, y, k),
+        DynamicMatrix::Coo(a) => spmm_coo::<V, false>(a, x, y, k, None, one(&(0..a.nnz()))),
+        DynamicMatrix::Csr(a) => spmm_csr::<V, false>(a, x, y, k, None, rows),
+        DynamicMatrix::Dia(a) => spmm_dia(a, x, y, k, None, rows),
+        DynamicMatrix::Ell(a) => spmm_ell(a, x, y, k, None, rows),
+        DynamicMatrix::Hyb(a) => {
+            spmm_ell(a.ell(), x, y, k, None, rows);
+            spmm_coo::<V, true>(a.coo(), x, y, k, None, one(&(0..a.coo().nnz())));
+        }
+        DynamicMatrix::Hdc(a) => {
+            spmm_dia(a.dia(), x, y, k, None, rows);
+            spmm_csr::<V, true>(a.csr(), x, y, k, None, rows);
+        }
+        DynamicMatrix::Bsr(a) => spmm_bsr(a, x, y, k, None, one(&(0..a.nblockrows()))),
+        DynamicMatrix::Bell(a) => spmm_bell(a, x, y, k, None, None),
     }
     Ok(())
 }
@@ -102,479 +113,450 @@ pub fn spmm_threaded<V: Scalar>(
 }
 
 // ---------------------------------------------------------------------------
-// Serial kernels
+// Panel kernels: one body per format, shared by every entry point
 // ---------------------------------------------------------------------------
 
-fn spmm_coo<V: Scalar>(a: &CooMatrix<V>, x: &[V], y: &mut [V], k: usize) {
-    y.fill(V::ZERO);
-    spmm_coo_acc(a, x, y, k);
+/// One format's SpMM kernel over a span of its work units (rows, block
+/// rows, slab positions or entries) for one `P`-wide panel of right-hand
+/// sides. A row's `P` partial sums live in registers for the whole row and
+/// are stored once, so `y` never round-trips through memory per entry; each
+/// sum is accumulated in the order the format's SpMV kernel uses, so every
+/// output column is bitwise identical to an SpMV on that column.
+///
+/// `R` is how many rows a body that can reach several rows' entries at once
+/// (column-major slabs, diagonals) keeps in flight: a narrow panel is one
+/// short dependency chain per row, and `R` of them hide the add latency.
+trait Body<V: Scalar>: Sync {
+    /// Units per block: a block's matrix entries are re-read from cache,
+    /// not memory, by the second and later panels of a wide `k`.
+    const BLOCK: usize = 64;
+
+    /// # Safety
+    /// The caller owns the output rows of `units` exclusively.
+    unsafe fn panel<const P: usize, const R: usize>(
+        &self,
+        xs: Panel<'_, V, P>,
+        out: &SharedSlice<V>,
+        units: Range<usize>,
+    );
 }
 
-fn spmm_coo_acc<V: Scalar>(a: &CooMatrix<V>, x: &[V], y: &mut [V], k: usize) {
-    for (r, c, v) in a.iter() {
-        let xr = &x[c * k..(c + 1) * k];
-        let yr = &mut y[r * k..(r + 1) * k];
-        for (yo, &xo) in yr.iter_mut().zip(xr) {
-            *yo += v * xo;
+/// Columns `p0..p0 + P` of the row-major `ncols x k` block `X`.
+#[derive(Clone, Copy)]
+struct Panel<'a, V, const P: usize> {
+    x: &'a [V],
+    /// `x` as whole rows when the panel is the entire block (`k == P`): an
+    /// entry then costs one bounds check and a constant stride.
+    whole: &'a [[V; P]],
+    k: usize,
+    p0: usize,
+}
+
+impl<'a, V: Scalar, const P: usize> Panel<'a, V, P> {
+    fn new(x: &'a [V], k: usize, p0: usize) -> Self {
+        let whole = if k == P { x.as_chunks::<P>().0 } else { &[] };
+        Panel { x, whole, k, p0 }
+    }
+
+    /// `acc += v * X[c, p0..p0 + P]`.
+    #[inline(always)]
+    fn axpy(&self, acc: &mut [V; P], v: V, c: usize) {
+        let xr: &[V; P] = if self.k == P {
+            &self.whole[c]
+        } else {
+            self.x[c * self.k + self.p0..][..P].try_into().expect("a P-wide slice")
+        };
+        for j in 0..P {
+            acc[j] += v * xr[j];
+        }
+    }
+
+    /// Where row `r`'s `P` sums go in the row-major `nrows x k` output.
+    #[inline(always)]
+    fn at(&self, r: usize) -> usize {
+        r * self.k + self.p0
+    }
+}
+
+/// Writes (or, for `ACC`, adds) a row's panel sums at `out[at..at + P]`.
+///
+/// # Safety
+/// The caller owns `out[at..at + P]` exclusively.
+#[inline(always)]
+unsafe fn store<V: Scalar, const P: usize, const ACC: bool>(out: &SharedSlice<V>, at: usize, acc: &[V; P]) {
+    let ys = out.slice_mut(at, P);
+    if ACC {
+        for j in 0..P {
+            ys[j] += acc[j];
+        }
+    } else {
+        ys.copy_from_slice(acc);
+    }
+}
+
+/// The fewer-than-`R` units a row-tiled body has left over, at the next
+/// narrower tile.
+///
+/// # Safety
+/// As [`Body::panel`].
+#[inline(always)]
+unsafe fn tail<V: Scalar, B: Body<V>, const P: usize, const R: usize>(
+    body: &B,
+    xs: Panel<'_, V, P>,
+    out: &SharedSlice<V>,
+    units: Range<usize>,
+) {
+    match R {
+        5.. => body.panel::<P, 4>(xs, out, units),
+        3..=4 => body.panel::<P, 2>(xs, out, units),
+        2 => body.panel::<P, 1>(xs, out, units),
+        _ => {}
+    }
+}
+
+/// Runs `body` over `units` block by block, each block across the panels
+/// `k` splits into: 16-wide ones, then one as wide as what is left. Every
+/// width up to 16 is its own panel, so a batch of at most 16 — whatever an
+/// ingress burst coalesced to — is one pass with nothing padded.
+///
+/// # Safety
+/// The caller owns the output rows of `units` exclusively.
+unsafe fn run_blocks<V: Scalar, B: Body<V>>(
+    body: &B,
+    x: &[V],
+    out: &SharedSlice<V>,
+    k: usize,
+    units: Range<usize>,
+) {
+    let mut lo = units.start;
+    while lo < units.end {
+        let blk = lo..(lo + B::BLOCK).min(units.end);
+        let mut p0 = 0;
+        while p0 < k {
+            let w = (k - p0).min(16);
+            // `P => R`: at most sixteen sums in flight whatever the width.
+            macro_rules! panel {
+                ($($p:literal => $r:literal),+) => {
+                    match w {
+                        $($p => body.panel::<$p, $r>(Panel::new(x, k, p0), out, blk.clone()),)+
+                        _ => unreachable!("a panel is 1..=16 wide"),
+                    }
+                };
+            }
+            panel!(1 => 8, 2 => 8, 3 => 4, 4 => 4, 5 => 2, 6 => 2, 7 => 2, 8 => 2, 9 => 1, 10 => 1,
+                   11 => 1, 12 => 1, 13 => 1, 14 => 1, 15 => 1, 16 => 1);
+            p0 += w;
+        }
+        lo = blk.end;
+    }
+}
+
+/// Runs `body` over precomputed `parts`: across the pool, or — without one
+/// or on a one-worker pool — inline in order on the calling thread. The
+/// serial entry point is this with one part covering everything.
+///
+/// # Safety
+/// The output rows of distinct parts must be disjoint.
+unsafe fn run<V: Scalar, B: Body<V>>(
+    body: &B,
+    x: &[V],
+    y: &mut [V],
+    k: usize,
+    pool: Option<&ThreadPool>,
+    parts: &[Range<usize>],
+) {
+    let out = SharedSlice::new(y);
+    // SAFETY (both arms): each part's rows have this one writer.
+    match pool.filter(|p| p.num_threads() > 1) {
+        Some(pool) => pool.parallel_for_plan(parts, |_p, r| unsafe { run_blocks(body, x, &out, k, r) }),
+        None => parts.iter().for_each(|r| unsafe { run_blocks(body, x, &out, k, r.clone()) }),
+    }
+}
+
+fn fill_zero<V: Scalar>(y: &mut [V], pool: Option<&ThreadPool>) {
+    match pool {
+        Some(pool) => crate::spmv::threaded::parallel_fill_zero(y, pool),
+        None => y.fill(V::ZERO),
+    }
+}
+
+/// CSR rows; `ACC` adds each row's sum to `y` (the HDC remainder, whose
+/// SpMV also sums the row before touching `y`).
+struct CsrRows<'a, V, const ACC: bool>(&'a CsrMatrix<V>);
+
+impl<V: Scalar, const ACC: bool> Body<V> for CsrRows<'_, V, ACC> {
+    unsafe fn panel<const P: usize, const R: usize>(
+        &self,
+        xs: Panel<'_, V, P>,
+        out: &SharedSlice<V>,
+        rows: Range<usize>,
+    ) {
+        for r in rows {
+            let mut acc = [V::ZERO; P];
+            for (&c, &v) in self.0.row_cols(r).iter().zip(self.0.row_vals(r)) {
+                xs.axpy(&mut acc, v, c);
+            }
+            store::<V, P, ACC>(out, xs.at(r), &acc);
         }
     }
 }
 
-fn spmm_csr<V: Scalar>(a: &CsrMatrix<V>, x: &[V], y: &mut [V], k: usize) {
-    for r in 0..a.nrows() {
-        let yr = &mut y[r * k..(r + 1) * k];
-        yr.fill(V::ZERO);
-        for (&c, &v) in a.row_cols(r).iter().zip(a.row_vals(r)) {
-            let xr = &x[c * k..(c + 1) * k];
-            for (yo, &xo) in yr.iter_mut().zip(xr) {
-                *yo += v * xo;
+/// Sorted COO entries, accumulated into `y` row run by row run.
+struct CooEntries<'a, V>(&'a CooMatrix<V>);
+
+impl<V: Scalar> Body<V> for CooEntries<'_, V> {
+    const BLOCK: usize = 512;
+
+    unsafe fn panel<const P: usize, const R: usize>(
+        &self,
+        xs: Panel<'_, V, P>,
+        out: &SharedSlice<V>,
+        entries: Range<usize>,
+    ) {
+        let (rows, cols, vals) = (self.0.row_indices(), self.0.col_indices(), self.0.values());
+        let mut e = entries.start;
+        while e < entries.end {
+            let r = rows[e];
+            let ys = out.slice_mut(xs.at(r), P);
+            let mut acc: [V; P] = (&*ys).try_into().expect("a P-wide slice");
+            while e < entries.end && rows[e] == r {
+                xs.axpy(&mut acc, vals[e], cols[e]);
+                e += 1;
             }
+            ys.copy_from_slice(&acc);
         }
     }
 }
 
-fn spmm_csr_acc<V: Scalar>(a: &CsrMatrix<V>, x: &[V], y: &mut [V], k: usize) {
-    for r in 0..a.nrows() {
-        let yr = &mut y[r * k..(r + 1) * k];
-        for (&c, &v) in a.row_cols(r).iter().zip(a.row_vals(r)) {
-            let xr = &x[c * k..(c + 1) * k];
-            for (yo, &xo) in yr.iter_mut().zip(xr) {
-                *yo += v * xo;
-            }
-        }
-    }
-}
+/// DIA rows, `R` at a time: each row gathers its diagonals (explicit zeros
+/// skipped).
+struct DiaRows<'a, V>(&'a DiaMatrix<V>);
 
-fn spmm_dia<V: Scalar>(a: &DiaMatrix<V>, x: &[V], y: &mut [V], k: usize) {
-    y.fill(V::ZERO);
-    spmm_dia_acc(a, x, y, k);
-}
-
-fn spmm_dia_acc<V: Scalar>(a: &DiaMatrix<V>, x: &[V], y: &mut [V], k: usize) {
-    for d in 0..a.ndiags() {
-        let off = a.offsets()[d];
-        let diag = a.diagonal(d);
-        for i in a.diag_row_range(d) {
-            let v = diag[i];
-            if v == V::ZERO {
-                continue;
-            }
-            let j = (i as isize + off) as usize;
-            let xr = &x[j * k..(j + 1) * k];
-            let yr = &mut y[i * k..(i + 1) * k];
-            for (yo, &xo) in yr.iter_mut().zip(xr) {
-                *yo += v * xo;
-            }
-        }
-    }
-}
-
-fn spmm_ell<V: Scalar>(a: &EllMatrix<V>, x: &[V], y: &mut [V], k: usize) {
-    y.fill(V::ZERO);
-    let nrows = a.nrows();
-    for kk in 0..a.width() {
-        let base = kk * nrows;
-        for i in 0..nrows {
-            let c = a.col_indices()[base + i];
-            if c == ELL_PAD {
-                continue;
-            }
-            let v = a.values()[base + i];
-            let xr = &x[c * k..(c + 1) * k];
-            let yr = &mut y[i * k..(i + 1) * k];
-            for (yo, &xo) in yr.iter_mut().zip(xr) {
-                *yo += v * xo;
-            }
-        }
-    }
-}
-
-fn spmm_bsr<V: Scalar>(a: &BsrMatrix<V>, x: &[V], y: &mut [V], k: usize) {
-    let (r, c) = (a.block_r(), a.block_c());
-    let offs = a.block_row_offsets();
-    let bcols = a.block_cols();
-    let vals = a.values();
-    let (nrows, ncols) = (a.nrows(), a.ncols());
-    y.fill(V::ZERO);
-    for br in 0..a.nblockrows() {
-        let r0 = br * r;
-        let rcount = r.min(nrows - r0);
-        for b in offs[br]..offs[br + 1] {
-            let c0 = bcols[b] * c;
-            let ccount = c.min(ncols - c0);
-            let bv = &vals[b * r * c..(b + 1) * r * c];
-            for rr in 0..rcount {
-                let yr = &mut y[(r0 + rr) * k..(r0 + rr + 1) * k];
-                for cc in 0..ccount {
-                    let v = bv[rr * c + cc];
-                    let xr = &x[(c0 + cc) * k..(c0 + cc + 1) * k];
-                    for (yo, &xo) in yr.iter_mut().zip(xr) {
-                        *yo += v * xo;
+impl<V: Scalar> Body<V> for DiaRows<'_, V> {
+    unsafe fn panel<const P: usize, const R: usize>(
+        &self,
+        xs: Panel<'_, V, P>,
+        out: &SharedSlice<V>,
+        rows: Range<usize>,
+    ) {
+        let (offsets, vals) = (self.0.offsets(), self.0.values());
+        let (nrows, ncols) = (self.0.nrows(), self.0.ncols());
+        let mut i = rows.start;
+        while i + R <= rows.end {
+            let mut acc = [[V::ZERO; P]; R];
+            for (d, &off) in offsets.iter().enumerate() {
+                let diag = &vals[d * nrows + i..][..R];
+                // Columns of the tile's first and last row; one left of 0
+                // wraps past `ncols`.
+                let (j0, j1) = ((i as isize + off) as usize, ((i + R - 1) as isize + off) as usize);
+                if j0 < ncols && j1 < ncols {
+                    for l in 0..R {
+                        if diag[l] != V::ZERO {
+                            xs.axpy(&mut acc[l], diag[l], j0 + l);
+                        }
+                    }
+                } else {
+                    for l in 0..R {
+                        let j = j0.wrapping_add(l);
+                        if j < ncols && diag[l] != V::ZERO {
+                            xs.axpy(&mut acc[l], diag[l], j);
+                        }
                     }
                 }
             }
+            for (l, sums) in acc.iter().enumerate() {
+                store::<V, P, false>(out, xs.at(i + l), sums);
+            }
+            i += R;
+        }
+        if i < rows.end {
+            tail::<V, Self, P, R>(self, xs, out, i..rows.end);
         }
     }
 }
 
-fn spmm_bell<V: Scalar>(a: &BellMatrix<V>, x: &[V], y: &mut [V], k: usize) {
-    y.fill(V::ZERO);
-    for bucket in a.buckets() {
-        let rows = bucket.rows();
-        let cols = bucket.cols();
-        let vals = bucket.vals();
-        let len = rows.len();
-        for kk in 0..bucket.width() {
-            let base = kk * len;
-            for j in 0..len {
-                let c = cols[base + j];
-                if c == ELL_PAD {
-                    continue;
+/// A column-major ELL slab walked `R` rows at a time: a whole ELL matrix
+/// (`rows: None`, position = row) or a span of one BELL bucket.
+struct Slab<'a, V> {
+    cols: &'a [usize],
+    vals: &'a [V],
+    /// Distance between a row's consecutive entries.
+    stride: usize,
+    width: usize,
+    rows: Option<&'a [usize]>,
+}
+
+impl<V: Scalar> Body<V> for Slab<'_, V> {
+    unsafe fn panel<const P: usize, const R: usize>(
+        &self,
+        xs: Panel<'_, V, P>,
+        out: &SharedSlice<V>,
+        span: Range<usize>,
+    ) {
+        let mut j = span.start;
+        while j + R <= span.end {
+            let mut acc = [[V::ZERO; P]; R];
+            let mut idx = j;
+            for _ in 0..self.width {
+                let (cols, vals) = (&self.cols[idx..][..R], &self.vals[idx..][..R]);
+                for l in 0..R {
+                    if cols[l] != ELL_PAD {
+                        xs.axpy(&mut acc[l], vals[l], cols[l]);
+                    }
                 }
-                let v = vals[base + j];
-                let xr = &x[c * k..(c + 1) * k];
-                let yr = &mut y[rows[j] * k..(rows[j] + 1) * k];
-                for (yo, &xo) in yr.iter_mut().zip(xr) {
-                    *yo += v * xo;
+                idx += self.stride;
+            }
+            for (l, sums) in acc.iter().enumerate() {
+                let row = self.rows.map_or(j + l, |rows| rows[j + l]);
+                store::<V, P, false>(out, xs.at(row), sums);
+            }
+            j += R;
+        }
+        if j < span.end {
+            tail::<V, Self, P, R>(self, xs, out, j..span.end);
+        }
+    }
+}
+
+/// BSR block rows, one output row at a time through the row's blocks.
+struct BsrBlockRows<'a, V>(&'a BsrMatrix<V>);
+
+impl<V: Scalar> Body<V> for BsrBlockRows<'_, V> {
+    const BLOCK: usize = 16;
+
+    unsafe fn panel<const P: usize, const R: usize>(
+        &self,
+        xs: Panel<'_, V, P>,
+        out: &SharedSlice<V>,
+        brows: Range<usize>,
+    ) {
+        let a = self.0;
+        let (r, c) = (a.block_r(), a.block_c());
+        let (offs, bcols, vals) = (a.block_row_offsets(), a.block_cols(), a.values());
+        for br in brows {
+            let r0 = br * r;
+            for rr in 0..r.min(a.nrows() - r0) {
+                let mut acc = [V::ZERO; P];
+                for b in offs[br]..offs[br + 1] {
+                    let c0 = bcols[b] * c;
+                    let row = &vals[(b * r + rr) * c..][..c.min(a.ncols() - c0)];
+                    for (cc, &v) in row.iter().enumerate() {
+                        xs.axpy(&mut acc, v, c0 + cc);
+                    }
                 }
+                store::<V, P, false>(out, xs.at(r0 + rr), &acc);
             }
         }
     }
 }
 
-fn spmm_hyb<V: Scalar>(a: &HybMatrix<V>, x: &[V], y: &mut [V], k: usize) {
-    spmm_ell(a.ell(), x, y, k);
-    spmm_coo_acc(a.coo(), x, y, k);
-}
+// The per-format entry points below take the parts to run (plan ranges, or
+// one range over everything for the serial kernels) and an optional pool.
 
-fn spmm_hdc<V: Scalar>(a: &HdcMatrix<V>, x: &[V], y: &mut [V], k: usize) {
-    spmm_dia(a.dia(), x, y, k);
-    spmm_csr_acc(a.csr(), x, y, k);
-}
-
-// ---------------------------------------------------------------------------
-// Threaded per-range bodies + planned kernels
-// ---------------------------------------------------------------------------
-
-/// CSR rows: per-row `k`-block define-or-accumulate, serial accumulation
-/// order per row.
-///
-/// # Safety
-/// No concurrent caller may receive an overlapping row range.
-#[inline]
-unsafe fn csr_rows_mm<V: Scalar, const ACC: bool>(
+pub(crate) fn spmm_csr<V: Scalar, const ACC: bool>(
     a: &CsrMatrix<V>,
     x: &[V],
-    out: &SharedSlice<V>,
+    y: &mut [V],
     k: usize,
-    rows: Range<usize>,
+    pool: Option<&ThreadPool>,
+    rows: &[Range<usize>],
 ) {
-    // One bounds-checked view for the whole range; per-row slicing below is
-    // ordinary (vectorisable) slice arithmetic, like the serial kernel.
-    let ys = out.slice_mut(rows.start * k, rows.len() * k);
-    for r in rows.clone() {
-        let yr = &mut ys[(r - rows.start) * k..(r - rows.start + 1) * k];
-        if !ACC {
-            yr.fill(V::ZERO);
-        }
-        for (&c, &v) in a.row_cols(r).iter().zip(a.row_vals(r)) {
-            let xr = &x[c * k..(c + 1) * k];
-            for (yo, &xo) in yr.iter_mut().zip(xr) {
-                *yo += v * xo;
-            }
-        }
-    }
+    // SAFETY: row ranges tile the rows disjointly.
+    unsafe { run(&CsrRows::<V, ACC>(a), x, y, k, pool, rows) }
 }
 
-/// COO entries (row-aligned): accumulate each triplet's `k`-block.
-///
-/// # Safety
-/// Concurrent callers' entry ranges must be row-aligned and disjoint.
-#[inline]
-unsafe fn coo_entries_mm<V: Scalar>(
+/// `ACC = false` zeroes `y` first (rows without entries are never visited).
+pub(crate) fn spmm_coo<V: Scalar, const ACC: bool>(
     a: &CooMatrix<V>,
     x: &[V],
-    out: &SharedSlice<V>,
+    y: &mut [V],
     k: usize,
-    entries: Range<usize>,
+    pool: Option<&ThreadPool>,
+    entries: &[Range<usize>],
 ) {
-    let rows = a.row_indices();
-    let cols = a.col_indices();
-    let vals = a.values();
-    if entries.is_empty() {
-        return;
+    if !ACC {
+        fill_zero(y, pool);
     }
-    // Entry ranges are row-aligned, so the rows they span are disjoint
-    // across ranges: take one view over the spanned rows.
-    let row_lo = rows[entries.start];
-    let row_hi = rows[entries.end - 1];
-    let ys = out.slice_mut(row_lo * k, (row_hi - row_lo + 1) * k);
-    let iter = rows[entries.clone()].iter().zip(&cols[entries.clone()]).zip(&vals[entries]);
-    for ((&r, &c), &v) in iter {
-        let base = (r - row_lo) * k;
-        let yr = &mut ys[base..base + k];
-        let xr = &x[c * k..(c + 1) * k];
-        for (yo, &xo) in yr.iter_mut().zip(xr) {
-            *yo += v * xo;
-        }
-    }
+    // SAFETY: entry ranges are row-aligned and disjoint.
+    unsafe { run(&CooEntries(a), x, y, k, pool, entries) }
 }
 
-/// DIA rows: zero the rows' `k`-blocks, then stream each diagonal's
-/// intersection — including the serial kernel's explicit-zero skip, so
-/// results stay bitwise identical.
-///
-/// # Safety
-/// No concurrent caller may receive an overlapping row range.
-#[inline]
-unsafe fn dia_rows_mm<V: Scalar>(
+pub(crate) fn spmm_dia<V: Scalar>(
     a: &DiaMatrix<V>,
     x: &[V],
-    out: &SharedSlice<V>,
+    y: &mut [V],
     k: usize,
-    rows: Range<usize>,
+    pool: Option<&ThreadPool>,
+    rows: &[Range<usize>],
 ) {
-    let ys = out.slice_mut(rows.start * k, rows.len() * k);
-    ys.fill(V::ZERO);
-    for d in 0..a.ndiags() {
-        let off = a.offsets()[d];
-        let diag = a.diagonal(d);
-        let dr = a.diag_row_range(d);
-        let lo = rows.start.max(dr.start);
-        let hi = rows.end.min(dr.end);
-        for (i, &v) in diag.iter().enumerate().take(hi).skip(lo) {
-            if v == V::ZERO {
-                continue;
-            }
-            let j = (i as isize + off) as usize;
-            let xr = &x[j * k..(j + 1) * k];
-            let base = (i - rows.start) * k;
-            let yr = &mut ys[base..base + k];
-            for (yo, &xo) in yr.iter_mut().zip(xr) {
-                *yo += v * xo;
-            }
-        }
-    }
+    // SAFETY: row ranges tile the rows disjointly.
+    unsafe { run(&DiaRows(a), x, y, k, pool, rows) }
 }
 
-/// ELL rows: zero the rows' `k`-blocks, then walk the slabs.
-///
-/// # Safety
-/// No concurrent caller may receive an overlapping row range.
-#[inline]
-unsafe fn ell_rows_mm<V: Scalar>(
+pub(crate) fn spmm_ell<V: Scalar>(
     a: &EllMatrix<V>,
     x: &[V],
-    out: &SharedSlice<V>,
-    k: usize,
-    rows: Range<usize>,
-) {
-    let nrows = a.nrows();
-    let ys = out.slice_mut(rows.start * k, rows.len() * k);
-    ys.fill(V::ZERO);
-    for kk in 0..a.width() {
-        let base = kk * nrows;
-        for i in rows.clone() {
-            let c = a.col_indices()[base + i];
-            if c == ELL_PAD {
-                continue;
-            }
-            let v = a.values()[base + i];
-            let xr = &x[c * k..(c + 1) * k];
-            let ybase = (i - rows.start) * k;
-            let yr = &mut ys[ybase..ybase + k];
-            for (yo, &xo) in yr.iter_mut().zip(xr) {
-                *yo += v * xo;
-            }
-        }
-    }
-}
-
-pub(crate) fn spmm_csr_ranges<V: Scalar, const ACC: bool>(
-    a: &CsrMatrix<V>,
-    x: &[V],
     y: &mut [V],
     k: usize,
-    pool: &ThreadPool,
+    pool: Option<&ThreadPool>,
     rows: &[Range<usize>],
 ) {
-    let out = SharedSlice::new(y);
-    pool.parallel_for_plan(rows, |_p, r| {
-        // SAFETY: plan row ranges tile the rows disjointly.
-        unsafe { csr_rows_mm::<V, ACC>(a, x, &out, k, r) };
-    });
+    let slab =
+        Slab { cols: a.col_indices(), vals: a.values(), stride: a.nrows(), width: a.width(), rows: None };
+    // SAFETY: row ranges tile the rows disjointly.
+    unsafe { run(&slab, x, y, k, pool, rows) }
 }
 
-pub(crate) fn spmm_coo_ranges<V: Scalar>(
-    a: &CooMatrix<V>,
-    x: &[V],
-    y: &mut [V],
-    k: usize,
-    pool: &ThreadPool,
-    entries: &[Range<usize>],
-) {
-    crate::spmv::threaded::parallel_fill_zero(y, pool);
-    spmm_coo_acc_ranges(a, x, y, k, pool, entries);
-}
-
-pub(crate) fn spmm_coo_acc_ranges<V: Scalar>(
-    a: &CooMatrix<V>,
-    x: &[V],
-    y: &mut [V],
-    k: usize,
-    pool: &ThreadPool,
-    entries: &[Range<usize>],
-) {
-    let out = SharedSlice::new(y);
-    pool.parallel_for_plan(entries, |_p, r| {
-        // SAFETY: plan entry ranges are row-aligned and disjoint.
-        unsafe { coo_entries_mm(a, x, &out, k, r) };
-    });
-}
-
-pub(crate) fn spmm_dia_ranges<V: Scalar>(
-    a: &DiaMatrix<V>,
-    x: &[V],
-    y: &mut [V],
-    k: usize,
-    pool: &ThreadPool,
-    rows: &[Range<usize>],
-) {
-    let out = SharedSlice::new(y);
-    pool.parallel_for_plan(rows, |_p, r| {
-        // SAFETY: plan row ranges tile the rows disjointly.
-        unsafe { dia_rows_mm(a, x, &out, k, r) };
-    });
-}
-
-/// BSR block rows: zero the covered rows' `k`-blocks, then accumulate the
-/// dense blocks — same per-row order as [`spmm_bsr`], bitwise identical.
-///
-/// # Safety
-/// No concurrent caller may receive an overlapping block-row range.
-#[inline]
-unsafe fn bsr_block_rows_mm<V: Scalar>(
-    a: &BsrMatrix<V>,
-    x: &[V],
-    out: &SharedSlice<V>,
-    k: usize,
-    brows: Range<usize>,
-) {
-    let (r, c) = (a.block_r(), a.block_c());
-    let offs = a.block_row_offsets();
-    let bcols = a.block_cols();
-    let vals = a.values();
-    let (nrows, ncols) = (a.nrows(), a.ncols());
-    if brows.is_empty() {
-        return;
-    }
-    let row_lo = brows.start * r;
-    let row_hi = (brows.end * r).min(nrows);
-    let ys = out.slice_mut(row_lo * k, (row_hi - row_lo) * k);
-    ys.fill(V::ZERO);
-    for br in brows {
-        let r0 = br * r;
-        let rcount = r.min(nrows - r0);
-        for b in offs[br]..offs[br + 1] {
-            let c0 = bcols[b] * c;
-            let ccount = c.min(ncols - c0);
-            let bv = &vals[b * r * c..(b + 1) * r * c];
-            for rr in 0..rcount {
-                let ybase = (r0 + rr - row_lo) * k;
-                let yr = &mut ys[ybase..ybase + k];
-                for cc in 0..ccount {
-                    let v = bv[rr * c + cc];
-                    let xr = &x[(c0 + cc) * k..(c0 + cc + 1) * k];
-                    for (yo, &xo) in yr.iter_mut().zip(xr) {
-                        *yo += v * xo;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// One BELL segment: accumulate the bucket slab's `k`-blocks over the span
-/// (output pre-zeroed by the caller) — same per-row `kk`-ascending order as
-/// [`spmm_bell`], bitwise identical.
-///
-/// # Safety
-/// Concurrent callers' segments must be disjoint.
-#[inline]
-unsafe fn bell_segment_mm<V: Scalar>(
-    a: &BellMatrix<V>,
-    x: &[V],
-    out: &SharedSlice<V>,
-    k: usize,
-    seg: &BellSegment,
-) {
-    let bucket = &a.buckets()[seg.bucket];
-    let rows = bucket.rows();
-    let cols = bucket.cols();
-    let vals = bucket.vals();
-    let len = rows.len();
-    for kk in 0..bucket.width() {
-        let base = kk * len;
-        for j in seg.span.clone() {
-            let c = cols[base + j];
-            if c == ELL_PAD {
-                continue;
-            }
-            let v = vals[base + j];
-            let xr = &x[c * k..(c + 1) * k];
-            let yr = out.slice_mut(rows[j] * k, k);
-            for (yo, &xo) in yr.iter_mut().zip(xr) {
-                *yo += v * xo;
-            }
-        }
-    }
-}
-
-pub(crate) fn spmm_bsr_ranges<V: Scalar>(
+pub(crate) fn spmm_bsr<V: Scalar>(
     a: &BsrMatrix<V>,
     x: &[V],
     y: &mut [V],
     k: usize,
-    pool: &ThreadPool,
+    pool: Option<&ThreadPool>,
     brows: &[Range<usize>],
 ) {
-    let out = SharedSlice::new(y);
-    pool.parallel_for_plan(brows, |_p, r| {
-        // SAFETY: plan block-row ranges tile the block rows disjointly.
-        unsafe { bsr_block_rows_mm(a, x, &out, k, r) };
-    });
+    // SAFETY: block-row ranges tile the block rows disjointly.
+    unsafe { run(&BsrBlockRows(a), x, y, k, pool, brows) }
 }
 
-pub(crate) fn spmm_bell_ranges<V: Scalar>(
+/// BELL over plan segments, or (`segs: None`) over every bucket in turn.
+pub(crate) fn spmm_bell<V: Scalar>(
     a: &BellMatrix<V>,
     x: &[V],
     y: &mut [V],
     k: usize,
-    pool: &ThreadPool,
-    segs: &[BellSegment],
+    pool: Option<&ThreadPool>,
+    segs: Option<&[BellSegment]>,
 ) {
-    crate::spmv::threaded::parallel_fill_zero(y, pool);
+    let pool = pool.filter(|p| p.num_threads() > 1);
+    // Every stored row is written exactly once; only empty rows, which no
+    // bucket holds, need zeroing.
+    if a.buckets().iter().map(|b| b.rows().len()).sum::<usize>() < a.nrows() {
+        fill_zero(y, pool);
+    }
     let out = SharedSlice::new(y);
-    let units: Vec<Range<usize>> = (0..segs.len()).map(|i| i..i + 1).collect();
-    pool.parallel_for_plan(&units, |p, _r| {
-        // SAFETY: segments are disjoint (see `BellMatrix::segments`).
-        unsafe { bell_segment_mm(a, x, &out, k, &segs[p]) };
-    });
-}
-
-pub(crate) fn spmm_ell_ranges<V: Scalar>(
-    a: &EllMatrix<V>,
-    x: &[V],
-    y: &mut [V],
-    k: usize,
-    pool: &ThreadPool,
-    rows: &[Range<usize>],
-) {
-    let out = SharedSlice::new(y);
-    pool.parallel_for_plan(rows, |_p, r| {
-        // SAFETY: plan row ranges tile the rows disjointly.
-        unsafe { ell_rows_mm(a, x, &out, k, r) };
-    });
+    let span = |bucket: usize, span: Range<usize>| {
+        let b = &a.buckets()[bucket];
+        let slab = Slab {
+            cols: b.cols(),
+            vals: b.vals(),
+            stride: b.rows().len(),
+            width: b.width(),
+            rows: Some(b.rows()),
+        };
+        // SAFETY: buckets hold disjoint rows and segment spans are disjoint
+        // within a bucket (see `BellMatrix::segments`).
+        unsafe { run_blocks(&slab, x, &out, k, span) }
+    };
+    match (segs, pool) {
+        (None, _) => a.buckets().iter().enumerate().for_each(|(b, bucket)| span(b, 0..bucket.rows().len())),
+        (Some(segs), None) => segs.iter().for_each(|s| span(s.bucket, s.span.clone())),
+        (Some(segs), Some(pool)) => pool.run_on_all(&|w| {
+            for s in segs.iter().skip(w).step_by(pool.num_threads()) {
+                span(s.bucket, s.span.clone());
+            }
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -585,41 +567,30 @@ mod tests {
     use crate::spmv::spmv_serial;
     use crate::test_util::random_coo;
 
-    /// SpMM must equal k column-by-column SpMVs, in every format.
+    /// Column `j` of an SpMM is the SpMV of `x_j` bit for bit, in every
+    /// format, at every panel width and past the widest panel.
     #[test]
     fn spmm_matches_repeated_spmv() {
-        let k = 3usize;
-        for seed in 0..3u64 {
-            let coo = random_coo::<f64>(35, 28, 250, seed);
-            let base = DynamicMatrix::from(coo);
-            let opts = ConvertOptions { min_padded_allowance: 1 << 22, ..Default::default() };
-
+        let opts = ConvertOptions { min_padded_allowance: 1 << 22, ..Default::default() };
+        for (seed, &k) in [1usize, 2, 3, 4, 5, 7, 8, 15, 16, 17, 32, 33].iter().enumerate() {
+            let base = DynamicMatrix::from(random_coo::<f64>(75, 58, 600, seed as u64));
             // Row-major X: ncols x k.
-            let x_block: Vec<f64> = (0..base.ncols() * k).map(|i| ((i * 29 + 3) % 17) as f64 - 8.0).collect();
-
-            // Reference via SpMV on each extracted column.
-            let mut expect = vec![0.0f64; base.nrows() * k];
-            for col in 0..k {
-                let x_col: Vec<f64> = (0..base.ncols()).map(|i| x_block[i * k + col]).collect();
-                let mut y_col = vec![0.0f64; base.nrows()];
-                spmv_serial(&base, &x_col, &mut y_col).unwrap();
-                for i in 0..base.nrows() {
-                    expect[i * k + col] = y_col[i];
-                }
-            }
-
+            let x_block: Vec<f64> = (0..base.ncols() * k).map(|i| ((i * 29 + 3) % 17) as f64 - 8.2).collect();
             for &fmt in &ALL_FORMATS {
                 let m = base.to_format(fmt, &opts).unwrap();
                 let mut y = vec![f64::NAN; base.nrows() * k];
                 spmm_serial(&m, &x_block, &mut y, k).unwrap();
-                for i in 0..y.len() {
-                    let scale = 1.0 + expect[i].abs();
-                    assert!(
-                        (y[i] - expect[i]).abs() < 1e-10 * scale,
-                        "{fmt} seed {seed} slot {i}: {} vs {}",
-                        y[i],
-                        expect[i]
-                    );
+                for col in 0..k {
+                    let x_col: Vec<f64> = (0..base.ncols()).map(|i| x_block[i * k + col]).collect();
+                    let mut y_col = vec![f64::NAN; base.nrows()];
+                    spmv_serial(&m, &x_col, &mut y_col).unwrap();
+                    for (i, yc) in y_col.iter().enumerate() {
+                        assert_eq!(
+                            y[i * k + col].to_bits(),
+                            yc.to_bits(),
+                            "{fmt} k={k} row {i} column {col}"
+                        );
+                    }
                 }
             }
         }

@@ -8,14 +8,20 @@
 //! pump drains one exactly-known batch when resumed — coalescing windows
 //! are constructed, not raced for.
 
-use morpheus_repro::machine::{systems, Backend, MatrixAnalysis, Op, VirtualEngine};
-use morpheus_repro::morpheus::format::FormatId;
-use morpheus_repro::morpheus::{CooMatrix, DynamicMatrix, Scalar};
+use morpheus_repro::corpus::gen::{banded, blocks, hetero, powerlaw, random, stencil};
+use morpheus_repro::machine::{analyze, systems, Backend, MatrixAnalysis, Op, VirtualEngine};
+use morpheus_repro::morpheus::format::{FormatId, ALL_FORMATS};
+use morpheus_repro::morpheus::spmm::spmm_serial;
+use morpheus_repro::morpheus::spmv::spmv_serial;
+use morpheus_repro::morpheus::{ConvertOptions, CooMatrix, DynamicMatrix, ExecPlan, Scalar};
 use morpheus_repro::oracle::adapt::{CollectorConfig, SampleCollector};
 use morpheus_repro::oracle::{
     Backpressure, CoalescePolicy, FormatTuner, Ingress, IngressConfig, IngressError, Oracle, OracleService,
-    RunFirstTuner, TuneDecision, TuningCost,
+    PartitionPolicy, RunFirstTuner, TuneDecision, TuningCost,
 };
+use morpheus_repro::parallel::ThreadPool;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,14 +44,51 @@ impl<V: Scalar> FormatTuner<V> for Fixed {
 }
 
 fn fixed_service(fmt: FormatId) -> Arc<OracleService<Fixed>> {
+    fixed_service_with(fmt, workers(), PartitionPolicy::default())
+}
+
+fn fixed_service_with(
+    fmt: FormatId,
+    workers: usize,
+    partition: PartitionPolicy,
+) -> Arc<OracleService<Fixed>> {
     Arc::new(
         Oracle::builder()
             .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
             .tuner(Fixed(fmt))
-            .workers(workers())
+            .workers(workers)
+            .partition_policy(partition)
+            // Let the pinned format through whatever its padding.
+            .convert_options(ConvertOptions { min_padded_allowance: 1 << 22, ..Default::default() })
             .build_service()
             .unwrap(),
     )
+}
+
+/// The eight `solver_long` regimes of `oracle_bench` with that workload's
+/// class parameters drawn mid-range, at `nnz` non-zeros each.
+fn regimes(nnz: usize) -> Vec<(&'static str, DynamicMatrix<f64>)> {
+    let mut rng = StdRng::seed_from_u64(13);
+    let rng = &mut rng;
+    let rows = |per_row: usize| (nnz / per_row).max(256);
+    let side = (rows(7) as f64).cbrt().ceil() as usize;
+    let (bn, en, zn, hn, tn) = (rows(12), rows(6), rows(12), rows(7), rows(13));
+    let coos = vec![
+        ("poisson3d", stencil::poisson3d(side, side, side)),
+        ("banded_partial", banded::banded_partial(rows(11), 12, 0.4, rng)),
+        ("aligned_blocks", blocks::aligned_blocks(bn / 4, 4, 2, rng)),
+        ("bimodal_rows", random::bimodal_rows(rows(7), 4, 64, 20, rng)),
+        ("zipf_rows", powerlaw::zipf_rows(zn, zn * 12, 1.4, rng)),
+        ("hub_rows", powerlaw::hub_rows(hn, 2, hn / 2, hn * 6, rng)),
+        ("erdos_renyi", random::erdos_renyi(en, en * 6, rng)),
+        ("three_regime", hetero::three_regime(tn, tn / 50, 120.min(tn / 4), tn * 3 / 10, 16, 4, rng)),
+    ];
+    coos.into_iter().map(|(name, coo)| (name, DynamicMatrix::from(coo))).collect()
+}
+
+/// What the pump's gate computed before the numbers moved onto the handle.
+fn analysed_verdict(engine: &VirtualEngine, fmt: FormatId, a: &MatrixAnalysis, k: usize) -> bool {
+    engine.spmm_time(fmt, a, k) < k as f64 * engine.spmv_time(fmt, a)
 }
 
 /// A small banded matrix with every stored value nonzero and distinct, so
@@ -346,4 +389,192 @@ fn snapshot_through_ingress_carries_both_service_and_ingress_counters() {
     assert!(snap.serve.handle_requests >= 1);
     // The plain service snapshot does not know about front doors.
     assert!(service.snapshot().ingress.is_none());
+}
+
+#[test]
+fn handle_carried_gate_matches_the_analysed_gate_for_every_regime_format_and_width() {
+    for (regime, m) in regimes(40_000) {
+        for fmt in ALL_FORMATS {
+            let service = fixed_service(fmt);
+            let miss = service.register(m.clone()).unwrap();
+            let hit = service.register(m.clone()).unwrap();
+            assert!(!miss.report().cache_hit && hit.report().cache_hit, "{regime} {fmt}");
+            assert_eq!(
+                hit.batch_cost(),
+                miss.batch_cost(),
+                "{regime} {fmt}: a hit carries the miss's numbers"
+            );
+
+            // `fmt` when viable, CSR otherwise: the format the gate prices.
+            let realized = miss.format_id();
+            let a = analyze(miss.matrix());
+            let cost = miss.batch_cost();
+            for k in 2..=32 {
+                assert_eq!(
+                    cost.coalescing_pays(),
+                    analysed_verdict(service.engine(), realized, &a, k),
+                    "{regime} {realized} k={k}"
+                );
+            }
+            // Not only the verdict: the view registration held prices the
+            // matrix as an analysis of the realized one does.
+            let spmv = service.engine().spmv_time(realized, &a);
+            let per_rhs = service.engine().spmm_per_rhs_time(realized, &a);
+            assert!((cost.spmv - spmv).abs() <= 1e-9 * spmv, "{regime} {realized}: {} vs {spmv}", cost.spmv);
+            assert!((cost.per_rhs - per_rhs).abs() <= 1e-9 * per_rhs, "{regime} {realized}");
+        }
+    }
+}
+
+#[test]
+fn sharded_handles_answer_the_gate_with_their_summed_numbers() {
+    // As `solver_long` registers them: the partition gate decides which of
+    // the eight become sharded handles. Those used to coalesce on an
+    // argument; the summed numbers must say the same. The others keep the
+    // engine's verdict on the whole matrix.
+    let service = Arc::new(
+        Oracle::builder()
+            .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
+            .tuner(RunFirstTuner::new(1))
+            .workers(1)
+            .build_service()
+            .unwrap(),
+    );
+    let forced = fixed_service_with(
+        FormatId::Csr,
+        2,
+        PartitionPolicy { cost_gate: false, target_shard_nnz: Some(40_000), ..Default::default() },
+    );
+    for (regime, m) in regimes(340_000) {
+        let h = service.register_partitioned(m.clone()).unwrap();
+        if let Some(whole) = h.try_matrix() {
+            let a = analyze(whole);
+            assert_eq!(
+                h.batch_cost().coalescing_pays(),
+                analysed_verdict(service.engine(), h.format_id(), &a, 16),
+                "{regime}"
+            );
+        } else {
+            assert!(h.batch_cost().coalescing_pays(), "{regime}: sharded handles coalesced unconditionally");
+        }
+
+        // Every regime sharded: the handle's numbers are its shards' summed.
+        let h = forced.register_partitioned(m).unwrap();
+        let p = h.partition().unwrap_or_else(|| panic!("{regime}: forced partition"));
+        let (mut spmv, mut per_rhs) = (0.0, 0.0);
+        for shard in p.shards() {
+            let a = analyze(shard.matrix());
+            spmv += forced.engine().spmv_time(shard.format_id(), &a);
+            per_rhs += forced.engine().spmm_per_rhs_time(shard.format_id(), &a);
+        }
+        let cost = h.batch_cost();
+        assert!((cost.spmv - spmv).abs() <= 1e-9 * spmv, "{regime}: {} vs {spmv}", cost.spmv);
+        assert!((cost.per_rhs - per_rhs).abs() <= 1e-9 * per_rhs, "{regime}: {} vs {per_rhs}", cost.per_rhs);
+        assert!(cost.coalescing_pays(), "{regime}");
+    }
+}
+
+/// Column `j` of every SpMM entry point is `spmv(x_j)` bit for bit: the
+/// serial kernels, plans at 1-4 workers, sharded handles, and requests
+/// coalesced by the ingress — in all eight formats, at every panel width
+/// and past the widest panel.
+#[test]
+fn spmm_columns_are_bitwise_spmv_through_every_entry_point() {
+    const WIDTHS: [usize; 12] = [1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 32, 33];
+    let n = 96usize;
+    // Rows of 1-9 scattered entries (below the unrolling threshold, so
+    // every plan stays order-preserving and planned SpMV is bitwise the
+    // serial one), one empty row and one wide one.
+    let base = {
+        let (mut rows, mut cols, mut vals) = (Vec::new(), Vec::new(), Vec::new());
+        for i in (0..n).filter(|&i| i != 5) {
+            // Stride 17 is coprime to 96: a row's columns are distinct.
+            let row: Vec<usize> = match i {
+                40 => (0..n).filter(|c| c % 3 != 0).collect(),
+                _ => (0..1 + i * 7 % 9).map(|t| (i * 13 + t * 17) % n).collect(),
+            };
+            for c in row {
+                rows.push(i);
+                cols.push(c);
+                vals.push(0.5 + ((i * 31 + c * 7) % 23) as f64 * 0.37);
+            }
+        }
+        DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap())
+    };
+    let xs: Vec<Vec<f64>> = (0..33).map(|c| input(n, c)).collect();
+    let block = |k: usize| -> Vec<f64> { (0..n * k).map(|i| xs[i % k][i / k]).collect() };
+    let check = |y: &[f64], k: usize, refs: &[Vec<f64>], ctx: &str| {
+        for (j, r) in refs.iter().enumerate().take(k) {
+            let col: Vec<f64> = (0..n).map(|i| y[i * k + j]).collect();
+            assert_bitwise_f64(&col, r, &format!("{ctx} k={k} column {j}"));
+        }
+    };
+
+    for fmt in ALL_FORMATS {
+        for w in 1..=4usize {
+            let service = fixed_service_with(fmt, w, PartitionPolicy::default());
+            let h = service.register(base.clone()).unwrap();
+            assert_eq!(h.format_id(), fmt);
+            let m = h.matrix();
+            let refs: Vec<Vec<f64>> = xs
+                .iter()
+                .map(|x| {
+                    let mut y = vec![f64::NAN; n];
+                    spmv_serial(m, x, &mut y).unwrap();
+                    let mut planned = vec![f64::NAN; n];
+                    service.spmv(&h, x, &mut planned).unwrap();
+                    assert_bitwise_f64(&planned, &y, &format!("{fmt} w={w}: planned spmv"));
+                    y
+                })
+                .collect();
+
+            let sharding =
+                PartitionPolicy { cost_gate: false, target_shard_nnz: Some(120), ..Default::default() };
+            let sharded_service = fixed_service_with(fmt, w, sharding);
+            let sharded = sharded_service.register_partitioned(base.clone()).unwrap();
+            assert!(sharded.num_shards() > 1, "{fmt} w={w}");
+            let pool = ThreadPool::new(w);
+            let plan = ExecPlan::build(m, w, None);
+
+            for k in WIDTHS {
+                let xb = block(k);
+                let mut y = vec![f64::NAN; n * k];
+                spmm_serial(m, &xb, &mut y, k).unwrap();
+                check(&y, k, &refs, &format!("{fmt} serial"));
+                y.fill(f64::NAN);
+                plan.spmm(m, &xb, &mut y, k, &pool).unwrap();
+                check(&y, k, &refs, &format!("{fmt} planned w={w}"));
+                y.fill(f64::NAN);
+                service.spmm(&h, &xb, &mut y, k).unwrap();
+                check(&y, k, &refs, &format!("{fmt} handle w={w}"));
+                y.fill(f64::NAN);
+                sharded_service.spmm(&sharded, &xb, &mut y, k).unwrap();
+                check(&y, k, &refs, &format!("{fmt} sharded w={w}"));
+            }
+
+            // Through the front door: bursts of every width against the whole
+            // and the sharded handle (quota releases trail the replies, so
+            // the quota covers every request of the loop).
+            let cfg = IngressConfig {
+                coalesce: CoalescePolicy::Always,
+                tenant_quota: 256,
+                ..IngressConfig::default()
+            };
+            for (service, handle, what) in [(&service, &h, "whole"), (&sharded_service, &sharded, "sharded")]
+            {
+                let ingress = Ingress::start(Arc::clone(service), cfg.clone());
+                for k in WIDTHS {
+                    ingress.pause();
+                    let tickets: Vec<_> =
+                        xs[..k].iter().map(|x| ingress.submit("t", handle, x.clone()).unwrap()).collect();
+                    ingress.resume();
+                    for (j, t) in tickets.into_iter().enumerate() {
+                        let ctx = format!("{fmt} w={w} ingress {what} k={k} request {j}");
+                        assert_bitwise_f64(&t.wait().unwrap(), &refs[j], &ctx);
+                    }
+                }
+                assert_eq!(ingress.stats().failed, 0);
+            }
+        }
+    }
 }
