@@ -357,11 +357,12 @@ pub struct ServeStats {
     /// Deprecated alias of the registry counter
     /// `serve.matrices_registered`.
     pub registered: u64,
-    /// Jobs sitting in the execution pool's channel, not yet picked up by a
-    /// worker, at the instant of the snapshot (a *gauge*, not a counter;
-    /// 0 for serial services). Nonzero values mean threaded executions are
-    /// queueing behind each other — the saturation signal behind
-    /// `pool_busy_fallbacks` growth.
+    /// Shares of the execution pool's dispatched batch that no worker had
+    /// started at the instant of the snapshot (a *gauge*, not a counter; 0
+    /// for serial services). The pool dispatches one batch at a time and a
+    /// contended caller runs inline instead of queueing, so this is at most
+    /// `workers − 1` and nonzero only while workers are waking up; sustained
+    /// readings mean slow hand-offs (see `pool.queue_wait_ns`), not a backlog.
     ///
     /// Deprecated alias of the registry gauge `pool.jobs_queued`.
     pub pool_queued_jobs: u64,
@@ -557,7 +558,8 @@ pub struct OracleService<T> {
     request_hist: Arc<Histogram>,
     /// `serve.plan_ns` — plan acquisition latency (hit or build).
     plan_hist: Arc<Histogram>,
-    /// `pool.jobs_queued` — pool backlog gauge, refreshed on stats reads.
+    /// `pool.jobs_queued` — published-but-unstarted worker shares, refreshed
+    /// on stats reads.
     pool_queued_gauge: Gauge,
 }
 
@@ -592,9 +594,11 @@ impl<T> OracleService<T> {
         };
         if obs.enabled() {
             if let ServicePool::Owned(p) = &pool {
-                // Channel-wait telemetry is installed only on an *owned*
-                // pool: the global pool is shared process-wide and must not
-                // be claimed by one service's histogram.
+                // Hand-off telemetry (publish → a worker starts its share,
+                // `workers − 1` samples per dispatched batch) is installed
+                // only on an *owned* pool: the global pool is shared
+                // process-wide and must not be claimed by one service's
+                // histogram.
                 let hist = obs.registry().histogram("pool.queue_wait_ns");
                 p.set_queue_wait_observer(Some(Arc::new(move |waited| hist.record(waited))));
             }
@@ -1565,10 +1569,11 @@ impl<T> OracleService<T> {
     }
 
     /// [`OracleService::spmv`] for the ingress pump: identical execution
-    /// and telemetry, except a busy pool is **waited on** instead of dodged
-    /// with the silent serial fallback — admitted ingress work was promised
-    /// full-width execution; overload is refused earlier, at admission, as
-    /// typed backpressure.
+    /// and telemetry, except a busy pool is not dodged with the counted
+    /// serial fallback — the request goes to the pool regardless, which
+    /// runs the plan's parts inline on the pump thread if another client's
+    /// batch is dispatched at that instant (nobody queues behind a batch);
+    /// overload is refused earlier, at admission, as typed backpressure.
     /// `trace` feeds the fine-level per-shard spans of partitioned handles
     /// (request-level ingress spans are the pump's job); pass
     /// [`TraceId::NONE`] when no single request owns the execution.
@@ -1604,8 +1609,8 @@ impl<T> OracleService<T> {
                 }
             }
             Stored::Partitioned(p) => {
-                // Admitted ingress work waits on a busy pool rather than
-                // dodging it — same contract as the single-matrix path.
+                // Admitted ingress work goes to the pool whether or not it
+                // is busy — same contract as the single-matrix path.
                 self.run_partitioned(p, Op::Spmv, trace, |obs| p.spmv_observed(x, y, self.exec_pool(), obs))?;
             }
         }
@@ -1614,7 +1619,7 @@ impl<T> OracleService<T> {
     }
 
     /// [`OracleService::spmm`] for the ingress pump's coalesced batches:
-    /// waits on a busy pool (see
+    /// takes no busy-pool fallback (see
     /// [`execute_queued_spmv`](Self::execute_queued_spmv)) and attributes
     /// the measured wall time to the handle's `Op::Spmm { k }` telemetry
     /// population, so retraining sees batched traffic exactly like direct

@@ -18,7 +18,9 @@
 //! Worker count defaults to the host parallelism; override with
 //! `MORPHEUS_BENCH_THREADS` (the snapshot records it — single-core hosts
 //! still show the scheduling-amortisation win, but cannot show parallel
-//! SpMM speedups).
+//! SpMM speedups). With two or more workers the snapshot also carries a
+//! report-only `scaling` block: what an empty pool dispatch costs, and each
+//! case's planned SpMV loop at one worker over the same loop at all of them.
 
 use morpheus::format::FormatId;
 use morpheus::spmv::threaded;
@@ -119,6 +121,14 @@ fn spmv_percall(m: &DynamicMatrix<f64>, x: &[f64], y: &mut [f64], pool: &ThreadP
                 .expect("shapes agree");
         }
     }
+}
+
+/// Planned SpMV of one case's tuned format at one worker and at all of them.
+struct ScalingRow {
+    matrix: String,
+    format: FormatId,
+    t1_s: f64,
+    tn_s: f64,
 }
 
 /// One forced-variant measurement for a (matrix, format) pair.
@@ -293,6 +303,8 @@ fn main() {
 
     let mut spmv_rows: Vec<SpmvRow> = Vec::new();
     let mut spmm_rows: Vec<SpmmRow> = Vec::new();
+    let mut scaling_rows: Vec<ScalingRow> = Vec::new();
+    let one_worker = ThreadPool::new(1);
 
     // Session used only to name the steady-state format per matrix (the
     // one the headline geomean reads). The engine doubles as the
@@ -351,6 +363,20 @@ fn main() {
                     case.name,
                     target
                 );
+            }
+
+            // Scaling (report-only): the same planned loop on one worker.
+            if threads > 1 && target == tuned_fmt {
+                let plan1 = ExecPlan::build(&m, 1, Some(&analysis));
+                let mut y1 = vec![0.0f64; m.nrows()];
+                let t1_s =
+                    time_loop(spmv_iters, || plan1.spmv(&m, &x, &mut y1, &one_worker).expect("plan matches"));
+                scaling_rows.push(ScalingRow {
+                    matrix: case.name.to_string(),
+                    format: target,
+                    t1_s,
+                    tn_s: planned_loop_s,
+                });
             }
 
             // Forced-variant sweep: loop time per kernel body, scalar
@@ -892,6 +918,30 @@ fn main() {
     println!("partitioned SpMV geomean speedup over best single-format plan: {}", show_geo(partitioned_geo));
     println!("blocked-corpus BSR/BELL geomean speedup over best legacy plan: {}", show_geo(blocked_geo));
 
+    // Scaling (report-only): median cost of dispatching nothing.
+    let empty_dispatch_ns = (threads > 1).then(|| {
+        let mut ns: Vec<u128> = (0..2_000)
+            .map(|_| {
+                let t0 = Instant::now();
+                pool.run_on_all(&|_| {});
+                t0.elapsed().as_nanos()
+            })
+            .collect();
+        ns.sort_unstable();
+        ns[ns.len() / 2]
+    });
+    if let Some(ns) = empty_dispatch_ns {
+        println!("\nscaling at {threads} workers (report-only): empty dispatch {ns} ns");
+        for r in &scaling_rows {
+            println!(
+                "  {:<16} {:<5} t_1/t_{threads} = {:.2}",
+                r.matrix,
+                r.format.to_string(),
+                r.t1_s / r.tn_s
+            );
+        }
+    }
+
     // --- snapshot ---
     let mut json = String::new();
     json.push_str("{\n");
@@ -919,6 +969,28 @@ fn main() {
     json.push_str("},\n");
     json.push_str(&format!("  \"partitioned_geomean_speedup\": {},\n", json_geo(partitioned_geo)));
     json.push_str(&format!("  \"blocked_geomean_speedup\": {},\n", json_geo(blocked_geo)));
+    match empty_dispatch_ns {
+        None => json.push_str("  \"scaling\": null,\n"),
+        Some(ns) => {
+            let cases: Vec<String> = scaling_rows
+                .iter()
+                .map(|r| {
+                    format!(
+                        "{{\"matrix\": \"{}\", \"format\": \"{}\", \"t1_s\": {:.6e}, \"tn_s\": {:.6e}, \"t1_over_tn\": {:.4}}}",
+                        json_escape(&r.matrix),
+                        r.format,
+                        r.t1_s,
+                        r.tn_s,
+                        r.t1_s / r.tn_s
+                    )
+                })
+                .collect();
+            json.push_str(&format!(
+                "  \"scaling\": {{\"workers\": {threads}, \"empty_dispatch_ns\": {ns}, \"cases\": [{}]}},\n",
+                cases.join(", ")
+            ));
+        }
+    }
     json.push_str("  \"blocked\": [\n");
     for (i, r) in blocked_rows.iter().enumerate() {
         let cands: Vec<String> = r

@@ -1,23 +1,26 @@
 //! OpenMP-analog parallel runtime used by the Morpheus threaded backend.
 //!
-//! The paper's "OpenMP" backend maps onto this crate: a persistent pool of
-//! worker threads executing *parallel-for* loops with OpenMP-style
-//! scheduling policies ([`Schedule::Static`], [`Schedule::Dynamic`],
-//! [`Schedule::Guided`]) plus chunk-wise reductions.
+//! The paper's "OpenMP" backend maps onto this crate: a fork–join pool —
+//! the calling thread plus persistent workers with fixed indices —
+//! executing *parallel-for* loops with OpenMP-style scheduling policies
+//! ([`Schedule::Static`], [`Schedule::Dynamic`], [`Schedule::Guided`]) plus
+//! chunk-wise reductions.
 //!
 //! The pool is deliberately small and predictable rather than work-stealing:
 //! SpMV kernels are bandwidth-bound loops whose performance depends on the
 //! partitioning policy, which the hardware model in `morpheus-machine`
-//! mirrors analytically.
+//! mirrors analytically. One dispatch is one published `(body, epoch)` pair:
+//! the caller runs its own share and waits for a counter, workers poll
+//! briefly before parking, so a dispatch onto awake workers costs well
+//! under a microsecond.
 //!
 //! The pool is safe to drive from any number of client threads at once
-//! (the Oracle serving layer does exactly that): batches from different
-//! clients interleave through one FIFO job queue without interference,
-//! nested parallel regions serialise inline instead of deadlocking, and
-//! [`ThreadPool::is_busy`] exposes an advisory saturation signal so
-//! latency-sensitive callers can fall back to serial kernels rather than
-//! queue behind another client's batch — see the reentrancy notes on
-//! [`ThreadPool`]'s module.
+//! (the Oracle serving layer does exactly that): one batch is dispatched at
+//! a time, and a caller that finds another client's batch dispatched — like
+//! a nested parallel region — runs its loop inline on its own thread
+//! instead of queueing or deadlocking. [`ThreadPool::is_busy`] exposes the
+//! advisory signal so callers with a cheaper serial kernel can take that
+//! instead — see the notes on [`ThreadPool`]'s module.
 //!
 //! # Example
 //! ```

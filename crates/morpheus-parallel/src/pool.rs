@@ -1,108 +1,175 @@
-//! Persistent worker pool executing scoped parallel loops.
+//! Persistent fork–join pool executing scoped parallel loops.
 //!
-//! Workers block on a channel of jobs. A job is a lifetime-erased reference
-//! to the loop body plus a completion latch; `run_on_all` does not return
-//! until every worker finished, which is what makes the lifetime erasure
-//! sound (the borrowed closure strictly outlives all uses).
+//! A pool of width `n` is **the calling thread as index 0 plus `n − 1`
+//! persistent workers with fixed indices `1..n`**. One dispatch
+//! ([`ThreadPool::run_on_all`]) takes the pool, publishes one `(body, epoch)`
+//! pair with a release store, unparks the workers, runs share 0 on the
+//! calling thread and waits for the `remaining` counter to reach zero. An
+//! index is therefore the same thread on every call of a given caller, which
+//! lets [`ThreadPool::run_owned`] and plan ranges keep their data in one
+//! core's cache. The body is a lifetime-erased reference; `run_on_all` does
+//! not return — not even by unwinding — before every share has finished,
+//! which is what makes the erasure sound.
+//!
+//! # Waiting: spin, then park
+//!
+//! Workers watch the epoch, the caller watches `remaining`. Both poll for
+//! `SPIN` — what a futex wake-up costs on a slow (virtualised) host, so a
+//! solver loop's next SpMV finds its workers still polling — and then `park`.
+//! The publisher always unparks after its store, so a waiter that loaded the
+//! old value and is about to park finds the token and returns at once: no
+//! wake-up is lost. A pool wider than the machine never polls (a polling
+//! thread would hold the core that the thread it waits for needs).
+//!
+//! Comparing the epoch against a private copy suffices because **every
+//! worker runs every epoch**: the next one is not published before
+//! `remaining` reached zero, i.e. before each worker finished this one, so a
+//! worker that sees a different epoch sees exactly the successor.
 //!
 //! # Reentrancy and concurrent clients
 //!
-//! The pool is safe to drive from any number of client threads at once:
-//! each `run_on_all` call submits its own independent batch of jobs with
-//! its own completion latch, workers drain the shared queue in FIFO order,
-//! and a job carries its worker index explicitly, so interleaved batches
-//! from different clients never confuse each other's partitioning. Two
-//! hazards remain and are handled explicitly:
-//!
-//! * **Nested parallelism** (a job body itself calling into the pool) would
-//!   deadlock a queue-based pool; detected via a thread-local flag, the
-//!   nested region is run inline on the calling worker instead — OpenMP's
-//!   default of serialising nested regions.
-//! * **Saturation**: while one client's batch occupies the workers, another
-//!   client's `run_on_all` queues behind it. Latency-sensitive callers
-//!   (the Oracle serving layer) can consult [`ThreadPool::is_busy`] and
-//!   fall back to an equivalent serial kernel instead of blocking; the
-//!   check is advisory (a race may still queue two batches), which is safe
-//!   — just slower than the fallback.
+//! Any number of client threads may call in at once; one batch is dispatched
+//! at a time, and whoever cannot dispatch runs every index inline on its own
+//! thread: a **nested** region (a body calling into a pool — OpenMP's default
+//! of serialising nested regions; a thread-local flag marks workers and the
+//! caller's own share), and a **contended** caller, which finds another
+//! client's batch dispatched — so no client ever queues behind another's
+//! batch. Callers with a cheaper serial kernel than the inline loop (the
+//! Oracle serving layer) can consult [`ThreadPool::is_busy`] first.
 
-use std::cell::Cell;
+use std::cell::{Cell, UnsafeCell};
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Sender};
-use crossbeam::sync::WaitGroup;
 use parking_lot::{Mutex, RwLock};
 
 use crate::schedule::Schedule;
 use crate::static_partition;
 
 thread_local! {
-    /// Set while a worker runs a job; used to detect (and serialise) nested
-    /// parallel regions instead of deadlocking.
+    /// Set on worker threads and around the caller's own share; a parallel
+    /// region entered while it is set runs inline (nested regions serialise).
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
+/// How long a waiter polls before it parks: the order of one slow futex
+/// wake-up (41–46 µs measured on the 2-vCPU reference box), so polling costs
+/// at most what parking would have.
+const SPIN: Duration = Duration::from_micros(50);
+
 type JobFn<'a> = &'a (dyn Fn(usize) + Sync);
 
-struct Job {
-    /// Lifetime-erased `&(dyn Fn(worker_index) + Sync)`.
-    func: JobFn<'static>,
-    wg: WaitGroup,
-    panicked: Arc<AtomicBool>,
-    worker_index: usize,
-    /// Submission timestamp, stamped only while a queue-wait observer is
+/// Observer of per-share hand-off latency (publish → the worker starts its
+/// share). The telemetry hook behind [`ThreadPool::set_queue_wait_observer`].
+pub type QueueWaitObserver = Arc<dyn Fn(Duration) + Send + Sync>;
+
+/// What the pool's current owner publishes for one epoch.
+#[derive(Clone)]
+struct Batch {
+    /// Lifetime-erased `&(dyn Fn(index) + Sync)`; `None` tells workers to exit.
+    func: Option<JobFn<'static>>,
+    /// The publishing thread, unparked by the last worker to finish.
+    caller: Thread,
+    /// Publication timestamp, stamped only while a queue-wait observer is
     /// installed (an uninstrumented pool takes no clock reads).
     sent_at: Option<Instant>,
 }
 
-/// Observer of per-job channel wait (send → dequeue). The telemetry hook
-/// behind [`ThreadPool::set_queue_wait_observer`].
-pub type QueueWaitObserver = Arc<dyn Fn(Duration) + Send + Sync>;
-
-/// Shared cell holding the installed observer. The `enabled` flag mirrors
-/// the slot so the send path can skip the `Instant::now` call — and the
-/// worker the read lock — with one relaxed load when no observer is set.
-#[derive(Default)]
-struct HookCell {
-    enabled: AtomicBool,
+/// State shared between the owner of a batch and the workers.
+struct Shared {
+    /// Written only by the thread holding `ThreadPool::inflight`, before its
+    /// release store to `epoch`; read by workers after their acquire load of
+    /// `epoch` and before their decrement of `remaining`.
+    batch: UnsafeCell<Batch>,
+    epoch: AtomicUsize,
+    /// Worker shares of the current epoch not yet finished.
+    remaining: AtomicUsize,
+    /// Worker shares of the current epoch not yet started.
+    queued: AtomicUsize,
+    panicked: AtomicBool,
+    /// Whether waiters poll before parking (the pool fits the machine).
+    spin: bool,
+    /// The installed queue-wait observer; `observing` mirrors the slot so an
+    /// uninstrumented publish skips the clock read with one relaxed load.
     observer: RwLock<Option<QueueWaitObserver>>,
+    observing: AtomicBool,
 }
 
-impl HookCell {
-    fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
+// SAFETY: `batch` is the only non-`Sync` field. Its one writer at a time is
+// the holder of `inflight`, who writes only while no worker reads: every
+// worker finished the previous epoch (`remaining == 0` was observed with
+// acquire before `inflight` was released) and none starts the next before
+// the release store to `epoch` that follows the write.
+unsafe impl Sync for Shared {}
 
-    fn observe(&self, waited: Duration) {
-        if self.enabled() {
-            if let Some(f) = self.observer.read().as_ref() {
-                f(waited);
+/// Returns once `ready()` holds: polls for up to [`SPIN`] when `spin`, then
+/// parks between checks. Whoever makes `ready()` true must unpark this
+/// thread afterwards.
+fn wait_until(spin: bool, ready: impl Fn() -> bool) {
+    if spin {
+        let mut since = None;
+        loop {
+            for _ in 0..64 {
+                if ready() {
+                    return;
+                }
+                std::hint::spin_loop();
             }
+            if since.get_or_insert_with(Instant::now).elapsed() >= SPIN {
+                break;
+            }
+        }
+    }
+    while !ready() {
+        thread::park();
+    }
+}
+
+fn worker_loop(shared: &Shared, index: usize) {
+    IN_WORKER.with(|f| f.set(true));
+    let mut seen = 0usize;
+    loop {
+        wait_until(shared.spin, || shared.epoch.load(Ordering::Acquire) != seen);
+        seen = seen.wrapping_add(1);
+        // SAFETY: see `Shared`: the acquire load above saw this epoch's
+        // release store, and the slot is not rewritten until this worker has
+        // decremented `remaining` below. `caller` is cloned out here because
+        // the slot may be rewritten as soon as the count reaches zero.
+        let Batch { func, caller, sent_at } = unsafe { (*shared.batch.get()).clone() };
+        let Some(func) = func else { return };
+        if let Some(sent) = sent_at {
+            if let Some(observe) = shared.observer.read().as_ref() {
+                observe(sent.elapsed());
+            }
+        }
+        shared.queued.fetch_sub(1, Ordering::Relaxed);
+        if catch_unwind(AssertUnwindSafe(|| func(index))).is_err() {
+            shared.panicked.store(true, Ordering::Relaxed);
+        }
+        // Release: the share's writes (and `panicked`) happen-before the
+        // owner's acquire load of zero.
+        if shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            caller.unpark();
         }
     }
 }
 
-/// A fixed-size pool of persistent worker threads.
+/// A fixed-width fork–join pool: the calling thread plus persistent workers.
 ///
 /// Dropping the pool shuts the workers down. Most callers should use
 /// [`global_pool`] instead of owning a pool.
 pub struct ThreadPool {
-    sender: Option<Sender<Job>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    shared: Arc<Shared>,
+    /// Workers `1..n_threads`, in index order.
+    handles: Vec<thread::JoinHandle<()>>,
     n_threads: usize,
-    /// Number of `run_on_all` batches currently submitted and not yet
-    /// completed — the advisory busy signal behind [`ThreadPool::is_busy`].
+    /// 1 while a batch is dispatched — the lock a caller takes to publish,
+    /// and the advisory busy signal behind [`ThreadPool::is_busy`].
     inflight: AtomicUsize,
-    /// Jobs sent to the worker channel and not yet picked up — the advisory
-    /// backlog gauge behind [`ThreadPool::queued_jobs`]. Shared with the
-    /// workers, which decrement it on dequeue (the vendored channel exposes
-    /// no length).
-    queued: Arc<AtomicUsize>,
-    /// Queue-wait observer cell, shared with the workers.
-    queue_wait: Arc<HookCell>,
 }
 
 impl std::fmt::Debug for ThreadPool {
@@ -112,157 +179,133 @@ impl std::fmt::Debug for ThreadPool {
 }
 
 impl ThreadPool {
-    /// Creates a pool with `n_threads` workers (minimum 1).
+    /// Creates a pool of width `n_threads` (minimum 1): the thread calling
+    /// into the pool runs index 0, `n_threads − 1` spawned workers run the
+    /// rest. A pool of width 1 spawns nothing and runs everything inline.
     pub fn new(n_threads: usize) -> Self {
         let n_threads = n_threads.max(1);
-        let (sender, receiver) = unbounded::<Job>();
-        let queued = Arc::new(AtomicUsize::new(0));
-        let queue_wait = Arc::new(HookCell::default());
-        let mut handles = Vec::with_capacity(n_threads);
-        for w in 0..n_threads {
-            let rx = receiver.clone();
-            let backlog = Arc::clone(&queued);
-            let hook = Arc::clone(&queue_wait);
-            let handle = std::thread::Builder::new()
-                .name(format!("morpheus-worker-{w}"))
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        backlog.fetch_sub(1, Ordering::Relaxed);
-                        if let Some(sent) = job.sent_at {
-                            hook.observe(sent.elapsed());
-                        }
-                        IN_WORKER.with(|f| f.set(true));
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            (job.func)(job.worker_index);
-                        }));
-                        IN_WORKER.with(|f| f.set(false));
-                        if result.is_err() {
-                            job.panicked.store(true, Ordering::SeqCst);
-                        }
-                        drop(job.wg);
-                    }
-                })
-                .expect("failed to spawn morpheus worker thread");
-            handles.push(handle);
-        }
-        ThreadPool {
-            sender: Some(sender),
-            handles,
-            n_threads,
-            inflight: AtomicUsize::new(0),
-            queued,
-            queue_wait,
-        }
+        let cores = thread::available_parallelism().map_or(1, |c| c.get());
+        let shared = Arc::new(Shared {
+            batch: UnsafeCell::new(Batch { func: None, caller: thread::current(), sent_at: None }),
+            epoch: AtomicUsize::new(0),
+            remaining: AtomicUsize::new(0),
+            queued: AtomicUsize::new(0),
+            panicked: AtomicBool::new(false),
+            spin: n_threads <= cores,
+            observer: RwLock::new(None),
+            observing: AtomicBool::new(false),
+        });
+        let handles = (1..n_threads)
+            .map(|w| {
+                let shared = Arc::clone(&shared);
+                thread::Builder::new()
+                    .name(format!("morpheus-worker-{w}"))
+                    .spawn(move || worker_loop(&shared, w))
+                    .expect("failed to spawn morpheus worker thread")
+            })
+            .collect();
+        ThreadPool { shared, handles, n_threads, inflight: AtomicUsize::new(0) }
     }
 
-    /// Installs (or with `None`, removes) the queue-wait observer: it is
-    /// called by a worker with the channel-wait duration of every job
-    /// dequeued while installed. With no observer the submit path takes no
-    /// clock reads at all — this is how the serving layer's
-    /// `pool.queue_wait_ns` histogram stays free when observability is off.
+    /// Installs (or with `None`, removes) the queue-wait observer: each
+    /// worker calls it, as it starts a share, with the time since the batch
+    /// was published — `n − 1` samples per dispatched batch (the caller's own
+    /// share never waits). With no observer the publish path takes no clock
+    /// reads — how `pool.queue_wait_ns` stays free when observability is off.
     pub fn set_queue_wait_observer(&self, observer: Option<QueueWaitObserver>) {
-        let enabled = observer.is_some();
-        *self.queue_wait.observer.write() = observer;
-        // Published after the slot write so an enabled reader finds it set.
-        self.queue_wait.enabled.store(enabled, Ordering::SeqCst);
+        let observing = observer.is_some();
+        *self.shared.observer.write() = observer;
+        // Published after the slot write so a stamped batch finds it set.
+        self.shared.observing.store(observing, Ordering::SeqCst);
     }
 
-    /// Number of worker threads in the pool.
+    /// Width of the pool: how many indices a dispatch runs, the calling
+    /// thread's share included (so `num_threads() − 1` threads were spawned).
     pub fn num_threads(&self) -> usize {
         self.n_threads
     }
 
-    /// Number of `run_on_all` batches submitted by client threads and not
-    /// yet completed (nested regions run inline and are not counted).
+    /// Number of batches currently dispatched across the workers: 0 or 1
+    /// (nested and contended regions run inline and are not counted).
     pub fn inflight(&self) -> usize {
         self.inflight.load(Ordering::Relaxed)
     }
 
-    /// Jobs submitted to the worker channel and not yet dequeued by a
-    /// worker — an *advisory* backlog depth to pair with
-    /// [`ThreadPool::inflight`]. `inflight` says how many client batches
-    /// are outstanding; `queued_jobs` says how much of that work is still
-    /// waiting for a worker (saturated pool) rather than executing. Like
-    /// `is_busy`, the value is racy by nature and suitable only for
-    /// admission/backpressure heuristics and telemetry, never correctness.
+    /// Worker shares of the dispatched batch that no worker has started yet
+    /// — non-zero only between a publish and the last worker's wake-up. An
+    /// *advisory* gauge to pair with [`ThreadPool::inflight`]: racy by
+    /// nature, for telemetry and backpressure heuristics, never correctness.
     pub fn queued_jobs(&self) -> usize {
-        self.queued.load(Ordering::Relaxed)
+        self.shared.queued.load(Ordering::Relaxed)
     }
 
-    /// `true` while at least one client's batch is executing or queued — an
-    /// *advisory* saturation signal. Callers holding serial fallbacks (the
-    /// serving layer's registered-matrix path) check it to avoid queueing
-    /// behind another client's work; a concurrent submission between the
-    /// check and the call is possible and merely queues, never misbehaves.
+    /// `true` while some client's batch is dispatched — an *advisory*
+    /// signal. A `run_on_all` issued meanwhile runs inline on its caller;
+    /// callers holding a cheaper serial fallback (the serving layer's
+    /// registered-matrix path) check this first.
     pub fn is_busy(&self) -> bool {
         self.inflight() > 0
     }
 
-    /// Runs `f(worker_index)` once on every worker and waits for completion.
+    /// Runs `f(index)` once for every index in `0..num_threads()` and waits
+    /// for completion: index 0 on the calling thread, index `w` on worker `w`.
     ///
-    /// If called from inside a worker (nested parallelism) the body is run
-    /// inline on the calling thread for every index, which keeps semantics
-    /// while avoiding deadlock — mirroring OpenMP's default of serialising
-    /// nested regions.
+    /// From inside a parallel region (nested parallelism), on a pool of
+    /// width 1, or while another client's batch is dispatched, every index
+    /// runs inline on the calling thread instead — same semantics, no
+    /// waiting. A panic in any share is re-raised here once all shares have
+    /// finished; the pool stays usable.
     pub fn run_on_all(&self, f: &(dyn Fn(usize) + Sync)) {
-        if IN_WORKER.with(|g| g.get()) || self.n_threads == 1 {
-            for w in 0..self.n_threads {
-                f(w);
-            }
+        let n = self.n_threads;
+        let taken = n > 1
+            && !IN_WORKER.with(Cell::get)
+            // Acquire pairs with the previous owner's release below.
+            && self.inflight.compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed).is_ok();
+        if !taken {
+            (0..n).for_each(f);
             return;
         }
-        // SAFETY: we block on the wait group before returning, so the
-        // borrowed closure outlives every use inside the workers.
-        let f_static: JobFn<'static> = unsafe { std::mem::transmute::<JobFn<'_>, JobFn<'static>>(f) };
-        self.inflight.fetch_add(1, Ordering::Relaxed);
-        let wg = WaitGroup::new();
-        let panicked = Arc::new(AtomicBool::new(false));
-        let sender = self.sender.as_ref().expect("pool already shut down");
-        let sent_at = self.queue_wait.enabled().then(Instant::now);
-        for w in 0..self.n_threads {
-            // Count before the send so a worker's decrement cannot land
-            // first and underflow the gauge.
-            self.queued.fetch_add(1, Ordering::Relaxed);
-            sender
-                .send(Job {
-                    func: f_static,
-                    wg: wg.clone(),
-                    panicked: Arc::clone(&panicked),
-                    worker_index: w,
-                    sent_at,
-                })
-                .expect("worker channel closed");
+        let shared = &*self.shared;
+        // SAFETY: this function does not return or unwind before `remaining`
+        // reached zero, so the borrowed closure outlives every use by a worker.
+        let func = unsafe { std::mem::transmute::<JobFn<'_>, JobFn<'static>>(f) };
+        let sent_at = shared.observing.load(Ordering::Relaxed).then(Instant::now);
+        // SAFETY: holding `inflight` makes this the only writer, and no
+        // worker reads between epochs (see `Shared`).
+        unsafe { *shared.batch.get() = Batch { func: Some(func), caller: thread::current(), sent_at } };
+        shared.remaining.store(n - 1, Ordering::Relaxed);
+        shared.queued.store(n - 1, Ordering::Relaxed);
+        shared.epoch.fetch_add(1, Ordering::Release);
+        for h in &self.handles {
+            h.thread().unpark();
         }
-        wg.wait();
-        self.inflight.fetch_sub(1, Ordering::Relaxed);
-        if panicked.load(Ordering::SeqCst) {
+        IN_WORKER.with(|g| g.set(true));
+        let mine = catch_unwind(AssertUnwindSafe(|| f(0)));
+        IN_WORKER.with(|g| g.set(false));
+        wait_until(shared.spin, || shared.remaining.load(Ordering::Acquire) == 0);
+        let worker_panicked = shared.panicked.swap(false, Ordering::Relaxed);
+        self.inflight.store(0, Ordering::Release);
+        if let Err(payload) = mine {
+            resume_unwind(payload);
+        }
+        if worker_panicked {
             panic!("a morpheus-parallel worker panicked");
         }
     }
 
-    /// Runs `body(worker, item)` with stable item→worker ownership: worker
-    /// `w` executes the items of `owners[w]` in order, every call with the
-    /// same `owners` routing each item to the same worker. This is the
-    /// affinity primitive partitioned (sharded) executions use so a
-    /// shard's arrays stay hot in one core's cache across repeated calls
-    /// (NUMA-friendly ownership). Ranges beyond the pool's worker count
-    /// are drained by worker 0 after its own range; with one thread (or
-    /// from inside a nested region) everything runs inline, preserving
-    /// item order.
+    /// Runs `body(worker, item)` with stable item→worker ownership: index
+    /// `w` executes the items of `owners[w]` in order, and an index is the
+    /// same thread on every call of a given caller, so a shard of a
+    /// partitioned execution keeps its arrays hot in one core's cache across
+    /// calls. Ranges beyond the pool's width are drained by index 0 after its
+    /// own; a region that runs inline (see [`ThreadPool::run_on_all`])
+    /// preserves item order.
     pub fn run_owned(&self, owners: &[Range<usize>], body: &(dyn Fn(usize, usize) + Sync)) {
         let n = self.n_threads;
         self.run_on_all(&|w| {
-            if let Some(r) = owners.get(w) {
-                for i in r.clone() {
-                    body(w, i);
-                }
-            }
-            if w == 0 {
-                for r in owners.iter().skip(n) {
-                    for i in r.clone() {
-                        body(0, i);
-                    }
-                }
+            let overflow = if w == 0 { owners.get(n..).unwrap_or_default() } else { &[] };
+            for i in owners.get(w).into_iter().chain(overflow).flat_map(Range::clone) {
+                body(w, i);
             }
         });
     }
@@ -270,11 +313,7 @@ impl ThreadPool {
     /// OpenMP-style `parallel for` over `range`, calling `body(i)` exactly
     /// once per index.
     pub fn parallel_for(&self, range: Range<usize>, schedule: Schedule, body: impl Fn(usize) + Sync) {
-        self.parallel_for_ranges(range, schedule, |r| {
-            for i in r {
-                body(i);
-            }
-        });
+        self.parallel_for_ranges(range, schedule, |r| r.for_each(&body));
     }
 
     /// Chunk-wise `parallel for`: `body` receives each scheduled sub-range
@@ -285,6 +324,18 @@ impl ThreadPool {
         range: Range<usize>,
         schedule: Schedule,
         body: impl Fn(Range<usize>) + Sync,
+    ) {
+        self.parallel_for_worker_ranges(range, schedule, |_w, r| body(r));
+    }
+
+    /// Like [`Self::parallel_for_ranges`] but also passes the index of the
+    /// share running the chunk, guaranteeing each index processes at most
+    /// one chunk per call site under `Static { chunk: None }` scheduling.
+    pub fn parallel_for_worker_ranges(
+        &self,
+        range: Range<usize>,
+        schedule: Schedule,
+        body: impl Fn(usize, Range<usize>) + Sync,
     ) {
         let len = range.end.saturating_sub(range.start);
         if len == 0 {
@@ -297,60 +348,45 @@ impl ThreadPool {
                 let parts = static_partition(len, nt);
                 self.run_on_all(&|w| {
                     if let Some(r) = parts.get(w) {
-                        if !r.is_empty() {
-                            body(offset + r.start..offset + r.end);
-                        }
+                        body(w, offset + r.start..offset + r.end);
                     }
                 });
             }
             Schedule::Static { chunk: Some(c) } => {
                 let c = c.max(1);
                 self.run_on_all(&|w| {
-                    // Round-robin chunks: worker w takes chunks w, w+nt, ...
-                    let mut start = w * c;
-                    while start < len {
-                        let end = (start + c).min(len);
-                        body(offset + start..offset + end);
-                        start += nt * c;
+                    // Round-robin chunks: index w takes chunks w, w+nt, ...
+                    for start in (w * c..len).step_by(nt * c) {
+                        body(w, offset + start..offset + (start + c).min(len));
                     }
                 });
             }
-            Schedule::Dynamic { chunk } => {
-                let c = chunk.max(1);
+            Schedule::Dynamic { .. } | Schedule::Guided { .. } => {
                 let next = AtomicUsize::new(0);
-                self.run_on_all(&|_w| loop {
+                let chunk_of = |start: usize| match schedule {
+                    Schedule::Guided { min_chunk } => ((len - start) / (2 * nt)).max(min_chunk.max(1)),
+                    Schedule::Dynamic { chunk } => chunk.max(1),
+                    Schedule::Static { .. } => unreachable!("static schedules are handled above"),
+                };
+                self.run_on_all(&|w| loop {
+                    let probe = next.load(Ordering::Relaxed);
+                    if probe >= len {
+                        break;
+                    }
+                    let c = chunk_of(probe);
                     let start = next.fetch_add(c, Ordering::Relaxed);
                     if start >= len {
                         break;
                     }
-                    let end = (start + c).min(len);
-                    body(offset + start..offset + end);
-                });
-            }
-            Schedule::Guided { min_chunk } => {
-                let mc = min_chunk.max(1);
-                let next = AtomicUsize::new(0);
-                self.run_on_all(&|_w| loop {
-                    let start = next.load(Ordering::Relaxed);
-                    if start >= len {
-                        break;
-                    }
-                    let remaining = len - start;
-                    let c = (remaining / (2 * nt)).max(mc);
-                    let claimed = next.fetch_add(c, Ordering::Relaxed);
-                    if claimed >= len {
-                        break;
-                    }
-                    let end = (claimed + c).min(len);
-                    body(offset + claimed..offset + end);
+                    body(w, offset + start..offset + (start + c).min(len));
                 });
             }
         }
     }
 
     /// Runs `body` over each of the given precomputed ranges, one task per
-    /// range, distributed across workers. Used with
-    /// [`crate::weighted_partition`] for nnz-balanced kernels.
+    /// range, claimed dynamically. Used with [`crate::weighted_partition`]
+    /// for nnz-balanced kernels.
     pub fn parallel_over_parts(&self, parts: &[Range<usize>], body: impl Fn(usize, Range<usize>) + Sync) {
         if parts.is_empty() {
             return;
@@ -366,26 +402,21 @@ impl ThreadPool {
     }
 
     /// Executes precomputed, disjoint ranges with **no scheduling state at
-    /// all**: range `p` runs on worker `p % num_threads`, so there is no
-    /// shared chunk counter and no atomics beyond the pool's own
-    /// wake-up/latch pair. This is the executor for `ExecPlan` schedules —
-    /// plans carry at most one range per worker, making a call one wake-up
-    /// per worker with every partitioning decision already paid for at plan
-    /// construction time.
+    /// all**: range `p` runs on index `p % num_threads`, so there is no
+    /// shared chunk counter and no atomics beyond the dispatch itself. This
+    /// is the executor for `ExecPlan` schedules — plans carry at most one
+    /// range per index, so range `p` meets the same core on every call.
     ///
-    /// `body` receives `(part_index, range)`; part indices are stable
-    /// across calls, so per-part state (e.g. a workspace slot) can be
-    /// reused between iterations of a solver loop.
+    /// `body` receives `(part_index, range)`; part indices are stable across
+    /// calls, so per-part state (e.g. a workspace slot) can be reused.
     pub fn parallel_for_plan(&self, parts: &[Range<usize>], body: impl Fn(usize, Range<usize>) + Sync) {
         if parts.is_empty() {
             return;
         }
         let nt = self.n_threads;
         self.run_on_all(&|w| {
-            let mut p = w;
-            while p < parts.len() {
+            for p in (w..parts.len()).step_by(nt) {
                 body(p, parts[p].clone());
-                p += nt;
             }
         });
     }
@@ -394,7 +425,7 @@ impl ThreadPool {
     /// chunk; partials are folded with `reduce` starting from `identity`.
     ///
     /// Reduction order is deterministic given a `Static` schedule (partials
-    /// are folded in worker order), which keeps floating-point results
+    /// are folded in index order), which keeps floating-point results
     /// reproducible run-to-run.
     pub fn parallel_reduce<T, M, R>(
         &self,
@@ -410,8 +441,6 @@ impl ThreadPool {
         R: Fn(T, T) -> T + Sync,
     {
         let slots: Vec<Mutex<Option<T>>> = (0..self.n_threads).map(|_| Mutex::new(None)).collect();
-        let map = &map;
-        let reduce = &reduce;
         self.parallel_for_worker_ranges(range, schedule, |w, r| {
             let value = map(r);
             let mut guard = slots[w].lock();
@@ -420,100 +449,74 @@ impl ThreadPool {
                 None => value,
             });
         });
-        let mut acc = identity;
-        for slot in slots {
-            if let Some(v) = slot.into_inner() {
-                acc = reduce(acc, v);
-            }
-        }
-        acc
-    }
-
-    /// Like [`Self::parallel_for_ranges`] but also passes the worker index,
-    /// guaranteeing each worker processes at most one chunk per call site
-    /// under `Static { chunk: None }` scheduling.
-    pub fn parallel_for_worker_ranges(
-        &self,
-        range: Range<usize>,
-        schedule: Schedule,
-        body: impl Fn(usize, Range<usize>) + Sync,
-    ) {
-        let len = range.end.saturating_sub(range.start);
-        if len == 0 {
-            return;
-        }
-        let offset = range.start;
-        match schedule {
-            Schedule::Static { chunk: None } => {
-                let parts = static_partition(len, self.n_threads);
-                self.run_on_all(&|w| {
-                    if let Some(r) = parts.get(w) {
-                        if !r.is_empty() {
-                            body(w, offset + r.start..offset + r.end);
-                        }
-                    }
-                });
-            }
-            other => {
-                // For dynamic-style schedules a worker may receive several
-                // chunks; forward the worker index for each.
-                let nt = self.n_threads;
-                let next = AtomicUsize::new(0);
-                let chunk_of = |start: usize| -> usize {
-                    match other {
-                        Schedule::Static { chunk: Some(c) } | Schedule::Dynamic { chunk: c } => c.max(1),
-                        Schedule::Guided { min_chunk } => ((len - start) / (2 * nt)).max(min_chunk.max(1)),
-                        Schedule::Static { chunk: None } => unreachable!(),
-                    }
-                };
-                self.run_on_all(&|w| loop {
-                    let probe = next.load(Ordering::Relaxed);
-                    if probe >= len {
-                        break;
-                    }
-                    let c = chunk_of(probe);
-                    let start = next.fetch_add(c, Ordering::Relaxed);
-                    if start >= len {
-                        break;
-                    }
-                    let end = (start + c).min(len);
-                    body(w, offset + start..offset + end);
-                });
-            }
-        }
+        slots.into_iter().filter_map(Mutex::into_inner).fold(identity, &reduce)
     }
 }
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        drop(self.sender.take());
+        // `&mut self`: no batch is dispatched and none can be, so this thread
+        // may publish the exit epoch without taking `inflight`.
+        // SAFETY: as in `run_on_all` — no worker reads between epochs.
+        unsafe { (*self.shared.batch.get()).func = None };
+        self.shared.epoch.fetch_add(1, Ordering::Release);
         for h in self.handles.drain(..) {
+            h.thread().unpark();
             let _ = h.join();
         }
     }
 }
 
-/// The process-wide default pool, sized to the number of available cores.
+/// The process-wide default pool, as wide as the number of available cores.
 pub fn global_pool() -> &'static ThreadPool {
     static POOL: OnceLock<ThreadPool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let n = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        ThreadPool::new(n)
-    })
+    POOL.get_or_init(|| ThreadPool::new(thread::available_parallelism().map_or(4, |n| n.get())))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
-    fn schedules() -> Vec<Schedule> {
-        vec![
-            Schedule::Static { chunk: None },
-            Schedule::Static { chunk: Some(7) },
-            Schedule::Dynamic { chunk: 13 },
-            Schedule::Guided { min_chunk: 5 },
-        ]
+    const SCHEDULES: [Schedule; 4] = [
+        Schedule::Static { chunk: None },
+        Schedule::Static { chunk: Some(7) },
+        Schedule::Dynamic { chunk: 13 },
+        Schedule::Guided { min_chunk: 5 },
+    ];
+
+    fn counters(n: usize) -> Vec<AtomicUsize> {
+        (0..n).map(|_| AtomicUsize::new(0)).collect()
+    }
+
+    fn bump(c: &AtomicUsize) {
+        c.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn all_equal(counts: &[AtomicUsize], expect: usize) -> bool {
+        counts.iter().all(|c| c.load(Ordering::Relaxed) == expect)
+    }
+
+    /// An observer counting its calls, and the count.
+    fn counting_observer() -> (QueueWaitObserver, Arc<AtomicUsize>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&calls);
+        (Arc::new(move |_| bump(&counter)), calls)
+    }
+
+    #[test]
+    fn index_to_thread_map_is_stable_across_calls() {
+        let pool = ThreadPool::new(3);
+        let ids: Vec<Mutex<Option<thread::ThreadId>>> = (0..3).map(|_| Mutex::new(None)).collect();
+        for _ in 0..1_000 {
+            pool.run_on_all(&|w| {
+                let me = thread::current().id();
+                let prev = ids[w].lock().replace(me);
+                assert!(prev.is_none_or(|p| p == me), "index {w} moved threads");
+            });
+        }
+        let ids: Vec<_> = ids.into_iter().map(|m| m.into_inner().unwrap()).collect();
+        assert_eq!(ids[0], thread::current().id(), "index 0 is the caller");
+        assert!(ids[1] != ids[0] && ids[2] != ids[0] && ids[1] != ids[2]);
     }
 
     #[test]
@@ -522,46 +525,35 @@ mod tests {
         let owners = vec![0..2, 2..5, 5..9, 9..11];
         let seen: Vec<AtomicUsize> = (0..11).map(|_| AtomicUsize::new(usize::MAX)).collect();
         for _ in 0..4 {
-            let run: Vec<AtomicUsize> = (0..11).map(|_| AtomicUsize::new(0)).collect();
+            let run = counters(11);
             pool.run_owned(&owners, &|w, i| {
-                run[i].fetch_add(1, Ordering::Relaxed);
+                bump(&run[i]);
                 // Ownership must be stable across calls; ranges past the
-                // worker count fall to worker 0.
+                // pool's width fall to index 0.
                 let prev = seen[i].swap(w, Ordering::Relaxed);
                 assert!(prev == usize::MAX || prev == w, "item {i} moved workers");
             });
-            for (i, v) in run.iter().enumerate() {
-                assert_eq!(v.load(Ordering::Relaxed), 1, "item {i}");
-            }
+            assert!(all_equal(&run, 1));
         }
-        for (i, s) in seen.iter().enumerate().take(11).skip(9) {
-            assert_eq!(s.load(Ordering::Relaxed), 0, "overflow range item {i} runs on worker 0");
-        }
+        assert!(all_equal(&seen[9..], 0), "overflow range items run on index 0");
     }
 
     #[test]
     fn every_index_visited_exactly_once() {
         let pool = ThreadPool::new(4);
-        for sched in schedules() {
-            let n = 1003;
-            let visits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            pool.parallel_for(0..n, sched, |i| {
-                visits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            for (i, v) in visits.iter().enumerate() {
-                assert_eq!(v.load(Ordering::Relaxed), 1, "index {i} under {sched:?}");
-            }
+        for sched in SCHEDULES {
+            let visits = counters(1003);
+            pool.parallel_for(0..1003, sched, |i| bump(&visits[i]));
+            assert!(all_equal(&visits, 1), "{sched:?}");
         }
     }
 
     #[test]
     fn offset_ranges_respected() {
         let pool = ThreadPool::new(3);
-        for sched in schedules() {
+        for sched in SCHEDULES {
             let seen = Mutex::new(Vec::new());
-            pool.parallel_for(100..150, sched, |i| {
-                seen.lock().push(i);
-            });
+            pool.parallel_for(100..150, sched, |i| seen.lock().push(i));
             let mut v = seen.into_inner();
             v.sort_unstable();
             assert_eq!(v, (100..150).collect::<Vec<_>>(), "{sched:?}");
@@ -571,19 +563,17 @@ mod tests {
     #[test]
     fn empty_range_is_noop() {
         let pool = ThreadPool::new(4);
-        let hits = AtomicUsize::new(0);
-        pool.parallel_for(5..5, Schedule::default(), |_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 0);
+        pool.parallel_for(5..5, Schedule::default(), |_| panic!("empty range must not run"));
     }
 
     #[test]
     fn single_thread_pool_runs_inline() {
         let pool = ThreadPool::new(1);
-        let sum = AtomicU64::new(0);
+        let me = thread::current().id();
+        let sum = AtomicUsize::new(0);
         pool.parallel_for(0..100, Schedule::dynamic(), |i| {
-            sum.fetch_add(i as u64, Ordering::Relaxed);
+            assert_eq!(thread::current().id(), me);
+            sum.fetch_add(i, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 4950);
     }
@@ -591,16 +581,10 @@ mod tests {
     #[test]
     fn reduce_matches_serial() {
         let pool = ThreadPool::new(4);
-        let data: Vec<f64> = (0..10_000).map(|i| i as f64 * 0.5).collect();
-        let expect: f64 = data.iter().sum();
-        let got = pool.parallel_reduce(
-            0..data.len(),
-            Schedule::default(),
-            0.0f64,
-            |r| r.map(|i| data[i]).sum::<f64>(),
-            |a, b| a + b,
-        );
-        assert!((got - expect).abs() < 1e-6 * expect.abs());
+        for sched in SCHEDULES {
+            let got = pool.parallel_reduce(7..10_000, sched, 0usize, |r| r.sum(), |a, b| a + b);
+            assert_eq!(got, (7..10_000).sum::<usize>(), "{sched:?}");
+        }
     }
 
     #[test]
@@ -615,9 +599,12 @@ mod tests {
         let pool = ThreadPool::new(2);
         let hits = AtomicUsize::new(0);
         pool.parallel_for(0..2, Schedule::default(), |_| {
-            // Nested call must not deadlock.
+            // Nested call must not deadlock: it runs inline on both the
+            // caller's share and the worker's.
+            let me = thread::current().id();
             pool.parallel_for(0..10, Schedule::default(), |_| {
-                hits.fetch_add(1, Ordering::Relaxed);
+                assert_eq!(thread::current().id(), me);
+                bump(&hits);
             });
         });
         assert_eq!(hits.load(Ordering::Relaxed), 20);
@@ -627,69 +614,118 @@ mod tests {
     #[should_panic(expected = "worker panicked")]
     fn worker_panic_propagates() {
         let pool = ThreadPool::new(2);
-        pool.parallel_for(0..4, Schedule::default(), |i| {
-            if i == 2 {
-                panic!("boom");
-            }
-        });
+        pool.parallel_for(0..4, Schedule::default(), |i| assert_ne!(i, 2, "boom"));
     }
 
     #[test]
     fn pool_survives_job_panic() {
         let pool = ThreadPool::new(2);
-        let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.parallel_for(0..4, Schedule::default(), |_| panic!("x"));
-        }));
-        assert!(r.is_err());
+        let every_share_panics = || pool.parallel_for(0..4, Schedule::default(), |_| panic!("x"));
+        assert!(catch_unwind(AssertUnwindSafe(every_share_panics)).is_err());
         // Pool still usable afterwards.
+        let hits = counters(8);
+        pool.parallel_for(0..8, Schedule::default(), |i| bump(&hits[i]));
+        assert!(all_equal(&hits, 1));
+    }
+
+    #[test]
+    fn panic_in_any_share_propagates_only_after_every_share_finished() {
+        let pool = ThreadPool::new(3);
+        // The caller's own share, then a worker's.
+        for bad in [0, 2] {
+            let (panicking, done) = (AtomicBool::new(false), AtomicUsize::new(0));
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                pool.run_on_all(&|w| {
+                    if w == bad {
+                        panicking.store(true, Ordering::SeqCst);
+                        panic!("boom {w}");
+                    }
+                    // Finish well after the other share started unwinding.
+                    while !panicking.load(Ordering::SeqCst) {
+                        std::hint::spin_loop();
+                    }
+                    thread::sleep(Duration::from_millis(5));
+                    bump(&done);
+                })
+            }));
+            assert!(r.is_err(), "share {bad}: the panic must reach the caller");
+            assert_eq!(done.load(Ordering::Relaxed), 2, "share {bad}: returned before every share finished");
+            assert!(!pool.is_busy());
+        }
+        pool.run_on_all(&|_| {});
+    }
+
+    /// Pauses of 0–2×`SPIN` before a publish catch the worker polling, about
+    /// to park and parked; inside its share, the caller. A lost wake-up hangs.
+    #[test]
+    fn dispatch_never_loses_a_wakeup_across_the_spin_park_boundary() {
+        let pool = ThreadPool::new(2);
+        let rounds = if cfg!(debug_assertions) { 10_000 } else { 100_000 };
         let hits = AtomicUsize::new(0);
-        pool.parallel_for(0..8, Schedule::default(), |_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 8);
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..rounds {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let pause = SPIN.mul_f64((rng >> 40) as f64 / (1u64 << 23) as f64);
+            let (pausing, in_share) = (rng.is_multiple_of(8), rng & 8 != 0);
+            let busy_wait = |on: bool| {
+                let t = Instant::now();
+                while on && t.elapsed() < pause {
+                    std::hint::spin_loop();
+                }
+            };
+            busy_wait(pausing && !in_share);
+            pool.run_on_all(&|w| {
+                busy_wait(pausing && in_share && w == 1);
+                bump(&hits);
+            });
+        }
+        assert_eq!(hits.load(Ordering::Relaxed), 2 * rounds);
+    }
+
+    #[test]
+    fn drop_joins_polling_and_parked_workers() {
+        let pool = ThreadPool::new(3);
+        pool.run_on_all(&|_| {});
+        drop(pool); // workers are still polling for the next epoch
+        let pool = ThreadPool::new(3);
+        pool.run_on_all(&|_| {});
+        thread::sleep(SPIN * 200); // long past the polling window: parked
+        drop(pool);
     }
 
     #[test]
     fn parallel_over_parts_visits_each_part_once() {
         let pool = ThreadPool::new(4);
         let parts = vec![0..3, 3..10, 10..11, 11..20];
-        let counts: Vec<AtomicUsize> = (0..20).map(|_| AtomicUsize::new(0)).collect();
-        pool.parallel_over_parts(&parts, |_p, r| {
-            for i in r {
-                counts[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+        let counts = counters(20);
+        pool.parallel_over_parts(&parts, |_p, r| r.for_each(|i| bump(&counts[i])));
+        assert!(all_equal(&counts, 1));
     }
 
     #[test]
     fn parallel_for_plan_visits_each_part_once_with_stable_indices() {
         let pool = ThreadPool::new(3);
         let parts = vec![0..4, 4..4, 4..9, 9..10, 10..17];
-        let counts: Vec<AtomicUsize> = (0..17).map(|_| AtomicUsize::new(0)).collect();
-        let part_seen: Vec<AtomicUsize> = (0..parts.len()).map(|_| AtomicUsize::new(0)).collect();
+        let (counts, part_seen) = (counters(17), counters(parts.len()));
         pool.parallel_for_plan(&parts, |p, r| {
-            part_seen[p].fetch_add(1, Ordering::Relaxed);
+            bump(&part_seen[p]);
             assert_eq!(r, parts[p], "part index must identify its range");
-            for i in r {
-                counts[i].fetch_add(1, Ordering::Relaxed);
-            }
+            r.for_each(|i| bump(&counts[i]));
         });
-        assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-        assert!(part_seen.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+        assert!(all_equal(&counts, 1) && all_equal(&part_seen, 1));
     }
 
     #[test]
     fn parallel_for_plan_handles_more_parts_than_workers_and_empty_plans() {
         let pool = ThreadPool::new(2);
         let parts: Vec<Range<usize>> = (0..11).map(|i| i * 3..(i + 1) * 3).collect();
-        let sum = AtomicU64::new(0);
+        let sum = AtomicUsize::new(0);
         pool.parallel_for_plan(&parts, |_p, r| {
-            for i in r {
-                sum.fetch_add(i as u64, Ordering::Relaxed);
-            }
+            sum.fetch_add(r.sum::<usize>(), Ordering::Relaxed);
         });
-        assert_eq!(sum.load(Ordering::Relaxed), (0..33).sum::<usize>() as u64);
+        assert_eq!(sum.load(Ordering::Relaxed), (0..33).sum::<usize>());
         pool.parallel_for_plan(&[], |_, _| panic!("empty plan must not run"));
     }
 
@@ -697,38 +733,24 @@ mod tests {
     fn concurrent_clients_share_one_pool_without_interference() {
         // N external client threads drive the same pool at once; every
         // client's parallel-for must visit exactly its own indices exactly
-        // once, whatever interleaving the shared job queue produces.
+        // once, whether it got the workers or ran inline beside another's batch.
         let pool = ThreadPool::new(3);
-        let clients = 6usize;
-        let n = 400usize;
-        let counts: Vec<Vec<AtomicUsize>> =
-            (0..clients).map(|_| (0..n).map(|_| AtomicUsize::new(0)).collect()).collect();
-        std::thread::scope(|s| {
+        let (clients, n) = (6usize, 400usize);
+        let counts: Vec<Vec<AtomicUsize>> = (0..clients).map(|_| counters(n)).collect();
+        thread::scope(|s| {
             for (c, mine) in counts.iter().enumerate() {
                 let pool = &pool;
                 s.spawn(move || {
                     for sched in [Schedule::Static { chunk: None }, Schedule::Dynamic { chunk: 7 }] {
-                        pool.parallel_for(0..n, sched, |i| {
-                            mine[i].fetch_add(1, Ordering::Relaxed);
-                        });
+                        pool.parallel_for(0..n, sched, |i| bump(&mine[i]));
                     }
                     // Reductions from concurrent clients stay correct too.
-                    let sum = pool.parallel_reduce(
-                        0..n,
-                        Schedule::default(),
-                        0usize,
-                        |r| r.sum::<usize>(),
-                        |a, b| a + b,
-                    );
+                    let sum = pool.parallel_reduce(0..n, Schedule::default(), 0, |r| r.sum(), |a, b| a + b);
                     assert_eq!(sum, n * (n - 1) / 2, "client {c}");
                 });
             }
         });
-        for (c, mine) in counts.iter().enumerate() {
-            for (i, v) in mine.iter().enumerate() {
-                assert_eq!(v.load(Ordering::Relaxed), 2, "client {c} index {i}");
-            }
-        }
+        assert!(counts.iter().all(|mine| all_equal(mine, 2)));
         assert_eq!(pool.inflight(), 0, "all batches must be retired");
     }
 
@@ -736,96 +758,74 @@ mod tests {
     fn busy_signal_tracks_inflight_batches() {
         let pool = ThreadPool::new(2);
         assert!(!pool.is_busy());
-        let observed_busy = AtomicBool::new(false);
         let gate = std::sync::Barrier::new(2);
-        std::thread::scope(|s| {
-            let (pool, gate, observed) = (&pool, &gate, &observed_busy);
-            s.spawn(move || {
-                pool.run_on_all(&|w| {
-                    if w == 0 {
-                        gate.wait(); // hold the batch open until observed
-                    }
-                });
+        thread::scope(|s| {
+            // Hold a batch open inside its worker's share: index 1 waits twice.
+            s.spawn(|| pool.run_on_all(&|w| (0..2 * w).for_each(|_| _ = gate.wait())));
+            gate.wait();
+            assert!(pool.is_busy() && pool.inflight() == 1);
+            // A contended caller does not queue: every index runs inline.
+            let me = thread::current().id();
+            let ran = Mutex::new(Vec::new());
+            pool.run_on_all(&|w| {
+                assert_eq!(thread::current().id(), me);
+                assert!(pool.is_busy(), "the other client's batch is still dispatched");
+                ran.lock().push(w);
             });
-            // Wait until the batch is visibly in flight, then release it.
-            while !pool.is_busy() {
-                std::thread::yield_now();
-            }
-            observed.store(true, Ordering::SeqCst);
+            assert_eq!(ran.into_inner(), vec![0, 1]);
             gate.wait();
         });
-        assert!(observed_busy.load(Ordering::SeqCst));
         assert!(!pool.is_busy(), "signal must clear once the batch completes");
     }
 
     #[test]
     fn queued_jobs_gauge_tracks_channel_backlog() {
-        let pool = ThreadPool::new(2);
+        // The gauge counts published shares no worker has started. A worker
+        // calls the observer just before it counts its share as started, so
+        // every sample sees that share (and at most the other's) still queued.
+        let pool = Arc::new(ThreadPool::new(3));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (weak, log) = (Arc::downgrade(&pool), Arc::clone(&seen));
+        pool.set_queue_wait_observer(Some(Arc::new(move |_| {
+            if let Some(pool) = weak.upgrade() {
+                log.lock().push(pool.queued_jobs());
+            }
+        })));
         assert_eq!(pool.queued_jobs(), 0);
-        // Occupy both workers, then submit a second batch from another
-        // thread: its two jobs must sit in the channel (visible via the
-        // gauge) until the first batch releases the workers.
-        let gate = std::sync::Barrier::new(3);
-        std::thread::scope(|s| {
-            let (pool, gate) = (&pool, &gate);
-            s.spawn(move || {
-                pool.run_on_all(&|_| {
-                    gate.wait();
-                });
-            });
-            // Wait until both workers are parked inside the first batch
-            // (the gauge drains to 0 as they dequeue their jobs).
-            while pool.inflight() == 0 || pool.queued_jobs() > 0 {
-                std::thread::yield_now();
-            }
-            s.spawn(move || {
-                pool.run_on_all(&|_| {});
-            });
-            while pool.queued_jobs() < 2 {
-                std::thread::yield_now();
-            }
-            assert_eq!(pool.queued_jobs(), 2, "second batch must be backlogged");
-            gate.wait(); // release the first batch; everything drains
-        });
-        assert_eq!(pool.queued_jobs(), 0, "gauge must drain with the backlog");
-        assert!(!pool.is_busy());
+        pool.run_on_all(&|_| {});
+        assert_eq!(pool.queued_jobs(), 0, "gauge must drain once every share started");
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 2);
+        assert!(seen.iter().all(|q| (1..=2).contains(q)), "{seen:?}");
     }
 
     #[test]
     fn queue_wait_observer_sees_every_dispatched_job() {
         let pool = ThreadPool::new(3);
-        let observed = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&observed);
-        pool.set_queue_wait_observer(Some(Arc::new(move |_d| {
-            counter.fetch_add(1, Ordering::Relaxed);
-        })));
+        let (observer, observed) = counting_observer();
+        pool.set_queue_wait_observer(Some(observer));
         pool.run_on_all(&|_| {});
         pool.run_on_all(&|_| {});
-        assert_eq!(observed.load(Ordering::Relaxed), 6, "one observation per job");
+        assert_eq!(observed.load(Ordering::Relaxed), 4, "one observation per worker share");
         // Uninstall: further batches are invisible and take no clock reads.
         pool.set_queue_wait_observer(None);
         pool.run_on_all(&|_| {});
-        assert_eq!(observed.load(Ordering::Relaxed), 6);
+        assert_eq!(observed.load(Ordering::Relaxed), 4);
     }
 
     #[test]
     fn queue_wait_observer_skips_inline_paths() {
         let pool = ThreadPool::new(1);
-        let observed = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&observed);
-        pool.set_queue_wait_observer(Some(Arc::new(move |_d| {
-            counter.fetch_add(1, Ordering::Relaxed);
-        })));
-        // Single-thread pools run inline — nothing crosses the channel.
+        let (observer, observed) = counting_observer();
+        pool.set_queue_wait_observer(Some(observer));
+        // Width-1 pools run inline — nothing is handed to a worker.
         pool.run_on_all(&|_| {});
         assert_eq!(observed.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn global_pool_is_singleton() {
-        let a = global_pool() as *const _;
-        let b = global_pool() as *const _;
-        assert_eq!(a, b);
+        assert!(std::ptr::eq(global_pool(), global_pool()));
         assert!(global_pool().num_threads() >= 1);
     }
 }

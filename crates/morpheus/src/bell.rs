@@ -4,8 +4,8 @@
 //! row poisons the whole matrix. BELL bins rows into width buckets — each
 //! bucket is an independent column-major ELL slab holding only the rows
 //! assigned to it — so padding waste is bounded by the gap to the next
-//! bucket width instead of the gap to the global maximum. Empty rows are
-//! stored nowhere (kernels pre-zero the output).
+//! bucket width instead of the gap to the global maximum. Empty rows are in no
+//! bucket; the matrix lists them as runs, and they are all a kernel zeroes.
 //!
 //! The bucket width list is the format's *parameter*: the default is the
 //! power-of-two ladder, but the tuner may regress a custom ladder per
@@ -17,6 +17,8 @@ use crate::format::FormatId;
 use crate::rowmajor::RowMajor;
 use crate::scalar::Scalar;
 use crate::Result;
+use morpheus_parallel::static_partition;
+use std::ops::Range;
 
 /// One width bucket: an ELL slab over the subset of rows assigned to it.
 ///
@@ -70,6 +72,8 @@ pub struct BellMatrix<V> {
     ncols: usize,
     nnz: usize,
     buckets: Vec<BellBucket<V>>,
+    /// Maximal runs of the rows stored in no bucket, ascending.
+    empty_rows: Vec<Range<usize>>,
 }
 
 /// Rows per tile of the column-major slab fill in
@@ -94,7 +98,8 @@ pub fn default_bucket_widths(max_width: usize) -> Vec<usize> {
 impl<V: Scalar> BellMatrix<V> {
     /// An empty matrix of the given shape (no buckets).
     pub fn new(nrows: usize, ncols: usize) -> Self {
-        BellMatrix { nrows, ncols, nnz: 0, buckets: Vec::new() }
+        let empty_rows = Vec::from_iter((nrows > 0).then_some(0..nrows));
+        BellMatrix { nrows, ncols, nnz: 0, buckets: Vec::new(), empty_rows }
     }
 
     /// Builds from contiguous row-major arrays — `offsets` (`nrows + 1`
@@ -137,10 +142,15 @@ impl<V: Scalar> BellMatrix<V> {
             *slot = b;
         }
         // Count, then place: every bucket's row list is allocated at its
-        // final size. Empty rows are stored nowhere.
+        // final size. Empty rows go to no bucket, only into the run list.
         let mut lens = vec![0usize; ladder.len()];
-        for r in (0..nrows).filter(|&r| row_len(r) > 0) {
-            lens[bucket_of[row_len(r)]] += 1;
+        let mut empty_rows: Vec<Range<usize>> = Vec::new();
+        for r in 0..nrows {
+            match (row_len(r), empty_rows.last_mut()) {
+                (0, Some(run)) if run.end == r => run.end = r + 1,
+                (0, _) => empty_rows.push(r..r + 1),
+                (n, _) => lens[bucket_of[n]] += 1,
+            }
         }
         let mut members: Vec<Vec<usize>> = lens.iter().map(|&n| Vec::with_capacity(n)).collect();
         for r in (0..nrows).filter(|&r| row_len(r) > 0) {
@@ -177,7 +187,7 @@ impl<V: Scalar> BellMatrix<V> {
             }
             buckets.push(BellBucket { width, rows, cols: bcols, vals: bvals });
         }
-        BellMatrix { nrows, ncols, nnz: offsets[nrows], buckets }
+        BellMatrix { nrows, ncols, nnz: offsets[nrows], buckets, empty_rows }
     }
 
     /// Builds from raw buckets, validating the layout: bucket widths
@@ -232,7 +242,16 @@ impl<V: Scalar> BellMatrix<V> {
                 }
             }
         }
-        Ok(BellMatrix { nrows, ncols, nnz, buckets })
+        // The gaps between stored rows are the empty runs.
+        let mut empty_rows = Vec::new();
+        let mut next = 0usize;
+        for &r in seen_rows.iter().chain(std::iter::once(&nrows)) {
+            if r > next {
+                empty_rows.push(next..r);
+            }
+            next = r + 1;
+        }
+        Ok(BellMatrix { nrows, ncols, nnz, buckets, empty_rows })
     }
 
     /// Number of rows.
@@ -283,7 +302,17 @@ impl<V: Scalar> BellMatrix<V> {
                 (b.rows.len() + b.cols.len()) * std::mem::size_of::<usize>()
                     + b.vals.len() * std::mem::size_of::<V>()
             })
-            .sum()
+            .sum::<usize>()
+            + std::mem::size_of_val(self.empty_rows.as_slice())
+    }
+
+    /// The maximal runs of rows stored in no bucket, clipped to `rows`.
+    pub(crate) fn empty_rows_in(&self, rows: Range<usize>) -> impl Iterator<Item = Range<usize>> + '_ {
+        let first = self.empty_rows.partition_point(|run| run.end <= rows.start);
+        self.empty_rows[first..]
+            .iter()
+            .take_while(move |run| run.start < rows.end)
+            .map(move |run| run.start.max(rows.start)..run.end.min(rows.end))
     }
 
     /// Locates row `r`: `(bucket index, position within the bucket)`, or
@@ -296,41 +325,56 @@ impl<V: Scalar> BellMatrix<V> {
             .find_map(|(b, bucket)| bucket.rows.binary_search(&r).ok().map(|j| (b, j)))
     }
 
-    /// Partitions the slabs into at most `parts` cell-balanced segments for
-    /// threaded execution. Segment spans never overlap within a bucket and
-    /// buckets hold disjoint rows, so every `y` element has one writer.
-    pub(crate) fn segments(&self, parts: usize) -> Vec<BellSegment> {
-        let total: usize = self.buckets.iter().map(BellBucket::padded_len).sum();
-        if total == 0 {
-            return Vec::new();
-        }
-        let target = total.div_ceil(parts.max(1)).max(1);
-        let mut segs = Vec::new();
+    /// Splits a threaded execution into exactly `parts` shares, one per pool
+    /// index, balanced by padded cells: the slabs are laid end to end and a
+    /// row goes to the share whose `1/parts` of that stream holds the row's
+    /// middle cell, so a share is at most half a row off its quota (a bucket
+    /// of one over-wide row lands whole in one share; a share may be empty).
+    /// Spans never overlap within a bucket and buckets hold disjoint rows, so
+    /// every stored row has one writer; each empty row has one too, the share
+    /// whose `rows` contain it.
+    pub(crate) fn shares(&self, parts: usize) -> Vec<BellShare> {
+        let parts = parts.max(1);
+        let rows = static_partition(self.nrows, parts);
+        let mut shares: Vec<BellShare> = (0..parts)
+            .map(|p| BellShare { segs: Vec::new(), rows: rows.get(p).cloned().unwrap_or(0..0) })
+            .collect();
+        let total = self.padded_len();
+        let mut base = 0usize; // cells of the buckets before this one
         for (b, bucket) in self.buckets.iter().enumerate() {
-            let len = bucket.rows.len();
-            if len == 0 {
-                continue;
+            let (len, width) = (bucket.rows.len(), bucket.width);
+            let mut lo = 0usize;
+            for (p, share) in shares.iter_mut().enumerate() {
+                // Row `j` has its middle at `base + j*width + width/2`; count
+                // the rows whose middle lies before the end of share `p`.
+                let quota = total * (p + 1) / parts;
+                let before_quota = (2 * quota).saturating_sub(2 * base + width).div_ceil(2 * width);
+                let hi = if p + 1 == parts { len } else { before_quota.clamp(lo, len) };
+                if hi > lo {
+                    share.segs.push(BellSegment { bucket: b, span: lo..hi });
+                    lo = hi;
+                }
             }
-            // Rows per segment so each carries ~`target` padded cells.
-            let step = target.div_ceil(bucket.width.max(1)).max(1);
-            let mut lo = 0;
-            while lo < len {
-                let hi = (lo + step).min(len);
-                segs.push(BellSegment { bucket: b, span: lo..hi });
-                lo = hi;
-            }
+            base += len * width;
         }
-        segs
+        shares
     }
 }
 
-/// A threaded-execution unit: a span of row positions inside one bucket's
-/// slab. Spans from [`BellMatrix::segments`] are disjoint, so concurrent
-/// segment execution has one writer per output row.
+/// A span of row positions inside one bucket's slab.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct BellSegment {
     pub(crate) bucket: usize,
-    pub(crate) span: std::ops::Range<usize>,
+    pub(crate) span: Range<usize>,
+}
+
+/// One pool index's share of a threaded execution (see
+/// [`BellMatrix::shares`]): the slab spans it computes, and the row range
+/// whose empty rows ([`BellMatrix::empty_rows_in`]) it zeroes.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct BellShare {
+    pub(crate) segs: Vec<BellSegment>,
+    pub(crate) rows: Range<usize>,
 }
 
 impl<V: Scalar> RowMajor<V> for BellMatrix<V> {
@@ -455,5 +499,48 @@ mod tests {
         assert_eq!(m.nnz(), 0);
         assert_eq!(m.buckets().len(), 0);
         assert_eq!(RowMajor::row_count(&m, 3), 0);
+        assert_eq!(m.empty_rows_in(2..5).collect::<Vec<_>>(), vec![2..5]);
+    }
+
+    #[test]
+    fn empty_runs_are_the_rows_in_no_bucket() {
+        // Rows 0, 3, 4 and 9 are empty.
+        let rows = [1usize, 2, 2, 5, 6, 7, 8, 8, 8];
+        let cols = [0usize, 0, 1, 3, 3, 3, 0, 1, 2];
+        let coo = CooMatrix::from_triplets(10, 4, &rows, &cols, &[1.0f64; 9]).unwrap();
+        let m = bell_of(&coo, &[]);
+        assert_eq!(m.empty_rows_in(0..10).collect::<Vec<_>>(), vec![0..1, 3..5, 9..10]);
+        assert_eq!(m.empty_rows_in(4..9).collect::<Vec<_>>(), vec![4..5]);
+        assert_eq!(m.empty_rows_in(5..9).count(), 0);
+        // `from_parts` derives the same runs from the buckets alone.
+        assert_eq!(BellMatrix::from_parts(10, 4, m.buckets().to_vec()).unwrap(), m);
+    }
+
+    #[test]
+    fn shares_tile_every_bucket_and_balance_cells() {
+        let coo = random_coo::<f64>(400, 300, 6000, 3);
+        for widths in [vec![], vec![64], vec![2, 5, 9, 14, 20, 27, 35]] {
+            let m = bell_of(&coo, &widths);
+            let widest = m.bucket_widths().into_iter().max().unwrap();
+            for parts in 1..=6 {
+                let shares = m.shares(parts);
+                assert_eq!(shares.len(), parts, "one share per pool index");
+                let mut next = vec![0usize; m.buckets().len()];
+                let mut cells = Vec::new();
+                for share in &shares {
+                    cells.push(share.segs.iter().map(|s| s.span.len() * m.buckets()[s.bucket].width()).sum());
+                    for s in &share.segs {
+                        assert_eq!(s.span.start, next[s.bucket], "spans tile each bucket in order");
+                        next[s.bucket] = s.span.end;
+                    }
+                }
+                assert!(next.iter().zip(m.buckets()).all(|(&n, b)| n == b.rows().len()));
+                let quota = m.padded_len() / parts;
+                let ok = cells.iter().all(|&c: &usize| c.abs_diff(quota) <= widest + 1);
+                assert!(ok, "widths {widths:?} x{parts}: {cells:?} vs quota {quota}");
+                let zeroed: usize = shares.iter().map(|s| s.rows.len()).sum();
+                assert_eq!(zeroed, 400, "row ranges tile the rows");
+            }
+        }
     }
 }

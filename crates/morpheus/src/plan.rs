@@ -19,16 +19,17 @@
 //!   ranges for the CSR remainder;
 //! * **BSR** — entry-weighted block-row ranges (a block row is the atomic
 //!   unit: it owns `block_r` output rows);
-//! * **BELL** — cell-balanced bucket segments (spans of one bucket's
-//!   column-major slab).
+//! * **BELL** — one share per worker: cell-balanced spans of the buckets'
+//!   column-major slabs, plus the row range whose empty rows it zeroes.
 //!
 //! Construction reads the PR-2 [`Analysis`] artifact when one is supplied
 //! (row-nnz histogram → weighted ranges and COO entry boundaries via prefix
 //! sums) and otherwise only O(rows) metadata (`row_offsets` differences),
 //! never a full matrix traversal — property-tested via
-//! [`crate::analysis::passes`]. Executions run through
-//! [`ThreadPool::parallel_for_plan`], which replays the precomputed ranges
-//! with no scheduling state at all.
+//! [`crate::analysis::passes`]. An execution replays the precomputed parts
+//! with no scheduling state at all, in **one pool dispatch** per pass over
+//! the matrix — one for every format but the two-pass composites HYB and HDC
+//! — with part `p` on the same pool index, hence the same core, every call.
 //!
 //! Each row-range partition additionally carries one
 //! [`KernelVariant`] per range, selected at build time from the analysis
@@ -58,7 +59,7 @@
 //! additionally shares each plan across client threads via `Arc`.
 
 use crate::analysis::Analysis;
-use crate::bell::BellSegment;
+use crate::bell::BellShare;
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::dynamic::DynamicMatrix;
@@ -78,8 +79,8 @@ use std::ops::Range;
 /// See the [module docs](self) for what each format's plan holds. A plan is
 /// tied to the matrix it was built from (format, shape, nnz — checked on
 /// every execution) but not to a particular [`ThreadPool`]: executing on a
-/// pool with fewer workers than the plan has parts just round-robins the
-/// parts, still writing disjoint rows.
+/// pool narrower than the plan has parts just round-robins the parts, still
+/// writing disjoint rows.
 #[derive(Debug, Clone)]
 pub struct ExecPlan<V: Scalar> {
     format: FormatId,
@@ -266,8 +267,8 @@ enum Parts {
     },
     /// Entry-weighted BSR block-row ranges.
     Bsr { brows: Vec<Range<usize>>, variants: Vec<KernelVariant> },
-    /// Cell-balanced BELL bucket segments (scalar-only bodies).
-    Bell { segs: Vec<BellSegment> },
+    /// One cell-balanced BELL share per worker (scalar-only bodies).
+    Bell { shares: Vec<BellShare> },
 }
 
 impl<V: Scalar> ExecPlan<V> {
@@ -384,7 +385,7 @@ impl<V: Scalar> ExecPlan<V> {
                     .collect();
                 Parts::Bsr { brows, variants }
             }
-            DynamicMatrix::Bell(a) => Parts::Bell { segs: a.segments(threads) },
+            DynamicMatrix::Bell(a) => Parts::Bell { shares: a.shares(threads) },
         };
         ExecPlan {
             format: m.format_id(),
@@ -415,7 +416,7 @@ impl<V: Scalar> ExecPlan<V> {
             Parts::Coo { entries } => entries.len(),
             Parts::Hyb { rows, .. } | Parts::Hdc { rows, .. } => rows.len(),
             Parts::Bsr { brows, .. } => brows.len(),
-            Parts::Bell { segs } => segs.len(),
+            Parts::Bell { shares } => shares.len(),
         }
     }
 
@@ -535,10 +536,13 @@ impl<V: Scalar> ExecPlan<V> {
                 }) && end == a.nblockrows()
             }
             // Same for the bucket ladder: validate every segment against
-            // this matrix's buckets and require full slab coverage.
-            (DynamicMatrix::Bell(a), Parts::Bell { segs }) => {
-                let covered: usize = segs.iter().map(|s| s.span.len()).sum();
-                segs.iter().all(|s| a.buckets().get(s.bucket).is_some_and(|b| s.span.end <= b.rows().len()))
+            // this matrix's buckets and require full slab coverage. (The
+            // shares' row ranges tile `0..nrows`, and which of those rows are
+            // empty is read from the executing matrix, so they need no check.)
+            (DynamicMatrix::Bell(a), Parts::Bell { shares }) => {
+                let mut segs = shares.iter().flat_map(|s| &s.segs);
+                let covered: usize = segs.clone().map(|s| s.span.len()).sum();
+                segs.all(|s| a.buckets().get(s.bucket).is_some_and(|b| s.span.end <= b.rows().len()))
                     && covered == a.buckets().iter().map(|b| b.rows().len()).sum::<usize>()
             }
             _ => true,
@@ -611,7 +615,9 @@ impl<V: Scalar> ExecPlan<V> {
             (DynamicMatrix::Bsr(a), Parts::Bsr { brows, variants }) => {
                 threaded::spmv_bsr_ranges(a, x, y, pool, brows, variants)
             }
-            (DynamicMatrix::Bell(a), Parts::Bell { segs }) => threaded::spmv_bell_ranges(a, x, y, pool, segs),
+            (DynamicMatrix::Bell(a), Parts::Bell { shares }) => {
+                threaded::spmv_bell_shares(a, x, y, pool, shares)
+            }
             _ => unreachable!("plan/matrix format agreement checked above"),
         }
         Ok(())
@@ -648,7 +654,9 @@ impl<V: Scalar> ExecPlan<V> {
                 spmm::spmm_csr::<V, true>(a.csr(), x, y, k, pool, csr_rows);
             }
             (DynamicMatrix::Bsr(a), Parts::Bsr { brows, .. }) => spmm::spmm_bsr(a, x, y, k, pool, brows),
-            (DynamicMatrix::Bell(a), Parts::Bell { segs }) => spmm::spmm_bell(a, x, y, k, pool, Some(segs)),
+            (DynamicMatrix::Bell(a), Parts::Bell { shares }) => {
+                spmm::spmm_bell(a, x, y, k, pool, Some(shares))
+            }
             _ => unreachable!("plan/matrix format agreement checked above"),
         }
         Ok(())

@@ -21,7 +21,7 @@
 //! [`crate::plan::ExecPlan::spmm`] directly (or go through the Oracle,
 //! which caches plans per matrix structure).
 
-use crate::bell::{BellMatrix, BellSegment};
+use crate::bell::{BellMatrix, BellShare};
 use crate::bsr::BsrMatrix;
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
@@ -31,6 +31,7 @@ use crate::ell::{EllMatrix, ELL_PAD};
 use crate::error::MorpheusError;
 use crate::plan::ExecPlan;
 use crate::scalar::Scalar;
+use crate::spmv::threaded::{coo_owned_rows, for_each_part};
 use crate::spmv::ExecPolicy;
 use crate::Result;
 use morpheus_parallel::{SharedSlice, ThreadPool};
@@ -251,9 +252,9 @@ unsafe fn run_blocks<V: Scalar, B: Body<V>>(
     }
 }
 
-/// Runs `body` over precomputed `parts`: across the pool, or — without one
-/// or on a one-worker pool — inline in order on the calling thread. The
-/// serial entry point is this with one part covering everything.
+/// Runs `body` over precomputed `parts` in one dispatch across the pool, or
+/// — without one — inline in order on the calling thread ([`for_each_part`]).
+/// The serial entry point is this with one part covering everything.
 ///
 /// # Safety
 /// The output rows of distinct parts must be disjoint.
@@ -266,18 +267,8 @@ unsafe fn run<V: Scalar, B: Body<V>>(
     parts: &[Range<usize>],
 ) {
     let out = SharedSlice::new(y);
-    // SAFETY (both arms): each part's rows have this one writer.
-    match pool.filter(|p| p.num_threads() > 1) {
-        Some(pool) => pool.parallel_for_plan(parts, |_p, r| unsafe { run_blocks(body, x, &out, k, r) }),
-        None => parts.iter().for_each(|r| unsafe { run_blocks(body, x, &out, k, r.clone()) }),
-    }
-}
-
-fn fill_zero<V: Scalar>(y: &mut [V], pool: Option<&ThreadPool>) {
-    match pool {
-        Some(pool) => crate::spmv::threaded::parallel_fill_zero(y, pool),
-        None => y.fill(V::ZERO),
-    }
+    // SAFETY: each part's rows have this one writer.
+    for_each_part(pool, parts.len(), |p| unsafe { run_blocks(body, x, &out, k, parts[p].clone()) });
 }
 
 /// CSR rows; `ACC` adds each row's sum to `y` (the HDC remainder, whose
@@ -465,7 +456,8 @@ pub(crate) fn spmm_csr<V: Scalar, const ACC: bool>(
     unsafe { run(&CsrRows::<V, ACC>(a), x, y, k, pool, rows) }
 }
 
-/// `ACC = false` zeroes `y` first (rows without entries are never visited).
+/// `ACC = false` defines `y`: each range first zeroes the rows it owns
+/// ([`coo_owned_rows`]; rows without entries are never visited).
 pub(crate) fn spmm_coo<V: Scalar, const ACC: bool>(
     a: &CooMatrix<V>,
     x: &[V],
@@ -474,11 +466,21 @@ pub(crate) fn spmm_coo<V: Scalar, const ACC: bool>(
     pool: Option<&ThreadPool>,
     entries: &[Range<usize>],
 ) {
-    if !ACC {
-        fill_zero(y, pool);
+    if !ACC && entries.is_empty() {
+        return y.fill(V::ZERO);
     }
-    // SAFETY: entry ranges are row-aligned and disjoint.
-    unsafe { run(&CooEntries(a), x, y, k, pool, entries) }
+    let out = SharedSlice::new(y);
+    for_each_part(pool, entries.len(), |p| {
+        // SAFETY: entry ranges are row-aligned and disjoint, and so are the
+        // rows they own.
+        unsafe {
+            if !ACC {
+                let owned = coo_owned_rows(a, entries, p);
+                out.slice_mut(owned.start * k, owned.len() * k).fill(V::ZERO);
+            }
+            run_blocks(&CooEntries(a), x, &out, k, entries[p].clone());
+        }
+    });
 }
 
 pub(crate) fn spmm_dia<V: Scalar>(
@@ -519,22 +521,25 @@ pub(crate) fn spmm_bsr<V: Scalar>(
     unsafe { run(&BsrBlockRows(a), x, y, k, pool, brows) }
 }
 
-/// BELL over plan segments, or (`segs: None`) over every bucket in turn.
+/// BELL over plan shares, or (`shares: None`) over every bucket in turn.
+/// Every stored row is written exactly once; only empty rows, which no
+/// bucket holds, are zeroed.
 pub(crate) fn spmm_bell<V: Scalar>(
     a: &BellMatrix<V>,
     x: &[V],
     y: &mut [V],
     k: usize,
     pool: Option<&ThreadPool>,
-    segs: Option<&[BellSegment]>,
+    shares: Option<&[BellShare]>,
 ) {
-    let pool = pool.filter(|p| p.num_threads() > 1);
-    // Every stored row is written exactly once; only empty rows, which no
-    // bucket holds, need zeroing.
-    if a.buckets().iter().map(|b| b.rows().len()).sum::<usize>() < a.nrows() {
-        fill_zero(y, pool);
-    }
     let out = SharedSlice::new(y);
+    let zero = |rows: Range<usize>| {
+        for run in a.empty_rows_in(rows) {
+            // SAFETY: no bucket holds these rows, and the callers below hand
+            // disjoint row ranges to concurrent shares.
+            unsafe { out.slice_mut(run.start * k, run.len() * k).fill(V::ZERO) };
+        }
+    };
     let span = |bucket: usize, span: Range<usize>| {
         let b = &a.buckets()[bucket];
         let slab = Slab {
@@ -545,16 +550,17 @@ pub(crate) fn spmm_bell<V: Scalar>(
             rows: Some(b.rows()),
         };
         // SAFETY: buckets hold disjoint rows and segment spans are disjoint
-        // within a bucket (see `BellMatrix::segments`).
+        // within a bucket (see `BellMatrix::shares`).
         unsafe { run_blocks(&slab, x, &out, k, span) }
     };
-    match (segs, pool) {
-        (None, _) => a.buckets().iter().enumerate().for_each(|(b, bucket)| span(b, 0..bucket.rows().len())),
-        (Some(segs), None) => segs.iter().for_each(|s| span(s.bucket, s.span.clone())),
-        (Some(segs), Some(pool)) => pool.run_on_all(&|w| {
-            for s in segs.iter().skip(w).step_by(pool.num_threads()) {
-                span(s.bucket, s.span.clone());
-            }
+    match shares {
+        None => {
+            zero(0..a.nrows());
+            a.buckets().iter().enumerate().for_each(|(b, bucket)| span(b, 0..bucket.rows().len()));
+        }
+        Some(shares) => for_each_part(pool, shares.len(), |p| {
+            zero(shares[p].rows.clone());
+            shares[p].segs.iter().for_each(|s| span(s.bucket, s.span.clone()));
         }),
     }
 }

@@ -18,11 +18,12 @@
 //! * **per-call balanced** ([`spmv_csr_balanced`], [`spmv_coo`]): an
 //!   nnz-weighted or row-aligned partition is recomputed on every call;
 //! * **planned** (the `*_ranges` kernels behind [`crate::plan::ExecPlan`]):
-//!   precomputed ranges are executed via
-//!   [`ThreadPool::parallel_for_plan`] with no per-call scheduling work at
-//!   all — the steady-state path for iterative solvers.
+//!   precomputed parts are replayed by [`for_each_part`] with no per-call
+//!   scheduling work at all — one dispatch per pass over the matrix, part `p`
+//!   on the same pool index every call — the steady-state path for
+//!   iterative solvers.
 
-use crate::bell::{BellMatrix, BellSegment};
+use crate::bell::{BellMatrix, BellSegment, BellShare};
 use crate::bsr::BsrMatrix;
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
@@ -236,9 +237,10 @@ unsafe fn bsr_block_rows_dyn<V: Scalar>(a: &BsrMatrix<V>, x: &[V], out: &SharedO
     }
 }
 
-/// One BELL segment: stream the bucket slab column-major over the span,
-/// accumulating into pre-zeroed output rows. Per-row order is `k`
-/// ascending, as in the serial kernel — bitwise identical.
+/// One BELL segment: stream the bucket slab column-major over the span and
+/// write each row's sum (a stored row is in exactly one segment). Per-row
+/// order is `k` ascending from zero, as in the serial kernel, whose `0 + sum`
+/// into the pre-zeroed output is that same sum — bitwise identical.
 ///
 /// # Safety
 /// Concurrent callers' segments must be disjoint (spans within a bucket
@@ -320,7 +322,7 @@ unsafe fn bell_segment_walk<V: Scalar>(
             idx += len;
         }
         for l in 0..4 {
-            out.add(rows[j + l], acc[l]);
+            out.set(rows[j + l], acc[l]);
         }
         j += 4;
     }
@@ -335,7 +337,7 @@ unsafe fn bell_segment_walk<V: Scalar>(
             acc += vals[idx] * x[c];
             idx += len;
         }
-        out.add(rows[j], acc);
+        out.set(rows[j], acc);
         j += 1;
     }
 }
@@ -582,12 +584,12 @@ pub fn spmv_csr_balanced<V: Scalar>(a: &CsrMatrix<V>, x: &[V], y: &mut [V], pool
     });
 }
 
-/// COO kernel: zero `y` in parallel, then accumulate row-aligned entry
-/// chunks. The chunks are recomputed from the sorted row array on every
-/// call; the planned variant reuses the splits held by an `ExecPlan`.
+/// COO kernel: row-aligned entry chunks, each zeroing then accumulating the
+/// rows it owns. The chunks are recomputed from the sorted row array on
+/// every call; the planned variant reuses the splits held by an `ExecPlan`.
 pub fn spmv_coo<V: Scalar>(a: &CooMatrix<V>, x: &[V], y: &mut [V], pool: &ThreadPool) {
-    parallel_fill_zero(y, pool);
-    spmv_coo_acc(a, x, y, pool);
+    let chunks = row_aligned_partition(a.row_indices(), pool.num_threads());
+    spmv_coo_ranges(a, x, y, Some(pool), &chunks);
 }
 
 /// COO accumulate kernel (`y += A x`), used by the HYB composite.
@@ -675,25 +677,32 @@ pub fn spmv_bsr<V: Scalar>(a: &BsrMatrix<V>, x: &[V], y: &mut [V], pool: &Thread
     });
 }
 
-/// BELL kernel: zero `y` in parallel, then accumulate cell-balanced bucket
-/// segments. Segments are recomputed per call; an [`crate::plan::ExecPlan`]
-/// holds them precomputed.
+/// BELL kernel over cell-balanced shares, one per pool index. The shares are
+/// recomputed per call; an [`crate::plan::ExecPlan`] holds them precomputed.
 pub fn spmv_bell<V: Scalar>(a: &BellMatrix<V>, x: &[V], y: &mut [V], pool: &ThreadPool) {
-    parallel_fill_zero(y, pool);
-    let segs = a.segments(pool.num_threads());
-    spmv_bell_acc_segments(a, x, y, Some(pool), &segs);
+    spmv_bell_shares(a, x, y, Some(pool), &a.shares(pool.num_threads()));
 }
 
 // ---------------------------------------------------------------------------
-// Planned kernels: thin loops over precomputed `ExecPlan` ranges
+// Planned kernels: thin loops over precomputed `ExecPlan` parts
 // ---------------------------------------------------------------------------
 
-/// CSR over precomputed row ranges (write), each range running its
-/// planned [`KernelVariant`] body. Without a pool (`None`) or on a
-/// one-worker pool the ranges run inline in order on the calling thread —
-/// same bodies, bitwise-identical results, no dispatch overhead — so the
-/// variant layer engages even on single-core hosts and on the serving
+/// Runs `body(p)` for every part `p < n` of a plan in **one dispatch**: part
+/// `p` on pool index `p % width` — the same thread every call, with no
+/// scheduling state — or, without a pool, inline in order on the calling
+/// thread (which is also what a pool of width 1, a nested region and a busy
+/// pool do). Same bodies either way, so results are bitwise identical, and
+/// the variant layer engages even on single-core hosts and on the serving
 /// layer's busy-pool fallback.
+pub(crate) fn for_each_part(pool: Option<&ThreadPool>, n: usize, body: impl Fn(usize) + Sync) {
+    match pool {
+        Some(pool) if n > 0 => pool.run_on_all(&|w| (w..n).step_by(pool.num_threads()).for_each(&body)),
+        _ => (0..n).for_each(body),
+    }
+}
+
+/// CSR over precomputed row ranges (write), each range running its planned
+/// [`KernelVariant`] body.
 pub(crate) fn spmv_csr_ranges<V: Scalar>(
     a: &CsrMatrix<V>,
     x: &[V],
@@ -704,16 +713,9 @@ pub(crate) fn spmv_csr_ranges<V: Scalar>(
 ) {
     debug_assert_eq!(rows.len(), variants.len());
     let out = SharedOut::new(y);
-    let Some(pool) = pool.filter(|p| p.num_threads() > 1) else {
-        for (p, r) in rows.iter().enumerate() {
-            // SAFETY: one caller, ranges executed sequentially.
-            unsafe { csr_rows_variant::<V, false>(a, x, &out, r.clone(), variants[p]) };
-        }
-        return;
-    };
-    pool.parallel_for_plan(rows, |p, r| {
-        // SAFETY: plan row ranges tile the rows disjointly.
-        unsafe { csr_rows_variant::<V, false>(a, x, &out, r, variants[p]) };
+    // SAFETY: plan row ranges tile the rows disjointly.
+    for_each_part(pool, rows.len(), |p| unsafe {
+        csr_rows_variant::<V, false>(a, x, &out, rows[p].clone(), variants[p])
     });
 }
 
@@ -728,21 +730,32 @@ pub(crate) fn spmv_csr_acc_ranges<V: Scalar>(
 ) {
     debug_assert_eq!(rows.len(), variants.len());
     let out = SharedOut::new(y);
-    let Some(pool) = pool.filter(|p| p.num_threads() > 1) else {
-        for (p, r) in rows.iter().enumerate() {
-            // SAFETY: one caller, ranges executed sequentially.
-            unsafe { csr_rows_variant::<V, true>(a, x, &out, r.clone(), variants[p]) };
-        }
-        return;
-    };
-    pool.parallel_for_plan(rows, |p, r| {
-        // SAFETY: plan row ranges tile the rows disjointly.
-        unsafe { csr_rows_variant::<V, true>(a, x, &out, r, variants[p]) };
+    // SAFETY: plan row ranges tile the rows disjointly.
+    for_each_part(pool, rows.len(), |p| unsafe {
+        csr_rows_variant::<V, true>(a, x, &out, rows[p].clone(), variants[p])
     });
 }
 
-/// COO over precomputed row-aligned entry ranges: zero `y`, accumulate.
-/// (COO's scatter loop has no specialised variants.)
+/// The rows range `p` of a plan's row-aligned COO entry ranges (contiguous,
+/// ascending, covering every entry) owns: from its first entry's row up to
+/// the next range's — rows without entries included, so the ranges' owned
+/// rows tile `0..nrows` and a defining kernel zeroes nothing else.
+pub(crate) fn coo_owned_rows<V: Scalar>(
+    a: &CooMatrix<V>,
+    entries: &[Range<usize>],
+    p: usize,
+) -> Range<usize> {
+    let first_row = |p: usize| match p {
+        0 => 0,
+        p if p == entries.len() => a.nrows(),
+        p => a.row_indices()[entries[p].start],
+    };
+    first_row(p)..first_row(p + 1)
+}
+
+/// COO over precomputed row-aligned entry ranges: each range zeroes the rows
+/// it owns ([`coo_owned_rows`]), then accumulates its entries. (COO's scatter
+/// loop has no specialised variants.)
 pub(crate) fn spmv_coo_ranges<V: Scalar>(
     a: &CooMatrix<V>,
     x: &[V],
@@ -750,11 +763,19 @@ pub(crate) fn spmv_coo_ranges<V: Scalar>(
     pool: Option<&ThreadPool>,
     entries: &[Range<usize>],
 ) {
-    match pool {
-        Some(pool) => parallel_fill_zero(y, pool),
-        None => y.fill(V::ZERO),
+    if entries.is_empty() {
+        return y.fill(V::ZERO);
     }
-    spmv_coo_acc_ranges(a, x, y, pool, entries);
+    let out = SharedOut::new(y);
+    for_each_part(pool, entries.len(), |p| {
+        let owned = coo_owned_rows(a, entries, p);
+        // SAFETY: the ranges are row-aligned, so `owned` and the rows of this
+        // range's entries belong to no other part.
+        unsafe {
+            out.slice_mut(owned.start, owned.len()).fill(V::ZERO);
+            coo_entries(a, x, &out, entries[p].clone());
+        }
+    });
 }
 
 /// COO accumulate over precomputed row-aligned entry ranges, for the HYB
@@ -767,17 +788,8 @@ pub(crate) fn spmv_coo_acc_ranges<V: Scalar>(
     entries: &[Range<usize>],
 ) {
     let out = SharedOut::new(y);
-    let Some(pool) = pool.filter(|p| p.num_threads() > 1) else {
-        for r in entries {
-            // SAFETY: one caller, ranges executed sequentially.
-            unsafe { coo_entries(a, x, &out, r.clone()) };
-        }
-        return;
-    };
-    pool.parallel_for_plan(entries, |_p, r| {
-        // SAFETY: plan entry ranges are row-aligned and disjoint.
-        unsafe { coo_entries(a, x, &out, r) };
-    });
+    // SAFETY: plan entry ranges are row-aligned and disjoint.
+    for_each_part(pool, entries.len(), |p| unsafe { coo_entries(a, x, &out, entries[p].clone()) });
 }
 
 /// DIA over precomputed row ranges, each running its planned variant.
@@ -791,16 +803,9 @@ pub(crate) fn spmv_dia_ranges<V: Scalar>(
 ) {
     debug_assert_eq!(rows.len(), variants.len());
     let out = SharedOut::new(y);
-    let Some(pool) = pool.filter(|p| p.num_threads() > 1) else {
-        for (p, r) in rows.iter().enumerate() {
-            // SAFETY: one caller, ranges executed sequentially.
-            unsafe { dia_rows_variant(a, x, &out, r.clone(), variants[p]) };
-        }
-        return;
-    };
-    pool.parallel_for_plan(rows, |p, r| {
-        // SAFETY: plan row ranges tile the rows disjointly.
-        unsafe { dia_rows_variant(a, x, &out, r, variants[p]) };
+    // SAFETY: plan row ranges tile the rows disjointly.
+    for_each_part(pool, rows.len(), |p| unsafe {
+        dia_rows_variant(a, x, &out, rows[p].clone(), variants[p])
     });
 }
 
@@ -815,16 +820,9 @@ pub(crate) fn spmv_ell_ranges<V: Scalar>(
 ) {
     debug_assert_eq!(rows.len(), variants.len());
     let out = SharedOut::new(y);
-    let Some(pool) = pool.filter(|p| p.num_threads() > 1) else {
-        for (p, r) in rows.iter().enumerate() {
-            // SAFETY: one caller, ranges executed sequentially.
-            unsafe { ell_rows_variant(a, x, &out, r.clone(), variants[p]) };
-        }
-        return;
-    };
-    pool.parallel_for_plan(rows, |p, r| {
-        // SAFETY: plan row ranges tile the rows disjointly.
-        unsafe { ell_rows_variant(a, x, &out, r, variants[p]) };
+    // SAFETY: plan row ranges tile the rows disjointly.
+    for_each_part(pool, rows.len(), |p| unsafe {
+        ell_rows_variant(a, x, &out, rows[p].clone(), variants[p])
     });
 }
 
@@ -839,67 +837,33 @@ pub(crate) fn spmv_bsr_ranges<V: Scalar>(
 ) {
     debug_assert_eq!(brows.len(), variants.len());
     let out = SharedOut::new(y);
-    let Some(pool) = pool.filter(|p| p.num_threads() > 1) else {
-        for (p, r) in brows.iter().enumerate() {
-            // SAFETY: one caller, ranges executed sequentially.
-            unsafe { bsr_block_rows_variant(a, x, &out, r.clone(), variants[p]) };
-        }
-        return;
-    };
-    pool.parallel_for_plan(brows, |p, r| {
-        // SAFETY: plan block-row ranges tile the block rows disjointly.
-        unsafe { bsr_block_rows_variant(a, x, &out, r, variants[p]) };
+    // SAFETY: plan block-row ranges tile the block rows disjointly.
+    for_each_part(pool, brows.len(), |p| unsafe {
+        bsr_block_rows_variant(a, x, &out, brows[p].clone(), variants[p])
     });
 }
 
-/// BELL over precomputed bucket segments: zero `y`, accumulate.
-pub(crate) fn spmv_bell_ranges<V: Scalar>(
+/// BELL over precomputed shares: each zeroes the empty rows of its row range
+/// and writes the rows of its segments.
+pub(crate) fn spmv_bell_shares<V: Scalar>(
     a: &BellMatrix<V>,
     x: &[V],
     y: &mut [V],
     pool: Option<&ThreadPool>,
-    segs: &[BellSegment],
-) {
-    match pool.filter(|p| p.num_threads() > 1) {
-        Some(pool) => parallel_fill_zero(y, pool),
-        None => y.fill(V::ZERO),
-    }
-    spmv_bell_acc_segments(a, x, y, pool, segs);
-}
-
-/// BELL accumulate over precomputed bucket segments. Segments are indexed
-/// through unit ranges so the pool's plan executor can replay them.
-pub(crate) fn spmv_bell_acc_segments<V: Scalar>(
-    a: &BellMatrix<V>,
-    x: &[V],
-    y: &mut [V],
-    pool: Option<&ThreadPool>,
-    segs: &[BellSegment],
+    shares: &[BellShare],
 ) {
     let out = SharedOut::new(y);
-    let Some(pool) = pool.filter(|p| p.num_threads() > 1) else {
-        for seg in segs {
-            // SAFETY: one caller, segments executed sequentially.
-            unsafe { bell_segment(a, x, &out, seg) };
+    for_each_part(pool, shares.len(), |p| {
+        // SAFETY: the shares' row ranges are disjoint and their empty rows
+        // are in no bucket; segments are disjoint (see `BellMatrix::shares`).
+        unsafe {
+            for run in a.empty_rows_in(shares[p].rows.clone()) {
+                out.slice_mut(run.start, run.len()).fill(V::ZERO);
+            }
+            for seg in &shares[p].segs {
+                bell_segment(a, x, &out, seg);
+            }
         }
-        return;
-    };
-    let units: Vec<Range<usize>> = (0..segs.len()).map(|i| i..i + 1).collect();
-    pool.parallel_for_plan(&units, |p, _r| {
-        // SAFETY: segments are disjoint (see `BellMatrix::segments`).
-        unsafe { bell_segment(a, x, &out, &segs[p]) };
-    });
-}
-
-pub(crate) fn parallel_fill_zero<V: Scalar>(y: &mut [V], pool: &ThreadPool) {
-    if pool.num_threads() == 1 {
-        y.fill(V::ZERO);
-        return;
-    }
-    let out = SharedOut::new(y);
-    pool.parallel_for_ranges(0..out.len(), Schedule::default(), |r| {
-        // SAFETY: static ranges are disjoint.
-        unsafe { out.slice_mut(r.start, r.len()).fill(V::ZERO) };
     });
 }
 
@@ -986,6 +950,9 @@ mod tests {
         let mut y = vec![3.0; 4];
         spmv_coo_acc(&coo, &x, &mut y, &pool);
         assert_eq!(y, vec![3.0; 4]);
+        // The defining kernel still has every row to zero.
+        spmv_coo(&coo, &x, &mut y, &pool);
+        assert_eq!(y, vec![0.0; 4]);
     }
 
     #[test]

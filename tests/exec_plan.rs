@@ -192,6 +192,67 @@ fn edge_shapes_planned_spmv_and_spmm_match_serial_bitwise() {
     }
 }
 
+/// Shapes that stress BELL's per-worker shares (every format runs them).
+fn share_stress_matrices() -> Vec<(&'static str, DynamicMatrix<f64>)> {
+    let build = |nr: usize, nc: usize, row_len: &dyn Fn(usize) -> usize| {
+        let (mut rows, mut cols) = (Vec::new(), Vec::new());
+        for r in 0..nr {
+            for j in 0..row_len(r) {
+                rows.push(r);
+                cols.push((r * 7 + j) % nc); // distinct within a row while `row_len <= nc`
+            }
+        }
+        let vals: Vec<f64> = (0..rows.len()).map(|i| 0.5 + (i % 11) as f64 * 0.375).collect();
+        DynamicMatrix::from(CooMatrix::from_triplets(nr, nc, &rows, &cols, &vals).unwrap())
+    };
+    vec![
+        // Leading, trailing and interior runs of rows no bucket holds.
+        ("empty rows", build(41, 50, &|r| if !(3..=36).contains(&r) || r % 3 == 0 { 0 } else { 1 + r % 4 })),
+        // Seven power-of-two buckets for at most four workers.
+        ("more buckets than workers", build(35, 100, &|r| [1, 2, 3, 5, 9, 17, 33][r % 7])),
+        // The widest bucket is one row holding most of the cells.
+        ("one over-wide row", build(31, 250, &|r| if r == 13 { 200 } else { 2 })),
+        ("fewer rows than workers", build(2, 20, &|r| 3 + r)),
+    ]
+}
+
+/// One balanced dispatch per planned execution: at every pool width the
+/// pooled SpMV is bitwise `spmv_unpooled` (same parts, same bodies) — and
+/// serial whenever the plan preserves order — and the pooled SpMM is bitwise
+/// serial, in all eight formats.
+#[test]
+fn pooled_plans_match_unpooled_and_serial_at_one_to_four_workers() {
+    let opts = tolerant_opts();
+    let k = 3usize;
+    for (name, m) in share_stress_matrices() {
+        let x: Vec<f64> = (0..m.ncols()).map(|i| 1.0 + (i % 13) as f64 * 0.25).collect();
+        let xk: Vec<f64> = (0..m.ncols() * k).map(|i| (i % 7) as f64 - 3.0).collect();
+        for &fmt in &ALL_FORMATS {
+            let converted = m.to_format(fmt, &opts).unwrap();
+            let analysis = Analysis::of(&converted, opts.true_diag_alpha);
+            let mut y_serial = vec![0.0; m.nrows()];
+            spmv_serial(&converted, &x, &mut y_serial).unwrap();
+            let mut ymm_serial = vec![0.0; m.nrows() * k];
+            spmm_serial(&converted, &xk, &mut ymm_serial, k).unwrap();
+            for workers in 1..=4usize {
+                let pool = ThreadPool::new(workers);
+                let plan = ExecPlan::build(&converted, workers, Some(&analysis));
+                let mut y_unpooled = vec![f64::NAN; m.nrows()];
+                plan.spmv_unpooled(&converted, &x, &mut y_unpooled).unwrap();
+                let mut y = vec![f64::NAN; m.nrows()];
+                plan.spmv(&converted, &x, &mut y, &pool).unwrap();
+                assert!(bits_eq(&y, &y_unpooled), "{name} {fmt} x{workers}: pooled != unpooled");
+                if plan.preserves_order() {
+                    assert!(bits_eq(&y, &y_serial), "{name} {fmt} x{workers}: planned != serial");
+                }
+                let mut ymm = vec![f64::NAN; m.nrows() * k];
+                plan.spmm(&converted, &xk, &mut ymm, k, &pool).unwrap();
+                assert!(bits_eq(&ymm, &ymm_serial), "{name} {fmt} x{workers}: planned SpMM != serial");
+            }
+        }
+    }
+}
+
 /// The end-to-end amortisation story: an OpenMP session in an iterative
 /// loop pays planning once; SpMV and SpMM share the structure's plan.
 #[test]

@@ -170,6 +170,44 @@ fn partitioned_matches_reference_f32() {
     partitioned_matches_reference::<f32>(1e-4);
 }
 
+/// Stable shard ownership: with index = thread in the pool, shard `i` runs
+/// on the same thread on every call from one caller — the first owner range
+/// on the caller itself, the others on workers — so a shard's arrays stay
+/// in one core's cache.
+#[test]
+fn run_owned_runs_each_shard_on_the_same_thread_every_call() {
+    let m = hetero(1_200, 40, 300, 5);
+    let a = analysis_of(&m);
+    let cfg = PartitionConfig { target_shard_nnz: m.nnz() / 6, ..Default::default() };
+    let p = Partition::from_analysis(&a, &cfg);
+    let pm =
+        PartitionedMatrix::build(&m, &p, &ConvertOptions::default(), 3, Some(&a), |_, _, _| FormatId::Csr)
+            .unwrap();
+    assert!(pm.shards().len() >= 3);
+    let pool = ThreadPool::new(3);
+    let x = vec![1.0f64; 1_200];
+    let mut y = vec![0.0f64; 1_200];
+    let owner: Vec<std::sync::Mutex<Option<std::thread::ThreadId>>> =
+        pm.shards().iter().map(|_| std::sync::Mutex::new(None)).collect();
+    for call in 0..50 {
+        pm.spmv_observed(
+            &x,
+            &mut y,
+            Some(&pool),
+            Some(&|si, _| {
+                let me = std::thread::current().id();
+                let prev = owner[si].lock().unwrap().replace(me);
+                assert!(prev.is_none_or(|t| t == me), "call {call}: shard {si} moved threads");
+            }),
+        )
+        .unwrap();
+    }
+    let owner: Vec<_> = owner.iter().map(|o| o.lock().unwrap().expect("every shard ran")).collect();
+    assert_eq!(owner[0], std::thread::current().id(), "the first owner range is the caller's");
+    let distinct: std::collections::HashSet<_> = owner.iter().collect();
+    assert_eq!(distinct.len(), 3, "three owner ranges, three threads");
+}
+
 #[test]
 fn streaming_ingestion_equals_batch_build() {
     let m = hetero(1_500, 80, 40, 5);
