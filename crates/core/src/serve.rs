@@ -2013,6 +2013,46 @@ mod tests {
         assert_send_sync::<MatrixHandle<f64>>();
     }
 
+    /// ROADMAP item 4c's first rung: a format whose index width cannot hold
+    /// the matrix is a typed conversion error, and the service answers it
+    /// like any non-viable prediction — with the paper's CSR fallback.
+    #[test]
+    fn index_overflow_falls_back_to_csr() {
+        let service = make_service(1);
+        let wide = u32::MAX as usize + 2;
+        let mut m =
+            DynamicMatrix::from(CooMatrix::from_triplets(1, wide, &[0], &[wide - 1], &[2.0f64]).unwrap());
+        assert!(matches!(
+            m.to_format(FormatId::Bell, &ConvertOptions::default()),
+            Err(morpheus::MorpheusError::IndexOverflow { .. })
+        ));
+        // BELL is decided for the structure by seeding the decision cache:
+        // consulting a tuner — and building the plan `register` ends with —
+        // takes an `Analysis`, whose diagonal histogram has `nrows + ncols`
+        // slots (16 GiB here), so `tune` on a hit is as far as a matrix this
+        // wide can be driven.
+        let key = CacheKey {
+            structure: m.structure_hash(),
+            scalar_bytes: std::mem::size_of::<f64>(),
+            engine: service.engine_fingerprint,
+            op: Op::Spmv,
+        };
+        let decision = TuneDecision {
+            format: FormatId::Bell,
+            params: Default::default(),
+            op: Op::Spmv,
+            cost: TuningCost::cached(),
+        };
+        let seeded = CachedDecision { decision, batch: None };
+        service.decisions.insert_if_generation(key, seeded, service.decisions.generation());
+
+        let report = service.tune(&mut m).unwrap();
+        assert!(report.cache_hit);
+        assert_eq!((report.predicted, report.chosen), (FormatId::Bell, FormatId::Csr));
+        assert_eq!(m.format_id(), FormatId::Csr);
+        assert_eq!(m.to_coo().iter().collect::<Vec<_>>(), vec![(0, wide - 1, 2.0)]);
+    }
+
     #[test]
     fn register_then_execute_matches_serial() {
         let service = make_service(2);

@@ -74,6 +74,8 @@ pub struct MatrixAnalysis {
     /// Non-empty BELL buckets under the default ladder (kernel launches /
     /// slab sweeps the bucketed execution pays).
     pub bell_nbuckets: usize,
+    /// Rows the BELL buckets hold: the non-empty ones.
+    pub bell_rows: usize,
 }
 
 impl MatrixAnalysis {
@@ -159,6 +161,14 @@ impl MatrixAnalysis {
     /// HDC DIA-portion padded slots.
     pub fn hdc_padded(&self) -> usize {
         self.hdc_ntrue * self.stats.nrows
+    }
+
+    /// Bytes of the BELL arrays under the default ladder, as
+    /// `morpheus::BellMatrix::storage_bytes` counts them: an `f64` value and
+    /// a 4-byte column index per padded slot, a 4-byte row index per stored
+    /// row. The one BELL storage formula of the machine model.
+    pub fn bell_storage_bytes(&self) -> usize {
+        self.bell_padded * 12 + self.bell_rows * 4
     }
 
     /// Mean non-zeros per row (0 for empty).
@@ -271,6 +281,7 @@ pub fn analyze_from<V: Scalar>(m: &DynamicMatrix<V>, shared: &Analysis) -> Matri
         bell_padded += ladder[b];
     }
     let bell_nbuckets = bucket_rows.iter().filter(|&&n| n > 0).count();
+    let bell_rows = bucket_rows.iter().sum();
 
     // One row-major walk for the entry-order quantities: the probability an
     // x-gather hits an already-fetched cache line (consecutive entries of a
@@ -336,6 +347,7 @@ pub fn analyze_from<V: Scalar>(m: &DynamicMatrix<V>, shared: &Analysis) -> Matri
         bsr_blocks,
         bell_padded,
         bell_nbuckets,
+        bell_rows,
     }
 }
 

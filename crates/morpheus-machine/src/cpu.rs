@@ -20,7 +20,7 @@ use morpheus::spmv::variant::{BLOCK_MIN_DIAGS, BLOCK_MIN_WIDTH, BLOCK_ROWS, UNRO
 use morpheus::{FormatId, KernelVariant};
 
 const VAL: f64 = 8.0; // f64 value bytes
-const IDX: f64 = 8.0; // index bytes on the CPU backends (usize)
+const IDX: f64 = 8.0; // index bytes on the CPU backends (usize; BELL stores 4, see `bell_part`)
 
 /// Cost of one elemental kernel (COO/CSR/DIA/ELL); hybrids compose two.
 struct PartCost {
@@ -172,7 +172,7 @@ fn bell_part(
     calib: &Calibration,
 ) -> PartCost {
     let nnz = a.nnz() as f64;
-    let bytes = padded * (VAL + IDX)
+    let bytes = a.bell_storage_bytes() as f64
         + gather_x_bytes(nnz, a.ncols() as f64, a.locality, spec.cache_bytes(), calib)
         + a.nrows() as f64 * 2.0 * VAL;
     PartCost {
@@ -579,6 +579,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// What `bell_part` charges for the matrix arrays is what a converted
+    /// matrix stores (4-byte indices), so the ranking the forest learns from
+    /// and the benchmark's bytes-derived metrics price the same layout.
+    #[test]
+    fn bell_bytes_follow_the_stored_arrays() {
+        let (n, mut rows, mut cols) = (3000usize, Vec::new(), Vec::new());
+        for r in (0..n).filter(|r| r % 97 != 0) {
+            for k in 0..1 + r % 9 {
+                rows.push(r);
+                cols.push((r * 13 + k * 331) % n);
+            }
+        }
+        let vals = vec![1.0f64; rows.len()];
+        let m = DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap());
+        let a = analyze(&m);
+        let stored = m.to_format(FormatId::Bell, &Default::default()).unwrap().storage_bytes() as f64;
+        let (cpu, calib) = (systems::cirrus().cpu, Calibration::default());
+        let part = bell_part(a.bell_padded as f64, a.bell_nbuckets as f64, &a, &cpu, &calib);
+        let vectors = gather_x_bytes(a.nnz() as f64, n as f64, a.locality, cpu.cache_bytes(), &calib)
+            + n as f64 * 2.0 * VAL;
+        assert!(a.bell_padded > a.nnz(), "the case pads");
+        assert!(
+            ((part.bytes - vectors) - stored).abs() <= 0.01 * stored,
+            "{} vs {stored}",
+            part.bytes - vectors
+        );
     }
 
     #[test]

@@ -358,16 +358,12 @@ impl VirtualEngine {
         ProfileResult { times, optimal: best }
     }
 
-    /// Modelled cost of the on-line feature-extraction pass (§VI-C) over a
-    /// matrix stored in `active` format.
-    ///
-    /// The pass streams the format's arrays once and maintains row/diagonal
-    /// histograms; the histogram updates are scalar work that does not
-    /// parallelise well, which is why the OpenMP backends pay relatively
-    /// more here than in SpMV (visible in Table IV).
-    pub fn feature_extraction_time(&self, active: FormatId, a: &MatrixAnalysis) -> f64 {
+    /// Bytes of `fmt`'s arrays for an `f64` matrix like `a` — what a pass
+    /// over the stored matrix streams, and what a conversion reads or
+    /// writes. Indices are 8 bytes everywhere but in BELL.
+    fn storage_bytes(fmt: FormatId, a: &MatrixAnalysis) -> f64 {
         let nnz = a.nnz() as f64;
-        let bytes = match active {
+        match fmt {
             FormatId::Coo => nnz * 24.0,
             FormatId::Csr => nnz * 16.0 + (a.nrows() as f64 + 1.0) * 8.0,
             FormatId::Dia => a.dia_padded() as f64 * 8.0,
@@ -378,8 +374,20 @@ impl VirtualEngine {
                 let b = Self::bsr_dim();
                 a.bsr_padded(b) as f64 * 8.0 + a.bsr_nblocks(b) as f64 * 16.0
             }
-            FormatId::Bell => a.bell_padded as f64 * 16.0,
-        };
+            FormatId::Bell => a.bell_storage_bytes() as f64,
+        }
+    }
+
+    /// Modelled cost of the on-line feature-extraction pass (§VI-C) over a
+    /// matrix stored in `active` format.
+    ///
+    /// The pass streams the format's arrays once and maintains row/diagonal
+    /// histograms; the histogram updates are scalar work that does not
+    /// parallelise well, which is why the OpenMP backends pay relatively
+    /// more here than in SpMV (visible in Table IV).
+    pub fn feature_extraction_time(&self, active: FormatId, a: &MatrixAnalysis) -> f64 {
+        let nnz = a.nnz() as f64;
+        let bytes = Self::storage_bytes(active, a);
         match self.backend {
             Backend::Serial => {
                 let f = self.system.cpu.freq_ghz * 1e9;
@@ -416,23 +424,8 @@ impl VirtualEngine {
         if from == to {
             return 0.0;
         }
-        let footprint = |fmt: FormatId| -> f64 {
-            let nnz = a.nnz() as f64;
-            match fmt {
-                FormatId::Coo => nnz * 24.0,
-                FormatId::Csr => nnz * 16.0 + (a.nrows() as f64 + 1.0) * 8.0,
-                FormatId::Dia => a.dia_padded() as f64 * 8.0,
-                FormatId::Ell => a.ell_padded() as f64 * 16.0,
-                FormatId::Hyb => a.hyb_padded() as f64 * 16.0 + a.hyb_coo_nnz as f64 * 24.0,
-                FormatId::Hdc => a.hdc_padded() as f64 * 8.0 + a.hdc_csr_nnz as f64 * 16.0,
-                FormatId::Bsr => {
-                    let b = Self::bsr_dim();
-                    a.bsr_padded(b) as f64 * 8.0 + a.bsr_nblocks(b) as f64 * 16.0
-                }
-                FormatId::Bell => a.bell_padded as f64 * 16.0,
-            }
-        };
-        let bytes = (footprint(from) + footprint(to)) * self.calib.convert_byte_factor;
+        let bytes =
+            (Self::storage_bytes(from, a) + Self::storage_bytes(to, a)) * self.calib.convert_byte_factor;
         // Conversions run on the host CPU (device conversions would add
         // transfers; Morpheus converts host-side).
         let threads = match self.backend {
@@ -450,7 +443,7 @@ mod tests {
     use crate::systems;
     use morpheus::{CooMatrix, DynamicMatrix};
 
-    fn sample(n: usize, per_row: usize) -> MatrixAnalysis {
+    fn sample_matrix(n: usize, per_row: usize) -> DynamicMatrix<f64> {
         let mut rows = Vec::new();
         let mut cols = Vec::new();
         for r in 0..n {
@@ -460,7 +453,11 @@ mod tests {
             }
         }
         let vals = vec![1.0f64; rows.len()];
-        analyze(&DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap()))
+        DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap())
+    }
+
+    fn sample(n: usize, per_row: usize) -> MatrixAnalysis {
+        analyze(&sample_matrix(n, per_row))
     }
 
     #[test]
@@ -564,6 +561,15 @@ mod tests {
     fn prediction_cost_scales_with_nodes() {
         let e = VirtualEngine::new(systems::archer2(), Backend::Serial);
         assert!(e.prediction_time(1000) > e.prediction_time(10));
+    }
+
+    #[test]
+    fn bell_storage_formula_follows_the_stored_arrays() {
+        // Five entries a row land in the width-8 bucket: three pads a row.
+        let m = sample_matrix(4000, 5);
+        let modelled = VirtualEngine::storage_bytes(FormatId::Bell, &analyze(&m));
+        let stored = m.to_format(FormatId::Bell, &Default::default()).unwrap().storage_bytes() as f64;
+        assert!((modelled - stored).abs() <= 0.01 * stored, "{modelled} vs {stored}");
     }
 
     #[test]

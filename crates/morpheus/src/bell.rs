@@ -2,16 +2,66 @@
 //!
 //! Classic ELL pads every row to the *global* maximum width, so one heavy
 //! row poisons the whole matrix. BELL bins rows into width buckets — each
-//! bucket is an independent column-major ELL slab holding only the rows
-//! assigned to it — so padding waste is bounded by the gap to the next
-//! bucket width instead of the gap to the global maximum. Empty rows are in no
-//! bucket; the matrix lists them as runs, and they are all a kernel zeroes.
+//! bucket holds only the rows assigned to it, padded to the bucket's width —
+//! so padding waste is bounded by the gap to the next bucket width instead
+//! of the gap to the global maximum. Empty rows are in no bucket; the matrix
+//! lists them as runs, and they are all a kernel zeroes.
 //!
 //! The bucket width list is the format's *parameter*: the default is the
 //! power-of-two ladder, but the tuner may regress a custom ladder per
 //! matrix (see `ConvertOptions::params`).
+//!
+//! # Layout: slice-major
+//!
+//! A bucket's rows are cut into *slices* of [`SLICE`] = 8 consecutive row
+//! positions; a slice stores its cells k-major — the eight rows' `k`-th
+//! entries side by side — so a kernel that keeps eight rows in flight reads
+//! one contiguous stream of `cols` and one of `vals`, and a k-level is one
+//! vector load. The last `len % 8` rows form one *ragged* slice at its own
+//! stride; it is never padded out to eight lanes, so a bucket holds exactly
+//! `width * len` cells whatever its row count. A width-3 bucket of 11 rows:
+//!
+//! ```text
+//!            full slice (rows 0..8)              ragged slice (rows 8..11)
+//!  cols = [ c00 c10 c20 c30 c40 c50 c60 c70      c80 c90 cA0
+//!           c01 c11 c21 c31 c41 c51 c61 c71      c81 c91 cA1
+//!           c02 c12 c22 c32 c42 c52 c62 c72 ]  [ c82 c92 cA2 ]
+//!           └──── 8 lanes per k-level ────┘      └ 3 lanes ┘
+//! ```
+//!
+//! (`cjk` = column of entry `k` of the row at position `j`; `vals` has the
+//! same shape.) Slice `s` therefore occupies cells
+//! `8·s·width .. min(8·(s+1), len)·width`.
+//!
+//! # The pad rule
+//!
+//! A row shorter than its bucket's width fills the remaining slots with
+//! **its own last real column** and `V::ZERO`. A kernel needs no pad test:
+//! a pad multiplies zero into an `x` element the row already reads, and
+//! never touches a column the row does not own. Because real columns
+//! strictly ascend, the first repeated column marks the start of a row's
+//! pads — that is how [`RowMajor`] recovers the row without a sentinel.
+//!
+//! # Invariants
+//!
+//! Both constructors ([`BellMatrix::from_row_arrays`],
+//! [`BellMatrix::from_parts`]) establish them; the fields are private and
+//! nothing mutates them afterwards. The SpMV walker (`crate::spmv::bell`)
+//! rests its unchecked `y` stores on (2) and its unchecked `x` loads on (3):
+//!
+//! 1. every bucket has `width >= 1`, at least one row, and
+//!    `cols.len() == vals.len() == width * rows.len()`;
+//! 2. every stored row index is `< nrows`; rows ascend strictly within a
+//!    bucket and no row is in two buckets;
+//! 3. every stored column index — pads included, since a pad repeats a real
+//!    column — is `< ncols`;
+//! 4. per row, columns ascend strictly through the real entries and then
+//!    repeat the last one, with `V::ZERO` values, to the bucket's width;
+//! 5. `nrows - 1` and `ncols - 1` fit in `u32` (the index type stored).
+//!
+//! Values are stored at `V`'s width and indices at 4 bytes: an `f64` cell is
+//! 12 bytes where the `usize` layout took 16.
 
-use crate::ell::ELL_PAD;
 use crate::error::MorpheusError;
 use crate::format::FormatId;
 use crate::rowmajor::RowMajor;
@@ -20,17 +70,49 @@ use crate::Result;
 use morpheus_parallel::static_partition;
 use std::ops::Range;
 
-/// One width bucket: an ELL slab over the subset of rows assigned to it.
-///
-/// `cols`/`vals` are column-major over the bucket's rows
-/// (`cols[k * rows.len() + j]` is the `k`-th entry of `rows[j]`), padded
-/// with [`ELL_PAD`] / `V::ZERO` exactly like [`crate::EllMatrix`].
+/// Rows per slice: the number of rows a kernel keeps in flight, and the
+/// lane count of every k-level except in a bucket's ragged last slice.
+pub const SLICE: usize = 8;
+
+/// One width bucket: the rows assigned to it, padded to `width` entries and
+/// stored slice-major (see the [module docs](self)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BellBucket<V> {
     width: usize,
-    rows: Vec<usize>,
-    cols: Vec<usize>,
+    rows: Vec<u32>,
+    cols: Vec<u32>,
     vals: Vec<V>,
+}
+
+/// Consecutive slices of one bucket, as handed to the kernels.
+pub(crate) struct BellSpan<'a, V> {
+    width: usize,
+    rows: &'a [u32],
+    cols: &'a [u32],
+    vals: &'a [V],
+}
+
+/// One slice: the global rows of its lanes, and its `width` k-levels of
+/// `rows.len()` column indices and values each.
+pub(crate) type BellSlice<'a, V> = (&'a [u32], &'a [u32], &'a [V]);
+
+impl<'a, V> BellSpan<'a, V> {
+    /// The span's full slices: [`SLICE`] rows and `SLICE * width` cells each.
+    pub(crate) fn full_slices(&self) -> impl Iterator<Item = BellSlice<'a, V>> {
+        let cells = SLICE * self.width;
+        let rows = self.rows.chunks_exact(SLICE);
+        rows.zip(self.cols.chunks_exact(cells))
+            .zip(self.vals.chunks_exact(cells))
+            .map(|((r, c), v)| (r, c, v))
+    }
+
+    /// The bucket's ragged last slice when the span ends in it: fewer than
+    /// [`SLICE`] rows, stored at a stride of their own count.
+    pub(crate) fn ragged(&self) -> Option<BellSlice<'a, V>> {
+        let full = self.rows.len() - self.rows.len() % SLICE;
+        let cells = full * self.width;
+        (full < self.rows.len()).then(|| (&self.rows[full..], &self.cols[cells..], &self.vals[cells..]))
+    }
 }
 
 impl<V: Scalar> BellBucket<V> {
@@ -42,17 +124,18 @@ impl<V: Scalar> BellBucket<V> {
 
     /// Global row indices stored in this bucket, strictly ascending.
     #[inline]
-    pub fn rows(&self) -> &[usize] {
+    pub fn rows(&self) -> &[u32] {
         &self.rows
     }
 
-    /// Column-major column indices (`width * rows.len()`).
+    /// Slice-major column indices (`width * rows.len()`, pads repeating the
+    /// row's last real column).
     #[inline]
-    pub fn cols(&self) -> &[usize] {
+    pub fn cols(&self) -> &[u32] {
         &self.cols
     }
 
-    /// Column-major values (`width * rows.len()`).
+    /// Slice-major values (`width * rows.len()`, pads zero).
     #[inline]
     pub fn vals(&self) -> &[V] {
         &self.vals
@@ -62,6 +145,49 @@ impl<V: Scalar> BellBucket<V> {
     #[inline]
     pub fn padded_len(&self) -> usize {
         self.cols.len()
+    }
+
+    /// Slices the bucket is stored in: `rows.len() / SLICE` full ones plus
+    /// the ragged one, if any.
+    #[inline]
+    pub fn num_slices(&self) -> usize {
+        self.rows.len().div_ceil(SLICE)
+    }
+
+    /// Slices `slices` of the bucket.
+    ///
+    /// # Panics
+    /// If `slices` reaches past [`BellBucket::num_slices`].
+    pub(crate) fn span(&self, slices: Range<usize>) -> BellSpan<'_, V> {
+        assert!(slices.end <= self.num_slices(), "slices {slices:?} past the bucket's {}", self.num_slices());
+        let rows = slices.start * SLICE..(slices.end * SLICE).min(self.rows.len());
+        let cells = rows.start * self.width..rows.end * self.width;
+        BellSpan {
+            width: self.width,
+            rows: &self.rows[rows],
+            cols: &self.cols[cells.clone()],
+            vals: &self.vals[cells],
+        }
+    }
+
+    /// Index in `cols`/`vals` of cell `k` of the row at position `j`.
+    fn cell(&self, j: usize, k: usize) -> usize {
+        let first = j - j % SLICE;
+        let lanes = SLICE.min(self.rows.len() - first);
+        first * self.width + k * lanes + (j - first)
+    }
+
+    /// All `width` cells — pads included — of the row at position `j`, in
+    /// `k` order, whatever the slice height.
+    pub(crate) fn row_cells(&self, j: usize) -> impl Iterator<Item = (u32, V)> + '_ {
+        (0..self.width).map(move |k| self.cell(j, k)).map(|i| (self.cols[i], self.vals[i]))
+    }
+
+    /// The real entries of the row at position `j`: columns ascend strictly
+    /// through them, so the first repeat is the first pad.
+    fn row_entries(&self, j: usize) -> impl Iterator<Item = (usize, V)> + '_ {
+        let mut prev = None;
+        self.row_cells(j).take_while(move |&(c, _)| prev.replace(c) != Some(c)).map(|(c, v)| (c as usize, v))
     }
 }
 
@@ -75,10 +201,6 @@ pub struct BellMatrix<V> {
     /// Maximal runs of the rows stored in no bucket, ascending.
     empty_rows: Vec<Range<usize>>,
 }
-
-/// Rows per tile of the column-major slab fill in
-/// [`BellMatrix::from_row_arrays`].
-const FILL_TILE: usize = 16;
 
 /// The default bucket ladder: powers of two up to (and covering) `max_width`.
 pub fn default_bucket_widths(max_width: usize) -> Vec<usize> {
@@ -95,6 +217,16 @@ pub fn default_bucket_widths(max_width: usize) -> Vec<usize> {
     widths
 }
 
+/// Invariant 5: every row and column index of an `nrows x ncols` matrix must
+/// fit the 4-byte index the buckets store.
+fn check_index_width(nrows: usize, ncols: usize) -> Result<()> {
+    let limit = u32::MAX as usize;
+    match [nrows, ncols].into_iter().find(|&dim| dim > limit + 1) {
+        Some(dim) => Err(MorpheusError::IndexOverflow { dim, limit }),
+        None => Ok(()),
+    }
+}
+
 impl<V: Scalar> BellMatrix<V> {
     /// An empty matrix of the given shape (no buckets).
     pub fn new(nrows: usize, ncols: usize) -> Self {
@@ -109,6 +241,14 @@ impl<V: Scalar> BellMatrix<V> {
     /// final bucket at the maximum row width is appended when the ladder
     /// does not cover it). An empty ladder selects
     /// [`default_bucket_widths`].
+    ///
+    /// Fails with [`MorpheusError::IndexOverflow`] when a dimension does not
+    /// fit the stored index width.
+    ///
+    /// # Panics
+    /// If the arrays are not a row-major matrix of this shape (offsets that
+    /// do not delimit `nrows` runs inside `cols`/`vals`, a column index
+    /// `>= ncols`).
     pub(crate) fn from_row_arrays(
         nrows: usize,
         ncols: usize,
@@ -116,7 +256,8 @@ impl<V: Scalar> BellMatrix<V> {
         cols: &[usize],
         vals: &[V],
         widths: &[usize],
-    ) -> Self {
+    ) -> Result<Self> {
+        check_index_width(nrows, ncols)?;
         assert_eq!(offsets.len(), nrows + 1, "row offsets must delimit every row");
         let row_len = |r: usize| offsets[r + 1] - offsets[r];
         let max_width = (0..nrows).map(row_len).max().unwrap_or(0);
@@ -152,54 +293,61 @@ impl<V: Scalar> BellMatrix<V> {
                 (n, _) => lens[bucket_of[n]] += 1,
             }
         }
-        let mut members: Vec<Vec<usize>> = lens.iter().map(|&n| Vec::with_capacity(n)).collect();
+        let mut members: Vec<Vec<u32>> = lens.iter().map(|&n| Vec::with_capacity(n)).collect();
         for r in (0..nrows).filter(|&r| row_len(r) > 0) {
-            members[bucket_of[row_len(r)]].push(r);
+            members[bucket_of[row_len(r)]].push(r as u32); // fits: invariant 5
         }
+        let mut max_col = 0usize;
         let mut buckets = Vec::new();
         for (b, rows) in members.into_iter().enumerate() {
             if rows.is_empty() {
                 continue;
             }
             let width = ladder[b];
-            let len = rows.len();
-            let mut bcols = vec![ELL_PAD; width * len];
-            let mut bvals = vec![V::ZERO; width * len];
-            // Column-major fill, a tile of rows at a time: entry `k` of the
-            // tile's rows lands in adjacent slots, so each slab cache line
-            // is written once, while the tile's source rows stream in
-            // parallel.
-            for (t, tile) in rows.chunks(FILL_TILE).enumerate() {
-                let mut starts = [0usize; FILL_TILE];
-                let mut counts = [0usize; FILL_TILE];
-                for (i, &r) in tile.iter().enumerate() {
-                    starts[i] = offsets[r];
-                    counts[i] = row_len(r);
+            let mut bcols = vec![0u32; width * rows.len()];
+            let mut bvals = vec![V::ZERO; width * rows.len()];
+            // One slice at a time, k-level by k-level: the cells are written
+            // in storage order while the slice's source rows stream side by
+            // side. A pad re-reads its row's last entry for the column and
+            // keeps the zero the value array was allocated with.
+            let slices = rows.chunks(SLICE).zip(bcols.chunks_mut(SLICE * width));
+            for ((lanes, ccells), vcells) in slices.zip(bvals.chunks_mut(SLICE * width)) {
+                let mut runs = [(0usize, 0usize); SLICE]; // (first entry, last real `k`)
+                for (run, &r) in runs.iter_mut().zip(lanes) {
+                    *run = (offsets[r as usize], row_len(r as usize) - 1);
                 }
-                let tile_width = counts.iter().copied().max().unwrap_or(0);
-                for k in 0..tile_width {
-                    let base = k * len + t * FILL_TILE;
-                    for i in (0..tile.len()).filter(|&i| k < counts[i]) {
-                        bcols[base + i] = cols[starts[i] + k];
-                        bvals[base + i] = vals[starts[i] + k];
+                let levels = ccells.chunks_exact_mut(lanes.len()).zip(vcells.chunks_exact_mut(lanes.len()));
+                for (k, (ck, vk)) in levels.enumerate() {
+                    for ((c, v), &(first, last)) in ck.iter_mut().zip(vk).zip(&runs) {
+                        let i = first + k.min(last);
+                        max_col = max_col.max(cols[i]);
+                        *c = cols[i] as u32;
+                        if k <= last {
+                            *v = vals[i];
+                        }
                     }
                 }
             }
             buckets.push(BellBucket { width, rows, cols: bcols, vals: bvals });
         }
-        BellMatrix { nrows, ncols, nnz: offsets[nrows], buckets, empty_rows }
+        // Invariant 3, and with invariant 5 the reason no cast above
+        // truncated.
+        assert!(buckets.is_empty() || max_col < ncols, "column index {max_col} out of range");
+        Ok(BellMatrix { nrows, ncols, nnz: offsets[nrows], buckets, empty_rows })
     }
 
-    /// Builds from raw buckets, validating the layout: bucket widths
-    /// strictly increasing, rows strictly ascending within a bucket and
-    /// disjoint across buckets, per-row columns strictly increasing with
-    /// padding only after real entries.
+    /// Builds from raw buckets, validating every layout invariant of the
+    /// [module docs](self): bucket widths strictly increasing, rows strictly
+    /// ascending within a bucket and disjoint across buckets, per-row
+    /// columns in range and strictly increasing, then pads repeating the
+    /// last column with zero values.
     pub fn from_parts(nrows: usize, ncols: usize, buckets: Vec<BellBucket<V>>) -> Result<Self> {
+        check_index_width(nrows, ncols)?;
         let mut seen_rows = std::collections::BTreeSet::new();
         let mut prev_width = 0usize;
         let mut nnz = 0usize;
         for bucket in &buckets {
-            if bucket.width <= prev_width && prev_width > 0 || bucket.width == 0 {
+            if bucket.width <= prev_width {
                 return Err(MorpheusError::InvalidStructure(
                     "BELL bucket widths must be positive and strictly increasing".into(),
                 ));
@@ -214,7 +362,7 @@ impl<V: Scalar> BellMatrix<V> {
                 )));
             }
             let mut prev_row: Option<usize> = None;
-            for &r in &bucket.rows {
+            for r in bucket.rows.iter().map(|&r| r as usize) {
                 if r >= nrows || prev_row.is_some_and(|p| p >= r) || !seen_rows.insert(r) {
                     return Err(MorpheusError::InvalidStructure(format!(
                         "BELL bucket rows invalid or duplicated (row {r})"
@@ -223,22 +371,20 @@ impl<V: Scalar> BellMatrix<V> {
                 prev_row = Some(r);
             }
             for j in 0..len {
-                let mut prev: Option<usize> = None;
+                let mut prev: Option<u32> = None;
                 let mut padded = false;
-                for k in 0..bucket.width {
-                    let c = bucket.cols[k * len + j];
-                    if c == ELL_PAD {
-                        padded = true;
-                        continue;
-                    }
-                    if padded || c >= ncols || prev.is_some_and(|p| p >= c) {
+                for (c, v) in bucket.row_cells(j) {
+                    padded |= prev == Some(c);
+                    let ordered =
+                        if padded { prev == Some(c) && v == V::ZERO } else { prev.is_none_or(|p| p < c) };
+                    if !ordered || c as usize >= ncols {
                         return Err(MorpheusError::InvalidStructure(format!(
                             "BELL bucket (width {}) row {}: invalid column layout",
                             bucket.width, bucket.rows[j]
                         )));
                     }
                     prev = Some(c);
-                    nnz += 1;
+                    nnz += usize::from(!padded);
                 }
             }
         }
@@ -299,7 +445,7 @@ impl<V: Scalar> BellMatrix<V> {
         self.buckets
             .iter()
             .map(|b| {
-                (b.rows.len() + b.cols.len()) * std::mem::size_of::<usize>()
+                (b.rows.len() + b.cols.len()) * std::mem::size_of::<u32>()
                     + b.vals.len() * std::mem::size_of::<V>()
             })
             .sum::<usize>()
@@ -319,6 +465,7 @@ impl<V: Scalar> BellMatrix<V> {
     /// `None` for empty rows.
     #[inline]
     pub(crate) fn locate_row(&self, r: usize) -> Option<(usize, usize)> {
+        let r = u32::try_from(r).ok()?;
         self.buckets
             .iter()
             .enumerate()
@@ -326,13 +473,13 @@ impl<V: Scalar> BellMatrix<V> {
     }
 
     /// Splits a threaded execution into exactly `parts` shares, one per pool
-    /// index, balanced by padded cells: the slabs are laid end to end and a
-    /// row goes to the share whose `1/parts` of that stream holds the row's
-    /// middle cell, so a share is at most half a row off its quota (a bucket
-    /// of one over-wide row lands whole in one share; a share may be empty).
-    /// Spans never overlap within a bucket and buckets hold disjoint rows, so
-    /// every stored row has one writer; each empty row has one too, the share
-    /// whose `rows` contain it.
+    /// index, balanced by padded cells and cut between slices: the buckets
+    /// are laid end to end and a slice goes to the share whose `1/parts` of
+    /// that stream holds the slice's middle cell, so a share is at most one
+    /// slice off its quota (a bucket of one over-wide row lands whole in one
+    /// share; a share may be empty). Segments never overlap within a bucket
+    /// and buckets hold disjoint rows, so every stored row has one writer;
+    /// each empty row has one too, the share whose `rows` contain it.
     pub(crate) fn shares(&self, parts: usize) -> Vec<BellShare> {
         let parts = parts.max(1);
         let rows = static_partition(self.nrows, parts);
@@ -342,34 +489,54 @@ impl<V: Scalar> BellMatrix<V> {
         let total = self.padded_len();
         let mut base = 0usize; // cells of the buckets before this one
         for (b, bucket) in self.buckets.iter().enumerate() {
-            let (len, width) = (bucket.rows.len(), bucket.width);
+            let (slices, cells) = (bucket.num_slices(), SLICE * bucket.width);
             let mut lo = 0usize;
             for (p, share) in shares.iter_mut().enumerate() {
-                // Row `j` has its middle at `base + j*width + width/2`; count
-                // the rows whose middle lies before the end of share `p`.
+                // Slice `s` has its middle at `base + s*cells + cells/2` (the
+                // ragged one is counted at full height: it is the bucket's
+                // last, so only its own share can be off by that); count
+                // the slices whose middle lies before the end of share `p`.
                 let quota = total * (p + 1) / parts;
-                let before_quota = (2 * quota).saturating_sub(2 * base + width).div_ceil(2 * width);
-                let hi = if p + 1 == parts { len } else { before_quota.clamp(lo, len) };
+                let before_quota = (2 * quota).saturating_sub(2 * base + cells).div_ceil(2 * cells);
+                let hi = if p + 1 == parts { slices } else { before_quota.clamp(lo, slices) };
                 if hi > lo {
-                    share.segs.push(BellSegment { bucket: b, span: lo..hi });
+                    share.segs.push(BellSegment { bucket: b, slices: lo..hi });
                     lo = hi;
                 }
             }
-            base += len * width;
+            base += bucket.padded_len();
         }
         shares
     }
+
+    /// `true` when the segments of `shares`, taken in share order, tile
+    /// every bucket's slices exactly once: what makes shares computed for
+    /// another matrix of this shape safe to execute here (each stored row
+    /// read in bounds and written by one share).
+    pub(crate) fn tiled_by(&self, shares: &[BellShare]) -> bool {
+        let segs = || shares.iter().flat_map(|s| &s.segs);
+        segs().all(|s| s.bucket < self.buckets.len())
+            && self.buckets.iter().enumerate().all(|(b, bucket)| {
+                let mut next = 0usize;
+                let in_order = segs().filter(|s| s.bucket == b).all(|s| {
+                    let ok = s.slices.start == next && s.slices.end >= next;
+                    next = s.slices.end;
+                    ok
+                });
+                in_order && next == bucket.num_slices()
+            })
+    }
 }
 
-/// A span of row positions inside one bucket's slab.
+/// A run of consecutive slices of one bucket.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct BellSegment {
     pub(crate) bucket: usize,
-    pub(crate) span: Range<usize>,
+    pub(crate) slices: Range<usize>,
 }
 
 /// One pool index's share of a threaded execution (see
-/// [`BellMatrix::shares`]): the slab spans it computes, and the row range
+/// [`BellMatrix::shares`]): the segments it computes, and the row range
 /// whose empty rows ([`BellMatrix::empty_rows_in`]) it zeroes.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct BellShare {
@@ -383,27 +550,12 @@ impl<V: Scalar> RowMajor<V> for BellMatrix<V> {
     }
 
     fn row_count(&self, r: usize) -> usize {
-        match self.locate_row(r) {
-            None => 0,
-            Some((b, j)) => {
-                let bucket = &self.buckets[b];
-                let len = bucket.rows.len();
-                (0..bucket.width).take_while(|&k| bucket.cols[k * len + j] != ELL_PAD).count()
-            }
-        }
+        self.locate_row(r).map_or(0, |(b, j)| self.buckets[b].row_entries(j).count())
     }
 
     fn emit_row(&self, r: usize, f: &mut dyn FnMut(usize, V)) {
         if let Some((b, j)) = self.locate_row(r) {
-            let bucket = &self.buckets[b];
-            let len = bucket.rows.len();
-            for k in 0..bucket.width {
-                let c = bucket.cols[k * len + j];
-                if c == ELL_PAD {
-                    break;
-                }
-                f(c, bucket.vals[k * len + j]);
-            }
+            self.buckets[b].row_entries(j).for_each(|(c, v)| f(c, v));
         }
     }
 }
@@ -424,6 +576,7 @@ mod tests {
             coo.values(),
             widths,
         )
+        .unwrap()
     }
 
     #[test]
@@ -442,14 +595,16 @@ mod tests {
         let total_rows: usize = m.buckets().iter().map(|b| b.rows().len()).sum();
         let nonempty = (0..50).filter(|&r| RowMajor::row_count(&coo, r) > 0).count();
         assert_eq!(total_rows, nonempty);
-        // Padding never exceeds the bucket-width granularity.
+        // Padding never exceeds the bucket-width granularity, and every pad
+        // repeats its row's last real column with a zero value.
         for b in m.buckets() {
+            assert_eq!(b.padded_len(), b.width() * b.rows().len(), "never lane-padded");
             for (j, &r) in b.rows().iter().enumerate() {
-                let n = RowMajor::row_count(&coo, r);
+                let n = RowMajor::row_count(&coo, r as usize);
                 assert!(n <= b.width(), "row {r} overflows its bucket");
-                let stored =
-                    (0..b.width()).take_while(|&k| b.cols()[k * b.rows().len() + j] != ELL_PAD).count();
-                assert_eq!(stored, n);
+                assert_eq!(b.row_entries(j).count(), n);
+                let cells: Vec<(u32, f64)> = b.row_cells(j).collect();
+                assert!(cells[n..].iter().all(|&(c, v)| c == cells[n - 1].0 && v == 0.0), "row {r} pads");
             }
         }
     }
@@ -486,11 +641,42 @@ mod tests {
 
         // Duplicated row across buckets.
         let mut bad = m.buckets().to_vec();
-        if bad.len() >= 2 {
-            let r = bad[0].rows[0];
-            bad[1].rows[0] = r;
-            assert!(BellMatrix::from_parts(25, 25, bad).is_err());
-        }
+        assert!(bad.len() >= 2);
+        bad[1].rows[0] = bad[0].rows[0];
+        assert!(BellMatrix::from_parts(25, 25, bad).is_err());
+        // A column past the shape, a pad left of the row's last column (one
+        // to its right would read as an explicit zero) and a pad carrying a
+        // value: each would break the walker.
+        assert!(BellMatrix::from_parts(25, 20, m.buckets().to_vec()).is_err());
+        let (b, cell) = (0..m.buckets().len())
+            .flat_map(|b| (0..m.buckets()[b].rows().len()).map(move |j| (b, j)))
+            .find_map(|(b, j)| {
+                let bucket = &m.buckets()[b];
+                let n = bucket.row_entries(j).count();
+                (n < bucket.width()).then(|| (b, bucket.cell(j, n)))
+            })
+            .expect("some row is padded");
+        let mut bad = m.buckets().to_vec();
+        bad[b].cols[cell] = bad[b].cols[cell].wrapping_sub(1);
+        assert!(BellMatrix::from_parts(25, 25, bad).is_err());
+        let mut bad = m.buckets().to_vec();
+        bad[b].vals[cell] = 1.0;
+        assert!(BellMatrix::from_parts(25, 25, bad).is_err());
+    }
+
+    #[test]
+    fn dimensions_past_the_index_width_are_a_typed_error() {
+        let big = u32::MAX as usize + 2;
+        // One entry at (0, big - 1): nothing of size `big` is allocated.
+        let wide = BellMatrix::from_row_arrays(1, big, &[0, 1], &[big - 1], &[1.0f64], &[]);
+        assert!(
+            matches!(wide, Err(MorpheusError::IndexOverflow { dim, limit }) if dim == big && limit == u32::MAX as usize)
+        );
+        let tall = BellMatrix::<f64>::from_parts(big, 1, Vec::new());
+        assert!(matches!(tall, Err(MorpheusError::IndexOverflow { dim, .. }) if dim == big));
+        // The widest shape the index does hold is accepted.
+        let m = BellMatrix::from_row_arrays(1, big - 1, &[0, 1], &[big - 2], &[1.0f64], &[]).unwrap();
+        assert_eq!(m.buckets()[0].cols(), &[u32::MAX]);
     }
 
     #[test]
@@ -525,22 +711,25 @@ mod tests {
             for parts in 1..=6 {
                 let shares = m.shares(parts);
                 assert_eq!(shares.len(), parts, "one share per pool index");
-                let mut next = vec![0usize; m.buckets().len()];
-                let mut cells = Vec::new();
-                for share in &shares {
-                    cells.push(share.segs.iter().map(|s| s.span.len() * m.buckets()[s.bucket].width()).sum());
-                    for s in &share.segs {
-                        assert_eq!(s.span.start, next[s.bucket], "spans tile each bucket in order");
-                        next[s.bucket] = s.span.end;
-                    }
-                }
-                assert!(next.iter().zip(m.buckets()).all(|(&n, b)| n == b.rows().len()));
+                assert!(m.tiled_by(&shares), "segments tile each bucket's slices in order");
+                let cells: Vec<usize> = shares
+                    .iter()
+                    .map(|share| {
+                        let spans = share.segs.iter().map(|s| m.buckets()[s.bucket].span(s.slices.clone()));
+                        spans.map(|span| span.cols.len()).sum()
+                    })
+                    .collect();
+                assert_eq!(cells.iter().sum::<usize>(), m.padded_len());
                 let quota = m.padded_len() / parts;
-                let ok = cells.iter().all(|&c: &usize| c.abs_diff(quota) <= widest + 1);
+                let ok = cells.iter().all(|&c| c.abs_diff(quota) <= SLICE * widest + 1);
                 assert!(ok, "widths {widths:?} x{parts}: {cells:?} vs quota {quota}");
                 let zeroed: usize = shares.iter().map(|s| s.rows.len()).sum();
                 assert_eq!(zeroed, 400, "row ranges tile the rows");
             }
         }
+        // Shares are per-matrix: another bucketing of the same shape is not
+        // tiled by them.
+        let (pow2, one) = (bell_of(&coo, &[]), bell_of(&coo, &[64]));
+        assert!(!pow2.tiled_by(&one.shares(3)) && !one.tiled_by(&pow2.shares(3)));
     }
 }

@@ -96,7 +96,7 @@ fn bell_from_arrays<V: Scalar>(
     vals: &[V],
     opts: &ConvertOptions,
 ) -> Result<BellMatrix<V>> {
-    let m = BellMatrix::from_row_arrays(nrows, ncols, offsets, cols, vals, opts.params.bell_ladder());
+    let m = BellMatrix::from_row_arrays(nrows, ncols, offsets, cols, vals, opts.params.bell_ladder())?;
     guard_padding(FormatId::Bell, m.padded_len(), m.nnz(), opts)?;
     Ok(m)
 }

@@ -277,12 +277,16 @@ impl<V: Scalar> DynamicMatrix<V> {
                 }
             }
             DynamicMatrix::Bell(m) => {
+                // Row by row, each row's cells in `k` order (pads repeat the
+                // last column, so the padding pattern is covered): the hash
+                // does not depend on how a bucket is sliced.
                 h.word(m.buckets().len() as u64);
                 for bucket in m.buckets() {
                     h.word(bucket.width() as u64);
-                    h.words(bucket.rows());
-                    // ELL_PAD sentinels cover the padding pattern.
-                    h.words(bucket.cols());
+                    for (j, &r) in bucket.rows().iter().enumerate() {
+                        h.word(u64::from(r));
+                        bucket.row_cells(j).for_each(|(c, _)| h.word(u64::from(c)));
+                    }
                 }
             }
         }
@@ -437,6 +441,24 @@ mod tests {
         assert!(m.convert_to(FormatId::Dia, &opts).is_err());
         assert_eq!(m.format_id(), FormatId::Coo);
         assert_eq!(m.to_coo(), coo);
+
+        // One entry in a matrix too wide for BELL's 4-byte indices (nothing
+        // as large as the shape is allocated): a typed error from COO and
+        // from CSR, the matrix untouched.
+        let wide = u32::MAX as usize + 2;
+        let coo = CooMatrix::from_triplets(1, wide, &[0], &[wide - 1], &[2.0f64]).unwrap();
+        for source in [FormatId::Coo, FormatId::Csr] {
+            let mut m =
+                DynamicMatrix::from(coo.clone()).to_format(source, &ConvertOptions::default()).unwrap();
+            let err = m.convert_to(FormatId::Bell, &ConvertOptions::default()).unwrap_err();
+            let limit = u32::MAX as usize;
+            assert!(
+                matches!(err, crate::MorpheusError::IndexOverflow { dim, limit: l } if dim == wide && l == limit),
+                "{source}: {err}"
+            );
+            assert_eq!(m.format_id(), source);
+            assert_eq!(m.to_coo(), coo);
+        }
     }
 
     #[test]

@@ -35,6 +35,16 @@ pub enum MorpheusError {
         /// The configured limit, in slots.
         limit: usize,
     },
+    /// A matrix dimension does not fit the index width a format stores
+    /// (BELL keeps row and column indices in 4 bytes). Like
+    /// [`MorpheusError::ExcessivePadding`], a reason the format is not
+    /// viable for this matrix, not a malformed input.
+    IndexOverflow {
+        /// The offending dimension (`nrows` or `ncols`).
+        dim: usize,
+        /// The largest index the format can store.
+        limit: usize,
+    },
     /// An execution plan was applied to a matrix it was not built for
     /// (different format, shape or non-zero count).
     PlanMismatch {
@@ -68,6 +78,9 @@ impl std::fmt::Display for MorpheusError {
                 f,
                 "conversion to {format} needs {padded} padded slots for {nnz} non-zeros (limit {limit})"
             ),
+            MorpheusError::IndexOverflow { dim, limit } => {
+                write!(f, "a dimension of {dim} needs indices past the format's limit of {limit}")
+            }
             MorpheusError::PlanMismatch { expected, got } => {
                 write!(f, "execution plan mismatch: plan built for {expected}, applied to {got}")
             }
@@ -102,6 +115,8 @@ mod tests {
         assert!(e.to_string().contains("(5, 6)"));
         let e = MorpheusError::ExcessivePadding { format: FormatId::Ell, padded: 100, nnz: 3, limit: 50 };
         assert!(e.to_string().contains("ELL"));
+        let e = MorpheusError::IndexOverflow { dim: 1 << 33, limit: u32::MAX as usize };
+        assert!(e.to_string().contains("8589934592") && e.to_string().contains("4294967295"));
         let e = MorpheusError::Parse { line: 3, msg: "bad".into() };
         assert!(e.to_string().contains("line 3"));
     }

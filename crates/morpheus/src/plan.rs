@@ -19,8 +19,8 @@
 //!   ranges for the CSR remainder;
 //! * **BSR** — entry-weighted block-row ranges (a block row is the atomic
 //!   unit: it owns `block_r` output rows);
-//! * **BELL** — one share per worker: cell-balanced spans of the buckets'
-//!   column-major slabs, plus the row range whose empty rows it zeroes.
+//! * **BELL** — one share per worker: cell-balanced runs of the buckets'
+//!   slices, plus the row range whose empty rows it zeroes.
 //!
 //! Construction reads the PR-2 [`Analysis`] artifact when one is supplied
 //! (row-nnz histogram → weighted ranges and COO entry boundaries via prefix
@@ -472,6 +472,14 @@ impl<V: Scalar> ExecPlan<V> {
     /// [`crate::spmv::spmv_serial`]. Plans containing
     /// [`KernelVariant::Unrolled`] ranges are instead ULP-bounded (the
     /// multi-accumulator reduction reassociates the per-row sum).
+    ///
+    /// The numeric policy behind "bitwise": it holds for finite `x`. Formats
+    /// that multiply padding through add `0 * x[j]` terms, which are
+    /// exactly nothing only while `x[j]` is finite. BELL's pads repeat the
+    /// row's own last column, so a non-finite `x[j]` never reaches a row
+    /// that does not store column `j`; the one divergence left is a
+    /// *padded* row whose own last column holds `±Inf` in `x`, which reads
+    /// NaN where the CSR kernel reads `±Inf`.
     pub fn preserves_order(&self) -> bool {
         let (a, b) = self.variant_slices();
         a.iter().chain(b).all(|v| v.preserves_order())
@@ -535,16 +543,12 @@ impl<V: Scalar> ExecPlan<V> {
                     ok
                 }) && end == a.nblockrows()
             }
-            // Same for the bucket ladder: validate every segment against
-            // this matrix's buckets and require full slab coverage. (The
-            // shares' row ranges tile `0..nrows`, and which of those rows are
-            // empty is read from the executing matrix, so they need no check.)
-            (DynamicMatrix::Bell(a), Parts::Bell { shares }) => {
-                let mut segs = shares.iter().flat_map(|s| &s.segs);
-                let covered: usize = segs.clone().map(|s| s.span.len()).sum();
-                segs.all(|s| a.buckets().get(s.bucket).is_some_and(|b| s.span.end <= b.rows().len()))
-                    && covered == a.buckets().iter().map(|b| b.rows().len()).sum::<usize>()
-            }
+            // Same for the bucket ladder: the segments must tile this
+            // matrix's slices before the walker takes their word for what
+            // each share owns. (The shares' row ranges tile `0..nrows`, and
+            // which of those rows are empty is read from the executing
+            // matrix, so they need no check.)
+            (DynamicMatrix::Bell(a), Parts::Bell { shares }) => a.tiled_by(shares),
             _ => true,
         };
         if aligned {
@@ -615,9 +619,10 @@ impl<V: Scalar> ExecPlan<V> {
             (DynamicMatrix::Bsr(a), Parts::Bsr { brows, variants }) => {
                 threaded::spmv_bsr_ranges(a, x, y, pool, brows, variants)
             }
-            (DynamicMatrix::Bell(a), Parts::Bell { shares }) => {
+            // SAFETY: `check` saw the shares tile `a`'s slices.
+            (DynamicMatrix::Bell(a), Parts::Bell { shares }) => unsafe {
                 threaded::spmv_bell_shares(a, x, y, pool, shares)
-            }
+            },
             _ => unreachable!("plan/matrix format agreement checked above"),
         }
         Ok(())
@@ -654,9 +659,10 @@ impl<V: Scalar> ExecPlan<V> {
                 spmm::spmm_csr::<V, true>(a.csr(), x, y, k, pool, csr_rows);
             }
             (DynamicMatrix::Bsr(a), Parts::Bsr { brows, .. }) => spmm::spmm_bsr(a, x, y, k, pool, brows),
-            (DynamicMatrix::Bell(a), Parts::Bell { shares }) => {
+            // SAFETY: `check` saw the shares tile `a`'s slices.
+            (DynamicMatrix::Bell(a), Parts::Bell { shares }) => unsafe {
                 spmm::spmm_bell(a, x, y, k, pool, Some(shares))
-            }
+            },
             _ => unreachable!("plan/matrix format agreement checked above"),
         }
         Ok(())

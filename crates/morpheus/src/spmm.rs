@@ -21,7 +21,7 @@
 //! [`crate::plan::ExecPlan::spmm`] directly (or go through the Oracle,
 //! which caches plans per matrix structure).
 
-use crate::bell::{BellMatrix, BellShare};
+use crate::bell::{BellBucket, BellMatrix, BellShare, SLICE};
 use crate::bsr::BsrMatrix;
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
@@ -93,7 +93,8 @@ pub fn spmm_serial<V: Scalar>(m: &DynamicMatrix<V>, x: &[V], y: &mut [V], k: usi
             spmm_csr::<V, true>(a.csr(), x, y, k, None, rows);
         }
         DynamicMatrix::Bsr(a) => spmm_bsr(a, x, y, k, None, one(&(0..a.nblockrows()))),
-        DynamicMatrix::Bell(a) => spmm_bell(a, x, y, k, None, None),
+        // SAFETY: no shares.
+        DynamicMatrix::Bell(a) => unsafe { spmm_bell(a, x, y, k, None, None) },
     }
     Ok(())
 }
@@ -366,45 +367,84 @@ impl<V: Scalar> Body<V> for DiaRows<'_, V> {
     }
 }
 
-/// A column-major ELL slab walked `R` rows at a time: a whole ELL matrix
-/// (`rows: None`, position = row) or a span of one BELL bucket.
-struct Slab<'a, V> {
-    cols: &'a [usize],
-    vals: &'a [V],
-    /// Distance between a row's consecutive entries.
-    stride: usize,
-    width: usize,
-    rows: Option<&'a [usize]>,
-}
+/// The column-major ELL slab, walked `R` rows at a time.
+struct Slab<'a, V>(&'a EllMatrix<V>);
 
 impl<V: Scalar> Body<V> for Slab<'_, V> {
     unsafe fn panel<const P: usize, const R: usize>(
         &self,
         xs: Panel<'_, V, P>,
         out: &SharedSlice<V>,
-        span: Range<usize>,
+        rows: Range<usize>,
     ) {
-        let mut j = span.start;
-        while j + R <= span.end {
+        let (all_cols, all_vals, nrows) = (self.0.col_indices(), self.0.values(), self.0.nrows());
+        let mut i = rows.start;
+        while i + R <= rows.end {
             let mut acc = [[V::ZERO; P]; R];
-            let mut idx = j;
-            for _ in 0..self.width {
-                let (cols, vals) = (&self.cols[idx..][..R], &self.vals[idx..][..R]);
+            let mut idx = i;
+            for _ in 0..self.0.width() {
+                let (cols, vals) = (&all_cols[idx..][..R], &all_vals[idx..][..R]);
                 for l in 0..R {
                     if cols[l] != ELL_PAD {
                         xs.axpy(&mut acc[l], vals[l], cols[l]);
                     }
                 }
-                idx += self.stride;
+                idx += nrows;
             }
             for (l, sums) in acc.iter().enumerate() {
-                let row = self.rows.map_or(j + l, |rows| rows[j + l]);
-                store::<V, P, false>(out, xs.at(row), sums);
+                store::<V, P, false>(out, xs.at(i + l), sums);
             }
-            j += R;
+            i += R;
         }
-        if j < span.end {
-            tail::<V, Self, P, R>(self, xs, out, j..span.end);
+        if i < rows.end {
+            tail::<V, Self, P, R>(self, xs, out, i..rows.end);
+        }
+    }
+}
+
+/// One BELL bucket, a unit being a slice ([`crate::bell`]): `R` of a full
+/// slice's eight lanes at a time, each k-level one contiguous run of column
+/// indices and values; pads (a zero times the row's own last column) are
+/// multiplied through, so there is no test per entry. The ragged last slice
+/// goes one row at a time.
+struct BellSlices<'a, V>(&'a BellBucket<V>);
+
+impl<V: Scalar> Body<V> for BellSlices<'_, V> {
+    /// The 64 rows a block is for the row-unit bodies.
+    const BLOCK: usize = 64 / SLICE;
+
+    unsafe fn panel<const P: usize, const R: usize>(
+        &self,
+        xs: Panel<'_, V, P>,
+        out: &SharedSlice<V>,
+        slices: Range<usize>,
+    ) {
+        let span = self.0.span(slices);
+        for (rows, cols, vals) in span.full_slices() {
+            let (cols, vals) = (cols.as_chunks::<SLICE>().0, vals.as_chunks::<SLICE>().0);
+            // `R` is 8, 4, 2 or 1 (see `run_blocks`): the groups tile a slice.
+            for l0 in (0..SLICE).step_by(R) {
+                let mut acc = [[V::ZERO; P]; R];
+                for (c, v) in cols.iter().zip(vals) {
+                    let (c, v) = (&c[l0..][..R], &v[l0..][..R]);
+                    for l in 0..R {
+                        xs.axpy(&mut acc[l], v[l], c[l] as usize);
+                    }
+                }
+                for (sums, &r) in acc.iter().zip(&rows[l0..]) {
+                    store::<V, P, false>(out, xs.at(r as usize), sums);
+                }
+            }
+        }
+        if let Some((rows, cols, vals)) = span.ragged() {
+            let lanes = rows.len();
+            for (l, &r) in rows.iter().enumerate() {
+                let mut acc = [V::ZERO; P];
+                for (c, v) in cols.chunks_exact(lanes).zip(vals.chunks_exact(lanes)) {
+                    xs.axpy(&mut acc, v[l], c[l] as usize);
+                }
+                store::<V, P, false>(out, xs.at(r as usize), &acc);
+            }
         }
     }
 }
@@ -503,10 +543,8 @@ pub(crate) fn spmm_ell<V: Scalar>(
     pool: Option<&ThreadPool>,
     rows: &[Range<usize>],
 ) {
-    let slab =
-        Slab { cols: a.col_indices(), vals: a.values(), stride: a.nrows(), width: a.width(), rows: None };
     // SAFETY: row ranges tile the rows disjointly.
-    unsafe { run(&slab, x, y, k, pool, rows) }
+    unsafe { run(&Slab(a), x, y, k, pool, rows) }
 }
 
 pub(crate) fn spmm_bsr<V: Scalar>(
@@ -524,7 +562,10 @@ pub(crate) fn spmm_bsr<V: Scalar>(
 /// BELL over plan shares, or (`shares: None`) over every bucket in turn.
 /// Every stored row is written exactly once; only empty rows, which no
 /// bucket holds, are zeroed.
-pub(crate) fn spmm_bell<V: Scalar>(
+///
+/// # Safety
+/// `shares`, when given, must tile `a`'s slices ([`BellMatrix::tiled_by`]).
+pub(crate) unsafe fn spmm_bell<V: Scalar>(
     a: &BellMatrix<V>,
     x: &[V],
     y: &mut [V],
@@ -540,27 +581,19 @@ pub(crate) fn spmm_bell<V: Scalar>(
             unsafe { out.slice_mut(run.start * k, run.len() * k).fill(V::ZERO) };
         }
     };
-    let span = |bucket: usize, span: Range<usize>| {
-        let b = &a.buckets()[bucket];
-        let slab = Slab {
-            cols: b.cols(),
-            vals: b.vals(),
-            stride: b.rows().len(),
-            width: b.width(),
-            rows: Some(b.rows()),
-        };
-        // SAFETY: buckets hold disjoint rows and segment spans are disjoint
+    let segment = |bucket: usize, slices: Range<usize>| {
+        // SAFETY: buckets hold disjoint rows and segments share no slice
         // within a bucket (see `BellMatrix::shares`).
-        unsafe { run_blocks(&slab, x, &out, k, span) }
+        unsafe { run_blocks(&BellSlices(&a.buckets()[bucket]), x, &out, k, slices) }
     };
     match shares {
         None => {
             zero(0..a.nrows());
-            a.buckets().iter().enumerate().for_each(|(b, bucket)| span(b, 0..bucket.rows().len()));
+            a.buckets().iter().enumerate().for_each(|(b, bucket)| segment(b, 0..bucket.num_slices()));
         }
         Some(shares) => for_each_part(pool, shares.len(), |p| {
             zero(shares[p].rows.clone());
-            shares[p].segs.iter().for_each(|s| span(s.bucket, s.span.clone()));
+            shares[p].segs.iter().for_each(|s| segment(s.bucket, s.slices.clone()));
         }),
     }
 }

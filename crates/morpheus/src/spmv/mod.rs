@@ -6,6 +6,7 @@
 //! tuners optimise for. Kernels are exposed per format (for benchmarks) and
 //! behind a single dynamic dispatch ([`spmv`]).
 
+pub(crate) mod bell;
 pub mod serial;
 pub mod threaded;
 pub mod variant;

@@ -2,7 +2,8 @@
 //!
 //! All kernels compute `y = A x`, overwriting `y` entirely. Shapes are
 //! checked by the dispatching functions in [`crate::spmv`]; the kernels
-//! assume `x.len() == ncols` and `y.len() == nrows`.
+//! assume `x.len() == ncols` and `y.len() == nrows` (the CSR and BELL
+//! bodies, which load without per-entry bounds checks, assert it).
 
 use crate::bell::BellMatrix;
 use crate::bsr::BsrMatrix;
@@ -13,6 +14,8 @@ use crate::ell::{EllMatrix, ELL_PAD};
 use crate::hdc::HdcMatrix;
 use crate::hyb::HybMatrix;
 use crate::scalar::Scalar;
+use crate::spmv::{bell, threaded};
+use morpheus_parallel::SharedSlice;
 
 /// COO kernel: zero `y`, then scatter-accumulate each triplet.
 pub fn spmv_coo<V: Scalar>(a: &CooMatrix<V>, x: &[V], y: &mut [V]) {
@@ -30,33 +33,18 @@ pub fn spmv_coo_acc<V: Scalar>(a: &CooMatrix<V>, x: &[V], y: &mut [V]) {
     }
 }
 
-/// CSR kernel: per-row gather and reduce. Every row is written, no
-/// pre-zeroing needed.
+/// CSR kernel: per-row gather and reduce ([`threaded::csr_rows`], the one
+/// CSR row loop, over every row). Every row is written, no pre-zeroing
+/// needed.
 pub fn spmv_csr<V: Scalar>(a: &CsrMatrix<V>, x: &[V], y: &mut [V]) {
-    let cols = a.col_indices();
-    let vals = a.values();
-    let offs = a.row_offsets();
-    for r in 0..a.nrows() {
-        let mut acc = V::ZERO;
-        for i in offs[r]..offs[r + 1] {
-            acc += vals[i] * x[cols[i]];
-        }
-        y[r] = acc;
-    }
+    // SAFETY: one caller, every row.
+    unsafe { threaded::csr_rows::<V, false>(a, x, &SharedSlice::new(y), 0..a.nrows()) }
 }
 
 /// CSR accumulate kernel: `y += A x` (used by the HDC composite).
 pub fn spmv_csr_acc<V: Scalar>(a: &CsrMatrix<V>, x: &[V], y: &mut [V]) {
-    let cols = a.col_indices();
-    let vals = a.values();
-    let offs = a.row_offsets();
-    for r in 0..a.nrows() {
-        let mut acc = V::ZERO;
-        for i in offs[r]..offs[r + 1] {
-            acc += vals[i] * x[cols[i]];
-        }
-        y[r] += acc;
-    }
+    // SAFETY: one caller, every row.
+    unsafe { threaded::csr_rows::<V, true>(a, x, &SharedSlice::new(y), 0..a.nrows()) }
 }
 
 /// DIA kernel: zero `y`, then stream each diagonal with contiguous,
@@ -175,123 +163,18 @@ fn bsr_body_dyn<V: Scalar>(a: &BsrMatrix<V>, x: &[V], y: &mut [V]) {
     }
 }
 
-/// BELL kernel: zero `y`, then stream each bucket's column-major slab —
-/// ELL's coalesced access pattern, without the pad-to-global-max waste.
+/// BELL kernel: zero the rows no bucket holds, then write every bucket's
+/// rows with the slice walker ([`bell::bell_segment`]).
 pub fn spmv_bell<V: Scalar>(a: &BellMatrix<V>, x: &[V], y: &mut [V]) {
-    y.fill(V::ZERO);
-    spmv_bell_acc(a, x, y);
+    for run in a.empty_rows_in(0..a.nrows()) {
+        y[run].fill(V::ZERO);
+    }
+    bell::bell_buckets::<V, false>(a, x, y);
 }
 
-/// BELL accumulate kernel: `y += A x`.
-///
-/// Rows are walked row-major *through* the column-major slab: per row the
-/// accumulator stays in a register and the trailing padding (the layout
-/// contract — pads only after real entries) breaks the stride walk early,
-/// so `y` is touched once per row instead of once per slab column.
-/// Successive rows revisit the same cache lines per slab column, so the
-/// strided loads still stream.
+/// BELL accumulate kernel: `y += A x`, by the same walker.
 pub fn spmv_bell_acc<V: Scalar>(a: &BellMatrix<V>, x: &[V], y: &mut [V]) {
-    for bucket in a.buckets() {
-        let rows = bucket.rows();
-        let cols = bucket.cols();
-        let vals = bucket.vals();
-        // Narrow buckets dominate heavy-tail inputs, so a compile-time
-        // width lets the stride walk fully unroll for the common ladder
-        // rungs; everything else takes the dynamic-width body.
-        match bucket.width() {
-            1 => bell_bucket::<V, 1>(rows, cols, vals, x, y),
-            2 => bell_bucket::<V, 2>(rows, cols, vals, x, y),
-            3 => bell_bucket::<V, 3>(rows, cols, vals, x, y),
-            4 => bell_bucket::<V, 4>(rows, cols, vals, x, y),
-            6 => bell_bucket::<V, 6>(rows, cols, vals, x, y),
-            8 => bell_bucket::<V, 8>(rows, cols, vals, x, y),
-            w => bell_bucket_dyn(rows, cols, vals, w, x, y),
-        }
-    }
-}
-
-/// One BELL bucket with the width a compile-time constant: the inner
-/// stride walk unrolls completely. Same traversal as
-/// [`bell_bucket_dyn`] — four rows per step, k-ascending per row.
-#[inline(always)]
-fn bell_bucket<V: Scalar, const W: usize>(rows: &[usize], cols: &[usize], vals: &[V], x: &[V], y: &mut [V]) {
-    let len = rows.len();
-    let mut j = 0usize;
-    while j + 4 <= len {
-        let mut acc = [V::ZERO; 4];
-        let mut idx = j;
-        for _ in 0..W {
-            for l in 0..4 {
-                let c = cols[idx + l];
-                let c = if c == ELL_PAD { 0 } else { c };
-                acc[l] += vals[idx + l] * x[c];
-            }
-            idx += len;
-        }
-        for l in 0..4 {
-            y[rows[j + l]] += acc[l];
-        }
-        j += 4;
-    }
-    for j in j..len {
-        let mut acc = V::ZERO;
-        let mut idx = j;
-        for _ in 0..W {
-            let c = cols[idx];
-            if c == ELL_PAD {
-                break;
-            }
-            acc += vals[idx] * x[c];
-            idx += len;
-        }
-        y[rows[j]] += acc;
-    }
-}
-
-/// One BELL bucket, dynamic width. Four rows per step: the slab is
-/// column-major, so each k-level reads four *contiguous* cols/vals
-/// elements, and four independent accumulators hide the FP-add latency.
-/// Padding is branchless: pad slots store `V::ZERO` (layout contract),
-/// so redirecting their column to 0 contributes exactly zero.
-fn bell_bucket_dyn<V: Scalar>(
-    rows: &[usize],
-    cols: &[usize],
-    vals: &[V],
-    width: usize,
-    x: &[V],
-    y: &mut [V],
-) {
-    let len = rows.len();
-    let mut j = 0usize;
-    while j + 4 <= len {
-        let mut acc = [V::ZERO; 4];
-        let mut idx = j;
-        for _ in 0..width {
-            for l in 0..4 {
-                let c = cols[idx + l];
-                let c = if c == ELL_PAD { 0 } else { c };
-                acc[l] += vals[idx + l] * x[c];
-            }
-            idx += len;
-        }
-        for l in 0..4 {
-            y[rows[j + l]] += acc[l];
-        }
-        j += 4;
-    }
-    for j in j..len {
-        let mut acc = V::ZERO;
-        let mut idx = j;
-        for _ in 0..width {
-            let c = cols[idx];
-            if c == ELL_PAD {
-                break;
-            }
-            acc += vals[idx] * x[c];
-            idx += len;
-        }
-        y[rows[j]] += acc;
-    }
+    bell::bell_buckets::<V, true>(a, x, y);
 }
 
 /// HYB kernel: ELL portion first (defines `y`), COO surplus accumulates.

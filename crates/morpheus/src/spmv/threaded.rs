@@ -22,8 +22,15 @@
 //!   scheduling work at all — one dispatch per pass over the matrix, part `p`
 //!   on the same pool index every call — the steady-state path for
 //!   iterative solvers.
+//!
+//! Two bodies are shared beyond this module. `csr_rows` is the one scalar
+//! CSR row loop: the serial kernels run it over every row. BELL has exactly
+//! one body, the slice walker `crate::spmv::bell::bell_segment` (portable
+//! and AVX2 forms, chosen by [`CpuFeatures`]): [`spmv_bell`] and
+//! `spmv_bell_shares` here, the serial kernels and — through their plans —
+//! partitioned shards all run it, and it carries no variants.
 
-use crate::bell::{BellMatrix, BellSegment, BellShare};
+use crate::bell::{BellMatrix, BellShare};
 use crate::bsr::BsrMatrix;
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
@@ -32,7 +39,8 @@ use crate::ell::{EllMatrix, ELL_PAD};
 use crate::hdc::HdcMatrix;
 use crate::hyb::HybMatrix;
 use crate::scalar::Scalar;
-use crate::spmv::variant::{self, KernelVariant};
+use crate::spmv::bell::bell_segment;
+use crate::spmv::variant::{self, CpuFeatures, KernelVariant};
 use morpheus_parallel::{
     row_aligned_partition, static_partition, weighted_partition, weighted_partition_with, Schedule,
     SharedSlice, ThreadPool,
@@ -48,13 +56,19 @@ type SharedOut<V> = SharedSlice<V>;
 // ---------------------------------------------------------------------------
 
 /// CSR rows `rows`: per-row gather/reduce, written (or accumulated) into
-/// `out`. Same accumulation order as the serial kernel, so results are
-/// bitwise identical.
+/// `out` — the one scalar CSR row loop, which the serial kernels run over
+/// every row, so results are bitwise identical by construction. The loads
+/// carry no per-entry bounds checks (at 2–24 entries a row the checks, not
+/// the memory, set the pace).
+///
+/// # Panics
+/// If `x`/`out` are not `a.ncols()`/`a.nrows()` long or `rows` reaches past
+/// `a.nrows()`.
 ///
 /// # Safety
 /// No concurrent caller may receive an overlapping row range.
 #[inline]
-unsafe fn csr_rows<V: Scalar, const ACC: bool>(
+pub(crate) unsafe fn csr_rows<V: Scalar, const ACC: bool>(
     a: &CsrMatrix<V>,
     x: &[V],
     out: &SharedOut<V>,
@@ -63,15 +77,30 @@ unsafe fn csr_rows<V: Scalar, const ACC: bool>(
     let offs = a.row_offsets();
     let cols = a.col_indices();
     let vals = a.values();
+    assert!(
+        x.len() == a.ncols() && out.len() == a.nrows() && rows.end <= a.nrows(),
+        "CSR SpMV of rows {rows:?} of a {}x{} matrix on x of {} and y of {}",
+        a.nrows(),
+        a.ncols(),
+        x.len(),
+        out.len()
+    );
     for r in rows {
+        // SAFETY: the `CsrMatrix` invariants ("validated by all
+        // constructors", over private fields): `offs` holds `nrows + 1`
+        // monotone offsets ending at `cols.len() == vals.len()`, so with
+        // `r < nrows` (asserted) both offsets exist and every `i` between
+        // them indexes `cols` and `vals`; every column index is `< ncols`,
+        // which is `x.len()` (asserted); and `r < nrows == out.len()`.
+        let (lo, hi) = (*offs.get_unchecked(r), *offs.get_unchecked(r + 1));
         let mut acc = V::ZERO;
-        for i in offs[r]..offs[r + 1] {
-            acc += vals[i] * x[cols[i]];
+        for i in lo..hi {
+            acc += *vals.get_unchecked(i) * *x.get_unchecked(*cols.get_unchecked(i));
         }
         if ACC {
             out.add(r, acc);
         } else {
-            out.set(r, acc);
+            out.set_unchecked(r, acc);
         }
     }
 }
@@ -234,111 +263,6 @@ unsafe fn bsr_block_rows_dyn<V: Scalar>(a: &BsrMatrix<V>, x: &[V], out: &SharedO
         for (rr, &v) in acc.iter().enumerate().take(rcount) {
             out.set(r0 + rr, v);
         }
-    }
-}
-
-/// One BELL segment: stream the bucket slab column-major over the span and
-/// write each row's sum (a stored row is in exactly one segment). Per-row
-/// order is `k` ascending from zero, as in the serial kernel, whose `0 + sum`
-/// into the pre-zeroed output is that same sum — bitwise identical.
-///
-/// # Safety
-/// Concurrent callers' segments must be disjoint (spans within a bucket
-/// never overlap and buckets hold disjoint rows).
-#[inline]
-unsafe fn bell_segment<V: Scalar>(a: &BellMatrix<V>, x: &[V], out: &SharedOut<V>, seg: &BellSegment) {
-    let bucket = &a.buckets()[seg.bucket];
-    // Monomorphise the common narrow widths (see `serial::spmv_bell_acc`)
-    // so the stride walk fully unrolls.
-    match bucket.width() {
-        1 => bell_segment_body::<V, 1>(bucket, x, out, seg.span.clone()),
-        2 => bell_segment_body::<V, 2>(bucket, x, out, seg.span.clone()),
-        3 => bell_segment_body::<V, 3>(bucket, x, out, seg.span.clone()),
-        4 => bell_segment_body::<V, 4>(bucket, x, out, seg.span.clone()),
-        6 => bell_segment_body::<V, 6>(bucket, x, out, seg.span.clone()),
-        8 => bell_segment_body::<V, 8>(bucket, x, out, seg.span.clone()),
-        w => bell_segment_dyn(bucket, x, out, seg.span.clone(), w),
-    }
-}
-
-/// [`bell_segment`] with a compile-time bucket width.
-///
-/// # Safety
-/// See [`bell_segment`].
-#[inline(always)]
-unsafe fn bell_segment_body<V: Scalar, const W: usize>(
-    bucket: &crate::bell::BellBucket<V>,
-    x: &[V],
-    out: &SharedOut<V>,
-    span: Range<usize>,
-) {
-    bell_segment_walk(bucket, x, out, span, W)
-}
-
-/// [`bell_segment`] for any other width.
-///
-/// # Safety
-/// See [`bell_segment`].
-unsafe fn bell_segment_dyn<V: Scalar>(
-    bucket: &crate::bell::BellBucket<V>,
-    x: &[V],
-    out: &SharedOut<V>,
-    span: Range<usize>,
-    width: usize,
-) {
-    bell_segment_walk(bucket, x, out, span, width)
-}
-
-/// Four rows per step through the column-major slab (see
-/// `serial::spmv_bell_acc`): each k-level reads four contiguous cols/vals
-/// elements into four independent accumulators; padding is branchless
-/// because pad slots store `V::ZERO`. Same k-ascending order per row as
-/// the serial kernel, so the planned result stays bitwise identical.
-///
-/// # Safety
-/// See [`bell_segment`].
-#[inline(always)]
-unsafe fn bell_segment_walk<V: Scalar>(
-    bucket: &crate::bell::BellBucket<V>,
-    x: &[V],
-    out: &SharedOut<V>,
-    span: Range<usize>,
-    width: usize,
-) {
-    let rows = bucket.rows();
-    let cols = bucket.cols();
-    let vals = bucket.vals();
-    let len = rows.len();
-    let mut j = span.start;
-    while j + 4 <= span.end {
-        let mut acc = [V::ZERO; 4];
-        let mut idx = j;
-        for _ in 0..width {
-            for l in 0..4 {
-                let c = cols[idx + l];
-                let c = if c == ELL_PAD { 0 } else { c };
-                acc[l] += vals[idx + l] * x[c];
-            }
-            idx += len;
-        }
-        for l in 0..4 {
-            out.set(rows[j + l], acc[l]);
-        }
-        j += 4;
-    }
-    while j < span.end {
-        let mut acc = V::ZERO;
-        let mut idx = j;
-        for _ in 0..width {
-            let c = cols[idx];
-            if c == ELL_PAD {
-                break;
-            }
-            acc += vals[idx] * x[c];
-            idx += len;
-        }
-        out.set(rows[j], acc);
-        j += 1;
     }
 }
 
@@ -680,7 +604,8 @@ pub fn spmv_bsr<V: Scalar>(a: &BsrMatrix<V>, x: &[V], y: &mut [V], pool: &Thread
 /// BELL kernel over cell-balanced shares, one per pool index. The shares are
 /// recomputed per call; an [`crate::plan::ExecPlan`] holds them precomputed.
 pub fn spmv_bell<V: Scalar>(a: &BellMatrix<V>, x: &[V], y: &mut [V], pool: &ThreadPool) {
-    spmv_bell_shares(a, x, y, Some(pool), &a.shares(pool.num_threads()));
+    // SAFETY: `a`'s own shares tile its slices.
+    unsafe { spmv_bell_shares(a, x, y, Some(pool), &a.shares(pool.num_threads())) }
 }
 
 // ---------------------------------------------------------------------------
@@ -844,24 +769,30 @@ pub(crate) fn spmv_bsr_ranges<V: Scalar>(
 }
 
 /// BELL over precomputed shares: each zeroes the empty rows of its row range
-/// and writes the rows of its segments.
-pub(crate) fn spmv_bell_shares<V: Scalar>(
+/// and writes the rows of its segments with the slice walker.
+///
+/// # Safety
+/// `shares` must tile `a`'s slices ([`BellMatrix::tiled_by`]) — shares are
+/// per-matrix, and the walker takes a share's word for what it owns.
+pub(crate) unsafe fn spmv_bell_shares<V: Scalar>(
     a: &BellMatrix<V>,
     x: &[V],
     y: &mut [V],
     pool: Option<&ThreadPool>,
     shares: &[BellShare],
 ) {
+    let cpu = CpuFeatures::detect();
     let out = SharedOut::new(y);
     for_each_part(pool, shares.len(), |p| {
         // SAFETY: the shares' row ranges are disjoint and their empty rows
-        // are in no bucket; segments are disjoint (see `BellMatrix::shares`).
+        // are in no bucket; the segments tile the slices, so no two share
+        // one; `cpu` is what was detected.
         unsafe {
             for run in a.empty_rows_in(shares[p].rows.clone()) {
                 out.slice_mut(run.start, run.len()).fill(V::ZERO);
             }
             for seg in &shares[p].segs {
-                bell_segment(a, x, &out, seg);
+                bell_segment::<V, false>(a, x, &out, seg, cpu);
             }
         }
     });

@@ -101,7 +101,9 @@ impl KernelVariant {
     }
 
     /// `true` when the body performs the reference per-row accumulation
-    /// order, making its results bitwise identical to the serial kernels.
+    /// order, making its results bitwise identical to the serial kernels
+    /// (for finite inputs: see [`crate::ExecPlan::preserves_order`] for the
+    /// stated policy on padding and non-finite `x`).
     pub fn preserves_order(self) -> bool {
         !matches!(self, KernelVariant::Unrolled)
     }
@@ -280,8 +282,7 @@ pub(crate) fn select_ell(width: usize, rows: usize) -> KernelVariant {
 }
 
 /// Variant for one BSR block-row range of `block_cells`-cell blocks.
-/// (BELL segments carry no variants: each segment is already a bounded
-/// slab walk.)
+/// (BELL segments carry no variants: the slice walker is its one body.)
 pub(crate) fn select_bsr(block_cells: usize, block_rows: usize) -> KernelVariant {
     if block_cells >= BLOCK_MIN_WIDTH && block_rows > BLOCK_ROWS {
         KernelVariant::Blocked
@@ -365,7 +366,7 @@ impl CpuFeatures {
 /// Reinterprets `&[V]` as `&[T]` once `TypeId` equality is established.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-fn cast_slice<V: 'static, T: 'static>(s: &[V]) -> &[T] {
+pub(crate) fn cast_slice<V: 'static, T: 'static>(s: &[V]) -> &[T] {
     debug_assert_eq!(TypeId::of::<V>(), TypeId::of::<T>());
     // SAFETY: V and T are the same type (checked by the caller's TypeId
     // guard), so layout and validity are identical.

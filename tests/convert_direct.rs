@@ -13,7 +13,8 @@
 //!    hash + fused analysis + machine walk on a miss, hash only on a hit.
 //! 4. The array-built BSR and BELL conversions equal a per-row reference
 //!    walk kept in this file, from COO and from CSR, for every ladder and
-//!    block-dimension shape.
+//!    block-dimension shape (BELL through its bucket assignment and its
+//!    row-major walk, not its cell layout).
 
 use morpheus_repro::machine::{systems, Backend, VirtualEngine};
 use morpheus_repro::morpheus::analysis::{passes, Analysis};
@@ -21,8 +22,8 @@ use morpheus_repro::morpheus::convert::{coo_to_bell, coo_to_bsr, coo_to_csr, csr
 use morpheus_repro::morpheus::format::{FormatId, ALL_FORMATS};
 use morpheus_repro::morpheus::stats::stats_of;
 use morpheus_repro::morpheus::{
-    convert_via_hub, BellMatrix, BsrMatrix, ConvertOptions, ConvertPath, CooMatrix, DynamicMatrix,
-    FormatParams, ELL_PAD,
+    convert_via_hub, for_each_entry_row_major, BellMatrix, BsrMatrix, ConvertOptions, ConvertPath, CooMatrix,
+    DynamicMatrix, FormatParams,
 };
 use morpheus_repro::oracle::{FeatureVector, Oracle, RunFirstTuner};
 use proptest::prelude::*;
@@ -74,15 +75,16 @@ fn assert_all_pairs_match_hub(base: &DynamicMatrix<f64>, opts: &ConvertOptions) 
     }
 }
 
-/// One expected BELL bucket: `(width, rows, column-major cols, vals)`.
-type BucketRef = (usize, Vec<usize>, Vec<usize>, Vec<f64>);
+/// One expected BELL bucket: its width and the rows assigned to it.
+type BucketRef = (usize, Vec<u32>);
 
-/// Per-row reference for BELL: each row is looked up, measured and copied
-/// on its own, one entry at a time — the walk the array builder replaced.
+/// Per-row reference for BELL: each row is looked up and measured on its
+/// own, and assigned to the first ladder rung wide enough — the walk the
+/// array builder replaced. What the buckets *hold* is checked through the
+/// row-major walk, so the reference knows nothing of the cell layout.
 fn bell_reference(coo: &CooMatrix<f64>, widths: &[usize]) -> Vec<BucketRef> {
-    let rows: Vec<Vec<(usize, f64)>> =
-        (0..coo.nrows()).map(|r| coo.iter().filter(|e| e.0 == r).map(|e| (e.1, e.2)).collect()).collect();
-    let max_width = rows.iter().map(Vec::len).max().unwrap_or(0);
+    let row_lens: Vec<usize> = (0..coo.nrows()).map(|r| coo.iter().filter(|e| e.0 == r).count()).collect();
+    let max_width = row_lens.iter().copied().max().unwrap_or(0);
     let mut ladder: Vec<usize> = widths.iter().copied().filter(|&w| w > 0).collect();
     ladder.sort_unstable();
     ladder.dedup();
@@ -100,21 +102,13 @@ fn bell_reference(coo: &CooMatrix<f64>, widths: &[usize]) -> Vec<BucketRef> {
     let mut buckets = Vec::new();
     for (b, &width) in ladder.iter().enumerate() {
         let lower = if b == 0 { 0 } else { ladder[b - 1] };
-        let members: Vec<usize> =
-            (0..rows.len()).filter(|&r| rows[r].len() > lower && rows[r].len() <= width).collect();
-        if members.is_empty() {
-            continue;
+        let members: Vec<u32> = (0..row_lens.len())
+            .filter(|&r| row_lens[r] > lower && row_lens[r] <= width)
+            .map(|r| r as u32)
+            .collect();
+        if !members.is_empty() {
+            buckets.push((width, members));
         }
-        let len = members.len();
-        let mut cols = vec![ELL_PAD; width * len];
-        let mut vals = vec![0.0; width * len];
-        for (j, &r) in members.iter().enumerate() {
-            for (k, &(c, v)) in rows[r].iter().enumerate() {
-                cols[k * len + j] = c;
-                vals[k * len + j] = v;
-            }
-        }
-        buckets.push((width, members, cols, vals));
     }
     buckets
 }
@@ -122,12 +116,18 @@ fn bell_reference(coo: &CooMatrix<f64>, widths: &[usize]) -> Vec<BucketRef> {
 fn assert_bell_eq(got: &BellMatrix<f64>, coo: &CooMatrix<f64>, expect: &[BucketRef], what: &str) {
     assert_eq!((got.nrows(), got.ncols(), got.nnz()), (coo.nrows(), coo.ncols(), coo.nnz()), "{what}");
     assert_eq!(got.buckets().len(), expect.len(), "{what}: bucket count");
-    for (b, (width, rows, cols, vals)) in got.buckets().iter().zip(expect) {
+    for (b, (width, rows)) in got.buckets().iter().zip(expect) {
         assert_eq!(b.width(), *width, "{what}");
         assert_eq!(b.rows(), rows.as_slice(), "{what} width {width}");
-        assert_eq!(b.cols(), cols.as_slice(), "{what} width {width}");
-        assert_eq!(b.vals(), vals.as_slice(), "{what} width {width}");
+        assert_eq!(
+            b.padded_len(),
+            width * rows.len(),
+            "{what} width {width}: padded to the width, no further"
+        );
     }
+    let mut walked = Vec::new();
+    for_each_entry_row_major(&DynamicMatrix::from(got.clone()), |r, c, v| walked.push((r, c, v)));
+    assert!(walked.iter().copied().eq(coo.iter()), "{what}: the buckets hold other entries than the source");
 }
 
 /// Per-row reference for BSR: every entry finds its block by searching the

@@ -213,6 +213,11 @@ fn share_stress_matrices() -> Vec<(&'static str, DynamicMatrix<f64>)> {
         // The widest bucket is one row holding most of the cells.
         ("one over-wide row", build(31, 250, &|r| if r == 13 { 200 } else { 2 })),
         ("fewer rows than workers", build(2, 20, &|r| 3 + r)),
+        // Shares are cut between 8-row slices. Buckets of 9 and 17 rows: full
+        // slices followed by a ragged one, and fewer slices than workers.
+        ("ragged slices", build(27, 60, &|r| [3, 7, 1][(r >= 9) as usize + (r >= 26) as usize])),
+        // Three buckets of 13 slices each, cut three ways at every width.
+        ("many slices", build(300, 64, &|r| 1 + r % 3)),
     ]
 }
 

@@ -35,7 +35,15 @@ fn scatter_prefers_csr_on_commodity_cpus() {
     let a = analyze(&m);
     for engine in [quiet(systems::cirrus(), Backend::Serial), quiet(systems::xci(), Backend::Serial)] {
         let p = engine.profile(&a);
-        assert_eq!(p.optimal, FormatId::Csr, "{}", engine.label());
+        // The paper's claim is among its six formats. Of this repo's two
+        // additions, BELL — 12-byte cells against CSR's 16-byte entries,
+        // a third of them padding here — may undercut CSR; nothing else may.
+        let paper =
+            [FormatId::Coo, FormatId::Csr, FormatId::Dia, FormatId::Ell, FormatId::Hyb, FormatId::Hdc];
+        let time = |f: FormatId| p.times[f.index()].unwrap_or(f64::INFINITY);
+        let best = paper.into_iter().min_by(|&f, &g| time(f).total_cmp(&time(g))).unwrap();
+        assert_eq!(best, FormatId::Csr, "{}", engine.label());
+        assert!(matches!(p.optimal, FormatId::Csr | FormatId::Bell), "{}: {}", engine.label(), p.optimal);
     }
 }
 
