@@ -56,20 +56,6 @@ impl<T: Copy> SharedSlice<T> {
         *self.ptr.add(i) = value;
     }
 
-    /// Writes `value` at `i` without the bounds check of
-    /// [`SharedSlice::set`], for kernels that have proven every index they
-    /// will write before their loop (the check and its panic path cost a
-    /// short-row SpMV body a tenth of its time).
-    ///
-    /// # Safety
-    /// `i < self.len()`, and no other thread accesses index `i` for the
-    /// duration of the parallel region.
-    #[inline(always)]
-    pub unsafe fn set_unchecked(&self, i: usize, value: T) {
-        debug_assert!(i < self.len, "SharedSlice write at {i} out of bounds (len {})", self.len);
-        *self.ptr.add(i) = value;
-    }
-
     /// Reads the value at `i` (bounds-checked).
     ///
     /// # Safety

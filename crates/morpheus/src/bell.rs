@@ -47,7 +47,7 @@
 //! Both constructors ([`BellMatrix::from_row_arrays`],
 //! [`BellMatrix::from_parts`]) establish them; the fields are private and
 //! nothing mutates them afterwards. The SpMV walker (`crate::spmv::bell`)
-//! rests its unchecked `y` stores on (2) and its unchecked `x` loads on (3):
+//! rests its unchecked `x` loads on (3):
 //!
 //! 1. every bucket has `width >= 1`, at least one row, and
 //!    `cols.len() == vals.len() == width * rows.len()`;
@@ -92,9 +92,32 @@ pub(crate) struct BellSpan<'a, V> {
     vals: &'a [V],
 }
 
-/// One slice: the global rows of its lanes, and its `width` k-levels of
-/// `rows.len()` column indices and values each.
-pub(crate) type BellSlice<'a, V> = (&'a [u32], &'a [u32], &'a [V]);
+/// One slice: the global rows of its lanes and its `width` k-levels. The
+/// order of cells inside a slice is this module's alone; kernels read them
+/// through [`BellSlice::levels`] and [`BellSlice::lane`].
+pub(crate) struct BellSlice<'a, V> {
+    pub(crate) rows: &'a [u32],
+    cols: &'a [u32],
+    vals: &'a [V],
+}
+
+impl<'a, V: Copy> BellSlice<'a, V> {
+    /// The k-levels in ascending `k`, each the column indices and values of
+    /// the `L` lanes side by side. `L` must be the slice's lane count.
+    #[inline(always)]
+    pub(crate) fn levels<const L: usize>(&self) -> impl Iterator<Item = (&'a [u32; L], &'a [V; L])> {
+        debug_assert_eq!(self.rows.len(), L);
+        self.cols.as_chunks::<L>().0.iter().zip(self.vals.as_chunks::<L>().0)
+    }
+
+    /// All `width` cells — pads included — of lane `l`, in ascending `k`.
+    #[inline(always)]
+    pub(crate) fn lane(&self, l: usize) -> impl Iterator<Item = (u32, V)> + 'a {
+        let lanes = self.rows.len();
+        let (cols, vals) = (self.cols[l..].iter().step_by(lanes), self.vals[l..].iter().step_by(lanes));
+        cols.zip(vals).map(|(&c, &v)| (c, v))
+    }
+}
 
 impl<'a, V> BellSpan<'a, V> {
     /// The span's full slices: [`SLICE`] rows and `SLICE * width` cells each.
@@ -103,7 +126,7 @@ impl<'a, V> BellSpan<'a, V> {
         let rows = self.rows.chunks_exact(SLICE);
         rows.zip(self.cols.chunks_exact(cells))
             .zip(self.vals.chunks_exact(cells))
-            .map(|((r, c), v)| (r, c, v))
+            .map(|((rows, cols), vals)| BellSlice { rows, cols, vals })
     }
 
     /// The bucket's ragged last slice when the span ends in it: fewer than
@@ -111,7 +134,11 @@ impl<'a, V> BellSpan<'a, V> {
     pub(crate) fn ragged(&self) -> Option<BellSlice<'a, V>> {
         let full = self.rows.len() - self.rows.len() % SLICE;
         let cells = full * self.width;
-        (full < self.rows.len()).then(|| (&self.rows[full..], &self.cols[cells..], &self.vals[cells..]))
+        (full < self.rows.len()).then(|| BellSlice {
+            rows: &self.rows[full..],
+            cols: &self.cols[cells..],
+            vals: &self.vals[cells..],
+        })
     }
 }
 
@@ -170,7 +197,9 @@ impl<V: Scalar> BellBucket<V> {
         }
     }
 
-    /// Index in `cols`/`vals` of cell `k` of the row at position `j`.
+    /// Index in `cols`/`vals` of cell `k` of the row at position `j`, for the
+    /// tests that corrupt one cell.
+    #[cfg(test)]
     fn cell(&self, j: usize, k: usize) -> usize {
         let first = j - j % SLICE;
         let lanes = SLICE.min(self.rows.len() - first);
@@ -180,7 +209,35 @@ impl<V: Scalar> BellBucket<V> {
     /// All `width` cells — pads included — of the row at position `j`, in
     /// `k` order, whatever the slice height.
     pub(crate) fn row_cells(&self, j: usize) -> impl Iterator<Item = (u32, V)> + '_ {
-        (0..self.width).map(move |k| self.cell(j, k)).map(|i| (self.cols[i], self.vals[i]))
+        let span = self.span(j / SLICE..j / SLICE + 1);
+        let slice = span.full_slices().next().or_else(|| span.ragged()).expect("a span of one slice");
+        slice.lane(j % SLICE)
+    }
+
+    /// Folds each stored row's column indices — pads included, in `k` order
+    /// — from `init` with `step` and hands `emit` the row and the result, in
+    /// position order. A full slice folds its eight rows side by side.
+    pub(crate) fn fold_row_cols<S: Copy>(
+        &self,
+        init: S,
+        step: impl Fn(S, u32) -> S,
+        mut emit: impl FnMut(u32, S),
+    ) {
+        let span = self.span(0..self.num_slices());
+        for slice in span.full_slices() {
+            let mut acc = [init; SLICE];
+            for (c, _) in slice.levels::<SLICE>() {
+                for l in 0..SLICE {
+                    acc[l] = step(acc[l], c[l]);
+                }
+            }
+            slice.rows.iter().zip(acc).for_each(|(&r, s)| emit(r, s));
+        }
+        if let Some(slice) = span.ragged() {
+            for (l, &r) in slice.rows.iter().enumerate() {
+                emit(r, slice.lane(l).fold(init, |s, (c, _)| step(s, c)));
+            }
+        }
     }
 
     /// The real entries of the row at position `j`: columns ascend strictly
@@ -221,7 +278,7 @@ pub fn default_bucket_widths(max_width: usize) -> Vec<usize> {
 /// fit the 4-byte index the buckets store.
 fn check_index_width(nrows: usize, ncols: usize) -> Result<()> {
     let limit = u32::MAX as usize;
-    match [nrows, ncols].into_iter().find(|&dim| dim > limit + 1) {
+    match [nrows, ncols].into_iter().find(|&dim| dim.saturating_sub(1) > limit) {
         Some(dim) => Err(MorpheusError::IndexOverflow { dim, limit }),
         None => Ok(()),
     }

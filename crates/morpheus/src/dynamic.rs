@@ -277,16 +277,21 @@ impl<V: Scalar> DynamicMatrix<V> {
                 }
             }
             DynamicMatrix::Bell(m) => {
-                // Row by row, each row's cells in `k` order (pads repeat the
-                // last column, so the padding pattern is covered): the hash
-                // does not depend on how a bucket is sliced.
+                // Each row's cells hash on their own in `k` order (pads repeat
+                // the last column, so the padding pattern is covered) and the
+                // rows' hashes fold in row order: nothing depends on how a
+                // bucket is sliced, and a slice's eight rows hash side by side.
                 h.word(m.buckets().len() as u64);
                 for bucket in m.buckets() {
                     h.word(bucket.width() as u64);
-                    for (j, &r) in bucket.rows().iter().enumerate() {
+                    let cell = |mut row: StructureHasher, c: u32| {
+                        row.word(u64::from(c));
+                        row
+                    };
+                    bucket.fold_row_cols(StructureHasher::new(), cell, |r, row| {
                         h.word(u64::from(r));
-                        bucket.row_cells(j).for_each(|(c, _)| h.word(u64::from(c)));
-                    }
+                        h.word(row.state);
+                    });
                 }
             }
         }
@@ -305,6 +310,7 @@ impl<V: Scalar> DynamicMatrix<V> {
 }
 
 /// FNV-1a-style streaming hasher used by [`DynamicMatrix::structure_hash`].
+#[derive(Clone, Copy)]
 struct StructureHasher {
     state: u64,
 }
@@ -530,6 +536,32 @@ mod tests {
             assert_eq!(converted.structure_hash(), converted.structure_hash());
             assert!(seen.insert(converted.structure_hash()), "hash collision for {f}");
         }
+    }
+
+    /// The BELL hash is defined row by row — each row's cells in `k` order,
+    /// rows in bucket order — so it cannot depend on the slice height the
+    /// buckets happen to be stored at.
+    #[test]
+    fn bell_structure_hash_is_defined_row_by_row() {
+        let opts = ConvertOptions { min_padded_allowance: 1 << 22, ..Default::default() };
+        let m =
+            DynamicMatrix::from(random_coo::<f64>(90, 40, 500, 3)).to_format(FormatId::Bell, &opts).unwrap();
+        let DynamicMatrix::Bell(ref b) = m else { panic!("expected BELL") };
+        assert!(b.buckets().iter().any(|k| k.rows().len() > crate::bell::SLICE), "full and ragged slices");
+        let mut h = StructureHasher::new();
+        for w in [m.format_id().index(), m.nrows(), m.ncols(), m.nnz(), b.buckets().len()] {
+            h.word(w as u64);
+        }
+        for bucket in b.buckets() {
+            h.word(bucket.width() as u64);
+            for (j, &r) in bucket.rows().iter().enumerate() {
+                let mut row = StructureHasher::new();
+                bucket.row_cells(j).for_each(|(c, _)| row.word(u64::from(c)));
+                h.word(u64::from(r));
+                h.word(row.state);
+            }
+        }
+        assert_eq!(m.structure_hash(), h.finish());
     }
 
     #[test]

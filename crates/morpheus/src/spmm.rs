@@ -420,28 +420,26 @@ impl<V: Scalar> Body<V> for BellSlices<'_, V> {
         slices: Range<usize>,
     ) {
         let span = self.0.span(slices);
-        for (rows, cols, vals) in span.full_slices() {
-            let (cols, vals) = (cols.as_chunks::<SLICE>().0, vals.as_chunks::<SLICE>().0);
+        for slice in span.full_slices() {
             // `R` is 8, 4, 2 or 1 (see `run_blocks`): the groups tile a slice.
             for l0 in (0..SLICE).step_by(R) {
                 let mut acc = [[V::ZERO; P]; R];
-                for (c, v) in cols.iter().zip(vals) {
+                for (c, v) in slice.levels::<SLICE>() {
                     let (c, v) = (&c[l0..][..R], &v[l0..][..R]);
                     for l in 0..R {
                         xs.axpy(&mut acc[l], v[l], c[l] as usize);
                     }
                 }
-                for (sums, &r) in acc.iter().zip(&rows[l0..]) {
+                for (sums, &r) in acc.iter().zip(&slice.rows[l0..]) {
                     store::<V, P, false>(out, xs.at(r as usize), sums);
                 }
             }
         }
-        if let Some((rows, cols, vals)) = span.ragged() {
-            let lanes = rows.len();
-            for (l, &r) in rows.iter().enumerate() {
+        if let Some(slice) = span.ragged() {
+            for (l, &r) in slice.rows.iter().enumerate() {
                 let mut acc = [V::ZERO; P];
-                for (c, v) in cols.chunks_exact(lanes).zip(vals.chunks_exact(lanes)) {
-                    xs.axpy(&mut acc, v[l], c[l] as usize);
+                for (c, v) in slice.lane(l) {
+                    xs.axpy(&mut acc, v, c as usize);
                 }
                 store::<V, P, false>(out, xs.at(r as usize), &acc);
             }

@@ -42,12 +42,11 @@ pub(crate) unsafe fn bell_segment<V: Scalar, const ACC: bool>(
 ) {
     // SAFETY of every unchecked access in this module. Loads and gathers of
     // `x` are at a span's `cols`, i.e. stored column indices of `a`, each
-    // `< a.ncols()` by invariant 3 of `crate::bell`; stores to `out` are at a
-    // span's `rows`, stored row indices, each `< a.nrows()` by invariant 2.
-    // Both `BellMatrix` constructors establish those invariants over private
-    // fields nothing mutates, and `x.len() == a.ncols()` and
-    // `out.len() == a.nrows()` are asserted here, before any body runs. All
-    // other accesses are slice operations (checked, or proven by `chunks`).
+    // `< a.ncols()` by invariant 3 of `crate::bell`. Both `BellMatrix`
+    // constructors establish that invariant over private fields nothing
+    // mutates, and `x.len() == a.ncols()` is asserted here, before any body
+    // runs. All other accesses are checked: slice operations, `chunks`, and
+    // the stores through `SharedSlice`.
     assert!(
         x.len() == a.ncols() && out.len() == a.nrows(),
         "BELL SpMV of a {}x{} matrix on x of {} and y of {}",
@@ -95,50 +94,57 @@ unsafe fn store<V: Scalar, const ACC: bool>(out: &SharedSlice<V>, rows: &[u32], 
         if ACC {
             out.add(r as usize, sum);
         } else {
-            // SAFETY: a stored row index, in bounds as `bell_segment` argues.
-            out.set_unchecked(r as usize, sum);
+            out.set(r as usize, sum);
         }
     }
 }
 
-/// One slice of `L` lanes in portable form: `L` sums in flight, each k-level
-/// `L` adjacent column indices and values.
+/// The sums of one slice of `L` lanes in portable form: `L` sums in flight,
+/// each k-level `L` adjacent column indices and values.
 ///
 /// # Safety
 /// As [`bell_segment`].
 #[inline(always)]
-unsafe fn lanes<V: Scalar, const ACC: bool, const L: usize>(
-    (rows, cols, vals): BellSlice<'_, V>,
-    x: &[V],
-    out: &SharedSlice<V>,
-) {
+unsafe fn lanes<V: Scalar, const L: usize>(slice: &BellSlice<'_, V>, x: &[V]) -> [V; L] {
     let mut sums = [V::ZERO; L];
-    for (c, v) in cols.as_chunks::<L>().0.iter().zip(vals.as_chunks::<L>().0) {
+    for (c, v) in slice.levels::<L>() {
         for l in 0..L {
             // SAFETY: a stored column index, in bounds as `bell_segment` argues.
             sums[l] += v[l] * *x.get_unchecked(c[l] as usize);
         }
     }
-    store::<V, ACC>(out, rows, &sums);
+    sums
 }
 
-/// A bucket's ragged last slice, at its own lane count (a tail bucket of a
-/// few very long rows is all ragged slice, so this is no cold path there;
+/// The walker: `full` sums each full slice of `slices`; the bucket's ragged
+/// last slice runs the portable form at its own lane count (a tail bucket of
+/// a few very long rows is all ragged slice, so this is no cold path there;
 /// one add chain per row is all the order of summation allows).
 ///
 /// # Safety
 /// As [`bell_segment`].
 #[inline(always)]
-unsafe fn ragged<V: Scalar, const ACC: bool>(slice: BellSlice<'_, V>, x: &[V], out: &SharedSlice<V>) {
-    match slice.0.len() {
-        1 => lanes::<V, ACC, 1>(slice, x, out),
-        2 => lanes::<V, ACC, 2>(slice, x, out),
-        3 => lanes::<V, ACC, 3>(slice, x, out),
-        4 => lanes::<V, ACC, 4>(slice, x, out),
-        5 => lanes::<V, ACC, 5>(slice, x, out),
-        6 => lanes::<V, ACC, 6>(slice, x, out),
-        7 => lanes::<V, ACC, 7>(slice, x, out),
-        n => unreachable!("a ragged slice of {n} rows"),
+unsafe fn walk<V: Scalar, const ACC: bool>(
+    bucket: &BellBucket<V>,
+    x: &[V],
+    out: &SharedSlice<V>,
+    slices: Range<usize>,
+    full: impl Fn(&BellSlice<'_, V>) -> [V; SLICE],
+) {
+    let span = bucket.span(slices);
+    for slice in span.full_slices() {
+        store::<V, ACC>(out, slice.rows, &full(&slice));
+    }
+    if let Some(slice) = span.ragged() {
+        macro_rules! ragged {
+            ($($l:literal),+) => {
+                match slice.rows.len() {
+                    $($l => store::<V, ACC>(out, slice.rows, &lanes::<V, $l>(&slice, x)),)+
+                    n => unreachable!("a ragged slice of {n} rows"),
+                }
+            };
+        }
+        ragged!(1, 2, 3, 4, 5, 6, 7);
     }
 }
 
@@ -152,13 +158,7 @@ unsafe fn walk_portable<V: Scalar, const ACC: bool>(
     out: &SharedSlice<V>,
     slices: Range<usize>,
 ) {
-    let span = bucket.span(slices);
-    for slice in span.full_slices() {
-        lanes::<V, ACC, SLICE>(slice, x, out);
-    }
-    if let Some(slice) = span.ragged() {
-        ragged::<V, ACC>(slice, x, out);
-    }
+    walk::<V, ACC>(bucket, x, out, slices, |slice| lanes::<V, SLICE>(slice, x))
 }
 
 /// The walker with `_mm256_i32gather_pd`: a k-level is two gathers of four
@@ -175,10 +175,9 @@ unsafe fn walk_f64_avx2<const ACC: bool>(
     slices: Range<usize>,
 ) {
     use std::arch::x86_64::*;
-    let span = bucket.span(slices);
-    for (rows, cols, vals) in span.full_slices() {
+    walk::<f64, ACC>(bucket, x, out, slices, |slice| {
         let (mut lo, mut hi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-        for (c, v) in cols.as_chunks::<SLICE>().0.iter().zip(vals.as_chunks::<SLICE>().0) {
+        for (c, v) in slice.levels::<SLICE>() {
             // SAFETY: `c` and `v` are eight elements each, and the gathers
             // index `x` by stored column indices (see `bell_segment`).
             let x_lo = _mm256_i32gather_pd::<8>(x.as_ptr(), _mm_loadu_si128(c.as_ptr().cast()));
@@ -189,11 +188,8 @@ unsafe fn walk_f64_avx2<const ACC: bool>(
         let mut sums = [0.0f64; SLICE];
         _mm256_storeu_pd(sums.as_mut_ptr(), lo);
         _mm256_storeu_pd(sums[4..].as_mut_ptr(), hi);
-        store::<f64, ACC>(out, rows, &sums);
-    }
-    if let Some(slice) = span.ragged() {
-        ragged::<f64, ACC>(slice, x, out);
-    }
+        sums
+    })
 }
 
 /// The walker with `_mm256_i32gather_ps`: a k-level is one gather of eight.
@@ -209,21 +205,17 @@ unsafe fn walk_f32_avx2<const ACC: bool>(
     slices: Range<usize>,
 ) {
     use std::arch::x86_64::*;
-    let span = bucket.span(slices);
-    for (rows, cols, vals) in span.full_slices() {
+    walk::<f32, ACC>(bucket, x, out, slices, |slice| {
         let mut acc = _mm256_setzero_ps();
-        for (c, v) in cols.as_chunks::<SLICE>().0.iter().zip(vals.as_chunks::<SLICE>().0) {
+        for (c, v) in slice.levels::<SLICE>() {
             // SAFETY: as in `walk_f64_avx2`.
             let xs = _mm256_i32gather_ps::<4>(x.as_ptr(), _mm256_loadu_si256(c.as_ptr().cast()));
             acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_loadu_ps(v.as_ptr()), xs));
         }
         let mut sums = [0.0f32; SLICE];
         _mm256_storeu_ps(sums.as_mut_ptr(), acc);
-        store::<f32, ACC>(out, rows, &sums);
-    }
-    if let Some(slice) = span.ragged() {
-        ragged::<f32, ACC>(slice, x, out);
-    }
+        sums
+    })
 }
 
 /// Every bucket of `a`, whole, on the calling thread: the serial kernels.

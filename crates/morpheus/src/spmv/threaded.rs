@@ -90,8 +90,8 @@ pub(crate) unsafe fn csr_rows<V: Scalar, const ACC: bool>(
         // constructors", over private fields): `offs` holds `nrows + 1`
         // monotone offsets ending at `cols.len() == vals.len()`, so with
         // `r < nrows` (asserted) both offsets exist and every `i` between
-        // them indexes `cols` and `vals`; every column index is `< ncols`,
-        // which is `x.len()` (asserted); and `r < nrows == out.len()`.
+        // them indexes `cols` and `vals`; and every column index is
+        // `< ncols`, which is `x.len()` (asserted).
         let (lo, hi) = (*offs.get_unchecked(r), *offs.get_unchecked(r + 1));
         let mut acc = V::ZERO;
         for i in lo..hi {
@@ -100,7 +100,7 @@ pub(crate) unsafe fn csr_rows<V: Scalar, const ACC: bool>(
         if ACC {
             out.add(r, acc);
         } else {
-            out.set_unchecked(r, acc);
+            out.set(r, acc);
         }
     }
 }

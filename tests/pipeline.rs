@@ -4,7 +4,7 @@
 
 use morpheus_repro::corpus::CorpusSpec;
 use morpheus_repro::machine::{analyze, systems, Backend, VirtualEngine};
-use morpheus_repro::ml::metrics::{accuracy, balanced_accuracy};
+use morpheus_repro::ml::metrics::accuracy;
 use morpheus_repro::ml::{Dataset, ForestParams, RandomForest};
 use morpheus_repro::morpheus::format::{FormatId, FORMAT_COUNT};
 use morpheus_repro::morpheus::spmv::spmv_serial;
@@ -14,7 +14,10 @@ use morpheus_repro::oracle::{FeatureVector, Oracle, RunFirstTuner, NUM_FEATURES}
 
 #[test]
 fn offline_stage_trains_useful_model_and_online_stage_uses_it() {
-    let spec = CorpusSpec::small(150);
+    // Large enough that the test split holds a dozen of the minority labels
+    // (DIA, BSR): five in six are BELL on this engine, and at half the size
+    // one test matrix decides between the model and the majority baseline.
+    let spec = CorpusSpec::small(300);
     let engine = VirtualEngine::new(systems::cirrus(), Backend::Serial);
 
     // --- offline: profile + assemble dataset ---
@@ -56,18 +59,11 @@ fn offline_stage_trains_useful_model_and_online_stage_uses_it() {
     let y_model: Vec<usize> =
         test_entries.iter().map(|(_, fv, _)| tuner.model().predict(fv.as_slice())).collect();
     let y_major: Vec<usize> = vec![majority; y_true.len()];
-    // Four labels in five are one class on this engine (BELL, since its
-    // cells are priced at the 12 bytes they take), so the yardstick is the
-    // paper's own for imbalanced label sets, balanced accuracy; plain
-    // accuracy must not fall behind the baseline's.
     let acc_model = accuracy(&y_true, &y_model);
     let acc_major = accuracy(&y_true, &y_major);
-    let bal_model = balanced_accuracy(&y_true, &y_model, FORMAT_COUNT);
-    let bal_major = balanced_accuracy(&y_true, &y_major, FORMAT_COUNT);
     assert!(
-        bal_model > bal_major && acc_model >= acc_major,
-        "model ({bal_model:.3} balanced, {acc_model:.3} plain) should beat the majority baseline \
-         ({bal_major:.3} balanced, {acc_major:.3} plain)"
+        acc_model > acc_major,
+        "model accuracy {acc_model:.3} should beat majority baseline {acc_major:.3}"
     );
     assert!(acc_model > 0.5, "model accuracy {acc_model:.3} too low");
 
