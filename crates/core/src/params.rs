@@ -24,6 +24,7 @@
 use crate::features::FeatureVector;
 use crate::Result;
 use morpheus::format::FormatId;
+use morpheus::stats::RowLengthCounts;
 use morpheus::{FormatParams, MAX_BELL_WIDTHS};
 use morpheus_machine::MatrixAnalysis;
 use morpheus_ml::{Dataset, GbtParams, GradientBoostedTrees};
@@ -71,7 +72,7 @@ pub fn realize(strategy: ParamStrategy, a: &MatrixAnalysis) -> FormatParams {
         ParamStrategy::Default => FormatParams::default(),
         ParamStrategy::BsrBlock(b) => FormatParams { bsr_block: (b, b), ..Default::default() },
         ParamStrategy::BellQuantile => {
-            FormatParams::default().with_bell_ladder(&quantile_ladder(&a.row_hist))
+            FormatParams::default().with_bell_ladder(&quantile_ladder(&a.row_lengths))
         }
         ParamStrategy::BellTwoLevel => {
             let max = a.stats.row_nnz_max.max(1);
@@ -90,38 +91,12 @@ pub fn realize(strategy: ParamStrategy, a: &MatrixAnalysis) -> FormatParams {
     }
 }
 
-/// Padded slots a BELL ladder would allocate, exactly, from the per-row
-/// occupancy list (rows land in the first bucket that fits; empty rows
-/// store nothing).
-pub fn ladder_padded(ladder: &[usize], row_hist: &[u32]) -> usize {
-    if ladder.is_empty() {
-        return 0;
-    }
-    let mut padded = 0usize;
-    for &l in row_hist {
-        let l = l as usize;
-        if l == 0 {
-            continue;
-        }
-        // Rows wider than the last bucket clamp to it (conversion widens
-        // the ladder in that case; for pricing the clamp is the floor).
-        let b = ladder.partition_point(|&w| w < l).min(ladder.len() - 1);
-        padded += ladder[b].max(l);
-    }
-    padded
-}
-
 /// A row-length-quantile bucket ladder: widths at the 50th/75th/90th/100th
-/// percentile of non-empty row lengths, deduplicated and ascending. Bounded
-/// by [`MAX_BELL_WIDTHS`] by construction (four quantiles).
-pub fn quantile_ladder(row_hist: &[u32]) -> Vec<usize> {
-    let mut lens: Vec<usize> = row_hist.iter().filter(|&&l| l > 0).map(|&l| l as usize).collect();
-    if lens.is_empty() {
-        return vec![1];
-    }
-    lens.sort_unstable();
-    let q = |f: f64| lens[((lens.len() - 1) as f64 * f).round() as usize];
-    let mut ladder = vec![q(0.5), q(0.75), q(0.9), *lens.last().unwrap()];
+/// percentile of non-empty row lengths, deduplicated and ascending, read off
+/// the row-length count table in O(longest row). Bounded by
+/// [`MAX_BELL_WIDTHS`] by construction (four quantiles).
+pub fn quantile_ladder(row_lengths: &RowLengthCounts) -> Vec<usize> {
+    let mut ladder = row_lengths.quantiles([0.5, 0.75, 0.9, 1.0]).map_or(vec![1], Vec::from);
     ladder.dedup();
     debug_assert!(ladder.len() <= MAX_BELL_WIDTHS);
     ladder
@@ -144,7 +119,7 @@ fn strategy_cost(format: FormatId, strategy: ParamStrategy, a: &MatrixAnalysis) 
                 // Auto ladder: the analysis already computed its padding.
                 a.bell_padded as f64
             } else {
-                ladder_padded(ladder, &a.row_hist) as f64
+                a.row_lengths.ladder_fit(ladder).padded as f64
             }
         }
         // HYB/DIA strategies trade padding against spill in ways the
@@ -284,7 +259,7 @@ mod tests {
         let ladder = p.bell_ladder();
         assert!(!ladder.is_empty(), "heavy tail must pick an explicit ladder: {p:?}");
         assert!(
-            ladder_padded(ladder, &a.row_hist) < a.bell_padded,
+            a.row_lengths.ladder_fit(ladder).padded < a.bell_padded,
             "chosen ladder must pad strictly less than the pow2 default"
         );
     }
@@ -330,10 +305,80 @@ mod tests {
         assert!(!p.bell_ladder().is_empty(), "strategy 1 realizes to an explicit ladder");
     }
 
+    /// The definitions the count-table readings replaced: sort every
+    /// non-empty row length, search the ladder once per row.
+    fn sorted_quantile_ladder(row_hist: &[u32]) -> Vec<usize> {
+        let mut lens: Vec<usize> = row_hist.iter().filter(|&&l| l > 0).map(|&l| l as usize).collect();
+        if lens.is_empty() {
+            return vec![1];
+        }
+        lens.sort_unstable();
+        let q = |f: f64| lens[((lens.len() - 1) as f64 * f).round() as usize];
+        let mut ladder = vec![q(0.5), q(0.75), q(0.9), *lens.last().unwrap()];
+        ladder.dedup();
+        ladder
+    }
+
+    fn per_row_ladder_padded(ladder: &[usize], row_hist: &[u32]) -> usize {
+        let rows = row_hist.iter().map(|&l| l as usize).filter(|&l| l > 0);
+        rows.map(|l| ladder[ladder.partition_point(|&w| w < l).min(ladder.len() - 1)].max(l)).sum()
+    }
+
+    #[test]
+    fn count_table_proposals_equal_the_sorted_per_row_ones() {
+        let rows_of = |lens: &[usize]| {
+            let rows: Vec<usize> = lens.iter().enumerate().flat_map(|(r, &l)| vec![r; l]).collect();
+            let cols: Vec<usize> = lens.iter().flat_map(|&l| 0..l).collect();
+            let vals = vec![1.0f64; rows.len()];
+            DynamicMatrix::from(CooMatrix::from_triplets(lens.len(), 64, &rows, &cols, &vals).unwrap())
+        };
+        let mut matrices: Vec<DynamicMatrix<f64>> =
+            morpheus_corpus::CorpusSpec::small(48).iter().map(|e| DynamicMatrix::from(e.matrix)).collect();
+        matrices.extend([
+            DynamicMatrix::from(CooMatrix::<f64>::new(9, 9)), // every row empty
+            DynamicMatrix::from(CooMatrix::<f64>::new(0, 5)),
+            rows_of(&[5; 40]),                             // one length
+            rows_of(&[0, 0, 7, 0, 7, 7, 0]),               // one length among empty rows
+            rows_of(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]), // every quantile distinct
+            rows_of(&[1, 1, 1, 1, 1, 1, 1, 1, 1, 60]),     // the tail is one row
+            heavy_tail(300),
+            blocked(16),
+        ]);
+        for (i, m) in matrices.iter().enumerate() {
+            let a = analyze(m);
+            let quantile = sorted_quantile_ladder(&a.row_hist);
+            assert_eq!(quantile_ladder(&a.row_lengths), quantile, "matrix {i}");
+            // The chosen parameters, re-derived from the sorted ladder and
+            // per-row padding with `heuristic_params`' first-cheapest rule.
+            let two_level = realize(ParamStrategy::BellTwoLevel, &a);
+            let pow2 = morpheus::bell::default_bucket_widths(a.stats.row_nnz_max);
+            assert_eq!(a.bell_padded, per_row_ladder_padded(&pow2, &a.row_hist), "matrix {i}");
+            let candidates = [
+                (FormatParams::default(), a.bell_padded),
+                (
+                    FormatParams::default().with_bell_ladder(&quantile),
+                    per_row_ladder_padded(&quantile, &a.row_hist),
+                ),
+                (two_level, per_row_ladder_padded(two_level.bell_ladder(), &a.row_hist)),
+            ];
+            let mut expect = candidates[0];
+            for c in &candidates[1..] {
+                if c.1 < expect.1 {
+                    expect = *c;
+                }
+            }
+            assert_eq!(propose_params(FormatId::Bell, &a), expect.0, "matrix {i}");
+            for ladder in [quantile.as_slice(), two_level.bell_ladder(), &[2], &[3, 1000]] {
+                let fit = a.row_lengths.ladder_fit(ladder);
+                assert_eq!(fit.padded, per_row_ladder_padded(ladder, &a.row_hist), "matrix {i} {ladder:?}");
+            }
+        }
+    }
+
     #[test]
     fn quantile_ladder_is_ascending_and_covers_max() {
         let a = analyze(&heavy_tail(500));
-        let ladder = quantile_ladder(&a.row_hist);
+        let ladder = quantile_ladder(&a.row_lengths);
         assert!(ladder.windows(2).all(|w| w[0] < w[1]), "{ladder:?}");
         assert_eq!(*ladder.last().unwrap(), a.stats.row_nnz_max);
         assert!(ladder.len() <= MAX_BELL_WIDTHS);

@@ -135,11 +135,18 @@ impl BatchCost {
 }
 
 /// A decision-cache entry: the decision and, unless it was imported from a
-/// decisions file, the [`BatchCost`] of its format.
+/// decisions file, the [`BatchCost`] of its format and the structure hash
+/// of the matrix once converted to it.
 #[derive(Debug, Clone, Copy)]
 struct CachedDecision {
     decision: TuneDecision,
     batch: Option<BatchCost>,
+    /// [`DynamicMatrix::structure_hash`] of the keyed structure realized in
+    /// `decision.format` — conversion is a function of the structure, the
+    /// format and this service's options, so a hit need not hash the
+    /// converted matrix again. `None` until the miss that decided it has
+    /// converted, and for imported entries.
+    realized: Option<u64>,
 }
 
 /// What the cold path knows about one matrix before converting it: the
@@ -169,6 +176,8 @@ struct Decided {
     /// [`BatchCost`] of `decision.format`: always known on a miss (the view
     /// is at hand), on a hit whenever the entry carries it.
     batch: Option<BatchCost>,
+    /// On a hit, the entry's [`CachedDecision::realized`] hash.
+    realized: Option<u64>,
     cache_hit: bool,
     /// Decision-cache generation the tuner was consulted under (gates the
     /// follow-up inserts of `realize`); unused on a hit.
@@ -717,11 +726,11 @@ impl<T> OracleService<T> {
             op,
         };
         match self.decisions.get_if(&key, |_| true) {
-            Some(CachedDecision { decision: mut cached, batch }) => {
+            Some(CachedDecision { decision: mut cached, batch, realized }) => {
                 // Same structure, scalar, engine and op: the tuner would
                 // reproduce this decision, so charge nothing for it.
                 cached.cost = TuningCost::cached();
-                Decided { facts, key, decision: cached, batch, cache_hit: true, generation: 0 }
+                Decided { facts, key, decision: cached, batch, realized, cache_hit: true, generation: 0 }
             }
             None => {
                 // Read the cache generation *before* consulting the tuner:
@@ -732,8 +741,9 @@ impl<T> OracleService<T> {
                 let view = self.view_of(m, &mut facts);
                 let decision = self.tuner.select(m, view, &self.engine, op);
                 let batch = Some(BatchCost::of(&self.engine, decision.format, view));
-                self.decisions.insert_if_generation(key, CachedDecision { decision, batch }, generation);
-                Decided { facts, key, decision, batch, cache_hit: false, generation }
+                let undecided = CachedDecision { decision, batch, realized: None };
+                self.decisions.insert_if_generation(key, undecided, generation);
+                Decided { facts, key, decision, batch, realized: None, cache_hit: false, generation }
             }
         }
     }
@@ -748,8 +758,15 @@ impl<T> OracleService<T> {
         decided: Decided,
         op: Op,
     ) -> Result<(TuneReport, TuneArtifacts)> {
-        let Decided { facts: Facts { hash, analysis, view }, key, decision, batch, cache_hit, generation } =
-            decided;
+        let Decided {
+            facts: Facts { hash, analysis, view },
+            key,
+            decision,
+            batch,
+            realized,
+            cache_hit,
+            generation,
+        } = decided;
         let previous = m.format_id();
         let predicted = decision.format;
         let (chosen, convert) = match m.convert_to_with(predicted, &self.opts, analysis.as_ref()) {
@@ -766,25 +783,35 @@ impl<T> OracleService<T> {
         let batch = batch
             .filter(|_| chosen == predicted)
             .or_else(|| view.as_ref().map(|v| BatchCost::of(&self.engine, chosen, v)));
-        let mut realized_hash = (chosen == previous).then_some(hash);
+        // Known without hashing when nothing was converted, and on a hit
+        // when the entry already saw this conversion; a miss that converted
+        // hashes the result, once, for the alias below.
+        let realized_hash = if chosen == previous {
+            Some(hash)
+        } else if cache_hit {
+            realized.filter(|_| chosen == predicted)
+        } else {
+            Some(m.structure_hash())
+        };
         if !cache_hit {
-            // Cache the *realized* format: if the prediction proved
-            // non-viable, later hits must not re-pay the failing
-            // conversion attempt before falling back.
-            let realized = CachedDecision { decision: TuneDecision { format: chosen, ..decision }, batch };
-            if chosen != predicted {
-                self.decisions.insert_if_generation(key, realized, generation);
-            }
-            if chosen != previous {
+            // Cache the *realized* format — if the prediction proved
+            // non-viable, later hits must not re-pay the failing conversion
+            // attempt before falling back — and the realized hash, so they
+            // do not re-hash the converted matrix either.
+            let done = CachedDecision {
+                decision: TuneDecision { format: chosen, ..decision },
+                batch,
+                realized: realized_hash,
+            };
+            self.decisions.insert_if_generation(key, done, generation);
+            if let Some(post_hash) = realized_hash.filter(|_| chosen != previous) {
                 // Alias the decision under the matrix's *post-conversion*
                 // structure too, so re-tuning the same (already switched)
                 // matrix — the repeated-execution loop of §VII-E — is a
                 // hit.
-                let post_hash = m.structure_hash();
-                realized_hash = Some(post_hash);
                 self.decisions.insert_if_generation(
                     CacheKey { structure: post_hash, ..key },
-                    realized,
+                    done,
                     generation,
                 );
             }
@@ -1811,7 +1838,7 @@ impl<T> OracleService<T> {
     /// seen:
     ///
     /// ```text
-    /// morpheus-oracle-decisions v2
+    /// morpheus-oracle-decisions v3
     /// engine <fingerprint hex>
     /// entries <n>
     /// decision <structure hex> <scalar_bytes> <spmv|spmm:k> <FORMAT> <params>
@@ -1819,8 +1846,10 @@ impl<T> OracleService<T> {
     /// ```
     ///
     /// The trailing `<params>` token is [`morpheus::FormatParams::to_token`]
-    /// (`-` for the defaults). v1 files (no params token) still import,
-    /// warm-starting with default parameters.
+    /// (`-` for the defaults). The version names the scheme of
+    /// `<structure>` too: `v3` keys are the lane-parallel
+    /// [`DynamicMatrix::structure_hash`]; `v1`/`v2` files were keyed by the
+    /// single-chain hash it replaced, and are refused on import.
     pub fn export_decisions<W: Write>(&self, w: &mut W) -> Result<()> {
         let mut entries: Vec<(CacheKey, TuneDecision)> = Vec::new();
         self.decisions.for_each(|k, d| entries.push((*k, d.decision)));
@@ -1859,10 +1888,17 @@ impl<T> OracleService<T> {
         if header.len() != 2 || header[0] != DECISIONS_MAGIC {
             return Err(lines.err(format!("bad header: expected '{DECISIONS_MAGIC} {DECISIONS_VERSION}'")));
         }
-        // v1 predates per-decision format parameters: accepted, entries
-        // warm-start with the defaults. Anything else is from the future.
-        let version = header[1].clone();
-        if version != DECISIONS_VERSION && version != "v1" {
+        let version = header[1].as_str();
+        if matches!(version, "v1" | "v2") {
+            // Same line format (v1 without the params token), but keyed by
+            // the structure hash this one superseded: no entry could ever
+            // hit, and inserting them would only evict live ones.
+            return Err(lines.err(format!(
+                "decisions version '{version}' is keyed by the superseded single-chain structure hash; \
+                 re-export from a service running this version ('{DECISIONS_VERSION}')"
+            )));
+        }
+        if version != DECISIONS_VERSION {
             return Err(lines.err(format!("unsupported decisions version '{version}'")));
         }
         let engine = lines.expect_kv("engine")?;
@@ -1878,14 +1914,12 @@ impl<T> OracleService<T> {
             let v = lines.expect_kv("entries")?;
             v.parse().map_err(|_| lines.err(format!("bad entry count '{v}'")))?
         };
-        let expect_toks = if version == "v1" { 5 } else { 6 };
         let mut parsed = Vec::with_capacity(n);
         for _ in 0..n {
             let toks = lines.next_line()?.ok_or_else(|| lines.err("expected 'decision ...', got EOF"))?;
-            if toks.len() != expect_toks || toks[0] != "decision" {
+            if toks.len() != 6 || toks[0] != "decision" {
                 return Err(lines.err(format!(
-                    "expected 'decision <structure> <scalar_bytes> <op> <format>{}', got '{}'",
-                    if expect_toks == 6 { " <params>" } else { "" },
+                    "expected 'decision <structure> <scalar_bytes> <op> <format> <params>', got '{}'",
                     toks.join(" ")
                 )));
             }
@@ -1902,12 +1936,8 @@ impl<T> OracleService<T> {
             };
             let format = FormatId::from_name(&toks[4])
                 .ok_or_else(|| lines.err(format!("unknown format '{}'", toks[4])))?;
-            let params = if version == "v1" {
-                morpheus::FormatParams::default()
-            } else {
-                morpheus::FormatParams::parse_token(&toks[5])
-                    .ok_or_else(|| lines.err(format!("bad format parameters '{}'", toks[5])))?
-            };
+            let params = morpheus::FormatParams::parse_token(&toks[5])
+                .ok_or_else(|| lines.err(format!("bad format parameters '{}'", toks[5])))?;
             parsed.push((
                 CacheKey { structure, scalar_bytes, engine, op },
                 TuneDecision { format, params, op, cost: TuningCost::default() },
@@ -1919,14 +1949,14 @@ impl<T> OracleService<T> {
         }
         let count = parsed.len();
         for (key, decision) in parsed {
-            self.decisions.insert(key, CachedDecision { decision, batch: None });
+            self.decisions.insert(key, CachedDecision { decision, batch: None, realized: None });
         }
         Ok(count)
     }
 }
 
 const DECISIONS_MAGIC: &str = "morpheus-oracle-decisions";
-const DECISIONS_VERSION: &str = "v2";
+const DECISIONS_VERSION: &str = "v3";
 
 /// Decisions-format wrapper over the shared [`LineParser`] tokenizer (the
 /// same one the model files use), mapping its line numbers into
@@ -2043,7 +2073,7 @@ mod tests {
             op: Op::Spmv,
             cost: TuningCost::cached(),
         };
-        let seeded = CachedDecision { decision, batch: None };
+        let seeded = CachedDecision { decision, batch: None, realized: None };
         service.decisions.insert_if_generation(key, seeded, service.decisions.generation());
 
         let report = service.tune(&mut m).unwrap();
@@ -2089,6 +2119,61 @@ mod tests {
         assert_eq!(h2.report().plan, PlanStatus::Reused, "and reuse the shared plan");
         assert_ne!(h1.id(), h2.id());
         assert_eq!(service.registered_matrices().len(), 2);
+    }
+
+    /// A decision-cache hit reads the matrix once, for the key: the entry
+    /// carries the hash of the converted structure the miss computed for
+    /// the alias, so neither the plan lookup nor the handle re-hashes it.
+    #[test]
+    fn a_hit_hashes_the_source_and_nothing_else() {
+        use morpheus::analysis::passes;
+        /// Always BELL: an array-built conversion plans nothing, so every
+        /// traversal counted below is a hash or the analysis.
+        struct AlwaysBell;
+        impl FormatTuner<f64> for AlwaysBell {
+            fn name(&self) -> &'static str {
+                "always-bell"
+            }
+            fn select(
+                &self,
+                _: &DynamicMatrix<f64>,
+                _: &MatrixAnalysis,
+                _: &VirtualEngine,
+                op: Op,
+            ) -> TuneDecision {
+                let params = morpheus::FormatParams::default();
+                TuneDecision { format: FormatId::Bell, params, op, cost: TuningCost::default() }
+            }
+        }
+        let service = Oracle::builder()
+            .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
+            .tuner(AlwaysBell)
+            .workers(1)
+            .build_service()
+            .unwrap();
+
+        passes::reset();
+        let first = service.register(tridiag(700)).unwrap();
+        assert!(!first.report().cache_hit && first.format_id() == FormatId::Bell);
+        assert_eq!(passes::count(), 3, "a miss: key hash, analysis, hash of the converted matrix");
+
+        passes::reset();
+        let again = service.register(tridiag(700)).unwrap();
+        assert!(again.report().cache_hit && again.report().plan == PlanStatus::Reused);
+        assert_eq!(passes::count(), 1, "a repeat registration hashes the source only");
+
+        passes::reset();
+        let (x, mut y) = (vec![1.0f64; 700], vec![0.0f64; 700]);
+        let report = service.tune_and_spmv(&mut tridiag(700), &x, &mut y).unwrap();
+        assert!(report.cache_hit && report.converted && report.plan == PlanStatus::Reused);
+        assert_eq!(passes::count(), 1, "a per-call hit hashes the source only");
+
+        // Re-tuning the converted matrix hits through the alias, and its
+        // key already is the realized hash.
+        let mut switched = first.matrix().clone();
+        passes::reset();
+        assert!(service.tune(&mut switched).unwrap().cache_hit);
+        assert_eq!(passes::count(), 1);
     }
 
     #[test]
@@ -2202,10 +2287,10 @@ mod tests {
         let mut buf = Vec::new();
         service.export_decisions(&mut buf).unwrap();
         let text = String::from_utf8(buf.clone()).unwrap();
-        assert!(text.starts_with("morpheus-oracle-decisions v2\n"), "{text}");
+        assert!(text.starts_with("morpheus-oracle-decisions v3\n"), "{text}");
         assert!(text.trim_end().ends_with("end"));
         for line in text.lines().filter(|l| l.starts_with("decision ")) {
-            assert_eq!(line.split_whitespace().count(), 6, "v2 lines carry a params token: {line}");
+            assert_eq!(line.split_whitespace().count(), 6, "lines carry a params token: {line}");
         }
 
         // A restarted service imports and then serves the same structures
@@ -2263,49 +2348,66 @@ mod tests {
         }
     }
 
+    /// Files written under format v1 (no params token) or v2 are keyed by
+    /// the structure hash this version superseded: importing one is a typed
+    /// refusal naming the scheme, and inserts nothing.
     #[test]
     fn v1_decisions_files_warm_start_with_default_params() {
-        // Files written before the params token existed (format v1) must
-        // still import, with every entry falling back to default params.
         let service = make_service(2);
         let mut a = tridiag(800);
         service.tune(&mut a).unwrap();
         let mut buf = Vec::new();
         service.export_decisions(&mut buf).unwrap();
+        let v3 = String::from_utf8(buf).unwrap();
 
-        // Downgrade the export to the v1 wire format: old header, no
-        // trailing params token on decision lines.
-        let v1: String = String::from_utf8(buf)
-            .unwrap()
-            .lines()
-            .map(|l| {
+        // The export downgraded to each older wire format: old header, and
+        // for v1 no trailing params token on decision lines.
+        let downgrade = |version: &str| {
+            let lines = v3.lines().map(|l| {
                 if l.starts_with("morpheus-oracle-decisions") {
-                    "morpheus-oracle-decisions v1".to_string()
-                } else if l.starts_with("decision ") {
+                    format!("morpheus-oracle-decisions {version}")
+                } else if l.starts_with("decision ") && version == "v1" {
                     l.rsplit_once(' ').unwrap().0.to_string()
                 } else {
                     l.to_string()
                 }
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n";
-
-        let restarted = make_service(2);
-        let imported = restarted.import_decisions(std::io::Cursor::new(v1.as_bytes())).unwrap();
-        assert!(imported >= 1, "v1 file must warm-start, got {imported}");
-        let mut a2 = tridiag(800);
-        let r = restarted.tune(&mut a2).unwrap();
-        assert!(r.cache_hit, "pre-params decisions must still serve from cache");
-        assert_eq!(r.chosen, a.format_id());
-        // Re-exporting upgrades to v2 with the default params token.
-        let mut buf2 = Vec::new();
-        restarted.export_decisions(&mut buf2).unwrap();
-        let text2 = String::from_utf8(buf2).unwrap();
-        assert!(text2.starts_with("morpheus-oracle-decisions v2\n"));
-        for line in text2.lines().filter(|l| l.starts_with("decision ")) {
-            assert!(line.ends_with(" -"), "v1 entries must carry default params: {line}");
+            });
+            lines.collect::<Vec<_>>().join("\n") + "\n"
+        };
+        for version in ["v1", "v2"] {
+            let restarted = make_service(2);
+            let err =
+                restarted.import_decisions(std::io::Cursor::new(downgrade(version).as_bytes())).unwrap_err();
+            assert!(
+                matches!(&err, OracleError::InvalidConfig(why) if why.contains(version) && why.contains("structure hash")),
+                "{version}: {err}"
+            );
+            assert_eq!(restarted.cache_stats().len, 0, "{version}: a refused file inserts nothing");
+            let mut a2 = tridiag(800);
+            assert!(!restarted.tune(&mut a2).unwrap().cache_hit);
         }
+        // The current version of the same file does warm-start.
+        let restarted = make_service(2);
+        assert!(restarted.import_decisions(std::io::Cursor::new(v3.as_bytes())).unwrap() >= 1);
+        assert!(restarted.tune(&mut tridiag(800)).unwrap().cache_hit);
+    }
+
+    /// The line checks the malformed-file cases above make under their old
+    /// headers, under the current one: a decision line carries a params
+    /// token, and it must parse.
+    #[test]
+    fn current_version_lines_must_carry_a_parsable_params_token() {
+        let service = make_service(2);
+        let engine = format!("{:016x}", service.engine_fingerprint);
+        for line in ["decision 1 8 spmv CSR", "decision 1 8 spmv CSR bogus", "decision 1 8 spmq CSR -"] {
+            let file = format!("morpheus-oracle-decisions v3\nengine {engine}\nentries 1\n{line}\nend\n");
+            let err = service.import_decisions(std::io::Cursor::new(file.as_bytes())).unwrap_err();
+            assert!(matches!(err, OracleError::InvalidConfig(_)), "{line}: {err}");
+        }
+        let file = format!(
+            "morpheus-oracle-decisions v3\nengine {engine}\nentries 1\ndecision 1 8 spmv CSR -\nend\n"
+        );
+        assert_eq!(service.import_decisions(std::io::Cursor::new(file.as_bytes())).unwrap(), 1);
     }
 
     #[test]

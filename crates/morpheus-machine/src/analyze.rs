@@ -1,28 +1,28 @@
 //! Structural analysis of a matrix, computed once and shared by all format
 //! cost models.
 //!
-//! Everything the CPU and GPU models need derives from the shared
-//! [`Analysis`] artifact (row-length histogram, diagonal populations,
-//! Table-I statistics) plus one row-major walk of the *active* format for
-//! the entry-order quantities (`x`-gather locality and the HDC remainder's
-//! row histogram). No COO view is materialised — [`analyze_from`] reuses a
-//! caller-supplied `Analysis` so the whole tuning pipeline performs exactly
-//! one histogram pass and one entry walk per matrix.
+//! Everything the CPU and GPU models need is already in the shared
+//! [`Analysis`] artifact: the two histograms and their reductions (Table-I
+//! statistics, prefix sums, 32-row group maxima, the row-length count
+//! table) and the entry-order facts of its one walk (`x`-gather locality,
+//! occupied blocks per BSR dimension). [`analyze_from`] assembles the
+//! machine view from it and touches the matrix again for one thing only:
+//! the row histogram of HDC's CSR remainder, when some but not all entries
+//! lie on true diagonals.
 
 use morpheus::analysis::passes;
 use morpheus::hdc::true_diag_threshold;
-use morpheus::hyb::optimal_hyb_width_u32;
-use morpheus::stats::MatrixStats;
-use morpheus::{for_each_entry_row_major, Analysis, DynamicMatrix, Scalar};
+use morpheus::stats::{MatrixStats, RowLengthCounts};
+use morpheus::{for_each_row_pattern, Analysis, DynamicMatrix, Scalar};
 
 /// GPU warp width used by the SIMT model (both vendors schedule SpMV
 /// row-kernels in 32-wide groups; MI100 wavefronts are 64 but rocSPARSE maps
 /// rows in 32-groups for these kernels, and the distinction is absorbed by
-/// calibration).
-pub const WARP: usize = 32;
+/// calibration). The shared analysis reduces its group maxima at this width.
+pub const WARP: usize = morpheus::stats::ROW_GROUP;
 
 /// Pre-computed structural facts about one matrix.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatrixAnalysis {
     /// Table-I statistics (shape, row distribution, diagonals).
     pub stats: MatrixStats,
@@ -76,6 +76,9 @@ pub struct MatrixAnalysis {
     pub bell_nbuckets: usize,
     /// Rows the BELL buckets hold: the non-empty ones.
     pub bell_rows: usize,
+    /// How many rows hold each number of entries — what parameter proposal
+    /// prices bucket ladders and reads row-length quantiles from.
+    pub row_lengths: RowLengthCounts,
 }
 
 impl MatrixAnalysis {
@@ -224,12 +227,6 @@ fn greedy_balanced_imbalance(hist: &[u32], total: usize, threads: usize) -> f64 
     (worst as f64 / (total / threads as f64)).max(1.0)
 }
 
-/// Warp-divergence statistic: sum over consecutive 32-row groups of the
-/// maximum row length in the group.
-fn warp_divergence_iters(row_hist: &[u32]) -> u64 {
-    row_hist.chunks(WARP).map(|w| w.iter().copied().max().unwrap_or(0) as u64).sum()
-}
-
 /// Analyses a matrix with the default true-diagonal fraction.
 pub fn analyze<V: Scalar>(m: &DynamicMatrix<V>) -> MatrixAnalysis {
     analyze_with_alpha(m, morpheus::hdc::DEFAULT_TRUE_DIAG_ALPHA)
@@ -239,115 +236,63 @@ pub fn analyze<V: Scalar>(m: &DynamicMatrix<V>) -> MatrixAnalysis {
 ///
 /// Convenience wrapper that builds the shared [`Analysis`] first; callers
 /// that already hold one (the Oracle does) should use [`analyze_from`] to
-/// avoid repeating the histogram pass.
+/// avoid repeating the walk.
 pub fn analyze_with_alpha<V: Scalar>(m: &DynamicMatrix<V>, alpha: f64) -> MatrixAnalysis {
     analyze_from(m, &Analysis::of_auto(m, alpha))
 }
 
-/// Derives the machine model's [`MatrixAnalysis`] from a shared
-/// [`Analysis`], adding the two entry-order quantities the histograms
-/// cannot express (gather locality and the HDC remainder's row histogram)
-/// in a single row-major walk of the active format — no COO view, no
-/// additional histogram passes.
+/// Assembles the machine model's [`MatrixAnalysis`] from a shared
+/// [`Analysis`]. Reads `m` only for the HDC remainder's row histogram, and
+/// only when the split is mixed (`0 < true-diagonal entries < nnz`):
+/// otherwise the remainder is the whole matrix or nothing.
 pub fn analyze_from<V: Scalar>(m: &DynamicMatrix<V>, shared: &Analysis) -> MatrixAnalysis {
     debug_assert!(shared.matches(m), "analysis artifact does not describe this matrix");
     let (nrows, ncols) = (shared.nrows, shared.ncols);
     let nnz = shared.nnz();
-    let alpha = shared.stats.true_diag_alpha;
-    let row_hist = shared.row_hist.clone();
+    let rows = &shared.rows;
 
-    // Diagonal summary + HDC split, straight from the population histogram.
-    let threshold = true_diag_threshold(nrows, ncols, alpha) as u32;
-    let ntrue = shared.stats.ntrue_diags;
-    let dia_nnz: usize = shared.diag_pop.iter().filter(|&&p| p >= threshold).map(|&p| p as usize).sum();
-    let hdc_csr_nnz = nnz - dia_nnz;
-
-    // HYB split width and surplus.
-    let hyb_width = optimal_hyb_width_u32(&row_hist, std::mem::size_of::<V>());
-    let hyb_coo_nnz: usize = row_hist.iter().map(|&l| (l as usize).saturating_sub(hyb_width)).sum();
-
-    // BELL bucketing derives from the row histogram alone: mirror the
-    // BELL builder with the default power-of-two ladder — each non-empty
-    // row lands in the first bucket wide enough for it.
-    let ladder = morpheus::bell::default_bucket_widths(shared.stats.row_nnz_max);
-    let mut bucket_rows = vec![0usize; ladder.len()];
-    let mut bell_padded = 0usize;
-    for &l in &row_hist {
-        if l == 0 {
-            continue;
-        }
-        let b = ladder.partition_point(|&w| w < l as usize);
-        bucket_rows[b] += 1;
-        bell_padded += ladder[b];
-    }
-    let bell_nbuckets = bucket_rows.iter().filter(|&&n| n > 0).count();
-    let bell_rows = bucket_rows.iter().sum();
-
-    // One row-major walk for the entry-order quantities: the probability an
-    // x-gather hits an already-fetched cache line (consecutive entries of a
-    // row within 8 doubles), the per-row occupancy of the HDC CSR
-    // remainder (entries off every true diagonal), and the occupied-block
-    // counts for each BSR dim. Rows arrive ascending, so a block row is
-    // never revisited: remembering the last block row that touched each
-    // block column gives exact distinct-block counts in O(1) per entry.
-    passes::record_traversal();
-    let mut local_hits = 0usize;
-    let mut hdc_csr_hist = row_hist.clone();
-    let mut prev: Option<(usize, usize)> = None;
-    let mut bsr_blocks = [0usize; 3];
-    let mut block_seen: [Vec<usize>; 3] =
-        std::array::from_fn(|i| vec![usize::MAX; ncols.div_ceil(morpheus::BSR_BLOCK_DIMS[i])]);
-    for_each_entry_row_major(m, |r, c, _| {
-        if let Some((pr, pc)) = prev {
-            if pr == r && c - pc <= 8 {
-                local_hits += 1;
-            }
-        }
-        prev = Some((r, c));
-        if ntrue > 0 && shared.diag_pop[c + nrows - 1 - r] >= threshold {
-            hdc_csr_hist[r] -= 1;
-        }
-        for (i, &b) in morpheus::BSR_BLOCK_DIMS.iter().enumerate() {
-            let (br, bc) = (r / b, c / b);
-            if block_seen[i][bc] != br {
-                block_seen[i][bc] = br;
-                bsr_blocks[i] += 1;
-            }
-        }
-    });
-    let locality = if nnz == 0 { 1.0 } else { local_hits as f64 / nnz as f64 };
-
-    let hdc_csr_mean_row = if nrows == 0 { 0.0 } else { hdc_csr_nnz as f64 / nrows as f64 };
-    let hdc_csr_max_row = hdc_csr_hist.iter().copied().max().unwrap_or(0) as usize;
-
-    let mut row_prefix = Vec::with_capacity(nrows + 1);
-    row_prefix.push(0u64);
-    let mut acc = 0u64;
-    for &c in &row_hist {
-        acc += c as u64;
-        row_prefix.push(acc);
-    }
+    let hyb_width = rows.lengths.hyb_width(std::mem::size_of::<V>());
+    let hdc_dia_nnz = shared.true_diag_nnz;
+    let hdc_csr_nnz = nnz - hdc_dia_nnz;
+    // (histogram, longest row, warp iterations) of the HDC CSR remainder.
+    let (hdc_csr_hist, hdc_csr_max_row, warp_iters_hdc_csr) = if hdc_dia_nnz == 0 {
+        (shared.row_hist.clone(), shared.stats.row_nnz_max, rows.group_max_sum)
+    } else if hdc_csr_nnz == 0 {
+        (vec![0u32; nrows], 0, 0)
+    } else {
+        passes::record_traversal();
+        let threshold = true_diag_threshold(nrows, ncols, shared.stats.true_diag_alpha) as u32;
+        let mut hist = shared.row_hist.clone();
+        for_each_row_pattern(m, |r, cols| {
+            let slots = cols.iter().map(|&c| shared.diag_pop[c + nrows - 1 - r]);
+            hist[r] -= slots.filter(|&p| p >= threshold).count() as u32;
+        });
+        let groups = hist.chunks(WARP).map(|w| u64::from(w.iter().copied().max().unwrap_or(0)));
+        let (longest, warp_iters) = groups.fold((0, 0), |(l, s), g| (l.max(g), s + g));
+        (hist, longest as usize, warp_iters)
+    };
 
     MatrixAnalysis {
-        warp_iters_csr: warp_divergence_iters(&row_hist),
-        warp_iters_hdc_csr: warp_divergence_iters(&hdc_csr_hist),
+        warp_iters_csr: rows.group_max_sum,
+        warp_iters_hdc_csr,
         stats: shared.stats.clone(),
-        row_hist,
-        locality,
+        row_hist: shared.row_hist.clone(),
+        locality: if nnz == 0 { 1.0 } else { shared.entries.gather_hits as f64 / nnz as f64 },
         ell_width: shared.stats.row_nnz_max,
         hyb_width,
-        hyb_coo_nnz,
-        hdc_ntrue: ntrue,
-        hdc_dia_nnz: dia_nnz,
+        hyb_coo_nnz: rows.lengths.spill_beyond(hyb_width),
+        hdc_ntrue: shared.stats.ntrue_diags,
+        hdc_dia_nnz,
         hdc_csr_nnz,
-        hdc_csr_mean_row,
+        hdc_csr_mean_row: if nrows == 0 { 0.0 } else { hdc_csr_nnz as f64 / nrows as f64 },
         hdc_csr_max_row,
         hdc_csr_hist,
-        row_prefix,
-        bsr_blocks,
-        bell_padded,
-        bell_nbuckets,
-        bell_rows,
+        row_prefix: rows.prefix.clone(),
+        bsr_blocks: shared.entries.bsr_blocks,
+        bell_padded: rows.bell.padded,
+        bell_nbuckets: rows.bell.buckets,
+        bell_rows: rows.lengths.nonempty_rows(),
+        row_lengths: rows.lengths.clone(),
     }
 }
 
@@ -552,12 +497,30 @@ mod tests {
         }
     }
 
+    /// The machine view reads the matrix again only for a mixed HDC split:
+    /// never on a matrix whose every diagonal is true, once when some
+    /// entries lie off the true diagonals.
     #[test]
-    fn analyze_from_adds_exactly_one_traversal() {
+    fn analyze_from_touches_the_matrix_only_for_a_mixed_hdc_split() {
         let m = tridiag(300);
         let shared = Analysis::of(&m, morpheus::hdc::DEFAULT_TRUE_DIAG_ALPHA);
         passes::reset();
-        let _ = analyze_from(&m, &shared);
-        assert_eq!(passes::count(), 1, "only the locality/HDC walk may touch the matrix");
+        let pure = analyze_from(&m, &shared);
+        assert_eq!(passes::count(), 0, "all entries on true diagonals: nothing left to walk for");
+        assert_eq!((pure.hdc_csr_nnz, pure.warp_iters_hdc_csr, pure.hdc_csr_max_row), (0, 0, 0));
+
+        // The same band plus strays off it.
+        let mut coo = m.to_coo().iter().collect::<Vec<_>>();
+        coo.extend([(0, 150, 1.0), (0, 200, 1.0), (40, 250, 1.0)]);
+        let (r, c): (Vec<usize>, Vec<usize>) = coo.iter().map(|e| (e.0, e.1)).unzip();
+        let mixed =
+            DynamicMatrix::from(CooMatrix::from_triplets(300, 300, &r, &c, &vec![1.0; r.len()]).unwrap());
+        let shared = Analysis::of(&mixed, morpheus::hdc::DEFAULT_TRUE_DIAG_ALPHA);
+        passes::reset();
+        let a = analyze_from(&mixed, &shared);
+        assert_eq!(passes::count(), 1, "only the HDC remainder walk may touch the matrix");
+        assert_eq!((a.hdc_csr_nnz, a.hdc_csr_max_row), (3, 2));
+        assert_eq!(a.hdc_csr_hist.iter().map(|&n| n as usize).sum::<usize>(), 3);
+        assert_eq!(a.warp_iters_hdc_csr, 2 + 1, "row 0 holds two strays, row 40 one");
     }
 }

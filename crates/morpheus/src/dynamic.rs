@@ -220,8 +220,28 @@ impl<V: Scalar> DynamicMatrix<V> {
     /// Two matrices with equal fingerprints share their row/column pattern
     /// and active format, hence their [`crate::stats::MatrixStats`] and
     /// feature vector — which is what lets the Oracle's decision cache skip
-    /// re-analysis. One cheap streaming pass over the index data; no
-    /// conversion, no allocation.
+    /// re-analysis. One streaming pass over the index data; no conversion.
+    ///
+    /// # Definition
+    ///
+    /// The header words (format id, shape, nnz, per-format scalars such as
+    /// ELL's width) feed one xor-multiply chain in order. Every index
+    /// *array* — COO rows and columns, CSR offsets and columns, DIA's
+    /// offsets and its zero/non-zero pattern packed 64 flags to a word, the
+    /// block formats' arrays — is hashed by four independent xor-multiply
+    /// chains: an array of `n` words is cut into four contiguous runs of
+    /// `n / 4` words (the last takes the remainder as well) and each run
+    /// feeds its own chain, so no chain waits for another. The array's
+    /// length and its four chain states then join the header chain, and one
+    /// avalanche round finishes. The cut is fixed by the array's length
+    /// alone — nothing in the definition refers to threads or chunk sizes,
+    /// so the value depends on the words and their positions only. Each
+    /// step of a chain is a bijection of its state, so changing any single
+    /// hashed word always changes the fingerprint. BELL, whose cells are
+    /// stored slice-major, is hashed row by row instead: each stored row's
+    /// cells through a chain of its own (a slice's eight rows side by
+    /// side), then `(row, row hash)` into the header chain in bucket and
+    /// position order.
     ///
     /// Prefer reading [`Analysis::structure_hash`] when an analysis of the
     /// matrix already exists — this method re-walks the index arrays (and
@@ -233,7 +253,7 @@ impl<V: Scalar> DynamicMatrix<V> {
     }
 
     /// [`DynamicMatrix::structure_hash`] without traversal accounting, for
-    /// internal passes that fold the hash into a larger fused walk.
+    /// internal passes that account for the walk themselves.
     pub(crate) fn structure_hash_raw(&self) -> u64 {
         let mut h = StructureHasher::new();
         h.word(self.format_id().index() as u64);
@@ -272,9 +292,7 @@ impl<V: Scalar> DynamicMatrix<V> {
                 h.word(m.block_c() as u64);
                 h.words(m.block_row_offsets());
                 h.words(m.block_cols());
-                for &mask in m.masks() {
-                    h.word(mask);
-                }
+                h.words(m.masks());
             }
             DynamicMatrix::Bell(m) => {
                 // Each row's cells hash on their own in `k` order (pads repeat
@@ -309,7 +327,40 @@ impl<V: Scalar> DynamicMatrix<V> {
     }
 }
 
-/// FNV-1a-style streaming hasher used by [`DynamicMatrix::structure_hash`].
+/// Independent xor-multiply chains an index array is hashed by (see
+/// [`DynamicMatrix::structure_hash`]): a 64-bit multiply has a latency of
+/// three or four cycles and a throughput of one, so four chains keep the
+/// multiplier busy where one chain waits on itself.
+const HASH_LANES: usize = 4;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One step of an xor-multiply chain: a bijection of `state` for any `w`.
+#[inline(always)]
+fn mix(state: u64, w: u64) -> u64 {
+    (state ^ w).wrapping_mul(FNV_PRIME)
+}
+
+/// An index word of any of the widths the formats store.
+trait Word: Copy {
+    fn widen(self) -> u64;
+}
+
+macro_rules! word {
+    ($($t:ty),*) => {$(
+        impl Word for $t {
+            #[inline(always)]
+            fn widen(self) -> u64 {
+                self as u64
+            }
+        }
+    )*};
+}
+word!(usize, isize, u64);
+
+/// Streaming hasher behind [`DynamicMatrix::structure_hash`]: one
+/// FNV-1a-style chain for the header words, [`HASH_LANES`] chains per array.
 #[derive(Clone, Copy)]
 struct StructureHasher {
     state: u64,
@@ -317,37 +368,53 @@ struct StructureHasher {
 
 impl StructureHasher {
     fn new() -> Self {
-        StructureHasher { state: 0xcbf2_9ce4_8422_2325 }
+        StructureHasher { state: FNV_OFFSET }
     }
 
     #[inline]
     fn word(&mut self, w: u64) {
-        self.state ^= w;
-        self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
+        self.state = mix(self.state, w);
     }
 
-    fn words(&mut self, ws: &[usize]) {
-        for &w in ws {
-            self.word(w as u64);
+    /// One index array: its four contiguous runs through their own chains
+    /// side by side, then the length and the chain states into the header
+    /// chain. (The runs are read through four separate slices on purpose:
+    /// lanes fed from adjacent words invite a vectorised 64-bit multiply,
+    /// which every x86 level below AVX-512 emulates at a loss.)
+    fn words<T: Word>(&mut self, ws: &[T]) {
+        let run = ws.len() / HASH_LANES;
+        let (a, rest) = ws.split_at(run);
+        let (b, rest) = rest.split_at(run);
+        let (c, rest) = rest.split_at(run);
+        let (d, remainder) = rest.split_at(run);
+        // Distinct seeds: equal runs leave different states.
+        let seed = |l: u64| FNV_OFFSET ^ (l + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut lanes = [seed(0), seed(1), seed(2), seed(3)];
+        for i in 0..run {
+            lanes[0] = mix(lanes[0], a[i].widen());
+            lanes[1] = mix(lanes[1], b[i].widen());
+            lanes[2] = mix(lanes[2], c[i].widen());
+            lanes[3] = mix(lanes[3], d[i].widen());
         }
+        for w in remainder {
+            lanes[3] = mix(lanes[3], w.widen());
+        }
+        self.word(ws.len() as u64);
+        lanes.into_iter().for_each(|lane| self.word(lane));
     }
 
     /// DIA structure: offsets plus the zero/non-zero pattern of the padded
     /// value array (DIA encodes padding as stored zeros, so the indices
-    /// alone do not determine the pattern). Flags are packed 64 per word.
+    /// alone do not determine the pattern). Flags are packed 64 per word,
+    /// value `i` of a word's 64 at bit `i`.
     fn dia<V: Scalar>(&mut self, m: &crate::dia::DiaMatrix<V>) {
-        for &off in m.offsets() {
-            self.word(off as u64);
-        }
-        let mut packed = 0u64;
-        for (i, &v) in m.values().iter().enumerate() {
-            packed = (packed << 1) | u64::from(v != V::ZERO);
-            if i % 64 == 63 {
-                self.word(packed);
-                packed = 0;
-            }
-        }
-        self.word(packed);
+        self.words(m.offsets());
+        let packed = |chunk: &[V]| {
+            let flags = chunk.iter().enumerate().map(|(i, &v)| u64::from(v != V::ZERO) << i);
+            flags.fold(0, |word, flag| word | flag)
+        };
+        let pattern: Vec<u64> = m.values().chunks(64).map(packed).collect();
+        self.words(&pattern);
     }
 
     fn finish(&self) -> u64 {
@@ -562,6 +629,81 @@ mod tests {
             }
         }
         assert_eq!(m.structure_hash(), h.finish());
+    }
+
+    /// An array's hash is its four contiguous runs through four chains,
+    /// whatever its length: shorter than a lane each, a multiple of four,
+    /// or with a remainder (which the last chain takes).
+    #[test]
+    fn an_array_is_hashed_as_four_contiguous_runs() {
+        for len in [0usize, 1, 3, 4, 5, 8, 11, 64, 67] {
+            let ws: Vec<usize> = (0..len).map(|i| i * 2654435761 % 1000).collect();
+            let run = len / HASH_LANES;
+            let mut expect = StructureHasher::new();
+            expect.word(len as u64);
+            for l in 0..HASH_LANES {
+                let end = if l + 1 == HASH_LANES { len } else { (l + 1) * run };
+                let seed = FNV_OFFSET ^ (l as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                expect.word(ws[l * run..end].iter().fold(seed, |s, &w| mix(s, w as u64)));
+            }
+            let mut got = StructureHasher::new();
+            got.words(&ws);
+            assert_eq!(got.finish(), expect.finish(), "len {len}");
+        }
+    }
+
+    /// Changing any single index word changes the hash (every chain step is
+    /// a bijection of its state), and so does swapping two unequal words —
+    /// in one lane or across lanes — in every format's arrays.
+    #[test]
+    fn structure_hash_sees_every_word_and_its_position() {
+        let coo = random_coo::<f64>(40, 37, 260, 21);
+        let base = DynamicMatrix::from(coo.clone()).structure_hash();
+        // The COO arm of the hash over raw arrays: perturbed arrays need not
+        // be a matrix any constructor would accept.
+        let rebuilt = |rows: &[usize], cols: &[usize]| {
+            let mut h = StructureHasher::new();
+            for w in [FormatId::Coo.index(), 40, 37, rows.len()] {
+                h.word(w as u64);
+            }
+            h.words(rows);
+            h.words(cols);
+            h.finish()
+        };
+        assert_eq!(rebuilt(coo.row_indices(), coo.col_indices()), base);
+        for i in 0..coo.nnz() {
+            // One index word moved by one.
+            let mut cols = coo.col_indices().to_vec();
+            cols[i] += 1;
+            assert_ne!(rebuilt(coo.row_indices(), &cols), base, "column word {i}");
+            let mut rows = coo.row_indices().to_vec();
+            rows[i] += 1;
+            assert_ne!(rebuilt(&rows, coo.col_indices()), base, "row word {i}");
+            // Swaps with the next word, one seven on, and the words a
+            // quarter and a half of the array on: within a chain and across
+            // chains.
+            for d in [1, 7, coo.nnz() / 4, coo.nnz() / 2] {
+                let j = i + d;
+                if j < coo.nnz() && coo.col_indices()[i] != coo.col_indices()[j] {
+                    let mut cols = coo.col_indices().to_vec();
+                    cols.swap(i, j);
+                    assert_ne!(rebuilt(coo.row_indices(), &cols), base, "columns {i} and {j} swapped");
+                }
+            }
+        }
+        // The other formats' arrays, through one changed entry each: moving
+        // an entry one column over changes at least one hashed word.
+        let opts = ConvertOptions { min_padded_allowance: 1 << 22, ..Default::default() };
+        let (rows, mut cols) = (coo.row_indices(), coo.col_indices().to_vec());
+        let movable = |i: usize| (i + 1 == rows.len() || rows[i + 1] != rows[i]) && cols[i] + 1 < 37;
+        let i = (0..rows.len()).rev().find(|&i| movable(i)).expect("some row ends before the last column");
+        cols[i] += 1;
+        let moved = CooMatrix::from_triplets(40, 37, rows, &cols, coo.values()).unwrap();
+        for &f in &ALL_FORMATS {
+            let a = DynamicMatrix::from(coo.clone()).to_format(f, &opts).unwrap();
+            let b = DynamicMatrix::from(moved.clone()).to_format(f, &opts).unwrap();
+            assert_ne!(a.structure_hash(), b.structure_hash(), "{f}");
+        }
     }
 
     #[test]

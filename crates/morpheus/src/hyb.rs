@@ -117,22 +117,31 @@ fn optimal_hyb_width_iter(
     row_lengths: impl Iterator<Item = usize> + Clone,
     value_bytes: usize,
 ) -> usize {
-    if nrows == 0 {
-        return 0;
-    }
     let max_len = row_lengths.clone().max().unwrap_or(0);
-    if max_len == 0 {
+    // rows_with_len[l] = number of rows of length exactly l.
+    let mut rows_with_len = vec![0usize; max_len + 1];
+    for l in row_lengths {
+        rows_with_len[l] += 1;
+    }
+    optimal_hyb_width_from_counts(nrows, &rows_with_len, value_bytes)
+}
+
+/// [`optimal_hyb_width`] from the row-length count table
+/// (`rows_with_len[l]` rows hold exactly `l` entries, the last slot being
+/// the longest row's), O(max_len) — what
+/// [`crate::stats::RowLengthCounts`] holds.
+pub(crate) fn optimal_hyb_width_from_counts(
+    nrows: usize,
+    rows_with_len: &[usize],
+    value_bytes: usize,
+) -> usize {
+    let max_len = rows_with_len.len().saturating_sub(1);
+    if nrows == 0 || max_len == 0 {
         return 0;
     }
     let index_bytes = std::mem::size_of::<usize>();
     let ell_slot = (value_bytes + index_bytes) as u128;
     let coo_entry = (value_bytes + 2 * index_bytes) as u128;
-
-    // rows_with_len[l] = number of rows of length exactly l.
-    let mut rows_with_len = vec![0u64; max_len + 1];
-    for l in row_lengths {
-        rows_with_len[l] += 1;
-    }
     // For K from max_len down to 0 maintain:
     //   rows_longer = #rows with len > K
     //   surplus     = Σ max(0, len_i - K)

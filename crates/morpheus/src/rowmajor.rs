@@ -251,6 +251,53 @@ pub fn for_each_entry_row_major<V: Scalar>(m: &DynamicMatrix<V>, mut f: impl FnM
     }
 }
 
+/// The maximal runs of equal row index in a COO row array, as
+/// `(row, entry range)` — the rows of a sorted COO matrix, in order, found
+/// by comparing alone (no per-entry counter to store).
+pub(crate) fn coo_row_runs(rows: &[usize]) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> + '_ {
+    let mut i = 0usize;
+    std::iter::from_fn(move || {
+        let &r = rows.get(i)?;
+        let start = i;
+        i += rows[i..].iter().take_while(|&&x| x == r).count();
+        Some((r, start..i))
+    })
+}
+
+/// Calls `f(row, cols)` for every row that holds entries, in ascending row
+/// order, `cols` being the row's structural column indices in ascending
+/// order — the pattern alone, a row at a time, which is what lets a consumer
+/// keep per-row state in registers. Sorted COO is read by runs of equal row
+/// index and CSR by its offsets, both straight from their arrays; every
+/// other format goes through its row-major walk into one reused buffer.
+pub fn for_each_row_pattern<V: Scalar>(m: &DynamicMatrix<V>, mut f: impl FnMut(usize, &[usize])) {
+    match m {
+        DynamicMatrix::Coo(a) => {
+            let cols = a.col_indices();
+            coo_row_runs(a.row_indices()).for_each(|(r, run)| f(r, &cols[run]));
+        }
+        DynamicMatrix::Csr(a) => {
+            for r in 0..a.nrows() {
+                let cols = a.row_cols(r);
+                if !cols.is_empty() {
+                    f(r, cols);
+                }
+            }
+        }
+        other => {
+            let src = crate::convert::as_rowmajor(other);
+            let mut cols = Vec::new();
+            for r in 0..src.nrows() {
+                cols.clear();
+                src.emit_row(r, &mut |c, _| cols.push(c));
+                if !cols.is_empty() {
+                    f(r, &cols);
+                }
+            }
+        }
+    }
+}
+
 fn visit_rows<V: Scalar>(a: &impl RowMajor<V>, f: &mut impl FnMut(usize, usize, V)) {
     for r in 0..a.nrows() {
         a.emit_row(r, &mut |c, v| f(r, c, v));
@@ -277,6 +324,28 @@ mod tests {
                 for_each_entry_row_major(&m, |r, c, v| got.push((r, c, v)));
                 assert_eq!(got, expect, "row-major walk for {fmt} (seed {seed})");
             }
+        }
+    }
+
+    #[test]
+    fn row_patterns_match_the_entry_walk() {
+        // Rows 9..14 are empty: no format may visit them.
+        let coo = random_coo::<f64>(40, 33, 160, 4);
+        let kept: Vec<_> = coo.iter().filter(|e| !(9..14).contains(&e.0)).collect();
+        let (r, c): (Vec<usize>, Vec<usize>) = kept.iter().map(|e| (e.0, e.1)).unzip();
+        let v: Vec<f64> = kept.iter().map(|e| e.2).collect();
+        let base = DynamicMatrix::from(CooMatrix::from_triplets(40, 33, &r, &c, &v).unwrap());
+        let opts = ConvertOptions { min_padded_allowance: 1 << 22, ..Default::default() };
+        for &fmt in &ALL_FORMATS {
+            let m = base.to_format(fmt, &opts).unwrap();
+            let mut expect = Vec::new();
+            for_each_entry_row_major(&m, |r, c, _| expect.push((r, c)));
+            let mut got = Vec::new();
+            for_each_row_pattern(&m, |r, cols| {
+                assert!(!cols.is_empty(), "{fmt}: empty row {r} visited");
+                got.extend(cols.iter().map(|&c| (r, c)));
+            });
+            assert_eq!(got, expect, "{fmt}");
         }
     }
 

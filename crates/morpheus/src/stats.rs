@@ -1,19 +1,25 @@
-//! Per-format matrix statistics (§VI-C).
+//! Per-format matrix statistics (§VI-C), and the one reduction of the two
+//! histograms every consumer shares.
 //!
 //! The Oracle's ML tuners need the ten features of Table I *without*
 //! converting the matrix out of its active format — "Morpheus has been
 //! extended to provide matrix statistics on a per-format basis ...
-//! eliminating the need for any data transfers". Each format here computes
-//! the row-occupancy histogram and the diagonal populations directly from
-//! its own arrays, fusing passes where possible.
+//! eliminating the need for any data transfers". [`stats_of`] computes the
+//! row-occupancy histogram and the diagonal populations directly from each
+//! format's own arrays, in whatever order suits the layout.
+//!
+//! Everything read *off* the histograms — Table I, the row prefix sums, the
+//! 32-row group maxima, the row-length count table BELL padding, HYB's split
+//! and the quantile ladder derive from — comes out of `reduce`: one loop
+//! over the row histogram, one over the diagonal populations, shared by
+//! [`stats_of`] and the [`crate::analysis::Analysis`] artifact, so their
+//! [`MatrixStats`] are bitwise identical.
 
 use crate::coo::CooMatrix;
-use crate::csr::CsrMatrix;
 use crate::dia::DiaMatrix;
 use crate::dynamic::DynamicMatrix;
 use crate::ell::{EllMatrix, ELL_PAD};
-use crate::hdc::{true_diag_threshold, HdcMatrix};
-use crate::hyb::HybMatrix;
+use crate::hdc::true_diag_threshold;
 use crate::scalar::Scalar;
 
 /// Summary statistics of a sparsity pattern: everything Table I's features
@@ -66,94 +72,193 @@ impl MatrixStats {
     }
 }
 
-/// Accumulates row and diagonal histograms, then reduces them to
-/// [`MatrixStats`]. The `diag_pop` array indexes diagonals by
-/// `col - row + (nrows - 1)`, covering all `nrows + ncols - 1` diagonals.
-struct StatsAccum {
-    nrows: usize,
-    ncols: usize,
-    row_counts: Vec<u32>,
-    diag_pop: Vec<u32>,
+/// Rows per group of [`RowSummary::group_max_sum`] (the machine model's
+/// SIMT row-kernels schedule rows in groups of this many).
+pub const ROW_GROUP: usize = 32;
+
+/// How many rows hold each number of entries: the table BELL bucketing, the
+/// HYB split and the row-length quantiles derive from in O(longest row)
+/// instead of O(rows).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct RowLengthCounts {
+    /// `rows_with_len[l]` rows hold exactly `l` entries; the last slot is
+    /// the longest row's (one slot, for length 0, when there are no rows).
+    rows_with_len: Vec<usize>,
 }
 
-impl StatsAccum {
-    fn new(nrows: usize, ncols: usize) -> Self {
-        let slots = if nrows == 0 || ncols == 0 { 0 } else { nrows + ncols - 1 };
-        StatsAccum { nrows, ncols, row_counts: vec![0; nrows], diag_pop: vec![0; slots] }
+/// What a BELL bucket ladder costs a matrix (see
+/// [`RowLengthCounts::ladder_fit`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LadderFit {
+    /// Slots allocated: each non-empty row padded to its bucket's width.
+    pub padded: usize,
+    /// Buckets holding at least one row.
+    pub buckets: usize,
+}
+
+impl RowLengthCounts {
+    /// Length of the longest row.
+    pub fn max_len(&self) -> usize {
+        self.rows_with_len.len().saturating_sub(1)
     }
 
-    #[inline(always)]
-    fn record(&mut self, r: usize, c: usize) {
-        self.row_counts[r] += 1;
-        self.diag_pop[c + self.nrows - 1 - r] += 1;
+    /// Rows holding at least one entry (the rows BELL stores).
+    pub fn nonempty_rows(&self) -> usize {
+        self.populated().map(|(_, rows)| rows).sum()
     }
 
-    fn finish(self, alpha: f64) -> MatrixStats {
-        reduce_stats(self.nrows, self.ncols, &self.row_counts, &self.diag_pop, alpha)
+    /// `(length, rows)` for every non-zero length some row has, ascending.
+    fn populated(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.rows_with_len.iter().copied().enumerate().skip(1).filter(|&(_, rows)| rows > 0)
+    }
+
+    /// Exact cost of bucketing the rows under `ladder` (ascending bucket
+    /// widths): each non-empty row lands in the first bucket wide enough
+    /// for it. Rows wider than the last bucket are priced at their own
+    /// length and share one further bucket (conversion widens the ladder in
+    /// that case; for pricing that is the floor). The one place BELL
+    /// padding is computed, for the default ladder and proposed ones alike.
+    pub fn ladder_fit(&self, ladder: &[usize]) -> LadderFit {
+        let mut fit = LadderFit::default();
+        let mut b = 0usize;
+        let mut counted = usize::MAX; // last bucket that received rows
+        for (len, rows) in self.populated() {
+            while b < ladder.len() && ladder[b] < len {
+                b += 1;
+            }
+            fit.padded += rows * ladder.get(b).map_or(len, |&w| w);
+            fit.buckets += usize::from(counted != b);
+            counted = b;
+        }
+        fit
+    }
+
+    /// Entries beyond the first `width` of each row (HYB's COO spill at
+    /// that split width).
+    pub fn spill_beyond(&self, width: usize) -> usize {
+        self.populated().map(|(len, rows)| len.saturating_sub(width) * rows).sum()
+    }
+
+    /// Storage-optimal HYB split width for entries of `value_bytes` each.
+    pub fn hyb_width(&self, value_bytes: usize) -> usize {
+        let nrows = self.rows_with_len.iter().sum();
+        crate::hyb::optimal_hyb_width_from_counts(nrows, &self.rows_with_len, value_bytes)
+    }
+
+    /// The non-empty rows' lengths at the given fractions of their sorted
+    /// order (element `round((n - 1) * f)` of `n`), `fractions` ascending;
+    /// `None` when every row is empty.
+    pub fn quantiles<const N: usize>(&self, fractions: [f64; N]) -> Option<[usize; N]> {
+        let n = self.nonempty_rows();
+        if n == 0 {
+            return None;
+        }
+        let mut out = [0usize; N];
+        let mut lens = self.populated();
+        let (mut len, mut below) = (0usize, 0usize); // rows of length <= `len`
+        for (slot, f) in out.iter_mut().zip(fractions) {
+            let rank = ((n - 1) as f64 * f).round() as usize;
+            while below <= rank {
+                let (l, rows) = lens.next().expect("rank < n non-empty rows");
+                len = l;
+                below += rows;
+            }
+            *slot = len;
+        }
+        Some(out)
     }
 }
 
-/// Reduces a row-nnz histogram and diagonal-population array to
-/// [`MatrixStats`].
+/// What one loop over the row-nnz histogram yields beyond Table I.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct RowSummary {
+    /// Prefix sums of the histogram: `prefix[i]` entries lie in rows `< i`
+    /// (`nrows + 1` slots).
+    pub prefix: Vec<u64>,
+    /// Sum over consecutive [`ROW_GROUP`]-row groups of the group's longest
+    /// row.
+    pub group_max_sum: u64,
+    /// The row-length count table.
+    pub lengths: RowLengthCounts,
+    /// Fit of the default power-of-two BELL ladder
+    /// ([`crate::bell::default_bucket_widths`]).
+    pub bell: LadderFit,
+}
+
+/// Everything [`reduce`] reads off the two histograms.
+pub(crate) struct Reduced {
+    pub stats: MatrixStats,
+    pub rows: RowSummary,
+    /// Entries on true diagonals (population at or above the threshold).
+    pub true_diag_nnz: usize,
+}
+
+/// Reduces a row-nnz histogram and a diagonal-population array: one loop
+/// over each (after a sum/min/max sweep that fixes the mean and sizes the
+/// count table).
 ///
-/// This is the single reduction every stats producer goes through — the
-/// per-format [`stats_of`] accumulators and the shared
-/// [`crate::analysis::Analysis`] artifact — so their results are **bitwise**
-/// identical (summation order over the histograms is fixed).
-pub(crate) fn reduce_stats(
+/// This is the single reduction every producer goes through — [`stats_of`]
+/// and the shared [`crate::analysis::Analysis`] artifact — so their
+/// [`MatrixStats`] are **bitwise** identical (summation order over the
+/// histograms is fixed).
+pub(crate) fn reduce(
     nrows: usize,
     ncols: usize,
     row_counts: &[u32],
     diag_pop: &[u32],
     alpha: f64,
-) -> MatrixStats {
+) -> Reduced {
     let nnz: usize = row_counts.iter().map(|&c| c as usize).sum();
-    let (mut min, mut max) = if nrows == 0 { (0, 0) } else { (u32::MAX, 0u32) };
-    for &c in row_counts {
-        min = min.min(c);
-        max = max.max(c);
-    }
-    if nrows == 0 {
-        min = 0;
-    }
+    let min = row_counts.iter().copied().min().unwrap_or(0);
+    let max = row_counts.iter().copied().max().unwrap_or(0);
     let mean = if nrows == 0 { 0.0 } else { nnz as f64 / nrows as f64 };
-    let var = if nrows == 0 {
-        0.0
-    } else {
-        row_counts.iter().map(|&c| (c as f64 - mean).powi(2)).sum::<f64>() / nrows as f64
-    };
+
+    let mut squares = 0.0f64;
+    let mut prefix = vec![0u64; row_counts.len() + 1];
+    let mut entries = 0u64;
+    let mut group_max_sum = 0u64;
+    // Four counters per length, taken in turn: neighbouring rows are often
+    // equally long, and one counter would chain every increment through the
+    // store before it.
+    let mut counters = vec![[0usize; 4]; max as usize + 1];
+    for (group, sums) in row_counts.chunks(ROW_GROUP).zip(prefix[1..].chunks_mut(ROW_GROUP)) {
+        let mut longest = 0u32;
+        for (i, (&c, sum)) in group.iter().zip(sums).enumerate() {
+            squares += (c as f64 - mean).powi(2);
+            entries += u64::from(c);
+            *sum = entries;
+            counters[c as usize][i % 4] += 1;
+            longest = longest.max(c);
+        }
+        group_max_sum += u64::from(longest);
+    }
+    let rows_with_len: Vec<usize> = counters.iter().map(|c| c.iter().sum()).collect();
+    let var = if nrows == 0 { 0.0 } else { squares / nrows as f64 };
+    let lengths = RowLengthCounts { rows_with_len };
+    // Exact BELL padding under the default ladder: each non-empty row
+    // rounds up to its bucket width.
+    let bell = lengths.ladder_fit(&crate::bell::default_bucket_widths(max as usize));
+    let bucket_skew = if nnz == 0 { 1.0 } else { bell.padded as f64 / nnz as f64 };
+
     let threshold = true_diag_threshold(nrows, ncols, alpha) as u32;
     let mut ndiags = 0usize;
     let mut ntrue = 0usize;
-    for &p in diag_pop {
-        if p > 0 {
-            ndiags += 1;
-            if p >= threshold {
-                ntrue += 1;
-            }
-        }
-    }
+    let mut true_diag_nnz = 0usize;
     // Population-weighted diagonal adjacency: entries of dense blocks land
     // on runs of adjacent diagonals.
     let mut adjacent_pop = 0u64;
-    for d in 1..diag_pop.len() {
-        if diag_pop[d] > 0 && diag_pop[d - 1] > 0 {
-            adjacent_pop += diag_pop[d] as u64;
-        }
+    let mut left = 0u32; // population of the diagonal one slot to the left
+    for &p in diag_pop {
+        let is_true = p > 0 && p >= threshold;
+        ndiags += usize::from(p > 0);
+        ntrue += usize::from(is_true);
+        true_diag_nnz += if is_true { p as usize } else { 0 };
+        adjacent_pop += if p > 0 && left > 0 { u64::from(p) } else { 0 };
+        left = p;
     }
     let block_density = if nnz == 0 { 0.0 } else { adjacent_pop as f64 / nnz as f64 };
-    // Exact BELL padding under the default ladder, straight from the row
-    // histogram: each non-empty row rounds up to its bucket width.
-    let ladder = crate::bell::default_bucket_widths(max as usize);
-    let mut bell_padded = 0u64;
-    for &c in row_counts {
-        if c > 0 {
-            let b = ladder.partition_point(|&w| w < c as usize);
-            bell_padded += ladder[b] as u64;
-        }
-    }
-    let bucket_skew = if nnz == 0 { 1.0 } else { bell_padded as f64 / nnz as f64 };
-    MatrixStats {
+
+    let stats = MatrixStats {
         nrows,
         ncols,
         nnz,
@@ -166,59 +271,51 @@ pub(crate) fn reduce_stats(
         true_diag_alpha: alpha,
         block_density,
         bucket_skew,
-    }
+    };
+    Reduced { stats, rows: RowSummary { prefix, group_max_sum, lengths, bell }, true_diag_nnz }
+}
+
+/// Zeroed histograms for a matrix of this shape: `nrows` row slots and
+/// `nrows + ncols - 1` diagonal slots (none for degenerate shapes).
+pub(crate) fn empty_hists(nrows: usize, ncols: usize) -> (Vec<u32>, Vec<u32>) {
+    let slots = if nrows == 0 || ncols == 0 { 0 } else { nrows + ncols - 1 };
+    (vec![0u32; nrows], vec![0u32; slots])
 }
 
 /// Streams every structural entry of `m` (in its active format) into a
 /// row-nnz histogram and a diagonal-population array
 /// (`diag[col + nrows - 1 - row]`), using the cache-friendliest walk each
-/// format affords. `row` must have length `nrows`, `diag` length
-/// `nrows + ncols - 1` (0 for degenerate shapes). Shared by [`stats_of`] and
-/// the fused analysis pass.
-pub(crate) fn accumulate_hists<V: Scalar>(m: &DynamicMatrix<V>, row: &mut [u32], diag: &mut [u32]) {
+/// format affords, one increment per entry. This is [`stats_of`]'s walk —
+/// the definition the fused analysis pass is tested against.
+fn accumulate_hists<V: Scalar>(m: &DynamicMatrix<V>, row: &mut [u32], diag: &mut [u32]) {
     let nrows = m.nrows();
     let mut record = |r: usize, c: usize| {
         row[r] += 1;
         diag[c + nrows - 1 - r] += 1;
     };
     match m {
-        DynamicMatrix::Coo(a) => {
-            for i in 0..a.nnz() {
-                record(a.row_indices()[i], a.col_indices()[i]);
-            }
-        }
-        DynamicMatrix::Csr(a) => {
-            for r in 0..a.nrows() {
-                for &c in a.row_cols(r) {
-                    record(r, c);
-                }
-            }
-        }
+        DynamicMatrix::Coo(a) => accumulate_coo(a, &mut record),
+        DynamicMatrix::Csr(a) => accumulate_rows(a, &mut record),
         DynamicMatrix::Dia(a) => accumulate_dia(a, &mut record),
         DynamicMatrix::Ell(a) => accumulate_ell(a, &mut record),
         DynamicMatrix::Hyb(a) => {
             accumulate_ell(a.ell(), &mut record);
-            for i in 0..a.coo().nnz() {
-                record(a.coo().row_indices()[i], a.coo().col_indices()[i]);
-            }
+            accumulate_coo(a.coo(), &mut record);
         }
         DynamicMatrix::Hdc(a) => {
             accumulate_dia(a.dia(), &mut record);
-            for r in 0..a.csr().nrows() {
-                for &c in a.csr().row_cols(r) {
-                    record(r, c);
-                }
-            }
+            accumulate_rows(a.csr(), &mut record);
         }
-        DynamicMatrix::Bsr(a) => accumulate_rowmajor(a, &mut record),
-        DynamicMatrix::Bell(a) => accumulate_rowmajor(a, &mut record),
+        DynamicMatrix::Bsr(a) => accumulate_rows(a, &mut record),
+        DynamicMatrix::Bell(a) => accumulate_rows(a, &mut record),
     }
 }
 
-fn accumulate_rowmajor<V: Scalar>(
-    a: &dyn crate::rowmajor::RowMajor<V>,
-    record: &mut impl FnMut(usize, usize),
-) {
+fn accumulate_coo<V: Scalar>(a: &CooMatrix<V>, record: &mut impl FnMut(usize, usize)) {
+    a.row_indices().iter().zip(a.col_indices()).for_each(|(&r, &c)| record(r, c));
+}
+
+fn accumulate_rows<V: Scalar>(a: &dyn crate::rowmajor::RowMajor<V>, record: &mut impl FnMut(usize, usize)) {
     for r in 0..a.nrows() {
         a.emit_row(r, &mut |c, _v| record(r, c));
     }
@@ -249,132 +346,24 @@ fn accumulate_ell<V: Scalar>(a: &EllMatrix<V>, record: &mut impl FnMut(usize, us
     }
 }
 
-/// Statistics from COO storage: single fused pass over the triplets.
-pub fn stats_coo<V: Scalar>(a: &CooMatrix<V>, alpha: f64) -> MatrixStats {
-    let mut acc = StatsAccum::new(a.nrows(), a.ncols());
-    for i in 0..a.nnz() {
-        acc.record(a.row_indices()[i], a.col_indices()[i]);
-    }
-    acc.finish(alpha)
-}
-
-/// Statistics from CSR storage: row lengths come from the offsets array,
-/// diagonal populations from one pass over the column indices.
-pub fn stats_csr<V: Scalar>(a: &CsrMatrix<V>, alpha: f64) -> MatrixStats {
-    let mut acc = StatsAccum::new(a.nrows(), a.ncols());
-    for r in 0..a.nrows() {
-        for &c in a.row_cols(r) {
-            acc.record(r, c);
-        }
-    }
-    acc.finish(alpha)
-}
-
-/// Statistics from DIA storage: walks only the in-bounds slots of each
-/// stored diagonal; padding (zero) slots are not structural entries.
-pub fn stats_dia<V: Scalar>(a: &DiaMatrix<V>, alpha: f64) -> MatrixStats {
-    let mut acc = StatsAccum::new(a.nrows(), a.ncols());
-    for d in 0..a.ndiags() {
-        let off = a.offsets()[d];
-        let diag = a.diagonal(d);
-        for i in a.diag_row_range(d) {
-            if diag[i] != V::ZERO {
-                acc.record(i, (i as isize + off) as usize);
-            }
-        }
-    }
-    acc.finish(alpha)
-}
-
-/// Statistics from ELL storage: walks the slabs, skipping padding slots via
-/// the sentinel.
-pub fn stats_ell<V: Scalar>(a: &EllMatrix<V>, alpha: f64) -> MatrixStats {
-    let mut acc = StatsAccum::new(a.nrows(), a.ncols());
-    let nrows = a.nrows();
-    for k in 0..a.width() {
-        let base = k * nrows;
-        for i in 0..nrows {
-            let c = a.col_indices()[base + i];
-            if c != ELL_PAD {
-                acc.record(i, c);
-            }
-        }
-    }
-    acc.finish(alpha)
-}
-
-/// Statistics from HYB storage: both portions stream into one accumulator,
-/// so hybrid storage needs no merge step.
-pub fn stats_hyb<V: Scalar>(a: &HybMatrix<V>, alpha: f64) -> MatrixStats {
-    let mut acc = StatsAccum::new(a.nrows(), a.ncols());
-    let ell = a.ell();
-    let nrows = ell.nrows();
-    for k in 0..ell.width() {
-        let base = k * nrows;
-        for i in 0..nrows {
-            let c = ell.col_indices()[base + i];
-            if c != ELL_PAD {
-                acc.record(i, c);
-            }
-        }
-    }
-    for i in 0..a.coo().nnz() {
-        acc.record(a.coo().row_indices()[i], a.coo().col_indices()[i]);
-    }
-    acc.finish(alpha)
-}
-
-/// Statistics from HDC storage: both portions stream into one accumulator.
-pub fn stats_hdc<V: Scalar>(a: &HdcMatrix<V>, alpha: f64) -> MatrixStats {
-    let mut acc = StatsAccum::new(a.nrows(), a.ncols());
-    let dia = a.dia();
-    for d in 0..dia.ndiags() {
-        let off = dia.offsets()[d];
-        let diag = dia.diagonal(d);
-        for i in dia.diag_row_range(d) {
-            if diag[i] != V::ZERO {
-                acc.record(i, (i as isize + off) as usize);
-            }
-        }
-    }
-    let csr = a.csr();
-    for r in 0..csr.nrows() {
-        for &c in csr.row_cols(r) {
-            acc.record(r, c);
-        }
-    }
-    acc.finish(alpha)
-}
-
 /// Statistics of a [`DynamicMatrix`], computed from whichever format is
 /// active — the "online feature extraction by inspecting the active format"
 /// of §VI-C.
 pub fn stats_of<V: Scalar>(m: &DynamicMatrix<V>, alpha: f64) -> MatrixStats {
     crate::analysis::passes::record_traversal();
-    match m {
-        DynamicMatrix::Coo(a) => stats_coo(a, alpha),
-        DynamicMatrix::Csr(a) => stats_csr(a, alpha),
-        DynamicMatrix::Dia(a) => stats_dia(a, alpha),
-        DynamicMatrix::Ell(a) => stats_ell(a, alpha),
-        DynamicMatrix::Hyb(a) => stats_hyb(a, alpha),
-        DynamicMatrix::Hdc(a) => stats_hdc(a, alpha),
-        DynamicMatrix::Bsr(a) => stats_rowmajor(a, a.ncols(), alpha),
-        DynamicMatrix::Bell(a) => stats_rowmajor(a, a.ncols(), alpha),
-    }
+    let (mut row, mut diag) = empty_hists(m.nrows(), m.ncols());
+    accumulate_hists(m, &mut row, &mut diag);
+    reduce(m.nrows(), m.ncols(), &row, &diag, alpha).stats
 }
 
-/// Statistics from any row-major-walkable storage (BSR and BELL reuse
-/// their kernel-facing walk; padding slots are never emitted).
-pub(crate) fn stats_rowmajor<V: Scalar>(
-    a: &dyn crate::rowmajor::RowMajor<V>,
-    ncols: usize,
-    alpha: f64,
-) -> MatrixStats {
-    let mut acc = StatsAccum::new(a.nrows(), ncols);
-    for r in 0..a.nrows() {
-        a.emit_row(r, &mut |c, _v| acc.record(r, c));
-    }
-    acc.finish(alpha)
+/// Statistics from COO storage: single fused pass over the triplets.
+pub fn stats_coo<V: Scalar>(a: &CooMatrix<V>, alpha: f64) -> MatrixStats {
+    let (mut row, mut diag) = empty_hists(a.nrows(), a.ncols());
+    accumulate_coo(a, &mut |r, c| {
+        row[r] += 1;
+        diag[c + a.nrows() - 1 - r] += 1;
+    });
+    reduce(a.nrows(), a.ncols(), &row, &diag, alpha).stats
 }
 
 /// Per-row non-zero counts of a [`DynamicMatrix`] (used by the machine
