@@ -142,11 +142,20 @@ struct CachedDecision {
     decision: TuneDecision,
     batch: Option<BatchCost>,
     /// [`DynamicMatrix::structure_hash`] of the keyed structure realized in
-    /// `decision.format` — conversion is a function of the structure, the
-    /// format and this service's options, so a hit need not hash the
-    /// converted matrix again. `None` until the miss that decided it has
-    /// converted, and for imported entries.
+    /// `decision.format` — the converted index arrays are a function of the
+    /// structure, the format and this service's options, so a hit need not
+    /// hash the converted matrix again. `None` until the miss that decided
+    /// it has converted, for imported entries, and for formats whose hash
+    /// reads more than index arrays ([`hash_is_of_indices_alone`]).
     realized: Option<u64>,
+}
+
+/// `false` for DIA and HDC: their structure hash also covers which stored
+/// values are zero (an explicit zero is indistinguishable from padding
+/// there), so two sources under one decision key — equal indices, an
+/// explicit `0.0` in one — can realize to different hashes.
+fn hash_is_of_indices_alone(format: FormatId) -> bool {
+    !matches!(format, FormatId::Dia | FormatId::Hdc)
 }
 
 /// What the cold path knows about one matrix before converting it: the
@@ -801,7 +810,7 @@ impl<T> OracleService<T> {
             let done = CachedDecision {
                 decision: TuneDecision { format: chosen, ..decision },
                 batch,
-                realized: realized_hash,
+                realized: realized_hash.filter(|_| hash_is_of_indices_alone(chosen)),
             };
             self.decisions.insert_if_generation(key, done, generation);
             if let Some(post_hash) = realized_hash.filter(|_| chosen != previous) {
@@ -2121,36 +2130,42 @@ mod tests {
         assert_eq!(service.registered_matrices().len(), 2);
     }
 
+    /// A one-worker service whose tuner always picks `format`.
+    fn always(format: FormatId) -> OracleService<Always> {
+        Oracle::builder()
+            .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
+            .tuner(Always(format))
+            .workers(1)
+            .build_service()
+            .unwrap()
+    }
+
+    struct Always(FormatId);
+    impl FormatTuner<f64> for Always {
+        fn name(&self) -> &'static str {
+            "always"
+        }
+        fn select(
+            &self,
+            _: &DynamicMatrix<f64>,
+            _: &MatrixAnalysis,
+            _: &VirtualEngine,
+            op: Op,
+        ) -> TuneDecision {
+            let params = morpheus::FormatParams::default();
+            TuneDecision { format: self.0, params, op, cost: TuningCost::default() }
+        }
+    }
+
     /// A decision-cache hit reads the matrix once, for the key: the entry
     /// carries the hash of the converted structure the miss computed for
     /// the alias, so neither the plan lookup nor the handle re-hashes it.
     #[test]
     fn a_hit_hashes_the_source_and_nothing_else() {
         use morpheus::analysis::passes;
-        /// Always BELL: an array-built conversion plans nothing, so every
-        /// traversal counted below is a hash or the analysis.
-        struct AlwaysBell;
-        impl FormatTuner<f64> for AlwaysBell {
-            fn name(&self) -> &'static str {
-                "always-bell"
-            }
-            fn select(
-                &self,
-                _: &DynamicMatrix<f64>,
-                _: &MatrixAnalysis,
-                _: &VirtualEngine,
-                op: Op,
-            ) -> TuneDecision {
-                let params = morpheus::FormatParams::default();
-                TuneDecision { format: FormatId::Bell, params, op, cost: TuningCost::default() }
-            }
-        }
-        let service = Oracle::builder()
-            .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
-            .tuner(AlwaysBell)
-            .workers(1)
-            .build_service()
-            .unwrap();
+        // BELL: an array-built conversion plans nothing, so every traversal
+        // counted below is a hash or the analysis.
+        let service = always(FormatId::Bell);
 
         passes::reset();
         let first = service.register(tridiag(700)).unwrap();
@@ -2174,6 +2189,37 @@ mod tests {
         passes::reset();
         assert!(service.tune(&mut switched).unwrap().cache_hit);
         assert_eq!(passes::count(), 1);
+    }
+
+    /// DIA's and HDC's hash covers which stored values are zero, so one
+    /// decision key (equal indices) can realize to two structures: a hit
+    /// into them hashes what it converted instead of trusting the entry.
+    #[test]
+    fn a_hit_into_a_value_hashed_format_hashes_what_it_converted() {
+        let structure_of = |h: &MatrixHandle<f64>| match &h.inner.stored {
+            Stored::Single { structure, .. } => *structure,
+            Stored::Partitioned(_) => panic!("registered whole"),
+        };
+        // The same indices, one entry an explicit zero.
+        let full = tridiag(300);
+        let holed = {
+            let DynamicMatrix::Coo(coo) = &full else { panic!("tridiag is COO") };
+            let mut vals = coo.values().to_vec();
+            vals[100] = 0.0;
+            let (rows, cols) = (coo.row_indices(), coo.col_indices());
+            DynamicMatrix::from(CooMatrix::from_triplets(300, 300, rows, cols, &vals).unwrap())
+        };
+        assert_eq!(full.structure_hash(), holed.structure_hash());
+        for format in [FormatId::Dia, FormatId::Hdc] {
+            let service = always(format);
+            let miss = service.register(full.clone()).unwrap();
+            let hit = service.register(holed.clone()).unwrap();
+            assert!(!miss.report().cache_hit && hit.report().cache_hit, "{format}");
+            assert_eq!(hit.format_id(), format);
+            assert_eq!(structure_of(&miss), miss.matrix().structure_hash(), "{format}");
+            assert_eq!(structure_of(&hit), hit.matrix().structure_hash(), "{format}");
+            assert_ne!(structure_of(&miss), structure_of(&hit), "{format}: the hole is hashed");
+        }
     }
 
     #[test]

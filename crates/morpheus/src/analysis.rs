@@ -10,8 +10,7 @@
 //! * feature extraction: `FeatureVector::from_stats(&analysis.stats)`,
 //! * the Oracle's cache key: [`Analysis::structure_hash`],
 //! * conversion planning: [`Analysis::ell_width`], [`Analysis::dia_offsets`],
-//!   [`Analysis::hyb_width`], [`Analysis::true_diag_slots`], and the row
-//!   offsets COO sources are delimited by,
+//!   [`Analysis::hyb_width`], [`Analysis::true_diag_slots`],
 //! * the machine model's view (`morpheus_machine::analyze_from`), which
 //!   touches the matrix again only for HDC's remainder histogram, and only
 //!   when some but not all entries lie on true diagonals.
@@ -276,35 +275,27 @@ pub(crate) fn true_diag_slots_from_pop(diag_pop: &[u32], threshold: usize) -> (V
     (slots, entries)
 }
 
-const _: () = assert!(BSR_BLOCK_DIMS[0] == 2 && BSR_BLOCK_DIMS[1] == 4 && BSR_BLOCK_DIMS[2] == 8);
-
 /// The per-row body of the entry walk and the state it carries from row to
 /// row.
 struct RowWalk<'a> {
     nrows: usize,
     /// Diagonal populations.
     diag: &'a mut [u32],
-    /// Block-row stamps, one group per eight columns.
-    seen: Vec<Stamps>,
+    /// Per block dimension `b`, a stamp per block column `c / b`: one plus
+    /// the last block row `r / b` that put an entry there; 0 means none has
+    /// yet.
+    seen: [Vec<u32>; 3],
     facts: EntryFacts,
 }
-
-/// The stamps of eight adjacent columns, side by side so that one entry's
-/// three lookups share a bounds check and a cache line: slot 0 for the
-/// columns' one 8-wide block column, slots 1–2 for their two 4-wide ones,
-/// slots 3–6 for their four 2-wide ones (slot 7 pads to 32 bytes). A stamp
-/// is one plus the last block row of that dimension that put an entry in the
-/// block column; 0 means none has yet.
-type Stamps = [u32; 8];
 
 impl<'a> RowWalk<'a> {
     fn new(nrows: usize, ncols: usize, diag: &'a mut [u32]) -> Self {
         // Block rows are stamped in 4 bytes.
-        assert!(nrows / 2 < u32::MAX as usize, "{nrows} rows are more than the analysis stamps");
+        assert!(nrows <= u32::MAX as usize, "{nrows} rows are more than the analysis stamps");
         RowWalk {
             nrows,
             diag,
-            seen: vec![Stamps::default(); ncols.div_ceil(8)],
+            seen: BSR_BLOCK_DIMS.map(|b| vec![0u32; ncols.div_ceil(b)]),
             facts: EntryFacts::default(),
         }
     }
@@ -316,8 +307,9 @@ impl<'a> RowWalk<'a> {
         // they lie below `isize::MAX`.
         const FAR: usize = usize::MAX / 2;
         let base = self.nrows - 1 - r;
-        let (stamp2, stamp4, stamp8) = ((r / 2) as u32 + 1, (r / 4) as u32 + 1, (r / 8) as u32 + 1);
-        let (mut near, mut new2, mut new4, mut new8) = (0usize, 0usize, 0usize, 0usize);
+        let stamps = BSR_BLOCK_DIMS.map(|b| (r / b) as u32 + 1);
+        let mut new = [0usize; 3];
+        let mut near = 0usize;
         let mut prev = FAR;
         for &c in cols {
             near += usize::from(c.wrapping_sub(prev) <= GATHER_LINE);
@@ -326,13 +318,13 @@ impl<'a> RowWalk<'a> {
             // Compare and store, never branch: whether a block is new is as
             // unpredictable as the pattern. Rows ascend, so an older stamp
             // is a smaller one, and "new" is the carry of the compare.
-            let seen = &mut self.seen[c / 8];
-            new2 += usize::from(std::mem::replace(&mut seen[3 + c / 2 % 4], stamp2) < stamp2);
-            new4 += usize::from(std::mem::replace(&mut seen[1 + c / 4 % 2], stamp4) < stamp4);
-            new8 += usize::from(std::mem::replace(&mut seen[0], stamp8) < stamp8);
+            for i in 0..BSR_BLOCK_DIMS.len() {
+                let seen = &mut self.seen[i][c / BSR_BLOCK_DIMS[i]];
+                new[i] += usize::from(std::mem::replace(seen, stamps[i]) < stamps[i]);
+            }
         }
         self.facts.gather_hits += near;
-        for (total, new) in self.facts.bsr_blocks.iter_mut().zip([new2, new4, new8]) {
+        for (total, new) in self.facts.bsr_blocks.iter_mut().zip(new) {
             *total += new;
         }
     }

@@ -85,6 +85,13 @@ pub struct BellBucket<V> {
 }
 
 /// Consecutive slices of one bucket, as handed to the kernels.
+///
+/// Every accessor on the kernels' path ([`BellBucket::span`],
+/// [`BellSpan::full_slices`], [`BellSpan::ragged`], [`BellSlice::levels`],
+/// [`BellSlice::lane`]) is `#[inline(always)]`: they open the SpMV and SpMM
+/// slice loops, and left to the inliner's heuristic `full_slices` came out
+/// as a call in some builds of the same kernel source (edits elsewhere in
+/// the crate graph were enough) at 7 % of `ingress_burst`'s throughput.
 pub(crate) struct BellSpan<'a, V> {
     width: usize,
     rows: &'a [u32],
@@ -121,6 +128,7 @@ impl<'a, V: Copy> BellSlice<'a, V> {
 
 impl<'a, V> BellSpan<'a, V> {
     /// The span's full slices: [`SLICE`] rows and `SLICE * width` cells each.
+    #[inline(always)]
     pub(crate) fn full_slices(&self) -> impl Iterator<Item = BellSlice<'a, V>> {
         let cells = SLICE * self.width;
         let rows = self.rows.chunks_exact(SLICE);
@@ -131,6 +139,7 @@ impl<'a, V> BellSpan<'a, V> {
 
     /// The bucket's ragged last slice when the span ends in it: fewer than
     /// [`SLICE`] rows, stored at a stride of their own count.
+    #[inline(always)]
     pub(crate) fn ragged(&self) -> Option<BellSlice<'a, V>> {
         let full = self.rows.len() - self.rows.len() % SLICE;
         let cells = full * self.width;
@@ -185,6 +194,7 @@ impl<V: Scalar> BellBucket<V> {
     ///
     /// # Panics
     /// If `slices` reaches past [`BellBucket::num_slices`].
+    #[inline(always)]
     pub(crate) fn span(&self, slices: Range<usize>) -> BellSpan<'_, V> {
         assert!(slices.end <= self.num_slices(), "slices {slices:?} past the bucket's {}", self.num_slices());
         let rows = slices.start * SLICE..(slices.end * SLICE).min(self.rows.len());

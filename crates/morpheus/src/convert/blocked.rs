@@ -14,10 +14,9 @@
 //! `block_r * block_c` per entry for BSR, the ladder gap for BELL) where
 //! ELL/DIA padding is unbounded.
 
-use crate::analysis::Analysis;
 use crate::bell::BellMatrix;
 use crate::bsr::BsrMatrix;
-use crate::convert::kernels::coo_row_offsets_planned;
+use crate::convert::kernels::coo_row_offsets;
 use crate::convert::ConvertOptions;
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
@@ -104,17 +103,7 @@ fn bell_from_arrays<V: Scalar>(
 
 /// COO → BSR with the options' block dimensions.
 pub fn coo_to_bsr<V: Scalar>(a: &CooMatrix<V>, opts: &ConvertOptions) -> Result<BsrMatrix<V>> {
-    coo_to_bsr_planned(a, opts, None)
-}
-
-/// [`coo_to_bsr`] delimiting the rows by the plan's row histogram, when
-/// there is one, instead of counting them again.
-pub(crate) fn coo_to_bsr_planned<V: Scalar>(
-    a: &CooMatrix<V>,
-    opts: &ConvertOptions,
-    plan: Option<&Analysis>,
-) -> Result<BsrMatrix<V>> {
-    let offsets = coo_row_offsets_planned(a, plan)?;
+    let offsets = coo_row_offsets(a.nrows(), a.row_indices());
     bsr_from_arrays((a.nrows(), a.ncols()), &offsets, a.col_indices(), a.values(), opts)
 }
 
@@ -135,17 +124,7 @@ pub fn bsr_to_csr<V: Scalar>(a: &BsrMatrix<V>) -> CsrMatrix<V> {
 
 /// COO → BELL with the options' bucket ladder.
 pub fn coo_to_bell<V: Scalar>(a: &CooMatrix<V>, opts: &ConvertOptions) -> Result<BellMatrix<V>> {
-    coo_to_bell_planned(a, opts, None)
-}
-
-/// [`coo_to_bell`] delimiting the rows by the plan's row histogram, when
-/// there is one, instead of counting them again.
-pub(crate) fn coo_to_bell_planned<V: Scalar>(
-    a: &CooMatrix<V>,
-    opts: &ConvertOptions,
-    plan: Option<&Analysis>,
-) -> Result<BellMatrix<V>> {
-    let offsets = coo_row_offsets_planned(a, plan)?;
+    let offsets = coo_row_offsets(a.nrows(), a.row_indices());
     bell_from_arrays((a.nrows(), a.ncols()), &offsets, a.col_indices(), a.values(), opts)
 }
 

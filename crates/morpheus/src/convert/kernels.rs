@@ -22,7 +22,7 @@ use crate::error::MorpheusError;
 use crate::format::FormatId;
 use crate::hdc::{true_diag_threshold, HdcMatrix};
 use crate::hyb::{optimal_hyb_width_u32, HybMatrix, HybSplit};
-use crate::rowmajor::{coo_row_runs, RowMajor};
+use crate::rowmajor::RowMajor;
 use crate::scalar::Scalar;
 use crate::Result;
 use std::borrow::Cow;
@@ -166,57 +166,29 @@ fn slot_to_diag_map(slots_len: usize, stored: impl Iterator<Item = usize>) -> Ve
 // ---------------------------------------------------------------------------
 
 /// CSR-style row offsets (`nrows + 1` entries) of a sorted COO row-index
-/// array: one store per run of equal row indices, then a prefix sum. With
-/// these, a sorted COO matrix's `cols`/`vals` *are* CSR arrays — every
-/// array-based builder (CSR, BSR, BELL) reads COO sources through them.
+/// array: one histogram pass plus a prefix sum. With these, a sorted COO
+/// matrix's `cols`/`vals` *are* CSR arrays — every array-based builder
+/// (CSR, BSR, BELL) reads COO sources through them.
 pub(crate) fn coo_row_offsets(nrows: usize, rows: &[usize]) -> Vec<usize> {
     let mut offsets = vec![0usize; nrows + 1];
-    for (r, run) in coo_row_runs(rows) {
-        offsets[r + 1] += run.len();
+    for &r in rows {
+        offsets[r + 1] += 1;
     }
-    for r in 0..nrows {
-        offsets[r + 1] += offsets[r];
+    for i in 0..nrows {
+        offsets[i + 1] += offsets[i];
     }
     offsets
 }
 
-/// [`coo_row_offsets`], taken from the plan's row prefix sums when there is
-/// one instead of counted. A compare-only sweep of the row array then
-/// checks that every delimited run holds its own row index and nothing
-/// else, so a stale analysis is a typed error, never a mis-delimited matrix.
-pub(crate) fn coo_row_offsets_planned<V: Scalar>(
-    coo: &CooMatrix<V>,
-    plan: Option<&Analysis>,
-) -> Result<Vec<usize>> {
-    let (nrows, rows) = (coo.nrows(), coo.row_indices());
-    let Some(a) = plan else { return Ok(coo_row_offsets(nrows, rows)) };
-    let stale = |what: String| MorpheusError::InvalidStructure(format!("stale analysis: {what}"));
-    let offsets: Vec<usize> = a.rows.prefix.iter().map(|&o| o as usize).collect();
-    if offsets.len() != nrows + 1 || offsets[nrows] != rows.len() {
-        return Err(stale(format!("its row histogram does not sum to the {} COO entries", rows.len())));
-    }
-    match (0..nrows).find(|&r| rows[offsets[r]..offsets[r + 1]].iter().any(|&x| x != r)) {
-        Some(r) => Err(stale(format!("its row histogram mis-delimits row {r}"))),
-        None => Ok(offsets),
-    }
-}
-
 /// COO → CSR. O(nnz); relies on COO's sorted invariant.
 pub fn coo_to_csr<V: Scalar>(coo: &CooMatrix<V>) -> CsrMatrix<V> {
-    coo_to_csr_planned(coo, None).expect("counted offsets delimit the rows")
-}
-
-pub(crate) fn coo_to_csr_planned<V: Scalar>(
-    coo: &CooMatrix<V>,
-    plan: Option<&Analysis>,
-) -> Result<CsrMatrix<V>> {
-    Ok(CsrMatrix::from_parts_unchecked(
+    CsrMatrix::from_parts_unchecked(
         coo.nrows(),
         coo.ncols(),
-        coo_row_offsets_planned(coo, plan)?,
+        coo_row_offsets(coo.nrows(), coo.row_indices()),
         coo.col_indices().to_vec(),
         coo.values().to_vec(),
-    ))
+    )
 }
 
 /// CSR → COO. O(nnz).

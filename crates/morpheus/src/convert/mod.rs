@@ -23,9 +23,9 @@
 //!   [`kernels::PARALLEL_CONVERT_THRESHOLD`] entries. BSR and BELL are
 //!   *array-built*: one builder each over contiguous row-major
 //!   `(offsets, cols, vals)` — CSR hands over its own arrays, COO its
-//!   `cols`/`vals` plus row offsets (the analysis's, or counted by runs) —
-//!   so the formats the tuner picks most often convert at memory speed,
-//!   without a per-row search or a per-entry indirect call.
+//!   `cols`/`vals` plus offsets from one histogram pass — so the formats the
+//!   tuner picks most often convert at memory speed, without a per-row
+//!   search or a per-entry indirect call.
 //! * **Hub** — every other pair materialises an interchange copy first.
 //!   Conversions between two padded formats
 //!   ({ELL, DIA, HYB, HDC} × {ELL, DIA, HYB, HDC}) export to COO and
@@ -49,20 +49,14 @@
 //!
 //! * with a supplied analysis, planning reads the histograms and performs
 //!   **zero** additional full traversals of the matrix (asserted by the
-//!   [`crate::analysis::passes`] counter in the test suite); COO sources
-//!   are delimited into rows by its prefix sums instead of being counted
-//!   again;
+//!   [`crate::analysis::passes`] counter in the test suite);
 //! * without one, the kernel rescans the source (recording the traversal on
 //!   the counter).
 //!
 //! The caller must pass an analysis *of the matrix being converted* (any
 //! active format with the same sparsity pattern is fine — the histograms
 //! are format-independent). A mismatched artifact (wrong shape or nnz) is
-//! ignored rather than trusted; one that matches in shape and nnz but
-//! describes another pattern is caught where it is used — row offsets are
-//! checked against the row indices, plan-derived slots during the fills —
-//! and reported as [`crate::MorpheusError::InvalidStructure`] or a panic
-//! naming the stale analysis, never as a mis-built matrix.
+//! ignored rather than trusted.
 //!
 //! # Padding guards
 //!
@@ -240,7 +234,7 @@ fn dispatch<V: Scalar>(
         // Everything exports to COO and CSR directly (row-major export for
         // the padded formats, array moves/expansions for COO<->CSR).
         (_, FormatId::Coo) => direct(D::Coo(m.to_coo())),
-        (D::Coo(a), FormatId::Csr) => direct(D::Csr(kernels::coo_to_csr_planned(a, plan)?)),
+        (D::Coo(a), FormatId::Csr) => direct(D::Csr(coo_to_csr(a))),
         (D::Dia(a), FormatId::Csr) => direct(D::Csr(dia_to_csr(a))),
         (D::Ell(a), FormatId::Csr) => direct(D::Csr(ell_to_csr(a))),
         (D::Hyb(a), FormatId::Csr) => direct(D::Csr(hyb_to_csr(a))),
@@ -249,8 +243,8 @@ fn dispatch<V: Scalar>(
         (D::Bell(a), FormatId::Csr) => direct(D::Csr(bell_to_csr(a))),
         // COO and CSR sources convert into the padded and block formats
         // directly.
-        (D::Coo(a), FormatId::Bsr) => direct(D::Bsr(blocked::coo_to_bsr_planned(a, opts, plan)?)),
-        (D::Coo(a), FormatId::Bell) => direct(D::Bell(blocked::coo_to_bell_planned(a, opts, plan)?)),
+        (D::Coo(a), FormatId::Bsr) => direct(D::Bsr(coo_to_bsr(a, opts)?)),
+        (D::Coo(a), FormatId::Bell) => direct(D::Bell(coo_to_bell(a, opts)?)),
         (D::Csr(a), FormatId::Bsr) => direct(D::Bsr(csr_to_bsr(a, opts)?)),
         (D::Csr(a), FormatId::Bell) => direct(D::Bell(csr_to_bell(a, opts)?)),
         (D::Coo(a), FormatId::Dia) => direct(D::Dia(kernels::coo_to_dia_planned(a, opts, plan)?)),
@@ -528,36 +522,6 @@ mod tests {
             kernels::csr_to_hdc_planned(&csr, &opts, Some(&a)).unwrap(),
             csr_to_hdc(&csr, &opts).unwrap()
         );
-    }
-
-    /// An analysis of another pattern with the same shape and nnz passes
-    /// `matches`; the COO row offsets taken from it are checked against the
-    /// row indices, so the array-built targets refuse it with a typed error.
-    #[test]
-    fn stale_analysis_of_equal_shape_and_nnz_is_a_typed_error() {
-        use crate::analysis::Analysis;
-        let opts = ConvertOptions::default();
-        let of = |rows: &[usize]| {
-            let cols: Vec<usize> = (0..rows.len()).collect();
-            let vals = vec![1.0f64; rows.len()];
-            DynamicMatrix::from(CooMatrix::from_triplets(6, 8, rows, &cols, &vals).unwrap())
-        };
-        let m = of(&[0, 0, 1, 3, 3, 5]);
-        let fresh = Analysis::of(&m, opts.true_diag_alpha);
-        // Same row lengths elsewhere, then a different split of the same six.
-        for other in [of(&[0, 0, 2, 3, 3, 5]), of(&[0, 1, 1, 3, 3, 5]), of(&[0, 0, 0, 0, 0, 0])] {
-            let stale = Analysis::of(&other, opts.true_diag_alpha);
-            assert!(stale.matches(&m));
-            for target in [FormatId::Csr, FormatId::Bsr, FormatId::Bell] {
-                let err = m.to_format_with(target, &opts, Some(&stale)).unwrap_err();
-                assert!(
-                    matches!(&err, MorpheusError::InvalidStructure(why) if why.contains("stale")),
-                    "{err}"
-                );
-                let planned = m.to_format_with(target, &opts, Some(&fresh)).unwrap().0;
-                assert_eq!(planned, m.to_format(target, &opts).unwrap(), "{target}");
-            }
-        }
     }
 
     #[test]

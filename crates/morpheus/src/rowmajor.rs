@@ -254,7 +254,7 @@ pub fn for_each_entry_row_major<V: Scalar>(m: &DynamicMatrix<V>, mut f: impl FnM
 /// The maximal runs of equal row index in a COO row array, as
 /// `(row, entry range)` — the rows of a sorted COO matrix, in order, found
 /// by comparing alone (no per-entry counter to store).
-pub(crate) fn coo_row_runs(rows: &[usize]) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> + '_ {
+fn coo_row_runs(rows: &[usize]) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> + '_ {
     let mut i = 0usize;
     std::iter::from_fn(move || {
         let &r = rows.get(i)?;

@@ -217,22 +217,18 @@ pub(crate) fn reduce(
     let mut prefix = vec![0u64; row_counts.len() + 1];
     let mut entries = 0u64;
     let mut group_max_sum = 0u64;
-    // Four counters per length, taken in turn: neighbouring rows are often
-    // equally long, and one counter would chain every increment through the
-    // store before it.
-    let mut counters = vec![[0usize; 4]; max as usize + 1];
+    let mut rows_with_len = vec![0usize; max as usize + 1];
     for (group, sums) in row_counts.chunks(ROW_GROUP).zip(prefix[1..].chunks_mut(ROW_GROUP)) {
         let mut longest = 0u32;
-        for (i, (&c, sum)) in group.iter().zip(sums).enumerate() {
+        for (&c, sum) in group.iter().zip(sums) {
             squares += (c as f64 - mean).powi(2);
             entries += u64::from(c);
             *sum = entries;
-            counters[c as usize][i % 4] += 1;
+            rows_with_len[c as usize] += 1;
             longest = longest.max(c);
         }
         group_max_sum += u64::from(longest);
     }
-    let rows_with_len: Vec<usize> = counters.iter().map(|c| c.iter().sum()).collect();
     let var = if nrows == 0 { 0.0 } else { squares / nrows as f64 };
     let lengths = RowLengthCounts { rows_with_len };
     // Exact BELL padding under the default ladder: each non-empty row
