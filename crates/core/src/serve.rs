@@ -72,13 +72,14 @@ use crate::obs::{Counter, Gauge, Histogram, Obs, ObsConfig, ObsSnapshot, Stage, 
 use crate::tune::{PlanStatus, TuneReport};
 use crate::tuner::{FormatTuner, TuneDecision, TuningCost};
 use crate::{OracleError, Result};
+use morpheus::analysis::PartitionedAnalysis;
 use morpheus::format::FormatId;
 use morpheus::partition::{split_rows, Partition, StreamingPartitioner};
 use morpheus::{
     Analysis, ConvertOptions, CpuFeatures, DynamicMatrix, ExecPlan, KernelVariant, PartitionConfig,
     PartitionedMatrix, Scalar, Workspace,
 };
-use morpheus_machine::{analyze_from, MatrixAnalysis, Op, VirtualEngine};
+use morpheus_machine::{analyze_rows_from, MatrixAnalysis, Op, VirtualEngine};
 use morpheus_ml::serialize::LineParser;
 use morpheus_parallel::ThreadPool;
 use parking_lot::RwLock;
@@ -163,16 +164,22 @@ fn hash_is_of_indices_alone(format: FormatId) -> bool {
 /// and the machine model's view of it. Each fact is computed at most once
 /// per registration and handed from stage to stage (decide → gate →
 /// realize → plan) instead of being re-derived from the matrix.
+///
+/// The matrix may be one that does not exist yet: a shard of a partitioned
+/// registration is decided as rows `rows` of the source it would be split
+/// from, under the hash and the analysis the built shard would have.
 struct Facts {
     hash: u64,
+    /// The rows of the matrix handed to `decide` that the facts describe.
+    rows: std::ops::Range<usize>,
     analysis: Option<Analysis>,
     view: Option<MatrixAnalysis>,
 }
 
 impl Facts {
-    /// Only the structure hash (one index traversal).
+    /// Only the structure hash (one index traversal) of all of `m`.
     fn hashed<V: Scalar>(m: &DynamicMatrix<V>) -> Facts {
-        Facts { hash: m.structure_hash(), analysis: None, view: None }
+        Facts { hash: m.structure_hash(), rows: 0..m.nrows(), analysis: None, view: None }
     }
 }
 
@@ -213,7 +220,11 @@ struct TuneArtifacts {
 struct ShardTally {
     convert_seconds: f64,
     converted: bool,
-    all_cache_hits: bool,
+    /// The shards' tuning costs, summed; flagged a cache hit while every
+    /// shard's decision was one.
+    cost: TuningCost,
+    /// `Reused` while every shard's plan came from the plan cache.
+    plan: PlanStatus,
     batch: BatchCost,
 }
 
@@ -222,7 +233,8 @@ impl Default for ShardTally {
         ShardTally {
             convert_seconds: 0.0,
             converted: false,
-            all_cache_hits: true,
+            cost: TuningCost::cached(),
+            plan: PlanStatus::Reused,
             batch: BatchCost::default(),
         }
     }
@@ -704,17 +716,20 @@ impl<T> OracleService<T> {
     }
 
     /// The shared analysis of `m`, computed on first use and kept in
-    /// `facts`.
+    /// `facts` (facts about a row range of `m` come with theirs).
     fn analysis_of<'f, V: Scalar>(&self, m: &DynamicMatrix<V>, facts: &'f mut Facts) -> &'f Analysis {
         let hash = facts.hash;
+        debug_assert!(facts.analysis.is_some() || facts.rows == (0..m.nrows()));
         facts.analysis.get_or_insert_with(|| Analysis::of_auto_with_hash(m, self.opts.true_diag_alpha, hash))
     }
 
-    /// The machine model's view of `m`, computed (with the analysis it
-    /// derives from) on first use and kept in `facts`.
+    /// The machine model's view of the rows of `m` that `facts` describe,
+    /// computed (with the analysis it derives from) on first use and kept
+    /// in `facts`.
     fn view_of<'f, V: Scalar>(&self, m: &DynamicMatrix<V>, facts: &'f mut Facts) -> &'f MatrixAnalysis {
         if facts.view.is_none() {
-            let view = analyze_from(m, self.analysis_of(m, facts));
+            let rows = facts.rows.clone();
+            let view = analyze_rows_from(m, rows, self.analysis_of(m, facts));
             facts.view = Some(view);
         }
         facts.view.as_ref().expect("view computed above")
@@ -723,6 +738,9 @@ impl<T> OracleService<T> {
     /// First half of a tune: hash → decision-cache lookup → (on a miss)
     /// analysis → machine view → tuner. Nothing is converted; `m` is only
     /// read. Facts the caller already holds are used, never recomputed.
+    /// When the facts are a row range's, `m` is the storage those rows live
+    /// in and the tuner is handed it as such: its format is the one the
+    /// features were read from, the view alone describes what is decided.
     fn decide<V>(&self, m: &DynamicMatrix<V>, op: Op, mut facts: Facts) -> Decided
     where
         V: Scalar,
@@ -768,7 +786,7 @@ impl<T> OracleService<T> {
         op: Op,
     ) -> Result<(TuneReport, TuneArtifacts)> {
         let Decided {
-            facts: Facts { hash, analysis, view },
+            facts: Facts { hash, analysis, view, .. },
             key,
             decision,
             batch,
@@ -1154,7 +1172,8 @@ impl<T> OracleService<T> {
         structure: u64,
     ) -> BatchCost {
         artifacts.batch.unwrap_or_else(|| {
-            let mut facts = Facts { hash: structure, analysis: artifacts.analysis, view: None };
+            let mut facts =
+                Facts { hash: structure, rows: 0..m.nrows(), analysis: artifacts.analysis, view: None };
             BatchCost::of(&self.engine, m.format_id(), self.view_of(m, &mut facts))
         })
     }
@@ -1236,15 +1255,19 @@ impl<T> OracleService<T> {
     /// the whole-matrix path — `register_partitioned` is always safe to
     /// call.
     ///
-    /// The order is **decide → gate → realize**: every shard's format is
-    /// decided first (hash, decision cache, analysis, tuner — no
-    /// conversion), the cost gate is evaluated from those decisions, and
-    /// only an admitted partition converts and plans its shards. A
-    /// rejected one has materialised nothing but the CSR split, and hands
-    /// the whole-matrix hash, analysis and machine view it computed for
-    /// the partition and the gate to the whole-matrix path, which
-    /// therefore costs what a plain [`OracleService::register`] costs
-    /// minus those passes.
+    /// The order is **decide → gate → split → realize**. One entry walk
+    /// yields the whole matrix's analysis and every shard's
+    /// ([`Analysis::of_partitioned`]); each shard is then hashed, viewed and
+    /// decided *as a row range of `m`* (decision cache, machine view, tuner
+    /// — no copy, no conversion), and the cost gate is evaluated from those
+    /// decisions. Only an admitted partition is split into CSR shards,
+    /// converted and planned. A rejected one has materialised nothing, and
+    /// hands the whole-matrix hash, analysis and machine view to the
+    /// whole-matrix path, which therefore costs what a plain
+    /// [`OracleService::register`] costs plus the row-length sweep and the
+    /// shards' hashes and decisions. A matrix that is neither COO nor CSR
+    /// has no contiguous row ranges: it is converted to CSR first (and its
+    /// report's `previous` then reads CSR when it is served whole).
     pub fn register_partitioned<V>(&self, m: DynamicMatrix<V>) -> Result<MatrixHandle<V>>
     where
         V: Scalar,
@@ -1255,20 +1278,26 @@ impl<T> OracleService<T> {
 
     /// [`OracleService::register_partitioned`] tuned for an arbitrary
     /// operation.
-    pub fn register_partitioned_for<V>(&self, m: DynamicMatrix<V>, op: Op) -> Result<MatrixHandle<V>>
+    pub fn register_partitioned_for<V>(&self, mut m: DynamicMatrix<V>, op: Op) -> Result<MatrixHandle<V>>
     where
         V: Scalar,
         T: FormatTuner<V>,
     {
         let threads = self.exec_pool().map_or(1, |p| p.num_threads());
         let previous = m.format_id();
+        if !matches!(previous, FormatId::Coo | FormatId::Csr) {
+            m.convert_to_with(FormatId::Csr, &self.opts, None)?;
+        }
         let mut whole = Facts::hashed(&m);
-        let partition =
-            Partition::from_analysis(self.analysis_of(&m, &mut whole), &self.partition.config(threads));
+        let config = self.partition.config(threads);
+        let PartitionedAnalysis { whole: analysis, partition, shards } =
+            Analysis::of_partitioned(&m, self.opts.true_diag_alpha, whole.hash, |prefix| {
+                Partition::from_row_prefix(prefix, &config)
+            })?;
+        whole.analysis = Some(analysis);
         if partition.num_shards() <= 1 {
             return self.register_single_for(m, op, whole);
         }
-        let subs = split_rows(&m, &partition, whole.analysis.as_ref())?;
         // With the gate on, every shard needs its machine view (hit or
         // miss) and the whole matrix its best single-format time.
         let best_whole = self
@@ -1279,25 +1308,24 @@ impl<T> OracleService<T> {
             let view = view.expect("the cost gate computes every shard's view before deciding");
             self.engine.best_shard_spmv_variant(format, view).1
         };
-        let mut decided = Vec::with_capacity(subs.len());
-        for (rows, csr) in partition.ranges().zip(subs) {
-            let sm = DynamicMatrix::from(csr);
-            let mut facts = Facts::hashed(&sm);
+        let mut decided = Vec::with_capacity(shards.len());
+        for (rows, analysis) in partition.ranges().zip(shards) {
+            let mut facts =
+                Facts { hash: analysis.structure_hash, rows, analysis: Some(analysis), view: None };
             if best_whole.is_some() {
-                self.view_of(&sm, &mut facts);
+                self.view_of(&m, &mut facts);
             }
-            let d = self.decide(&sm, op, facts);
-            decided.push((rows, sm, d));
+            decided.push(self.decide(&m, op, facts));
         }
         if let Some(best_whole) = best_whole {
             // A shard is realized in its decided format or, when that
             // proves non-viable, in CSR — so the cheaper of the two bounds
             // its modelled time from below, and the partitioned time is
             // monotone in shard times: a partition this floor rejects is
-            // rejected whatever the conversions do, and is never converted.
+            // rejected whatever the conversions do, and is never split.
             let floor: Vec<f64> = decided
                 .iter()
-                .map(|(_, _, d)| {
+                .map(|d| {
                     let view = d.facts.view.as_ref();
                     shard_time(d.decision.format, view).min(shard_time(FormatId::Csr, view))
                 })
@@ -1307,11 +1335,13 @@ impl<T> OracleService<T> {
                 return self.register_single_for(m, op, whole);
             }
         }
+        let subs = split_rows(&m, &partition, whole.analysis.as_ref())?;
         let mut tally = ShardTally::default();
         let mut shards = Vec::with_capacity(decided.len());
         let mut shard_times = Vec::with_capacity(decided.len());
-        for (rows, sm, d) in decided {
-            let (shard, view) = self.realize_shard(rows, sm, d, op, &mut tally)?;
+        for (csr, d) in subs.into_iter().zip(decided) {
+            let rows = d.facts.rows.clone();
+            let (shard, view) = self.realize_shard(rows, DynamicMatrix::from(csr), d, op, &mut tally)?;
             if best_whole.is_some() {
                 shard_times.push(shard_time(shard.format_id(), view.as_ref()));
             }
@@ -1382,8 +1412,15 @@ impl<T> OracleService<T> {
         let (report, mut artifacts) = self.realize(&mut sm, decided, op)?;
         tally.convert_seconds += report.convert.seconds;
         tally.converted |= report.converted;
-        tally.all_cache_hits &= report.cache_hit;
-        let (plan, _) = self.acquire_plan(&sm, &artifacts, 1);
+        tally.cost.feature_extraction += report.cost.feature_extraction;
+        tally.cost.prediction += report.cost.prediction;
+        tally.cost.profiling += report.cost.profiling;
+        tally.cost.measured += report.cost.measured;
+        tally.cost.cache_hit &= report.cache_hit;
+        let (plan, status) = self.acquire_plan(&sm, &artifacts, 1);
+        if status != PlanStatus::Reused {
+            tally.plan = PlanStatus::Built;
+        }
         let structure = artifacts.realized_hash.unwrap_or_else(|| sm.structure_hash());
         let view = artifacts.view.take();
         let batch = self.batch_cost_of(&sm, artifacts, structure);
@@ -1413,11 +1450,11 @@ impl<T> OracleService<T> {
             chosen,
             previous,
             predicted: chosen,
-            cost: TuningCost::cached(),
+            cost: tally.cost,
             converted: tally.converted,
             op,
-            cache_hit: tally.all_cache_hits,
-            plan: PlanStatus::Built,
+            cache_hit: tally.cost.cache_hit,
+            plan: tally.plan,
             serial_fallback: false,
             variant: pm.dominant_variant(),
             convert,

@@ -73,6 +73,13 @@ pub trait FormatTuner<V: Scalar> {
     fn name(&self) -> &'static str;
 
     /// Selects a format for `op`.
+    ///
+    /// `a` describes what is being decided; `m` is the storage it lives in.
+    /// They are the same matrix except when a partitioned registration
+    /// decides a shard before building it: `a` is then the shard's view and
+    /// `m` the matrix the shard is a row range of, so shapes and counts are
+    /// read from `a` and `m` says only which format the features were
+    /// extracted from.
     fn select(
         &self,
         m: &DynamicMatrix<V>,

@@ -13,7 +13,7 @@
 use morpheus::analysis::passes;
 use morpheus::hdc::true_diag_threshold;
 use morpheus::stats::{MatrixStats, RowLengthCounts};
-use morpheus::{for_each_row_pattern, Analysis, DynamicMatrix, Scalar};
+use morpheus::{for_each_row_pattern_in, Analysis, DynamicMatrix, Scalar};
 
 /// GPU warp width used by the SIMT model (both vendors schedule SpMV
 /// row-kernels in 32-wide groups; MI100 wavefronts are 64 but rocSPARSE maps
@@ -247,6 +247,19 @@ pub fn analyze_with_alpha<V: Scalar>(m: &DynamicMatrix<V>, alpha: f64) -> Matrix
 /// otherwise the remainder is the whole matrix or nothing.
 pub fn analyze_from<V: Scalar>(m: &DynamicMatrix<V>, shared: &Analysis) -> MatrixAnalysis {
     debug_assert!(shared.matches(m), "analysis artifact does not describe this matrix");
+    analyze_rows_from(m, 0..m.nrows(), shared)
+}
+
+/// [`analyze_from`] for rows `rows` of `m` taken as a matrix of their own —
+/// a shard not yet built — `shared` being that matrix's analysis
+/// ([`Analysis::of_partitioned`]). The view is the one the built shard
+/// would get.
+pub fn analyze_rows_from<V: Scalar>(
+    m: &DynamicMatrix<V>,
+    rows_of_m: std::ops::Range<usize>,
+    shared: &Analysis,
+) -> MatrixAnalysis {
+    debug_assert_eq!((rows_of_m.len(), m.ncols()), (shared.nrows, shared.ncols));
     let (nrows, ncols) = (shared.nrows, shared.ncols);
     let nnz = shared.nnz();
     let rows = &shared.rows;
@@ -263,7 +276,9 @@ pub fn analyze_from<V: Scalar>(m: &DynamicMatrix<V>, shared: &Analysis) -> Matri
         passes::record_traversal();
         let threshold = true_diag_threshold(nrows, ncols, shared.stats.true_diag_alpha) as u32;
         let mut hist = shared.row_hist.clone();
-        for_each_row_pattern(m, |r, cols| {
+        let first = rows_of_m.start;
+        for_each_row_pattern_in(m, rows_of_m, |r, cols| {
+            let r = r - first;
             let slots = cols.iter().map(|&c| shared.diag_pop[c + nrows - 1 - r]);
             hist[r] -= slots.filter(|&p| p >= threshold).count() as u32;
         });

@@ -59,7 +59,7 @@ pub mod op;
 pub mod spec;
 pub mod systems;
 
-pub use analyze::{analyze, analyze_from, analyze_with_alpha, MatrixAnalysis};
+pub use analyze::{analyze, analyze_from, analyze_rows_from, analyze_with_alpha, MatrixAnalysis};
 pub use calib::Calibration;
 pub use engine::{ProfileResult, VirtualEngine};
 pub use op::Op;

@@ -37,6 +37,40 @@
 //! index arrays (see [`DynamicMatrix::structure_hash`] for its four-lane
 //! definition).
 //!
+//! # One walk for a matrix and its shards
+//!
+//! A partitioned registration asks the same questions of the whole matrix
+//! and of every shard of a row partition of it, and a shard that is a row
+//! range of a COO or CSR source need not exist to be asked:
+//! [`Analysis::of_partitioned`] takes the row lengths first (a sweep of the
+//! COO row array, or CSR's offsets), lets the caller choose the
+//! [`Partition`] from their prefix sums, and then runs the entry walk **once,
+//! shard by shard** over row ranges of the source — the row body is the one
+//! above, the rows delimited by the prefix sums just taken — filling one
+//! diagonal-population array and one [`EntryFacts`] per shard. The
+//! whole-matrix artifact is assembled from the shards' by three identities:
+//!
+//! * its row histogram is the shards' concatenated (it was taken first);
+//! * entry `(r, c)` lies in slot `c + shard_rows - 1 - (r - r0)` of the
+//!   shard starting at row `r0` and in slot `c + nrows - 1 - r` of the whole
+//!   matrix, so the whole populations are the shards' added at a shift:
+//!   `slot_whole = slot_shard + nrows - r0 - shard_rows`;
+//! * gather hits are counted within rows and add up; so do the block counts,
+//!   **because interior seams are multiples of [`SEAM_ALIGN`] rows**: every
+//!   `b x b` block row of the whole matrix then lies inside one shard and is
+//!   a block row of that shard, and one set of stamps, numbered by the whole
+//!   matrix's rows, counts for both.
+//!
+//! The reductions then run once per shard and once for the whole (each over
+//! the run of diagonal slots its walk populated), and each shard is hashed
+//! in place as the CSR matrix it would be built as. Both sides are bitwise
+//! what [`Analysis::of`] gives on the whole matrix and on each built shard
+//! (`tests/analysis_differential.rs`). The walk that needs no row lengths in
+//! advance is [`crate::for_each_row_pattern_in`], the ranged form
+//! [`crate::for_each_row_pattern`] is a call of; the machine view uses it to
+//! re-read a shard's rows for a mixed HDC split
+//! (`morpheus_machine::analyze_rows_from`).
+//!
 //! The analysis runs on the calling thread whatever the matrix's size: at
 //! its per-entry cost, splitting the walk over a pool's threads did not beat
 //! the pool's wake-up on matrices of up to 2 M entries (README, "Cold
@@ -55,11 +89,19 @@
 //! extraction, cache keying and conversion planning add **zero** further
 //! traversals.
 
+use std::ops::Range;
+
 use crate::bsr::BSR_BLOCK_DIMS;
-use crate::dynamic::DynamicMatrix;
+use crate::dynamic::{csr_rows_structure_hash, DynamicMatrix};
+use crate::error::MorpheusError;
+use crate::partition::{Partition, SEAM_ALIGN};
 use crate::rowmajor::for_each_row_pattern;
 use crate::scalar::Scalar;
-use crate::stats::{empty_hists, reduce, MatrixStats, Reduced, RowSummary};
+use crate::stats::{
+    empty_diag_pop, empty_hists, reduce, reduce_diags, reduce_rows, row_nnz_histogram, MatrixStats, Reduced,
+    RowSummary,
+};
+use crate::Result;
 
 /// Columns a gathered `x` cache line spans at eight bytes a value: two
 /// consecutive entries of a row at most this far apart count as one line
@@ -140,6 +182,20 @@ pub struct Analysis {
     pub true_diag_nnz: usize,
 }
 
+/// A matrix's [`Analysis`] and the analyses of the shards of a row
+/// partition of it, all from one entry walk ([`Analysis::of_partitioned`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PartitionedAnalysis {
+    /// The whole matrix's artifact.
+    pub whole: Analysis,
+    /// The partition that was chosen from the row lengths.
+    pub partition: Partition,
+    /// One artifact per shard, in row order — each what [`Analysis::of`]
+    /// gives on that shard built as a CSR matrix. Empty when the partition
+    /// is a single shard.
+    pub shards: Vec<Analysis>,
+}
+
 impl Analysis {
     /// Analyses `m`: one hash sweep, one entry walk, one loop over each
     /// histogram.
@@ -172,19 +228,33 @@ impl Analysis {
         let structure_hash = hash.unwrap_or_else(|| m.structure_hash_raw());
         let (nrows, ncols) = (m.nrows(), m.ncols());
         let (mut row_hist, mut diag_pop) = empty_hists(nrows, ncols);
-        let mut walk = RowWalk::new(nrows, ncols, &mut diag_pop);
+        let mut stamps = Stamps::new(nrows, ncols);
+        let mut walk = stamps.over(0..nrows, &mut diag_pop);
         for_each_row_pattern(m, |r, cols| {
             // Added, not stored: were a COO matrix not sorted, a row met
             // twice would still count all its entries.
             row_hist[r] += cols.len() as u32;
             walk.row(r, cols);
         });
-        let entries = walk.facts;
-        let Reduced { stats, rows, true_diag_nnz } = reduce(nrows, ncols, &row_hist, &diag_pop, alpha);
+        let (entries, populated) = (walk.facts, walk.populated());
+        let reduced = reduce(ncols, &row_hist, &diag_pop[populated], alpha);
+        Analysis::assemble(m.nnz(), row_hist, diag_pop, structure_hash, entries, reduced)
+    }
+
+    /// Puts an artifact together from its histograms, its walk's facts and
+    /// their reduction.
+    fn assemble(
+        source_nnz: usize,
+        row_hist: Vec<u32>,
+        diag_pop: Vec<u32>,
+        structure_hash: u64,
+        entries: EntryFacts,
+        Reduced { stats, rows, true_diag_nnz }: Reduced,
+    ) -> Analysis {
         Analysis {
-            nrows,
-            ncols,
-            source_nnz: m.nnz(),
+            nrows: stats.nrows,
+            ncols: stats.ncols,
+            source_nnz,
             row_hist,
             diag_pop,
             stats,
@@ -193,6 +263,110 @@ impl Analysis {
             entries,
             true_diag_nnz,
         }
+    }
+
+    /// Analyses `m` and every shard of a row partition of it in **one**
+    /// entry walk: `whole` is what [`Analysis::of_auto_with_hash`] gives on
+    /// `m` (`hash` being its structure hash), and `shards[i]` what
+    /// [`Analysis::of`] gives on the CSR matrix holding the partition's
+    /// `i`-th row range — its [`Analysis::structure_hash`] included, hashed
+    /// in place from the prefix sums and `m`'s column array — all bitwise,
+    /// with no shard built. See the [module docs](self) for the identities.
+    ///
+    /// The row lengths come first (one sweep of a COO row array, CSR's
+    /// offsets) and `choose` picks the partition from their prefix sums
+    /// (`nrows + 1` of them) — [`Partition::from_row_prefix`] in the serving
+    /// layer. A single-shard partition yields no shard artifacts: the whole
+    /// matrix is that shard.
+    ///
+    /// # Errors
+    /// [`MorpheusError::InvalidStructure`] when `m` is neither COO nor CSR
+    /// (no other format holds a row range's columns as one slice: convert
+    /// to CSR first), or when `choose` returns a partition of another row
+    /// count or with an interior boundary off a multiple of [`SEAM_ALIGN`].
+    pub fn of_partitioned<V: Scalar>(
+        m: &DynamicMatrix<V>,
+        alpha: f64,
+        hash: u64,
+        choose: impl FnOnce(&[u64]) -> Partition,
+    ) -> Result<PartitionedAnalysis> {
+        let cols = match m {
+            DynamicMatrix::Coo(a) => a.col_indices(),
+            DynamicMatrix::Csr(a) => a.col_indices(),
+            other => {
+                return Err(MorpheusError::InvalidStructure(format!(
+                    "a {} matrix has no contiguous row ranges to analyse in place",
+                    other.format_id()
+                )))
+            }
+        };
+        debug_assert_eq!(hash, m.structure_hash_raw(), "precomputed hash disagrees with the matrix");
+        let (nrows, ncols) = (m.nrows(), m.ncols());
+        let row_hist = row_nnz_histogram(m);
+        let rows = reduce_rows(&row_hist);
+        let prefix = &rows.summary.prefix;
+        let partition = choose(prefix);
+        let seams = &partition.boundaries()[1..partition.num_shards()];
+        if partition.nrows() != nrows || seams.iter().any(|b| b % SEAM_ALIGN != 0) {
+            return Err(MorpheusError::InvalidStructure(format!(
+                "boundaries {:?} do not partition {nrows} rows at multiples of {SEAM_ALIGN}",
+                partition.boundaries()
+            )));
+        }
+
+        passes::record_traversal();
+        let mut diag_pop = empty_diag_pop(nrows, ncols);
+        let mut stamps = Stamps::new(nrows, ncols);
+        // Rows are delimited by the prefix sums just taken from this very
+        // matrix: a COO source's row array is not read a second time.
+        let mut walk_rows = |rows: Range<usize>, diag: &mut [u32]| {
+            let mut walk = stamps.over(rows.clone(), diag);
+            for r in rows {
+                let row = &cols[prefix[r] as usize..prefix[r + 1] as usize];
+                if !row.is_empty() {
+                    walk.row(r, row);
+                }
+            }
+            (walk.facts, walk.populated())
+        };
+        let mut shards = Vec::new();
+        let (entries, populated) = if partition.num_shards() == 1 {
+            walk_rows(0..nrows, &mut diag_pop)
+        } else {
+            // The shards' column slices tile the column array: one sweep.
+            passes::record_traversal();
+            let mut entries = EntryFacts::default();
+            let (mut first_slot, mut end_slot) = (usize::MAX, 0usize);
+            for range in partition.ranges() {
+                let mut shard_diag = empty_diag_pop(range.len(), ncols);
+                let (facts, slots) = walk_rows(range.clone(), &mut shard_diag);
+                entries.gather_hits += facts.gather_hits;
+                for (total, blocks) in entries.bsr_blocks.iter_mut().zip(facts.bsr_blocks) {
+                    *total += blocks;
+                }
+                if !slots.is_empty() {
+                    // Entry (r, c) sits in shard slot `c + range.end - 1 - r`
+                    // and in the whole matrix's `c + nrows - 1 - r`.
+                    let whole_slots = slots.start + nrows - range.end..slots.end + nrows - range.end;
+                    first_slot = first_slot.min(whole_slots.start);
+                    end_slot = end_slot.max(whole_slots.end);
+                    let shard_pops = &shard_diag[slots.clone()];
+                    diag_pop[whole_slots]
+                        .iter_mut()
+                        .zip(shard_pops)
+                        .for_each(|(whole, shard)| *whole += shard);
+                }
+                let shard_hist = row_hist[range.clone()].to_vec();
+                let reduced = reduce(ncols, &shard_hist, &shard_diag[slots], alpha);
+                let shard_hash = csr_rows_structure_hash(prefix, range, ncols, cols);
+                let nnz = reduced.stats.nnz;
+                shards.push(Analysis::assemble(nnz, shard_hist, shard_diag, shard_hash, facts, reduced));
+            }
+            (entries, first_slot.min(end_slot)..end_slot)
+        };
+        let reduced = reduce_diags(rows, ncols, &diag_pop[populated], alpha);
+        let whole = Analysis::assemble(m.nnz(), row_hist, diag_pop, hash, entries, reduced);
+        Ok(PartitionedAnalysis { whole, partition, shards })
     }
 
     /// `true` when the artifact plausibly describes `m` (shape and the
@@ -275,29 +449,52 @@ pub(crate) fn true_diag_slots_from_pop(diag_pop: &[u32], threshold: usize) -> (V
     (slots, entries)
 }
 
-/// The per-row body of the entry walk and the state it carries from row to
-/// row.
-struct RowWalk<'a> {
-    nrows: usize,
-    /// Diagonal populations.
-    diag: &'a mut [u32],
+/// The block-row stamps the entry walk carries from row to row — and, rows
+/// being numbered as the matrix numbers them, from one row range to the next.
+struct Stamps {
     /// Per block dimension `b`, a stamp per block column `c / b`: one plus
     /// the last block row `r / b` that put an entry there; 0 means none has
     /// yet.
     seen: [Vec<u32>; 3],
-    facts: EntryFacts,
 }
 
-impl<'a> RowWalk<'a> {
-    fn new(nrows: usize, ncols: usize, diag: &'a mut [u32]) -> Self {
+impl Stamps {
+    fn new(nrows: usize, ncols: usize) -> Self {
         // Block rows are stamped in 4 bytes.
         assert!(nrows <= u32::MAX as usize, "{nrows} rows are more than the analysis stamps");
-        RowWalk {
-            nrows,
-            diag,
-            seen: BSR_BLOCK_DIMS.map(|b| vec![0u32; ncols.div_ceil(b)]),
-            facts: EntryFacts::default(),
-        }
+        Stamps { seen: BSR_BLOCK_DIMS.map(|b| vec![0u32; ncols.div_ceil(b)]) }
+    }
+
+    /// The walk over rows `rows` — ascending, none earlier than any row
+    /// walked before — filling `diag` as the diagonal populations of those
+    /// rows taken as a matrix of their own. The block counts are that
+    /// matrix's too when `rows.start` is a multiple of every block dimension:
+    /// its block rows are then the whole matrix's, and no stamp of an earlier
+    /// range can equal one of this range.
+    fn over<'a>(&'a mut self, rows: Range<usize>, diag: &'a mut [u32]) -> RowWalk<'a> {
+        let facts = EntryFacts::default();
+        RowWalk { end: rows.end, diag, seen: &mut self.seen, facts, first_slot: usize::MAX, end_slot: 0 }
+    }
+}
+
+/// The per-row body of the entry walk over one row range.
+struct RowWalk<'a> {
+    /// One past the range's last row.
+    end: usize,
+    /// Diagonal populations of the range.
+    diag: &'a mut [u32],
+    seen: &'a mut [Vec<u32>; 3],
+    facts: EntryFacts,
+    /// The lowest diagonal slot an entry fell in, and one past the highest.
+    first_slot: usize,
+    end_slot: usize,
+}
+
+impl RowWalk<'_> {
+    /// The slots of `diag` between the lowest and the highest populated one:
+    /// all a reduction need read (on a banded pattern, a fraction).
+    fn populated(&self) -> Range<usize> {
+        self.first_slot.min(self.end_slot)..self.end_slot
     }
 
     /// Row `r`'s ascending column indices.
@@ -306,7 +503,11 @@ impl<'a> RowWalk<'a> {
         // No column is within a line of this one: they index allocations, so
         // they lie below `isize::MAX`.
         const FAR: usize = usize::MAX / 2;
-        let base = self.nrows - 1 - r;
+        let base = self.end - 1 - r;
+        if let (Some(first), Some(last)) = (cols.first(), cols.last()) {
+            self.first_slot = self.first_slot.min(first + base);
+            self.end_slot = self.end_slot.max(last + base + 1);
+        }
         let stamps = BSR_BLOCK_DIMS.map(|b| (r / b) as u32 + 1);
         let mut new = [0usize; 3];
         let mut near = 0usize;

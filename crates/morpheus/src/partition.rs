@@ -8,10 +8,11 @@
 //!
 //! Three artifacts live here:
 //!
-//! * [`Partition`] — row-range shard boundaries picked from an
-//!   [`Analysis`] row-nnz histogram: balanced nnz per shard, with each
-//!   boundary nudged to the largest nearby *regime shift* in mean row
-//!   length so a hub block and a regular tail land in different shards.
+//! * [`Partition`] — row-range shard boundaries picked from the prefix
+//!   sums of the row lengths: balanced nnz per shard, with each boundary
+//!   nudged to the largest nearby *regime shift* in mean row length so a
+//!   hub block and a regular tail land in different shards, every interior
+//!   boundary on a multiple of [`SEAM_ALIGN`] rows.
 //! * [`PartitionedMatrix`] — the shards, each independently converted
 //!   (direct conversion kernels, CSR fallback) and independently planned
 //!   (each shard gets its own single-part [`ExecPlan`] with variant
@@ -70,13 +71,36 @@ impl Default for PartitionConfig {
     }
 }
 
+/// Interior shard boundaries chosen by this module are multiples of this
+/// many rows: the BELL slice height ([`crate::bell::SLICE`]) and the largest
+/// of [`crate::BSR_BLOCK_DIMS`], every one of which divides it.
+pub const SEAM_ALIGN: usize = 8;
+
+const _: () = {
+    assert!(SEAM_ALIGN == crate::bell::SLICE);
+    let mut i = 0;
+    while i < crate::BSR_BLOCK_DIMS.len() {
+        assert!(SEAM_ALIGN.is_multiple_of(crate::BSR_BLOCK_DIMS[i]));
+        i += 1;
+    }
+};
+
 /// Row-range shard boundaries for one matrix structure.
 ///
 /// Boundaries are a strictly increasing sequence `b_0 = 0 < b_1 < ... <
 /// b_s = nrows`; shard `i` owns rows `b_i..b_{i+1}`. Construction is a
-/// pure function of the [`Analysis`] histogram and the
-/// [`PartitionConfig`] — identical inputs always produce identical
-/// boundaries.
+/// pure function of the row lengths and the [`PartitionConfig`] — identical
+/// inputs always produce identical boundaries.
+///
+/// **The seam rule.** Every interior boundary a partition chosen here has
+/// is a multiple of [`SEAM_ALIGN`] rows (so a matrix of `n` rows has at
+/// most `ceil(n / SEAM_ALIGN)` shards, and one of up to [`SEAM_ALIGN`] rows
+/// has one). No block row of any BSR dimension and no 8-row BELL slice of
+/// the whole matrix then straddles a seam: a shard's blocks are the whole
+/// matrix's blocks in its rows, which is what lets one entry walk count
+/// them for both ([`Analysis::of_partitioned`]).
+/// [`Partition::from_boundaries`] takes boundaries as they come — a
+/// [`StreamingPartitioner`] seals where the stream fills.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     nrows: usize,
@@ -85,42 +109,48 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// Picks shard boundaries from the row-nnz histogram of `a`.
-    ///
-    /// Stage 1 balances nnz: `weighted_partition_with` over the histogram
-    /// yields contiguous, non-empty row ranges with near-equal nnz. Stage 2
-    /// refines each interior boundary: anywhere strictly between its
-    /// neighbouring boundaries, the position maximizing the log-ratio of
-    /// mean row length between the `regime_window`-row windows on its two
-    /// sides is found (coarse stride scan + fine pass around the best
-    /// coarse hit, so a hub edge far from the balance point is still
-    /// reached); the boundary snaps there if the shift is at least
-    /// `regime_ratio`. Scoring windows clamp at the neighbouring
-    /// boundaries, so a shift already claimed by the previous boundary
-    /// cannot recapture the next one.
+    /// Picks shard boundaries from the row-nnz histogram of `a`:
+    /// [`Partition::from_row_prefix`] on its prefix sums.
     pub fn from_analysis(a: &Analysis, cfg: &PartitionConfig) -> Partition {
-        let nrows = a.nrows;
-        let total: usize = a.row_hist.iter().map(|&c| c as usize).sum();
+        Partition::from_row_prefix(&a.rows.prefix, cfg)
+    }
+
+    /// Picks shard boundaries from the prefix sums of the row lengths
+    /// (`prefix[r]` entries lie in rows `< r`; `nrows + 1` of them), in units
+    /// of [`SEAM_ALIGN`]-row groups (the last one ragged).
+    ///
+    /// Stage 1 balances nnz: `weighted_partition_with` over the groups
+    /// yields contiguous, non-empty row ranges with near-equal nnz. Stage 2
+    /// refines each interior boundary: at every group edge strictly between
+    /// its neighbouring boundaries, the log-ratio of mean row length between
+    /// the `regime_window`-row windows on the two sides is scored (coarse
+    /// stride scan + fine pass around the best coarse hit, so a hub edge far
+    /// from the balance point is still reached); the boundary snaps to the
+    /// best one if the shift is at least `regime_ratio`. Scoring windows
+    /// clamp at the neighbouring boundaries, so a shift already claimed by
+    /// the previous boundary cannot recapture the next one.
+    pub fn from_row_prefix(prefix: &[u64], cfg: &PartitionConfig) -> Partition {
+        let nrows = prefix.len().saturating_sub(1);
         if nrows == 0 {
             return Partition { nrows: 0, boundaries: vec![0, 0], shard_nnz: vec![0] };
         }
+        let total = prefix[nrows] as usize;
+        let groups = nrows.div_ceil(SEAM_ALIGN);
+        // The row a group edge is at.
+        let row_at = |g: usize| (g * SEAM_ALIGN).min(nrows);
         let target = cfg.target_shard_nnz.max(1);
-        let want = (total / target).clamp(1, cfg.max_shards.max(1)).min(nrows);
-        let ranges = weighted_partition_with(nrows, want, |r| a.row_hist[r] as usize);
+        let want = (total / target).clamp(1, cfg.max_shards.max(1));
+        let ranges =
+            weighted_partition_with(groups, want, |g| (prefix[row_at(g + 1)] - prefix[row_at(g)]) as usize);
+        // Boundaries in groups until the refinement is done.
         let mut boundaries: Vec<usize> = ranges.iter().map(|r| r.start).collect();
-        boundaries.push(nrows);
+        boundaries.push(groups);
 
-        // Prefix sums of row nnz for O(1) window means.
-        let mut pre = Vec::with_capacity(nrows + 1);
-        pre.push(0u64);
-        for &c in &a.row_hist {
-            pre.push(pre.last().unwrap() + u64::from(c));
-        }
         let window = cfg.regime_window.max(1);
         let threshold = cfg.regime_ratio.max(1.0).ln();
         let win_mean = |lo: usize, hi: usize| -> f64 {
             debug_assert!(lo < hi);
-            (pre[hi] - pre[lo]) as f64 / (hi - lo) as f64
+            (prefix[hi] - prefix[lo]) as f64 / (hi - lo) as f64
         };
         for i in 1..boundaries.len() - 1 {
             let (prev, next) = (boundaries[i - 1], boundaries[i + 1]);
@@ -129,38 +159,41 @@ impl Partition {
             if lo > hi {
                 continue;
             }
-            let score_at = |pos: usize| -> f64 {
-                let lstart = pos.saturating_sub(window).max(prev);
-                let rend = (pos + window).min(next);
+            let score_at = |g: usize| -> f64 {
+                let pos = row_at(g);
+                let lstart = pos.saturating_sub(window).max(row_at(prev));
+                let rend = (pos + window).min(row_at(next));
                 ((win_mean(lstart, pos) + 1.0) / (win_mean(pos, rend) + 1.0)).ln().abs()
             };
             // Coarse stride over the whole span, then exact scan around the
-            // best coarse hit. The stride never exceeds the scoring window,
-            // so a step edge (whose score plateaus over ~window rows)
-            // cannot fall between probes.
-            let stride = ((hi - lo) / 2048).clamp(1, window);
+            // best coarse hit. The stride never exceeds the scoring window
+            // (or one group, when the window is narrower than that), so a
+            // step edge (whose score plateaus over ~window rows) cannot fall
+            // between probes.
+            let stride = ((hi - lo) / 2048).clamp(1, (window / SEAM_ALIGN).max(1));
             let mut best = (0.0f64, b);
-            let mut pos = lo;
-            while pos <= hi {
-                let score = score_at(pos);
+            let mut g = lo;
+            while g <= hi {
+                let score = score_at(g);
                 if score > best.0 {
-                    best = (score, pos);
+                    best = (score, g);
                 }
-                pos += stride;
+                g += stride;
             }
             let fine_lo = best.1.saturating_sub(stride).max(lo);
             let fine_hi = (best.1 + stride).min(hi);
-            for pos in fine_lo..=fine_hi {
-                let score = score_at(pos);
+            for g in fine_lo..=fine_hi {
+                let score = score_at(g);
                 if score > best.0 {
-                    best = (score, pos);
+                    best = (score, g);
                 }
             }
             if best.0 >= threshold {
                 boundaries[i] = best.1;
             }
         }
-        let shard_nnz = boundaries.windows(2).map(|w| (pre[w[1]] - pre[w[0]]) as usize).collect();
+        boundaries.iter_mut().for_each(|g| *g = row_at(*g));
+        let shard_nnz = boundaries.windows(2).map(|w| (prefix[w[1]] - prefix[w[0]]) as usize).collect();
         Partition { nrows, boundaries, shard_nnz }
     }
 
@@ -234,13 +267,15 @@ pub fn split_rows<V: Scalar>(
             got: format!("matrix with {} rows", m.nrows()),
         });
     }
-    let counts: Vec<u32> = match analysis.filter(|a| a.matches(m)) {
-        Some(a) => a.row_hist.clone(),
+    let counted;
+    let counts: &[u32] = match analysis.filter(|a| a.matches(m)) {
+        Some(a) => &a.row_hist,
         None => {
             let mut c = vec![0u32; m.nrows()];
             for_each_entry_row_major(m, |r, _, _| c[r] += 1);
             passes::record_traversal();
-            c
+            counted = c;
+            &counted
         }
     };
     let contiguous = match m {

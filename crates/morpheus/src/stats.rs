@@ -193,6 +193,18 @@ pub(crate) struct Reduced {
     pub true_diag_nnz: usize,
 }
 
+/// What [`reduce_rows`] reads off the row-nnz histogram alone: the row side
+/// of Table I and the [`RowSummary`].
+pub(crate) struct RowsReduced {
+    nnz: usize,
+    min: u32,
+    max: u32,
+    mean: f64,
+    std: f64,
+    bucket_skew: f64,
+    pub summary: RowSummary,
+}
+
 /// Reduces a row-nnz histogram and a diagonal-population array: one loop
 /// over each (after a sum/min/max sweep that fixes the mean and sizes the
 /// count table).
@@ -200,21 +212,25 @@ pub(crate) struct Reduced {
 /// This is the single reduction every producer goes through — [`stats_of`]
 /// and the shared [`crate::analysis::Analysis`] artifact — so their
 /// [`MatrixStats`] are **bitwise** identical (summation order over the
-/// histograms is fixed).
-pub(crate) fn reduce(
-    nrows: usize,
-    ncols: usize,
-    row_counts: &[u32],
-    diag_pop: &[u32],
-    alpha: f64,
-) -> Reduced {
+/// histograms is fixed). `diag_pop` may be any run of the diagonal slots that
+/// holds every populated one: empty slots contribute nothing. The two halves
+/// are callable on their own for the producer that needs the row side (the
+/// prefix sums a partition is chosen from) before the diagonal populations
+/// exist.
+pub(crate) fn reduce(ncols: usize, row_counts: &[u32], diag_pop: &[u32], alpha: f64) -> Reduced {
+    reduce_diags(reduce_rows(row_counts), ncols, diag_pop, alpha)
+}
+
+/// The row half of [`reduce`].
+pub(crate) fn reduce_rows(row_counts: &[u32]) -> RowsReduced {
+    let nrows = row_counts.len();
     let nnz: usize = row_counts.iter().map(|&c| c as usize).sum();
     let min = row_counts.iter().copied().min().unwrap_or(0);
     let max = row_counts.iter().copied().max().unwrap_or(0);
     let mean = if nrows == 0 { 0.0 } else { nnz as f64 / nrows as f64 };
 
     let mut squares = 0.0f64;
-    let mut prefix = vec![0u64; row_counts.len() + 1];
+    let mut prefix = vec![0u64; nrows + 1];
     let mut entries = 0u64;
     let mut group_max_sum = 0u64;
     let mut rows_with_len = vec![0usize; max as usize + 1];
@@ -235,7 +251,21 @@ pub(crate) fn reduce(
     // rounds up to its bucket width.
     let bell = lengths.ladder_fit(&crate::bell::default_bucket_widths(max as usize));
     let bucket_skew = if nnz == 0 { 1.0 } else { bell.padded as f64 / nnz as f64 };
+    RowsReduced {
+        nnz,
+        min,
+        max,
+        mean,
+        std: var.sqrt(),
+        bucket_skew,
+        summary: RowSummary { prefix, group_max_sum, lengths, bell },
+    }
+}
 
+/// The diagonal half of [`reduce`], joined with the row half.
+pub(crate) fn reduce_diags(rows: RowsReduced, ncols: usize, diag_pop: &[u32], alpha: f64) -> Reduced {
+    let nrows = rows.summary.prefix.len() - 1;
+    let nnz = rows.nnz;
     let threshold = true_diag_threshold(nrows, ncols, alpha) as u32;
     let mut ndiags = 0usize;
     let mut ntrue = 0usize;
@@ -243,13 +273,16 @@ pub(crate) fn reduce(
     // Population-weighted diagonal adjacency: entries of dense blocks land
     // on runs of adjacent diagonals.
     let mut adjacent_pop = 0u64;
-    let mut left = 0u32; // population of the diagonal one slot to the left
+    // The population of the diagonal one slot to the left.
+    let mut left = 0u32;
+    // Counted with masks, not branches: on a scattered pattern whether a
+    // diagonal is populated is as unpredictable as the pattern.
     for &p in diag_pop {
-        let is_true = p > 0 && p >= threshold;
+        let is_true = (p > 0) & (p >= threshold);
         ndiags += usize::from(p > 0);
         ntrue += usize::from(is_true);
-        true_diag_nnz += if is_true { p as usize } else { 0 };
-        adjacent_pop += if p > 0 && left > 0 { u64::from(p) } else { 0 };
+        true_diag_nnz += p as usize * usize::from(is_true);
+        adjacent_pop += u64::from(p) * u64::from(left > 0);
         left = p;
     }
     let block_density = if nnz == 0 { 0.0 } else { adjacent_pop as f64 / nnz as f64 };
@@ -258,24 +291,29 @@ pub(crate) fn reduce(
         nrows,
         ncols,
         nnz,
-        row_nnz_min: min as usize,
-        row_nnz_max: max as usize,
-        row_nnz_mean: mean,
-        row_nnz_std: var.sqrt(),
+        row_nnz_min: rows.min as usize,
+        row_nnz_max: rows.max as usize,
+        row_nnz_mean: rows.mean,
+        row_nnz_std: rows.std,
         ndiags,
         ntrue_diags: ntrue,
         true_diag_alpha: alpha,
         block_density,
-        bucket_skew,
+        bucket_skew: rows.bucket_skew,
     };
-    Reduced { stats, rows: RowSummary { prefix, group_max_sum, lengths, bell }, true_diag_nnz }
+    Reduced { stats, rows: rows.summary, true_diag_nnz }
 }
 
-/// Zeroed histograms for a matrix of this shape: `nrows` row slots and
-/// `nrows + ncols - 1` diagonal slots (none for degenerate shapes).
+/// Zeroed diagonal populations for a matrix of this shape:
+/// `nrows + ncols - 1` slots (none for degenerate shapes).
+pub(crate) fn empty_diag_pop(nrows: usize, ncols: usize) -> Vec<u32> {
+    vec![0u32; if nrows == 0 || ncols == 0 { 0 } else { nrows + ncols - 1 }]
+}
+
+/// Zeroed histograms for a matrix of this shape: `nrows` row slots and its
+/// [`empty_diag_pop`].
 pub(crate) fn empty_hists(nrows: usize, ncols: usize) -> (Vec<u32>, Vec<u32>) {
-    let slots = if nrows == 0 || ncols == 0 { 0 } else { nrows + ncols - 1 };
-    (vec![0u32; nrows], vec![0u32; slots])
+    (vec![0u32; nrows], empty_diag_pop(nrows, ncols))
 }
 
 /// Streams every structural entry of `m` (in its active format) into a
@@ -349,7 +387,7 @@ pub fn stats_of<V: Scalar>(m: &DynamicMatrix<V>, alpha: f64) -> MatrixStats {
     crate::analysis::passes::record_traversal();
     let (mut row, mut diag) = empty_hists(m.nrows(), m.ncols());
     accumulate_hists(m, &mut row, &mut diag);
-    reduce(m.nrows(), m.ncols(), &row, &diag, alpha).stats
+    reduce(m.ncols(), &row, &diag, alpha).stats
 }
 
 /// Statistics from COO storage: single fused pass over the triplets.
@@ -359,7 +397,7 @@ pub fn stats_coo<V: Scalar>(a: &CooMatrix<V>, alpha: f64) -> MatrixStats {
         row[r] += 1;
         diag[c + a.nrows() - 1 - r] += 1;
     });
-    reduce(a.nrows(), a.ncols(), &row, &diag, alpha).stats
+    reduce(a.ncols(), &row, &diag, alpha).stats
 }
 
 /// Per-row non-zero counts of a [`DynamicMatrix`] (used by the machine
@@ -369,8 +407,19 @@ pub fn row_nnz_histogram<V: Scalar>(m: &DynamicMatrix<V>) -> Vec<u32> {
     let mut counts = vec![0u32; m.nrows()];
     match m {
         DynamicMatrix::Coo(a) => {
-            for &r in a.row_indices() {
-                counts[r] += 1;
+            // Rows are sorted, so a row's entries are one run and its length
+            // the distance between two run ends: a store per entry (where its
+            // row's run ends, if it is the last) and a difference per row,
+            // instead of an increment through one counter per run.
+            assert!(a.nnz() <= u32::MAX as usize, "{} entries are more than a row length counts", a.nnz());
+            for (i, &r) in a.row_indices().iter().enumerate() {
+                counts[r] = i as u32 + 1;
+            }
+            let mut before = 0u32;
+            for slot in &mut counts {
+                let end = if *slot == 0 { before } else { *slot };
+                *slot = end - before;
+                before = end;
             }
         }
         DynamicMatrix::Csr(a) => {

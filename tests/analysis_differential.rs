@@ -1,19 +1,25 @@
 //! Differential test of the one-pass analysis: every field of the fused
 //! [`Analysis`] artifact — and of the machine view assembled from it —
-//! against an independent, naive definition, for every source format.
+//! against an independent, naive definition, for every source format; and
+//! the one walk that analyses a matrix and the shards of a row partition of
+//! it against analysing each shard built on its own.
 //!
 //! The naive side knows nothing of the walk's mechanics (row runs, block-row
 //! stamps, the row-length count table): blocks are counted with sets,
 //! locality entry by entry, padding and spill row by row.
 
-use morpheus_repro::machine::{analyze, analyze_from};
+use morpheus_repro::machine::{analyze, analyze_from, analyze_rows_from};
 use morpheus_repro::morpheus::analysis::{Analysis, GATHER_LINE};
 use morpheus_repro::morpheus::bell::default_bucket_widths;
-use morpheus_repro::morpheus::format::ALL_FORMATS;
+use morpheus_repro::morpheus::format::{FormatId, ALL_FORMATS};
 use morpheus_repro::morpheus::hdc::true_diag_threshold;
 use morpheus_repro::morpheus::hyb::optimal_hyb_width;
+use morpheus_repro::morpheus::partition::{split_rows, SEAM_ALIGN};
 use morpheus_repro::morpheus::stats::{row_nnz_histogram, stats_of, ROW_GROUP};
-use morpheus_repro::morpheus::{ConvertOptions, CooMatrix, DynamicMatrix, BSR_BLOCK_DIMS};
+use morpheus_repro::morpheus::{
+    for_each_entry_row_major, for_each_row_pattern_in, ConvertOptions, CooMatrix, DynamicMatrix, Partition,
+    PartitionConfig, BSR_BLOCK_DIMS,
+};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -170,5 +176,177 @@ fn blocks_shared_by_many_rows_are_counted_once() {
     for &fmt in &ALL_FORMATS {
         let m = base.to_format(fmt, &opts).unwrap();
         assert_matches_definitions(&Analysis::of(&m, ALPHA), &m, &coo, &format!("{fmt}"));
+    }
+}
+
+/// Row `r` of `m` as the entry walk sees it, for every row in `rows`.
+fn patterns_in(m: &DynamicMatrix<f64>, rows: std::ops::Range<usize>) -> Vec<(usize, Vec<usize>)> {
+    let mut seen = Vec::new();
+    for_each_row_pattern_in(m, rows, |r, cols| seen.push((r, cols.to_vec())));
+    seen
+}
+
+/// Boundaries over `nrows` rows with every interior one a multiple of
+/// [`SEAM_ALIGN`]: `picks` chooses which of the candidate seams are taken.
+fn aligned_boundaries(nrows: usize, picks: &[usize]) -> Vec<usize> {
+    let seams: Vec<usize> = (1..nrows.div_ceil(SEAM_ALIGN)).map(|g| g * SEAM_ALIGN).collect();
+    let mut chosen: BTreeSet<usize> = BTreeSet::new();
+    if !seams.is_empty() {
+        chosen.extend(picks.iter().map(|p| seams[p % seams.len()]));
+    }
+    std::iter::once(0).chain(chosen).chain(std::iter::once(nrows)).collect()
+}
+
+/// The one-walk artifacts of `source` under `partition` against the
+/// definitions: each shard's against `Analysis::of` on the shard built as a
+/// CSR matrix (hash included), the merged one against `Analysis::of` on the
+/// whole, the machine views against the built shards' views.
+fn assert_one_walk_matches_built_shards(source: &DynamicMatrix<f64>, partition: &Partition, what: &str) {
+    let hash = source.structure_hash();
+    let got = Analysis::of_partitioned(source, ALPHA, hash, |_| partition.clone()).unwrap();
+    assert_eq!(&got.partition, partition, "{what}");
+    assert_eq!(got.whole, Analysis::of(source, ALPHA), "{what}: merged artifact");
+    if partition.num_shards() == 1 {
+        assert!(got.shards.is_empty(), "{what}: a single shard is the whole matrix");
+        return;
+    }
+    let built = split_rows(source, partition, Some(&got.whole)).unwrap();
+    assert_eq!(got.shards.len(), built.len(), "{what}");
+    for ((shard, rows), csr) in got.shards.iter().zip(partition.ranges()).zip(built) {
+        let csr = DynamicMatrix::from(csr);
+        assert_eq!(shard.structure_hash, csr.structure_hash(), "{what}: in-place hash of rows {rows:?}");
+        assert_eq!(shard, &Analysis::of(&csr, ALPHA), "{what}: shard artifact of rows {rows:?}");
+        assert_eq!(
+            analyze_rows_from(source, rows.clone(), shard),
+            analyze_from(&csr, shard),
+            "{what}: machine view of rows {rows:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One walk for a matrix and its shards, for random aligned partitions of
+    /// 1-8 shards and the ones `Partition::from_row_prefix` picks: every shard
+    /// artifact, the merged artifact, the in-place shard hashes and the ranged
+    /// machine views are the built shards'. The sources are the two formats
+    /// that hold a row range as one slice; every other format is refused (the
+    /// serving layer converts it to CSR first).
+    #[test]
+    fn one_walk_equals_analysing_each_built_shard(
+        base in arb_matrix(),
+        picks in proptest::collection::vec(0usize..64, 0..8),
+        max_shards in 1usize..9,
+        target in 1usize..200,
+    ) {
+        let opts = ConvertOptions { min_padded_allowance: 1 << 24, ..Default::default() };
+        let nrows = base.nrows();
+        let boundaries = aligned_boundaries(nrows, &picks);
+        for &fmt in &ALL_FORMATS {
+            let m = base.to_format(fmt, &opts).unwrap();
+            // The ranged walk, for every format: what the entry walk visits in
+            // those rows, and the whole walk when the ranges tile the matrix.
+            let mut entries: Vec<(usize, Vec<usize>)> = Vec::new();
+            for_each_entry_row_major(&m, |r, c, _| match entries.last_mut() {
+                Some((row, cols)) if *row == r => cols.push(c),
+                _ => entries.push((r, vec![c])),
+            });
+            prop_assert_eq!(&patterns_in(&m, 0..nrows), &entries, "{}: full range", fmt);
+            let tiled: Vec<_> = boundaries.windows(2).flat_map(|w| patterns_in(&m, w[0]..w[1])).collect();
+            prop_assert_eq!(&tiled, &entries, "{}: ranges {:?}", fmt, &boundaries);
+
+            if !matches!(fmt, FormatId::Coo | FormatId::Csr) {
+                let refused = Analysis::of_partitioned(&m, ALPHA, m.structure_hash(), |_| unreachable!());
+                prop_assert!(refused.is_err(), "{}: no contiguous row ranges", fmt);
+                continue;
+            }
+            let prefix = Analysis::of(&m, ALPHA).rows.prefix;
+            let shard_nnz = boundaries.windows(2).map(|w| (prefix[w[1]] - prefix[w[0]]) as usize).collect();
+            let random = Partition::from_boundaries(nrows, boundaries.clone(), shard_nnz).unwrap();
+            assert_one_walk_matches_built_shards(&m, &random, &format!("{fmt} at {boundaries:?}"));
+            let cfg = PartitionConfig { max_shards, target_shard_nnz: target, regime_window: 16, ..Default::default() };
+            let chosen = Partition::from_row_prefix(&prefix, &cfg);
+            assert_one_walk_matches_built_shards(&m, &chosen, &format!("{fmt} at chosen {:?}", chosen.boundaries()));
+        }
+    }
+}
+
+/// The shapes a seam can cut badly: empty rows on both sides of every seam, a
+/// shard none of whose entries lie on a true diagonal beside one that is all
+/// true diagonals, blocks of every dimension ending at a seam, and matrices
+/// too short to have a seam at all.
+#[test]
+fn seams_through_empty_rows_bands_and_scatter() {
+    let (nrows, ncols) = (64usize, 50usize);
+    let (mut rows, mut cols) = (Vec::new(), Vec::new());
+    for r in 0..nrows {
+        match r {
+            // Rows 0..16: a band (every entry on a true diagonal of the shard).
+            0..=15 => (0..3).for_each(|d| {
+                rows.push(r);
+                cols.push(r + d);
+            }),
+            // Empty rows around the seams at 16, 24 and 48.
+            16..=25 | 46..=49 => {}
+            // Rows 26..46: scatter, no diagonal holding more than one entry.
+            26..=45 => {
+                rows.push(r);
+                cols.push((r * r * 7 + 3) % ncols);
+            }
+            // 2x2, 4x4 and 8x8 blocks ending exactly at a seam, and a hub row.
+            _ => (0..ncols).filter(|c| (c / 8 + r / 8) % 2 == 0 || r == 63).for_each(|c| {
+                rows.push(r);
+                cols.push(c);
+            }),
+        }
+    }
+    let vals = vec![1.0f64; rows.len()];
+    let coo = DynamicMatrix::from(CooMatrix::from_triplets(nrows, ncols, &rows, &cols, &vals).unwrap());
+    let csr = coo.to_format(FormatId::Csr, &ConvertOptions::default()).unwrap();
+    for boundaries in [vec![0, 16, 24, 48, 64], vec![0, 8, 16, 24, 32, 40, 48, 56, 64], vec![0, 64]] {
+        for m in [&coo, &csr] {
+            let prefix = Analysis::of(m, ALPHA).rows.prefix;
+            let shard_nnz = boundaries.windows(2).map(|w| (prefix[w[1]] - prefix[w[0]]) as usize).collect();
+            let partition = Partition::from_boundaries(nrows, boundaries.clone(), shard_nnz).unwrap();
+            assert_one_walk_matches_built_shards(
+                m,
+                &partition,
+                &format!("{} at {boundaries:?}", m.format_id()),
+            );
+        }
+    }
+    let scatter = Analysis::of_partitioned(&coo, ALPHA, coo.structure_hash(), |_| {
+        Partition::from_boundaries(nrows, vec![0, 24, 48, 64], vec![48, 20, rows.len() - 68]).unwrap()
+    })
+    .unwrap();
+    assert_eq!(scatter.shards[0].true_diag_nnz, 48, "the band is all true diagonals");
+    assert_eq!(scatter.shards[1].true_diag_nnz, 0, "the scatter has none");
+
+    // A seam off the alignment is refused, not miscounted.
+    let off = Analysis::of_partitioned(&coo, ALPHA, coo.structure_hash(), |_| {
+        Partition::from_boundaries(nrows, vec![0, 20, 64], vec![0, 0]).unwrap()
+    });
+    assert!(off.is_err());
+
+    // Fewer rows than one group: one shard, whatever is asked for.
+    for nrows in 0..SEAM_ALIGN {
+        let m = DynamicMatrix::from(
+            CooMatrix::from_triplets(
+                nrows,
+                9,
+                &(0..nrows).collect::<Vec<_>>(),
+                &vec![4; nrows],
+                &vec![1.0; nrows],
+            )
+            .unwrap(),
+        );
+        let cfg = PartitionConfig { max_shards: 8, target_shard_nnz: 1, ..Default::default() };
+        let got = Analysis::of_partitioned(&m, ALPHA, m.structure_hash(), |prefix| {
+            Partition::from_row_prefix(prefix, &cfg)
+        })
+        .unwrap();
+        assert_eq!(got.partition.num_shards(), 1, "{nrows} rows");
+        assert_eq!(got.whole, Analysis::of(&m, ALPHA), "{nrows} rows");
     }
 }

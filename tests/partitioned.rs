@@ -10,7 +10,7 @@ use morpheus_repro::corpus::gen::hetero::{hub_plus_banded, shifted_bands, three_
 use morpheus_repro::machine::{analyze_from, systems, Backend, VirtualEngine};
 use morpheus_repro::morpheus::analysis::passes;
 use morpheus_repro::morpheus::format::FormatId;
-use morpheus_repro::morpheus::partition::split_rows;
+use morpheus_repro::morpheus::partition::{split_rows, SEAM_ALIGN};
 use morpheus_repro::morpheus::spmm::spmm_serial;
 use morpheus_repro::morpheus::spmv::spmv_serial;
 use morpheus_repro::morpheus::{
@@ -18,7 +18,7 @@ use morpheus_repro::morpheus::{
     ExecPlan, Partition, PartitionConfig, PartitionedMatrix, Scalar, StreamingPartitioner,
 };
 use morpheus_repro::oracle::adapt::{CollectorConfig, SampleCollector};
-use morpheus_repro::oracle::{Oracle, PartitionPolicy, RunFirstTuner};
+use morpheus_repro::oracle::{Oracle, PartitionPolicy, PlanStatus, RunFirstTuner, TuningCost};
 use morpheus_repro::parallel::ThreadPool;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -317,6 +317,35 @@ fn service_auto_shards_above_threshold_and_streams() {
     assert_close(&ys, &want, 1e-12);
 }
 
+/// A source that holds no row range as one slice (anything but COO and CSR)
+/// is converted to CSR once and sharded like one: same shard rows, formats
+/// and arrays as registering the CSR matrix, bitwise the same `y`.
+#[test]
+fn padded_sources_are_sharded_through_csr() {
+    let policy = PartitionPolicy { target_shard_nnz: Some(4_000), cost_gate: false, ..Default::default() };
+    let coo = hetero(4_000, 150, 60, 9);
+    let opts = ConvertOptions { min_padded_allowance: 1 << 24, ..Default::default() };
+    let x: Vec<f64> = (0..4_000).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
+    let reference = gated_service(2, policy);
+    let csr = coo.to_format(FormatId::Csr, &opts).unwrap();
+    let expect = reference.register_partitioned(csr).unwrap();
+    let mut want = vec![f64::NAN; 4_000];
+    reference.spmv(&expect, &x, &mut want).unwrap();
+    for fmt in [FormatId::Ell, FormatId::Hyb, FormatId::Bell] {
+        let service = gated_service(2, policy);
+        let h = service.register_partitioned(coo.to_format(fmt, &opts).unwrap()).unwrap();
+        assert_eq!(h.report().previous, fmt);
+        let (got, want_shards) = (h.partition().unwrap(), expect.partition().unwrap());
+        assert_eq!(got.num_shards(), want_shards.num_shards(), "{fmt}");
+        for (g, w) in got.shards().iter().zip(want_shards.shards()) {
+            assert_eq!((g.rows(), g.matrix()), (w.rows(), w.matrix()), "{fmt}: shard rows and arrays");
+        }
+        let mut y = vec![f64::NAN; 4_000];
+        service.spmv(&h, &x, &mut y).unwrap();
+        assert!(bitwise_eq(&y, &want), "{fmt}");
+    }
+}
+
 fn cirrus() -> VirtualEngine {
     VirtualEngine::new(systems::cirrus(), Backend::OpenMp)
 }
@@ -408,43 +437,76 @@ fn gate_verdict_and_shards_match_convert_first_evaluation() {
     assert!(admitted > 0 && rejected > 0, "corpus must exercise both verdicts ({admitted}/{rejected})");
 }
 
-/// A gate-rejected `register_partitioned` converts nothing but the CSR
-/// split and hands its whole-matrix hash, analysis and machine view to the
-/// whole-matrix path: it traverses the matrix no more often than a plain
-/// `register`, plus the split, plus the two passes (hash, analysis walk)
-/// each shard's decision needs — the machine view re-reads a shard only
-/// for a mixed HDC split, which a hub-free band does not have.
+/// A gate-rejected `register_partitioned` decides its shards as row ranges
+/// of the source and hands its whole-matrix hash, analysis and machine view
+/// to the whole-matrix path: whatever the shard count, it traverses the
+/// matrix as often as a plain `register` plus the row-length sweep the
+/// partition is chosen from plus one sweep of the column array for the
+/// shards' hashes. No split (which counts as a traversal) and no per-shard
+/// walk — the machine view re-reads a shard only for a mixed HDC split,
+/// which a hub-free band does not have.
 #[test]
-fn rejected_partition_traversals_are_register_plus_split() {
+fn rejected_partition_traversals_do_not_grow_with_the_shard_count() {
     let mut rng = StdRng::seed_from_u64(5);
     // One regime throughout: shards buy nothing at one worker.
     let m = DynamicMatrix::from(hub_plus_banded(6_000, 0, 0, 4, &mut rng));
-    let policy = PartitionPolicy { target_shard_nnz: Some(8_000), ..Default::default() };
-    let shards = Partition::from_analysis(&analysis_of(&m), &policy.config(1)).num_shards() as u64;
-    assert!(shards >= 2);
-
-    let plain = gated_service(1, policy);
+    let plain = gated_service(1, PartitionPolicy::default());
     passes::reset();
     let whole = plain.register(m.clone()).unwrap();
     let register_passes = passes::count();
 
-    let service = gated_service(1, policy);
+    let mut shard_counts = Vec::new();
+    for max_shards in [4, 6, 8] {
+        let policy = PartitionPolicy {
+            target_shard_nnz: Some(4_000),
+            max_shards: Some(max_shards),
+            ..Default::default()
+        };
+        let shards = Partition::from_analysis(&analysis_of(&m), &policy.config(1)).num_shards();
+        shard_counts.push(shards);
+        let service = gated_service(1, policy);
+        passes::reset();
+        let h = service.register_partitioned(m.clone()).unwrap();
+        let partitioned_passes = passes::count();
+        assert!(!h.is_partitioned(), "a single-regime band must be served whole ({shards} shards)");
+        assert_eq!(h.format_id(), whole.format_id());
+        assert_eq!(
+            partitioned_passes,
+            register_passes + 2,
+            "rejected register_partitioned over {shards} shards: {register_passes} for register, \
+             the row-length sweep, one sweep for the shard hashes"
+        );
+    }
+    assert_eq!(shard_counts, [4, 6, 8], "the policy must ask the gate about each shard count");
+}
+
+/// An admitted partition pays the same front — hash, row-length sweep, the
+/// one walk, the shard hashes — then the split, and per shard at most one
+/// re-read for a mixed HDC view and one hash of the converted shard: the
+/// whole matrix is walked once, not once more per shard.
+#[test]
+fn admitted_partition_traversals_are_one_walk_plus_two_per_shard() {
+    let policy = PartitionPolicy { target_shard_nnz: Some(4_000), cost_gate: false, ..Default::default() };
+    let service = gated_service(2, policy);
+    let m = hetero(4_000, 150, 60, 9);
     passes::reset();
     let h = service.register_partitioned(m).unwrap();
-    let partitioned_passes = passes::count();
-    assert!(!h.is_partitioned(), "a single-regime band must be served whole");
-    assert_eq!(h.format_id(), whole.format_id());
-    let budget = register_passes + 1 + 2 * shards;
+    let admitted_passes = passes::count();
+    assert!(h.is_partitioned());
+    let shards = h.num_shards() as u64;
+    assert!(shards >= 2);
+    let budget = 5 + 2 * shards;
     assert!(
-        partitioned_passes <= budget,
-        "rejected register_partitioned made {partitioned_passes} traversals, budget {budget} \
-         ({register_passes} for register, 1 split, 2 per each of {shards} shards)"
+        admitted_passes <= budget,
+        "admitted register_partitioned made {admitted_passes} traversals over {shards} shards, budget {budget} \
+         (hash, row-length sweep, walk, shard hashes, split; a view re-read and a converted hash per shard)"
     );
 }
 
 /// The report of a partitioned handle says what registration did: summed
-/// shard conversion time on the direct path, and `cache_hit` only when
-/// every shard's decision came from the cache.
+/// shard conversion time on the direct path and summed shard tuning cost,
+/// `cache_hit` only when every shard's decision came from the cache, and
+/// `plan` reused only when every shard's plan did.
 #[test]
 fn partitioned_report_sums_shard_conversions_and_cache_hits() {
     let policy = PartitionPolicy { target_shard_nnz: Some(4_000), cost_gate: false, ..Default::default() };
@@ -461,9 +523,16 @@ fn partitioned_report_sums_shard_conversions_and_cache_hits() {
     } else {
         assert_eq!(report.convert, morpheus_repro::morpheus::ConvertOutcome::identity());
     }
+    assert_eq!(report.plan, PlanStatus::Built, "cold caches: shard plans are built");
+    assert!(!report.cost.cache_hit, "a miss among the shards is not a cached cost");
+    assert!(report.cost.profiling > 0.0, "the run-first tuner's trials, summed over the shards");
+
     let again = service.register_partitioned(hetero(4_000, 150, 60, 9)).unwrap();
-    assert!(again.report().cache_hit, "same structure again: every shard decision is cached");
-    assert_eq!(again.report().convert.path, report.convert.path);
+    let report = again.report();
+    assert!(report.cache_hit, "same structure again: every shard decision is cached");
+    assert_eq!(report.convert.path, first.report().convert.path);
+    assert_eq!(report.plan, PlanStatus::Reused, "every shard plan came from the plan cache");
+    assert_eq!(report.cost, TuningCost::cached(), "nothing was extracted or predicted again");
 }
 
 proptest! {
@@ -500,6 +569,10 @@ proptest! {
         prop_assert_eq!(p.boundaries()[0], 0);
         prop_assert_eq!(*p.boundaries().last().unwrap(), n);
         prop_assert!(p.boundaries().windows(2).all(|w| w[0] < w[1]));
+        // The seam rule: every interior boundary is a multiple of 8 rows
+        // (so there are at most ceil(n / 8) shards), whatever the row count.
+        prop_assert!(p.boundaries()[1..p.num_shards()].iter().all(|b| b % SEAM_ALIGN == 0), "{:?}", p.boundaries());
+        prop_assert!(p.num_shards() <= n.div_ceil(SEAM_ALIGN));
         prop_assert_eq!(p.shard_nnz().iter().sum::<usize>(), m.nnz());
         prop_assert_eq!(&p, &Partition::from_analysis(&a, &cfg));
         let pm = PartitionedMatrix::build(
