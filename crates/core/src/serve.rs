@@ -1265,9 +1265,11 @@ impl<T> OracleService<T> {
     /// hands the whole-matrix hash, analysis and machine view to the
     /// whole-matrix path, which therefore costs what a plain
     /// [`OracleService::register`] costs plus the row-length sweep and the
-    /// shards' hashes and decisions. A matrix that is neither COO nor CSR
-    /// has no contiguous row ranges: it is converted to CSR first (and its
-    /// report's `previous` then reads CSR when it is served whole).
+    /// shards' hashes and decisions. A matrix with too few entries for two
+    /// shards ([`PartitionConfig::shards_wanted`]) is registered as it came;
+    /// past that, one that is neither COO nor CSR has no contiguous row
+    /// ranges and is converted to CSR first (its report's `previous` then
+    /// reads CSR when it is served whole).
     pub fn register_partitioned<V>(&self, m: DynamicMatrix<V>) -> Result<MatrixHandle<V>>
     where
         V: Scalar,
@@ -1285,11 +1287,17 @@ impl<T> OracleService<T> {
     {
         let threads = self.exec_pool().map_or(1, |p| p.num_threads());
         let previous = m.format_id();
+        let config = self.partition.config(threads);
+        if config.shards_wanted(m.nnz()) <= 1 {
+            // Too few entries for two shards whatever the rows look like:
+            // a plain registration, in the format the matrix came in.
+            let facts = Facts::hashed(&m);
+            return self.register_single_for(m, op, facts);
+        }
         if !matches!(previous, FormatId::Coo | FormatId::Csr) {
             m.convert_to_with(FormatId::Csr, &self.opts, None)?;
         }
         let mut whole = Facts::hashed(&m);
-        let config = self.partition.config(threads);
         let PartitionedAnalysis { whole: analysis, partition, shards } =
             Analysis::of_partitioned(&m, self.opts.true_diag_alpha, whole.hash, |prefix| {
                 Partition::from_row_prefix(prefix, &config)

@@ -77,9 +77,13 @@ pub trait FormatTuner<V: Scalar> {
     /// `a` describes what is being decided; `m` is the storage it lives in.
     /// They are the same matrix except when a partitioned registration
     /// decides a shard before building it: `a` is then the shard's view and
-    /// `m` the matrix the shard is a row range of, so shapes and counts are
-    /// read from `a` and `m` says only which format the features were
-    /// extracted from.
+    /// `m` the matrix the shard is a row range of. **Read shapes, counts and
+    /// the structure from `a`, never from `m`**; `m` says which format the
+    /// features were extracted from, which is all the bundled tuners read
+    /// of it (to price the extraction and, run-first, the trial
+    /// conversions). A shard of a COO source is therefore priced as read
+    /// from COO although it is later built as CSR; only the reported
+    /// [`TuningCost`] differs, never the format or the parameters.
     fn select(
         &self,
         m: &DynamicMatrix<V>,
@@ -512,6 +516,38 @@ mod tests {
         assert!(d.cost.prediction > 0.0);
         assert_eq!(d.cost.measured, 0.0);
         assert_eq!(FormatTuner::<f64>::name(&tuner), "gradient-boosted");
+    }
+
+    /// A shard is decided with the matrix it is a row range of as `m`: no
+    /// bundled tuner may read more of `m` than its format, and that only
+    /// for the cost.
+    #[test]
+    fn bundled_tuners_read_only_the_format_of_the_storage() {
+        let ds = toy_dataset();
+        let tree = morpheus_ml::DecisionTree::fit(&ds, &TreeParams::default()).unwrap();
+        let forest =
+            morpheus_ml::RandomForest::fit(&ds, &ForestParams { n_estimators: 5, ..Default::default() })
+                .unwrap();
+        let gbt = morpheus_ml::GradientBoostedTrees::fit(&ds, &morpheus_ml::GbtParams::default()).unwrap();
+        let tuners: Vec<Box<dyn FormatTuner<f64>>> = vec![
+            Box::new(RunFirstTuner::new(3)),
+            Box::new(DecisionTreeTuner::new(tree).unwrap()),
+            Box::new(RandomForestTuner::new(forest).unwrap()),
+            Box::new(GbtTuner::new(gbt).unwrap()),
+        ];
+        let engine = VirtualEngine::new(systems::cirrus(), Backend::Serial);
+        let shard = tridiag(600);
+        let a = analyze(&shard);
+        // Another shape, another entry count, the same format.
+        let source = tridiag(5_000);
+        let mut as_csr = tridiag(40);
+        as_csr.convert_to(FormatId::Csr, &morpheus::ConvertOptions::default()).unwrap();
+        for tuner in &tuners {
+            let own = tuner.select(&shard, &a, &engine, Op::Spmv);
+            assert_eq!(tuner.select(&source, &a, &engine, Op::Spmv), own, "{}", tuner.name());
+            let csr = tuner.select(&as_csr, &a, &engine, Op::Spmv);
+            assert_eq!((csr.format, csr.params), (own.format, own.params), "{}", tuner.name());
+        }
     }
 
     #[test]

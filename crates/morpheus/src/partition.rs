@@ -71,6 +71,16 @@ impl Default for PartitionConfig {
     }
 }
 
+impl PartitionConfig {
+    /// The shard count asked of a matrix with `nnz` structural non-zeros:
+    /// `clamp(nnz / target_shard_nnz, 1, max_shards)`. A partition has at
+    /// most this many shards, so 1 means unpartitioned whatever the rows
+    /// look like.
+    pub fn shards_wanted(&self, nnz: usize) -> usize {
+        (nnz / self.target_shard_nnz.max(1)).clamp(1, self.max_shards.max(1))
+    }
+}
+
 /// Interior shard boundaries chosen by this module are multiples of this
 /// many rows: the BELL slice height ([`crate::bell::SLICE`]) and the largest
 /// of [`crate::BSR_BLOCK_DIMS`], every one of which divides it.
@@ -138,10 +148,9 @@ impl Partition {
         let groups = nrows.div_ceil(SEAM_ALIGN);
         // The row a group edge is at.
         let row_at = |g: usize| (g * SEAM_ALIGN).min(nrows);
-        let target = cfg.target_shard_nnz.max(1);
-        let want = (total / target).clamp(1, cfg.max_shards.max(1));
-        let ranges =
-            weighted_partition_with(groups, want, |g| (prefix[row_at(g + 1)] - prefix[row_at(g)]) as usize);
+        let ranges = weighted_partition_with(groups, cfg.shards_wanted(total), |g| {
+            (prefix[row_at(g + 1)] - prefix[row_at(g)]) as usize
+        });
         // Boundaries in groups until the refinement is done.
         let mut boundaries: Vec<usize> = ranges.iter().map(|r| r.start).collect();
         boundaries.push(groups);

@@ -407,19 +407,8 @@ pub fn row_nnz_histogram<V: Scalar>(m: &DynamicMatrix<V>) -> Vec<u32> {
     let mut counts = vec![0u32; m.nrows()];
     match m {
         DynamicMatrix::Coo(a) => {
-            // Rows are sorted, so a row's entries are one run and its length
-            // the distance between two run ends: a store per entry (where its
-            // row's run ends, if it is the last) and a difference per row,
-            // instead of an increment through one counter per run.
-            assert!(a.nnz() <= u32::MAX as usize, "{} entries are more than a row length counts", a.nnz());
-            for (i, &r) in a.row_indices().iter().enumerate() {
-                counts[r] = i as u32 + 1;
-            }
-            let mut before = 0u32;
-            for slot in &mut counts {
-                let end = if *slot == 0 { before } else { *slot };
-                *slot = end - before;
-                before = end;
+            for &r in a.row_indices() {
+                counts[r] += 1;
             }
         }
         DynamicMatrix::Csr(a) => {

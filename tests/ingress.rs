@@ -528,29 +528,16 @@ fn spmm_columns_are_bitwise_spmv_through_every_entry_point() {
                 })
                 .collect();
 
+            // Two shards of 48 rows. A shard picks its own true diagonals
+            // (a fifth of its rows populated), and only with none on either
+            // side is an HDC row summed in the whole matrix's order: 48 rows
+            // put at most seven entries on a diagonal, eight rows around the
+            // wide one would put two on a threshold of two.
             let sharding =
-                PartitionPolicy { cost_gate: false, target_shard_nnz: Some(120), ..Default::default() };
+                PartitionPolicy { cost_gate: false, target_shard_nnz: Some(200), ..Default::default() };
             let sharded_service = fixed_service_with(fmt, w, sharding);
             let sharded = sharded_service.register_partitioned(base.clone()).unwrap();
             assert!(sharded.num_shards() > 1, "{fmt} w={w}");
-            // A shard picks its own true diagonals, so the order in which an
-            // HDC row sums its DIA and CSR parts is its shard's: the sharded
-            // handle's SpMV is the whole matrix's to rounding there, and bit
-            // for bit in every other format.
-            let sharded_refs: Vec<Vec<f64>> = xs
-                .iter()
-                .zip(&refs)
-                .map(|(x, whole)| {
-                    let mut y = vec![f64::NAN; n];
-                    sharded_service.spmv(&sharded, x, &mut y).unwrap();
-                    if fmt == FormatId::Hdc {
-                        y.iter().zip(whole).for_each(|(g, e)| assert!((g - e).abs() <= 1e-12 * e.abs()));
-                    } else {
-                        assert_bitwise_f64(&y, whole, &format!("{fmt} w={w}: sharded spmv"));
-                    }
-                    y
-                })
-                .collect();
             let pool = ThreadPool::new(w);
             let plan = ExecPlan::build(m, w, None);
 
@@ -567,7 +554,7 @@ fn spmm_columns_are_bitwise_spmv_through_every_entry_point() {
                 check(&y, k, &refs, &format!("{fmt} handle w={w}"));
                 y.fill(f64::NAN);
                 sharded_service.spmm(&sharded, &xb, &mut y, k).unwrap();
-                check(&y, k, &sharded_refs, &format!("{fmt} sharded w={w}"));
+                check(&y, k, &refs, &format!("{fmt} sharded w={w}"));
             }
 
             // Through the front door: bursts of every width against the whole
@@ -578,8 +565,7 @@ fn spmm_columns_are_bitwise_spmv_through_every_entry_point() {
                 tenant_quota: 256,
                 ..IngressConfig::default()
             };
-            for (service, handle, refs, what) in
-                [(&service, &h, &refs, "whole"), (&sharded_service, &sharded, &sharded_refs, "sharded")]
+            for (service, handle, what) in [(&service, &h, "whole"), (&sharded_service, &sharded, "sharded")]
             {
                 let ingress = Ingress::start(Arc::clone(service), cfg.clone());
                 for k in WIDTHS {

@@ -319,7 +319,8 @@ fn service_auto_shards_above_threshold_and_streams() {
 
 /// A source that holds no row range as one slice (anything but COO and CSR)
 /// is converted to CSR once and sharded like one: same shard rows, formats
-/// and arrays as registering the CSR matrix, bitwise the same `y`.
+/// and arrays as registering the CSR matrix, bitwise the same `y`. One with
+/// too few entries for two shards is registered as it came.
 #[test]
 fn padded_sources_are_sharded_through_csr() {
     let policy = PartitionPolicy { target_shard_nnz: Some(4_000), cost_gate: false, ..Default::default() };
@@ -344,6 +345,14 @@ fn padded_sources_are_sharded_through_csr() {
         service.spmv(&h, &x, &mut y).unwrap();
         assert!(bitwise_eq(&y, &want), "{fmt}");
     }
+
+    let unsharded = gated_service(2, PartitionPolicy { target_shard_nnz: Some(1 << 30), ..policy });
+    let ell = coo.to_format(FormatId::Ell, &opts).unwrap();
+    unsharded.register(ell.clone()).unwrap();
+    let h = unsharded.register_partitioned(ell).unwrap();
+    assert!(h.partition().is_none());
+    assert_eq!(h.report().previous, FormatId::Ell);
+    assert!(h.report().cache_hit, "decided under the structure `register` decided");
 }
 
 fn cirrus() -> VirtualEngine {
