@@ -203,6 +203,10 @@ impl<V: Scalar, F: FormatTuner<V>> FormatTuner<V> for AdaptiveTuner<F> {
             _ => self.fallback.select(m, a, engine, op),
         }
     }
+
+    fn reads_block_counts(&self) -> bool {
+        self.fallback.reads_block_counts()
+    }
 }
 
 /// Policy of an [`AdaptiveEngine`].

@@ -12,10 +12,11 @@
 //! holds slots and recency, nothing else. [`ShardedLru`] stripes keys over
 //! independently locked `LruMap` shards and owns the hit/miss accounting in
 //! atomics, so concurrent clients contend only when they hash to the same
-//! stripe, and `stats()` never blocks on the stripes for its counters. Both
-//! the decision cache and the execution-plan cache of
-//! [`OracleService`](crate::OracleService) (and therefore of the
-//! [`Oracle`](crate::Oracle) facade over it) are `ShardedLru`s.
+//! stripe, and `stats()` never blocks on the stripes for its counters. The
+//! decision cache of [`OracleService`](crate::OracleService) (and therefore
+//! of the [`Oracle`](crate::Oracle) facade over it) and its table of re-tune
+//! aliases are `ShardedLru`s; an execution plan lives in the decision entry
+//! it was built for.
 
 use morpheus_machine::Op;
 use std::collections::hash_map::Entry;
@@ -182,8 +183,8 @@ pub(crate) const MIN_STRIPE_CAPACITY: usize = 16;
 ///
 /// Keys are striped by hash, so concurrent clients contend only when they
 /// touch the same stripe — and then only for the duration of one `HashMap`
-/// probe. Lookups clone the value out (`V: Clone`; the cached values are a
-/// `Copy` decision and an `Arc` plan, so cloning is cheap) rather than
+/// probe. Lookups clone the value out (`V: Clone`; the cached value is a
+/// `Copy` decision beside an `Arc`, so cloning is cheap) rather than
 /// holding a lock across use, which is what lets the service layer expose
 /// `&self` tuning from any number of threads.
 ///
@@ -255,24 +256,23 @@ impl<K: Copy + Eq + Hash, V: Clone> ShardedLru<K, V> {
         &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
-    /// Looks up `key` in its stripe, treating the slot as present only when
-    /// `valid` accepts it; clones the value out so no lock is held after
-    /// return. Counts the hit/miss atomically. Always misses (and counts
-    /// nothing) when disabled.
-    pub fn get_if(&self, key: &K, valid: impl FnOnce(&V) -> bool) -> Option<V> {
+    /// Looks up `key` in its stripe (refreshing its recency), cloning the
+    /// value out so no lock is held after return. Always misses when
+    /// disabled. Counts nothing: a lookup may be one question put to more
+    /// than one table, so its caller [`count`](ShardedLru::count)s the
+    /// answer, once.
+    pub fn probe(&self, key: &K) -> Option<V> {
         if self.capacity == 0 {
             return None;
         }
-        let found = self.shard_of(key).lock().get_if(key, valid).map(|v| v.clone());
-        match found {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        self.shard_of(key).lock().get_if(key, |_| true).map(|v| v.clone())
+    }
+
+    /// Counts one lookup as a hit or a miss (nothing when disabled).
+    pub fn count(&self, hit: bool) {
+        if self.capacity > 0 {
+            let counter = if hit { &self.hits } else { &self.misses };
+            counter.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -437,13 +437,20 @@ mod tests {
 
     // ---------------- ShardedLru ----------------
 
+    /// One counted lookup, as the service makes it.
+    fn get<K: Copy + Eq + Hash, V: Clone>(c: &ShardedLru<K, V>, key: &K) -> Option<V> {
+        let found = c.probe(key);
+        c.count(found.is_some());
+        found
+    }
+
     #[test]
     fn hit_and_miss_accounting() {
         let c: ShardedLru<CacheKey, TuneDecision> = ShardedLru::new(4, 2);
-        assert_eq!(c.get_if(&key(1), |_| true), None);
+        assert_eq!(get(&c, &key(1)), None);
         c.insert(key(1), decision(FormatId::Dia));
-        assert_eq!(c.get_if(&key(1), |_| true).map(|d| d.format), Some(FormatId::Dia));
-        assert_eq!(c.get_if(&key(2), |_| true), None);
+        assert_eq!(get(&c, &key(1)).map(|d| d.format), Some(FormatId::Dia));
+        assert_eq!(get(&c, &key(2)), None);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.len, s.capacity), (1, 2, 1, 4));
         assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
@@ -458,16 +465,16 @@ mod tests {
         c.insert(spmv, decision(FormatId::Dia));
         c.insert(spmm, decision(FormatId::Csr));
         c.insert(f32key, decision(FormatId::Ell));
-        assert_eq!(c.get_if(&spmv, |_| true).map(|d| d.format), Some(FormatId::Dia));
-        assert_eq!(c.get_if(&spmm, |_| true).map(|d| d.format), Some(FormatId::Csr));
-        assert_eq!(c.get_if(&f32key, |_| true).map(|d| d.format), Some(FormatId::Ell));
+        assert_eq!(get(&c, &spmv).map(|d| d.format), Some(FormatId::Dia));
+        assert_eq!(get(&c, &spmm).map(|d| d.format), Some(FormatId::Csr));
+        assert_eq!(get(&c, &f32key).map(|d| d.format), Some(FormatId::Ell));
     }
 
     #[test]
     fn zero_capacity_disables_everything() {
         let c: ShardedLru<CacheKey, TuneDecision> = ShardedLru::new(0, 4);
         c.insert(key(1), decision(FormatId::Csr));
-        assert_eq!(c.get_if(&key(1), |_| true), None);
+        assert_eq!(get(&c, &key(1)), None);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.len, s.capacity), (0, 0, 0, 0));
         assert_eq!(s.hit_rate(), 0.0);
@@ -477,21 +484,11 @@ mod tests {
     fn clear_keeps_counters() {
         let c: ShardedLru<CacheKey, TuneDecision> = ShardedLru::new(4, 2);
         c.insert(key(1), decision(FormatId::Csr));
-        let _ = c.get_if(&key(1), |_| true);
+        let _ = get(&c, &key(1));
         c.clear();
         let s = c.stats();
         assert_eq!(s.len, 0);
         assert_eq!(s.hits, 1);
-    }
-
-    #[test]
-    fn sharded_validity_predicate_gates_hits() {
-        let c: ShardedLru<u64, u32> = ShardedLru::new(8, 2);
-        c.insert(5, 50);
-        assert_eq!(c.get_if(&5, |v| *v > 100), None, "rejected value is a miss");
-        assert_eq!(c.get_if(&5, |v| *v == 50), Some(50));
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
     }
 
     #[test]
@@ -554,7 +551,7 @@ mod tests {
         // Normal flow: no clear between read and insert -> stored.
         let gen = c.generation();
         assert!(c.insert_if_generation(1, 10, gen));
-        assert_eq!(c.get_if(&1, |_| true), Some(10));
+        assert_eq!(get(&c, &1), Some(10));
 
         // A clear between reading the generation and inserting must reject
         // the stale value (this is the model-hot-swap race: the decision
@@ -562,11 +559,11 @@ mod tests {
         let stale_gen = c.generation();
         c.clear();
         assert!(!c.insert_if_generation(2, 20, stale_gen));
-        assert_eq!(c.get_if(&2, |_| true), None);
+        assert_eq!(get(&c, &2), None);
 
         // The post-clear generation works again.
         assert!(c.insert_if_generation(2, 21, c.generation()));
-        assert_eq!(c.get_if(&2, |_| true), Some(21));
+        assert_eq!(get(&c, &2), Some(21));
 
         // Disabled caches reject everything.
         let off: ShardedLru<u64, u32> = ShardedLru::new(0, 2);
@@ -601,7 +598,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..per_thread {
                         let k = i % 32;
-                        if c.get_if(&k, |_| true).is_none() {
+                        if get(&c, &k).is_none() {
                             c.insert(k, k + t);
                         }
                     }

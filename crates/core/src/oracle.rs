@@ -3,11 +3,11 @@
 //! The paper's tuner pays for itself by amortising a cheap prediction over
 //! many repeated executions (§VI, §VII-E). A session object makes that
 //! amortisation real at the API level: one `Oracle` holds the engine, the
-//! tuner, the conversion policy, an LRU decision cache **and an execution
-//! plan cache**, so a stream of tuning requests — the production shape of
-//! the workload — re-extracts features only for structures it has not seen
-//! before, and re-derives thread schedules only for structures it has never
-//! executed.
+//! tuner, the conversion policy and an LRU decision cache **whose entries
+//! own the execution plan of what they decided**, so a stream of tuning
+//! requests — the production shape of the workload — re-extracts features
+//! only for structures it has not seen before, and re-derives thread
+//! schedules only for decisions it has never executed.
 //!
 //! Since the serving-layer refactor, an `Oracle` is a thin single-owner
 //! wrapper over [`OracleService`] — the `Send + Sync` concurrent session in
@@ -47,8 +47,8 @@ use morpheus_machine::{Op, VirtualEngine};
 /// [`OracleBuilder::cache_capacity`] overrides it.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
-/// A tuning session: engine + tuner + conversion policy + decision cache +
-/// execution plan cache.
+/// A tuning session: engine + tuner + conversion policy + decision cache
+/// (each entry with the execution plan of its decision).
 ///
 /// Built via [`Oracle::builder`]. The tuner type `T` is generic so the
 /// session is zero-cost over concrete tuners and still accepts trait
@@ -181,7 +181,8 @@ impl<T> Oracle<T> {
         self.service.cache_stats()
     }
 
-    /// Hit/miss counters and occupancy of the execution plan cache.
+    /// Plan reuse: plans found in their decision entry (hits), plans built
+    /// (misses), cached decisions holding one (`len`).
     pub fn plan_cache_stats(&self) -> CacheStats {
         self.service.plan_cache_stats()
     }
@@ -280,10 +281,10 @@ impl<T> OracleBuilder<T> {
         self
     }
 
-    /// Overrides the capacity shared by the decision cache and the
-    /// execution plan cache ([`DEFAULT_CACHE_CAPACITY`] entries by
-    /// default; 0 disables caching — executions then rebuild their plan
-    /// per call).
+    /// Overrides the capacity of the decision cache, whose entries hold
+    /// the execution plans, and of the table of re-tune aliases beside it
+    /// ([`DEFAULT_CACHE_CAPACITY`] entries each by default; 0 disables
+    /// caching — executions then rebuild their plan per call).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
         self
@@ -407,9 +408,9 @@ mod tests {
         assert_eq!(second.format_id(), r1.chosen);
 
         let stats = oracle.cache_stats();
-        // Two entries per tuned structure: the original form plus the
-        // post-conversion alias.
-        assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 2));
+        // One entry per tuned structure: the post-conversion alias lives in
+        // a table of its own and takes no decision slot.
+        assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
     }
 
     #[test]
@@ -534,20 +535,20 @@ mod tests {
             assert_eq!(next.plan, PlanStatus::Reused, "steady state must replay the plan");
             assert!(next.plan.is_hit());
         }
-        // SpMM on the same structure replays the same plan (partitioning
-        // is operation-agnostic) even though the SpMM *decision* is new...
+        // SpMM on the same structure is a new decision, and a decision owns
+        // its plan: built once under it, replayed from then on.
         let k = 4usize;
         let xk = vec![1.0f64; 1500 * k];
         let mut yk = vec![0.0f64; 1500 * k];
         let mm = oracle.tune_and_spmm(&mut m, &xk, &mut yk, k).unwrap();
-        // ...unless the SpMM tuner picked a different format, in which case
-        // a fresh plan is built for that format.
-        if !mm.converted {
-            assert_eq!(mm.plan, PlanStatus::Reused);
-        }
+        assert!(!mm.cache_hit);
+        assert_eq!(mm.plan, PlanStatus::Built);
+        let again = oracle.tune_and_spmm(&mut m, &xk, &mut yk, k).unwrap();
+        assert!(again.cache_hit);
+        assert_eq!(again.plan, PlanStatus::Reused);
         let stats = oracle.plan_cache_stats();
-        assert!(stats.hits >= 3, "plan hits: {stats:?}");
-        assert!(stats.len >= 1);
+        assert_eq!((stats.hits, stats.misses), (4, 2), "one build per decision: {stats:?}");
+        assert_eq!(stats.len, 2);
     }
 
     #[test]
@@ -601,7 +602,7 @@ mod tests {
         oracle.clear_cache();
         let r = oracle.tune_and_spmv(&mut a, &x, &mut y).unwrap();
         assert!(!r.cache_hit);
-        assert_eq!(r.plan, PlanStatus::Built, "cleared plan cache must rebuild");
+        assert_eq!(r.plan, PlanStatus::Built, "a cleared cache forgets its plans too");
         assert_eq!(oracle.cache_stats().misses, 2);
     }
 

@@ -155,6 +155,11 @@ pub fn heuristic_params(format: FormatId, a: &MatrixAnalysis) -> FormatParams {
 /// [`crate::tuner`]): currently the analytical heuristic; services with a
 /// trained [`ParamRegressor`] refine per matrix via
 /// [`ParamRegressor::propose`].
+///
+/// # Panics
+/// For BSR on a view without block counts
+/// ([`MatrixAnalysis::bsr_blocks`] `None`): its strategies are priced from
+/// them.
 pub fn propose_params(format: FormatId, a: &MatrixAnalysis) -> FormatParams {
     heuristic_params(format, a)
 }

@@ -5,11 +5,12 @@
 //! prediction, conversion and planning **once**, then reap them over many
 //! executions — only pays off at production scale if many clients can share
 //! one tuned state. [`OracleService`] is that shared state: `Send + Sync`,
-//! `Arc`-shareable, every method `&self`. The decision and plan caches are
-//! sharded, lock-striped LRUs ([`crate::CacheStats`] aggregated atomically),
-//! so concurrent tuning requests contend only when they hash to the same
-//! stripe; the [`Oracle`](crate::Oracle) session facade is now a thin
-//! single-owner wrapper over this layer.
+//! `Arc`-shareable, every method `&self`. The decision cache is a sharded,
+//! lock-striped LRU ([`crate::CacheStats`] aggregated atomically) whose
+//! entries own the execution plan of what they decided, so concurrent
+//! tuning requests contend only when they hash to the same stripe and a hit
+//! brings its plan with it; the [`Oracle`](crate::Oracle) session facade is
+//! a thin single-owner wrapper over this layer.
 //!
 //! The registered-matrix path goes further: [`OracleService::register`]
 //! tunes, converts and plans once, returning a [`MatrixHandle`] — an `Arc`
@@ -76,10 +77,10 @@ use morpheus::analysis::PartitionedAnalysis;
 use morpheus::format::FormatId;
 use morpheus::partition::{split_rows, Partition, StreamingPartitioner};
 use morpheus::{
-    Analysis, ConvertOptions, CpuFeatures, DynamicMatrix, ExecPlan, KernelVariant, PartitionConfig,
-    PartitionedMatrix, Scalar, Workspace,
+    Analysis, ConvertOptions, DynamicMatrix, ExecPlan, KernelVariant, PartitionConfig, PartitionedMatrix,
+    Scalar, Workspace,
 };
-use morpheus_machine::{analyze_rows_from, MatrixAnalysis, Op, VirtualEngine};
+use morpheus_machine::{analyze_from, analyze_rows_from, MatrixAnalysis, Op, VirtualEngine};
 use morpheus_ml::serialize::LineParser;
 use morpheus_parallel::ThreadPool;
 use parking_lot::RwLock;
@@ -88,21 +89,6 @@ use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Key identifying one cached execution plan. Plans depend on the matrix
-/// structure *in its realized format*, the scalar width, the worker
-/// count and the detected CPU feature fingerprint (plans bake in
-/// per-range [`KernelVariant`] choices whose SIMD bodies were selected
-/// for the features present at build time — a plan must never replay
-/// under a different feature set) — but not on the operation: SpMV and
-/// SpMM replay the same row partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct PlanKey {
-    structure: u64,
-    scalar_bytes: usize,
-    threads: usize,
-    cpu: u64,
-}
 
 /// The two engine numbers the ingress coalescing gate compares, computed
 /// once at registration from the machine view tuning already holds and
@@ -124,6 +110,8 @@ pub struct BatchCost {
 }
 
 impl BatchCost {
+    /// Prices `format` on `view`, which must hold block counts when the
+    /// format is BSR.
     fn of(engine: &VirtualEngine, format: FormatId, view: &MatrixAnalysis) -> BatchCost {
         BatchCost { spmv: engine.spmv_time(format, view), per_rhs: engine.spmm_per_rhs_time(format, view) }
     }
@@ -135,28 +123,32 @@ impl BatchCost {
     }
 }
 
-/// A decision-cache entry: the decision and, unless it was imported from a
-/// decisions file, the [`BatchCost`] of its format and the structure hash
-/// of the matrix once converted to it.
-#[derive(Debug, Clone, Copy)]
+/// Where a decision-cache entry keeps its execution plan: empty until the
+/// first registration or execution under the decision builds one. The plan
+/// is an `ExecPlan<V>`, `V` being the scalar of the entry's key — erased
+/// because the scalar is part of the key, not of the cache's type.
+type PlanSlot = parking_lot::Mutex<Option<Arc<dyn Any + Send + Sync>>>;
+
+/// A decision-cache entry: the decision, the [`BatchCost`] of its format
+/// (unless it was imported from a decisions file) and the plan of the keyed
+/// structure realized in that format. What a hit needs beyond converting
+/// comes with the lookup: no analysis, no second cache.
+#[derive(Debug, Clone)]
 struct CachedDecision {
     decision: TuneDecision,
     batch: Option<BatchCost>,
-    /// [`DynamicMatrix::structure_hash`] of the keyed structure realized in
-    /// `decision.format` — the converted index arrays are a function of the
-    /// structure, the format and this service's options, so a hit need not
-    /// hash the converted matrix again. `None` until the miss that decided
-    /// it has converted, for imported entries, and for formats whose hash
-    /// reads more than index arrays ([`hash_is_of_indices_alone`]).
-    realized: Option<u64>,
+    /// Shared by the copies of one entry (the one inserted when the tuner
+    /// answered, the one that replaces it once the conversion is known to
+    /// hold, the re-tune alias), so a plan built under any of them serves
+    /// all; dropped with the last of them — on eviction,
+    /// [`OracleService::clear_cache`] and a model hot-swap.
+    plan: Arc<PlanSlot>,
 }
 
-/// `false` for DIA and HDC: their structure hash also covers which stored
-/// values are zero (an explicit zero is indistinguishable from padding
-/// there), so two sources under one decision key — equal indices, an
-/// explicit `0.0` in one — can realize to different hashes.
-fn hash_is_of_indices_alone(format: FormatId) -> bool {
-    !matches!(format, FormatId::Dia | FormatId::Hdc)
+impl CachedDecision {
+    fn new(decision: TuneDecision, batch: Option<BatchCost>) -> Self {
+        CachedDecision { decision, batch, plan: Arc::default() }
+    }
 }
 
 /// What the cold path knows about one matrix before converting it: the
@@ -181,6 +173,20 @@ impl Facts {
     fn hashed<V: Scalar>(m: &DynamicMatrix<V>) -> Facts {
         Facts { hash: m.structure_hash(), rows: 0..m.nrows(), analysis: None, view: None }
     }
+
+    /// Counts the BSR blocks a view taken without them lacks (one walk of
+    /// the facts' rows of `m`); `false` when there was nothing to count.
+    fn take_block_counts<V: Scalar>(&mut self, m: &DynamicMatrix<V>) -> bool {
+        let (Some(analysis), Some(view)) = (self.analysis.as_mut(), self.view.as_mut()) else {
+            panic!("block counts are taken for a view that exists");
+        };
+        if view.bsr_blocks.is_some() {
+            return false;
+        }
+        analysis.take_block_counts(m, self.rows.clone());
+        view.bsr_blocks = analysis.entries.bsr_blocks;
+        true
+    }
 }
 
 /// A format decision for one matrix, not yet acted on — what
@@ -192,27 +198,30 @@ struct Decided {
     /// [`BatchCost`] of `decision.format`: always known on a miss (the view
     /// is at hand), on a hit whenever the entry carries it.
     batch: Option<BatchCost>,
-    /// On a hit, the entry's [`CachedDecision::realized`] hash.
-    realized: Option<u64>,
+    /// The entry's plan slot: whatever the entry holds on a hit, empty on a
+    /// miss.
+    plan: Arc<PlanSlot>,
     cache_hit: bool,
-    /// Decision-cache generation the tuner was consulted under (gates the
-    /// follow-up inserts of `realize`); unused on a hit.
-    generation: u64,
+    /// Generations of the decision cache and of the alias table the tuner
+    /// was consulted under (they gate the follow-up inserts of `realize`);
+    /// unused on a hit.
+    generation: [u64; 2],
 }
 
-/// What one tuning call learned beyond the report: the structure hash of
-/// the matrix in its realized (post-conversion) format when it is known
-/// without re-hashing, plus whichever of the shared analysis and the
-/// machine view the decision needed (both on a decision-cache miss) —
-/// reused for plan construction and the partition cost gate.
+/// What one tuning call learned beyond the report: the structure hash the
+/// matrix was decided under — the key its features are noted under, so the
+/// one its measured executions are attributed to — the entry's plan slot,
+/// and whichever of the shared analysis and the machine view the decision
+/// needed (both on a decision-cache miss), reused for plan construction and
+/// the partition cost gate.
 struct TuneArtifacts {
-    realized_hash: Option<u64>,
+    structure: u64,
     analysis: Option<Analysis>,
     view: Option<MatrixAnalysis>,
     /// [`BatchCost`] of the realized format; `None` when a hit carried none
-    /// for it (an imported decision, or a fresh CSR fallback) and no view
-    /// was at hand.
+    /// for it (an imported decision, or a fresh CSR fallback).
     batch: Option<BatchCost>,
+    plan: Arc<PlanSlot>,
 }
 
 /// What the shards of one partitioned registration did, folded into the
@@ -223,7 +232,7 @@ struct ShardTally {
     /// The shards' tuning costs, summed; flagged a cache hit while every
     /// shard's decision was one.
     cost: TuningCost,
-    /// `Reused` while every shard's plan came from the plan cache.
+    /// `Reused` while every shard's plan came with its decision.
     plan: PlanStatus,
     batch: BatchCost,
 }
@@ -427,9 +436,10 @@ struct Registered<V: Scalar> {
 enum Stored<V: Scalar> {
     Single {
         matrix: DynamicMatrix<V>,
-        /// Structure hash of `matrix` in its realized format, precomputed
-        /// so telemetry attribution never re-hashes on the execution hot
-        /// path.
+        /// The structure hash the matrix was decided under (its hash as it
+        /// was handed to `register`): the key its features are noted under,
+        /// so what its measured executions are attributed to. Registration
+        /// consumed the source, and the converted arrays are never hashed.
         structure: u64,
         plan: Arc<ExecPlan<V>>,
     },
@@ -563,7 +573,17 @@ pub struct OracleService<T> {
     tuner: T,
     opts: ConvertOptions,
     decisions: ShardedLru<CacheKey, CachedDecision>,
-    plans: ShardedLru<PlanKey, Arc<dyn Any + Send + Sync>>,
+    /// Re-tune aliases: the structure a `tune`d matrix was *switched to* →
+    /// a copy of the entry it was switched under, so tuning the switched
+    /// matrix again is a hit. A table of its own (of the decision cache's
+    /// capacity): kept among the decisions, each converted structure held
+    /// two of their slots. Only `tune`/`tune_and_*` write it — a
+    /// registration consumes its matrix, which cannot come back.
+    aliases: ShardedLru<CacheKey, CachedDecision>,
+    /// Plans found in their decision entry / built, as
+    /// [`OracleService::plan_cache_stats`] reports them.
+    plan_hits: AtomicU64,
+    plan_misses: AtomicU64,
     engine_fingerprint: u64,
     pool: ServicePool,
     registry: RwLock<Vec<HandleInfo>>,
@@ -645,7 +665,9 @@ impl<T> OracleService<T> {
             tuner,
             opts,
             decisions: ShardedLru::new(cache_capacity, shards),
-            plans: ShardedLru::new(cache_capacity, shards),
+            aliases: ShardedLru::new(cache_capacity, shards),
+            plan_hits: AtomicU64::new(0),
+            plan_misses: AtomicU64::new(0),
             engine_fingerprint,
             pool,
             registry: RwLock::new(Vec::new()),
@@ -712,25 +734,34 @@ impl<T> OracleService<T> {
         T: FormatTuner<V>,
     {
         let decided = self.decide(m, op, Facts::hashed(m));
-        self.realize(m, decided, op)
+        // The caller keeps the switched matrix and may tune it again.
+        self.realize(m, decided, op, true)
     }
 
-    /// The shared analysis of `m`, computed on first use and kept in
-    /// `facts` (facts about a row range of `m` come with theirs).
-    fn analysis_of<'f, V: Scalar>(&self, m: &DynamicMatrix<V>, facts: &'f mut Facts) -> &'f Analysis {
-        let hash = facts.hash;
-        debug_assert!(facts.analysis.is_some() || facts.rows == (0..m.nrows()));
-        facts.analysis.get_or_insert_with(|| Analysis::of_auto_with_hash(m, self.opts.true_diag_alpha, hash))
+    /// `m`'s shared analysis, `hash` being its structure hash — with the BSR
+    /// block counts only when `blocks` (two thirds of the walk, read by
+    /// nothing but BSR pricing).
+    fn analyse<V: Scalar>(&self, m: &DynamicMatrix<V>, hash: u64, blocks: bool) -> Analysis {
+        if blocks {
+            Analysis::of_auto_with_hash(m, self.opts.true_diag_alpha, hash)
+        } else {
+            Analysis::without_block_counts(m, self.opts.true_diag_alpha, hash)
+        }
     }
 
     /// The machine model's view of the rows of `m` that `facts` describe,
-    /// computed (with the analysis it derives from) on first use and kept
-    /// in `facts`.
-    fn view_of<'f, V: Scalar>(&self, m: &DynamicMatrix<V>, facts: &'f mut Facts) -> &'f MatrixAnalysis {
+    /// computed — with the analysis it derives from, unless the facts (a
+    /// row range's) came with theirs — on first use and kept in `facts`.
+    fn view_of<'f, V: Scalar>(
+        &self,
+        m: &DynamicMatrix<V>,
+        facts: &'f mut Facts,
+        blocks: bool,
+    ) -> &'f MatrixAnalysis {
         if facts.view.is_none() {
-            let rows = facts.rows.clone();
-            let view = analyze_rows_from(m, rows, self.analysis_of(m, facts));
-            facts.view = Some(view);
+            debug_assert!(facts.analysis.is_some() || facts.rows == (0..m.nrows()));
+            let analysis = facts.analysis.get_or_insert_with(|| self.analyse(m, facts.hash, blocks));
+            facts.view = Some(analyze_rows_from(m, facts.rows.clone(), analysis));
         }
         facts.view.as_ref().expect("view computed above")
     }
@@ -741,6 +772,12 @@ impl<T> OracleService<T> {
     /// When the facts are a row range's, `m` is the storage those rows live
     /// in and the tuner is handed it as such: its format is the one the
     /// features were read from, the view alone describes what is decided.
+    ///
+    /// The miss pays for what the decision reads: a tuner that does not
+    /// price formats from the view ([`FormatTuner::reads_block_counts`])
+    /// gets one without BSR block counts (unless the source is BSR, whose
+    /// extraction is priced from them), and only a BSR answer has them
+    /// counted, in a walk of their own, before its parameters are proposed.
     fn decide<V>(&self, m: &DynamicMatrix<V>, op: Op, mut facts: Facts) -> Decided
     where
         V: Scalar,
@@ -752,45 +789,60 @@ impl<T> OracleService<T> {
             engine: self.engine_fingerprint,
             op,
         };
-        match self.decisions.get_if(&key, |_| true) {
-            Some(CachedDecision { decision: mut cached, batch, realized }) => {
+        // One question, one counted lookup: a matrix `tune` switched earlier
+        // answers from the alias table.
+        let found = self.decisions.probe(&key).or_else(|| self.aliases.probe(&key));
+        self.decisions.count(found.is_some());
+        match found {
+            Some(CachedDecision { decision: mut cached, batch, plan }) => {
                 // Same structure, scalar, engine and op: the tuner would
                 // reproduce this decision, so charge nothing for it.
                 cached.cost = TuningCost::cached();
-                Decided { facts, key, decision: cached, batch, realized, cache_hit: true, generation: 0 }
+                Decided { facts, key, decision: cached, batch, plan, cache_hit: true, generation: [0; 2] }
             }
             None => {
-                // Read the cache generation *before* consulting the tuner:
-                // if a model hot-swap clears the cache while this decision
+                // Read the cache generations *before* consulting the tuner:
+                // if a model hot-swap clears the caches while this decision
                 // is in flight, the generation-gated inserts drop it
                 // instead of resurrecting the superseded model's choice.
-                let generation = self.decisions.generation();
-                let view = self.view_of(m, &mut facts);
-                let decision = self.tuner.select(m, view, &self.engine, op);
+                let generation = [self.decisions.generation(), self.aliases.generation()];
+                let blocks = self.tuner.reads_block_counts() || m.format_id() == FormatId::Bsr;
+                let mut decision =
+                    self.tuner.select(m, self.view_of(m, &mut facts, blocks), &self.engine, op);
+                if decision.format == FormatId::Bsr && facts.take_block_counts(m) {
+                    // Answered on a view without block counts: again, now
+                    // that the parameters can be priced.
+                    decision = self.tuner.select(m, self.view_of(m, &mut facts, true), &self.engine, op);
+                }
+                let view = self.view_of(m, &mut facts, blocks);
                 let batch = Some(BatchCost::of(&self.engine, decision.format, view));
-                let undecided = CachedDecision { decision, batch, realized: None };
-                self.decisions.insert_if_generation(key, undecided, generation);
-                Decided { facts, key, decision, batch, realized: None, cache_hit: false, generation }
+                let undecided = CachedDecision::new(decision, batch);
+                let plan = Arc::clone(&undecided.plan);
+                self.decisions.insert_if_generation(key, undecided, generation[0]);
+                Decided { facts, key, decision, batch, plan, cache_hit: false, generation }
             }
         }
     }
 
     /// Second half of a tune: converts `m` to the decided format (CSR when
-    /// that proves non-viable), caches the realized decision under the
-    /// pre- and post-conversion structure, and notes the features for
-    /// adaptive sampling.
+    /// that proves non-viable), caches the realized decision and notes the
+    /// features for adaptive sampling. `kept` says the caller keeps the
+    /// switched matrix (`tune`/`tune_and_*`): only then is the converted
+    /// structure hashed, to alias the decision under it — a registration
+    /// consumes its matrix, and nothing of it can come back to be tuned.
     fn realize<V: Scalar>(
         &self,
         m: &mut DynamicMatrix<V>,
         decided: Decided,
         op: Op,
+        kept: bool,
     ) -> Result<(TuneReport, TuneArtifacts)> {
         let Decided {
             facts: Facts { hash, analysis, view, .. },
             key,
             decision,
             batch,
-            realized,
+            plan,
             cache_hit,
             generation,
         } = decided;
@@ -810,48 +862,39 @@ impl<T> OracleService<T> {
         let batch = batch
             .filter(|_| chosen == predicted)
             .or_else(|| view.as_ref().map(|v| BatchCost::of(&self.engine, chosen, v)));
-        // Known without hashing when nothing was converted, and on a hit
-        // when the entry already saw this conversion; a miss that converted
-        // hashes the result, once, for the alias below.
-        let realized_hash = if chosen == previous {
-            Some(hash)
-        } else if cache_hit {
-            realized.filter(|_| chosen == predicted)
-        } else {
-            Some(m.structure_hash())
-        };
         if !cache_hit {
-            // Cache the *realized* format — if the prediction proved
+            // Cache the *realized* format: if the prediction proved
             // non-viable, later hits must not re-pay the failing conversion
-            // attempt before falling back — and the realized hash, so they
-            // do not re-hash the converted matrix either.
+            // attempt before falling back.
             let done = CachedDecision {
                 decision: TuneDecision { format: chosen, ..decision },
                 batch,
-                realized: realized_hash.filter(|_| hash_is_of_indices_alone(chosen)),
+                plan: Arc::clone(&plan),
             };
-            self.decisions.insert_if_generation(key, done, generation);
-            if let Some(post_hash) = realized_hash.filter(|_| chosen != previous) {
+            if kept && chosen != previous {
                 // Alias the decision under the matrix's *post-conversion*
                 // structure too, so re-tuning the same (already switched)
                 // matrix — the repeated-execution loop of §VII-E — is a
-                // hit.
-                self.decisions.insert_if_generation(
-                    CacheKey { structure: post_hash, ..key },
-                    done,
-                    generation,
+                // hit: the one reason left to hash what was just written.
+                let switched = m.structure_hash();
+                self.aliases.insert_if_generation(
+                    CacheKey { structure: switched, ..key },
+                    done.clone(),
+                    generation[1],
                 );
+                if let Some(col) = &self.collector {
+                    // Executions of the switched matrix are keyed by its
+                    // own hash when it comes back: the same population.
+                    col.alias(switched, hash);
+                }
             }
+            self.decisions.insert_if_generation(key, done, generation[0]);
             if let (Some(col), Some(a)) = (&self.collector, analysis.as_ref()) {
                 // Adaptive sampling, off the execution hot path: note the
                 // Table-I features under the hash the tuner saw (features
-                // are format-invariant) and alias the realized structure to
-                // it, so measured executions of the converted layout join
-                // the same population the features were noted for.
+                // are format-invariant) — the hash every execution under
+                // this decision is attributed to.
                 col.note_features(hash, &FeatureVector::from_analysis(a));
-                if let Some(realized) = realized_hash.filter(|&r| r != hash) {
-                    col.alias(realized, hash);
-                }
             }
         }
         let report = TuneReport {
@@ -868,100 +911,67 @@ impl<T> OracleService<T> {
             convert,
             shards: 1,
         };
-        Ok((report, TuneArtifacts { realized_hash, analysis, view, batch }))
+        Ok((report, TuneArtifacts { structure: hash, analysis, view, batch, plan }))
     }
 
-    /// Fetches (or builds and caches) the shared execution plan for `m`,
-    /// returning whether it was a cache hit. Under concurrent misses on
-    /// one structure, each thread builds its own plan and the last insert
-    /// wins — plans for one (structure, format, threads, cpu) key are
-    /// interchangeable, so nothing is lost but a little build work. That
-    /// interchangeability is why a build without a carried-over analysis
-    /// computes one here ([`Self::plan_analysis`]): variant selection is a
-    /// function of the analyzed bottleneck, and a plan built blind would
-    /// pick different (non-bitwise-equal) kernel bodies than one built on
-    /// the decision-cache miss path.
-    fn plan_for<V: Scalar>(
+    /// The analysis a plan is built on, or a [`BatchCost`] priced from, by
+    /// a hit that found its entry without — a decision imported or never
+    /// executed, a plan for another worker count, a fresh CSR fallback. A
+    /// miss carries the analysis it decided on; otherwise the realized `m`
+    /// is hashed and walked here, once for both. (Variant selection reads
+    /// the analysed bottleneck: a plan built late is the miss's.)
+    fn late_analysis<'a, V: Scalar>(
         &self,
-        key: PlanKey,
         m: &DynamicMatrix<V>,
-        analysis: Option<&Analysis>,
+        artifacts: &'a mut TuneArtifacts,
+    ) -> &'a Analysis {
+        artifacts
+            .analysis
+            .get_or_insert_with(|| self.analyse(m, m.structure_hash(), m.format_id() == FormatId::Bsr))
+    }
+
+    /// The execution plan for `m` in its realized format: the one its
+    /// decision entry holds, or — when it holds none yet, one for another
+    /// worker count, or one `m` does not match (two sources of one key can
+    /// realize differently in DIA/HDC, where an explicit zero is padding) —
+    /// one built now and left in the entry. The single plan path of
+    /// `tune_and_*`, registration and shards. Concurrent builders each
+    /// store theirs and the last wins: plans for one structure and worker
+    /// count are interchangeable. With caching disabled the slot dies with
+    /// the call and every call builds — still the planned kernels.
+    fn acquire_plan<V: Scalar>(
+        &self,
+        m: &DynamicMatrix<V>,
+        artifacts: &mut TuneArtifacts,
         threads: usize,
-    ) -> (Arc<ExecPlan<V>>, bool) {
-        let cached = self
-            .plans
-            .get_if(&key, |p| p.downcast_ref::<ExecPlan<V>>().is_some_and(|plan| plan.matches(m)))
-            .and_then(|p| p.downcast::<ExecPlan<V>>().ok());
-        match cached {
-            Some(plan) => (plan, true),
+    ) -> (Arc<ExecPlan<V>>, PlanStatus) {
+        let held = artifacts.plan.lock().clone();
+        let held = held
+            .and_then(|p| p.downcast::<ExecPlan<V>>().ok())
+            .filter(|p| p.threads() == threads.max(1) && p.matches(m));
+        let caching = self.decisions.capacity() > 0;
+        match held {
+            Some(plan) => {
+                self.plan_hits.fetch_add(u64::from(caching), Ordering::Relaxed);
+                (plan, PlanStatus::Reused)
+            }
             None => {
-                let computed;
-                let analysis = match analysis {
-                    Some(a) => a,
-                    None => {
-                        computed = self.plan_analysis(m, key.structure);
-                        &computed
-                    }
-                };
-                let plan = Arc::new(ExecPlan::build(m, threads, Some(analysis)));
-                self.plans.insert(key, plan.clone() as Arc<dyn Any + Send + Sync>);
-                (plan, false)
+                let plan = Arc::new(ExecPlan::build(m, threads, Some(self.late_analysis(m, artifacts))));
+                *artifacts.plan.lock() = Some(plan.clone() as Arc<dyn Any + Send + Sync>);
+                self.plan_misses.fetch_add(u64::from(caching), Ordering::Relaxed);
+                (plan, PlanStatus::Built)
             }
         }
     }
 
-    /// Analysis for a plan build that has none carried over from tuning
-    /// (decision-cache hits skip the analysis). Plan construction is paid
-    /// once per structure, so re-analyzing here keeps plans deterministic
-    /// — identical whether built on the hit or the miss path — without
-    /// touching the steady-state replay cost.
-    fn plan_analysis<V: Scalar>(&self, m: &DynamicMatrix<V>, structure: u64) -> Analysis {
-        Analysis::of_auto_with_hash(m, self.opts.true_diag_alpha, structure)
-    }
-
-    /// Acquires the execution plan for `m` in its realized format, building
-    /// (and caching) it on first sight of the structure — the single plan
-    /// path shared by `tune_and_*` execution and handle registration, so
-    /// both populate the same cache under the same keys. With caching
-    /// disabled (capacity 0) a one-shot plan is built per call — still the
-    /// planned kernels, but construction is re-paid every time.
-    fn acquire_plan<V: Scalar>(
-        &self,
-        m: &DynamicMatrix<V>,
-        artifacts: &TuneArtifacts,
-        threads: usize,
-    ) -> (Arc<ExecPlan<V>>, PlanStatus) {
-        let analysis = artifacts.analysis.as_ref();
-        let structure = artifacts.realized_hash.unwrap_or_else(|| m.structure_hash());
-        if self.plans.capacity() == 0 {
-            let computed;
-            let analysis = match analysis {
-                Some(a) => a,
-                None => {
-                    computed = self.plan_analysis(m, structure);
-                    &computed
-                }
-            };
-            return (Arc::new(ExecPlan::build(m, threads, Some(analysis))), PlanStatus::Built);
-        }
-        let key = PlanKey {
-            structure,
-            scalar_bytes: std::mem::size_of::<V>(),
-            threads,
-            cpu: CpuFeatures::detect().fingerprint(),
-        };
-        let (plan, hit) = self.plan_for(key, m, analysis, threads);
-        (plan, if hit { PlanStatus::Reused } else { PlanStatus::Built })
-    }
-
     /// [`Self::acquire_plan`] wrapped in the `serve.plan_ns` histogram and
-    /// a [`Stage::Plan`] span (`detail` = 1 on a cache hit, 0 when built)
+    /// a [`Stage::Plan`] span (`detail` = 1 when reused, 0 when built)
     /// when tracing is on. Pass [`TraceId::NONE`] outside a request (e.g.
     /// registration) to get the histogram sample without a span.
     fn acquire_plan_observed<V: Scalar>(
         &self,
         m: &DynamicMatrix<V>,
-        artifacts: &TuneArtifacts,
+        artifacts: &mut TuneArtifacts,
         threads: usize,
         trace: TraceId,
     ) -> (Arc<ExecPlan<V>>, PlanStatus) {
@@ -1043,7 +1053,7 @@ impl<T> OracleService<T> {
     fn run_threaded<V: Scalar>(
         &self,
         m: &DynamicMatrix<V>,
-        artifacts: &TuneArtifacts,
+        artifacts: &mut TuneArtifacts,
         pool: &ThreadPool,
         report: &mut TuneReport,
         variant_bodies: bool,
@@ -1051,7 +1061,7 @@ impl<T> OracleService<T> {
         run: impl FnOnce(Execution<'_, V>) -> morpheus::Result<()>,
     ) -> Result<()> {
         report.serial_fallback = self.take_serial_fallback(pool);
-        if report.serial_fallback && self.plans.capacity() == 0 {
+        if report.serial_fallback && self.decisions.capacity() == 0 {
             // No cache to warm: skip the wasted plan construction.
             run(Execution::Serial)?;
         } else {
@@ -1077,13 +1087,13 @@ impl<T> OracleService<T> {
         V: Scalar,
         T: FormatTuner<V>,
     {
-        let (mut report, artifacts) = self.tune_with_artifacts(m, Op::Spmv)?;
+        let (mut report, mut artifacts) = self.tune_with_artifacts(m, Op::Spmv)?;
         let trace = self.obs.mint_trace();
         let t0 = (self.collector.is_some() || self.obs.enabled()).then(Instant::now);
         match self.exec_pool() {
             None => morpheus::spmv::spmv_serial(m, x, y)?,
             Some(pool) => {
-                self.run_threaded(m, &artifacts, pool, &mut report, true, trace, |exec| match exec {
+                self.run_threaded(m, &mut artifacts, pool, &mut report, true, trace, |exec| match exec {
                     Execution::Pooled(plan) => plan.spmv(m, x, y, pool),
                     Execution::Inline(plan) => plan.spmv_unpooled(m, x, y),
                     Execution::Serial => morpheus::spmv::spmv_serial(m, x, y),
@@ -1092,7 +1102,7 @@ impl<T> OracleService<T> {
         }
         if let Some(t0) = t0 {
             if self.collector.is_some() {
-                self.note_tuned_execution(t0, m, Op::Spmv, &report, &artifacts);
+                self.note_tuned_execution(t0, m, Op::Spmv, &report, artifacts.structure);
             }
             self.observe_request(trace, t0, t0.elapsed());
         }
@@ -1113,13 +1123,13 @@ impl<T> OracleService<T> {
         V: Scalar,
         T: FormatTuner<V>,
     {
-        let (mut report, artifacts) = self.tune_with_artifacts(m, Op::Spmm { k })?;
+        let (mut report, mut artifacts) = self.tune_with_artifacts(m, Op::Spmm { k })?;
         let trace = self.obs.mint_trace();
         let t0 = (self.collector.is_some() || self.obs.enabled()).then(Instant::now);
         match self.exec_pool() {
             None => morpheus::spmm::spmm_serial(m, x, y, k)?,
             Some(pool) => {
-                self.run_threaded(m, &artifacts, pool, &mut report, false, trace, |exec| match exec {
+                self.run_threaded(m, &mut artifacts, pool, &mut report, false, trace, |exec| match exec {
                     Execution::Pooled(plan) => plan.spmm(m, x, y, k, pool),
                     // Planned SpMM runs the scalar bodies, so the serial
                     // kernel is already bitwise identical to it.
@@ -1129,25 +1139,26 @@ impl<T> OracleService<T> {
         }
         if let Some(t0) = t0 {
             if self.collector.is_some() {
-                self.note_tuned_execution(t0, m, Op::Spmm { k }, &report, &artifacts);
+                self.note_tuned_execution(t0, m, Op::Spmm { k }, &report, artifacts.structure);
             }
             self.observe_request(trace, t0, t0.elapsed());
         }
         Ok(report)
     }
 
-    /// Telemetry attribution for a `tune_and_*` execution. Skips calls
-    /// that built a fresh plan inside the timed window (their elapsed time
-    /// includes plan construction and would poison the kernel mean); the
-    /// steady state — cached plans and serial executions — is what the
-    /// adaptive subsystem learns from.
+    /// Telemetry attribution for a `tune_and_*` execution, under the hash
+    /// the matrix was decided under. Skips calls that built a fresh plan
+    /// inside the timed window (their elapsed time includes plan
+    /// construction and would poison the kernel mean); the steady state —
+    /// reused plans and serial executions — is what the adaptive subsystem
+    /// learns from.
     fn note_tuned_execution<V: Scalar>(
         &self,
         t0: Instant,
         m: &DynamicMatrix<V>,
         op: Op,
         report: &TuneReport,
-        artifacts: &TuneArtifacts,
+        structure: u64,
     ) {
         let elapsed = t0.elapsed();
         if report.plan == PlanStatus::Built {
@@ -1158,23 +1169,17 @@ impl<T> OracleService<T> {
         } else {
             self.exec_pool().map_or(1, |p| p.num_threads())
         };
-        let structure = artifacts.realized_hash.unwrap_or_else(|| m.structure_hash());
         self.record_execution::<V>(structure, m.format_id(), op, workers, report.variant, elapsed);
     }
 
     /// The [`BatchCost`] of a realized matrix: the numbers tuning carried,
-    /// or — only for a decision imported from a file, which has none and
-    /// was hit without a view — two engine evaluations on a view taken now.
-    fn batch_cost_of<V: Scalar>(
-        &self,
-        m: &DynamicMatrix<V>,
-        artifacts: TuneArtifacts,
-        structure: u64,
-    ) -> BatchCost {
+    /// or — for a hit whose entry had none for the format (a decision
+    /// imported from a file, a fresh CSR fallback) — two engine evaluations
+    /// on a view taken now.
+    fn batch_cost_of<V: Scalar>(&self, m: &DynamicMatrix<V>, artifacts: &mut TuneArtifacts) -> BatchCost {
         artifacts.batch.unwrap_or_else(|| {
-            let mut facts =
-                Facts { hash: structure, rows: 0..m.nrows(), analysis: artifacts.analysis, view: None };
-            BatchCost::of(&self.engine, m.format_id(), self.view_of(m, &mut facts))
+            let view = analyze_from(m, self.late_analysis(m, artifacts));
+            BatchCost::of(&self.engine, m.format_id(), &view)
         })
     }
 
@@ -1224,13 +1229,13 @@ impl<T> OracleService<T> {
         T: FormatTuner<V>,
     {
         let decided = self.decide(&m, op, facts);
-        let (mut report, artifacts) = self.realize(&mut m, decided, op)?;
+        let (mut report, mut artifacts) = self.realize(&mut m, decided, op, false)?;
         let threads = self.exec_pool().map_or(1, |p| p.num_threads());
-        let (plan, status) = self.acquire_plan_observed(&m, &artifacts, threads, TraceId::NONE);
+        let (plan, status) = self.acquire_plan_observed(&m, &mut artifacts, threads, TraceId::NONE);
         report.plan = status;
         report.variant = plan.dominant_variant();
-        let structure = artifacts.realized_hash.unwrap_or_else(|| m.structure_hash());
-        let batch = self.batch_cost_of(&m, artifacts, structure);
+        let structure = artifacts.structure;
+        let batch = self.batch_cost_of(&m, &mut artifacts);
         let id = self.next_handle_id.fetch_add(1, Ordering::Relaxed);
         self.matrices_registered.inc();
         self.registry.write().push(HandleInfo {
@@ -1311,7 +1316,7 @@ impl<T> OracleService<T> {
         let best_whole = self
             .partition
             .cost_gate
-            .then(|| self.engine.best_spmv_time_at(self.view_of(&m, &mut whole), threads).1);
+            .then(|| self.engine.best_spmv_time_at(self.view_of(&m, &mut whole, true), threads).1);
         let shard_time = |format: FormatId, view: Option<&MatrixAnalysis>| {
             let view = view.expect("the cost gate computes every shard's view before deciding");
             self.engine.best_shard_spmv_variant(format, view).1
@@ -1321,7 +1326,7 @@ impl<T> OracleService<T> {
             let mut facts =
                 Facts { hash: analysis.structure_hash, rows, analysis: Some(analysis), view: None };
             if best_whole.is_some() {
-                self.view_of(&m, &mut facts);
+                self.view_of(&m, &mut facts, true);
             }
             decided.push(self.decide(&m, op, facts));
         }
@@ -1417,7 +1422,7 @@ impl<T> OracleService<T> {
         op: Op,
         tally: &mut ShardTally,
     ) -> Result<(morpheus::partition::Shard<V>, Option<MatrixAnalysis>)> {
-        let (report, mut artifacts) = self.realize(&mut sm, decided, op)?;
+        let (report, mut artifacts) = self.realize(&mut sm, decided, op, false)?;
         tally.convert_seconds += report.convert.seconds;
         tally.converted |= report.converted;
         tally.cost.feature_extraction += report.cost.feature_extraction;
@@ -1425,16 +1430,14 @@ impl<T> OracleService<T> {
         tally.cost.profiling += report.cost.profiling;
         tally.cost.measured += report.cost.measured;
         tally.cost.cache_hit &= report.cache_hit;
-        let (plan, status) = self.acquire_plan(&sm, &artifacts, 1);
+        let (plan, status) = self.acquire_plan(&sm, &mut artifacts, 1);
         if status != PlanStatus::Reused {
             tally.plan = PlanStatus::Built;
         }
-        let structure = artifacts.realized_hash.unwrap_or_else(|| sm.structure_hash());
-        let view = artifacts.view.take();
-        let batch = self.batch_cost_of(&sm, artifacts, structure);
+        let batch = self.batch_cost_of(&sm, &mut artifacts);
         tally.batch.spmv += batch.spmv;
         tally.batch.per_rhs += batch.per_rhs;
-        Ok((morpheus::partition::Shard::new(rows, sm, plan, structure), view))
+        Ok((morpheus::partition::Shard::new(rows, sm, plan, artifacts.structure), artifacts.view))
     }
 
     /// Registry bookkeeping and report synthesis shared by the partitioned
@@ -1869,16 +1872,27 @@ impl<T> OracleService<T> {
         self.decisions.stats()
     }
 
-    /// Hit/miss counters and occupancy of the execution plan cache.
+    /// Plan reuse: a hit is a plan found in its decision entry, a miss one
+    /// that had to be built (nothing is counted with caching disabled);
+    /// `len` is the number of cached decisions holding a plan, `capacity`
+    /// the decision cache's.
     pub fn plan_cache_stats(&self) -> CacheStats {
-        self.plans.stats()
+        let mut len = 0;
+        self.decisions.for_each(|_, d| len += usize::from(d.plan.lock().is_some()));
+        CacheStats {
+            hits: self.plan_hits.load(Ordering::Relaxed),
+            misses: self.plan_misses.load(Ordering::Relaxed),
+            len,
+            capacity: self.decisions.capacity(),
+        }
     }
 
-    /// Forgets every cached decision and execution plan (counters are
-    /// kept). Registered handles are unaffected — they own their plans.
+    /// Forgets every cached decision — with it the plan it holds — and
+    /// every re-tune alias (counters are kept). Registered handles are
+    /// unaffected: they own their plans.
     pub fn clear_cache(&self) {
         self.decisions.clear();
-        self.plans.clear();
+        self.aliases.clear();
     }
 
     // -----------------------------------------------------------------
@@ -2003,7 +2017,7 @@ impl<T> OracleService<T> {
         }
         let count = parsed.len();
         for (key, decision) in parsed {
-            self.decisions.insert(key, CachedDecision { decision, batch: None, realized: None });
+            self.decisions.insert(key, CachedDecision::new(decision, None));
         }
         Ok(count)
     }
@@ -2127,7 +2141,7 @@ mod tests {
             op: Op::Spmv,
             cost: TuningCost::cached(),
         };
-        let seeded = CachedDecision { decision, batch: None, realized: None };
+        let seeded = CachedDecision::new(decision, None);
         service.decisions.insert_if_generation(key, seeded, service.decisions.generation());
 
         let report = service.tune(&mut m).unwrap();
@@ -2203,8 +2217,10 @@ mod tests {
     }
 
     /// A decision-cache hit reads the matrix once, for the key: the entry
-    /// carries the hash of the converted structure the miss computed for
-    /// the alias, so neither the plan lookup nor the handle re-hashes it.
+    /// brings its plan, and the handle is keyed by the hash it was decided
+    /// under. A registration's miss reads it twice — key hash, analysis —
+    /// and never hashes what it converted; `tune`, whose caller keeps the
+    /// switched matrix, hashes it once more for the re-tune alias.
     #[test]
     fn a_hit_hashes_the_source_and_nothing_else() {
         use morpheus::analysis::passes;
@@ -2215,7 +2231,7 @@ mod tests {
         passes::reset();
         let first = service.register(tridiag(700)).unwrap();
         assert!(!first.report().cache_hit && first.format_id() == FormatId::Bell);
-        assert_eq!(passes::count(), 3, "a miss: key hash, analysis, hash of the converted matrix");
+        assert_eq!(passes::count(), 2, "a registration's miss: key hash, analysis");
 
         passes::reset();
         let again = service.register(tridiag(700)).unwrap();
@@ -2228,43 +2244,15 @@ mod tests {
         assert!(report.cache_hit && report.converted && report.plan == PlanStatus::Reused);
         assert_eq!(passes::count(), 1, "a per-call hit hashes the source only");
 
-        // Re-tuning the converted matrix hits through the alias, and its
-        // key already is the realized hash.
-        let mut switched = first.matrix().clone();
+        // A per-call miss hashes what it converted, for the alias re-tuning
+        // the switched matrix hits through.
+        let mut switched = tridiag(900);
+        passes::reset();
+        assert!(!service.tune(&mut switched).unwrap().cache_hit);
+        assert_eq!(passes::count(), 3, "a tune's miss: key hash, analysis, hash of the converted matrix");
         passes::reset();
         assert!(service.tune(&mut switched).unwrap().cache_hit);
         assert_eq!(passes::count(), 1);
-    }
-
-    /// DIA's and HDC's hash covers which stored values are zero, so one
-    /// decision key (equal indices) can realize to two structures: a hit
-    /// into them hashes what it converted instead of trusting the entry.
-    #[test]
-    fn a_hit_into_a_value_hashed_format_hashes_what_it_converted() {
-        let structure_of = |h: &MatrixHandle<f64>| match &h.inner.stored {
-            Stored::Single { structure, .. } => *structure,
-            Stored::Partitioned(_) => panic!("registered whole"),
-        };
-        // The same indices, one entry an explicit zero.
-        let full = tridiag(300);
-        let holed = {
-            let DynamicMatrix::Coo(coo) = &full else { panic!("tridiag is COO") };
-            let mut vals = coo.values().to_vec();
-            vals[100] = 0.0;
-            let (rows, cols) = (coo.row_indices(), coo.col_indices());
-            DynamicMatrix::from(CooMatrix::from_triplets(300, 300, rows, cols, &vals).unwrap())
-        };
-        assert_eq!(full.structure_hash(), holed.structure_hash());
-        for format in [FormatId::Dia, FormatId::Hdc] {
-            let service = always(format);
-            let miss = service.register(full.clone()).unwrap();
-            let hit = service.register(holed.clone()).unwrap();
-            assert!(!miss.report().cache_hit && hit.report().cache_hit, "{format}");
-            assert_eq!(hit.format_id(), format);
-            assert_eq!(structure_of(&miss), miss.matrix().structure_hash(), "{format}");
-            assert_eq!(structure_of(&hit), hit.matrix().structure_hash(), "{format}");
-            assert_ne!(structure_of(&miss), structure_of(&hit), "{format}: the hole is hashed");
-        }
     }
 
     #[test]
@@ -2393,10 +2381,14 @@ mod tests {
         let r = restarted.tune(&mut a2).unwrap();
         assert!(r.cache_hit, "warm-started service must skip tuning");
         assert_eq!(r.chosen, a.format_id());
-        // The file carries no gate numbers: a handle registered off an
-        // imported decision takes its own view and prices the same.
+        // The file carries neither gate numbers nor plans: a handle
+        // registered off an imported decision builds its plan on first use
+        // (and leaves it in the entry), takes its own view and prices the
+        // same.
         let warm = restarted.register(tridiag(1300)).unwrap();
         assert!(warm.report().cache_hit);
+        assert_eq!(warm.report().plan, PlanStatus::Built);
+        assert_eq!(restarted.register(tridiag(1300)).unwrap().report().plan, PlanStatus::Reused);
         assert_eq!(warm.batch_cost(), service.register(tridiag(1300)).unwrap().batch_cost());
         // Exporting the restarted cache reproduces the same set.
         let mut buf2 = Vec::new();

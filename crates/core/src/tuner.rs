@@ -91,6 +91,18 @@ pub trait FormatTuner<V: Scalar> {
         engine: &VirtualEngine,
         op: Op,
     ) -> TuneDecision;
+
+    /// `false` when [`select`](FormatTuner::select) reaches its format
+    /// without pricing formats from `a` — a model over the feature vector —
+    /// so the service may hand it a view without BSR block counts
+    /// ([`MatrixAnalysis::bsr_blocks`] `None`) and skip counting them. Such
+    /// a tuner must not read them unless they are there; when it answers
+    /// BSR on a view without them, the service counts them and calls
+    /// `select` again for the parameters. The default, `true`, is right for
+    /// any tuner that asks the engine about formats.
+    fn reads_block_counts(&self) -> bool {
+        true
+    }
 }
 
 impl<V: Scalar, T: FormatTuner<V> + ?Sized> FormatTuner<V> for &T {
@@ -107,6 +119,10 @@ impl<V: Scalar, T: FormatTuner<V> + ?Sized> FormatTuner<V> for &T {
     ) -> TuneDecision {
         (**self).select(m, a, engine, op)
     }
+
+    fn reads_block_counts(&self) -> bool {
+        (**self).reads_block_counts()
+    }
 }
 
 impl<V: Scalar, T: FormatTuner<V> + ?Sized> FormatTuner<V> for Box<T> {
@@ -122,6 +138,10 @@ impl<V: Scalar, T: FormatTuner<V> + ?Sized> FormatTuner<V> for Box<T> {
         op: Op,
     ) -> TuneDecision {
         (**self).select(m, a, engine, op)
+    }
+
+    fn reads_block_counts(&self) -> bool {
+        (**self).reads_block_counts()
     }
 }
 
@@ -217,9 +237,17 @@ pub(crate) fn ml_decision<V: Scalar>(
     op: Op,
 ) -> TuneDecision {
     let format = FormatId::from_index(predicted).unwrap_or(FormatId::Csr);
+    // BSR's parameters are priced from the block counts: on a view without
+    // them the defaults stand in until the service, seeing BSR decided, has
+    // counted them and selects again.
+    let params = if format == FormatId::Bsr && a.bsr_blocks.is_none() {
+        morpheus::FormatParams::default()
+    } else {
+        crate::params::propose_params(format, a)
+    };
     TuneDecision {
         format,
-        params: crate::params::propose_params(format, a),
+        params,
         op,
         cost: TuningCost {
             feature_extraction: engine.feature_extraction_time(m.format_id(), a),
@@ -277,6 +305,10 @@ impl<V: Scalar> FormatTuner<V> for DecisionTreeTuner {
         let visited = self.model.decision_path_len(fv.as_slice());
         ml_decision(predicted, visited, m, a, engine, op)
     }
+
+    fn reads_block_counts(&self) -> bool {
+        false
+    }
 }
 
 /// Forest ML tuner: "traverses multiple trees in the ensemble and then
@@ -327,6 +359,10 @@ impl<V: Scalar> FormatTuner<V> for RandomForestTuner {
         let visited = self.model.decision_path_len(fv.as_slice());
         ml_decision(predicted, visited, m, a, engine, op)
     }
+
+    fn reads_block_counts(&self) -> bool {
+        false
+    }
 }
 
 /// Gradient-boosted tuner: the paper's "further work" model (§IX), served
@@ -373,6 +409,10 @@ impl<V: Scalar> FormatTuner<V> for GbtTuner {
         let predicted = self.model.predict(fv.as_slice());
         let visited = self.model.decision_path_len(fv.as_slice());
         ml_decision(predicted, visited, m, a, engine, op)
+    }
+
+    fn reads_block_counts(&self) -> bool {
+        false
     }
 }
 

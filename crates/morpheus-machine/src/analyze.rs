@@ -66,8 +66,10 @@ pub struct MatrixAnalysis {
     /// Occupied `b x b` blocks for each square block dim in
     /// [`morpheus::BSR_BLOCK_DIMS`] (2, 4, 8) — exact counts from the same
     /// row-major walk, so BSR padding (`blocks * b * b`) and block fill are
-    /// known without converting.
-    pub bsr_blocks: [usize; 3],
+    /// known without converting. `None` when the view was assembled from an
+    /// [`Analysis::without_block_counts`]: nothing about BSR can then be
+    /// priced, and the accessors below refuse to.
+    pub bsr_blocks: Option<[usize; 3]>,
     /// BELL padded slots under the default power-of-two bucket ladder
     /// (each non-empty row rounded up to its bucket width).
     pub bell_padded: usize,
@@ -182,18 +184,38 @@ impl MatrixAnalysis {
     /// BSR padded slots (`blocks * b * b`) for square block dim `b`.
     ///
     /// # Panics
-    /// If `b` is not one of [`morpheus::BSR_BLOCK_DIMS`].
+    /// If `b` is not one of [`morpheus::BSR_BLOCK_DIMS`], or the view holds
+    /// no block counts (see [`MatrixAnalysis::bsr_nblocks`]).
+    #[track_caller]
     pub fn bsr_padded(&self, b: usize) -> usize {
-        self.bsr_blocks[bsr_dim_index(b)] * b * b
+        self.bsr_nblocks(b) * b * b
     }
 
     /// Occupied blocks for square block dim `b`.
+    ///
+    /// # Panics
+    /// If the view holds no block counts. An absent count must never read
+    /// as zero: that prices BSR as free storage, and a selector trained or
+    /// run on such prices picks BSR for everything. The message names the
+    /// reader, which is the code to fix (take the counts first:
+    /// [`Analysis::take_block_counts`]).
+    #[track_caller]
     pub fn bsr_nblocks(&self, b: usize) -> usize {
-        self.bsr_blocks[bsr_dim_index(b)]
+        let Some(blocks) = self.bsr_blocks else {
+            panic!(
+                "{} read a BSR block count from a machine view assembled without block counts",
+                std::panic::Location::caller()
+            )
+        };
+        blocks[bsr_dim_index(b)]
     }
 
     /// Block fill ratio `nnz / padded` for square dim `b` (1 when empty) —
     /// the quantity that decides whether register blocking pays.
+    ///
+    /// # Panics
+    /// As [`MatrixAnalysis::bsr_padded`].
+    #[track_caller]
     pub fn bsr_fill(&self, b: usize) -> f64 {
         let padded = self.bsr_padded(b);
         if padded == 0 {

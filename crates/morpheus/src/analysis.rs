@@ -26,7 +26,13 @@
 //! touched for each `b` in [`crate::BSR_BLOCK_DIMS`]. Rows ascend, so a
 //! block row is never revisited: stamping each block column with the last
 //! block row seen there counts distinct blocks exactly, with a compare and a
-//! store instead of a branch. **The reductions** ([`crate::stats`]) then
+//! store instead of a branch. The block counts are the one fact the walk can
+//! leave out: they are two thirds of its work per entry and nothing but BSR
+//! pricing reads them, so [`Analysis::without_block_counts`] walks without
+//! the stamps and [`Analysis::take_block_counts`] counts the blocks later,
+//! in a walk that does nothing else, should BSR come up after all — the
+//! artifact is then bitwise the fused walk's. **The reductions**
+//! ([`crate::stats`]) then
 //! loop once over the row histogram (Table I, prefix sums, 32-row group
 //! maxima, the row-length count table BELL/HYB/quantile questions are
 //! answered from in O(longest row)) and once over the diagonal populations.
@@ -95,7 +101,7 @@ use crate::bsr::BSR_BLOCK_DIMS;
 use crate::dynamic::{csr_rows_structure_hash, DynamicMatrix};
 use crate::error::MorpheusError;
 use crate::partition::{Partition, SEAM_ALIGN};
-use crate::rowmajor::for_each_row_pattern;
+use crate::rowmajor::{for_each_row_pattern, for_each_row_pattern_in};
 use crate::scalar::Scalar;
 use crate::stats::{
     empty_diag_pop, empty_hists, reduce, reduce_diags, reduce_rows, row_nnz_histogram, MatrixStats, Reduced,
@@ -144,8 +150,10 @@ pub struct EntryFacts {
     /// Entries at most [`GATHER_LINE`] columns right of the previous entry
     /// of their row.
     pub gather_hits: usize,
-    /// Occupied `b x b` blocks for each `b` in [`crate::BSR_BLOCK_DIMS`].
-    pub bsr_blocks: [usize; 3],
+    /// Occupied `b x b` blocks for each `b` in [`crate::BSR_BLOCK_DIMS`];
+    /// `None` while they have not been counted
+    /// ([`Analysis::without_block_counts`]).
+    pub bsr_blocks: Option<[usize; 3]>,
 }
 
 /// One-pass structural analysis of a matrix, shared by feature extraction,
@@ -200,7 +208,7 @@ impl Analysis {
     /// Analyses `m`: one hash sweep, one entry walk, one loop over each
     /// histogram.
     pub fn of<V: Scalar>(m: &DynamicMatrix<V>, alpha: f64) -> Analysis {
-        Self::build(m, alpha, None)
+        Self::build::<V, true>(m, alpha, None)
     }
 
     /// [`Analysis::of`], for callers that leave how the analysis runs to the
@@ -216,10 +224,39 @@ impl Analysis {
     /// format (debug builds verify it) — the Oracle uses this after keying
     /// its decision cache, so a cache miss pays for the hash exactly once.
     pub fn of_auto_with_hash<V: Scalar>(m: &DynamicMatrix<V>, alpha: f64, hash: u64) -> Analysis {
-        Self::build(m, alpha, Some(hash))
+        Self::build::<V, true>(m, alpha, Some(hash))
     }
 
-    fn build<V: Scalar>(m: &DynamicMatrix<V>, alpha: f64, hash: Option<u64>) -> Analysis {
+    /// [`Analysis::of_auto_with_hash`] whose walk leaves the block counts
+    /// out ([`EntryFacts::bsr_blocks`] is `None`): they are two thirds of
+    /// the walk's work per entry and only BSR pricing reads them, so a
+    /// caller that will decide without pricing BSR skips them and, should
+    /// BSR come up after all, takes them with
+    /// [`Analysis::take_block_counts`]. Every other field is bitwise what
+    /// the full walk gives.
+    pub fn without_block_counts<V: Scalar>(m: &DynamicMatrix<V>, alpha: f64, hash: u64) -> Analysis {
+        Self::build::<V, false>(m, alpha, Some(hash))
+    }
+
+    /// Counts the blocks a walk [`without_block_counts`](Self::without_block_counts)
+    /// left out, in one walk that does nothing else: the artifact is then
+    /// what the full walk would have built. `rows_of_m` are the rows of `m`
+    /// the artifact describes — all of them, or a shard's
+    /// ([`Analysis::of_partitioned`]). A no-op when the counts are there.
+    pub fn take_block_counts<V: Scalar>(&mut self, m: &DynamicMatrix<V>, rows_of_m: Range<usize>) {
+        debug_assert_eq!((rows_of_m.len(), m.ncols()), (self.nrows, self.ncols));
+        if self.entries.bsr_blocks.is_some() {
+            return;
+        }
+        passes::record_traversal();
+        let first = rows_of_m.start;
+        let mut stamps = Stamps::new(self.nrows, self.ncols);
+        let mut blocks = [0usize; 3];
+        for_each_row_pattern_in(m, rows_of_m, |r, cols| stamps.count_row(r - first, cols, &mut blocks));
+        self.entries.bsr_blocks = Some(blocks);
+    }
+
+    fn build<V: Scalar, const BLOCKS: bool>(m: &DynamicMatrix<V>, alpha: f64, hash: Option<u64>) -> Analysis {
         passes::record_traversal();
         debug_assert!(
             hash.is_none_or(|h| h == m.structure_hash_raw()),
@@ -228,15 +265,15 @@ impl Analysis {
         let structure_hash = hash.unwrap_or_else(|| m.structure_hash_raw());
         let (nrows, ncols) = (m.nrows(), m.ncols());
         let (mut row_hist, mut diag_pop) = empty_hists(nrows, ncols);
-        let mut stamps = Stamps::new(nrows, ncols);
+        let mut stamps = if BLOCKS { Stamps::new(nrows, ncols) } else { Stamps::unused() };
         let mut walk = stamps.over(0..nrows, &mut diag_pop);
         for_each_row_pattern(m, |r, cols| {
             // Added, not stored: were a COO matrix not sorted, a row met
             // twice would still count all its entries.
             row_hist[r] += cols.len() as u32;
-            walk.row(r, cols);
+            walk.row::<BLOCKS>(r, cols);
         });
-        let (entries, populated) = (walk.facts, walk.populated());
+        let (entries, populated) = (walk.facts::<BLOCKS>(), walk.populated());
         let reduced = reduce(ncols, &row_hist, &diag_pop[populated], alpha);
         Analysis::assemble(m.nnz(), row_hist, diag_pop, structure_hash, entries, reduced)
     }
@@ -324,10 +361,10 @@ impl Analysis {
             for r in rows {
                 let row = &cols[prefix[r] as usize..prefix[r + 1] as usize];
                 if !row.is_empty() {
-                    walk.row(r, row);
+                    walk.row::<true>(r, row);
                 }
             }
-            (walk.facts, walk.populated())
+            (walk.facts::<true>(), walk.populated())
         };
         let mut shards = Vec::new();
         let (entries, populated) = if partition.num_shards() == 1 {
@@ -335,13 +372,14 @@ impl Analysis {
         } else {
             // The shards' column slices tile the column array: one sweep.
             passes::record_traversal();
-            let mut entries = EntryFacts::default();
+            let (mut gather_hits, mut bsr_blocks) = (0usize, [0usize; 3]);
             let (mut first_slot, mut end_slot) = (usize::MAX, 0usize);
             for range in partition.ranges() {
                 let mut shard_diag = empty_diag_pop(range.len(), ncols);
                 let (facts, slots) = walk_rows(range.clone(), &mut shard_diag);
-                entries.gather_hits += facts.gather_hits;
-                for (total, blocks) in entries.bsr_blocks.iter_mut().zip(facts.bsr_blocks) {
+                gather_hits += facts.gather_hits;
+                let blocks = facts.bsr_blocks.expect("the shard walk counts blocks");
+                for (total, blocks) in bsr_blocks.iter_mut().zip(blocks) {
                     *total += blocks;
                 }
                 if !slots.is_empty() {
@@ -362,7 +400,7 @@ impl Analysis {
                 let nnz = reduced.stats.nnz;
                 shards.push(Analysis::assemble(nnz, shard_hist, shard_diag, shard_hash, facts, reduced));
             }
-            (entries, first_slot.min(end_slot)..end_slot)
+            (EntryFacts { gather_hits, bsr_blocks: Some(bsr_blocks) }, first_slot.min(end_slot)..end_slot)
         };
         let reduced = reduce_diags(rows, ncols, &diag_pop[populated], alpha);
         let whole = Analysis::assemble(m.nnz(), row_hist, diag_pop, hash, entries, reduced);
@@ -465,6 +503,11 @@ impl Stamps {
         Stamps { seen: BSR_BLOCK_DIMS.map(|b| vec![0u32; ncols.div_ceil(b)]) }
     }
 
+    /// No stamps at all, for a walk that counts no blocks.
+    fn unused() -> Self {
+        Stamps { seen: Default::default() }
+    }
+
     /// The walk over rows `rows` — ascending, none earlier than any row
     /// walked before — filling `diag` as the diagonal populations of those
     /// rows taken as a matrix of their own. The block counts are that
@@ -472,8 +515,36 @@ impl Stamps {
     /// its block rows are then the whole matrix's, and no stamp of an earlier
     /// range can equal one of this range.
     fn over<'a>(&'a mut self, rows: Range<usize>, diag: &'a mut [u32]) -> RowWalk<'a> {
-        let facts = EntryFacts::default();
-        RowWalk { end: rows.end, diag, seen: &mut self.seen, facts, first_slot: usize::MAX, end_slot: 0 }
+        RowWalk {
+            end: rows.end,
+            diag,
+            stamps: self,
+            gather_hits: 0,
+            blocks: [0; 3],
+            first_slot: usize::MAX,
+            end_slot: 0,
+        }
+    }
+
+    /// Adds to `new` the blocks row `r` is the first to touch, for each
+    /// block dimension. Rows must come in ascending order.
+    #[inline(always)]
+    fn count_row(&mut self, r: usize, cols: &[usize], new: &mut [usize; 3]) {
+        let stamps = BSR_BLOCK_DIMS.map(|b| (r / b) as u32 + 1);
+        for &c in cols {
+            self.count_entry(c, stamps, new);
+        }
+    }
+
+    /// Compare and store, never branch: whether a block is new is as
+    /// unpredictable as the pattern. Rows ascend, so an older stamp is a
+    /// smaller one, and "new" is the carry of the compare.
+    #[inline(always)]
+    fn count_entry(&mut self, c: usize, stamps: [u32; 3], new: &mut [usize; 3]) {
+        for i in 0..BSR_BLOCK_DIMS.len() {
+            let seen = &mut self.seen[i][c / BSR_BLOCK_DIMS[i]];
+            new[i] += usize::from(std::mem::replace(seen, stamps[i]) < stamps[i]);
+        }
     }
 }
 
@@ -483,8 +554,9 @@ struct RowWalk<'a> {
     end: usize,
     /// Diagonal populations of the range.
     diag: &'a mut [u32],
-    seen: &'a mut [Vec<u32>; 3],
-    facts: EntryFacts,
+    stamps: &'a mut Stamps,
+    gather_hits: usize,
+    blocks: [usize; 3],
     /// The lowest diagonal slot an entry fell in, and one past the highest.
     first_slot: usize,
     end_slot: usize,
@@ -497,9 +569,15 @@ impl RowWalk<'_> {
         self.first_slot.min(self.end_slot)..self.end_slot
     }
 
-    /// Row `r`'s ascending column indices.
+    /// What the walk counted, `BLOCKS` being what its rows were walked with.
+    fn facts<const BLOCKS: bool>(&self) -> EntryFacts {
+        EntryFacts { gather_hits: self.gather_hits, bsr_blocks: BLOCKS.then_some(self.blocks) }
+    }
+
+    /// Row `r`'s ascending column indices; the blocks they touch are counted
+    /// when `BLOCKS`.
     #[inline(always)]
-    fn row(&mut self, r: usize, cols: &[usize]) {
+    fn row<const BLOCKS: bool>(&mut self, r: usize, cols: &[usize]) {
         // No column is within a line of this one: they index allocations, so
         // they lie below `isize::MAX`.
         const FAR: usize = usize::MAX / 2;
@@ -516,16 +594,12 @@ impl RowWalk<'_> {
             near += usize::from(c.wrapping_sub(prev) <= GATHER_LINE);
             prev = c;
             self.diag[c + base] += 1;
-            // Compare and store, never branch: whether a block is new is as
-            // unpredictable as the pattern. Rows ascend, so an older stamp
-            // is a smaller one, and "new" is the carry of the compare.
-            for i in 0..BSR_BLOCK_DIMS.len() {
-                let seen = &mut self.seen[i][c / BSR_BLOCK_DIMS[i]];
-                new[i] += usize::from(std::mem::replace(seen, stamps[i]) < stamps[i]);
+            if BLOCKS {
+                self.stamps.count_entry(c, stamps, &mut new);
             }
         }
-        self.facts.gather_hits += near;
-        for (total, new) in self.facts.bsr_blocks.iter_mut().zip(new) {
+        self.gather_hits += near;
+        for (total, new) in self.blocks.iter_mut().zip(new) {
             *total += new;
         }
     }

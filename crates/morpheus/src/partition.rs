@@ -352,8 +352,10 @@ pub struct Shard<V: Scalar> {
 }
 
 impl<V: Scalar> Shard<V> {
-    /// A shard from externally tuned parts. `structure` must be the
-    /// [`DynamicMatrix::structure_hash`] of `matrix`; plan/matrix
+    /// A shard from externally tuned parts. `structure` identifies the
+    /// shard to telemetry: the [`DynamicMatrix::structure_hash`] it was
+    /// decided under — of the CSR piece it was split out as, not of the
+    /// arrays it was then converted to, which nobody need hash. Plan/matrix
     /// agreement is validated when the shard enters
     /// [`PartitionedMatrix::from_shards`].
     pub fn new(
@@ -381,7 +383,7 @@ impl<V: Scalar> Shard<V> {
         &self.plan
     }
 
-    /// [`DynamicMatrix::structure_hash`] of the shard as executed.
+    /// The structure hash the shard was decided under (see [`Shard::new`]).
     pub fn structure(&self) -> u64 {
         self.structure
     }
@@ -475,16 +477,14 @@ impl<V: Scalar> PartitionedMatrix<V> {
             let hash = sm.structure_hash();
             let sa = Analysis::of_auto_with_hash(&sm, alpha, hash);
             tune(i, &mut sm, &sa)?;
-            let (structure, plan) = if sm.format_id() == FormatId::Csr {
-                (hash, Arc::new(ExecPlan::build(&sm, 1, Some(&sa))))
+            let plan = if sm.format_id() == FormatId::Csr {
+                ExecPlan::build(&sm, 1, Some(&sa))
             } else {
                 // Re-analyse in the realized format: DIA/ELL padding can
                 // change the stored-entry histogram the plan keys on.
-                let h = sm.structure_hash();
-                let ra = Analysis::of_auto_with_hash(&sm, alpha, h);
-                (h, Arc::new(ExecPlan::build(&sm, 1, Some(&ra))))
+                ExecPlan::build(&sm, 1, Some(&Analysis::of_auto(&sm, alpha)))
             };
-            shards.push(Shard { rows, matrix: sm, plan, structure });
+            shards.push(Shard { rows, matrix: sm, plan: Arc::new(plan), structure: hash });
         }
         Self::from_shards(expect, ncols, shards, threads)
     }

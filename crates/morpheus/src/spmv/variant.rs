@@ -38,9 +38,9 @@ use std::any::TypeId;
 use std::fmt;
 use std::sync::OnceLock;
 
-/// Bump when the variant taxonomy or the selection rules change: the
-/// serving layer folds this into its plan-cache key so cached plans from
-/// an older selection policy are never replayed under a newer one.
+/// Bump when the variant taxonomy or the selection rules change: it is
+/// part of [`CpuFeatures::fingerprint`], so a plan stored under one
+/// selection policy is never replayed under another.
 pub const TAXONOMY_VERSION: u64 = 1;
 
 /// Which specialised loop body a row (or entry) range runs.
@@ -338,9 +338,12 @@ impl CpuFeatures {
     }
 
     /// Stable fingerprint of (architecture, feature set, taxonomy
-    /// version). FNV-1a like the serving layer's engine fingerprint:
-    /// written into plan-cache keys that must stay meaningful across
-    /// toolchain upgrades, so no `DefaultHasher`.
+    /// version), for keying plans kept outside the process. FNV-1a like
+    /// the serving layer's engine fingerprint: such keys must stay
+    /// meaningful across toolchain upgrades, so no `DefaultHasher`. (The
+    /// serving layer keeps a plan in the decision entry it was built for,
+    /// in-process, and compares feature sets through
+    /// [`crate::ExecPlan::matches`] instead.)
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |b: u8| {

@@ -197,12 +197,16 @@ fn serving_feeds_telemetry_and_sweep_fills_coverage() {
     assert_eq!(adaptation.structures_profiled, corpus.len());
     assert_eq!(snap.serve.handle_requests, 12);
     assert_eq!(snap.decisions.misses, 4);
+    // A handle is keyed by the hash its matrix was decided under, the one
+    // its features were noted under: no alias from a converted structure.
+    assert_eq!(adaptation.aliases, 0, "registered handles need no alias");
 
     // Serving alone observes only the tuned format per matrix: nothing to
-    // compare, nothing to label.
+    // compare, nothing to label — but every sample joined its features.
     let before = collector.build_dataset(Op::Spmv).unwrap();
     assert_eq!(before.labeled, 0);
     assert_eq!(before.skipped_sparse, corpus.len());
+    assert_eq!(before.skipped_unprofiled, 0, "samples of a registered handle join their noted features");
 
     // The trial sweep measures every viable format and unlocks labeling.
     for m in &corpus {

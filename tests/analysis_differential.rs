@@ -1,14 +1,18 @@
 //! Differential test of the one-pass analysis: every field of the fused
 //! [`Analysis`] artifact — and of the machine view assembled from it —
-//! against an independent, naive definition, for every source format; and
-//! the one walk that analyses a matrix and the shards of a row partition of
-//! it against analysing each shard built on its own.
+//! against an independent, naive definition, for every source format; the
+//! one walk that analyses a matrix and the shards of a row partition of it
+//! against analysing each shard built on its own; and the walk that leaves
+//! the block counts out, with the one that takes them later, against the
+//! fused walk — down to a service that decides BSR off either.
 //!
 //! The naive side knows nothing of the walk's mechanics (row runs, block-row
 //! stamps, the row-length count table): blocks are counted with sets,
 //! locality entry by entry, padding and spill row by row.
 
-use morpheus_repro::machine::{analyze, analyze_from, analyze_rows_from};
+use morpheus_repro::corpus::{CorpusSpec, MatrixClass};
+use morpheus_repro::machine::{analyze, analyze_from, analyze_rows_from, systems, Backend, VirtualEngine};
+use morpheus_repro::ml::{Dataset, DecisionTree, TreeParams};
 use morpheus_repro::morpheus::analysis::{Analysis, GATHER_LINE};
 use morpheus_repro::morpheus::bell::default_bucket_widths;
 use morpheus_repro::morpheus::format::{FormatId, ALL_FORMATS};
@@ -17,8 +21,12 @@ use morpheus_repro::morpheus::hyb::optimal_hyb_width;
 use morpheus_repro::morpheus::partition::{split_rows, SEAM_ALIGN};
 use morpheus_repro::morpheus::stats::{row_nnz_histogram, stats_of, ROW_GROUP};
 use morpheus_repro::morpheus::{
-    for_each_entry_row_major, for_each_row_pattern_in, ConvertOptions, CooMatrix, DynamicMatrix, Partition,
-    PartitionConfig, BSR_BLOCK_DIMS,
+    for_each_entry_row_major, for_each_row_pattern_in, ConvertOptions, CooMatrix, DynamicMatrix, ExecPlan,
+    Partition, PartitionConfig, BSR_BLOCK_DIMS,
+};
+use morpheus_repro::oracle::{
+    propose_params, DecisionTreeTuner, FormatTuner, MatrixHandle, Op, Oracle, OracleService, PartitionPolicy,
+    TuneDecision, TuningCost, NUM_FEATURES,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -87,7 +95,8 @@ fn assert_matches_definitions(a: &Analysis, m: &DynamicMatrix<f64>, coo: &CooMat
     assert_eq!(a.entries.gather_hits, entries.windows(2).filter(|w| near(w)).count(), "{what}: locality");
     for (i, b) in BSR_BLOCK_DIMS.into_iter().enumerate() {
         let blocks: BTreeSet<(usize, usize)> = entries.iter().map(|&(r, c)| (r / b, c / b)).collect();
-        assert_eq!(a.entries.bsr_blocks[i], blocks.len(), "{what}: {b}x{b} blocks");
+        let counted = a.entries.bsr_blocks.expect("the full walk counts blocks");
+        assert_eq!(counted[i], blocks.len(), "{what}: {b}x{b} blocks");
     }
 
     // Row-side reductions.
@@ -136,6 +145,28 @@ fn assert_matches_definitions(a: &Analysis, m: &DynamicMatrix<f64>, coo: &CooMat
     assert_eq!(a.true_diag_nnz, on_true, "{what}: true-diagonal entries");
 }
 
+/// The walk that leaves the block counts out is the fused walk in every
+/// other field, and the counts taken later — one walk of rows `rows_of_m` of
+/// `m` that does nothing else — complete it to `fused` bitwise.
+fn assert_counts_taken_later_equal_the_fused_walks(
+    m: &DynamicMatrix<f64>,
+    rows_of_m: std::ops::Range<usize>,
+    fused: &Analysis,
+    what: &str,
+) {
+    assert!(fused.entries.bsr_blocks.is_some(), "{what}: the fused walk counts blocks");
+    let mut lazy = Analysis::without_block_counts(m, ALPHA, m.structure_hash());
+    assert_eq!(lazy.entries.bsr_blocks, None, "{what}");
+    let mut stripped = fused.clone();
+    stripped.entries.bsr_blocks = None;
+    assert_eq!(lazy, stripped, "{what}: every field but the counts");
+    lazy.take_block_counts(m, rows_of_m.clone());
+    assert_eq!(&lazy, fused, "{what}: counts taken later");
+    // Taking them twice takes them once.
+    lazy.take_block_counts(m, rows_of_m);
+    assert_eq!(&lazy, fused, "{what}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -149,6 +180,7 @@ proptest! {
             let a = Analysis::of(&m, ALPHA);
             assert_matches_definitions(&a, &m, &coo, &format!("{fmt}"));
             prop_assert_eq!(&Analysis::of_auto_with_hash(&m, ALPHA, m.structure_hash()), &a, "{}", fmt);
+            assert_counts_taken_later_equal_the_fused_walks(&m, 0..m.nrows(), &a, &format!("{fmt}"));
             // The machine view is a function of the pattern, whatever the
             // format it was walked in.
             prop_assert_eq!(&analyze_from(&m, &a), &reference_view, "{}: machine view", fmt);
@@ -216,6 +248,12 @@ fn assert_one_walk_matches_built_shards(source: &DynamicMatrix<f64>, partition: 
         let csr = DynamicMatrix::from(csr);
         assert_eq!(shard.structure_hash, csr.structure_hash(), "{what}: in-place hash of rows {rows:?}");
         assert_eq!(shard, &Analysis::of(&csr, ALPHA), "{what}: shard artifact of rows {rows:?}");
+        // The shard's counts, had its walk left them out: taken from the
+        // rows of the source it would be split from, on its 8-row seams.
+        let mut later = shard.clone();
+        later.entries.bsr_blocks = None;
+        later.take_block_counts(source, rows.clone());
+        assert_eq!(&later, shard, "{what}: block counts of rows {rows:?} taken later");
         assert_eq!(
             analyze_rows_from(source, rows.clone(), shard),
             analyze_from(&csr, shard),
@@ -348,5 +386,271 @@ fn seams_through_empty_rows_bands_and_scatter() {
         .unwrap();
         assert_eq!(got.partition.num_shards(), 1, "{nrows} rows");
         assert_eq!(got.whole, Analysis::of(&m, ALPHA), "{nrows} rows");
+    }
+}
+
+/// One matrix of every corpus class, small enough for every format.
+fn one_of_every_class() -> Vec<(MatrixClass, DynamicMatrix<f64>)> {
+    let spec = CorpusSpec { max_n: 400, ..CorpusSpec::small(400) };
+    let mut seen: Vec<(MatrixClass, DynamicMatrix<f64>)> = Vec::new();
+    for entry in spec.iter() {
+        if !seen.iter().any(|(class, _)| *class == entry.class) {
+            seen.push((entry.class, DynamicMatrix::from(entry.matrix)));
+        }
+    }
+    assert_eq!(
+        seen.len(),
+        15,
+        "the corpus mix has 15 classes: {:?}",
+        seen.iter().map(|s| s.0).collect::<Vec<_>>()
+    );
+    seen
+}
+
+/// Counts taken later equal the fused walk's for every corpus class in every
+/// source format — COO by runs, CSR by offsets, the six row-major walkers —
+/// and, on COO and CSR, for every shard of the partition the serving layer
+/// would pick (`assert_one_walk_matches_built_shards` takes each shard's).
+#[test]
+fn counts_taken_later_equal_the_fused_walks_for_every_class_and_format() {
+    let opts =
+        ConvertOptions { min_padded_allowance: 1 << 26, max_fill: f64::INFINITY, ..Default::default() };
+    for (class, base) in one_of_every_class() {
+        for &fmt in &ALL_FORMATS {
+            let what = format!("{} as {fmt}", class.name());
+            let m = base.to_format(fmt, &opts).unwrap_or_else(|e| panic!("{what}: {e}"));
+            let fused = Analysis::of(&m, ALPHA);
+            assert_counts_taken_later_equal_the_fused_walks(&m, 0..m.nrows(), &fused, &what);
+            // The view off the late counts is the view off the fused walk.
+            let mut lazy = Analysis::without_block_counts(&m, ALPHA, m.structure_hash());
+            let mut view = analyze_from(&m, &lazy);
+            assert_eq!(view.bsr_blocks, None, "{what}");
+            lazy.take_block_counts(&m, 0..m.nrows());
+            view.bsr_blocks = lazy.entries.bsr_blocks;
+            assert_eq!(view, analyze_from(&m, &fused), "{what}: machine view");
+            if matches!(fmt, FormatId::Coo | FormatId::Csr) {
+                let cfg = PartitionConfig { max_shards: 5, target_shard_nnz: 1, ..Default::default() };
+                let chosen = Partition::from_row_prefix(&fused.rows.prefix, &cfg);
+                assert!(chosen.num_shards() > 1 || m.nrows() < 2 * SEAM_ALIGN, "{what}: one shard");
+                assert_one_walk_matches_built_shards(&m, &chosen, &what);
+            }
+        }
+    }
+}
+
+/// What a panic said.
+fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+    let payload = std::panic::catch_unwind(f).expect_err("must panic");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_else(|| payload.downcast_ref::<&str>().unwrap().to_string())
+}
+
+/// An absent count is never a zero (BSR priced as free): every reader
+/// panics, and the message names who read — the accessor's caller, here this
+/// file; through the engine or the parameter proposal, theirs.
+#[test]
+fn reading_an_absent_block_count_panics_naming_the_reader() {
+    let m = dense_blocks(8, 6);
+    let view = analyze_from(&m, &Analysis::without_block_counts(&m, ALPHA, m.structure_hash()));
+    let engine = VirtualEngine::new(systems::cirrus(), Backend::OpenMp);
+    let absent = "read a BSR block count from a machine view assembled without block counts";
+    for (reader, message) in [
+        ("tests/analysis_differential.rs", panic_message(|| assert!(view.bsr_padded(4) > 0))),
+        ("tests/analysis_differential.rs", panic_message(|| assert!(view.bsr_nblocks(2) > 0))),
+        ("tests/analysis_differential.rs", panic_message(|| assert!(view.bsr_fill(8) > 0.0))),
+        ("src/params.rs", panic_message(|| assert!(!propose_params(FormatId::Bsr, &view).is_default()))),
+        ("src/engine.rs", panic_message(|| assert!(engine.is_viable(FormatId::Bsr, &view)))),
+        ("src/engine.rs", panic_message(|| assert!(engine.spmm_per_rhs_time(FormatId::Bsr, &view) > 0.0))),
+        ("src/cpu.rs", panic_message(|| assert!(engine.spmv_time(FormatId::Bsr, &view) > 0.0))),
+    ] {
+        assert!(message.contains(absent) && message.contains(reader), "{reader}: {message}");
+    }
+    // Every other format is priced from such a view, as from a full one.
+    let full = analyze(&m);
+    for fmt in ALL_FORMATS.into_iter().filter(|&f| f != FormatId::Bsr) {
+        assert_eq!(engine.is_viable(fmt, &view), engine.is_viable(fmt, &full), "{fmt}");
+        assert_eq!(engine.spmv_time(fmt, &view), engine.spmv_time(fmt, &full), "{fmt}");
+        assert_eq!(propose_params(fmt, &view), propose_params(fmt, &full), "{fmt}");
+    }
+}
+
+/// `nblocks` dense `b x b` blocks on the block diagonal, as COO: BSR at its
+/// best, and `b x b` the cheapest blocking of it.
+fn dense_blocks(b: usize, nblocks: usize) -> DynamicMatrix<f64> {
+    let n = b * nblocks;
+    let (mut rows, mut cols) = (Vec::new(), Vec::new());
+    for k in 0..nblocks {
+        for i in 0..b {
+            for j in 0..b {
+                rows.push(k * b + i);
+                cols.push(k * b + j);
+            }
+        }
+    }
+    let vals: Vec<f64> = (0..rows.len()).map(|i| 0.5 + (i % 7) as f64).collect();
+    DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap())
+}
+
+/// A model tuner answering `format` for everything: a tree fitted on one
+/// label. It declares `reads_block_counts() == false`, so the service hands
+/// it views without block counts.
+fn tree_answering(format: FormatId) -> DecisionTreeTuner {
+    let mut ds =
+        Dataset::empty(NUM_FEATURES, morpheus_repro::morpheus::format::FORMAT_COUNT, vec![]).unwrap();
+    for i in 0..8 {
+        let row: Vec<f64> = (0..NUM_FEATURES).map(|f| (i * f) as f64).collect();
+        ds.push(&row, format.index()).unwrap();
+    }
+    DecisionTreeTuner::new(DecisionTree::fit(&ds, &TreeParams::default()).unwrap()).unwrap()
+}
+
+/// A tuner answering `format` with the parameters proposed off the view it
+/// is handed — the benchmark's `FixedFormat`. The default
+/// `reads_block_counts()` stands: it gets full views.
+struct Fixed(FormatId);
+
+impl FormatTuner<f64> for Fixed {
+    fn name(&self) -> &'static str {
+        "fixed"
+    }
+
+    fn select(
+        &self,
+        _: &DynamicMatrix<f64>,
+        a: &morpheus_repro::machine::MatrixAnalysis,
+        _: &VirtualEngine,
+        op: Op,
+    ) -> TuneDecision {
+        TuneDecision { format: self.0, params: propose_params(self.0, a), op, cost: TuningCost::default() }
+    }
+}
+
+fn service_over<T>(tuner: T) -> OracleService<T> {
+    Oracle::builder()
+        .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
+        .tuner(tuner)
+        .workers(1)
+        .build_service()
+        .unwrap()
+}
+
+fn exported<T>(service: &OracleService<T>) -> String {
+    let mut buf = Vec::new();
+    service.export_decisions(&mut buf).unwrap();
+    String::from_utf8(buf).unwrap()
+}
+
+/// A BSR decision comes out the same whichever way the counts were taken:
+/// by the fused walk, for a tuner that prices from the view; by the walk of
+/// their own, once a model tuner has answered BSR off a view without them;
+/// or not until the gate numbers are wanted, for a decision seeded from a
+/// file. Same parameters (8x8 here, not the 4x4 default: the counts were
+/// really read), same converted matrix, bitwise the same `y` — what
+/// analysing eagerly and converting by hand gives.
+#[test]
+fn a_bsr_decision_is_the_same_however_late_its_counts_were_taken() {
+    let m = dense_blocks(8, 40);
+    let eager = analyze(&m);
+    let params = propose_params(FormatId::Bsr, &eager);
+    assert_eq!(params.normalized_block(), (8, 8), "{params:?}");
+    let opts = ConvertOptions::default();
+    let (want_matrix, _) =
+        m.to_format_with(FormatId::Bsr, &opts, Some(&Analysis::of(&m, opts.true_diag_alpha))).unwrap();
+    let x: Vec<f64> = (0..m.ncols()).map(|i| 1.0 + (i % 11) as f64 * 0.25).collect();
+    let mut want_y = vec![f64::NAN; m.nrows()];
+    ExecPlan::build(&want_matrix, 1, Some(&Analysis::of(&m, opts.true_diag_alpha)))
+        .spmv_unpooled(&want_matrix, &x, &mut want_y)
+        .unwrap();
+
+    let served_as_by_hand = |how: &str, handle: &MatrixHandle<f64>, y: &[f64]| {
+        assert_eq!(handle.format_id(), FormatId::Bsr, "{how}");
+        assert_eq!(handle.matrix(), &want_matrix, "{how}: converted matrix");
+        assert!(y.iter().zip(&want_y).all(|(a, b)| a.to_bits() == b.to_bits()), "{how}: y");
+    };
+    let mut y = vec![f64::NAN; m.nrows()];
+
+    let priced = service_over(Fixed(FormatId::Bsr));
+    assert!(FormatTuner::<f64>::reads_block_counts(priced.tuner()));
+    let by_price = priced.register(m.clone()).unwrap();
+    priced.spmv(&by_price, &x, &mut y).unwrap();
+    served_as_by_hand("priced", &by_price, &y);
+    let decisions = exported(&priced);
+    assert!(decisions.contains(&format!(" BSR {}", params.to_token())), "{decisions}");
+
+    let modelled = service_over(tree_answering(FormatId::Bsr));
+    assert!(!FormatTuner::<f64>::reads_block_counts(modelled.tuner()));
+    let by_model = modelled.register(m.clone()).unwrap();
+    modelled.spmv(&by_model, &x, &mut y).unwrap();
+    served_as_by_hand("modelled", &by_model, &y);
+    assert_eq!(exported(&modelled), decisions, "the decision, parameters included");
+    assert_eq!(by_model.batch_cost(), by_price.batch_cost(), "gate numbers");
+
+    // Seeded from the file: a hit with no gate numbers, which are then
+    // priced off the converted (BSR) matrix.
+    let seeded = service_over(tree_answering(FormatId::Csr));
+    assert_eq!(seeded.import_decisions(std::io::Cursor::new(decisions.as_bytes())).unwrap(), 1);
+    let by_seed = seeded.register(m.clone()).unwrap();
+    assert!(by_seed.report().cache_hit);
+    seeded.spmv(&by_seed, &x, &mut y).unwrap();
+    served_as_by_hand("seeded", &by_seed, &y);
+    assert_eq!(by_seed.batch_cost(), by_price.batch_cost(), "gate numbers");
+}
+
+/// No sequence of public calls has a model tuner's service read a block
+/// count that was not taken (a panic): BSR and BELL answers; COO, CSR and
+/// BSR sources, the last priced for its extraction from block counts;
+/// whole, partitioned (gate on and off) and streamed registrations, per-call
+/// tunes, repeats, and decisions seeded from a file.
+#[test]
+fn no_public_call_sequence_reads_an_absent_block_count() {
+    let opts = ConvertOptions::default();
+    let base = dense_blocks(4, 96);
+    let sources = [
+        base.clone(),
+        base.to_format(FormatId::Csr, &opts).unwrap(),
+        base.to_format(FormatId::Bsr, &opts).unwrap(),
+    ];
+    let x = vec![1.0f64; base.ncols()];
+    for answer in [FormatId::Bsr, FormatId::Bell, FormatId::Csr] {
+        for gate in [true, false] {
+            let policy =
+                PartitionPolicy { target_shard_nnz: Some(256), cost_gate: gate, ..Default::default() };
+            let service = Oracle::builder()
+                .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
+                .tuner(tree_answering(answer))
+                .workers(1)
+                .partition_policy(policy)
+                .build_service()
+                .unwrap();
+            for source in &sources {
+                let what = format!("{answer} from {} (gate {gate})", source.format_id());
+                let mut y = vec![f64::NAN; base.nrows()];
+                for _ in 0..2 {
+                    let whole = service.register(source.clone()).unwrap();
+                    assert_eq!(whole.format_id(), answer, "{what}");
+                    service.spmv(&whole, &x, &mut y).unwrap();
+                    let sharded = service.register_partitioned(source.clone()).unwrap();
+                    assert!(gate || sharded.is_partitioned(), "{what}");
+                    service.spmv(&sharded, &x, &mut y).unwrap();
+                    let mut kept = source.clone();
+                    service.tune_and_spmv(&mut kept, &x, &mut y).unwrap();
+                    service.tune_and_spmm(&mut kept, &x, &mut y, 1).unwrap();
+                    assert_eq!(service.tune(&mut kept).unwrap().chosen, answer, "{what}");
+                }
+            }
+            let streamed =
+                service.register_stream::<f64, _>(base.nrows(), base.ncols(), base.to_coo().iter()).unwrap();
+            assert!(streamed.num_shards() > 1, "{answer}");
+            // The same decisions, seeded: hits without gate numbers.
+            let restarted = service_over(tree_answering(FormatId::Coo));
+            restarted.import_decisions(std::io::Cursor::new(exported(&service).as_bytes())).unwrap();
+            for source in &sources {
+                let handle = restarted.register(source.clone()).unwrap();
+                assert!(handle.report().cache_hit && handle.format_id() == answer, "{answer}");
+                assert!(handle.batch_cost().spmv > 0.0);
+            }
+        }
     }
 }

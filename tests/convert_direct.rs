@@ -301,7 +301,9 @@ fn oracle_tune_traversal_budget() {
     // Tridiagonal matrix, tuned twice: the miss pays the hash and the one
     // analysis walk (2 traversals; the machine view re-reads a matrix only
     // for a mixed HDC split, and every diagonal here is true), the hit only
-    // the hash (plus the one-off post-conversion alias hash on the miss).
+    // the hash (plus the one-off post-conversion alias hash on the miss —
+    // `tune` leaves the switched matrix with the caller, who may bring it
+    // back; `register` consumes its matrix and pays no such hash).
     let n = 3000usize;
     let mut rows = Vec::new();
     let mut cols = Vec::new();
@@ -340,6 +342,20 @@ fn oracle_tune_traversal_budget() {
     // planning scan inside the conversion (no Analysis is built on hits).
     let hit_traversals = passes::count();
     assert!(hit_traversals <= 2, "cache hit performed {hit_traversals} traversals, budget 2");
+
+    // A registration of a fresh structure: the hash and the walk, exactly —
+    // whatever it converts to, the converted arrays are not hashed.
+    let service = oracle.into_service();
+    service.clear_cache();
+    passes::reset();
+    let handle = service.register(base.clone()).unwrap();
+    assert!(!handle.report().cache_hit);
+    assert_eq!(passes::count(), 2, "a registration's miss: the key hash and the analysis walk");
+    passes::reset();
+    let again = service.register(base).unwrap();
+    assert!(again.report().cache_hit);
+    let planning_scan = u64::from(again.report().converted);
+    assert!(passes::count() <= 1 + planning_scan, "a repeat registration: the hash ({})", passes::count());
 }
 
 #[test]

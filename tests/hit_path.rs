@@ -1,0 +1,224 @@
+//! What a decision-cache hit pays, and what a miss leaves behind for it.
+//!
+//! A hit reads the matrix once, for its key: the decision entry owns the
+//! execution plan, a registered handle is keyed by the hash it was decided
+//! under, and the re-tune aliases `tune`/`tune_and_*` leave live in a table
+//! of their own. The traversal counts are exact
+//! ([`passes`](morpheus_repro::morpheus::analysis::passes)): BELL is built
+//! from arrays and plans nothing, so every traversal counted is a hash or an
+//! analysis.
+
+use morpheus_repro::machine::{systems, Backend, MatrixAnalysis, VirtualEngine};
+use morpheus_repro::morpheus::analysis::passes;
+use morpheus_repro::morpheus::format::FormatId;
+use morpheus_repro::morpheus::spmv::spmv_serial;
+use morpheus_repro::morpheus::{CooMatrix, DynamicMatrix, FormatParams};
+use morpheus_repro::oracle::adapt::{CollectorConfig, SampleCollector};
+use morpheus_repro::oracle::{
+    FormatTuner, Op, Oracle, OracleService, PlanStatus, TuneDecision, TuningCost, DEFAULT_CACHE_CAPACITY,
+};
+use std::sync::Arc;
+
+fn tridiag(n: usize) -> DynamicMatrix<f64> {
+    let (mut rows, mut cols) = (Vec::new(), Vec::new());
+    for i in 0..n {
+        for j in i.saturating_sub(1)..(i + 2).min(n) {
+            rows.push(i);
+            cols.push(j);
+        }
+    }
+    let vals = vec![1.0; rows.len()];
+    DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap())
+}
+
+/// The same indices as `tridiag(n)`, one entry an explicit zero: equal
+/// structure hash as COO, another one as DIA or HDC, whose hash covers which
+/// stored values are zero (an explicit zero is padding there).
+fn tridiag_with_a_hole(n: usize) -> DynamicMatrix<f64> {
+    let DynamicMatrix::Coo(coo) = tridiag(n) else { panic!("tridiag is COO") };
+    let mut vals = coo.values().to_vec();
+    vals[100] = 0.0;
+    DynamicMatrix::from(CooMatrix::from_triplets(n, n, coo.row_indices(), coo.col_indices(), &vals).unwrap())
+}
+
+/// A tuner that always picks its format.
+struct Always(FormatId);
+
+impl FormatTuner<f64> for Always {
+    fn name(&self) -> &'static str {
+        "always"
+    }
+
+    fn select(&self, _: &DynamicMatrix<f64>, _: &MatrixAnalysis, _: &VirtualEngine, op: Op) -> TuneDecision {
+        TuneDecision { format: self.0, params: FormatParams::default(), op, cost: TuningCost::default() }
+    }
+}
+
+/// A one-worker service that always picks `format`, holding `capacity`
+/// decisions, feeding `collector` when there is one.
+fn always(
+    format: FormatId,
+    capacity: usize,
+    collector: Option<&Arc<SampleCollector>>,
+) -> OracleService<Always> {
+    let builder = Oracle::builder()
+        .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
+        .tuner(Always(format))
+        .workers(1)
+        .cache_capacity(capacity);
+    match collector {
+        Some(collector) => builder.collector(Arc::clone(collector)),
+        None => builder,
+    }
+    .build_service()
+    .unwrap()
+}
+
+/// With more structures come through than the cache holds, an entry that
+/// was evicted and decided again owns a plan again: a hit never re-analyses
+/// the converted matrix to rebuild one, which a plan cache evicting on its
+/// own schedule made possible.
+#[test]
+fn a_hit_is_one_traversal_after_the_cache_has_cycled() {
+    let capacity = 8usize;
+    let service = always(FormatId::Bell, capacity, None);
+    let sizes: Vec<usize> = (0..3 * (capacity - 2)).map(|i| 300 + 8 * i).collect();
+    let (x, mut y) = (vec![1.0f64; 600], vec![0.0f64; 600]);
+    // Registrations and per-call tunes interleaved, in groups that fit the
+    // cache with little to spare — each group seen once (misses: the
+    // earlier groups pushed it out), then once more (hits) — and the whole
+    // sequence twice over.
+    for round in 0..2 {
+        for group in sizes.chunks(capacity - 2) {
+            for hit in [false, true] {
+                for (i, &n) in group.iter().enumerate() {
+                    passes::reset();
+                    let report = if i % 2 == 0 {
+                        *service.register(tridiag(n)).unwrap().report()
+                    } else {
+                        service.tune_and_spmv(&mut tridiag(n), &x[..n], &mut y[..n]).unwrap()
+                    };
+                    assert_eq!(report.cache_hit, hit, "round {round}, structure {n}");
+                    if hit {
+                        assert_eq!(report.plan, PlanStatus::Reused, "structure {n}: a hit brings its plan");
+                        assert_eq!(passes::count(), 1, "structure {n}: a hit is the source hash");
+                    }
+                }
+            }
+        }
+    }
+    let (decisions, plans) = (service.cache_stats(), service.plan_cache_stats());
+    assert_eq!(decisions.len, capacity, "the cache is full and has cycled");
+    assert_eq!((plans.len, plans.capacity), (capacity, capacity), "every cached decision holds its plan");
+    assert_eq!(plans.hits, decisions.hits, "every decision hit found its plan");
+    assert_eq!(plans.misses, decisions.misses, "every miss built one");
+}
+
+/// Re-tune aliases live in a table of their own: a capacity-`C` cache holds
+/// `C` converted structures, not `C / 2`. `C` distinct COO structures tuned
+/// through `tune_and_spmv`, then all again: every second sight is a hit, and
+/// so is re-tuning a matrix already switched.
+#[test]
+fn aliases_take_no_decision_slots() {
+    let capacity = 12usize;
+    let service = always(FormatId::Bell, capacity, None);
+    let sizes: Vec<usize> = (0..capacity).map(|i| 200 + 8 * i).collect();
+    let (x, mut y) = (vec![1.0f64; 400], vec![0.0f64; 400]);
+    let mut switched = Vec::new();
+    for &n in &sizes {
+        let mut m = tridiag(n);
+        let report = service.tune_and_spmv(&mut m, &x[..n], &mut y[..n]).unwrap();
+        assert!(!report.cache_hit && report.converted, "first sight of {n}");
+        switched.push(m);
+    }
+    assert_eq!(service.cache_stats().len, capacity, "one slot per structure");
+    for &n in &sizes {
+        let report = service.tune_and_spmv(&mut tridiag(n), &x[..n], &mut y[..n]).unwrap();
+        assert!(report.cache_hit, "second sight of {n}: no alias pushed its decision out");
+        assert_eq!(report.plan, PlanStatus::Reused);
+    }
+    for m in &mut switched {
+        let n = m.nrows();
+        let report = service.tune_and_spmv(m, &x[..n], &mut y[..n]).unwrap();
+        assert!(report.cache_hit && !report.converted, "re-tuning the switched {n} hits its alias");
+        assert_eq!(report.plan, PlanStatus::Reused, "and shares the entry's plan");
+    }
+    let stats = service.cache_stats();
+    assert_eq!((stats.hits, stats.misses, stats.len), (2 * capacity as u64, capacity as u64, capacity));
+}
+
+/// A handle is keyed by the hash its matrix was decided under — the
+/// source's, which its features are noted under — whatever it was converted
+/// to: two sources of one key share it even where they realize to different
+/// DIA/HDC structures, nothing hashes the converted arrays to find out, and
+/// the samples of both join the noted features without an alias.
+#[test]
+fn a_handle_is_keyed_by_the_hash_it_was_decided_under() {
+    let (full, holed) = (tridiag(300), tridiag_with_a_hole(300));
+    let decided_under = full.structure_hash();
+    assert_eq!(decided_under, holed.structure_hash());
+    let x: Vec<f64> = (0..300).map(|i| 1.0 + (i % 5) as f64).collect();
+    for format in [FormatId::Bell, FormatId::Dia, FormatId::Hdc] {
+        let collector = Arc::new(SampleCollector::new(CollectorConfig::default()));
+        let service = always(format, DEFAULT_CACHE_CAPACITY, Some(&collector));
+        passes::reset();
+        let miss = service.register(full.clone()).unwrap();
+        assert_eq!(
+            passes::count(),
+            2,
+            "{format}: key hash and analysis; the converted arrays are not hashed"
+        );
+        passes::reset();
+        let hit = service.register(holed.clone()).unwrap();
+        assert!(passes::count() <= 2, "{format}: the key hash, at most a planning scan of the conversion");
+        assert!(!miss.report().cache_hit && hit.report().cache_hit, "{format}");
+        assert_eq!(hit.format_id(), format);
+        if format != FormatId::Bell {
+            let (a, b) = (miss.matrix().structure_hash(), hit.matrix().structure_hash());
+            assert!(a != b && a != decided_under, "{format}: the hole is hashed in the converted arrays");
+        }
+        // One plan serves both (a row partition of the shape), and each
+        // executes to its own values.
+        assert_eq!(hit.report().plan, PlanStatus::Reused, "{format}");
+        for (handle, source) in [(&miss, &full), (&hit, &holed)] {
+            let (mut y, mut want) = (vec![f64::NAN; 300], vec![0.0f64; 300]);
+            service.spmv(handle, &x, &mut y).unwrap();
+            spmv_serial(source, &x, &mut want).unwrap();
+            assert_eq!(y, want, "{format}");
+        }
+        let samples = collector.telemetry().snapshot();
+        assert_eq!(samples.iter().map(|s| s.count).sum::<u64>(), 2, "{format}");
+        assert!(samples.iter().all(|s| s.key.structure == decided_under), "{format}: {samples:?}");
+        assert_eq!(collector.stats().aliases, 0, "{format}");
+        assert_eq!(collector.build_dataset(Op::Spmv).unwrap().skipped_unprofiled, 0, "{format}");
+    }
+}
+
+/// `tune` leaves the switched matrix with its caller, so its miss hashes what
+/// it converted and aliases the decision under *that* hash — for DIA and HDC,
+/// whose hash covers which stored values are zero, the hash of the very
+/// arrays written. A second source of the same key (equal indices, an
+/// explicit `0.0`) hits by its key and hashes nothing more; switched, it is a
+/// structure of its own, decided on its own.
+#[test]
+fn a_tune_miss_aliases_what_it_converted_and_a_hit_hashes_nothing_more() {
+    for format in [FormatId::Dia, FormatId::Hdc] {
+        let service = always(format, DEFAULT_CACHE_CAPACITY, None);
+        let (mut full, mut holed) = (tridiag(300), tridiag_with_a_hole(300));
+        passes::reset();
+        assert!(!service.tune(&mut full).unwrap().cache_hit, "{format}");
+        assert_eq!(passes::count(), 3, "{format}: key hash, analysis, hash of the converted matrix");
+        passes::reset();
+        let hit = service.tune(&mut holed).unwrap();
+        assert!(hit.cache_hit && hit.converted && holed.format_id() == format, "{format}");
+        assert!(passes::count() <= 2, "{format}: the key hash, at most a planning scan of the conversion");
+        assert_ne!(full.structure_hash(), holed.structure_hash(), "{format}: the hole is hashed");
+
+        let before = service.cache_stats();
+        assert!(service.tune(&mut full).unwrap().cache_hit, "{format}: aliased under what was converted");
+        let again = service.tune(&mut holed).unwrap();
+        assert!(!again.cache_hit && !again.converted, "{format}: the holed arrays were never aliased");
+        let after = service.cache_stats();
+        assert_eq!((after.hits - before.hits, after.misses - before.misses), (1, 1), "{format}");
+    }
+}

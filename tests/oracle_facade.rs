@@ -71,9 +71,9 @@ fn cache_accounting_over_a_request_stream() {
     let after_first = oracle.cache_stats();
     assert_eq!(after_first.misses, 12);
     assert_eq!(after_first.hits, 0);
-    // One entry per structure plus a post-conversion alias for each matrix
-    // that actually switched format.
-    assert!((12..=24).contains(&after_first.len), "len {}", after_first.len);
+    // One entry per structure: the post-conversion alias of a matrix that
+    // switched format lives in a table of its own.
+    assert_eq!(after_first.len, 12);
 
     // Second sweep over regenerated (structurally identical) matrices:
     // all hits, all free, same decisions.
@@ -307,7 +307,7 @@ fn spmm_tuning_is_a_distinct_cached_question() {
 }
 
 #[test]
-fn plan_cache_is_shared_by_spmv_and_spmm_but_split_by_scalar() {
+fn a_plan_belongs_to_its_decision_one_per_op_and_scalar() {
     use morpheus_repro::oracle::PlanStatus;
 
     let mut oracle = Oracle::builder()
@@ -330,18 +330,18 @@ fn plan_cache_is_shared_by_spmv_and_spmm_but_split_by_scalar() {
     let second = oracle.tune_and_spmv(&mut m64, &x, &mut y).unwrap();
     assert_eq!(second.plan, PlanStatus::Reused);
 
-    // SpMM replays the same per-structure plan when the realized format is
-    // unchanged (partitioning is operation-agnostic).
+    // SpMM is another decision, and the decision entry owns the plan: the
+    // first SpMM builds it (whatever format it decided), the next finds it.
     let k = 2usize;
     let xk = vec![1.0f64; n * k];
     let mut yk = vec![0.0f64; n * k];
     let mm = oracle.tune_and_spmm(&mut m64, &xk, &mut yk, k).unwrap();
-    if !mm.converted {
-        assert_eq!(mm.plan, PlanStatus::Reused);
-    }
+    assert_eq!(mm.plan, PlanStatus::Built);
+    let mm = oracle.tune_and_spmm(&mut m64, &xk, &mut yk, k).unwrap();
+    assert_eq!(mm.plan, PlanStatus::Reused);
 
     // An f32 matrix of the same structure needs its own plan: the scalar
-    // width is part of the plan key.
+    // width is part of the decision key.
     let mut m32 = to_f32(&m64);
     let x32 = vec![1.0f32; n];
     let mut y32 = vec![0.0f32; n];
@@ -349,7 +349,7 @@ fn plan_cache_is_shared_by_spmv_and_spmm_but_split_by_scalar() {
     assert_eq!(r32.plan, PlanStatus::Built, "f32 must not replay the f64 plan");
 
     let stats = oracle.plan_cache_stats();
-    assert!(stats.hits >= 1, "{stats:?}");
+    assert_eq!((stats.hits, stats.misses), (2, 3), "{stats:?}");
     assert!(stats.len >= 2, "{stats:?}");
 }
 

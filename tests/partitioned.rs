@@ -491,25 +491,33 @@ fn rejected_partition_traversals_do_not_grow_with_the_shard_count() {
 
 /// An admitted partition pays the same front — hash, row-length sweep, the
 /// one walk, the shard hashes — then the split, and per shard at most one
-/// re-read for a mixed HDC view and one hash of the converted shard: the
-/// whole matrix is walked once, not once more per shard.
+/// re-read for a mixed HDC view: the whole matrix is walked once, not once
+/// more per shard, and a converted shard is never hashed (a shard is keyed
+/// by the hash it was decided under).
 #[test]
-fn admitted_partition_traversals_are_one_walk_plus_two_per_shard() {
+fn admitted_partition_traversals_are_one_walk_plus_one_per_shard() {
     let policy = PartitionPolicy { target_shard_nnz: Some(4_000), cost_gate: false, ..Default::default() };
     let service = gated_service(2, policy);
     let m = hetero(4_000, 150, 60, 9);
+    let decided_under: Vec<u64> = {
+        let partition = Partition::from_analysis(&analysis_of(&m), &policy.config(2));
+        let pieces = split_rows(&m, &partition, None).unwrap();
+        pieces.into_iter().map(|csr| DynamicMatrix::from(csr).structure_hash()).collect()
+    };
     passes::reset();
     let h = service.register_partitioned(m).unwrap();
     let admitted_passes = passes::count();
     assert!(h.is_partitioned());
     let shards = h.num_shards() as u64;
     assert!(shards >= 2);
-    let budget = 5 + 2 * shards;
+    let budget = 5 + shards;
     assert!(
         admitted_passes <= budget,
         "admitted register_partitioned made {admitted_passes} traversals over {shards} shards, budget {budget} \
-         (hash, row-length sweep, walk, shard hashes, split; a view re-read and a converted hash per shard)"
+         (hash, row-length sweep, walk, shard hashes, split; a view re-read per shard)"
     );
+    let keyed: Vec<u64> = h.partition().unwrap().shards().iter().map(|s| s.structure()).collect();
+    assert_eq!(keyed, decided_under, "each shard is keyed by the hash of the CSR piece it was decided as");
 }
 
 /// The report of a partitioned handle says what registration did: summed
@@ -540,7 +548,7 @@ fn partitioned_report_sums_shard_conversions_and_cache_hits() {
     let report = again.report();
     assert!(report.cache_hit, "same structure again: every shard decision is cached");
     assert_eq!(report.convert.path, first.report().convert.path);
-    assert_eq!(report.plan, PlanStatus::Reused, "every shard plan came from the plan cache");
+    assert_eq!(report.plan, PlanStatus::Reused, "every shard plan came with its cached decision");
     assert_eq!(report.cost, TuningCost::cached(), "nothing was extracted or predicted again");
 }
 
