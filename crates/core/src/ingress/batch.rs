@@ -38,7 +38,7 @@ use super::{CoalescePolicy, IngressConfig, IngressError, StatsCells};
 use crate::obs::{Stage, TraceId};
 use crate::serve::OracleService;
 use crate::OracleError;
-use morpheus::{BatchWorkspace, Scalar};
+use morpheus::{BatchWorkspace, Op, Scalar};
 use std::any::TypeId;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -196,7 +196,7 @@ fn coalesce_chunk<T: Send + Sync, V: Scalar>(
             // the per-request Exec spans are emitted below from this one
             // measurement.
             let t0 = obs_on.then(Instant::now);
-            let r = service.execute_queued_spmm(&handle, x, y, k, TraceId::NONE);
+            let r = service.execute_queued(&handle, Op::Spmm { k }, x, y, TraceId::NONE);
             if let Some(t0) = t0 {
                 let dur = ns(t0.elapsed());
                 stats.exec_hist.record_ns(dur);

@@ -19,7 +19,7 @@ use super::{IngressError, StatsCells};
 use crate::obs::{SpanRecord, Stage, TraceId};
 use crate::serve::{MatrixHandle, OracleService};
 use crate::OracleError;
-use morpheus::Scalar;
+use morpheus::{Op, Scalar};
 use parking_lot::Mutex as PlMutex;
 use std::any::{Any, TypeId};
 use std::collections::{HashMap, VecDeque};
@@ -152,7 +152,7 @@ impl<T: Send + Sync, V: Scalar> ErasedJob<T> for Job<V> {
     fn run_direct(&mut self, service: &OracleService<T>, stats: &StatsCells, meta: &mut JobMeta) {
         let mut y = vec![V::ZERO; self.handle.nrows()];
         let t0 = meta.trace.is_some().then(Instant::now);
-        match service.execute_queued_spmv(&self.handle, &self.x, &mut y, meta.trace) {
+        match service.execute_queued(&self.handle, Op::Spmv, &self.x, &mut y, meta.trace) {
             Ok(()) => {
                 let missed = super::slo::expired(meta.deadline, Instant::now());
                 stats.completed.inc();

@@ -128,9 +128,10 @@ impl<T> Oracle<T> {
     /// latency-over-throughput policy: if the execution pool is busy with
     /// *another* user's batch at call time (possible when the session runs
     /// on the process-wide [`morpheus_parallel::global_pool`]; never from
-    /// this session's own calls, which are sequential), the
-    /// bitwise-identical serial kernel runs instead of queueing —
-    /// reported via [`TuneReport::serial_fallback`]. Give the session a
+    /// this session's own calls, which are sequential), the plan's
+    /// bodies run inline on the calling thread — bitwise identical to the
+    /// pooled execution — instead of queueing, reported via
+    /// [`TuneReport::serial_fallback`]. Give the session a
     /// private pool with [`OracleBuilder::workers`] to make the fallback
     /// unreachable from outside.
     pub fn tune_and_spmv<V>(&mut self, m: &mut DynamicMatrix<V>, x: &[V], y: &mut [V]) -> Result<TuneReport>

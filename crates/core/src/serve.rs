@@ -18,12 +18,12 @@
 //! handle ([`OracleService::spmv`] / [`OracleService::spmm`]) touch **no
 //! locks and no caches** and perform **zero per-call allocation** (clients
 //! bring per-thread [`Workspace`]s for the allocating variants), from any
-//! number of client threads. When another client's batch has the thread
-//! pool busy, execution falls back to replaying the plan's kernel bodies
-//! inline on the calling thread — bitwise identical to the pooled
-//! execution — instead of queueing: latency over throughput, per Elafrou
-//! et al.'s observation that runtime overhead decides whether online
-//! selection wins.
+//! number of client threads. Every one of them — direct, queued by the
+//! ingress, coalesced — is one call of the private `OracleService::execute`,
+//! whose docs are the one statement of what runs where (serial backend,
+//! pool, busy pool: "the ladder"). Its rule is that nobody queues behind
+//! another client's batch: latency over throughput, per Elafrou et al.'s
+//! observation that runtime overhead decides whether online selection wins.
 //!
 //! ```
 //! use morpheus::{CooMatrix, DynamicMatrix, Workspace};
@@ -247,20 +247,6 @@ impl Default for ShardTally {
             batch: BatchCost::default(),
         }
     }
-}
-
-/// How one `tune_and_*` execution runs (decided by
-/// `OracleService::run_threaded`).
-enum Execution<'a, V: Scalar> {
-    /// Replay the plan across the pool.
-    Pooled(&'a ExecPlan<V>),
-    /// Pool busy with another client's batch: replay the plan's kernel
-    /// bodies inline on the calling thread — bitwise identical to the
-    /// pooled execution, without queueing behind it.
-    Inline(&'a ExecPlan<V>),
-    /// No plan was built (plan caching disabled under a busy pool): run
-    /// the scalar serial kernel.
-    Serial,
 }
 
 /// Which pool threaded executions run on.
@@ -1015,11 +1001,9 @@ impl<T> OracleService<T> {
         }
     }
 
-    /// `true` when the pool is busy with another client's batch: the
-    /// caller should execute inline on its own thread immediately (the
-    /// plan's bodies via [`ExecPlan::spmv_unpooled`], or the serial
-    /// kernel when no plan exists) instead of queueing behind it (counted
-    /// in [`ServeStats::pool_busy_fallbacks`]).
+    /// `true` when the pool is busy with another client's batch, counting
+    /// the fallback the caller then takes in `serve.fallbacks_taken`
+    /// ([`ServeStats::pool_busy_fallbacks`]).
     fn take_serial_fallback(&self, pool: &ThreadPool) -> bool {
         if pool.is_busy() {
             self.fallbacks_taken.inc();
@@ -1029,7 +1013,8 @@ impl<T> OracleService<T> {
         }
     }
 
-    /// Request-level observation shared by every execution path: the
+    /// Request-level observation of a direct call (`spmv`/`spmm`/
+    /// `tune_and_*`; the ingress pump records its own): the
     /// `serve.request_ns` histogram plus one coarse [`Stage::Exec`] span.
     /// Free (not even reached — callers gate the `Instant` reads) when
     /// tracing is off.
@@ -1042,71 +1027,209 @@ impl<T> OracleService<T> {
         }
     }
 
-    /// The one busy-fallback policy for `tune_and_*` threaded execution:
-    /// decide the fallback, acquire the plan (skipped only when there is
-    /// no cache to warm), record both in `report`, then hand `run` the
-    /// [`Execution`] mode to perform. `variant_bodies` says whether the
-    /// operation replays the plan's per-range [`KernelVariant`] bodies
-    /// (SpMV) or the scalar bodies (SpMM) — it decides what
-    /// [`TuneReport::variant`] truthfully reports.
-    #[allow(clippy::too_many_arguments)]
-    fn run_threaded<V: Scalar>(
+    /// One whole matrix, executed: the serial kernel when there is no
+    /// `plan`, otherwise the plan's bodies ([`ExecPlan::run`]) across `pool`
+    /// or, without one, inline on the calling thread. Returns the `(workers,
+    /// variant)` the execution's telemetry population is keyed by: SpMM has
+    /// scalar bodies only, and so has the serial kernel.
+    fn run_whole<V: Scalar>(
         &self,
         m: &DynamicMatrix<V>,
-        artifacts: &mut TuneArtifacts,
-        pool: &ThreadPool,
-        report: &mut TuneReport,
-        variant_bodies: bool,
-        trace: TraceId,
-        run: impl FnOnce(Execution<'_, V>) -> morpheus::Result<()>,
-    ) -> Result<()> {
-        report.serial_fallback = self.take_serial_fallback(pool);
-        if report.serial_fallback && self.decisions.capacity() == 0 {
-            // No cache to warm: skip the wasted plan construction.
-            run(Execution::Serial)?;
-        } else {
-            let (plan, status) = self.acquire_plan_observed(m, artifacts, pool.num_threads(), trace);
-            report.plan = status;
-            if variant_bodies {
-                report.variant = plan.dominant_variant();
+        plan: Option<&ExecPlan<V>>,
+        op: Op,
+        x: &[V],
+        y: &mut [V],
+        pool: Option<&ThreadPool>,
+    ) -> morpheus::Result<(usize, KernelVariant)> {
+        let Some(plan) = plan else {
+            match op {
+                Op::Spmv => morpheus::spmv::spmv_serial(m, x, y)?,
+                Op::Spmm { k } => morpheus::spmm::spmm_serial(m, x, y, k)?,
             }
-            run(if report.serial_fallback { Execution::Inline(&plan) } else { Execution::Pooled(&plan) })?;
+            return Ok((1, KernelVariant::Scalar));
+        };
+        plan.run(m, op, x, y, pool)?;
+        let variant = if op == Op::Spmv { plan.dominant_variant() } else { KernelVariant::Scalar };
+        Ok((pool.map_or(1, ThreadPool::num_threads), variant))
+    }
+
+    /// Executes `op` through a registered handle — the one way a handle
+    /// runs, and where **the ladder** is written down:
+    ///
+    /// 1. **Serial backend** ([`Self::exec_pool`] is `None`): a whole
+    ///    matrix runs the serial kernel (population `1 worker, Scalar`);
+    ///    shards run their single-threaded plans one after another.
+    /// 2. **`pool: Some`**: the plan's parts (the shards, by owner) in one
+    ///    dispatch across the pool. Should another client's batch be
+    ///    dispatched at that instant the pool runs them inline on this
+    ///    thread; nobody queues behind a batch.
+    /// 3. **`pool: None` on a threaded backend** — a direct call that found
+    ///    the pool busy and counted it in `serve.fallbacks_taken`
+    ///    ([`Self::take_serial_fallback`]): the same plan's bodies inline on
+    ///    the calling thread, bitwise identical to rung 2, population
+    ///    `1 worker`. (`tune_and_*`, which has a plan to *build* first, skips
+    ///    building one on this rung when caching is off and runs the serial
+    ///    kernel: [`Self::tune_and_run`].)
+    ///
+    /// Which of 2 and 3 is the callers' whole difference:
+    /// [`spmv`](Self::spmv)/[`spmm`](Self::spmm) dodge a busy pool, queued
+    /// ingress work ([`Self::execute_queued`]) never does — overload is
+    /// refused earlier, at admission, as typed backpressure.
+    ///
+    /// No lock, no cache, no allocation. The clock is read (once here, once
+    /// after) only with a collector attached or tracing on; the measured
+    /// `(start, elapsed)` is returned for the caller's request-level
+    /// observation. A whole matrix's time is attributed to its `(structure,
+    /// format, op, scalar, workers, variant)` population; a partitioned
+    /// handle's shards are each timed and attributed on their own, as
+    /// `(shard structure, shard format, op, scalar, 1 worker, variant)` —
+    /// shard kernels are single-threaded, parallelism comes from running
+    /// shards concurrently — and, at the *fine* trace level (one span per
+    /// shard per request is too hot for the always-on default), each gets an
+    /// [`Stage::Exec`] span under `trace` whose `detail` is the shard index.
+    fn execute<V: Scalar>(
+        &self,
+        handle: &MatrixHandle<V>,
+        op: Op,
+        x: &[V],
+        y: &mut [V],
+        pool: Option<&ThreadPool>,
+        trace: TraceId,
+    ) -> morpheus::Result<Option<(Instant, std::time::Duration)>> {
+        let t0 = (self.collector.is_some() || self.obs.enabled()).then(Instant::now);
+        let sample = match &handle.inner.stored {
+            Stored::Single { matrix, structure, plan } => {
+                let plan = self.exec_pool().map(|_| &**plan);
+                let (workers, variant) = self.run_whole(matrix, plan, op, x, y, pool)?;
+                Some((*structure, matrix.format_id(), workers, variant))
+            }
+            Stored::Partitioned(p) => {
+                let fine = self.obs.fine() && trace.is_some();
+                // Capture the collector and the obs hub, not `self`: the
+                // closure is handed across shard worker threads and must
+                // stay `Sync` independently of `T`.
+                let collector = self.collector.as_deref().map(|col| (col, self.opts.params.code()));
+                let obs = &*self.obs;
+                let observe = move |si: usize, elapsed: std::time::Duration| {
+                    if let Some((col, param_code)) = collector {
+                        let s = p.shard(si);
+                        let variant =
+                            if op == Op::Spmv { s.plan().dominant_variant() } else { KernelVariant::Scalar };
+                        col.record(
+                            SampleKey {
+                                structure: s.structure(),
+                                format: s.format_id(),
+                                op,
+                                scalar_bytes: std::mem::size_of::<V>(),
+                                workers: 1,
+                                variant,
+                                param_code,
+                            },
+                            elapsed,
+                        );
+                    }
+                    if fine {
+                        // The span start is reconstructed from the shard
+                        // kernel's own elapsed time (same clock as the
+                        // request span — the Obs epoch).
+                        let dur = elapsed.as_nanos().min(u64::MAX as u128) as u64;
+                        obs.span(trace, Stage::Exec, obs.now_ns().saturating_sub(dur), dur, si as u64);
+                    }
+                };
+                let observe: Option<&(dyn Fn(usize, std::time::Duration) + Sync)> =
+                    if collector.is_some() || fine { Some(&observe) } else { None };
+                p.run(op, x, y, pool, observe)?;
+                None
+            }
+        };
+        self.requests_served.inc();
+        Ok(t0.map(|t0| {
+            let elapsed = t0.elapsed();
+            if let Some((structure, format, workers, variant)) = sample {
+                self.record_execution::<V>(structure, format, op, workers, variant, elapsed);
+            }
+            (t0, elapsed)
+        }))
+    }
+
+    /// A direct request through a handle: [`Self::execute`] on the pool
+    /// unless it is busy, then the request-level observation.
+    fn request<V: Scalar>(&self, handle: &MatrixHandle<V>, op: Op, x: &[V], y: &mut [V]) -> Result<()> {
+        let trace = self.obs.mint_trace();
+        let pool = self.exec_pool().filter(|pool| !self.take_serial_fallback(pool));
+        if let Some((t0, elapsed)) = self.execute(handle, op, x, y, pool, trace)? {
+            self.observe_request(trace, t0, elapsed);
         }
         Ok(())
     }
 
+    /// [`Self::execute`] for the ingress pump: a busy pool is not dodged
+    /// (see the ladder there). `trace` feeds the fine-level per-shard spans
+    /// of partitioned handles (request-level ingress spans are the pump's
+    /// job); pass [`TraceId::NONE`] when no single request owns the
+    /// execution, as for a coalesced batch.
+    pub(crate) fn execute_queued<V: Scalar>(
+        &self,
+        handle: &MatrixHandle<V>,
+        op: Op,
+        x: &[V],
+        y: &mut [V],
+        trace: TraceId,
+    ) -> morpheus::Result<()> {
+        self.execute(handle, op, x, y, self.exec_pool(), trace).map(drop)
+    }
+
+    /// Tunes `m` for `op`, then executes it in the selected format: the
+    /// body of `tune_and_spmv`/`tune_and_spmm`. The ladder is
+    /// [`Self::execute`]'s, with the plan acquired (from its decision entry,
+    /// or built and left there) on the way — except on a busy pool with
+    /// caching off, where a plan would be built to be thrown away and the
+    /// serial kernel runs instead. [`TuneReport::serial_fallback`] reports a
+    /// busy pool; a plan acquired then still keeps the cache warm for the
+    /// next uncontended call.
+    ///
+    /// Telemetry skips calls that built a fresh plan inside the timed window
+    /// (their elapsed time includes plan construction and would poison the
+    /// kernel mean); the steady state — reused plans and serial executions —
+    /// is what the adaptive subsystem learns from.
+    fn tune_and_run<V>(&self, m: &mut DynamicMatrix<V>, op: Op, x: &[V], y: &mut [V]) -> Result<TuneReport>
+    where
+        V: Scalar,
+        T: FormatTuner<V>,
+    {
+        let (mut report, mut artifacts) = self.tune_with_artifacts(m, op)?;
+        let trace = self.obs.mint_trace();
+        let t0 = (self.collector.is_some() || self.obs.enabled()).then(Instant::now);
+        let pool = self.exec_pool();
+        report.serial_fallback = pool.is_some_and(|pool| self.take_serial_fallback(pool));
+        // Busy with no cache to warm: skip the wasted plan construction.
+        let planned = pool.filter(|_| !report.serial_fallback || self.decisions.capacity() > 0);
+        let plan = planned.map(|pool| {
+            let (plan, status) = self.acquire_plan_observed(m, &mut artifacts, pool.num_threads(), trace);
+            report.plan = status;
+            plan
+        });
+        let pool = pool.filter(|_| !report.serial_fallback);
+        let (workers, variant) = self.run_whole(m, plan.as_deref(), op, x, y, pool)?;
+        report.variant = variant;
+        if let Some(t0) = t0 {
+            let elapsed = t0.elapsed();
+            if report.plan != PlanStatus::Built {
+                self.record_execution::<V>(artifacts.structure, m.format_id(), op, workers, variant, elapsed);
+            }
+            self.observe_request(trace, t0, elapsed);
+        }
+        Ok(report)
+    }
+
     /// Tunes `m` for SpMV, then executes `y = A x` in the selected format —
-    /// [`crate::Oracle::tune_and_spmv`], callable from any thread. Threaded
-    /// execution replays the shared plan cache; if the pool is busy with
-    /// another client, the plan's kernel bodies run inline on the calling
-    /// thread — bitwise identical to the pooled execution — instead of
-    /// queueing ([`TuneReport::serial_fallback`] reports it; the acquired
-    /// plan also keeps the cache warm for the next uncontended call).
+    /// [`crate::Oracle::tune_and_spmv`], callable from any thread.
     pub fn tune_and_spmv<V>(&self, m: &mut DynamicMatrix<V>, x: &[V], y: &mut [V]) -> Result<TuneReport>
     where
         V: Scalar,
         T: FormatTuner<V>,
     {
-        let (mut report, mut artifacts) = self.tune_with_artifacts(m, Op::Spmv)?;
-        let trace = self.obs.mint_trace();
-        let t0 = (self.collector.is_some() || self.obs.enabled()).then(Instant::now);
-        match self.exec_pool() {
-            None => morpheus::spmv::spmv_serial(m, x, y)?,
-            Some(pool) => {
-                self.run_threaded(m, &mut artifacts, pool, &mut report, true, trace, |exec| match exec {
-                    Execution::Pooled(plan) => plan.spmv(m, x, y, pool),
-                    Execution::Inline(plan) => plan.spmv_unpooled(m, x, y),
-                    Execution::Serial => morpheus::spmv::spmv_serial(m, x, y),
-                })?;
-            }
-        }
-        if let Some(t0) = t0 {
-            if self.collector.is_some() {
-                self.note_tuned_execution(t0, m, Op::Spmv, &report, artifacts.structure);
-            }
-            self.observe_request(trace, t0, t0.elapsed());
-        }
-        Ok(report)
+        self.tune_and_run(m, Op::Spmv, x, y)
     }
 
     /// Tunes `m` for SpMM with `k` right-hand sides, then executes
@@ -1123,53 +1246,7 @@ impl<T> OracleService<T> {
         V: Scalar,
         T: FormatTuner<V>,
     {
-        let (mut report, mut artifacts) = self.tune_with_artifacts(m, Op::Spmm { k })?;
-        let trace = self.obs.mint_trace();
-        let t0 = (self.collector.is_some() || self.obs.enabled()).then(Instant::now);
-        match self.exec_pool() {
-            None => morpheus::spmm::spmm_serial(m, x, y, k)?,
-            Some(pool) => {
-                self.run_threaded(m, &mut artifacts, pool, &mut report, false, trace, |exec| match exec {
-                    Execution::Pooled(plan) => plan.spmm(m, x, y, k, pool),
-                    // Planned SpMM runs the scalar bodies, so the serial
-                    // kernel is already bitwise identical to it.
-                    Execution::Inline(_) | Execution::Serial => morpheus::spmm::spmm_serial(m, x, y, k),
-                })?;
-            }
-        }
-        if let Some(t0) = t0 {
-            if self.collector.is_some() {
-                self.note_tuned_execution(t0, m, Op::Spmm { k }, &report, artifacts.structure);
-            }
-            self.observe_request(trace, t0, t0.elapsed());
-        }
-        Ok(report)
-    }
-
-    /// Telemetry attribution for a `tune_and_*` execution, under the hash
-    /// the matrix was decided under. Skips calls that built a fresh plan
-    /// inside the timed window (their elapsed time includes plan
-    /// construction and would poison the kernel mean); the steady state —
-    /// reused plans and serial executions — is what the adaptive subsystem
-    /// learns from.
-    fn note_tuned_execution<V: Scalar>(
-        &self,
-        t0: Instant,
-        m: &DynamicMatrix<V>,
-        op: Op,
-        report: &TuneReport,
-        structure: u64,
-    ) {
-        let elapsed = t0.elapsed();
-        if report.plan == PlanStatus::Built {
-            return;
-        }
-        let workers = if report.serial_fallback || self.exec_pool().is_none() {
-            1
-        } else {
-            self.exec_pool().map_or(1, |p| p.num_threads())
-        };
-        self.record_execution::<V>(structure, m.format_id(), op, workers, report.variant, elapsed);
+        self.tune_and_run(m, Op::Spmm { k }, x, y)
     }
 
     /// The [`BatchCost`] of a realized matrix: the numbers tuning carried,
@@ -1496,258 +1573,12 @@ impl<T> OracleService<T> {
     /// `(structure, format, op, scalar, workers, variant)` telemetry population —
     /// two clock reads and a few lock-free atomics on top of the kernel.
     pub fn spmv<V: Scalar>(&self, handle: &MatrixHandle<V>, x: &[V], y: &mut [V]) -> Result<()> {
-        match &handle.inner.stored {
-            Stored::Single { matrix, structure, plan } => {
-                let trace = self.obs.mint_trace();
-                let t0 = (self.collector.is_some() || self.obs.enabled()).then(Instant::now);
-                let (workers, variant) = match self.exec_pool() {
-                    None => {
-                        morpheus::spmv::spmv_serial(matrix, x, y)?;
-                        (1, KernelVariant::Scalar)
-                    }
-                    Some(pool) if self.take_serial_fallback(pool) => {
-                        // Replay the plan's variant bodies inline on this
-                        // thread: bitwise identical to the pooled
-                        // execution, no queueing.
-                        plan.spmv_unpooled(matrix, x, y)?;
-                        (1, plan.dominant_variant())
-                    }
-                    Some(pool) => {
-                        plan.spmv(matrix, x, y, pool)?;
-                        (pool.num_threads(), plan.dominant_variant())
-                    }
-                };
-                if let Some(t0) = t0 {
-                    let elapsed = t0.elapsed();
-                    self.record_execution::<V>(
-                        *structure,
-                        matrix.format_id(),
-                        Op::Spmv,
-                        workers,
-                        variant,
-                        elapsed,
-                    );
-                    self.observe_request(trace, t0, elapsed);
-                }
-            }
-            Stored::Partitioned(p) => {
-                let trace = self.obs.mint_trace();
-                let t0 = (self.collector.is_some() || self.obs.enabled()).then(Instant::now);
-                let pool = self.exec_pool().filter(|pool| !self.take_serial_fallback(pool));
-                self.run_partitioned(p, Op::Spmv, trace, |obs| p.spmv_observed(x, y, pool, obs))?;
-                if let Some(t0) = t0 {
-                    self.observe_request(trace, t0, t0.elapsed());
-                }
-            }
-        }
-        self.requests_served.inc();
-        Ok(())
+        self.request(handle, Op::Spmv, x, y)
     }
 
     /// `Y = A X` (`k` right-hand sides) through a registered handle.
     pub fn spmm<V: Scalar>(&self, handle: &MatrixHandle<V>, x: &[V], y: &mut [V], k: usize) -> Result<()> {
-        match &handle.inner.stored {
-            Stored::Single { matrix, structure, plan } => {
-                let trace = self.obs.mint_trace();
-                let t0 = (self.collector.is_some() || self.obs.enabled()).then(Instant::now);
-                let workers = match self.exec_pool() {
-                    None => {
-                        morpheus::spmm::spmm_serial(matrix, x, y, k)?;
-                        1
-                    }
-                    Some(pool) if self.take_serial_fallback(pool) => {
-                        morpheus::spmm::spmm_serial(matrix, x, y, k)?;
-                        1
-                    }
-                    Some(pool) => {
-                        plan.spmm(matrix, x, y, k, pool)?;
-                        pool.num_threads()
-                    }
-                };
-                if let Some(t0) = t0 {
-                    // SpMM replays the plan's row partition with the scalar
-                    // bodies (variants are SpMV-only), so the population is
-                    // Scalar.
-                    let elapsed = t0.elapsed();
-                    self.record_execution::<V>(
-                        *structure,
-                        matrix.format_id(),
-                        Op::Spmm { k },
-                        workers,
-                        KernelVariant::Scalar,
-                        elapsed,
-                    );
-                    self.observe_request(trace, t0, elapsed);
-                }
-            }
-            Stored::Partitioned(p) => {
-                let trace = self.obs.mint_trace();
-                let t0 = (self.collector.is_some() || self.obs.enabled()).then(Instant::now);
-                let pool = self.exec_pool().filter(|pool| !self.take_serial_fallback(pool));
-                self.run_partitioned(p, Op::Spmm { k }, trace, |obs| p.spmm_observed(x, y, k, pool, obs))?;
-                if let Some(t0) = t0 {
-                    self.observe_request(trace, t0, t0.elapsed());
-                }
-            }
-        }
-        self.requests_served.inc();
-        Ok(())
-    }
-
-    /// Executes one partitioned operation with per-shard telemetry: each
-    /// shard kernel is individually timed and attributed to the *shard's*
-    /// `(structure, format, op, scalar, 1 worker, variant)` population —
-    /// shard kernels are single-threaded, parallelism comes from running
-    /// shards concurrently — so adaptive learning sees shard-level
-    /// measurements, exactly the granularity per-shard retuning needs.
-    /// SpMM shards run the serial scalar bodies, so their variant is
-    /// Scalar like the whole-matrix path.
-    fn run_partitioned<V: Scalar>(
-        &self,
-        p: &PartitionedMatrix<V>,
-        op: Op,
-        trace: TraceId,
-        run: impl FnOnce(Option<&(dyn Fn(usize, std::time::Duration) + Sync)>) -> morpheus::Result<()>,
-    ) -> morpheus::Result<()> {
-        // Per-shard spans are the *fine* trace level: one span per shard
-        // per request is too hot for the always-on default.
-        let fine = self.obs.fine() && trace.is_some();
-        if self.collector.is_none() && !fine {
-            return run(None);
-        }
-        let variant_bodies = matches!(op, Op::Spmv);
-        let param_code = self.opts.params.code();
-        // Capture the collector and the obs hub, not `self`: the closure
-        // is handed across shard worker threads and must stay `Sync`
-        // independently of `T`.
-        let collector = self.collector.as_deref();
-        let obs = &*self.obs;
-        let observe = move |si: usize, elapsed: std::time::Duration| {
-            if let Some(col) = collector {
-                let s = p.shard(si);
-                let variant =
-                    if variant_bodies { s.plan().dominant_variant() } else { KernelVariant::Scalar };
-                col.record(
-                    SampleKey {
-                        structure: s.structure(),
-                        format: s.format_id(),
-                        op,
-                        scalar_bytes: std::mem::size_of::<V>(),
-                        workers: 1,
-                        variant,
-                        param_code,
-                    },
-                    elapsed,
-                );
-            }
-            if fine {
-                // `detail` carries the shard index; the span start is
-                // reconstructed from the shard kernel's own elapsed time
-                // (same clock as the request span — the Obs epoch).
-                let dur = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-                let now = obs.now_ns();
-                obs.span(trace, Stage::Exec, now.saturating_sub(dur), dur, si as u64);
-            }
-        };
-        run(Some(&observe))
-    }
-
-    /// [`OracleService::spmv`] for the ingress pump: identical execution
-    /// and telemetry, except a busy pool is not dodged with the counted
-    /// serial fallback — the request goes to the pool regardless, which
-    /// runs the plan's parts inline on the pump thread if another client's
-    /// batch is dispatched at that instant (nobody queues behind a batch);
-    /// overload is refused earlier, at admission, as typed backpressure.
-    /// `trace` feeds the fine-level per-shard spans of partitioned handles
-    /// (request-level ingress spans are the pump's job); pass
-    /// [`TraceId::NONE`] when no single request owns the execution.
-    pub(crate) fn execute_queued_spmv<V: Scalar>(
-        &self,
-        handle: &MatrixHandle<V>,
-        x: &[V],
-        y: &mut [V],
-        trace: TraceId,
-    ) -> morpheus::Result<()> {
-        match &handle.inner.stored {
-            Stored::Single { matrix, structure, plan } => {
-                let t0 = self.collector.as_ref().map(|_| Instant::now());
-                let (workers, variant) = match self.exec_pool() {
-                    None => {
-                        morpheus::spmv::spmv_serial(matrix, x, y)?;
-                        (1, KernelVariant::Scalar)
-                    }
-                    Some(pool) => {
-                        plan.spmv(matrix, x, y, pool)?;
-                        (pool.num_threads(), plan.dominant_variant())
-                    }
-                };
-                if let Some(t0) = t0 {
-                    self.record_execution::<V>(
-                        *structure,
-                        matrix.format_id(),
-                        Op::Spmv,
-                        workers,
-                        variant,
-                        t0.elapsed(),
-                    );
-                }
-            }
-            Stored::Partitioned(p) => {
-                // Admitted ingress work goes to the pool whether or not it
-                // is busy — same contract as the single-matrix path.
-                self.run_partitioned(p, Op::Spmv, trace, |obs| p.spmv_observed(x, y, self.exec_pool(), obs))?;
-            }
-        }
-        self.requests_served.inc();
-        Ok(())
-    }
-
-    /// [`OracleService::spmm`] for the ingress pump's coalesced batches:
-    /// takes no busy-pool fallback (see
-    /// [`execute_queued_spmv`](Self::execute_queued_spmv)) and attributes
-    /// the measured wall time to the handle's `Op::Spmm { k }` telemetry
-    /// population, so retraining sees batched traffic exactly like direct
-    /// handle calls.
-    pub(crate) fn execute_queued_spmm<V: Scalar>(
-        &self,
-        handle: &MatrixHandle<V>,
-        x: &[V],
-        y: &mut [V],
-        k: usize,
-        trace: TraceId,
-    ) -> morpheus::Result<()> {
-        match &handle.inner.stored {
-            Stored::Single { matrix, structure, plan } => {
-                let t0 = self.collector.as_ref().map(|_| Instant::now());
-                let workers = match self.exec_pool() {
-                    None => {
-                        morpheus::spmm::spmm_serial(matrix, x, y, k)?;
-                        1
-                    }
-                    Some(pool) => {
-                        plan.spmm(matrix, x, y, k, pool)?;
-                        pool.num_threads()
-                    }
-                };
-                if let Some(t0) = t0 {
-                    self.record_execution::<V>(
-                        *structure,
-                        matrix.format_id(),
-                        Op::Spmm { k },
-                        workers,
-                        KernelVariant::Scalar,
-                        t0.elapsed(),
-                    );
-                }
-            }
-            Stored::Partitioned(p) => {
-                self.run_partitioned(p, Op::Spmm { k }, trace, |obs| {
-                    p.spmm_observed(x, y, k, self.exec_pool(), obs)
-                })?;
-            }
-        }
-        self.requests_served.inc();
-        Ok(())
+        self.request(handle, Op::Spmm { k }, x, y)
     }
 
     /// [`OracleService::spmv`] into a caller-owned (per-thread)
@@ -1758,14 +1589,7 @@ impl<T> OracleService<T> {
         x: &[V],
         ws: &'w mut Workspace<V>,
     ) -> Result<&'w [V]> {
-        let nrows = handle.nrows();
-        let out = ws.run(nrows, |y| {
-            self.spmv(handle, x, y).map_err(|e| match e {
-                OracleError::Morpheus(m) => m,
-                other => panic!("handle execution only surfaces matrix errors: {other}"),
-            })
-        })?;
-        Ok(out)
+        self.request_into(handle, Op::Spmv, x, ws)
     }
 
     /// [`OracleService::spmm`] into a caller-owned (per-thread)
@@ -1777,9 +1601,18 @@ impl<T> OracleService<T> {
         k: usize,
         ws: &'w mut Workspace<V>,
     ) -> Result<&'w [V]> {
-        let len = handle.nrows() * k;
-        let out = ws.run(len, |y| {
-            self.spmm(handle, x, y, k).map_err(|e| match e {
+        self.request_into(handle, Op::Spmm { k }, x, ws)
+    }
+
+    fn request_into<'w, V: Scalar>(
+        &self,
+        handle: &MatrixHandle<V>,
+        op: Op,
+        x: &[V],
+        ws: &'w mut Workspace<V>,
+    ) -> Result<&'w [V]> {
+        let out = ws.run(handle.nrows() * op.rhs_count(), |y| {
+            self.request(handle, op, x, y).map_err(|e| match e {
                 OracleError::Morpheus(m) => m,
                 other => panic!("handle execution only surfaces matrix errors: {other}"),
             })
@@ -2292,6 +2125,7 @@ mod tests {
         assert_eq!(service.spmm_into(&handle, &xk, k, &mut wsk).unwrap(), yk.as_slice());
     }
 
+    /// Rung 1 of the ladder (see `OracleService::execute`).
     #[test]
     fn serial_engine_service_runs_serial() {
         let service = Oracle::builder()
@@ -2312,6 +2146,8 @@ mod tests {
         assert_eq!(y, y_conv);
     }
 
+    /// Rung 3 of the ladder (see `OracleService::execute`), direct and
+    /// per-call.
     #[test]
     fn busy_pool_takes_the_serial_fallback() {
         let service = make_service(2);
@@ -2321,8 +2157,8 @@ mod tests {
         service.spmv(&handle, &x, &mut y_free).unwrap();
 
         // Occupy the service's own pool from a "client" thread, then
-        // execute: the request must complete (serial fallback), be counted,
-        // and agree bitwise with the planned result.
+        // execute: the request must complete (the plan's bodies inline), be
+        // counted, and agree bitwise with the planned result.
         let pool = service.exec_pool().expect("OpenMP service has a pool");
         let gate = std::sync::Barrier::new(2);
         let mut y_busy = vec![0.0f64; 400];

@@ -64,7 +64,7 @@ pub struct TuneReport {
     /// replayed a cached one, or ran unplanned. Always
     /// [`PlanStatus::Unplanned`] for tune-only calls. Describes the plan
     /// *cache* interaction — when `serial_fallback` is set, the acquired
-    /// plan warmed the cache but the execution itself ran serial.
+    /// plan's bodies ran inline on the calling thread.
     pub plan: PlanStatus,
     /// `true` when a threaded execution found the pool busy with another
     /// client's batch and ran inline on the calling thread — the plan's

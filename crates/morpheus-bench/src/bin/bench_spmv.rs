@@ -1,32 +1,25 @@
-//! Planned-vs-unplanned execution benchmark with a machine-readable
-//! snapshot.
+//! Planned-execution benchmark with a machine-readable snapshot: the slices
+//! of the kernel layer `oracle_bench` has no probe for yet.
 //!
-//! Measures the two claims the planned execution layer makes:
-//!
-//! * **SpMV**: an iterative loop over a cached [`morpheus::ExecPlan`]
-//!   (partition computed once, replayed every call) against the per-call
-//!   scheduled threaded kernels that re-derive the *same* partition on
-//!   every invocation (`weighted_partition` over CSR row lengths,
-//!   `row_aligned_partition` over sorted COO entries). Plan construction is
-//!   charged to the planned total, so the ratio is the honest amortised
-//!   gain at the given iteration count.
-//! * **SpMM**: the threaded planned kernel against the serial kernel, for
-//!   several right-hand-side counts.
+//! * **SpMV**: per (matrix, format), what building the [`morpheus::ExecPlan`]
+//!   costs, the planned loop, and the forced-variant sweep — loop time of
+//!   each [`KernelVariant`] body against the scalar one.
+//! * **SpMM**: the planned kernel across the pool against the serial kernel,
+//!   for several right-hand-side counts.
+//! * **Blocked parameters**: BSR/BELL under proposed parameters against the
+//!   best plan of every other format.
+//! * **Partitioned**: per-shard formats against the best whole-matrix plan.
 //!
 //! Results go to stdout as a table and to `BENCH_spmv.json` (override with
 //! `--out PATH`). `--smoke` shrinks sizes and iteration counts for CI.
 //! Worker count defaults to the host parallelism; override with
 //! `MORPHEUS_BENCH_THREADS` (the snapshot records it — single-core hosts
-//! still show the scheduling-amortisation win, but cannot show parallel
-//! SpMM speedups). With two or more workers the snapshot also carries a
-//! report-only `scaling` block: what an empty pool dispatch costs, and each
-//! case's planned SpMV loop at one worker over the same loop at all of them.
+//! cannot show parallel SpMM speedups).
 
 use morpheus::format::FormatId;
-use morpheus::spmv::threaded;
 use morpheus::{
     spmm, Analysis, Bottleneck, ConvertOptions, CooMatrix, CpuFeatures, DynamicMatrix, ExecPlan,
-    KernelVariant, Partition, PartitionConfig, PartitionedMatrix, ALL_VARIANTS,
+    KernelVariant, Op, Partition, PartitionConfig, PartitionedMatrix, ALL_VARIANTS,
 };
 use morpheus_bench::report::json_escape;
 use morpheus_corpus::gen::banded::tridiagonal;
@@ -44,8 +37,7 @@ use std::time::Instant;
 
 struct Case {
     name: &'static str,
-    /// `"powerlaw"` rows enter the headline geomean; `"regular"` rows are
-    /// the contrast set.
+    /// The generator family, carried into the snapshot's rows.
     family: &'static str,
     matrix: CooMatrix<f64>,
 }
@@ -86,7 +78,7 @@ fn corpus(smoke: bool) -> Vec<Case> {
         },
         // Hypersparse scattered columns (~3 nnz/row, uniform targets): high
         // diagonal scatter, x reused under 16 times per column — the
-        // latency-bound class, so its bottleneck geomean is non-vacuous.
+        // latency-bound class.
         Case {
             name: "scattered",
             family: "scattered",
@@ -110,27 +102,6 @@ fn time_loop<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
     best
 }
 
-/// The pre-plan steady state: the threaded kernel that recomputes its
-/// schedule on every call, matching the partition the plan precomputes.
-fn spmv_percall(m: &DynamicMatrix<f64>, x: &[f64], y: &mut [f64], pool: &ThreadPool) {
-    match m {
-        DynamicMatrix::Csr(a) => threaded::spmv_csr_balanced(a, x, y, pool),
-        DynamicMatrix::Coo(a) => threaded::spmv_coo(a, x, y, pool),
-        _ => {
-            morpheus::spmv::spmv_threaded(m, x, y, pool, morpheus_parallel::Schedule::default())
-                .expect("shapes agree");
-        }
-    }
-}
-
-/// Planned SpMV of one case's tuned format at one worker and at all of them.
-struct ScalingRow {
-    matrix: String,
-    format: FormatId,
-    t1_s: f64,
-    tn_s: f64,
-}
-
 /// One forced-variant measurement for a (matrix, format) pair.
 struct VariantCell {
     forced: KernelVariant,
@@ -148,8 +119,7 @@ struct SpmvRow {
     family: &'static str,
     format: FormatId,
     /// `true` when this is the format the Oracle selects for the matrix —
-    /// the steady-state execution of an iterative loop, and the rows the
-    /// headline geomean is computed over.
+    /// the steady-state execution of an iterative loop.
     tuned: bool,
     nrows: usize,
     nnz: usize,
@@ -160,10 +130,9 @@ struct SpmvRow {
     variant: KernelVariant,
     /// Per-variant forced timings (loop only, no build), scalar first.
     variants: Vec<VariantCell>,
-    unplanned_s: f64,
+    /// The auto-built plan's loop seconds plus `plan_build_s`.
     planned_s: f64,
     plan_build_s: f64,
-    speedup: f64,
 }
 
 struct SpmmRow {
@@ -303,11 +272,9 @@ fn main() {
 
     let mut spmv_rows: Vec<SpmvRow> = Vec::new();
     let mut spmm_rows: Vec<SpmmRow> = Vec::new();
-    let mut scaling_rows: Vec<ScalingRow> = Vec::new();
-    let one_worker = ThreadPool::new(1);
 
     // Session used only to name the steady-state format per matrix (the
-    // one the headline geomean reads). The engine doubles as the
+    // rows marked `tuned`). The engine doubles as the
     // per-shard format chooser in the partitioned section.
     let engine = VirtualEngine::new(systems::cirrus(), Backend::OpenMp);
     let mut selector = Oracle::builder()
@@ -323,8 +290,8 @@ fn main() {
             let mut probe = base.clone();
             selector.tune(&mut probe).map(|r| r.chosen).unwrap_or(FormatId::Csr)
         };
-        // Always bench the Oracle-selected format — the steady state the
-        // headline geomean reads — even when it is not in the fixed set.
+        // Always bench the Oracle-selected format — the steady state — even
+        // when it is not in the fixed set.
         let mut case_formats: Vec<FormatId> = formats.to_vec();
         if !case_formats.contains(&tuned_fmt) {
             case_formats.push(tuned_fmt);
@@ -333,10 +300,7 @@ fn main() {
             let Ok(m) = base.to_format(target, &opts) else { continue };
             let analysis = Analysis::of_auto(&m, opts.true_diag_alpha);
 
-            // --- SpMV: per-call scheduling vs plan-once/run-many ---
-            let mut y_unplanned = vec![0.0f64; m.nrows()];
-            let unplanned_s = time_loop(spmv_iters, || spmv_percall(&m, &x, &mut y_unplanned, &pool));
-
+            // --- SpMV: plan once, run many ---
             let t0 = Instant::now();
             let plan = ExecPlan::build(&m, pool.num_threads(), Some(&analysis));
             let plan_build_s = t0.elapsed().as_secs_f64();
@@ -345,38 +309,26 @@ fn main() {
                 time_loop(spmv_iters, || plan.spmv(&m, &x, &mut y_planned, &pool).expect("plan matches"));
             let planned_s = planned_loop_s + plan_build_s;
 
-            // The per-call kernels accumulate in reference order; the plan
-            // is bitwise identical to them only when its variants do too.
+            // The serial kernel accumulates in reference order; the plan is
+            // bitwise identical to it only when its variants do too.
             // Unrolled plans reassociate, so those compare under a
             // relative bound instead.
+            let mut y_serial = vec![0.0f64; m.nrows()];
+            morpheus::spmv::spmv_serial(&m, &x, &mut y_serial).expect("shapes agree");
             if plan.preserves_order() {
                 assert!(
-                    y_unplanned.iter().zip(&y_planned).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    y_serial.iter().zip(&y_planned).all(|(a, b)| a.to_bits() == b.to_bits()),
                     "{}/{}: planned result diverged",
                     case.name,
                     target
                 );
             } else {
                 assert!(
-                    y_unplanned.iter().zip(&y_planned).all(|(a, b)| (a - b).abs() <= 1e-9 * a.abs().max(1.0)),
+                    y_serial.iter().zip(&y_planned).all(|(a, b)| (a - b).abs() <= 1e-9 * a.abs().max(1.0)),
                     "{}/{}: planned result diverged beyond reassociation tolerance",
                     case.name,
                     target
                 );
-            }
-
-            // Scaling (report-only): the same planned loop on one worker.
-            if threads > 1 && target == tuned_fmt {
-                let plan1 = ExecPlan::build(&m, 1, Some(&analysis));
-                let mut y1 = vec![0.0f64; m.nrows()];
-                let t1_s =
-                    time_loop(spmv_iters, || plan1.spmv(&m, &x, &mut y1, &one_worker).expect("plan matches"));
-                scaling_rows.push(ScalingRow {
-                    matrix: case.name.to_string(),
-                    format: target,
-                    t1_s,
-                    tn_s: planned_loop_s,
-                });
             }
 
             // Forced-variant sweep: loop time per kernel body, scalar
@@ -406,10 +358,8 @@ fn main() {
                 bottleneck: analysis.bottleneck(),
                 variant: plan.dominant_variant(),
                 variants,
-                unplanned_s,
                 planned_s,
                 plan_build_s,
-                speedup: unplanned_s / planned_s,
             });
 
             // --- SpMM: serial vs threaded-planned (CSR representative +
@@ -530,7 +480,7 @@ fn main() {
             );
 
             let mut y_part = vec![0.0f64; base.nrows()];
-            pm.spmv(&x, &mut y_part, &pool).expect("shapes agree");
+            pm.run(Op::Spmv, &x, &mut y_part, Some(&pool), None).expect("shapes agree");
             let mut y_ref = vec![0.0f64; base.nrows()];
             morpheus::spmv::spmv_serial(&base, &x, &mut y_ref).expect("shapes agree");
             assert!(
@@ -559,8 +509,9 @@ fn main() {
             let mut single_s = vec![f64::INFINITY; singles.len()];
             let mut y = vec![0.0f64; base.nrows()];
             for _ in 0..reps {
-                partitioned_s = partitioned_s
-                    .min(time_loop(spmv_iters, || pm.spmv(&x, &mut y_part, &pool).expect("shapes agree")));
+                partitioned_s = partitioned_s.min(time_loop(spmv_iters, || {
+                    pm.run(Op::Spmv, &x, &mut y_part, Some(&pool), None).expect("shapes agree")
+                }));
                 for ((_, mf, plan), slot) in singles.iter().zip(single_s.iter_mut()) {
                     let s = time_loop(spmv_iters, || plan.spmv(mf, &x, &mut y, &pool).expect("plan matches"));
                     *slot = slot.min(s);
@@ -747,22 +698,12 @@ fn main() {
     let cpu = CpuFeatures::detect();
     println!("cpu features: avx2={} fma={}", cpu.avx2, cpu.fma);
     println!(
-        "{:<12} {:<9} {:>5} {:>9} {:>9} {:>9} {:>9} | {:>11} {:>11} {:>9} {:>8}",
-        "matrix",
-        "family",
-        "fmt",
-        "nrows",
-        "nnz",
-        "bneck",
-        "variant",
-        "unplanned_s",
-        "planned_s",
-        "build_s",
-        "speedup"
+        "{:<12} {:<9} {:>5} {:>9} {:>9} {:>9} {:>9} | {:>11} {:>9}",
+        "matrix", "family", "fmt", "nrows", "nnz", "bneck", "variant", "planned_s", "build_s"
     );
     for r in &spmv_rows {
         println!(
-            "{:<12} {:<9} {:>5}{} {:>8} {:>9} {:>9} {:>9} | {:>11.6} {:>11.6} {:>9.6} {:>7.2}x",
+            "{:<12} {:<9} {:>5}{} {:>8} {:>9} {:>9} {:>9} | {:>11.6} {:>9.6}",
             r.matrix,
             r.family,
             r.format.to_string(),
@@ -771,10 +712,8 @@ fn main() {
             r.nnz,
             r.bottleneck.to_string(),
             r.variant.to_string(),
-            r.unplanned_s,
             r.planned_s,
-            r.plan_build_s,
-            r.speedup
+            r.plan_build_s
         );
         let scalar_s = r.variants.iter().find(|c| c.forced == KernelVariant::Scalar).and_then(|c| c.loop_s);
         for c in &r.variants {
@@ -888,29 +827,8 @@ fn main() {
         }
     }
 
-    let spmv_powerlaw =
-        geomean(spmv_rows.iter().filter(|r| r.family == "powerlaw" && r.tuned).map(|r| r.speedup));
-    let spmv_all_formats_powerlaw =
-        geomean(spmv_rows.iter().filter(|r| r.family == "powerlaw").map(|r| r.speedup));
-    let spmv_all = geomean(spmv_rows.iter().map(|r| r.speedup));
     let spmm_all = geomean(spmm_rows.iter().map(|r| r.speedup));
-    let by_bottleneck: Vec<(Bottleneck, Option<f64>)> =
-        [Bottleneck::Bandwidth, Bottleneck::Latency, Bottleneck::Imbalance]
-            .into_iter()
-            .map(|b| {
-                (b, geomean(spmv_rows.iter().filter(|r| r.tuned && r.bottleneck == b).map(|r| r.speedup)))
-            })
-            .collect();
     println!();
-    println!("planned SpMV geomean speedup, powerlaw corpus (tuned formats): {}", show_geo(spmv_powerlaw));
-    println!(
-        "planned SpMV geomean speedup, powerlaw corpus (all formats):   {}",
-        show_geo(spmv_all_formats_powerlaw)
-    );
-    println!("planned SpMV geomean speedup (every row):                      {}", show_geo(spmv_all));
-    for (b, g) in &by_bottleneck {
-        println!("planned SpMV geomean speedup, {b:<9} tuned rows:              {}", show_geo(*g));
-    }
     println!(
         "threaded SpMM geomean speedup over serial:                     {}  ({threads} worker(s))",
         show_geo(spmm_all)
@@ -918,79 +836,18 @@ fn main() {
     println!("partitioned SpMV geomean speedup over best single-format plan: {}", show_geo(partitioned_geo));
     println!("blocked-corpus BSR/BELL geomean speedup over best legacy plan: {}", show_geo(blocked_geo));
 
-    // Scaling (report-only): median cost of dispatching nothing.
-    let empty_dispatch_ns = (threads > 1).then(|| {
-        let mut ns: Vec<u128> = (0..2_000)
-            .map(|_| {
-                let t0 = Instant::now();
-                pool.run_on_all(&|_| {});
-                t0.elapsed().as_nanos()
-            })
-            .collect();
-        ns.sort_unstable();
-        ns[ns.len() / 2]
-    });
-    if let Some(ns) = empty_dispatch_ns {
-        println!("\nscaling at {threads} workers (report-only): empty dispatch {ns} ns");
-        for r in &scaling_rows {
-            println!(
-                "  {:<16} {:<5} t_1/t_{threads} = {:.2}",
-                r.matrix,
-                r.format.to_string(),
-                r.t1_s / r.tn_s
-            );
-        }
-    }
-
     // --- snapshot ---
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"bench_spmv/v4\",\n");
+    json.push_str("  \"schema\": \"bench_spmv/v5\",\n");
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
     json.push_str(&format!("  \"threads\": {threads},\n"));
     json.push_str(&format!("  \"cpu\": {{\"avx2\": {}, \"fma\": {}}},\n", cpu.avx2, cpu.fma));
     json.push_str(&format!("  \"spmv_iters\": {spmv_iters},\n"));
     json.push_str(&format!("  \"spmm_iters\": {spmm_iters},\n"));
-    json.push_str(&format!("  \"spmv_powerlaw_geomean_speedup\": {},\n", json_geo(spmv_powerlaw)));
-    json.push_str(&format!(
-        "  \"spmv_powerlaw_all_formats_geomean_speedup\": {},\n",
-        json_geo(spmv_all_formats_powerlaw)
-    ));
-    json.push_str(&format!("  \"spmv_geomean_speedup\": {},\n", json_geo(spmv_all)));
     json.push_str(&format!("  \"spmm_geomean_speedup\": {},\n", json_geo(spmm_all)));
-    json.push_str("  \"spmv_bottleneck_geomean_speedup\": {");
-    for (i, (b, g)) in by_bottleneck.iter().enumerate() {
-        json.push_str(&format!(
-            "\"{b}\": {}{}",
-            json_geo(*g),
-            if i + 1 < by_bottleneck.len() { ", " } else { "" }
-        ));
-    }
-    json.push_str("},\n");
     json.push_str(&format!("  \"partitioned_geomean_speedup\": {},\n", json_geo(partitioned_geo)));
     json.push_str(&format!("  \"blocked_geomean_speedup\": {},\n", json_geo(blocked_geo)));
-    match empty_dispatch_ns {
-        None => json.push_str("  \"scaling\": null,\n"),
-        Some(ns) => {
-            let cases: Vec<String> = scaling_rows
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{{\"matrix\": \"{}\", \"format\": \"{}\", \"t1_s\": {:.6e}, \"tn_s\": {:.6e}, \"t1_over_tn\": {:.4}}}",
-                        json_escape(&r.matrix),
-                        r.format,
-                        r.t1_s,
-                        r.tn_s,
-                        r.t1_s / r.tn_s
-                    )
-                })
-                .collect();
-            json.push_str(&format!(
-                "  \"scaling\": {{\"workers\": {threads}, \"empty_dispatch_ns\": {ns}, \"cases\": [{}]}},\n",
-                cases.join(", ")
-            ));
-        }
-    }
     json.push_str("  \"blocked\": [\n");
     for (i, r) in blocked_rows.iter().enumerate() {
         let cands: Vec<String> = r
@@ -1082,10 +939,10 @@ fn main() {
             .collect();
         json.push_str(&format!(
             "    {{\"matrix\": \"{}\", \"family\": \"{}\", \"format\": \"{}\", \"tuned\": {}, \"nrows\": {}, \
-             \"nnz\": {}, \"bottleneck\": \"{}\", \"variant\": \"{}\", \"unplanned_s\": {:.6e}, \
-             \"planned_s\": {:.6e}, \"plan_build_s\": {:.6e}, \"speedup\": {:.4}, \"variants\": [{}]}}{}\n",
+             \"nnz\": {}, \"bottleneck\": \"{}\", \"variant\": \"{}\", \"planned_s\": {:.6e}, \
+             \"plan_build_s\": {:.6e}, \"variants\": [{}]}}{}\n",
             json_escape(&r.matrix), r.family, r.format, r.tuned, r.nrows, r.nnz,
-            r.bottleneck, r.variant, r.unplanned_s, r.planned_s, r.plan_build_s, r.speedup,
+            r.bottleneck, r.variant, r.planned_s, r.plan_build_s,
             cells.join(", "),
             if i + 1 < spmv_rows.len() { "," } else { "" }
         ));

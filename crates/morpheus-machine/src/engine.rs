@@ -2,8 +2,8 @@
 
 use crate::analyze::MatrixAnalysis;
 use crate::calib::Calibration;
-use crate::op::Op;
 use crate::spec::{Backend, SystemBackend, SystemProfile};
+use crate::Op;
 use crate::{cpu, gpu};
 use morpheus::format::{FormatId, FORMAT_COUNT};
 use morpheus::{KernelVariant, ALL_VARIANTS};

@@ -55,12 +55,13 @@ pub mod calib;
 pub mod cpu;
 pub mod engine;
 pub mod gpu;
-pub mod op;
 pub mod spec;
 pub mod systems;
 
 pub use analyze::{analyze, analyze_from, analyze_rows_from, analyze_with_alpha, MatrixAnalysis};
 pub use calib::Calibration;
 pub use engine::{ProfileResult, VirtualEngine};
-pub use op::Op;
+/// The operation a cost query is for — defined beside the kernels that
+/// execute it, re-exported here for the engine's callers.
+pub use morpheus::Op;
 pub use spec::{Backend, CpuSpec, GpuSpec, GpuVendor, SystemBackend, SystemProfile};

@@ -1,18 +1,20 @@
 //! OpenMP-analog parallel runtime used by the Morpheus threaded backend.
 //!
 //! The paper's "OpenMP" backend maps onto this crate: a fork–join pool —
-//! the calling thread plus persistent workers with fixed indices —
-//! executing *parallel-for* loops with OpenMP-style scheduling policies
-//! ([`Schedule::Static`], [`Schedule::Dynamic`], [`Schedule::Guided`]) plus
-//! chunk-wise reductions.
+//! the calling thread plus persistent workers with fixed indices — that runs
+//! one closure once per index ([`ThreadPool::run_on_all`]). Which work an
+//! index does is the caller's business and is decided ahead of the call:
+//! the partition helpers here ([`static_partition`], [`weighted_partition`],
+//! [`row_aligned_partition`]) cut a loop into one range per index, an
+//! execution plan keeps the ranges, and every execution replays them. There
+//! is no per-call scheduling policy: SpMV is a bandwidth-bound loop, and a
+//! static/dynamic/guided knob re-derives on every call what depends only on
+//! the matrix.
 //!
-//! The pool is deliberately small and predictable rather than work-stealing:
-//! SpMV kernels are bandwidth-bound loops whose performance depends on the
-//! partitioning policy, which the hardware model in `morpheus-machine`
-//! mirrors analytically. One dispatch is one published `(body, epoch)` pair:
-//! the caller runs its own share and waits for a counter, workers poll
-//! briefly before parking, so a dispatch onto awake workers costs well
-//! under a microsecond.
+//! The pool is deliberately small and predictable rather than work-stealing.
+//! One dispatch is one published `(body, epoch)` pair: the caller runs its
+//! own share and waits for a counter, workers poll briefly before parking,
+//! so a dispatch onto awake workers costs well under a microsecond.
 //!
 //! The pool is safe to drive from any number of client threads at once
 //! (the Oracle serving layer does exactly that): one batch is dispatched at
@@ -24,23 +26,24 @@
 //!
 //! # Example
 //! ```
-//! use morpheus_parallel::{ThreadPool, Schedule};
+//! use morpheus_parallel::{static_partition, ThreadPool};
 //! use std::sync::atomic::{AtomicUsize, Ordering};
 //!
 //! let pool = ThreadPool::new(4);
+//! let parts = static_partition(1000, pool.num_threads());
 //! let sum = AtomicUsize::new(0);
-//! pool.parallel_for(0..1000, Schedule::default(), |i| {
-//!     sum.fetch_add(i, Ordering::Relaxed);
+//! pool.run_on_all(&|w| {
+//!     if let Some(part) = parts.get(w) {
+//!         sum.fetch_add(part.clone().sum(), Ordering::Relaxed);
+//!     }
 //! });
 //! assert_eq!(sum.load(Ordering::Relaxed), 999 * 1000 / 2);
 //! ```
 
 mod pool;
-mod schedule;
 mod shared;
 
 pub use pool::{global_pool, QueueWaitObserver, ThreadPool};
-pub use schedule::Schedule;
 pub use shared::SharedSlice;
 
 /// Splits `0..len` into at most `parts` contiguous, nearly-equal ranges.
@@ -70,8 +73,8 @@ pub fn static_partition(len: usize, parts: usize) -> Vec<std::ops::Range<usize>>
 /// Splits `0..len` into contiguous ranges whose *weights* (e.g. non-zeros
 /// per row) are as balanced as possible, one range per part.
 ///
-/// This is the partition used by the nnz-balanced CSR SpMV kernel. `weights`
-/// must have length `len`. Greedy prefix splitting at the ideal weight
+/// This is the partition a CSR execution plan holds. `weights` must have
+/// length `len`. Greedy prefix splitting at the ideal weight
 /// boundaries; every element lands in exactly one range.
 pub fn weighted_partition(weights: &[usize], parts: usize) -> Vec<std::ops::Range<usize>> {
     weighted_partition_with(weights.len(), parts, |i| weights[i])
@@ -140,8 +143,8 @@ pub fn weighted_partition_with(
 /// row: every index `i` with `rows[i] == rows[i - 1]` stays in the same
 /// chunk as `i - 1`.
 ///
-/// This is the partition the threaded COO SpMV kernel and the parallel
-/// analysis pass use so that per-row outputs have exactly one writer.
+/// This is the partition a COO execution plan holds, so that per-row outputs
+/// have exactly one writer.
 /// Starting from [`static_partition`], each boundary is pushed forward to
 /// the next row change; because the static partition tiles `0..rows.len()`
 /// exactly and boundaries only ever move forward, the aligned chunks tile

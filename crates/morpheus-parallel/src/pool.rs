@@ -45,10 +45,7 @@ use std::sync::{Arc, OnceLock};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
-
-use crate::schedule::Schedule;
-use crate::static_partition;
+use parking_lot::RwLock;
 
 thread_local! {
     /// Set on worker threads and around the caller's own share; a parallel
@@ -310,83 +307,9 @@ impl ThreadPool {
         });
     }
 
-    /// OpenMP-style `parallel for` over `range`, calling `body(i)` exactly
-    /// once per index.
-    pub fn parallel_for(&self, range: Range<usize>, schedule: Schedule, body: impl Fn(usize) + Sync) {
-        self.parallel_for_ranges(range, schedule, |r| r.for_each(&body));
-    }
-
-    /// Chunk-wise `parallel for`: `body` receives each scheduled sub-range
-    /// exactly once. This is the primitive SpMV kernels use so they can hoist
-    /// per-chunk work out of the inner loop.
-    pub fn parallel_for_ranges(
-        &self,
-        range: Range<usize>,
-        schedule: Schedule,
-        body: impl Fn(Range<usize>) + Sync,
-    ) {
-        self.parallel_for_worker_ranges(range, schedule, |_w, r| body(r));
-    }
-
-    /// Like [`Self::parallel_for_ranges`] but also passes the index of the
-    /// share running the chunk, guaranteeing each index processes at most
-    /// one chunk per call site under `Static { chunk: None }` scheduling.
-    pub fn parallel_for_worker_ranges(
-        &self,
-        range: Range<usize>,
-        schedule: Schedule,
-        body: impl Fn(usize, Range<usize>) + Sync,
-    ) {
-        let len = range.end.saturating_sub(range.start);
-        if len == 0 {
-            return;
-        }
-        let offset = range.start;
-        let nt = self.n_threads;
-        match schedule {
-            Schedule::Static { chunk: None } => {
-                let parts = static_partition(len, nt);
-                self.run_on_all(&|w| {
-                    if let Some(r) = parts.get(w) {
-                        body(w, offset + r.start..offset + r.end);
-                    }
-                });
-            }
-            Schedule::Static { chunk: Some(c) } => {
-                let c = c.max(1);
-                self.run_on_all(&|w| {
-                    // Round-robin chunks: index w takes chunks w, w+nt, ...
-                    for start in (w * c..len).step_by(nt * c) {
-                        body(w, offset + start..offset + (start + c).min(len));
-                    }
-                });
-            }
-            Schedule::Dynamic { .. } | Schedule::Guided { .. } => {
-                let next = AtomicUsize::new(0);
-                let chunk_of = |start: usize| match schedule {
-                    Schedule::Guided { min_chunk } => ((len - start) / (2 * nt)).max(min_chunk.max(1)),
-                    Schedule::Dynamic { chunk } => chunk.max(1),
-                    Schedule::Static { .. } => unreachable!("static schedules are handled above"),
-                };
-                self.run_on_all(&|w| loop {
-                    let probe = next.load(Ordering::Relaxed);
-                    if probe >= len {
-                        break;
-                    }
-                    let c = chunk_of(probe);
-                    let start = next.fetch_add(c, Ordering::Relaxed);
-                    if start >= len {
-                        break;
-                    }
-                    body(w, offset + start..offset + (start + c).min(len));
-                });
-            }
-        }
-    }
-
     /// Runs `body` over each of the given precomputed ranges, one task per
-    /// range, claimed dynamically. Used with [`crate::weighted_partition`]
-    /// for nnz-balanced kernels.
+    /// range, claimed dynamically (the conversion kernels' fills, whose
+    /// parts outnumber the workers).
     pub fn parallel_over_parts(&self, parts: &[Range<usize>], body: impl Fn(usize, Range<usize>) + Sync) {
         if parts.is_empty() {
             return;
@@ -399,57 +322,6 @@ impl ThreadPool {
             }
             body(p, parts[p].clone());
         });
-    }
-
-    /// Executes precomputed, disjoint ranges with **no scheduling state at
-    /// all**: range `p` runs on index `p % num_threads`, so there is no
-    /// shared chunk counter and no atomics beyond the dispatch itself. This
-    /// is the executor for `ExecPlan` schedules — plans carry at most one
-    /// range per index, so range `p` meets the same core on every call.
-    ///
-    /// `body` receives `(part_index, range)`; part indices are stable across
-    /// calls, so per-part state (e.g. a workspace slot) can be reused.
-    pub fn parallel_for_plan(&self, parts: &[Range<usize>], body: impl Fn(usize, Range<usize>) + Sync) {
-        if parts.is_empty() {
-            return;
-        }
-        let nt = self.n_threads;
-        self.run_on_all(&|w| {
-            for p in (w..parts.len()).step_by(nt) {
-                body(p, parts[p].clone());
-            }
-        });
-    }
-
-    /// Chunk-wise map-reduce: `map` produces a partial result per scheduled
-    /// chunk; partials are folded with `reduce` starting from `identity`.
-    ///
-    /// Reduction order is deterministic given a `Static` schedule (partials
-    /// are folded in index order), which keeps floating-point results
-    /// reproducible run-to-run.
-    pub fn parallel_reduce<T, M, R>(
-        &self,
-        range: Range<usize>,
-        schedule: Schedule,
-        identity: T,
-        map: M,
-        reduce: R,
-    ) -> T
-    where
-        T: Clone + Send,
-        M: Fn(Range<usize>) -> T + Sync,
-        R: Fn(T, T) -> T + Sync,
-    {
-        let slots: Vec<Mutex<Option<T>>> = (0..self.n_threads).map(|_| Mutex::new(None)).collect();
-        self.parallel_for_worker_ranges(range, schedule, |w, r| {
-            let value = map(r);
-            let mut guard = slots[w].lock();
-            *guard = Some(match guard.take() {
-                Some(prev) => reduce(prev, value),
-                None => value,
-            });
-        });
-        slots.into_iter().filter_map(Mutex::into_inner).fold(identity, &reduce)
     }
 }
 
@@ -476,13 +348,7 @@ pub fn global_pool() -> &'static ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const SCHEDULES: [Schedule; 4] = [
-        Schedule::Static { chunk: None },
-        Schedule::Static { chunk: Some(7) },
-        Schedule::Dynamic { chunk: 13 },
-        Schedule::Guided { min_chunk: 5 },
-    ];
+    use parking_lot::Mutex;
 
     fn counters(n: usize) -> Vec<AtomicUsize> {
         (0..n).map(|_| AtomicUsize::new(0)).collect()
@@ -539,31 +405,10 @@ mod tests {
     }
 
     #[test]
-    fn every_index_visited_exactly_once() {
-        let pool = ThreadPool::new(4);
-        for sched in SCHEDULES {
-            let visits = counters(1003);
-            pool.parallel_for(0..1003, sched, |i| bump(&visits[i]));
-            assert!(all_equal(&visits, 1), "{sched:?}");
-        }
-    }
-
-    #[test]
-    fn offset_ranges_respected() {
-        let pool = ThreadPool::new(3);
-        for sched in SCHEDULES {
-            let seen = Mutex::new(Vec::new());
-            pool.parallel_for(100..150, sched, |i| seen.lock().push(i));
-            let mut v = seen.into_inner();
-            v.sort_unstable();
-            assert_eq!(v, (100..150).collect::<Vec<_>>(), "{sched:?}");
-        }
-    }
-
-    #[test]
     fn empty_range_is_noop() {
         let pool = ThreadPool::new(4);
-        pool.parallel_for(5..5, Schedule::default(), |_| panic!("empty range must not run"));
+        pool.parallel_over_parts(&[], |_, _| panic!("no parts must not run"));
+        pool.run_owned(&[], &|_, _| panic!("no items must not run"));
     }
 
     #[test]
@@ -571,7 +416,7 @@ mod tests {
         let pool = ThreadPool::new(1);
         let me = thread::current().id();
         let sum = AtomicUsize::new(0);
-        pool.parallel_for(0..100, Schedule::dynamic(), |i| {
+        pool.run_owned(&crate::static_partition(100, 1), &|_, i| {
             assert_eq!(thread::current().id(), me);
             sum.fetch_add(i, Ordering::Relaxed);
         });
@@ -579,32 +424,16 @@ mod tests {
     }
 
     #[test]
-    fn reduce_matches_serial() {
-        let pool = ThreadPool::new(4);
-        for sched in SCHEDULES {
-            let got = pool.parallel_reduce(7..10_000, sched, 0usize, |r| r.sum(), |a, b| a + b);
-            assert_eq!(got, (7..10_000).sum::<usize>(), "{sched:?}");
-        }
-    }
-
-    #[test]
-    fn reduce_empty_range_returns_identity() {
-        let pool = ThreadPool::new(4);
-        let got = pool.parallel_reduce(0..0, Schedule::default(), 42.0, |_| 7.0, |a, b| a + b);
-        assert_eq!(got, 42.0);
-    }
-
-    #[test]
     fn nested_parallel_for_serialises() {
         let pool = ThreadPool::new(2);
         let hits = AtomicUsize::new(0);
-        pool.parallel_for(0..2, Schedule::default(), |_| {
+        pool.run_on_all(&|_| {
             // Nested call must not deadlock: it runs inline on both the
             // caller's share and the worker's.
             let me = thread::current().id();
-            pool.parallel_for(0..10, Schedule::default(), |_| {
+            pool.parallel_over_parts(&[0..5, 5..10], |_, r| {
                 assert_eq!(thread::current().id(), me);
-                bump(&hits);
+                r.for_each(|_| bump(&hits));
             });
         });
         assert_eq!(hits.load(Ordering::Relaxed), 20);
@@ -614,17 +443,17 @@ mod tests {
     #[should_panic(expected = "worker panicked")]
     fn worker_panic_propagates() {
         let pool = ThreadPool::new(2);
-        pool.parallel_for(0..4, Schedule::default(), |i| assert_ne!(i, 2, "boom"));
+        pool.run_owned(&[0..2, 2..4], &|_, i| assert_ne!(i, 2, "boom"));
     }
 
     #[test]
     fn pool_survives_job_panic() {
         let pool = ThreadPool::new(2);
-        let every_share_panics = || pool.parallel_for(0..4, Schedule::default(), |_| panic!("x"));
+        let every_share_panics = || pool.run_on_all(&|_| panic!("x"));
         assert!(catch_unwind(AssertUnwindSafe(every_share_panics)).is_err());
         // Pool still usable afterwards.
         let hits = counters(8);
-        pool.parallel_for(0..8, Schedule::default(), |i| bump(&hits[i]));
+        pool.run_owned(&[0..4, 4..8], &|_, i| bump(&hits[i]));
         assert!(all_equal(&hits, 1));
     }
 
@@ -705,47 +534,25 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_plan_visits_each_part_once_with_stable_indices() {
-        let pool = ThreadPool::new(3);
-        let parts = vec![0..4, 4..4, 4..9, 9..10, 10..17];
-        let (counts, part_seen) = (counters(17), counters(parts.len()));
-        pool.parallel_for_plan(&parts, |p, r| {
-            bump(&part_seen[p]);
-            assert_eq!(r, parts[p], "part index must identify its range");
-            r.for_each(|i| bump(&counts[i]));
-        });
-        assert!(all_equal(&counts, 1) && all_equal(&part_seen, 1));
-    }
-
-    #[test]
-    fn parallel_for_plan_handles_more_parts_than_workers_and_empty_plans() {
-        let pool = ThreadPool::new(2);
-        let parts: Vec<Range<usize>> = (0..11).map(|i| i * 3..(i + 1) * 3).collect();
-        let sum = AtomicUsize::new(0);
-        pool.parallel_for_plan(&parts, |_p, r| {
-            sum.fetch_add(r.sum::<usize>(), Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), (0..33).sum::<usize>());
-        pool.parallel_for_plan(&[], |_, _| panic!("empty plan must not run"));
-    }
-
-    #[test]
     fn concurrent_clients_share_one_pool_without_interference() {
         // N external client threads drive the same pool at once; every
-        // client's parallel-for must visit exactly its own indices exactly
-        // once, whether it got the workers or ran inline beside another's batch.
+        // client's regions must visit exactly its own items exactly once,
+        // whether it got the workers or ran inline beside another's batch.
         let pool = ThreadPool::new(3);
         let (clients, n) = (6usize, 400usize);
         let counts: Vec<Vec<AtomicUsize>> = (0..clients).map(|_| counters(n)).collect();
+        let owners = crate::static_partition(n, 3);
+        let parts = crate::static_partition(n, 57);
         thread::scope(|s| {
             for (c, mine) in counts.iter().enumerate() {
-                let pool = &pool;
+                let (pool, owners, parts) = (&pool, &owners, &parts);
                 s.spawn(move || {
-                    for sched in [Schedule::Static { chunk: None }, Schedule::Dynamic { chunk: 7 }] {
-                        pool.parallel_for(0..n, sched, |i| bump(&mine[i]));
-                    }
-                    // Reductions from concurrent clients stay correct too.
-                    let sum = pool.parallel_reduce(0..n, Schedule::default(), 0, |r| r.sum(), |a, b| a + b);
+                    pool.run_owned(owners, &|_, i| bump(&mine[i]));
+                    pool.parallel_over_parts(parts, |_, r| r.for_each(|i| bump(&mine[i])));
+                    // Per-index partials folded by the caller stay correct too.
+                    let partial = counters(3);
+                    pool.run_owned(owners, &|w, i| _ = partial[w].fetch_add(i, Ordering::Relaxed));
+                    let sum: usize = partial.iter().map(|p| p.load(Ordering::Relaxed)).sum();
                     assert_eq!(sum, n * (n - 1) / 2, "client {c}");
                 });
             }

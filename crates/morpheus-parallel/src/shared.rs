@@ -105,15 +105,15 @@ impl<T: Copy> SharedSlice<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{static_partition, Schedule, ThreadPool};
+    use crate::{static_partition, ThreadPool};
 
     #[test]
     fn disjoint_parallel_writes_land() {
         let pool = ThreadPool::new(4);
         let mut data = vec![0usize; 1000];
         let out = SharedSlice::new(&mut data);
-        pool.parallel_for(0..1000, Schedule::default(), |i| {
-            // SAFETY: each index is scheduled exactly once.
+        pool.run_owned(&static_partition(1000, 4), &|_, i| {
+            // SAFETY: each index is owned exactly once.
             unsafe { out.set(i, i * 2) };
         });
         assert!(data.iter().enumerate().all(|(i, &v)| v == i * 2));

@@ -55,6 +55,7 @@ pub mod format;
 pub mod hdc;
 pub mod hyb;
 pub mod io;
+pub mod op;
 pub mod params;
 pub mod partition;
 pub mod plan;
@@ -81,6 +82,7 @@ pub use error::MorpheusError;
 pub use format::FormatId;
 pub use hdc::HdcMatrix;
 pub use hyb::{HybMatrix, HybSplit};
+pub use op::Op;
 pub use params::{FormatParams, MAX_BELL_WIDTHS};
 pub use partition::{Partition, PartitionConfig, PartitionedMatrix, Shard, StreamingPartitioner};
 pub use plan::{BatchWorkspace, ExecPlan, Workspace};

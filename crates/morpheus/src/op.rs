@@ -1,7 +1,8 @@
-//! The sparse operation a tuning decision targets.
+//! The sparse operation an execution runs and a tuning decision targets.
 //!
-//! The paper tunes for SpMV, but notes its "techniques and algorithms ...
-//! are transferable to other sparse operations" (§V). Threading the
+//! [`crate::ExecPlan::run`] executes either through the one `match` on the
+//! plan's parts. The paper tunes for SpMV, but notes its "techniques and
+//! algorithms ... are transferable to other sparse operations" (§V). Threading the
 //! operation through the engine's cost queries makes tuners
 //! *operation-aware*: the optimal format for `y = A x` is not always the
 //! optimal format for the blocked product `Y = A X` — padded formats

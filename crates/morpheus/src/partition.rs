@@ -42,7 +42,7 @@ use crate::plan::ExecPlan;
 use crate::rowmajor::for_each_entry_row_major;
 use crate::scalar::Scalar;
 use crate::spmv::variant::KernelVariant;
-use crate::Result;
+use crate::{Op, Result};
 
 /// Controls shard boundary selection in [`Partition::from_analysis`].
 #[derive(Debug, Clone, Copy)]
@@ -399,19 +399,13 @@ impl<V: Scalar> Shard<V> {
     }
 }
 
-/// Per-shard kernel body run by the shard executor against a disjoint
-/// output slice.
-type ShardKernel<'a, V> = &'a (dyn Fn(&Shard<V>, &mut [V]) -> Result<()> + Sync);
-
 /// A matrix stored as independently formatted, independently planned
 /// row-range shards.
 ///
-/// SpMV/SpMM execute every shard's own plan against the shared `x` and a
-/// disjoint slice of `y`. With a pool, shards are distributed by stable
-/// contiguous ownership (nnz-weighted): worker `w` always runs the same
-/// shards, keeping their arrays hot in one core's cache. The pooled and
-/// unpooled paths run identical kernel bodies per shard, so their results
-/// are bitwise equal.
+/// [`PartitionedMatrix::run`] executes every shard's own plan against the
+/// shared `x` and a disjoint slice of `y`. With a pool, shards are
+/// distributed by stable contiguous ownership (nnz-weighted): worker `w`
+/// always runs the same shards, keeping their arrays hot in one core's cache.
 #[derive(Debug)]
 pub struct PartitionedMatrix<V: Scalar> {
     nrows: usize,
@@ -606,140 +600,70 @@ impl<V: Scalar> PartitionedMatrix<V> {
         self.shards.iter().all(|s| s.plan.preserves_order())
     }
 
-    fn check_spmv_shapes(&self, x: &[V], y: &[V]) -> Result<()> {
-        if x.len() != self.ncols || y.len() != self.nrows {
-            return Err(MorpheusError::ShapeMismatch {
-                expected: format!("x: {}, y: {}", self.ncols, self.nrows),
-                got: format!("x: {}, y: {}", x.len(), y.len()),
-            });
-        }
-        Ok(())
-    }
-
-    /// `y = A x` across the pool with stable shard ownership.
-    pub fn spmv(&self, x: &[V], y: &mut [V], pool: &ThreadPool) -> Result<()> {
-        self.spmv_observed(x, y, Some(pool), None)
-    }
-
-    /// `y = A x` on the calling thread, shard by shard. Bitwise identical
-    /// to [`PartitionedMatrix::spmv`].
-    pub fn spmv_unpooled(&self, x: &[V], y: &mut [V]) -> Result<()> {
-        self.spmv_observed(x, y, None, None)
-    }
-
-    /// `y = A x`, optionally pooled, invoking `observe(shard_index,
-    /// elapsed)` after each shard kernel — the hook the serving layer uses
-    /// to record per-shard telemetry samples.
-    pub fn spmv_observed(
+    /// Executes `op` — `y = A x`, or `Y = A X` on row-major blocks of `k`
+    /// right-hand sides — as every shard's own plan run inline
+    /// ([`ExecPlan::run`] without a pool) against the shared `x` and the
+    /// shard's disjoint slice of `y`: across `pool` with stable shard
+    /// ownership, or — with `None`, or a pool of width 1 — shard by shard on
+    /// the calling thread. The same single-threaded bodies run either way, so
+    /// the results are bitwise equal. `observe(shard_index, elapsed)`, when
+    /// given, is called after each shard's kernel — the hook the serving
+    /// layer records per-shard telemetry through. The one shard loop.
+    pub fn run(
         &self,
+        op: Op,
         x: &[V],
         y: &mut [V],
         pool: Option<&ThreadPool>,
         observe: Option<&(dyn Fn(usize, Duration) + Sync)>,
     ) -> Result<()> {
-        self.check_spmv_shapes(x, y)?;
-        self.run_shards(y, pool, observe, &|s, ys| s.plan.spmv_unpooled(&s.matrix, x, ys))
-    }
-
-    /// `Y = A X` (row-major, `k` right-hand sides) across the pool.
-    pub fn spmm(&self, x: &[V], y: &mut [V], k: usize, pool: &ThreadPool) -> Result<()> {
-        self.spmm_observed(x, y, k, Some(pool), None)
-    }
-
-    /// `Y = A X`, optionally pooled, with the same per-shard observation
-    /// hook as [`PartitionedMatrix::spmv_observed`]. Shard kernels are the
-    /// serial SpMM bodies (planned SpMM runs scalar bodies too), so pooled
-    /// and unpooled results are bitwise equal.
-    pub fn spmm_observed(
-        &self,
-        x: &[V],
-        y: &mut [V],
-        k: usize,
-        pool: Option<&ThreadPool>,
-        observe: Option<&(dyn Fn(usize, Duration) + Sync)>,
-    ) -> Result<()> {
+        let k = match op {
+            Op::Spmv => 1,
+            Op::Spmm { k } => k,
+        };
         if k == 0 || x.len() != self.ncols * k || y.len() != self.nrows * k {
             return Err(MorpheusError::ShapeMismatch {
                 expected: format!("x: {}*k, y: {}*k, k >= 1", self.ncols, self.nrows),
                 got: format!("x: {}, y: {}, k = {}", x.len(), y.len(), k),
             });
         }
-        self.run_shards_scaled(y, k, pool, observe, &|s, ys| crate::spmm::spmm_serial(&s.matrix, x, ys, k))
-    }
-
-    fn run_shards(
-        &self,
-        y: &mut [V],
-        pool: Option<&ThreadPool>,
-        observe: Option<&(dyn Fn(usize, Duration) + Sync)>,
-        kernel: ShardKernel<'_, V>,
-    ) -> Result<()> {
-        self.run_shards_scaled(y, 1, pool, observe, kernel)
-    }
-
-    /// Shared executor: shard `i` writes `y[rows.start*k .. rows.end*k]`.
-    fn run_shards_scaled(
-        &self,
-        y: &mut [V],
-        k: usize,
-        pool: Option<&ThreadPool>,
-        observe: Option<&(dyn Fn(usize, Duration) + Sync)>,
-        kernel: ShardKernel<'_, V>,
-    ) -> Result<()> {
+        // Shard `si` writes `y[rows.start*k .. rows.end*k]`.
         let run_one = |si: usize, ys: &mut [V]| -> Result<()> {
             let s = &self.shards[si];
             let t0 = observe.map(|_| Instant::now());
-            kernel(s, ys)?;
+            s.plan.run(&s.matrix, op, x, ys, None)?;
             if let (Some(f), Some(t0)) = (observe, t0) {
                 f(si, t0.elapsed());
             }
             Ok(())
         };
-        match pool {
-            None => {
-                for si in 0..self.shards.len() {
-                    let r = self.shards[si].rows.clone();
-                    run_one(si, &mut y[r.start * k..r.end * k])?;
-                }
-                Ok(())
+        let Some(pool) = pool.filter(|pool| pool.num_threads() > 1) else {
+            return self
+                .shards
+                .iter()
+                .enumerate()
+                .try_for_each(|(si, s)| run_one(si, &mut y[s.rows.start * k..s.rows.end * k]));
+        };
+        let owned;
+        let owners: &[Range<usize>] = if pool.num_threads() == self.threads {
+            &self.owners
+        } else {
+            owned = owner_ranges(&self.shards, pool.num_threads());
+            &owned
+        };
+        let shared = SharedSlice::new(y);
+        let failed: Mutex<Option<MorpheusError>> = Mutex::new(None);
+        pool.run_owned(owners, &|_, si| {
+            let r = self.shards[si].rows.clone();
+            // SAFETY: shard row ranges tile 0..nrows disjointly (validated
+            // in from_shards), and run_owned executes each shard index
+            // exactly once, so these mutable slices never overlap.
+            let ys = unsafe { shared.slice_mut(r.start * k, r.len() * k) };
+            if let Err(e) = run_one(si, ys) {
+                failed.lock().unwrap().get_or_insert(e);
             }
-            Some(pool) if pool.num_threads() <= 1 => {
-                for si in 0..self.shards.len() {
-                    let r = self.shards[si].rows.clone();
-                    run_one(si, &mut y[r.start * k..r.end * k])?;
-                }
-                Ok(())
-            }
-            Some(pool) => {
-                let owned;
-                let owners: &[Range<usize>] = if pool.num_threads() == self.threads {
-                    &self.owners
-                } else {
-                    owned = owner_ranges(&self.shards, pool.num_threads());
-                    &owned
-                };
-                let shared = SharedSlice::new(y);
-                let failed: Mutex<Option<MorpheusError>> = Mutex::new(None);
-                pool.run_owned(owners, &|_, si| {
-                    let r = self.shards[si].rows.clone();
-                    // SAFETY: shard row ranges tile 0..nrows disjointly
-                    // (validated in from_shards), and run_owned executes
-                    // each shard index exactly once, so these mutable
-                    // slices never overlap.
-                    let ys = unsafe { shared.slice_mut(r.start * k, r.len() * k) };
-                    if let Err(e) = run_one(si, ys) {
-                        let mut g = failed.lock().unwrap();
-                        if g.is_none() {
-                            *g = Some(e);
-                        }
-                    }
-                });
-                match failed.into_inner().unwrap() {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                }
-            }
-        }
+        });
+        failed.into_inner().unwrap().map_or(Ok(()), Err)
     }
 }
 
@@ -976,13 +900,13 @@ mod tests {
         let mut want = vec![0.0; 500];
         spmv_serial(&m, &x, &mut want).unwrap();
         let mut got = vec![0.0; 500];
-        pm.spmv_unpooled(&x, &mut got).unwrap();
+        pm.run(Op::Spmv, &x, &mut got, None, None).unwrap();
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() <= 1e-12 * w.abs().max(1.0), "{g} vs {w}");
         }
         let pool = ThreadPool::new(3);
         let mut pooled = vec![1.0; 500];
-        pm.spmv(&x, &mut pooled, &pool).unwrap();
+        pm.run(Op::Spmv, &x, &mut pooled, Some(&pool), None).unwrap();
         assert_eq!(pooled, got, "pooled and unpooled shard paths must be bitwise equal");
     }
 
@@ -1001,7 +925,7 @@ mod tests {
         let mut want = vec![0.0; 400];
         spmv_serial(&m, &x, &mut want).unwrap();
         let mut got = vec![0.0; 400];
-        pm.spmv_unpooled(&x, &mut got).unwrap();
+        pm.run(Op::Spmv, &x, &mut got, None, None).unwrap();
         assert_eq!(got, want, "all-CSR streamed shards are bitwise equal to serial CSR-per-shard");
     }
 
@@ -1039,7 +963,7 @@ mod tests {
         .unwrap();
         let x = vec![1.0; 3];
         let mut y = vec![9.0; 3];
-        pm.spmv_unpooled(&x, &mut y).unwrap();
+        pm.run(Op::Spmv, &x, &mut y, None, None).unwrap();
         let mut want = vec![0.0; 3];
         spmv_serial(&m, &x, &mut want).unwrap();
         assert_eq!(y, want);

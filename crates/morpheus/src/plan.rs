@@ -3,11 +3,11 @@
 //! The paper's amortisation argument (§IV) is that format selection pays
 //! off over thousands of repeated SpMV iterations. The same holds for the
 //! *schedule*: how rows are split across threads is a per-matrix artifact —
-//! it depends only on the sparsity structure — yet per-call kernels
-//! re-derive it on every invocation (`weighted_partition` over the row
-//! lengths, `row_aligned_partition` re-searching the sorted COO entries).
-//! An [`ExecPlan`] computes that schedule **once** and replays it on every
-//! execution:
+//! it depends only on the sparsity structure — so deriving it per call
+//! (`weighted_partition` over the row lengths, `row_aligned_partition`
+//! re-searching the sorted COO entries) is work an iterative loop repeats
+//! for nothing. An [`ExecPlan`] computes that schedule **once**, and
+//! [`ExecPlan::run`] — the one threaded execution path — replays it:
 //!
 //! * **CSR** — nnz-weighted row ranges (each worker gets a near equal
 //!   number of non-zeros, taming skewed matrices);
@@ -44,14 +44,10 @@
 //! are captured in the plan and re-checked by [`ExecPlan::matches`], so a
 //! plan never replays under an ISA it was not built for.
 //!
-//! The plan also owns a reusable scratch buffer so iterative loops can run
-//! `y = A x` without allocating an output per iteration
-//! ([`ExecPlan::spmv_workspace`] / [`ExecPlan::spmm_workspace`]). For
-//! *shared* plans — an `Arc<ExecPlan>` handed to many client threads by the
-//! serving layer — the same machinery is available through a standalone
-//! [`Workspace`]: every execution entry point takes `&self`, so any number
-//! of threads can replay one plan concurrently, each bringing its own
-//! per-thread `Workspace` ([`ExecPlan::spmv_into`] / [`ExecPlan::spmm_into`]).
+//! A plan is immutable: [`ExecPlan::run`] takes `&self`, so any number of
+//! threads can replay one `Arc<ExecPlan>` concurrently (the serving layer
+//! hands one to every client). A loop that wants its output buffer reused
+//! wraps the call in its own [`Workspace::run`].
 //!
 //! `core::Oracle` caches an `ExecPlan` alongside each `TuneDecision` under
 //! the same structure-hash key, so `tune_and_spmv` / `tune_and_spmm` in an
@@ -69,12 +65,12 @@ use crate::hyb::HybMatrix;
 use crate::scalar::Scalar;
 use crate::spmv::threaded;
 use crate::spmv::variant::{self, Bottleneck, CpuFeatures, KernelVariant};
-use crate::{spmm, Result};
+use crate::{spmm, Op, Result};
 use morpheus_parallel::{row_aligned_partition, static_partition, weighted_partition_with, ThreadPool};
 use std::ops::Range;
 
-/// Precomputed thread schedule + reusable workspace for one matrix
-/// structure, built once per (matrix structure, format, thread count).
+/// Precomputed thread schedule for one matrix structure, built once per
+/// (matrix structure, format, thread count).
 ///
 /// See the [module docs](self) for what each format's plan holds. A plan is
 /// tied to the matrix it was built from (format, shape, nnz — checked on
@@ -94,7 +90,7 @@ pub struct ExecPlan<V: Scalar> {
     /// different set (a cached plan migrated across machines would
     /// otherwise run bodies selected for the wrong ISA).
     cpu: CpuFeatures,
-    workspace: Workspace<V>,
+    _scalar: std::marker::PhantomData<V>,
 }
 
 /// A reusable output buffer for repeated plan executions.
@@ -129,10 +125,8 @@ impl<V: Scalar> Workspace<V> {
     }
 
     /// Sizes the buffer to `len` (zeroing fresh elements) and runs `f` on
-    /// it, returning the filled slice. The primitive under
-    /// [`ExecPlan::spmv_into`] / [`ExecPlan::spmm_into`], public so callers
-    /// with their own kernels (e.g. a serial execution path) get the same
-    /// allocation reuse.
+    /// it, returning the filled slice — `f` is typically a closure over
+    /// [`ExecPlan::run`], or over a serial kernel.
     pub fn run(&mut self, len: usize, f: impl FnOnce(&mut [V]) -> Result<()>) -> Result<&[V]> {
         self.buf.resize(len, V::ZERO);
         f(&mut self.buf)?;
@@ -395,7 +389,7 @@ impl<V: Scalar> ExecPlan<V> {
             threads,
             parts,
             cpu: CpuFeatures::detect(),
-            workspace: Workspace::new(),
+            _scalar: std::marker::PhantomData,
         }
     }
 
@@ -561,75 +555,108 @@ impl<V: Scalar> ExecPlan<V> {
         }
     }
 
-    /// `y = A x` over the plan's precomputed ranges and kernel variants —
-    /// the steady-state SpMV of an iterative loop. Bitwise identical to
+    /// Executes `op` — `y = A x`, or `Y = A X` on row-major blocks of `k`
+    /// right-hand sides — over the plan's precomputed parts: in one dispatch
+    /// per pass across `pool` (part `p` on index `p % width`), or with `None`
+    /// inline in part order on the calling thread. The same bodies run
+    /// either way and parts write disjoint rows, so the two are **bitwise
+    /// identical**; the serving layer's busy-pool fallback is the `None`
+    /// form, which therefore still runs the kernels the plan selected.
+    ///
+    /// SpMV runs each range's [`KernelVariant`] body: bitwise identical to
     /// [`crate::spmv::spmv_serial`] whenever [`ExecPlan::preserves_order`]
-    /// holds (always true for Scalar/Prefetch/Blocked plans); plans with
-    /// [`KernelVariant::Unrolled`] ranges are ULP-bounded instead.
-    pub fn spmv(&self, m: &DynamicMatrix<V>, x: &[V], y: &mut [V], pool: &ThreadPool) -> Result<()> {
-        self.spmv_dispatch(m, x, y, Some(pool))
-    }
-
-    /// [`ExecPlan::spmv`] executed entirely on the calling thread: the same
-    /// per-range variant bodies run sequentially in range order, producing
-    /// results **bitwise identical** to the pooled execution (ranges write
-    /// disjoint slices of `y`, so execution order cannot change any value).
-    /// This is the serving layer's busy-pool fallback — when the pool is
-    /// occupied by another client's batch, the request still runs the exact
-    /// kernels its plan selected instead of degrading to the scalar
-    /// reference (which plans with [`KernelVariant::Unrolled`] ranges would
-    /// not match bitwise).
-    pub fn spmv_unpooled(&self, m: &DynamicMatrix<V>, x: &[V], y: &mut [V]) -> Result<()> {
-        self.spmv_dispatch(m, x, y, None)
-    }
-
-    fn spmv_dispatch(
+    /// holds (always true for Scalar/Prefetch/Blocked plans), ULP-bounded
+    /// with [`KernelVariant::Unrolled`] ranges. SpMM has scalar bodies only
+    /// and is always bitwise identical to [`crate::spmm::spmm_serial`].
+    ///
+    /// This is the only function that matches the plan's parts to execute
+    /// them, and the only caller of the ranged kernels outside their modules.
+    pub fn run(
         &self,
         m: &DynamicMatrix<V>,
+        op: Op,
         x: &[V],
         y: &mut [V],
         pool: Option<&ThreadPool>,
     ) -> Result<()> {
         self.check(m)?;
-        crate::spmv::check_shapes(m, x, y)?;
-        // No one-worker serial shortcut here: the ranged kernels execute
-        // their ranges inline without a pool (or on a one-worker pool), so
-        // the selected variant bodies engage even on single-core hosts.
-        match (m, &self.parts) {
-            (DynamicMatrix::Csr(a), Parts::Csr { rows, variants }) => {
+        match op {
+            Op::Spmv => crate::spmv::check_shapes(m, x, y)?,
+            Op::Spmm { k } => spmm::check_spmm_shapes(m, x, y, k)?,
+        }
+        // No one-worker serial shortcut: the ranged kernels execute their
+        // ranges inline without a pool (or on a one-worker pool), so the
+        // selected variant bodies engage even on single-core hosts.
+        match (m, &self.parts, op) {
+            (DynamicMatrix::Csr(a), Parts::Csr { rows, variants }, Op::Spmv) => {
                 threaded::spmv_csr_ranges(a, x, y, pool, rows, variants)
             }
-            (DynamicMatrix::Coo(a), Parts::Coo { entries }) => {
+            (DynamicMatrix::Csr(a), Parts::Csr { rows, .. }, Op::Spmm { k }) => {
+                spmm::spmm_csr::<V, false>(a, x, y, k, pool, rows)
+            }
+            (DynamicMatrix::Coo(a), Parts::Coo { entries }, Op::Spmv) => {
                 threaded::spmv_coo_ranges(a, x, y, pool, entries)
             }
-            (DynamicMatrix::Dia(a), Parts::Rows { rows, variants }) => {
+            (DynamicMatrix::Coo(a), Parts::Coo { entries }, Op::Spmm { k }) => {
+                spmm::spmm_coo::<V, false>(a, x, y, k, pool, entries)
+            }
+            (DynamicMatrix::Dia(a), Parts::Rows { rows, variants }, Op::Spmv) => {
                 threaded::spmv_dia_ranges(a, x, y, pool, rows, variants)
             }
-            (DynamicMatrix::Ell(a), Parts::Rows { rows, variants }) => {
+            (DynamicMatrix::Dia(a), Parts::Rows { rows, .. }, Op::Spmm { k }) => {
+                spmm::spmm_dia(a, x, y, k, pool, rows)
+            }
+            (DynamicMatrix::Ell(a), Parts::Rows { rows, variants }, Op::Spmv) => {
                 threaded::spmv_ell_ranges(a, x, y, pool, rows, variants)
             }
-            (DynamicMatrix::Hyb(a), Parts::Hyb { rows, variants, coo_entries }) => {
+            (DynamicMatrix::Ell(a), Parts::Rows { rows, .. }, Op::Spmm { k }) => {
+                spmm::spmm_ell(a, x, y, k, pool, rows)
+            }
+            (DynamicMatrix::Hyb(a), Parts::Hyb { rows, variants, coo_entries }, Op::Spmv) => {
                 threaded::spmv_ell_ranges(a.ell(), x, y, pool, rows, variants);
                 threaded::spmv_coo_acc_ranges(a.coo(), x, y, pool, coo_entries);
             }
-            (DynamicMatrix::Hdc(a), Parts::Hdc { rows, dia_variants, csr_rows, csr_variants }) => {
+            (DynamicMatrix::Hyb(a), Parts::Hyb { rows, coo_entries, .. }, Op::Spmm { k }) => {
+                spmm::spmm_ell(a.ell(), x, y, k, pool, rows);
+                spmm::spmm_coo::<V, true>(a.coo(), x, y, k, pool, coo_entries);
+            }
+            (DynamicMatrix::Hdc(a), Parts::Hdc { rows, dia_variants, csr_rows, csr_variants }, Op::Spmv) => {
                 threaded::spmv_dia_ranges(a.dia(), x, y, pool, rows, dia_variants);
                 threaded::spmv_csr_acc_ranges(a.csr(), x, y, pool, csr_rows, csr_variants);
             }
-            (DynamicMatrix::Bsr(a), Parts::Bsr { brows, variants }) => {
+            (DynamicMatrix::Hdc(a), Parts::Hdc { rows, csr_rows, .. }, Op::Spmm { k }) => {
+                spmm::spmm_dia(a.dia(), x, y, k, pool, rows);
+                spmm::spmm_csr::<V, true>(a.csr(), x, y, k, pool, csr_rows);
+            }
+            (DynamicMatrix::Bsr(a), Parts::Bsr { brows, variants }, Op::Spmv) => {
                 threaded::spmv_bsr_ranges(a, x, y, pool, brows, variants)
             }
-            // SAFETY: `check` saw the shares tile `a`'s slices.
-            (DynamicMatrix::Bell(a), Parts::Bell { shares }) => unsafe {
+            (DynamicMatrix::Bsr(a), Parts::Bsr { brows, .. }, Op::Spmm { k }) => {
+                spmm::spmm_bsr(a, x, y, k, pool, brows)
+            }
+            // SAFETY (both): `check` saw the shares tile `a`'s slices.
+            (DynamicMatrix::Bell(a), Parts::Bell { shares }, Op::Spmv) => unsafe {
                 threaded::spmv_bell_shares(a, x, y, pool, shares)
+            },
+            (DynamicMatrix::Bell(a), Parts::Bell { shares }, Op::Spmm { k }) => unsafe {
+                spmm::spmm_bell(a, x, y, k, pool, Some(shares))
             },
             _ => unreachable!("plan/matrix format agreement checked above"),
         }
         Ok(())
     }
 
-    /// `Y = A X` (`k` right-hand sides, row-major blocks) over the plan's
-    /// ranges. Bitwise identical to [`crate::spmm::spmm_serial`].
+    /// [`ExecPlan::run`] of `y = A x` across `pool`.
+    pub fn spmv(&self, m: &DynamicMatrix<V>, x: &[V], y: &mut [V], pool: &ThreadPool) -> Result<()> {
+        self.run(m, Op::Spmv, x, y, Some(pool))
+    }
+
+    /// [`ExecPlan::run`] of `y = A x` on the calling thread.
+    pub fn spmv_unpooled(&self, m: &DynamicMatrix<V>, x: &[V], y: &mut [V]) -> Result<()> {
+        self.run(m, Op::Spmv, x, y, None)
+    }
+
+    /// [`ExecPlan::run`] of `Y = A X` (`k` right-hand sides) across `pool`.
     pub fn spmm(
         &self,
         m: &DynamicMatrix<V>,
@@ -638,87 +665,7 @@ impl<V: Scalar> ExecPlan<V> {
         k: usize,
         pool: &ThreadPool,
     ) -> Result<()> {
-        self.check(m)?;
-        spmm::check_spmm_shapes(m, x, y, k)?;
-        let pool = Some(pool);
-        match (m, &self.parts) {
-            (DynamicMatrix::Csr(a), Parts::Csr { rows, .. }) => {
-                spmm::spmm_csr::<V, false>(a, x, y, k, pool, rows)
-            }
-            (DynamicMatrix::Coo(a), Parts::Coo { entries }) => {
-                spmm::spmm_coo::<V, false>(a, x, y, k, pool, entries)
-            }
-            (DynamicMatrix::Dia(a), Parts::Rows { rows, .. }) => spmm::spmm_dia(a, x, y, k, pool, rows),
-            (DynamicMatrix::Ell(a), Parts::Rows { rows, .. }) => spmm::spmm_ell(a, x, y, k, pool, rows),
-            (DynamicMatrix::Hyb(a), Parts::Hyb { rows, coo_entries, .. }) => {
-                spmm::spmm_ell(a.ell(), x, y, k, pool, rows);
-                spmm::spmm_coo::<V, true>(a.coo(), x, y, k, pool, coo_entries);
-            }
-            (DynamicMatrix::Hdc(a), Parts::Hdc { rows, csr_rows, .. }) => {
-                spmm::spmm_dia(a.dia(), x, y, k, pool, rows);
-                spmm::spmm_csr::<V, true>(a.csr(), x, y, k, pool, csr_rows);
-            }
-            (DynamicMatrix::Bsr(a), Parts::Bsr { brows, .. }) => spmm::spmm_bsr(a, x, y, k, pool, brows),
-            // SAFETY: `check` saw the shares tile `a`'s slices.
-            (DynamicMatrix::Bell(a), Parts::Bell { shares }) => unsafe {
-                spmm::spmm_bell(a, x, y, k, pool, Some(shares))
-            },
-            _ => unreachable!("plan/matrix format agreement checked above"),
-        }
-        Ok(())
-    }
-
-    /// [`ExecPlan::spmv`] into a caller-owned [`Workspace`]: the shared-plan
-    /// entry point. `&self` only, so an `Arc<ExecPlan>` serves any number of
-    /// client threads, each with its own workspace; no output allocation
-    /// once the workspace has reached size.
-    pub fn spmv_into<'w>(
-        &self,
-        m: &DynamicMatrix<V>,
-        x: &[V],
-        ws: &'w mut Workspace<V>,
-        pool: &ThreadPool,
-    ) -> Result<&'w [V]> {
-        ws.run(self.nrows, |y| self.spmv(m, x, y, pool))
-    }
-
-    /// [`ExecPlan::spmm`] into a caller-owned [`Workspace`] (see
-    /// [`ExecPlan::spmv_into`]).
-    pub fn spmm_into<'w>(
-        &self,
-        m: &DynamicMatrix<V>,
-        x: &[V],
-        k: usize,
-        ws: &'w mut Workspace<V>,
-        pool: &ThreadPool,
-    ) -> Result<&'w [V]> {
-        ws.run(self.nrows * k, |y| self.spmm(m, x, y, k, pool))
-    }
-
-    /// [`ExecPlan::spmv`] into the plan's own reusable workspace: no output
-    /// allocation per iteration. The returned slice stays valid until the
-    /// next workspace execution. Requires exclusive access to the plan; a
-    /// shared plan uses [`ExecPlan::spmv_into`] with per-thread workspaces
-    /// instead.
-    pub fn spmv_workspace(&mut self, m: &DynamicMatrix<V>, x: &[V], pool: &ThreadPool) -> Result<&[V]> {
-        let mut ws = std::mem::take(&mut self.workspace);
-        let result = self.spmv_into(m, x, &mut ws, pool).map(|_| ());
-        self.workspace = ws;
-        result.map(|()| self.workspace.as_slice())
-    }
-
-    /// [`ExecPlan::spmm`] into the plan's own reusable workspace.
-    pub fn spmm_workspace(
-        &mut self,
-        m: &DynamicMatrix<V>,
-        x: &[V],
-        k: usize,
-        pool: &ThreadPool,
-    ) -> Result<&[V]> {
-        let mut ws = std::mem::take(&mut self.workspace);
-        let result = self.spmm_into(m, x, k, &mut ws, pool).map(|_| ());
-        self.workspace = ws;
-        result.map(|()| self.workspace.as_slice())
+        self.run(m, Op::Spmm { k }, x, y, Some(pool))
     }
 }
 
@@ -834,43 +781,6 @@ mod tests {
                 let scale = 1.0 + x.abs().max(y.abs());
                 (x - y).abs() <= 1e-12 * scale
             })
-    }
-
-    #[test]
-    fn planned_spmv_matches_serial_for_every_format() {
-        // Order-preserving plans (and scalar-forced plans always) are
-        // bitwise identical to serial; plans that selected the unrolled
-        // body reassociate row sums and must stay within a tight ULP bound.
-        let pool = ThreadPool::new(4);
-        let opts = ConvertOptions { min_padded_allowance: 1 << 22, ..Default::default() };
-        for seed in 0..3u64 {
-            let base = DynamicMatrix::from(random_coo::<f64>(130, 110, 1600, seed));
-            let x: Vec<f64> = (0..110).map(|i| (i as f64 * 0.73).sin()).collect();
-            for &fmt in &ALL_FORMATS {
-                let m = base.to_format(fmt, &opts).unwrap();
-                let analysis = Analysis::of(&m, opts.true_diag_alpha);
-                let mut y_ref = vec![0.0; 130];
-                spmv_serial(&m, &x, &mut y_ref).unwrap();
-                let scalar =
-                    ExecPlan::build_with_variant(&m, pool.num_threads(), None, KernelVariant::Scalar);
-                assert!(scalar.preserves_order(), "{fmt}: scalar-forced plan must preserve order");
-                let mut y = vec![f64::NAN; 130];
-                scalar.spmv(&m, &x, &mut y, &pool).unwrap();
-                assert!(bitwise_eq(&y, &y_ref), "{fmt} seed {seed}: scalar-forced");
-                for plan in [
-                    ExecPlan::build(&m, pool.num_threads(), None),
-                    ExecPlan::build(&m, pool.num_threads(), Some(&analysis)),
-                ] {
-                    let mut y = vec![f64::NAN; 130];
-                    plan.spmv(&m, &x, &mut y, &pool).unwrap();
-                    if plan.preserves_order() {
-                        assert!(bitwise_eq(&y, &y_ref), "{fmt} seed {seed}");
-                    } else {
-                        assert!(ulp_close(&y, &y_ref), "{fmt} seed {seed}: unrolled plan out of bound");
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -1046,32 +956,6 @@ mod tests {
     }
 
     #[test]
-    fn workspace_execution_matches_and_reuses_allocation() {
-        let pool = ThreadPool::new(3);
-        let m = DynamicMatrix::from(random_coo::<f64>(60, 50, 500, 5));
-        let x: Vec<f64> = (0..50).map(|i| 0.5 + i as f64).collect();
-        let mut y_ref = vec![0.0; 60];
-        spmv_serial(&m, &x, &mut y_ref).unwrap();
-        let mut plan = ExecPlan::build(&m, pool.num_threads(), None);
-        let first_ptr = {
-            let y = plan.spmv_workspace(&m, &x, &pool).unwrap();
-            assert!(bitwise_eq(y, &y_ref));
-            y.as_ptr()
-        };
-        // Second run reuses the same buffer.
-        let second_ptr = plan.spmv_workspace(&m, &x, &pool).unwrap().as_ptr();
-        assert_eq!(first_ptr, second_ptr, "workspace must be reused, not reallocated");
-
-        // SpMM workspace resizes and still matches serial.
-        let k = 3usize;
-        let xk: Vec<f64> = (0..50 * k).map(|i| (i % 7) as f64 - 3.0).collect();
-        let mut ymm_ref = vec![0.0; 60 * k];
-        spmm::spmm_serial(&m, &xk, &mut ymm_ref, k).unwrap();
-        let ymm = plan.spmm_workspace(&m, &xk, k, &pool).unwrap();
-        assert!(bitwise_eq(ymm, &ymm_ref));
-    }
-
-    #[test]
     fn plan_construction_adds_zero_matrix_traversals() {
         let opts = ConvertOptions::default();
         let base = DynamicMatrix::from(random_coo::<f64>(200, 200, 3000, 9));
@@ -1141,7 +1025,7 @@ mod tests {
                     let mut ws = Workspace::new();
                     for round in 0..3 {
                         let before = ws.capacity();
-                        let y = plan.spmv_into(&m, &x, &mut ws, pool).unwrap();
+                        let y = ws.run(90, |y| plan.spmv(&m, &x, y, pool)).unwrap();
                         assert!(bitwise_eq(y, &y_ref), "round {round}");
                         if round > 0 {
                             assert_eq!(ws.capacity(), before, "steady state must not reallocate");

@@ -192,7 +192,7 @@ mod tests {
     use crate::dynamic::DynamicMatrix;
     use crate::format::ALL_FORMATS;
     use crate::plan::ExecPlan;
-    use crate::spmv::{spmv_serial, spmv_threaded, ExecPolicy};
+    use crate::spmv::spmv_serial;
     use crate::test_util::random_coo;
     use morpheus_parallel::ThreadPool;
 
@@ -206,8 +206,8 @@ mod tests {
     }
 
     /// The registry-completeness gate: every registered format must have a
-    /// working converter (COO roundtrip), serial + threaded SpMV kernels,
-    /// SpMM kernels, and an `ExecPlan` builder. A format that compiles but
+    /// working converter (COO roundtrip), a serial SpMV kernel, SpMM
+    /// kernels, and an `ExecPlan` builder with its ranged kernels. A format that compiles but
     /// was not wired end to end fails here, not in production dispatch.
     #[test]
     fn every_registered_format_is_wired_end_to_end() {
@@ -234,13 +234,6 @@ mod tests {
                 assert!((y[i] - y_ref[i]).abs() <= 1e-10 * (1.0 + y_ref[i].abs()), "{}", entry.id);
             }
 
-            // Threaded kernel.
-            let mut yt = vec![f64::NAN; 48];
-            spmv_threaded(&m, &x, &mut yt, &pool, morpheus_parallel::Schedule::default()).unwrap();
-            for i in 0..48 {
-                assert!((yt[i] - y_ref[i]).abs() <= 1e-10 * (1.0 + y_ref[i].abs()), "{}", entry.id);
-            }
-
             // Plan builder + planned execution.
             let plan = ExecPlan::build(&m, 3, None);
             assert!(plan.matches(&m), "{}: plan does not fit its own matrix", entry.id);
@@ -254,7 +247,7 @@ mod tests {
             let k = 3usize;
             let xb = vec![1.0f64; 40 * k];
             let mut yb = vec![f64::NAN; 48 * k];
-            crate::spmm::spmm(&m, &xb, &mut yb, k, ExecPolicy::Serial).unwrap();
+            crate::spmm::spmm_serial(&m, &xb, &mut yb, k).unwrap();
             assert!(yb.iter().all(|v| v.is_finite()), "{}", entry.id);
 
             // Name table.

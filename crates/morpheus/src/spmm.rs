@@ -1,6 +1,5 @@
 //! Sparse matrix × dense matrix multiplication (SpMM): `Y = A · X` for a
-//! block of right-hand sides, on the Serial and the threaded ("OpenMP")
-//! backend.
+//! block of right-hand sides.
 //!
 //! The paper notes its "techniques and algorithms ... are transferable to
 //! other sparse operations" (§V); SpMM is the first such operation block
@@ -16,10 +15,10 @@
 //! registers — a const-generic panel of up to 16 right-hand sides, wider `k`
 //! in several panels — and adds them in the order the format's SpMV kernel
 //! does, so every output column is **bitwise identical** to an SpMV on that
-//! column, serial or planned. [`spmm_threaded`] builds a throwaway plan per
-//! call; iterative callers should build the plan once and call
-//! [`crate::plan::ExecPlan::spmm`] directly (or go through the Oracle,
-//! which caches plans per matrix structure).
+//! column, serial or planned. The two entry styles are those of
+//! [`crate::spmv`]: [`spmm_serial`], and a plan built once whose
+//! [`run`](crate::plan::ExecPlan::run) (or the Oracle, which caches plans per
+//! matrix structure) replays its ranges.
 
 use crate::bell::{BellBucket, BellMatrix, BellShare, SLICE};
 use crate::bsr::BsrMatrix;
@@ -29,10 +28,8 @@ use crate::dia::DiaMatrix;
 use crate::dynamic::DynamicMatrix;
 use crate::ell::{EllMatrix, ELL_PAD};
 use crate::error::MorpheusError;
-use crate::plan::ExecPlan;
 use crate::scalar::Scalar;
 use crate::spmv::threaded::{coo_owned_rows, for_each_part};
-use crate::spmv::ExecPolicy;
 use crate::Result;
 use morpheus_parallel::{SharedSlice, ThreadPool};
 use std::ops::Range;
@@ -53,26 +50,8 @@ pub(crate) fn check_spmm_shapes<V: Scalar>(m: &DynamicMatrix<V>, x: &[V], y: &[V
     Ok(())
 }
 
-/// `Y = A X` under the given execution policy (`x` row-major `ncols x k`,
-/// `y` row-major `nrows x k`).
-///
-/// The threaded policy's [`Schedule`](morpheus_parallel::Schedule) is not
-/// consulted: SpMM always runs over plan-style row partitions (static rows,
-/// nnz-weighted for CSR, row-aligned entry chunks for COO).
-pub fn spmm<V: Scalar>(
-    m: &DynamicMatrix<V>,
-    x: &[V],
-    y: &mut [V],
-    k: usize,
-    policy: ExecPolicy<'_>,
-) -> Result<()> {
-    match policy {
-        ExecPolicy::Serial => spmm_serial(m, x, y, k),
-        ExecPolicy::Threaded { pool, .. } => spmm_threaded(m, x, y, k, pool),
-    }
-}
-
-/// `Y = A X` on the serial backend.
+/// `Y = A X` on the serial backend (`x` row-major `ncols x k`, `y` row-major
+/// `nrows x k`).
 pub fn spmm_serial<V: Scalar>(m: &DynamicMatrix<V>, x: &[V], y: &mut [V], k: usize) -> Result<()> {
     check_spmm_shapes(m, x, y, k)?;
     // One part covering every unit: the ranged bodies are the serial kernels.
@@ -97,21 +76,6 @@ pub fn spmm_serial<V: Scalar>(m: &DynamicMatrix<V>, x: &[V], y: &mut [V], k: usi
         DynamicMatrix::Bell(a) => unsafe { spmm_bell(a, x, y, k, None, None) },
     }
     Ok(())
-}
-
-/// `Y = A X` on the threaded backend, bitwise identical to
-/// [`spmm_serial`].
-///
-/// Builds a one-shot [`ExecPlan`] for the partitioning; amortise that cost
-/// in iterative loops by holding the plan (or an Oracle session) instead.
-pub fn spmm_threaded<V: Scalar>(
-    m: &DynamicMatrix<V>,
-    x: &[V],
-    y: &mut [V],
-    k: usize,
-    pool: &ThreadPool,
-) -> Result<()> {
-    ExecPlan::build(m, pool.num_threads(), None).spmm(m, x, y, k, pool)
 }
 
 // ---------------------------------------------------------------------------
@@ -601,6 +565,7 @@ mod tests {
     use super::*;
     use crate::convert::ConvertOptions;
     use crate::format::ALL_FORMATS;
+    use crate::plan::ExecPlan;
     use crate::spmv::spmv_serial;
     use crate::test_util::random_coo;
 
@@ -656,8 +621,8 @@ mod tests {
         assert!(spmm_serial(&m, &x, &mut y_short, 2).is_err());
     }
 
-    /// Threaded SpMM must be *bitwise* identical to serial in every format
-    /// (same per-row accumulation order).
+    /// Planned SpMM across a pool must be *bitwise* identical to serial in
+    /// every format (same per-row accumulation order).
     #[test]
     fn threaded_spmm_is_bitwise_identical_to_serial() {
         let pool = ThreadPool::new(4);
@@ -673,30 +638,10 @@ mod tests {
                 let mut ys = vec![0.0; base.nrows() * k];
                 spmm_serial(&m, &x, &mut ys, k).unwrap();
                 let mut yt = vec![f64::NAN; base.nrows() * k];
-                spmm_threaded(&m, &x, &mut yt, k, &pool).unwrap();
+                ExecPlan::build(&m, pool.num_threads(), None).spmm(&m, &x, &mut yt, k, &pool).unwrap();
                 let same = ys.iter().zip(&yt).all(|(a, b)| a.to_bits() == b.to_bits());
                 assert!(same, "{fmt} seed {seed}: threaded SpMM diverged from serial");
             }
         }
-    }
-
-    #[test]
-    fn spmm_policy_dispatch() {
-        let pool = ThreadPool::new(2);
-        let m = DynamicMatrix::from(random_coo::<f64>(25, 25, 120, 2));
-        let k = 4usize;
-        let x = vec![1.5; 25 * k];
-        let mut y1 = vec![0.0; 25 * k];
-        let mut y2 = vec![0.0; 25 * k];
-        spmm(&m, &x, &mut y1, k, ExecPolicy::Serial).unwrap();
-        spmm(
-            &m,
-            &x,
-            &mut y2,
-            k,
-            ExecPolicy::Threaded { pool: &pool, schedule: morpheus_parallel::Schedule::default() },
-        )
-        .unwrap();
-        assert_eq!(y1, y2);
     }
 }

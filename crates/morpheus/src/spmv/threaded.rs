@@ -3,32 +3,23 @@
 //! Every kernel partitions the *rows* of the matrix across workers so each
 //! element of `y` has exactly one writer — no atomics are needed, and
 //! results are bitwise identical to the serial kernels (same per-row
-//! accumulation order). The per-range bodies additionally come in
-//! bottleneck-specialised [`KernelVariant`]s (see [`crate::spmv::variant`]):
-//! the schedule-driven and per-call kernels here only ever select
-//! order-preserving variants, keeping the bitwise contract; planned
-//! execution ([`crate::plan::ExecPlan`]) may additionally choose the
-//! unrolled/SIMD CSR body, whose results are ULP-bounded instead.
+//! accumulation order) whenever every range runs an order-preserving
+//! [`KernelVariant`] (see [`crate::spmv::variant`]); the unrolled/SIMD CSR
+//! body a plan may choose is ULP-bounded instead.
 //!
-//! The per-range loop bodies are shared by three entry styles:
-//!
-//! * **schedule-driven** ([`spmv_csr`], [`spmv_dia`], [`spmv_ell`], ...):
-//!   rows are partitioned with the caller's [`Schedule`] on every call, the
-//!   analogue of Morpheus' `#pragma omp parallel for` loops;
-//! * **per-call balanced** ([`spmv_csr_balanced`], [`spmv_coo`]): an
-//!   nnz-weighted or row-aligned partition is recomputed on every call;
-//! * **planned** (the `*_ranges` kernels behind [`crate::plan::ExecPlan`]):
-//!   precomputed parts are replayed by [`for_each_part`] with no per-call
-//!   scheduling work at all — one dispatch per pass over the matrix, part `p`
-//!   on the same pool index every call — the steady-state path for
-//!   iterative solvers.
+//! There is one entry style: the `*_ranges` kernels replay the precomputed
+//! parts of a [`crate::plan::ExecPlan`] through [`for_each_part`] with no
+//! per-call scheduling work at all — one dispatch per pass over the matrix,
+//! part `p` on the same pool index every call, or inline in order without a
+//! pool. [`crate::plan::ExecPlan::run`] is their only caller outside this
+//! module and [`crate::spmm`]; nothing here derives a partition.
 //!
 //! Two bodies are shared beyond this module. `csr_rows` is the one scalar
 //! CSR row loop: the serial kernels run it over every row. BELL has exactly
 //! one body, the slice walker `crate::spmv::bell::bell_segment` (portable
-//! and AVX2 forms, chosen by [`CpuFeatures`]): [`spmv_bell`] and
-//! `spmv_bell_shares` here, the serial kernels and — through their plans —
-//! partitioned shards all run it, and it carries no variants.
+//! and AVX2 forms, chosen by [`CpuFeatures`]): `spmv_bell_shares` here, the
+//! serial kernels and — through their plans — partitioned shards all run
+//! it, and it carries no variants.
 
 use crate::bell::{BellMatrix, BellShare};
 use crate::bsr::BsrMatrix;
@@ -36,15 +27,10 @@ use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::dia::DiaMatrix;
 use crate::ell::{EllMatrix, ELL_PAD};
-use crate::hdc::HdcMatrix;
-use crate::hyb::HybMatrix;
 use crate::scalar::Scalar;
 use crate::spmv::bell::bell_segment;
 use crate::spmv::variant::{self, CpuFeatures, KernelVariant};
-use morpheus_parallel::{
-    row_aligned_partition, static_partition, weighted_partition, weighted_partition_with, Schedule,
-    SharedSlice, ThreadPool,
-};
+use morpheus_parallel::{SharedSlice, ThreadPool};
 use std::ops::Range;
 
 /// Shared mutable output vector. Soundness contract: concurrent callers must
@@ -52,7 +38,7 @@ use std::ops::Range;
 type SharedOut<V> = SharedSlice<V>;
 
 // ---------------------------------------------------------------------------
-// Per-range loop bodies (shared by every entry style)
+// Per-range loop bodies
 // ---------------------------------------------------------------------------
 
 /// CSR rows `rows`: per-row gather/reduce, written (or accumulated) into
@@ -463,152 +449,6 @@ pub(crate) unsafe fn bsr_block_rows_variant<V: Scalar>(
 }
 
 // ---------------------------------------------------------------------------
-// Schedule-driven kernels (per-call OpenMP-style partitioning)
-// ---------------------------------------------------------------------------
-
-/// CSR kernel with the caller's schedule over rows — the direct analogue of
-/// Morpheus' `#pragma omp parallel for` CSR loop. Skewed row distributions
-/// therefore suffer real load imbalance (which the auto-tuner exploits by
-/// switching formats); see [`spmv_csr_balanced`] for the mitigated variant.
-pub fn spmv_csr<V: Scalar>(a: &CsrMatrix<V>, x: &[V], y: &mut [V], pool: &ThreadPool, schedule: Schedule) {
-    let out = SharedOut::new(y);
-    pool.parallel_for_ranges(0..a.nrows(), schedule, |rows| {
-        // SAFETY: scheduled row ranges are disjoint.
-        unsafe { csr_rows::<V, false>(a, x, &out, rows) };
-    });
-}
-
-/// CSR accumulate kernel (`y += A x`), used by the HDC composite.
-pub fn spmv_csr_acc<V: Scalar>(
-    a: &CsrMatrix<V>,
-    x: &[V],
-    y: &mut [V],
-    pool: &ThreadPool,
-    schedule: Schedule,
-) {
-    let out = SharedOut::new(y);
-    pool.parallel_for_ranges(0..a.nrows(), schedule, |rows| {
-        // SAFETY: scheduled row ranges are disjoint.
-        unsafe { csr_rows::<V, true>(a, x, &out, rows) };
-    });
-}
-
-/// CSR kernel with nnz-balanced row partitioning — an extension over the
-/// paper's OpenMP kernel that splits rows so every thread receives a near
-/// equal number of non-zeros, taming skewed matrices without a format
-/// switch. Recomputes the partition on every call; an
-/// [`crate::plan::ExecPlan`] holds the identical partition precomputed.
-pub fn spmv_csr_balanced<V: Scalar>(a: &CsrMatrix<V>, x: &[V], y: &mut [V], pool: &ThreadPool) {
-    let weights = a.row_nnz_counts();
-    let parts = weighted_partition(&weights, pool.num_threads());
-    let out = SharedOut::new(y);
-    pool.parallel_over_parts(&parts, |_p, rows| {
-        // SAFETY: weighted row partitions are disjoint.
-        unsafe { csr_rows::<V, false>(a, x, &out, rows) };
-    });
-}
-
-/// COO kernel: row-aligned entry chunks, each zeroing then accumulating the
-/// rows it owns. The chunks are recomputed from the sorted row array on
-/// every call; the planned variant reuses the splits held by an `ExecPlan`.
-pub fn spmv_coo<V: Scalar>(a: &CooMatrix<V>, x: &[V], y: &mut [V], pool: &ThreadPool) {
-    let chunks = row_aligned_partition(a.row_indices(), pool.num_threads());
-    spmv_coo_ranges(a, x, y, Some(pool), &chunks);
-}
-
-/// COO accumulate kernel (`y += A x`), used by the HYB composite.
-pub fn spmv_coo_acc<V: Scalar>(a: &CooMatrix<V>, x: &[V], y: &mut [V], pool: &ThreadPool) {
-    if a.nnz() == 0 {
-        return;
-    }
-    let chunks = row_aligned_partition(a.row_indices(), pool.num_threads());
-    let out = SharedOut::new(y);
-    pool.parallel_over_parts(&chunks, |_p, entries| {
-        // SAFETY: chunks are aligned to row boundaries, so each row —
-        // hence each y element — is touched by exactly one chunk.
-        unsafe { coo_entries(a, x, &out, entries) };
-    });
-}
-
-/// DIA kernel: rows are partitioned with the caller's schedule; within a
-/// chunk each diagonal is streamed contiguously, as in the serial kernel.
-pub fn spmv_dia<V: Scalar>(a: &DiaMatrix<V>, x: &[V], y: &mut [V], pool: &ThreadPool, schedule: Schedule) {
-    let out = SharedOut::new(y);
-    pool.parallel_for_ranges(0..a.nrows(), schedule, |rows| {
-        // SAFETY: row ranges scheduled by parallel_for_ranges are disjoint.
-        unsafe { dia_rows(a, x, &out, rows) };
-    });
-}
-
-/// ELL kernel: rows partitioned with the caller's schedule; the inner loop
-/// walks the column-major slabs contiguously within the chunk.
-pub fn spmv_ell<V: Scalar>(a: &EllMatrix<V>, x: &[V], y: &mut [V], pool: &ThreadPool, schedule: Schedule) {
-    let out = SharedOut::new(y);
-    pool.parallel_for_ranges(0..a.nrows(), schedule, |rows| {
-        // SAFETY: row ranges scheduled by parallel_for_ranges are disjoint.
-        unsafe { ell_rows(a, x, &out, rows) };
-    });
-}
-
-/// HYB kernel: ELL pass defines `y`, COO pass accumulates. Both portions'
-/// splits are derived **once** per call (static rows for the slab,
-/// row-aligned entries for the surplus) and executed through the same
-/// per-range variant bodies an [`crate::plan::ExecPlan`] replays, so kernel
-/// variants apply uniformly to composite formats. The `schedule` parameter
-/// is kept for API compatibility; composite portions always use their
-/// plan-shaped partitions (results are bitwise identical either way).
-pub fn spmv_hyb<V: Scalar>(a: &HybMatrix<V>, x: &[V], y: &mut [V], pool: &ThreadPool, _schedule: Schedule) {
-    let threads = pool.num_threads();
-    let rows = static_partition(a.nrows(), threads);
-    let row_variants: Vec<KernelVariant> =
-        rows.iter().map(|r| variant::select_ell(a.ell().width(), r.len())).collect();
-    spmv_ell_ranges(a.ell(), x, y, Some(pool), &rows, &row_variants);
-    let entries = row_aligned_partition(a.coo().row_indices(), threads);
-    spmv_coo_acc_ranges(a.coo(), x, y, Some(pool), &entries);
-}
-
-/// HDC kernel: DIA pass defines `y`, CSR pass accumulates. As with
-/// [`spmv_hyb`], both portions' splits are derived once per call (static
-/// DIA rows, nnz-weighted CSR rows) and run through the shared per-range
-/// variant bodies; `schedule` is kept for API compatibility. Per-call
-/// kernels keep this module's bitwise-identical-to-serial contract, so
-/// only order-preserving variants are selected here (the CSR remainder
-/// stays on the scalar body; bottleneck-driven `Unrolled`/`Prefetch`
-/// selection lives in [`crate::plan::ExecPlan`]).
-pub fn spmv_hdc<V: Scalar>(a: &HdcMatrix<V>, x: &[V], y: &mut [V], pool: &ThreadPool, _schedule: Schedule) {
-    let threads = pool.num_threads();
-    let dia = a.dia();
-    let rows = static_partition(dia.nrows(), threads);
-    let dia_variants: Vec<KernelVariant> =
-        rows.iter().map(|r| variant::select_dia(dia.offsets().len(), r.len())).collect();
-    spmv_dia_ranges(dia, x, y, Some(pool), &rows, &dia_variants);
-    let csr = a.csr();
-    let offs = csr.row_offsets();
-    let csr_rows = weighted_partition_with(csr.nrows(), threads, |r| offs[r + 1] - offs[r]);
-    let csr_variants = vec![KernelVariant::Scalar; csr_rows.len()];
-    spmv_csr_acc_ranges(csr, x, y, Some(pool), &csr_rows, &csr_variants);
-}
-
-/// BSR kernel: block rows are partitioned weighted by their entry counts
-/// (a block row is the atomic work unit — it owns `block_r` output rows).
-pub fn spmv_bsr<V: Scalar>(a: &BsrMatrix<V>, x: &[V], y: &mut [V], pool: &ThreadPool) {
-    let offs = a.block_row_offsets();
-    let brows = weighted_partition_with(a.nblockrows(), pool.num_threads(), |br| offs[br + 1] - offs[br]);
-    let out = SharedOut::new(y);
-    pool.parallel_over_parts(&brows, |_p, r| {
-        // SAFETY: weighted block-row partitions are disjoint.
-        unsafe { bsr_block_rows(a, x, &out, r) };
-    });
-}
-
-/// BELL kernel over cell-balanced shares, one per pool index. The shares are
-/// recomputed per call; an [`crate::plan::ExecPlan`] holds them precomputed.
-pub fn spmv_bell<V: Scalar>(a: &BellMatrix<V>, x: &[V], y: &mut [V], pool: &ThreadPool) {
-    // SAFETY: `a`'s own shares tile its slices.
-    unsafe { spmv_bell_shares(a, x, y, Some(pool), &a.shares(pool.num_threads())) }
-}
-
-// ---------------------------------------------------------------------------
 // Planned kernels: thin loops over precomputed `ExecPlan` parts
 // ---------------------------------------------------------------------------
 
@@ -804,6 +644,7 @@ mod tests {
     use crate::convert::{coo_to_csr, ConvertOptions};
     use crate::spmv::serial;
     use crate::test_util::random_coo;
+    use morpheus_parallel::{row_aligned_partition, static_partition, weighted_partition};
 
     #[test]
     fn row_aligned_partition_never_splits_rows() {
@@ -827,62 +668,15 @@ mod tests {
     }
 
     #[test]
-    fn threaded_matches_serial_exactly() {
-        // Same accumulation order per row => bitwise equality.
-        let pool = ThreadPool::new(4);
-        let coo = random_coo::<f64>(200, 150, 3000, 42);
-        let csr = coo_to_csr(&coo);
-        let x: Vec<f64> = (0..150).map(|i| (i as f64).sin()).collect();
-        let mut ys = vec![0.0; 200];
-        serial::spmv_csr(&csr, &x, &mut ys);
-        for sched in [Schedule::default(), Schedule::dynamic(), Schedule::guided()] {
-            let mut yt = vec![0.0; 200];
-            spmv_csr(&csr, &x, &mut yt, &pool, sched);
-            assert_eq!(ys, yt, "CSR threaded ({}) must be bitwise equal to serial", sched.name());
-        }
-        let mut yb = vec![0.0; 200];
-        spmv_csr_balanced(&csr, &x, &mut yb, &pool);
-        assert_eq!(ys, yb, "balanced CSR must be bitwise equal to serial");
-
-        let mut ys = vec![0.0; 200];
-        serial::spmv_coo(&coo, &x, &mut ys);
-        let mut yt = vec![0.0; 200];
-        spmv_coo(&coo, &x, &mut yt, &pool);
-        assert_eq!(ys, yt, "COO threaded must be bitwise equal to serial");
-    }
-
-    #[test]
-    fn threaded_hybrids_match_serial() {
-        let pool = ThreadPool::new(3);
-        let opts = ConvertOptions::default();
-        let coo = random_coo::<f64>(120, 120, 1400, 7);
-        let x: Vec<f64> = (0..120).map(|i| 1.0 + (i % 5) as f64).collect();
-
-        let hyb = crate::convert::coo_to_hyb(&coo, &opts).unwrap();
-        let mut ys = vec![0.0; 120];
-        serial::spmv_hyb(&hyb, &x, &mut ys);
-        let mut yt = vec![0.0; 120];
-        spmv_hyb(&hyb, &x, &mut yt, &pool, Schedule::default());
-        assert_eq!(ys, yt);
-
-        let hdc = crate::convert::coo_to_hdc(&coo, &opts).unwrap();
-        let mut ys = vec![0.0; 120];
-        serial::spmv_hdc(&hdc, &x, &mut ys);
-        let mut yt = vec![0.0; 120];
-        spmv_hdc(&hdc, &x, &mut yt, &pool, Schedule::dynamic());
-        assert_eq!(ys, yt);
-    }
-
-    #[test]
     fn empty_coo_acc_is_noop() {
         let pool = ThreadPool::new(2);
         let coo = CooMatrix::<f64>::new(4, 4);
         let x = vec![1.0; 4];
         let mut y = vec![3.0; 4];
-        spmv_coo_acc(&coo, &x, &mut y, &pool);
+        spmv_coo_acc_ranges(&coo, &x, &mut y, Some(&pool), &[]);
         assert_eq!(y, vec![3.0; 4]);
         // The defining kernel still has every row to zero.
-        spmv_coo(&coo, &x, &mut y, &pool);
+        spmv_coo_ranges(&coo, &x, &mut y, Some(&pool), &[]);
         assert_eq!(y, vec![0.0; 4]);
     }
 

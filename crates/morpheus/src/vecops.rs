@@ -7,7 +7,7 @@
 //! deterministic run-to-run for a fixed thread count.
 
 use crate::scalar::Scalar;
-use morpheus_parallel::{Schedule, ThreadPool};
+use morpheus_parallel::{static_partition, SharedSlice, ThreadPool};
 
 /// `y += alpha * x` (serial).
 pub fn axpy<V: Scalar>(alpha: V, x: &[V], y: &mut [V]) {
@@ -47,71 +47,55 @@ pub fn scale<V: Scalar>(alpha: V, x: &mut [V]) {
     }
 }
 
+/// Runs `body(x_part, y_part)` on the matching sub-slices that
+/// `static_partition` gives each pool index, in one dispatch.
+fn zip_static_parts<V: Scalar>(
+    x: &[V],
+    y: &mut [V],
+    pool: &ThreadPool,
+    body: impl Fn(&[V], &mut [V]) + Sync,
+) {
+    let parts = static_partition(y.len(), pool.num_threads());
+    let out = SharedSlice::new(y);
+    pool.run_on_all(&|w| {
+        if let Some(r) = parts.get(w) {
+            // SAFETY: static ranges are disjoint, one per pool index.
+            body(&x[r.clone()], unsafe { out.slice_mut(r.start, r.len()) });
+        }
+    });
+}
+
 /// `y += alpha * x` (threaded).
 pub fn axpy_threaded<V: Scalar>(alpha: V, x: &[V], y: &mut [V], pool: &ThreadPool) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    let ptr = SharedVec { ptr: y.as_mut_ptr(), len: y.len() };
-    pool.parallel_for_ranges(0..x.len(), Schedule::default(), |r| {
-        // SAFETY: static ranges are disjoint.
-        let ys = unsafe { ptr.slice(r.clone()) };
-        for (yi, &xi) in ys.iter_mut().zip(&x[r]) {
-            *yi += alpha * xi;
-        }
-    });
+    zip_static_parts(x, y, pool, |xs, ys| axpy(alpha, xs, ys));
 }
 
 /// `y = x + beta * y` (threaded).
 pub fn xpby_threaded<V: Scalar>(x: &[V], beta: V, y: &mut [V], pool: &ThreadPool) {
     assert_eq!(x.len(), y.len(), "xpby length mismatch");
-    let ptr = SharedVec { ptr: y.as_mut_ptr(), len: y.len() };
-    pool.parallel_for_ranges(0..x.len(), Schedule::default(), |r| {
-        // SAFETY: static ranges are disjoint.
-        let ys = unsafe { ptr.slice(r.clone()) };
-        for (yi, &xi) in ys.iter_mut().zip(&x[r]) {
-            *yi = xi + beta * *yi;
-        }
-    });
+    zip_static_parts(x, y, pool, |xs, ys| xpby(xs, beta, ys));
 }
 
-/// Dot product (threaded); deterministic for a fixed thread count.
+/// Dot product (threaded); deterministic for a fixed thread count: one
+/// partial per pool index, folded in index order.
 pub fn dot_threaded<V: Scalar>(x: &[V], y: &[V], pool: &ThreadPool) -> V {
     assert_eq!(x.len(), y.len(), "dot length mismatch");
-    pool.parallel_reduce(
-        0..x.len(),
-        Schedule::default(),
-        V::ZERO,
-        |r| {
-            let mut acc = V::ZERO;
-            for i in r {
-                acc += x[i] * y[i];
-            }
-            acc
-        },
-        |a, b| a + b,
-    )
+    let mut partials = vec![V::ZERO; pool.num_threads()];
+    let parts = static_partition(x.len(), pool.num_threads());
+    let out = SharedSlice::new(&mut partials);
+    pool.run_on_all(&|w| {
+        if let Some(r) = parts.get(w) {
+            // SAFETY: index `w` is the only writer of slot `w`.
+            unsafe { out.set(w, dot(&x[r.clone()], &y[r.clone()])) };
+        }
+    });
+    partials[..parts.len()].iter().fold(V::ZERO, |a, &b| a + b)
 }
 
 /// Euclidean norm (threaded).
 pub fn norm2_threaded<V: Scalar>(x: &[V], pool: &ThreadPool) -> V {
     dot_threaded(x, x, pool).sqrt()
-}
-
-struct SharedVec<V> {
-    ptr: *mut V,
-    len: usize,
-}
-
-unsafe impl<V: Send> Send for SharedVec<V> {}
-unsafe impl<V: Send> Sync for SharedVec<V> {}
-
-impl<V> SharedVec<V> {
-    /// # Safety
-    /// Ranges passed by concurrent callers must be disjoint and in-bounds.
-    #[allow(clippy::mut_from_ref)] // aliasing is excluded by the disjoint-ranges contract above
-    unsafe fn slice(&self, r: std::ops::Range<usize>) -> &mut [V] {
-        debug_assert!(r.end <= self.len);
-        std::slice::from_raw_parts_mut(self.ptr.add(r.start), r.len())
-    }
 }
 
 #[cfg(test)]

@@ -1,12 +1,18 @@
 //! Property-based integration tests: format invariants under random
-//! matrices, spanning the corpus generators and the format library.
+//! matrices, spanning the corpus generators and the format library — and
+//! the execution differential: every way there is to execute a matrix
+//! against the serial CSR kernel.
 
 use morpheus_repro::morpheus::format::{FormatId, ALL_FORMATS};
-use morpheus_repro::morpheus::spmv::{spmv_serial, spmv_threaded};
+use morpheus_repro::morpheus::spmm::spmm_serial;
+use morpheus_repro::morpheus::spmv::spmv_serial;
 use morpheus_repro::morpheus::stats::stats_of;
-use morpheus_repro::morpheus::{ConvertOptions, CooMatrix, DynamicMatrix};
+use morpheus_repro::morpheus::{
+    Analysis, ConvertOptions, CooMatrix, DynamicMatrix, ExecPlan, Op, Partition, PartitionConfig,
+    PartitionedMatrix,
+};
 use morpheus_repro::oracle::FeatureVector;
-use morpheus_repro::parallel::{Schedule, ThreadPool};
+use morpheus_repro::parallel::ThreadPool;
 use proptest::prelude::*;
 
 /// Strategy: a small random sparse matrix as (nrows, ncols, entries).
@@ -27,6 +33,62 @@ fn arb_matrix() -> impl Strategy<Value = DynamicMatrix<f64>> {
 fn tolerant_opts() -> ConvertOptions {
     // Small matrices: allow any amount of padding so every format converts.
     ConvertOptions { min_padded_allowance: 1 << 24, ..Default::default() }
+}
+
+/// A matrix for the execution differential, of the shapes a ranged kernel
+/// has a special case for: no entries at all, a single row, runs of empty
+/// rows at either end or in the middle, one row far longer than the others,
+/// rows long enough for a plan to pick the unrolled CSR body, plain scatter.
+/// The values do not sum exactly, so a row summed in another order shows in
+/// the last bits.
+fn arb_exec_matrix() -> impl Strategy<Value = DynamicMatrix<f64>> {
+    (1usize..70, 1usize..45, 0usize..7, 0u64..u64::MAX).prop_map(|(nrows, ncols, flavour, seed)| {
+        let nrows = if flavour == 1 { 1 } else { nrows };
+        let ncols = if flavour == 5 { ncols + 40 } else { ncols };
+        let mut next = seed | 1;
+        let mut rand = move |n: usize| {
+            next = next.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (next >> 33) as usize % n
+        };
+        let mut entries: Vec<(usize, usize)> = Vec::new();
+        if flavour != 0 {
+            entries.extend((0..3 * nrows).map(|_| (rand(nrows), rand(ncols))));
+        }
+        match flavour {
+            // Only the middle third holds entries / only the outer thirds do.
+            2 => entries.retain(|&(r, _)| r >= nrows / 3 && r < 2 * nrows / 3),
+            3 => entries.retain(|&(r, _)| r < nrows / 3 || r >= 2 * nrows / 3),
+            // One full row among the short ones.
+            4 => entries.extend((0..ncols).map(|c| (nrows / 2, c))),
+            // Seven columns in eight of every row.
+            5 => {
+                entries = (0..nrows * ncols)
+                    .map(|i| (i / ncols, i % ncols))
+                    .filter(|(r, c)| (r + c) % 8 != 0)
+                    .collect()
+            }
+            _ => {}
+        }
+        entries.sort_unstable();
+        entries.dedup();
+        let (rows, cols): (Vec<usize>, Vec<usize>) = entries.into_iter().unzip();
+        // Strictly non-zero: DIA storage cannot tell an explicit zero from padding.
+        let vals: Vec<f64> = (0..rows.len()).map(|i| 0.1 + ((i * 37) % 101) as f64 / 7.0).collect();
+        DynamicMatrix::from(CooMatrix::from_triplets(nrows, ncols, &rows, &cols, &vals).unwrap())
+    })
+}
+
+/// `y` against `y_ref`: bit for bit, or — for an execution that reorders a
+/// row's sum — within `1e-9 * (1 + |y_ref|)`.
+fn assert_agrees(y: &[f64], y_ref: &[f64], bitwise: bool, what: &str) {
+    assert_eq!(y.len(), y_ref.len(), "{what}");
+    for (i, (a, b)) in y.iter().zip(y_ref).enumerate() {
+        if bitwise {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: y[{i}] = {a} vs {b}");
+        } else {
+            assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()), "{what}: y[{i}] = {a} vs {b}");
+        }
+    }
 }
 
 proptest! {
@@ -66,19 +128,67 @@ proptest! {
         }
     }
 
-    /// The threaded backend equals the serial backend bit-for-bit.
+    /// The execution differential. Every execution there is — each format,
+    /// whole (its plan built with or without an analysis) or partitioned on
+    /// 8-row seams, SpMV or SpMM, balanced for 1–5 workers and run inline or
+    /// across a pool of any width from 1 to 5 (so with more parts than
+    /// workers, and fewer) — against the serial kernel on CSR: bit for bit
+    /// where every range's body keeps the serial order of a row's sum
+    /// (`preserves_order`; SpMM's always do), within tolerance where the
+    /// unrolled CSR body reassociates it. HDC is the one format whose own
+    /// order is not CSR's — a row's true-diagonal entries are summed before
+    /// the rest — so it is bitwise against its own serial kernel and within
+    /// tolerance of CSR's.
     #[test]
-    fn threaded_equals_serial(m in arb_matrix(), threads in 1usize..5) {
+    fn threaded_equals_serial(
+        m in arb_exec_matrix(),
+        workers in 1usize..6,
+        pool_width in 0usize..6,
+        op in (0usize..4).prop_map(|i| [Op::Spmv, Op::Spmm { k: 1 }, Op::Spmm { k: 3 }, Op::Spmm { k: 8 }][i]),
+        analysed in 0usize..2,
+        shards in 1usize..5,
+    ) {
         let opts = tolerant_opts();
-        let pool = ThreadPool::new(threads);
-        let x: Vec<f64> = (0..m.ncols()).map(|i| (i % 7) as f64 * 0.5 - 1.0).collect();
+        let k = op.rhs_count();
+        let x: Vec<f64> = (0..m.ncols() * k).map(|i| ((i * 29 + 3) % 17) as f64 / 3.0 - 2.5).collect();
+        let serial = |a: &DynamicMatrix<f64>| {
+            let mut y = vec![f64::NAN; a.nrows() * k];
+            match op {
+                Op::Spmv => spmv_serial(a, &x, &mut y).unwrap(),
+                Op::Spmm { k } => spmm_serial(a, &x, &mut y, k).unwrap(),
+            }
+            y
+        };
+        let y_csr = serial(&m.to_format(FormatId::Csr, &opts).unwrap());
+        // Width 0: no pool, every part inline on this thread.
+        let pool = (pool_width > 0).then(|| ThreadPool::new(pool_width));
+        let pool = pool.as_ref();
+        let analysis = Analysis::of(&m, opts.true_diag_alpha);
+        let config = PartitionConfig {
+            max_shards: shards,
+            target_shard_nnz: (m.nnz() / shards).max(1),
+            ..Default::default()
+        };
+        let partition = Partition::from_row_prefix(&analysis.rows.prefix, &config);
         for &fmt in &ALL_FORMATS {
-            let converted = m.to_format(fmt, &opts).unwrap();
-            let mut ys = vec![0.0; m.nrows()];
-            spmv_serial(&converted, &x, &mut ys).unwrap();
-            let mut yt = vec![0.0; m.nrows()];
-            spmv_threaded(&converted, &x, &mut yt, &pool, Schedule::default()).unwrap();
-            prop_assert_eq!(&ys, &yt, "{} with {} threads", fmt, threads);
+            let how = format!("{fmt} {op} for {workers} on {pool_width}");
+            let csr_order = fmt != FormatId::Hdc;
+
+            let whole = m.to_format(fmt, &opts).unwrap();
+            let own = Analysis::of(&whole, opts.true_diag_alpha);
+            let plan = ExecPlan::build(&whole, workers, (analysed == 1).then_some(&own));
+            let in_order = op != Op::Spmv || plan.preserves_order();
+            let mut y = vec![f64::NAN; m.nrows() * k];
+            plan.run(&whole, op, &x, &mut y, pool).unwrap();
+            assert_agrees(&y, &serial(&whole), in_order, &format!("{how}, whole, own serial"));
+            assert_agrees(&y, &y_csr, in_order && csr_order, &format!("{how}, whole, CSR serial"));
+
+            let pm = PartitionedMatrix::build(&m, &partition, &opts, workers, Some(&analysis), |_, _, _| fmt)
+                .unwrap();
+            let in_order = op != Op::Spmv || pm.preserves_order();
+            let mut y = vec![f64::NAN; m.nrows() * k];
+            pm.run(op, &x, &mut y, pool, None).unwrap();
+            assert_agrees(&y, &y_csr, in_order && csr_order, &format!("{how}, {} shards", pm.num_shards()));
         }
     }
 

@@ -15,7 +15,7 @@ use morpheus_repro::morpheus::spmm::spmm_serial;
 use morpheus_repro::morpheus::spmv::spmv_serial;
 use morpheus_repro::morpheus::{
     for_each_entry_row_major, Analysis, ConvertOptions, ConvertPath, CooBuilder, CooMatrix, DynamicMatrix,
-    ExecPlan, Partition, PartitionConfig, PartitionedMatrix, Scalar, StreamingPartitioner,
+    ExecPlan, Op, Partition, PartitionConfig, PartitionedMatrix, Scalar, StreamingPartitioner,
 };
 use morpheus_repro::oracle::adapt::{CollectorConfig, SampleCollector};
 use morpheus_repro::oracle::{Oracle, PartitionPolicy, PlanStatus, RunFirstTuner, TuningCost};
@@ -77,7 +77,7 @@ fn degenerate_all_nnz_in_first_shard_and_empty_rows() {
             .unwrap();
     let x = vec![2.0; n];
     let mut y = vec![f64::NAN; n];
-    pm.spmv_unpooled(&x, &mut y).unwrap();
+    pm.run(Op::Spmv, &x, &mut y, None, None).unwrap();
     assert_eq!(y[0], 2.0 * 1.5 * n as f64);
     assert!(y[1..].iter().all(|&v| v == 0.0), "empty shards must still zero y");
 }
@@ -129,7 +129,7 @@ fn partitioned_matches_reference<V: Scalar>(eps: f64) {
             want[rows].copy_from_slice(&ys);
         }
         let mut got = vec![V::ZERO; 1_200];
-        pm.spmv_unpooled(&x, &mut got).unwrap();
+        pm.run(Op::Spmv, &x, &mut got, None, None).unwrap();
         if pm.preserves_order() {
             assert!(bitwise_eq(&got, &want), "order-preserving plans must match bitwise");
         } else {
@@ -139,7 +139,7 @@ fn partitioned_matches_reference<V: Scalar>(eps: f64) {
         for threads in [1, 3, 7] {
             let pool = ThreadPool::new(threads);
             let mut pooled = vec![V::from_f64(9.0); 1_200];
-            pm.spmv(&x, &mut pooled, &pool).unwrap();
+            pm.run(Op::Spmv, &x, &mut pooled, Some(&pool), None).unwrap();
             assert!(bitwise_eq(&pooled, &got), "pooled != unpooled at {threads} threads");
         }
         // SpMM across the same path: shard kernels are the serial scalar
@@ -148,7 +148,7 @@ fn partitioned_matches_reference<V: Scalar>(eps: f64) {
         let xk: Vec<V> = (0..1_200 * k).map(|i| V::from_f64(((i % 7) as f64) * 0.5)).collect();
         let mut yk = vec![V::ZERO; 1_200 * k];
         let pool = ThreadPool::new(3);
-        pm.spmm(&xk, &mut yk, k, &pool).unwrap();
+        pm.run(Op::Spmm { k }, &xk, &mut yk, Some(&pool), None).unwrap();
         let mut yk_ref = vec![V::ZERO; 1_200 * k];
         for s in pm.shards() {
             let rows = s.rows();
@@ -190,7 +190,8 @@ fn run_owned_runs_each_shard_on_the_same_thread_every_call() {
     let owner: Vec<std::sync::Mutex<Option<std::thread::ThreadId>>> =
         pm.shards().iter().map(|_| std::sync::Mutex::new(None)).collect();
     for call in 0..50 {
-        pm.spmv_observed(
+        pm.run(
+            Op::Spmv,
             &x,
             &mut y,
             Some(&pool),
@@ -222,7 +223,7 @@ fn streaming_ingestion_equals_batch_build() {
     let mut want = vec![0.0; 1_500];
     spmv_serial(&m, &x, &mut want).unwrap();
     let mut got = vec![0.0; 1_500];
-    pm.spmv_unpooled(&x, &mut got).unwrap();
+    pm.run(Op::Spmv, &x, &mut got, None, None).unwrap();
     assert_close(&got, &want, 1e-12);
 }
 
@@ -599,7 +600,7 @@ proptest! {
         let mut want = vec![0.0; n];
         spmv_serial(&m, &x, &mut want).unwrap();
         let mut got = vec![0.0; n];
-        pm.spmv_unpooled(&x, &mut got).unwrap();
+        pm.run(Op::Spmv, &x, &mut got, None, None).unwrap();
         // ULP-bounded: planned kernel bodies may fuse multiply-adds.
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             prop_assert!((g - w).abs() <= 1e-12 * w.abs().max(1.0), "row {}: {} vs {}", i, g, w);
