@@ -204,8 +204,8 @@ impl<V: Scalar, F: FormatTuner<V>> FormatTuner<V> for AdaptiveTuner<F> {
         }
     }
 
-    fn reads_block_counts(&self) -> bool {
-        self.fallback.reads_block_counts()
+    fn prices_formats(&self) -> bool {
+        self.fallback.prices_formats()
     }
 }
 

@@ -80,7 +80,7 @@ use morpheus::{
     Analysis, ConvertOptions, DynamicMatrix, ExecPlan, KernelVariant, PartitionConfig, PartitionedMatrix,
     Scalar, Workspace,
 };
-use morpheus_machine::{analyze_from, analyze_rows_from, MatrixAnalysis, Op, VirtualEngine};
+use morpheus_machine::{analyze_from, assemble, MatrixAnalysis, Op, VirtualEngine};
 use morpheus_ml::serialize::LineParser;
 use morpheus_parallel::ThreadPool;
 use parking_lot::RwLock;
@@ -110,8 +110,8 @@ pub struct BatchCost {
 }
 
 impl BatchCost {
-    /// Prices `format` on `view`, which must hold block counts when the
-    /// format is BSR.
+    /// Prices `format` on `view`, which must hold the pricing walk a BSR or
+    /// HDC `format` is priced from ([`MatrixAnalysis::prices`]).
     fn of(engine: &VirtualEngine, format: FormatId, view: &MatrixAnalysis) -> BatchCost {
         BatchCost { spmv: engine.spmv_time(format, view), per_rhs: engine.spmm_per_rhs_time(format, view) }
     }
@@ -174,18 +174,13 @@ impl Facts {
         Facts { hash: m.structure_hash(), rows: 0..m.nrows(), analysis: None, view: None }
     }
 
-    /// Counts the BSR blocks a view taken without them lacks (one walk of
-    /// the facts' rows of `m`); `false` when there was nothing to count.
-    fn take_block_counts<V: Scalar>(&mut self, m: &DynamicMatrix<V>) -> bool {
+    /// Takes the pricing walks (block counts, HDC remainder) the view lacks,
+    /// each in a walk of the facts' rows of `m`.
+    fn take_pricing_walks<V: Scalar>(&mut self, m: &DynamicMatrix<V>) {
         let (Some(analysis), Some(view)) = (self.analysis.as_mut(), self.view.as_mut()) else {
-            panic!("block counts are taken for a view that exists");
+            panic!("pricing walks are taken for a view that exists");
         };
-        if view.bsr_blocks.is_some() {
-            return false;
-        }
-        analysis.take_block_counts(m, self.rows.clone());
-        view.bsr_blocks = analysis.entries.bsr_blocks;
-        true
+        view.take_pricing_walks(m, self.rows.clone(), analysis);
     }
 }
 
@@ -737,17 +732,21 @@ impl<T> OracleService<T> {
 
     /// The machine model's view of the rows of `m` that `facts` describe,
     /// computed — with the analysis it derives from, unless the facts (a
-    /// row range's) came with theirs — on first use and kept in `facts`.
+    /// row range's) came with theirs — on first use and kept in `facts`:
+    /// with both pricing walks when `walks`, else from the analysis alone.
     fn view_of<'f, V: Scalar>(
         &self,
         m: &DynamicMatrix<V>,
         facts: &'f mut Facts,
-        blocks: bool,
+        walks: bool,
     ) -> &'f MatrixAnalysis {
         if facts.view.is_none() {
             debug_assert!(facts.analysis.is_some() || facts.rows == (0..m.nrows()));
-            let analysis = facts.analysis.get_or_insert_with(|| self.analyse(m, facts.hash, blocks));
-            facts.view = Some(analyze_rows_from(m, facts.rows.clone(), analysis));
+            let analysis = facts.analysis.get_or_insert_with(|| self.analyse(m, facts.hash, walks));
+            facts.view = Some(assemble(analysis, std::mem::size_of::<V>()));
+            if walks {
+                facts.take_pricing_walks(m);
+            }
         }
         facts.view.as_ref().expect("view computed above")
     }
@@ -760,10 +759,12 @@ impl<T> OracleService<T> {
     /// features were read from, the view alone describes what is decided.
     ///
     /// The miss pays for what the decision reads: a tuner that does not
-    /// price formats from the view ([`FormatTuner::reads_block_counts`])
-    /// gets one without BSR block counts (unless the source is BSR, whose
-    /// extraction is priced from them), and only a BSR answer has them
-    /// counted, in a walk of their own, before its parameters are proposed.
+    /// price formats from the view ([`FormatTuner::prices_formats`]) gets
+    /// one without the pricing walks (unless the source is BSR, whose
+    /// extraction is priced from block counts), and only a BSR or HDC
+    /// answer has them taken, each in a walk of its own, before its
+    /// parameters are proposed. Hit or miss, a view in the returned facts
+    /// prices the decided format.
     fn decide<V>(&self, m: &DynamicMatrix<V>, op: Op, mut facts: Facts) -> Decided
     where
         V: Scalar,
@@ -784,6 +785,11 @@ impl<T> OracleService<T> {
                 // Same structure, scalar, engine and op: the tuner would
                 // reproduce this decision, so charge nothing for it.
                 cached.cost = TuningCost::cached();
+                // A view taken ahead of the lookup (the partition gate's)
+                // may lack what a cached BSR or HDC is priced from.
+                if facts.view.as_ref().is_some_and(|view| !view.prices(cached.format)) {
+                    facts.take_pricing_walks(m);
+                }
                 Decided { facts, key, decision: cached, batch, plan, cache_hit: true, generation: [0; 2] }
             }
             None => {
@@ -792,15 +798,15 @@ impl<T> OracleService<T> {
                 // is in flight, the generation-gated inserts drop it
                 // instead of resurrecting the superseded model's choice.
                 let generation = [self.decisions.generation(), self.aliases.generation()];
-                let blocks = self.tuner.reads_block_counts() || m.format_id() == FormatId::Bsr;
-                let mut decision =
-                    self.tuner.select(m, self.view_of(m, &mut facts, blocks), &self.engine, op);
-                if decision.format == FormatId::Bsr && facts.take_block_counts(m) {
-                    // Answered on a view without block counts: again, now
-                    // that the parameters can be priced.
-                    decision = self.tuner.select(m, self.view_of(m, &mut facts, true), &self.engine, op);
+                let walks = self.tuner.prices_formats() || m.format_id() == FormatId::Bsr;
+                let mut decision = self.tuner.select(m, self.view_of(m, &mut facts, walks), &self.engine, op);
+                if !self.view_of(m, &mut facts, walks).prices(decision.format) {
+                    // Answered on a view that cannot price the answer:
+                    // again, now that it and its parameters can be.
+                    facts.take_pricing_walks(m);
+                    decision = self.tuner.select(m, self.view_of(m, &mut facts, walks), &self.engine, op);
                 }
-                let view = self.view_of(m, &mut facts, blocks);
+                let view = self.view_of(m, &mut facts, walks);
                 let batch = Some(BatchCost::of(&self.engine, decision.format, view));
                 let undecided = CachedDecision::new(decision, batch);
                 let plan = Arc::clone(&undecided.plan);
@@ -1328,30 +1334,30 @@ impl<T> OracleService<T> {
         Ok(MatrixHandle { inner: Arc::new(Registered { id, stored, report, batch }) })
     }
 
-    /// [`OracleService::register`], considering a *partitioned* handle: the
-    /// matrix is split into row-range shards along its row-nnz histogram
-    /// (balanced nnz, boundaries snapped to regime shifts) and the engine
-    /// decides whether the sharded critical path beats the best
-    /// whole-matrix single-format plan at the service's worker count. If it
-    /// does not (or the matrix yields a single shard), this falls back to
-    /// the whole-matrix path — `register_partitioned` is always safe to
-    /// call.
+    /// [`OracleService::register`], considering a *partitioned* handle:
+    /// row-range shards cut along the row-nnz histogram (balanced nnz,
+    /// boundaries snapped to regime shifts), each in its own format, kept
+    /// only if the engine prices the sharded critical path below the best
+    /// whole-matrix single-format plan at the service's worker count.
+    /// Otherwise, or with a single shard, the matrix is served whole:
+    /// `register_partitioned` is always safe to call.
     ///
-    /// The order is **decide → gate → split → realize**. One entry walk
-    /// yields the whole matrix's analysis and every shard's
-    /// ([`Analysis::of_partitioned`]); each shard is then hashed, viewed and
-    /// decided *as a row range of `m`* (decision cache, machine view, tuner
-    /// — no copy, no conversion), and the cost gate is evaluated from those
-    /// decisions. Only an admitted partition is split into CSR shards,
-    /// converted and planned. A rejected one has materialised nothing, and
-    /// hands the whole-matrix hash, analysis and machine view to the
-    /// whole-matrix path, which therefore costs what a plain
-    /// [`OracleService::register`] costs plus the row-length sweep and the
-    /// shards' hashes and decisions. A matrix with too few entries for two
-    /// shards ([`PartitionConfig::shards_wanted`]) is registered as it came;
-    /// past that, one that is neither COO nor CSR has no contiguous row
-    /// ranges and is converted to CSR first (its report's `previous` then
-    /// reads CSR when it is served whole).
+    /// The order is **decide → floor → walk-free bound → exact baseline →
+    /// split → realize**. One entry walk analyses the matrix and every shard
+    /// ([`Analysis::of_partitioned`]); each shard is hashed, viewed and
+    /// decided *as a row range of `m`* (no copy, no conversion). The floor —
+    /// every shard in the cheaper of its decided format and CSR — is put to
+    /// the whole matrix's best time over the six formats priced without a
+    /// pricing walk, which bounds the exact baseline from above, and only a
+    /// floor that beats it has the walks taken and meets the exact one (a
+    /// tuner that prices formats has them from the start). Only an admitted
+    /// partition is split into CSR shards, converted, planned and judged
+    /// once more on the formats realized; a rejected one has materialised
+    /// nothing and hands hash, analysis and view to the whole-matrix path.
+    /// A matrix with too few entries for two shards
+    /// ([`PartitionConfig::shards_wanted`]) is registered as it came; past
+    /// that, one that is neither COO nor CSR is converted to CSR first (its
+    /// report's `previous` then reads CSR when it is served whole).
     pub fn register_partitioned<V>(&self, m: DynamicMatrix<V>) -> Result<MatrixHandle<V>>
     where
         V: Scalar,
@@ -1380,8 +1386,10 @@ impl<T> OracleService<T> {
             m.convert_to_with(FormatId::Csr, &self.opts, None)?;
         }
         let mut whole = Facts::hashed(&m);
+        // `m` is COO or CSR: only a tuner that prices formats reads the walks.
+        let walks = self.tuner.prices_formats();
         let PartitionedAnalysis { whole: analysis, partition, shards } =
-            Analysis::of_partitioned(&m, self.opts.true_diag_alpha, whole.hash, |prefix| {
+            Analysis::of_partitioned(&m, self.opts.true_diag_alpha, whole.hash, walks, |prefix| {
                 Partition::from_row_prefix(prefix, &config)
             })?;
         whole.analysis = Some(analysis);
@@ -1389,11 +1397,8 @@ impl<T> OracleService<T> {
             return self.register_single_for(m, op, whole);
         }
         // With the gate on, every shard needs its machine view (hit or
-        // miss) and the whole matrix its best single-format time.
-        let best_whole = self
-            .partition
-            .cost_gate
-            .then(|| self.engine.best_spmv_time_at(self.view_of(&m, &mut whole, true), threads).1);
+        // miss), and `decide` leaves it able to price the shard's format.
+        let gate = self.partition.cost_gate;
         let shard_time = |format: FormatId, view: Option<&MatrixAnalysis>| {
             let view = view.expect("the cost gate computes every shard's view before deciding");
             self.engine.best_shard_spmv_variant(format, view).1
@@ -1402,12 +1407,13 @@ impl<T> OracleService<T> {
         for (rows, analysis) in partition.ranges().zip(shards) {
             let mut facts =
                 Facts { hash: analysis.structure_hash, rows, analysis: Some(analysis), view: None };
-            if best_whole.is_some() {
-                self.view_of(&m, &mut facts, true);
+            if gate {
+                self.view_of(&m, &mut facts, walks);
             }
             decided.push(self.decide(&m, op, facts));
         }
-        if let Some(best_whole) = best_whole {
+        let mut best_whole = None;
+        if gate {
             // A shard is realized in its decided format or, when that
             // proves non-viable, in CSR — so the cheaper of the two bounds
             // its modelled time from below, and the partitioned time is
@@ -1420,10 +1426,20 @@ impl<T> OracleService<T> {
                     shard_time(d.decision.format, view).min(shard_time(FormatId::Csr, view))
                 })
                 .collect();
-            if self.engine.partitioned_spmv_time(&floor, threads) >= best_whole {
+            let floor = self.engine.partitioned_spmv_time(&floor, threads);
+            // Without the walks, the bound first: what loses to it loses to
+            // the exact baseline too, and nothing was walked for the verdict.
+            let view = self.view_of(&m, &mut whole, walks);
+            if !walks && floor >= self.engine.best_walk_free_spmv_time_at(view, threads).1 {
+                return self.register_single_for(m, op, whole);
+            }
+            whole.take_pricing_walks(&m);
+            let exact = self.engine.best_spmv_time_at(self.view_of(&m, &mut whole, walks), threads).1;
+            if floor >= exact {
                 // The model says sharding does not pay here: serve whole.
                 return self.register_single_for(m, op, whole);
             }
+            best_whole = Some(exact);
         }
         let subs = split_rows(&m, &partition, whole.analysis.as_ref())?;
         let mut tally = ShardTally::default();
@@ -2020,72 +2036,6 @@ mod tests {
         assert_eq!(h2.report().plan, PlanStatus::Reused, "and reuse the shared plan");
         assert_ne!(h1.id(), h2.id());
         assert_eq!(service.registered_matrices().len(), 2);
-    }
-
-    /// A one-worker service whose tuner always picks `format`.
-    fn always(format: FormatId) -> OracleService<Always> {
-        Oracle::builder()
-            .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
-            .tuner(Always(format))
-            .workers(1)
-            .build_service()
-            .unwrap()
-    }
-
-    struct Always(FormatId);
-    impl FormatTuner<f64> for Always {
-        fn name(&self) -> &'static str {
-            "always"
-        }
-        fn select(
-            &self,
-            _: &DynamicMatrix<f64>,
-            _: &MatrixAnalysis,
-            _: &VirtualEngine,
-            op: Op,
-        ) -> TuneDecision {
-            let params = morpheus::FormatParams::default();
-            TuneDecision { format: self.0, params, op, cost: TuningCost::default() }
-        }
-    }
-
-    /// A decision-cache hit reads the matrix once, for the key: the entry
-    /// brings its plan, and the handle is keyed by the hash it was decided
-    /// under. A registration's miss reads it twice — key hash, analysis —
-    /// and never hashes what it converted; `tune`, whose caller keeps the
-    /// switched matrix, hashes it once more for the re-tune alias.
-    #[test]
-    fn a_hit_hashes_the_source_and_nothing_else() {
-        use morpheus::analysis::passes;
-        // BELL: an array-built conversion plans nothing, so every traversal
-        // counted below is a hash or the analysis.
-        let service = always(FormatId::Bell);
-
-        passes::reset();
-        let first = service.register(tridiag(700)).unwrap();
-        assert!(!first.report().cache_hit && first.format_id() == FormatId::Bell);
-        assert_eq!(passes::count(), 2, "a registration's miss: key hash, analysis");
-
-        passes::reset();
-        let again = service.register(tridiag(700)).unwrap();
-        assert!(again.report().cache_hit && again.report().plan == PlanStatus::Reused);
-        assert_eq!(passes::count(), 1, "a repeat registration hashes the source only");
-
-        passes::reset();
-        let (x, mut y) = (vec![1.0f64; 700], vec![0.0f64; 700]);
-        let report = service.tune_and_spmv(&mut tridiag(700), &x, &mut y).unwrap();
-        assert!(report.cache_hit && report.converted && report.plan == PlanStatus::Reused);
-        assert_eq!(passes::count(), 1, "a per-call hit hashes the source only");
-
-        // A per-call miss hashes what it converted, for the alias re-tuning
-        // the switched matrix hits through.
-        let mut switched = tridiag(900);
-        passes::reset();
-        assert!(!service.tune(&mut switched).unwrap().cache_hit);
-        assert_eq!(passes::count(), 3, "a tune's miss: key hash, analysis, hash of the converted matrix");
-        passes::reset();
-        assert!(service.tune(&mut switched).unwrap().cache_hit);
-        assert_eq!(passes::count(), 1);
     }
 
     #[test]

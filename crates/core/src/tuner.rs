@@ -94,13 +94,17 @@ pub trait FormatTuner<V: Scalar> {
 
     /// `false` when [`select`](FormatTuner::select) reaches its format
     /// without pricing formats from `a` — a model over the feature vector —
-    /// so the service may hand it a view without BSR block counts
-    /// ([`MatrixAnalysis::bsr_blocks`] `None`) and skip counting them. Such
-    /// a tuner must not read them unless they are there; when it answers
-    /// BSR on a view without them, the service counts them and calls
-    /// `select` again for the parameters. The default, `true`, is right for
-    /// any tuner that asks the engine about formats.
-    fn reads_block_counts(&self) -> bool {
+    /// so the service may hand it a view assembled without the two pricing
+    /// walks (BSR's block counts, HDC's remainder histogram:
+    /// [`MatrixAnalysis::prices`] says what a view can price) and skip
+    /// both. Such a tuner must not read either unless it is there; when it
+    /// answers BSR or HDC on a view that cannot price its answer, the
+    /// service takes the walks and calls `select` again for the parameters.
+    /// The partition gate likewise walks for a whole matrix's exact
+    /// baseline only once a partition beats the bound it can compute
+    /// without. The default, `true`, is right for any tuner that asks the
+    /// engine about formats.
+    fn prices_formats(&self) -> bool {
         true
     }
 }
@@ -120,8 +124,8 @@ impl<V: Scalar, T: FormatTuner<V> + ?Sized> FormatTuner<V> for &T {
         (**self).select(m, a, engine, op)
     }
 
-    fn reads_block_counts(&self) -> bool {
-        (**self).reads_block_counts()
+    fn prices_formats(&self) -> bool {
+        (**self).prices_formats()
     }
 }
 
@@ -140,8 +144,8 @@ impl<V: Scalar, T: FormatTuner<V> + ?Sized> FormatTuner<V> for Box<T> {
         (**self).select(m, a, engine, op)
     }
 
-    fn reads_block_counts(&self) -> bool {
-        (**self).reads_block_counts()
+    fn prices_formats(&self) -> bool {
+        (**self).prices_formats()
     }
 }
 
@@ -237,13 +241,14 @@ pub(crate) fn ml_decision<V: Scalar>(
     op: Op,
 ) -> TuneDecision {
     let format = FormatId::from_index(predicted).unwrap_or(FormatId::Csr);
-    // BSR's parameters are priced from the block counts: on a view without
-    // them the defaults stand in until the service, seeing BSR decided, has
-    // counted them and selects again.
-    let params = if format == FormatId::Bsr && a.bsr_blocks.is_none() {
-        morpheus::FormatParams::default()
-    } else {
+    // Parameters are priced from the view (BSR's from the block counts): on
+    // one that cannot price the answer the defaults stand in until the
+    // service, seeing it decided, has taken the pricing walks and selects
+    // again.
+    let params = if a.prices(format) {
         crate::params::propose_params(format, a)
+    } else {
+        morpheus::FormatParams::default()
     };
     TuneDecision {
         format,
@@ -306,7 +311,7 @@ impl<V: Scalar> FormatTuner<V> for DecisionTreeTuner {
         ml_decision(predicted, visited, m, a, engine, op)
     }
 
-    fn reads_block_counts(&self) -> bool {
+    fn prices_formats(&self) -> bool {
         false
     }
 }
@@ -360,7 +365,7 @@ impl<V: Scalar> FormatTuner<V> for RandomForestTuner {
         ml_decision(predicted, visited, m, a, engine, op)
     }
 
-    fn reads_block_counts(&self) -> bool {
+    fn prices_formats(&self) -> bool {
         false
     }
 }
@@ -411,7 +416,7 @@ impl<V: Scalar> FormatTuner<V> for GbtTuner {
         ml_decision(predicted, visited, m, a, engine, op)
     }
 
-    fn reads_block_counts(&self) -> bool {
+    fn prices_formats(&self) -> bool {
         false
     }
 }

@@ -5,21 +5,54 @@
 //! [`Analysis`] artifact: the two histograms and their reductions (Table-I
 //! statistics, prefix sums, 32-row group maxima, the row-length count
 //! table) and the entry-order facts of its one walk (`x`-gather locality,
-//! occupied blocks per BSR dimension). [`analyze_from`] assembles the
-//! machine view from it and touches the matrix again for one thing only:
-//! the row histogram of HDC's CSR remainder, when some but not all entries
-//! lie on true diagonals.
+//! occupied blocks per BSR dimension). [`assemble`] puts the machine view
+//! together from it and touches the matrix again for nothing, unless asked.
+//!
+//! What it can be asked for are the two **pricing walks**, each read by the
+//! price of one format and by nothing else: the occupied-block counts (BSR;
+//! two thirds of the analysis walk when fused into it) and the row
+//! histogram of HDC's CSR remainder (one more pass over the entries, and
+//! only when some but not all of them lie on true diagonals — otherwise the
+//! remainder is the whole matrix or nothing, and the view says so without a
+//! copy). A view assembled without them prices the other six formats
+//! exactly; a reader of an absent count or remainder panics naming itself —
+//! never a zero — and [`MatrixAnalysis::take_pricing_walks`] adds them
+//! later, bitwise what [`analyze_rows_from`] over a full [`Analysis`]
+//! gives. [`analyze`], [`analyze_from`] and [`analyze_rows_from`] compute
+//! everything their analysis allows.
 
 use morpheus::analysis::passes;
 use morpheus::hdc::true_diag_threshold;
 use morpheus::stats::{MatrixStats, RowLengthCounts};
-use morpheus::{for_each_row_pattern_in, Analysis, DynamicMatrix, Scalar};
+use morpheus::{for_each_row_pattern_in, Analysis, DynamicMatrix, FormatId, Scalar};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// GPU warp width used by the SIMT model (both vendors schedule SpMV
 /// row-kernels in 32-wide groups; MI100 wavefronts are 64 but rocSPARSE maps
 /// rows in 32-groups for these kernels, and the distinction is absorbed by
 /// calibration). The shared analysis reduces its group maxima at this width.
 pub const WARP: usize = morpheus::stats::ROW_GROUP;
+
+/// The rows of HDC's CSR remainder: the entries off every true diagonal.
+#[derive(Debug, Clone, PartialEq)]
+pub enum HdcRemainder {
+    /// No entry lies on a true diagonal: the remainder is the whole matrix,
+    /// and its rows are [`MatrixAnalysis::row_hist`]'s.
+    Whole,
+    /// Every entry lies on a true diagonal: nothing remains.
+    Empty,
+    /// Some entries do, some do not: counted in a walk of the entries.
+    Rows {
+        /// Remainder entries per row — the weights the planned executor
+        /// partitions the remainder by.
+        hist: Vec<u32>,
+        /// The longest remainder row.
+        max_row: usize,
+        /// `Σ_warp max(remainder row nnz)` over 32-row groups.
+        warp_iters: u64,
+    },
+}
 
 /// Pre-computed structural facts about one matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,18 +81,14 @@ pub struct MatrixAnalysis {
     /// counting divergence (idle lanes wait for the longest row in the
     /// 32-row group).
     pub warp_iters_csr: u64,
-    /// Same statistic for the HDC CSR remainder.
-    pub warp_iters_hdc_csr: u64,
     /// Mean row length of the HDC CSR remainder.
     pub hdc_csr_mean_row: f64,
-    /// Maximum row length of the HDC CSR remainder (drives its GPU
-    /// tail-latency terms).
-    pub hdc_csr_max_row: usize,
-    /// Per-row occupancy of the HDC CSR remainder (entries off every true
-    /// diagonal) — the weights the planned executor partitions the
-    /// remainder by, so its imbalance can be modelled with the same greedy
-    /// as standalone CSR.
-    pub hdc_csr_hist: Vec<u32>,
+    /// The rows of the HDC CSR remainder, read through
+    /// [`MatrixAnalysis::hdc_csr_hist`], [`MatrixAnalysis::hdc_csr_max_row`]
+    /// and [`MatrixAnalysis::warp_iters_hdc_csr`]. `None` when the split is
+    /// mixed and the view was assembled without walking the entries for it:
+    /// HDC's SpMV cannot then be priced, and the accessors refuse to.
+    pub hdc_remainder: Option<HdcRemainder>,
     /// Prefix sums of `row_hist` (`row_prefix[i]` = entries in rows `< i`),
     /// for O(threads) static-partition imbalance queries.
     pub row_prefix: Vec<u64>,
@@ -67,7 +96,8 @@ pub struct MatrixAnalysis {
     /// [`morpheus::BSR_BLOCK_DIMS`] (2, 4, 8) — exact counts from the same
     /// row-major walk, so BSR padding (`blocks * b * b`) and block fill are
     /// known without converting. `None` when the view was assembled from an
-    /// [`Analysis::without_block_counts`]: nothing about BSR can then be
+    /// analysis whose walk left them out
+    /// ([`Analysis::without_block_counts`]): nothing about BSR can then be
     /// priced, and the accessors below refuse to.
     pub bsr_blocks: Option<[usize; 3]>,
     /// BELL padded slots under the default power-of-two bucket ladder
@@ -129,8 +159,127 @@ impl MatrixAnalysis {
     /// greedy would rank HDC inconsistently against standalone CSR in the
     /// degenerate no-true-diagonals case, where the remainder is the whole
     /// matrix.
+    ///
+    /// # Panics
+    /// As [`MatrixAnalysis::hdc_csr_hist`].
+    #[track_caller]
     pub fn hdc_csr_balanced_imbalance(&self, threads: usize) -> f64 {
-        greedy_balanced_imbalance(&self.hdc_csr_hist, self.hdc_csr_nnz, threads)
+        greedy_balanced_imbalance(&self.hdc_csr_hist(), self.hdc_csr_nnz, threads)
+    }
+
+    /// The remainder, for a reader about to price HDC.
+    ///
+    /// # Panics
+    /// If the split is mixed and the remainder walk was not taken. An absent
+    /// remainder must never read as an empty one: that prices HDC's CSR part
+    /// as free. The message names the reader, which is the code to fix (take
+    /// the walks first: [`MatrixAnalysis::take_pricing_walks`]).
+    #[track_caller]
+    fn remainder(&self) -> &HdcRemainder {
+        let Some(remainder) = &self.hdc_remainder else {
+            panic!(
+                "{} read the HDC remainder from a machine view assembled without the remainder walk",
+                std::panic::Location::caller()
+            )
+        };
+        remainder
+    }
+
+    /// Per-row occupancy of the HDC CSR remainder (entries off every true
+    /// diagonal).
+    ///
+    /// # Panics
+    /// If the view holds no remainder (see [`MatrixAnalysis::hdc_remainder`]).
+    #[track_caller]
+    pub fn hdc_csr_hist(&self) -> Cow<'_, [u32]> {
+        match self.remainder() {
+            HdcRemainder::Whole => Cow::Borrowed(&self.row_hist),
+            HdcRemainder::Empty => Cow::Owned(vec![0; self.stats.nrows]),
+            HdcRemainder::Rows { hist, .. } => Cow::Borrowed(hist),
+        }
+    }
+
+    /// Maximum row length of the HDC CSR remainder (drives its GPU
+    /// tail-latency terms).
+    ///
+    /// # Panics
+    /// As [`MatrixAnalysis::hdc_csr_hist`].
+    #[track_caller]
+    pub fn hdc_csr_max_row(&self) -> usize {
+        match self.remainder() {
+            HdcRemainder::Whole => self.stats.row_nnz_max,
+            HdcRemainder::Empty => 0,
+            HdcRemainder::Rows { max_row, .. } => *max_row,
+        }
+    }
+
+    /// [`MatrixAnalysis::warp_iters_csr`] for the HDC CSR remainder.
+    ///
+    /// # Panics
+    /// As [`MatrixAnalysis::hdc_csr_hist`].
+    #[track_caller]
+    pub fn warp_iters_hdc_csr(&self) -> u64 {
+        match self.remainder() {
+            HdcRemainder::Whole => self.warp_iters_csr,
+            HdcRemainder::Empty => 0,
+            HdcRemainder::Rows { warp_iters, .. } => *warp_iters,
+        }
+    }
+
+    /// `true` when the view holds what pricing `format` reads: everything
+    /// but BSR's block counts and HDC's remainder ([`needs_pricing_walk`])
+    /// is there always.
+    pub fn prices(&self, format: FormatId) -> bool {
+        match format {
+            FormatId::Bsr => self.bsr_blocks.is_some(),
+            FormatId::Hdc => self.hdc_remainder.is_some(),
+            _ => true,
+        }
+    }
+
+    /// Takes the pricing walks the view was assembled without — the block
+    /// counts (into `shared` too: [`Analysis::take_block_counts`]) and, on a
+    /// mixed HDC split, the remainder histogram — each in a walk of rows
+    /// `rows_of_m` of `m` that does nothing else, and only if absent. The
+    /// view is then what [`analyze_rows_from`] gives over the full analysis.
+    /// `shared` must be the analysis the view was assembled from.
+    pub fn take_pricing_walks<V: Scalar>(
+        &mut self,
+        m: &DynamicMatrix<V>,
+        rows_of_m: Range<usize>,
+        shared: &mut Analysis,
+    ) {
+        shared.take_block_counts(m, rows_of_m.clone());
+        self.bsr_blocks = shared.entries.bsr_blocks;
+        self.take_hdc_remainder(m, rows_of_m, shared);
+    }
+
+    /// The remainder walk: one pass over the entries of rows `rows_of_m` of
+    /// `m`, subtracting from each row's length its entries on true
+    /// diagonals. A no-op when the remainder is there.
+    fn take_hdc_remainder<V: Scalar>(
+        &mut self,
+        m: &DynamicMatrix<V>,
+        rows_of_m: Range<usize>,
+        shared: &Analysis,
+    ) {
+        debug_assert_eq!((rows_of_m.len(), m.ncols()), (shared.nrows, shared.ncols));
+        if self.hdc_remainder.is_some() {
+            return;
+        }
+        passes::record_traversal();
+        let (nrows, ncols) = (shared.nrows, shared.ncols);
+        let threshold = true_diag_threshold(nrows, ncols, shared.stats.true_diag_alpha) as u32;
+        let mut hist = shared.row_hist.clone();
+        let first = rows_of_m.start;
+        for_each_row_pattern_in(m, rows_of_m, |r, cols| {
+            let r = r - first;
+            let slots = cols.iter().map(|&c| shared.diag_pop[c + nrows - 1 - r]);
+            hist[r] -= slots.filter(|&p| p >= threshold).count() as u32;
+        });
+        let groups = hist.chunks(WARP).map(|w| u64::from(w.iter().copied().max().unwrap_or(0)));
+        let (longest, warp_iters) = groups.fold((0, 0), |(l, s), g| (l.max(g), s + g));
+        self.hdc_remainder = Some(HdcRemainder::Rows { hist, max_row: longest as usize, warp_iters });
     }
 
     /// Structural non-zeros.
@@ -226,6 +375,13 @@ impl MatrixAnalysis {
     }
 }
 
+/// `true` for the two formats whose price reads a pricing walk — BSR its
+/// block counts, HDC its remainder — and which a view assembled without the
+/// walks may therefore be unable to price ([`MatrixAnalysis::prices`]).
+pub const fn needs_pricing_walk(format: FormatId) -> bool {
+    matches!(format, FormatId::Bsr | FormatId::Hdc)
+}
+
 /// Index of square block dim `b` in [`morpheus::BSR_BLOCK_DIMS`].
 fn bsr_dim_index(b: usize) -> usize {
     morpheus::BSR_BLOCK_DIMS
@@ -264,9 +420,9 @@ pub fn analyze_with_alpha<V: Scalar>(m: &DynamicMatrix<V>, alpha: f64) -> Matrix
 }
 
 /// Assembles the machine model's [`MatrixAnalysis`] from a shared
-/// [`Analysis`]. Reads `m` only for the HDC remainder's row histogram, and
-/// only when the split is mixed (`0 < true-diagonal entries < nnz`):
-/// otherwise the remainder is the whole matrix or nothing.
+/// [`Analysis`] and every pricing walk it allows: the block counts are the
+/// analysis' own (absent when its walk left them out), the HDC remainder is
+/// read from `m` when the split is mixed (`0 < true-diagonal entries < nnz`).
 pub fn analyze_from<V: Scalar>(m: &DynamicMatrix<V>, shared: &Analysis) -> MatrixAnalysis {
     debug_assert!(shared.matches(m), "analysis artifact does not describe this matrix");
     analyze_rows_from(m, 0..m.nrows(), shared)
@@ -278,40 +434,38 @@ pub fn analyze_from<V: Scalar>(m: &DynamicMatrix<V>, shared: &Analysis) -> Matri
 /// would get.
 pub fn analyze_rows_from<V: Scalar>(
     m: &DynamicMatrix<V>,
-    rows_of_m: std::ops::Range<usize>,
+    rows_of_m: Range<usize>,
     shared: &Analysis,
 ) -> MatrixAnalysis {
-    debug_assert_eq!((rows_of_m.len(), m.ncols()), (shared.nrows, shared.ncols));
-    let (nrows, ncols) = (shared.nrows, shared.ncols);
+    let mut view = assemble(shared, std::mem::size_of::<V>());
+    view.take_hdc_remainder(m, rows_of_m, shared);
+    view
+}
+
+/// The machine view of the matrix `shared` describes (entries of
+/// `value_bytes` each), from the analysis alone: no matrix is read. It holds
+/// the block counts when the analysis does and the HDC remainder when that is
+/// the whole matrix or nothing; what is left out is said by
+/// [`MatrixAnalysis::prices`] and added by
+/// [`MatrixAnalysis::take_pricing_walks`].
+pub fn assemble(shared: &Analysis, value_bytes: usize) -> MatrixAnalysis {
+    let nrows = shared.nrows;
     let nnz = shared.nnz();
     let rows = &shared.rows;
 
-    let hyb_width = rows.lengths.hyb_width(std::mem::size_of::<V>());
+    let hyb_width = rows.lengths.hyb_width(value_bytes);
     let hdc_dia_nnz = shared.true_diag_nnz;
     let hdc_csr_nnz = nnz - hdc_dia_nnz;
-    // (histogram, longest row, warp iterations) of the HDC CSR remainder.
-    let (hdc_csr_hist, hdc_csr_max_row, warp_iters_hdc_csr) = if hdc_dia_nnz == 0 {
-        (shared.row_hist.clone(), shared.stats.row_nnz_max, rows.group_max_sum)
+    let hdc_remainder = if hdc_dia_nnz == 0 {
+        Some(HdcRemainder::Whole)
     } else if hdc_csr_nnz == 0 {
-        (vec![0u32; nrows], 0, 0)
+        Some(HdcRemainder::Empty)
     } else {
-        passes::record_traversal();
-        let threshold = true_diag_threshold(nrows, ncols, shared.stats.true_diag_alpha) as u32;
-        let mut hist = shared.row_hist.clone();
-        let first = rows_of_m.start;
-        for_each_row_pattern_in(m, rows_of_m, |r, cols| {
-            let r = r - first;
-            let slots = cols.iter().map(|&c| shared.diag_pop[c + nrows - 1 - r]);
-            hist[r] -= slots.filter(|&p| p >= threshold).count() as u32;
-        });
-        let groups = hist.chunks(WARP).map(|w| u64::from(w.iter().copied().max().unwrap_or(0)));
-        let (longest, warp_iters) = groups.fold((0, 0), |(l, s), g| (l.max(g), s + g));
-        (hist, longest as usize, warp_iters)
+        None
     };
 
     MatrixAnalysis {
         warp_iters_csr: rows.group_max_sum,
-        warp_iters_hdc_csr,
         stats: shared.stats.clone(),
         row_hist: shared.row_hist.clone(),
         locality: if nnz == 0 { 1.0 } else { shared.entries.gather_hits as f64 / nnz as f64 },
@@ -322,8 +476,7 @@ pub fn analyze_rows_from<V: Scalar>(
         hdc_dia_nnz,
         hdc_csr_nnz,
         hdc_csr_mean_row: if nrows == 0 { 0.0 } else { hdc_csr_nnz as f64 / nrows as f64 },
-        hdc_csr_max_row,
-        hdc_csr_hist,
+        hdc_remainder,
         row_prefix: rows.prefix.clone(),
         bsr_blocks: shared.entries.bsr_blocks,
         bell_padded: rows.bell.padded,
@@ -367,7 +520,8 @@ mod tests {
         assert!(a.locality > 0.6, "locality {}", a.locality);
         // No divergence: warp iterations equal 3 per warp except boundaries.
         assert_eq!(a.warp_iters_csr, (100usize.div_ceil(32) * 3) as u64);
-        assert_eq!(a.warp_iters_hdc_csr, 0);
+        assert_eq!(a.warp_iters_hdc_csr(), 0);
+        assert_eq!(a.hdc_remainder, Some(HdcRemainder::Empty));
     }
 
     #[test]
@@ -529,14 +683,14 @@ mod tests {
             assert_eq!(a.stats, reference.stats, "{fmt}");
             assert_eq!(a.row_hist, reference.row_hist, "{fmt}");
             assert_eq!(a.locality, reference.locality, "{fmt}");
-            assert_eq!(a.warp_iters_hdc_csr, reference.warp_iters_hdc_csr, "{fmt}");
+            assert_eq!(a.hdc_remainder, reference.hdc_remainder, "{fmt}");
             assert_eq!(a.hyb_width, reference.hyb_width, "{fmt}");
         }
     }
 
     /// The machine view reads the matrix again only for a mixed HDC split:
     /// never on a matrix whose every diagonal is true, once when some
-    /// entries lie off the true diagonals.
+    /// entries lie off the true diagonals — and then only when asked.
     #[test]
     fn analyze_from_touches_the_matrix_only_for_a_mixed_hdc_split() {
         let m = tridiag(300);
@@ -544,7 +698,7 @@ mod tests {
         passes::reset();
         let pure = analyze_from(&m, &shared);
         assert_eq!(passes::count(), 0, "all entries on true diagonals: nothing left to walk for");
-        assert_eq!((pure.hdc_csr_nnz, pure.warp_iters_hdc_csr, pure.hdc_csr_max_row), (0, 0, 0));
+        assert_eq!((pure.hdc_csr_nnz, pure.warp_iters_hdc_csr(), pure.hdc_csr_max_row()), (0, 0, 0));
 
         // The same band plus strays off it.
         let mut coo = m.to_coo().iter().collect::<Vec<_>>();
@@ -556,8 +710,19 @@ mod tests {
         passes::reset();
         let a = analyze_from(&mixed, &shared);
         assert_eq!(passes::count(), 1, "only the HDC remainder walk may touch the matrix");
-        assert_eq!((a.hdc_csr_nnz, a.hdc_csr_max_row), (3, 2));
-        assert_eq!(a.hdc_csr_hist.iter().map(|&n| n as usize).sum::<usize>(), 3);
-        assert_eq!(a.warp_iters_hdc_csr, 2 + 1, "row 0 holds two strays, row 40 one");
+        assert_eq!((a.hdc_csr_nnz, a.hdc_csr_max_row()), (3, 2));
+        assert_eq!(a.hdc_csr_hist().iter().map(|&n| n as usize).sum::<usize>(), 3);
+        assert_eq!(a.warp_iters_hdc_csr(), 2 + 1, "row 0 holds two strays, row 40 one");
+
+        // Assembled from the analysis alone, nothing is walked and every
+        // format but HDC is priced; the walk taken later completes the view.
+        passes::reset();
+        let mut late = assemble(&shared, std::mem::size_of::<f64>());
+        assert_eq!(passes::count(), 0, "the assembly reads no matrix");
+        assert!(!late.prices(FormatId::Hdc) && late.prices(FormatId::Bsr) && late.prices(FormatId::Bell));
+        let mut shared = shared;
+        late.take_pricing_walks(&mixed, 0..300, &mut shared);
+        assert_eq!(passes::count(), 1, "the block counts were there: only the remainder is walked for");
+        assert_eq!(late, a);
     }
 }

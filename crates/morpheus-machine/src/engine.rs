@@ -1,6 +1,6 @@
 //! The virtual execution engine: one per (system, backend) pair.
 
-use crate::analyze::MatrixAnalysis;
+use crate::analyze::{needs_pricing_walk, MatrixAnalysis};
 use crate::calib::Calibration;
 use crate::spec::{Backend, SystemBackend, SystemProfile};
 use crate::Op;
@@ -199,10 +199,27 @@ impl VirtualEngine {
 
     /// The cheapest viable whole-matrix `(format, seconds)` at `threads`
     /// workers — the single-format baseline a partitioned plan must beat.
+    /// Prices every format: `a` must hold both pricing walks.
     pub fn best_spmv_time_at(&self, a: &MatrixAnalysis, threads: usize) -> (FormatId, f64) {
-        morpheus::FormatEntry::all()
-            .iter()
-            .map(|e| e.id)
+        self.best_of(morpheus::FormatEntry::all().iter().map(|e| e.id), a, threads)
+    }
+
+    /// [`VirtualEngine::best_spmv_time_at`] over the six formats priced
+    /// without a pricing walk (all but BSR and HDC), for a view assembled
+    /// without them. A minimum over fewer candidates, so an upper bound of
+    /// the exact baseline: whatever loses to it loses to the exact one too.
+    pub fn best_walk_free_spmv_time_at(&self, a: &MatrixAnalysis, threads: usize) -> (FormatId, f64) {
+        let walk_free = morpheus::FormatEntry::all().iter().map(|e| e.id).filter(|&f| !needs_pricing_walk(f));
+        self.best_of(walk_free, a, threads)
+    }
+
+    fn best_of(
+        &self,
+        formats: impl Iterator<Item = FormatId>,
+        a: &MatrixAnalysis,
+        threads: usize,
+    ) -> (FormatId, f64) {
+        formats
             .filter(|&f| self.is_viable(f, a))
             .map(|f| (f, self.spmv_time_at(f, a, threads)))
             .min_by(|x, y| x.1.total_cmp(&y.1))

@@ -202,8 +202,8 @@ pub fn spmv_time(spec: &GpuSpec, calib: &Calibration, fmt: FormatId, a: &MatrixA
                 a,
                 a.hdc_csr_nnz as f64,
                 a.hdc_csr_mean_row,
-                a.hdc_csr_max_row as f64,
-                a.warp_iters_hdc_csr as f64,
+                a.hdc_csr_max_row() as f64,
+                a.warp_iters_hdc_csr() as f64,
             );
             part_time(spec, calib, &dia) + part_time(spec, calib, &csr) * spec.csr_quality + 1.5 * launch
         }

@@ -11,9 +11,12 @@
 //! * the Oracle's cache key: [`Analysis::structure_hash`],
 //! * conversion planning: [`Analysis::ell_width`], [`Analysis::dia_offsets`],
 //!   [`Analysis::hyb_width`], [`Analysis::true_diag_slots`],
-//! * the machine model's view (`morpheus_machine::analyze_from`), which
-//!   touches the matrix again only for HDC's remainder histogram, and only
-//!   when some but not all entries lie on true diagonals.
+//! * the machine model's view (`morpheus_machine::assemble`), which touches
+//!   the matrix again for nothing, unless asked: HDC's remainder histogram
+//!   is, like the block counts below, a *pricing walk* — read by the price
+//!   of one format only, left out until something is about to price it
+//!   (`MatrixAnalysis::take_pricing_walks`), and only ever needed when some
+//!   but not all entries lie on true diagonals.
 //!
 //! # The one-pass contract
 //!
@@ -71,11 +74,12 @@
 //! the run of diagonal slots its walk populated), and each shard is hashed
 //! in place as the CSR matrix it would be built as. Both sides are bitwise
 //! what [`Analysis::of`] gives on the whole matrix and on each built shard
-//! (`tests/analysis_differential.rs`). The walk that needs no row lengths in
-//! advance is [`crate::for_each_row_pattern_in`], the ranged form
-//! [`crate::for_each_row_pattern`] is a call of; the machine view uses it to
-//! re-read a shard's rows for a mixed HDC split
-//! (`morpheus_machine::analyze_rows_from`).
+//! (`tests/analysis_differential.rs`), and with `blocks` false both leave
+//! the block counts out as [`Analysis::without_block_counts`] does. The walk
+//! that needs no row lengths in advance is [`crate::for_each_row_pattern_in`],
+//! the ranged form [`crate::for_each_row_pattern`] is a call of; the two
+//! pricing walks use it to re-read a shard's rows of the source
+//! ([`Analysis::take_block_counts`], the machine view's remainder walk).
 //!
 //! The analysis runs on the calling thread whatever the matrix's size: at
 //! its per-entry cost, splitting the walk over a pool's threads did not beat
@@ -316,12 +320,31 @@ impl Analysis {
     /// layer. A single-shard partition yields no shard artifacts: the whole
     /// matrix is that shard.
     ///
+    /// With `blocks` false the walk leaves the block counts out of every
+    /// artifact, as [`Analysis::without_block_counts`] does, for
+    /// [`Analysis::take_block_counts`] to take later from the whole's rows
+    /// or a shard's.
+    ///
     /// # Errors
     /// [`MorpheusError::InvalidStructure`] when `m` is neither COO nor CSR
     /// (no other format holds a row range's columns as one slice: convert
     /// to CSR first), or when `choose` returns a partition of another row
     /// count or with an interior boundary off a multiple of [`SEAM_ALIGN`].
     pub fn of_partitioned<V: Scalar>(
+        m: &DynamicMatrix<V>,
+        alpha: f64,
+        hash: u64,
+        blocks: bool,
+        choose: impl FnOnce(&[u64]) -> Partition,
+    ) -> Result<PartitionedAnalysis> {
+        if blocks {
+            Self::build_partitioned::<V, true>(m, alpha, hash, choose)
+        } else {
+            Self::build_partitioned::<V, false>(m, alpha, hash, choose)
+        }
+    }
+
+    fn build_partitioned<V: Scalar, const BLOCKS: bool>(
         m: &DynamicMatrix<V>,
         alpha: f64,
         hash: u64,
@@ -353,7 +376,7 @@ impl Analysis {
 
         passes::record_traversal();
         let mut diag_pop = empty_diag_pop(nrows, ncols);
-        let mut stamps = Stamps::new(nrows, ncols);
+        let mut stamps = if BLOCKS { Stamps::new(nrows, ncols) } else { Stamps::unused() };
         // Rows are delimited by the prefix sums just taken from this very
         // matrix: a COO source's row array is not read a second time.
         let mut walk_rows = |rows: Range<usize>, diag: &mut [u32]| {
@@ -361,10 +384,10 @@ impl Analysis {
             for r in rows {
                 let row = &cols[prefix[r] as usize..prefix[r + 1] as usize];
                 if !row.is_empty() {
-                    walk.row::<true>(r, row);
+                    walk.row::<BLOCKS>(r, row);
                 }
             }
-            (walk.facts::<true>(), walk.populated())
+            (walk.facts::<BLOCKS>(), walk.populated())
         };
         let mut shards = Vec::new();
         let (entries, populated) = if partition.num_shards() == 1 {
@@ -378,8 +401,7 @@ impl Analysis {
                 let mut shard_diag = empty_diag_pop(range.len(), ncols);
                 let (facts, slots) = walk_rows(range.clone(), &mut shard_diag);
                 gather_hits += facts.gather_hits;
-                let blocks = facts.bsr_blocks.expect("the shard walk counts blocks");
-                for (total, blocks) in bsr_blocks.iter_mut().zip(blocks) {
+                for (total, blocks) in bsr_blocks.iter_mut().zip(facts.bsr_blocks.unwrap_or_default()) {
                     *total += blocks;
                 }
                 if !slots.is_empty() {
@@ -400,7 +422,10 @@ impl Analysis {
                 let nnz = reduced.stats.nnz;
                 shards.push(Analysis::assemble(nnz, shard_hist, shard_diag, shard_hash, facts, reduced));
             }
-            (EntryFacts { gather_hits, bsr_blocks: Some(bsr_blocks) }, first_slot.min(end_slot)..end_slot)
+            (
+                EntryFacts { gather_hits, bsr_blocks: BLOCKS.then_some(bsr_blocks) },
+                first_slot.min(end_slot)..end_slot,
+            )
         };
         let reduced = reduce_diags(rows, ncols, &diag_pop[populated], alpha);
         let whole = Analysis::assemble(m.nnz(), row_hist, diag_pop, hash, entries, reduced);

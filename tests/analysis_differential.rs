@@ -2,18 +2,21 @@
 //! [`Analysis`] artifact — and of the machine view assembled from it —
 //! against an independent, naive definition, for every source format; the
 //! one walk that analyses a matrix and the shards of a row partition of it
-//! against analysing each shard built on its own; and the walk that leaves
-//! the block counts out, with the one that takes them later, against the
-//! fused walk — down to a service that decides BSR off either.
+//! against analysing each shard built on its own; and the walks that can be
+//! left out — the block counts, the machine view's HDC remainder — with the
+//! ones that take them later, against the fused walk and the full view —
+//! down to a service that decides BSR or HDC off either.
 //!
 //! The naive side knows nothing of the walk's mechanics (row runs, block-row
 //! stamps, the row-length count table): blocks are counted with sets,
 //! locality entry by entry, padding and spill row by row.
 
 use morpheus_repro::corpus::{CorpusSpec, MatrixClass};
-use morpheus_repro::machine::{analyze, analyze_from, analyze_rows_from, systems, Backend, VirtualEngine};
+use morpheus_repro::machine::{
+    analyze, analyze_from, analyze_rows_from, assemble, systems, Backend, HdcRemainder, VirtualEngine,
+};
 use morpheus_repro::ml::{Dataset, DecisionTree, TreeParams};
-use morpheus_repro::morpheus::analysis::{Analysis, GATHER_LINE};
+use morpheus_repro::morpheus::analysis::{passes, Analysis, GATHER_LINE};
 use morpheus_repro::morpheus::bell::default_bucket_widths;
 use morpheus_repro::morpheus::format::{FormatId, ALL_FORMATS};
 use morpheus_repro::morpheus::hdc::true_diag_threshold;
@@ -235,7 +238,7 @@ fn aligned_boundaries(nrows: usize, picks: &[usize]) -> Vec<usize> {
 /// whole, the machine views against the built shards' views.
 fn assert_one_walk_matches_built_shards(source: &DynamicMatrix<f64>, partition: &Partition, what: &str) {
     let hash = source.structure_hash();
-    let got = Analysis::of_partitioned(source, ALPHA, hash, |_| partition.clone()).unwrap();
+    let got = Analysis::of_partitioned(source, ALPHA, hash, true, |_| partition.clone()).unwrap();
     assert_eq!(&got.partition, partition, "{what}");
     assert_eq!(got.whole, Analysis::of(source, ALPHA), "{what}: merged artifact");
     if partition.num_shards() == 1 {
@@ -295,7 +298,7 @@ proptest! {
             prop_assert_eq!(&tiled, &entries, "{}: ranges {:?}", fmt, &boundaries);
 
             if !matches!(fmt, FormatId::Coo | FormatId::Csr) {
-                let refused = Analysis::of_partitioned(&m, ALPHA, m.structure_hash(), |_| unreachable!());
+                let refused = Analysis::of_partitioned(&m, ALPHA, m.structure_hash(), true, |_| unreachable!());
                 prop_assert!(refused.is_err(), "{}: no contiguous row ranges", fmt);
                 continue;
             }
@@ -354,7 +357,7 @@ fn seams_through_empty_rows_bands_and_scatter() {
             );
         }
     }
-    let scatter = Analysis::of_partitioned(&coo, ALPHA, coo.structure_hash(), |_| {
+    let scatter = Analysis::of_partitioned(&coo, ALPHA, coo.structure_hash(), true, |_| {
         Partition::from_boundaries(nrows, vec![0, 24, 48, 64], vec![48, 20, rows.len() - 68]).unwrap()
     })
     .unwrap();
@@ -362,7 +365,7 @@ fn seams_through_empty_rows_bands_and_scatter() {
     assert_eq!(scatter.shards[1].true_diag_nnz, 0, "the scatter has none");
 
     // A seam off the alignment is refused, not miscounted.
-    let off = Analysis::of_partitioned(&coo, ALPHA, coo.structure_hash(), |_| {
+    let off = Analysis::of_partitioned(&coo, ALPHA, coo.structure_hash(), true, |_| {
         Partition::from_boundaries(nrows, vec![0, 20, 64], vec![0, 0]).unwrap()
     });
     assert!(off.is_err());
@@ -380,7 +383,7 @@ fn seams_through_empty_rows_bands_and_scatter() {
             .unwrap(),
         );
         let cfg = PartitionConfig { max_shards: 8, target_shard_nnz: 1, ..Default::default() };
-        let got = Analysis::of_partitioned(&m, ALPHA, m.structure_hash(), |prefix| {
+        let got = Analysis::of_partitioned(&m, ALPHA, m.structure_hash(), true, |prefix| {
             Partition::from_row_prefix(prefix, &cfg)
         })
         .unwrap();
@@ -438,6 +441,58 @@ fn counts_taken_later_equal_the_fused_walks_for_every_class_and_format() {
     }
 }
 
+/// The machine view assembled from the analysis alone — no matrix read, no
+/// block counts, no remainder histogram — and completed later is the full
+/// view, bitwise: for every corpus class from COO and CSR sources, whole and
+/// for every shard on its 8-row seams (the walks re-read the shard's rows of
+/// the source). Each walk is taken once, and only when there is one to take.
+#[test]
+fn views_completed_later_equal_the_full_views_for_every_class() {
+    let opts = ConvertOptions::default();
+    let mut mixed_splits = 0;
+    for (class, base) in one_of_every_class() {
+        for fmt in [FormatId::Coo, FormatId::Csr] {
+            let what = format!("{} as {fmt}", class.name());
+            let m = base.to_format(fmt, &opts).unwrap();
+            let hash = m.structure_hash();
+            let cfg = PartitionConfig { max_shards: 5, target_shard_nnz: 1, ..Default::default() };
+            let choose = |prefix: &[u64]| Partition::from_row_prefix(prefix, &cfg);
+            let full = Analysis::of_partitioned(&m, ALPHA, hash, true, choose).unwrap();
+            let lazy = Analysis::of_partitioned(&m, ALPHA, hash, false, choose).unwrap();
+            assert_eq!(lazy.partition, full.partition, "{what}");
+            assert!(full.shards.len() > 1, "{what}: one shard");
+
+            let whole = (0..m.nrows(), lazy.whole, &full.whole);
+            let shards = full.partition.ranges().zip(lazy.shards).zip(&full.shards);
+            for (rows, mut lazy, full) in std::iter::once(whole).chain(shards.map(|((r, l), f)| (r, l, f))) {
+                let what = format!("{what}, rows {rows:?}");
+                let mut stripped = full.clone();
+                stripped.entries.bsr_blocks = None;
+                assert_eq!(lazy, stripped, "{what}: the walk without counts");
+
+                let want = analyze_rows_from(&m, rows.clone(), full);
+                let mixed = matches!(want.hdc_remainder, Some(HdcRemainder::Rows { .. }));
+                mixed_splits += usize::from(mixed);
+                passes::reset();
+                let mut view = assemble(&lazy, std::mem::size_of::<f64>());
+                assert_eq!(passes::count(), 0, "{what}: assembling reads no matrix");
+                assert!(!view.prices(FormatId::Bsr), "{what}");
+                assert_eq!(view.prices(FormatId::Hdc), !mixed, "{what}");
+                assert!(ALL_FORMATS.into_iter().filter(|f| !view.prices(*f)).count() <= 2, "{what}");
+                view.take_pricing_walks(&m, rows.clone(), &mut lazy);
+                assert_eq!(passes::count(), 1 + u64::from(mixed), "{what}: the walks taken");
+                assert_eq!(view, want, "{what}: view completed later");
+                assert_eq!(&lazy, full, "{what}: analysis completed with it");
+                // Taking them twice takes them once.
+                view.take_pricing_walks(&m, rows, &mut lazy);
+                assert_eq!(passes::count(), 1 + u64::from(mixed), "{what}");
+                assert_eq!(view, want, "{what}");
+            }
+        }
+    }
+    assert!(mixed_splits >= 10, "the corpus must exercise the remainder walk: {mixed_splits} mixed splits");
+}
+
 /// What a panic said.
 fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
     let payload = std::panic::catch_unwind(f).expect_err("must panic");
@@ -476,6 +531,69 @@ fn reading_an_absent_block_count_panics_naming_the_reader() {
     }
 }
 
+/// A band of true diagonals with strays off it: a mixed HDC split whose CSR
+/// remainder has to be walked for, viable in every format.
+fn band_with_strays(n: usize) -> DynamicMatrix<f64> {
+    let (mut rows, mut cols) = (Vec::new(), Vec::new());
+    for r in 0..n {
+        let strays = (r % 9 == 0).then_some((r * 37 + 11) % n).filter(|c| c.abs_diff(r) > 2);
+        let mut row: Vec<usize> = (r.saturating_sub(2)..(r + 3).min(n)).chain(strays).collect();
+        row.sort_unstable();
+        rows.extend(std::iter::repeat_n(r, row.len()));
+        cols.extend(row);
+    }
+    let vals: Vec<f64> = (0..rows.len()).map(|i| 0.5 + (i % 7) as f64).collect();
+    DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap())
+}
+
+/// An absent remainder is never an empty one (HDC's CSR part priced as
+/// free): its three accessors, the CPU model's HDC price and the GPU model's
+/// panic naming who read. What HDC asks of the view besides — viability,
+/// parameters, the SpMM slope (slots, not rows) — is answered as from a full
+/// one, like every other format.
+#[test]
+fn reading_an_absent_remainder_panics_naming_the_reader() {
+    let m = band_with_strays(300);
+    let view = assemble(&Analysis::of(&m, ALPHA), std::mem::size_of::<f64>());
+    assert!(view.prices(FormatId::Bsr) && !view.prices(FormatId::Hdc));
+    let cpu = VirtualEngine::new(systems::cirrus(), Backend::OpenMp);
+    let gpu = VirtualEngine::new(systems::cirrus(), Backend::Cuda);
+    let absent = "read the HDC remainder from a machine view assembled without the remainder walk";
+    for (reader, message) in [
+        ("tests/analysis_differential.rs", panic_message(|| assert!(!view.hdc_csr_hist().is_empty()))),
+        ("tests/analysis_differential.rs", panic_message(|| assert!(view.hdc_csr_max_row() > 0))),
+        ("tests/analysis_differential.rs", panic_message(|| assert!(view.warp_iters_hdc_csr() > 0))),
+        (
+            "tests/analysis_differential.rs",
+            panic_message(|| assert!(view.hdc_csr_balanced_imbalance(4) > 0.0)),
+        ),
+        ("src/cpu.rs", panic_message(|| assert!(cpu.spmv_time(FormatId::Hdc, &view) > 0.0))),
+        ("src/cpu.rs", panic_message(|| assert!(cpu.best_spmv_time_at(&view, 2).1 > 0.0))),
+        ("src/gpu.rs", panic_message(|| assert!(gpu.spmv_time(FormatId::Hdc, &view) > 0.0))),
+    ] {
+        assert!(message.contains(absent) && message.contains(reader), "{reader}: {message}");
+    }
+    let full = analyze(&m);
+    assert!(matches!(full.hdc_remainder, Some(HdcRemainder::Rows { .. })));
+    for engine in [&cpu, &gpu] {
+        assert_eq!(engine.is_viable(FormatId::Hdc, &view), engine.is_viable(FormatId::Hdc, &full));
+        assert_eq!(
+            engine.spmm_per_rhs_time(FormatId::Hdc, &view),
+            engine.spmm_per_rhs_time(FormatId::Hdc, &full)
+        );
+        for fmt in ALL_FORMATS.into_iter().filter(|&f| f != FormatId::Hdc) {
+            assert_eq!(engine.spmv_time(fmt, &view), engine.spmv_time(fmt, &full), "{fmt}");
+        }
+        // The baseline over the formats that need no walk bounds the exact
+        // one from above, and is it when neither BSR nor HDC wins.
+        let (bound, exact) =
+            (engine.best_walk_free_spmv_time_at(&view, 2), engine.best_spmv_time_at(&full, 2));
+        assert!(bound.1 >= exact.1, "{bound:?} vs {exact:?}");
+        assert!(bound == exact || matches!(exact.0, FormatId::Bsr | FormatId::Hdc), "{bound:?} vs {exact:?}");
+    }
+    assert_eq!(propose_params(FormatId::Hdc, &view), propose_params(FormatId::Hdc, &full));
+}
+
 /// `nblocks` dense `b x b` blocks on the block diagonal, as COO: BSR at its
 /// best, and `b x b` the cheapest blocking of it.
 fn dense_blocks(b: usize, nblocks: usize) -> DynamicMatrix<f64> {
@@ -494,7 +612,7 @@ fn dense_blocks(b: usize, nblocks: usize) -> DynamicMatrix<f64> {
 }
 
 /// A model tuner answering `format` for everything: a tree fitted on one
-/// label. It declares `reads_block_counts() == false`, so the service hands
+/// label. It declares `prices_formats() == false`, so the service hands
 /// it views without block counts.
 fn tree_answering(format: FormatId) -> DecisionTreeTuner {
     let mut ds =
@@ -508,7 +626,7 @@ fn tree_answering(format: FormatId) -> DecisionTreeTuner {
 
 /// A tuner answering `format` with the parameters proposed off the view it
 /// is handed — the benchmark's `FixedFormat`. The default
-/// `reads_block_counts()` stands: it gets full views.
+/// `prices_formats()` stands: it gets full views.
 struct Fixed(FormatId);
 
 impl FormatTuner<f64> for Fixed {
@@ -572,7 +690,7 @@ fn a_bsr_decision_is_the_same_however_late_its_counts_were_taken() {
     let mut y = vec![f64::NAN; m.nrows()];
 
     let priced = service_over(Fixed(FormatId::Bsr));
-    assert!(FormatTuner::<f64>::reads_block_counts(priced.tuner()));
+    assert!(FormatTuner::<f64>::prices_formats(priced.tuner()));
     let by_price = priced.register(m.clone()).unwrap();
     priced.spmv(&by_price, &x, &mut y).unwrap();
     served_as_by_hand("priced", &by_price, &y);
@@ -580,7 +698,7 @@ fn a_bsr_decision_is_the_same_however_late_its_counts_were_taken() {
     assert!(decisions.contains(&format!(" BSR {}", params.to_token())), "{decisions}");
 
     let modelled = service_over(tree_answering(FormatId::Bsr));
-    assert!(!FormatTuner::<f64>::reads_block_counts(modelled.tuner()));
+    assert!(!FormatTuner::<f64>::prices_formats(modelled.tuner()));
     let by_model = modelled.register(m.clone()).unwrap();
     modelled.spmv(&by_model, &x, &mut y).unwrap();
     served_as_by_hand("modelled", &by_model, &y);
@@ -589,6 +707,62 @@ fn a_bsr_decision_is_the_same_however_late_its_counts_were_taken() {
 
     // Seeded from the file: a hit with no gate numbers, which are then
     // priced off the converted (BSR) matrix.
+    let seeded = service_over(tree_answering(FormatId::Csr));
+    assert_eq!(seeded.import_decisions(std::io::Cursor::new(decisions.as_bytes())).unwrap(), 1);
+    let by_seed = seeded.register(m.clone()).unwrap();
+    assert!(by_seed.report().cache_hit);
+    seeded.spmv(&by_seed, &x, &mut y).unwrap();
+    served_as_by_hand("seeded", &by_seed, &y);
+    assert_eq!(by_seed.batch_cost(), by_price.batch_cost(), "gate numbers");
+}
+
+/// The HDC twin: the remainder walked for up front, for a tuner that prices
+/// from the view; after a model tuner has answered HDC off a view without
+/// it; or for the gate numbers of a decision seeded from a file. Same
+/// decision, same converted matrix, same gate numbers, bitwise the same `y`.
+#[test]
+fn an_hdc_decision_is_the_same_however_late_its_remainder_was_taken() {
+    let m = band_with_strays(1_200);
+    let opts = ConvertOptions::default();
+    let analysis = Analysis::of(&m, opts.true_diag_alpha);
+    assert!(0 < analysis.true_diag_nnz && analysis.true_diag_nnz < analysis.nnz(), "a mixed split");
+    let (want_matrix, _) = m.to_format_with(FormatId::Hdc, &opts, Some(&analysis)).unwrap();
+    let x: Vec<f64> = (0..m.ncols()).map(|i| 1.0 + (i % 11) as f64 * 0.25).collect();
+    let mut want_y = vec![f64::NAN; m.nrows()];
+    ExecPlan::build(&want_matrix, 1, Some(&analysis)).spmv_unpooled(&want_matrix, &x, &mut want_y).unwrap();
+
+    let served_as_by_hand = |how: &str, handle: &MatrixHandle<f64>, y: &[f64]| {
+        assert_eq!(handle.format_id(), FormatId::Hdc, "{how}");
+        assert_eq!(handle.matrix(), &want_matrix, "{how}: converted matrix");
+        assert!(y.iter().zip(&want_y).all(|(a, b)| a.to_bits() == b.to_bits()), "{how}: y");
+    };
+    let mut y = vec![f64::NAN; m.nrows()];
+
+    let priced = service_over(Fixed(FormatId::Hdc));
+    passes::reset();
+    let by_price = priced.register(m.clone()).unwrap();
+    assert_eq!(passes::count(), 3, "hash, walk, remainder");
+    priced.spmv(&by_price, &x, &mut y).unwrap();
+    served_as_by_hand("priced", &by_price, &y);
+    let decisions = exported(&priced);
+    assert!(decisions.contains(" HDC "), "{decisions}");
+
+    let modelled = service_over(tree_answering(FormatId::Hdc));
+    passes::reset();
+    let by_model = modelled.register(m.clone()).unwrap();
+    assert_eq!(passes::count(), 4, "hash, walk; then, HDC being the answer, block counts and remainder");
+    modelled.spmv(&by_model, &x, &mut y).unwrap();
+    served_as_by_hand("modelled", &by_model, &y);
+    assert_eq!(exported(&modelled), decisions, "the decision, parameters included");
+    assert_eq!(by_model.batch_cost(), by_price.batch_cost(), "gate numbers");
+
+    // Any other answer walks for neither: a plain registration's miss on a
+    // mixed split is the key hash and the analysis walk.
+    let elsewhere = service_over(tree_answering(FormatId::Bell));
+    passes::reset();
+    assert_eq!(elsewhere.register(m.clone()).unwrap().format_id(), FormatId::Bell);
+    assert_eq!(passes::count(), 2, "hash, walk");
+
     let seeded = service_over(tree_answering(FormatId::Csr));
     assert_eq!(seeded.import_decisions(std::io::Cursor::new(decisions.as_bytes())).unwrap(), 1);
     let by_seed = seeded.register(m.clone()).unwrap();

@@ -74,6 +74,42 @@ fn always(
     .unwrap()
 }
 
+/// A decision-cache hit reads the matrix once, for the key: the entry
+/// brings its plan, and the handle is keyed by the hash it was decided
+/// under. A registration's miss reads it twice — key hash, analysis —
+/// and never hashes what it converted; `tune`, whose caller keeps the
+/// switched matrix, hashes it once more for the re-tune alias.
+#[test]
+fn a_hit_hashes_the_source_and_nothing_else() {
+    let service = always(FormatId::Bell, DEFAULT_CACHE_CAPACITY, None);
+
+    passes::reset();
+    let first = service.register(tridiag(700)).unwrap();
+    assert!(!first.report().cache_hit && first.format_id() == FormatId::Bell);
+    assert_eq!(passes::count(), 2, "a registration's miss: key hash, analysis");
+
+    passes::reset();
+    let again = service.register(tridiag(700)).unwrap();
+    assert!(again.report().cache_hit && again.report().plan == PlanStatus::Reused);
+    assert_eq!(passes::count(), 1, "a repeat registration hashes the source only");
+
+    passes::reset();
+    let (x, mut y) = (vec![1.0f64; 700], vec![0.0f64; 700]);
+    let report = service.tune_and_spmv(&mut tridiag(700), &x, &mut y).unwrap();
+    assert!(report.cache_hit && report.converted && report.plan == PlanStatus::Reused);
+    assert_eq!(passes::count(), 1, "a per-call hit hashes the source only");
+
+    // A per-call miss hashes what it converted, for the alias re-tuning
+    // the switched matrix hits through.
+    let mut switched = tridiag(900);
+    passes::reset();
+    assert!(!service.tune(&mut switched).unwrap().cache_hit);
+    assert_eq!(passes::count(), 3, "a tune's miss: key hash, analysis, hash of the converted matrix");
+    passes::reset();
+    assert!(service.tune(&mut switched).unwrap().cache_hit);
+    assert_eq!(passes::count(), 1);
+}
+
 /// With more structures come through than the cache holds, an entry that
 /// was evicted and decided again owns a plan again: a hit never re-analyses
 /// the converted matrix to rebuild one, which a plan cache evicting on its

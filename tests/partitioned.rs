@@ -4,10 +4,16 @@
 //! service-level partitioned registration path — including that deciding
 //! before materialising admits exactly the partitions a
 //! convert-everything-first evaluation admits, at a bounded traversal
-//! cost when it rejects.
+//! cost when it rejects; and that a model tuner's gate, which walks for the
+//! whole matrix's exact baseline only once a partition beats a bound it can
+//! compute without, reaches the verdicts and handles of the same tuner
+//! handed full views throughout.
 
 use morpheus_repro::corpus::gen::hetero::{hub_plus_banded, shifted_bands, three_regime};
-use morpheus_repro::machine::{analyze_from, systems, Backend, VirtualEngine};
+use morpheus_repro::corpus::gen::{banded, blocks, powerlaw, random, stencil};
+use morpheus_repro::corpus::CorpusSpec;
+use morpheus_repro::machine::{analyze, analyze_from, systems, Backend, MatrixAnalysis, VirtualEngine};
+use morpheus_repro::ml::{Dataset, ForestParams, RandomForest};
 use morpheus_repro::morpheus::analysis::passes;
 use morpheus_repro::morpheus::format::FormatId;
 use morpheus_repro::morpheus::partition::{split_rows, SEAM_ALIGN};
@@ -18,7 +24,10 @@ use morpheus_repro::morpheus::{
     ExecPlan, Op, Partition, PartitionConfig, PartitionedMatrix, Scalar, StreamingPartitioner,
 };
 use morpheus_repro::oracle::adapt::{CollectorConfig, SampleCollector};
-use morpheus_repro::oracle::{Oracle, PartitionPolicy, PlanStatus, RunFirstTuner, TuningCost};
+use morpheus_repro::oracle::{
+    FeatureVector, FormatTuner, Oracle, OracleService, PartitionPolicy, PlanStatus, RandomForestTuner,
+    RunFirstTuner, TuneDecision, TuningCost, NUM_FEATURES,
+};
 use morpheus_repro::parallel::ThreadPool;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -360,17 +369,18 @@ fn cirrus() -> VirtualEngine {
     VirtualEngine::new(systems::cirrus(), Backend::OpenMp)
 }
 
-fn gated_service(
-    workers: usize,
-    policy: PartitionPolicy,
-) -> morpheus_repro::oracle::OracleService<RunFirstTuner> {
+fn service_over<T>(tuner: T, workers: usize, policy: PartitionPolicy) -> OracleService<T> {
     Oracle::builder()
         .engine(cirrus())
-        .tuner(RunFirstTuner::new(1))
+        .tuner(tuner)
         .workers(workers)
         .partition_policy(policy)
         .build_service()
         .unwrap()
+}
+
+fn gated_service(workers: usize, policy: PartitionPolicy) -> OracleService<RunFirstTuner> {
+    service_over(RunFirstTuner::new(1), workers, policy)
 }
 
 /// `register_partitioned` decides every shard, gates, and only then
@@ -519,6 +529,245 @@ fn admitted_partition_traversals_are_one_walk_plus_one_per_shard() {
     );
     let keyed: Vec<u64> = h.partition().unwrap().shards().iter().map(|s| s.structure()).collect();
     assert_eq!(keyed, decided_under, "each shard is keyed by the hash of the CSR piece it was decided as");
+}
+
+/// The benchmark's selector at test size: a forest fitted on the engine's
+/// profile of a 60-matrix corpus.
+fn fitted_forest() -> RandomForestTuner {
+    let engine = cirrus();
+    let mut train =
+        Dataset::empty(NUM_FEATURES, morpheus_repro::morpheus::format::FORMAT_COUNT, vec![]).unwrap();
+    for entry in CorpusSpec::small(60).iter() {
+        let view = analyze(&DynamicMatrix::from(entry.matrix));
+        let features = FeatureVector::from_stats(&view.stats);
+        train.push(features.as_slice(), engine.profile(&view).optimal.index()).unwrap();
+    }
+    let params = ForestParams { n_estimators: 15, seed: 1, ..Default::default() };
+    RandomForestTuner::new(RandomForest::fit(&train, &params).unwrap()).unwrap()
+}
+
+/// `T`'s decisions, declared as priced from the view: the service hands it
+/// full views and full analyses throughout, as it does a run-first tuner.
+struct HandedFullViews<T>(T);
+
+impl<T: FormatTuner<f64>> FormatTuner<f64> for HandedFullViews<T> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn select(&self, m: &DynamicMatrix<f64>, a: &MatrixAnalysis, e: &VirtualEngine, op: Op) -> TuneDecision {
+        self.0.select(m, a, e, op)
+    }
+}
+
+fn exported<T>(service: &OracleService<T>) -> String {
+    let mut buf = Vec::new();
+    service.export_decisions(&mut buf).unwrap();
+    String::from_utf8(buf).unwrap()
+}
+
+/// The eight regimes of the benchmark's `solver_long` at a tenth of its
+/// size, and three matrices of several regimes each.
+fn gate_corpus() -> Vec<(&'static str, DynamicMatrix<f64>)> {
+    let mut rng = StdRng::seed_from_u64(23);
+    let rng = &mut rng;
+    let n = 4_000;
+    let corpus = vec![
+        ("poisson3d", stencil::poisson3d(17, 17, 17)),
+        ("banded_partial", banded::banded_partial(n, 12, 0.4, rng)),
+        ("aligned_blocks", blocks::aligned_blocks(n / 4, 4, 2, rng)),
+        ("bimodal_rows", random::bimodal_rows(n, 4, 64, 16, rng)),
+        ("zipf_rows", powerlaw::zipf_rows(n, n * 10, 1.4, rng)),
+        ("hub_rows", powerlaw::hub_rows(n, 3, n / 2, n * 6, rng)),
+        ("erdos_renyi", random::erdos_renyi(n, n * 8, rng)),
+        ("three_regime", three_regime(n, n / 50, 120, n * 3 / 10, 16, 4, rng)),
+        ("hub+banded", hub_plus_banded(6_000, 200, 80, 3, rng)),
+        ("three-regime, long hubs", three_regime(6_000, 150, 90, 2_000, 9, 2, rng)),
+        ("shifted-bands", shifted_bands(6_000, 100, 60, &[(0, 2), (700, 5), (-900, 3)], rng)),
+    ];
+    corpus.into_iter().map(|(name, coo)| (name, DynamicMatrix::from(coo))).collect()
+}
+
+/// A model tuner's gate decides on less: no block counts in its one walk, no
+/// remainder histograms in its views, and the whole matrix's exact baseline
+/// only for a partition that beats the walk-free bound. Its verdicts, shard
+/// boundaries and formats, cached decisions and every `y` are those of the
+/// same model handed full views throughout — COO and CSR sources, one worker
+/// and two, cold caches and warm ones.
+#[test]
+fn a_model_tuners_gate_reaches_the_verdicts_of_one_handed_full_views() {
+    let forest = fitted_forest();
+    assert!(!FormatTuner::<f64>::prices_formats(&forest));
+    assert!(FormatTuner::<f64>::prices_formats(&HandedFullViews(forest.clone())));
+    let policy = PartitionPolicy { target_shard_nnz: Some(8_000), ..Default::default() };
+    let (mut admitted, mut rejected) = (0, 0);
+    for workers in [1, 2] {
+        let lazy = service_over(forest.clone(), workers, policy);
+        let eager = service_over(HandedFullViews(forest.clone()), workers, policy);
+        for (name, coo) in gate_corpus() {
+            let csr = coo.to_format(FormatId::Csr, &ConvertOptions::default()).unwrap();
+            let x: Vec<f64> = (0..coo.ncols()).map(|i| ((i % 29) as f64 - 14.0) * 0.125).collect();
+            // The second round of each source hits the decisions of the first.
+            for (round, source) in [&coo, &csr, &coo, &csr].into_iter().enumerate() {
+                let what = format!("{name} from {} at {workers} workers, round {round}", source.format_id());
+                let got = lazy.register_partitioned(source.clone()).unwrap();
+                let want = eager.register_partitioned(source.clone()).unwrap();
+                assert_eq!(got.is_partitioned(), want.is_partitioned(), "{what}: gate verdict");
+                assert_eq!(got.format_id(), want.format_id(), "{what}");
+                assert_eq!(got.batch_cost(), want.batch_cost(), "{what}: gate numbers");
+                match (got.partition(), want.partition()) {
+                    (Some(got), Some(want)) => {
+                        admitted += 1;
+                        assert_eq!(got.num_shards(), want.num_shards(), "{what}");
+                        for (g, w) in got.shards().iter().zip(want.shards()) {
+                            assert_eq!(g.rows(), w.rows(), "{what}: shard rows");
+                            assert_eq!(g.format_id(), w.format_id(), "{what}: shard format");
+                            assert_eq!(g.matrix(), w.matrix(), "{what}: shard arrays");
+                        }
+                    }
+                    (None, None) => {
+                        rejected += 1;
+                        assert_eq!(got.matrix(), want.matrix(), "{what}: whole-matrix arrays");
+                    }
+                    _ => unreachable!("verdicts agreed above"),
+                }
+                let (mut y, mut y_want) = (vec![f64::NAN; coo.nrows()], vec![f64::NAN; coo.nrows()]);
+                lazy.spmv(&got, &x, &mut y).unwrap();
+                eager.spmv(&want, &x, &mut y_want).unwrap();
+                assert!(bitwise_eq(&y, &y_want), "{what}: y");
+            }
+        }
+        assert_eq!(exported(&lazy), exported(&eager), "{workers} workers: the decisions cached");
+    }
+    assert!(admitted > 0 && rejected > 0, "corpus must exercise both verdicts ({admitted}/{rejected})");
+}
+
+/// What a model tuner's registrations traverse, on a matrix whose HDC split
+/// is mixed whole and in every shard (a band with strays off it): a plain
+/// `register` miss is the key hash and the analysis walk; a gate-declined
+/// `register_partitioned` those, the row-length sweep the partition is
+/// chosen from and the one sweep of the column array that hashes the shards
+/// — no block stamps, no remainder re-read, whole or per shard; an admitted
+/// one the two late walks of the whole matrix on top
+/// (block counts, remainder: the exact baseline) and the split. Handed full
+/// views, the same decisions cost a remainder walk for the whole matrix and
+/// one per shard.
+#[test]
+fn a_model_tuners_gate_walks_only_for_a_partition_that_beats_the_bound() {
+    let forest = fitted_forest();
+    let mut rng = StdRng::seed_from_u64(5);
+    let opts = ConvertOptions::default();
+    let mixed = |m: &DynamicMatrix<f64>| {
+        let a = analysis_of(m);
+        0 < a.true_diag_nnz && a.true_diag_nnz < a.nnz()
+    };
+    // One regime throughout: shards buy nothing at one worker.
+    let band = DynamicMatrix::from(banded::diag_plus_scatter(6_000, 9_000, &mut rng));
+    let band = band.to_format(FormatId::Csr, &opts).unwrap();
+    assert!(mixed(&band));
+    let policy = PartitionPolicy { target_shard_nnz: Some(4_000), ..Default::default() };
+    let shards = Partition::from_analysis(&analysis_of(&band), &policy.config(1)).num_shards() as u64;
+    assert!(shards >= 3);
+
+    let lazy = service_over(forest.clone(), 1, policy);
+    passes::reset();
+    let whole = lazy.register(band.clone()).unwrap();
+    assert!(!whole.report().cache_hit);
+    assert_eq!(passes::count(), 2, "register: hash, walk");
+    lazy.clear_cache();
+    passes::reset();
+    let declined = lazy.register_partitioned(band.clone()).unwrap();
+    assert!(!declined.is_partitioned() && !declined.report().cache_hit);
+    assert_eq!(passes::count(), 4, "declined: hash, row lengths, walk, shard hashes");
+
+    let eager = service_over(HandedFullViews(forest.clone()), 1, policy);
+    passes::reset();
+    assert!(!eager.register_partitioned(band.clone()).unwrap().is_partitioned());
+    assert_eq!(passes::count(), 4 + 1 + shards, "handed full views: a remainder walk whole and per shard");
+
+    // Several regimes, two workers: admitted.
+    let several = hetero(4_000, 150, 60, 9).to_format(FormatId::Csr, &opts).unwrap();
+    assert!(mixed(&several));
+    let lazy = service_over(forest, 2, policy);
+    passes::reset();
+    let admitted = lazy.register_partitioned(several).unwrap();
+    assert!(admitted.is_partitioned());
+    let walked_for: Vec<FormatId> =
+        admitted.partition().unwrap().shards().iter().map(|s| s.format_id()).collect();
+    let late = walked_for.iter().filter(|f| matches!(f, FormatId::Bsr | FormatId::Hdc)).count() as u64;
+    assert_eq!(
+        passes::count(),
+        4 + 2 + 1 + 2 * late,
+        "admitted: hash, row lengths, walk, shard hashes; block counts and remainder of the whole; the split \
+         (and both walks of a shard decided BSR or HDC: {walked_for:?})"
+    );
+}
+
+/// Always the one format, at its default parameters.
+struct Always(FormatId);
+
+impl FormatTuner<f64> for Always {
+    fn name(&self) -> &'static str {
+        "always"
+    }
+
+    fn select(&self, _: &DynamicMatrix<f64>, _: &MatrixAnalysis, _: &VirtualEngine, op: Op) -> TuneDecision {
+        let params = morpheus_repro::morpheus::FormatParams::default();
+        TuneDecision { format: self.0, params, op, cost: TuningCost::default() }
+    }
+}
+
+/// A shard decision that reaches the gate from the decision cache or a
+/// decisions file is priced there like any other — and HDC, on a mixed split,
+/// from a remainder the model tuner's shard views were assembled without:
+/// the walk is taken on the hit path too. Seeded with HDC for every shard,
+/// the forest's service serves the handle of the one handed full views —
+/// verdict, shards, gate numbers, bitwise `y` — gate on and off, from the
+/// file (entries without gate numbers) and again from the cache.
+#[test]
+fn a_seeded_hdc_shard_decision_is_priced_as_for_a_tuner_handed_full_views() {
+    let mut rng = StdRng::seed_from_u64(41);
+    let m = DynamicMatrix::from(banded::diag_plus_scatter(6_000, 9_000, &mut rng));
+    let target = PartitionPolicy { target_shard_nnz: Some(4_000), ..Default::default() };
+    let seeding = service_over(Always(FormatId::Hdc), 2, PartitionPolicy { cost_gate: false, ..target });
+    let seeded = seeding.register_partitioned(m.clone()).unwrap();
+    let shards = seeded.partition().expect("the gate is off").shards();
+    assert!(shards.len() >= 3 && shards.iter().all(|s| s.format_id() == FormatId::Hdc));
+    for s in shards {
+        let a = analysis_of(s.matrix());
+        assert!(0 < a.true_diag_nnz && a.true_diag_nnz < a.nnz(), "rows {:?}: a mixed split", s.rows());
+    }
+    let decisions = exported(&seeding);
+
+    let forest = fitted_forest();
+    let x: Vec<f64> = (0..m.ncols()).map(|i| ((i % 29) as f64 - 14.0) * 0.125).collect();
+    for gate in [true, false] {
+        let policy = PartitionPolicy { cost_gate: gate, ..target };
+        let lazy = service_over(forest.clone(), 2, policy);
+        let eager = service_over(HandedFullViews(forest.clone()), 2, policy);
+        let imported = lazy.import_decisions(std::io::Cursor::new(decisions.as_bytes())).unwrap();
+        assert_eq!(imported, eager.import_decisions(std::io::Cursor::new(decisions.as_bytes())).unwrap());
+        assert_eq!(imported, shards.len());
+        for round in ["from the file", "from the cache"] {
+            let what = format!("gate {gate}, {round}");
+            let got = lazy.register_partitioned(m.clone()).unwrap();
+            let want = eager.register_partitioned(m.clone()).unwrap();
+            assert!(gate || got.is_partitioned(), "{what}");
+            assert_eq!(got.is_partitioned(), want.is_partitioned(), "{what}: gate verdict");
+            assert_eq!(got.batch_cost(), want.batch_cost(), "{what}: gate numbers");
+            if let (Some(got), Some(want)) = (got.partition(), want.partition()) {
+                assert!(got.shards().iter().all(|s| s.format_id() == FormatId::Hdc), "{what}: seeded shards");
+                for (g, w) in got.shards().iter().zip(want.shards()) {
+                    assert_eq!((g.rows(), g.matrix()), (w.rows(), w.matrix()), "{what}: shard");
+                }
+            }
+            let (mut y, mut y_want) = (vec![f64::NAN; m.nrows()], vec![f64::NAN; m.nrows()]);
+            lazy.spmv(&got, &x, &mut y).unwrap();
+            eager.spmv(&want, &x, &mut y_want).unwrap();
+            assert!(bitwise_eq(&y, &y_want), "{what}: y");
+        }
+        assert_eq!(exported(&lazy), exported(&eager), "gate {gate}: the decisions cached");
+    }
 }
 
 /// The report of a partitioned handle says what registration did: summed
