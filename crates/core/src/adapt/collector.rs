@@ -33,7 +33,7 @@ use crate::features::FeatureVector;
 use crate::tuner::TuningCost;
 use crate::{Result, NUM_FEATURES};
 use morpheus::format::{FormatId, FORMAT_COUNT};
-use morpheus::{Analysis, ConvertOptions, DynamicMatrix, KernelVariant, Scalar};
+use morpheus::{Analysis, ConvertOptions, DynamicMatrix, Scalar};
 use morpheus_machine::{analyze_from, Op, VirtualEngine};
 use morpheus_ml::Dataset;
 use parking_lot::Mutex;
@@ -252,9 +252,6 @@ impl SampleCollector {
                 op,
                 scalar_bytes: std::mem::size_of::<V>(),
                 workers: 1,
-                // Trials run the serial scalar reference kernels, so their
-                // measurements belong to the Scalar variant population.
-                variant: KernelVariant::Scalar,
                 param_code: opts.params.code(),
             };
             trials.push((key, trial));
@@ -375,15 +372,7 @@ mod tests {
     }
 
     fn key(structure: u64, format: FormatId) -> SampleKey {
-        SampleKey {
-            structure,
-            format,
-            op: Op::Spmv,
-            scalar_bytes: 8,
-            workers: 1,
-            variant: KernelVariant::Scalar,
-            param_code: 0,
-        }
+        SampleKey { structure, format, op: Op::Spmv, scalar_bytes: 8, workers: 1, param_code: 0 }
     }
 
     fn tridiag(n: usize) -> DynamicMatrix<f64> {

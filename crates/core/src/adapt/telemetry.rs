@@ -32,7 +32,6 @@
 //! while the span ring keeps bounded per-request records for tracing.
 
 use morpheus::format::FormatId;
-use morpheus::KernelVariant;
 use morpheus_machine::Op;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -55,11 +54,6 @@ pub struct SampleKey {
     /// Worker threads the execution used (1 for serial kernels and
     /// busy-pool fallbacks).
     pub workers: usize,
-    /// The dominant [`KernelVariant`] of the plan that executed. Two runs
-    /// of the same (matrix, format, op, workers) under different variants
-    /// are different kernels — conflating them would teach retraining the
-    /// average of the scalar and the specialised body.
-    pub variant: KernelVariant,
     /// [`morpheus::FormatParams::code`] of the parameters the matrix was
     /// converted with (0 = defaults). Two parameterizations of the same
     /// format (a 2x2 vs an 8x8 BSR, different BELL ladders) are different
@@ -78,7 +72,8 @@ pub const PACK_LAYOUT_VERSION: u32 = 2;
 // [0..4)  format index (sized for 16 registered formats),
 // [4..28) op (0 = SpMV, k+1 = SpMM{k}, saturating),
 // [28..36) scalar bytes (saturating), [36..52) workers (saturating),
-// [52..56) kernel variant index, [56..63) format parameter code.
+// [52..56) zero (every format has one body; v2 wrote a body index here, 0
+// for the one that is left), [56..63) format parameter code.
 const PACK_TAG: u64 = 1 << 63;
 const OP_MASK: u64 = (1 << 24) - 1;
 
@@ -92,7 +87,6 @@ fn pack_meta(key: &SampleKey) -> u64 {
         | (op << 4)
         | ((key.scalar_bytes as u64).min(0xff) << 28)
         | ((key.workers as u64).min(0xffff) << 36)
-        | ((key.variant.index() as u64) << 52)
         | (((key.param_code & 0x7f) as u64) << 56)
 }
 
@@ -104,7 +98,6 @@ fn unpack_meta(structure: u64, packed: u64) -> SampleKey {
         op: if op == 0 { Op::Spmv } else { Op::Spmm { k: (op - 1) as usize } },
         scalar_bytes: ((packed >> 28) & 0xff) as usize,
         workers: ((packed >> 36) & 0xffff) as usize,
-        variant: KernelVariant::from_index(((packed >> 52) & 0xf) as usize).unwrap_or(KernelVariant::Scalar),
         param_code: ((packed >> 56) & 0x7f) as u8,
     }
 }
@@ -310,35 +303,20 @@ mod tests {
     use super::*;
 
     fn key(structure: u64, format: FormatId) -> SampleKey {
-        SampleKey {
-            structure,
-            format,
-            op: Op::Spmv,
-            scalar_bytes: 8,
-            workers: 1,
-            variant: KernelVariant::Scalar,
-            param_code: 0,
-        }
+        SampleKey { structure, format, op: Op::Spmv, scalar_bytes: 8, workers: 1, param_code: 0 }
     }
 
     #[test]
     fn pack_roundtrips_every_field() {
-        for (fmt, op, scalar, workers, variant, param_code) in [
-            (FormatId::Csr, Op::Spmv, 8usize, 1usize, KernelVariant::Scalar, 0u8),
-            (FormatId::Hdc, Op::Spmm { k: 32 }, 4, 12, KernelVariant::Unrolled, 5),
-            (FormatId::Dia, Op::Spmm { k: 1 }, 8, 65535, KernelVariant::Blocked, 1),
-            (FormatId::Csr, Op::Spmv, 8, 7, KernelVariant::Prefetch, 0),
+        for (fmt, op, scalar, workers, param_code) in [
+            (FormatId::Csr, Op::Spmv, 8usize, 1usize, 0u8),
+            (FormatId::Hdc, Op::Spmm { k: 32 }, 4, 12, 5),
+            (FormatId::Dia, Op::Spmm { k: 1 }, 8, 65535, 1),
+            (FormatId::Csr, Op::Spmv, 8, 7, 0),
             // Every field at its layout maximum: the two highest registered
             // format ids, the full 7-bit parameter code, saturated widths.
-            (FormatId::Bsr, Op::Spmm { k: 1 << 23 }, 255, 65535, KernelVariant::Blocked, 0x7f),
-            (
-                FormatId::Bell,
-                Op::Spmm { k: (OP_MASK as usize) - 1 },
-                255,
-                65535,
-                KernelVariant::Prefetch,
-                0x7f,
-            ),
+            (FormatId::Bsr, Op::Spmm { k: 1 << 23 }, 255, 65535, 0x7f),
+            (FormatId::Bell, Op::Spmm { k: (OP_MASK as usize) - 1 }, 255, 65535, 0x7f),
         ] {
             let k = SampleKey {
                 structure: 0xdead_beef,
@@ -346,7 +324,6 @@ mod tests {
                 op,
                 scalar_bytes: scalar,
                 workers,
-                variant,
                 param_code,
             };
             let packed = pack_meta(&k);
@@ -385,24 +362,6 @@ mod tests {
         let l = snap.iter().find(|m| m.key.param_code == 3).unwrap();
         assert_eq!((s.count, l.count), (1, 2));
         assert!(l.min_seconds < s.min_seconds);
-    }
-
-    #[test]
-    fn variants_are_distinct_telemetry_populations() {
-        // The same kernel under two variants must aggregate separately —
-        // retraining learns which variant wins per structure class from
-        // exactly this split.
-        let t = Telemetry::new(64);
-        let unrolled = SampleKey { variant: KernelVariant::Unrolled, ..key(42, FormatId::Csr) };
-        t.record(key(42, FormatId::Csr), Duration::from_micros(30));
-        t.record(unrolled, Duration::from_micros(10));
-        t.record(unrolled, Duration::from_micros(12));
-        let snap = t.snapshot();
-        assert_eq!(snap.len(), 2);
-        let s = snap.iter().find(|m| m.key.variant == KernelVariant::Scalar).unwrap();
-        let u = snap.iter().find(|m| m.key.variant == KernelVariant::Unrolled).unwrap();
-        assert_eq!((s.count, u.count), (1, 2));
-        assert!(u.min_seconds < s.min_seconds);
     }
 
     #[test]
@@ -466,7 +425,6 @@ mod tests {
                             op: Op::Spmv,
                             scalar_bytes: 8,
                             workers: 1,
-                            variant: KernelVariant::Scalar,
                             param_code: 0,
                         };
                         t.record(k, Duration::from_nanos(10));

@@ -78,23 +78,6 @@ impl FeatureVector {
     pub fn as_slice(&self) -> &[f64] {
         &self.0
     }
-
-    /// The SpMV bottleneck label implied by these features — the same
-    /// classification [`morpheus::Analysis::bottleneck`] derives, so a
-    /// stored feature vector (e.g. a telemetry sample or a training row)
-    /// can be bucketed by bottleneck without the matrix at hand.
-    pub fn bottleneck(&self) -> morpheus::Bottleneck {
-        let f = &self.0;
-        morpheus::Bottleneck::classify(
-            f[0] as usize,
-            f[1] as usize,
-            f[2] as usize,
-            f[3],
-            f[5] as usize,
-            f[7],
-            f[8] as usize,
-        )
-    }
 }
 
 impl std::fmt::Display for FeatureVector {
@@ -162,15 +145,6 @@ mod tests {
         let strict = FeatureVector::extract_with_alpha(&m, 1.0);
         assert_eq!(loose.0[..9], strict.0[..9]);
         assert!(strict.0[9] <= loose.0[9]);
-    }
-
-    #[test]
-    fn bottleneck_label_agrees_with_the_analysis_classification() {
-        let m = sample();
-        let fv = FeatureVector::extract(&m);
-        let an = morpheus::Analysis::of(&m, 0.2);
-        assert_eq!(fv.bottleneck(), an.bottleneck());
-        assert_eq!(fv.bottleneck(), morpheus::Bottleneck::Bandwidth);
     }
 
     #[test]

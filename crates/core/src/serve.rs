@@ -77,8 +77,7 @@ use morpheus::analysis::PartitionedAnalysis;
 use morpheus::format::FormatId;
 use morpheus::partition::{split_rows, Partition, StreamingPartitioner};
 use morpheus::{
-    Analysis, ConvertOptions, DynamicMatrix, ExecPlan, KernelVariant, PartitionConfig, PartitionedMatrix,
-    Scalar, Workspace,
+    Analysis, ConvertOptions, DynamicMatrix, ExecPlan, PartitionConfig, PartitionedMatrix, Scalar, Workspace,
 };
 use morpheus_machine::{analyze_from, assemble, MatrixAnalysis, Op, VirtualEngine};
 use morpheus_ml::serialize::LineParser;
@@ -899,7 +898,6 @@ impl<T> OracleService<T> {
             cache_hit,
             plan: PlanStatus::Unplanned,
             serial_fallback: false,
-            variant: KernelVariant::Scalar,
             convert,
             shards: 1,
         };
@@ -910,8 +908,7 @@ impl<T> OracleService<T> {
     /// a hit that found its entry without — a decision imported or never
     /// executed, a plan for another worker count, a fresh CSR fallback. A
     /// miss carries the analysis it decided on; otherwise the realized `m`
-    /// is hashed and walked here, once for both. (Variant selection reads
-    /// the analysed bottleneck: a plan built late is the miss's.)
+    /// is hashed and walked here, once for both.
     fn late_analysis<'a, V: Scalar>(
         &self,
         m: &DynamicMatrix<V>,
@@ -988,7 +985,6 @@ impl<T> OracleService<T> {
         format: FormatId,
         op: Op,
         workers: usize,
-        variant: KernelVariant,
         elapsed: std::time::Duration,
     ) {
         if let Some(col) = &self.collector {
@@ -999,7 +995,6 @@ impl<T> OracleService<T> {
                     op,
                     scalar_bytes: std::mem::size_of::<V>(),
                     workers,
-                    variant,
                     param_code: self.opts.params.code(),
                 },
                 elapsed,
@@ -1035,9 +1030,8 @@ impl<T> OracleService<T> {
 
     /// One whole matrix, executed: the serial kernel when there is no
     /// `plan`, otherwise the plan's bodies ([`ExecPlan::run`]) across `pool`
-    /// or, without one, inline on the calling thread. Returns the `(workers,
-    /// variant)` the execution's telemetry population is keyed by: SpMM has
-    /// scalar bodies only, and so has the serial kernel.
+    /// or, without one, inline on the calling thread. Returns the worker
+    /// count the execution's telemetry population is keyed by.
     fn run_whole<V: Scalar>(
         &self,
         m: &DynamicMatrix<V>,
@@ -1046,24 +1040,23 @@ impl<T> OracleService<T> {
         x: &[V],
         y: &mut [V],
         pool: Option<&ThreadPool>,
-    ) -> morpheus::Result<(usize, KernelVariant)> {
+    ) -> morpheus::Result<usize> {
         let Some(plan) = plan else {
             match op {
                 Op::Spmv => morpheus::spmv::spmv_serial(m, x, y)?,
                 Op::Spmm { k } => morpheus::spmm::spmm_serial(m, x, y, k)?,
             }
-            return Ok((1, KernelVariant::Scalar));
+            return Ok(1);
         };
         plan.run(m, op, x, y, pool)?;
-        let variant = if op == Op::Spmv { plan.dominant_variant() } else { KernelVariant::Scalar };
-        Ok((pool.map_or(1, ThreadPool::num_threads), variant))
+        Ok(pool.map_or(1, ThreadPool::num_threads))
     }
 
     /// Executes `op` through a registered handle — the one way a handle
     /// runs, and where **the ladder** is written down:
     ///
     /// 1. **Serial backend** ([`Self::exec_pool`] is `None`): a whole
-    ///    matrix runs the serial kernel (population `1 worker, Scalar`);
+    ///    matrix runs the serial kernel (population `1 worker`);
     ///    shards run their single-threaded plans one after another.
     /// 2. **`pool: Some`**: the plan's parts (the shards, by owner) in one
     ///    dispatch across the pool. Should another client's batch be
@@ -1086,9 +1079,9 @@ impl<T> OracleService<T> {
     /// after) only with a collector attached or tracing on; the measured
     /// `(start, elapsed)` is returned for the caller's request-level
     /// observation. A whole matrix's time is attributed to its `(structure,
-    /// format, op, scalar, workers, variant)` population; a partitioned
+    /// format, op, scalar, workers)` population; a partitioned
     /// handle's shards are each timed and attributed on their own, as
-    /// `(shard structure, shard format, op, scalar, 1 worker, variant)` —
+    /// `(shard structure, shard format, op, scalar, 1 worker)` —
     /// shard kernels are single-threaded, parallelism comes from running
     /// shards concurrently — and, at the *fine* trace level (one span per
     /// shard per request is too hot for the always-on default), each gets an
@@ -1106,8 +1099,8 @@ impl<T> OracleService<T> {
         let sample = match &handle.inner.stored {
             Stored::Single { matrix, structure, plan } => {
                 let plan = self.exec_pool().map(|_| &**plan);
-                let (workers, variant) = self.run_whole(matrix, plan, op, x, y, pool)?;
-                Some((*structure, matrix.format_id(), workers, variant))
+                let workers = self.run_whole(matrix, plan, op, x, y, pool)?;
+                Some((*structure, matrix.format_id(), workers))
             }
             Stored::Partitioned(p) => {
                 let fine = self.obs.fine() && trace.is_some();
@@ -1119,8 +1112,6 @@ impl<T> OracleService<T> {
                 let observe = move |si: usize, elapsed: std::time::Duration| {
                     if let Some((col, param_code)) = collector {
                         let s = p.shard(si);
-                        let variant =
-                            if op == Op::Spmv { s.plan().dominant_variant() } else { KernelVariant::Scalar };
                         col.record(
                             SampleKey {
                                 structure: s.structure(),
@@ -1128,7 +1119,6 @@ impl<T> OracleService<T> {
                                 op,
                                 scalar_bytes: std::mem::size_of::<V>(),
                                 workers: 1,
-                                variant,
                                 param_code,
                             },
                             elapsed,
@@ -1151,8 +1141,8 @@ impl<T> OracleService<T> {
         self.requests_served.inc();
         Ok(t0.map(|t0| {
             let elapsed = t0.elapsed();
-            if let Some((structure, format, workers, variant)) = sample {
-                self.record_execution::<V>(structure, format, op, workers, variant, elapsed);
+            if let Some((structure, format, workers)) = sample {
+                self.record_execution::<V>(structure, format, op, workers, elapsed);
             }
             (t0, elapsed)
         }))
@@ -1216,12 +1206,11 @@ impl<T> OracleService<T> {
             plan
         });
         let pool = pool.filter(|_| !report.serial_fallback);
-        let (workers, variant) = self.run_whole(m, plan.as_deref(), op, x, y, pool)?;
-        report.variant = variant;
+        let workers = self.run_whole(m, plan.as_deref(), op, x, y, pool)?;
         if let Some(t0) = t0 {
             let elapsed = t0.elapsed();
             if report.plan != PlanStatus::Built {
-                self.record_execution::<V>(artifacts.structure, m.format_id(), op, workers, variant, elapsed);
+                self.record_execution::<V>(artifacts.structure, m.format_id(), op, workers, elapsed);
             }
             self.observe_request(trace, t0, elapsed);
         }
@@ -1316,7 +1305,6 @@ impl<T> OracleService<T> {
         let threads = self.exec_pool().map_or(1, |p| p.num_threads());
         let (plan, status) = self.acquire_plan_observed(&m, &mut artifacts, threads, TraceId::NONE);
         report.plan = status;
-        report.variant = plan.dominant_variant();
         let structure = artifacts.structure;
         let batch = self.batch_cost_of(&m, &mut artifacts);
         let id = self.next_handle_id.fetch_add(1, Ordering::Relaxed);
@@ -1399,9 +1387,11 @@ impl<T> OracleService<T> {
         // With the gate on, every shard needs its machine view (hit or
         // miss), and `decide` leaves it able to price the shard's format.
         let gate = self.partition.cost_gate;
+        // One price for both sides of the gate: a shard runs on one worker,
+        // the whole matrix across `threads`.
         let shard_time = |format: FormatId, view: Option<&MatrixAnalysis>| {
             let view = view.expect("the cost gate computes every shard's view before deciding");
-            self.engine.best_shard_spmv_variant(format, view).1
+            self.engine.spmv_time_at(format, view, 1)
         };
         let mut decided = Vec::with_capacity(shards.len());
         for (rows, analysis) in partition.ranges().zip(shards) {
@@ -1560,7 +1550,6 @@ impl<T> OracleService<T> {
             cache_hit: tally.cost.cache_hit,
             plan: tally.plan,
             serial_fallback: false,
-            variant: pm.dominant_variant(),
             convert,
             shards: pm.num_shards(),
         };
@@ -1586,7 +1575,7 @@ impl<T> OracleService<T> {
     /// thread, bitwise identical to the pooled execution.
     /// With a [`SampleCollector`] attached, each execution is additionally
     /// timestamped and its measured wall time attributed to the handle's
-    /// `(structure, format, op, scalar, workers, variant)` telemetry population —
+    /// `(structure, format, op, scalar, workers)` telemetry population —
     /// two clock reads and a few lock-free atomics on top of the kernel.
     pub fn spmv<V: Scalar>(&self, handle: &MatrixHandle<V>, x: &[V], y: &mut [V]) -> Result<()> {
         self.request(handle, Op::Spmv, x, y)

@@ -10,7 +10,6 @@
 
 use crate::tuner::TuningCost;
 use morpheus::format::FormatId;
-use morpheus::KernelVariant;
 use morpheus_machine::Op;
 
 /// How the execution stage following a tune was scheduled.
@@ -74,12 +73,6 @@ pub struct TuneReport {
     /// [`crate::ServeStats::pool_busy_fallbacks`]). Always `false` for
     /// tune-only calls and serial engines.
     pub serial_fallback: bool,
-    /// The dominant [`KernelVariant`] of the plan that executed this call
-    /// (the variant covering the most thread ranges; ranges may mix — a
-    /// hub row can run a different body than the tail). `Scalar` for
-    /// tune-only calls, serial engines, SpMM (its planned bodies are
-    /// scalar) and unplanned fallbacks.
-    pub variant: KernelVariant,
     /// Which conversion path realised the switch (direct kernel, hub
     /// through an interchange copy, or identity) and its measured wall-clock cost. Unlike
     /// [`TuneReport::cost`], this is host time, not the engine's virtual
@@ -92,7 +85,7 @@ pub struct TuneReport {
     /// (and for all tune-only calls), ≥ 2 when the service decided a
     /// partitioned handle wins (see
     /// `OracleService::register_partitioned`). For partitioned handles
-    /// [`TuneReport::chosen`] and [`TuneReport::variant`] report the
-    /// nnz-dominant shard; per-shard detail lives on the handle.
+    /// [`TuneReport::chosen`] reports the nnz-dominant shard; per-shard
+    /// detail lives on the handle.
     pub shards: usize,
 }

@@ -2,8 +2,7 @@
 //! of the kernel layer `oracle_bench` has no probe for yet.
 //!
 //! * **SpMV**: per (matrix, format), what building the [`morpheus::ExecPlan`]
-//!   costs, the planned loop, and the forced-variant sweep — loop time of
-//!   each [`KernelVariant`] body against the scalar one.
+//!   costs and the planned loop.
 //! * **SpMM**: the planned kernel across the pool against the serial kernel,
 //!   for several right-hand-side counts.
 //! * **Blocked parameters**: BSR/BELL under proposed parameters against the
@@ -18,8 +17,8 @@
 
 use morpheus::format::FormatId;
 use morpheus::{
-    spmm, Analysis, Bottleneck, ConvertOptions, CooMatrix, CpuFeatures, DynamicMatrix, ExecPlan,
-    KernelVariant, Op, Partition, PartitionConfig, PartitionedMatrix, ALL_VARIANTS,
+    spmm, Analysis, ConvertOptions, CooMatrix, CpuFeatures, DynamicMatrix, ExecPlan, Op, Partition,
+    PartitionConfig, PartitionedMatrix,
 };
 use morpheus_bench::report::json_escape;
 use morpheus_corpus::gen::banded::tridiagonal;
@@ -68,9 +67,8 @@ fn corpus(smoke: bool) -> Vec<Case> {
         },
         Case { name: "poisson2d", family: "regular", matrix: poisson2d(scale(180, 40), scale(180, 40)) },
         Case { name: "tridiagonal", family: "regular", matrix: tridiagonal(scale(120_000, 4_000)) },
-        // Long scattered rows (~160 nnz/row full-size, ~52 in smoke): the
-        // shape the unrolled SIMD body is for — enough entries per row to
-        // fill its accumulators, columns too scattered for DIA/ELL wins.
+        // Long scattered rows (~160 nnz/row full-size, ~52 in smoke):
+        // columns too scattered for DIA/ELL wins.
         Case {
             name: "dense-rows",
             family: "regular",
@@ -102,18 +100,6 @@ fn time_loop<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
     best
 }
 
-/// One forced-variant measurement for a (matrix, format) pair.
-struct VariantCell {
-    forced: KernelVariant,
-    /// What [`ExecPlan::build_with_variant`] actually realized — forcing a
-    /// variant a format has no body for degrades to `Scalar` per portion.
-    realized: KernelVariant,
-    /// Loop seconds; `None` when the forced variant degraded to a body
-    /// already measured under its own name (a clean fallback — timing it
-    /// again would duplicate that row).
-    loop_s: Option<f64>,
-}
-
 struct SpmvRow {
     matrix: String,
     family: &'static str,
@@ -123,14 +109,7 @@ struct SpmvRow {
     tuned: bool,
     nrows: usize,
     nnz: usize,
-    /// Bottleneck label the analysis assigns this realization — the input
-    /// to the auto plan's variant selection.
-    bottleneck: Bottleneck,
-    /// Dominant [`KernelVariant`] of the auto-built plan.
-    variant: KernelVariant,
-    /// Per-variant forced timings (loop only, no build), scalar first.
-    variants: Vec<VariantCell>,
-    /// The auto-built plan's loop seconds plus `plan_build_s`.
+    /// The plan's loop seconds plus `plan_build_s`.
     planned_s: f64,
     plan_build_s: f64,
 }
@@ -151,7 +130,6 @@ struct ShardCol {
     rows: std::ops::Range<usize>,
     nnz: usize,
     format: FormatId,
-    variant: KernelVariant,
 }
 
 /// One parameterized-format candidate (BSR or BELL) on a blocked case.
@@ -309,44 +287,14 @@ fn main() {
                 time_loop(spmv_iters, || plan.spmv(&m, &x, &mut y_planned, &pool).expect("plan matches"));
             let planned_s = planned_loop_s + plan_build_s;
 
-            // The serial kernel accumulates in reference order; the plan is
-            // bitwise identical to it only when its variants do too.
-            // Unrolled plans reassociate, so those compare under a
-            // relative bound instead.
             let mut y_serial = vec![0.0f64; m.nrows()];
             morpheus::spmv::spmv_serial(&m, &x, &mut y_serial).expect("shapes agree");
-            if plan.preserves_order() {
-                assert!(
-                    y_serial.iter().zip(&y_planned).all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{}/{}: planned result diverged",
-                    case.name,
-                    target
-                );
-            } else {
-                assert!(
-                    y_serial.iter().zip(&y_planned).all(|(a, b)| (a - b).abs() <= 1e-9 * a.abs().max(1.0)),
-                    "{}/{}: planned result diverged beyond reassociation tolerance",
-                    case.name,
-                    target
-                );
-            }
-
-            // Forced-variant sweep: loop time per kernel body, scalar
-            // first so every other cell can quote a speedup against it.
-            let mut variants = Vec::new();
-            let mut measured: Vec<KernelVariant> = Vec::new();
-            for forced in ALL_VARIANTS {
-                let fplan = ExecPlan::build_with_variant(&m, pool.num_threads(), Some(&analysis), forced);
-                let realized = fplan.dominant_variant();
-                let loop_s = if realized == forced || !measured.contains(&realized) {
-                    let mut y = vec![0.0f64; m.nrows()];
-                    measured.push(realized);
-                    Some(time_loop(spmv_iters, || fplan.spmv(&m, &x, &mut y, &pool).expect("plan matches")))
-                } else {
-                    None
-                };
-                variants.push(VariantCell { forced, realized, loop_s });
-            }
+            assert!(
+                y_serial.iter().zip(&y_planned).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{}/{}: planned result diverged",
+                case.name,
+                target
+            );
 
             spmv_rows.push(SpmvRow {
                 matrix: case.name.to_string(),
@@ -355,9 +303,6 @@ fn main() {
                 tuned: target == tuned_fmt,
                 nrows: m.nrows(),
                 nnz: m.nnz(),
-                bottleneck: analysis.bottleneck(),
-                variant: plan.dominant_variant(),
-                variants,
                 planned_s,
                 plan_build_s,
             });
@@ -531,12 +476,7 @@ fn main() {
                 shards: pm
                     .shards()
                     .iter()
-                    .map(|s| ShardCol {
-                        rows: s.rows(),
-                        nnz: s.nnz(),
-                        format: s.format_id(),
-                        variant: s.plan().dominant_variant(),
-                    })
+                    .map(|s| ShardCol { rows: s.rows(), nnz: s.nnz(), format: s.format_id() })
                     .collect(),
                 best_single_format,
                 best_single_s,
@@ -698,46 +638,21 @@ fn main() {
     let cpu = CpuFeatures::detect();
     println!("cpu features: avx2={} fma={}", cpu.avx2, cpu.fma);
     println!(
-        "{:<12} {:<9} {:>5} {:>9} {:>9} {:>9} {:>9} | {:>11} {:>9}",
-        "matrix", "family", "fmt", "nrows", "nnz", "bneck", "variant", "planned_s", "build_s"
+        "{:<12} {:<9} {:>5} {:>9} {:>9} | {:>11} {:>9}",
+        "matrix", "family", "fmt", "nrows", "nnz", "planned_s", "build_s"
     );
     for r in &spmv_rows {
         println!(
-            "{:<12} {:<9} {:>5}{} {:>8} {:>9} {:>9} {:>9} | {:>11.6} {:>9.6}",
+            "{:<12} {:<9} {:>5}{} {:>8} {:>9} | {:>11.6} {:>9.6}",
             r.matrix,
             r.family,
             r.format.to_string(),
             if r.tuned { "*" } else { " " },
             r.nrows,
             r.nnz,
-            r.bottleneck.to_string(),
-            r.variant.to_string(),
             r.planned_s,
             r.plan_build_s
         );
-        let scalar_s = r.variants.iter().find(|c| c.forced == KernelVariant::Scalar).and_then(|c| c.loop_s);
-        for c in &r.variants {
-            match (c.loop_s, scalar_s) {
-                (Some(s), Some(base)) => println!(
-                    "    forced {:<9} -> {:<9} {:>11.6}s  {:>6.2}x vs scalar",
-                    c.forced.to_string(),
-                    c.realized.to_string(),
-                    s,
-                    base / s
-                ),
-                (Some(s), None) => println!(
-                    "    forced {:<9} -> {:<9} {:>11.6}s",
-                    c.forced.to_string(),
-                    c.realized.to_string(),
-                    s
-                ),
-                (None, _) => println!(
-                    "    forced {:<9} -> {:<9}   (clean fallback, body already measured)",
-                    c.forced.to_string(),
-                    c.realized.to_string()
-                ),
-            }
-        }
     }
     println!("(* = the format the Oracle selects for this matrix)");
     println!();
@@ -778,12 +693,8 @@ fn main() {
         );
         for (i, s) in r.shards.iter().enumerate() {
             println!(
-                "    shard {i:<2} rows {:>7}..{:<7} nnz {:>8}  {:<5} {}",
-                s.rows.start,
-                s.rows.end,
-                s.nnz,
-                s.format.to_string(),
-                s.variant
+                "    shard {i:<2} rows {:>7}..{:<7} nnz {:>8}  {}",
+                s.rows.start, s.rows.end, s.nnz, s.format
             );
         }
     }
@@ -839,7 +750,7 @@ fn main() {
     // --- snapshot ---
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"bench_spmv/v5\",\n");
+    json.push_str("  \"schema\": \"bench_spmv/v6\",\n");
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
     json.push_str(&format!("  \"threads\": {threads},\n"));
     json.push_str(&format!("  \"cpu\": {{\"avx2\": {}, \"fma\": {}}},\n", cpu.avx2, cpu.fma));
@@ -891,8 +802,8 @@ fn main() {
             .iter()
             .map(|s| {
                 format!(
-                    "{{\"rows\": [{}, {}], \"nnz\": {}, \"format\": \"{}\", \"variant\": \"{}\"}}",
-                    s.rows.start, s.rows.end, s.nnz, s.format, s.variant
+                    "{{\"rows\": [{}, {}], \"nnz\": {}, \"format\": \"{}\"}}",
+                    s.rows.start, s.rows.end, s.nnz, s.format
                 )
             })
             .collect();
@@ -915,35 +826,17 @@ fn main() {
     json.push_str("  ],\n");
     json.push_str("  \"spmv\": [\n");
     for (i, r) in spmv_rows.iter().enumerate() {
-        let scalar_s = r.variants.iter().find(|c| c.forced == KernelVariant::Scalar).and_then(|c| c.loop_s);
-        let cells: Vec<String> = r
-            .variants
-            .iter()
-            .map(|c| match (c.loop_s, scalar_s) {
-                (Some(s), Some(base)) => format!(
-                    "{{\"forced\": \"{}\", \"realized\": \"{}\", \"loop_s\": {:.6e}, \
-                     \"speedup_vs_scalar\": {:.4}}}",
-                    c.forced,
-                    c.realized,
-                    s,
-                    base / s
-                ),
-                (Some(s), None) => format!(
-                    "{{\"forced\": \"{}\", \"realized\": \"{}\", \"loop_s\": {:.6e}}}",
-                    c.forced, c.realized, s
-                ),
-                (None, _) => {
-                    format!("{{\"forced\": \"{}\", \"realized\": \"{}\"}}", c.forced, c.realized)
-                }
-            })
-            .collect();
         json.push_str(&format!(
             "    {{\"matrix\": \"{}\", \"family\": \"{}\", \"format\": \"{}\", \"tuned\": {}, \"nrows\": {}, \
-             \"nnz\": {}, \"bottleneck\": \"{}\", \"variant\": \"{}\", \"planned_s\": {:.6e}, \
-             \"plan_build_s\": {:.6e}, \"variants\": [{}]}}{}\n",
-            json_escape(&r.matrix), r.family, r.format, r.tuned, r.nrows, r.nnz,
-            r.bottleneck, r.variant, r.planned_s, r.plan_build_s,
-            cells.join(", "),
+             \"nnz\": {}, \"planned_s\": {:.6e}, \"plan_build_s\": {:.6e}}}{}\n",
+            json_escape(&r.matrix),
+            r.family,
+            r.format,
+            r.tuned,
+            r.nrows,
+            r.nnz,
+            r.planned_s,
+            r.plan_build_s,
             if i + 1 < spmv_rows.len() { "," } else { "" }
         ));
     }

@@ -38,18 +38,6 @@ pub struct Calibration {
     pub gather_miss_bytes: f64,
     /// Bytes fetched per hit `x` gather.
     pub gather_hit_bytes: f64,
-    /// Peak speedup of the unrolled multi-accumulator CSR body over the
-    /// scalar reference on rows dense enough to fill its accumulators.
-    /// Realised gain is attenuated by gather locality (a miss-bound inner
-    /// loop stalls no matter how many accumulators it has).
-    pub cpu_unroll_gain: f64,
-    /// Fraction of a missed `x`-gather's latency the software-prefetch CSR
-    /// body hides (prefetch distance ahead of the access stream).
-    pub cpu_prefetch_hide: f64,
-    /// Speedup of the row-blocked DIA/ELL bodies from `x`/`y` block reuse
-    /// across diagonals / slab columns, once the matrix is tall and wide
-    /// enough for blocking to engage.
-    pub cpu_block_gain: f64,
     /// Per-shard dispatch cost of a partitioned execution, seconds: the
     /// scheduling, plan lookup and cache warm-up a worker pays each time it
     /// switches to the next owned shard. Charged once per shard executed on
@@ -101,9 +89,6 @@ impl Default for Calibration {
             cache_usable_fraction: 0.5,
             gather_miss_bytes: 64.0,
             gather_hit_bytes: 8.0,
-            cpu_unroll_gain: 1.5,
-            cpu_prefetch_hide: 0.35,
-            cpu_block_gain: 1.15,
             cpu_shard_dispatch: 1.5e-7,
             gpu_launch_overhead: 5.0e-6,
             gpu_cycles_per_iter: 4.0,
@@ -162,12 +147,6 @@ mod tests {
         assert!(c.simd_eff_dia() >= c.simd_eff_ell());
         assert!(c.simd_eff_coo() <= c.simd_eff_csr());
         assert!(c.simd_eff_coo() <= c.simd_eff_ell());
-        // Variant gains are genuine speedups but stay modest — a mis-set
-        // constant here would make the variant model override format
-        // rankings, which it must not.
-        assert!(c.cpu_unroll_gain > 1.0 && c.cpu_unroll_gain < 3.0);
-        assert!(c.cpu_prefetch_hide > 0.0 && c.cpu_prefetch_hide < 1.0);
-        assert!(c.cpu_block_gain > 1.0 && c.cpu_block_gain < 2.0);
         assert!(c.cpu_shard_dispatch > 0.0 && c.cpu_shard_dispatch < c.omp_base_overhead);
     }
 }

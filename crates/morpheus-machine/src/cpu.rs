@@ -16,8 +16,7 @@
 use crate::analyze::MatrixAnalysis;
 use crate::calib::Calibration;
 use crate::spec::CpuSpec;
-use morpheus::spmv::variant::{BLOCK_MIN_DIAGS, BLOCK_MIN_WIDTH, BLOCK_ROWS, UNROLL_MIN_AVG_NNZ};
-use morpheus::{FormatId, KernelVariant};
+use morpheus::FormatId;
 
 const VAL: f64 = 8.0; // f64 value bytes
 const IDX: f64 = 8.0; // index bytes on the CPU backends (usize; BELL stores 4, see `bell_part`)
@@ -280,98 +279,6 @@ pub fn spmv_time(
     kernel_time + omp
 }
 
-/// First-order speedup factor (≥ 1) of executing `fmt` with `variant`
-/// kernel bodies on a matrix like `a` — 1.0 wherever the variant has no
-/// body for the format, or where per-range selection would fall back to
-/// the scalar reference anyway (short rows, few diagonals, narrow slabs;
-/// the same thresholds `morpheus::spmv::variant` selects by). Gains are
-/// weighted by the share of the kernel's work the variant's body actually
-/// covers, so composite formats (the CSR remainder of an HDC, the ELL
-/// portion of a HYB) price fairly against the elementals.
-pub fn variant_gain(calib: &Calibration, fmt: FormatId, variant: KernelVariant, a: &MatrixAnalysis) -> f64 {
-    if variant == KernelVariant::Scalar || !variant.applies_to(fmt) || a.nnz() == 0 {
-        return 1.0;
-    }
-    let nnz = a.nnz() as f64;
-    let nrows = (a.nrows() as f64).max(1.0);
-    // The CSR-accumulation portion the Unrolled/Prefetch bodies run on:
-    // everything for CSR, the remainder for HDC.
-    let csr_portion = || -> (f64, f64) {
-        match fmt {
-            FormatId::Csr => (nnz, 1.0),
-            FormatId::Hdc => {
-                let rem = a.hdc_csr_nnz as f64;
-                (rem, rem / (a.hdc_padded() as f64 + rem).max(1.0))
-            }
-            _ => (0.0, 0.0),
-        }
-    };
-    match variant {
-        KernelVariant::Scalar => 1.0,
-        KernelVariant::Unrolled => {
-            let (part_nnz, share) = csr_portion();
-            if part_nnz / nrows < UNROLL_MIN_AVG_NNZ {
-                return 1.0;
-            }
-            // Extra accumulators only help when operands arrive: a
-            // miss-bound gather stream stalls the core regardless, so the
-            // compute-side gain is attenuated by the gather hit rate.
-            1.0 + (calib.cpu_unroll_gain - 1.0) * share * a.locality
-        }
-        KernelVariant::Prefetch => {
-            let (part_nnz, share) = csr_portion();
-            if part_nnz / nrows < UNROLL_MIN_AVG_NNZ {
-                // Same short-row floor as the selection rules: issuing
-                // prefetches per entry costs more than the few misses it
-                // hides when rows end after a handful of entries.
-                return 1.0;
-            }
-            // Prefetch pays only on the missed fraction of the gathers.
-            1.0 + calib.cpu_prefetch_hide * (1.0 - a.locality) * share
-        }
-        KernelVariant::Blocked => {
-            let (share, wide_enough) = match fmt {
-                FormatId::Dia => (1.0, a.stats.ndiags >= BLOCK_MIN_DIAGS),
-                FormatId::Ell => (1.0, a.ell_width >= BLOCK_MIN_WIDTH),
-                FormatId::Hyb => {
-                    let padded = a.hyb_padded() as f64;
-                    (padded / (padded + a.hyb_coo_nnz as f64).max(1.0), a.hyb_width >= BLOCK_MIN_WIDTH)
-                }
-                FormatId::Hdc => {
-                    let padded = a.hdc_padded() as f64;
-                    (padded / (padded + a.hdc_csr_nnz as f64).max(1.0), a.hdc_ntrue >= BLOCK_MIN_DIAGS)
-                }
-                FormatId::Bsr => {
-                    // Mirrors `variant::select_bsr`: enough cells per block
-                    // row and enough block rows to chunk.
-                    let (b, c) = morpheus::FormatParams::default().normalized_block();
-                    (1.0, b * c >= BLOCK_MIN_WIDTH && a.nrows().div_ceil(b) > BLOCK_ROWS)
-                }
-                _ => (0.0, false),
-            };
-            if !wide_enough || nrows <= BLOCK_ROWS as f64 {
-                return 1.0;
-            }
-            1.0 + (calib.cpu_block_gain - 1.0) * share
-        }
-    }
-}
-
-/// Modelled runtime, in seconds, of one SpMV in format `fmt` executed with
-/// `variant` kernel bodies: the scalar-reference [`spmv_time`] divided by
-/// the matrix-dependent [`variant_gain`]. This is what lets the virtual
-/// engine price (format, variant) pairs instead of formats alone.
-pub fn spmv_time_variant(
-    spec: &CpuSpec,
-    threads: usize,
-    calib: &Calibration,
-    fmt: FormatId,
-    variant: KernelVariant,
-    a: &MatrixAnalysis,
-) -> f64 {
-    spmv_time(spec, threads, calib, fmt, a) / variant_gain(calib, fmt, variant, a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,72 +420,6 @@ mod tests {
         let ideal = a.nnz() as f64 / cpu.cores as f64;
         assert!(a.stats.row_nnz_max as f64 > 2.0 * ideal);
         assert!(t_csr > 0.0 && t_hyb > 0.0);
-    }
-
-    fn banded(n: usize, half_width: isize) -> MatrixAnalysis {
-        let mut rows = Vec::new();
-        let mut cols = Vec::new();
-        for i in 0..n {
-            for d in -half_width..=half_width {
-                let j = i as isize + d;
-                if j >= 0 && (j as usize) < n {
-                    rows.push(i);
-                    cols.push(j as usize);
-                }
-            }
-        }
-        let vals = vec![1.0f64; rows.len()];
-        analyze(&DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap()))
-    }
-
-    #[test]
-    fn variant_gains_follow_the_bottleneck() {
-        let calib = Calibration::default();
-        // Scattered gathers miss: prefetch hides latency, extra
-        // accumulators mostly stall.
-        let sc = scatter(2000, 48);
-        let pf = variant_gain(&calib, FormatId::Csr, KernelVariant::Prefetch, &sc);
-        let un = variant_gain(&calib, FormatId::Csr, KernelVariant::Unrolled, &sc);
-        assert!(pf > 1.0 && pf > un, "scatter: prefetch {pf} must beat unrolled {un}");
-        // Below the short-row floor neither specialized body pays.
-        let short = scatter(2000, 5);
-        assert_eq!(variant_gain(&calib, FormatId::Csr, KernelVariant::Prefetch, &short), 1.0);
-        assert_eq!(variant_gain(&calib, FormatId::Csr, KernelVariant::Unrolled, &short), 1.0);
-        // Dense contiguous rows hit in cache: the unrolled accumulators win.
-        let dense = banded(1000, 16);
-        let pf = variant_gain(&calib, FormatId::Csr, KernelVariant::Prefetch, &dense);
-        let un = variant_gain(&calib, FormatId::Csr, KernelVariant::Unrolled, &dense);
-        assert!(un > 1.2 && un > pf, "dense rows: unrolled {un} must beat prefetch {pf}");
-        // Rows below the unroll threshold stay on the scalar body.
-        let tri = tridiag(4000);
-        assert_eq!(variant_gain(&calib, FormatId::Csr, KernelVariant::Unrolled, &tri), 1.0);
-        // Blocking needs enough diagonals (tridiagonal has 3 < 4) and rows.
-        assert_eq!(variant_gain(&calib, FormatId::Dia, KernelVariant::Blocked, &tri), 1.0);
-        let penta = banded(4000, 2);
-        assert!(variant_gain(&calib, FormatId::Dia, KernelVariant::Blocked, &penta) > 1.0);
-        assert_eq!(variant_gain(&calib, FormatId::Dia, KernelVariant::Blocked, &banded(100, 2)), 1.0);
-        // COO has no variant bodies; Scalar is neutral everywhere.
-        for v in morpheus::ALL_VARIANTS {
-            assert_eq!(variant_gain(&calib, FormatId::Coo, v, &sc), 1.0);
-        }
-        for fmt in morpheus::format::ALL_FORMATS {
-            assert_eq!(variant_gain(&calib, fmt, KernelVariant::Scalar, &sc), 1.0);
-        }
-    }
-
-    #[test]
-    fn variant_times_never_exceed_the_scalar_reference() {
-        let calib = Calibration::default();
-        let cpu = systems::cirrus().cpu;
-        for a in [scatter(3000, 6), tridiag(3000), banded(3000, 4)] {
-            for fmt in morpheus::format::ALL_FORMATS {
-                let base = spmv_time(&cpu, 1, &calib, fmt, &a);
-                for v in morpheus::ALL_VARIANTS {
-                    let t = spmv_time_variant(&cpu, 1, &calib, fmt, v, &a);
-                    assert!(t.is_finite() && t > 0.0 && t <= base, "{fmt} {v}: {t} vs {base}");
-                }
-            }
-        }
     }
 
     /// What `bell_part` charges for the matrix arrays is what a converted

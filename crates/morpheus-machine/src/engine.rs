@@ -6,7 +6,6 @@ use crate::spec::{Backend, SystemBackend, SystemProfile};
 use crate::Op;
 use crate::{cpu, gpu};
 use morpheus::format::{FormatId, FORMAT_COUNT};
-use morpheus::{KernelVariant, ALL_VARIANTS};
 
 /// Padding-viability rule shared with `morpheus::ConvertOptions`: DIA/ELL
 /// style storage is considered non-viable when it would need more than
@@ -150,33 +149,6 @@ impl VirtualEngine {
         base * self.noise(a, fmt)
     }
 
-    /// Modelled seconds for one SpMV in `fmt` executed with `variant`
-    /// kernel bodies. Shares the noise draw of [`VirtualEngine::spmv_time`]
-    /// (noise models machine variance, which hits every variant alike), so
-    /// variant comparisons on one engine are never confounded by the
-    /// perturbation. On GPU backends every variant prices as Scalar — the
-    /// variant taxonomy covers the CPU bodies only.
-    pub fn spmv_time_variant(&self, fmt: FormatId, variant: KernelVariant, a: &MatrixAnalysis) -> f64 {
-        let gain = match self.backend {
-            Backend::Serial | Backend::OpenMp => cpu::variant_gain(&self.calib, fmt, variant, a),
-            _ => 1.0,
-        };
-        self.spmv_time(fmt, a) / gain
-    }
-
-    /// The cheapest (variant, modelled seconds) pair for `fmt` on this
-    /// engine — how (format, variant) pairs are priced when ranking goes
-    /// one level below format selection. Scalar is always a candidate, so
-    /// the result never costs more than [`VirtualEngine::spmv_time`].
-    pub fn best_spmv_variant(&self, fmt: FormatId, a: &MatrixAnalysis) -> (KernelVariant, f64) {
-        ALL_VARIANTS
-            .into_iter()
-            .filter(|v| v.applies_to(fmt))
-            .map(|v| (v, self.spmv_time_variant(fmt, v, a)))
-            .min_by(|x, y| x.1.total_cmp(&y.1))
-            .unwrap_or((KernelVariant::Scalar, self.spmv_time(fmt, a)))
-    }
-
     /// Modelled seconds for one SpMV in `fmt` at an explicit worker count
     /// (clamped to the virtual CPU's cores). CPU backends honour
     /// `threads`; GPU backends price as [`VirtualEngine::spmv_time`] — a
@@ -224,25 +196,6 @@ impl VirtualEngine {
             .map(|f| (f, self.spmv_time_at(f, a, threads)))
             .min_by(|x, y| x.1.total_cmp(&y.1))
             .unwrap_or((FormatId::Csr, self.spmv_time_at(FormatId::Csr, a, threads)))
-    }
-
-    /// Cheapest `(variant, seconds)` for a *shard* kernel in `fmt`: shards
-    /// execute single-threaded (parallelism comes from running shards
-    /// concurrently), so this prices the 1-thread kernel across applicable
-    /// variants. GPU backends price as Scalar at device speed.
-    pub fn best_shard_spmv_variant(&self, fmt: FormatId, a: &MatrixAnalysis) -> (KernelVariant, f64) {
-        match self.backend {
-            Backend::Serial | Backend::OpenMp => ALL_VARIANTS
-                .into_iter()
-                .filter(|v| v.applies_to(fmt))
-                .map(|v| {
-                    let t = cpu::spmv_time_variant(&self.system.cpu, 1, &self.calib, fmt, v, a);
-                    (v, t * self.noise(a, fmt))
-                })
-                .min_by(|x, y| x.1.total_cmp(&y.1))
-                .unwrap_or((KernelVariant::Scalar, self.spmv_time_at(fmt, a, 1))),
-            _ => (KernelVariant::Scalar, self.spmv_time_at(fmt, a, 1)),
-        }
     }
 
     /// Critical-path model of a partitioned SpMV (§ROADMAP item 4): shards
@@ -540,37 +493,6 @@ mod tests {
             let spmv = e.profile(&a).csr_time();
             let ratio = fe / spmv;
             assert!(ratio > 0.1 && ratio < 400.0, "{}: FE/SpMV = {ratio}", e.label());
-        }
-    }
-
-    #[test]
-    fn best_variant_never_costs_more_than_scalar() {
-        let a = sample(5000, 7);
-        for pair in systems::all_system_backends() {
-            let e = VirtualEngine::for_pair(&pair);
-            for fmt in morpheus::format::ALL_FORMATS {
-                let scalar = e.spmv_time_variant(fmt, KernelVariant::Scalar, &a);
-                assert_eq!(scalar, e.spmv_time(fmt, &a), "{} {fmt}", e.label());
-                let (best, t) = e.best_spmv_variant(fmt, &a);
-                assert!(t <= scalar, "{} {fmt}: {best} {t} vs scalar {scalar}", e.label());
-                assert!(best.applies_to(fmt));
-            }
-        }
-    }
-
-    #[test]
-    fn cpu_backends_price_variants_gpu_backends_do_not() {
-        // sample() scatters columns, and 48 nnz/row clears the short-row
-        // floor, so CSR on a CPU backend should profit from a non-scalar
-        // body; CUDA/HIP have no CPU variant bodies.
-        let a = sample(5000, 48);
-        let omp = VirtualEngine::new(systems::cirrus(), Backend::OpenMp);
-        let (best, t) = omp.best_spmv_variant(FormatId::Csr, &a);
-        assert_ne!(best, KernelVariant::Scalar, "scattered CSR should pick a specialised body");
-        assert!(t < omp.spmv_time(FormatId::Csr, &a));
-        let cuda = VirtualEngine::new(systems::cirrus(), Backend::Cuda);
-        for v in ALL_VARIANTS {
-            assert_eq!(cuda.spmv_time_variant(FormatId::Csr, v, &a), cuda.spmv_time(FormatId::Csr, &a));
         }
     }
 

@@ -467,25 +467,6 @@ impl Analysis {
     pub fn true_diag_slots(&self, threshold: usize) -> (Vec<usize>, usize) {
         true_diag_slots_from_pop(&self.diag_pop, threshold)
     }
-
-    /// What limits this matrix's SpMV: bandwidth, latency or imbalance —
-    /// derived from the Table-I statistics already reduced in the
-    /// artifact (zero further traversals). Drives per-range
-    /// [`crate::KernelVariant`] selection in [`crate::ExecPlan`]; the
-    /// serving layer's `FeatureVector::bottleneck` goes through the same
-    /// [`crate::Bottleneck::classify`], so the two labels cannot diverge.
-    pub fn bottleneck(&self) -> crate::spmv::variant::Bottleneck {
-        let s = &self.stats;
-        crate::spmv::variant::Bottleneck::classify(
-            s.nrows,
-            s.ncols,
-            s.nnz,
-            s.row_nnz_mean,
-            s.row_nnz_max,
-            s.row_nnz_std,
-            s.ndiags,
-        )
-    }
 }
 
 /// Populated-diagonal offsets (ascending) from a diagonal-population

@@ -89,7 +89,7 @@ pub use plan::{BatchWorkspace, ExecPlan, Workspace};
 pub use registry::{FormatEntry, FormatTraits, StructuralSummary};
 pub use rowmajor::{for_each_entry_row_major, for_each_row_pattern, for_each_row_pattern_in};
 pub use scalar::Scalar;
-pub use spmv::variant::{Bottleneck, CpuFeatures, KernelVariant, ALL_VARIANTS};
+pub use spmv::cpu_features::CpuFeatures;
 pub use stats::MatrixStats;
 
 /// Crate-wide `Result` alias.

@@ -15,8 +15,8 @@
 //!   boundary on a multiple of [`SEAM_ALIGN`] rows.
 //! * [`PartitionedMatrix`] — the shards, each independently converted
 //!   (direct conversion kernels, CSR fallback) and independently planned
-//!   (each shard gets its own single-part [`ExecPlan`] with variant
-//!   selection). Execution runs shard plans across a
+//!   (each shard gets its own single-part [`ExecPlan`]). Execution runs
+//!   shard plans across a
 //!   [`ThreadPool`] with stable shard→worker ownership — a worker always
 //!   executes the same contiguous run of shards, so each shard's arrays
 //!   stay hot in one core's cache — writing disjoint output slices through
@@ -41,7 +41,6 @@ use crate::format::FormatId;
 use crate::plan::ExecPlan;
 use crate::rowmajor::for_each_entry_row_major;
 use crate::scalar::Scalar;
-use crate::spmv::variant::KernelVariant;
 use crate::{Op, Result};
 
 /// Controls shard boundary selection in [`Partition::from_analysis`].
@@ -575,15 +574,6 @@ impl<V: Scalar> PartitionedMatrix<V> {
             .unwrap_or(FormatId::Csr)
     }
 
-    /// The dominant kernel variant of the shard covering the most nnz.
-    pub fn dominant_variant(&self) -> KernelVariant {
-        self.shards
-            .iter()
-            .max_by_key(|s| s.matrix.nnz())
-            .map(|s| s.plan.dominant_variant())
-            .unwrap_or(KernelVariant::Scalar)
-    }
-
     /// Distinct realized formats across shards, in format-id order.
     pub fn formats(&self) -> Vec<FormatId> {
         let mut present = [false; crate::format::FORMAT_COUNT];
@@ -591,13 +581,6 @@ impl<V: Scalar> PartitionedMatrix<V> {
             present[s.matrix.format_id().index()] = true;
         }
         crate::registry::FormatEntry::all().iter().map(|e| e.id).filter(|f| present[f.index()]).collect()
-    }
-
-    /// `true` when every shard's plan preserves serial accumulation order
-    /// (partitioned results are then bitwise equal to the serial
-    /// reference on the same realized formats).
-    pub fn preserves_order(&self) -> bool {
-        self.shards.iter().all(|s| s.plan.preserves_order())
     }
 
     /// Executes `op` — `y = A x`, or `Y = A X` on row-major blocks of `k`

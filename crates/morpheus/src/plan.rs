@@ -31,18 +31,10 @@
 //! the matrix — one for every format but the two-pass composites HYB and HDC
 //! — with part `p` on the same pool index, hence the same core, every call.
 //!
-//! Each row-range partition additionally carries one
-//! [`KernelVariant`] per range, selected at build time from the analysis
-//! bottleneck label (bandwidth / latency / imbalance, see
-//! [`crate::spmv::variant`]) and the range's own shape — hub-row ranges and
-//! tail-row ranges of the same matrix may run different bodies in one call.
-//! Plans whose every variant is order-preserving
-//! ([`ExecPlan::preserves_order`]) stay **bitwise identical** to the serial
-//! kernels (same per-row accumulation order); a plan with
-//! [`KernelVariant::Unrolled`] ranges reassociates row sums across SIMD
-//! accumulators and is ULP-bounded instead. The detected [`CpuFeatures`]
-//! are captured in the plan and re-checked by [`ExecPlan::matches`], so a
-//! plan never replays under an ISA it was not built for.
+//! Every format has exactly one ranged body and it keeps the serial
+//! kernel's per-row accumulation order, so every planned execution — any
+//! worker count, pooled or inline — is **bitwise identical** to
+//! [`crate::spmv::spmv_serial`] of the same stored matrix.
 //!
 //! A plan is immutable: [`ExecPlan::run`] takes `&self`, so any number of
 //! threads can replay one `Arc<ExecPlan>` concurrently (the serving layer
@@ -64,7 +56,6 @@ use crate::format::FormatId;
 use crate::hyb::HybMatrix;
 use crate::scalar::Scalar;
 use crate::spmv::threaded;
-use crate::spmv::variant::{self, Bottleneck, CpuFeatures, KernelVariant};
 use crate::{spmm, Op, Result};
 use morpheus_parallel::{row_aligned_partition, static_partition, weighted_partition_with, ThreadPool};
 use std::ops::Range;
@@ -85,11 +76,6 @@ pub struct ExecPlan<V: Scalar> {
     nnz: usize,
     threads: usize,
     parts: Parts,
-    /// CPU feature set the variant bodies were dispatched under at build
-    /// time. [`ExecPlan::matches`] refuses to replay the plan under a
-    /// different set (a cached plan migrated across machines would
-    /// otherwise run bodies selected for the wrong ISA).
-    cpu: CpuFeatures,
     _scalar: std::marker::PhantomData<V>,
 }
 
@@ -238,30 +224,22 @@ impl<V: Scalar> BatchWorkspace<V> {
     }
 }
 
-/// Per-format precomputed ranges, each row-range partition paired with one
-/// [`KernelVariant`] per range (hub-row ranges and tail-row ranges of the
-/// same matrix may run different bodies in the same call). COO carries no
-/// variants: its entry-parallel body is scalar-only.
+/// Per-format precomputed ranges.
 #[derive(Debug, Clone)]
 enum Parts {
     /// nnz-weighted row ranges.
-    Csr { rows: Vec<Range<usize>>, variants: Vec<KernelVariant> },
+    Csr { rows: Vec<Range<usize>> },
     /// Row-aligned entry ranges.
     Coo { entries: Vec<Range<usize>> },
     /// Static row ranges (shared by DIA and ELL: padded work is uniform).
-    Rows { rows: Vec<Range<usize>>, variants: Vec<KernelVariant> },
+    Rows { rows: Vec<Range<usize>> },
     /// ELL-portion row ranges + COO-surplus entry ranges.
-    Hyb { rows: Vec<Range<usize>>, variants: Vec<KernelVariant>, coo_entries: Vec<Range<usize>> },
+    Hyb { rows: Vec<Range<usize>>, coo_entries: Vec<Range<usize>> },
     /// DIA-portion row ranges + CSR-remainder weighted row ranges.
-    Hdc {
-        rows: Vec<Range<usize>>,
-        dia_variants: Vec<KernelVariant>,
-        csr_rows: Vec<Range<usize>>,
-        csr_variants: Vec<KernelVariant>,
-    },
+    Hdc { rows: Vec<Range<usize>>, csr_rows: Vec<Range<usize>> },
     /// Entry-weighted BSR block-row ranges.
-    Bsr { brows: Vec<Range<usize>>, variants: Vec<KernelVariant> },
-    /// One cell-balanced BELL share per worker (scalar-only bodies).
+    Bsr { brows: Vec<Range<usize>> },
+    /// One cell-balanced BELL share per worker.
     Bell { shares: Vec<BellShare> },
 }
 
@@ -269,115 +247,32 @@ impl<V: Scalar> ExecPlan<V> {
     /// Builds the plan for `m` as it is currently stored, for a pool of
     /// `threads` workers.
     ///
-    /// When `analysis` describes `m` (see [`Analysis::matches`]), weighted
-    /// ranges and COO entry boundaries are derived from its row histogram —
-    /// zero additional matrix traversals — and the per-range kernel
-    /// variants are selected under its [`Analysis::bottleneck`] label.
-    /// Without one, construction still touches only O(rows) metadata except
-    /// for COO-style entry splits, which scan the sorted row index array
-    /// once, and variant selection assumes the common bandwidth-bound case.
+    /// When `analysis` describes `m` (see [`Analysis::matches`]), COO entry
+    /// boundaries are derived from its row histogram — zero additional
+    /// matrix traversals. Without one, construction still touches only
+    /// O(rows) metadata except for COO-style entry splits, which scan the
+    /// sorted row index array once.
     pub fn build(m: &DynamicMatrix<V>, threads: usize, analysis: Option<&Analysis>) -> ExecPlan<V> {
-        Self::build_inner(m, threads, analysis, None)
-    }
-
-    /// [`ExecPlan::build`] with every range forced to `forced` wherever the
-    /// variant has a body for that portion of the format (per
-    /// [`KernelVariant::applies_to`]), falling back to
-    /// [`KernelVariant::Scalar`] elsewhere. This is the benchmark /
-    /// cost-model probe entry point: it measures what a specific variant
-    /// costs on a matrix regardless of what selection would pick.
-    pub fn build_with_variant(
-        m: &DynamicMatrix<V>,
-        threads: usize,
-        analysis: Option<&Analysis>,
-        forced: KernelVariant,
-    ) -> ExecPlan<V> {
-        Self::build_inner(m, threads, analysis, Some(forced))
-    }
-
-    fn build_inner(
-        m: &DynamicMatrix<V>,
-        threads: usize,
-        analysis: Option<&Analysis>,
-        forced: Option<KernelVariant>,
-    ) -> ExecPlan<V> {
         let threads = threads.max(1);
         let analysis = analysis.filter(|a| a.matches(m));
-        let bottleneck = analysis.map(|a| a.bottleneck()).unwrap_or(Bottleneck::Bandwidth);
-        // Per-portion forcing: a CSR(-remainder) range only takes the row
-        // accumulation variants, a DIA/ELL(-portion) range only the blocked
-        // body. Anything else degrades to the scalar reference.
-        let force_csr = forced.map(|v| match v {
-            KernelVariant::Unrolled | KernelVariant::Prefetch => v,
-            _ => KernelVariant::Scalar,
-        });
-        let force_rows = forced.map(|v| match v {
-            KernelVariant::Blocked => v,
-            _ => KernelVariant::Scalar,
-        });
-        let csr_variants = |offs: &[usize], rows: &[Range<usize>]| -> Vec<KernelVariant> {
-            match force_csr {
-                Some(v) => vec![v; rows.len()],
-                None => rows
-                    .iter()
-                    .map(|r| variant::select_csr(bottleneck, r.len(), offs[r.end] - offs[r.start]))
-                    .collect(),
-            }
-        };
         let parts = match m {
-            DynamicMatrix::Csr(a) => {
-                let rows = csr_row_ranges(a, threads);
-                let variants = csr_variants(a.row_offsets(), &rows);
-                Parts::Csr { rows, variants }
-            }
+            DynamicMatrix::Csr(a) => Parts::Csr { rows: csr_row_ranges(a, threads) },
             DynamicMatrix::Coo(a) => Parts::Coo { entries: coo_entry_ranges(a, threads, analysis) },
-            DynamicMatrix::Dia(a) => {
-                let rows = static_partition(a.nrows(), threads);
-                let ndiags = a.offsets().len();
-                let variants = rows
-                    .iter()
-                    .map(|r| force_rows.unwrap_or_else(|| variant::select_dia(ndiags, r.len())))
-                    .collect();
-                Parts::Rows { rows, variants }
-            }
-            DynamicMatrix::Ell(a) => {
-                let rows = static_partition(a.nrows(), threads);
-                let width = a.width();
-                let variants = rows
-                    .iter()
-                    .map(|r| force_rows.unwrap_or_else(|| variant::select_ell(width, r.len())))
-                    .collect();
-                Parts::Rows { rows, variants }
-            }
-            DynamicMatrix::Hyb(a) => {
-                let rows = static_partition(a.nrows(), threads);
-                let width = a.ell().width();
-                let variants = rows
-                    .iter()
-                    .map(|r| force_rows.unwrap_or_else(|| variant::select_ell(width, r.len())))
-                    .collect();
-                Parts::Hyb { rows, variants, coo_entries: hyb_coo_entry_ranges(a, threads, analysis) }
-            }
-            DynamicMatrix::Hdc(a) => {
-                let rows = static_partition(a.nrows(), threads);
-                let ndiags = a.dia().offsets().len();
-                let dia_variants = rows
-                    .iter()
-                    .map(|r| force_rows.unwrap_or_else(|| variant::select_dia(ndiags, r.len())))
-                    .collect();
-                let csr_rows = csr_row_ranges(a.csr(), threads);
-                let csr_variants = csr_variants(a.csr().row_offsets(), &csr_rows);
-                Parts::Hdc { rows, dia_variants, csr_rows, csr_variants }
-            }
+            DynamicMatrix::Dia(a) => Parts::Rows { rows: static_partition(a.nrows(), threads) },
+            DynamicMatrix::Ell(a) => Parts::Rows { rows: static_partition(a.nrows(), threads) },
+            DynamicMatrix::Hyb(a) => Parts::Hyb {
+                rows: static_partition(a.nrows(), threads),
+                coo_entries: hyb_coo_entry_ranges(a, threads, analysis),
+            },
+            DynamicMatrix::Hdc(a) => Parts::Hdc {
+                rows: static_partition(a.nrows(), threads),
+                csr_rows: csr_row_ranges(a.csr(), threads),
+            },
             DynamicMatrix::Bsr(a) => {
                 let offs = a.block_row_offsets();
-                let brows = weighted_partition_with(a.nblockrows(), threads, |br| offs[br + 1] - offs[br]);
-                let cells = a.block_r() * a.block_c();
-                let variants = brows
-                    .iter()
-                    .map(|r| force_rows.unwrap_or_else(|| variant::select_bsr(cells, r.len())))
-                    .collect();
-                Parts::Bsr { brows, variants }
+                Parts::Bsr {
+                    brows: weighted_partition_with(a.nblockrows(), threads, |br| offs[br + 1] - offs[br]),
+                }
             }
             DynamicMatrix::Bell(a) => Parts::Bell { shares: a.shares(threads) },
         };
@@ -388,7 +283,6 @@ impl<V: Scalar> ExecPlan<V> {
             nnz: m.nnz(),
             threads,
             parts,
-            cpu: CpuFeatures::detect(),
             _scalar: std::marker::PhantomData,
         }
     }
@@ -406,96 +300,22 @@ impl<V: Scalar> ExecPlan<V> {
     /// Number of precomputed ranges in the primary partition.
     pub fn num_parts(&self) -> usize {
         match &self.parts {
-            Parts::Csr { rows, .. } | Parts::Rows { rows, .. } => rows.len(),
+            Parts::Csr { rows } | Parts::Rows { rows } => rows.len(),
             Parts::Coo { entries } => entries.len(),
             Parts::Hyb { rows, .. } | Parts::Hdc { rows, .. } => rows.len(),
-            Parts::Bsr { brows, .. } => brows.len(),
+            Parts::Bsr { brows } => brows.len(),
             Parts::Bell { shares } => shares.len(),
         }
     }
 
-    /// Kernel variants of the primary partition, one per range in
-    /// [`ExecPlan::num_parts`] order (empty for COO, whose entry-parallel
-    /// body is scalar-only). HDC's CSR-remainder variants are folded into
-    /// [`ExecPlan::dominant_variant`] but not exposed here.
-    pub fn variants(&self) -> &[KernelVariant] {
-        match &self.parts {
-            Parts::Csr { variants, .. }
-            | Parts::Rows { variants, .. }
-            | Parts::Hyb { variants, .. }
-            | Parts::Bsr { variants, .. } => variants,
-            Parts::Coo { .. } | Parts::Bell { .. } => &[],
-            Parts::Hdc { dia_variants, .. } => dia_variants,
-        }
-    }
-
-    fn variant_slices(&self) -> (&[KernelVariant], &[KernelVariant]) {
-        match &self.parts {
-            Parts::Csr { variants, .. }
-            | Parts::Rows { variants, .. }
-            | Parts::Hyb { variants, .. }
-            | Parts::Bsr { variants, .. } => (variants, &[]),
-            Parts::Coo { .. } | Parts::Bell { .. } => (&[], &[]),
-            Parts::Hdc { dia_variants, csr_variants, .. } => (dia_variants, csr_variants),
-        }
-    }
-
-    /// The variant covering the most ranges across every partition of the
-    /// plan (ties go to the more specialised body). [`KernelVariant::Scalar`]
-    /// for COO plans and anywhere selection declined to specialise — this is
-    /// what tuning reports and telemetry record as "the" variant of a plan.
-    pub fn dominant_variant(&self) -> KernelVariant {
-        let (a, b) = self.variant_slices();
-        let mut counts = [0usize; KernelVariant::COUNT];
-        for v in a.iter().chain(b) {
-            counts[v.index()] += 1;
-        }
-        let mut best = KernelVariant::Scalar;
-        let mut best_count = 0usize;
-        for (i, &c) in counts.iter().enumerate() {
-            if c > 0 && c >= best_count {
-                best = KernelVariant::from_index(i).unwrap_or(KernelVariant::Scalar);
-                best_count = c;
-            }
-        }
-        best
-    }
-
-    /// `true` when every range of the plan runs an order-preserving body,
-    /// i.e. planned execution is bitwise identical to
-    /// [`crate::spmv::spmv_serial`]. Plans containing
-    /// [`KernelVariant::Unrolled`] ranges are instead ULP-bounded (the
-    /// multi-accumulator reduction reassociates the per-row sum).
-    ///
-    /// The numeric policy behind "bitwise": it holds for finite `x`. Formats
-    /// that multiply padding through add `0 * x[j]` terms, which are
-    /// exactly nothing only while `x[j]` is finite. BELL's pads repeat the
-    /// row's own last column, so a non-finite `x[j]` never reaches a row
-    /// that does not store column `j`; the one divergence left is a
-    /// *padded* row whose own last column holds `±Inf` in `x`, which reads
-    /// NaN where the CSR kernel reads `±Inf`.
-    pub fn preserves_order(&self) -> bool {
-        let (a, b) = self.variant_slices();
-        a.iter().chain(b).all(|v| v.preserves_order())
-    }
-
-    /// CPU feature set captured when the plan was built.
-    pub fn cpu_features(&self) -> CpuFeatures {
-        self.cpu
-    }
-
     /// `true` when the plan was built for a matrix indistinguishable from
-    /// `m` (same format, shape and non-zero count) **and** under the CPU
-    /// feature set currently detected — a plan whose variant bodies were
-    /// selected for a different ISA (e.g. deserialised on another machine)
-    /// never replays. Cheap guard; executions check it and fail with
-    /// [`MorpheusError::PlanMismatch`] otherwise.
+    /// `m` (same format, shape and non-zero count). Cheap guard; executions
+    /// check it and fail with [`MorpheusError::PlanMismatch`] otherwise.
     pub fn matches(&self, m: &DynamicMatrix<V>) -> bool {
         self.format == m.format_id()
             && self.nrows == m.nrows()
             && self.ncols == m.ncols()
             && self.nnz == m.nnz()
-            && self.cpu == CpuFeatures::detect()
     }
 
     fn check(&self, m: &DynamicMatrix<V>) -> Result<()> {
@@ -529,7 +349,7 @@ impl<V: Scalar> ExecPlan<V> {
             // the same shape/nnz stored as 2x2 and 8x8 BSR have different
             // block-row counts, so verify the ranges tile *this* matrix's
             // block rows before the unsafe bodies index by them.
-            (DynamicMatrix::Bsr(a), Parts::Bsr { brows, .. }) => {
+            (DynamicMatrix::Bsr(a), Parts::Bsr { brows }) => {
                 let mut end = 0usize;
                 brows.iter().all(|r| {
                     let ok = r.start == end && r.end >= r.start;
@@ -561,13 +381,19 @@ impl<V: Scalar> ExecPlan<V> {
     /// inline in part order on the calling thread. The same bodies run
     /// either way and parts write disjoint rows, so the two are **bitwise
     /// identical**; the serving layer's busy-pool fallback is the `None`
-    /// form, which therefore still runs the kernels the plan selected.
+    /// form.
     ///
-    /// SpMV runs each range's [`KernelVariant`] body: bitwise identical to
-    /// [`crate::spmv::spmv_serial`] whenever [`ExecPlan::preserves_order`]
-    /// holds (always true for Scalar/Prefetch/Blocked plans), ULP-bounded
-    /// with [`KernelVariant::Unrolled`] ranges. SpMM has scalar bodies only
-    /// and is always bitwise identical to [`crate::spmm::spmm_serial`].
+    /// Every body keeps the serial per-row accumulation order: SpMV is
+    /// bitwise identical to [`crate::spmv::spmv_serial`] and SpMM to
+    /// [`crate::spmm::spmm_serial`] of the same stored matrix.
+    ///
+    /// The numeric policy behind "bitwise": it holds for finite `x`. Formats
+    /// that multiply padding through add `0 * x[j]` terms, which are
+    /// exactly nothing only while `x[j]` is finite. BELL's pads repeat the
+    /// row's own last column, so a non-finite `x[j]` never reaches a row
+    /// that does not store column `j`; the one divergence left is a
+    /// *padded* row whose own last column holds `±Inf` in `x`, which reads
+    /// NaN where the CSR kernel reads `±Inf`.
     ///
     /// This is the only function that matches the plan's parts to execute
     /// them, and the only caller of the ranged kernels outside their modules.
@@ -585,13 +411,12 @@ impl<V: Scalar> ExecPlan<V> {
             Op::Spmm { k } => spmm::check_spmm_shapes(m, x, y, k)?,
         }
         // No one-worker serial shortcut: the ranged kernels execute their
-        // ranges inline without a pool (or on a one-worker pool), so the
-        // selected variant bodies engage even on single-core hosts.
+        // ranges inline without a pool (or on a one-worker pool).
         match (m, &self.parts, op) {
-            (DynamicMatrix::Csr(a), Parts::Csr { rows, variants }, Op::Spmv) => {
-                threaded::spmv_csr_ranges(a, x, y, pool, rows, variants)
+            (DynamicMatrix::Csr(a), Parts::Csr { rows }, Op::Spmv) => {
+                threaded::spmv_csr_ranges(a, x, y, pool, rows)
             }
-            (DynamicMatrix::Csr(a), Parts::Csr { rows, .. }, Op::Spmm { k }) => {
+            (DynamicMatrix::Csr(a), Parts::Csr { rows }, Op::Spmm { k }) => {
                 spmm::spmm_csr::<V, false>(a, x, y, k, pool, rows)
             }
             (DynamicMatrix::Coo(a), Parts::Coo { entries }, Op::Spmv) => {
@@ -600,38 +425,38 @@ impl<V: Scalar> ExecPlan<V> {
             (DynamicMatrix::Coo(a), Parts::Coo { entries }, Op::Spmm { k }) => {
                 spmm::spmm_coo::<V, false>(a, x, y, k, pool, entries)
             }
-            (DynamicMatrix::Dia(a), Parts::Rows { rows, variants }, Op::Spmv) => {
-                threaded::spmv_dia_ranges(a, x, y, pool, rows, variants)
+            (DynamicMatrix::Dia(a), Parts::Rows { rows }, Op::Spmv) => {
+                threaded::spmv_dia_ranges(a, x, y, pool, rows)
             }
-            (DynamicMatrix::Dia(a), Parts::Rows { rows, .. }, Op::Spmm { k }) => {
+            (DynamicMatrix::Dia(a), Parts::Rows { rows }, Op::Spmm { k }) => {
                 spmm::spmm_dia(a, x, y, k, pool, rows)
             }
-            (DynamicMatrix::Ell(a), Parts::Rows { rows, variants }, Op::Spmv) => {
-                threaded::spmv_ell_ranges(a, x, y, pool, rows, variants)
+            (DynamicMatrix::Ell(a), Parts::Rows { rows }, Op::Spmv) => {
+                threaded::spmv_ell_ranges(a, x, y, pool, rows)
             }
-            (DynamicMatrix::Ell(a), Parts::Rows { rows, .. }, Op::Spmm { k }) => {
+            (DynamicMatrix::Ell(a), Parts::Rows { rows }, Op::Spmm { k }) => {
                 spmm::spmm_ell(a, x, y, k, pool, rows)
             }
-            (DynamicMatrix::Hyb(a), Parts::Hyb { rows, variants, coo_entries }, Op::Spmv) => {
-                threaded::spmv_ell_ranges(a.ell(), x, y, pool, rows, variants);
+            (DynamicMatrix::Hyb(a), Parts::Hyb { rows, coo_entries }, Op::Spmv) => {
+                threaded::spmv_ell_ranges(a.ell(), x, y, pool, rows);
                 threaded::spmv_coo_acc_ranges(a.coo(), x, y, pool, coo_entries);
             }
-            (DynamicMatrix::Hyb(a), Parts::Hyb { rows, coo_entries, .. }, Op::Spmm { k }) => {
+            (DynamicMatrix::Hyb(a), Parts::Hyb { rows, coo_entries }, Op::Spmm { k }) => {
                 spmm::spmm_ell(a.ell(), x, y, k, pool, rows);
                 spmm::spmm_coo::<V, true>(a.coo(), x, y, k, pool, coo_entries);
             }
-            (DynamicMatrix::Hdc(a), Parts::Hdc { rows, dia_variants, csr_rows, csr_variants }, Op::Spmv) => {
-                threaded::spmv_dia_ranges(a.dia(), x, y, pool, rows, dia_variants);
-                threaded::spmv_csr_acc_ranges(a.csr(), x, y, pool, csr_rows, csr_variants);
+            (DynamicMatrix::Hdc(a), Parts::Hdc { rows, csr_rows }, Op::Spmv) => {
+                threaded::spmv_dia_ranges(a.dia(), x, y, pool, rows);
+                threaded::spmv_csr_acc_ranges(a.csr(), x, y, pool, csr_rows);
             }
-            (DynamicMatrix::Hdc(a), Parts::Hdc { rows, csr_rows, .. }, Op::Spmm { k }) => {
+            (DynamicMatrix::Hdc(a), Parts::Hdc { rows, csr_rows }, Op::Spmm { k }) => {
                 spmm::spmm_dia(a.dia(), x, y, k, pool, rows);
                 spmm::spmm_csr::<V, true>(a.csr(), x, y, k, pool, csr_rows);
             }
-            (DynamicMatrix::Bsr(a), Parts::Bsr { brows, variants }, Op::Spmv) => {
-                threaded::spmv_bsr_ranges(a, x, y, pool, brows, variants)
+            (DynamicMatrix::Bsr(a), Parts::Bsr { brows }, Op::Spmv) => {
+                threaded::spmv_bsr_ranges(a, x, y, pool, brows)
             }
-            (DynamicMatrix::Bsr(a), Parts::Bsr { brows, .. }, Op::Spmm { k }) => {
+            (DynamicMatrix::Bsr(a), Parts::Bsr { brows }, Op::Spmm { k }) => {
                 spmm::spmm_bsr(a, x, y, k, pool, brows)
             }
             // SAFETY (both): `check` saw the shares tile `a`'s slices.
@@ -773,120 +598,6 @@ mod tests {
 
     fn bitwise_eq(a: &[f64], b: &[f64]) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-    }
-
-    fn ulp_close(a: &[f64], b: &[f64]) -> bool {
-        a.len() == b.len()
-            && a.iter().zip(b).all(|(x, y)| {
-                let scale = 1.0 + x.abs().max(y.abs());
-                (x - y).abs() <= 1e-12 * scale
-            })
-    }
-
-    #[test]
-    fn forced_variants_respect_per_portion_applicability() {
-        let pool = ThreadPool::new(3);
-        let opts = ConvertOptions { min_padded_allowance: 1 << 22, ..Default::default() };
-        let base = DynamicMatrix::from(random_coo::<f64>(400, 380, 4000, 7));
-        let x: Vec<f64> = (0..380).map(|i| (i as f64 * 0.19).cos()).collect();
-        for &fmt in &ALL_FORMATS {
-            let m = base.to_format(fmt, &opts).unwrap();
-            let mut y_ref = vec![0.0; 400];
-            spmv_serial(&m, &x, &mut y_ref).unwrap();
-            for forced in crate::spmv::variant::ALL_VARIANTS {
-                let plan = ExecPlan::build_with_variant(&m, pool.num_threads(), None, forced);
-                // Every range carries either the forced variant (where the
-                // format portion has such a body) or the scalar fallback.
-                let (a, b) = plan.variant_slices();
-                assert!(
-                    a.iter().chain(b).all(|&v| v == forced || v == KernelVariant::Scalar),
-                    "{fmt} {forced}: unexpected variant mix {a:?} {b:?}"
-                );
-                let mut y = vec![f64::NAN; 400];
-                plan.spmv(&m, &x, &mut y, &pool).unwrap();
-                if plan.preserves_order() {
-                    assert!(bitwise_eq(&y, &y_ref), "{fmt} {forced}");
-                } else {
-                    assert!(ulp_close(&y, &y_ref), "{fmt} {forced}");
-                }
-            }
-        }
-        // COO has no variant bodies at all.
-        let coo = base.to_format(FormatId::Coo, &opts).unwrap();
-        let plan = ExecPlan::build_with_variant(&coo, 3, None, KernelVariant::Unrolled);
-        assert!(plan.variants().is_empty());
-        assert_eq!(plan.dominant_variant(), KernelVariant::Scalar);
-    }
-
-    #[test]
-    fn plan_from_a_different_cpu_feature_set_is_rejected() {
-        let m = DynamicMatrix::from(random_coo::<f64>(30, 30, 150, 3));
-        let plan = ExecPlan::build(&m, 2, None);
-        assert_eq!(plan.cpu_features(), CpuFeatures::detect());
-        assert!(plan.matches(&m));
-        let mut foreign = plan.clone();
-        foreign.cpu = CpuFeatures { avx2: !foreign.cpu.avx2, ..foreign.cpu };
-        assert!(!foreign.matches(&m), "a plan built under another ISA must not replay");
-        let pool = ThreadPool::new(2);
-        let x = vec![1.0; 30];
-        let mut y = vec![0.0; 30];
-        assert!(matches!(foreign.spmv(&m, &x, &mut y, &pool), Err(MorpheusError::PlanMismatch { .. })));
-    }
-
-    #[test]
-    fn variant_selection_follows_the_analysis_bottleneck() {
-        // A heavily skewed matrix (one hub row) classifies as
-        // imbalance-bound, whose CSR rule keeps the unrolled accumulator
-        // body on the dense ranges; a sparse uniform matrix with ~2 nnz per
-        // row stays on the scalar reference (below the unroll threshold).
-        let mut rows = vec![0usize; 600];
-        let mut cols: Vec<usize> = (0..600).collect();
-        for r in 1..400 {
-            rows.push(r);
-            cols.push(r % 590);
-        }
-        let vals = vec![1.0f64; rows.len()];
-        let hub =
-            DynamicMatrix::from(crate::CooMatrix::from_triplets(400, 600, &rows, &cols, &vals).unwrap())
-                .to_format(FormatId::Csr, &ConvertOptions::default())
-                .unwrap();
-        let an = Analysis::of(&hub, 0.2);
-        assert_eq!(an.bottleneck(), Bottleneck::Imbalance);
-        let plan = ExecPlan::build(&hub, 4, Some(&an));
-        assert!(
-            plan.variants().contains(&KernelVariant::Unrolled),
-            "hub plan should unroll its dense ranges: {:?}",
-            plan.variants()
-        );
-
-        // A tridiagonal matrix is bandwidth-bound (3 diagonals, no
-        // scatter) with ~3 nnz per row — below the unroll threshold, so
-        // every range stays on the scalar reference.
-        let n = 500usize;
-        let mut rows = Vec::new();
-        let mut cols = Vec::new();
-        for i in 0..n {
-            for j in [i.wrapping_sub(1), i, i + 1] {
-                if j < n {
-                    rows.push(i);
-                    cols.push(j);
-                }
-            }
-        }
-        let vals = vec![1.0f64; rows.len()];
-        let tri = DynamicMatrix::from(crate::CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap())
-            .to_format(FormatId::Csr, &ConvertOptions::default())
-            .unwrap();
-        let an = Analysis::of(&tri, 0.2);
-        assert_eq!(an.bottleneck(), Bottleneck::Bandwidth);
-        let plan = ExecPlan::build(&tri, 4, Some(&an));
-        assert!(
-            plan.variants().iter().all(|&v| v == KernelVariant::Scalar),
-            "short rows must stay scalar: {:?}",
-            plan.variants()
-        );
-        assert_eq!(plan.dominant_variant(), KernelVariant::Scalar);
-        assert!(plan.preserves_order());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::bell::{BellBucket, BellMatrix, BellSegment, BellSlice, SLICE};
 use crate::scalar::Scalar;
-use crate::spmv::variant::CpuFeatures;
+use crate::spmv::cpu_features::CpuFeatures;
 use morpheus_parallel::SharedSlice;
 use std::ops::Range;
 
@@ -58,7 +58,7 @@ pub(crate) unsafe fn bell_segment<V: Scalar, const ACC: bool>(
     let bucket = &a.buckets()[seg.bucket];
     #[cfg(target_arch = "x86_64")]
     {
-        use crate::spmv::variant::cast_slice;
+        use crate::spmv::cpu_features::cast_slice;
         use std::any::TypeId;
         // The gathers sign-extend their 32-bit indices.
         if cpu.avx2 && x.len() <= i32::MAX as usize + 1 {

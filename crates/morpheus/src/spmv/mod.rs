@@ -9,9 +9,9 @@
 //! pool or inline ([`threaded`] holds the ranged bodies).
 
 pub(crate) mod bell;
+pub mod cpu_features;
 pub mod serial;
 pub mod threaded;
-pub mod variant;
 
 use crate::dynamic::DynamicMatrix;
 use crate::error::MorpheusError;

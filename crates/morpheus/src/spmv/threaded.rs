@@ -2,10 +2,9 @@
 //!
 //! Every kernel partitions the *rows* of the matrix across workers so each
 //! element of `y` has exactly one writer — no atomics are needed, and
-//! results are bitwise identical to the serial kernels (same per-row
-//! accumulation order) whenever every range runs an order-preserving
-//! [`KernelVariant`] (see [`crate::spmv::variant`]); the unrolled/SIMD CSR
-//! body a plan may choose is ULP-bounded instead.
+//! results are bitwise identical to the serial kernels: every format has
+//! exactly one ranged body, and it keeps the serial per-row accumulation
+//! order.
 //!
 //! There is one entry style: the `*_ranges` kernels replay the precomputed
 //! parts of a [`crate::plan::ExecPlan`] through [`for_each_part`] with no
@@ -14,12 +13,11 @@
 //! pool. [`crate::plan::ExecPlan::run`] is their only caller outside this
 //! module and [`crate::spmm`]; nothing here derives a partition.
 //!
-//! Two bodies are shared beyond this module. `csr_rows` is the one scalar
-//! CSR row loop: the serial kernels run it over every row. BELL has exactly
-//! one body, the slice walker `crate::spmv::bell::bell_segment` (portable
-//! and AVX2 forms, chosen by [`CpuFeatures`]): `spmv_bell_shares` here, the
-//! serial kernels and — through their plans — partitioned shards all run
-//! it, and it carries no variants.
+//! Two bodies are shared beyond this module. `csr_rows` is the one CSR row
+//! loop: the serial kernels run it over every row. BELL's is the slice
+//! walker `crate::spmv::bell::bell_segment` (portable and AVX2 forms, chosen
+//! by [`CpuFeatures`]): `spmv_bell_shares` here, the serial kernels and —
+//! through their plans — partitioned shards all run it.
 
 use crate::bell::{BellMatrix, BellShare};
 use crate::bsr::BsrMatrix;
@@ -29,7 +27,7 @@ use crate::dia::DiaMatrix;
 use crate::ell::{EllMatrix, ELL_PAD};
 use crate::scalar::Scalar;
 use crate::spmv::bell::bell_segment;
-use crate::spmv::variant::{self, CpuFeatures, KernelVariant};
+use crate::spmv::cpu_features::CpuFeatures;
 use morpheus_parallel::{SharedSlice, ThreadPool};
 use std::ops::Range;
 
@@ -42,7 +40,7 @@ type SharedOut<V> = SharedSlice<V>;
 // ---------------------------------------------------------------------------
 
 /// CSR rows `rows`: per-row gather/reduce, written (or accumulated) into
-/// `out` — the one scalar CSR row loop, which the serial kernels run over
+/// `out` — the one CSR row loop, which the serial kernels run over
 /// every row, so results are bitwise identical by construction. The loads
 /// carry no per-entry bounds checks (at 2–24 entries a row the checks, not
 /// the memory, set the pace).
@@ -106,33 +104,67 @@ unsafe fn coo_entries<V: Scalar>(a: &CooMatrix<V>, x: &[V], out: &SharedOut<V>, 
     }
 }
 
+/// Populated diagonals from which [`dia_rows`] sweeps in row tiles: with
+/// fewer, a row's output never leaves cache between diagonals anyway.
+const BLOCK_MIN_DIAGS: usize = 4;
+/// Slab width from which [`ell_rows`] sweeps in row tiles.
+const BLOCK_MIN_WIDTH: usize = 4;
+/// Rows per tile: 256 rows of `f64` output plus the matching `x` windows
+/// sit comfortably in L1.
+const BLOCK_ROWS: usize = 256;
+
+/// `rows` cut into the runs a padded body sweeps one at a time: of
+/// [`BLOCK_ROWS`] rows when `tiled`, otherwise `rows` whole. Tiling is a
+/// fact the kernel reads off the matrix it is handed (the README's "One
+/// body per format" has the sweep behind the two rules); it regroups the
+/// rows, never the terms of a row, so results do not change with it.
+#[inline(always)]
+fn row_tiles(rows: Range<usize>, tiled: bool) -> impl Iterator<Item = Range<usize>> {
+    let (end, tile) = (rows.end, if tiled { BLOCK_ROWS } else { rows.len().max(1) });
+    rows.step_by(tile).map(move |start| start..(start + tile).min(end))
+}
+
 /// DIA rows `rows`: zero the rows, then stream every diagonal's
-/// intersection with the range — the serial kernel's per-row accumulation
-/// order (diagonals ascending).
+/// intersection with them — the serial kernel's per-row accumulation order
+/// (diagonals ascending) — tile by tile from [`BLOCK_MIN_DIAGS`] diagonals
+/// up, so a tile's output and its `x` windows stay cache-resident across
+/// all diagonals. DIA and HDC's DIA portion both run this.
+///
+/// The sweep of one diagonal runs over three plain slices (the tile of
+/// `out`, the diagonal's values, its window of `x`): indexed through
+/// `out` itself it stays scalar once this body is inlined into a plan's
+/// closure, where the vectoriser no longer sees that `out` does not move.
 ///
 /// # Safety
 /// No concurrent caller may receive an overlapping row range.
-#[inline]
+#[inline(always)]
 unsafe fn dia_rows<V: Scalar>(a: &DiaMatrix<V>, x: &[V], out: &SharedOut<V>, rows: Range<usize>) {
     let nrows = a.nrows();
     let offsets = a.offsets();
     let values = a.values();
-    for i in rows.clone() {
-        out.set(i, V::ZERO);
-    }
-    for (d, &off) in offsets.iter().enumerate() {
-        let dr = a.diag_row_range(d);
-        let lo = rows.start.max(dr.start);
-        let hi = rows.end.min(dr.end);
-        let base = d * nrows;
-        for i in lo..hi {
-            let j = (i as isize + off) as usize;
-            out.add(i, values[base + i] * x[j]);
+    for tile in row_tiles(rows, offsets.len() >= BLOCK_MIN_DIAGS) {
+        // SAFETY: `tile` lies inside `rows`, which no other caller holds.
+        let y = out.slice_mut(tile.start, tile.len());
+        y.fill(V::ZERO);
+        for (d, &off) in offsets.iter().enumerate() {
+            let dr = a.diag_row_range(d);
+            let (lo, hi) = (tile.start.max(dr.start), tile.end.min(dr.end));
+            if lo < hi {
+                let ys = &mut y[lo - tile.start..hi - tile.start];
+                let diag = &values[d * nrows + lo..d * nrows + hi];
+                let xs = &x[(lo as isize + off) as usize..][..hi - lo];
+                for ((yi, &v), &xv) in ys.iter_mut().zip(diag).zip(xs) {
+                    *yi += v * xv;
+                }
+            }
         }
     }
 }
 
-/// ELL rows `rows`: zero the rows, then walk the column-major slabs.
+/// ELL rows `rows`: zero the rows, then walk the column-major slabs (slab
+/// order `k` ascending within a row, as the serial kernel), tile by tile
+/// from a width of [`BLOCK_MIN_WIDTH`] up. ELL and HYB's ELL portion both
+/// run this.
 ///
 /// # Safety
 /// No concurrent caller may receive an overlapping row range.
@@ -141,15 +173,17 @@ unsafe fn ell_rows<V: Scalar>(a: &EllMatrix<V>, x: &[V], out: &SharedOut<V>, row
     let nrows = a.nrows();
     let cols = a.col_indices();
     let vals = a.values();
-    for i in rows.clone() {
-        out.set(i, V::ZERO);
-    }
-    for k in 0..a.width() {
-        let base = k * nrows;
-        for i in rows.clone() {
-            let c = cols[base + i];
-            if c != ELL_PAD {
-                out.add(i, vals[base + i] * x[c]);
+    for tile in row_tiles(rows, a.width() >= BLOCK_MIN_WIDTH) {
+        for i in tile.clone() {
+            out.set(i, V::ZERO);
+        }
+        for k in 0..a.width() {
+            let base = k * nrows;
+            for i in tile.clone() {
+                let c = cols[base + i];
+                if c != ELL_PAD {
+                    out.add(i, vals[base + i] * x[c]);
+                }
             }
         }
     }
@@ -253,202 +287,6 @@ unsafe fn bsr_block_rows_dyn<V: Scalar>(a: &BsrMatrix<V>, x: &[V], out: &SharedO
 }
 
 // ---------------------------------------------------------------------------
-// Variant bodies (bottleneck-specialised; see `crate::spmv::variant`)
-// ---------------------------------------------------------------------------
-
-/// CSR rows with the unrolled/SIMD row reduction
-/// ([`variant::dot_row_unrolled`]). Accumulation order differs from the
-/// scalar body — results are ULP-bounded, not bitwise.
-///
-/// # Safety
-/// No concurrent caller may receive an overlapping row range.
-#[inline]
-unsafe fn csr_rows_unrolled<V: Scalar, const ACC: bool>(
-    a: &CsrMatrix<V>,
-    x: &[V],
-    out: &SharedOut<V>,
-    rows: Range<usize>,
-) {
-    let offs = a.row_offsets();
-    let cols = a.col_indices();
-    let vals = a.values();
-    for r in rows {
-        let (lo, hi) = (offs[r], offs[r + 1]);
-        let acc = variant::dot_row_unrolled(&vals[lo..hi], &cols[lo..hi], x);
-        if ACC {
-            out.add(r, acc);
-        } else {
-            out.set(r, acc);
-        }
-    }
-}
-
-/// CSR rows with software prefetch of the `x` gathers
-/// [`variant::PREFETCH_DIST`] entries ahead. Accumulation order is the
-/// scalar body's — results stay bitwise identical.
-///
-/// # Safety
-/// No concurrent caller may receive an overlapping row range.
-#[inline]
-unsafe fn csr_rows_prefetch<V: Scalar, const ACC: bool>(
-    a: &CsrMatrix<V>,
-    x: &[V],
-    out: &SharedOut<V>,
-    rows: Range<usize>,
-) {
-    let offs = a.row_offsets();
-    let cols = a.col_indices();
-    let vals = a.values();
-    let xp = x.as_ptr();
-    for r in rows {
-        let mut acc = V::ZERO;
-        for i in offs[r]..offs[r + 1] {
-            let pf = i + variant::PREFETCH_DIST;
-            if pf < cols.len() {
-                // Column indices are in-bounds for x by matrix invariant;
-                // prefetching across the row boundary warms the next rows'
-                // gathers too.
-                variant::prefetch_read(xp.add(cols[pf]));
-            }
-            acc += vals[i] * x[cols[i]];
-        }
-        if ACC {
-            out.add(r, acc);
-        } else {
-            out.set(r, acc);
-        }
-    }
-}
-
-/// DIA rows in blocks of [`variant::BLOCK_ROWS`]: the full diagonal sweep
-/// runs per block, keeping the output block and its `x` window
-/// cache-resident. Per-row accumulation order (diagonals ascending) is
-/// unchanged — bitwise identical to the scalar body.
-///
-/// # Safety
-/// No concurrent caller may receive an overlapping row range.
-#[inline]
-unsafe fn dia_rows_blocked<V: Scalar>(a: &DiaMatrix<V>, x: &[V], out: &SharedOut<V>, rows: Range<usize>) {
-    let mut b = rows.start;
-    while b < rows.end {
-        let e = (b + variant::BLOCK_ROWS).min(rows.end);
-        dia_rows(a, x, out, b..e);
-        b = e;
-    }
-}
-
-/// ELL rows in blocks of [`variant::BLOCK_ROWS`] (see [`dia_rows_blocked`];
-/// per-row slab order `k` ascending is unchanged — bitwise identical).
-///
-/// # Safety
-/// No concurrent caller may receive an overlapping row range.
-#[inline]
-unsafe fn ell_rows_blocked<V: Scalar>(a: &EllMatrix<V>, x: &[V], out: &SharedOut<V>, rows: Range<usize>) {
-    let mut b = rows.start;
-    while b < rows.end {
-        let e = (b + variant::BLOCK_ROWS).min(rows.end);
-        ell_rows(a, x, out, b..e);
-        b = e;
-    }
-}
-
-/// Variant-dispatching CSR body. Non-CSR variants fall back to the scalar
-/// reference.
-///
-/// # Safety
-/// Same contract as [`csr_rows`].
-#[inline]
-pub(crate) unsafe fn csr_rows_variant<V: Scalar, const ACC: bool>(
-    a: &CsrMatrix<V>,
-    x: &[V],
-    out: &SharedOut<V>,
-    rows: Range<usize>,
-    v: KernelVariant,
-) {
-    match v {
-        KernelVariant::Unrolled => csr_rows_unrolled::<V, ACC>(a, x, out, rows),
-        KernelVariant::Prefetch => csr_rows_prefetch::<V, ACC>(a, x, out, rows),
-        _ => csr_rows::<V, ACC>(a, x, out, rows),
-    }
-}
-
-/// Variant-dispatching DIA body (only `Blocked` specialises).
-///
-/// # Safety
-/// Same contract as [`dia_rows`].
-#[inline]
-pub(crate) unsafe fn dia_rows_variant<V: Scalar>(
-    a: &DiaMatrix<V>,
-    x: &[V],
-    out: &SharedOut<V>,
-    rows: Range<usize>,
-    v: KernelVariant,
-) {
-    match v {
-        KernelVariant::Blocked => dia_rows_blocked(a, x, out, rows),
-        _ => dia_rows(a, x, out, rows),
-    }
-}
-
-/// Variant-dispatching ELL body (only `Blocked` specialises).
-///
-/// # Safety
-/// Same contract as [`ell_rows`].
-#[inline]
-pub(crate) unsafe fn ell_rows_variant<V: Scalar>(
-    a: &EllMatrix<V>,
-    x: &[V],
-    out: &SharedOut<V>,
-    rows: Range<usize>,
-    v: KernelVariant,
-) {
-    match v {
-        KernelVariant::Blocked => ell_rows_blocked(a, x, out, rows),
-        _ => ell_rows(a, x, out, rows),
-    }
-}
-
-/// BSR block rows in chunks of [`variant::BLOCK_ROWS`] block rows, keeping
-/// the output tile and `x` window cache-resident. Per-row accumulation
-/// order is unchanged — bitwise identical to the plain body.
-///
-/// # Safety
-/// No concurrent caller may receive an overlapping block-row range.
-#[inline]
-unsafe fn bsr_block_rows_blocked<V: Scalar>(
-    a: &BsrMatrix<V>,
-    x: &[V],
-    out: &SharedOut<V>,
-    brows: Range<usize>,
-) {
-    let mut b = brows.start;
-    while b < brows.end {
-        let e = (b + variant::BLOCK_ROWS).min(brows.end);
-        bsr_block_rows(a, x, out, b..e);
-        b = e;
-    }
-}
-
-/// Variant-dispatching BSR body (only `Blocked` specialises; the block
-/// inner loops are already register-tiled).
-///
-/// # Safety
-/// Same contract as [`bsr_block_rows`].
-#[inline]
-pub(crate) unsafe fn bsr_block_rows_variant<V: Scalar>(
-    a: &BsrMatrix<V>,
-    x: &[V],
-    out: &SharedOut<V>,
-    brows: Range<usize>,
-    v: KernelVariant,
-) {
-    match v {
-        KernelVariant::Blocked => bsr_block_rows_blocked(a, x, out, brows),
-        _ => bsr_block_rows(a, x, out, brows),
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Planned kernels: thin loops over precomputed `ExecPlan` parts
 // ---------------------------------------------------------------------------
 
@@ -456,9 +294,7 @@ pub(crate) unsafe fn bsr_block_rows_variant<V: Scalar>(
 /// `p` on pool index `p % width` — the same thread every call, with no
 /// scheduling state — or, without a pool, inline in order on the calling
 /// thread (which is also what a pool of width 1, a nested region and a busy
-/// pool do). Same bodies either way, so results are bitwise identical, and
-/// the variant layer engages even on single-core hosts and on the serving
-/// layer's busy-pool fallback.
+/// pool do). Same bodies either way, so results are bitwise identical.
 pub(crate) fn for_each_part(pool: Option<&ThreadPool>, n: usize, body: impl Fn(usize) + Sync) {
     match pool {
         Some(pool) if n > 0 => pool.run_on_all(&|w| (w..n).step_by(pool.num_threads()).for_each(&body)),
@@ -466,22 +302,17 @@ pub(crate) fn for_each_part(pool: Option<&ThreadPool>, n: usize, body: impl Fn(u
     }
 }
 
-/// CSR over precomputed row ranges (write), each range running its planned
-/// [`KernelVariant`] body.
+/// CSR over precomputed row ranges (write).
 pub(crate) fn spmv_csr_ranges<V: Scalar>(
     a: &CsrMatrix<V>,
     x: &[V],
     y: &mut [V],
     pool: Option<&ThreadPool>,
     rows: &[Range<usize>],
-    variants: &[KernelVariant],
 ) {
-    debug_assert_eq!(rows.len(), variants.len());
     let out = SharedOut::new(y);
     // SAFETY: plan row ranges tile the rows disjointly.
-    for_each_part(pool, rows.len(), |p| unsafe {
-        csr_rows_variant::<V, false>(a, x, &out, rows[p].clone(), variants[p])
-    });
+    for_each_part(pool, rows.len(), |p| unsafe { csr_rows::<V, false>(a, x, &out, rows[p].clone()) });
 }
 
 /// CSR over precomputed row ranges (accumulate), for the HDC composite.
@@ -491,14 +322,10 @@ pub(crate) fn spmv_csr_acc_ranges<V: Scalar>(
     y: &mut [V],
     pool: Option<&ThreadPool>,
     rows: &[Range<usize>],
-    variants: &[KernelVariant],
 ) {
-    debug_assert_eq!(rows.len(), variants.len());
     let out = SharedOut::new(y);
     // SAFETY: plan row ranges tile the rows disjointly.
-    for_each_part(pool, rows.len(), |p| unsafe {
-        csr_rows_variant::<V, true>(a, x, &out, rows[p].clone(), variants[p])
-    });
+    for_each_part(pool, rows.len(), |p| unsafe { csr_rows::<V, true>(a, x, &out, rows[p].clone()) });
 }
 
 /// The rows range `p` of a plan's row-aligned COO entry ranges (contiguous,
@@ -519,8 +346,7 @@ pub(crate) fn coo_owned_rows<V: Scalar>(
 }
 
 /// COO over precomputed row-aligned entry ranges: each range zeroes the rows
-/// it owns ([`coo_owned_rows`]), then accumulates its entries. (COO's scatter
-/// loop has no specialised variants.)
+/// it owns ([`coo_owned_rows`]), then accumulates its entries.
 pub(crate) fn spmv_coo_ranges<V: Scalar>(
     a: &CooMatrix<V>,
     x: &[V],
@@ -557,55 +383,43 @@ pub(crate) fn spmv_coo_acc_ranges<V: Scalar>(
     for_each_part(pool, entries.len(), |p| unsafe { coo_entries(a, x, &out, entries[p].clone()) });
 }
 
-/// DIA over precomputed row ranges, each running its planned variant.
+/// DIA over precomputed row ranges.
 pub(crate) fn spmv_dia_ranges<V: Scalar>(
     a: &DiaMatrix<V>,
     x: &[V],
     y: &mut [V],
     pool: Option<&ThreadPool>,
     rows: &[Range<usize>],
-    variants: &[KernelVariant],
 ) {
-    debug_assert_eq!(rows.len(), variants.len());
     let out = SharedOut::new(y);
     // SAFETY: plan row ranges tile the rows disjointly.
-    for_each_part(pool, rows.len(), |p| unsafe {
-        dia_rows_variant(a, x, &out, rows[p].clone(), variants[p])
-    });
+    for_each_part(pool, rows.len(), |p| unsafe { dia_rows(a, x, &out, rows[p].clone()) });
 }
 
-/// ELL over precomputed row ranges, each running its planned variant.
+/// ELL over precomputed row ranges.
 pub(crate) fn spmv_ell_ranges<V: Scalar>(
     a: &EllMatrix<V>,
     x: &[V],
     y: &mut [V],
     pool: Option<&ThreadPool>,
     rows: &[Range<usize>],
-    variants: &[KernelVariant],
 ) {
-    debug_assert_eq!(rows.len(), variants.len());
     let out = SharedOut::new(y);
     // SAFETY: plan row ranges tile the rows disjointly.
-    for_each_part(pool, rows.len(), |p| unsafe {
-        ell_rows_variant(a, x, &out, rows[p].clone(), variants[p])
-    });
+    for_each_part(pool, rows.len(), |p| unsafe { ell_rows(a, x, &out, rows[p].clone()) });
 }
 
-/// BSR over precomputed block-row ranges, each running its planned variant.
+/// BSR over precomputed block-row ranges.
 pub(crate) fn spmv_bsr_ranges<V: Scalar>(
     a: &BsrMatrix<V>,
     x: &[V],
     y: &mut [V],
     pool: Option<&ThreadPool>,
     brows: &[Range<usize>],
-    variants: &[KernelVariant],
 ) {
-    debug_assert_eq!(brows.len(), variants.len());
     let out = SharedOut::new(y);
     // SAFETY: plan block-row ranges tile the block rows disjointly.
-    for_each_part(pool, brows.len(), |p| unsafe {
-        bsr_block_rows_variant(a, x, &out, brows[p].clone(), variants[p])
-    });
+    for_each_part(pool, brows.len(), |p| unsafe { bsr_block_rows(a, x, &out, brows[p].clone()) });
 }
 
 /// BELL over precomputed shares: each zeroes the empty rows of its row range
@@ -641,10 +455,10 @@ pub(crate) unsafe fn spmv_bell_shares<V: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convert::{coo_to_csr, ConvertOptions};
+    use crate::convert::coo_to_csr;
     use crate::spmv::serial;
     use crate::test_util::random_coo;
-    use morpheus_parallel::{row_aligned_partition, static_partition, weighted_partition};
+    use morpheus_parallel::{row_aligned_partition, weighted_partition};
 
     #[test]
     fn row_aligned_partition_never_splits_rows() {
@@ -681,7 +495,7 @@ mod tests {
     }
 
     #[test]
-    fn ranged_kernels_match_scheduled_kernels_bitwise() {
+    fn ranged_kernels_match_serial_kernels_bitwise() {
         let pool = ThreadPool::new(4);
         let coo = random_coo::<f64>(150, 150, 2000, 3);
         let csr = coo_to_csr(&coo);
@@ -692,9 +506,8 @@ mod tests {
 
         let weights = csr.row_nnz_counts();
         let rows = weighted_partition(&weights, pool.num_threads());
-        let scalars = vec![KernelVariant::Scalar; rows.len()];
         let mut y = vec![f64::NAN; 150];
-        spmv_csr_ranges(&csr, &x, &mut y, Some(&pool), &rows, &scalars);
+        spmv_csr_ranges(&csr, &x, &mut y, Some(&pool), &rows);
         assert_eq!(y, y_ref);
 
         let mut y_ref = vec![0.0; 150];
@@ -703,59 +516,5 @@ mod tests {
         let mut y = vec![f64::NAN; 150];
         spmv_coo_ranges(&coo, &x, &mut y, Some(&pool), &entries);
         assert_eq!(y, y_ref);
-    }
-
-    #[test]
-    fn order_preserving_variant_bodies_are_bitwise_equal_to_scalar() {
-        // Prefetch (CSR) and Blocked (DIA/ELL) keep the reference per-row
-        // accumulation order; run them over both one- and multi-worker
-        // pools (the planned path inlines ranges on one worker).
-        let coo = random_coo::<f64>(700, 650, 9000, 19);
-        let csr = coo_to_csr(&coo);
-        let x: Vec<f64> = (0..650).map(|i| (i as f64 * 0.13).sin() + 0.5).collect();
-        let mut y_ref = vec![0.0; 700];
-        serial::spmv_csr(&csr, &x, &mut y_ref);
-        for workers in [1, 3] {
-            let pool = ThreadPool::new(workers);
-            let rows = weighted_partition(&csr.row_nnz_counts(), workers);
-            let prefetch = vec![KernelVariant::Prefetch; rows.len()];
-            let mut y = vec![f64::NAN; 700];
-            spmv_csr_ranges(&csr, &x, &mut y, Some(&pool), &rows, &prefetch);
-            assert_eq!(y, y_ref, "prefetch CSR, {workers} worker(s)");
-        }
-
-        let opts = ConvertOptions { min_padded_allowance: 1 << 22, ..Default::default() };
-        let ell = crate::convert::coo_to_ell(&coo, &opts).unwrap();
-        let mut y_ref = vec![0.0; 700];
-        serial::spmv_ell(&ell, &x, &mut y_ref);
-        for workers in [1, 2] {
-            let pool = ThreadPool::new(workers);
-            let rows = static_partition(700, workers);
-            let blocked = vec![KernelVariant::Blocked; rows.len()];
-            let mut y = vec![f64::NAN; 700];
-            spmv_ell_ranges(&ell, &x, &mut y, Some(&pool), &rows, &blocked);
-            assert_eq!(y, y_ref, "blocked ELL, {workers} worker(s)");
-        }
-    }
-
-    #[test]
-    fn unrolled_csr_body_is_ulp_close_to_scalar() {
-        let coo = random_coo::<f64>(300, 280, 6000, 23);
-        let csr = coo_to_csr(&coo);
-        let x: Vec<f64> = (0..280).map(|i| (i as f64 * 0.37).cos() * 2.0 - 0.3).collect();
-        let mut y_ref = vec![0.0; 300];
-        serial::spmv_csr(&csr, &x, &mut y_ref);
-        let pool = ThreadPool::new(2);
-        let rows = weighted_partition(&csr.row_nnz_counts(), 2);
-        let unrolled = vec![KernelVariant::Unrolled; rows.len()];
-        let mut y = vec![f64::NAN; 300];
-        spmv_csr_ranges(&csr, &x, &mut y, Some(&pool), &rows, &unrolled);
-        let offs = csr.row_offsets();
-        for r in 0..300 {
-            let row_abs: f64 =
-                (offs[r]..offs[r + 1]).map(|i| (csr.values()[i] * x[csr.col_indices()[i]]).abs()).sum();
-            let bound = ((offs[r + 1] - offs[r]) as f64 + 8.0) * f64::EPSILON * row_abs.max(1e-300);
-            assert!((y[r] - y_ref[r]).abs() <= bound, "row {r}: |{} - {}| > {bound}", y[r], y_ref[r]);
-        }
     }
 }

@@ -5,7 +5,7 @@
 //! The service decides *whether* to shard with its machine-model cost
 //! gate; here a small shard target plus `cost_gate: false` forces the
 //! partitioned path so the example is deterministic, and the printed
-//! shard table shows per-shard format + variant choices. The iteration
+//! shard table shows the format each shard ended up in. The iteration
 //! itself is ordinary `service.spmv` calls — partitioned execution is
 //! transparent to the caller.
 //!
@@ -56,12 +56,11 @@ fn main() {
     let pm = h.partition().expect("partitioned handle");
     for (i, s) in pm.shards().iter().enumerate() {
         println!(
-            "  shard {i}: rows {:>6}..{:<6} nnz {:>8}  format {:<5} variant {}",
+            "  shard {i}: rows {:>6}..{:<6} nnz {:>8}  format {}",
             s.rows().start,
             s.rows().end,
             s.nnz(),
-            s.format_id().to_string(),
-            s.plan().dominant_variant()
+            s.format_id()
         );
     }
 

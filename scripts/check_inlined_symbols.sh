@@ -15,12 +15,13 @@ binary="${1:-oracle_bench/target/release/oracle_bench}"
 [ -f "$binary" ] || { echo "check_inlined_symbols: no binary at $binary (build it first)" >&2; exit 2; }
 
 # The analysis' row body (both instantiations: with and without block
-# counts) and its stamp helpers; the opener of the BELL slice loops.
-forbidden='RowWalk(<.*>)?::row|Stamps::count_(row|entry)|full_slices'
+# counts) and its stamp helpers; the opener of the BELL slice loops; the DIA
+# row body (one registration in eight executes it) and the cut of its tiles.
+forbidden='RowWalk(<.*>)?::row|Stamps::count_(row|entry)|full_slices|dia_rows|row_tiles'
 
 if found=$(nm -C "$binary" | grep -E "$forbidden"); then
     echo "check_inlined_symbols: out-of-line copies in $binary:" >&2
     echo "$found" >&2
     exit 1
 fi
-echo "check_inlined_symbols: $binary: no out-of-line RowWalk::row, Stamps::count_*, full_slices"
+echo "check_inlined_symbols: $binary: no out-of-line RowWalk::row, Stamps::count_*, full_slices, dia_rows, row_tiles"

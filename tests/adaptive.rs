@@ -6,7 +6,7 @@
 use morpheus_repro::machine::{systems, Backend, Op, VirtualEngine};
 use morpheus_repro::ml::Dataset;
 use morpheus_repro::morpheus::format::{FormatId, FORMAT_COUNT};
-use morpheus_repro::morpheus::{CooMatrix, DynamicMatrix, KernelVariant};
+use morpheus_repro::morpheus::{CooMatrix, DynamicMatrix};
 use morpheus_repro::oracle::adapt::{
     AdaptiveConfig, AdaptiveEngine, AdaptiveTuner, CollectorConfig, LearnedModel, ModelEpoch, RetrainOutcome,
     SampleCollector, SampleKey,
@@ -76,7 +76,6 @@ fn feed_observations(collector: &SampleCollector, structures: u64) {
                         op: Op::Spmv,
                         scalar_bytes: 8,
                         workers: 1,
-                        variant: KernelVariant::Scalar,
                         param_code: 0,
                     },
                     Duration::from_micros(us),

@@ -158,9 +158,8 @@ fn share_stress_matrices() -> Vec<(&'static str, DynamicMatrix<f64>)> {
 }
 
 /// One balanced dispatch per planned execution: at every pool width the
-/// pooled SpMV is bitwise `spmv_unpooled` (same parts, same bodies) — and
-/// serial whenever the plan preserves order — and the pooled SpMM is bitwise
-/// serial, in all eight formats.
+/// pooled SpMV is bitwise `spmv_unpooled` (same parts, same bodies) and
+/// serial, and the pooled SpMM is bitwise serial, in all eight formats.
 #[test]
 fn pooled_plans_match_unpooled_and_serial_at_one_to_four_workers() {
     let opts = tolerant_opts();
@@ -183,9 +182,7 @@ fn pooled_plans_match_unpooled_and_serial_at_one_to_four_workers() {
                 let mut y = vec![f64::NAN; m.nrows()];
                 plan.spmv(&converted, &x, &mut y, &pool).unwrap();
                 assert!(bits_eq(&y, &y_unpooled), "{name} {fmt} x{workers}: pooled != unpooled");
-                if plan.preserves_order() {
-                    assert!(bits_eq(&y, &y_serial), "{name} {fmt} x{workers}: planned != serial");
-                }
+                assert!(bits_eq(&y, &y_serial), "{name} {fmt} x{workers}: planned != serial");
                 let mut ymm = vec![f64::NAN; m.nrows() * k];
                 plan.spmm(&converted, &xk, &mut ymm, k, &pool).unwrap();
                 assert!(bits_eq(&ymm, &ymm_serial), "{name} {fmt} x{workers}: planned SpMM != serial");

@@ -38,7 +38,7 @@ fn tolerant_opts() -> ConvertOptions {
 /// A matrix for the execution differential, of the shapes a ranged kernel
 /// has a special case for: no entries at all, a single row, runs of empty
 /// rows at either end or in the middle, one row far longer than the others,
-/// rows long enough for a plan to pick the unrolled CSR body, plain scatter.
+/// long rows, plain scatter.
 /// The values do not sum exactly, so a row summed in another order shows in
 /// the last bits.
 fn arb_exec_matrix() -> impl Strategy<Value = DynamicMatrix<f64>> {
@@ -69,17 +69,46 @@ fn arb_exec_matrix() -> impl Strategy<Value = DynamicMatrix<f64>> {
             }
             _ => {}
         }
-        entries.sort_unstable();
-        entries.dedup();
-        let (rows, cols): (Vec<usize>, Vec<usize>) = entries.into_iter().unzip();
-        // Strictly non-zero: DIA storage cannot tell an explicit zero from padding.
-        let vals: Vec<f64> = (0..rows.len()).map(|i| 0.1 + ((i * 37) % 101) as f64 / 7.0).collect();
-        DynamicMatrix::from(CooMatrix::from_triplets(nrows, ncols, &rows, &cols, &vals).unwrap())
+        exec_matrix(nrows, ncols, entries)
     })
 }
 
-/// `y` against `y_ref`: bit for bit, or — for an execution that reorders a
-/// row's sum — within `1e-9 * (1 + |y_ref|)`.
+/// The matrix with `entries` (any order, repeats dropped) and values that do
+/// not sum exactly.
+fn exec_matrix(nrows: usize, ncols: usize, mut entries: Vec<(usize, usize)>) -> DynamicMatrix<f64> {
+    entries.sort_unstable();
+    entries.dedup();
+    let (rows, cols): (Vec<usize>, Vec<usize>) = entries.into_iter().unzip();
+    // Strictly non-zero: DIA storage cannot tell an explicit zero from padding.
+    let vals: Vec<f64> = (0..rows.len()).map(|i| 0.1 + ((i * 37) % 101) as f64 / 7.0).collect();
+    DynamicMatrix::from(CooMatrix::from_triplets(nrows, ncols, &rows, &cols, &vals).unwrap())
+}
+
+/// A band that straddles the DIA body's tiling rule, for the execution
+/// differential: 3 or 4 diagonals (it tiles from 4) over 255, 256, 257 or
+/// 513 rows (a tile is 256), so worker ranges and 8-row shard seams fall
+/// inside a tile; bare, or with scatter on top — an HDC whose DIA portion is
+/// the band.
+fn arb_band() -> impl Strategy<Value = DynamicMatrix<f64>> {
+    (0usize..4, 3usize..5, 0usize..2, 0u64..u64::MAX).prop_map(|(size, ndiags, scatter, seed)| {
+        let n = [255, 256, 257, 513][size];
+        let mut entries: Vec<(usize, usize)> = (0..n as isize)
+            .flat_map(|r| [-1isize, 0, 1, 7][..ndiags].iter().map(move |o| (r, r + o)))
+            .filter(|&(_, c)| c >= 0 && c < n as isize)
+            .map(|(r, c)| (r as usize, c as usize))
+            .collect();
+        let mut next = seed | 1;
+        for _ in 0..scatter * n / 4 {
+            next = next.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            entries.push(((next >> 33) as usize % n, (next >> 13) as usize % n));
+        }
+        exec_matrix(n, n, entries)
+    })
+}
+
+/// `y` against `y_ref`: bit for bit, or — against the kernel of another
+/// format, whose own order of a row's sum differs — within
+/// `1e-9 * (1 + |y_ref|)`.
 fn assert_agrees(y: &[f64], y_ref: &[f64], bitwise: bool, what: &str) {
     assert_eq!(y.len(), y_ref.len(), "{what}");
     for (i, (a, b)) in y.iter().zip(y_ref).enumerate() {
@@ -132,16 +161,17 @@ proptest! {
     /// whole (its plan built with or without an analysis) or partitioned on
     /// 8-row seams, SpMV or SpMM, balanced for 1–5 workers and run inline or
     /// across a pool of any width from 1 to 5 (so with more parts than
-    /// workers, and fewer) — against the serial kernel on CSR: bit for bit
-    /// where every range's body keeps the serial order of a row's sum
-    /// (`preserves_order`; SpMM's always do), within tolerance where the
-    /// unrolled CSR body reassociates it. HDC is the one format whose own
-    /// order is not CSR's — a row's true-diagonal entries are summed before
-    /// the rest — so it is bitwise against its own serial kernel and within
-    /// tolerance of CSR's.
+    /// workers, and fewer) — against the serial kernel on CSR, bit for bit:
+    /// every body keeps the serial order of a row's sum. HDC is the one
+    /// format whose own order is not CSR's — a row's true-diagonal entries
+    /// are summed before the rest — so it is bitwise against its own serial
+    /// kernel and within tolerance of CSR's. Each case runs its drawn matrix
+    /// under its drawn op, and a band under SpMV (the op whose DIA body
+    /// tiles).
     #[test]
     fn threaded_equals_serial(
         m in arb_exec_matrix(),
+        band in arb_band(),
         workers in 1usize..6,
         pool_width in 0usize..6,
         op in (0usize..4).prop_map(|i| [Op::Spmv, Op::Spmm { k: 1 }, Op::Spmm { k: 3 }, Op::Spmm { k: 8 }][i]),
@@ -149,46 +179,47 @@ proptest! {
         shards in 1usize..5,
     ) {
         let opts = tolerant_opts();
-        let k = op.rhs_count();
-        let x: Vec<f64> = (0..m.ncols() * k).map(|i| ((i * 29 + 3) % 17) as f64 / 3.0 - 2.5).collect();
-        let serial = |a: &DynamicMatrix<f64>| {
-            let mut y = vec![f64::NAN; a.nrows() * k];
-            match op {
-                Op::Spmv => spmv_serial(a, &x, &mut y).unwrap(),
-                Op::Spmm { k } => spmm_serial(a, &x, &mut y, k).unwrap(),
-            }
-            y
-        };
-        let y_csr = serial(&m.to_format(FormatId::Csr, &opts).unwrap());
         // Width 0: no pool, every part inline on this thread.
         let pool = (pool_width > 0).then(|| ThreadPool::new(pool_width));
         let pool = pool.as_ref();
-        let analysis = Analysis::of(&m, opts.true_diag_alpha);
-        let config = PartitionConfig {
-            max_shards: shards,
-            target_shard_nnz: (m.nnz() / shards).max(1),
-            ..Default::default()
-        };
-        let partition = Partition::from_row_prefix(&analysis.rows.prefix, &config);
-        for &fmt in &ALL_FORMATS {
-            let how = format!("{fmt} {op} for {workers} on {pool_width}");
-            let csr_order = fmt != FormatId::Hdc;
+        for (m, op) in [(&m, op), (&band, Op::Spmv)] {
+            let k = op.rhs_count();
+            let x: Vec<f64> = (0..m.ncols() * k).map(|i| ((i * 29 + 3) % 17) as f64 / 3.0 - 2.5).collect();
+            let serial = |a: &DynamicMatrix<f64>| {
+                let mut y = vec![f64::NAN; a.nrows() * k];
+                match op {
+                    Op::Spmv => spmv_serial(a, &x, &mut y).unwrap(),
+                    Op::Spmm { k } => spmm_serial(a, &x, &mut y, k).unwrap(),
+                }
+                y
+            };
+            let y_csr = serial(&m.to_format(FormatId::Csr, &opts).unwrap());
+            let analysis = Analysis::of(m, opts.true_diag_alpha);
+            let config = PartitionConfig {
+                max_shards: shards,
+                target_shard_nnz: (m.nnz() / shards).max(1),
+                ..Default::default()
+            };
+            let partition = Partition::from_row_prefix(&analysis.rows.prefix, &config);
+            for &fmt in &ALL_FORMATS {
+                let how = format!("{}x{} {fmt} {op} for {workers} on {pool_width}", m.nrows(), m.ncols());
+                let csr_order = fmt != FormatId::Hdc;
 
-            let whole = m.to_format(fmt, &opts).unwrap();
-            let own = Analysis::of(&whole, opts.true_diag_alpha);
-            let plan = ExecPlan::build(&whole, workers, (analysed == 1).then_some(&own));
-            let in_order = op != Op::Spmv || plan.preserves_order();
-            let mut y = vec![f64::NAN; m.nrows() * k];
-            plan.run(&whole, op, &x, &mut y, pool).unwrap();
-            assert_agrees(&y, &serial(&whole), in_order, &format!("{how}, whole, own serial"));
-            assert_agrees(&y, &y_csr, in_order && csr_order, &format!("{how}, whole, CSR serial"));
+                let whole = m.to_format(fmt, &opts).unwrap();
+                let own = Analysis::of(&whole, opts.true_diag_alpha);
+                let plan = ExecPlan::build(&whole, workers, (analysed == 1).then_some(&own));
+                let mut y = vec![f64::NAN; m.nrows() * k];
+                plan.run(&whole, op, &x, &mut y, pool).unwrap();
+                assert_agrees(&y, &serial(&whole), true, &format!("{how}, whole, own serial"));
+                assert_agrees(&y, &y_csr, csr_order, &format!("{how}, whole, CSR serial"));
 
-            let pm = PartitionedMatrix::build(&m, &partition, &opts, workers, Some(&analysis), |_, _, _| fmt)
-                .unwrap();
-            let in_order = op != Op::Spmv || pm.preserves_order();
-            let mut y = vec![f64::NAN; m.nrows() * k];
-            pm.run(op, &x, &mut y, pool, None).unwrap();
-            assert_agrees(&y, &y_csr, in_order && csr_order, &format!("{how}, {} shards", pm.num_shards()));
+                let pm =
+                    PartitionedMatrix::build(m, &partition, &opts, workers, Some(&analysis), |_, _, _| fmt)
+                        .unwrap();
+                let mut y = vec![f64::NAN; m.nrows() * k];
+                pm.run(op, &x, &mut y, pool, None).unwrap();
+                assert_agrees(&y, &y_csr, csr_order, &format!("{how}, {} shards", pm.num_shards()));
+            }
         }
     }
 

@@ -104,9 +104,8 @@ fn shard_count_capped_by_rows() {
 }
 
 /// Partitioned SpMV with per-shard formats matches the serial reference on
-/// the same converted shards: bitwise when every shard plan preserves
-/// order, ULP-bounded otherwise. Exercised for f64 and f32.
-fn partitioned_matches_reference<V: Scalar>(eps: f64) {
+/// the same converted shards, bitwise. Exercised for f64 and f32.
+fn partitioned_matches_reference<V: Scalar>() {
     let mut rng = StdRng::seed_from_u64(21);
     let coo = three_regime(1_200, 60, 50, 400, 8, 2, &mut rng);
     let mut b = CooBuilder::with_capacity(1_200, 1_200, coo.nnz());
@@ -139,11 +138,7 @@ fn partitioned_matches_reference<V: Scalar>(eps: f64) {
         }
         let mut got = vec![V::ZERO; 1_200];
         pm.run(Op::Spmv, &x, &mut got, None, None).unwrap();
-        if pm.preserves_order() {
-            assert!(bitwise_eq(&got, &want), "order-preserving plans must match bitwise");
-        } else {
-            assert_close(&got, &want, eps);
-        }
+        assert!(bitwise_eq(&got, &want), "shard plans must match their serial kernels bitwise");
         // Pooled path is bitwise identical to unpooled, at any pool width.
         for threads in [1, 3, 7] {
             let pool = ThreadPool::new(threads);
@@ -171,12 +166,12 @@ fn partitioned_matches_reference<V: Scalar>(eps: f64) {
 
 #[test]
 fn partitioned_matches_reference_f64() {
-    partitioned_matches_reference::<f64>(1e-12);
+    partitioned_matches_reference::<f64>();
 }
 
 #[test]
 fn partitioned_matches_reference_f32() {
-    partitioned_matches_reference::<f32>(1e-4);
+    partitioned_matches_reference::<f32>();
 }
 
 /// Stable shard ownership: with index = thread in the pool, shard `i` runs
@@ -426,7 +421,7 @@ fn gate_verdict_and_shards_match_convert_first_evaluation() {
                 let sa = analysis_of(&sm);
                 let view = analyze_from(&sm, &sa);
                 reference.tune(&mut sm).unwrap();
-                shard_times.push(engine.best_shard_spmv_variant(sm.format_id(), &view).1);
+                shard_times.push(engine.spmv_time_at(sm.format_id(), &view, 1));
                 shards.push((sm, sa));
             }
             let best_whole = engine.best_spmv_time_at(&analyze_from(m, &analysis), workers).1;

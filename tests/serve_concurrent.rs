@@ -127,10 +127,8 @@ fn concurrent_registered_handles_are_deterministic_and_ulp_close_to_serial() {
 
     // Register once (the amortised path), snapshot each handle's planned
     // result (the plan's bodies run inline — bitwise identical to the
-    // pooled execution) on the *realized* matrices. Plans whose ranges all
-    // preserve accumulation order are additionally bitwise identical to
-    // the serial kernel; `Unrolled` ranges reassociate per-row sums, so
-    // those are ULP-bounded against it instead.
+    // pooled execution) on the *realized* matrices, which is bitwise the
+    // serial kernel's.
     let handles: Vec<_> = corpus.iter().map(|(_, m)| service.register(m.clone()).unwrap()).collect();
     let expected: Vec<Vec<f64>> = handles
         .iter()
@@ -140,14 +138,7 @@ fn concurrent_registered_handles_are_deterministic_and_ulp_close_to_serial() {
             h.plan().spmv_unpooled(h.matrix(), &x, &mut y).unwrap();
             let mut y_serial = vec![0.0f64; h.nrows()];
             morpheus_repro::morpheus::spmv::spmv_serial(h.matrix(), &x, &mut y_serial).unwrap();
-            if h.plan().preserves_order() {
-                assert!(bitwise_eq(&y, &y_serial), "order-preserving plan must match serial bitwise");
-            } else {
-                for (a, b) in y.iter().zip(&y_serial) {
-                    let tol = 1e-12 * b.abs().max(1.0);
-                    assert!((a - b).abs() <= tol, "planned {a} vs serial {b} beyond ULP bound");
-                }
-            }
+            assert!(bitwise_eq(&y, &y_serial), "a plan must match the serial kernel bitwise");
             y
         })
         .collect();
