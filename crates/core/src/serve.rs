@@ -1956,37 +1956,72 @@ mod tests {
     fn index_overflow_falls_back_to_csr() {
         let service = make_service(1);
         let wide = u32::MAX as usize + 2;
-        let mut m =
-            DynamicMatrix::from(CooMatrix::from_triplets(1, wide, &[0], &[wide - 1], &[2.0f64]).unwrap());
-        assert!(matches!(
-            m.to_format(FormatId::Bell, &ConvertOptions::default()),
-            Err(morpheus::MorpheusError::IndexOverflow { .. })
-        ));
-        // BELL is decided for the structure by seeding the decision cache:
-        // consulting a tuner — and building the plan `register` ends with —
-        // takes an `Analysis`, whose diagonal histogram has `nrows + ncols`
-        // slots (16 GiB here), so `tune` on a hit is as far as a matrix this
-        // wide can be driven.
-        let key = CacheKey {
-            structure: m.structure_hash(),
-            scalar_bytes: std::mem::size_of::<f64>(),
-            engine: service.engine_fingerprint,
-            op: Op::Spmv,
-        };
-        let decision = TuneDecision {
-            format: FormatId::Bell,
-            params: Default::default(),
-            op: Op::Spmv,
-            cost: TuningCost::cached(),
-        };
-        let seeded = CachedDecision::new(decision, None);
-        service.decisions.insert_if_generation(key, seeded, service.decisions.generation());
+        // The ELL family — BELL, and ELL and HYB, one-bucket BELL — stores
+        // 4-byte indices.
+        for format in [FormatId::Bell, FormatId::Ell, FormatId::Hyb] {
+            let mut m =
+                DynamicMatrix::from(CooMatrix::from_triplets(1, wide, &[0], &[wide - 1], &[2.0f64]).unwrap());
+            assert!(matches!(
+                m.to_format(format, &ConvertOptions::default()),
+                Err(morpheus::MorpheusError::IndexOverflow { .. })
+            ));
+            // The format is decided for the structure by seeding the
+            // decision cache: consulting a tuner — and building the plan
+            // `register` ends with — takes an `Analysis`, whose diagonal
+            // histogram has `nrows + ncols` slots (16 GiB here), so `tune`
+            // on a hit is as far as a matrix this wide can be driven.
+            let key = CacheKey {
+                structure: m.structure_hash(),
+                scalar_bytes: std::mem::size_of::<f64>(),
+                engine: service.engine_fingerprint,
+                op: Op::Spmv,
+            };
+            let decision =
+                TuneDecision { format, params: Default::default(), op: Op::Spmv, cost: TuningCost::cached() };
+            let seeded = CachedDecision::new(decision, None);
+            service.decisions.insert_if_generation(key, seeded, service.decisions.generation());
 
-        let report = service.tune(&mut m).unwrap();
-        assert!(report.cache_hit);
+            let report = service.tune(&mut m).unwrap();
+            assert!(report.cache_hit);
+            assert_eq!((report.predicted, report.chosen), (format, FormatId::Csr));
+            assert_eq!(m.format_id(), FormatId::Csr);
+            assert_eq!(m.to_coo().iter().collect::<Vec<_>>(), vec![(0, wide - 1, 2.0)]);
+        }
+    }
+
+    /// A BELL ladder is any `usize` a parameter token carries: one whose top
+    /// bucket would take petabytes is excessive padding, and a service
+    /// converting with it answers a BELL decision — imported, with the same
+    /// token — with the CSR fallback. It used to abort the process on the
+    /// allocation. (The service converts with its own `ConvertOptions`; a
+    /// decision's token is carried through the file, not applied.)
+    #[test]
+    fn an_imported_ladder_too_wide_to_allocate_falls_back_to_csr() {
+        let token = "bell=1,1099511627776";
+        let params = morpheus::FormatParams::parse_token(token).unwrap();
+        let service = Oracle::builder()
+            .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
+            .tuner(RunFirstTuner::new(2))
+            .convert_options(ConvertOptions { params, ..Default::default() })
+            .workers(1)
+            .build_service()
+            .unwrap();
+        let m = tridiag(300);
+        let file = format!(
+            "morpheus-oracle-decisions v3\nengine {:016x}\nentries 1\ndecision {:016x} 8 spmv BELL {token}\nend\n",
+            service.engine_fingerprint,
+            m.structure_hash()
+        );
+        assert_eq!(service.import_decisions(std::io::Cursor::new(file.as_bytes())).unwrap(), 1);
+
+        let handle = service.register(m.clone()).unwrap();
+        assert!(handle.report().cache_hit);
+        assert_eq!((handle.report().predicted, handle.format_id()), (FormatId::Bell, FormatId::Csr));
+        let report = service.tune(&mut m.clone()).unwrap();
         assert_eq!((report.predicted, report.chosen), (FormatId::Bell, FormatId::Csr));
-        assert_eq!(m.format_id(), FormatId::Csr);
-        assert_eq!(m.to_coo().iter().collect::<Vec<_>>(), vec![(0, wide - 1, 2.0)]);
+        let (x, mut y) = (vec![1.0f64; 300], vec![0.0f64; 300]);
+        service.spmv(&handle, &x, &mut y).unwrap();
+        assert_eq!((y[0], y[150], y[299]), (2.0, 3.0, 2.0), "row sums of the tridiagonal");
     }
 
     #[test]

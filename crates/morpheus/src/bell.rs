@@ -284,6 +284,12 @@ pub fn default_bucket_widths(max_width: usize) -> Vec<usize> {
     widths
 }
 
+/// The rows of contiguous row-major arrays (`offsets`, `nrows + 1` entries)
+/// as the runs [`BellMatrix::from_row_arrays`] reads.
+pub(crate) fn runs_of(offsets: &[usize]) -> impl Fn(usize) -> (usize, usize) + '_ {
+    |r| (offsets[r], offsets[r + 1] - offsets[r])
+}
+
 /// Invariant 5: every row and column index of an `nrows x ncols` matrix must
 /// fit the 4-byte index the buckets store.
 fn check_index_width(nrows: usize, ncols: usize) -> Result<()> {
@@ -301,32 +307,34 @@ impl<V: Scalar> BellMatrix<V> {
         BellMatrix { nrows, ncols, nnz: 0, buckets: Vec::new(), empty_rows }
     }
 
-    /// Builds from contiguous row-major arrays — `offsets` (`nrows + 1`
-    /// entries) delimits each row's ascending-column run in `cols`/`vals`:
-    /// CSR's own arrays, or a sorted COO matrix's after one histogram pass
-    /// — with the given bucket width ladder (ascending upper bounds; a
-    /// final bucket at the maximum row width is appended when the ladder
-    /// does not cover it). An empty ladder selects
-    /// [`default_bucket_widths`].
+    /// Builds from row-major arrays: `run(r)` is `(first entry, length)` of
+    /// row `r`'s ascending-column run in `cols`/`vals` — CSR's own arrays or
+    /// a sorted COO matrix's ([`runs_of`] their offsets), or the first `K`
+    /// entries of each row of either (HYB's ELL part) — with the given
+    /// bucket width ladder (ascending upper bounds; a final bucket at the
+    /// maximum run length is appended when the ladder does not cover it).
+    /// An empty ladder selects [`default_bucket_widths`].
+    ///
+    /// `guard(padded, nnz)` prices the padded cells the buckets are about to
+    /// allocate (`usize::MAX` when their count overflows) before anything
+    /// of that size is: a ladder width can be any `usize`.
     ///
     /// Fails with [`MorpheusError::IndexOverflow`] when a dimension does not
-    /// fit the stored index width.
+    /// fit the stored index width, and with whatever `guard` returns.
     ///
     /// # Panics
-    /// If the arrays are not a row-major matrix of this shape (offsets that
-    /// do not delimit `nrows` runs inside `cols`/`vals`, a column index
-    /// `>= ncols`).
+    /// If the runs do not lie inside `cols`/`vals` or a column index is
+    /// `>= ncols`.
     pub(crate) fn from_row_arrays(
-        nrows: usize,
-        ncols: usize,
-        offsets: &[usize],
+        (nrows, ncols): (usize, usize),
+        run: impl Fn(usize) -> (usize, usize),
         cols: &[usize],
         vals: &[V],
         widths: &[usize],
+        guard: impl FnOnce(usize, usize) -> Result<()>,
     ) -> Result<Self> {
         check_index_width(nrows, ncols)?;
-        assert_eq!(offsets.len(), nrows + 1, "row offsets must delimit every row");
-        let row_len = |r: usize| offsets[r + 1] - offsets[r];
+        let row_len = |r: usize| run(r).1;
         let max_width = (0..nrows).map(row_len).max().unwrap_or(0);
         let mut ladder: Vec<usize> = if widths.is_empty() {
             default_bucket_widths(max_width)
@@ -353,13 +361,20 @@ impl<V: Scalar> BellMatrix<V> {
         // final size. Empty rows go to no bucket, only into the run list.
         let mut lens = vec![0usize; ladder.len()];
         let mut empty_rows: Vec<Range<usize>> = Vec::new();
+        let mut nnz = 0usize;
         for r in 0..nrows {
             match (row_len(r), empty_rows.last_mut()) {
                 (0, Some(run)) if run.end == r => run.end = r + 1,
                 (0, _) => empty_rows.push(r..r + 1),
-                (n, _) => lens[bucket_of[n]] += 1,
+                (n, _) => {
+                    lens[bucket_of[n]] += 1;
+                    nnz += n;
+                }
             }
         }
+        let padded =
+            lens.iter().zip(&ladder).try_fold(0usize, |sum, (&n, &w)| sum.checked_add(n.checked_mul(w)?));
+        guard(padded.unwrap_or(usize::MAX), nnz)?;
         let mut members: Vec<Vec<u32>> = lens.iter().map(|&n| Vec::with_capacity(n)).collect();
         for r in (0..nrows).filter(|&r| row_len(r) > 0) {
             members[bucket_of[row_len(r)]].push(r as u32); // fits: invariant 5
@@ -380,8 +395,9 @@ impl<V: Scalar> BellMatrix<V> {
             let slices = rows.chunks(SLICE).zip(bcols.chunks_mut(SLICE * width));
             for ((lanes, ccells), vcells) in slices.zip(bvals.chunks_mut(SLICE * width)) {
                 let mut runs = [(0usize, 0usize); SLICE]; // (first entry, last real `k`)
-                for (run, &r) in runs.iter_mut().zip(lanes) {
-                    *run = (offsets[r as usize], row_len(r as usize) - 1);
+                for (slot, &r) in runs.iter_mut().zip(lanes) {
+                    let (first, len) = run(r as usize);
+                    *slot = (first, len - 1);
                 }
                 let levels = ccells.chunks_exact_mut(lanes.len()).zip(vcells.chunks_exact_mut(lanes.len()));
                 for (k, (ck, vk)) in levels.enumerate() {
@@ -400,7 +416,7 @@ impl<V: Scalar> BellMatrix<V> {
         // Invariant 3, and with invariant 5 the reason no cast above
         // truncated.
         assert!(buckets.is_empty() || max_col < ncols, "column index {max_col} out of range");
-        Ok(BellMatrix { nrows, ncols, nnz: offsets[nrows], buckets, empty_rows })
+        Ok(BellMatrix { nrows, ncols, nnz, buckets, empty_rows })
     }
 
     /// Builds from raw buckets, validating every layout invariant of the
@@ -528,15 +544,14 @@ impl<V: Scalar> BellMatrix<V> {
             .map(move |run| run.start.max(rows.start)..run.end.min(rows.end))
     }
 
-    /// Locates row `r`: `(bucket index, position within the bucket)`, or
-    /// `None` for empty rows.
-    #[inline]
-    pub(crate) fn locate_row(&self, r: usize) -> Option<(usize, usize)> {
-        let r = u32::try_from(r).ok()?;
-        self.buckets
-            .iter()
-            .enumerate()
-            .find_map(|(b, bucket)| bucket.rows.binary_search(&r).ok().map(|j| (b, j)))
+    /// The real entries of row `r` as `(column, value)`, columns ascending:
+    /// the row's bucket found by binary search, its cells up to the first
+    /// pad.
+    pub(crate) fn row_entries(&self, r: usize) -> impl Iterator<Item = (usize, V)> + '_ {
+        let located = u32::try_from(r).ok().and_then(|r| {
+            self.buckets.iter().find_map(|bucket| Some((bucket, bucket.rows.binary_search(&r).ok()?)))
+        });
+        located.into_iter().flat_map(|(bucket, j)| bucket.row_entries(j))
     }
 
     /// Splits a threaded execution into exactly `parts` shares, one per pool
@@ -617,13 +632,11 @@ impl<V: Scalar> RowMajor<V> for BellMatrix<V> {
     }
 
     fn row_count(&self, r: usize) -> usize {
-        self.locate_row(r).map_or(0, |(b, j)| self.buckets[b].row_entries(j).count())
+        self.row_entries(r).count()
     }
 
     fn emit_row(&self, r: usize, f: &mut dyn FnMut(usize, V)) {
-        if let Some((b, j)) = self.locate_row(r) {
-            self.buckets[b].row_entries(j).for_each(|(c, v)| f(c, v));
-        }
+        self.row_entries(r).for_each(|(c, v)| f(c, v));
     }
 }
 
@@ -633,17 +646,19 @@ mod tests {
     use crate::coo::CooMatrix;
     use crate::test_util::random_coo;
 
+    fn arrays(
+        shape: (usize, usize),
+        offsets: &[usize],
+        cols: &[usize],
+        vals: &[f64],
+        widths: &[usize],
+    ) -> Result<BellMatrix<f64>> {
+        BellMatrix::from_row_arrays(shape, runs_of(offsets), cols, vals, widths, |_, _| Ok(()))
+    }
+
     fn bell_of(coo: &CooMatrix<f64>, widths: &[usize]) -> BellMatrix<f64> {
         let offsets = crate::convert::kernels::coo_row_offsets(coo.nrows(), coo.row_indices());
-        BellMatrix::from_row_arrays(
-            coo.nrows(),
-            coo.ncols(),
-            &offsets,
-            coo.col_indices(),
-            coo.values(),
-            widths,
-        )
-        .unwrap()
+        arrays((coo.nrows(), coo.ncols()), &offsets, coo.col_indices(), coo.values(), widths).unwrap()
     }
 
     #[test]
@@ -735,14 +750,14 @@ mod tests {
     fn dimensions_past_the_index_width_are_a_typed_error() {
         let big = u32::MAX as usize + 2;
         // One entry at (0, big - 1): nothing of size `big` is allocated.
-        let wide = BellMatrix::from_row_arrays(1, big, &[0, 1], &[big - 1], &[1.0f64], &[]);
+        let wide = arrays((1, big), &[0, 1], &[big - 1], &[1.0], &[]);
         assert!(
             matches!(wide, Err(MorpheusError::IndexOverflow { dim, limit }) if dim == big && limit == u32::MAX as usize)
         );
         let tall = BellMatrix::<f64>::from_parts(big, 1, Vec::new());
         assert!(matches!(tall, Err(MorpheusError::IndexOverflow { dim, .. }) if dim == big));
         // The widest shape the index does hold is accepted.
-        let m = BellMatrix::from_row_arrays(1, big - 1, &[0, 1], &[big - 2], &[1.0f64], &[]).unwrap();
+        let m = arrays((1, big - 1), &[0, 1], &[big - 2], &[1.0], &[]).unwrap();
         assert_eq!(m.buckets()[0].cols(), &[u32::MAX]);
     }
 

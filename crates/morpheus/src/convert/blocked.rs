@@ -4,17 +4,20 @@
 //! ([`BsrMatrix::from_row_arrays`], [`BellMatrix::from_row_arrays`]) reads
 //! contiguous row-major `(offsets, cols, vals)` arrays. CSR passes its own
 //! arrays; a sorted COO matrix's `cols`/`vals` already are such arrays and
-//! only its offsets are built (one histogram pass). Padded sources — rare
-//! on the tuning path — are exported to CSR first (see the dispatcher in
-//! [`crate::convert`]). Both formats export back to COO/CSR through the
-//! generic [`RowMajor`] walk. Padding guards mirror the DIA/ELL contract:
-//! conversions whose padded slabs exceed the [`ConvertOptions`] allowance
-//! fail with [`MorpheusError::ExcessivePadding`] (the tuner's non-viability
-//! signal), although block padding is structurally bounded (at worst
-//! `block_r * block_c` per entry for BSR, the ladder gap for BELL) where
-//! ELL/DIA padding is unbounded.
+//! only its offsets are built (one histogram pass). BELL's builder also
+//! builds ELL and HYB's ELL part, one bucket each (`convert::kernels`).
+//! Padded sources — rare on the tuning path — are exported to CSR first
+//! (see the dispatcher in [`crate::convert`]). Both formats export back to
+//! COO/CSR through the generic [`RowMajor`] walk. Padding guards mirror the
+//! DIA/ELL contract: conversions whose padded slabs exceed the
+//! [`ConvertOptions`] allowance fail with
+//! [`MorpheusError::ExcessivePadding`] (the tuner's non-viability signal),
+//! although block padding is structurally bounded (at worst
+//! `block_r * block_c` per entry for BSR, the ladder gap for BELL — whose
+//! ladder is a parameter, hence BELL's guard runs inside its builder,
+//! before the buckets are allocated) where ELL/DIA padding is unbounded.
 
-use crate::bell::BellMatrix;
+use crate::bell::{runs_of, BellMatrix};
 use crate::bsr::BsrMatrix;
 use crate::convert::kernels::coo_row_offsets;
 use crate::convert::ConvertOptions;
@@ -88,17 +91,17 @@ fn bsr_from_arrays<V: Scalar>(
 }
 
 /// Builds a BELL matrix with the options' bucket ladder from contiguous
-/// row-major arrays, enforcing the padding allowance.
+/// row-major arrays, enforcing the padding allowance before the buckets are
+/// allocated.
 fn bell_from_arrays<V: Scalar>(
-    (nrows, ncols): (usize, usize),
+    shape: (usize, usize),
     offsets: &[usize],
     cols: &[usize],
     vals: &[V],
     opts: &ConvertOptions,
 ) -> Result<BellMatrix<V>> {
-    let m = BellMatrix::from_row_arrays(nrows, ncols, offsets, cols, vals, opts.params.bell_ladder())?;
-    guard_padding(FormatId::Bell, m.padded_len(), m.nnz(), opts)?;
-    Ok(m)
+    let guard = |padded, nnz| guard_padding(FormatId::Bell, padded, nnz, opts);
+    BellMatrix::from_row_arrays(shape, runs_of(offsets), cols, vals, opts.params.bell_ladder(), guard)
 }
 
 /// COO → BSR with the options' block dimensions.
@@ -201,6 +204,26 @@ mod tests {
         };
         let err = coo_to_bsr(&coo, &opts).unwrap_err();
         assert!(matches!(err, MorpheusError::ExcessivePadding { format: FormatId::Bsr, .. }));
+    }
+
+    /// A ladder width is any `usize` a decisions file carries: the guard
+    /// prices the buckets before they are allocated (the first ladder's top
+    /// bucket would be 24 TiB; the second's two rows overflow the count).
+    #[test]
+    fn a_huge_ladder_width_is_excessive_padding_not_an_allocation() {
+        let (rows, cols) = ([0, 0, 1, 1, 2], [0, 1, 1, 2, 2]);
+        let coo = CooMatrix::<f64>::from_triplets(3, 3, &rows, &cols, &[1.0; 5]).unwrap();
+        let csr = crate::convert::coo_to_csr(&coo);
+        for token in ["bell=1,1099511627776", "bell=1,9223372036854775808"] {
+            let params = FormatParams::parse_token(token).expect("a ladder token parses");
+            let opts = ConvertOptions { params, ..Default::default() };
+            for err in [coo_to_bell(&coo, &opts).unwrap_err(), csr_to_bell(&csr, &opts).unwrap_err()] {
+                assert!(
+                    matches!(err, MorpheusError::ExcessivePadding { format: FormatId::Bell, nnz: 5, .. }),
+                    "{token}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

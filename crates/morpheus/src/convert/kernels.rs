@@ -2,22 +2,27 @@
 //!
 //! Every kernel here writes the target format's arrays straight from the
 //! source format's arrays — no intermediate COO triplet buffers, no sorting.
-//! Row-partitionable passes (row histograms, slab fills, diagonal scatter,
-//! row-major export) run on the process [`ThreadPool`] with nnz-weighted,
-//! row-disjoint partitions once a matrix is large enough to amortise
-//! fork/join overhead; below [`PARALLEL_CONVERT_THRESHOLD`] they run
-//! serially on the calling thread with identical results.
+//! ELL and HYB are one-bucket BELL: BELL's builder reads the source's
+//! row-major arrays (a sorted COO matrix's through one offsets pass) on the
+//! calling thread, HYB's ELL part as the first `K` entries of each row. The
+//! DIA and HDC fills and the row-major export run on the process
+//! [`ThreadPool`] with nnz-weighted, row-disjoint partitions once a matrix
+//! is large enough to amortise fork/join overhead; below
+//! [`PARALLEL_CONVERT_THRESHOLD`] they run serially on the calling thread
+//! with identical results.
 //!
 //! Planning steps (ELL width, DIA offset discovery, HYB split width, HDC
-//! diagonal selection) read a caller-supplied [`Analysis`] when available
-//! and only rescan the source when none is supplied; the rescans are
-//! recorded on the [`crate::analysis::passes`] traversal counter.
+//! diagonal selection) read a caller-supplied [`Analysis`] when available.
+//! Without one, DIA and HDC rescan the source's entries, recorded on the
+//! [`crate::analysis::passes`] traversal counter; ELL and HYB read the row
+//! lengths off the offsets the builder reads anyway.
 
 use crate::analysis::{passes, Analysis};
+use crate::bell::runs_of;
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::dia::DiaMatrix;
-use crate::ell::{EllMatrix, ELL_PAD};
+use crate::ell::EllMatrix;
 use crate::error::MorpheusError;
 use crate::format::FormatId;
 use crate::hdc::{true_diag_threshold, HdcMatrix};
@@ -86,22 +91,6 @@ fn prefix_sum(counts: &[usize]) -> Vec<usize> {
 // ---------------------------------------------------------------------------
 // Planning scans (used only when no `Analysis` is supplied)
 // ---------------------------------------------------------------------------
-
-/// Row-occupancy histogram of a sorted COO matrix. Full index traversal.
-fn coo_row_lengths<V: Scalar>(coo: &CooMatrix<V>) -> Vec<u32> {
-    passes::record_traversal();
-    let mut lens = vec![0u32; coo.nrows()];
-    for &r in coo.row_indices() {
-        lens[r] += 1;
-    }
-    lens
-}
-
-/// Row-occupancy histogram of a CSR matrix — O(nrows) metadata read, not a
-/// traversal.
-fn csr_row_lengths<V: Scalar>(csr: &CsrMatrix<V>) -> Vec<u32> {
-    (0..csr.nrows()).map(|r| csr.row_nnz(r) as u32).collect()
-}
 
 /// Diagonal populations (`diag[col + nrows - 1 - row]`) from an entry walk.
 fn diag_population(nrows: usize, ncols: usize, entries: impl Iterator<Item = (usize, usize)>) -> Vec<u32> {
@@ -228,7 +217,7 @@ pub fn csr_into_coo<V: Scalar>(csr: CsrMatrix<V>) -> CooMatrix<V> {
 }
 
 // ---------------------------------------------------------------------------
-// {COO, CSR} -> ELL
+// {COO, CSR} -> {ELL, HYB}: one-bucket BELL
 // ---------------------------------------------------------------------------
 
 /// COO → ELL. Fails if padding would exceed the configured fill limit.
@@ -241,52 +230,11 @@ pub(crate) fn coo_to_ell_planned<V: Scalar>(
     opts: &ConvertOptions,
     plan: Option<&Analysis>,
 ) -> Result<EllMatrix<V>> {
-    let (nrows, ncols, nnz) = (coo.nrows(), coo.ncols(), coo.nnz());
-    if nrows == 0 || nnz == 0 {
-        return Ok(EllMatrix::new(nrows, ncols));
-    }
-    let width = match plan {
-        Some(a) => a.ell_width(),
-        None => {
-            // Longest run in the sorted row array is the widest row.
-            passes::record_traversal();
-            let rows = coo.row_indices();
-            let mut max = 0usize;
-            let mut run = 0usize;
-            for i in 0..nnz {
-                run = if i > 0 && rows[i] == rows[i - 1] { run + 1 } else { 1 };
-                max = max.max(run);
-            }
-            max
-        }
-    };
-    guard_padding(FormatId::Ell, width * nrows, nnz, opts)?;
-    let mut cols = vec![ELL_PAD; width * nrows];
-    let mut vals = vec![V::ZERO; width * nrows];
-    {
-        let (src_rows, src_cols, src_vals) = (coo.row_indices(), coo.col_indices(), coo.values());
-        let pool = pool_for(nnz);
-        let parts = row_aligned_partition(src_rows, pool.map_or(1, ThreadPool::num_threads));
-        let (out_cols, out_vals) = (SharedSlice::new(&mut cols), SharedSlice::new(&mut vals));
-        run_parts(pool, &parts, |entries| {
-            let mut prev = usize::MAX;
-            let mut k = 0usize;
-            for i in entries {
-                let r = src_rows[i];
-                k = if r == prev { k + 1 } else { 0 };
-                prev = r;
-                // SAFETY: parts are row-disjoint; slot (k, r) is written once.
-                unsafe {
-                    out_cols.set(k * nrows + r, src_cols[i]);
-                    out_vals.set(k * nrows + r, src_vals[i]);
-                }
-            }
-        });
-    }
-    Ok(EllMatrix::from_parts_unchecked(nrows, ncols, width, cols, vals, nnz))
+    let offsets = coo_row_offsets(coo.nrows(), coo.row_indices());
+    ell_from_arrays((coo.nrows(), coo.ncols()), &offsets, coo.col_indices(), coo.values(), opts, plan)
 }
 
-/// CSR → ELL, writing the slabs straight from the CSR rows.
+/// CSR → ELL, building the bucket straight from the CSR rows.
 pub fn csr_to_ell<V: Scalar>(csr: &CsrMatrix<V>, opts: &ConvertOptions) -> Result<EllMatrix<V>> {
     csr_to_ell_planned(csr, opts, None)
 }
@@ -296,36 +244,115 @@ pub(crate) fn csr_to_ell_planned<V: Scalar>(
     opts: &ConvertOptions,
     plan: Option<&Analysis>,
 ) -> Result<EllMatrix<V>> {
-    let (nrows, ncols, nnz) = (csr.nrows(), csr.ncols(), csr.nnz());
-    if nrows == 0 || nnz == 0 {
-        return Ok(EllMatrix::new(nrows, ncols));
-    }
-    let width = match plan {
-        Some(a) => a.ell_width(),
-        // Offsets are metadata: O(nrows), no entry traversal.
-        None => (0..nrows).map(|r| csr.row_nnz(r)).max().unwrap_or(0),
-    };
-    guard_padding(FormatId::Ell, width * nrows, nnz, opts)?;
-    let mut cols = vec![ELL_PAD; width * nrows];
-    let mut vals = vec![V::ZERO; width * nrows];
-    {
-        let pool = pool_for(nnz);
-        let parts = csr_row_parts(csr, pool);
-        let (out_cols, out_vals) = (SharedSlice::new(&mut cols), SharedSlice::new(&mut vals));
-        run_parts(pool, &parts, |rows| {
-            for r in rows {
-                for (k, (&c, &v)) in csr.row_cols(r).iter().zip(csr.row_vals(r)).enumerate() {
-                    // SAFETY: row-disjoint parts; slot (k, r) written once.
-                    unsafe {
-                        out_cols.set(k * nrows + r, c);
-                        out_vals.set(k * nrows + r, v);
-                    }
-                }
-            }
-        });
-    }
-    Ok(EllMatrix::from_parts_unchecked(nrows, ncols, width, cols, vals, nnz))
+    let shape = (csr.nrows(), csr.ncols());
+    ell_from_arrays(shape, csr.row_offsets(), csr.col_indices(), csr.values(), opts, plan)
 }
+
+/// ELL from contiguous row-major arrays: one bucket as wide as the longest
+/// row (the plan's width when one is supplied), guarded at `width × nrows`.
+fn ell_from_arrays<V: Scalar>(
+    (nrows, ncols): (usize, usize),
+    offsets: &[usize],
+    cols: &[usize],
+    vals: &[V],
+    opts: &ConvertOptions,
+    plan: Option<&Analysis>,
+) -> Result<EllMatrix<V>> {
+    let run = runs_of(offsets);
+    let width = plan.map_or_else(|| (0..nrows).map(|r| run(r).1).max().unwrap_or(0), Analysis::ell_width);
+    let nnz = offsets[nrows];
+    guard_padding(FormatId::Ell, width.saturating_mul(nrows), nnz, opts)?;
+    let guard = |padded, _| guard_padding(FormatId::Ell, padded, nnz, opts);
+    EllMatrix::from_runs((nrows, ncols), width, run, cols, vals, guard)
+}
+
+/// COO → HYB under the given split policy. The ELL portion never exceeds the
+/// fill limit by construction when the policy is [`HybSplit::Auto`]; a fixed
+/// width is still guarded.
+pub fn coo_to_hyb<V: Scalar>(coo: &CooMatrix<V>, opts: &ConvertOptions) -> Result<HybMatrix<V>> {
+    coo_to_hyb_planned(coo, opts, None)
+}
+
+pub(crate) fn coo_to_hyb_planned<V: Scalar>(
+    coo: &CooMatrix<V>,
+    opts: &ConvertOptions,
+    plan: Option<&Analysis>,
+) -> Result<HybMatrix<V>> {
+    let offsets = coo_row_offsets(coo.nrows(), coo.row_indices());
+    hyb_from_arrays((coo.nrows(), coo.ncols()), &offsets, coo.col_indices(), coo.values(), opts, plan)
+}
+
+/// CSR → HYB, splitting each row straight into the ELL bucket and the COO
+/// spill.
+pub fn csr_to_hyb<V: Scalar>(csr: &CsrMatrix<V>, opts: &ConvertOptions) -> Result<HybMatrix<V>> {
+    csr_to_hyb_planned(csr, opts, None)
+}
+
+pub(crate) fn csr_to_hyb_planned<V: Scalar>(
+    csr: &CsrMatrix<V>,
+    opts: &ConvertOptions,
+    plan: Option<&Analysis>,
+) -> Result<HybMatrix<V>> {
+    let shape = (csr.nrows(), csr.ncols());
+    hyb_from_arrays(shape, csr.row_offsets(), csr.col_indices(), csr.values(), opts, plan)
+}
+
+/// HYB from contiguous row-major arrays: the split width `K` from the row
+/// lengths (the plan's histogram when one is supplied, checked against the
+/// arrays), the first `K` entries of each row as a one-bucket ELL built in
+/// place, the rest copied into the spill in row order.
+fn hyb_from_arrays<V: Scalar>(
+    (nrows, ncols): (usize, usize),
+    offsets: &[usize],
+    cols: &[usize],
+    vals: &[V],
+    opts: &ConvertOptions,
+    plan: Option<&Analysis>,
+) -> Result<HybMatrix<V>> {
+    let run = runs_of(offsets);
+    let nnz = offsets[nrows];
+    let k = match opts.hyb_split {
+        HybSplit::Auto => {
+            let lens: Cow<'_, [u32]> = match plan {
+                Some(a) => {
+                    // A stale plan is refused, as every planned fill refuses one.
+                    if let Some(r) = (0..nrows).find(|&r| a.row_hist[r] as usize != run(r).1) {
+                        panic!("HYB plan misstates row {r}: stale analysis?");
+                    }
+                    Cow::Borrowed(&a.row_hist)
+                }
+                None => Cow::Owned((0..nrows).map(|r| run(r).1 as u32).collect()),
+            };
+            optimal_hyb_width_u32(&lens, std::mem::size_of::<V>())
+        }
+        HybSplit::Width(w) => {
+            guard_padding(FormatId::Hyb, w.saturating_mul(nrows), nnz, opts)?;
+            w
+        }
+    };
+    let head = |r: usize| {
+        let (first, len) = run(r);
+        (first, len.min(k))
+    };
+    let guard = |padded, _| guard_padding(FormatId::Hyb, padded, nnz, opts);
+    let ell = EllMatrix::from_runs((nrows, ncols), k, head, cols, vals, guard)?;
+    let spill_nnz = nnz - ell.nnz();
+    let (mut sp_rows, mut sp_cols, mut sp_vals) =
+        (Vec::with_capacity(spill_nnz), Vec::with_capacity(spill_nnz), Vec::with_capacity(spill_nnz));
+    for r in 0..nrows {
+        let (first, len) = head(r);
+        let rest = first + len..offsets[r + 1];
+        sp_rows.extend(std::iter::repeat_n(r, rest.len()));
+        sp_cols.extend_from_slice(&cols[rest.clone()]);
+        sp_vals.extend_from_slice(&vals[rest]);
+    }
+    let spill = CooMatrix::from_sorted_parts_unchecked(nrows, ncols, sp_rows, sp_cols, sp_vals);
+    HybMatrix::from_parts(ell, spill)
+}
+
+// ---------------------------------------------------------------------------
+// {COO, CSR} -> DIA
+// ---------------------------------------------------------------------------
 
 /// nnz-weighted row partition of a CSR matrix for the available pool.
 fn csr_row_parts<V: Scalar>(csr: &CsrMatrix<V>, pool: Option<&ThreadPool>) -> Vec<std::ops::Range<usize>> {
@@ -334,10 +361,6 @@ fn csr_row_parts<V: Scalar>(csr: &CsrMatrix<V>, pool: Option<&ThreadPool>) -> Ve
         None => std::iter::once(0..csr.nrows()).collect(),
     }
 }
-
-// ---------------------------------------------------------------------------
-// {COO, CSR} -> DIA
-// ---------------------------------------------------------------------------
 
 /// COO → DIA. Fails if padding would exceed the configured fill limit.
 pub fn coo_to_dia<V: Scalar>(coo: &CooMatrix<V>, opts: &ConvertOptions) -> Result<DiaMatrix<V>> {
@@ -412,154 +435,6 @@ pub(crate) fn csr_to_dia_planned<V: Scalar>(
         });
     }
     Ok(DiaMatrix::from_parts_unchecked(nrows, ncols, offsets, values, nnz))
-}
-
-// ---------------------------------------------------------------------------
-// {COO, CSR} -> HYB
-// ---------------------------------------------------------------------------
-
-fn plan_hyb_width<V: Scalar>(
-    opts: &ConvertOptions,
-    row_lens: &[u32],
-    nrows: usize,
-    nnz: usize,
-) -> Result<usize> {
-    match opts.hyb_split {
-        HybSplit::Auto => Ok(optimal_hyb_width_u32(row_lens, std::mem::size_of::<V>())),
-        HybSplit::Width(w) => {
-            guard_padding(FormatId::Hyb, w * nrows, nnz, opts)?;
-            Ok(w)
-        }
-    }
-}
-
-/// COO → HYB under the given split policy. The ELL portion never exceeds the
-/// fill limit by construction when the policy is [`HybSplit::Auto`]; a fixed
-/// width is still guarded.
-pub fn coo_to_hyb<V: Scalar>(coo: &CooMatrix<V>, opts: &ConvertOptions) -> Result<HybMatrix<V>> {
-    coo_to_hyb_planned(coo, opts, None)
-}
-
-pub(crate) fn coo_to_hyb_planned<V: Scalar>(
-    coo: &CooMatrix<V>,
-    opts: &ConvertOptions,
-    plan: Option<&Analysis>,
-) -> Result<HybMatrix<V>> {
-    let (nrows, ncols, nnz) = (coo.nrows(), coo.ncols(), coo.nnz());
-    let row_lens: Cow<'_, [u32]> = match plan {
-        Some(a) => Cow::Borrowed(&a.row_hist),
-        None => Cow::Owned(coo_row_lengths(coo)),
-    };
-    let k = plan_hyb_width::<V>(opts, &row_lens, nrows, nnz)?;
-    let spill_counts: Vec<usize> = row_lens.iter().map(|&l| (l as usize).saturating_sub(k)).collect();
-    let spill_starts = prefix_sum(&spill_counts);
-    let spill_total = *spill_starts.last().unwrap_or(&0);
-
-    let mut ell_cols = vec![ELL_PAD; k * nrows];
-    let mut ell_vals = vec![V::ZERO; k * nrows];
-    let mut sp_rows = vec![0usize; spill_total];
-    let mut sp_cols = vec![0usize; spill_total];
-    let mut sp_vals = vec![V::ZERO; spill_total];
-    {
-        let (src_rows, src_cols, src_vals) = (coo.row_indices(), coo.col_indices(), coo.values());
-        let pool = pool_for(nnz);
-        let parts = row_aligned_partition(src_rows, pool.map_or(1, ThreadPool::num_threads));
-        let oc = SharedSlice::new(&mut ell_cols);
-        let ov = SharedSlice::new(&mut ell_vals);
-        let (or2, oc2, ov2) =
-            (SharedSlice::new(&mut sp_rows), SharedSlice::new(&mut sp_cols), SharedSlice::new(&mut sp_vals));
-        run_parts(pool, &parts, |entries| {
-            let mut prev = usize::MAX;
-            let mut pos = 0usize;
-            for i in entries {
-                let r = src_rows[i];
-                pos = if r == prev { pos + 1 } else { 0 };
-                prev = r;
-                // SAFETY: row-disjoint parts; every target slot is derived
-                // from (row, position-in-row), hence written exactly once —
-                // the spill-segment assert keeps a stale plan's row
-                // histogram from pushing writes into a neighbouring row's
-                // (and thus possibly another worker's) segment.
-                unsafe {
-                    if pos < k {
-                        oc.set(pos * nrows + r, src_cols[i]);
-                        ov.set(pos * nrows + r, src_vals[i]);
-                    } else {
-                        let s = spill_starts[r] + (pos - k);
-                        assert!(s < spill_starts[r + 1], "HYB plan understates row {r}: stale analysis?");
-                        or2.set(s, r);
-                        oc2.set(s, src_cols[i]);
-                        ov2.set(s, src_vals[i]);
-                    }
-                }
-            }
-        });
-    }
-    let ell_nnz = nnz - spill_total;
-    let ell = EllMatrix::from_parts_unchecked(nrows, ncols, k, ell_cols, ell_vals, ell_nnz);
-    let spill = CooMatrix::from_sorted_parts_unchecked(nrows, ncols, sp_rows, sp_cols, sp_vals);
-    HybMatrix::from_parts(ell, spill)
-}
-
-/// CSR → HYB, splitting each row straight into the ELL slab and the COO
-/// spill arrays.
-pub fn csr_to_hyb<V: Scalar>(csr: &CsrMatrix<V>, opts: &ConvertOptions) -> Result<HybMatrix<V>> {
-    csr_to_hyb_planned(csr, opts, None)
-}
-
-pub(crate) fn csr_to_hyb_planned<V: Scalar>(
-    csr: &CsrMatrix<V>,
-    opts: &ConvertOptions,
-    plan: Option<&Analysis>,
-) -> Result<HybMatrix<V>> {
-    let (nrows, ncols, nnz) = (csr.nrows(), csr.ncols(), csr.nnz());
-    let row_lens: Cow<'_, [u32]> = match plan {
-        Some(a) => Cow::Borrowed(&a.row_hist),
-        None => Cow::Owned(csr_row_lengths(csr)),
-    };
-    let k = plan_hyb_width::<V>(opts, &row_lens, nrows, nnz)?;
-    let spill_counts: Vec<usize> = row_lens.iter().map(|&l| (l as usize).saturating_sub(k)).collect();
-    let spill_starts = prefix_sum(&spill_counts);
-    let spill_total = *spill_starts.last().unwrap_or(&0);
-
-    let mut ell_cols = vec![ELL_PAD; k * nrows];
-    let mut ell_vals = vec![V::ZERO; k * nrows];
-    let mut sp_rows = vec![0usize; spill_total];
-    let mut sp_cols = vec![0usize; spill_total];
-    let mut sp_vals = vec![V::ZERO; spill_total];
-    {
-        let pool = pool_for(nnz);
-        let parts = csr_row_parts(csr, pool);
-        let oc = SharedSlice::new(&mut ell_cols);
-        let ov = SharedSlice::new(&mut ell_vals);
-        let (or2, oc2, ov2) =
-            (SharedSlice::new(&mut sp_rows), SharedSlice::new(&mut sp_cols), SharedSlice::new(&mut sp_vals));
-        run_parts(pool, &parts, |rows| {
-            for r in rows {
-                for (pos, (&c, &v)) in csr.row_cols(r).iter().zip(csr.row_vals(r)).enumerate() {
-                    // SAFETY: row-disjoint parts; slots keyed by (row, pos);
-                    // the spill-segment assert rejects a stale plan before
-                    // it can push writes into another row's segment.
-                    unsafe {
-                        if pos < k {
-                            oc.set(pos * nrows + r, c);
-                            ov.set(pos * nrows + r, v);
-                        } else {
-                            let s = spill_starts[r] + (pos - k);
-                            assert!(s < spill_starts[r + 1], "HYB plan understates row {r}: stale analysis?");
-                            or2.set(s, r);
-                            oc2.set(s, c);
-                            ov2.set(s, v);
-                        }
-                    }
-                }
-            }
-        });
-    }
-    let ell_nnz = nnz - spill_total;
-    let ell = EllMatrix::from_parts_unchecked(nrows, ncols, k, ell_cols, ell_vals, ell_nnz);
-    let spill = CooMatrix::from_sorted_parts_unchecked(nrows, ncols, sp_rows, sp_cols, sp_vals);
-    HybMatrix::from_parts(ell, spill)
 }
 
 // ---------------------------------------------------------------------------
@@ -816,9 +691,9 @@ fn export_row_major<V: Scalar, S: RowMajor<V>>(
     (offsets, cols, vals, rows_out)
 }
 
-/// ELL → CSR, reading the slabs row-major.
+/// ELL → CSR: its bucket's rows, as BELL exports them.
 pub fn ell_to_csr<V: Scalar>(ell: &EllMatrix<V>) -> CsrMatrix<V> {
-    export_to_csr(ell, ell.ncols(), ell.nnz())
+    super::bell_to_csr(ell.bell())
 }
 
 /// DIA → CSR. Padding slots and explicit zeros are elided (they are
@@ -837,10 +712,11 @@ pub fn hdc_to_csr<V: Scalar>(hdc: &HdcMatrix<V>) -> CsrMatrix<V> {
     export_to_csr(hdc, hdc.ncols(), hdc.nnz())
 }
 
-/// ELL → COO. Padding slots are elided; explicit zeros survive (ELL tracks
-/// padding via the sentinel, not the value).
+/// ELL → COO: its bucket's rows, as BELL exports them. Padding slots are
+/// elided; explicit zeros survive (a pad is told by its repeated column,
+/// not by its value).
 pub fn ell_to_coo<V: Scalar>(ell: &EllMatrix<V>) -> CooMatrix<V> {
-    export_to_coo(ell, ell.ncols(), ell.nnz())
+    super::bell_to_coo(ell.bell())
 }
 
 /// DIA → COO. Padding slots and explicit zeros are elided (they are

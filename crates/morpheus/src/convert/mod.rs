@@ -16,16 +16,16 @@
 //!   straight from the source arrays: CSR↔{COO, ELL, DIA, HYB, HDC, BSR,
 //!   BELL} and COO↔{CSR, ELL, DIA, HYB, HDC, BSR, BELL}. No intermediate
 //!   triplet buffers are allocated and nothing is sorted (sources are
-//!   exported row-major in ascending column order). Row-partitionable
-//!   passes — row histograms, slab fills, diagonal scatter, row-major
-//!   export — run in parallel on the process pool with nnz-weighted,
-//!   row-disjoint partitions once the matrix exceeds
-//!   [`kernels::PARALLEL_CONVERT_THRESHOLD`] entries. BSR and BELL are
-//!   *array-built*: one builder each over contiguous row-major
-//!   `(offsets, cols, vals)` — CSR hands over its own arrays, COO its
-//!   `cols`/`vals` plus offsets from one histogram pass — so the formats the
-//!   tuner picks most often convert at memory speed, without a per-row
-//!   search or a per-entry indirect call.
+//!   exported row-major in ascending column order). BSR and the ELL family
+//!   (BELL; ELL and HYB's ELL part, one bucket each) are *array-built*: one
+//!   builder each over row-major `(offsets, cols, vals)` — CSR hands over
+//!   its own arrays, COO its `cols`/`vals` plus offsets from one histogram
+//!   pass — on the calling thread, so the formats the tuner picks most
+//!   often convert at memory speed, without a per-row search or a per-entry
+//!   indirect call. The DIA and HDC fills and the row-major export run in
+//!   parallel on the process pool with nnz-weighted, row-disjoint
+//!   partitions once the matrix exceeds
+//!   [`kernels::PARALLEL_CONVERT_THRESHOLD`] entries.
 //! * **Hub** — every other pair materialises an interchange copy first.
 //!   Conversions between two padded formats
 //!   ({ELL, DIA, HYB, HDC} × {ELL, DIA, HYB, HDC}) export to COO and
@@ -41,8 +41,8 @@
 //! # The `Analysis` reuse contract
 //!
 //! Every conversion *into* a padded format starts with a planning question:
-//! the ELL slab width, DIA's populated-diagonal set, HYB's split width,
-//! HDC's true-diagonal selection. All four answers derive from the two
+//! the ELL width, DIA's populated-diagonal set, HYB's split width, HDC's
+//! true-diagonal selection. All four answers derive from the two
 //! histograms a [`crate::analysis::Analysis`] already holds, so planning
 //! accepts an optional `&Analysis` (threaded through
 //! [`crate::DynamicMatrix::to_format_with`]):
@@ -50,8 +50,9 @@
 //! * with a supplied analysis, planning reads the histograms and performs
 //!   **zero** additional full traversals of the matrix (asserted by the
 //!   [`crate::analysis::passes`] counter in the test suite);
-//! * without one, the kernel rescans the source (recording the traversal on
-//!   the counter).
+//! * without one, DIA and HDC rescan the source (recording the traversal on
+//!   the counter); ELL and HYB read the row lengths off the offsets their
+//!   builder reads anyway.
 //!
 //! The caller must pass an analysis *of the matrix being converted* (any
 //! active format with the same sparsity pattern is fine — the histograms
@@ -65,7 +66,10 @@
 //! [`MorpheusError::ExcessivePadding`] *before* allocating the padded
 //! arrays — the behaviour the profiling harness relies on to mark a format
 //! non-viable for a matrix. Guards are applied identically on direct and
-//! hub paths.
+//! hub paths. Widths that come from parameters (a HYB split width, a BELL
+//! ladder) are priced with saturating or checked arithmetic: any `usize` a
+//! decisions file carries is an error, never a wrapped count or an
+//! allocation the process cannot survive.
 
 pub mod blocked;
 pub mod kernels;
@@ -214,7 +218,7 @@ pub(crate) fn as_rowmajor<V: Scalar>(m: &DynamicMatrix<V>) -> &dyn RowMajor<V> {
         DynamicMatrix::Coo(a) => a,
         DynamicMatrix::Csr(a) => a,
         DynamicMatrix::Dia(a) => a,
-        DynamicMatrix::Ell(a) => a,
+        DynamicMatrix::Ell(a) => a.bell(),
         DynamicMatrix::Hyb(a) => a,
         DynamicMatrix::Hdc(a) => a,
         DynamicMatrix::Bsr(a) => a,
@@ -422,6 +426,31 @@ mod tests {
         // The direct CSR kernel applies the identical guard.
         let err = csr_to_ell(&coo_to_csr(&coo), &ConvertOptions::default()).unwrap_err();
         assert!(matches!(err, MorpheusError::ExcessivePadding { format: FormatId::Ell, .. }));
+    }
+
+    /// A fixed split width is any `usize` a decisions token carries: `width
+    /// × nrows` saturates instead of wrapping past the guard to zero.
+    #[test]
+    fn a_huge_hyb_width_is_excessive_padding() {
+        let coo = CooMatrix::<f64>::from_triplets(2, 2, &[0, 1], &[0, 1], &[1.0, 2.0]).unwrap();
+        let huge = ConvertOptions { hyb_split: HybSplit::Width(1 << 63), ..Default::default() };
+        let token = FormatParams::parse_token("hyb=9223372036854775808").expect("a width token parses");
+        let errs = [
+            coo_to_hyb(&coo, &huge).unwrap_err(),
+            csr_to_hyb(&coo_to_csr(&coo), &huge).unwrap_err(),
+            DynamicMatrix::from(coo)
+                .to_format(FormatId::Hyb, &ConvertOptions { params: token, ..Default::default() })
+                .unwrap_err(),
+        ];
+        for err in errs {
+            assert!(
+                matches!(
+                    err,
+                    MorpheusError::ExcessivePadding { format: FormatId::Hyb, padded: usize::MAX, nnz: 2, .. }
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -237,11 +237,11 @@ impl<V: Scalar> DynamicMatrix<V> {
     /// alone — nothing in the definition refers to threads or chunk sizes,
     /// so the value depends on the words and their positions only. Each
     /// step of a chain is a bijection of its state, so changing any single
-    /// hashed word always changes the fingerprint. BELL, whose cells are
-    /// stored slice-major, is hashed row by row instead: each stored row's
-    /// cells through a chain of its own (a slice's eight rows side by
-    /// side), then `(row, row hash)` into the header chain in bucket and
-    /// position order.
+    /// hashed word always changes the fingerprint. The ELL family — BELL,
+    /// ELL, HYB's ELL part — stores its cells slice-major and is hashed row
+    /// by row instead: each stored row's cells through a chain of its own (a
+    /// slice's eight rows side by side), then `(row, row hash)` into the
+    /// header chain in bucket and position order.
     ///
     /// Prefer reading [`Analysis::structure_hash`] when an analysis of the
     /// matrix already exists — this method re-walks the index arrays (and
@@ -271,14 +271,12 @@ impl<V: Scalar> DynamicMatrix<V> {
             }
             DynamicMatrix::Dia(m) => h.dia(m),
             DynamicMatrix::Ell(m) => {
-                // ELL_PAD sentinels appear in `col_indices`, so the padding
-                // pattern is covered too.
                 h.word(m.width() as u64);
-                h.words(m.col_indices());
+                h.bell(m.bell());
             }
             DynamicMatrix::Hyb(m) => {
                 h.word(m.split_width() as u64);
-                h.words(m.ell().col_indices());
+                h.bell(m.ell().bell());
                 h.words(m.coo().row_indices());
                 h.words(m.coo().col_indices());
             }
@@ -294,24 +292,7 @@ impl<V: Scalar> DynamicMatrix<V> {
                 h.words(m.block_cols());
                 h.words(m.masks());
             }
-            DynamicMatrix::Bell(m) => {
-                // Each row's cells hash on their own in `k` order (pads repeat
-                // the last column, so the padding pattern is covered) and the
-                // rows' hashes fold in row order: nothing depends on how a
-                // bucket is sliced, and a slice's eight rows hash side by side.
-                h.word(m.buckets().len() as u64);
-                for bucket in m.buckets() {
-                    h.word(bucket.width() as u64);
-                    let cell = |mut row: StructureHasher, c: u32| {
-                        row.word(u64::from(c));
-                        row
-                    };
-                    bucket.fold_row_cols(StructureHasher::new(), cell, |r, row| {
-                        h.word(u64::from(r));
-                        h.word(row.state);
-                    });
-                }
-            }
+            DynamicMatrix::Bell(m) => h.bell(m),
         }
         h.finish()
     }
@@ -445,6 +426,25 @@ impl StructureHasher {
         self.words(&pattern);
     }
 
+    /// The ELL family's buckets, row by row: each row's cells hash on their
+    /// own in `k` order (pads repeat the last column, so the padding pattern
+    /// is covered) and the rows' hashes fold in row order — nothing depends
+    /// on how a bucket is sliced, and a slice's eight rows hash side by side.
+    fn bell<V: Scalar>(&mut self, m: &BellMatrix<V>) {
+        self.word(m.buckets().len() as u64);
+        for bucket in m.buckets() {
+            self.word(bucket.width() as u64);
+            let cell = |mut row: StructureHasher, c: u32| {
+                row.word(u64::from(c));
+                row
+            };
+            bucket.fold_row_cols(StructureHasher::new(), cell, |r, row| {
+                self.word(u64::from(r));
+                self.word(row.state);
+            });
+        }
+    }
+
     fn finish(&self) -> u64 {
         // One avalanche round so low-entropy inputs spread over all bits.
         let mut z = self.state;
@@ -543,22 +543,24 @@ mod tests {
         assert_eq!(m.format_id(), FormatId::Coo);
         assert_eq!(m.to_coo(), coo);
 
-        // One entry in a matrix too wide for BELL's 4-byte indices (nothing
-        // as large as the shape is allocated): a typed error from COO and
-        // from CSR, the matrix untouched.
+        // One entry in a matrix too wide for the ELL family's 4-byte indices
+        // (nothing as large as the shape is allocated): a typed error from
+        // COO and from CSR into BELL, ELL and HYB, the matrix untouched.
         let wide = u32::MAX as usize + 2;
         let coo = CooMatrix::from_triplets(1, wide, &[0], &[wide - 1], &[2.0f64]).unwrap();
         for source in [FormatId::Coo, FormatId::Csr] {
-            let mut m =
-                DynamicMatrix::from(coo.clone()).to_format(source, &ConvertOptions::default()).unwrap();
-            let err = m.convert_to(FormatId::Bell, &ConvertOptions::default()).unwrap_err();
-            let limit = u32::MAX as usize;
-            assert!(
-                matches!(err, crate::MorpheusError::IndexOverflow { dim, limit: l } if dim == wide && l == limit),
-                "{source}: {err}"
-            );
-            assert_eq!(m.format_id(), source);
-            assert_eq!(m.to_coo(), coo);
+            for target in [FormatId::Bell, FormatId::Ell, FormatId::Hyb] {
+                let mut m =
+                    DynamicMatrix::from(coo.clone()).to_format(source, &ConvertOptions::default()).unwrap();
+                let err = m.convert_to(target, &ConvertOptions::default()).unwrap_err();
+                let limit = u32::MAX as usize;
+                assert!(
+                    matches!(err, crate::MorpheusError::IndexOverflow { dim, limit: l } if dim == wide && l == limit),
+                    "{source} -> {target}: {err}"
+                );
+                assert_eq!(m.format_id(), source);
+                assert_eq!(m.to_coo(), coo);
+            }
         }
     }
 

@@ -1,133 +1,74 @@
-//! ELLPACK (ELL) format.
+//! ELLPACK (ELL) format: a [`BellMatrix`] of one bucket.
+//!
+//! The paper's ELL (§II-B) pads every row to one width *K*. That is BELL's
+//! slice-major layout with a single bucket, so ELL is stored as exactly
+//! that — the same cells, the same pad rule (a short row repeats its own
+//! last column with a zero value), the same 4-byte indices — and executed by
+//! BELL's slice walker. HYB's ELL part is one too, at the split width. The
+//! machine model prices ELL from the analysis, not from this layout.
 
-use crate::error::MorpheusError;
+use crate::bell::BellMatrix;
 use crate::format::FormatId;
 use crate::scalar::Scalar;
 use crate::Result;
 
-/// Sentinel column index marking a padding slot in [`EllMatrix`].
-pub const ELL_PAD: usize = usize::MAX;
-
-/// ELLPACK-format sparse matrix (§II-B).
+/// ELLPACK-format sparse matrix (§II-B): every non-empty row padded to
+/// `width` (the paper's *K*) entries.
 ///
-/// Assumes at most `width` (the paper's *K*) non-zeros per row and stores a
-/// dense `nrows x width` array of values plus one of column indices. Rows
-/// shorter than `width` are padded with [`ELL_PAD`] / zero.
-///
-/// Layout: **column-major** (`values[k * nrows + i]` is the `k`-th entry of
-/// row `i`), matching GPU implementations where consecutive threads reading
-/// consecutive rows produce coalesced accesses — the property the machine
-/// model's SIMT simulator measures.
+/// The storage is a [`BellMatrix`] whose only bucket is `width` wide (no
+/// bucket when every row is empty); the constructors make sure of it and
+/// nothing mutates it afterwards. Rows without entries are in no bucket, so
+/// [`EllMatrix::padded_len`] is `width` times the non-empty rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EllMatrix<V> {
-    nrows: usize,
-    ncols: usize,
     width: usize,
-    col_indices: Vec<usize>,
-    values: Vec<V>,
-    nnz: usize,
+    bell: BellMatrix<V>,
 }
 
 impl<V: Scalar> EllMatrix<V> {
     /// An empty matrix of the given shape (width 0).
     pub fn new(nrows: usize, ncols: usize) -> Self {
-        EllMatrix { nrows, ncols, width: 0, col_indices: Vec::new(), values: Vec::new(), nnz: 0 }
+        EllMatrix { width: 0, bell: BellMatrix::new(nrows, ncols) }
     }
 
-    /// Builds from raw parts, validating the layout.
+    /// Builds the one bucket of `width` from the row runs `run(r)` =
+    /// `(first entry, length)` in `cols`/`vals` (see
+    /// [`BellMatrix::from_row_arrays`], which `guard` is handed to).
     ///
-    /// In every row, real entries must carry strictly increasing in-range
-    /// column indices and padding slots ([`ELL_PAD`]) must only appear after
-    /// all real entries of the row.
-    pub fn from_parts(
-        nrows: usize,
-        ncols: usize,
+    /// # Panics
+    /// If a run is longer than `width` (a stale plan's width), before
+    /// anything is allocated.
+    pub(crate) fn from_runs(
+        shape: (usize, usize),
         width: usize,
-        col_indices: Vec<usize>,
-        values: Vec<V>,
+        run: impl Fn(usize) -> (usize, usize),
+        cols: &[usize],
+        vals: &[V],
+        guard: impl FnOnce(usize, usize) -> Result<()>,
     ) -> Result<Self> {
-        if col_indices.len() != nrows * width || values.len() != nrows * width {
-            return Err(MorpheusError::InvalidStructure(format!(
-                "ELL arrays must have length nrows * width = {}, got cols={} vals={}",
-                nrows * width,
-                col_indices.len(),
-                values.len()
-            )));
-        }
-        let mut nnz = 0usize;
-        for i in 0..nrows {
-            let mut prev: Option<usize> = None;
-            let mut padded = false;
-            for k in 0..width {
-                let c = col_indices[k * nrows + i];
-                if c == ELL_PAD {
-                    padded = true;
-                    continue;
-                }
-                if padded {
-                    return Err(MorpheusError::InvalidStructure(format!(
-                        "row {i}: real entry after padding slot"
-                    )));
-                }
-                if c >= ncols {
-                    return Err(MorpheusError::IndexOutOfBounds { index: (i, c), shape: (nrows, ncols) });
-                }
-                if let Some(p) = prev {
-                    if p >= c {
-                        return Err(MorpheusError::InvalidStructure(format!(
-                            "row {i}: columns not strictly increasing"
-                        )));
-                    }
-                }
-                prev = Some(c);
-                nnz += 1;
-            }
-        }
-        Ok(EllMatrix { nrows, ncols, width, col_indices, values, nnz })
-    }
-
-    /// Builds from raw slabs the caller guarantees are valid, with a known
-    /// structural-entry count (conversion kernels produce both correct by
-    /// construction). Debug builds run the full [`EllMatrix::from_parts`]
-    /// validation and verify `nnz`; release builds skip the O(nrows×width)
-    /// re-validation pass.
-    pub(crate) fn from_parts_unchecked(
-        nrows: usize,
-        ncols: usize,
-        width: usize,
-        col_indices: Vec<usize>,
-        values: Vec<V>,
-        nnz: usize,
-    ) -> Self {
-        #[cfg(debug_assertions)]
-        {
-            let m = Self::from_parts(nrows, ncols, width, col_indices, values)
-                .expect("conversion kernel produced invalid ELL");
-            assert_eq!(m.nnz, nnz, "conversion kernel miscounted ELL entries");
-            m
-        }
-        #[cfg(not(debug_assertions))]
-        {
-            EllMatrix { nrows, ncols, width, col_indices, values, nnz }
-        }
+        let longest = (0..shape.0).map(|r| run(r).1).max().unwrap_or(0);
+        assert!(longest <= width, "a row of {longest} entries in an ELL of width {width}: stale analysis?");
+        let bell = BellMatrix::from_row_arrays(shape, run, cols, vals, &[width], guard)?;
+        debug_assert!(bell.buckets().iter().all(|b| b.width() == width));
+        Ok(EllMatrix { width, bell })
     }
 
     /// Number of rows.
     #[inline]
     pub fn nrows(&self) -> usize {
-        self.nrows
+        self.bell.nrows()
     }
 
     /// Number of columns.
     #[inline]
     pub fn ncols(&self) -> usize {
-        self.ncols
+        self.bell.ncols()
     }
 
     /// Structural non-zeros (excludes padding).
     #[inline]
     pub fn nnz(&self) -> usize {
-        self.nnz
+        self.bell.nnz()
     }
 
     /// Format identifier ([`FormatId::Ell`]).
@@ -142,55 +83,37 @@ impl<V: Scalar> EllMatrix<V> {
         self.width
     }
 
-    /// Column-major column index array (`width * nrows`), [`ELL_PAD`] marks padding.
-    #[inline]
-    pub fn col_indices(&self) -> &[usize] {
-        &self.col_indices
-    }
-
-    /// Column-major value array (`width * nrows`).
-    #[inline]
-    pub fn values(&self) -> &[V] {
-        &self.values
-    }
-
-    /// Entry `(row, k)` as `(col, value)`, or `None` if it is padding.
-    #[inline]
-    pub fn entry(&self, row: usize, k: usize) -> Option<(usize, V)> {
-        let idx = k * self.nrows + row;
-        let c = self.col_indices[idx];
-        (c != ELL_PAD).then(|| (c, self.values[idx]))
-    }
-
-    /// Total allocated slots including padding (`width * nrows`).
+    /// Allocated slots including padding (`width` per non-empty row).
     #[inline]
     pub fn padded_len(&self) -> usize {
-        self.values.len()
+        self.bell.padded_len()
     }
 
     /// Bytes of heap storage the format occupies.
     pub fn storage_bytes(&self) -> usize {
-        self.col_indices.len() * std::mem::size_of::<usize>() + self.values.len() * std::mem::size_of::<V>()
+        self.bell.storage_bytes()
     }
 
-    /// Consumes the matrix, returning `(nrows, ncols, width, cols, values)`.
-    pub fn into_parts(self) -> (usize, usize, usize, Vec<usize>, Vec<V>) {
-        (self.nrows, self.ncols, self.width, self.col_indices, self.values)
+    /// The one-bucket BELL storage every kernel, walk and hash reads.
+    #[inline]
+    pub(crate) fn bell(&self) -> &BellMatrix<V> {
+        &self.bell
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bell::runs_of;
+    use crate::rowmajor::RowMajor;
 
     fn sample() -> EllMatrix<f64> {
         // [1 2 0]
         // [0 3 0]
         // [4 0 5]
-        // width = 2, column-major slots: k=0 -> [0,1,0], k=1 -> [1,PAD,2]
-        let cols = vec![0, 1, 0, 1, ELL_PAD, 2];
-        let vals = vec![1.0, 3.0, 4.0, 2.0, 0.0, 5.0];
-        EllMatrix::from_parts(3, 3, 2, cols, vals).unwrap()
+        let offsets = [0, 2, 3, 5];
+        let (cols, vals) = ([0, 1, 1, 0, 2], [1.0, 2.0, 3.0, 4.0, 5.0]);
+        EllMatrix::from_runs((3, 3), 2, runs_of(&offsets), &cols, &vals, |_, _| Ok(())).unwrap()
     }
 
     #[test]
@@ -200,38 +123,20 @@ mod tests {
         assert_eq!(m.width(), 2);
         assert_eq!(m.nnz(), 5);
         assert_eq!(m.padded_len(), 6);
-        assert_eq!(m.entry(0, 0), Some((0, 1.0)));
-        assert_eq!(m.entry(0, 1), Some((1, 2.0)));
-        assert_eq!(m.entry(1, 1), None);
-        assert_eq!(m.entry(2, 1), Some((2, 5.0)));
+        assert_eq!(m.bell().bucket_widths(), vec![2]);
+        let row = |r: usize| m.bell().row_entries(r).collect::<Vec<_>>();
+        assert_eq!(row(0), vec![(0, 1.0), (1, 2.0)]);
+        assert_eq!(row(1), vec![(1, 3.0)], "a pad is not an entry");
+        assert_eq!(RowMajor::row_count(m.bell(), 2), 2);
     }
 
+    /// One bucket, or a panic: a width short of a row (a stale plan's) is
+    /// refused before the builder would give that row a bucket of its own.
     #[test]
-    fn rejects_wrong_lengths() {
-        assert!(EllMatrix::<f64>::from_parts(2, 2, 2, vec![0; 3], vec![0.0; 4]).is_err());
-        assert!(EllMatrix::<f64>::from_parts(2, 2, 2, vec![0; 4], vec![0.0; 3]).is_err());
-    }
-
-    #[test]
-    fn rejects_entry_after_padding() {
-        // Row 0: k=0 is PAD, k=1 is a real entry -> invalid.
-        let cols = vec![ELL_PAD, 0, 1, 1];
-        let vals = vec![0.0, 1.0, 2.0, 3.0];
-        assert!(EllMatrix::<f64>::from_parts(2, 2, 2, cols, vals).is_err());
-    }
-
-    #[test]
-    fn rejects_unsorted_row() {
-        let cols = vec![1, 0, 0, 1];
-        let vals = vec![1.0, 2.0, 3.0, 4.0];
-        assert!(EllMatrix::<f64>::from_parts(2, 2, 2, cols, vals).is_err());
-    }
-
-    #[test]
-    fn rejects_out_of_range_column() {
-        let cols = vec![0, 5];
-        let vals = vec![1.0, 2.0];
-        assert!(EllMatrix::<f64>::from_parts(2, 2, 1, cols, vals).is_err());
+    #[should_panic(expected = "a row of 2 entries in an ELL of width 1")]
+    fn a_row_longer_than_the_width_is_refused() {
+        EllMatrix::<f64>::from_runs((2, 2), 1, runs_of(&[0, 2, 2]), &[0, 1], &[1.0, 2.0], |_, _| Ok(()))
+            .unwrap();
     }
 
     #[test]
@@ -240,5 +145,8 @@ mod tests {
         assert_eq!(m.width(), 0);
         assert_eq!(m.nnz(), 0);
         assert_eq!(m.padded_len(), 0);
+        let empty =
+            EllMatrix::<f64>::from_runs((3, 3), 0, runs_of(&[0; 4]), &[], &[], |_, _| Ok(())).unwrap();
+        assert_eq!(empty, m);
     }
 }

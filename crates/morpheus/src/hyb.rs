@@ -1,4 +1,9 @@
 //! Hybrid ELL + COO (HYB) format.
+//!
+//! The ELL part is an [`EllMatrix`] — a one-bucket BELL at the split width
+//! `K_H`, built in place from the first `K_H` entries of each row — and the
+//! surplus a sorted COO spill. Executions walk the bucket's slices with
+//! BELL's walker, then accumulate the spill.
 
 use crate::coo::CooMatrix;
 use crate::ell::EllMatrix;
@@ -200,7 +205,8 @@ mod tests {
 
     #[test]
     fn nnz_sums_portions() {
-        let ell = EllMatrix::<f64>::from_parts(2, 2, 1, vec![0, 1], vec![1.0, 2.0]).unwrap();
+        let diagonal = CooMatrix::<f64>::from_triplets(2, 2, &[0, 1], &[0, 1], &[1.0, 2.0]).unwrap();
+        let ell = crate::convert::coo_to_ell(&diagonal, &Default::default()).unwrap();
         let coo = CooMatrix::<f64>::from_triplets(2, 2, &[0], &[1], &[3.0]).unwrap();
         let hyb = HybMatrix::from_parts(ell, coo).unwrap();
         assert_eq!(hyb.nnz(), 3);

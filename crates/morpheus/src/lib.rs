@@ -77,7 +77,7 @@ pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use dia::DiaMatrix;
 pub use dynamic::DynamicMatrix;
-pub use ell::{EllMatrix, ELL_PAD};
+pub use ell::EllMatrix;
 pub use error::MorpheusError;
 pub use format::FormatId;
 pub use hdc::HdcMatrix;

@@ -12,15 +12,16 @@
 //! * **CSR** — nnz-weighted row ranges (each worker gets a near equal
 //!   number of non-zeros, taming skewed matrices);
 //! * **COO** — row-aligned entry ranges, balanced by entry count;
-//! * **DIA / ELL** — static row ranges (padded work is uniform per row);
-//! * **HYB** — static row ranges for the ELL portion plus row-aligned
-//!   entry ranges for the COO surplus;
+//! * **DIA** — static row ranges (padded work is uniform per row);
 //! * **HDC** — static row ranges for the DIA portion plus nnz-weighted row
 //!   ranges for the CSR remainder;
 //! * **BSR** — entry-weighted block-row ranges (a block row is the atomic
 //!   unit: it owns `block_r` output rows);
-//! * **BELL** — one share per worker: cell-balanced runs of the buckets'
-//!   slices, plus the row range whose empty rows it zeroes.
+//! * **BELL / ELL** — one share per worker: cell-balanced runs of the
+//!   buckets' slices (ELL's one bucket), plus the row range whose empty rows
+//!   it zeroes;
+//! * **HYB** — ELL's shares for the ELL portion plus row-aligned entry
+//!   ranges for the COO surplus.
 //!
 //! Construction reads the PR-2 [`Analysis`] artifact when one is supplied
 //! (row-nnz histogram → weighted ranges and COO entry boundaries via prefix
@@ -47,7 +48,7 @@
 //! additionally shares each plan across client threads via `Arc`.
 
 use crate::analysis::Analysis;
-use crate::bell::BellShare;
+use crate::bell::{BellMatrix, BellShare};
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::dynamic::DynamicMatrix;
@@ -231,16 +232,26 @@ enum Parts {
     Csr { rows: Vec<Range<usize>> },
     /// Row-aligned entry ranges.
     Coo { entries: Vec<Range<usize>> },
-    /// Static row ranges (shared by DIA and ELL: padded work is uniform).
+    /// Static DIA row ranges (padded work is uniform).
     Rows { rows: Vec<Range<usize>> },
-    /// ELL-portion row ranges + COO-surplus entry ranges.
-    Hyb { rows: Vec<Range<usize>>, coo_entries: Vec<Range<usize>> },
     /// DIA-portion row ranges + CSR-remainder weighted row ranges.
     Hdc { rows: Vec<Range<usize>>, csr_rows: Vec<Range<usize>> },
     /// Entry-weighted BSR block-row ranges.
     Bsr { brows: Vec<Range<usize>> },
-    /// One cell-balanced BELL share per worker.
-    Bell { shares: Vec<BellShare> },
+    /// The ELL family: one cell-balanced share of the buckets' slices per
+    /// worker, plus (HYB only) row-aligned entry ranges of the COO spill.
+    Bell { shares: Vec<BellShare>, spill: Vec<Range<usize>> },
+}
+
+/// The ELL family's slice-major storage — BELL's, or the one bucket of ELL
+/// and of HYB's ELL part — and HYB's COO spill.
+fn bell_parts<V: Scalar>(m: &DynamicMatrix<V>) -> Option<(&BellMatrix<V>, Option<&CooMatrix<V>>)> {
+    match m {
+        DynamicMatrix::Bell(a) => Some((a, None)),
+        DynamicMatrix::Ell(a) => Some((a.bell(), None)),
+        DynamicMatrix::Hyb(a) => Some((a.ell().bell(), Some(a.coo()))),
+        _ => None,
+    }
 }
 
 impl<V: Scalar> ExecPlan<V> {
@@ -259,10 +270,11 @@ impl<V: Scalar> ExecPlan<V> {
             DynamicMatrix::Csr(a) => Parts::Csr { rows: csr_row_ranges(a, threads) },
             DynamicMatrix::Coo(a) => Parts::Coo { entries: coo_entry_ranges(a, threads, analysis) },
             DynamicMatrix::Dia(a) => Parts::Rows { rows: static_partition(a.nrows(), threads) },
-            DynamicMatrix::Ell(a) => Parts::Rows { rows: static_partition(a.nrows(), threads) },
-            DynamicMatrix::Hyb(a) => Parts::Hyb {
-                rows: static_partition(a.nrows(), threads),
-                coo_entries: hyb_coo_entry_ranges(a, threads, analysis),
+            DynamicMatrix::Bell(a) => Parts::Bell { shares: a.shares(threads), spill: Vec::new() },
+            DynamicMatrix::Ell(a) => Parts::Bell { shares: a.bell().shares(threads), spill: Vec::new() },
+            DynamicMatrix::Hyb(a) => Parts::Bell {
+                shares: a.ell().bell().shares(threads),
+                spill: hyb_coo_entry_ranges(a, threads, analysis),
             },
             DynamicMatrix::Hdc(a) => Parts::Hdc {
                 rows: static_partition(a.nrows(), threads),
@@ -274,7 +286,6 @@ impl<V: Scalar> ExecPlan<V> {
                     brows: weighted_partition_with(a.nblockrows(), threads, |br| offs[br + 1] - offs[br]),
                 }
             }
-            DynamicMatrix::Bell(a) => Parts::Bell { shares: a.shares(threads) },
         };
         ExecPlan {
             format: m.format_id(),
@@ -302,9 +313,9 @@ impl<V: Scalar> ExecPlan<V> {
         match &self.parts {
             Parts::Csr { rows } | Parts::Rows { rows } => rows.len(),
             Parts::Coo { entries } => entries.len(),
-            Parts::Hyb { rows, .. } | Parts::Hdc { rows, .. } => rows.len(),
+            Parts::Hdc { rows, .. } => rows.len(),
             Parts::Bsr { brows } => brows.len(),
-            Parts::Bell { shares } => shares.len(),
+            Parts::Bell { shares, .. } => shares.len(),
         }
     }
 
@@ -325,25 +336,18 @@ impl<V: Scalar> ExecPlan<V> {
                 got: format!("{} {}x{} ({} nnz)", m.format_id(), m.nrows(), m.ncols(), m.nnz()),
             });
         }
-        // Row-range partitions (CSR/DIA/ELL/HDC and the HYB ELL pass) tile
-        // `0..nrows` disjointly by construction, so they are safe for *any*
-        // matrix of this shape. Entry ranges (COO, HYB surplus) own rows
-        // only via the sorted row array they were derived from — a
-        // different same-shape/same-nnz matrix could have a range boundary
-        // inside one of its rows, giving a `y` element two concurrent
-        // writers. Re-validate the boundaries against the matrix actually
-        // being executed (O(parts)), since this is a safe public API.
+        // Row-range partitions (CSR/DIA/HDC) tile `0..nrows` disjointly by
+        // construction, so they are safe for *any* matrix of this shape.
+        // Entry ranges (COO, HYB spill) own rows only via the sorted row
+        // array they were derived from — a different same-shape/same-nnz
+        // matrix could have a range boundary inside one of its rows, giving
+        // a `y` element two concurrent writers. Re-validate the boundaries
+        // against the matrix actually being executed (O(parts)), since this
+        // is a safe public API.
         let aligned = match (m, &self.parts) {
             (DynamicMatrix::Coo(a), Parts::Coo { entries }) => {
                 entries.last().is_none_or(|r| r.end == a.nnz())
                     && boundaries_are_row_aligned(entries, a.row_indices())
-            }
-            (DynamicMatrix::Hyb(a), Parts::Hyb { coo_entries, .. }) => {
-                // The surplus size is not covered by `matches` (it splits
-                // the same total nnz differently per HYB), so check
-                // coverage too.
-                coo_entries.last().map_or(0, |r| r.end) == a.coo().nnz()
-                    && boundaries_are_row_aligned(coo_entries, a.coo().row_indices())
             }
             // Block dims are a per-matrix parameter `matches` cannot see:
             // the same shape/nnz stored as 2x2 and 8x8 BSR have different
@@ -361,8 +365,15 @@ impl<V: Scalar> ExecPlan<V> {
             // matrix's slices before the walker takes their word for what
             // each share owns. (The shares' row ranges tile `0..nrows`, and
             // which of those rows are empty is read from the executing
-            // matrix, so they need no check.)
-            (DynamicMatrix::Bell(a), Parts::Bell { shares }) => a.tiled_by(shares),
+            // matrix, so they need no check.) HYB's spill size is not
+            // covered by `matches` either (it splits the same total nnz
+            // differently per split width), so check its coverage too.
+            (m, Parts::Bell { shares, spill }) => bell_parts(m).is_some_and(|(bell, coo)| {
+                let covered = spill.last().map_or(0, |r| r.end) == coo.map_or(0, CooMatrix::nnz);
+                bell.tiled_by(shares)
+                    && covered
+                    && coo.is_none_or(|coo| boundaries_are_row_aligned(spill, coo.row_indices()))
+            }),
             _ => true,
         };
         if aligned {
@@ -431,20 +442,6 @@ impl<V: Scalar> ExecPlan<V> {
             (DynamicMatrix::Dia(a), Parts::Rows { rows }, Op::Spmm { k }) => {
                 spmm::spmm_dia(a, x, y, k, pool, rows)
             }
-            (DynamicMatrix::Ell(a), Parts::Rows { rows }, Op::Spmv) => {
-                threaded::spmv_ell_ranges(a, x, y, pool, rows)
-            }
-            (DynamicMatrix::Ell(a), Parts::Rows { rows }, Op::Spmm { k }) => {
-                spmm::spmm_ell(a, x, y, k, pool, rows)
-            }
-            (DynamicMatrix::Hyb(a), Parts::Hyb { rows, coo_entries }, Op::Spmv) => {
-                threaded::spmv_ell_ranges(a.ell(), x, y, pool, rows);
-                threaded::spmv_coo_acc_ranges(a.coo(), x, y, pool, coo_entries);
-            }
-            (DynamicMatrix::Hyb(a), Parts::Hyb { rows, coo_entries }, Op::Spmm { k }) => {
-                spmm::spmm_ell(a.ell(), x, y, k, pool, rows);
-                spmm::spmm_coo::<V, true>(a.coo(), x, y, k, pool, coo_entries);
-            }
             (DynamicMatrix::Hdc(a), Parts::Hdc { rows, csr_rows }, Op::Spmv) => {
                 threaded::spmv_dia_ranges(a.dia(), x, y, pool, rows);
                 threaded::spmv_csr_acc_ranges(a.csr(), x, y, pool, csr_rows);
@@ -459,13 +456,20 @@ impl<V: Scalar> ExecPlan<V> {
             (DynamicMatrix::Bsr(a), Parts::Bsr { brows }, Op::Spmm { k }) => {
                 spmm::spmm_bsr(a, x, y, k, pool, brows)
             }
-            // SAFETY (both): `check` saw the shares tile `a`'s slices.
-            (DynamicMatrix::Bell(a), Parts::Bell { shares }, Op::Spmv) => unsafe {
-                threaded::spmv_bell_shares(a, x, y, pool, shares)
-            },
-            (DynamicMatrix::Bell(a), Parts::Bell { shares }, Op::Spmm { k }) => unsafe {
-                spmm::spmm_bell(a, x, y, k, pool, Some(shares))
-            },
+            // The ELL family: the buckets' slices, then HYB's spill on top.
+            (m, Parts::Bell { shares, spill }, op) => {
+                let (bell, coo) = bell_parts(m).expect("a BELL, ELL or HYB matrix: `check` saw the format");
+                // SAFETY (both): `check` saw the shares tile `bell`'s slices.
+                match op {
+                    Op::Spmv => unsafe { threaded::spmv_bell_shares(bell, x, y, pool, shares) },
+                    Op::Spmm { k } => unsafe { spmm::spmm_bell(bell, x, y, k, pool, Some(shares)) },
+                }
+                match (coo, op) {
+                    (None, _) => {}
+                    (Some(coo), Op::Spmv) => threaded::spmv_coo_acc_ranges(coo, x, y, pool, spill),
+                    (Some(coo), Op::Spmm { k }) => spmm::spmm_coo::<V, true>(coo, x, y, k, pool, spill),
+                }
+            }
             _ => unreachable!("plan/matrix format agreement checked above"),
         }
         Ok(())
@@ -615,7 +619,7 @@ mod tests {
             let without = ExecPlan::<f64>::build(&m, 4, None);
             let ranges = |p: &ExecPlan<f64>| match &p.parts {
                 Parts::Coo { entries } => entries.clone(),
-                Parts::Hyb { coo_entries, .. } => coo_entries.clone(),
+                Parts::Bell { spill, .. } => spill.clone(),
                 _ => unreachable!(),
             };
             let (rw, ro) = (ranges(&with), ranges(&without));

@@ -10,14 +10,14 @@
 //!
 //! Semantics match the historical `*_to_coo` converters: DIA-backed storage
 //! elides explicit zeros (padding and stored zeros are indistinguishable
-//! there), ELL-backed storage keeps them (padding is tracked by the
-//! [`ELL_PAD`] sentinel, not the value).
+//! there), the ELL family (BELL, ELL, HYB's ELL part — all slice-major
+//! buckets, walked by [`crate::bell::BellMatrix`]'s rows) keeps them (a pad
+//! is told by its repeated column, not by its value).
 
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::dia::DiaMatrix;
 use crate::dynamic::DynamicMatrix;
-use crate::ell::{EllMatrix, ELL_PAD};
 use crate::hdc::HdcMatrix;
 use crate::hyb::HybMatrix;
 use crate::scalar::Scalar;
@@ -77,31 +77,6 @@ fn coo_row_segment<V: Scalar>(coo: &CooMatrix<V>, r: usize) -> (usize, usize) {
     (lo, hi)
 }
 
-impl<V: Scalar> RowMajor<V> for EllMatrix<V> {
-    fn nrows(&self) -> usize {
-        self.nrows()
-    }
-
-    fn row_count(&self, r: usize) -> usize {
-        let nrows = self.nrows();
-        let cols = self.col_indices();
-        (0..self.width()).take_while(|&k| cols[k * nrows + r] != ELL_PAD).count()
-    }
-
-    fn emit_row(&self, r: usize, f: &mut dyn FnMut(usize, V)) {
-        let nrows = self.nrows();
-        let cols = self.col_indices();
-        let vals = self.values();
-        for k in 0..self.width() {
-            let c = cols[k * nrows + r];
-            if c == ELL_PAD {
-                break;
-            }
-            f(c, vals[k * nrows + r]);
-        }
-    }
-}
-
 impl<V: Scalar> RowMajor<V> for DiaMatrix<V> {
     fn nrows(&self) -> usize {
         self.nrows()
@@ -135,42 +110,24 @@ impl<V: Scalar> RowMajor<V> for HybMatrix<V> {
 
     fn row_count(&self, r: usize) -> usize {
         let (lo, hi) = coo_row_segment(self.coo(), r);
-        RowMajor::row_count(self.ell(), r) + (hi - lo)
+        self.ell().bell().row_count(r) + (hi - lo)
     }
 
     fn emit_row(&self, r: usize, f: &mut dyn FnMut(usize, V)) {
-        // Merge the two sorted per-row streams; coordinates are disjoint by
-        // the HYB invariant, so a plain `<` comparison suffices.
-        let ell = self.ell();
-        let nrows = ell.nrows();
-        let (ecols, evals) = (ell.col_indices(), ell.values());
-        let peek_ell = |k: usize| -> Option<usize> {
-            if k < ell.width() {
-                let c = ecols[k * nrows + r];
-                (c != ELL_PAD).then_some(c)
-            } else {
-                None
-            }
-        };
+        // Merge the bucket's row with the row's spill, both column-sorted;
+        // coordinates are disjoint by the HYB invariant, so a plain `<`
+        // comparison suffices.
+        let mut ell = self.ell().bell().row_entries(r).peekable();
         let coo = self.coo();
-        let (mut si, hi) = coo_row_segment(coo, r);
-        let mut k = 0;
-        loop {
-            match (peek_ell(k), (si < hi).then(|| coo.col_indices()[si])) {
-                (Some(ce), Some(cs)) if ce < cs => {
-                    f(ce, evals[k * nrows + r]);
-                    k += 1;
-                }
-                (Some(_), Some(_)) | (None, Some(_)) => {
-                    f(coo.col_indices()[si], coo.values()[si]);
-                    si += 1;
-                }
-                (Some(ce), None) => {
-                    f(ce, evals[k * nrows + r]);
-                    k += 1;
-                }
-                (None, None) => break,
-            }
+        let (lo, hi) = coo_row_segment(coo, r);
+        let mut spill =
+            coo.col_indices()[lo..hi].iter().copied().zip(coo.values()[lo..hi].iter().copied()).peekable();
+        while let Some((c, v)) = match (ell.peek(), spill.peek()) {
+            (Some(e), Some(s)) if e.0 < s.0 => ell.next(),
+            (_, Some(_)) => spill.next(),
+            (_, None) => ell.next(),
+        } {
+            f(c, v);
         }
     }
 }
@@ -243,7 +200,7 @@ pub fn for_each_entry_row_major<V: Scalar>(m: &DynamicMatrix<V>, mut f: impl FnM
             }
         }
         DynamicMatrix::Dia(a) => visit_rows(a, &mut f),
-        DynamicMatrix::Ell(a) => visit_rows(a, &mut f),
+        DynamicMatrix::Ell(a) => visit_rows(a.bell(), &mut f),
         DynamicMatrix::Hyb(a) => visit_rows(a, &mut f),
         DynamicMatrix::Hdc(a) => visit_rows(a, &mut f),
         DynamicMatrix::Bsr(a) => visit_rows(a, &mut f),
@@ -383,7 +340,7 @@ mod tests {
                 DynamicMatrix::Coo(a) => check(a),
                 DynamicMatrix::Csr(a) => check(a),
                 DynamicMatrix::Dia(a) => check(a),
-                DynamicMatrix::Ell(a) => check(a),
+                DynamicMatrix::Ell(a) => check(a.bell()),
                 DynamicMatrix::Hyb(a) => check(a),
                 DynamicMatrix::Hdc(a) => check(a),
                 DynamicMatrix::Bsr(a) => check(a),

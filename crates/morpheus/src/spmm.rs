@@ -26,7 +26,6 @@ use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::dia::DiaMatrix;
 use crate::dynamic::DynamicMatrix;
-use crate::ell::{EllMatrix, ELL_PAD};
 use crate::error::MorpheusError;
 use crate::scalar::Scalar;
 use crate::spmv::threaded::{coo_owned_rows, for_each_part};
@@ -62,9 +61,9 @@ pub fn spmm_serial<V: Scalar>(m: &DynamicMatrix<V>, x: &[V], y: &mut [V], k: usi
         DynamicMatrix::Coo(a) => spmm_coo::<V, false>(a, x, y, k, None, one(&(0..a.nnz()))),
         DynamicMatrix::Csr(a) => spmm_csr::<V, false>(a, x, y, k, None, rows),
         DynamicMatrix::Dia(a) => spmm_dia(a, x, y, k, None, rows),
-        DynamicMatrix::Ell(a) => spmm_ell(a, x, y, k, None, rows),
+        DynamicMatrix::Ell(a) => spmm_bell_serial(a.bell(), x, y, k),
         DynamicMatrix::Hyb(a) => {
-            spmm_ell(a.ell(), x, y, k, None, rows);
+            spmm_bell_serial(a.ell().bell(), x, y, k);
             spmm_coo::<V, true>(a.coo(), x, y, k, None, one(&(0..a.coo().nnz())));
         }
         DynamicMatrix::Hdc(a) => {
@@ -72,10 +71,15 @@ pub fn spmm_serial<V: Scalar>(m: &DynamicMatrix<V>, x: &[V], y: &mut [V], k: usi
             spmm_csr::<V, true>(a.csr(), x, y, k, None, rows);
         }
         DynamicMatrix::Bsr(a) => spmm_bsr(a, x, y, k, None, one(&(0..a.nblockrows()))),
-        // SAFETY: no shares.
-        DynamicMatrix::Bell(a) => unsafe { spmm_bell(a, x, y, k, None, None) },
+        DynamicMatrix::Bell(a) => spmm_bell_serial(a, x, y, k),
     }
     Ok(())
+}
+
+/// [`spmm_bell`] over every bucket in turn, on the calling thread.
+fn spmm_bell_serial<V: Scalar>(a: &BellMatrix<V>, x: &[V], y: &mut [V], k: usize) {
+    // SAFETY: no shares.
+    unsafe { spmm_bell(a, x, y, k, None, None) }
 }
 
 // ---------------------------------------------------------------------------
@@ -83,14 +87,14 @@ pub fn spmm_serial<V: Scalar>(m: &DynamicMatrix<V>, x: &[V], y: &mut [V], k: usi
 // ---------------------------------------------------------------------------
 
 /// One format's SpMM kernel over a span of its work units (rows, block
-/// rows, slab positions or entries) for one `P`-wide panel of right-hand
-/// sides. A row's `P` partial sums live in registers for the whole row and
-/// are stored once, so `y` never round-trips through memory per entry; each
-/// sum is accumulated in the order the format's SpMV kernel uses, so every
+/// rows, slices or entries) for one `P`-wide panel of right-hand sides. A
+/// row's `P` partial sums live in registers for the whole row and are
+/// stored once, so `y` never round-trips through memory per entry; each sum
+/// is accumulated in the order the format's SpMV kernel uses, so every
 /// output column is bitwise identical to an SpMV on that column.
 ///
 /// `R` is how many rows a body that can reach several rows' entries at once
-/// (column-major slabs, diagonals) keeps in flight: a narrow panel is one
+/// (a slice's lanes, diagonals) keeps in flight: a narrow panel is one
 /// short dependency chain per row, and `R` of them hide the add latency.
 trait Body<V: Scalar>: Sync {
     /// Units per block: a block's matrix entries are re-read from cache,
@@ -331,46 +335,11 @@ impl<V: Scalar> Body<V> for DiaRows<'_, V> {
     }
 }
 
-/// The column-major ELL slab, walked `R` rows at a time.
-struct Slab<'a, V>(&'a EllMatrix<V>);
-
-impl<V: Scalar> Body<V> for Slab<'_, V> {
-    unsafe fn panel<const P: usize, const R: usize>(
-        &self,
-        xs: Panel<'_, V, P>,
-        out: &SharedSlice<V>,
-        rows: Range<usize>,
-    ) {
-        let (all_cols, all_vals, nrows) = (self.0.col_indices(), self.0.values(), self.0.nrows());
-        let mut i = rows.start;
-        while i + R <= rows.end {
-            let mut acc = [[V::ZERO; P]; R];
-            let mut idx = i;
-            for _ in 0..self.0.width() {
-                let (cols, vals) = (&all_cols[idx..][..R], &all_vals[idx..][..R]);
-                for l in 0..R {
-                    if cols[l] != ELL_PAD {
-                        xs.axpy(&mut acc[l], vals[l], cols[l]);
-                    }
-                }
-                idx += nrows;
-            }
-            for (l, sums) in acc.iter().enumerate() {
-                store::<V, P, false>(out, xs.at(i + l), sums);
-            }
-            i += R;
-        }
-        if i < rows.end {
-            tail::<V, Self, P, R>(self, xs, out, i..rows.end);
-        }
-    }
-}
-
-/// One BELL bucket, a unit being a slice ([`crate::bell`]): `R` of a full
-/// slice's eight lanes at a time, each k-level one contiguous run of column
-/// indices and values; pads (a zero times the row's own last column) are
-/// multiplied through, so there is no test per entry. The ragged last slice
-/// goes one row at a time.
+/// One bucket of the ELL family (a BELL bucket, or ELL's or HYB's one), a
+/// unit being a slice ([`crate::bell`]): `R` of a full slice's eight lanes
+/// at a time, each k-level one contiguous run of column indices and values;
+/// pads (a zero times the row's own last column) are multiplied through, so
+/// there is no test per entry. The ragged last slice goes one row at a time.
 struct BellSlices<'a, V>(&'a BellBucket<V>);
 
 impl<V: Scalar> Body<V> for BellSlices<'_, V> {
@@ -495,18 +464,6 @@ pub(crate) fn spmm_dia<V: Scalar>(
 ) {
     // SAFETY: row ranges tile the rows disjointly.
     unsafe { run(&DiaRows(a), x, y, k, pool, rows) }
-}
-
-pub(crate) fn spmm_ell<V: Scalar>(
-    a: &EllMatrix<V>,
-    x: &[V],
-    y: &mut [V],
-    k: usize,
-    pool: Option<&ThreadPool>,
-    rows: &[Range<usize>],
-) {
-    // SAFETY: row ranges tile the rows disjointly.
-    unsafe { run(&Slab(a), x, y, k, pool, rows) }
 }
 
 pub(crate) fn spmm_bsr<V: Scalar>(

@@ -1,9 +1,10 @@
 //! The BELL SpMV body: one walker over slice-major buckets, in a portable
 //! and an AVX2 form.
 //!
-//! Everything that executes a BELL SpMV — the serial kernels, the per-call
-//! threaded kernel, planned shares and (through their plans) partitioned
-//! shards — runs [`bell_segment`] over runs of a bucket's slices. A full
+//! Everything that executes a BELL SpMV — the serial kernels, planned
+//! shares and (through their plans) partitioned shards — runs
+//! [`bell_segment`] over runs of a bucket's slices, and so does every ELL
+//! and HYB SpMV: their ELL part is a BELL of one bucket. A full
 //! slice is eight rows stored k-major ([`crate::bell`]), so the walker keeps
 //! eight independent sums in flight and each k-level is one contiguous load
 //! of eight column indices and eight values: no per-row loop exit to
@@ -231,14 +232,16 @@ pub(crate) fn bell_buckets<V: Scalar, const ACC: bool>(a: &BellMatrix<V>, x: &[V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convert::{coo_to_bell, coo_to_csr, ConvertOptions};
+    use crate::convert::{coo_to_bell, coo_to_csr, coo_to_ell, coo_to_hyb, csr_to_coo, ConvertOptions};
     use crate::coo::CooMatrix;
+    use crate::csr::CsrMatrix;
     use crate::dynamic::DynamicMatrix;
+    use crate::hyb::HybSplit;
     use crate::params::FormatParams;
     use crate::plan::ExecPlan;
     use crate::rowmajor::RowMajor;
     use crate::spmm::spmm_serial;
-    use crate::spmv::serial;
+    use crate::spmv::{serial, spmv_serial};
     use morpheus_parallel::ThreadPool;
 
     /// `row_len(r)` entries in row `r`, columns spread over `ncols` but never
@@ -282,7 +285,8 @@ mod tests {
 
     /// Everything that executes BELL agrees bit for bit with the serial CSR
     /// kernel on `coo` under `ladder` — observed through `y` only, so the
-    /// check survives a change of layout.
+    /// check survives a change of layout — and so does everything that
+    /// executes ELL and HYB.
     fn check<V: Scalar>(what: &str, coo: &CooMatrix<V>, ladder: &[usize], x: &[V]) {
         let opts = ConvertOptions {
             params: FormatParams::default().with_bell_ladder(ladder),
@@ -315,16 +319,40 @@ mod tests {
         serial::spmv_bell_acc(&bell, x, &mut y);
         let plus_one: Vec<V> = want.iter().map(|&b| V::ONE + V::from_f64(f64::from_bits(b))).collect();
         assert_eq!(bits(&y), bits(&plus_one), "{what}: accumulating kernel");
+        executions(&what, &DynamicMatrix::Bell(bell), x, &want, &csr);
 
-        let m = DynamicMatrix::Bell(bell);
+        // ELL and HYB are one-bucket BELL: the same walker, the same bits,
+        // whatever the split leaves in the spill.
+        executions(
+            &format!("{what}, ELL"),
+            &DynamicMatrix::Ell(coo_to_ell(coo, &opts).unwrap()),
+            x,
+            &want,
+            &csr,
+        );
+        let longest = (0..coo.nrows()).map(|r| coo.row_count(r)).max().unwrap_or(0);
+        for hyb_split in [HybSplit::Auto, HybSplit::Width(1), HybSplit::Width(longest + 3)] {
+            let hyb = coo_to_hyb(coo, &ConvertOptions { hyb_split, ..opts }).unwrap();
+            executions(&format!("{what}, HYB {hyb_split:?}"), &DynamicMatrix::Hyb(hyb), x, &want, &csr);
+        }
+    }
+
+    /// `m` — which holds the matrix of `csr` — executed every way, serial,
+    /// planned and as SpMM: each bitwise the serial CSR kernel (`want`).
+    fn executions<V: Scalar>(what: &str, m: &DynamicMatrix<V>, x: &[V], want: &[u64], csr: &CsrMatrix<V>) {
+        let nrows = m.nrows();
+        assert_eq!(m.to_coo(), csr_to_coo(csr), "{what}: row-major walk");
+        let mut y = vec![V::from_f64(f64::NAN); nrows];
+        spmv_serial(m, x, &mut y).unwrap();
+        assert_eq!(bits(&y), want, "{what}: serial");
         for workers in 1..=4usize {
             let pool = ThreadPool::new(workers);
-            let plan = ExecPlan::build(&m, workers, None);
-            let mut y = vec![V::from_f64(f64::NAN); coo.nrows()];
-            plan.spmv(&m, x, &mut y, &pool).unwrap();
+            let plan = ExecPlan::build(m, workers, None);
+            let mut y = vec![V::from_f64(f64::NAN); nrows];
+            plan.spmv(m, x, &mut y, &pool).unwrap();
             assert_eq!(bits(&y), want, "{what}: planned x{workers}");
-            let mut y = vec![V::from_f64(f64::NAN); coo.nrows()];
-            plan.spmv_unpooled(&m, x, &mut y).unwrap();
+            let mut y = vec![V::from_f64(f64::NAN); nrows];
+            plan.spmv_unpooled(m, x, &mut y).unwrap();
             assert_eq!(bits(&y), want, "{what}: planned inline x{workers}");
         }
         // Column `j` of an SpMM is the serial CSR SpMV of column `j`.
@@ -332,12 +360,12 @@ mod tests {
             let columns: Vec<Vec<V>> =
                 (0..k).map(|j| x.iter().map(|&v| v * V::from_f64(1.0 + j as f64)).collect()).collect();
             let block: Vec<V> = (0..x.len() * k).map(|i| columns[i % k][i / k]).collect();
-            let mut yk = vec![V::from_f64(f64::NAN); coo.nrows() * k];
-            spmm_serial(&m, &block, &mut yk, k).unwrap();
+            let mut yk = vec![V::from_f64(f64::NAN); nrows * k];
+            spmm_serial(m, &block, &mut yk, k).unwrap();
             for (j, column) in columns.iter().enumerate() {
-                let mut yj = vec![V::ZERO; coo.nrows()];
-                serial::spmv_csr(&csr, column, &mut yj);
-                let got: Vec<V> = (0..coo.nrows()).map(|r| yk[r * k + j]).collect();
+                let mut yj = vec![V::ZERO; nrows];
+                serial::spmv_csr(csr, column, &mut yj);
+                let got: Vec<V> = (0..nrows).map(|r| yk[r * k + j]).collect();
                 assert_eq!(bits(&got), bits(&yj), "{what}: SpMM k={k} column {j}");
             }
         }

@@ -35,7 +35,7 @@ pub fn spmv_serial<V: Scalar>(m: &DynamicMatrix<V>, x: &[V], y: &mut [V]) -> Res
         DynamicMatrix::Coo(a) => serial::spmv_coo(a, x, y),
         DynamicMatrix::Csr(a) => serial::spmv_csr(a, x, y),
         DynamicMatrix::Dia(a) => serial::spmv_dia(a, x, y),
-        DynamicMatrix::Ell(a) => serial::spmv_ell(a, x, y),
+        DynamicMatrix::Ell(a) => serial::spmv_bell(a.bell(), x, y),
         DynamicMatrix::Hyb(a) => serial::spmv_hyb(a, x, y),
         DynamicMatrix::Hdc(a) => serial::spmv_hdc(a, x, y),
         DynamicMatrix::Bsr(a) => serial::spmv_bsr(a, x, y),

@@ -10,7 +10,6 @@ use crate::bsr::BsrMatrix;
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::dia::DiaMatrix;
-use crate::ell::{EllMatrix, ELL_PAD};
 use crate::hdc::HdcMatrix;
 use crate::hyb::HybMatrix;
 use crate::scalar::Scalar;
@@ -65,29 +64,6 @@ pub fn spmv_dia_acc<V: Scalar>(a: &DiaMatrix<V>, x: &[V], y: &mut [V]) {
         for i in range {
             let j = (i as isize + off) as usize;
             y[i] += diag[i] * x[j];
-        }
-    }
-}
-
-/// ELL kernel: zero `y`, then stream the column-major slabs entry-column by
-/// entry-column; padding slots are skipped via the sentinel.
-pub fn spmv_ell<V: Scalar>(a: &EllMatrix<V>, x: &[V], y: &mut [V]) {
-    y.fill(V::ZERO);
-    spmv_ell_acc(a, x, y);
-}
-
-/// ELL accumulate kernel: `y += A x` (used by the HYB composite).
-pub fn spmv_ell_acc<V: Scalar>(a: &EllMatrix<V>, x: &[V], y: &mut [V]) {
-    let nrows = a.nrows();
-    let cols = a.col_indices();
-    let vals = a.values();
-    for k in 0..a.width() {
-        let base = k * nrows;
-        for i in 0..nrows {
-            let c = cols[base + i];
-            if c != ELL_PAD {
-                y[i] += vals[base + i] * x[c];
-            }
         }
     }
 }
@@ -163,8 +139,9 @@ fn bsr_body_dyn<V: Scalar>(a: &BsrMatrix<V>, x: &[V], y: &mut [V]) {
     }
 }
 
-/// BELL kernel: zero the rows no bucket holds, then write every bucket's
-/// rows with the slice walker ([`bell::bell_segment`]).
+/// BELL kernel — ELL's too, a one-bucket BELL: zero the rows no bucket
+/// holds, then write every bucket's rows with the slice walker
+/// ([`bell::bell_segment`]).
 pub fn spmv_bell<V: Scalar>(a: &BellMatrix<V>, x: &[V], y: &mut [V]) {
     for run in a.empty_rows_in(0..a.nrows()) {
         y[run].fill(V::ZERO);
@@ -177,9 +154,10 @@ pub fn spmv_bell_acc<V: Scalar>(a: &BellMatrix<V>, x: &[V], y: &mut [V]) {
     bell::bell_buckets::<V, true>(a, x, y);
 }
 
-/// HYB kernel: ELL portion first (defines `y`), COO surplus accumulates.
+/// HYB kernel: the ELL portion's bucket first (defines `y`), COO surplus
+/// accumulates.
 pub fn spmv_hyb<V: Scalar>(a: &HybMatrix<V>, x: &[V], y: &mut [V]) {
-    spmv_ell(a.ell(), x, y);
+    spmv_bell(a.ell().bell(), x, y);
     spmv_coo_acc(a.coo(), x, y);
 }
 
@@ -228,7 +206,7 @@ mod tests {
 
         let ell = coo_to_ell(&coo, &opts).unwrap();
         let mut y = vec![10.0; 15];
-        spmv_ell_acc(&ell, &x, &mut y);
+        spmv_bell_acc(ell.bell(), &x, &mut y);
         for i in 0..15 {
             assert!((y[i] - base[i] - 10.0).abs() < 1e-12);
         }

@@ -14,9 +14,10 @@
 //! module and [`crate::spmm`]; nothing here derives a partition.
 //!
 //! Two bodies are shared beyond this module. `csr_rows` is the one CSR row
-//! loop: the serial kernels run it over every row. BELL's is the slice
-//! walker `crate::spmv::bell::bell_segment` (portable and AVX2 forms, chosen
-//! by [`CpuFeatures`]): `spmv_bell_shares` here, the serial kernels and —
+//! loop: the serial kernels run it over every row. The ELL family's (BELL,
+//! and ELL and HYB's ELL part, one bucket each) is the slice walker
+//! `crate::spmv::bell::bell_segment` (portable and AVX2 forms, chosen by
+//! [`CpuFeatures`]): `spmv_bell_shares` here, the serial kernels and —
 //! through their plans — partitioned shards all run it.
 
 use crate::bell::{BellMatrix, BellShare};
@@ -24,7 +25,6 @@ use crate::bsr::BsrMatrix;
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::dia::DiaMatrix;
-use crate::ell::{EllMatrix, ELL_PAD};
 use crate::scalar::Scalar;
 use crate::spmv::bell::bell_segment;
 use crate::spmv::cpu_features::CpuFeatures;
@@ -107,17 +107,15 @@ unsafe fn coo_entries<V: Scalar>(a: &CooMatrix<V>, x: &[V], out: &SharedOut<V>, 
 /// Populated diagonals from which [`dia_rows`] sweeps in row tiles: with
 /// fewer, a row's output never leaves cache between diagonals anyway.
 const BLOCK_MIN_DIAGS: usize = 4;
-/// Slab width from which [`ell_rows`] sweeps in row tiles.
-const BLOCK_MIN_WIDTH: usize = 4;
 /// Rows per tile: 256 rows of `f64` output plus the matching `x` windows
 /// sit comfortably in L1.
 const BLOCK_ROWS: usize = 256;
 
-/// `rows` cut into the runs a padded body sweeps one at a time: of
+/// `rows` cut into the runs [`dia_rows`] sweeps one at a time: of
 /// [`BLOCK_ROWS`] rows when `tiled`, otherwise `rows` whole. Tiling is a
 /// fact the kernel reads off the matrix it is handed (the README's "One
-/// body per format" has the sweep behind the two rules); it regroups the
-/// rows, never the terms of a row, so results do not change with it.
+/// body per format" has the sweep behind the rule); it regroups the rows,
+/// never the terms of a row, so results do not change with it.
 #[inline(always)]
 fn row_tiles(rows: Range<usize>, tiled: bool) -> impl Iterator<Item = Range<usize>> {
     let (end, tile) = (rows.end, if tiled { BLOCK_ROWS } else { rows.len().max(1) });
@@ -155,34 +153,6 @@ unsafe fn dia_rows<V: Scalar>(a: &DiaMatrix<V>, x: &[V], out: &SharedOut<V>, row
                 let xs = &x[(lo as isize + off) as usize..][..hi - lo];
                 for ((yi, &v), &xv) in ys.iter_mut().zip(diag).zip(xs) {
                     *yi += v * xv;
-                }
-            }
-        }
-    }
-}
-
-/// ELL rows `rows`: zero the rows, then walk the column-major slabs (slab
-/// order `k` ascending within a row, as the serial kernel), tile by tile
-/// from a width of [`BLOCK_MIN_WIDTH`] up. ELL and HYB's ELL portion both
-/// run this.
-///
-/// # Safety
-/// No concurrent caller may receive an overlapping row range.
-#[inline]
-unsafe fn ell_rows<V: Scalar>(a: &EllMatrix<V>, x: &[V], out: &SharedOut<V>, rows: Range<usize>) {
-    let nrows = a.nrows();
-    let cols = a.col_indices();
-    let vals = a.values();
-    for tile in row_tiles(rows, a.width() >= BLOCK_MIN_WIDTH) {
-        for i in tile.clone() {
-            out.set(i, V::ZERO);
-        }
-        for k in 0..a.width() {
-            let base = k * nrows;
-            for i in tile.clone() {
-                let c = cols[base + i];
-                if c != ELL_PAD {
-                    out.add(i, vals[base + i] * x[c]);
                 }
             }
         }
@@ -396,19 +366,6 @@ pub(crate) fn spmv_dia_ranges<V: Scalar>(
     for_each_part(pool, rows.len(), |p| unsafe { dia_rows(a, x, &out, rows[p].clone()) });
 }
 
-/// ELL over precomputed row ranges.
-pub(crate) fn spmv_ell_ranges<V: Scalar>(
-    a: &EllMatrix<V>,
-    x: &[V],
-    y: &mut [V],
-    pool: Option<&ThreadPool>,
-    rows: &[Range<usize>],
-) {
-    let out = SharedOut::new(y);
-    // SAFETY: plan row ranges tile the rows disjointly.
-    for_each_part(pool, rows.len(), |p| unsafe { ell_rows(a, x, &out, rows[p].clone()) });
-}
-
 /// BSR over precomputed block-row ranges.
 pub(crate) fn spmv_bsr_ranges<V: Scalar>(
     a: &BsrMatrix<V>,
@@ -423,7 +380,8 @@ pub(crate) fn spmv_bsr_ranges<V: Scalar>(
 }
 
 /// BELL over precomputed shares: each zeroes the empty rows of its row range
-/// and writes the rows of its segments with the slice walker.
+/// and writes the rows of its segments with the slice walker. ELL and HYB's
+/// ELL part, one-bucket BELL matrices, run this too.
 ///
 /// # Safety
 /// `shares` must tile `a`'s slices ([`BellMatrix::tiled_by`]) — shares are

@@ -18,7 +18,6 @@
 use crate::coo::CooMatrix;
 use crate::dia::DiaMatrix;
 use crate::dynamic::DynamicMatrix;
-use crate::ell::{EllMatrix, ELL_PAD};
 use crate::hdc::true_diag_threshold;
 use crate::scalar::Scalar;
 
@@ -331,9 +330,9 @@ fn accumulate_hists<V: Scalar>(m: &DynamicMatrix<V>, row: &mut [u32], diag: &mut
         DynamicMatrix::Coo(a) => accumulate_coo(a, &mut record),
         DynamicMatrix::Csr(a) => accumulate_rows(a, &mut record),
         DynamicMatrix::Dia(a) => accumulate_dia(a, &mut record),
-        DynamicMatrix::Ell(a) => accumulate_ell(a, &mut record),
+        DynamicMatrix::Ell(a) => accumulate_rows(a.bell(), &mut record),
         DynamicMatrix::Hyb(a) => {
-            accumulate_ell(a.ell(), &mut record);
+            accumulate_rows(a.ell().bell(), &mut record);
             accumulate_coo(a.coo(), &mut record);
         }
         DynamicMatrix::Hdc(a) => {
@@ -362,19 +361,6 @@ fn accumulate_dia<V: Scalar>(a: &DiaMatrix<V>, record: &mut impl FnMut(usize, us
         for i in a.diag_row_range(d) {
             if diag[i] != V::ZERO {
                 record(i, (i as isize + off) as usize);
-            }
-        }
-    }
-}
-
-fn accumulate_ell<V: Scalar>(a: &EllMatrix<V>, record: &mut impl FnMut(usize, usize)) {
-    let nrows = a.nrows();
-    for k in 0..a.width() {
-        let base = k * nrows;
-        for i in 0..nrows {
-            let c = a.col_indices()[base + i];
-            if c != ELL_PAD {
-                record(i, c);
             }
         }
     }

@@ -1,8 +1,9 @@
 //! A service built with its own pool keeps its cold path on it — as far as
-//! the analysis and the array-built conversions (CSR, BSR, BELL) go. The
-//! ELL/DIA/HYB/HDC conversion *fills* still run on the process-wide pool at
-//! `PARALLEL_CONVERT_THRESHOLD` entries and above (`convert::kernels`'s
-//! `pool_for`); the ignored test below states that remaining escape.
+//! the analysis and the array-built conversions (CSR, BSR, and the ELL
+//! family: BELL, ELL, HYB) go. The DIA/HDC conversion *fills* still run on
+//! the process-wide pool at `PARALLEL_CONVERT_THRESHOLD` entries and above
+//! (`convert::kernels`'s `pool_for`); the ignored test below states that
+//! remaining escape.
 //!
 //! A test binary of its own: the process-wide pool is global state, and a
 //! dispatch by any other test in the same process would be indistinguishable
@@ -82,19 +83,21 @@ fn global_dispatches_while_serving(format: FormatId) -> usize {
     while_serving
 }
 
-/// BELL is array-built on the calling thread, so every dispatch the
-/// registration could make is the analysis's.
+/// BELL — and ELL and HYB, one-bucket BELL — are array-built on the calling
+/// thread, so every dispatch the registration could make is the analysis's.
 #[test]
 fn a_one_worker_service_registers_without_waking_the_global_pool() {
-    let dispatches = global_dispatches_while_serving(FormatId::Bell);
-    assert_eq!(dispatches, 0, "the service's cold path ran on the process-wide pool");
+    for format in [FormatId::Bell, FormatId::Ell, FormatId::Hyb] {
+        let dispatches = global_dispatches_while_serving(format);
+        assert_eq!(dispatches, 0, "{format}: the service's cold path ran on the process-wide pool");
+    }
 }
 
 /// What full isolation would mean. Fails today on a host with more than one
 /// core: the DIA fill runs on `global_pool()` whatever pool the service owns
 /// (README "Cold path", not done).
 #[test]
-#[ignore = "ELL/DIA/HYB/HDC conversion fills still dispatch on the process-wide pool"]
+#[ignore = "DIA/HDC conversion fills still dispatch on the process-wide pool"]
 fn a_one_worker_service_converts_to_dia_without_waking_the_global_pool() {
     let dispatches = global_dispatches_while_serving(FormatId::Dia);
     assert_eq!(dispatches, 0, "the DIA conversion fill ran on the process-wide pool");
