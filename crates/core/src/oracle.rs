@@ -91,6 +91,10 @@ impl<T> Oracle<T> {
     /// `ConvertOptions::max_fill`, which can happen when an ML model
     /// mispredicts on an adversarial sparsity pattern), the matrix falls
     /// back to CSR — the general-purpose default — rather than failing.
+    ///
+    /// A COO `m` is moved into CSR before it is hashed (see
+    /// [`OracleService::register`]): its decision is keyed by the CSR form,
+    /// and the report still names COO as `previous`.
     pub fn tune<V>(&mut self, m: &mut DynamicMatrix<V>) -> Result<TuneReport>
     where
         V: Scalar,

@@ -77,7 +77,8 @@ use morpheus::analysis::PartitionedAnalysis;
 use morpheus::format::FormatId;
 use morpheus::partition::{split_rows, Partition, StreamingPartitioner};
 use morpheus::{
-    Analysis, ConvertOptions, DynamicMatrix, ExecPlan, PartitionConfig, PartitionedMatrix, Scalar, Workspace,
+    Analysis, ConvertOptions, ConvertOutcome, ConvertPath, CooMatrix, DynamicMatrix, ExecPlan,
+    PartitionConfig, PartitionedMatrix, Scalar, Workspace,
 };
 use morpheus_machine::{analyze_from, assemble, MatrixAnalysis, Op, VirtualEngine};
 use morpheus_ml::serialize::LineParser;
@@ -165,12 +166,15 @@ struct Facts {
     rows: std::ops::Range<usize>,
     analysis: Option<Analysis>,
     view: Option<MatrixAnalysis>,
+    /// The caller's format and the seconds the front door took to move the
+    /// matrix into CSR, when it did: the report's `previous` and `convert`.
+    moved: Option<(FormatId, f64)>,
 }
 
 impl Facts {
     /// Only the structure hash (one index traversal) of all of `m`.
     fn hashed<V: Scalar>(m: &DynamicMatrix<V>) -> Facts {
-        Facts { hash: m.structure_hash(), rows: 0..m.nrows(), analysis: None, view: None }
+        Facts { hash: m.structure_hash(), rows: 0..m.nrows(), analysis: None, view: None, moved: None }
     }
 
     /// Takes the pricing walks (block counts, HDC remainder) the view lacks,
@@ -697,6 +701,7 @@ impl<T> OracleService<T> {
     /// threads it through feature extraction *and* the eventual format
     /// conversion, so planning the target layout never re-traverses the
     /// matrix. On a hit, only the hash and the conversion are paid for.
+    /// A COO `m` enters as CSR, as in [`OracleService::register`].
     /// Concurrent misses on the same key may each run the tuner; the
     /// bundled tuners are deterministic, so the duplicated inserts agree
     /// and none is lost.
@@ -713,9 +718,25 @@ impl<T> OracleService<T> {
         V: Scalar,
         T: FormatTuner<V>,
     {
-        let decided = self.decide(m, op, Facts::hashed(m));
+        let facts = self.ingest(m, false)?;
+        let decided = self.decide(m, op, facts);
         // The caller keeps the switched matrix and may tune it again.
         self.realize(m, decided, op, true)
+    }
+
+    /// The front door of every serving entry point: moves a COO source (when
+    /// `sharding`, any source but CSR) into CSR — columns and values move, the
+    /// offsets are one pass of stores, the row array is freed — then hashes
+    /// it, so the key, the walk, the row lengths and the builders read CSR.
+    fn ingest<V: Scalar>(&self, m: &mut DynamicMatrix<V>, sharding: bool) -> Result<Facts> {
+        let previous = m.format_id();
+        if previous == FormatId::Csr || (previous != FormatId::Coo && !sharding) {
+            return Ok(Facts::hashed(m));
+        }
+        let t0 = Instant::now();
+        let source = std::mem::replace(m, DynamicMatrix::Coo(CooMatrix::new(0, 0)));
+        *m = source.into_format(FormatId::Csr, &self.opts)?;
+        Ok(Facts { moved: Some((previous, t0.elapsed().as_secs_f64())), ..Facts::hashed(m) })
     }
 
     /// `m`'s shared analysis, `hash` being its structure hash — with the BSR
@@ -829,7 +850,7 @@ impl<T> OracleService<T> {
         kept: bool,
     ) -> Result<(TuneReport, TuneArtifacts)> {
         let Decided {
-            facts: Facts { hash, analysis, view, .. },
+            facts: Facts { hash, analysis, view, moved, .. },
             key,
             decision,
             batch,
@@ -837,7 +858,8 @@ impl<T> OracleService<T> {
             cache_hit,
             generation,
         } = decided;
-        let previous = m.format_id();
+        let hashed = m.format_id();
+        let (previous, moved) = moved.unwrap_or((hashed, 0.0));
         let predicted = decision.format;
         let (chosen, convert) = match m.convert_to_with(predicted, &self.opts, analysis.as_ref()) {
             Ok(outcome) => (predicted, outcome),
@@ -862,7 +884,7 @@ impl<T> OracleService<T> {
                 batch,
                 plan: Arc::clone(&plan),
             };
-            if kept && chosen != previous {
+            if kept && chosen != hashed {
                 // Alias the decision under the matrix's *post-conversion*
                 // structure too, so re-tuning the same (already switched)
                 // matrix — the repeated-execution loop of §VII-E — is a
@@ -898,7 +920,11 @@ impl<T> OracleService<T> {
             cache_hit,
             plan: PlanStatus::Unplanned,
             serial_fallback: false,
-            convert,
+            // After a move, CSR→chosen is direct or nothing: the whole is direct.
+            convert: ConvertOutcome {
+                path: if previous == hashed { convert.path } else { ConvertPath::Direct },
+                seconds: moved + convert.seconds,
+            },
             shards: 1,
         };
         Ok((report, TuneArtifacts { structure: hash, analysis, view, batch, plan }))
@@ -1261,6 +1287,10 @@ impl<T> OracleService<T> {
     /// The returned handle executes through
     /// [`OracleService::spmv`]/[`OracleService::spmm`] with zero locks and
     /// zero per-call allocation from any number of threads.
+    ///
+    /// A COO source is moved into CSR before it is hashed: a COO matrix and
+    /// its CSR copy share one decision and one plan. The report still names
+    /// COO as `previous`, and its `convert` includes the move.
     pub fn register<V>(&self, m: DynamicMatrix<V>) -> Result<MatrixHandle<V>>
     where
         V: Scalar,
@@ -1278,7 +1308,7 @@ impl<T> OracleService<T> {
     /// handles own their matrix and plan via `Arc` and free them on drop,
     /// while the registry stays a complete, monotonic audit of what was
     /// served.
-    pub fn register_for<V>(&self, m: DynamicMatrix<V>, op: Op) -> Result<MatrixHandle<V>>
+    pub fn register_for<V>(&self, mut m: DynamicMatrix<V>, op: Op) -> Result<MatrixHandle<V>>
     where
         V: Scalar,
         T: FormatTuner<V>,
@@ -1286,7 +1316,7 @@ impl<T> OracleService<T> {
         match self.partition.auto_nnz_threshold {
             Some(threshold) if m.nnz() >= threshold => self.register_partitioned_for(m, op),
             _ => {
-                let facts = Facts::hashed(&m);
+                let facts = self.ingest(&mut m, false)?;
                 self.register_single_for(m, op, facts)
             }
         }
@@ -1343,9 +1373,10 @@ impl<T> OracleService<T> {
     /// once more on the formats realized; a rejected one has materialised
     /// nothing and hands hash, analysis and view to the whole-matrix path.
     /// A matrix with too few entries for two shards
-    /// ([`PartitionConfig::shards_wanted`]) is registered as it came; past
-    /// that, one that is neither COO nor CSR is converted to CSR first (its
-    /// report's `previous` then reads CSR when it is served whole).
+    /// ([`PartitionConfig::shards_wanted`]) is registered like `register`
+    /// (a COO one moved into CSR, any other as it came); past that, every
+    /// source is converted to CSR first. The report's `previous` is the
+    /// caller's format either way.
     pub fn register_partitioned<V>(&self, m: DynamicMatrix<V>) -> Result<MatrixHandle<V>>
     where
         V: Scalar,
@@ -1362,19 +1393,15 @@ impl<T> OracleService<T> {
         T: FormatTuner<V>,
     {
         let threads = self.exec_pool().map_or(1, |p| p.num_threads());
-        let previous = m.format_id();
         let config = self.partition.config(threads);
-        if config.shards_wanted(m.nnz()) <= 1 {
-            // Too few entries for two shards whatever the rows look like:
-            // a plain registration, in the format the matrix came in.
-            let facts = Facts::hashed(&m);
-            return self.register_single_for(m, op, facts);
+        // Too few entries for two shards whatever the rows look like: a
+        // plain registration, through the same front door as `register`.
+        let sharding = config.shards_wanted(m.nnz()) > 1;
+        let mut whole = self.ingest(&mut m, sharding)?;
+        if !sharding {
+            return self.register_single_for(m, op, whole);
         }
-        if !matches!(previous, FormatId::Coo | FormatId::Csr) {
-            m.convert_to_with(FormatId::Csr, &self.opts, None)?;
-        }
-        let mut whole = Facts::hashed(&m);
-        // `m` is COO or CSR: only a tuner that prices formats reads the walks.
+        // `m` is CSR: only a tuner that prices formats reads the walks.
         let walks = self.tuner.prices_formats();
         let PartitionedAnalysis { whole: analysis, partition, shards } =
             Analysis::of_partitioned(&m, self.opts.true_diag_alpha, whole.hash, walks, |prefix| {
@@ -1395,8 +1422,8 @@ impl<T> OracleService<T> {
         };
         let mut decided = Vec::with_capacity(shards.len());
         for (rows, analysis) in partition.ranges().zip(shards) {
-            let mut facts =
-                Facts { hash: analysis.structure_hash, rows, analysis: Some(analysis), view: None };
+            let hash = analysis.structure_hash;
+            let mut facts = Facts { hash, rows, analysis: Some(analysis), view: None, moved: None };
             if gate {
                 self.view_of(&m, &mut facts, walks);
             }
@@ -1432,7 +1459,9 @@ impl<T> OracleService<T> {
             best_whole = Some(exact);
         }
         let subs = split_rows(&m, &partition, whole.analysis.as_ref())?;
-        let mut tally = ShardTally::default();
+        let (previous, moved) = whole.moved.unwrap_or((FormatId::Csr, 0.0));
+        let converted = previous != FormatId::Csr;
+        let mut tally = ShardTally { convert_seconds: moved, converted, ..ShardTally::default() };
         let mut shards = Vec::with_capacity(decided.len());
         let mut shard_times = Vec::with_capacity(decided.len());
         for (csr, d) in subs.into_iter().zip(decided) {
@@ -1535,10 +1564,10 @@ impl<T> OracleService<T> {
         let chosen = pm.dominant_format();
         let convert = if tally.converted {
             // Shards are split out as CSR, which converts directly to
-            // every format.
-            morpheus::ConvertOutcome { path: morpheus::ConvertPath::Direct, seconds: tally.convert_seconds }
+            // every format (and the front door's move is direct too).
+            ConvertOutcome { path: ConvertPath::Direct, seconds: tally.convert_seconds }
         } else {
-            morpheus::ConvertOutcome::identity()
+            ConvertOutcome::identity()
         };
         let report = TuneReport {
             chosen,
@@ -1971,7 +2000,7 @@ mod tests {
             // histogram has `nrows + ncols` slots (16 GiB here), so `tune`
             // on a hit is as far as a matrix this wide can be driven.
             let key = CacheKey {
-                structure: m.structure_hash(),
+                structure: m.to_format(FormatId::Csr, &ConvertOptions::default()).unwrap().structure_hash(),
                 scalar_bytes: std::mem::size_of::<f64>(),
                 engine: service.engine_fingerprint,
                 op: Op::Spmv,
@@ -2010,7 +2039,7 @@ mod tests {
         let file = format!(
             "morpheus-oracle-decisions v3\nengine {:016x}\nentries 1\ndecision {:016x} 8 spmv BELL {token}\nend\n",
             service.engine_fingerprint,
-            m.structure_hash()
+            m.to_format(FormatId::Csr, &ConvertOptions::default()).unwrap().structure_hash()
         );
         assert_eq!(service.import_decisions(std::io::Cursor::new(file.as_bytes())).unwrap(), 1);
 

@@ -81,9 +81,10 @@ pub trait FormatTuner<V: Scalar> {
     /// the structure from `a`, never from `m`**; `m` says which format the
     /// features were extracted from, which is all the bundled tuners read
     /// of it (to price the extraction and, run-first, the trial
-    /// conversions). A shard of a COO source is therefore priced as read
-    /// from COO although it is later built as CSR; only the reported
-    /// [`TuningCost`] differs, never the format or the parameters.
+    /// conversions). The service hands every COO source over as CSR (its
+    /// front door moves it before hashing), so a COO matrix is priced as
+    /// read from CSR; only the reported [`TuningCost`] differs from pricing
+    /// its COO form, never the format or the parameters.
     fn select(
         &self,
         m: &DynamicMatrix<V>,

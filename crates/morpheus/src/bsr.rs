@@ -153,11 +153,11 @@ impl<V: Scalar> BsrMatrix<V> {
 
     /// Builds from contiguous row-major arrays — `offsets` (`nrows + 1`
     /// entries) delimits each row's ascending-column run in `cols`/`vals`:
-    /// CSR's own arrays, or a sorted COO matrix's after one histogram
-    /// pass. Each block row is an `r`-way merge of its rows' sorted runs:
-    /// the smallest unread column names the next block, and every row
-    /// drains its entries inside that block before the merge moves on — no
-    /// per-block-row sort, no per-entry search.
+    /// CSR's own arrays, or a sorted COO matrix's after one offsets pass
+    /// (`coo_row_offsets`). Each block row is an `r`-way merge of its rows'
+    /// sorted runs: the smallest unread column names the next block, and
+    /// every row drains its entries inside that block before the merge
+    /// moves on — no per-block-row sort, no per-entry search.
     pub(crate) fn from_row_arrays(
         nrows: usize,
         ncols: usize,

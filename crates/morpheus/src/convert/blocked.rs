@@ -4,7 +4,7 @@
 //! ([`BsrMatrix::from_row_arrays`], [`BellMatrix::from_row_arrays`]) reads
 //! contiguous row-major `(offsets, cols, vals)` arrays. CSR passes its own
 //! arrays; a sorted COO matrix's `cols`/`vals` already are such arrays and
-//! only its offsets are built (one histogram pass). BELL's builder also
+//! only its offsets are built (one pass of stores). BELL's builder also
 //! builds ELL and HYB's ELL part, one bucket each (`convert::kernels`).
 //! Padded sources — rare on the tuning path — are exported to CSR first
 //! (see the dispatcher in [`crate::convert`]). Both formats export back to

@@ -155,16 +155,25 @@ fn slot_to_diag_map(slots_len: usize, stored: impl Iterator<Item = usize>) -> Ve
 // ---------------------------------------------------------------------------
 
 /// CSR-style row offsets (`nrows + 1` entries) of a sorted COO row-index
-/// array: one histogram pass plus a prefix sum. With these, a sorted COO
-/// matrix's `cols`/`vals` *are* CSR arrays — every array-based builder
-/// (CSR, BSR, BELL) reads COO sources through them.
+/// array. With these, a sorted COO matrix's `cols`/`vals` *are* CSR arrays
+/// — every array-based builder (CSR, BSR, BELL) reads COO sources through
+/// them.
+///
+/// One pass of stores, no loads: entry `i` writes `i + 1` as the end of its
+/// row, so the last entry of each row leaves the row's end (an increment
+/// per entry would chain every entry of a long row through one counter).
+/// A running maximum then gives each empty row the end of the row before
+/// it. For sorted rows that is the histogram-and-prefix-sum definition,
+/// bitwise; for any row array the offsets are monotone and end at `nnz`.
 pub(crate) fn coo_row_offsets(nrows: usize, rows: &[usize]) -> Vec<usize> {
     let mut offsets = vec![0usize; nrows + 1];
-    for &r in rows {
-        offsets[r + 1] += 1;
+    for (i, &r) in rows.iter().enumerate() {
+        offsets[r + 1] = i + 1;
     }
-    for i in 0..nrows {
-        offsets[i + 1] += offsets[i];
+    let mut end = 0;
+    for o in &mut offsets[1..] {
+        end = end.max(*o);
+        *o = end;
     }
     offsets
 }
@@ -734,4 +743,58 @@ pub fn hyb_to_coo<V: Scalar>(hyb: &HybMatrix<V>) -> CooMatrix<V> {
 /// portion are elided (same caveat as [`dia_to_coo`]).
 pub fn hdc_to_coo<V: Scalar>(hdc: &HdcMatrix<V>) -> CooMatrix<V> {
     export_to_coo(hdc, hdc.ncols(), hdc.nnz())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_util::random_coo;
+
+    /// The offsets' definition: a histogram by increments, then a prefix sum.
+    fn by_increment(nrows: usize, rows: &[usize]) -> Vec<usize> {
+        let mut offsets = vec![0usize; nrows + 1];
+        for &r in rows {
+            offsets[r + 1] += 1;
+        }
+        for i in 0..nrows {
+            offsets[i + 1] += offsets[i];
+        }
+        offsets
+    }
+
+    #[test]
+    fn row_offsets_are_the_increment_definition_on_sorted_rows() {
+        let cases: [(usize, &[usize]); 8] = [
+            (0, &[]),
+            (5, &[]),
+            (4, &[2, 2, 3]),       // leading empty rows
+            (5, &[0, 0, 3, 4, 4]), // interior empty rows
+            (6, &[0, 1, 1, 2]),    // trailing empty rows
+            (1, &[0, 0, 0, 0]),
+            (7, &[3; 9]), // one row holds every entry
+            (3, &[0, 1, 2]),
+        ];
+        for (nrows, rows) in cases {
+            assert_eq!(coo_row_offsets(nrows, rows), by_increment(nrows, rows), "{nrows} rows, {rows:?}");
+        }
+        for seed in 0..8u64 {
+            let coo = random_coo::<f64>(40 + 13 * seed as usize, 30, 20 + 90 * seed as usize, seed);
+            let (nrows, rows) = (coo.nrows(), coo.row_indices());
+            assert_eq!(coo_row_offsets(nrows, rows), by_increment(nrows, rows), "seed {seed}");
+        }
+    }
+
+    /// A row array no `CooMatrix` constructor accepts (debug builds validate
+    /// even the unchecked one), handed to the pass as a builder would.
+    #[test]
+    fn row_offsets_of_unsorted_rows_are_monotone_and_end_at_nnz() {
+        let unsorted: [(usize, &[usize]); 4] =
+            [(4, &[3, 0, 2, 0]), (5, &[4, 4, 1, 3, 0, 2]), (3, &[2, 1, 0]), (6, &[1, 5, 1, 0, 5, 2, 2])];
+        for (nrows, rows) in unsorted {
+            let offsets = coo_row_offsets(nrows, rows);
+            assert_eq!(offsets.len(), nrows + 1);
+            assert_eq!((offsets[0], offsets[nrows]), (0, rows.len()), "{rows:?}");
+            assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "{rows:?}: {offsets:?}");
+        }
+    }
 }

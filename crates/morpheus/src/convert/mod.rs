@@ -19,13 +19,15 @@
 //!   exported row-major in ascending column order). BSR and the ELL family
 //!   (BELL; ELL and HYB's ELL part, one bucket each) are *array-built*: one
 //!   builder each over row-major `(offsets, cols, vals)` — CSR hands over
-//!   its own arrays, COO its `cols`/`vals` plus offsets from one histogram
-//!   pass — on the calling thread, so the formats the tuner picks most
-//!   often convert at memory speed, without a per-row search or a per-entry
-//!   indirect call. The DIA and HDC fills and the row-major export run in
-//!   parallel on the process pool with nnz-weighted, row-disjoint
-//!   partitions once the matrix exceeds
-//!   [`kernels::PARALLEL_CONVERT_THRESHOLD`] entries.
+//!   its own arrays, COO its `cols`/`vals` plus offsets from one pass that
+//!   only stores (each entry writes its row's end, a running maximum fills
+//!   the empty rows) — on the calling thread, so the formats the tuner
+//!   picks most often convert at memory speed, without a per-row search or
+//!   a per-entry indirect call. (The serving layer moves every COO source
+//!   into CSR at its front door, so what it converts is CSR.) The DIA and
+//!   HDC fills and the row-major export run in parallel on the process
+//!   pool with nnz-weighted, row-disjoint partitions once the matrix
+//!   exceeds [`kernels::PARALLEL_CONVERT_THRESHOLD`] entries.
 //! * **Hub** — every other pair materialises an interchange copy first.
 //!   Conversions between two padded formats
 //!   ({ELL, DIA, HYB, HDC} × {ELL, DIA, HYB, HDC}) export to COO and

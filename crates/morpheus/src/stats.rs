@@ -15,6 +15,7 @@
 //! [`stats_of`] and the [`crate::analysis::Analysis`] artifact, so their
 //! [`MatrixStats`] are bitwise identical.
 
+use crate::convert::kernels::coo_row_offsets;
 use crate::coo::CooMatrix;
 use crate::dia::DiaMatrix;
 use crate::dynamic::DynamicMatrix;
@@ -387,30 +388,23 @@ pub fn stats_coo<V: Scalar>(a: &CooMatrix<V>, alpha: f64) -> MatrixStats {
 }
 
 /// Per-row non-zero counts of a [`DynamicMatrix`] (used by the machine
-/// model's load-imbalance and warp-divergence estimators).
+/// model's load-imbalance and warp-divergence estimators): the differences
+/// of CSR's row offsets, or of the offsets a COO row array gives
+/// (`coo_row_offsets`: stores only, where counting per entry would chain
+/// a long row's entries through one counter).
 pub fn row_nnz_histogram<V: Scalar>(m: &DynamicMatrix<V>) -> Vec<u32> {
     crate::analysis::passes::record_traversal();
-    let mut counts = vec![0u32; m.nrows()];
+    let lengths = |offsets: &[usize]| offsets.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
     match m {
-        DynamicMatrix::Coo(a) => {
-            for &r in a.row_indices() {
-                counts[r] += 1;
-            }
-        }
-        DynamicMatrix::Csr(a) => {
-            for (r, slot) in counts.iter_mut().enumerate() {
-                *slot = a.row_nnz(r) as u32;
-            }
-        }
+        DynamicMatrix::Csr(a) => lengths(a.row_offsets()),
+        DynamicMatrix::Coo(a) => lengths(&coo_row_offsets(a.nrows(), a.row_indices())),
         _ => {
             // Remaining formats: derive from a COO view. Only used on the
             // cold path (profiling), never by the online tuners.
-            for &r in m.to_coo().row_indices() {
-                counts[r] += 1;
-            }
+            let coo = m.to_coo();
+            lengths(&coo_row_offsets(coo.nrows(), coo.row_indices()))
         }
     }
-    counts
 }
 
 #[cfg(test)]

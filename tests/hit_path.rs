@@ -184,15 +184,18 @@ fn aliases_take_no_decision_slots() {
 }
 
 /// A handle is keyed by the hash its matrix was decided under — the
-/// source's, which its features are noted under — whatever it was converted
-/// to: two sources of one key share it even where they realize to different
-/// DIA/HDC structures, nothing hashes the converted arrays to find out, and
-/// the samples of both join the noted features without an alias.
+/// source's CSR form (the front door moves a COO source into CSR), which its
+/// features are noted under — whatever it was converted to: two sources of
+/// one key share it even where they realize to different DIA/HDC
+/// structures, nothing hashes the converted arrays to find out, and the
+/// samples of both join the noted features without an alias.
 #[test]
 fn a_handle_is_keyed_by_the_hash_it_was_decided_under() {
     let (full, holed) = (tridiag(300), tridiag_with_a_hole(300));
-    let decided_under = full.structure_hash();
-    assert_eq!(decided_under, holed.structure_hash());
+    let csr_hash =
+        |m: &DynamicMatrix<f64>| m.to_format(FormatId::Csr, &Default::default()).unwrap().structure_hash();
+    let decided_under = csr_hash(&full);
+    assert_eq!(decided_under, csr_hash(&holed));
     let x: Vec<f64> = (0..300).map(|i| 1.0 + (i % 5) as f64).collect();
     for format in [FormatId::Bell, FormatId::Dia, FormatId::Hdc] {
         let collector = Arc::new(SampleCollector::new(CollectorConfig::default()));
