@@ -81,14 +81,14 @@ use morpheus::{
     PartitionConfig, PartitionedMatrix, Scalar, Workspace,
 };
 use morpheus_machine::{analyze_from, assemble, MatrixAnalysis, Op, VirtualEngine};
-use morpheus_ml::serialize::LineParser;
 use morpheus_parallel::ThreadPool;
 use parking_lot::RwLock;
 use std::any::Any;
-use std::io::{BufRead, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+mod decisions;
 
 /// The two engine numbers the ingress coalescing gate compares, computed
 /// once at registration from the machine view tuning already holds and
@@ -159,7 +159,8 @@ impl CachedDecision {
 ///
 /// The matrix may be one that does not exist yet: a shard of a partitioned
 /// registration is decided as rows `rows` of the source it would be split
-/// from, under the hash and the analysis the built shard would have.
+/// from, under the hash and the analysis the built shard would have — the
+/// hash 0 until the shard's key is minted (`OracleService::mint_keys`).
 struct Facts {
     hash: u64,
     /// The rows of the matrix handed to `decide` that the facts describe.
@@ -185,6 +186,13 @@ impl Facts {
         };
         view.take_pricing_walks(m, self.rows.clone(), analysis);
     }
+}
+
+/// The tuner's decision for one matrix, and the generations of the decision
+/// cache and of the alias table it was consulted under.
+struct Answer {
+    decision: TuneDecision,
+    generation: [u64; 2],
 }
 
 /// A format decision for one matrix, not yet acted on — what
@@ -564,6 +572,12 @@ pub struct OracleService<T> {
     /// two of their slots. Only `tune`/`tune_and_*` write it — a
     /// registration consumes its matrix, which cannot come back.
     aliases: ShardedLru<CacheKey, CachedDecision>,
+    /// Set by an import, cleared with the caches: an imported decision is
+    /// the one entry the tuner would not reproduce, so only while one may be
+    /// held does the partition gate key its shards to look them up. The
+    /// import's `Release` after its inserts pairs with the gate's `Acquire`:
+    /// a gate that reads it set sees the imported entries.
+    holds_imports: AtomicBool,
     /// Plans found in their decision entry / built, as
     /// [`OracleService::plan_cache_stats`] reports them.
     plan_hits: AtomicU64,
@@ -650,6 +664,7 @@ impl<T> OracleService<T> {
             opts,
             decisions: ShardedLru::new(cache_capacity, shards),
             aliases: ShardedLru::new(cache_capacity, shards),
+            holds_imports: AtomicBool::new(false),
             plan_hits: AtomicU64::new(0),
             plan_misses: AtomicU64::new(0),
             engine_fingerprint,
@@ -719,7 +734,7 @@ impl<T> OracleService<T> {
         T: FormatTuner<V>,
     {
         let facts = self.ingest(m, false)?;
-        let decided = self.decide(m, op, facts);
+        let decided = self.decide(m, op, facts, None);
         // The caller keeps the switched matrix and may tune it again.
         self.realize(m, decided, op, true)
     }
@@ -771,34 +786,63 @@ impl<T> OracleService<T> {
         facts.view.as_ref().expect("view computed above")
     }
 
-    /// First half of a tune: hash → decision-cache lookup → (on a miss)
-    /// analysis → machine view → tuner. Nothing is converted; `m` is only
-    /// read. Facts the caller already holds are used, never recomputed.
-    /// When the facts are a row range's, `m` is the storage those rows live
-    /// in and the tuner is handed it as such: its format is the one the
-    /// features were read from, the view alone describes what is decided.
-    ///
-    /// The miss pays for what the decision reads: a tuner that does not
-    /// price formats from the view ([`FormatTuner::prices_formats`]) gets
-    /// one without the pricing walks (unless the source is BSR, whose
-    /// extraction is priced from block counts), and only a BSR or HDC
-    /// answer has them taken, each in a walk of its own, before its
-    /// parameters are proposed. Hit or miss, a view in the returned facts
-    /// prices the decided format.
-    fn decide<V>(&self, m: &DynamicMatrix<V>, op: Op, mut facts: Facts) -> Decided
-    where
-        V: Scalar,
-        T: FormatTuner<V>,
-    {
+    /// The key of `structure` for `op` at `V`, and the entry it finds: in
+    /// the decisions or, for a matrix `tune` switched earlier, the aliases.
+    fn lookup<V>(&self, structure: u64, op: Op) -> (CacheKey, Option<CachedDecision>) {
         let key = CacheKey {
-            structure: facts.hash,
+            structure,
             scalar_bytes: std::mem::size_of::<V>(),
             engine: self.engine_fingerprint,
             op,
         };
-        // One question, one counted lookup: a matrix `tune` switched earlier
-        // answers from the alias table.
         let found = self.decisions.probe(&key).or_else(|| self.aliases.probe(&key));
+        (key, found)
+    }
+
+    /// The tuner's decision for the rows of `m` that `facts` describe: on the
+    /// machine view (computed first, unless held), and again should that
+    /// view not price the answer. Nothing is converted; `m` is only read.
+    /// When the facts are a row range's, `m` is the storage those rows live
+    /// in and the tuner is handed it as such: its format is the one the
+    /// features were read from, the view alone describes what is decided.
+    ///
+    /// It pays for what the decision reads: a tuner that does not price
+    /// formats from the view ([`FormatTuner::prices_formats`]) gets one
+    /// without the pricing walks (unless the source is BSR, whose extraction
+    /// is priced from block counts), and only a BSR or HDC answer has them
+    /// taken, each in a walk of its own, before its parameters are proposed.
+    fn answer<V>(&self, m: &DynamicMatrix<V>, op: Op, facts: &mut Facts) -> Answer
+    where
+        V: Scalar,
+        T: FormatTuner<V>,
+    {
+        // Read the cache generations *before* consulting the tuner: if a
+        // model hot-swap clears the caches while this decision is in flight,
+        // the generation-gated inserts drop it instead of resurrecting the
+        // superseded model's choice.
+        let generation = [self.decisions.generation(), self.aliases.generation()];
+        let walks = self.tuner.prices_formats() || m.format_id() == FormatId::Bsr;
+        let mut decision = self.tuner.select(m, self.view_of(m, facts, walks), &self.engine, op);
+        if !self.view_of(m, facts, walks).prices(decision.format) {
+            // Answered on a view that cannot price the answer: again, now
+            // that it and its parameters can be.
+            facts.take_pricing_walks(m);
+            decision = self.tuner.select(m, self.view_of(m, facts, walks), &self.engine, op);
+        }
+        Answer { decision, generation }
+    }
+
+    /// First half of a tune: decision-cache lookup under the facts' hash →
+    /// (on a miss) the tuner's [answer](Self::answer), unless the caller
+    /// already holds it. Facts the caller holds are used, never recomputed.
+    /// Hit or miss, a view in the returned facts prices the decided format.
+    fn decide<V>(&self, m: &DynamicMatrix<V>, op: Op, mut facts: Facts, answered: Option<Answer>) -> Decided
+    where
+        V: Scalar,
+        T: FormatTuner<V>,
+    {
+        // One question, one counted lookup.
+        let (key, found) = self.lookup::<V>(facts.hash, op);
         self.decisions.count(found.is_some());
         match found {
             Some(CachedDecision { decision: mut cached, batch, plan }) => {
@@ -813,20 +857,9 @@ impl<T> OracleService<T> {
                 Decided { facts, key, decision: cached, batch, plan, cache_hit: true, generation: [0; 2] }
             }
             None => {
-                // Read the cache generations *before* consulting the tuner:
-                // if a model hot-swap clears the caches while this decision
-                // is in flight, the generation-gated inserts drop it
-                // instead of resurrecting the superseded model's choice.
-                let generation = [self.decisions.generation(), self.aliases.generation()];
-                let walks = self.tuner.prices_formats() || m.format_id() == FormatId::Bsr;
-                let mut decision = self.tuner.select(m, self.view_of(m, &mut facts, walks), &self.engine, op);
-                if !self.view_of(m, &mut facts, walks).prices(decision.format) {
-                    // Answered on a view that cannot price the answer:
-                    // again, now that it and its parameters can be.
-                    facts.take_pricing_walks(m);
-                    decision = self.tuner.select(m, self.view_of(m, &mut facts, walks), &self.engine, op);
-                }
-                let view = self.view_of(m, &mut facts, walks);
+                let Answer { decision, generation } =
+                    answered.unwrap_or_else(|| self.answer(m, op, &mut facts));
+                let view = facts.view.as_ref().expect("the tuner answered on the view");
                 let batch = Some(BatchCost::of(&self.engine, decision.format, view));
                 let undecided = CachedDecision::new(decision, batch);
                 let plan = Arc::clone(&undecided.plan);
@@ -1330,7 +1363,7 @@ impl<T> OracleService<T> {
         V: Scalar,
         T: FormatTuner<V>,
     {
-        let decided = self.decide(&m, op, facts);
+        let decided = self.decide(&m, op, facts, None);
         let (mut report, mut artifacts) = self.realize(&mut m, decided, op, false)?;
         let threads = self.exec_pool().map_or(1, |p| p.num_threads());
         let (plan, status) = self.acquire_plan_observed(&m, &mut artifacts, threads, TraceId::NONE);
@@ -1361,17 +1394,23 @@ impl<T> OracleService<T> {
     /// `register_partitioned` is always safe to call.
     ///
     /// The order is **decide → floor → walk-free bound → exact baseline →
-    /// split → realize**. One entry walk analyses the matrix and every shard
-    /// ([`Analysis::of_partitioned`]); each shard is hashed, viewed and
-    /// decided *as a row range of `m`* (no copy, no conversion). The floor —
-    /// every shard in the cheaper of its decided format and CSR — is put to
-    /// the whole matrix's best time over the six formats priced without a
-    /// pricing walk, which bounds the exact baseline from above, and only a
-    /// floor that beats it has the walks taken and meets the exact one (a
-    /// tuner that prices formats has them from the start). Only an admitted
-    /// partition is split into CSR shards, converted, planned and judged
-    /// once more on the formats realized; a rejected one has materialised
-    /// nothing and hands hash, analysis and view to the whole-matrix path.
+    /// key → split → realize**. One entry walk analyses the matrix and every
+    /// shard ([`Analysis::of_partitioned`]); each shard is viewed and decided
+    /// by the tuner *as a row range of `m`* (no copy, no conversion, no key:
+    /// nothing is looked up or cached for it — unless decisions imported
+    /// from a file, the one entry the tuner would not make again, may steer
+    /// it, when the shards are keyed first). The floor — every shard in the
+    /// cheaper of its decided format and CSR — is put to the whole matrix's
+    /// best time over the six formats priced without a pricing walk, which
+    /// bounds the exact baseline from above, and only a floor that beats it
+    /// has the walks taken and meets the exact one (a tuner that prices
+    /// formats has them from the start). Only an admitted partition has its
+    /// shard keys minted ([`Analysis::mint_shard_keys`]: one sweep hashes
+    /// every shard in place), is decided through the decision cache, split
+    /// into CSR shards, converted, planned and judged once more on the
+    /// formats realized; a rejected one has keyed, cached and materialised
+    /// nothing, and hands hash, analysis and view to the whole-matrix path:
+    /// it costs what `register` costs plus the row-length sweep.
     /// A matrix with too few entries for two shards
     /// ([`PartitionConfig::shards_wanted`]) is registered like `register`
     /// (a COO one moved into CSR, any other as it came); past that, every
@@ -1411,8 +1450,6 @@ impl<T> OracleService<T> {
         if partition.num_shards() <= 1 {
             return self.register_single_for(m, op, whole);
         }
-        // With the gate on, every shard needs its machine view (hit or
-        // miss), and `decide` leaves it able to price the shard's format.
         let gate = self.partition.cost_gate;
         // One price for both sides of the gate: a shard runs on one worker,
         // the whole matrix across `threads`.
@@ -1420,15 +1457,22 @@ impl<T> OracleService<T> {
             let view = view.expect("the cost gate computes every shard's view before deciding");
             self.engine.spmv_time_at(format, view, 1)
         };
-        let mut decided = Vec::with_capacity(shards.len());
-        for (rows, analysis) in partition.ranges().zip(shards) {
-            let hash = analysis.structure_hash;
-            let mut facts = Facts { hash, rows, analysis: Some(analysis), view: None, moved: None };
-            if gate {
-                self.view_of(&m, &mut facts, walks);
-            }
-            decided.push(self.decide(&m, op, facts));
+        let mut shards: Vec<Facts> = (partition.ranges().zip(shards))
+            .map(|(rows, analysis)| Facts {
+                hash: 0,
+                rows,
+                analysis: Some(analysis),
+                view: None,
+                moved: None,
+            })
+            .collect();
+        // Keyed once admitted, or — only an imported decision being one the
+        // tuner would not make again — while one may steer the gate.
+        let keyed = !gate || self.holds_imports.load(Ordering::Acquire);
+        if keyed {
+            Self::mint_keys(&m, &whole, &mut shards)?;
         }
+        let mut answers: Vec<Option<Answer>> = shards.iter().map(|_| None).collect();
         let mut best_whole = None;
         if gate {
             // A shard is realized in its decided format or, when that
@@ -1436,13 +1480,20 @@ impl<T> OracleService<T> {
             // its modelled time from below, and the partitioned time is
             // monotone in shard times: a partition this floor rejects is
             // rejected whatever the conversions do, and is never split.
-            let floor: Vec<f64> = decided
-                .iter()
-                .map(|d| {
-                    let view = d.facts.view.as_ref();
-                    shard_time(d.decision.format, view).min(shard_time(FormatId::Csr, view))
-                })
-                .collect();
+            let mut floor = Vec::with_capacity(shards.len());
+            for (facts, answer) in shards.iter_mut().zip(&mut answers) {
+                let format = match keyed.then(|| self.lookup::<V>(facts.hash, op).1).flatten() {
+                    Some(CachedDecision { decision, .. }) => {
+                        if !self.view_of(&m, facts, walks).prices(decision.format) {
+                            facts.take_pricing_walks(&m);
+                        }
+                        decision.format
+                    }
+                    None => answer.insert(self.answer(&m, op, facts)).decision.format,
+                };
+                let view = facts.view.as_ref();
+                floor.push(shard_time(format, view).min(shard_time(FormatId::Csr, view)));
+            }
             let floor = self.engine.partitioned_spmv_time(&floor, threads);
             // Without the walks, the bound first: what loses to it loses to
             // the exact baseline too, and nothing was walked for the verdict.
@@ -1458,6 +1509,14 @@ impl<T> OracleService<T> {
             }
             best_whole = Some(exact);
         }
+        if !keyed {
+            Self::mint_keys(&m, &whole, &mut shards)?;
+        }
+        let decided: Vec<Decided> = shards
+            .into_iter()
+            .zip(answers)
+            .map(|(facts, answer)| self.decide(&m, op, facts, answer))
+            .collect();
         let subs = split_rows(&m, &partition, whole.analysis.as_ref())?;
         let (previous, moved) = whole.moved.unwrap_or((FormatId::Csr, 0.0));
         let converted = previous != FormatId::Csr;
@@ -1480,6 +1539,18 @@ impl<T> OracleService<T> {
         }
         let pm = PartitionedMatrix::from_shards(m.nrows(), m.ncols(), shards, threads)?;
         self.finish_partitioned(pm, previous, op, tally)
+    }
+
+    /// Keys `shards`, row ranges of `m` (whose facts are `whole`), by the
+    /// hashes of the CSR matrices they would be built as.
+    fn mint_keys<V: Scalar>(m: &DynamicMatrix<V>, whole: &Facts, shards: &mut [Facts]) -> Result<()> {
+        let whole = whole.analysis.as_ref().expect("the partitioned walk analysed the whole matrix");
+        let analyses = shards.iter_mut().filter_map(|f| Some((f.rows.clone(), f.analysis.as_mut()?)));
+        Analysis::mint_shard_keys(m, whole, analyses)?;
+        for f in shards {
+            f.hash = f.analysis.as_ref().map_or(f.hash, |a| a.structure_hash);
+        }
+        Ok(())
     }
 
     /// Registers a matrix ingested shard-by-shard from a row-major entry
@@ -1513,7 +1584,7 @@ impl<T> OracleService<T> {
         let mut shards = Vec::with_capacity(parts.len());
         for (rows, csr) in parts {
             let sm = DynamicMatrix::from(csr);
-            let decided = self.decide(&sm, Op::Spmv, Facts::hashed(&sm));
+            let decided = self.decide(&sm, Op::Spmv, Facts::hashed(&sm), None);
             shards.push(self.realize_shard(rows, sm, decided, Op::Spmv, &mut tally)?.0);
         }
         let pm = PartitionedMatrix::from_shards(nrows, ncols, shards, threads)?;
@@ -1760,161 +1831,7 @@ impl<T> OracleService<T> {
     pub fn clear_cache(&self) {
         self.decisions.clear();
         self.aliases.clear();
-    }
-
-    // -----------------------------------------------------------------
-    // Decision-cache warm start
-    // -----------------------------------------------------------------
-
-    /// Writes every cached decision in a versioned, line-oriented text
-    /// format (the style of `morpheus-ml::serialize` model files), so a
-    /// restarted service can [`import_decisions`](Self::import_decisions)
-    /// and skip cold-path tuning for every structure this service has
-    /// seen:
-    ///
-    /// ```text
-    /// morpheus-oracle-decisions v3
-    /// engine <fingerprint hex>
-    /// entries <n>
-    /// decision <structure hex> <scalar_bytes> <spmv|spmm:k> <FORMAT> <params>
-    /// end
-    /// ```
-    ///
-    /// The trailing `<params>` token is [`morpheus::FormatParams::to_token`]
-    /// (`-` for the defaults). The version names the scheme of
-    /// `<structure>` too: `v3` keys are the lane-parallel
-    /// [`DynamicMatrix::structure_hash`]; `v1`/`v2` files were keyed by the
-    /// single-chain hash it replaced, and are refused on import.
-    pub fn export_decisions<W: Write>(&self, w: &mut W) -> Result<()> {
-        let mut entries: Vec<(CacheKey, TuneDecision)> = Vec::new();
-        self.decisions.for_each(|k, d| entries.push((*k, d.decision)));
-        // Deterministic output independent of shard iteration order.
-        entries.sort_by_key(|(k, _)| (k.structure, k.scalar_bytes, k.op.name(), k.op.rhs_count()));
-        writeln!(w, "{DECISIONS_MAGIC} {DECISIONS_VERSION}")?;
-        writeln!(w, "engine {:016x}", self.engine_fingerprint)?;
-        writeln!(w, "entries {}", entries.len())?;
-        for (key, decision) in entries {
-            let op = match key.op {
-                Op::Spmv => "spmv".to_string(),
-                Op::Spmm { k } => format!("spmm:{k}"),
-            };
-            writeln!(
-                w,
-                "decision {:016x} {} {op} {} {}",
-                key.structure,
-                key.scalar_bytes,
-                decision.format.name(),
-                decision.params.to_token()
-            )?;
-        }
-        writeln!(w, "end")?;
-        Ok(())
-    }
-
-    /// Loads decisions exported by [`export_decisions`](Self::export_decisions)
-    /// into the decision cache, returning how many were inserted. The file
-    /// must have been exported for an engine with the same fingerprint —
-    /// decisions are engine-specific, so a mismatch is
-    /// [`OracleError::ModelMismatch`], not a silent merge. Malformed input
-    /// is rejected before anything is inserted.
-    pub fn import_decisions<R: BufRead>(&self, reader: R) -> Result<usize> {
-        let mut lines = DecisionLines { lines: LineParser::new(reader) };
-        let header = lines.next_line()?.ok_or_else(|| lines.err("empty decisions file"))?;
-        if header.len() != 2 || header[0] != DECISIONS_MAGIC {
-            return Err(lines.err(format!("bad header: expected '{DECISIONS_MAGIC} {DECISIONS_VERSION}'")));
-        }
-        let version = header[1].as_str();
-        if matches!(version, "v1" | "v2") {
-            // Same line format (v1 without the params token), but keyed by
-            // the structure hash this one superseded: no entry could ever
-            // hit, and inserting them would only evict live ones.
-            return Err(lines.err(format!(
-                "decisions version '{version}' is keyed by the superseded single-chain structure hash; \
-                 re-export from a service running this version ('{DECISIONS_VERSION}')"
-            )));
-        }
-        if version != DECISIONS_VERSION {
-            return Err(lines.err(format!("unsupported decisions version '{version}'")));
-        }
-        let engine = lines.expect_kv("engine")?;
-        let engine = u64::from_str_radix(&engine, 16)
-            .map_err(|_| lines.err(format!("bad engine fingerprint '{engine}'")))?;
-        if engine != self.engine_fingerprint {
-            return Err(OracleError::ModelMismatch(format!(
-                "decisions were exported for engine {engine:016x}, this service is {:016x}",
-                self.engine_fingerprint
-            )));
-        }
-        let n: usize = {
-            let v = lines.expect_kv("entries")?;
-            v.parse().map_err(|_| lines.err(format!("bad entry count '{v}'")))?
-        };
-        let mut parsed = Vec::with_capacity(n);
-        for _ in 0..n {
-            let toks = lines.next_line()?.ok_or_else(|| lines.err("expected 'decision ...', got EOF"))?;
-            if toks.len() != 6 || toks[0] != "decision" {
-                return Err(lines.err(format!(
-                    "expected 'decision <structure> <scalar_bytes> <op> <format> <params>', got '{}'",
-                    toks.join(" ")
-                )));
-            }
-            let structure = u64::from_str_radix(&toks[1], 16)
-                .map_err(|_| lines.err(format!("bad structure hash '{}'", toks[1])))?;
-            let scalar_bytes: usize =
-                toks[2].parse().map_err(|_| lines.err(format!("bad scalar width '{}'", toks[2])))?;
-            let op = match toks[3].as_str() {
-                "spmv" => Op::Spmv,
-                other => match other.strip_prefix("spmm:").and_then(|k| k.parse::<usize>().ok()) {
-                    Some(k) => Op::Spmm { k },
-                    None => return Err(lines.err(format!("unknown op '{other}'"))),
-                },
-            };
-            let format = FormatId::from_name(&toks[4])
-                .ok_or_else(|| lines.err(format!("unknown format '{}'", toks[4])))?;
-            let params = morpheus::FormatParams::parse_token(&toks[5])
-                .ok_or_else(|| lines.err(format!("bad format parameters '{}'", toks[5])))?;
-            parsed.push((
-                CacheKey { structure, scalar_bytes, engine, op },
-                TuneDecision { format, params, op, cost: TuningCost::default() },
-            ));
-        }
-        let toks = lines.next_line()?.ok_or_else(|| lines.err("expected 'end', got EOF"))?;
-        if toks != ["end"] {
-            return Err(lines.err(format!("expected 'end', got '{}'", toks.join(" "))));
-        }
-        let count = parsed.len();
-        for (key, decision) in parsed {
-            self.decisions.insert(key, CachedDecision::new(decision, None));
-        }
-        Ok(count)
-    }
-}
-
-const DECISIONS_MAGIC: &str = "morpheus-oracle-decisions";
-const DECISIONS_VERSION: &str = "v3";
-
-/// Decisions-format wrapper over the shared [`LineParser`] tokenizer (the
-/// same one the model files use), mapping its line numbers into
-/// [`OracleError`]s.
-struct DecisionLines<R: BufRead> {
-    lines: LineParser<R>,
-}
-
-impl<R: BufRead> DecisionLines<R> {
-    fn next_line(&mut self) -> Result<Option<Vec<String>>> {
-        Ok(self.lines.next_line()?)
-    }
-
-    fn err(&self, msg: impl Into<String>) -> OracleError {
-        OracleError::InvalidConfig(format!("decisions file line {}: {}", self.lines.lineno(), msg.into()))
-    }
-
-    fn expect_kv(&mut self, key: &str) -> Result<String> {
-        let toks = self.next_line()?.ok_or_else(|| self.err(format!("expected '{key} ...', got EOF")))?;
-        if toks.len() != 2 || toks[0] != key {
-            return Err(self.err(format!("expected '{key} <value>', got '{}'", toks.join(" "))));
-        }
-        Ok(toks[1].clone())
+        self.holds_imports.store(false, Ordering::Release);
     }
 }
 

@@ -70,12 +70,15 @@
 //!   a block row of that shard, and one set of stamps, numbered by the whole
 //!   matrix's rows, counts for both.
 //!
-//! The reductions then run once per shard and once for the whole (each over
-//! the run of diagonal slots its walk populated), and each shard is hashed
-//! in place as the CSR matrix it would be built as. Both sides are bitwise
-//! what [`Analysis::of`] gives on the whole matrix and on each built shard
-//! (`tests/analysis_differential.rs`), and with `blocks` false both leave
-//! the block counts out as [`Analysis::without_block_counts`] does. The walk
+//! The row side of every shard and of the whole is reduced in one loop over
+//! the row lengths, before the walk; the diagonal side once per shard and
+//! once for the whole, each over the run of slots its walk populated. Both
+//! sides are bitwise what [`Analysis::of`] gives on the whole matrix and on
+//! each built shard (`tests/analysis_differential.rs`) but for the shards'
+//! keys, which nothing before a partition's verdict reads: they are minted on
+//! demand ([`Analysis::mint_shard_keys`]), each shard hashed in place as the
+//! CSR matrix it would be built as. With `blocks` false both sides leave the
+//! block counts out as [`Analysis::without_block_counts`] does. The walk
 //! that needs no row lengths in advance is [`crate::for_each_row_pattern_in`],
 //! the ranged form [`crate::for_each_row_pattern`] is a call of; the two
 //! pricing walks use it to re-read a shard's rows of the source
@@ -99,16 +102,18 @@
 //! extraction, cache keying and conversion planning add **zero** further
 //! traversals.
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use crate::bsr::BSR_BLOCK_DIMS;
+use crate::convert::kernels::coo_row_offsets;
 use crate::dynamic::{csr_rows_structure_hash, DynamicMatrix};
 use crate::error::MorpheusError;
 use crate::partition::{Partition, SEAM_ALIGN};
 use crate::rowmajor::{for_each_row_pattern, for_each_row_pattern_in};
 use crate::scalar::Scalar;
 use crate::stats::{
-    empty_diag_pop, empty_hists, reduce, reduce_diags, reduce_rows, row_nnz_histogram, MatrixStats, Reduced,
+    empty_diag_pop, empty_hists, reduce, reduce_diags, reduce_row_ranges, reduce_rows, MatrixStats, Reduced,
     RowSummary,
 };
 use crate::Result;
@@ -203,8 +208,9 @@ pub struct PartitionedAnalysis {
     /// The partition that was chosen from the row lengths.
     pub partition: Partition,
     /// One artifact per shard, in row order — each what [`Analysis::of`]
-    /// gives on that shard built as a CSR matrix. Empty when the partition
-    /// is a single shard.
+    /// gives on that shard built as a CSR matrix, but unkeyed (its
+    /// [`Analysis::structure_hash`] 0) until [`Analysis::mint_shard_keys`].
+    /// Empty when the partition is a single shard.
     pub shards: Vec<Analysis>,
 }
 
@@ -310,9 +316,11 @@ impl Analysis {
     /// entry walk: `whole` is what [`Analysis::of_auto_with_hash`] gives on
     /// `m` (`hash` being its structure hash), and `shards[i]` what
     /// [`Analysis::of`] gives on the CSR matrix holding the partition's
-    /// `i`-th row range — its [`Analysis::structure_hash`] included, hashed
-    /// in place from the prefix sums and `m`'s column array — all bitwise,
-    /// with no shard built. See the [module docs](self) for the identities.
+    /// `i`-th row range — all bitwise, with no shard built — except the
+    /// shard's key: its [`Analysis::structure_hash`] is 0 until
+    /// [`Analysis::mint_shard_keys`] hashes it in place, a sweep the serving
+    /// layer pays only for a partition it admits. See the
+    /// [module docs](self) for the identities.
     ///
     /// The row lengths come first (one sweep of a COO row array, CSR's
     /// offsets) and `choose` picks the partition from their prefix sums
@@ -350,22 +358,18 @@ impl Analysis {
         hash: u64,
         choose: impl FnOnce(&[u64]) -> Partition,
     ) -> Result<PartitionedAnalysis> {
-        let cols = match m {
-            DynamicMatrix::Coo(a) => a.col_indices(),
-            DynamicMatrix::Csr(a) => a.col_indices(),
-            other => {
-                return Err(MorpheusError::InvalidStructure(format!(
-                    "a {} matrix has no contiguous row ranges to analyse in place",
-                    other.format_id()
-                )))
-            }
-        };
         debug_assert_eq!(hash, m.structure_hash_raw(), "precomputed hash disagrees with the matrix");
         let (nrows, ncols) = (m.nrows(), m.ncols());
-        let row_hist = row_nnz_histogram(m);
-        let rows = reduce_rows(&row_hist);
-        let prefix = &rows.summary.prefix;
-        let partition = choose(prefix);
+        // The row lengths: one sweep of CSR's offsets, or of a COO row array.
+        let (cols, offsets) = match m {
+            DynamicMatrix::Coo(a) => (a.col_indices(), Cow::Owned(coo_row_offsets(nrows, a.row_indices()))),
+            DynamicMatrix::Csr(a) => (a.col_indices(), Cow::Borrowed(a.row_offsets())),
+            other => return Err(no_row_ranges(other)),
+        };
+        passes::record_traversal();
+        let prefix: Vec<u64> = offsets.iter().map(|&o| o as u64).collect();
+        let row_hist: Vec<u32> = offsets.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
+        let partition = choose(&prefix);
         let seams = &partition.boundaries()[1..partition.num_shards()];
         if partition.nrows() != nrows || seams.iter().any(|b| b % SEAM_ALIGN != 0) {
             return Err(MorpheusError::InvalidStructure(format!(
@@ -373,6 +377,13 @@ impl Analysis {
                 partition.boundaries()
             )));
         }
+        // The row side of the whole and of every shard, in one loop.
+        let (rows, shard_rows) = if partition.num_shards() == 1 {
+            (reduce_rows(&row_hist), Vec::new())
+        } else {
+            reduce_row_ranges(&row_hist, prefix, partition.boundaries())
+        };
+        let prefix = &rows.summary.prefix;
 
         passes::record_traversal();
         let mut diag_pop = empty_diag_pop(nrows, ncols);
@@ -389,15 +400,13 @@ impl Analysis {
             }
             (walk.facts::<BLOCKS>(), walk.populated())
         };
-        let mut shards = Vec::new();
+        let mut shards = Vec::with_capacity(shard_rows.len());
         let (entries, populated) = if partition.num_shards() == 1 {
             walk_rows(0..nrows, &mut diag_pop)
         } else {
-            // The shards' column slices tile the column array: one sweep.
-            passes::record_traversal();
             let (mut gather_hits, mut bsr_blocks) = (0usize, [0usize; 3]);
             let (mut first_slot, mut end_slot) = (usize::MAX, 0usize);
-            for range in partition.ranges() {
+            for (range, shard_rows) in partition.ranges().zip(shard_rows) {
                 let mut shard_diag = empty_diag_pop(range.len(), ncols);
                 let (facts, slots) = walk_rows(range.clone(), &mut shard_diag);
                 gather_hits += facts.gather_hits;
@@ -416,11 +425,10 @@ impl Analysis {
                         .zip(shard_pops)
                         .for_each(|(whole, shard)| *whole += shard);
                 }
-                let shard_hist = row_hist[range.clone()].to_vec();
-                let reduced = reduce(ncols, &shard_hist, &shard_diag[slots], alpha);
-                let shard_hash = csr_rows_structure_hash(prefix, range, ncols, cols);
-                let nnz = reduced.stats.nnz;
-                shards.push(Analysis::assemble(nnz, shard_hist, shard_diag, shard_hash, facts, reduced));
+                let reduced = reduce_diags(shard_rows, ncols, &shard_diag[slots], alpha);
+                let (nnz, shard_hist) = (reduced.stats.nnz, row_hist[range].to_vec());
+                // Unkeyed until the shard is wanted: `Analysis::mint_shard_keys`.
+                shards.push(Analysis::assemble(nnz, shard_hist, shard_diag, 0, facts, reduced));
             }
             (
                 EntryFacts { gather_hits, bsr_blocks: BLOCKS.then_some(bsr_blocks) },
@@ -430,6 +438,36 @@ impl Analysis {
         let reduced = reduce_diags(rows, ncols, &diag_pop[populated], alpha);
         let whole = Analysis::assemble(m.nnz(), row_hist, diag_pop, hash, entries, reduced);
         Ok(PartitionedAnalysis { whole, partition, shards })
+    }
+
+    /// Mints the keys of the shard artifacts [`Analysis::of_partitioned`]
+    /// left unkeyed: each `shard`'s [`Analysis::structure_hash`] becomes what
+    /// [`DynamicMatrix::structure_hash`] gives on the CSR matrix holding rows
+    /// `rows` of `m`, hashed in place from the prefix sums of `whole` (`m`'s
+    /// artifact) and `m`'s column array — one sweep of it for every shard,
+    /// and no shard built. The serving layer mints them for a partition it
+    /// admits, or while a key could find a decision its tuner would not make.
+    ///
+    /// # Errors
+    /// [`MorpheusError::InvalidStructure`] when `m` is neither COO nor CSR.
+    pub fn mint_shard_keys<'a, V: Scalar>(
+        m: &DynamicMatrix<V>,
+        whole: &Analysis,
+        shards: impl IntoIterator<Item = (Range<usize>, &'a mut Analysis)>,
+    ) -> Result<()> {
+        let cols = match m {
+            DynamicMatrix::Coo(a) => a.col_indices(),
+            DynamicMatrix::Csr(a) => a.col_indices(),
+            other => return Err(no_row_ranges(other)),
+        };
+        debug_assert!(whole.matches(m));
+        // The shards' column slices tile the column array: one sweep.
+        passes::record_traversal();
+        for (rows, shard) in shards {
+            debug_assert_eq!(rows.len(), shard.nrows);
+            shard.structure_hash = csr_rows_structure_hash(&whole.rows.prefix, rows, m.ncols(), cols);
+        }
+        Ok(())
     }
 
     /// `true` when the artifact plausibly describes `m` (shape and the
@@ -467,6 +505,16 @@ impl Analysis {
     pub fn true_diag_slots(&self, threshold: usize) -> (Vec<usize>, usize) {
         true_diag_slots_from_pop(&self.diag_pop, threshold)
     }
+}
+
+/// What [`Analysis::of_partitioned`] and [`Analysis::mint_shard_keys`] say
+/// of a format other than COO and CSR: none holds a row range's columns as
+/// one slice.
+fn no_row_ranges<V: Scalar>(m: &DynamicMatrix<V>) -> MorpheusError {
+    MorpheusError::InvalidStructure(format!(
+        "a {} matrix has no contiguous row ranges to analyse in place",
+        m.format_id()
+    ))
 }
 
 /// Populated-diagonal offsets (ascending) from a diagonal-population

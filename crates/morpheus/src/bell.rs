@@ -325,6 +325,11 @@ impl<V: Scalar> BellMatrix<V> {
     /// # Panics
     /// If the runs do not lie inside `cols`/`vals` or a column index is
     /// `>= ncols`.
+    // Called once per conversion, and kept out of its callers on purpose:
+    // whether the inliner folds it into `bell_from_arrays` flips with edits
+    // elsewhere in the crate, and folded in, its fills ran slower (5 % of a
+    // `solver_short` registration).
+    #[inline(never)]
     pub(crate) fn from_row_arrays(
         (nrows, ncols): (usize, usize),
         run: impl Fn(usize) -> (usize, usize),

@@ -186,6 +186,7 @@ pub struct RowSummary {
 }
 
 /// Everything [`reduce`] reads off the two histograms.
+#[derive(Debug, PartialEq)]
 pub(crate) struct Reduced {
     pub stats: MatrixStats,
     pub rows: RowSummary,
@@ -195,6 +196,7 @@ pub(crate) struct Reduced {
 
 /// What [`reduce_rows`] reads off the row-nnz histogram alone: the row side
 /// of Table I and the [`RowSummary`].
+#[derive(Debug, PartialEq)]
 pub(crate) struct RowsReduced {
     nnz: usize,
     min: u32,
@@ -211,55 +213,188 @@ pub(crate) struct RowsReduced {
 ///
 /// This is the single reduction every producer goes through — [`stats_of`]
 /// and the shared [`crate::analysis::Analysis`] artifact — so their
-/// [`MatrixStats`] are **bitwise** identical (summation order over the
-/// histograms is fixed). `diag_pop` may be any run of the diagonal slots that
-/// holds every populated one: empty slots contribute nothing. The two halves
-/// are callable on their own for the producer that needs the row side (the
-/// prefix sums a partition is chosen from) before the diagonal populations
-/// exist.
+/// [`MatrixStats`] are **bitwise** identical (the one floating-point sum,
+/// the squared deviations, runs in row order; the integer sums are exact in
+/// any order, so the loops split them over independent counters). `diag_pop`
+/// may be any run of the diagonal slots that holds every populated one:
+/// empty slots contribute nothing. The two halves are callable on their own
+/// for the producer that needs the row side (the prefix sums a partition is
+/// chosen from) before the diagonal populations exist.
 pub(crate) fn reduce(ncols: usize, row_counts: &[u32], diag_pop: &[u32], alpha: f64) -> Reduced {
     reduce_diags(reduce_rows(row_counts), ncols, diag_pop, alpha)
 }
 
 /// The row half of [`reduce`].
 pub(crate) fn reduce_rows(row_counts: &[u32]) -> RowsReduced {
+    reduce_range::<false>(row_counts, 0.0, &mut 0.0)
+}
+
+/// [`reduce_rows`] of a whole histogram and of each row range between
+/// consecutive `bounds`, in one loop over the rows: each range's loop carries
+/// the whole's squared deviations along, in row order, the whole's count
+/// table is the ranges' added, and its prefix sums are `prefix`, the ones the
+/// bounds were chosen from.
+pub(crate) fn reduce_row_ranges(
+    row_counts: &[u32],
+    prefix: Vec<u64>,
+    bounds: &[usize],
+) -> (RowsReduced, Vec<RowsReduced>) {
     let nrows = row_counts.len();
-    let nnz: usize = row_counts.iter().map(|&c| c as usize).sum();
-    let min = row_counts.iter().copied().min().unwrap_or(0);
-    let max = row_counts.iter().copied().max().unwrap_or(0);
-    let mean = if nrows == 0 { 0.0 } else { nnz as f64 / nrows as f64 };
+    let nnz = prefix[nrows] as usize;
+    let mean = mean_of(nnz, nrows);
+    let mut squares = 0.0f64;
+    let ranges: Vec<RowsReduced> = bounds
+        .windows(2)
+        .map(|b| reduce_range::<true>(&row_counts[b[0]..b[1]], mean, &mut squares))
+        .collect();
+    let min = ranges.iter().map(|r| r.min).min().unwrap_or(0);
+    let max = ranges.iter().map(|r| r.max).max().unwrap_or(0);
+    let mut rows_with_len = vec![0usize; max as usize + 1];
+    for range in &ranges {
+        let counts = &range.summary.lengths.rows_with_len;
+        rows_with_len.iter_mut().zip(counts).for_each(|(total, rows)| *total += rows);
+    }
+    let group_max_sum =
+        row_counts.chunks(ROW_GROUP).map(|g| u64::from(g.iter().copied().max().unwrap_or(0))).sum();
+    let whole = RowsReduced::new(nrows, nnz, [min, max], squares, prefix, group_max_sum, rows_with_len);
+    (whole, ranges)
+}
+
+fn mean_of(nnz: usize, nrows: usize) -> f64 {
+    if nrows == 0 {
+        0.0
+    } else {
+        nnz as f64 / nrows as f64
+    }
+}
+
+/// [`reduce_rows`] of `rows`; with `WHOLE`, also adds their squared
+/// deviations from `whole_mean` to `whole_squares`, in row order.
+#[inline(always)]
+fn reduce_range<const WHOLE: bool>(rows: &[u32], whole_mean: f64, whole_squares: &mut f64) -> RowsReduced {
+    let nrows = rows.len();
+    let nnz: usize = rows.iter().map(|&c| c as usize).sum();
+    let min = rows.iter().copied().min().unwrap_or(0);
+    let max = rows.iter().copied().max().unwrap_or(0);
+    let mean = mean_of(nnz, nrows);
 
     let mut squares = 0.0f64;
     let mut prefix = vec![0u64; nrows + 1];
     let mut entries = 0u64;
     let mut group_max_sum = 0u64;
+    // The odd row of each pair counts into a table of its own, added after
+    // the loop: in one table, a run of rows of one length would chain every
+    // increment through the store and the load of the same counter. Its
+    // table is short — a long count table is a long tail of rare lengths —
+    // and a longer odd row counts into the main one.
     let mut rows_with_len = vec![0usize; max as usize + 1];
-    for (group, sums) in row_counts.chunks(ROW_GROUP).zip(prefix[1..].chunks_mut(ROW_GROUP)) {
+    let mut odd = vec![0usize; rows_with_len.len().min(ODD_LENGTHS)];
+    for (group, sums) in rows.chunks(ROW_GROUP).zip(prefix[1..].chunks_mut(ROW_GROUP)) {
         let mut longest = 0u32;
-        for (&c, sum) in group.iter().zip(sums) {
-            squares += (c as f64 - mean).powi(2);
-            entries += u64::from(c);
-            *sum = entries;
-            rows_with_len[c as usize] += 1;
-            longest = longest.max(c);
+        for (pair, sums) in group.chunks(2).zip(sums.chunks_mut(2)) {
+            for (k, (&c, sum)) in pair.iter().zip(sums).enumerate() {
+                squares += (c as f64 - mean).powi(2);
+                if WHOLE {
+                    *whole_squares += (c as f64 - whole_mean).powi(2);
+                }
+                entries += u64::from(c);
+                *sum = entries;
+                match odd.get_mut(c as usize).filter(|_| k == 1) {
+                    Some(count) => *count += 1,
+                    None => rows_with_len[c as usize] += 1,
+                }
+                longest = longest.max(c);
+            }
         }
         group_max_sum += u64::from(longest);
     }
-    let var = if nrows == 0 { 0.0 } else { squares / nrows as f64 };
-    let lengths = RowLengthCounts { rows_with_len };
-    // Exact BELL padding under the default ladder: each non-empty row
-    // rounds up to its bucket width.
-    let bell = lengths.ladder_fit(&crate::bell::default_bucket_widths(max as usize));
-    let bucket_skew = if nnz == 0 { 1.0 } else { bell.padded as f64 / nnz as f64 };
-    RowsReduced {
-        nnz,
-        min,
-        max,
-        mean,
-        std: var.sqrt(),
-        bucket_skew,
-        summary: RowSummary { prefix, group_max_sum, lengths, bell },
+    rows_with_len.iter_mut().zip(&odd).for_each(|(total, rows)| *total += rows);
+    RowsReduced::new(nrows, nnz, [min, max], squares, prefix, group_max_sum, rows_with_len)
+}
+
+/// Row lengths the odd rows of [`reduce_range`] count in a table of their
+/// own.
+const ODD_LENGTHS: usize = 256;
+
+impl RowsReduced {
+    /// The row side of `nrows` rows holding `nnz` entries, whose lengths
+    /// span `min..=max`, deviate from their mean by `squares` squared, and
+    /// are counted in `rows_with_len`.
+    fn new(
+        nrows: usize,
+        nnz: usize,
+        [min, max]: [u32; 2],
+        squares: f64,
+        prefix: Vec<u64>,
+        group_max_sum: u64,
+        rows_with_len: Vec<usize>,
+    ) -> RowsReduced {
+        let var = if nrows == 0 { 0.0 } else { squares / nrows as f64 };
+        let lengths = RowLengthCounts { rows_with_len };
+        // Exact BELL padding under the default ladder: each non-empty row
+        // rounds up to its bucket width.
+        let bell = lengths.ladder_fit(&crate::bell::default_bucket_widths(max as usize));
+        let bucket_skew = if nnz == 0 { 1.0 } else { bell.padded as f64 / nnz as f64 };
+        RowsReduced {
+            nnz,
+            min,
+            max,
+            mean: mean_of(nnz, nrows),
+            std: var.sqrt(),
+            bucket_skew,
+            summary: RowSummary { prefix, group_max_sum, lengths, bell },
+        }
     }
+}
+
+/// Independent accumulators the diagonal sums are split over, which the
+/// compiler keeps side by side in vector registers.
+const DIAG_LANES: usize = 16;
+
+/// What one diagonal slot of population `p`, whose left neighbour holds
+/// `left`, adds to the four diagonal sums: populated diagonals, true
+/// diagonals, entries on true diagonals, and entries on a diagonal whose
+/// left neighbour is populated. Masks, not branches: on a scattered pattern
+/// whether a diagonal is populated is as unpredictable as the pattern.
+#[inline(always)]
+fn diag_terms(p: u32, left: u32, threshold: u32) -> [u32; 4] {
+    let is_true = 0u32.wrapping_sub(u32::from((p > 0) & (p >= threshold)));
+    let left_populated = 0u32.wrapping_sub(u32::from(left > 0));
+    [u32::from(p > 0), is_true & 1, p & is_true, p & left_populated]
+}
+
+/// An accumulator width of [`diag_sums`].
+trait Lane: Copy + Default + std::ops::AddAssign + From<u32> + Into<u64> {}
+impl Lane for u32 {}
+impl Lane for u64 {}
+
+/// The four sums of [`diag_terms`] over a run of diagonal slots, the left
+/// neighbour of each read from the run itself (the slot left of the first
+/// is empty: the run holds every populated one), in `L`-wide lanes.
+#[inline(always)]
+fn diag_sums<L: Lane>(diag_pop: &[u32], threshold: u32) -> [u64; 4] {
+    let Some(&first) = diag_pop.first() else {
+        return [0; 4];
+    };
+    let mut sums = diag_terms(first, 0, threshold).map(u64::from);
+    let (slots, lefts) = (&diag_pop[1..], &diag_pop[..diag_pop.len() - 1]);
+    let body = slots.len() - slots.len() % DIAG_LANES;
+    let mut lanes = [[L::default(); DIAG_LANES]; 4];
+    for (ps, ls) in slots[..body].chunks_exact(DIAG_LANES).zip(lefts[..body].chunks_exact(DIAG_LANES)) {
+        for lane in 0..DIAG_LANES {
+            let terms = diag_terms(ps[lane], ls[lane], threshold);
+            for (sum, term) in lanes.iter_mut().zip(terms) {
+                sum[lane] += L::from(term);
+            }
+        }
+    }
+    for (&p, &left) in slots[body..].iter().zip(&lefts[body..]) {
+        sums.iter_mut().zip(diag_terms(p, left, threshold)).for_each(|(sum, term)| *sum += u64::from(term));
+    }
+    for (sum, lane) in sums.iter_mut().zip(&lanes) {
+        *sum += lane.iter().map(|&l| l.into()).sum::<u64>();
+    }
+    sums
 }
 
 /// The diagonal half of [`reduce`], joined with the row half.
@@ -267,24 +402,16 @@ pub(crate) fn reduce_diags(rows: RowsReduced, ncols: usize, diag_pop: &[u32], al
     let nrows = rows.summary.prefix.len() - 1;
     let nnz = rows.nnz;
     let threshold = true_diag_threshold(nrows, ncols, alpha) as u32;
-    let mut ndiags = 0usize;
-    let mut ntrue = 0usize;
-    let mut true_diag_nnz = 0usize;
-    // Population-weighted diagonal adjacency: entries of dense blocks land
-    // on runs of adjacent diagonals.
-    let mut adjacent_pop = 0u64;
-    // The population of the diagonal one slot to the left.
-    let mut left = 0u32;
-    // Counted with masks, not branches: on a scattered pattern whether a
-    // diagonal is populated is as unpredictable as the pattern.
-    for &p in diag_pop {
-        let is_true = (p > 0) & (p >= threshold);
-        ndiags += usize::from(p > 0);
-        ntrue += usize::from(is_true);
-        true_diag_nnz += p as usize * usize::from(is_true);
-        adjacent_pop += u64::from(p) * u64::from(left > 0);
-        left = p;
-    }
+    // Each sum is at most the slot count (the diagonal counts) or the entry
+    // count (the populations, which add up to `nnz`): while both fit in 32
+    // bits, so does every lane, and twice as many lanes fit in a register.
+    // `adjacent_pop` weighs diagonal adjacency by population: entries of
+    // dense blocks land on runs of adjacent diagonals.
+    let [ndiags, ntrue, true_diag_nnz, adjacent_pop] = if diag_pop.len().max(nnz) <= u32::MAX as usize {
+        diag_sums::<u32>(diag_pop, threshold)
+    } else {
+        diag_sums::<u64>(diag_pop, threshold)
+    };
     let block_density = if nnz == 0 { 0.0 } else { adjacent_pop as f64 / nnz as f64 };
 
     let stats = MatrixStats {
@@ -295,13 +422,13 @@ pub(crate) fn reduce_diags(rows: RowsReduced, ncols: usize, diag_pop: &[u32], al
         row_nnz_max: rows.max as usize,
         row_nnz_mean: rows.mean,
         row_nnz_std: rows.std,
-        ndiags,
-        ntrue_diags: ntrue,
+        ndiags: ndiags as usize,
+        ntrue_diags: ntrue as usize,
         true_diag_alpha: alpha,
         block_density,
         bucket_skew: rows.bucket_skew,
     };
-    Reduced { stats, rows: rows.summary, true_diag_nnz }
+    Reduced { stats, rows: rows.summary, true_diag_nnz: true_diag_nnz as usize }
 }
 
 /// Zeroed diagonal populations for a matrix of this shape:
@@ -413,6 +540,7 @@ mod tests {
     use crate::convert::ConvertOptions;
     use crate::format::ALL_FORMATS;
     use crate::test_util::random_coo;
+    use proptest::prelude::*;
 
     #[test]
     fn known_matrix_stats() {
@@ -492,6 +620,203 @@ mod tests {
         assert_eq!(s.nrows, 0);
         assert_eq!(s.nnz, 0);
         assert_eq!(s.density(), 0.0);
+    }
+
+    /// The row reduction as one sequential loop: one count table, every
+    /// increment in row order.
+    fn sequential_rows(row_counts: &[u32]) -> RowsReduced {
+        let nrows = row_counts.len();
+        let nnz: usize = row_counts.iter().map(|&c| c as usize).sum();
+        let min = row_counts.iter().copied().min().unwrap_or(0);
+        let max = row_counts.iter().copied().max().unwrap_or(0);
+        let mean = if nrows == 0 { 0.0 } else { nnz as f64 / nrows as f64 };
+        let mut squares = 0.0f64;
+        let mut prefix = vec![0u64; nrows + 1];
+        let mut group_max_sum = 0u64;
+        let mut rows_with_len = vec![0usize; max as usize + 1];
+        for (r, &c) in row_counts.iter().enumerate() {
+            squares += (c as f64 - mean).powi(2);
+            prefix[r + 1] = prefix[r] + u64::from(c);
+            rows_with_len[c as usize] += 1;
+        }
+        for group in row_counts.chunks(ROW_GROUP) {
+            group_max_sum += u64::from(group.iter().copied().max().unwrap_or(0));
+        }
+        RowsReduced::new(nrows, nnz, [min, max], squares, prefix, group_max_sum, rows_with_len)
+    }
+
+    /// The diagonal reduction as one sequential loop carrying the left
+    /// neighbour.
+    fn sequential_diags(rows: RowsReduced, ncols: usize, diag_pop: &[u32], alpha: f64) -> Reduced {
+        let nrows = rows.summary.prefix.len() - 1;
+        let threshold = true_diag_threshold(nrows, ncols, alpha) as u32;
+        let (mut ndiags, mut ntrue, mut true_diag_nnz, mut adjacent_pop, mut left) = (0, 0, 0, 0u64, 0u32);
+        for &p in diag_pop {
+            if p > 0 {
+                ndiags += 1;
+                if p >= threshold {
+                    ntrue += 1;
+                    true_diag_nnz += p as usize;
+                }
+                if left > 0 {
+                    adjacent_pop += u64::from(p);
+                }
+            }
+            left = p;
+        }
+        let nnz = rows.nnz;
+        let stats = MatrixStats {
+            nrows,
+            ncols,
+            nnz,
+            row_nnz_min: rows.min as usize,
+            row_nnz_max: rows.max as usize,
+            row_nnz_mean: rows.mean,
+            row_nnz_std: rows.std,
+            ndiags,
+            ntrue_diags: ntrue,
+            true_diag_alpha: alpha,
+            block_density: if nnz == 0 { 0.0 } else { adjacent_pop as f64 / nnz as f64 },
+            bucket_skew: rows.bucket_skew,
+        };
+        Reduced { stats, rows: rows.summary, true_diag_nnz }
+    }
+
+    /// Every field of `MatrixStats`, floats by their bits.
+    fn bits(s: &MatrixStats) -> [u64; 12] {
+        let ints = [s.nrows, s.ncols, s.nnz, s.row_nnz_min, s.row_nnz_max, s.ndiags, s.ntrue_diags];
+        let floats = [s.row_nnz_mean, s.row_nnz_std, s.true_diag_alpha, s.block_density, s.bucket_skew];
+        let mut out = [0u64; 12];
+        out.iter_mut()
+            .zip(ints.map(|i| i as u64).into_iter().chain(floats.map(f64::to_bits)))
+            .for_each(|(o, v)| *o = v);
+        out
+    }
+
+    /// `got` is `want` bitwise: the stats, the prefix sums, the count table,
+    /// the group maxima, the default ladder's fit and the true-diagonal entries.
+    fn assert_bitwise(got: &Reduced, want: &Reduced, what: &str) {
+        assert_eq!(bits(&got.stats), bits(&want.stats), "{what}: stats");
+        assert_eq!(got.rows.prefix, want.rows.prefix, "{what}: prefix sums");
+        assert_eq!(got.rows.lengths, want.rows.lengths, "{what}: count table");
+        assert_eq!(got.rows.group_max_sum, want.rows.group_max_sum, "{what}: group maxima");
+        assert_eq!(got.rows.bell, want.rows.bell, "{what}: ladder fit");
+        assert_eq!(got.true_diag_nnz, want.true_diag_nnz, "{what}: true-diagonal entries");
+    }
+
+    /// The reductions of `row_counts` and `diag_pop` (an `ncols`-column
+    /// matrix's), whole and for the ranges between `bounds`, against the
+    /// sequential definitions.
+    fn assert_reductions_match(row_counts: &[u32], ncols: usize, diag_pop: &[u32], bounds: &[usize]) {
+        let alpha = 0.2;
+        let want = sequential_diags(sequential_rows(row_counts), ncols, diag_pop, alpha);
+        assert_bitwise(&reduce(ncols, row_counts, diag_pop, alpha), &want, "whole");
+        // The 64-bit lanes of matrices past 2^32 entries sum the same.
+        let threshold = true_diag_threshold(row_counts.len(), ncols, alpha) as u32;
+        assert_eq!(diag_sums::<u64>(diag_pop, threshold), diag_sums::<u32>(diag_pop, threshold), "lanes");
+        let (whole, ranges) =
+            reduce_row_ranges(row_counts, sequential_rows(row_counts).summary.prefix, bounds);
+        assert_bitwise(&reduce_diags(whole, ncols, diag_pop, alpha), &want, "whole, with ranges");
+        assert_eq!(ranges.len(), bounds.len().saturating_sub(1));
+        for (range, b) in ranges.into_iter().zip(bounds.windows(2)) {
+            let rows = &row_counts[b[0]..b[1]];
+            let want = sequential_diags(sequential_rows(rows), ncols, &[], alpha);
+            assert_bitwise(&reduce_diags(range, ncols, &[], alpha), &want, &format!("rows {b:?}"));
+        }
+    }
+
+    /// The shapes the chain-free loops have an edge at: no rows, one row,
+    /// every row of one length, a hub row longer than there are rows, runs
+    /// of populations at the true-diagonal threshold and either side of it,
+    /// and diagonal runs of 0, 1, one lane chunk and several chunks plus a
+    /// ragged tail.
+    #[test]
+    fn chain_free_reductions_equal_the_sequential_definitions_at_the_edges() {
+        assert_reductions_match(&[], 0, &[], &[0, 0]);
+        assert_reductions_match(&[3], 5, &[1, 0, 2], &[0, 1]);
+        assert_reductions_match(&[7; 100], 100, &[100; 7], &[0, 8, 40, 100]);
+        let mut hub = vec![1u32; 37];
+        hub[20] = 500;
+        hub[21] = 500;
+        assert_reductions_match(&hub, 600, &[0, 5, 0, 9, 9, 1], &[0, 16, 37]);
+        // Odd rows either side of the short table's end.
+        let edge = ODD_LENGTHS as u32;
+        let around = [edge - 1, edge - 1, edge, edge, edge + 1, edge + 1, edge, edge - 1, edge];
+        assert_reductions_match(&around, 600, &[], &[0, 3, 9]);
+        // 50 x 50 at alpha 0.2: the threshold is 10.
+        let rows = [4u32; 50];
+        for len in [0, 1, DIAG_LANES, DIAG_LANES + 1, 3 * DIAG_LANES + 5] {
+            let pops: Vec<u32> = (0..len).map(|i| [10, 9, 11, 0, 10, 10][i % 6]).collect();
+            assert_reductions_match(&rows, 50, &pops, &[0, 24, 50]);
+        }
+    }
+
+    /// A draw below `n` from a linear congruential stream.
+    fn draw(state: &mut u64, n: u32) -> u32 {
+        *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (*state >> 33) as u32 % n.max(1)
+    }
+
+    /// Row histograms of the shapes the count tables meet: all rows of one
+    /// length, one hub row longer than there are rows, runs of equal
+    /// lengths, and scatter.
+    fn arb_rows() -> impl Strategy<Value = Vec<u32>> {
+        (0usize..4, 0u32..90, 1u32..40, 0u64..u64::MAX).prop_map(|(flavour, nrows, len, mut seed)| {
+            let mut rows: Vec<u32> = match flavour {
+                0 => vec![len; nrows as usize],
+                1 | 2 => (0..nrows).map(|_| draw(&mut seed, 6)).collect(),
+                _ => (0..nrows).map(|_| draw(&mut seed, 60)).collect(),
+            };
+            if flavour == 1 && nrows > 0 {
+                let hub = draw(&mut seed, nrows) as usize;
+                rows[hub] = nrows * 3 + 1;
+            }
+            if flavour == 2 {
+                rows = rows.into_iter().flat_map(|l| std::iter::repeat_n(l, 1 + (l as usize) % 5)).collect();
+            }
+            rows
+        })
+    }
+
+    /// Diagonal populations: mostly empty, and the rest around `threshold`.
+    fn arb_pops() -> impl Strategy<Value = (Vec<u32>, u32)> {
+        (0u32..90, 1u32..20, 0u64..u64::MAX).prop_map(|(len, threshold, mut seed)| {
+            let pops = (0..len)
+                .map(|_| match draw(&mut seed, 4) {
+                    0 => 0,
+                    1 => threshold,
+                    _ => (threshold + draw(&mut seed, 5)).saturating_sub(2),
+                })
+                .collect();
+            (pops, threshold)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The chain-free row and diagonal reductions, whole and over any
+        /// row ranges, equal the sequential definitions field for field.
+        #[test]
+        fn chain_free_reductions_equal_the_sequential_definitions(
+            rows in arb_rows(),
+            pops in arb_pops(),
+            cuts in proptest::collection::vec(0usize..1000, 0..6),
+        ) {
+            // The threshold is `ceil(0.2 * min(nrows, ncols))`: columns that
+            // put it where the populations were drawn around, rows allowing.
+            let (pops, threshold) = pops;
+            let ncols = 5 * threshold as usize;
+            let nrows = rows.len();
+            let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c % (nrows + 1)).collect();
+            bounds.extend([0, nrows]);
+            bounds.sort_unstable();
+            bounds.dedup();
+            if nrows == 0 {
+                bounds = vec![0, 0];
+            }
+            assert_reductions_match(&rows, ncols, &pops, &bounds);
+        }
     }
 
     #[test]

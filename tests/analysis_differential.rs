@@ -234,22 +234,25 @@ fn aligned_boundaries(nrows: usize, picks: &[usize]) -> Vec<usize> {
 
 /// The one-walk artifacts of `source` under `partition` against the
 /// definitions: each shard's against `Analysis::of` on the shard built as a
-/// CSR matrix (hash included), the merged one against `Analysis::of` on the
-/// whole, the machine views against the built shards' views.
+/// CSR matrix (hash included, once minted), the merged one against
+/// `Analysis::of` on the whole, the machine views against the built shards'
+/// views.
 fn assert_one_walk_matches_built_shards(source: &DynamicMatrix<f64>, partition: &Partition, what: &str) {
     let hash = source.structure_hash();
-    let got = Analysis::of_partitioned(source, ALPHA, hash, true, |_| partition.clone()).unwrap();
+    let mut got = Analysis::of_partitioned(source, ALPHA, hash, true, |_| partition.clone()).unwrap();
     assert_eq!(&got.partition, partition, "{what}");
     assert_eq!(got.whole, Analysis::of(source, ALPHA), "{what}: merged artifact");
     if partition.num_shards() == 1 {
         assert!(got.shards.is_empty(), "{what}: a single shard is the whole matrix");
         return;
     }
+    assert!(got.shards.iter().all(|shard| shard.structure_hash == 0), "{what}: unkeyed until minted");
+    Analysis::mint_shard_keys(source, &got.whole, partition.ranges().zip(&mut got.shards)).unwrap();
     let built = split_rows(source, partition, Some(&got.whole)).unwrap();
     assert_eq!(got.shards.len(), built.len(), "{what}");
     for ((shard, rows), csr) in got.shards.iter().zip(partition.ranges()).zip(built) {
         let csr = DynamicMatrix::from(csr);
-        assert_eq!(shard.structure_hash, csr.structure_hash(), "{what}: in-place hash of rows {rows:?}");
+        assert_eq!(shard.structure_hash, csr.structure_hash(), "{what}: minted hash of rows {rows:?}");
         assert_eq!(shard, &Analysis::of(&csr, ALPHA), "{what}: shard artifact of rows {rows:?}");
         // The shard's counts, had its walk left them out: taken from the
         // rows of the source it would be split from, on its 8-row seams.

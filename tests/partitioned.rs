@@ -456,10 +456,10 @@ fn gate_verdict_and_shards_match_convert_first_evaluation() {
 /// of the source and hands its whole-matrix hash, analysis and machine view
 /// to the whole-matrix path: whatever the shard count, it traverses the
 /// matrix as often as a plain `register` plus the row-length sweep the
-/// partition is chosen from plus one sweep of the column array for the
-/// shards' hashes. No split (which counts as a traversal) and no per-shard
-/// walk — the machine view re-reads a shard only for a mixed HDC split,
-/// which a hub-free band does not have.
+/// partition is chosen from. No shard hashes (a declined shard is never
+/// keyed), no split (which counts as a traversal) and no per-shard walk —
+/// the machine view re-reads a shard only for a mixed HDC split, which a
+/// hub-free band does not have.
 #[test]
 fn rejected_partition_traversals_do_not_grow_with_the_shard_count() {
     let mut rng = StdRng::seed_from_u64(5);
@@ -487,16 +487,42 @@ fn rejected_partition_traversals_do_not_grow_with_the_shard_count() {
         assert_eq!(h.format_id(), whole.format_id());
         assert_eq!(
             partitioned_passes,
-            register_passes + 2,
+            register_passes + 1,
             "rejected register_partitioned over {shards} shards: {register_passes} for register, \
-             the row-length sweep, one sweep for the shard hashes"
+             the row-length sweep"
         );
     }
     assert_eq!(shard_counts, [4, 6, 8], "the policy must ask the gate about each shard count");
 }
 
+/// A gate-declined `register_partitioned` leaves one decision behind: the
+/// whole matrix's, which it is served by. Its shards were decided without
+/// keys, so none of them is looked up, counted or given a slot of the
+/// decision cache — where, in a long-lived service, it could evict a live
+/// whole-matrix decision. A repeat is a hit on that one entry.
+#[test]
+fn a_declined_partition_leaves_only_the_whole_matrix_decision() {
+    let mut rng = StdRng::seed_from_u64(5);
+    let m = DynamicMatrix::from(hub_plus_banded(6_000, 0, 0, 4, &mut rng));
+    let policy = PartitionPolicy { target_shard_nnz: Some(4_000), ..Default::default() };
+    assert!(Partition::from_analysis(&analysis_of(&m), &policy.config(1)).num_shards() >= 4);
+    let key = m.to_format(FormatId::Csr, &ConvertOptions::default()).unwrap().structure_hash();
+    let service = gated_service(1, policy);
+    for round in 0..2u64 {
+        let h = service.register_partitioned(m.clone()).unwrap();
+        assert!(!h.is_partitioned(), "round {round}: a single-regime band is served whole");
+        assert_eq!(h.report().cache_hit, round == 1, "round {round}");
+        let decisions = exported(&service);
+        let entries: Vec<&str> = decisions.lines().filter(|l| l.starts_with("decision ")).collect();
+        assert_eq!(entries.len(), 1, "round {round}: {decisions}");
+        assert!(entries[0].starts_with(&format!("decision {key:016x} ")), "round {round}: {decisions}");
+        let stats = service.cache_stats();
+        assert_eq!((stats.len, stats.hits, stats.misses), (1, round, 1), "round {round}: one lookup each");
+    }
+}
+
 /// An admitted partition pays the same front — hash, row-length sweep, the
-/// one walk, the shard hashes — then the split, and per shard at most one
+/// one walk — then the shard hashes, the split, and per shard at most one
 /// re-read for a mixed HDC view: the whole matrix is walked once, not once
 /// more per shard, and a converted shard is never hashed (a shard is keyed
 /// by the hash it was decided under).
@@ -640,13 +666,13 @@ fn a_model_tuners_gate_reaches_the_verdicts_of_one_handed_full_views() {
 /// What a model tuner's registrations traverse, on a matrix whose HDC split
 /// is mixed whole and in every shard (a band with strays off it): a plain
 /// `register` miss is the key hash and the analysis walk; a gate-declined
-/// `register_partitioned` those, the row-length sweep the partition is
-/// chosen from and the one sweep of the column array that hashes the shards
-/// — no block stamps, no remainder re-read, whole or per shard; an admitted
-/// one the two late walks of the whole matrix on top
-/// (block counts, remainder: the exact baseline) and the split. Handed full
-/// views, the same decisions cost a remainder walk for the whole matrix and
-/// one per shard.
+/// `register_partitioned` those and the row-length sweep the partition is
+/// chosen from — no shard hashes, no block stamps, no remainder re-read,
+/// whole or per shard; an admitted one the two late walks of the whole
+/// matrix on top (block counts, remainder: the exact baseline), the one
+/// sweep of the column array that hashes the shards, and the split. Handed
+/// full views, the same decisions cost a remainder walk for the whole
+/// matrix and one per shard.
 #[test]
 fn a_model_tuners_gate_walks_only_for_a_partition_that_beats_the_bound() {
     let forest = fitted_forest();
@@ -673,12 +699,12 @@ fn a_model_tuners_gate_walks_only_for_a_partition_that_beats_the_bound() {
     passes::reset();
     let declined = lazy.register_partitioned(band.clone()).unwrap();
     assert!(!declined.is_partitioned() && !declined.report().cache_hit);
-    assert_eq!(passes::count(), 4, "declined: hash, row lengths, walk, shard hashes");
+    assert_eq!(passes::count(), 3, "declined: hash, row lengths, walk");
 
     let eager = service_over(HandedFullViews(forest.clone()), 1, policy);
     passes::reset();
     assert!(!eager.register_partitioned(band.clone()).unwrap().is_partitioned());
-    assert_eq!(passes::count(), 4 + 1 + shards, "handed full views: a remainder walk whole and per shard");
+    assert_eq!(passes::count(), 3 + 1 + shards, "handed full views: a remainder walk whole and per shard");
 
     // Several regimes, two workers: admitted.
     let several = hetero(4_000, 150, 60, 9).to_format(FormatId::Csr, &opts).unwrap();
@@ -763,6 +789,38 @@ fn a_seeded_hdc_shard_decision_is_priced_as_for_a_tuner_handed_full_views() {
         }
         assert_eq!(exported(&lazy), exported(&eager), "gate {gate}: the decisions cached");
     }
+}
+
+/// The gate decides shards without keys, so nothing the service cached
+/// itself reaches it; a decision imported from a file — the one entry its
+/// own tuner would not make again — still does. A service whose tuner
+/// answers CSR for every shard declines a partition that a forest's
+/// service admits; with the forest's decisions imported it admits it, in
+/// the imported shard formats, and once its cache is cleared it declines
+/// again.
+#[test]
+fn imported_shard_decisions_steer_the_gate() {
+    let policy = PartitionPolicy { target_shard_nnz: Some(4_000), ..Default::default() };
+    let m = hetero(4_000, 150, 60, 9);
+    let seeding = service_over(fitted_forest(), 2, policy);
+    let seeded = seeding.register_partitioned(m.clone()).unwrap();
+    let formats = |h: &morpheus_repro::oracle::MatrixHandle<f64>| -> Vec<FormatId> {
+        h.partition().expect("admitted").shards().iter().map(|s| s.format_id()).collect()
+    };
+    let want = formats(&seeded);
+    assert!(want.iter().any(|&f| f != FormatId::Csr), "{want:?}");
+
+    let service = service_over(Always(FormatId::Csr), 2, policy);
+    passes::reset();
+    assert!(!service.register_partitioned(m.clone()).unwrap().is_partitioned(), "its own answers decline");
+    let declined = passes::count();
+    service.import_decisions(std::io::Cursor::new(exported(&seeding).as_bytes())).unwrap();
+    let steered = service.register_partitioned(m.clone()).unwrap();
+    assert_eq!(formats(&steered), want, "imported shard formats, admitted");
+    service.clear_cache();
+    passes::reset();
+    assert!(!service.register_partitioned(m).unwrap().is_partitioned(), "no imports left to steer it");
+    assert_eq!(passes::count(), declined, "and none to key the shards for");
 }
 
 /// The report of a partitioned handle says what registration did: summed
