@@ -189,7 +189,10 @@ impl SampleCollector {
     }
 
     /// Runs a `RunFirstTuner`-style trial sweep of `m` for `op`: converts
-    /// a copy to every viable format, executes the real serial kernel
+    /// a copy to every viable format — with the parameters a decision for
+    /// it would carry ([`crate::propose_params`]; `opts` supplies the rest),
+    /// so a trial is the kernel serving stores, under the same
+    /// [`SampleKey::param_code`] — executes the real serial kernel
     /// `reps` times each with wall-clock timing, and records the
     /// measurements (under `workers: 1`) so the next
     /// [`build_dataset`](Self::build_dataset) can label this structure
@@ -234,10 +237,11 @@ impl SampleCollector {
             if !engine.is_viable(fmt, &machine_view) {
                 continue;
             }
+            let params = crate::propose_params(fmt, &machine_view);
             let trial = if fmt == m.format_id() {
                 m.clone()
             } else {
-                match m.to_format_with(fmt, opts, Some(&analysis)) {
+                match m.to_format_with(fmt, &ConvertOptions { params, ..*opts }, Some(&analysis)) {
                     Ok((converted, _)) => converted,
                     Err(_) => {
                         formats_skipped += 1;
@@ -252,7 +256,7 @@ impl SampleCollector {
                 op,
                 scalar_bytes: std::mem::size_of::<V>(),
                 workers: 1,
-                param_code: opts.params.code(),
+                param_code: params.code(),
             };
             trials.push((key, trial));
         }

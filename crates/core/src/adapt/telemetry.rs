@@ -55,9 +55,12 @@ pub struct SampleKey {
     /// busy-pool fallbacks).
     pub workers: usize,
     /// [`morpheus::FormatParams::code`] of the parameters the matrix was
-    /// converted with (0 = defaults). Two parameterizations of the same
-    /// format (a 2x2 vs an 8x8 BSR, different BELL ladders) are different
-    /// kernels and must never alias in the ring.
+    /// converted with (0 = defaults): a served matrix's are its decision's
+    /// (the defaults after a CSR fallback), recorded once at registration; a
+    /// sweep trial's are what [`crate::propose_params`] proposes for its
+    /// format. Two parameterizations of the same format (a 2x2 vs an 8x8
+    /// BSR, different BELL ladders) are different kernels and must never
+    /// alias in the ring.
     pub param_code: u8,
 }
 

@@ -110,7 +110,7 @@ pub use obs::{
     SlowRequest, SpanRecord, Stage, TraceId, TraceLevel,
 };
 pub use oracle::{Oracle, OracleBuilder, DEFAULT_CACHE_CAPACITY};
-pub use params::{heuristic_params, propose_params, ParamRegressor, ParamStrategy};
+pub use params::propose_params;
 pub use serve::{
     BatchCost, HandleInfo, MatrixHandle, OracleService, PartitionPolicy, ServeStats, ServiceSnapshot,
 };

@@ -280,7 +280,10 @@ impl<T> OracleBuilder<T> {
     }
 
     /// Overrides the conversion policy (default:
-    /// `ConvertOptions::default()`).
+    /// `ConvertOptions::default()`): the padding guards, the HYB split and
+    /// the true-diagonal fraction. Its `params` must stay the defaults — a
+    /// matrix's layout parameters are decided per matrix and carried by its
+    /// [`crate::TuneDecision`]; [`Self::build_service`] refuses others.
     pub fn convert_options(mut self, opts: ConvertOptions) -> Self {
         self.opts = opts;
         self
@@ -317,8 +320,7 @@ impl<T> OracleBuilder<T> {
     /// Finishes a single-owner session.
     ///
     /// # Errors
-    /// [`OracleError::InvalidConfig`] when the engine or tuner was never
-    /// set.
+    /// As [`Self::build_service`].
     pub fn build(self) -> Result<Oracle<T>> {
         self.build_service().map(|service| Oracle { service })
     }
@@ -328,13 +330,20 @@ impl<T> OracleBuilder<T> {
     ///
     /// # Errors
     /// [`OracleError::InvalidConfig`] when the engine or tuner was never
-    /// set.
+    /// set, or the conversion options carry non-default `params`.
     pub fn build_service(self) -> Result<OracleService<T>> {
         let engine = self
             .engine
             .ok_or_else(|| OracleError::InvalidConfig("Oracle::builder(): no engine set".into()))?;
         let tuner =
             self.tuner.ok_or_else(|| OracleError::InvalidConfig("Oracle::builder(): no tuner set".into()))?;
+        if !self.opts.params.is_default() {
+            return Err(OracleError::InvalidConfig(format!(
+                "Oracle::builder(): conversion options carry format parameters ({}); they are decided \
+                 per matrix",
+                self.opts.params.to_token()
+            )));
+        }
         Ok(OracleService::new(
             engine,
             tuner,
@@ -390,6 +399,19 @@ mod tests {
         ));
         let no_tuner = Oracle::builder().engine(VirtualEngine::new(systems::a64fx(), Backend::Serial));
         assert!(matches!(no_tuner.build(), Err(OracleError::InvalidConfig(_))));
+    }
+
+    /// Layout parameters are a decision's: a service-wide set would replace
+    /// every decision's, so the builder refuses one.
+    #[test]
+    fn builder_refuses_service_wide_format_params() {
+        let params = morpheus::FormatParams::default().with_bell_ladder(&[3, 9]);
+        let built = Oracle::builder()
+            .engine(VirtualEngine::new(systems::a64fx(), Backend::Serial))
+            .tuner(RunFirstTuner::new(1))
+            .convert_options(ConvertOptions { params, ..Default::default() })
+            .build_service();
+        assert!(matches!(built, Err(OracleError::InvalidConfig(why)) if why.contains("bell=3,9")));
     }
 
     #[test]

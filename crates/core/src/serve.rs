@@ -77,7 +77,7 @@ use morpheus::analysis::PartitionedAnalysis;
 use morpheus::format::FormatId;
 use morpheus::partition::{split_rows, Partition, StreamingPartitioner};
 use morpheus::{
-    Analysis, ConvertOptions, ConvertOutcome, ConvertPath, CooMatrix, DynamicMatrix, ExecPlan,
+    Analysis, ConvertOptions, ConvertOutcome, ConvertPath, CooMatrix, DynamicMatrix, ExecPlan, FormatParams,
     PartitionConfig, PartitionedMatrix, Scalar, Workspace,
 };
 use morpheus_machine::{analyze_from, assemble, MatrixAnalysis, Op, VirtualEngine};
@@ -216,12 +216,17 @@ struct Decided {
 
 /// What one tuning call learned beyond the report: the structure hash the
 /// matrix was decided under — the key its features are noted under, so the
-/// one its measured executions are attributed to — the entry's plan slot,
-/// and whichever of the shared analysis and the machine view the decision
-/// needed (both on a decision-cache miss), reused for plan construction and
-/// the partition cost gate.
+/// one its measured executions are attributed to — the parameters it was
+/// converted with, the entry's plan slot, and whichever of the shared
+/// analysis and the machine view the decision needed (both on a
+/// decision-cache miss), reused for plan construction and the partition
+/// cost gate.
 struct TuneArtifacts {
     structure: u64,
+    /// [`FormatParams::code`] of the decision's parameters, or of the
+    /// defaults after a CSR fallback: the layout that was stored, as the
+    /// label of its telemetry population.
+    param_code: u8,
     analysis: Option<Analysis>,
     view: Option<MatrixAnalysis>,
     /// [`BatchCost`] of the realized format; `None` when a hit carried none
@@ -241,6 +246,8 @@ struct ShardTally {
     /// `Reused` while every shard's plan came with its decision.
     plan: PlanStatus,
     batch: BatchCost,
+    /// Each realized shard's [`FormatParams::code`], in shard order.
+    param_codes: Vec<u8>,
 }
 
 impl Default for ShardTally {
@@ -251,6 +258,7 @@ impl Default for ShardTally {
             cost: TuningCost::cached(),
             plan: PlanStatus::Reused,
             batch: BatchCost::default(),
+            param_codes: Vec::new(),
         }
     }
 }
@@ -433,9 +441,16 @@ enum Stored<V: Scalar> {
         /// so what its measured executions are attributed to. Registration
         /// consumed the source, and the converted arrays are never hashed.
         structure: u64,
+        /// [`FormatParams::code`] of the parameters the matrix was converted
+        /// with: its telemetry population's label.
+        param_code: u8,
         plan: Arc<ExecPlan<V>>,
     },
-    Partitioned(PartitionedMatrix<V>),
+    Partitioned {
+        matrix: PartitionedMatrix<V>,
+        /// Each shard's [`FormatParams::code`], by shard index.
+        param_codes: Box<[u8]>,
+    },
 }
 
 impl<V: Scalar> MatrixHandle<V> {
@@ -450,7 +465,7 @@ impl<V: Scalar> MatrixHandle<V> {
     pub fn format_id(&self) -> FormatId {
         match &self.inner.stored {
             Stored::Single { matrix, .. } => matrix.format_id(),
-            Stored::Partitioned(p) => p.dominant_format(),
+            Stored::Partitioned { matrix: p, .. } => p.dominant_format(),
         }
     }
 
@@ -458,7 +473,7 @@ impl<V: Scalar> MatrixHandle<V> {
     pub fn nrows(&self) -> usize {
         match &self.inner.stored {
             Stored::Single { matrix, .. } => matrix.nrows(),
-            Stored::Partitioned(p) => p.nrows(),
+            Stored::Partitioned { matrix: p, .. } => p.nrows(),
         }
     }
 
@@ -466,7 +481,7 @@ impl<V: Scalar> MatrixHandle<V> {
     pub fn ncols(&self) -> usize {
         match &self.inner.stored {
             Stored::Single { matrix, .. } => matrix.ncols(),
-            Stored::Partitioned(p) => p.ncols(),
+            Stored::Partitioned { matrix: p, .. } => p.ncols(),
         }
     }
 
@@ -474,7 +489,7 @@ impl<V: Scalar> MatrixHandle<V> {
     pub fn nnz(&self) -> usize {
         match &self.inner.stored {
             Stored::Single { matrix, .. } => matrix.nnz(),
-            Stored::Partitioned(p) => p.nnz(),
+            Stored::Partitioned { matrix: p, .. } => p.nnz(),
         }
     }
 
@@ -494,21 +509,21 @@ impl<V: Scalar> MatrixHandle<V> {
 
     /// `true` when the handle executes as row-range shards.
     pub fn is_partitioned(&self) -> bool {
-        matches!(self.inner.stored, Stored::Partitioned(_))
+        matches!(self.inner.stored, Stored::Partitioned { .. })
     }
 
     /// Shards of the handle (1 for whole-matrix handles).
     pub fn num_shards(&self) -> usize {
         match &self.inner.stored {
             Stored::Single { .. } => 1,
-            Stored::Partitioned(p) => p.num_shards(),
+            Stored::Partitioned { matrix: p, .. } => p.num_shards(),
         }
     }
 
     /// The partitioned storage, when the handle is sharded.
     pub fn partition(&self) -> Option<&PartitionedMatrix<V>> {
         match &self.inner.stored {
-            Stored::Partitioned(p) => Some(p),
+            Stored::Partitioned { matrix: p, .. } => Some(p),
             Stored::Single { .. } => None,
         }
     }
@@ -519,7 +534,7 @@ impl<V: Scalar> MatrixHandle<V> {
     pub fn try_matrix(&self) -> Option<&DynamicMatrix<V>> {
         match &self.inner.stored {
             Stored::Single { matrix, .. } => Some(matrix),
-            Stored::Partitioned(_) => None,
+            Stored::Partitioned { .. } => None,
         }
     }
 
@@ -528,7 +543,7 @@ impl<V: Scalar> MatrixHandle<V> {
     pub fn try_plan(&self) -> Option<&ExecPlan<V>> {
         match &self.inner.stored {
             Stored::Single { plan, .. } => Some(plan),
-            Stored::Partitioned(_) => None,
+            Stored::Partitioned { .. } => None,
         }
     }
 
@@ -810,7 +825,8 @@ impl<T> OracleService<T> {
     /// formats from the view ([`FormatTuner::prices_formats`]) gets one
     /// without the pricing walks (unless the source is BSR, whose extraction
     /// is priced from block counts), and only a BSR or HDC answer has them
-    /// taken, each in a walk of its own, before its parameters are proposed.
+    /// taken, each in a walk of its own, before its parameters are proposed:
+    /// the layout [`Self::realize`] converts with.
     fn answer<V>(&self, m: &DynamicMatrix<V>, op: Op, facts: &mut Facts) -> Answer
     where
         V: Scalar,
@@ -869,10 +885,11 @@ impl<T> OracleService<T> {
         }
     }
 
-    /// Second half of a tune: converts `m` to the decided format (CSR when
-    /// that proves non-viable), caches the realized decision and notes the
-    /// features for adaptive sampling. `kept` says the caller keeps the
-    /// switched matrix (`tune`/`tune_and_*`): only then is the converted
+    /// Second half of a tune: converts `m` to the decided format with the
+    /// decision's parameters (CSR when that proves non-viable), caches the
+    /// realized decision and notes the features for adaptive sampling.
+    /// `kept` says the caller keeps the switched matrix
+    /// (`tune`/`tune_and_*`): only then is the converted
     /// structure hashed, to alias the decision under it — a registration
     /// consumes its matrix, and nothing of it can come back to be tuned.
     fn realize<V: Scalar>(
@@ -894,7 +911,9 @@ impl<T> OracleService<T> {
         let hashed = m.format_id();
         let (previous, moved) = moved.unwrap_or((hashed, 0.0));
         let predicted = decision.format;
-        let (chosen, convert) = match m.convert_to_with(predicted, &self.opts, analysis.as_ref()) {
+        // The layout is the decision's; the guards are the service's.
+        let opts = ConvertOptions { params: decision.params, ..self.opts };
+        let (chosen, convert) = match m.convert_to_with(predicted, &opts, analysis.as_ref()) {
             Ok(outcome) => (predicted, outcome),
             Err(_) => {
                 // Mispredicted into a non-viable format: fall back to CSR.
@@ -902,6 +921,8 @@ impl<T> OracleService<T> {
                 (FormatId::Csr, outcome)
             }
         };
+        // CSR has no parameters: a fallback stored none of the decision's.
+        let params = if chosen == predicted { decision.params } else { FormatParams::default() };
         // The carried numbers price the decided format; after a CSR
         // fallback they are re-taken from the view (always at hand on a
         // miss).
@@ -913,7 +934,7 @@ impl<T> OracleService<T> {
             // non-viable, later hits must not re-pay the failing conversion
             // attempt before falling back.
             let done = CachedDecision {
-                decision: TuneDecision { format: chosen, ..decision },
+                decision: TuneDecision { format: chosen, params, ..decision },
                 batch,
                 plan: Arc::clone(&plan),
             };
@@ -960,7 +981,8 @@ impl<T> OracleService<T> {
             },
             shards: 1,
         };
-        Ok((report, TuneArtifacts { structure: hash, analysis, view, batch, plan }))
+        let param_code = params.code();
+        Ok((report, TuneArtifacts { structure: hash, param_code, analysis, view, batch, plan }))
     }
 
     /// The analysis a plan is built on, or a [`BatchCost`] priced from, by
@@ -1042,6 +1064,7 @@ impl<T> OracleService<T> {
         &self,
         structure: u64,
         format: FormatId,
+        param_code: u8,
         op: Op,
         workers: usize,
         elapsed: std::time::Duration,
@@ -1054,7 +1077,7 @@ impl<T> OracleService<T> {
                     op,
                     scalar_bytes: std::mem::size_of::<V>(),
                     workers,
-                    param_code: self.opts.params.code(),
+                    param_code,
                 },
                 elapsed,
             );
@@ -1156,20 +1179,20 @@ impl<T> OracleService<T> {
     ) -> morpheus::Result<Option<(Instant, std::time::Duration)>> {
         let t0 = (self.collector.is_some() || self.obs.enabled()).then(Instant::now);
         let sample = match &handle.inner.stored {
-            Stored::Single { matrix, structure, plan } => {
+            Stored::Single { matrix, structure, param_code, plan } => {
                 let plan = self.exec_pool().map(|_| &**plan);
                 let workers = self.run_whole(matrix, plan, op, x, y, pool)?;
-                Some((*structure, matrix.format_id(), workers))
+                Some((*structure, matrix.format_id(), *param_code, workers))
             }
-            Stored::Partitioned(p) => {
+            Stored::Partitioned { matrix: p, param_codes } => {
                 let fine = self.obs.fine() && trace.is_some();
                 // Capture the collector and the obs hub, not `self`: the
                 // closure is handed across shard worker threads and must
                 // stay `Sync` independently of `T`.
-                let collector = self.collector.as_deref().map(|col| (col, self.opts.params.code()));
+                let collector = self.collector.as_deref();
                 let obs = &*self.obs;
                 let observe = move |si: usize, elapsed: std::time::Duration| {
-                    if let Some((col, param_code)) = collector {
+                    if let Some(col) = collector {
                         let s = p.shard(si);
                         col.record(
                             SampleKey {
@@ -1178,7 +1201,7 @@ impl<T> OracleService<T> {
                                 op,
                                 scalar_bytes: std::mem::size_of::<V>(),
                                 workers: 1,
-                                param_code,
+                                param_code: param_codes[si],
                             },
                             elapsed,
                         );
@@ -1200,8 +1223,8 @@ impl<T> OracleService<T> {
         self.requests_served.inc();
         Ok(t0.map(|t0| {
             let elapsed = t0.elapsed();
-            if let Some((structure, format, workers)) = sample {
-                self.record_execution::<V>(structure, format, op, workers, elapsed);
+            if let Some((structure, format, param_code, workers)) = sample {
+                self.record_execution::<V>(structure, format, param_code, op, workers, elapsed);
             }
             (t0, elapsed)
         }))
@@ -1269,7 +1292,9 @@ impl<T> OracleService<T> {
         if let Some(t0) = t0 {
             let elapsed = t0.elapsed();
             if report.plan != PlanStatus::Built {
-                self.record_execution::<V>(artifacts.structure, m.format_id(), op, workers, elapsed);
+                let (structure, format, param_code) =
+                    (artifacts.structure, m.format_id(), artifacts.param_code);
+                self.record_execution::<V>(structure, format, param_code, op, workers, elapsed);
             }
             self.observe_request(trace, t0, elapsed);
         }
@@ -1368,7 +1393,7 @@ impl<T> OracleService<T> {
         let threads = self.exec_pool().map_or(1, |p| p.num_threads());
         let (plan, status) = self.acquire_plan_observed(&m, &mut artifacts, threads, TraceId::NONE);
         report.plan = status;
-        let structure = artifacts.structure;
+        let (structure, param_code) = (artifacts.structure, artifacts.param_code);
         let batch = self.batch_cost_of(&m, &mut artifacts);
         let id = self.next_handle_id.fetch_add(1, Ordering::Relaxed);
         self.matrices_registered.inc();
@@ -1381,7 +1406,7 @@ impl<T> OracleService<T> {
             scalar_bytes: std::mem::size_of::<V>(),
             shards: 1,
         });
-        let stored = Stored::Single { matrix: m, structure, plan };
+        let stored = Stored::Single { matrix: m, structure, param_code, plan };
         Ok(MatrixHandle { inner: Arc::new(Registered { id, stored, report, batch }) })
     }
 
@@ -1595,8 +1620,9 @@ impl<T> OracleService<T> {
     /// the shard's own structure hash (so adaptive learning and repeat
     /// registrations see shard-level populations) and the plan is built
     /// for single-threaded execution (parallelism comes from running
-    /// shards concurrently). Adds the shard's [`BatchCost`] to `tally` and
-    /// returns the shard's machine view when the decision computed one.
+    /// shards concurrently). Adds the shard's [`BatchCost`] and parameter
+    /// code to `tally` and returns the shard's machine view when the
+    /// decision computed one.
     fn realize_shard<V: Scalar>(
         &self,
         rows: std::ops::Range<usize>,
@@ -1620,6 +1646,7 @@ impl<T> OracleService<T> {
         let batch = self.batch_cost_of(&sm, &mut artifacts);
         tally.batch.spmv += batch.spmv;
         tally.batch.per_rhs += batch.per_rhs;
+        tally.param_codes.push(artifacts.param_code);
         Ok((morpheus::partition::Shard::new(rows, sm, plan, artifacts.structure), artifacts.view))
     }
 
@@ -1664,7 +1691,7 @@ impl<T> OracleService<T> {
             scalar_bytes: std::mem::size_of::<V>(),
             shards: pm.num_shards(),
         });
-        let stored = Stored::Partitioned(pm);
+        let stored = Stored::Partitioned { matrix: pm, param_codes: tally.param_codes.into() };
         Ok(MatrixHandle { inner: Arc::new(Registered { id, stored, report, batch: tally.batch }) })
     }
 
@@ -1793,7 +1820,9 @@ impl<T> OracleService<T> {
         &self.tuner
     }
 
-    /// The conversion policy applied when switching formats.
+    /// The conversion policy applied when switching formats: its guards
+    /// and HYB split; the layout parameters come from each decision (these
+    /// options' `params` are the defaults).
     pub fn convert_options(&self) -> &ConvertOptions {
         &self.opts
     }
@@ -1936,22 +1965,14 @@ mod tests {
     }
 
     /// A BELL ladder is any `usize` a parameter token carries: one whose top
-    /// bucket would take petabytes is excessive padding, and a service
-    /// converting with it answers a BELL decision — imported, with the same
-    /// token — with the CSR fallback. It used to abort the process on the
-    /// allocation. (The service converts with its own `ConvertOptions`; a
-    /// decision's token is carried through the file, not applied.)
+    /// bucket would take petabytes is excessive padding, and a BELL decision
+    /// imported with it — the token alone reaches the conversion — is
+    /// answered with the CSR fallback. It used to abort the process on the
+    /// allocation.
     #[test]
     fn an_imported_ladder_too_wide_to_allocate_falls_back_to_csr() {
         let token = "bell=1,1099511627776";
-        let params = morpheus::FormatParams::parse_token(token).unwrap();
-        let service = Oracle::builder()
-            .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
-            .tuner(RunFirstTuner::new(2))
-            .convert_options(ConvertOptions { params, ..Default::default() })
-            .workers(1)
-            .build_service()
-            .unwrap();
+        let service = make_service(1);
         let m = tridiag(300);
         let file = format!(
             "morpheus-oracle-decisions v3\nengine {:016x}\nentries 1\ndecision {:016x} 8 spmv BELL {token}\nend\n",
@@ -2191,7 +2212,7 @@ mod tests {
     /// the structure hash this version superseded: importing one is a typed
     /// refusal naming the scheme, and inserts nothing.
     #[test]
-    fn v1_decisions_files_warm_start_with_default_params() {
+    fn v1_and_v2_decisions_files_are_refused() {
         let service = make_service(2);
         let mut a = tridiag(800);
         service.tune(&mut a).unwrap();
@@ -2233,15 +2254,27 @@ mod tests {
 
     /// The line checks the malformed-file cases above make under their old
     /// headers, under the current one: a decision line carries a params
-    /// token, and it must parse.
+    /// token, and it must parse — HYB's split and DIA's fill are conversion
+    /// options, not tokens. A refused file inserts nothing.
     #[test]
     fn current_version_lines_must_carry_a_parsable_params_token() {
         let service = make_service(2);
         let engine = format!("{:016x}", service.engine_fingerprint);
-        for line in ["decision 1 8 spmv CSR", "decision 1 8 spmv CSR bogus", "decision 1 8 spmq CSR -"] {
-            let file = format!("morpheus-oracle-decisions v3\nengine {engine}\nentries 1\n{line}\nend\n");
+        // A valid line first: a refused file inserts that one neither.
+        let head =
+            format!("morpheus-oracle-decisions v3\nengine {engine}\nentries 2\ndecision 5 8 spmv CSR -");
+        for line in [
+            "decision 1 8 spmv CSR",
+            "decision 1 8 spmv CSR bogus",
+            "decision 1 8 spmq CSR -",
+            "decision 2 8 spmv HYB hyb=12",
+            "decision 3 8 spmv DIA dia=40",
+            "decision 4 8 spmv BELL bell=3;hyb=2",
+        ] {
+            let file = format!("{head}\n{line}\nend\n");
             let err = service.import_decisions(std::io::Cursor::new(file.as_bytes())).unwrap_err();
             assert!(matches!(err, OracleError::InvalidConfig(_)), "{line}: {err}");
+            assert_eq!(service.cache_stats().len, 0, "{line}: a refused file inserts nothing");
         }
         let file = format!(
             "morpheus-oracle-decisions v3\nengine {engine}\nentries 1\ndecision 1 8 spmv CSR -\nend\n"

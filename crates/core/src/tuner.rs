@@ -52,8 +52,11 @@ impl TuningCost {
 pub struct TuneDecision {
     /// The selected format.
     pub format: FormatId,
-    /// The format parameters the conversion should use (defaults unless a
-    /// parameter regressor proposed better ones for this matrix).
+    /// The layout parameters of `format` for this matrix — the one source
+    /// of a stored matrix's layout: the service converts with them (its own
+    /// [`morpheus::ConvertOptions`] supply only the guards), caches them and
+    /// exports them. The bundled model tuners carry
+    /// [`crate::propose_params`]; run-first carries the defaults.
     pub params: morpheus::FormatParams,
     /// The operation the selection targets.
     pub op: Op,
@@ -100,7 +103,9 @@ pub trait FormatTuner<V: Scalar> {
     /// [`MatrixAnalysis::prices`] says what a view can price) and skip
     /// both. Such a tuner must not read either unless it is there; when it
     /// answers BSR or HDC on a view that cannot price its answer, the
-    /// service takes the walks and calls `select` again for the parameters.
+    /// service takes the walks and calls `select` again — for the
+    /// parameters the matrix is then converted with (BSR's block is priced
+    /// from the block counts).
     /// The partition gate likewise walks for a whole matrix's exact
     /// baseline only once a partition beats the bound it can compute
     /// without. The default, `true`, is right for any tuner that asks the

@@ -18,20 +18,18 @@
 //! `--smoke` shrinks sizes for CI.
 
 use morpheus::format::FormatId;
-use morpheus::{ConvertOptions, CooMatrix, DynamicMatrix};
+use morpheus::{CooMatrix, DynamicMatrix};
 use morpheus_bench::report::json_escape;
 use morpheus_corpus::gen::banded::{multi_diagonal, tridiagonal};
-use morpheus_corpus::gen::blocks::{aligned_blocks, fem_blocks};
 use morpheus_corpus::gen::powerlaw::{hub_rows, zipf_rows};
-use morpheus_corpus::gen::random::{bimodal_rows, uniform_degree, variable_degree};
+use morpheus_corpus::gen::random::variable_degree;
 use morpheus_corpus::gen::stencil::poisson2d;
 use morpheus_machine::{analyze, systems, Backend, VirtualEngine};
-use morpheus_ml::{Dataset, GbtParams};
+use morpheus_ml::Dataset;
 use morpheus_oracle::adapt::{
     AdaptiveConfig, AdaptiveEngine, AdaptiveTuner, CollectorConfig, RetrainOutcome, SampleCollector,
 };
-use morpheus_oracle::params::{realize, strategies, ParamRegressor};
-use morpheus_oracle::{heuristic_params, FeatureVector, Oracle, OracleService, RunFirstTuner, NUM_FEATURES};
+use morpheus_oracle::{Oracle, OracleService, RunFirstTuner, NUM_FEATURES};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -130,188 +128,6 @@ fn measured_fastest(engine: &VirtualEngine, m: &DynamicMatrix<f64>, reps: usize)
 
 fn engine() -> VirtualEngine {
     VirtualEngine::new(systems::cirrus(), Backend::Serial)
-}
-
-// ---------------------------------------------------------------------------
-// Parameter-regressor experiment (PR 9)
-// ---------------------------------------------------------------------------
-
-struct ParamCase {
-    name: String,
-    format: FormatId,
-    matrix: DynamicMatrix<f64>,
-}
-
-/// Blocked + heavy-tail matrices whose best format *parameters* vary with
-/// structure: aligned dense blocks at three block dims (the fixed 4x4
-/// default matches only a third of them) and bimodal row populations (the
-/// fixed pow2 ladder pads the narrow population).
-fn param_corpus(smoke: bool) -> Vec<ParamCase> {
-    let mut rng = StdRng::seed_from_u64(97);
-    let scale = |full: usize, small: usize| if smoke { small } else { full };
-    let mut cases = Vec::new();
-    // BSR: five sizes per structural block dim, plus FEM-style coupling
-    // at the extremes.
-    for b in [2usize, 4, 8] {
-        for (i, nb) in (0..5).map(|i| scale(600 + 420 * i, 40 + 18 * i)).enumerate() {
-            let m = aligned_blocks(nb * 4 / b, b, 2, &mut rng);
-            cases.push(ParamCase {
-                name: format!("aligned-{b}x{b}-{i}"),
-                format: FormatId::Bsr,
-                matrix: DynamicMatrix::from(m),
-            });
-        }
-    }
-    for (i, nb) in (0..2).map(|i| scale(500 + 300 * i, 36 + 16 * i)).enumerate() {
-        let m = fem_blocks(nb, 2, 2, &mut rng);
-        cases.push(ParamCase {
-            name: format!("fem-2x2-{i}"),
-            format: FormatId::Bsr,
-            matrix: DynamicMatrix::from(m),
-        });
-        let m = fem_blocks(nb / 2, 8, 1, &mut rng);
-        cases.push(ParamCase {
-            name: format!("fem-8x8-{i}"),
-            format: FormatId::Bsr,
-            matrix: DynamicMatrix::from(m),
-        });
-    }
-    // BELL: bimodal populations with varying tail width/frequency, plus
-    // uniform rows where the pow2 default is already near-optimal.
-    for (i, (narrow, wide, every)) in
-        [(2usize, 48usize, 32usize), (3, 64, 40), (5, 96, 64), (2, 96, 48), (3, 48, 64), (5, 64, 32)]
-            .into_iter()
-            .enumerate()
-    {
-        for (j, n) in (0..2).map(|j| scale(12_000 + 6_000 * j, 700 + 300 * j)).enumerate() {
-            let m = bimodal_rows(n, narrow, wide, every, &mut rng);
-            cases.push(ParamCase {
-                name: format!("bimodal-{i}-{j}"),
-                format: FormatId::Bell,
-                matrix: DynamicMatrix::from(m),
-            });
-        }
-    }
-    for (i, per) in [4usize, 8, 16].into_iter().enumerate() {
-        for (j, n) in (0..2).map(|j| scale(8_000 + 4_000 * j, 600 + 200 * j)).enumerate() {
-            let m = uniform_degree(n, per, &mut rng);
-            cases.push(ParamCase {
-                name: format!("uniform-{i}-{j}"),
-                format: FormatId::Bell,
-                matrix: DynamicMatrix::from(m),
-            });
-        }
-    }
-    cases
-}
-
-/// Measured wall clock of every [`strategies`] entry for one matrix:
-/// converts once per strategy, warms, then interleaves timed serial SpMV
-/// reps (min-of-reps, the collector's estimator).
-fn measure_strategies(
-    format: FormatId,
-    m: &DynamicMatrix<f64>,
-    reps: usize,
-) -> Option<(FeatureVector, Vec<f64>)> {
-    let a = analyze(m);
-    let fv = FeatureVector::from_stats(&a.stats);
-    let x: Vec<f64> = (0..m.ncols()).map(|i| 1.0 + (i % 11) as f64 * 0.5).collect();
-    let mut y = vec![0.0f64; m.nrows()];
-    let mut trials = Vec::new();
-    for &s in strategies(format) {
-        let opts = ConvertOptions { params: realize(s, &a), ..Default::default() };
-        let trial = m.to_format(format, &opts).ok()?;
-        morpheus::spmv::spmv_serial(&trial, &x, &mut y).ok()?;
-        trials.push((trial, f64::INFINITY));
-    }
-    for _ in 0..reps {
-        for (trial, best) in trials.iter_mut() {
-            let t0 = Instant::now();
-            morpheus::spmv::spmv_serial(trial, &x, &mut y).expect("spmv");
-            *best = best.min(t0.elapsed().as_secs_f64());
-        }
-    }
-    Some((fv, trials.into_iter().map(|(_, best)| best).collect()))
-}
-
-struct ParamExperiment {
-    samples: usize,
-    holdout: usize,
-    hit_rate: f64,
-    geo_default_over_regressed: f64,
-    geo_heuristic_over_regressed: f64,
-    lines: Vec<String>,
-}
-
-/// Train/holdout evaluation of the GBT parameter regressor per format:
-/// even-indexed samples train (labels = measured-fastest strategy), odd
-/// indices evaluate. The regressor's chosen strategy is compared against
-/// the fixed defaults and the analytical heuristic by measured time.
-fn param_experiment(cases: &[ParamCase], reps: usize) -> ParamExperiment {
-    let mut hit = 0usize;
-    let mut holdout = 0usize;
-    let mut ln_default = 0.0f64;
-    let mut ln_heuristic = 0.0f64;
-    let mut lines = Vec::new();
-    let mut samples = 0usize;
-    for format in [FormatId::Bsr, FormatId::Bell] {
-        let ss = strategies(format);
-        let measured: Vec<(String, FeatureVector, Vec<f64>, usize, usize)> = cases
-            .iter()
-            .filter(|c| c.format == format)
-            .filter_map(|c| {
-                let (fv, times) = measure_strategies(format, &c.matrix, reps)?;
-                let a = analyze(&c.matrix);
-                let default_idx =
-                    ss.iter().position(|&s| realize(s, &a) == morpheus::FormatParams::default()).unwrap_or(0);
-                let heur = heuristic_params(format, &a);
-                let heur_idx = ss.iter().position(|&s| realize(s, &a) == heur).unwrap_or(default_idx);
-                Some((c.name.clone(), fv, times, default_idx, heur_idx))
-            })
-            .collect();
-        samples += measured.len();
-        let train: Vec<(FeatureVector, usize)> =
-            measured.iter().step_by(2).map(|(_, fv, times, _, _)| (*fv, argmin(times))).collect();
-        let Ok(reg) = ParamRegressor::fit(format, &train, &GbtParams::default()) else {
-            continue;
-        };
-        for (name, fv, times, default_idx, heur_idx) in measured.iter().skip(1).step_by(2) {
-            let pred = ss.iter().position(|&s| s == reg.predict_strategy(fv)).unwrap_or(0);
-            let best = argmin(times);
-            holdout += 1;
-            if times[pred] <= times[best] * (1.0 + TIE_TOLERANCE) {
-                hit += 1;
-            }
-            ln_default += (times[*default_idx] / times[pred]).ln();
-            ln_heuristic += (times[*heur_idx] / times[pred]).ln();
-            lines.push(format!(
-                "{{\"name\": \"{}\", \"format\": \"{}\", \"best\": {best}, \"regressed\": {pred}, \
-                 \"default_over_regressed\": {:.4}, \"heuristic_over_regressed\": {:.4}}}",
-                json_escape(name),
-                format.name(),
-                times[*default_idx] / times[pred],
-                times[*heur_idx] / times[pred],
-            ));
-        }
-    }
-    let n = holdout.max(1) as f64;
-    ParamExperiment {
-        samples,
-        holdout,
-        hit_rate: hit as f64 / n,
-        geo_default_over_regressed: (ln_default / n).exp(),
-        geo_heuristic_over_regressed: (ln_heuristic / n).exp(),
-        lines,
-    }
-}
-
-fn argmin(times: &[f64]) -> usize {
-    times
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite times"))
-        .map(|(i, _)| i)
-        .unwrap_or(0)
 }
 
 type Service = OracleService<AdaptiveTuner<RunFirstTuner>>;
@@ -451,10 +267,6 @@ fn main() {
     let (quality_adapted, chosen_adapted) = quality(&service, &matrices, &truth);
     let rps_after = registered_rps(&service, &matrices, rps_iters);
 
-    // ---- parameter regressor: learned FormatParams vs fixed defaults ----
-    let param_cases = param_corpus(smoke);
-    let pexp = param_experiment(&param_cases, if smoke { 3 } else { 8 });
-
     // ---- forced drift: conflicting labels must trigger the fallback ----
     let mut drifted = Dataset::empty(NUM_FEATURES, 6, vec![]).unwrap();
     let row = [700.0, 700.0, 3500.0, 5.0, 0.007, 28.0, 1.0, 2.0, 21.0, 0.0, 0.3, 0.4];
@@ -493,21 +305,12 @@ fn main() {
         "registered-path throughput: {rps_before:.0} req/s before, {rps_after:.0} req/s after adaptation"
     );
     println!("sweep seconds charged: {:.4}", stats.measured_seconds);
-    println!(
-        "format parameters: {} samples, {} holdout; regressed strategy hit rate {:.3}; \
-         geomean speedup over fixed defaults {:.3}x, over analytical heuristic {:.3}x",
-        pexp.samples,
-        pexp.holdout,
-        pexp.hit_rate,
-        pexp.geo_default_over_regressed,
-        pexp.geo_heuristic_over_regressed
-    );
     println!("forced drift -> {:?} (fallback without restart: {drift_fell_back})", drift_report.outcome);
 
     // ---- snapshot ----
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"bench_adapt/v2\",\n");
+    json.push_str("  \"schema\": \"bench_adapt/v3\",\n");
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
     json.push_str(&format!("  \"rounds\": {},\n", rounds.max(2)));
     json.push_str(&format!(
@@ -533,20 +336,6 @@ fn main() {
         stats.telemetry.capacity
     ));
     json.push_str(&format!("  \"drift_fell_back\": {drift_fell_back},\n"));
-    json.push_str(&format!(
-        "  \"param_experiment\": {{\"samples\": {}, \"holdout\": {}, \"hit_rate\": {:.4}, \
-         \"geomean_default_over_regressed\": {:.4}, \"geomean_heuristic_over_regressed\": {:.4}, \
-         \"holdout_detail\": [\n",
-        pexp.samples,
-        pexp.holdout,
-        pexp.hit_rate,
-        pexp.geo_default_over_regressed,
-        pexp.geo_heuristic_over_regressed
-    ));
-    for (i, line) in pexp.lines.iter().enumerate() {
-        json.push_str(&format!("    {line}{}\n", if i + 1 < pexp.lines.len() { "," } else { "" }));
-    }
-    json.push_str("  ]},\n");
     json.push_str("  \"decisions\": [\n");
     for (i, case) in cases.iter().enumerate() {
         json.push_str(&format!(

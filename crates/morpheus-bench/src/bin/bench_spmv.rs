@@ -490,8 +490,8 @@ fn main() {
     // --- parameterized block formats: BSR/BELL vs the best legacy plan ---
     //
     // The PR-9 contest: on block-structured and heavy-tail inputs, the
-    // parameterized formats (BSR with regressed block dims, BELL with a
-    // regressed bucket ladder) against the *best* of every pre-existing
+    // parameterized formats (BSR with proposed block dims, BELL with a
+    // proposed bucket ladder) against the *best* of every pre-existing
     // format, each converted, planned at the same worker count and timed.
     // Every candidate's result is ULP-checked against the serial CSR
     // reference before it may score.
@@ -537,7 +537,7 @@ fn main() {
                 .collect();
 
             // Parameterized side: BSR and BELL with per-matrix proposed
-            // parameters (the heuristic strategy argmin over the analysis).
+            // parameters (`propose_params` over the analysis).
             let machine_analysis = analyze(&base);
             type BlockPlan = (FormatId, String, bool, DynamicMatrix<f64>, ExecPlan<f64>);
             let block_plans: Vec<BlockPlan> = [FormatId::Bsr, FormatId::Bell]
@@ -618,7 +618,7 @@ fn main() {
 
     // CI gate (--smoke): the tuned sweep must cover the parameterized
     // formats, and at least one blocked case must select one with
-    // non-default (regressed) parameters.
+    // non-default (proposed) parameters.
     if smoke {
         let swept: Vec<FormatId> =
             blocked_rows.iter().flat_map(|r| r.cands.iter().map(|c| c.format)).collect();

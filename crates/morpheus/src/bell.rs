@@ -8,8 +8,8 @@
 //! lists them as runs, and they are all a kernel zeroes.
 //!
 //! The bucket width list is the format's *parameter*: the default is the
-//! power-of-two ladder, but the tuner may regress a custom ladder per
-//! matrix (see `ConvertOptions::params`).
+//! power-of-two ladder, but a tuning decision may propose a custom ladder
+//! per matrix (see `ConvertOptions::params`).
 //!
 //! # Layout: slice-major
 //!

@@ -68,9 +68,9 @@
 //! [`MorpheusError::ExcessivePadding`] *before* allocating the padded
 //! arrays — the behaviour the profiling harness relies on to mark a format
 //! non-viable for a matrix. Guards are applied identically on direct and
-//! hub paths. Widths that come from parameters (a HYB split width, a BELL
-//! ladder) are priced with saturating or checked arithmetic: any `usize` a
-//! decisions file carries is an error, never a wrapped count or an
+//! hub paths. Caller-chosen widths (a HYB split width, a BELL ladder) are
+//! priced with saturating or checked arithmetic: any `usize` the options or
+//! a decisions file carry is an error, never a wrapped count or an
 //! allocation the process cannot survive.
 
 pub mod blocked;
@@ -113,8 +113,10 @@ pub struct ConvertOptions {
     pub hyb_split: HybSplit,
     /// True-diagonal fraction for HDC splitting and the `NTD` statistic.
     pub true_diag_alpha: f64,
-    /// Tunable format parameters (BSR block dims, BELL ladder, HYB/DIA
-    /// overrides) — defaults reproduce the fixed heuristics.
+    /// Layout parameters of the target format (BSR block dims, BELL
+    /// ladder), read by the BSR and BELL builders — defaults reproduce the
+    /// fixed heuristics. A serving layer takes them from each matrix's
+    /// decision, not from its own options.
     pub params: FormatParams,
 }
 
@@ -133,24 +135,6 @@ impl Default for ConvertOptions {
 impl ConvertOptions {
     pub(crate) fn padded_allowance(&self, nnz: usize) -> usize {
         ((self.max_fill * nnz as f64) as usize).max(self.min_padded_allowance)
-    }
-
-    /// Applies the [`FormatParams`] overrides that map onto pre-existing
-    /// knobs (HYB split width, DIA fill threshold) for a conversion into
-    /// `target`. BSR/BELL parameters are read by their kernels directly.
-    pub(crate) fn effective(&self, target: FormatId) -> ConvertOptions {
-        let mut o = *self;
-        if target == FormatId::Hyb {
-            if let Some(w) = self.params.hyb_width {
-                o.hyb_split = HybSplit::Width(w);
-            }
-        }
-        if matches!(target, FormatId::Dia | FormatId::Hdc) {
-            if let Some(f) = self.params.dia_fill {
-                o.max_fill = f;
-            }
-        }
-        o
     }
 }
 
@@ -208,8 +192,7 @@ pub(crate) fn convert_timed<V: Scalar>(
     }
     // Trust the plan only if it plausibly describes this matrix.
     let plan = analysis.filter(|a| a.matches(m));
-    let opts = opts.effective(target);
-    let (converted, path) = dispatch(m, target, &opts, plan)?;
+    let (converted, path) = dispatch(m, target, opts, plan)?;
     Ok((converted, ConvertOutcome { path, seconds: start.elapsed().as_secs_f64() }))
 }
 
@@ -297,7 +280,6 @@ pub fn convert_via_hub<V: Scalar>(
     opts: &ConvertOptions,
 ) -> Result<DynamicMatrix<V>> {
     let coo = m.to_coo();
-    let opts = &opts.effective(target);
     Ok(match target {
         FormatId::Coo => DynamicMatrix::Coo(coo),
         FormatId::Csr => DynamicMatrix::Csr(coo_to_csr(&coo)),
@@ -430,19 +412,16 @@ mod tests {
         assert!(matches!(err, MorpheusError::ExcessivePadding { format: FormatId::Ell, .. }));
     }
 
-    /// A fixed split width is any `usize` a decisions token carries: `width
-    /// × nrows` saturates instead of wrapping past the guard to zero.
+    /// A fixed split width is any `usize` the options carry: `width ×
+    /// nrows` saturates instead of wrapping past the guard to zero.
     #[test]
     fn a_huge_hyb_width_is_excessive_padding() {
         let coo = CooMatrix::<f64>::from_triplets(2, 2, &[0, 1], &[0, 1], &[1.0, 2.0]).unwrap();
         let huge = ConvertOptions { hyb_split: HybSplit::Width(1 << 63), ..Default::default() };
-        let token = FormatParams::parse_token("hyb=9223372036854775808").expect("a width token parses");
         let errs = [
             coo_to_hyb(&coo, &huge).unwrap_err(),
             csr_to_hyb(&coo_to_csr(&coo), &huge).unwrap_err(),
-            DynamicMatrix::from(coo)
-                .to_format(FormatId::Hyb, &ConvertOptions { params: token, ..Default::default() })
-                .unwrap_err(),
+            DynamicMatrix::from(coo).to_format(FormatId::Hyb, &huge).unwrap_err(),
         ];
         for err in errs {
             assert!(

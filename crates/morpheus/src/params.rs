@@ -1,13 +1,15 @@
-//! Learnable per-matrix format parameters.
+//! Per-matrix format parameters.
 //!
 //! The paper's tuner treats format selection as classification over a fixed
-//! enum; AlphaSparse-style systems treat the format *parameters* as the
-//! search space. `FormatParams` is that parameter vector: block dimensions
-//! for BSR, the bucket-width ladder for BELL, and overrides for HYB's split
-//! width and DIA's fill threshold. Defaults reproduce the historical fixed
-//! heuristics; the Oracle's GBT machinery regresses better values per
-//! matrix (see `morpheus-oracle`'s parameter regressor), and
-//! [`crate::ConvertOptions`] carries the chosen vector into conversion.
+//! enum; AlphaSparse-style systems treat a format's layout *parameters* as
+//! part of the same choice. `FormatParams` is that layout: block dimensions
+//! for BSR and the bucket-width ladder for BELL. Defaults reproduce the
+//! historical fixed heuristics; the Oracle proposes values per matrix with
+//! each decision (`morpheus-oracle`'s `propose_params`), and
+//! [`crate::ConvertOptions::params`] carries them into conversion. HYB's
+//! split width and DIA's fill threshold are not parameters of a decision:
+//! they are [`crate::ConvertOptions::hyb_split`] and
+//! [`crate::ConvertOptions::max_fill`].
 
 use crate::bsr::BSR_BLOCK_DIMS;
 
@@ -15,26 +17,20 @@ use crate::bsr::BSR_BLOCK_DIMS;
 /// (`0` slots are unused; all-zero means the automatic power-of-two ladder).
 pub const MAX_BELL_WIDTHS: usize = 8;
 
-/// Tunable format parameters, regressed per matrix or left at the fixed
+/// A matrix's layout parameters, proposed per matrix or left at the fixed
 /// heuristic defaults.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FormatParams {
     /// BSR block dimensions `(rows, cols)`; each in `{2, 4, 8}`.
     pub bsr_block: (usize, usize),
     /// BELL bucket width ladder, ascending, zero-terminated; all zeros
     /// selects [`crate::bell::default_bucket_widths`].
     pub bell_widths: [usize; MAX_BELL_WIDTHS],
-    /// HYB ELL-portion split width override (`None`: the
-    /// [`crate::HybSplit`] policy in the conversion options applies).
-    pub hyb_width: Option<usize>,
-    /// DIA/HDC fill-threshold override (`None`: `ConvertOptions::max_fill`
-    /// applies).
-    pub dia_fill: Option<f64>,
 }
 
 impl Default for FormatParams {
     fn default() -> Self {
-        FormatParams { bsr_block: (4, 4), bell_widths: [0; MAX_BELL_WIDTHS], hyb_width: None, dia_fill: None }
+        FormatParams { bsr_block: (4, 4), bell_widths: [0; MAX_BELL_WIDTHS] }
     }
 }
 
@@ -78,15 +74,13 @@ impl FormatParams {
         for &w in &self.bell_widths {
             mix(w as u64);
         }
-        mix(self.hyb_width.map_or(u64::MAX, |w| w as u64));
-        mix(self.dia_fill.map_or(u64::MAX, f64::to_bits));
         // Fold to 7 bits, avoiding the reserved 0.
         (h % 127) as u8 + 1
     }
 
     /// Serializes to the single-token text form used by versioned decision
     /// exports: `-` for the defaults, otherwise `;`-joined `key=value`
-    /// fields (`bsr=RxC`, `bell=w1,w2,...`, `hyb=W`, `dia=F`). Inverse of
+    /// fields (`bsr=RxC`, `bell=w1,w2,...`). Inverse of
     /// [`FormatParams::parse_token`].
     pub fn to_token(&self) -> String {
         if self.is_default() {
@@ -101,17 +95,11 @@ impl FormatParams {
             let ws: Vec<String> = ladder.iter().map(|w| w.to_string()).collect();
             parts.push(format!("bell={}", ws.join(",")));
         }
-        if let Some(w) = self.hyb_width {
-            parts.push(format!("hyb={w}"));
-        }
-        if let Some(f) = self.dia_fill {
-            // f64 Display is shortest-round-trip, so parse gets bits back.
-            parts.push(format!("dia={f}"));
-        }
         parts.join(";")
     }
 
-    /// Parses [`FormatParams::to_token`] output (`None` on malformed input).
+    /// Parses [`FormatParams::to_token`] output (`None` on malformed input,
+    /// including a key other than `bsr` and `bell`).
     pub fn parse_token(tok: &str) -> Option<Self> {
         if tok == "-" {
             return Some(FormatParams::default());
@@ -134,8 +122,6 @@ impl FormatParams {
                     }
                     p.bell_widths = widths;
                 }
-                "hyb" => p.hyb_width = Some(val.parse().ok()?),
-                "dia" => p.dia_fill = Some(val.parse().ok()?),
                 _ => return None,
             }
         }
@@ -176,7 +162,7 @@ mod tests {
     fn codes_distinguish_parameterizations() {
         let a = FormatParams { bsr_block: (2, 2), ..Default::default() };
         let b = FormatParams { bsr_block: (8, 8), ..Default::default() };
-        let c = FormatParams { hyb_width: Some(9), ..Default::default() };
+        let c = FormatParams::default().with_bell_ladder(&[9]);
         assert_ne!(a.code(), 0);
         assert_ne!(a.code(), b.code());
         assert_ne!(a.code(), c.code());
@@ -188,13 +174,7 @@ mod tests {
             FormatParams::default(),
             FormatParams { bsr_block: (2, 8), ..Default::default() },
             FormatParams::default().with_bell_ladder(&[1, 4, 16, 64]),
-            FormatParams { hyb_width: Some(12), dia_fill: Some(3.25), ..Default::default() },
-            FormatParams {
-                bsr_block: (8, 2),
-                hyb_width: Some(7),
-                dia_fill: Some(0.1),
-                ..FormatParams::default().with_bell_ladder(&[2, 32])
-            },
+            FormatParams { bsr_block: (8, 2), ..FormatParams::default().with_bell_ladder(&[2, 32]) },
         ];
         for p in cases {
             let tok = p.to_token();
@@ -204,6 +184,10 @@ mod tests {
         assert_eq!(FormatParams::default().to_token(), "-");
         assert_eq!(FormatParams::parse_token("bogus"), None);
         assert_eq!(FormatParams::parse_token("bsr=9"), None);
+        // HYB's split and DIA's fill are conversion options, not parameters.
+        for tok in ["hyb=12", "dia=3.25", "bell=2,32;hyb=7"] {
+            assert_eq!(FormatParams::parse_token(tok), None, "{tok}");
+        }
     }
 
     #[test]

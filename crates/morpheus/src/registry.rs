@@ -58,7 +58,7 @@ pub struct FormatTraits {
     /// Stores padding slots (so a padding-allowance guard applies on
     /// conversion).
     pub padded: bool,
-    /// Has tunable [`crate::FormatParams`] the ML stack may regress.
+    /// Has layout parameters ([`crate::FormatParams`]) a decision carries.
     pub parameterized: bool,
     /// Splits the matrix into two sub-format portions.
     pub hybrid: bool,
@@ -92,7 +92,7 @@ static REGISTRY: [FormatEntry; FORMAT_COUNT] = [
     },
     FormatEntry {
         id: FormatId::Dia,
-        traits: FormatTraits { padded: true, parameterized: true, hybrid: false },
+        traits: FormatTraits { padded: true, parameterized: false, hybrid: false },
         // Each populated diagonal is stored at full row length.
         padded_slots: |s| s.ndiags.saturating_mul(s.nrows),
     },
@@ -104,7 +104,7 @@ static REGISTRY: [FormatEntry; FORMAT_COUNT] = [
     },
     FormatEntry {
         id: FormatId::Hyb,
-        traits: FormatTraits { padded: true, parameterized: true, hybrid: true },
+        traits: FormatTraits { padded: true, parameterized: false, hybrid: true },
         // The auto split picks the ELL width *subject to* the fill limit and
         // spills the surplus to COO, so conversion succeeds by construction
         // and padding never exceeds the allowance: always viable.
@@ -112,7 +112,7 @@ static REGISTRY: [FormatEntry; FORMAT_COUNT] = [
     },
     FormatEntry {
         id: FormatId::Hdc,
-        traits: FormatTraits { padded: true, parameterized: true, hybrid: true },
+        traits: FormatTraits { padded: true, parameterized: false, hybrid: true },
         // True diagonals are at least alpha-full by construction and the CSR
         // remainder absorbs everything else, so the hybrid adapts to the
         // structure instead of failing: always viable.
@@ -296,6 +296,6 @@ mod tests {
         assert!(FormatEntry::of(FormatId::Bell).traits.parameterized);
         assert!(FormatEntry::of(FormatId::Hyb).traits.hybrid);
         let n_param = FormatEntry::all().iter().filter(|e| e.traits.parameterized).count();
-        assert_eq!(n_param, 5, "DIA, HYB, HDC, BSR, BELL carry tunable parameters");
+        assert_eq!(n_param, 2, "BSR and BELL carry layout parameters");
     }
 }

@@ -3,15 +3,17 @@
 //! retrain determinism, atomic model hot-swap under concurrent clients and
 //! the forced-drift fallback to the analytical tuner.
 
-use morpheus_repro::machine::{systems, Backend, Op, VirtualEngine};
+use morpheus_repro::machine::{systems, Backend, MatrixAnalysis, Op, VirtualEngine};
 use morpheus_repro::ml::Dataset;
 use morpheus_repro::morpheus::format::{FormatId, FORMAT_COUNT};
-use morpheus_repro::morpheus::{CooMatrix, DynamicMatrix};
+use morpheus_repro::morpheus::{ConvertOptions, CooMatrix, DynamicMatrix};
 use morpheus_repro::oracle::adapt::{
     AdaptiveConfig, AdaptiveEngine, AdaptiveTuner, CollectorConfig, LearnedModel, ModelEpoch, RetrainOutcome,
     SampleCollector, SampleKey,
 };
-use morpheus_repro::oracle::{Oracle, OracleService, RunFirstTuner, NUM_FEATURES};
+use morpheus_repro::oracle::{
+    propose_params, FormatTuner, Oracle, OracleService, RunFirstTuner, TuneDecision, TuningCost, NUM_FEATURES,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -365,4 +367,74 @@ fn base_dataset_warm_start_composes_with_collected_samples() {
     let report = engine.round().unwrap();
     assert_eq!(report.samples, 20, "base dataset must participate");
     assert!(matches!(report.outcome, RetrainOutcome::Swapped { .. }), "{report:?}");
+}
+
+/// Answers BELL with the parameters proposed off the view.
+struct ProposedBell;
+
+impl FormatTuner<f64> for ProposedBell {
+    fn name(&self) -> &'static str {
+        "proposed-bell"
+    }
+
+    fn select(&self, _: &DynamicMatrix<f64>, a: &MatrixAnalysis, _: &VirtualEngine, op: Op) -> TuneDecision {
+        let params = propose_params(FormatId::Bell, a);
+        TuneDecision { format: FormatId::Bell, params, op, cost: TuningCost::default() }
+    }
+}
+
+/// A served matrix's samples are labelled with the parameters it was
+/// converted with: a handle stored under its proposed ladder and the sweep's
+/// BELL trial of the same structure are one population; a handle stored
+/// under an imported ladder is another.
+#[test]
+fn served_and_swept_bell_land_in_the_population_of_their_ladder() {
+    // Rows of 3 entries and one of about 60 (CSR, the form the service keys by):
+    // the proposal is a 3-wide bucket, not the automatic 4-wide one.
+    let (mut rows, mut cols): (Vec<usize>, Vec<usize>) =
+        (0..1800).map(|e| (e / 3, (e * 7 + 1) % 600)).unzip();
+    rows.extend([0; 60]);
+    cols.extend((0..60).map(|k| 3 * k + 2));
+    let vals = vec![1.0; rows.len()];
+    let coo = DynamicMatrix::from(CooMatrix::from_triplets(600, 600, &rows, &cols, &vals).unwrap());
+    let m = coo.to_format(FormatId::Csr, &ConvertOptions::default()).unwrap();
+    let collector = Arc::new(SampleCollector::new(CollectorConfig::default()));
+    let service = || {
+        let engine = VirtualEngine::new(systems::cirrus(), Backend::Serial);
+        Oracle::builder().engine(engine).tuner(ProposedBell).collector(Arc::clone(&collector)).build_service()
+    };
+    let bell = || {
+        let mut kernels = collector.telemetry().snapshot();
+        kernels.retain(|k| k.key.format == FormatId::Bell);
+        kernels.sort_by_key(|k| k.key);
+        kernels
+    };
+    let (x, mut y) = (vec![1.0; 600], vec![0.0; 600]);
+    let proposed = service().unwrap();
+    let handle = proposed.register(m.clone()).unwrap();
+    for _ in 0..3 {
+        proposed.spmv(&handle, &x, &mut y).unwrap();
+    }
+    collector.sweep(proposed.engine(), proposed.convert_options(), &m, Op::Spmv, 2).unwrap();
+    let one = bell();
+    assert_eq!((one.len(), one[0].count), (1, 3 + 2), "served and swept: one population {one:?}");
+    assert_ne!(one[0].key.param_code, 0, "labelled with the proposed ladder, not the automatic one");
+
+    // The same structure stored under an imported ladder: its own population.
+    let mut file = Vec::new();
+    proposed.export_decisions(&mut file).unwrap();
+    let file = String::from_utf8(file).unwrap();
+    let file = format!("{} BELL bell=4,64\nend\n", file.rsplit_once(" BELL ").unwrap().0);
+    let imported = service().unwrap();
+    assert_eq!(imported.import_decisions(std::io::Cursor::new(file.as_bytes())).unwrap(), 1);
+    let handle = imported.register(m).unwrap();
+    imported.spmv(&handle, &x, &mut y).unwrap();
+    let two = bell();
+    assert_eq!(two.len(), 2, "two ladders, two populations: {two:?}");
+    let other = two.iter().find(|k| k.key != one[0].key).unwrap().key;
+    assert_eq!(
+        SampleKey { param_code: one[0].key.param_code, ..other },
+        one[0].key,
+        "differing in the label only"
+    );
 }

@@ -676,7 +676,7 @@ fn a_bsr_decision_is_the_same_however_late_its_counts_were_taken() {
     let eager = analyze(&m);
     let params = propose_params(FormatId::Bsr, &eager);
     assert_eq!(params.normalized_block(), (8, 8), "{params:?}");
-    let opts = ConvertOptions::default();
+    let opts = ConvertOptions { params, ..Default::default() };
     let (want_matrix, _) =
         m.to_format_with(FormatId::Bsr, &opts, Some(&Analysis::of(&m, opts.true_diag_alpha))).unwrap();
     let x: Vec<f64> = (0..m.ncols()).map(|i| 1.0 + (i % 11) as f64 * 0.25).collect();

@@ -1,17 +1,20 @@
-//! Property tests for parameterized formats (PR 9).
+//! Property tests for parameterized formats.
 //!
-//! Every [`ParamStrategy`] realization must convert losslessly and execute
-//! planned/threaded SpMV and SpMM **bitwise** identical to the serial
-//! kernels across worker counts; and hand-picked parameter
-//! edge cases — block dims that don't divide the shape, explicit bucket
-//! ladders narrower or wider than the row distribution — must round-trip.
+//! Every format converted under the parameters a decision may carry — the
+//! proposal itself, each BSR block dim, the quantile and two-level BELL
+//! ladders — must convert losslessly and execute planned/threaded SpMV and
+//! SpMM **bitwise** identical to the serial kernels across worker counts;
+//! and hand-picked edge cases — block dims that don't divide the shape,
+//! explicit bucket ladders narrower or wider than the row distribution,
+//! degenerate HYB splits and DIA fill limits — must round-trip.
 
-use morpheus_repro::machine::analyze;
-use morpheus_repro::morpheus::format::ALL_FORMATS;
+use morpheus_repro::machine::{analyze, MatrixAnalysis};
+use morpheus_repro::morpheus::format::{FormatId, ALL_FORMATS};
+use morpheus_repro::morpheus::hyb::HybSplit;
 use morpheus_repro::morpheus::spmm::spmm_serial;
 use morpheus_repro::morpheus::spmv::spmv_serial;
 use morpheus_repro::morpheus::{ConvertOptions, CooMatrix, DynamicMatrix, ExecPlan, FormatParams};
-use morpheus_repro::oracle::params::{realize, strategies};
+use morpheus_repro::oracle::params::{propose_params, quantile_ladder};
 use morpheus_repro::parallel::ThreadPool;
 use proptest::prelude::*;
 
@@ -35,6 +38,20 @@ fn opts_with(params: FormatParams) -> ConvertOptions {
     ConvertOptions { min_padded_allowance: 1 << 24, params, ..Default::default() }
 }
 
+/// The parameters a decision for `fmt` may carry on the matrix `a`
+/// describes: the proposal, then every block dim and ladder it chooses from.
+fn candidate_params(fmt: FormatId, a: &MatrixAnalysis) -> Vec<FormatParams> {
+    let mut params = vec![propose_params(fmt, a)];
+    let max = a.stats.row_nnz_max.max(1);
+    let mean = (a.mean_row().ceil() as usize).clamp(1, max);
+    params.extend([2, 4, 8].map(|b| FormatParams { bsr_block: (b, b), ..Default::default() }));
+    params.extend(
+        [quantile_ladder(&a.row_lengths), vec![mean, max]]
+            .map(|l| FormatParams::default().with_bell_ladder(&l)),
+    );
+    params
+}
+
 fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
@@ -42,8 +59,8 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every strategy realization of every format converts losslessly and
-    /// its planned SpMV and SpMM stay bitwise identical to the serial
+    /// Every format under every candidate parameter set converts losslessly
+    /// and its planned SpMV and SpMM stay bitwise identical to the serial
     /// kernels on 1–5 workers.
     #[test]
     fn strategy_realizations_are_lossless_and_plan_bitwise(m in arb_matrix(), threads in 1usize..6) {
@@ -54,8 +71,8 @@ proptest! {
         let k = 3usize;
         let xk: Vec<f64> = (0..m.ncols() * k).map(|i| (i % 5) as f64 - 2.0).collect();
         for &fmt in &ALL_FORMATS {
-            for &s in strategies(fmt) {
-                let opts = opts_with(realize(s, &a));
+            for s in candidate_params(fmt, &a) {
+                let opts = opts_with(s);
                 let converted = m.to_format(fmt, &opts).unwrap();
                 prop_assert_eq!(converted.to_coo(), reference.clone(), "{} {:?}: lossy conversion", fmt, s);
 
@@ -78,8 +95,8 @@ proptest! {
 
 /// Parameter edge cases the fuzzer rarely hits exactly: block dims that
 /// don't divide the shape, explicit bucket ladders narrower and wider than
-/// the row distribution, degenerate HYB/DIA overrides. Each must
-/// round-trip losslessly and execute planned SpMV bitwise-identical to
+/// the row distribution, degenerate HYB splits and DIA fill limits. Each
+/// must round-trip losslessly and execute planned SpMV bitwise-identical to
 /// serial on an uneven worker count.
 #[test]
 fn parameter_edge_cases_round_trip_and_execute() {
@@ -98,27 +115,26 @@ fn parameter_edge_cases_round_trip_and_execute() {
         // Empty matrix still converts under any parameters.
         DynamicMatrix::from(CooMatrix::<f64>::new(4, 4)),
     ];
-    let param_sets: Vec<FormatParams> = vec![
-        FormatParams { bsr_block: (2, 2), ..Default::default() },
-        FormatParams { bsr_block: (4, 4), ..Default::default() },
-        FormatParams { bsr_block: (8, 8), ..Default::default() },
+    let option_sets: Vec<ConvertOptions> = vec![
+        opts_with(FormatParams { bsr_block: (2, 2), ..Default::default() }),
+        opts_with(FormatParams { bsr_block: (4, 4), ..Default::default() }),
+        opts_with(FormatParams { bsr_block: (8, 8), ..Default::default() }),
         // Ladder narrower than the widest row: conversion must widen.
-        FormatParams::default().with_bell_ladder(&[1]),
-        FormatParams::default().with_bell_ladder(&[1, 3, 7]),
+        opts_with(FormatParams::default().with_bell_ladder(&[1])),
+        opts_with(FormatParams::default().with_bell_ladder(&[1, 3, 7])),
         // Ladder far wider than any row: everything pads into one bucket.
-        FormatParams::default().with_bell_ladder(&[64]),
-        FormatParams { hyb_width: Some(1), ..Default::default() },
-        FormatParams { hyb_width: Some(1000), ..Default::default() },
-        FormatParams { dia_fill: Some(1e9), ..Default::default() },
+        opts_with(FormatParams::default().with_bell_ladder(&[64])),
+        ConvertOptions { hyb_split: HybSplit::Width(1), ..opts_with(FormatParams::default()) },
+        ConvertOptions { hyb_split: HybSplit::Width(1000), ..opts_with(FormatParams::default()) },
+        ConvertOptions { max_fill: 1e9, ..opts_with(FormatParams::default()) },
     ];
     let pool = ThreadPool::new(3);
     for (si, m) in shapes.iter().enumerate() {
         let reference = m.to_coo();
         let x: Vec<f64> = (0..m.ncols()).map(|i| 1.0 + i as f64 * 0.5).collect();
-        for (pi, params) in param_sets.iter().enumerate() {
-            let opts = opts_with(*params);
+        for (pi, opts) in option_sets.iter().enumerate() {
             for &fmt in &ALL_FORMATS {
-                let converted = m.to_format(fmt, &opts).unwrap();
+                let converted = m.to_format(fmt, opts).unwrap();
                 assert_eq!(converted.to_coo(), reference, "shape {si} params {pi} {fmt}: lossy");
                 let mut y_ref = vec![0.0; m.nrows()];
                 spmv_serial(&converted, &x, &mut y_ref).unwrap();
