@@ -83,7 +83,7 @@ pub mod slo;
 pub use slo::Backpressure;
 
 use crate::obs::{Counter, Gauge, Histogram, Obs, SlowRequest, SpanRecord, Stage, TraceId};
-use crate::serve::{MatrixHandle, OracleService, ServiceSnapshot};
+use crate::serve::{MatrixHandle, OracleService};
 use crate::OracleError;
 use morpheus::Scalar;
 use queue::{Job, JobMeta, PushRefused, QueuedRequest, SubmissionQueue, TenantTable};
@@ -186,17 +186,17 @@ impl fmt::Display for IngressError {
 
 impl std::error::Error for IngressError {}
 
-/// Ingress counters, exposed via [`Ingress::stats`] and folded into
-/// [`ServiceSnapshot::ingress`] by [`Ingress::snapshot`]. All counters
-/// are monotonic except the [`queue_depth`](Self::queue_depth) gauge.
+/// Ingress counters, exposed via [`Ingress::stats`]. All counters are
+/// monotonic except the [`queue_depth`](Self::queue_depth) gauge.
 ///
 /// These values live in the service's unified
 /// [`MetricsRegistry`](crate::obs::MetricsRegistry) under canonical
-/// `ingress.*` names (noted per field below); this struct is a
-/// point-in-time copy whose field names are **deprecated aliases kept
-/// for one release** — scrape the registry
+/// `ingress.*` names (noted per field below), next to the service's own
+/// `serve.*` and `pool.*` metrics; this struct is a point-in-time copy
+/// whose field names are **deprecated aliases** of them, kept while the
+/// `oracle_bench` harness reads it. Scrape the registry
 /// ([`OracleService::obs_snapshot`](crate::serve::OracleService::obs_snapshot))
-/// for the canonical surface.
+/// for the canonical surface: one scrape sees every layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IngressStats {
     /// Submission attempts (admitted or not). Deprecated alias of the
@@ -573,15 +573,6 @@ impl<T: Send + Sync + 'static> Ingress<T> {
             deadline_misses: s.deadline_misses.get(),
             queue_depth: depth,
         }
-    }
-
-    /// The service snapshot with [`ServiceSnapshot::ingress`] populated —
-    /// one coherent operator view of the serving stack including this
-    /// front door.
-    pub fn snapshot(&self) -> ServiceSnapshot {
-        let mut snap = self.shared.service.snapshot();
-        snap.ingress = Some(self.stats());
-        snap
     }
 
     /// The service this front door executes on.

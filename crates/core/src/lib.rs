@@ -111,9 +111,7 @@ pub use obs::{
 };
 pub use oracle::{Oracle, OracleBuilder, DEFAULT_CACHE_CAPACITY};
 pub use params::propose_params;
-pub use serve::{
-    BatchCost, HandleInfo, MatrixHandle, OracleService, PartitionPolicy, ServeStats, ServiceSnapshot,
-};
+pub use serve::{BatchCost, MatrixHandle, OracleService, PartitionPolicy};
 pub use tune::{PlanStatus, TuneReport};
 pub use tuner::{
     DecisionTreeTuner, FormatTuner, GbtTuner, RandomForestTuner, RunFirstTuner, TuneDecision, TuningCost,

@@ -115,8 +115,8 @@ impl MetricsRegistry {
 
 /// An owned, sorted copy of the registry at one instant. Two snapshots
 /// of the same registry can be compared (via [`HistSummary::delta_since`]
-/// and counter subtraction) to isolate a measurement window — this is how
-/// `bench_serve` computes per-mode stage breakdowns on a shared service.
+/// and counter subtraction) to isolate a measurement window on a shared
+/// service.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// `(name, value)` pairs, sorted by name.

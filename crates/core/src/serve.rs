@@ -63,10 +63,10 @@
 //!         });
 //!     }
 //! });
-//! assert_eq!(service.serve_stats().handle_requests, 8);
+//! assert_eq!(service.obs_snapshot().metrics.counter("serve.requests_served"), 8);
 //! ```
 
-use crate::adapt::{CollectorStats, SampleCollector, SampleKey};
+use crate::adapt::{SampleCollector, SampleKey};
 use crate::cache::{CacheKey, CacheStats, ShardedLru};
 use crate::features::FeatureVector;
 use crate::obs::{Counter, Gauge, Histogram, Obs, ObsConfig, ObsSnapshot, Stage, TraceId};
@@ -82,7 +82,6 @@ use morpheus::{
 };
 use morpheus_machine::{analyze_from, assemble, MatrixAnalysis, Op, VirtualEngine};
 use morpheus_parallel::ThreadPool;
-use parking_lot::RwLock;
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -273,27 +272,6 @@ enum ServicePool {
     Owned(ThreadPool),
 }
 
-/// Metadata of one registered matrix, as recorded by the service's handle
-/// registry (see [`OracleService::registered_matrices`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HandleInfo {
-    /// Service-unique registration id (also on the [`MatrixHandle`]).
-    pub id: u64,
-    /// The realized (post-tuning) storage format.
-    pub format: FormatId,
-    /// Rows.
-    pub nrows: usize,
-    /// Columns.
-    pub ncols: usize,
-    /// Stored non-zeros.
-    pub nnz: usize,
-    /// `size_of` of the matrix scalar.
-    pub scalar_bytes: usize,
-    /// Shards the handle executes as (1 = whole-matrix). For partitioned
-    /// handles [`HandleInfo::format`] is the nnz-dominant shard format.
-    pub shards: usize,
-}
-
 /// When [`OracleService::register`] shards a matrix instead of serving it
 /// whole (ROADMAP item 4: per-shard format selection is strictly stronger
 /// than whole-matrix selection on internally heterogeneous matrices).
@@ -346,65 +324,6 @@ impl PartitionPolicy {
             ..defaults
         }
     }
-}
-
-/// One coherent operator view of a service: execution counters, both
-/// cache stats and (when adaptive sampling is on) the collector's
-/// counters, gathered by a single [`OracleService::snapshot`] call instead
-/// of racing four separate accessors whose values would come from
-/// different instants.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ServiceSnapshot {
-    /// Execution counters ([`OracleService::serve_stats`]).
-    pub serve: ServeStats,
-    /// Decision-cache counters ([`OracleService::cache_stats`]).
-    pub decisions: CacheStats,
-    /// Execution-plan-cache counters
-    /// ([`OracleService::plan_cache_stats`]).
-    pub plans: CacheStats,
-    /// Adaptive-sampling counters, when a collector is attached.
-    pub adaptation: Option<CollectorStats>,
-    /// Ingress front-door counters, when the snapshot was taken through an
-    /// [`Ingress`](crate::ingress::Ingress) ([`OracleService::snapshot`]
-    /// itself reports `None` — the service does not know which front doors
-    /// sit above it).
-    pub ingress: Option<crate::ingress::IngressStats>,
-}
-
-/// Execution counters of a service (monotonic and never reset, except the
-/// [`pool_queued_jobs`](ServeStats::pool_queued_jobs) point-in-time gauge).
-///
-/// These values live in the service's unified metrics registry
-/// ([`OracleService::obs`]) under canonical `layer.noun_verb` names; the
-/// struct fields are **deprecated aliases kept for one release** — new
-/// code should read the registry names noted on each field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServeStats {
-    /// Executions through registered handles (`spmv`/`spmm` and their
-    /// workspace variants).
-    ///
-    /// Deprecated alias of the registry counter `serve.requests_served`.
-    pub handle_requests: u64,
-    /// Executions that found the pool busy with another client's batch and
-    /// ran inline on the calling thread (the plan's kernel bodies when a
-    /// plan exists, the serial kernel otherwise) instead of queueing.
-    ///
-    /// Deprecated alias of the registry counter `serve.fallbacks_taken`.
-    pub pool_busy_fallbacks: u64,
-    /// Matrices registered over the service's lifetime.
-    ///
-    /// Deprecated alias of the registry counter
-    /// `serve.matrices_registered`.
-    pub registered: u64,
-    /// Shares of the execution pool's dispatched batch that no worker had
-    /// started at the instant of the snapshot (a *gauge*, not a counter; 0
-    /// for serial services). The pool dispatches one batch at a time and a
-    /// contended caller runs inline instead of queueing, so this is at most
-    /// `workers − 1` and nonzero only while workers are waking up; sustained
-    /// readings mean slow hand-offs (see `pool.queue_wait_ns`), not a backlog.
-    ///
-    /// Deprecated alias of the registry gauge `pool.jobs_queued`.
-    pub pool_queued_jobs: u64,
 }
 
 /// The tuned, converted and planned state [`OracleService::register`]
@@ -599,7 +518,6 @@ pub struct OracleService<T> {
     plan_misses: AtomicU64,
     engine_fingerprint: u64,
     pool: ServicePool,
-    registry: RwLock<Vec<HandleInfo>>,
     next_handle_id: AtomicU64,
     /// Measured-kernel telemetry sink (see [`crate::adapt`]). `None` keeps
     /// execution paths entirely timestamp-free.
@@ -622,7 +540,7 @@ pub struct OracleService<T> {
     /// `serve.plan_ns` — plan acquisition latency (hit or build).
     plan_hist: Arc<Histogram>,
     /// `pool.jobs_queued` — published-but-unstarted worker shares, refreshed
-    /// on stats reads.
+    /// by [`OracleService::obs_snapshot`].
     pool_queued_gauge: Gauge,
 }
 
@@ -684,7 +602,6 @@ impl<T> OracleService<T> {
             plan_misses: AtomicU64::new(0),
             engine_fingerprint,
             pool,
-            registry: RwLock::new(Vec::new()),
             next_handle_id: AtomicU64::new(0),
             collector,
             partition,
@@ -1085,8 +1002,8 @@ impl<T> OracleService<T> {
     }
 
     /// `true` when the pool is busy with another client's batch, counting
-    /// the fallback the caller then takes in `serve.fallbacks_taken`
-    /// ([`ServeStats::pool_busy_fallbacks`]).
+    /// the fallback the caller then takes in the registry counter
+    /// `serve.fallbacks_taken`.
     fn take_serial_fallback(&self, pool: &ThreadPool) -> bool {
         if pool.is_busy() {
             self.fallbacks_taken.inc();
@@ -1360,12 +1277,11 @@ impl<T> OracleService<T> {
     /// [`OracleService::register`] tuned for an arbitrary operation (the
     /// plan is operation-agnostic; only the format selection differs).
     ///
-    /// Each registration appends one [`HandleInfo`] (a few words of
-    /// metadata, not the matrix) to the service's registry, retained for
-    /// the service's lifetime — there is deliberately no deregistration:
-    /// handles own their matrix and plan via `Arc` and free them on drop,
-    /// while the registry stays a complete, monotonic audit of what was
-    /// served.
+    /// Each registration counts once in the registry counter
+    /// `serve.matrices_registered`; the service keeps nothing else of it.
+    /// There is no deregistration: handles own their matrix and plan via
+    /// `Arc` and free them on drop, and what a handle holds (format, shape,
+    /// shards, report) is read off the handle itself.
     pub fn register_for<V>(&self, mut m: DynamicMatrix<V>, op: Op) -> Result<MatrixHandle<V>>
     where
         V: Scalar,
@@ -1397,15 +1313,6 @@ impl<T> OracleService<T> {
         let batch = self.batch_cost_of(&m, &mut artifacts);
         let id = self.next_handle_id.fetch_add(1, Ordering::Relaxed);
         self.matrices_registered.inc();
-        self.registry.write().push(HandleInfo {
-            id,
-            format: m.format_id(),
-            nrows: m.nrows(),
-            ncols: m.ncols(),
-            nnz: m.nnz(),
-            scalar_bytes: std::mem::size_of::<V>(),
-            shards: 1,
-        });
         let stored = Stored::Single { matrix: m, structure, param_code, plan };
         Ok(MatrixHandle { inner: Arc::new(Registered { id, stored, report, batch }) })
     }
@@ -1682,15 +1589,6 @@ impl<T> OracleService<T> {
         };
         let id = self.next_handle_id.fetch_add(1, Ordering::Relaxed);
         self.matrices_registered.inc();
-        self.registry.write().push(HandleInfo {
-            id,
-            format: chosen,
-            nrows: pm.nrows(),
-            ncols: pm.ncols(),
-            nnz: pm.nnz(),
-            scalar_bytes: std::mem::size_of::<V>(),
-            shards: pm.num_shards(),
-        });
         let stored = Stored::Partitioned { matrix: pm, param_codes: tally.param_codes.into() };
         Ok(MatrixHandle { inner: Arc::new(Registered { id, stored, report, batch: tally.batch }) })
     }
@@ -1752,26 +1650,6 @@ impl<T> OracleService<T> {
         Ok(out)
     }
 
-    /// Metadata of every matrix registered so far (read-mostly: a shared
-    /// read lock, uncontended unless a registration is in flight).
-    pub fn registered_matrices(&self) -> Vec<HandleInfo> {
-        self.registry.read().clone()
-    }
-
-    /// Execution counters (atomic snapshots; see [`ServeStats`]). Reading
-    /// also refreshes the `pool.jobs_queued` registry gauge, so metric
-    /// scrapes and struct reads agree.
-    pub fn serve_stats(&self) -> ServeStats {
-        let queued = self.exec_pool().map_or(0, |p| p.queued_jobs() as u64);
-        self.pool_queued_gauge.set(queued);
-        ServeStats {
-            handle_requests: self.requests_served.get(),
-            pool_busy_fallbacks: self.fallbacks_taken.get(),
-            registered: self.matrices_registered.get(),
-            pool_queued_jobs: queued,
-        }
-    }
-
     /// The service's observability hub: the unified metrics registry, the
     /// span tracer and the slow-request flight recorder. Shared (same
     /// `Arc`) with every [`crate::ingress::Ingress`] started on this
@@ -1788,20 +1666,6 @@ impl<T> OracleService<T> {
     pub fn obs_snapshot(&self) -> ObsSnapshot {
         self.pool_queued_gauge.set(self.exec_pool().map_or(0, |p| p.queued_jobs() as u64));
         self.obs.snapshot()
-    }
-
-    /// Everything an operator (or the adaptive subsystem) wants to read in
-    /// one call: serve counters, decision- and plan-cache stats and the
-    /// collector's counters, gathered back to back. Cheap — atomic loads
-    /// plus the stripe-length sums the individual accessors already pay.
-    pub fn snapshot(&self) -> ServiceSnapshot {
-        ServiceSnapshot {
-            serve: self.serve_stats(),
-            decisions: self.cache_stats(),
-            plans: self.plan_cache_stats(),
-            adaptation: self.collector.as_ref().map(|c| c.stats()),
-            ingress: None,
-        }
     }
 
     /// The attached measured-kernel collector, when adaptive sampling was
@@ -2012,8 +1876,9 @@ mod tests {
         for (a, b) in y.iter().zip(&y_ref) {
             assert!((a - b).abs() < 1e-9);
         }
-        assert_eq!(service.serve_stats().handle_requests, 1);
-        assert_eq!(service.serve_stats().registered, 1);
+        let metrics = service.obs_snapshot().metrics;
+        assert_eq!(metrics.counter("serve.requests_served"), 1);
+        assert_eq!(metrics.counter("serve.matrices_registered"), 1);
     }
 
     #[test]
@@ -2026,7 +1891,7 @@ mod tests {
         assert!(h2.report().cache_hit, "identical structure must hit the decision cache");
         assert_eq!(h2.report().plan, PlanStatus::Reused, "and reuse the shared plan");
         assert_ne!(h1.id(), h2.id());
-        assert_eq!(service.registered_matrices().len(), 2);
+        assert_eq!(service.obs_snapshot().metrics.counter("serve.matrices_registered"), 2);
     }
 
     #[test]
@@ -2126,7 +1991,7 @@ mod tests {
             gate.wait();
         });
         assert_eq!(y_busy, y_free, "fallback must be bitwise identical");
-        assert!(service.serve_stats().pool_busy_fallbacks >= 2);
+        assert!(service.obs_snapshot().metrics.counter("serve.fallbacks_taken") >= 2);
     }
 
     #[test]

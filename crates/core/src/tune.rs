@@ -69,9 +69,9 @@ pub struct TuneReport {
     /// client's batch and ran inline on the calling thread — the plan's
     /// kernel bodies (bitwise identical to the pooled execution) when a
     /// plan was acquired, the serial kernel otherwise — instead of
-    /// queueing behind it (see
-    /// [`crate::ServeStats::pool_busy_fallbacks`]). Always `false` for
-    /// tune-only calls and serial engines.
+    /// queueing behind it (counted in the registry counter
+    /// `serve.fallbacks_taken`, see [`crate::OracleService::obs_snapshot`]).
+    /// Always `false` for tune-only calls and serial engines.
     pub serial_fallback: bool,
     /// Which conversion path realised the switch (direct kernel, hub
     /// through an interchange copy, or identity) and its measured wall-clock cost. Unlike

@@ -6,18 +6,6 @@ pub fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Linear-interpolation percentile of an *unsorted* sample (numpy's
-/// default method): `p` in `[0, 1]`. Used by the serving benchmark for
-/// p50/p99 request latencies. Delegates to the runtime's shared
-/// [`morpheus_oracle::obs::percentile_exact`] so bench and serving
-/// quantile conventions cannot drift apart.
-///
-/// # Panics
-/// On an empty sample.
-pub fn percentile(values: &[f64], p: f64) -> f64 {
-    morpheus_oracle::obs::percentile_exact(values, p)
-}
-
 /// Summary statistics of a sample (the row shape of Table IV).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleStats {
@@ -183,16 +171,6 @@ mod tests {
         assert_eq!(lines.len(), 5);
         assert!(lines[0].contains("| 1"), "{h}");
         assert!(lines[4].contains("| 1"), "{h}");
-    }
-
-    #[test]
-    fn percentile_interpolates_like_numpy() {
-        let v = vec![4.0, 1.0, 3.0, 2.0];
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 0.5), 2.5);
-        assert_eq!(percentile(&v, 1.0), 4.0);
-        assert!((percentile(&v, 0.99) - 3.97).abs() < 1e-12);
-        assert_eq!(percentile(&[7.0], 0.5), 7.0);
     }
 
     #[test]

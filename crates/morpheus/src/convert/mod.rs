@@ -270,10 +270,10 @@ fn dispatch<V: Scalar>(
 /// Converts `m` to `target` strictly through a materialised COO
 /// intermediate, regardless of whether a direct kernel exists.
 ///
-/// This is the reference path the property tests and the conversion
-/// benchmarks compare the direct kernels against; production code should go
-/// through [`crate::DynamicMatrix::to_format`], which dispatches to the
-/// fastest route.
+/// This is the reference path the tests compare the direct kernels
+/// against; production code should go through
+/// [`crate::DynamicMatrix::to_format`], which dispatches to the fastest
+/// route.
 pub fn convert_via_hub<V: Scalar>(
     m: &DynamicMatrix<V>,
     target: FormatId,

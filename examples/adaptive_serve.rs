@@ -62,8 +62,7 @@ fn main() {
         }
         println!("served {requests:>5} requests of {name:<14} in {}", handles[i].format_id());
     }
-    let snap = service.snapshot();
-    let adaptation = snap.adaptation.as_ref().expect("collector attached");
+    let adaptation = service.collector().expect("collector attached").stats();
     println!(
         "telemetry: {} measured executions across {} populations ({} dropped)\n",
         adaptation.telemetry.recorded, adaptation.telemetry.slots_used, adaptation.telemetry.dropped
@@ -112,7 +111,7 @@ fn main() {
     // engine drops the model and the analytical tuner takes over — same
     // service, no restart.
     let mut drifted = Dataset::empty(NUM_FEATURES, 6, vec![]).unwrap();
-    let row = [600.0, 600.0, 3000.0, 5.0, 0.008, 24.0, 1.0, 2.0, 19.0, 0.0];
+    let row: [f64; NUM_FEATURES] = [600.0, 600.0, 3000.0, 5.0, 0.008, 24.0, 1.0, 2.0, 19.0, 0.0, 0.0, 0.0];
     for i in 0..30 {
         drifted.push(&row, i % 6).unwrap();
     }

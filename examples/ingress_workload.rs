@@ -94,10 +94,9 @@ fn main() {
     });
     let wall = t0.elapsed().as_secs_f64();
 
-    // The ingress snapshot folds service counters and front-door counters
-    // into one coherent operator view.
-    let snap = ingress.snapshot();
-    let istats = snap.ingress.expect("snapshot taken through the ingress");
+    // The front door's counters, and the service's from the same registry.
+    let istats = ingress.stats();
+    let obs = service.obs_snapshot();
     let total = tenants * requests_per_tenant;
     println!("\n{tenants} tenant(s) x {requests_per_tenant} requests, SLO {slo:?}: {wall:.3} s");
     println!("  throughput:         {:>10.0} req/s", total as f64 / wall);
@@ -116,12 +115,14 @@ fn main() {
     );
     println!("  deadline misses:    {:>10}", istats.deadline_misses);
     println!("  queue depth now:    {:>10}", istats.queue_depth);
-    println!("  silent fallbacks:   {:>10} (ingress path never takes them)", snap.serve.pool_busy_fallbacks);
+    println!(
+        "  silent fallbacks:   {:>10} (ingress path never takes them)",
+        obs.metrics.counter("serve.fallbacks_taken")
+    );
 
     // The per-stage breakdown, straight from the unified registry: where
     // a request's lifetime actually went — queue wait, the coalesce gate,
     // kernel execution, result scatter.
-    let obs = service.obs_snapshot();
     let us = |ns: u64| ns as f64 / 1e3;
     println!("\nstage latencies (registry histograms):");
     for name in ["ingress.queue_wait_ns", "ingress.coalesce_ns", "ingress.exec_ns", "ingress.scatter_ns"] {

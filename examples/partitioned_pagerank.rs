@@ -99,10 +99,10 @@ fn main() {
     for (node, score) in top.iter().take(5) {
         println!("  node {node:>6}: {score:.3e}");
     }
-    let stats = service.serve_stats();
+    let metrics = service.obs_snapshot().metrics;
     println!(
         "service: {} handle(s), {} request(s)",
-        service.registered_matrices().len(),
-        stats.handle_requests
+        metrics.counter("serve.matrices_registered"),
+        metrics.counter("serve.requests_served")
     );
 }

@@ -113,14 +113,15 @@ fn main() {
     let wall = t0.elapsed().as_secs_f64();
 
     let total = served.load(Ordering::Relaxed) + tuned.load(Ordering::Relaxed);
-    // One coherent snapshot instead of racing four accessors.
-    let snap = service.snapshot();
-    let (stats, decisions, plans) = (snap.serve, snap.decisions, snap.plans);
+    let (decisions, plans) = (service.cache_stats(), service.plan_cache_stats());
+    // The counters and the per-stage breakdown, straight from the unified
+    // registry.
+    let metrics = service.obs_snapshot().metrics;
     println!("{clients} client(s) x {requests_per_client} requests: {total} served in {wall:.3} s");
     println!("  throughput:        {:>10.0} req/s", total as f64 / wall);
-    println!("  handle requests:   {:>10}", stats.handle_requests);
+    println!("  handle requests:   {:>10}", metrics.counter("serve.requests_served"));
     println!("  per-call tunes:    {:>10}", tuned.load(Ordering::Relaxed));
-    println!("  busy fallbacks:    {:>10}", stats.pool_busy_fallbacks);
+    println!("  busy fallbacks:    {:>10}", metrics.counter("serve.fallbacks_taken"));
     println!(
         "  decision cache:    {:>10.1}% hit rate ({} hits / {} lookups)",
         decisions.hit_rate() * 100.0,
@@ -129,8 +130,6 @@ fn main() {
     );
     println!("  plan cache:        {:>10.1}% hit rate ({} entries)", plans.hit_rate() * 100.0, plans.len);
 
-    // The per-stage breakdown, straight from the unified registry.
-    let metrics = service.obs_snapshot().metrics;
     let us = |ns: u64| ns as f64 / 1e3;
     println!("\nstage latencies (registry histograms):");
     for name in ["serve.request_ns", "serve.plan_ns", "pool.queue_wait_ns"] {

@@ -191,13 +191,12 @@ fn serving_feeds_telemetry_and_sweep_fills_coverage() {
             service.spmv(&handle, &x, &mut y).unwrap();
         }
     }
-    let snap = service.snapshot();
-    let adaptation = snap.adaptation.expect("collector attached");
+    let adaptation = service.collector().expect("collector attached").stats();
     assert_eq!(adaptation.telemetry.recorded, 12, "every handle execution must be measured");
     assert_eq!(adaptation.telemetry.dropped, 0);
     assert_eq!(adaptation.structures_profiled, corpus.len());
-    assert_eq!(snap.serve.handle_requests, 12);
-    assert_eq!(snap.decisions.misses, 4);
+    assert_eq!(service.obs_snapshot().metrics.counter("serve.requests_served"), 12);
+    assert_eq!(service.cache_stats().misses, 4);
     // A handle is keyed by the hash its matrix was decided under, the one
     // its features were noted under: no alias from a converted structure.
     assert_eq!(adaptation.aliases, 0, "registered handles need no alias");

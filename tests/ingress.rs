@@ -244,7 +244,8 @@ fn expired_deadlines_shed_with_typed_backpressure_and_no_partial_results() {
     let service = fixed_service(FormatId::Csr);
     let n = 60usize;
     let h = service.register(matrix_f64(n)).unwrap();
-    let executed_before = service.serve_stats().handle_requests;
+    let served = || service.obs_snapshot().metrics.counter("serve.requests_served");
+    let executed_before = served();
 
     let ingress = Ingress::start(Arc::clone(&service), IngressConfig::default());
     ingress.pause();
@@ -268,7 +269,7 @@ fn expired_deadlines_shed_with_typed_backpressure_and_no_partial_results() {
     assert_eq!(stats.completed, 1);
     // The shed request never reached a kernel: only the healthy request
     // (plus the reference above) count as handle executions.
-    assert_eq!(service.serve_stats().handle_requests, executed_before + 2);
+    assert_eq!(served(), executed_before + 2);
 }
 
 #[test]
@@ -375,20 +376,74 @@ fn coalesced_executions_are_timestamped_into_spmm_telemetry() {
 }
 
 #[test]
-fn snapshot_through_ingress_carries_both_service_and_ingress_counters() {
+fn ingress_and_serve_counters_land_in_one_registry_scrape() {
     let service = fixed_service(FormatId::Csr);
     let n = 40usize;
     let h = service.register(matrix_f64(n)).unwrap();
     let ingress = Ingress::start(Arc::clone(&service), IngressConfig::default());
     ingress.submit("t", &h, input(n, 0)).unwrap().wait().unwrap();
 
-    let snap = ingress.snapshot();
-    let istats = snap.ingress.expect("ingress snapshot must carry ingress counters");
+    let istats = ingress.stats();
     assert_eq!(istats.submitted, 1);
     assert_eq!(istats.completed, 1);
-    assert!(snap.serve.handle_requests >= 1);
-    // The plain service snapshot does not know about front doors.
-    assert!(service.snapshot().ingress.is_none());
+    // Every `IngressStats` field is a copy of its registry cell, and the
+    // service's own counters are in the same scrape.
+    let metrics = service.obs_snapshot().metrics;
+    for (field, value, name) in [
+        ("submitted", istats.submitted, "ingress.requests_submitted"),
+        ("rejected_queue_full", istats.rejected_queue_full, "ingress.queue_rejected"),
+        ("rejected_quota", istats.rejected_quota, "ingress.quota_rejected"),
+        ("shed_deadline", istats.shed_deadline, "ingress.deadline_shed"),
+        ("shed_shutdown", istats.shed_shutdown, "ingress.shutdown_shed"),
+        ("completed", istats.completed, "ingress.requests_completed"),
+        ("failed", istats.failed, "ingress.requests_failed"),
+        ("direct_requests", istats.direct_requests, "ingress.direct_served"),
+        ("coalesced_requests", istats.coalesced_requests, "ingress.coalesced_served"),
+        ("coalesced_batches", istats.coalesced_batches, "ingress.batches_coalesced"),
+        ("cost_gate_declined", istats.cost_gate_declined, "ingress.coalesce_declined"),
+        ("deadline_misses", istats.deadline_misses, "ingress.deadlines_missed"),
+    ] {
+        assert_eq!(metrics.counter(name), value, "{field} is {name}");
+    }
+    assert_eq!(metrics.gauge("ingress.queue_depth"), istats.queue_depth);
+    assert!(metrics.counter("serve.requests_served") >= 1);
+}
+
+/// The default front door (the `CostModel` policy) coalesces a same-handle
+/// burst on a handle whose numbers say coalescing pays, and its gate reads
+/// two numbers off the handle: even its slowest decision costs less than a
+/// median execution, or per-handle work has crept back into it.
+#[test]
+fn default_policy_coalesces_a_paying_burst_and_its_gate_stays_below_an_execution() {
+    let service = fixed_service(FormatId::Csr);
+    assert!(service.obs().enabled(), "the default observability records the stage histograms");
+    // Large enough that one SpMM outweighs the gate by orders of magnitude
+    // in an unoptimised build too.
+    let n = 40_000usize;
+    let h = service.register(matrix_f64(n)).unwrap();
+    assert!(h.batch_cost().coalescing_pays(), "{:?}", h.batch_cost());
+
+    let ingress = Ingress::start(Arc::clone(&service), IngressConfig::default());
+    for burst in 0..3 {
+        let xs: Vec<Vec<f64>> = (0..8).map(|c| input(n, burst * 8 + c)).collect();
+        ingress.pause();
+        let tickets: Vec<_> = xs.iter().map(|x| ingress.submit("t", &h, x.clone()).unwrap()).collect();
+        ingress.resume();
+        for (c, (t, x)) in tickets.into_iter().zip(&xs).enumerate() {
+            let y = t.wait().unwrap_or_else(|e| panic!("burst {burst} client {c}: {e}"));
+            let mut want = vec![f64::NAN; n];
+            spmv_serial(h.matrix(), x, &mut want).unwrap();
+            assert_bitwise_f64(&y, &want, &format!("burst {burst} client {c}"));
+        }
+    }
+
+    let stats = ingress.stats();
+    assert!(stats.coalesced_batches >= 1, "{stats:?}");
+    assert!(stats.coalescing_ratio() > 0.0, "{stats:?}");
+    let metrics = service.obs_snapshot().metrics;
+    let (gate, exec) = (metrics.hist("ingress.coalesce_ns"), metrics.hist("ingress.exec_ns"));
+    assert!(gate.count > 0 && exec.count > 0, "both stages recorded");
+    assert!(gate.p99_ns() < exec.p50_ns(), "gate p99 {} ns, exec p50 {} ns", gate.p99_ns(), exec.p50_ns());
 }
 
 #[test]

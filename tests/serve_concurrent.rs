@@ -168,13 +168,13 @@ fn concurrent_registered_handles_are_deterministic_and_ulp_close_to_serial() {
         }
     });
 
-    let stats = service.serve_stats();
+    let metrics = service.obs_snapshot().metrics;
     assert_eq!(
-        stats.handle_requests,
+        metrics.counter("serve.requests_served"),
         (clients * rounds * handles.len()) as u64,
-        "handle executions lost under contention: {stats:?}"
+        "handle executions lost under contention: {metrics:?}"
     );
-    assert_eq!(stats.registered, handles.len() as u64);
+    assert_eq!(metrics.counter("serve.matrices_registered"), handles.len() as u64);
 
     // SpMM through the same handles agrees with the serial kernel too.
     let k = 3usize;
@@ -223,12 +223,12 @@ fn mixed_precision_clients_share_one_service() {
         });
     });
 
-    let infos = service.registered_matrices();
-    assert_eq!(infos.len(), 2);
-    let mut widths: Vec<usize> = infos.iter().map(|i| i.scalar_bytes).collect();
-    widths.sort_unstable();
-    assert_eq!(widths, vec![4, 8]);
-    assert_eq!(service.serve_stats().handle_requests, 10);
+    // One structure, two scalar widths: two registrations and two cached
+    // decisions, one per width.
+    let metrics = service.obs_snapshot().metrics;
+    assert_eq!(metrics.counter("serve.matrices_registered"), 2);
+    assert_eq!(service.cache_stats().len, 2, "each precision keys its own decision");
+    assert_eq!(metrics.counter("serve.requests_served"), 10);
 }
 
 #[test]
@@ -283,7 +283,7 @@ fn service_keeps_serving_while_an_unrelated_pool_is_saturated() {
     });
     assert!(bitwise_eq(&y_busy, &y_free));
     assert_eq!(
-        service.serve_stats().pool_busy_fallbacks,
+        service.obs_snapshot().metrics.counter("serve.fallbacks_taken"),
         0,
         "an unrelated pool's saturation must not force fallbacks"
     );
