@@ -83,6 +83,14 @@ impl LearnedModel {
         }
     }
 
+    /// Predicted class and nodes visited, from one walk of the model.
+    pub fn predict_with_path(&self, x: &[f64]) -> (usize, usize) {
+        match self {
+            LearnedModel::Forest(m) => m.predict_with_path(x),
+            LearnedModel::Gbt(m) => m.predict_with_path(x),
+        }
+    }
+
     /// Serializes the model in the Model-Database text format.
     pub fn save<W: std::io::Write>(&self, w: &mut W) -> Result<()> {
         match self {
@@ -196,8 +204,7 @@ impl<V: Scalar, F: FormatTuner<V>> FormatTuner<V> for AdaptiveTuner<F> {
         match &state.learned {
             Some(epoch) if epoch.op == op => {
                 let fv = FeatureVector::from_stats(&a.stats);
-                let predicted = epoch.model.predict(fv.as_slice());
-                let visited = epoch.model.decision_path_len(fv.as_slice());
+                let (predicted, visited) = epoch.model.predict_with_path(fv.as_slice());
                 ml_decision(predicted, visited, m, a, engine, op)
             }
             _ => self.fallback.select(m, a, engine, op),

@@ -129,13 +129,20 @@ impl BatchCost {
 type PlanSlot = parking_lot::Mutex<Option<Arc<dyn Any + Send + Sync>>>;
 
 /// A decision-cache entry: the decision, the [`BatchCost`] of its format
-/// (unless it was imported from a decisions file) and the plan of the keyed
-/// structure realized in that format. What a hit needs beyond converting
-/// comes with the lookup: no analysis, no second cache.
+/// (unless it was imported from a decisions file), the diagonals a DIA or
+/// HDC realization stored and the plan of the keyed structure realized in
+/// that format. What a hit needs comes with the lookup: no analysis, no
+/// second cache, and — the layout being known — no walk to find diagonals.
 #[derive(Debug, Clone)]
 struct CachedDecision {
     decision: TuneDecision,
     batch: Option<BatchCost>,
+    /// [`DynamicMatrix::diagonal_layout`] of the matrix the miss realized,
+    /// which a hit converts into ([`DynamicMatrix::convert_to_diagonals`]);
+    /// `None` for the other formats, until the entry's conversion is known
+    /// to hold, and for an imported decision (never written to a decisions
+    /// file), whose hit finds the diagonals in a walk.
+    layout: Option<Arc<[isize]>>,
     /// Shared by the copies of one entry (the one inserted when the tuner
     /// answered, the one that replaces it once the conversion is known to
     /// hold, the re-tune alias), so a plan built under any of them serves
@@ -146,7 +153,7 @@ struct CachedDecision {
 
 impl CachedDecision {
     fn new(decision: TuneDecision, batch: Option<BatchCost>) -> Self {
-        CachedDecision { decision, batch, plan: Arc::default() }
+        CachedDecision { decision, batch, layout: None, plan: Arc::default() }
     }
 }
 
@@ -203,6 +210,8 @@ struct Decided {
     /// [`BatchCost`] of `decision.format`: always known on a miss (the view
     /// is at hand), on a hit whenever the entry carries it.
     batch: Option<BatchCost>,
+    /// The entry's diagonal layout, on a hit whose entry carries one.
+    layout: Option<Arc<[isize]>>,
     /// The entry's plan slot: whatever the entry holds on a hit, empty on a
     /// miss.
     plan: Arc<PlanSlot>,
@@ -778,7 +787,7 @@ impl<T> OracleService<T> {
         let (key, found) = self.lookup::<V>(facts.hash, op);
         self.decisions.count(found.is_some());
         match found {
-            Some(CachedDecision { decision: mut cached, batch, plan }) => {
+            Some(CachedDecision { decision: mut cached, batch, layout, plan }) => {
                 // Same structure, scalar, engine and op: the tuner would
                 // reproduce this decision, so charge nothing for it.
                 cached.cost = TuningCost::cached();
@@ -787,7 +796,8 @@ impl<T> OracleService<T> {
                 if facts.view.as_ref().is_some_and(|view| !view.prices(cached.format)) {
                     facts.take_pricing_walks(m);
                 }
-                Decided { facts, key, decision: cached, batch, plan, cache_hit: true, generation: [0; 2] }
+                let generation = [0; 2];
+                Decided { facts, key, decision: cached, batch, layout, plan, cache_hit: true, generation }
             }
             None => {
                 let Answer { decision, generation } =
@@ -797,7 +807,7 @@ impl<T> OracleService<T> {
                 let undecided = CachedDecision::new(decision, batch);
                 let plan = Arc::clone(&undecided.plan);
                 self.decisions.insert_if_generation(key, undecided, generation[0]);
-                Decided { facts, key, decision, batch, plan, cache_hit: false, generation }
+                Decided { facts, key, decision, batch, layout: None, plan, cache_hit: false, generation }
             }
         }
     }
@@ -821,6 +831,7 @@ impl<T> OracleService<T> {
             key,
             decision,
             batch,
+            layout,
             plan,
             cache_hit,
             generation,
@@ -828,9 +839,14 @@ impl<T> OracleService<T> {
         let hashed = m.format_id();
         let (previous, moved) = moved.unwrap_or((hashed, 0.0));
         let predicted = decision.format;
-        // The layout is the decision's; the guards are the service's.
+        // The layout is the decision's; the guards are the service's. A hit
+        // whose entry knows the diagonals converts into them.
         let opts = ConvertOptions { params: decision.params, ..self.opts };
-        let (chosen, convert) = match m.convert_to_with(predicted, &opts, analysis.as_ref()) {
+        let converted = match &layout {
+            Some(offsets) => m.convert_to_diagonals(predicted, &opts, offsets),
+            None => m.convert_to_with(predicted, &opts, analysis.as_ref()),
+        };
+        let (chosen, convert) = match converted {
             Ok(outcome) => (predicted, outcome),
             Err(_) => {
                 // Mispredicted into a non-viable format: fall back to CSR.
@@ -853,6 +869,7 @@ impl<T> OracleService<T> {
             let done = CachedDecision {
                 decision: TuneDecision { format: chosen, params, ..decision },
                 batch,
+                layout: m.diagonal_layout().map(Arc::from),
                 plan: Arc::clone(&plan),
             };
             if kept && chosen != hashed {

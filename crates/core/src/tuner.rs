@@ -312,8 +312,7 @@ impl<V: Scalar> FormatTuner<V> for DecisionTreeTuner {
         op: Op,
     ) -> TuneDecision {
         let fv = FeatureVector::from_stats(&a.stats);
-        let predicted = self.model.predict(fv.as_slice());
-        let visited = self.model.decision_path_len(fv.as_slice());
+        let (predicted, visited) = self.model.predict_with_path(fv.as_slice());
         ml_decision(predicted, visited, m, a, engine, op)
     }
 
@@ -366,8 +365,7 @@ impl<V: Scalar> FormatTuner<V> for RandomForestTuner {
         op: Op,
     ) -> TuneDecision {
         let fv = FeatureVector::from_stats(&a.stats);
-        let predicted = self.model.predict(fv.as_slice());
-        let visited = self.model.decision_path_len(fv.as_slice());
+        let (predicted, visited) = self.model.predict_with_path(fv.as_slice());
         ml_decision(predicted, visited, m, a, engine, op)
     }
 
@@ -417,8 +415,7 @@ impl<V: Scalar> FormatTuner<V> for GbtTuner {
         op: Op,
     ) -> TuneDecision {
         let fv = FeatureVector::from_stats(&a.stats);
-        let predicted = self.model.predict(fv.as_slice());
-        let visited = self.model.decision_path_len(fv.as_slice());
+        let (predicted, visited) = self.model.predict_with_path(fv.as_slice());
         ml_decision(predicted, visited, m, a, engine, op)
     }
 

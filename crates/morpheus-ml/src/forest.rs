@@ -149,9 +149,19 @@ impl RandomForest {
     /// Majority-vote prediction (§VI-A): each tree casts one vote; ties go
     /// to the lower class ID.
     pub fn predict(&self, x: &[f64]) -> usize {
+        self.predict_with_path(x).0
+    }
+
+    /// [`RandomForest::predict`] and [`RandomForest::decision_path_len`]
+    /// from one walk of each tree: the voted class and the nodes visited
+    /// across all trees.
+    pub fn predict_with_path(&self, x: &[f64]) -> (usize, usize) {
         let mut votes = vec![0usize; self.n_classes];
+        let mut visited = 0usize;
         for tree in &self.trees {
-            votes[tree.predict(x)] += 1;
+            let (class, path) = tree.predict_with_path(x);
+            votes[class] += 1;
+            visited += path;
         }
         let mut best = 0usize;
         for (c, &v) in votes.iter().enumerate() {
@@ -159,7 +169,7 @@ impl RandomForest {
                 best = c;
             }
         }
-        best
+        (best, visited)
     }
 
     /// Per-class vote fractions.

@@ -129,22 +129,10 @@ impl<'a> RegBuilder<'a> {
 }
 
 impl RegressionTree {
-    fn predict(&self, x: &[f64], ds_features: usize) -> f64 {
-        debug_assert_eq!(x.len(), ds_features);
-        let mut node = 0usize;
-        loop {
-            match &self.nodes[node] {
-                RNode::Split { feature, threshold, left, right } => {
-                    node = if x[*feature] <= *threshold { *left } else { *right };
-                }
-                RNode::Leaf { value } => return *value,
-            }
-        }
-    }
-
-    /// Nodes visited for one prediction, counting the leaf (the same
-    /// convention as [`crate::DecisionTree::decision_path_len`]).
-    fn path_len(&self, x: &[f64]) -> usize {
+    /// The leaf value for one feature vector and the nodes visited to reach
+    /// it, counting the leaf (the convention of
+    /// [`crate::DecisionTree::decision_path_len`]).
+    fn walk(&self, x: &[f64]) -> (f64, usize) {
         let mut node = 0usize;
         let mut visited = 1usize;
         loop {
@@ -153,7 +141,7 @@ impl RegressionTree {
                     node = if x[*feature] <= *threshold { *left } else { *right };
                     visited += 1;
                 }
-                RNode::Leaf { .. } => return visited,
+                RNode::Leaf { value } => return (*value, visited),
             }
         }
     }
@@ -230,7 +218,7 @@ impl GradientBoostedTrees {
                 builder.build(&mut idx, 0);
                 let tree = RegressionTree { nodes: builder.nodes };
                 for i in 0..n {
-                    scores[i * k + c] += params.learning_rate * tree.predict(ds.row(i), ds.n_features());
+                    scores[i * k + c] += params.learning_rate * tree.walk(ds.row(i)).0;
                 }
                 round_trees.push(tree);
             }
@@ -247,25 +235,41 @@ impl GradientBoostedTrees {
 
     /// Raw (log-odds) scores for one feature vector.
     pub fn decision_scores(&self, x: &[f64]) -> Vec<f64> {
+        self.scores_with_path(x).0
+    }
+
+    /// The scores and the regression-tree nodes visited computing them.
+    fn scores_with_path(&self, x: &[f64]) -> (Vec<f64>, usize) {
+        debug_assert_eq!(x.len(), self.n_features);
         let mut scores = self.priors.clone();
+        let mut visited = 0usize;
         for round in &self.trees {
             for (c, tree) in round.iter().enumerate() {
-                scores[c] += self.params.learning_rate * tree.predict(x, self.n_features);
+                let (value, path) = tree.walk(x);
+                scores[c] += self.params.learning_rate * value;
+                visited += path;
             }
         }
-        scores
+        (scores, visited)
     }
 
     /// Predicted class (argmax of scores).
     pub fn predict(&self, x: &[f64]) -> usize {
-        let scores = self.decision_scores(x);
+        self.predict_with_path(x).0
+    }
+
+    /// [`GradientBoostedTrees::predict`] and
+    /// [`GradientBoostedTrees::decision_path_len`] from one walk of each
+    /// regression tree.
+    pub fn predict_with_path(&self, x: &[f64]) -> (usize, usize) {
+        let (scores, visited) = self.scores_with_path(x);
         let mut best = 0;
         for (c, &s) in scores.iter().enumerate() {
             if s > scores[best] {
                 best = c;
             }
         }
-        best
+        (best, visited)
     }
 
     /// Predictions for every row of a dataset.
@@ -293,7 +297,7 @@ impl GradientBoostedTrees {
     /// ensemble analogue of [`crate::DecisionTree::decision_path_len`],
     /// used by prediction-cost models.
     pub fn decision_path_len(&self, x: &[f64]) -> usize {
-        self.trees.iter().flatten().map(|t| t.path_len(x)).sum()
+        self.trees.iter().flatten().map(|t| t.walk(x).1).sum()
     }
 
     /// The hyperparameters used to fit this ensemble.

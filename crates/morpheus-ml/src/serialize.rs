@@ -156,6 +156,14 @@ impl LoadedModel {
         }
     }
 
+    /// Predicted class and nodes visited, from one walk.
+    pub fn predict_with_path(&self, x: &[f64]) -> (usize, usize) {
+        match self {
+            LoadedModel::Tree(t) => t.predict_with_path(x),
+            LoadedModel::Forest(f) => f.predict_with_path(x),
+        }
+    }
+
     /// Number of features the model expects.
     pub fn n_features(&self) -> usize {
         match self {

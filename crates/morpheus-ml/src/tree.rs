@@ -267,9 +267,15 @@ impl DecisionTree {
 
     /// Predicted class for one feature vector.
     pub fn predict(&self, x: &[f64]) -> usize {
-        let (leaf, _) = self.walk(x);
+        self.predict_with_path(x).0
+    }
+
+    /// [`DecisionTree::predict`] and [`DecisionTree::decision_path_len`]
+    /// from one walk: the class and the nodes visited to reach it.
+    pub fn predict_with_path(&self, x: &[f64]) -> (usize, usize) {
+        let (leaf, visited) = self.walk(x);
         match &self.nodes[leaf] {
-            Node::Leaf { class, .. } => *class,
+            Node::Leaf { class, .. } => (*class, visited),
             Node::Split { .. } => unreachable!("walk ends at a leaf"),
         }
     }

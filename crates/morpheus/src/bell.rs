@@ -66,9 +66,12 @@ use crate::error::MorpheusError;
 use crate::format::FormatId;
 use crate::rowmajor::RowMajor;
 use crate::scalar::Scalar;
+use crate::spmv::cpu_features::CpuFeatures;
 use crate::Result;
 use morpheus_parallel::static_partition;
 use std::ops::Range;
+
+mod fill;
 
 /// Rows per slice: the number of rows a kernel keeps in flight, and the
 /// lane count of every k-level except in a bucket's ragged last slice.
@@ -319,12 +322,21 @@ impl<V: Scalar> BellMatrix<V> {
     /// allocate (`usize::MAX` when their count overflows) before anything
     /// of that size is: a ladder width can be any `usize`.
     ///
+    /// The fill (`fill::fill_bucket`) writes every cell, pads included —
+    /// a pad's column and its `V::ZERO` — so nothing stored is left over
+    /// from the allocation. It runs in the form `cpu` selects: AVX2 gathers
+    /// for the full slices of an `f64`/`f32` matrix's buckets wider than one
+    /// where `cpu` and the executing CPU have them, the portable lane loop
+    /// otherwise and for every ragged slice. The forms store bitwise the same arrays;
+    /// conversions pass [`CpuFeatures::detect`], tests
+    /// [`CpuFeatures::none`] too.
+    ///
     /// Fails with [`MorpheusError::IndexOverflow`] when a dimension does not
     /// fit the stored index width, and with whatever `guard` returns.
     ///
     /// # Panics
     /// If the runs do not lie inside `cols`/`vals` or a column index is
-    /// `>= ncols`.
+    /// `>= ncols` (after the fill: the largest column stored is checked).
     // Called once per conversion, and kept out of its callers on purpose:
     // whether the inliner folds it into `bell_from_arrays` flips with edits
     // elsewhere in the crate, and folded in, its fills ran slower (5 % of a
@@ -337,6 +349,7 @@ impl<V: Scalar> BellMatrix<V> {
         vals: &[V],
         widths: &[usize],
         guard: impl FnOnce(usize, usize) -> Result<()>,
+        cpu: CpuFeatures,
     ) -> Result<Self> {
         check_index_width(nrows, ncols)?;
         let row_len = |r: usize| run(r).1;
@@ -393,33 +406,12 @@ impl<V: Scalar> BellMatrix<V> {
             let width = ladder[b];
             let mut bcols = vec![0u32; width * rows.len()];
             let mut bvals = vec![V::ZERO; width * rows.len()];
-            // One slice at a time, k-level by k-level: the cells are written
-            // in storage order while the slice's source rows stream side by
-            // side. A pad re-reads its row's last entry for the column and
-            // keeps the zero the value array was allocated with.
-            let slices = rows.chunks(SLICE).zip(bcols.chunks_mut(SLICE * width));
-            for ((lanes, ccells), vcells) in slices.zip(bvals.chunks_mut(SLICE * width)) {
-                let mut runs = [(0usize, 0usize); SLICE]; // (first entry, last real `k`)
-                for (slot, &r) in runs.iter_mut().zip(lanes) {
-                    let (first, len) = run(r as usize);
-                    *slot = (first, len - 1);
-                }
-                let levels = ccells.chunks_exact_mut(lanes.len()).zip(vcells.chunks_exact_mut(lanes.len()));
-                for (k, (ck, vk)) in levels.enumerate() {
-                    for ((c, v), &(first, last)) in ck.iter_mut().zip(vk).zip(&runs) {
-                        let i = first + k.min(last);
-                        max_col = max_col.max(cols[i]);
-                        *c = cols[i] as u32;
-                        if k <= last {
-                            *v = vals[i];
-                        }
-                    }
-                }
-            }
+            let stored = fill::fill_bucket(width, &rows, &run, (cols, vals), (&mut bcols, &mut bvals), cpu);
+            max_col = max_col.max(stored);
             buckets.push(BellBucket { width, rows, cols: bcols, vals: bvals });
         }
-        // Invariant 3, and with invariant 5 the reason no cast above
-        // truncated.
+        // Invariant 3, and with invariant 5 the reason the fill's narrowing
+        // of the columns to `u32` lost nothing.
         assert!(buckets.is_empty() || max_col < ncols, "column index {max_col} out of range");
         Ok(BellMatrix { nrows, ncols, nnz, buckets, empty_rows })
     }
@@ -658,7 +650,15 @@ mod tests {
         vals: &[f64],
         widths: &[usize],
     ) -> Result<BellMatrix<f64>> {
-        BellMatrix::from_row_arrays(shape, runs_of(offsets), cols, vals, widths, |_, _| Ok(()))
+        BellMatrix::from_row_arrays(
+            shape,
+            runs_of(offsets),
+            cols,
+            vals,
+            widths,
+            |_, _| Ok(()),
+            CpuFeatures::detect(),
+        )
     }
 
     fn bell_of(coo: &CooMatrix<f64>, widths: &[usize]) -> BellMatrix<f64> {

@@ -27,6 +27,7 @@ use crate::error::MorpheusError;
 use crate::format::FormatId;
 use crate::rowmajor::RowMajor;
 use crate::scalar::Scalar;
+use crate::spmv::cpu_features::CpuFeatures;
 use crate::Result;
 
 /// Exports any row-major-walkable source to COO (sorted by construction).
@@ -92,16 +93,17 @@ fn bsr_from_arrays<V: Scalar>(
 
 /// Builds a BELL matrix with the options' bucket ladder from contiguous
 /// row-major arrays, enforcing the padding allowance before the buckets are
-/// allocated.
-fn bell_from_arrays<V: Scalar>(
+/// allocated, with the fill form `cpu` selects.
+pub(crate) fn bell_from_arrays<V: Scalar>(
     shape: (usize, usize),
     offsets: &[usize],
     cols: &[usize],
     vals: &[V],
     opts: &ConvertOptions,
+    cpu: CpuFeatures,
 ) -> Result<BellMatrix<V>> {
     let guard = |padded, nnz| guard_padding(FormatId::Bell, padded, nnz, opts);
-    BellMatrix::from_row_arrays(shape, runs_of(offsets), cols, vals, opts.params.bell_ladder(), guard)
+    BellMatrix::from_row_arrays(shape, runs_of(offsets), cols, vals, opts.params.bell_ladder(), guard, cpu)
 }
 
 /// COO → BSR with the options' block dimensions.
@@ -128,12 +130,20 @@ pub fn bsr_to_csr<V: Scalar>(a: &BsrMatrix<V>) -> CsrMatrix<V> {
 /// COO → BELL with the options' bucket ladder.
 pub fn coo_to_bell<V: Scalar>(a: &CooMatrix<V>, opts: &ConvertOptions) -> Result<BellMatrix<V>> {
     let offsets = coo_row_offsets(a.nrows(), a.row_indices());
-    bell_from_arrays((a.nrows(), a.ncols()), &offsets, a.col_indices(), a.values(), opts)
+    bell_from_arrays(
+        (a.nrows(), a.ncols()),
+        &offsets,
+        a.col_indices(),
+        a.values(),
+        opts,
+        CpuFeatures::detect(),
+    )
 }
 
 /// CSR → BELL with the options' bucket ladder.
 pub fn csr_to_bell<V: Scalar>(a: &CsrMatrix<V>, opts: &ConvertOptions) -> Result<BellMatrix<V>> {
-    bell_from_arrays((a.nrows(), a.ncols()), a.row_offsets(), a.col_indices(), a.values(), opts)
+    let shape = (a.nrows(), a.ncols());
+    bell_from_arrays(shape, a.row_offsets(), a.col_indices(), a.values(), opts, CpuFeatures::detect())
 }
 
 /// BELL → COO (row-major export; exact structural roundtrip).

@@ -29,6 +29,7 @@ use crate::hdc::{true_diag_threshold, HdcMatrix};
 use crate::hyb::{optimal_hyb_width_u32, HybMatrix, HybSplit};
 use crate::rowmajor::RowMajor;
 use crate::scalar::Scalar;
+use crate::spmv::cpu_features::CpuFeatures;
 use crate::Result;
 use std::borrow::Cow;
 
@@ -110,35 +111,52 @@ fn csr_entry_indices<V: Scalar>(csr: &CsrMatrix<V>) -> impl Iterator<Item = (usi
     (0..csr.nrows()).flat_map(move |r| csr.row_cols(r).iter().map(move |&c| (r, c)))
 }
 
-/// Populated-diagonal offsets, ascending: from the plan when available,
-/// otherwise from an entry scan. Both branches reduce through
+/// Where a DIA or HDC conversion learns which diagonals to store without
+/// scanning the entries.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Diagonals<'a> {
+    /// The analysis' diagonal histogram.
+    Analysis(&'a Analysis),
+    /// The offsets an earlier conversion of the same structure stored (see
+    /// [`crate::DynamicMatrix::diagonal_layout`]): DIA's diagonals, or
+    /// HDC's true ones.
+    Stored(&'a [isize]),
+}
+
+/// Populated-diagonal offsets, ascending: as stored, from the analysis, or
+/// from an entry scan. The last two reduce through
 /// [`crate::analysis::dia_offsets_from_pop`], so planned and unplanned
-/// layouts are identical by construction.
+/// layouts are identical by construction, and a stored layout is one of
+/// them.
 fn plan_dia_offsets(
-    plan: Option<&Analysis>,
+    plan: Option<Diagonals<'_>>,
     nrows: usize,
     ncols: usize,
     entries: impl Iterator<Item = (usize, usize)>,
 ) -> Vec<isize> {
-    if let Some(a) = plan {
-        return a.dia_offsets();
+    match plan {
+        Some(Diagonals::Stored(offsets)) => offsets.to_vec(),
+        Some(Diagonals::Analysis(a)) => a.dia_offsets(),
+        None => crate::analysis::dia_offsets_from_pop(&diag_population(nrows, ncols, entries), nrows),
     }
-    crate::analysis::dia_offsets_from_pop(&diag_population(nrows, ncols, entries), nrows)
 }
 
-/// True-diagonal slots (ascending) and the number of entries they hold;
-/// same shared-reduction contract as [`plan_dia_offsets`].
+/// True-diagonal slots (ascending); same contract as [`plan_dia_offsets`].
 fn plan_true_diag_slots(
-    plan: Option<&Analysis>,
+    plan: Option<Diagonals<'_>>,
     nrows: usize,
     ncols: usize,
     threshold: usize,
     entries: impl Iterator<Item = (usize, usize)>,
-) -> (Vec<usize>, usize) {
-    if let Some(a) = plan {
-        return a.true_diag_slots(threshold);
+) -> Vec<usize> {
+    let base = nrows as isize - 1;
+    match plan {
+        Some(Diagonals::Stored(offsets)) => offsets.iter().map(|&off| (off + base) as usize).collect(),
+        Some(Diagonals::Analysis(a)) => a.true_diag_slots(threshold).0,
+        None => {
+            crate::analysis::true_diag_slots_from_pop(&diag_population(nrows, ncols, entries), threshold).0
+        }
     }
-    crate::analysis::true_diag_slots_from_pop(&diag_population(nrows, ncols, entries), threshold)
 }
 
 /// Maps diagonal slot -> dense diagonal index (`usize::MAX` = not stored).
@@ -240,7 +258,8 @@ pub(crate) fn coo_to_ell_planned<V: Scalar>(
     plan: Option<&Analysis>,
 ) -> Result<EllMatrix<V>> {
     let offsets = coo_row_offsets(coo.nrows(), coo.row_indices());
-    ell_from_arrays((coo.nrows(), coo.ncols()), &offsets, coo.col_indices(), coo.values(), opts, plan)
+    let shape = (coo.nrows(), coo.ncols());
+    ell_from_arrays(shape, &offsets, coo.col_indices(), coo.values(), opts, plan, CpuFeatures::detect())
 }
 
 /// CSR → ELL, building the bucket straight from the CSR rows.
@@ -254,25 +273,35 @@ pub(crate) fn csr_to_ell_planned<V: Scalar>(
     plan: Option<&Analysis>,
 ) -> Result<EllMatrix<V>> {
     let shape = (csr.nrows(), csr.ncols());
-    ell_from_arrays(shape, csr.row_offsets(), csr.col_indices(), csr.values(), opts, plan)
+    ell_from_arrays(
+        shape,
+        csr.row_offsets(),
+        csr.col_indices(),
+        csr.values(),
+        opts,
+        plan,
+        CpuFeatures::detect(),
+    )
 }
 
 /// ELL from contiguous row-major arrays: one bucket as wide as the longest
-/// row (the plan's width when one is supplied), guarded at `width × nrows`.
-fn ell_from_arrays<V: Scalar>(
+/// row (the plan's width when one is supplied), guarded at `width × nrows`,
+/// filled in the form `cpu` selects.
+pub(crate) fn ell_from_arrays<V: Scalar>(
     (nrows, ncols): (usize, usize),
     offsets: &[usize],
     cols: &[usize],
     vals: &[V],
     opts: &ConvertOptions,
     plan: Option<&Analysis>,
+    cpu: CpuFeatures,
 ) -> Result<EllMatrix<V>> {
     let run = runs_of(offsets);
     let width = plan.map_or_else(|| (0..nrows).map(|r| run(r).1).max().unwrap_or(0), Analysis::ell_width);
     let nnz = offsets[nrows];
     guard_padding(FormatId::Ell, width.saturating_mul(nrows), nnz, opts)?;
     let guard = |padded, _| guard_padding(FormatId::Ell, padded, nnz, opts);
-    EllMatrix::from_runs((nrows, ncols), width, run, cols, vals, guard)
+    EllMatrix::from_runs((nrows, ncols), width, run, cols, vals, guard, cpu)
 }
 
 /// COO → HYB under the given split policy. The ELL portion never exceeds the
@@ -288,7 +317,8 @@ pub(crate) fn coo_to_hyb_planned<V: Scalar>(
     plan: Option<&Analysis>,
 ) -> Result<HybMatrix<V>> {
     let offsets = coo_row_offsets(coo.nrows(), coo.row_indices());
-    hyb_from_arrays((coo.nrows(), coo.ncols()), &offsets, coo.col_indices(), coo.values(), opts, plan)
+    let shape = (coo.nrows(), coo.ncols());
+    hyb_from_arrays(shape, &offsets, coo.col_indices(), coo.values(), opts, plan, CpuFeatures::detect())
 }
 
 /// CSR → HYB, splitting each row straight into the ELL bucket and the COO
@@ -303,20 +333,30 @@ pub(crate) fn csr_to_hyb_planned<V: Scalar>(
     plan: Option<&Analysis>,
 ) -> Result<HybMatrix<V>> {
     let shape = (csr.nrows(), csr.ncols());
-    hyb_from_arrays(shape, csr.row_offsets(), csr.col_indices(), csr.values(), opts, plan)
+    hyb_from_arrays(
+        shape,
+        csr.row_offsets(),
+        csr.col_indices(),
+        csr.values(),
+        opts,
+        plan,
+        CpuFeatures::detect(),
+    )
 }
 
 /// HYB from contiguous row-major arrays: the split width `K` from the row
 /// lengths (the plan's histogram when one is supplied, checked against the
 /// arrays), the first `K` entries of each row as a one-bucket ELL built in
-/// place, the rest copied into the spill in row order.
-fn hyb_from_arrays<V: Scalar>(
+/// place (filled in the form `cpu` selects), the rest copied into the spill
+/// in row order.
+pub(crate) fn hyb_from_arrays<V: Scalar>(
     (nrows, ncols): (usize, usize),
     offsets: &[usize],
     cols: &[usize],
     vals: &[V],
     opts: &ConvertOptions,
     plan: Option<&Analysis>,
+    cpu: CpuFeatures,
 ) -> Result<HybMatrix<V>> {
     let run = runs_of(offsets);
     let nnz = offsets[nrows];
@@ -344,7 +384,7 @@ fn hyb_from_arrays<V: Scalar>(
         (first, len.min(k))
     };
     let guard = |padded, _| guard_padding(FormatId::Hyb, padded, nnz, opts);
-    let ell = EllMatrix::from_runs((nrows, ncols), k, head, cols, vals, guard)?;
+    let ell = EllMatrix::from_runs((nrows, ncols), k, head, cols, vals, guard, cpu)?;
     let spill_nnz = nnz - ell.nnz();
     let (mut sp_rows, mut sp_cols, mut sp_vals) =
         (Vec::with_capacity(spill_nnz), Vec::with_capacity(spill_nnz), Vec::with_capacity(spill_nnz));
@@ -379,7 +419,7 @@ pub fn coo_to_dia<V: Scalar>(coo: &CooMatrix<V>, opts: &ConvertOptions) -> Resul
 pub(crate) fn coo_to_dia_planned<V: Scalar>(
     coo: &CooMatrix<V>,
     opts: &ConvertOptions,
-    plan: Option<&Analysis>,
+    plan: Option<Diagonals<'_>>,
 ) -> Result<DiaMatrix<V>> {
     let (nrows, ncols, nnz) = (coo.nrows(), coo.ncols(), coo.nnz());
     if nrows == 0 || ncols == 0 || nnz == 0 {
@@ -417,7 +457,7 @@ pub fn csr_to_dia<V: Scalar>(csr: &CsrMatrix<V>, opts: &ConvertOptions) -> Resul
 pub(crate) fn csr_to_dia_planned<V: Scalar>(
     csr: &CsrMatrix<V>,
     opts: &ConvertOptions,
-    plan: Option<&Analysis>,
+    plan: Option<Diagonals<'_>>,
 ) -> Result<DiaMatrix<V>> {
     let (nrows, ncols, nnz) = (csr.nrows(), csr.ncols(), csr.nnz());
     if nrows == 0 || ncols == 0 || nnz == 0 {
@@ -459,7 +499,7 @@ pub fn coo_to_hdc<V: Scalar>(coo: &CooMatrix<V>, opts: &ConvertOptions) -> Resul
 pub(crate) fn coo_to_hdc_planned<V: Scalar>(
     coo: &CooMatrix<V>,
     opts: &ConvertOptions,
-    plan: Option<&Analysis>,
+    plan: Option<Diagonals<'_>>,
 ) -> Result<HdcMatrix<V>> {
     let (nrows, ncols, nnz) = (coo.nrows(), coo.ncols(), coo.nnz());
     if nrows == 0 || ncols == 0 || nnz == 0 {
@@ -470,7 +510,7 @@ pub(crate) fn coo_to_hdc_planned<V: Scalar>(
         );
     }
     let threshold = true_diag_threshold(nrows, ncols, opts.true_diag_alpha);
-    let (true_slots, dia_nnz) = plan_true_diag_slots(plan, nrows, ncols, threshold, coo_entry_indices(coo));
+    let true_slots = plan_true_diag_slots(plan, nrows, ncols, threshold, coo_entry_indices(coo));
     guard_padding(FormatId::Hdc, true_slots.len() * nrows, nnz, opts)?;
     let base = nrows as isize - 1;
     let slot_to_diag = slot_to_diag_map(nrows + ncols - 1, true_slots.iter().copied());
@@ -496,7 +536,7 @@ pub(crate) fn coo_to_hdc_planned<V: Scalar>(
     }
     let csr_offsets = prefix_sum(&rem_counts);
     let csr_nnz = *csr_offsets.last().expect("prefix sum is non-empty");
-    debug_assert_eq!(csr_nnz, nnz - dia_nnz);
+    let dia_nnz = nnz - csr_nnz;
 
     // Pass 2: scatter diagonals, pack the remainder.
     let mut dia_vals = vec![V::ZERO; offsets.len() * nrows];
@@ -542,7 +582,7 @@ pub fn csr_to_hdc<V: Scalar>(csr: &CsrMatrix<V>, opts: &ConvertOptions) -> Resul
 pub(crate) fn csr_to_hdc_planned<V: Scalar>(
     csr: &CsrMatrix<V>,
     opts: &ConvertOptions,
-    plan: Option<&Analysis>,
+    plan: Option<Diagonals<'_>>,
 ) -> Result<HdcMatrix<V>> {
     let (nrows, ncols, nnz) = (csr.nrows(), csr.ncols(), csr.nnz());
     if nrows == 0 || ncols == 0 || nnz == 0 {
@@ -553,7 +593,7 @@ pub(crate) fn csr_to_hdc_planned<V: Scalar>(
         );
     }
     let threshold = true_diag_threshold(nrows, ncols, opts.true_diag_alpha);
-    let (true_slots, dia_nnz) = plan_true_diag_slots(plan, nrows, ncols, threshold, csr_entry_indices(csr));
+    let true_slots = plan_true_diag_slots(plan, nrows, ncols, threshold, csr_entry_indices(csr));
     guard_padding(FormatId::Hdc, true_slots.len() * nrows, nnz, opts)?;
     let base = nrows as isize - 1;
     let slot_to_diag = slot_to_diag_map(nrows + ncols - 1, true_slots.iter().copied());
@@ -579,7 +619,7 @@ pub(crate) fn csr_to_hdc_planned<V: Scalar>(
     }
     let csr_offsets = prefix_sum(&rem_counts);
     let csr_nnz = *csr_offsets.last().expect("prefix sum is non-empty");
-    debug_assert_eq!(csr_nnz, nnz - dia_nnz);
+    let dia_nnz = nnz - csr_nnz;
 
     let mut dia_vals = vec![V::ZERO; offsets.len() * nrows];
     let mut csr_cols = vec![0usize; csr_nnz];

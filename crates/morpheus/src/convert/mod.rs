@@ -80,6 +80,7 @@ pub(crate) use blocked::rowmajor_to_coo;
 pub use blocked::{
     bell_to_coo, bell_to_csr, bsr_to_coo, bsr_to_csr, coo_to_bell, coo_to_bsr, csr_to_bell, csr_to_bsr,
 };
+use kernels::Diagonals;
 
 pub use kernels::{
     coo_to_csr, coo_to_dia, coo_to_ell, coo_to_hdc, coo_to_hyb, csr_to_coo, csr_to_dia, csr_to_ell,
@@ -97,6 +98,7 @@ use crate::hyb::HybSplit;
 use crate::params::FormatParams;
 use crate::rowmajor::RowMajor;
 use crate::scalar::Scalar;
+use crate::spmv::cpu_features::CpuFeatures;
 use crate::Result;
 
 /// Options controlling format conversions.
@@ -179,12 +181,15 @@ impl ConvertOutcome {
 
 /// Converts `m` to `target`, timing the kernel and reporting the path
 /// taken. `analysis`, when supplied and matching, answers all planning
-/// questions without re-traversing the matrix.
+/// questions without re-traversing the matrix; `diagonals`, when supplied,
+/// are the ones a DIA or HDC `target` stores (see
+/// [`DynamicMatrix::convert_to_diagonals`]).
 pub(crate) fn convert_timed<V: Scalar>(
     m: &DynamicMatrix<V>,
     target: FormatId,
     opts: &ConvertOptions,
     analysis: Option<&Analysis>,
+    diagonals: Option<&[isize]>,
 ) -> Result<(DynamicMatrix<V>, ConvertOutcome)> {
     let start = std::time::Instant::now();
     if target == m.format_id() {
@@ -192,7 +197,7 @@ pub(crate) fn convert_timed<V: Scalar>(
     }
     // Trust the plan only if it plausibly describes this matrix.
     let plan = analysis.filter(|a| a.matches(m));
-    let (converted, path) = dispatch(m, target, opts, plan)?;
+    let (converted, path) = dispatch(m, target, opts, plan, diagonals)?;
     Ok((converted, ConvertOutcome { path, seconds: start.elapsed().as_secs_f64() }))
 }
 
@@ -216,8 +221,12 @@ fn dispatch<V: Scalar>(
     target: FormatId,
     opts: &ConvertOptions,
     plan: Option<&Analysis>,
+    diagonals: Option<&[isize]>,
 ) -> Result<(DynamicMatrix<V>, ConvertPath)> {
     use DynamicMatrix as D;
+    // Diagonals handed in win over the analysis': a miss of this structure
+    // stored exactly them.
+    let diags = diagonals.map(Diagonals::Stored).or(plan.map(Diagonals::Analysis));
     let direct = |m: DynamicMatrix<V>| (m, ConvertPath::Direct);
     Ok(match (m, target) {
         // Everything exports to COO and CSR directly (row-major export for
@@ -236,28 +245,28 @@ fn dispatch<V: Scalar>(
         (D::Coo(a), FormatId::Bell) => direct(D::Bell(coo_to_bell(a, opts)?)),
         (D::Csr(a), FormatId::Bsr) => direct(D::Bsr(csr_to_bsr(a, opts)?)),
         (D::Csr(a), FormatId::Bell) => direct(D::Bell(csr_to_bell(a, opts)?)),
-        (D::Coo(a), FormatId::Dia) => direct(D::Dia(kernels::coo_to_dia_planned(a, opts, plan)?)),
+        (D::Coo(a), FormatId::Dia) => direct(D::Dia(kernels::coo_to_dia_planned(a, opts, diags)?)),
         (D::Coo(a), FormatId::Ell) => direct(D::Ell(kernels::coo_to_ell_planned(a, opts, plan)?)),
         (D::Coo(a), FormatId::Hyb) => direct(D::Hyb(kernels::coo_to_hyb_planned(a, opts, plan)?)),
-        (D::Coo(a), FormatId::Hdc) => direct(D::Hdc(kernels::coo_to_hdc_planned(a, opts, plan)?)),
-        (D::Csr(a), FormatId::Dia) => direct(D::Dia(kernels::csr_to_dia_planned(a, opts, plan)?)),
+        (D::Coo(a), FormatId::Hdc) => direct(D::Hdc(kernels::coo_to_hdc_planned(a, opts, diags)?)),
+        (D::Csr(a), FormatId::Dia) => direct(D::Dia(kernels::csr_to_dia_planned(a, opts, diags)?)),
         (D::Csr(a), FormatId::Ell) => direct(D::Ell(kernels::csr_to_ell_planned(a, opts, plan)?)),
         (D::Csr(a), FormatId::Hyb) => direct(D::Hyb(kernels::csr_to_hyb_planned(a, opts, plan)?)),
-        (D::Csr(a), FormatId::Hdc) => direct(D::Hdc(kernels::csr_to_hdc_planned(a, opts, plan)?)),
+        (D::Csr(a), FormatId::Hdc) => direct(D::Hdc(kernels::csr_to_hdc_planned(a, opts, diags)?)),
         // Everything else goes through a materialised interchange copy
         // (both legs are direct kernels): CSR for the array-built block
         // formats, COO for the padded ones.
         (_, FormatId::Bsr | FormatId::Bell) => {
             let csr = D::Csr(blocked::rowmajor_to_csr(as_rowmajor(m), m.ncols()));
-            (dispatch(&csr, target, opts, plan)?.0, ConvertPath::Hub)
+            (dispatch(&csr, target, opts, plan, None)?.0, ConvertPath::Hub)
         }
         (_, _) => {
             let coo = m.to_coo();
             let rebuilt = match target {
-                FormatId::Dia => D::Dia(kernels::coo_to_dia_planned(&coo, opts, plan)?),
+                FormatId::Dia => D::Dia(kernels::coo_to_dia_planned(&coo, opts, diags)?),
                 FormatId::Ell => D::Ell(kernels::coo_to_ell_planned(&coo, opts, plan)?),
                 FormatId::Hyb => D::Hyb(kernels::coo_to_hyb_planned(&coo, opts, plan)?),
-                FormatId::Hdc => D::Hdc(kernels::coo_to_hdc_planned(&coo, opts, plan)?),
+                FormatId::Hdc => D::Hdc(kernels::coo_to_hdc_planned(&coo, opts, diags)?),
                 FormatId::Coo | FormatId::Csr | FormatId::Bsr | FormatId::Bell => {
                     unreachable!("handled by the arms above")
                 }
@@ -289,6 +298,38 @@ pub fn convert_via_hub<V: Scalar>(
         FormatId::Hdc => DynamicMatrix::Hdc(coo_to_hdc(&coo, opts)?),
         FormatId::Bsr => DynamicMatrix::Bsr(coo_to_bsr(&coo, opts)?),
         FormatId::Bell => DynamicMatrix::Bell(coo_to_bell(&coo, opts)?),
+    })
+}
+
+/// Builds `target` — BELL, ELL or HYB, the formats BELL's builder fills —
+/// from contiguous row-major arrays (`offsets` has `nrows + 1` entries)
+/// exactly as [`csr_to_bell`], [`csr_to_ell`] and [`csr_to_hyb`] build it
+/// from a CSR matrix's, except that the fill runs in the form `cpu` selects
+/// instead of the detected one. The arrays are not validated: a run outside
+/// them, or a column `>= ncols`, panics in the builder as it would in a
+/// conversion. The fill's differential test; not meant for end users.
+///
+/// # Panics
+/// Also if `target` is none of the three.
+#[doc(hidden)]
+pub fn padded_from_arrays<V: Scalar>(
+    target: FormatId,
+    shape: (usize, usize),
+    (offsets, cols, vals): (&[usize], &[usize], &[V]),
+    opts: &ConvertOptions,
+    cpu: CpuFeatures,
+) -> Result<DynamicMatrix<V>> {
+    Ok(match target {
+        FormatId::Bell => {
+            DynamicMatrix::Bell(blocked::bell_from_arrays(shape, offsets, cols, vals, opts, cpu)?)
+        }
+        FormatId::Ell => {
+            DynamicMatrix::Ell(kernels::ell_from_arrays(shape, offsets, cols, vals, opts, None, cpu)?)
+        }
+        FormatId::Hyb => {
+            DynamicMatrix::Hyb(kernels::hyb_from_arrays(shape, offsets, cols, vals, opts, None, cpu)?)
+        }
+        other => panic!("{other} is not filled by BELL's builder"),
     })
 }
 
@@ -513,7 +554,7 @@ mod tests {
             coo_to_ell(&coo, &opts).unwrap()
         );
         assert_eq!(
-            kernels::coo_to_dia_planned(&coo, &opts, Some(&a)).unwrap(),
+            kernels::coo_to_dia_planned(&coo, &opts, Some(Diagonals::Analysis(&a))).unwrap(),
             coo_to_dia(&coo, &opts).unwrap()
         );
         assert_eq!(
@@ -521,7 +562,7 @@ mod tests {
             coo_to_hyb(&coo, &opts).unwrap()
         );
         assert_eq!(
-            kernels::coo_to_hdc_planned(&coo, &opts, Some(&a)).unwrap(),
+            kernels::coo_to_hdc_planned(&coo, &opts, Some(Diagonals::Analysis(&a))).unwrap(),
             coo_to_hdc(&coo, &opts).unwrap()
         );
         assert_eq!(
@@ -529,7 +570,7 @@ mod tests {
             csr_to_ell(&csr, &opts).unwrap()
         );
         assert_eq!(
-            kernels::csr_to_hdc_planned(&csr, &opts, Some(&a)).unwrap(),
+            kernels::csr_to_hdc_planned(&csr, &opts, Some(Diagonals::Analysis(&a))).unwrap(),
             csr_to_hdc(&csr, &opts).unwrap()
         );
     }
@@ -540,19 +581,19 @@ mod tests {
         let opts = ConvertOptions { min_padded_allowance: 1 << 20, ..Default::default() };
         let m = DynamicMatrix::from(coo);
 
-        let (_, same) = convert_timed(&m, FormatId::Coo, &opts, None).unwrap();
+        let (_, same) = convert_timed(&m, FormatId::Coo, &opts, None, None).unwrap();
         assert_eq!(same.path, ConvertPath::Identity);
 
-        let (ell, out) = convert_timed(&m, FormatId::Ell, &opts, None).unwrap();
+        let (ell, out) = convert_timed(&m, FormatId::Ell, &opts, None, None).unwrap();
         assert_eq!(out.path, ConvertPath::Direct);
         assert!(out.seconds >= 0.0);
 
         // Padded -> padded goes through the hub.
-        let (_, out) = convert_timed(&ell, FormatId::Dia, &opts, None).unwrap();
+        let (_, out) = convert_timed(&ell, FormatId::Dia, &opts, None, None).unwrap();
         assert_eq!(out.path, ConvertPath::Hub);
 
         // Padded -> CSR is a direct export.
-        let (_, out) = convert_timed(&ell, FormatId::Csr, &opts, None).unwrap();
+        let (_, out) = convert_timed(&ell, FormatId::Csr, &opts, None, None).unwrap();
         assert_eq!(out.path, ConvertPath::Direct);
     }
 
@@ -563,7 +604,7 @@ mod tests {
         let m = DynamicMatrix::from(coo);
         for target in crate::format::ALL_FORMATS {
             let via_hub = convert_via_hub(&m, target, &opts).unwrap();
-            let (dispatched, _) = convert_timed(&m, target, &opts, None).unwrap();
+            let (dispatched, _) = convert_timed(&m, target, &opts, None, None).unwrap();
             assert_eq!(via_hub, dispatched, "{target}");
         }
     }

@@ -155,7 +155,7 @@ impl<V: Scalar> DynamicMatrix<V> {
         opts: &ConvertOptions,
         analysis: Option<&Analysis>,
     ) -> Result<(DynamicMatrix<V>, ConvertOutcome)> {
-        convert::convert_timed(self, target, opts, analysis)
+        convert::convert_timed(self, target, opts, analysis, None)
     }
 
     /// Switches the active format in place. On failure the matrix is left
@@ -177,6 +177,46 @@ impl<V: Scalar> DynamicMatrix<V> {
             return Ok(ConvertOutcome::identity());
         }
         let (converted, outcome) = self.to_format_with(target, opts, analysis)?;
+        *self = converted;
+        Ok(outcome)
+    }
+
+    /// The diagonals the matrix stores when it is DIA, or its DIA part's when
+    /// it is HDC: the layout [`DynamicMatrix::convert_to_diagonals`]
+    /// converts another matrix of the same structure into without looking
+    /// for them.
+    pub fn diagonal_layout(&self) -> Option<&[isize]> {
+        match self {
+            DynamicMatrix::Dia(a) => Some(a.offsets()),
+            DynamicMatrix::Hdc(a) => Some(a.dia().offsets()),
+            _ => None,
+        }
+    }
+
+    /// [`DynamicMatrix::convert_to_with`] into DIA or HDC storing exactly
+    /// the diagonals `offsets` — the [`DynamicMatrix::diagonal_layout`] of
+    /// an earlier conversion of a matrix with this one's structure — so no
+    /// pass over the entries (and no analysis) looks for them. Into any
+    /// other format it converts as `convert_to_with` does without an
+    /// analysis. On failure the matrix is left unchanged.
+    ///
+    /// # Panics
+    /// If `offsets` are not strictly ascending diagonals of this shape, or
+    /// a DIA conversion meets an entry on none of them (a layout of another
+    /// structure).
+    pub fn convert_to_diagonals(
+        &mut self,
+        target: FormatId,
+        opts: &ConvertOptions,
+        offsets: &[isize],
+    ) -> Result<ConvertOutcome> {
+        if target == self.format_id() {
+            return Ok(ConvertOutcome::identity());
+        }
+        let (nrows, ncols) = (self.nrows() as isize, self.ncols() as isize);
+        let on_shape = offsets.iter().all(|&off| off > -nrows && off < ncols);
+        assert!(on_shape && offsets.is_sorted_by(|a, b| a < b), "{offsets:?}: not diagonals of this shape");
+        let (converted, outcome) = convert::convert_timed(self, target, opts, None, Some(offsets))?;
         *self = converted;
         Ok(outcome)
     }

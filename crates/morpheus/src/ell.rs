@@ -10,6 +10,7 @@
 use crate::bell::BellMatrix;
 use crate::format::FormatId;
 use crate::scalar::Scalar;
+use crate::spmv::cpu_features::CpuFeatures;
 use crate::Result;
 
 /// ELLPACK-format sparse matrix (§II-B): every non-empty row padded to
@@ -33,7 +34,8 @@ impl<V: Scalar> EllMatrix<V> {
 
     /// Builds the one bucket of `width` from the row runs `run(r)` =
     /// `(first entry, length)` in `cols`/`vals` (see
-    /// [`BellMatrix::from_row_arrays`], which `guard` is handed to).
+    /// [`BellMatrix::from_row_arrays`], which `guard` and `cpu` are handed
+    /// to).
     ///
     /// # Panics
     /// If a run is longer than `width` (a stale plan's width), before
@@ -45,10 +47,11 @@ impl<V: Scalar> EllMatrix<V> {
         cols: &[usize],
         vals: &[V],
         guard: impl FnOnce(usize, usize) -> Result<()>,
+        cpu: CpuFeatures,
     ) -> Result<Self> {
         let longest = (0..shape.0).map(|r| run(r).1).max().unwrap_or(0);
         assert!(longest <= width, "a row of {longest} entries in an ELL of width {width}: stale analysis?");
-        let bell = BellMatrix::from_row_arrays(shape, run, cols, vals, &[width], guard)?;
+        let bell = BellMatrix::from_row_arrays(shape, run, cols, vals, &[width], guard, cpu)?;
         debug_assert!(bell.buckets().iter().all(|b| b.width() == width));
         Ok(EllMatrix { width, bell })
     }
@@ -96,7 +99,7 @@ impl<V: Scalar> EllMatrix<V> {
 
     /// The one-bucket BELL storage every kernel, walk and hash reads.
     #[inline]
-    pub(crate) fn bell(&self) -> &BellMatrix<V> {
+    pub fn bell(&self) -> &BellMatrix<V> {
         &self.bell
     }
 }
@@ -113,7 +116,8 @@ mod tests {
         // [4 0 5]
         let offsets = [0, 2, 3, 5];
         let (cols, vals) = ([0, 1, 1, 0, 2], [1.0, 2.0, 3.0, 4.0, 5.0]);
-        EllMatrix::from_runs((3, 3), 2, runs_of(&offsets), &cols, &vals, |_, _| Ok(())).unwrap()
+        EllMatrix::from_runs((3, 3), 2, runs_of(&offsets), &cols, &vals, |_, _| Ok(()), CpuFeatures::detect())
+            .unwrap()
     }
 
     #[test]
@@ -135,8 +139,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "a row of 2 entries in an ELL of width 1")]
     fn a_row_longer_than_the_width_is_refused() {
-        EllMatrix::<f64>::from_runs((2, 2), 1, runs_of(&[0, 2, 2]), &[0, 1], &[1.0, 2.0], |_, _| Ok(()))
-            .unwrap();
+        EllMatrix::<f64>::from_runs(
+            (2, 2),
+            1,
+            runs_of(&[0, 2, 2]),
+            &[0, 1],
+            &[1.0, 2.0],
+            |_, _| Ok(()),
+            CpuFeatures::detect(),
+        )
+        .unwrap();
     }
 
     #[test]
@@ -145,8 +157,16 @@ mod tests {
         assert_eq!(m.width(), 0);
         assert_eq!(m.nnz(), 0);
         assert_eq!(m.padded_len(), 0);
-        let empty =
-            EllMatrix::<f64>::from_runs((3, 3), 0, runs_of(&[0; 4]), &[], &[], |_, _| Ok(())).unwrap();
+        let empty = EllMatrix::<f64>::from_runs(
+            (3, 3),
+            0,
+            runs_of(&[0; 4]),
+            &[],
+            &[],
+            |_, _| Ok(()),
+            CpuFeatures::detect(),
+        )
+        .unwrap();
         assert_eq!(empty, m);
     }
 }

@@ -1,14 +1,18 @@
-//! Runtime ISA detection for the one kernel with two forms: BELL's slice
-//! walker ([`crate::spmv::bell`]) has a portable body and an AVX2 one, and
-//! reads [`CpuFeatures::detect`] when it runs to pick between them. Every
-//! other format has exactly one body.
+//! Runtime ISA detection for the two BELL loops with two forms: the slice
+//! walker ([`crate::spmv::bell`]) and the fill that builds the buckets
+//! (`crate::bell::fill`, behind every CSR/COO→BELL, ELL and HYB conversion)
+//! each have a portable body and AVX2 ones, and pick between them by
+//! [`CpuFeatures::detect`]. Every other kernel and builder has exactly one
+//! body.
 
 use std::sync::OnceLock;
 
-/// The ISA features the BELL walker can use, detected once per process.
+/// The ISA features the BELL walker and fill can use, detected once per
+/// process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CpuFeatures {
-    /// AVX2 available (256-bit integer/FP lanes, 32-bit-index gathers).
+    /// AVX2 available (256-bit integer/FP lanes, 32- and 64-bit-index
+    /// gathers).
     pub avx2: bool,
     /// FMA3 available (reported with the environment; no kernel fuses —
     /// products are rounded before they are added, which is what keeps
@@ -50,4 +54,15 @@ pub(crate) fn cast_slice<V: 'static, T: 'static>(s: &[V]) -> &[T] {
     // SAFETY: V and T are the same type (checked by the caller's TypeId
     // guard), so layout and validity are identical.
     unsafe { std::slice::from_raw_parts(s.as_ptr() as *const T, s.len()) }
+}
+
+/// Reinterprets `&mut [V]` as `&mut [T]` once `TypeId` equality is
+/// established.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+pub(crate) fn cast_slice_mut<V: 'static, T: 'static>(s: &mut [V]) -> &mut [T] {
+    debug_assert_eq!(std::any::TypeId::of::<V>(), std::any::TypeId::of::<T>());
+    // SAFETY: V and T are the same type (checked by the caller's TypeId
+    // guard); the exclusive borrow moves into the result.
+    unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr() as *mut T, s.len()) }
 }

@@ -110,6 +110,41 @@ fn a_hit_hashes_the_source_and_nothing_else() {
     assert_eq!(passes::count(), 1);
 }
 
+/// A tridiagonal matrix with a scatter of entries off the band, on eight
+/// sparse diagonals: three true diagonals and a remainder for HDC, eleven
+/// diagonals for DIA.
+fn banded_with_scatter(n: usize) -> DynamicMatrix<f64> {
+    let DynamicMatrix::Coo(band) = tridiag(n) else { panic!("tridiag is COO") };
+    let (mut rows, mut cols) = (band.row_indices().to_vec(), band.col_indices().to_vec());
+    for i in (0..n).step_by(9) {
+        rows.push(i);
+        cols.push((i + 50 + (i % 4) * 60) % n);
+    }
+    let vals: Vec<f64> = (0..rows.len()).map(|k| 0.5 + (k % 13) as f64 * 0.25).collect();
+    DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap())
+}
+
+/// A DIA or HDC hit converts into the diagonals its entry's miss stored:
+/// no walk looks for them again, so a repeat registration reads the matrix
+/// once, for its key — and stores bitwise what the miss stored.
+#[test]
+fn a_diagonal_hit_converts_into_the_layout_its_miss_stored() {
+    for format in [FormatId::Dia, FormatId::Hdc] {
+        let service = always(format, DEFAULT_CACHE_CAPACITY, None);
+        let first = service.register(banded_with_scatter(700)).unwrap();
+        assert!(!first.report().cache_hit && first.format_id() == format, "{format}");
+        passes::reset();
+        let again = service.register(banded_with_scatter(700)).unwrap();
+        assert!(again.report().cache_hit && again.format_id() == format, "{format}");
+        assert_eq!(passes::count(), 1, "{format}: a repeat registration hashes the source only");
+        let (a, b) = (first.matrix(), again.matrix());
+        assert!(a.diagonal_layout().is_some_and(|l| !l.is_empty()), "{format}");
+        // Debug prints every value in a form that reads back to its bits.
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{format}: the hit stored what the miss stored");
+        assert_eq!(a.structure_hash(), b.structure_hash(), "{format}");
+    }
+}
+
 /// With more structures come through than the cache holds, an entry that
 /// was evicted and decided again owns a plan again: a hit never re-analyses
 /// the converted matrix to rebuild one, which a plan cache evicting on its

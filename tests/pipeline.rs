@@ -5,10 +5,14 @@
 use morpheus_repro::corpus::CorpusSpec;
 use morpheus_repro::machine::{analyze, systems, Backend, VirtualEngine};
 use morpheus_repro::ml::metrics::accuracy;
-use morpheus_repro::ml::{Dataset, ForestParams, RandomForest};
+use morpheus_repro::ml::serialize::{load_gbt, load_model, save_forest, save_gbt, save_tree};
+use morpheus_repro::ml::{
+    Dataset, DecisionTree, ForestParams, GbtParams, GradientBoostedTrees, RandomForest, TreeParams,
+};
 use morpheus_repro::morpheus::format::{FormatId, FORMAT_COUNT};
 use morpheus_repro::morpheus::spmv::spmv_serial;
 use morpheus_repro::morpheus::DynamicMatrix;
+use morpheus_repro::oracle::adapt::LearnedModel;
 use morpheus_repro::oracle::model_db::ModelDatabase;
 use morpheus_repro::oracle::{FeatureVector, Oracle, RunFirstTuner, NUM_FEATURES};
 
@@ -121,6 +125,55 @@ fn profiled_optimum_is_never_worse_than_csr() {
             let profile = engine.profile(&analysis);
             assert!(profile.optimal_speedup() >= 1.0, "{} on {}", entry.name, engine.label());
             assert!(profile.times[FormatId::Csr.index()].is_some());
+        }
+    }
+}
+
+/// A tuner walks its model once per prediction: the fused `(class, visited)`
+/// of every model family is the class and the path length the two separate
+/// calls give, on every feature row of the corpus, for the fitted models and
+/// for the same models written out and loaded back.
+#[test]
+fn one_walk_gives_the_class_and_the_path_of_two() {
+    let engine = VirtualEngine::new(systems::cirrus(), Backend::Serial);
+    let mut ds = Dataset::empty(NUM_FEATURES, FORMAT_COUNT, vec![]).unwrap();
+    for entry in CorpusSpec::small(200).iter() {
+        let analysis = analyze(&DynamicMatrix::from(entry.matrix));
+        let fv = FeatureVector::from_stats(&analysis.stats);
+        ds.push(fv.as_slice(), engine.profile(&analysis).optimal.index()).unwrap();
+    }
+    let tree = DecisionTree::fit(&ds, &TreeParams::default()).unwrap();
+    let forest =
+        RandomForest::fit(&ds, &ForestParams { n_estimators: 12, seed: 3, ..Default::default() }).unwrap();
+    let gbt = GradientBoostedTrees::fit(&ds, &GbtParams { n_rounds: 6, ..Default::default() }).unwrap();
+    let written = |save: &dyn Fn(&mut Vec<u8>)| {
+        let mut buf = Vec::new();
+        save(&mut buf);
+        buf
+    };
+    let loaded_tree = load_model(&written(&|w| save_tree(w, &tree).unwrap())[..]).unwrap();
+    let loaded_forest = load_model(&written(&|w| save_forest(w, &forest).unwrap())[..]).unwrap();
+    let loaded_gbt = load_gbt(&written(&|w| save_gbt(w, &gbt).unwrap())[..]).unwrap();
+    let (learned_forest, learned_gbt) =
+        (LearnedModel::Forest(forest.clone()), LearnedModel::Gbt(gbt.clone()));
+    for i in 0..ds.len() {
+        let x = ds.row(i);
+        assert_eq!(tree.predict_with_path(x), (tree.predict(x), tree.decision_path_len(x)), "tree, row {i}");
+        let fitted = (forest.predict(x), forest.decision_path_len(x));
+        assert_eq!(forest.predict_with_path(x), fitted, "forest, row {i}");
+        assert_eq!(gbt.predict_with_path(x), (gbt.predict(x), gbt.decision_path_len(x)), "GBT, row {i}");
+        for (name, loaded) in [("tree", &loaded_tree), ("forest", &loaded_forest)] {
+            let two = (loaded.predict(x), loaded.decision_path_len(x));
+            assert_eq!(loaded.predict_with_path(x), two, "loaded {name}, row {i}");
+        }
+        assert_eq!(loaded_tree.predict_with_path(x), tree.predict_with_path(x), "loaded tree, row {i}");
+        assert_eq!(loaded_forest.predict_with_path(x), fitted, "loaded forest, row {i}");
+        let two = (loaded_gbt.predict(x), loaded_gbt.decision_path_len(x));
+        assert_eq!(loaded_gbt.predict_with_path(x), two, "loaded GBT, row {i}");
+        assert_eq!(loaded_gbt.predict_with_path(x), gbt.predict_with_path(x), "loaded GBT, row {i}");
+        for (name, learned) in [("forest", &learned_forest), ("GBT", &learned_gbt)] {
+            let two = (learned.predict(x), learned.decision_path_len(x));
+            assert_eq!(learned.predict_with_path(x), two, "learned {name}, row {i}");
         }
     }
 }
