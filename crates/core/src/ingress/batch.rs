@@ -24,7 +24,7 @@
 //! `spmm_time` is affine in `k` (`spmv_time + (k - 1) * per_rhs`), so for
 //! every `k >= 2` that is the one comparison `per_rhs < spmv_time`, and
 //! both numbers were computed at registration from the machine view tuning
-//! already held: the pump reads them off the handle
+//! already held: the executor reads them off the handle
 //! ([`MatrixHandle::batch_cost`], summed over shards for a partitioned
 //! handle) and never looks at a matrix. Expired requests are shed *before*
 //! grouping and never execute.
@@ -49,7 +49,9 @@ fn ns(d: std::time::Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Pump-lifetime scratch: the per-scalar gather/scatter blocks.
+/// An executor's scratch, the per-scalar gather/scatter blocks: kept on
+/// the ingress' shelf between batches and borrowed by whichever thread
+/// runs one.
 pub(crate) struct PumpState {
     bw_f32: BatchWorkspace<f32>,
     bw_f64: BatchWorkspace<f64>,
@@ -62,7 +64,7 @@ impl PumpState {
 }
 
 /// Sheds expired requests, groups the rest and executes every group —
-/// one pump cycle over a drained batch.
+/// one drained batch, on the pump or on a waiting ticket's thread.
 pub(crate) fn process_batch<T: Send + Sync>(
     service: &OracleService<T>,
     cfg: &IngressConfig,
@@ -100,8 +102,8 @@ pub(crate) fn process_batch<T: Send + Sync>(
         } else if scalar == TypeId::of::<f64>() {
             execute_group::<T, f64>(service, cfg, stats, &mut state.bw_f64, &mut group);
         } else {
-            // A scalar this pump has no gather block for: still served,
-            // one planned SpMV per request — never dropped.
+            // A scalar with no gather block: still served, one planned
+            // SpMV per request — never dropped.
             for req in group.iter_mut() {
                 finish_direct(service, stats, req);
             }

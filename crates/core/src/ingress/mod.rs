@@ -13,6 +13,7 @@
 //!   Backpressure::TenantQuota  │       per_rhs < spmv_time?               Ticket
 //!   Backpressure::QueueFull    │       (read off the handle)             resolves
 //!                              ▼
+//!               drained by the thread waiting on a ticket, or by the pump;
 //!               deadline expired while queued?
 //!               shed: Backpressure::DeadlineExpired
 //! ```
@@ -22,9 +23,19 @@
 //!   ([`IngressConfig::tenant_quota`]), so a greedy client saturates its
 //!   own quota, not the queue. The queue itself is bounded; both refusals
 //!   are immediate typed [`Backpressure`] errors, never blocking waits.
-//! * **Coalescing** — a single pump thread drains everything queued at
-//!   once. Runs of requests against the same [`MatrixHandle`] (same
-//!   scalar) become *one* planned SpMM over the handle's shared
+//! * **Execution** — a thread waiting on a ticket is an executor.
+//!   [`Ticket::wait`] returns the reply if it is there; otherwise it drains
+//!   whatever is queued, without blocking, and runs that batch on the
+//!   calling thread; only when nothing was queued does it block on the
+//!   reply. A caller that just wrote `x` runs the kernel with `x` in its
+//!   own cache, and its request pays no thread hand-off. The pump thread
+//!   drains what nobody waits on: tickets polled with
+//!   [`Ticket::try_wait`], batches released by [`Ingress::resume`], and
+//!   everything still queued at shutdown.
+//! * **Coalescing** — every drain takes everything queued at once, and
+//!   the batch runs the same way whichever thread drained it. Runs of
+//!   requests against the same [`MatrixHandle`] (same scalar) become
+//!   *one* planned SpMM over the handle's shared
 //!   [`ExecPlan`](morpheus::ExecPlan) when the engine's cost model prices
 //!   `spmm_time(k)` under `k × spmv_time` — the paper's op-aware cost
 //!   model collecting the batching payoff. The model is affine in `k`
@@ -32,7 +43,7 @@
 //!   `k`-independent comparison `per_rhs < spmv_time`; both numbers are
 //!   evaluated once, at registration, on the machine view tuning already
 //!   holds, and ride on the handle ([`MatrixHandle::batch_cost`]; summed
-//!   over shards for a partitioned handle). The pump never analyses a
+//!   over shards for a partitioned handle). No executor ever analyses a
 //!   matrix. Results are scattered back per-request, **bitwise
 //!   identical** to individual SpMVs (the SpMM kernels accumulate each
 //!   output column in exactly the SpMV order).
@@ -42,10 +53,13 @@
 //!   work that finishes late still delivers and is counted as a deadline
 //!   miss. See [`slo`] for the exact semantics.
 //!
-//! Because the pump is the only thread driving ingress work into the
-//! pool, ingress traffic never contends with itself — the silent
-//! pool-busy serial fallback of the direct path cannot trigger from
-//! inside this layer; overload surfaces as typed backpressure instead.
+//! The pump and any number of waiters may run batches at the same time;
+//! each request is drained exactly once, under the queue's mutex. Ingress
+//! work never takes the direct path's counted pool-busy serial fallback
+//! — overload surfaces as typed backpressure at admission instead — and
+//! an execution that finds the pool dispatched by another executor runs
+//! its plan inline on its own thread, bitwise the same (rung 2 of the
+//! ladder on [`OracleService`]'s `execute`).
 //! Executions are timestamped into the adaptive-sampling
 //! [`Telemetry`](crate::adapt::Telemetry) under `Op::Spmm{k}` /
 //! `Op::Spmv` keys exactly like direct handle calls, so retraining learns
@@ -86,6 +100,7 @@ use crate::obs::{Counter, Gauge, Histogram, Obs, SlowRequest, SpanRecord, Stage,
 use crate::serve::{MatrixHandle, OracleService};
 use crate::OracleError;
 use morpheus::Scalar;
+use parking_lot::Mutex;
 use queue::{Job, JobMeta, PushRefused, QueuedRequest, SubmissionQueue, TenantTable};
 use std::collections::HashMap;
 use std::fmt;
@@ -93,7 +108,7 @@ use std::sync::mpsc::{sync_channel, Receiver, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// When the pump may merge queued same-handle SpMV requests into one
+/// When an executor may merge queued same-handle SpMV requests into one
 /// planned SpMM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoalescePolicy {
@@ -168,8 +183,8 @@ pub enum IngressError {
     /// Execution itself failed; the underlying error is shared across
     /// every request of a failed coalesced batch.
     Exec(Arc<OracleError>),
-    /// The pump disappeared without resolving the ticket (it panicked);
-    /// a bug, not an overload signal.
+    /// The thread that ran the request's batch disappeared without
+    /// resolving the ticket (it panicked); a bug, not an overload signal.
     Disconnected,
 }
 
@@ -179,7 +194,7 @@ impl fmt::Display for IngressError {
             IngressError::Backpressure(b) => write!(f, "backpressure: {b}"),
             IngressError::Rejected(why) => write!(f, "request rejected: {why}"),
             IngressError::Exec(e) => write!(f, "execution failed: {e}"),
-            IngressError::Disconnected => write!(f, "ingress pump disconnected"),
+            IngressError::Disconnected => write!(f, "the thread running the request's batch disconnected"),
         }
     }
 }
@@ -286,7 +301,8 @@ pub(crate) struct StatsCells {
     pub(crate) deadline_misses: Counter,
     /// `ingress.queue_depth`
     pub(crate) queue_depth: Gauge,
-    /// `ingress.queue_wait_ns` — submission to pump pickup.
+    /// `ingress.queue_wait_ns` — submission to drain (by the pump or a
+    /// waiting ticket).
     pub(crate) queue_wait_hist: Arc<Histogram>,
     /// `ingress.coalesce_ns` — cost-gate evaluation per chunk (two numbers
     /// read off the handle: sub-microsecond, whatever the matrix).
@@ -377,11 +393,18 @@ impl StatsCells {
 }
 
 /// A pending request's receipt: resolves to the SpMV result or a typed
-/// [`IngressError`]. One-shot; waiting consumes it.
-#[derive(Debug)]
+/// [`IngressError`]. One-shot; waiting consumes it, and runs queued work
+/// on the waiting thread (see [`Ticket::wait`]).
 pub struct Ticket<V: Scalar> {
     rx: Receiver<Result<Vec<V>, IngressError>>,
     trace: TraceId,
+    ingress: Arc<dyn Executor>,
+}
+
+impl<V: Scalar> fmt::Debug for Ticket<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Ticket").field("trace", &self.trace).finish_non_exhaustive()
+    }
 }
 
 impl<V: Scalar> Ticket<V> {
@@ -395,11 +418,24 @@ impl<V: Scalar> Ticket<V> {
 
     /// Blocks until the request resolves: `y = A x` on success, typed
     /// backpressure or the execution error otherwise.
+    ///
+    /// While the reply is not there, the calling thread drains whatever is
+    /// queued and runs it, exactly as the pump would — its own request and
+    /// any drained with it, other clients' included — and blocks only once
+    /// nothing is queued. A paused or closed ingress runs nothing here.
     pub fn wait(self) -> Result<Vec<V>, IngressError> {
-        self.rx.recv().unwrap_or(Err(IngressError::Disconnected))
+        loop {
+            if let Some(result) = self.try_wait() {
+                return result;
+            }
+            if !self.ingress.run_queued() {
+                return self.rx.recv().unwrap_or(Err(IngressError::Disconnected));
+            }
+        }
     }
 
     /// Non-blocking poll: `None` while the request is still in flight.
+    /// Never executes anything.
     pub fn try_wait(&self) -> Option<Result<Vec<V>, IngressError>> {
         match self.rx.try_recv() {
             Ok(result) => Some(result),
@@ -409,17 +445,44 @@ impl<V: Scalar> Ticket<V> {
     }
 }
 
+/// What a [`Ticket`] needs of its ingress, without its tuner type.
+trait Executor: Send + Sync {
+    /// Drains the queue without blocking and runs the batch on the calling
+    /// thread; `false` when there was nothing to run.
+    fn run_queued(&self) -> bool;
+}
+
 struct Shared<T> {
     service: Arc<OracleService<T>>,
     queue: SubmissionQueue<T>,
     tenants: TenantTable,
     stats: StatsCells,
     cfg: IngressConfig,
+    /// Gather/scatter workspaces of the executors not running a batch.
+    shelf: Mutex<Vec<batch::PumpState>>,
+}
+
+impl<T: Send + Sync> Shared<T> {
+    /// Runs a drained batch on the calling thread — the pump's and every
+    /// waiter's one path — with a workspace borrowed from the shelf.
+    fn run_batch(&self, drained: Vec<QueuedRequest<T>>) {
+        self.stats.queue_depth.set(self.queue.depth());
+        let mut ws = self.shelf.lock().pop().unwrap_or_else(batch::PumpState::new);
+        batch::process_batch(&self.service, &self.cfg, &self.stats, &mut ws, drained);
+        self.shelf.lock().push(ws);
+    }
+}
+
+impl<T: Send + Sync> Executor for Shared<T> {
+    fn run_queued(&self) -> bool {
+        self.queue.try_drain().map(|drained| self.run_batch(drained)).is_some()
+    }
 }
 
 /// The async batched front door over an [`OracleService`]: submissions
-/// from any number of threads, one pump thread draining, coalescing and
-/// executing. See the [module docs](self) for the request lifecycle.
+/// from any number of threads, drained, coalesced and executed by the
+/// threads waiting on their tickets and by one pump thread for the rest.
+/// See the [module docs](self) for the request lifecycle.
 ///
 /// Dropping the `Ingress` closes admission, sheds everything still queued
 /// with [`Backpressure::ShuttingDown`] and joins the pump; tickets are
@@ -451,6 +514,7 @@ impl<T: Send + Sync + 'static> Ingress<T> {
             tenants: TenantTable::default(),
             stats,
             cfg,
+            shelf: Mutex::new(Vec::new()),
         });
         let pump_shared = Arc::clone(&shared);
         let pump = std::thread::Builder::new()
@@ -512,7 +576,7 @@ impl<T: Send + Sync + 'static> Ingress<T> {
         let deadline = slo::resolve_deadline(submitted, deadline, shared.cfg.default_slo);
         let (tx, rx) = sync_channel(1);
         let trace = shared.stats.obs.mint_trace();
-        let mut meta = JobMeta { _tenant: tenant_slot, deadline, trace, submitted, spans: Vec::new() };
+        let mut meta = JobMeta { deadline, trace, submitted, spans: Vec::new() };
         // The Admit span (dur 0, detail = queue depth observed at
         // admission) is staged locally now but hits the global ring only
         // after the push succeeds, so refused submissions leave no
@@ -528,14 +592,15 @@ impl<T: Send + Sync + 'static> Ingress<T> {
             meta.spans.push(rec);
             rec
         });
-        let req = QueuedRequest { meta, job: Box::new(Job { handle: handle.clone(), x, tx }) };
+        let job = Job { handle: handle.clone(), x, tx, tenant: Some(tenant_slot) };
+        let req = QueuedRequest { meta, job: Box::new(job) };
         match shared.queue.push(req) {
             Ok(()) => {
                 if let Some(rec) = admit {
                     shared.stats.obs.span(rec.trace, rec.stage, rec.start_ns, 0, rec.detail);
                 }
                 shared.stats.queue_depth.set(shared.queue.depth());
-                Ok(Ticket { rx, trace })
+                Ok(Ticket { rx, trace, ingress: Arc::clone(&self.shared) as Arc<dyn Executor> })
             }
             Err(PushRefused::Full(req)) => {
                 // Dropping the refused request releases the tenant slot.
@@ -585,17 +650,19 @@ impl<T: Send + Sync + 'static> Ingress<T> {
         self.shared.tenants.inflight(tenant)
     }
 
-    /// Holds queued work back from the pump. Submissions still admit (up
-    /// to queue capacity and quotas); nothing executes until
-    /// [`Ingress::resume`]. Deterministic-batch construction for tests
-    /// and benchmarks — paused queues do not shed on a timer, the pump
-    /// re-checks deadlines when resumed.
+    /// Holds queued work back from every executor. Submissions still
+    /// admit (up to queue capacity and quotas); nothing executes until
+    /// [`Ingress::resume`], not even on a thread blocked in
+    /// [`Ticket::wait`]. Deterministic-batch construction for tests and
+    /// benchmarks — paused queues do not shed on a timer, deadlines are
+    /// re-checked when the batch is drained after resuming.
     pub fn pause(&self) {
         self.shared.queue.pause();
     }
 
     /// Releases [`Ingress::pause`]; everything queued drains as one
-    /// coalescing window.
+    /// coalescing window, run by the pump unless a waiter gets to it
+    /// first.
     pub fn resume(&self) {
         self.shared.queue.resume();
     }
@@ -610,13 +677,12 @@ impl<T: Send + Sync + 'static> Drop for Ingress<T> {
     }
 }
 
-/// The pump: drain → (shed on shutdown | coalesce-and-execute), until the
-/// queue closes and empties.
+/// The pump: drain → (shed on shutdown | run the batch), until the queue
+/// closes and empties.
 fn pump_loop<T: Send + Sync>(shared: &Shared<T>) {
-    let mut state = batch::PumpState::new();
     while let Some(drained) = shared.queue.drain() {
-        shared.stats.queue_depth.set(shared.queue.depth());
         if shared.queue.is_closed() {
+            shared.stats.queue_depth.set(shared.queue.depth());
             for mut req in drained {
                 shared.stats.shed_shutdown.inc();
                 shared.stats.resolve_request(&mut req.meta, 2);
@@ -624,6 +690,6 @@ fn pump_loop<T: Send + Sync>(shared: &Shared<T>) {
             }
             continue;
         }
-        batch::process_batch(&shared.service, &shared.cfg, &shared.stats, &mut state, drained);
+        shared.run_batch(drained);
     }
 }

@@ -1,12 +1,13 @@
 //! The ingress submission queue, per-tenant admission and the type-erased
-//! request representation the pump drains.
+//! request representation its executors drain.
 //!
 //! The queue is a bounded `VecDeque` under a `std::sync::Mutex` with a
-//! `Condvar` pump wake-up — deliberately the plainest possible MPSC: the
-//! vendored channel exposes neither depth nor timed receives, and the pump
-//! needs both a drain-everything primitive (for coalescing) and a depth
-//! gauge (for the stats surface). Submitters never block: a full queue is
-//! an immediate [`Backpressure::QueueFull`], the explicit replacement for
+//! `Condvar` pump wake-up — deliberately the plainest possible MPMC: the
+//! vendored channel exposes neither depth nor timed receives, and the
+//! executors need a drain-everything primitive (for coalescing), blocking
+//! for the pump and non-blocking for a waiting ticket, plus a depth gauge
+//! (for the stats surface). Submitters never block: a full queue is an
+//! immediate [`Backpressure::QueueFull`], the explicit replacement for
 //! queueing behind other clients.
 //!
 //! Requests are stored type-erased ([`ErasedJob`]) so one queue carries
@@ -29,8 +30,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// One tenant's admission ticket: holds the tenant's in-flight count
-/// incremented until dropped, so every exit path — scatter, shed, error —
-/// releases the quota slot exactly once.
+/// incremented until dropped. A [`Job`] drops it just before its reply is
+/// sent, so every exit path — scatter, shed, error, a job dropped unsent —
+/// releases the quota slot exactly once, and a client returning from
+/// `wait()` finds its slot already free.
 #[derive(Debug)]
 pub(crate) struct TenantSlot {
     inflight: Arc<AtomicUsize>,
@@ -85,8 +88,6 @@ impl TenantTable {
 
 /// Scheduling metadata shared by every request regardless of scalar type.
 pub(crate) struct JobMeta {
-    /// Quota slot, released when the request leaves the system.
-    pub(crate) _tenant: TenantSlot,
     /// Absolute deadline, resolved at submission.
     pub(crate) deadline: Option<Instant>,
     /// Trace id minted at admission ([`TraceId::NONE`] when tracing is
@@ -105,16 +106,20 @@ pub(crate) struct Job<V: Scalar> {
     pub(crate) handle: MatrixHandle<V>,
     pub(crate) x: Vec<V>,
     pub(crate) tx: SyncSender<Result<Vec<V>, IngressError>>,
+    /// Quota slot, released by [`Job::send`] (or by dropping the job).
+    pub(crate) tenant: Option<TenantSlot>,
 }
 
 impl<V: Scalar> Job<V> {
-    /// Resolves the ticket; a receiver that gave up (dropped) is fine.
-    pub(crate) fn send(&self, result: Result<Vec<V>, IngressError>) {
+    /// Releases the tenant's quota slot, then resolves the ticket; a
+    /// receiver that gave up (dropped) is fine.
+    pub(crate) fn send(&mut self, result: Result<Vec<V>, IngressError>) {
+        drop(self.tenant.take());
         let _ = self.tx.send(result);
     }
 }
 
-/// Scalar-erased view of a [`Job<V>`], so one queue and one pump loop
+/// Scalar-erased view of a [`Job<V>`], so one queue and one batch runner
 /// carry every scalar type. Grouping happens on `(scalar, handle_id)`;
 /// the coalescer downcasts groups of the two `Scalar` impls back to
 /// concrete jobs, and anything else still executes through
@@ -199,7 +204,8 @@ struct QueueState<T> {
     paused: bool,
 }
 
-/// The bounded MPSC between submitters and the pump. See the
+/// The bounded queue between submitters and the executors (the pump and
+/// every waiting ticket). See the
 /// [module docs](self) for why this is a mutex + condvar rather than a
 /// channel.
 pub(crate) struct SubmissionQueue<T> {
@@ -237,10 +243,10 @@ impl<T> SubmissionQueue<T> {
 
     /// Blocks until work is available (and the queue is not paused), then
     /// drains **everything** queued at that instant — the coalescing
-    /// window is "whatever accumulated while the pump was busy". Returns
-    /// `None` once the queue is closed and empty; after close, remaining
-    /// items are still handed out (paused or not) so the pump can shed
-    /// them.
+    /// window is "whatever accumulated while the executors were busy".
+    /// Returns `None` once the queue is closed and empty; after close,
+    /// remaining items are still handed out (paused or not) so the pump
+    /// can shed them.
     pub(crate) fn drain(&self) -> Option<Vec<QueuedRequest<T>>> {
         let mut st = self.state.lock().expect("ingress queue poisoned");
         loop {
@@ -249,12 +255,27 @@ impl<T> SubmissionQueue<T> {
                 if st.items.is_empty() {
                     return None; // only reachable when closed
                 }
-                let batch: Vec<_> = st.items.drain(..).collect();
-                self.depth.store(0, Ordering::Relaxed);
-                return Some(batch);
+                return Some(self.take_all(&mut st));
             }
             st = self.wakeup.wait(st).expect("ingress queue poisoned");
         }
+    }
+
+    /// [`SubmissionQueue::drain`] without blocking, for a waiting ticket:
+    /// everything queued, or `None` when the queue is empty, paused or
+    /// closed — a paused queue runs nothing until resumed, and a closed
+    /// one is the pump's to shed.
+    pub(crate) fn try_drain(&self) -> Option<Vec<QueuedRequest<T>>> {
+        let mut st = self.state.lock().expect("ingress queue poisoned");
+        if st.closed || st.paused || st.items.is_empty() {
+            return None;
+        }
+        Some(self.take_all(&mut st))
+    }
+
+    fn take_all(&self, st: &mut QueueState<T>) -> Vec<QueuedRequest<T>> {
+        self.depth.store(0, Ordering::Relaxed);
+        st.items.drain(..).collect()
     }
 
     /// Current queue length (lock-free; the stats gauge).
@@ -274,7 +295,7 @@ impl<T> SubmissionQueue<T> {
         self.wakeup.notify_all();
     }
 
-    /// Holds queued work back from the pump (used to build deterministic
+    /// Holds queued work back from every executor (used to build deterministic
     /// coalescing batches; see [`Ingress::pause`](super::Ingress::pause)).
     pub(crate) fn pause(&self) {
         self.state.lock().expect("ingress queue poisoned").paused = true;

@@ -3,7 +3,8 @@
 //!
 //! Every request resolves to an **absolute deadline** at submission (an
 //! explicit per-request deadline, or `now + default_slo` from the
-//! [`IngressConfig`](crate::ingress::IngressConfig), or none). The pump
+//! [`IngressConfig`](crate::ingress::IngressConfig), or none). Whichever
+//! executor drains the request — a waiting ticket's thread or the pump —
 //! checks the deadline immediately before execution:
 //!
 //! * expired before execution → the request is **shed**: its ticket

@@ -2,7 +2,7 @@
 //! slow-request flight recorder.
 //!
 //! One [`Obs`] hub lives on each `OracleService` and is shared (via
-//! `Arc`) with every `Ingress` pump started on it. It owns:
+//! `Arc`) with every `Ingress` started on it. It owns:
 //!
 //! - the [`MetricsRegistry`] all layers register their counters, gauges
 //!   and stage-latency [`Histogram`]s into (names: `layer.noun_verb`);

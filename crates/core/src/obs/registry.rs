@@ -10,7 +10,7 @@
 //! shared atomics: the hot path holds a handle and never touches the
 //! registry's name map. `get_or_*` on an existing name returns a handle
 //! to the *same* cells, so two components registering the same name share
-//! one metric (e.g. two `Ingress` pumps on one service — documented on
+//! one metric (e.g. two `Ingress` front doors on one service — documented on
 //! `Ingress::start`).
 
 use std::collections::BTreeMap;

@@ -52,9 +52,10 @@ pub enum Stage {
     /// Request accepted by `Ingress::submit`; `detail` = queue depth at
     /// admission, duration 0.
     Admit,
-    /// Time spent in the submission queue before the pump drained it.
+    /// Time spent in the submission queue before an executor drained it:
+    /// the thread waiting on a ticket, or the pump.
     QueueWait,
-    /// The pump's coalesce gate; `detail` = batch size when coalesced,
+    /// The executor's coalesce gate; `detail` = batch size when coalesced,
     /// 0 when declined or ineligible.
     CoalesceDecision,
     /// Plan acquisition; `detail` = 1 on cache hit, 0 when built.

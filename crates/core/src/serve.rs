@@ -1031,7 +1031,7 @@ impl<T> OracleService<T> {
     }
 
     /// Request-level observation of a direct call (`spmv`/`spmm`/
-    /// `tune_and_*`; the ingress pump records its own): the
+    /// `tune_and_*`; the ingress records its own): the
     /// `serve.request_ns` histogram plus one coarse [`Stage::Exec`] span.
     /// Free (not even reached — callers gate the `Instant` reads) when
     /// tracing is off.
@@ -1175,11 +1175,14 @@ impl<T> OracleService<T> {
         Ok(())
     }
 
-    /// [`Self::execute`] for the ingress pump: a busy pool is not dodged
-    /// (see the ladder there). `trace` feeds the fine-level per-shard spans
-    /// of partitioned handles (request-level ingress spans are the pump's
-    /// job); pass [`TraceId::NONE`] when no single request owns the
-    /// execution, as for a coalesced batch.
+    /// [`Self::execute`] for the ingress, on whichever thread drained the
+    /// batch — the pump or a thread waiting on a ticket: a busy pool is
+    /// not dodged (see the ladder there), so two such executors at once
+    /// run the later one's plan inline on its own thread (rung 2).
+    /// `trace` feeds the fine-level per-shard spans of partitioned handles
+    /// (request-level ingress spans are the executor's job); pass
+    /// [`TraceId::NONE`] when no single request owns the execution, as for
+    /// a coalesced batch.
     pub(crate) fn execute_queued<V: Scalar>(
         &self,
         handle: &MatrixHandle<V>,

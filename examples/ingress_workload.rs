@@ -1,6 +1,7 @@
 //! Multi-tenant workload through the async batched ingress front door:
 //! several tenants submit SpMV requests against the *same* registered
-//! matrix under a latency SLO, and the ingress pump coalesces queued
+//! matrix under a latency SLO, and each tenant's waiting thread (or, for
+//! what nobody waits on, the ingress pump) drains the queue and coalesces
 //! same-handle runs into single planned SpMM executions when the engine's
 //! cost model prices the batch cheaper than individual SpMVs.
 //!
@@ -8,7 +9,7 @@
 //! pool directly and overload shows up as silent serial fallbacks; here,
 //! the front door admits (per-tenant quotas), queues, coalesces and sheds
 //! with explicit typed backpressure — the request lifecycle is
-//! submit → admit → coalesce-or-direct → execute → scatter.
+//! submit → admit → drain → coalesce-or-direct → execute → scatter.
 //!
 //! ```text
 //! cargo run --release --example ingress_workload [tenants] [requests-per-tenant]
@@ -54,8 +55,8 @@ fn main() {
 
     // Every tenant fires bursts of requests at the same handle, waiting
     // each burst out before the next — exactly the traffic shape the
-    // coalescer exists for: whatever queues while the pump is busy becomes
-    // one planned SpMM.
+    // coalescer exists for: the first wait drains whatever queued since
+    // the last drain, from every tenant, and runs it as one planned SpMM.
     let t0 = Instant::now();
     std::thread::scope(|s| {
         for t in 0..tenants {

@@ -4,9 +4,10 @@
 //! surface typed backpressure and never partial results, and per-tenant
 //! admission must keep a greedy tenant from starving the rest.
 //!
-//! Determinism: every test pauses the ingress before submitting, so the
-//! pump drains one exactly-known batch when resumed — coalescing windows
-//! are constructed, not raced for.
+//! Determinism: every test that counts batches pauses the ingress before
+//! submitting, so one executor — the pump, or the first thread to wait —
+//! drains one exactly-known batch when resumed: coalescing windows are
+//! constructed, not raced for.
 
 use morpheus_repro::corpus::gen::{banded, blocks, hetero, powerlaw, random, stencil};
 use morpheus_repro::machine::{analyze, systems, Backend, MatrixAnalysis, Op, VirtualEngine};
@@ -16,13 +17,13 @@ use morpheus_repro::morpheus::spmv::spmv_serial;
 use morpheus_repro::morpheus::{ConvertOptions, CooMatrix, DynamicMatrix, ExecPlan, Scalar};
 use morpheus_repro::oracle::adapt::{CollectorConfig, SampleCollector};
 use morpheus_repro::oracle::{
-    Backpressure, CoalescePolicy, FormatTuner, Ingress, IngressConfig, IngressError, Oracle, OracleService,
-    PartitionPolicy, RunFirstTuner, TuneDecision, TuningCost,
+    Backpressure, CoalescePolicy, FormatTuner, Ingress, IngressConfig, IngressError, MatrixHandle, Oracle,
+    OracleService, PartitionPolicy, RunFirstTuner, Ticket, TuneDecision, TuningCost,
 };
 use morpheus_repro::parallel::ThreadPool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn workers() -> usize {
@@ -110,15 +111,10 @@ fn banded_triplets(n: usize) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
     (rows, cols, vals)
 }
 
-fn matrix_f64(n: usize) -> DynamicMatrix<f64> {
+fn matrix<V: Scalar>(n: usize) -> DynamicMatrix<V> {
     let (rows, cols, vals) = banded_triplets(n);
+    let vals: Vec<V> = vals.into_iter().map(V::from_f64).collect();
     DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap())
-}
-
-fn matrix_f32(n: usize) -> DynamicMatrix<f32> {
-    let (rows, cols, vals) = banded_triplets(n);
-    let vals32: Vec<f32> = vals.iter().map(|&v| v as f32).collect();
-    DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals32).unwrap())
 }
 
 /// The j-th client's input vector: nonzero everywhere, distinct per client.
@@ -126,27 +122,19 @@ fn input(n: usize, client: usize) -> Vec<f64> {
     (0..n).map(|i| 0.25 + ((i * 13 + client * 31) % 29) as f64 * 0.5).collect()
 }
 
-fn assert_bitwise_f64(got: &[f64], expect: &[f64], ctx: &str) {
-    assert_eq!(got.len(), expect.len(), "{ctx}: length");
-    for (i, (g, e)) in got.iter().zip(expect).enumerate() {
-        assert_eq!(g.to_bits(), e.to_bits(), "{ctx}: row {i}: got {g}, expected {e}");
-    }
+/// `y = A x` by the serial kernel on the handle's stored matrix: what every
+/// reply must equal bit for bit.
+fn serial_reference<V: Scalar>(h: &MatrixHandle<V>, x: &[V]) -> Vec<V> {
+    let mut y = vec![V::ZERO; h.nrows()];
+    spmv_serial(h.matrix(), x, &mut y).unwrap();
+    y
 }
 
-fn assert_bitwise_f32(got: &[f32], expect: &[f32], ctx: &str) {
+fn assert_bitwise<V: Scalar>(got: &[V], expect: &[V], ctx: &str) {
     assert_eq!(got.len(), expect.len(), "{ctx}: length");
     for (i, (g, e)) in got.iter().zip(expect).enumerate() {
-        assert_eq!(g.to_bits(), e.to_bits(), "{ctx}: row {i}: got {g}, expected {e}");
-    }
-}
-
-/// Spin until `cond` holds (the pump drops request state slightly after it
-/// resolves tickets; quota release is on that drop).
-fn eventually(cond: impl Fn() -> bool, what: &str) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::yield_now();
+        // Widening to f64 is exact, so equal bits there are equal bits.
+        assert_eq!(g.to_f64().to_bits(), e.to_f64().to_bits(), "{ctx}: row {i}: got {g}, expected {e}");
     }
 }
 
@@ -157,8 +145,8 @@ fn coalesced_spmm_is_bitwise_identical_to_planned_spmv_across_formats_and_scalar
     let n = 120usize;
     for fmt in FORMATS {
         let service = fixed_service(fmt);
-        let h64 = service.register(matrix_f64(n)).unwrap();
-        let h32 = service.register(matrix_f32(n)).unwrap();
+        let h64 = service.register(matrix::<f64>(n)).unwrap();
+        let h32 = service.register(matrix::<f32>(n)).unwrap();
         assert_eq!(h64.format_id(), fmt, "f64 handle must realize the pinned format");
         assert_eq!(h32.format_id(), fmt, "f32 handle must realize the pinned format");
 
@@ -193,11 +181,11 @@ fn coalesced_spmm_is_bitwise_identical_to_planned_spmv_across_formats_and_scalar
 
         for (c, t) in t64.into_iter().enumerate() {
             let y = t.wait().unwrap_or_else(|e| panic!("{fmt:?} f64 client {c}: {e}"));
-            assert_bitwise_f64(&y, &refs64[c], &format!("{fmt:?} f64 client {c}"));
+            assert_bitwise(&y, &refs64[c], &format!("{fmt:?} f64 client {c}"));
         }
         for (c, t) in t32.into_iter().enumerate() {
             let y = t.wait().unwrap_or_else(|e| panic!("{fmt:?} f32 client {c}: {e}"));
-            assert_bitwise_f32(&y, &refs32[c], &format!("{fmt:?} f32 client {c}"));
+            assert_bitwise(&y, &refs32[c], &format!("{fmt:?} f32 client {c}"));
         }
 
         let stats = ingress.stats();
@@ -214,7 +202,7 @@ fn coalesced_spmm_is_bitwise_identical_to_planned_spmv_across_formats_and_scalar
 fn coalesce_never_policy_serves_every_request_as_direct_spmv() {
     let service = fixed_service(FormatId::Csr);
     let n = 80usize;
-    let h = service.register(matrix_f64(n)).unwrap();
+    let h = service.register(matrix::<f64>(n)).unwrap();
     let xs: Vec<Vec<f64>> = (0..3).map(|c| input(n, c)).collect();
     let refs: Vec<Vec<f64>> = xs
         .iter()
@@ -231,7 +219,7 @@ fn coalesce_never_policy_serves_every_request_as_direct_spmv() {
     let tickets: Vec<_> = xs.iter().map(|x| ingress.submit("t", &h, x.clone()).unwrap()).collect();
     ingress.resume();
     for (c, t) in tickets.into_iter().enumerate() {
-        assert_bitwise_f64(&t.wait().unwrap(), &refs[c], &format!("direct client {c}"));
+        assert_bitwise(&t.wait().unwrap(), &refs[c], &format!("direct client {c}"));
     }
     let stats = ingress.stats();
     assert_eq!(stats.direct_requests, 3);
@@ -243,7 +231,7 @@ fn coalesce_never_policy_serves_every_request_as_direct_spmv() {
 fn expired_deadlines_shed_with_typed_backpressure_and_no_partial_results() {
     let service = fixed_service(FormatId::Csr);
     let n = 60usize;
-    let h = service.register(matrix_f64(n)).unwrap();
+    let h = service.register(matrix::<f64>(n)).unwrap();
     let served = || service.obs_snapshot().metrics.counter("serve.requests_served");
     let executed_before = served();
 
@@ -262,7 +250,7 @@ fn expired_deadlines_shed_with_typed_backpressure_and_no_partial_results() {
     let y = healthy.wait().expect("undeadlined request must execute");
     let mut y_ref = vec![0.0f64; n];
     service.spmv(&h, &input(n, 1), &mut y_ref).unwrap();
-    assert_bitwise_f64(&y, &y_ref, "healthy request");
+    assert_bitwise(&y, &y_ref, "healthy request");
 
     let stats = ingress.stats();
     assert_eq!(stats.shed_deadline, 1);
@@ -276,7 +264,7 @@ fn expired_deadlines_shed_with_typed_backpressure_and_no_partial_results() {
 fn greedy_tenant_hits_its_quota_without_blocking_other_tenants() {
     let service = fixed_service(FormatId::Csr);
     let n = 50usize;
-    let h = service.register(matrix_f64(n)).unwrap();
+    let h = service.register(matrix::<f64>(n)).unwrap();
 
     let cfg = IngressConfig { tenant_quota: 16, ..IngressConfig::default() }.with_tenant_quota("greedy", 3);
     let ingress = Ingress::start(Arc::clone(&service), cfg);
@@ -298,8 +286,9 @@ fn greedy_tenant_hits_its_quota_without_blocking_other_tenants() {
     }
     modest.wait().expect("modest tenant must not be starved");
 
-    // Quota slots release once the pump retires the requests.
-    eventually(|| ingress.tenant_inflight("greedy") == 0, "greedy quota release");
+    // A quota slot is released before its reply is sent.
+    assert_eq!(ingress.tenant_inflight("greedy"), 0);
+    assert_eq!(ingress.tenant_inflight("modest"), 0);
     ingress.submit("greedy", &h, input(n, 5)).unwrap().wait().unwrap();
 
     let stats = ingress.stats();
@@ -311,7 +300,7 @@ fn greedy_tenant_hits_its_quota_without_blocking_other_tenants() {
 fn full_queue_refuses_with_queue_full_and_admits_again_after_draining() {
     let service = fixed_service(FormatId::Csr);
     let n = 40usize;
-    let h = service.register(matrix_f64(n)).unwrap();
+    let h = service.register(matrix::<f64>(n)).unwrap();
 
     let cfg = IngressConfig { queue_capacity: 2, ..IngressConfig::default() };
     let ingress = Ingress::start(Arc::clone(&service), cfg);
@@ -334,7 +323,7 @@ fn full_queue_refuses_with_queue_full_and_admits_again_after_draining() {
 #[test]
 fn mismatched_input_length_is_rejected_at_submission() {
     let service = fixed_service(FormatId::Csr);
-    let h = service.register(matrix_f64(30)).unwrap();
+    let h = service.register(matrix::<f64>(30)).unwrap();
     let ingress = Ingress::start(Arc::clone(&service), IngressConfig::default());
     match ingress.submit("t", &h, vec![1.0f64; 7]) {
         Err(IngressError::Rejected(msg)) => assert!(msg.contains("30"), "{msg}"),
@@ -355,7 +344,7 @@ fn coalesced_executions_are_timestamped_into_spmm_telemetry() {
             .unwrap(),
     );
     let n = 90usize;
-    let h = service.register(matrix_f64(n)).unwrap();
+    let h = service.register(matrix::<f64>(n)).unwrap();
 
     let cfg = IngressConfig { coalesce: CoalescePolicy::Always, ..IngressConfig::default() };
     let ingress = Ingress::start(Arc::clone(&service), cfg);
@@ -379,7 +368,7 @@ fn coalesced_executions_are_timestamped_into_spmm_telemetry() {
 fn ingress_and_serve_counters_land_in_one_registry_scrape() {
     let service = fixed_service(FormatId::Csr);
     let n = 40usize;
-    let h = service.register(matrix_f64(n)).unwrap();
+    let h = service.register(matrix::<f64>(n)).unwrap();
     let ingress = Ingress::start(Arc::clone(&service), IngressConfig::default());
     ingress.submit("t", &h, input(n, 0)).unwrap().wait().unwrap();
 
@@ -420,7 +409,7 @@ fn default_policy_coalesces_a_paying_burst_and_its_gate_stays_below_an_execution
     // Large enough that one SpMM outweighs the gate by orders of magnitude
     // in an unoptimised build too.
     let n = 40_000usize;
-    let h = service.register(matrix_f64(n)).unwrap();
+    let h = service.register(matrix::<f64>(n)).unwrap();
     assert!(h.batch_cost().coalescing_pays(), "{:?}", h.batch_cost());
 
     let ingress = Ingress::start(Arc::clone(&service), IngressConfig::default());
@@ -433,7 +422,7 @@ fn default_policy_coalesces_a_paying_burst_and_its_gate_stays_below_an_execution
             let y = t.wait().unwrap_or_else(|e| panic!("burst {burst} client {c}: {e}"));
             let mut want = vec![f64::NAN; n];
             spmv_serial(h.matrix(), x, &mut want).unwrap();
-            assert_bitwise_f64(&y, &want, &format!("burst {burst} client {c}"));
+            assert_bitwise(&y, &want, &format!("burst {burst} client {c}"));
         }
     }
 
@@ -561,7 +550,7 @@ fn spmm_columns_are_bitwise_spmv_through_every_entry_point() {
     let check = |y: &[f64], k: usize, refs: &[Vec<f64>], ctx: &str| {
         for (j, r) in refs.iter().enumerate().take(k) {
             let col: Vec<f64> = (0..n).map(|i| y[i * k + j]).collect();
-            assert_bitwise_f64(&col, r, &format!("{ctx} k={k} column {j}"));
+            assert_bitwise(&col, r, &format!("{ctx} k={k} column {j}"));
         }
     };
 
@@ -578,7 +567,7 @@ fn spmm_columns_are_bitwise_spmv_through_every_entry_point() {
                     spmv_serial(m, x, &mut y).unwrap();
                     let mut planned = vec![f64::NAN; n];
                     service.spmv(&h, x, &mut planned).unwrap();
-                    assert_bitwise_f64(&planned, &y, &format!("{fmt} w={w}: planned spmv"));
+                    assert_bitwise(&planned, &y, &format!("{fmt} w={w}: planned spmv"));
                     y
                 })
                 .collect();
@@ -613,13 +602,8 @@ fn spmm_columns_are_bitwise_spmv_through_every_entry_point() {
             }
 
             // Through the front door: bursts of every width against the whole
-            // and the sharded handle (quota releases trail the replies, so
-            // the quota covers every request of the loop).
-            let cfg = IngressConfig {
-                coalesce: CoalescePolicy::Always,
-                tenant_quota: 256,
-                ..IngressConfig::default()
-            };
+            // and the sharded handle.
+            let cfg = IngressConfig { coalesce: CoalescePolicy::Always, ..IngressConfig::default() };
             for (service, handle, what) in [(&service, &h, "whole"), (&sharded_service, &sharded, "sharded")]
             {
                 let ingress = Ingress::start(Arc::clone(service), cfg.clone());
@@ -630,11 +614,160 @@ fn spmm_columns_are_bitwise_spmv_through_every_entry_point() {
                     ingress.resume();
                     for (j, t) in tickets.into_iter().enumerate() {
                         let ctx = format!("{fmt} w={w} ingress {what} k={k} request {j}");
-                        assert_bitwise_f64(&t.wait().unwrap(), &refs[j], &ctx);
+                        assert_bitwise(&t.wait().unwrap(), &refs[j], &ctx);
                     }
                 }
                 assert_eq!(ingress.stats().failed, 0);
             }
         }
+    }
+}
+
+/// A closed-loop client resubmits the moment `wait` returns: its slot was
+/// released before the reply was sent, so a client at its quota is never
+/// refused on its next submission.
+#[test]
+fn a_closed_loop_client_at_its_quota_is_never_refused() {
+    let n = 40usize;
+    for quota in [1usize, 2, 4] {
+        // A service per front door: ingress counters live in its registry.
+        let service = fixed_service(FormatId::Csr);
+        let h = service.register(matrix::<f64>(n)).unwrap();
+        let cfg = IngressConfig { tenant_quota: quota, ..IngressConfig::default() };
+        let ingress = Ingress::start(Arc::clone(&service), cfg);
+        let mut inflight: std::collections::VecDeque<Ticket<f64>> =
+            (0..quota).map(|c| ingress.submit("loop", &h, input(n, c)).unwrap()).collect();
+        for c in 0..500 * quota {
+            inflight.pop_front().unwrap().wait().unwrap();
+            match ingress.submit("loop", &h, input(n, c)) {
+                Ok(t) => inflight.push_back(t),
+                Err(e) => panic!("quota {quota}, resubmission {c}: {e}"),
+            }
+        }
+        for t in inflight {
+            t.wait().unwrap();
+        }
+        let stats = ingress.stats();
+        assert_eq!(stats.rejected_quota, 0, "quota {quota}");
+        assert_eq!(stats.completed, 501 * quota as u64, "quota {quota}");
+        assert_eq!(ingress.tenant_inflight("loop"), 0, "quota {quota}");
+    }
+}
+
+/// A thread blocked in `wait` is an executor, but not of a paused queue:
+/// nothing runs until `resume`, and then the batch matches the serial
+/// kernel bit for bit.
+#[test]
+fn a_waiter_on_a_paused_ingress_executes_nothing_until_resumed() {
+    let service = fixed_service(FormatId::Csr);
+    let n = 70usize;
+    let h = service.register(matrix::<f64>(n)).unwrap();
+    let ingress = Ingress::start(Arc::clone(&service), IngressConfig::default());
+    ingress.pause();
+    let xs: Vec<Vec<f64>> = (0..4).map(|c| input(n, c)).collect();
+    let tickets: Vec<_> = xs.iter().map(|x| ingress.submit("t", &h, x.clone()).unwrap()).collect();
+    let started = Barrier::new(2);
+    let replies = std::thread::scope(|s| {
+        let waiter = s.spawn(|| {
+            started.wait();
+            tickets.into_iter().map(|t| t.wait()).collect::<Vec<_>>()
+        });
+        started.wait();
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(ingress.stats().completed, 0, "a paused ingress ran a request");
+        assert!(!waiter.is_finished(), "a paused ingress resolved a ticket");
+        ingress.resume();
+        waiter.join().unwrap()
+    });
+    for (c, (y, x)) in replies.into_iter().zip(&xs).enumerate() {
+        assert_bitwise(&y.unwrap(), &serial_reference(&h, x), &format!("client {c}"));
+    }
+    assert_eq!(ingress.stats().completed, 4);
+}
+
+/// Dropping the front door under a thread blocked in `wait` on a paused
+/// request sheds that request, and the waiter returns.
+#[test]
+fn dropping_the_ingress_resolves_a_blocked_waiter_as_shutting_down() {
+    let service = fixed_service(FormatId::Csr);
+    let n = 30usize;
+    let h = service.register(matrix::<f64>(n)).unwrap();
+    let ingress = Ingress::start(Arc::clone(&service), IngressConfig::default());
+    ingress.pause();
+    let ticket = ingress.submit("t", &h, input(n, 0)).unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let started = Arc::new(Barrier::new(2));
+    let waiter = {
+        let started = Arc::clone(&started);
+        std::thread::spawn(move || {
+            started.wait();
+            tx.send(ticket.wait()).unwrap();
+        })
+    };
+    started.wait();
+    std::thread::sleep(Duration::from_millis(20));
+
+    drop(ingress);
+    match rx.recv_timeout(Duration::from_secs(10)) {
+        Ok(Err(IngressError::Backpressure(Backpressure::ShuttingDown))) => {}
+        Ok(other) => panic!("a request queued at shutdown must be shed, got {other:?}"),
+        Err(_) => panic!("the waiter hung after the ingress was dropped"),
+    }
+    waiter.join().unwrap();
+}
+
+/// Four clients waiting on their own bursts — so the pump and up to four
+/// waiters run batches at once — over two handles: every reply is the
+/// serial kernel's bit for bit, and every request is counted once.
+fn stress_waiters<V: Scalar>(policy: CoalescePolicy) {
+    let service = fixed_service(FormatId::Csr);
+    let handles = [service.register(matrix::<V>(90)).unwrap(), service.register(matrix::<V>(130)).unwrap()];
+    let cfg = IngressConfig { coalesce: policy, ..IngressConfig::default() };
+    let ingress = Ingress::start(Arc::clone(&service), cfg);
+    let clients = 4usize;
+    std::thread::scope(|s| {
+        for c in 0..clients {
+            let (ingress, handles) = (&ingress, &handles);
+            s.spawn(move || {
+                let tenant = format!("client-{c}");
+                for round in 0..24 {
+                    let burst = [1usize, 4, 16][round % 3];
+                    let requests: Vec<(&MatrixHandle<V>, Vec<V>)> = (0..burst)
+                        .map(|j| {
+                            let h = &handles[(c + round + j) % 2];
+                            let x = input(h.ncols(), c * 97 + round * 7 + j);
+                            (h, x.into_iter().map(V::from_f64).collect())
+                        })
+                        .collect();
+                    let tickets: Vec<_> = requests
+                        .iter()
+                        .map(|(h, x)| ingress.submit(&tenant, h, x.clone()).unwrap())
+                        .collect();
+                    for (j, (t, (h, x))) in tickets.into_iter().zip(&requests).enumerate() {
+                        let ctx = format!("{policy:?} client {c} round {round} request {j}");
+                        let y = t.wait().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                        assert_bitwise(&y, &serial_reference(h, x), &ctx);
+                    }
+                }
+            });
+        }
+    });
+    let stats = ingress.stats();
+    assert_eq!(stats.completed, stats.submitted, "{policy:?}: {stats:?}");
+    assert_eq!(stats.direct_requests + stats.coalesced_requests, stats.completed, "{policy:?}: {stats:?}");
+    assert_eq!(stats.failed, 0, "{policy:?}");
+    if policy == CoalescePolicy::Never {
+        assert_eq!(stats.coalesced_requests, 0, "{stats:?}");
+    }
+    for c in 0..clients {
+        assert_eq!(ingress.tenant_inflight(&format!("client-{c}")), 0, "{policy:?} client {c}");
+    }
+}
+
+#[test]
+fn concurrent_waiters_and_the_pump_serve_every_request_once_and_bitwise() {
+    for policy in [CoalescePolicy::CostModel, CoalescePolicy::Never] {
+        stress_waiters::<f64>(policy);
+        stress_waiters::<f32>(policy);
     }
 }
