@@ -1,5 +1,5 @@
-//! Async batched ingress: the admission-controlled, coalescing front door
-//! over [`OracleService`].
+//! Async ingress: the admission-controlled front door over
+//! [`OracleService`].
 //!
 //! The direct handle path ([`OracleService::spmv`]) is synchronous and
 //! one-request-per-call: under N contending clients, requests serialize on
@@ -7,11 +7,11 @@
 //! that degradation with an explicit request lifecycle:
 //!
 //! ```text
-//!   submit ──► admit ──────► queue ──► coalesce-or-direct ──► execute ──► scatter
-//!              │  │            │            │                 (planned       │
-//!   tenant quota  queue cap    │       cost-model gate         SpMM/SpMV)    ▼
-//!   Backpressure::TenantQuota  │       per_rhs < spmv_time?               Ticket
-//!   Backpressure::QueueFull    │       (read off the handle)             resolves
+//!   submit ──► admit ──────► queue ──────────► execute ──────► Ticket
+//!              │  │            │               (one planned    resolves
+//!   tenant quota  queue cap    │                SpMV each)
+//!   Backpressure::TenantQuota  │
+//!   Backpressure::QueueFull    │
 //!                              ▼
 //!               drained by the thread waiting on a ticket, or by the pump;
 //!               deadline expired while queued?
@@ -31,22 +31,13 @@
 //!   own cache, and its request pays no thread hand-off. The pump thread
 //!   drains what nobody waits on: tickets polled with
 //!   [`Ticket::try_wait`], batches released by [`Ingress::resume`], and
-//!   everything still queued at shutdown.
-//! * **Coalescing** — every drain takes everything queued at once, and
-//!   the batch runs the same way whichever thread drained it. Runs of
-//!   requests against the same [`MatrixHandle`] (same scalar) become
-//!   *one* planned SpMM over the handle's shared
-//!   [`ExecPlan`](morpheus::ExecPlan) when the engine's cost model prices
-//!   `spmm_time(k)` under `k × spmv_time` — the paper's op-aware cost
-//!   model collecting the batching payoff. The model is affine in `k`
-//!   (`spmv_time + (k - 1) × per_rhs`), so the gate is the one
-//!   `k`-independent comparison `per_rhs < spmv_time`; both numbers are
-//!   evaluated once, at registration, on the machine view tuning already
-//!   holds, and ride on the handle ([`MatrixHandle::batch_cost`]; summed
-//!   over shards for a partitioned handle). No executor ever analyses a
-//!   matrix. Results are scattered back per-request, **bitwise
-//!   identical** to individual SpMVs (the SpMM kernels accumulate each
-//!   output column in exactly the SpMV order).
+//!   everything still queued at shutdown. Every request of a drained batch
+//!   runs as its own planned SpMV over its [`MatrixHandle`]'s shared
+//!   [`ExecPlan`](morpheus::ExecPlan), in submission order, bitwise the
+//!   direct [`OracleService::spmv`]. Queued SpMVs are not merged into an
+//!   SpMM: on the ingress workload a coalesced column cost more than the
+//!   SpMV it replaced. A caller holding `k` vectors calls
+//!   [`OracleService::spmm`] itself.
 //! * **SLO enforcement** — requests carry deadlines (explicit, or
 //!   [`IngressConfig::default_slo`]). Work that expires while queued is
 //!   shed with [`Backpressure::DeadlineExpired`] *before* any kernel runs;
@@ -61,9 +52,8 @@
 //! its plan inline on its own thread, bitwise the same (rung 2 of the
 //! ladder on [`OracleService`]'s `execute`).
 //! Executions are timestamped into the adaptive-sampling
-//! [`Telemetry`](crate::adapt::Telemetry) under `Op::Spmm{k}` /
-//! `Op::Spmv` keys exactly like direct handle calls, so retraining learns
-//! from batched traffic too.
+//! [`Telemetry`](crate::adapt::Telemetry) under `Op::Spmv` keys exactly
+//! like direct handle calls, so retraining learns from queued traffic too.
 //!
 //! # Example
 //! ```
@@ -90,7 +80,6 @@
 //! assert_eq!(ticket.wait().unwrap(), vec![1.0, 2.0, 3.0]);
 //! ```
 
-mod batch;
 mod queue;
 pub mod slo;
 
@@ -100,29 +89,12 @@ use crate::obs::{Counter, Gauge, Histogram, Obs, SlowRequest, SpanRecord, Stage,
 use crate::serve::{MatrixHandle, OracleService};
 use crate::OracleError;
 use morpheus::Scalar;
-use parking_lot::Mutex;
-use queue::{Job, JobMeta, PushRefused, QueuedRequest, SubmissionQueue, TenantTable};
+use queue::{Drained, Job, JobMeta, PushRefused, QueuedRequest, SubmissionQueue, TenantTable};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::mpsc::{sync_channel, Receiver, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// When an executor may merge queued same-handle SpMV requests into one
-/// planned SpMM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CoalescePolicy {
-    /// Coalesce only when the engine prices `spmm_time(k)` below
-    /// `k × spmv_time` for the handle's realized format — for every `k`
-    /// the comparison [`BatchCost::coalescing_pays`](crate::BatchCost::coalescing_pays)
-    /// makes on the two numbers the handle carries. The default.
-    #[default]
-    CostModel,
-    /// Always coalesce same-handle runs (benchmarking / testing).
-    Always,
-    /// Never coalesce; every request executes as an individual SpMV.
-    Never,
-}
 
 /// Configuration of an [`Ingress`] front door.
 #[derive(Debug, Clone)]
@@ -138,11 +110,6 @@ pub struct IngressConfig {
     /// Deadline budget applied to requests submitted without an explicit
     /// deadline; `None` means such requests never expire.
     pub default_slo: Option<Duration>,
-    /// Coalescing policy (see [`CoalescePolicy`]).
-    pub coalesce: CoalescePolicy,
-    /// Largest number of requests merged into one SpMM; bigger runs are
-    /// split into chunks of this size.
-    pub max_batch: usize,
 }
 
 impl Default for IngressConfig {
@@ -152,8 +119,6 @@ impl Default for IngressConfig {
             tenant_quota: 64,
             tenant_overrides: HashMap::new(),
             default_slo: None,
-            coalesce: CoalescePolicy::CostModel,
-            max_batch: 32,
         }
     }
 }
@@ -180,8 +145,8 @@ pub enum IngressError {
     /// The request was malformed (e.g. input length does not match the
     /// handle's column count). Caught at submission; nothing was queued.
     Rejected(String),
-    /// Execution itself failed; the underlying error is shared across
-    /// every request of a failed coalesced batch.
+    /// Execution itself failed; nothing was delivered. Each failed request
+    /// carries its own error.
     Exec(Arc<OracleError>),
     /// The thread that ran the request's batch disappeared without
     /// resolving the ticket (it panicked); a bug, not an overload signal.
@@ -238,14 +203,12 @@ pub struct IngressStats {
     /// Requests served as individual planned SpMVs. Deprecated alias of
     /// `ingress.direct_served`.
     pub direct_requests: u64,
-    /// Requests served through a coalesced SpMM. Deprecated alias of
-    /// `ingress.coalesced_served`.
+    /// Always 0: the ingress no longer merges requests into an SpMM, and
+    /// the field has no registry cell. Kept while `oracle_bench` reads it.
     pub coalesced_requests: u64,
-    /// Coalesced SpMM executions (each serving ≥ 2 requests). Deprecated
-    /// alias of `ingress.batches_coalesced`.
+    /// Always 0, like [`coalesced_requests`](Self::coalesced_requests).
     pub coalesced_batches: u64,
-    /// Chunks the cost-model gate declined to coalesce. Deprecated alias
-    /// of `ingress.coalesce_declined`.
+    /// Always 0: there is no coalescing gate to decline.
     pub cost_gate_declined: u64,
     /// Delivered results that finished after their deadline. Deprecated
     /// alias of `ingress.deadlines_missed`.
@@ -256,14 +219,10 @@ pub struct IngressStats {
 }
 
 impl IngressStats {
-    /// Fraction of delivered results that were served through a coalesced
-    /// SpMM (0 when nothing has completed).
+    /// Always 0: every request is served as its own SpMV. Kept while
+    /// `oracle_bench` reads it.
     pub fn coalescing_ratio(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.coalesced_requests as f64 / self.completed as f64
-        }
+        0.0
     }
 }
 
@@ -291,12 +250,6 @@ pub(crate) struct StatsCells {
     pub(crate) failed: Counter,
     /// `ingress.direct_served`
     pub(crate) direct_requests: Counter,
-    /// `ingress.coalesced_served`
-    pub(crate) coalesced_requests: Counter,
-    /// `ingress.batches_coalesced`
-    pub(crate) coalesced_batches: Counter,
-    /// `ingress.coalesce_declined`
-    pub(crate) cost_gate_declined: Counter,
     /// `ingress.deadlines_missed`
     pub(crate) deadline_misses: Counter,
     /// `ingress.queue_depth`
@@ -304,15 +257,8 @@ pub(crate) struct StatsCells {
     /// `ingress.queue_wait_ns` — submission to drain (by the pump or a
     /// waiting ticket).
     pub(crate) queue_wait_hist: Arc<Histogram>,
-    /// `ingress.coalesce_ns` — cost-gate evaluation per chunk (two numbers
-    /// read off the handle: sub-microsecond, whatever the matrix).
-    pub(crate) coalesce_hist: Arc<Histogram>,
-    /// `ingress.exec_ns` — one sample per kernel execution (a coalesced
-    /// batch records once for its k requests).
+    /// `ingress.exec_ns` — one sample per request's kernel execution.
     pub(crate) exec_hist: Arc<Histogram>,
-    /// `ingress.scatter_ns` — one sample per coalesced batch: the tiled
-    /// scatter of its k result columns.
-    pub(crate) scatter_hist: Arc<Histogram>,
 }
 
 impl StatsCells {
@@ -327,15 +273,10 @@ impl StatsCells {
             completed: r.counter("ingress.requests_completed"),
             failed: r.counter("ingress.requests_failed"),
             direct_requests: r.counter("ingress.direct_served"),
-            coalesced_requests: r.counter("ingress.coalesced_served"),
-            coalesced_batches: r.counter("ingress.batches_coalesced"),
-            cost_gate_declined: r.counter("ingress.coalesce_declined"),
             deadline_misses: r.counter("ingress.deadlines_missed"),
             queue_depth: r.gauge("ingress.queue_depth"),
             queue_wait_hist: r.histogram("ingress.queue_wait_ns"),
-            coalesce_hist: r.histogram("ingress.coalesce_ns"),
             exec_hist: r.histogram("ingress.exec_ns"),
-            scatter_hist: r.histogram("ingress.scatter_ns"),
             obs,
         }
     }
@@ -458,18 +399,33 @@ struct Shared<T> {
     tenants: TenantTable,
     stats: StatsCells,
     cfg: IngressConfig,
-    /// Gather/scatter workspaces of the executors not running a batch.
-    shelf: Mutex<Vec<batch::PumpState>>,
 }
 
 impl<T: Send + Sync> Shared<T> {
     /// Runs a drained batch on the calling thread — the pump's and every
-    /// waiter's one path — with a workspace borrowed from the shelf.
+    /// waiter's one path: sheds the expired requests, then runs each of the
+    /// others as one planned SpMV, in submission order.
     fn run_batch(&self, drained: Vec<QueuedRequest<T>>) {
-        self.stats.queue_depth.set(self.queue.depth());
-        let mut ws = self.shelf.lock().pop().unwrap_or_else(batch::PumpState::new);
-        batch::process_batch(&self.service, &self.cfg, &self.stats, &mut ws, drained);
-        self.shelf.lock().push(ws);
+        let stats = &self.stats;
+        stats.queue_depth.set(self.queue.depth());
+        let now = Instant::now();
+        for mut req in drained {
+            if slo::expired(req.meta.deadline, now) {
+                stats.shed_deadline.inc();
+                stats.resolve_request(&mut req.meta, 2);
+                req.job.shed(Backpressure::DeadlineExpired);
+                continue;
+            }
+            if req.meta.trace.is_some() {
+                let wait_ns =
+                    now.saturating_duration_since(req.meta.submitted).as_nanos().min(u64::MAX as u128) as u64;
+                stats.queue_wait_hist.record_ns(wait_ns);
+                let start_ns = stats.obs.instant_ns(req.meta.submitted);
+                stats.stage_span(&mut req.meta, Stage::QueueWait, start_ns, wait_ns, 0);
+            }
+            stats.direct_requests.inc();
+            req.job.run_direct(&self.service, stats, &mut req.meta);
+        }
     }
 }
 
@@ -479,9 +435,9 @@ impl<T: Send + Sync> Executor for Shared<T> {
     }
 }
 
-/// The async batched front door over an [`OracleService`]: submissions
-/// from any number of threads, drained, coalesced and executed by the
-/// threads waiting on their tickets and by one pump thread for the rest.
+/// The async front door over an [`OracleService`]: submissions from any
+/// number of threads, drained and executed by the threads waiting on their
+/// tickets and by one pump thread for the rest.
 /// See the [module docs](self) for the request lifecycle.
 ///
 /// Dropping the `Ingress` closes admission, sheds everything still queued
@@ -514,7 +470,6 @@ impl<T: Send + Sync + 'static> Ingress<T> {
             tenants: TenantTable::default(),
             stats,
             cfg,
-            shelf: Mutex::new(Vec::new()),
         });
         let pump_shared = Arc::clone(&shared);
         let pump = std::thread::Builder::new()
@@ -632,9 +587,9 @@ impl<T: Send + Sync + 'static> Ingress<T> {
             completed: s.completed.get(),
             failed: s.failed.get(),
             direct_requests: s.direct_requests.get(),
-            coalesced_requests: s.coalesced_requests.get(),
-            coalesced_batches: s.coalesced_batches.get(),
-            cost_gate_declined: s.cost_gate_declined.get(),
+            coalesced_requests: 0,
+            coalesced_batches: 0,
+            cost_gate_declined: 0,
             deadline_misses: s.deadline_misses.get(),
             queue_depth: depth,
         }
@@ -660,9 +615,8 @@ impl<T: Send + Sync + 'static> Ingress<T> {
         self.shared.queue.pause();
     }
 
-    /// Releases [`Ingress::pause`]; everything queued drains as one
-    /// coalescing window, run by the pump unless a waiter gets to it
-    /// first.
+    /// Releases [`Ingress::pause`]; everything queued drains as one batch,
+    /// run by the pump unless a waiter gets to it first.
     pub fn resume(&self) {
         self.shared.queue.resume();
     }
@@ -677,19 +631,22 @@ impl<T: Send + Sync + 'static> Drop for Ingress<T> {
     }
 }
 
-/// The pump: drain → (shed on shutdown | run the batch), until the queue
-/// closes and empties.
+/// The pump: drain → (run the batch | shed it on shutdown), until the queue
+/// closes and empties. Whether a batch is shed is what [`SubmissionQueue::drain`]
+/// saw under the lock it drained under: a batch drained while the queue was
+/// open runs, even if the queue closes before it does.
 fn pump_loop<T: Send + Sync>(shared: &Shared<T>) {
     while let Some(drained) = shared.queue.drain() {
-        if shared.queue.is_closed() {
-            shared.stats.queue_depth.set(shared.queue.depth());
-            for mut req in drained {
-                shared.stats.shed_shutdown.inc();
-                shared.stats.resolve_request(&mut req.meta, 2);
-                req.job.shed(Backpressure::ShuttingDown);
+        match drained {
+            Drained::Run(batch) => shared.run_batch(batch),
+            Drained::Shed(batch) => {
+                shared.stats.queue_depth.set(shared.queue.depth());
+                for mut req in batch {
+                    shared.stats.shed_shutdown.inc();
+                    shared.stats.resolve_request(&mut req.meta, 2);
+                    req.job.shed(Backpressure::ShuttingDown);
+                }
             }
-            continue;
         }
-        shared.run_batch(drained);
     }
 }

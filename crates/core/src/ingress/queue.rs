@@ -4,25 +4,25 @@
 //! The queue is a bounded `VecDeque` under a `std::sync::Mutex` with a
 //! `Condvar` pump wake-up — deliberately the plainest possible MPMC: the
 //! vendored channel exposes neither depth nor timed receives, and the
-//! executors need a drain-everything primitive (for coalescing), blocking
-//! for the pump and non-blocking for a waiting ticket, plus a depth gauge
-//! (for the stats surface). Submitters never block: a full queue is an
-//! immediate [`Backpressure::QueueFull`], the explicit replacement for
-//! queueing behind other clients.
+//! executors need a drain-everything primitive, blocking for the pump and
+//! non-blocking for a waiting ticket, plus a depth gauge (for the stats
+//! surface). Draining everything at once means one lock hold per batch,
+//! not per request, and a waiter that finds work queued runs all of it
+//! before it blocks. Submitters never block: a full queue is an immediate
+//! [`Backpressure::QueueFull`], the explicit replacement for queueing
+//! behind other clients.
 //!
 //! Requests are stored type-erased ([`ErasedJob`]) so one queue carries
-//! `f32` and `f64` traffic at once; the coalescer downcasts same-scalar,
-//! same-handle runs back to concrete [`Job<V>`]s (see
-//! [`super::batch`]).
+//! `f32` and `f64` traffic at once; each runs through its own concrete
+//! [`Job<V>`].
 
 use super::slo::Backpressure;
 use super::{IngressError, StatsCells};
 use crate::obs::{SpanRecord, Stage, TraceId};
 use crate::serve::{MatrixHandle, OracleService};
 use crate::OracleError;
-use morpheus::{Op, Scalar};
+use morpheus::Scalar;
 use parking_lot::Mutex as PlMutex;
-use std::any::{Any, TypeId};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::SyncSender;
@@ -31,7 +31,7 @@ use std::time::Instant;
 
 /// One tenant's admission ticket: holds the tenant's in-flight count
 /// incremented until dropped. A [`Job`] drops it just before its reply is
-/// sent, so every exit path — scatter, shed, error, a job dropped unsent —
+/// sent, so every exit path — delivery, shed, error, a job dropped unsent —
 /// releases the quota slot exactly once, and a client returning from
 /// `wait()` finds its slot already free.
 #[derive(Debug)]
@@ -120,17 +120,8 @@ impl<V: Scalar> Job<V> {
 }
 
 /// Scalar-erased view of a [`Job<V>`], so one queue and one batch runner
-/// carry every scalar type. Grouping happens on `(scalar, handle_id)`;
-/// the coalescer downcasts groups of the two `Scalar` impls back to
-/// concrete jobs, and anything else still executes through
-/// [`ErasedJob::run_direct`].
+/// carry every scalar type.
 pub(crate) trait ErasedJob<T>: Send {
-    /// Registration id of the target handle (coalescing group key).
-    fn handle_id(&self) -> u64;
-    /// Scalar type of the request (coalescing group key).
-    fn scalar(&self) -> TypeId;
-    /// Downcast access for the coalescer.
-    fn as_any(&mut self) -> &mut dyn Any;
     /// Executes this single request through the service's queued-execution
     /// path, accounts the outcome (completed/failed/deadline-miss) in
     /// `stats`, records its Exec/Resolve spans and exec-latency sample,
@@ -142,22 +133,10 @@ pub(crate) trait ErasedJob<T>: Send {
 }
 
 impl<T: Send + Sync, V: Scalar> ErasedJob<T> for Job<V> {
-    fn handle_id(&self) -> u64 {
-        self.handle.id()
-    }
-
-    fn scalar(&self) -> TypeId {
-        TypeId::of::<V>()
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-
     fn run_direct(&mut self, service: &OracleService<T>, stats: &StatsCells, meta: &mut JobMeta) {
         let mut y = vec![V::ZERO; self.handle.nrows()];
         let t0 = meta.trace.is_some().then(Instant::now);
-        match service.execute_queued(&self.handle, Op::Spmv, &self.x, &mut y, meta.trace) {
+        match service.execute_queued(&self.handle, &self.x, &mut y, meta.trace) {
             Ok(()) => {
                 let missed = super::slo::expired(meta.deadline, Instant::now());
                 stats.completed.inc();
@@ -189,6 +168,15 @@ impl<T: Send + Sync, V: Scalar> ErasedJob<T> for Job<V> {
 pub(crate) struct QueuedRequest<T> {
     pub(crate) meta: JobMeta,
     pub(crate) job: Box<dyn ErasedJob<T>>,
+}
+
+/// A batch [`SubmissionQueue::drain`] took, and what the queue's state said
+/// to do with it when it was taken.
+pub(crate) enum Drained<T> {
+    /// Drained while the queue was open: execute it.
+    Run(Vec<QueuedRequest<T>>),
+    /// Drained after [`SubmissionQueue::close`]: shed it, nothing executes.
+    Shed(Vec<QueuedRequest<T>>),
 }
 
 /// Outcome of a push attempt; the request is handed back on refusal so
@@ -242,20 +230,23 @@ impl<T> SubmissionQueue<T> {
     }
 
     /// Blocks until work is available (and the queue is not paused), then
-    /// drains **everything** queued at that instant — the coalescing
-    /// window is "whatever accumulated while the executors were busy".
-    /// Returns `None` once the queue is closed and empty; after close,
-    /// remaining items are still handed out (paused or not) so the pump
-    /// can shed them.
-    pub(crate) fn drain(&self) -> Option<Vec<QueuedRequest<T>>> {
+    /// drains **everything** queued at that instant, as [`Drained::Run`].
+    /// After close, remaining items are still handed out (paused or not),
+    /// as [`Drained::Shed`]: the verdict is taken under the same lock hold
+    /// as the items, so a close that lands after the drain cannot turn a
+    /// batch taken from an open queue into one to shed. Returns `None`
+    /// once the queue is closed and empty.
+    pub(crate) fn drain(&self) -> Option<Drained<T>> {
         let mut st = self.state.lock().expect("ingress queue poisoned");
         loop {
-            let ready = st.closed || (!st.items.is_empty() && !st.paused);
-            if ready {
+            if st.closed {
                 if st.items.is_empty() {
-                    return None; // only reachable when closed
+                    return None;
                 }
-                return Some(self.take_all(&mut st));
+                return Some(Drained::Shed(self.take_all(&mut st)));
+            }
+            if !st.items.is_empty() && !st.paused {
+                return Some(Drained::Run(self.take_all(&mut st)));
             }
             st = self.wakeup.wait(st).expect("ingress queue poisoned");
         }
@@ -283,12 +274,6 @@ impl<T> SubmissionQueue<T> {
         self.depth.load(Ordering::Relaxed)
     }
 
-    /// `true` once [`SubmissionQueue::close`] ran: drained batches must be
-    /// shed, not executed.
-    pub(crate) fn is_closed(&self) -> bool {
-        self.state.lock().expect("ingress queue poisoned").closed
-    }
-
     /// Stops admission and wakes the pump for final shedding.
     pub(crate) fn close(&self) {
         self.state.lock().expect("ingress queue poisoned").closed = true;
@@ -296,7 +281,7 @@ impl<T> SubmissionQueue<T> {
     }
 
     /// Holds queued work back from every executor (used to build deterministic
-    /// coalescing batches; see [`Ingress::pause`](super::Ingress::pause)).
+    /// batches; see [`Ingress::pause`](super::Ingress::pause)).
     pub(crate) fn pause(&self) {
         self.state.lock().expect("ingress queue poisoned").paused = true;
     }

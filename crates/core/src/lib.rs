@@ -103,7 +103,7 @@ pub use adapt::{
 };
 pub use cache::CacheStats;
 pub use features::{FeatureVector, FEATURE_NAMES, NUM_FEATURES};
-pub use ingress::{Backpressure, CoalescePolicy, Ingress, IngressConfig, IngressError, IngressStats, Ticket};
+pub use ingress::{Backpressure, Ingress, IngressConfig, IngressError, IngressStats, Ticket};
 pub use model_db::{ModelDatabase, ModelKind};
 pub use obs::{
     Counter, Gauge, HistSummary, Histogram, MetricsRegistry, MetricsSnapshot, Obs, ObsConfig, ObsSnapshot,
@@ -111,7 +111,7 @@ pub use obs::{
 };
 pub use oracle::{Oracle, OracleBuilder, DEFAULT_CACHE_CAPACITY};
 pub use params::propose_params;
-pub use serve::{BatchCost, MatrixHandle, OracleService, PartitionPolicy};
+pub use serve::{MatrixHandle, OracleService, PartitionPolicy};
 pub use tune::{PlanStatus, TuneReport};
 pub use tuner::{
     DecisionTreeTuner, FormatTuner, GbtTuner, RandomForestTuner, RunFirstTuner, TuneDecision, TuningCost,

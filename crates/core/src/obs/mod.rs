@@ -8,8 +8,7 @@
 //!   and stage-latency [`Histogram`]s into (names: `layer.noun_verb`);
 //! - the [`SpanRing`] request tracer — every request is minted a
 //!   [`TraceId`] at the service/ingress boundary and leaves a span tree
-//!   `admit → queue_wait → coalesce_decision → plan → exec → scatter →
-//!   resolve` behind;
+//!   `admit → queue_wait → plan → exec → resolve` behind;
 //! - the [`FlightRecorder`], which retains the full span tree of any
 //!   request that breaches its SLO or the configured latency threshold.
 //!
@@ -38,8 +37,7 @@ use std::time::{Duration, Instant};
 pub enum TraceLevel {
     /// No spans, no trace ids, no clock reads for tracing.
     Off,
-    /// Request-level spans (admit/queue_wait/coalesce/plan/exec/scatter/
-    /// resolve). The default: cheap enough to leave on in production.
+    /// Request-level spans (admit/queue_wait/plan/exec/resolve). The default: cheap enough to leave on in production.
     #[default]
     Coarse,
     /// Coarse plus per-shard `Exec` spans on partitioned handles.

@@ -43,7 +43,7 @@ impl TraceId {
 }
 
 /// The stage a span measures. A complete ingress request produces the
-/// tree `Admit → QueueWait → CoalesceDecision → Exec → Scatter → Resolve`
+/// tree `Admit → QueueWait → Exec → Resolve`
 /// (plus `Plan` when a plan is fetched or built, and per-shard `Exec`
 /// spans at `TraceLevel::Fine`); a direct registered-path request
 /// produces `Plan → Exec`.
@@ -55,16 +55,11 @@ pub enum Stage {
     /// Time spent in the submission queue before an executor drained it:
     /// the thread waiting on a ticket, or the pump.
     QueueWait,
-    /// The executor's coalesce gate; `detail` = batch size when coalesced,
-    /// 0 when declined or ineligible.
-    CoalesceDecision,
     /// Plan acquisition; `detail` = 1 on cache hit, 0 when built.
     Plan,
     /// Kernel execution. Request-level on the coarse path; `detail`
     /// carries the shard index on fine-level per-shard spans.
     Exec,
-    /// Scattering a coalesced SpMM column back into the caller's vector.
-    Scatter,
     /// End of the request's life; duration = submit→resolve, `detail` =
     /// 0 delivered, 1 delivered after its deadline, 2 shed, 3 failed.
     Resolve,
@@ -76,10 +71,8 @@ impl Stage {
         match self {
             Stage::Admit => "admit",
             Stage::QueueWait => "queue_wait",
-            Stage::CoalesceDecision => "coalesce_decision",
             Stage::Plan => "plan",
             Stage::Exec => "exec",
-            Stage::Scatter => "scatter",
             Stage::Resolve => "resolve",
         }
     }
@@ -88,10 +81,8 @@ impl Stage {
         match c {
             0 => Stage::Admit,
             1 => Stage::QueueWait,
-            2 => Stage::CoalesceDecision,
-            3 => Stage::Plan,
-            4 => Stage::Exec,
-            5 => Stage::Scatter,
+            2 => Stage::Plan,
+            3 => Stage::Exec,
             _ => Stage::Resolve,
         }
     }
@@ -100,11 +91,9 @@ impl Stage {
         match self {
             Stage::Admit => 0,
             Stage::QueueWait => 1,
-            Stage::CoalesceDecision => 2,
-            Stage::Plan => 3,
-            Stage::Exec => 4,
-            Stage::Scatter => 5,
-            Stage::Resolve => 6,
+            Stage::Plan => 2,
+            Stage::Exec => 3,
+            Stage::Resolve => 4,
         }
     }
 }
@@ -316,15 +305,9 @@ mod tests {
 
     #[test]
     fn stage_codes_round_trip() {
-        for s in [
-            Stage::Admit,
-            Stage::QueueWait,
-            Stage::CoalesceDecision,
-            Stage::Plan,
-            Stage::Exec,
-            Stage::Scatter,
-            Stage::Resolve,
-        ] {
+        let all = [Stage::Admit, Stage::QueueWait, Stage::Plan, Stage::Exec, Stage::Resolve];
+        for (code, s) in all.into_iter().enumerate() {
+            assert_eq!(s.code(), code as u64, "codes stay contiguous");
             assert_eq!(Stage::from_code(s.code()), s);
         }
     }

@@ -18,8 +18,8 @@
 //! handle ([`OracleService::spmv`] / [`OracleService::spmm`]) touch **no
 //! locks and no caches** and perform **zero per-call allocation** (clients
 //! bring per-thread [`Workspace`]s for the allocating variants), from any
-//! number of client threads. Every one of them — direct, queued by the
-//! ingress, coalesced — is one call of the private `OracleService::execute`,
+//! number of client threads. Every one of them — direct or queued by the
+//! ingress — is one call of the private `OracleService::execute`,
 //! whose docs are the one statement of what runs where (serial backend,
 //! pool, busy pool: "the ladder"). Its rule is that nobody queues behind
 //! another client's batch: latency over throughput, per Elafrou et al.'s
@@ -80,7 +80,7 @@ use morpheus::{
     Analysis, ConvertOptions, ConvertOutcome, ConvertPath, CooMatrix, DynamicMatrix, ExecPlan, FormatParams,
     PartitionConfig, PartitionedMatrix, Scalar, Workspace,
 };
-use morpheus_machine::{analyze_from, assemble, MatrixAnalysis, Op, VirtualEngine};
+use morpheus_machine::{assemble, MatrixAnalysis, Op, VirtualEngine};
 use morpheus_parallel::ThreadPool;
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -89,54 +89,19 @@ use std::time::Instant;
 
 mod decisions;
 
-/// The two engine numbers the ingress coalescing gate compares, computed
-/// once at registration from the machine view tuning already holds and
-/// carried on the [`MatrixHandle`] (and beside the cached decision, so a
-/// decision-cache hit needs no view to get them).
-///
-/// [`VirtualEngine::spmm_time`] is affine in the batch width —
-/// `spmv + (k - 1) * per_rhs` — so "one SpMM of `k` beats `k` SpMVs" is the
-/// same comparison for every `k >= 2`.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct BatchCost {
-    /// Modelled seconds of one SpMV in the realized format
-    /// ([`VirtualEngine::spmv_time`]); summed over the shards of a
-    /// partitioned handle.
-    pub spmv: f64,
-    /// Modelled seconds each further right-hand side adds to an SpMM
-    /// ([`VirtualEngine::spmm_per_rhs_time`]); summed likewise.
-    pub per_rhs: f64,
-}
-
-impl BatchCost {
-    /// Prices `format` on `view`, which must hold the pricing walk a BSR or
-    /// HDC `format` is priced from ([`MatrixAnalysis::prices`]).
-    fn of(engine: &VirtualEngine, format: FormatId, view: &MatrixAnalysis) -> BatchCost {
-        BatchCost { spmv: engine.spmv_time(format, view), per_rhs: engine.spmm_per_rhs_time(format, view) }
-    }
-
-    /// `true` when the engine prices an SpMM of any `k >= 2` right-hand
-    /// sides below `k` SpMVs.
-    pub fn coalescing_pays(&self) -> bool {
-        self.per_rhs < self.spmv
-    }
-}
-
 /// Where a decision-cache entry keeps its execution plan: empty until the
 /// first registration or execution under the decision builds one. The plan
 /// is an `ExecPlan<V>`, `V` being the scalar of the entry's key — erased
 /// because the scalar is part of the key, not of the cache's type.
 type PlanSlot = parking_lot::Mutex<Option<Arc<dyn Any + Send + Sync>>>;
 
-/// A decision-cache entry: the decision, the [`BatchCost`] of its format
-/// (unless it was imported from a decisions file), the diagonals a DIA or
-/// HDC realization stored and the plan of the keyed structure realized in
-/// that format. What a hit needs comes with the lookup: no analysis, no
+/// A decision-cache entry: the decision, the diagonals a DIA or HDC
+/// realization stored and the plan of the keyed structure realized in that
+/// format. What a hit needs comes with the lookup: no analysis, no
 /// second cache, and — the layout being known — no walk to find diagonals.
 #[derive(Debug, Clone)]
 struct CachedDecision {
     decision: TuneDecision,
-    batch: Option<BatchCost>,
     /// [`DynamicMatrix::diagonal_layout`] of the matrix the miss realized,
     /// which a hit converts into ([`DynamicMatrix::convert_to_diagonals`]);
     /// `None` for the other formats, until the entry's conversion is known
@@ -152,8 +117,8 @@ struct CachedDecision {
 }
 
 impl CachedDecision {
-    fn new(decision: TuneDecision, batch: Option<BatchCost>) -> Self {
-        CachedDecision { decision, batch, layout: None, plan: Arc::default() }
+    fn new(decision: TuneDecision) -> Self {
+        CachedDecision { decision, layout: None, plan: Arc::default() }
     }
 }
 
@@ -207,9 +172,6 @@ struct Decided {
     facts: Facts,
     key: CacheKey,
     decision: TuneDecision,
-    /// [`BatchCost`] of `decision.format`: always known on a miss (the view
-    /// is at hand), on a hit whenever the entry carries it.
-    batch: Option<BatchCost>,
     /// The entry's diagonal layout, on a hit whose entry carries one.
     layout: Option<Arc<[isize]>>,
     /// The entry's plan slot: whatever the entry holds on a hit, empty on a
@@ -237,9 +199,6 @@ struct TuneArtifacts {
     param_code: u8,
     analysis: Option<Analysis>,
     view: Option<MatrixAnalysis>,
-    /// [`BatchCost`] of the realized format; `None` when a hit carried none
-    /// for it (an imported decision, or a fresh CSR fallback).
-    batch: Option<BatchCost>,
     plan: Arc<PlanSlot>,
 }
 
@@ -253,7 +212,6 @@ struct ShardTally {
     cost: TuningCost,
     /// `Reused` while every shard's plan came with its decision.
     plan: PlanStatus,
-    batch: BatchCost,
     /// Each realized shard's [`FormatParams::code`], in shard order.
     param_codes: Vec<u8>,
 }
@@ -265,7 +223,6 @@ impl Default for ShardTally {
             converted: false,
             cost: TuningCost::cached(),
             plan: PlanStatus::Reused,
-            batch: BatchCost::default(),
             param_codes: Vec::new(),
         }
     }
@@ -355,7 +312,6 @@ struct Registered<V: Scalar> {
     id: u64,
     stored: Stored<V>,
     report: TuneReport,
-    batch: BatchCost,
 }
 
 /// What a handle executes: one whole matrix with one plan, or a set of
@@ -426,13 +382,6 @@ impl<V: Scalar> MatrixHandle<V> {
     /// [`TuneReport::shards`] says whether the handle is partitioned).
     pub fn report(&self) -> &TuneReport {
         &self.inner.report
-    }
-
-    /// What the engine prices an SpMV and each further SpMM right-hand side
-    /// at on this handle — the inputs of the ingress coalescing gate, fixed
-    /// at registration.
-    pub fn batch_cost(&self) -> BatchCost {
-        self.inner.batch
     }
 
     /// `true` when the handle executes as row-range shards.
@@ -787,7 +736,7 @@ impl<T> OracleService<T> {
         let (key, found) = self.lookup::<V>(facts.hash, op);
         self.decisions.count(found.is_some());
         match found {
-            Some(CachedDecision { decision: mut cached, batch, layout, plan }) => {
+            Some(CachedDecision { decision: mut cached, layout, plan }) => {
                 // Same structure, scalar, engine and op: the tuner would
                 // reproduce this decision, so charge nothing for it.
                 cached.cost = TuningCost::cached();
@@ -797,17 +746,15 @@ impl<T> OracleService<T> {
                     facts.take_pricing_walks(m);
                 }
                 let generation = [0; 2];
-                Decided { facts, key, decision: cached, batch, layout, plan, cache_hit: true, generation }
+                Decided { facts, key, decision: cached, layout, plan, cache_hit: true, generation }
             }
             None => {
                 let Answer { decision, generation } =
                     answered.unwrap_or_else(|| self.answer(m, op, &mut facts));
-                let view = facts.view.as_ref().expect("the tuner answered on the view");
-                let batch = Some(BatchCost::of(&self.engine, decision.format, view));
-                let undecided = CachedDecision::new(decision, batch);
+                let undecided = CachedDecision::new(decision);
                 let plan = Arc::clone(&undecided.plan);
                 self.decisions.insert_if_generation(key, undecided, generation[0]);
-                Decided { facts, key, decision, batch, layout: None, plan, cache_hit: false, generation }
+                Decided { facts, key, decision, layout: None, plan, cache_hit: false, generation }
             }
         }
     }
@@ -830,7 +777,6 @@ impl<T> OracleService<T> {
             facts: Facts { hash, analysis, view, moved, .. },
             key,
             decision,
-            batch,
             layout,
             plan,
             cache_hit,
@@ -856,19 +802,12 @@ impl<T> OracleService<T> {
         };
         // CSR has no parameters: a fallback stored none of the decision's.
         let params = if chosen == predicted { decision.params } else { FormatParams::default() };
-        // The carried numbers price the decided format; after a CSR
-        // fallback they are re-taken from the view (always at hand on a
-        // miss).
-        let batch = batch
-            .filter(|_| chosen == predicted)
-            .or_else(|| view.as_ref().map(|v| BatchCost::of(&self.engine, chosen, v)));
         if !cache_hit {
             // Cache the *realized* format: if the prediction proved
             // non-viable, later hits must not re-pay the failing conversion
             // attempt before falling back.
             let done = CachedDecision {
                 decision: TuneDecision { format: chosen, params, ..decision },
-                batch,
                 layout: m.diagonal_layout().map(Arc::from),
                 plan: Arc::clone(&plan),
             };
@@ -916,14 +855,13 @@ impl<T> OracleService<T> {
             shards: 1,
         };
         let param_code = params.code();
-        Ok((report, TuneArtifacts { structure: hash, param_code, analysis, view, batch, plan }))
+        Ok((report, TuneArtifacts { structure: hash, param_code, analysis, view, plan }))
     }
 
-    /// The analysis a plan is built on, or a [`BatchCost`] priced from, by
-    /// a hit that found its entry without — a decision imported or never
-    /// executed, a plan for another worker count, a fresh CSR fallback. A
-    /// miss carries the analysis it decided on; otherwise the realized `m`
-    /// is hashed and walked here, once for both.
+    /// The analysis a plan is built on by a hit that found its entry
+    /// without one — a decision imported or never executed, a plan for
+    /// another worker count. A miss carries the analysis it decided on;
+    /// otherwise the realized `m` is hashed and walked here.
     fn late_analysis<'a, V: Scalar>(
         &self,
         m: &DynamicMatrix<V>,
@@ -1175,23 +1113,21 @@ impl<T> OracleService<T> {
         Ok(())
     }
 
-    /// [`Self::execute`] for the ingress, on whichever thread drained the
-    /// batch — the pump or a thread waiting on a ticket: a busy pool is
-    /// not dodged (see the ladder there), so two such executors at once
-    /// run the later one's plan inline on its own thread (rung 2).
-    /// `trace` feeds the fine-level per-shard spans of partitioned handles
-    /// (request-level ingress spans are the executor's job); pass
-    /// [`TraceId::NONE`] when no single request owns the execution, as for
-    /// a coalesced batch.
+    /// One queued SpMV through [`Self::execute`], on whichever thread
+    /// drained the ingress batch — the pump or a thread waiting on a
+    /// ticket: a busy pool is not dodged (see the ladder there), so two
+    /// such executors at once run the later one's plan inline on its own
+    /// thread (rung 2). `trace` feeds the fine-level per-shard spans of
+    /// partitioned handles (request-level ingress spans are the executor's
+    /// job).
     pub(crate) fn execute_queued<V: Scalar>(
         &self,
         handle: &MatrixHandle<V>,
-        op: Op,
         x: &[V],
         y: &mut [V],
         trace: TraceId,
     ) -> morpheus::Result<()> {
-        self.execute(handle, op, x, y, self.exec_pool(), trace).map(drop)
+        self.execute(handle, Op::Spmv, x, y, self.exec_pool(), trace).map(drop)
     }
 
     /// Tunes `m` for `op`, then executes it in the selected format: the
@@ -1265,17 +1201,6 @@ impl<T> OracleService<T> {
         self.tune_and_run(m, Op::Spmm { k }, x, y)
     }
 
-    /// The [`BatchCost`] of a realized matrix: the numbers tuning carried,
-    /// or — for a hit whose entry had none for the format (a decision
-    /// imported from a file, a fresh CSR fallback) — two engine evaluations
-    /// on a view taken now.
-    fn batch_cost_of<V: Scalar>(&self, m: &DynamicMatrix<V>, artifacts: &mut TuneArtifacts) -> BatchCost {
-        artifacts.batch.unwrap_or_else(|| {
-            let view = analyze_from(m, self.late_analysis(m, artifacts));
-            BatchCost::of(&self.engine, m.format_id(), &view)
-        })
-    }
-
     /// Registers `m` for serving: tunes it for SpMV, converts it to the
     /// selected format and builds (or fetches from the shared cache) its
     /// execution plan — the whole §VII-E amortisation paid here, once.
@@ -1330,11 +1255,10 @@ impl<T> OracleService<T> {
         let (plan, status) = self.acquire_plan_observed(&m, &mut artifacts, threads, TraceId::NONE);
         report.plan = status;
         let (structure, param_code) = (artifacts.structure, artifacts.param_code);
-        let batch = self.batch_cost_of(&m, &mut artifacts);
         let id = self.next_handle_id.fetch_add(1, Ordering::Relaxed);
         self.matrices_registered.inc();
         let stored = Stored::Single { matrix: m, structure, param_code, plan };
-        Ok(MatrixHandle { inner: Arc::new(Registered { id, stored, report, batch }) })
+        Ok(MatrixHandle { inner: Arc::new(Registered { id, stored, report }) })
     }
 
     /// [`OracleService::register`], considering a *partitioned* handle:
@@ -1547,9 +1471,8 @@ impl<T> OracleService<T> {
     /// the shard's own structure hash (so adaptive learning and repeat
     /// registrations see shard-level populations) and the plan is built
     /// for single-threaded execution (parallelism comes from running
-    /// shards concurrently). Adds the shard's [`BatchCost`] and parameter
-    /// code to `tally` and returns the shard's machine view when the
-    /// decision computed one.
+    /// shards concurrently). Adds the shard's parameter code to `tally` and
+    /// returns the shard's machine view when the decision computed one.
     fn realize_shard<V: Scalar>(
         &self,
         rows: std::ops::Range<usize>,
@@ -1570,9 +1493,6 @@ impl<T> OracleService<T> {
         if status != PlanStatus::Reused {
             tally.plan = PlanStatus::Built;
         }
-        let batch = self.batch_cost_of(&sm, &mut artifacts);
-        tally.batch.spmv += batch.spmv;
-        tally.batch.per_rhs += batch.per_rhs;
         tally.param_codes.push(artifacts.param_code);
         Ok((morpheus::partition::Shard::new(rows, sm, plan, artifacts.structure), artifacts.view))
     }
@@ -1610,7 +1530,7 @@ impl<T> OracleService<T> {
         let id = self.next_handle_id.fetch_add(1, Ordering::Relaxed);
         self.matrices_registered.inc();
         let stored = Stored::Partitioned { matrix: pm, param_codes: tally.param_codes.into() };
-        Ok(MatrixHandle { inner: Arc::new(Registered { id, stored, report, batch: tally.batch }) })
+        Ok(MatrixHandle { inner: Arc::new(Registered { id, stored, report }) })
     }
 
     /// `y = A x` through a registered handle: the zero-lock steady state.
@@ -1837,7 +1757,7 @@ mod tests {
             };
             let decision =
                 TuneDecision { format, params: Default::default(), op: Op::Spmv, cost: TuningCost::cached() };
-            let seeded = CachedDecision::new(decision, None);
+            let seeded = CachedDecision::new(decision);
             service.decisions.insert_if_generation(key, seeded, service.decisions.generation());
 
             let report = service.tune(&mut m).unwrap();
@@ -2043,15 +1963,13 @@ mod tests {
         let r = restarted.tune(&mut a2).unwrap();
         assert!(r.cache_hit, "warm-started service must skip tuning");
         assert_eq!(r.chosen, a.format_id());
-        // The file carries neither gate numbers nor plans: a handle
-        // registered off an imported decision builds its plan on first use
-        // (and leaves it in the entry), takes its own view and prices the
-        // same.
+        // The file carries no plans: a handle registered off an imported
+        // decision builds its plan on first use (and leaves it in the
+        // entry).
         let warm = restarted.register(tridiag(1300)).unwrap();
         assert!(warm.report().cache_hit);
         assert_eq!(warm.report().plan, PlanStatus::Built);
         assert_eq!(restarted.register(tridiag(1300)).unwrap().report().plan, PlanStatus::Reused);
-        assert_eq!(warm.batch_cost(), service.register(tridiag(1300)).unwrap().batch_cost());
         // Exporting the restarted cache reproduces the same set.
         let mut buf2 = Vec::new();
         restarted.export_decisions(&mut buf2).unwrap();

@@ -130,7 +130,7 @@ impl<T> OracleService<T> {
         }
         let count = parsed.len();
         for (key, decision) in parsed {
-            self.decisions.insert(key, CachedDecision::new(decision, None));
+            self.decisions.insert(key, CachedDecision::new(decision));
         }
         // After the inserts: a clear racing them can only leave the flag up.
         self.holds_imports.fetch_or(count > 0, Ordering::Release);

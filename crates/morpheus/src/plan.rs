@@ -121,110 +121,6 @@ impl<V: Scalar> Workspace<V> {
     }
 }
 
-/// Gather/scatter scratch for coalescing `k` same-matrix SpMV requests
-/// into one SpMM execution.
-///
-/// The batched serving path collects `k` queued right-hand sides for one
-/// matrix, packs them into the row-major `ncols x k` block that
-/// [`ExecPlan::spmm`] expects (`X[i*k + j] = column_j[i]`), executes once,
-/// and unpacks the row-major `nrows x k` result into per-request output
-/// vectors. Both transposes go tile by tile — 64 rows of the block stay in
-/// L1 while each column's run of 64 elements streams — so either side is
-/// read and written once. Both blocks live here and only ever grow, so a
-/// steady-state coalescing loop allocates and zero-fills nothing.
-#[derive(Debug, Clone, Default)]
-pub struct BatchWorkspace<V: Scalar> {
-    x: Vec<V>,
-    y: Vec<V>,
-    nrows: usize,
-    k: usize,
-}
-
-impl<V: Scalar> BatchWorkspace<V> {
-    /// Block rows per transpose tile (`64 x 32` doubles are 16 KiB).
-    const TILE: usize = 64;
-
-    /// An empty batch workspace; the first batch sizes it.
-    pub fn new() -> Self {
-        BatchWorkspace::default()
-    }
-
-    /// Combined capacity of the gather and scatter blocks in elements
-    /// (allocation telemetry for zero-allocation tests).
-    pub fn capacity(&self) -> usize {
-        self.x.capacity() + self.y.capacity()
-    }
-
-    /// Gathers `columns` (one equal-length input vector per coalesced
-    /// request) into the row-major `ncols x k` block and runs
-    /// `exec(x_block, y_block)` — typically a closure over
-    /// [`ExecPlan::spmm`] — on it and the `nrows x k` output block, which
-    /// `exec` must fill entirely. The results stay in the workspace for
-    /// [`BatchWorkspace::scatter_into`].
-    ///
-    /// Fails with [`MorpheusError::ShapeMismatch`] if the columns disagree
-    /// in length or the batch is empty; `exec` errors propagate unchanged.
-    pub fn run(
-        &mut self,
-        nrows: usize,
-        columns: &[&[V]],
-        exec: impl FnOnce(&[V], &mut [V]) -> Result<()>,
-    ) -> Result<()> {
-        let k = columns.len();
-        let ncols = columns.first().map(|c| c.len()).ok_or_else(|| MorpheusError::ShapeMismatch {
-            expected: "at least one right-hand side".into(),
-            got: "an empty batch".into(),
-        })?;
-        if let Some(bad) = columns.iter().find(|c| c.len() != ncols) {
-            return Err(MorpheusError::ShapeMismatch {
-                expected: format!("every column of length {ncols}"),
-                got: format!("a column of length {}", bad.len()),
-            });
-        }
-        // Grow-only: a smaller batch runs in a prefix of the blocks.
-        if self.x.len() < ncols * k {
-            self.x.resize(ncols * k, V::ZERO);
-        }
-        if self.y.len() < nrows * k {
-            self.y.resize(nrows * k, V::ZERO);
-        }
-        for i0 in (0..ncols).step_by(Self::TILE) {
-            let i1 = (i0 + Self::TILE).min(ncols);
-            let tile = &mut self.x[i0 * k..i1 * k];
-            for (j, col) in columns.iter().enumerate() {
-                for (row, &v) in tile.chunks_exact_mut(k).zip(&col[i0..i1]) {
-                    row[j] = v;
-                }
-            }
-        }
-        self.nrows = nrows;
-        self.k = k;
-        exec(&self.x[..ncols * k], &mut self.y[..nrows * k])
-    }
-
-    /// Replaces the contents of `outs[j]` with result column `j` (request
-    /// `j`'s `y = A x_j`) of the most recent [`BatchWorkspace::run`]. The
-    /// vectors' allocations are kept, so a caller that hands back the
-    /// request's spent input vectors allocates nothing for a square matrix.
-    ///
-    /// # Panics
-    /// If `outs` does not hold one vector per column of the last batch.
-    pub fn scatter_into(&self, outs: &mut [&mut Vec<V>]) {
-        let (nrows, k) = (self.nrows, self.k);
-        assert_eq!(outs.len(), k, "one output vector per column of the batch");
-        for out in outs.iter_mut() {
-            out.clear();
-            out.reserve_exact(nrows);
-        }
-        for i0 in (0..nrows).step_by(Self::TILE) {
-            let tile = &self.y[i0 * k..(i0 + Self::TILE).min(nrows) * k];
-            for (j, out) in outs.iter_mut().enumerate() {
-                out.extend(tile.chunks_exact(k).map(|row| row[j]));
-            }
-        }
-    }
-}
-
 /// Per-format precomputed ranges.
 #[derive(Debug, Clone)]
 enum Parts {
@@ -749,40 +645,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn batch_workspace_coalesced_spmm_matches_per_request_spmv_bitwise() {
-        let pool = ThreadPool::new(3);
-        let m = DynamicMatrix::from(random_coo::<f64>(70, 60, 700, 13));
-        let plan = ExecPlan::build(&m, pool.num_threads(), None);
-        let k = 4usize;
-        let columns: Vec<Vec<f64>> =
-            (0..k).map(|j| (0..60).map(|i| 0.25 + ((i * (j + 2) + 1) % 9) as f64 - 4.0).collect()).collect();
-        let refs: Vec<&[f64]> = columns.iter().map(|c| c.as_slice()).collect();
-
-        let mut bw = BatchWorkspace::new();
-        bw.run(70, &refs, |x, y| plan.spmm(&m, x, y, k, &pool)).unwrap();
-
-        // Outputs land in recycled vectors of any previous size.
-        let mut outs: Vec<Vec<f64>> = (0..k).map(|j| vec![f64::NAN; 30 * j]).collect();
-        bw.scatter_into(&mut outs.iter_mut().collect::<Vec<_>>());
-        for (j, col) in columns.iter().enumerate() {
-            let mut y_ref = vec![f64::NAN; 70];
-            plan.spmv(&m, col, &mut y_ref, &pool).unwrap();
-            assert!(bitwise_eq(&outs[j], &y_ref), "column {j}");
-        }
-
-        // Steady state: a same-shape batch must not grow the blocks.
-        let cap = bw.capacity();
-        bw.run(70, &refs, |x, y| plan.spmm(&m, x, y, k, &pool)).unwrap();
-        assert_eq!(bw.capacity(), cap, "same-shape batch must reuse the blocks");
-
-        // Ragged and empty batches are shape errors, not silent truncation.
-        let short = vec![1.0f64; 59];
-        let ragged: Vec<&[f64]> = vec![&columns[0], &short];
-        assert!(matches!(bw.run(70, &ragged, |_, _| Ok(())), Err(MorpheusError::ShapeMismatch { .. })));
-        assert!(matches!(bw.run(70, &[], |_, _| Ok(())), Err(MorpheusError::ShapeMismatch { .. })));
     }
 
     #[test]

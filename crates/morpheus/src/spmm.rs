@@ -186,8 +186,8 @@ unsafe fn tail<V: Scalar, B: Body<V>, const P: usize, const R: usize>(
 
 /// Runs `body` over `units` block by block, each block across the panels
 /// `k` splits into: 16-wide ones, then one as wide as what is left. Every
-/// width up to 16 is its own panel, so a batch of at most 16 — whatever an
-/// ingress burst coalesced to — is one pass with nothing padded.
+/// width up to 16 is its own panel, so an SpMM of at most 16 right-hand
+/// sides is one pass with nothing padded.
 ///
 /// # Safety
 /// The caller owns the output rows of `units` exclusively.

@@ -1,15 +1,14 @@
-//! Multi-tenant workload through the async batched ingress front door:
-//! several tenants submit SpMV requests against the *same* registered
-//! matrix under a latency SLO, and each tenant's waiting thread (or, for
-//! what nobody waits on, the ingress pump) drains the queue and coalesces
-//! same-handle runs into single planned SpMM executions when the engine's
-//! cost model prices the batch cheaper than individual SpMVs.
+//! Multi-tenant workload through the async ingress front door: several
+//! tenants submit SpMV requests against the *same* registered matrix under
+//! a latency SLO, and each tenant's waiting thread (or, for what nobody
+//! waits on, the ingress pump) drains the queue and runs every drained
+//! request as its own planned SpMV.
 //!
 //! Contrast with `serve_workload`: there, contending clients drive the
 //! pool directly and overload shows up as silent serial fallbacks; here,
-//! the front door admits (per-tenant quotas), queues, coalesces and sheds
-//! with explicit typed backpressure — the request lifecycle is
-//! submit → admit → drain → coalesce-or-direct → execute → scatter.
+//! the front door admits (per-tenant quotas), queues and sheds with
+//! explicit typed backpressure — the request lifecycle is
+//! submit → admit → drain → execute → resolve.
 //!
 //! ```text
 //! cargo run --release --example ingress_workload [tenants] [requests-per-tenant]
@@ -54,9 +53,9 @@ fn main() {
     let x: Vec<f64> = (0..handle.ncols()).map(|i| 1.0 + (i % 11) as f64 * 0.5).collect();
 
     // Every tenant fires bursts of requests at the same handle, waiting
-    // each burst out before the next — exactly the traffic shape the
-    // coalescer exists for: the first wait drains whatever queued since
-    // the last drain, from every tenant, and runs it as one planned SpMM.
+    // each burst out before the next: the first wait drains whatever
+    // queued since the last drain, from every tenant, and runs it on the
+    // waiting thread, one planned SpMV per request.
     let t0 = Instant::now();
     std::thread::scope(|s| {
         for t in 0..tenants {
@@ -102,14 +101,7 @@ fn main() {
     println!("\n{tenants} tenant(s) x {requests_per_tenant} requests, SLO {slo:?}: {wall:.3} s");
     println!("  throughput:         {:>10.0} req/s", total as f64 / wall);
     println!("  completed:          {:>10}", istats.completed);
-    println!(
-        "  coalesced:          {:>10} requests in {} SpMM batches ({:.1}% coalescing ratio)",
-        istats.coalesced_requests,
-        istats.coalesced_batches,
-        istats.coalescing_ratio() * 100.0
-    );
-    println!("  direct SpMVs:       {:>10}", istats.direct_requests);
-    println!("  cost-gate declines: {:>10}", istats.cost_gate_declined);
+    println!("  SpMVs run:          {:>10}", istats.direct_requests);
     println!(
         "  shed / rejected:    {:>10} deadline, {} queue-full, {} quota",
         istats.shed_deadline, istats.rejected_queue_full, istats.rejected_quota
@@ -122,11 +114,10 @@ fn main() {
     );
 
     // The per-stage breakdown, straight from the unified registry: where
-    // a request's lifetime actually went — queue wait, the coalesce gate,
-    // kernel execution, result scatter.
+    // a request's lifetime actually went — queue wait, kernel execution.
     let us = |ns: u64| ns as f64 / 1e3;
     println!("\nstage latencies (registry histograms):");
-    for name in ["ingress.queue_wait_ns", "ingress.coalesce_ns", "ingress.exec_ns", "ingress.scatter_ns"] {
+    for name in ["ingress.queue_wait_ns", "ingress.exec_ns"] {
         let h = obs.metrics.hist(name);
         println!(
             "  {name:<22} {:>8} samples  p50 {:>9.1} us  p99 {:>9.1} us  max {:>9.1} us",

@@ -61,7 +61,7 @@ fn main() {
     }
 
     // Ingress traffic (ingress.* metrics + request span trees): bursts
-    // against one handle so the coalescer engages, plus a few requests
+    // against one handle, each request run as its own SpMV, plus a few requests
     // with already-expired deadlines so the flight recorder has breaches
     // to capture.
     let ingress = Ingress::start(

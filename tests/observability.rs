@@ -128,6 +128,9 @@ fn every_resolved_ticket_yields_one_complete_span_tree() {
         assert_eq!(count(Stage::Resolve), 1, "trace {trace:?}: {tree:?}");
         assert!(count(Stage::Exec) >= 1, "trace {trace:?}: {tree:?}");
         assert_eq!(count(Stage::QueueWait), 1, "trace {trace:?}: {tree:?}");
+        // An ingress request is one SpMV: nothing outside these five stages.
+        let known = [Stage::Admit, Stage::QueueWait, Stage::Plan, Stage::Exec, Stage::Resolve];
+        assert!(tree.iter().all(|s| known.contains(&s.stage)), "trace {trace:?}: {tree:?}");
         // Resolve spans the whole request: no stage may end after it.
         let resolve = tree.iter().find(|s| s.stage == Stage::Resolve).unwrap();
         let resolve_end = resolve.start_ns + resolve.dur_ns;

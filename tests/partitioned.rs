@@ -633,7 +633,6 @@ fn a_model_tuners_gate_reaches_the_verdicts_of_one_handed_full_views() {
                 let want = eager.register_partitioned(source.clone()).unwrap();
                 assert_eq!(got.is_partitioned(), want.is_partitioned(), "{what}: gate verdict");
                 assert_eq!(got.format_id(), want.format_id(), "{what}");
-                assert_eq!(got.batch_cost(), want.batch_cost(), "{what}: gate numbers");
                 match (got.partition(), want.partition()) {
                     (Some(got), Some(want)) => {
                         admitted += 1;
@@ -773,7 +772,6 @@ fn a_seeded_hdc_shard_decision_is_priced_as_for_a_tuner_handed_full_views() {
             let want = eager.register_partitioned(m.clone()).unwrap();
             assert!(gate || got.is_partitioned(), "{what}");
             assert_eq!(got.is_partitioned(), want.is_partitioned(), "{what}: gate verdict");
-            assert_eq!(got.batch_cost(), want.batch_cost(), "{what}: gate numbers");
             if let (Some(got), Some(want)) = (got.partition(), want.partition()) {
                 assert!(got.shards().iter().all(|s| s.format_id() == FormatId::Hdc), "{what}: seeded shards");
                 for (g, w) in got.shards().iter().zip(want.shards()) {
