@@ -125,11 +125,39 @@ fn direct_replies<T: Send + Sync, V: Scalar>(
         .collect()
 }
 
+/// The `n × k` row-major block whose column `j` is `xs[j]`: a burst of
+/// requests coalesced into one SpMM input.
+fn coalesce<V: Scalar>(xs: &[Vec<V>]) -> Vec<V> {
+    let (n, k) = (xs[0].len(), xs.len());
+    (0..n * k).map(|i| xs[i % k][i / k]).collect()
+}
+
 /// A paused burst in every format at `f64` and `f32`, through the default
 /// front door: each reply is the direct SpMV on the same handle bit for bit,
-/// and every request is served as one.
+/// and so is the matching column of one SpMM over the whole burst — the
+/// ingress serves each request as its own SpMV, and coalescing the burst
+/// by hand would not change a bit of any reply.
 #[test]
-fn every_queued_request_is_one_spmv_bitwise_the_direct_one_across_formats_and_scalars() {
+fn coalesced_spmm_is_bitwise_identical_to_planned_spmv_across_formats_and_scalars() {
+    fn check_burst<T: Send + Sync, V: Scalar>(
+        service: &OracleService<T>,
+        h: &MatrixHandle<V>,
+        xs: &[Vec<V>],
+        tickets: Vec<Ticket<V>>,
+        ctx: &str,
+    ) {
+        let refs = direct_replies(service, h, xs);
+        let (n, k) = (h.nrows(), xs.len());
+        let mut y = vec![V::ZERO; n * k];
+        service.spmm(h, &coalesce(xs), &mut y, k).unwrap();
+        for (c, (t, r)) in tickets.into_iter().zip(&refs).enumerate() {
+            let col: Vec<V> = (0..n).map(|i| y[i * k + c]).collect();
+            assert_bitwise(&col, r, &format!("{ctx} spmm column {c}"));
+            let got = t.wait().unwrap_or_else(|e| panic!("{ctx} client {c}: {e}"));
+            assert_bitwise(&got, r, &format!("{ctx} client {c}"));
+        }
+    }
+
     let n = 120usize;
     for fmt in ALL_FORMATS {
         let service = fixed_service(fmt);
@@ -141,8 +169,6 @@ fn every_queued_request_is_one_spmv_bitwise_the_direct_one_across_formats_and_sc
 
         let xs64: Vec<Vec<f64>> = (0..4).map(|c| input(n, c)).collect();
         let xs32: Vec<Vec<f32>> = (4..7).map(|c| input(n, c).iter().map(|&v| v as f32).collect()).collect();
-        let refs64 = direct_replies(&service, &h64, &xs64);
-        let refs32 = direct_replies(&service, &h32, &xs32);
 
         let ingress = Ingress::start(Arc::clone(&service), IngressConfig::default());
         ingress.pause();
@@ -152,20 +178,38 @@ fn every_queued_request_is_one_spmv_bitwise_the_direct_one_across_formats_and_sc
             xs32.iter().map(|x| ingress.submit("thirty-two", &h32, x.clone()).unwrap()).collect();
         ingress.resume();
 
-        for (c, t) in t64.into_iter().enumerate() {
-            let y = t.wait().unwrap_or_else(|e| panic!("{fmt:?} f64 client {c}: {e}"));
-            assert_bitwise(&y, &refs64[c], &format!("{fmt:?} f64 client {c}"));
-        }
-        for (c, t) in t32.into_iter().enumerate() {
-            let y = t.wait().unwrap_or_else(|e| panic!("{fmt:?} f32 client {c}: {e}"));
-            assert_bitwise(&y, &refs32[c], &format!("{fmt:?} f32 client {c}"));
-        }
+        check_burst(&service, &h64, &xs64, t64, &format!("{fmt:?} f64"));
+        check_burst(&service, &h32, &xs32, t32, &format!("{fmt:?} f32"));
 
         let stats = ingress.stats();
         assert_eq!(stats.completed, 7, "{fmt:?}: all seven requests must complete");
         assert_eq!(stats.direct_requests, stats.completed, "{fmt:?}: every request is one SpMV");
         assert_eq!(stats.failed, 0, "{fmt:?}");
     }
+}
+
+/// The ingress never coalesces: a paused burst is served request by
+/// request, each reply the direct SpMV bit for bit, and no batch is counted
+/// as coalesced.
+#[test]
+fn coalesce_never_policy_serves_every_request_as_direct_spmv() {
+    let service = fixed_service(FormatId::Csr);
+    let n = 80usize;
+    let h = service.register(matrix::<f64>(n)).unwrap();
+    let xs: Vec<Vec<f64>> = (0..3).map(|c| input(n, c)).collect();
+    let refs = direct_replies(&service, &h, &xs);
+
+    let ingress = Ingress::start(Arc::clone(&service), IngressConfig::default());
+    ingress.pause();
+    let tickets: Vec<_> = xs.iter().map(|x| ingress.submit("t", &h, x.clone()).unwrap()).collect();
+    ingress.resume();
+    for (c, t) in tickets.into_iter().enumerate() {
+        assert_bitwise(&t.wait().unwrap(), &refs[c], &format!("direct client {c}"));
+    }
+    let stats = ingress.stats();
+    assert_eq!(stats.direct_requests, 3);
+    assert_eq!(stats.coalesced_batches, 0);
+    assert_eq!(stats.coalescing_ratio(), 0.0);
 }
 
 #[test]
