@@ -73,17 +73,17 @@ use crate::obs::{Counter, Gauge, Histogram, Obs, ObsConfig, ObsSnapshot, Stage, 
 use crate::tune::{PlanStatus, TuneReport};
 use crate::tuner::{FormatTuner, TuneDecision, TuningCost};
 use crate::{OracleError, Result};
-use morpheus::analysis::PartitionedAnalysis;
 use morpheus::format::FormatId;
-use morpheus::partition::{split_rows, Partition, StreamingPartitioner};
+use morpheus::partition::{split_rows, Partition, Shard, StreamingPartitioner};
 use morpheus::{
-    Analysis, ConvertOptions, ConvertOutcome, ConvertPath, CooMatrix, DynamicMatrix, ExecPlan, FormatParams,
-    PartitionConfig, PartitionedMatrix, Scalar, Workspace,
+    Analysis, ConvertOptions, ConvertOutcome, ConvertPath, CooMatrix, CsrMatrix, DynamicMatrix, ExecPlan,
+    FormatParams, PartitionConfig, PartitionedMatrix, Scalar, Workspace,
 };
 use morpheus_machine::{assemble, MatrixAnalysis, Op, VirtualEngine};
 use morpheus_parallel::ThreadPool;
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -125,17 +125,10 @@ impl CachedDecision {
 /// What the cold path knows about one matrix before converting it: the
 /// structure hash it is keyed by and, once computed, the shared analysis
 /// and the machine model's view of it. Each fact is computed at most once
-/// per registration and handed from stage to stage (decide → gate →
-/// realize → plan) instead of being re-derived from the matrix.
-///
-/// The matrix may be one that does not exist yet: a shard of a partitioned
-/// registration is decided as rows `rows` of the source it would be split
-/// from, under the hash and the analysis the built shard would have — the
-/// hash 0 until the shard's key is minted (`OracleService::mint_keys`).
+/// per registration and handed from stage to stage (decide → realize →
+/// plan) instead of being re-derived from the matrix.
 struct Facts {
     hash: u64,
-    /// The rows of the matrix handed to `decide` that the facts describe.
-    rows: std::ops::Range<usize>,
     analysis: Option<Analysis>,
     view: Option<MatrixAnalysis>,
     /// The caller's format and the seconds the front door took to move the
@@ -144,18 +137,18 @@ struct Facts {
 }
 
 impl Facts {
-    /// Only the structure hash (one index traversal) of all of `m`.
+    /// Only the structure hash (one index traversal) of `m`.
     fn hashed<V: Scalar>(m: &DynamicMatrix<V>) -> Facts {
-        Facts { hash: m.structure_hash(), rows: 0..m.nrows(), analysis: None, view: None, moved: None }
+        Facts { hash: m.structure_hash(), analysis: None, view: None, moved: None }
     }
 
     /// Takes the pricing walks (block counts, HDC remainder) the view lacks,
-    /// each in a walk of the facts' rows of `m`.
+    /// each in a walk of `m`.
     fn take_pricing_walks<V: Scalar>(&mut self, m: &DynamicMatrix<V>) {
         let (Some(analysis), Some(view)) = (self.analysis.as_mut(), self.view.as_mut()) else {
             panic!("pricing walks are taken for a view that exists");
         };
-        view.take_pricing_walks(m, self.rows.clone(), analysis);
+        view.take_pricing_walks(m, analysis);
     }
 }
 
@@ -187,10 +180,9 @@ struct Decided {
 /// What one tuning call learned beyond the report: the structure hash the
 /// matrix was decided under — the key its features are noted under, so the
 /// one its measured executions are attributed to — the parameters it was
-/// converted with, the entry's plan slot, and whichever of the shared
-/// analysis and the machine view the decision needed (both on a
-/// decision-cache miss), reused for plan construction and the partition
-/// cost gate.
+/// converted with, the entry's plan slot, and the shared analysis when the
+/// decision needed one (on a decision-cache miss), reused for plan
+/// construction.
 struct TuneArtifacts {
     structure: u64,
     /// [`FormatParams::code`] of the decision's parameters, or of the
@@ -198,34 +190,7 @@ struct TuneArtifacts {
     /// label of its telemetry population.
     param_code: u8,
     analysis: Option<Analysis>,
-    view: Option<MatrixAnalysis>,
     plan: Arc<PlanSlot>,
-}
-
-/// What the shards of one partitioned registration did, folded into the
-/// handle's [`TuneReport`].
-struct ShardTally {
-    convert_seconds: f64,
-    converted: bool,
-    /// The shards' tuning costs, summed; flagged a cache hit while every
-    /// shard's decision was one.
-    cost: TuningCost,
-    /// `Reused` while every shard's plan came with its decision.
-    plan: PlanStatus,
-    /// Each realized shard's [`FormatParams::code`], in shard order.
-    param_codes: Vec<u8>,
-}
-
-impl Default for ShardTally {
-    fn default() -> Self {
-        ShardTally {
-            convert_seconds: 0.0,
-            converted: false,
-            cost: TuningCost::cached(),
-            plan: PlanStatus::Reused,
-            param_codes: Vec::new(),
-        }
-    }
 }
 
 /// Which pool threaded executions run on.
@@ -238,44 +203,31 @@ enum ServicePool {
     Owned(ThreadPool),
 }
 
-/// When [`OracleService::register`] shards a matrix instead of serving it
-/// whole (ROADMAP item 4: per-shard format selection is strictly stronger
-/// than whole-matrix selection on internally heterogeneous matrices).
+/// Whether [`OracleService::register_partitioned`] shards a matrix, and
+/// how [`OracleService::register_stream`] and a forced
+/// `register_partitioned` size their shards.
 ///
-/// Sharding is always subject to the engine's cost gate — the partitioned
-/// critical-path model ([`VirtualEngine::partitioned_spmv_time`]) must
-/// beat the best whole-matrix single-format time at the service's worker
-/// count — so the policy only controls *when the question is asked* and
-/// how shard boundaries are sized.
+/// Under the default policy `register_partitioned` is `register`: the
+/// matrix is served whole, in one format. Measured end to end, that cost
+/// less at registration than sharding and ran no slower warm (README,
+/// "Partitioned handles"), so nothing decides per matrix whether to shard.
 #[derive(Debug, Clone, Copy)]
 pub struct PartitionPolicy {
-    /// `Some(n)`: [`OracleService::register`] considers sharding any
-    /// matrix with at least `n` stored non-zeros. `None` (default):
-    /// sharding happens only through
-    /// [`OracleService::register_partitioned`] and
-    /// [`OracleService::register_stream`].
-    pub auto_nnz_threshold: Option<usize>,
     /// Upper bound on shards per matrix. `None`: `max(4, 2 * workers)` of
     /// the serving pool.
     pub max_shards: Option<usize>,
     /// Desired nnz per shard. `None`: the
     /// [`morpheus::PartitionConfig`] default.
     pub target_shard_nnz: Option<usize>,
-    /// When `false`, skip the engine cost gate and shard whenever the
-    /// partition yields more than one shard — for tests and benches that
-    /// need the partitioned path deterministically; production configs
-    /// leave it `true` and let the model decide.
+    /// `true` (the default): [`OracleService::register_partitioned`] serves
+    /// the matrix whole. `false`: it shards whenever the partition has more
+    /// than one shard — for tests and benches that need partitioned handles.
     pub cost_gate: bool,
 }
 
 impl Default for PartitionPolicy {
     fn default() -> Self {
-        PartitionPolicy {
-            auto_nnz_threshold: None,
-            max_shards: None,
-            target_shard_nnz: None,
-            cost_gate: true,
-        }
+        PartitionPolicy { max_shards: None, target_shard_nnz: None, cost_gate: true }
     }
 }
 
@@ -464,12 +416,6 @@ pub struct OracleService<T> {
     /// two of their slots. Only `tune`/`tune_and_*` write it — a
     /// registration consumes its matrix, which cannot come back.
     aliases: ShardedLru<CacheKey, CachedDecision>,
-    /// Set by an import, cleared with the caches: an imported decision is
-    /// the one entry the tuner would not reproduce, so only while one may be
-    /// held does the partition gate key its shards to look them up. The
-    /// import's `Release` after its inserts pairs with the gate's `Acquire`:
-    /// a gate that reads it set sees the imported entries.
-    holds_imports: AtomicBool,
     /// Plans found in their decision entry / built, as
     /// [`OracleService::plan_cache_stats`] reports them.
     plan_hits: AtomicU64,
@@ -555,7 +501,6 @@ impl<T> OracleService<T> {
             opts,
             decisions: ShardedLru::new(cache_capacity, shards),
             aliases: ShardedLru::new(cache_capacity, shards),
-            holds_imports: AtomicBool::new(false),
             plan_hits: AtomicU64::new(0),
             plan_misses: AtomicU64::new(0),
             engine_fingerprint,
@@ -624,7 +569,7 @@ impl<T> OracleService<T> {
         T: FormatTuner<V>,
     {
         let facts = self.ingest(m, false)?;
-        let decided = self.decide(m, op, facts, None);
+        let decided = self.decide(m, op, facts);
         // The caller keeps the switched matrix and may tune it again.
         self.realize(m, decided, op, true)
     }
@@ -655,10 +600,9 @@ impl<T> OracleService<T> {
         }
     }
 
-    /// The machine model's view of the rows of `m` that `facts` describe,
-    /// computed — with the analysis it derives from, unless the facts (a
-    /// row range's) came with theirs — on first use and kept in `facts`:
-    /// with both pricing walks when `walks`, else from the analysis alone.
+    /// The machine model's view of `m`, computed — with the analysis it
+    /// derives from — on first use and kept in `facts`: with both pricing
+    /// walks when `walks`, else from the analysis alone.
     fn view_of<'f, V: Scalar>(
         &self,
         m: &DynamicMatrix<V>,
@@ -666,7 +610,6 @@ impl<T> OracleService<T> {
         walks: bool,
     ) -> &'f MatrixAnalysis {
         if facts.view.is_none() {
-            debug_assert!(facts.analysis.is_some() || facts.rows == (0..m.nrows()));
             let analysis = facts.analysis.get_or_insert_with(|| self.analyse(m, facts.hash, walks));
             facts.view = Some(assemble(analysis, std::mem::size_of::<V>()));
             if walks {
@@ -689,12 +632,9 @@ impl<T> OracleService<T> {
         (key, found)
     }
 
-    /// The tuner's decision for the rows of `m` that `facts` describe: on the
-    /// machine view (computed first, unless held), and again should that
-    /// view not price the answer. Nothing is converted; `m` is only read.
-    /// When the facts are a row range's, `m` is the storage those rows live
-    /// in and the tuner is handed it as such: its format is the one the
-    /// features were read from, the view alone describes what is decided.
+    /// The tuner's decision for `m`: on the machine view (computed first,
+    /// unless held), and again should that view not price the answer.
+    /// Nothing is converted; `m` is only read.
     ///
     /// It pays for what the decision reads: a tuner that does not price
     /// formats from the view ([`FormatTuner::prices_formats`]) gets one
@@ -724,10 +664,9 @@ impl<T> OracleService<T> {
     }
 
     /// First half of a tune: decision-cache lookup under the facts' hash →
-    /// (on a miss) the tuner's [answer](Self::answer), unless the caller
-    /// already holds it. Facts the caller holds are used, never recomputed.
-    /// Hit or miss, a view in the returned facts prices the decided format.
-    fn decide<V>(&self, m: &DynamicMatrix<V>, op: Op, mut facts: Facts, answered: Option<Answer>) -> Decided
+    /// (on a miss) the tuner's [answer](Self::answer). Facts the caller
+    /// holds are used, never recomputed.
+    fn decide<V>(&self, m: &DynamicMatrix<V>, op: Op, mut facts: Facts) -> Decided
     where
         V: Scalar,
         T: FormatTuner<V>,
@@ -740,17 +679,11 @@ impl<T> OracleService<T> {
                 // Same structure, scalar, engine and op: the tuner would
                 // reproduce this decision, so charge nothing for it.
                 cached.cost = TuningCost::cached();
-                // A view taken ahead of the lookup (the partition gate's)
-                // may lack what a cached BSR or HDC is priced from.
-                if facts.view.as_ref().is_some_and(|view| !view.prices(cached.format)) {
-                    facts.take_pricing_walks(m);
-                }
                 let generation = [0; 2];
                 Decided { facts, key, decision: cached, layout, plan, cache_hit: true, generation }
             }
             None => {
-                let Answer { decision, generation } =
-                    answered.unwrap_or_else(|| self.answer(m, op, &mut facts));
+                let Answer { decision, generation } = self.answer(m, op, &mut facts);
                 let undecided = CachedDecision::new(decision);
                 let plan = Arc::clone(&undecided.plan);
                 self.decisions.insert_if_generation(key, undecided, generation[0]);
@@ -774,7 +707,7 @@ impl<T> OracleService<T> {
         kept: bool,
     ) -> Result<(TuneReport, TuneArtifacts)> {
         let Decided {
-            facts: Facts { hash, analysis, view, moved, .. },
+            facts: Facts { hash, analysis, moved, .. },
             key,
             decision,
             layout,
@@ -855,7 +788,7 @@ impl<T> OracleService<T> {
             shards: 1,
         };
         let param_code = params.code();
-        Ok((report, TuneArtifacts { structure: hash, param_code, analysis, view, plan }))
+        Ok((report, TuneArtifacts { structure: hash, param_code, analysis, plan }))
     }
 
     /// The analysis a plan is built on by a hit that found its entry
@@ -1232,13 +1165,8 @@ impl<T> OracleService<T> {
         V: Scalar,
         T: FormatTuner<V>,
     {
-        match self.partition.auto_nnz_threshold {
-            Some(threshold) if m.nnz() >= threshold => self.register_partitioned_for(m, op),
-            _ => {
-                let facts = self.ingest(&mut m, false)?;
-                self.register_single_for(m, op, facts)
-            }
-        }
+        let facts = self.ingest(&mut m, false)?;
+        self.register_single_for(m, op, facts)
     }
 
     /// The whole-matrix registration path: one tune, one conversion, one
@@ -1249,10 +1177,9 @@ impl<T> OracleService<T> {
         V: Scalar,
         T: FormatTuner<V>,
     {
-        let decided = self.decide(&m, op, facts, None);
+        let decided = self.decide(&m, op, facts);
         let (mut report, mut artifacts) = self.realize(&mut m, decided, op, false)?;
-        let threads = self.exec_pool().map_or(1, |p| p.num_threads());
-        let (plan, status) = self.acquire_plan_observed(&m, &mut artifacts, threads, TraceId::NONE);
+        let (plan, status) = self.acquire_plan_observed(&m, &mut artifacts, self.workers(), TraceId::NONE);
         report.plan = status;
         let (structure, param_code) = (artifacts.structure, artifacts.param_code);
         let id = self.next_handle_id.fetch_add(1, Ordering::Relaxed);
@@ -1261,36 +1188,26 @@ impl<T> OracleService<T> {
         Ok(MatrixHandle { inner: Arc::new(Registered { id, stored, report }) })
     }
 
-    /// [`OracleService::register`], considering a *partitioned* handle:
-    /// row-range shards cut along the row-nnz histogram (balanced nnz,
-    /// boundaries snapped to regime shifts), each in its own format, kept
-    /// only if the engine prices the sharded critical path below the best
-    /// whole-matrix single-format plan at the service's worker count.
-    /// Otherwise, or with a single shard, the matrix is served whole:
-    /// `register_partitioned` is always safe to call.
+    /// [`OracleService::register`] — unless the service's
+    /// [`PartitionPolicy`] forces shards (`cost_gate: false`): then the
+    /// matrix is served as row-range shards cut along the row-nnz histogram
+    /// (balanced nnz, boundaries snapped to regime shifts), each decided,
+    /// converted and planned on its own, as [`OracleService::register_stream`]
+    /// does with the shards it seals.
     ///
-    /// The order is **decide → floor → walk-free bound → exact baseline →
-    /// key → split → realize**. One entry walk analyses the matrix and every
-    /// shard ([`Analysis::of_partitioned`]); each shard is viewed and decided
-    /// by the tuner *as a row range of `m`* (no copy, no conversion, no key:
-    /// nothing is looked up or cached for it — unless decisions imported
-    /// from a file, the one entry the tuner would not make again, may steer
-    /// it, when the shards are keyed first). The floor — every shard in the
-    /// cheaper of its decided format and CSR — is put to the whole matrix's
-    /// best time over the six formats priced without a pricing walk, which
-    /// bounds the exact baseline from above, and only a floor that beats it
-    /// has the walks taken and meets the exact one (a tuner that prices
-    /// formats has them from the start). Only an admitted partition has its
-    /// shard keys minted ([`Analysis::mint_shard_keys`]: one sweep hashes
-    /// every shard in place), is decided through the decision cache, split
-    /// into CSR shards, converted, planned and judged once more on the
-    /// formats realized; a rejected one has keyed, cached and materialised
-    /// nothing, and hands hash, analysis and view to the whole-matrix path:
-    /// it costs what `register` costs plus the row-length sweep.
-    /// A matrix with too few entries for two shards
-    /// ([`PartitionConfig::shards_wanted`]) is registered like `register`
-    /// (a COO one moved into CSR, any other as it came); past that, every
-    /// source is converted to CSR first. The report's `previous` is the
+    /// Under the default policy it *is* `register`: the same decision, the
+    /// same handle, the same report. Nothing weighs whether sharding would
+    /// pay: measured end to end, serving whole cost less and ran no slower
+    /// warm (README, "Partitioned handles").
+    ///
+    /// A forced registration moves its source into CSR, chooses the
+    /// partition from the CSR offsets ([`Partition::from_row_prefix`]: no
+    /// walk of the entries) and splits the matrix into CSR pieces; each is
+    /// keyed in the decision cache by its own structure hash. A matrix with
+    /// too few entries for two shards ([`PartitionConfig::shards_wanted`])
+    /// is registered like `register` (a COO one moved into CSR, any other
+    /// as it came), and one whose partition comes out as a single shard is
+    /// registered whole from its CSR form. The report's `previous` is the
     /// caller's format either way.
     pub fn register_partitioned<V>(&self, m: DynamicMatrix<V>) -> Result<MatrixHandle<V>>
     where
@@ -1307,126 +1224,21 @@ impl<T> OracleService<T> {
         V: Scalar,
         T: FormatTuner<V>,
     {
-        let threads = self.exec_pool().map_or(1, |p| p.num_threads());
-        let config = self.partition.config(threads);
-        // Too few entries for two shards whatever the rows look like: a
-        // plain registration, through the same front door as `register`.
-        let sharding = config.shards_wanted(m.nnz()) > 1;
-        let mut whole = self.ingest(&mut m, sharding)?;
+        let config = self.partition.config(self.workers());
+        let sharding = !self.partition.cost_gate && config.shards_wanted(m.nnz()) > 1;
+        let whole = self.ingest(&mut m, sharding)?;
         if !sharding {
             return self.register_single_for(m, op, whole);
         }
-        // `m` is CSR: only a tuner that prices formats reads the walks.
-        let walks = self.tuner.prices_formats();
-        let PartitionedAnalysis { whole: analysis, partition, shards } =
-            Analysis::of_partitioned(&m, self.opts.true_diag_alpha, whole.hash, walks, |prefix| {
-                Partition::from_row_prefix(prefix, &config)
-            })?;
-        whole.analysis = Some(analysis);
+        let DynamicMatrix::Csr(csr) = &m else { unreachable!("a sharded source is moved into CSR") };
+        let prefix: Vec<u64> = csr.row_offsets().iter().map(|&o| o as u64).collect();
+        let partition = Partition::from_row_prefix(&prefix, &config);
         if partition.num_shards() <= 1 {
             return self.register_single_for(m, op, whole);
         }
-        let gate = self.partition.cost_gate;
-        // One price for both sides of the gate: a shard runs on one worker,
-        // the whole matrix across `threads`.
-        let shard_time = |format: FormatId, view: Option<&MatrixAnalysis>| {
-            let view = view.expect("the cost gate computes every shard's view before deciding");
-            self.engine.spmv_time_at(format, view, 1)
-        };
-        let mut shards: Vec<Facts> = (partition.ranges().zip(shards))
-            .map(|(rows, analysis)| Facts {
-                hash: 0,
-                rows,
-                analysis: Some(analysis),
-                view: None,
-                moved: None,
-            })
-            .collect();
-        // Keyed once admitted, or — only an imported decision being one the
-        // tuner would not make again — while one may steer the gate.
-        let keyed = !gate || self.holds_imports.load(Ordering::Acquire);
-        if keyed {
-            Self::mint_keys(&m, &whole, &mut shards)?;
-        }
-        let mut answers: Vec<Option<Answer>> = shards.iter().map(|_| None).collect();
-        let mut best_whole = None;
-        if gate {
-            // A shard is realized in its decided format or, when that
-            // proves non-viable, in CSR — so the cheaper of the two bounds
-            // its modelled time from below, and the partitioned time is
-            // monotone in shard times: a partition this floor rejects is
-            // rejected whatever the conversions do, and is never split.
-            let mut floor = Vec::with_capacity(shards.len());
-            for (facts, answer) in shards.iter_mut().zip(&mut answers) {
-                let format = match keyed.then(|| self.lookup::<V>(facts.hash, op).1).flatten() {
-                    Some(CachedDecision { decision, .. }) => {
-                        if !self.view_of(&m, facts, walks).prices(decision.format) {
-                            facts.take_pricing_walks(&m);
-                        }
-                        decision.format
-                    }
-                    None => answer.insert(self.answer(&m, op, facts)).decision.format,
-                };
-                let view = facts.view.as_ref();
-                floor.push(shard_time(format, view).min(shard_time(FormatId::Csr, view)));
-            }
-            let floor = self.engine.partitioned_spmv_time(&floor, threads);
-            // Without the walks, the bound first: what loses to it loses to
-            // the exact baseline too, and nothing was walked for the verdict.
-            let view = self.view_of(&m, &mut whole, walks);
-            if !walks && floor >= self.engine.best_walk_free_spmv_time_at(view, threads).1 {
-                return self.register_single_for(m, op, whole);
-            }
-            whole.take_pricing_walks(&m);
-            let exact = self.engine.best_spmv_time_at(self.view_of(&m, &mut whole, walks), threads).1;
-            if floor >= exact {
-                // The model says sharding does not pay here: serve whole.
-                return self.register_single_for(m, op, whole);
-            }
-            best_whole = Some(exact);
-        }
-        if !keyed {
-            Self::mint_keys(&m, &whole, &mut shards)?;
-        }
-        let decided: Vec<Decided> = shards
-            .into_iter()
-            .zip(answers)
-            .map(|(facts, answer)| self.decide(&m, op, facts, answer))
-            .collect();
-        let subs = split_rows(&m, &partition, whole.analysis.as_ref())?;
-        let (previous, moved) = whole.moved.unwrap_or((FormatId::Csr, 0.0));
-        let converted = previous != FormatId::Csr;
-        let mut tally = ShardTally { convert_seconds: moved, converted, ..ShardTally::default() };
-        let mut shards = Vec::with_capacity(decided.len());
-        let mut shard_times = Vec::with_capacity(decided.len());
-        for (csr, d) in subs.into_iter().zip(decided) {
-            let rows = d.facts.rows.clone();
-            let (shard, view) = self.realize_shard(rows, DynamicMatrix::from(csr), d, op, &mut tally)?;
-            if best_whole.is_some() {
-                shard_times.push(shard_time(shard.format_id(), view.as_ref()));
-            }
-            shards.push(shard);
-        }
-        if let Some(best_whole) = best_whole {
-            // The verdict proper, on the formats the shards ended up in.
-            if self.engine.partitioned_spmv_time(&shard_times, threads) >= best_whole {
-                return self.register_single_for(m, op, whole);
-            }
-        }
-        let pm = PartitionedMatrix::from_shards(m.nrows(), m.ncols(), shards, threads)?;
-        self.finish_partitioned(pm, previous, op, tally)
-    }
-
-    /// Keys `shards`, row ranges of `m` (whose facts are `whole`), by the
-    /// hashes of the CSR matrices they would be built as.
-    fn mint_keys<V: Scalar>(m: &DynamicMatrix<V>, whole: &Facts, shards: &mut [Facts]) -> Result<()> {
-        let whole = whole.analysis.as_ref().expect("the partitioned walk analysed the whole matrix");
-        let analyses = shards.iter_mut().filter_map(|f| Some((f.rows.clone(), f.analysis.as_mut()?)));
-        Analysis::mint_shard_keys(m, whole, analyses)?;
-        for f in shards {
-            f.hash = f.analysis.as_ref().map_or(f.hash, |a| a.structure_hash);
-        }
-        Ok(())
+        let pieces = partition.ranges().zip(split_rows(&m, &partition, None)?);
+        let moved = whole.moved.unwrap_or((FormatId::Csr, 0.0));
+        self.register_shards(m.nrows(), m.ncols(), pieces, moved, op)
     }
 
     /// Registers a matrix ingested shard-by-shard from a row-major entry
@@ -1444,73 +1256,68 @@ impl<T> OracleService<T> {
         T: FormatTuner<V>,
         I: IntoIterator<Item = (usize, usize, V)>,
     {
-        let threads = self.exec_pool().map_or(1, |p| p.num_threads());
-        let mut sp = StreamingPartitioner::new(nrows, ncols, &self.partition.config(threads));
+        let mut sp = StreamingPartitioner::new(nrows, ncols, &self.partition.config(self.workers()));
         for (r, c, v) in entries {
             sp.push(r, c, v)?;
         }
-        let (_, parts) = sp.finish()?;
+        let (_, mut parts) = sp.finish()?;
         if parts.len() == 1 {
-            let (_, csr) = parts.into_iter().next().expect("finish yields >= 1 shard");
+            let (_, csr) = parts.pop().expect("finish yields >= 1 shard");
             let m = DynamicMatrix::from(csr);
             let facts = Facts::hashed(&m);
             return self.register_single_for(m, Op::Spmv, facts);
         }
-        let mut tally = ShardTally::default();
-        let mut shards = Vec::with_capacity(parts.len());
-        for (rows, csr) in parts {
-            let sm = DynamicMatrix::from(csr);
-            let decided = self.decide(&sm, Op::Spmv, Facts::hashed(&sm), None);
-            shards.push(self.realize_shard(rows, sm, decided, Op::Spmv, &mut tally)?.0);
-        }
-        let pm = PartitionedMatrix::from_shards(nrows, ncols, shards, threads)?;
-        self.finish_partitioned(pm, FormatId::Csr, Op::Spmv, tally)
+        self.register_shards(nrows, ncols, parts, (FormatId::Csr, 0.0), Op::Spmv)
     }
 
-    /// Converts and plans one decided shard: the decision was cached under
-    /// the shard's own structure hash (so adaptive learning and repeat
-    /// registrations see shard-level populations) and the plan is built
-    /// for single-threaded execution (parallelism comes from running
-    /// shards concurrently). Adds the shard's parameter code to `tally` and
-    /// returns the shard's machine view when the decision computed one.
-    fn realize_shard<V: Scalar>(
+    /// The one per-shard pipeline of a sharded registration: each
+    /// `(rows, CSR)` piece is hashed and decided under its own structure
+    /// hash (so adaptive learning and repeat registrations see shard-level
+    /// populations), converted, and planned for single-threaded execution
+    /// (parallelism comes from running shards concurrently). The handle's
+    /// report folds the shards': summed conversion seconds and tuning costs,
+    /// a cache hit and a reused plan only while every shard's was one.
+    /// `(previous, moved)` are the caller's format and the seconds the front
+    /// door took to move it into CSR.
+    fn register_shards<V>(
         &self,
-        rows: std::ops::Range<usize>,
-        mut sm: DynamicMatrix<V>,
-        decided: Decided,
+        nrows: usize,
+        ncols: usize,
+        pieces: impl IntoIterator<Item = (Range<usize>, CsrMatrix<V>)>,
+        (previous, moved): (FormatId, f64),
         op: Op,
-        tally: &mut ShardTally,
-    ) -> Result<(morpheus::partition::Shard<V>, Option<MatrixAnalysis>)> {
-        let (report, mut artifacts) = self.realize(&mut sm, decided, op, false)?;
-        tally.convert_seconds += report.convert.seconds;
-        tally.converted |= report.converted;
-        tally.cost.feature_extraction += report.cost.feature_extraction;
-        tally.cost.prediction += report.cost.prediction;
-        tally.cost.profiling += report.cost.profiling;
-        tally.cost.measured += report.cost.measured;
-        tally.cost.cache_hit &= report.cache_hit;
-        let (plan, status) = self.acquire_plan(&sm, &mut artifacts, 1);
-        if status != PlanStatus::Reused {
-            tally.plan = PlanStatus::Built;
+    ) -> Result<MatrixHandle<V>>
+    where
+        V: Scalar,
+        T: FormatTuner<V>,
+    {
+        let (mut convert_seconds, mut converted) = (moved, previous != FormatId::Csr);
+        let (mut cost, mut plan_status) = (TuningCost::cached(), PlanStatus::Reused);
+        let (mut shards, mut param_codes) = (Vec::new(), Vec::new());
+        for (rows, csr) in pieces {
+            let mut sm = DynamicMatrix::from(csr);
+            let decided = self.decide(&sm, op, Facts::hashed(&sm));
+            let (report, mut artifacts) = self.realize(&mut sm, decided, op, false)?;
+            convert_seconds += report.convert.seconds;
+            converted |= report.converted;
+            cost.feature_extraction += report.cost.feature_extraction;
+            cost.prediction += report.cost.prediction;
+            cost.profiling += report.cost.profiling;
+            cost.measured += report.cost.measured;
+            cost.cache_hit &= report.cache_hit;
+            let (plan, status) = self.acquire_plan(&sm, &mut artifacts, 1);
+            if status != PlanStatus::Reused {
+                plan_status = PlanStatus::Built;
+            }
+            param_codes.push(artifacts.param_code);
+            shards.push(Shard::new(rows, sm, plan, artifacts.structure));
         }
-        tally.param_codes.push(artifacts.param_code);
-        Ok((morpheus::partition::Shard::new(rows, sm, plan, artifacts.structure), artifacts.view))
-    }
-
-    /// Registry bookkeeping and report synthesis shared by the partitioned
-    /// registration paths.
-    fn finish_partitioned<V: Scalar>(
-        &self,
-        pm: PartitionedMatrix<V>,
-        previous: FormatId,
-        op: Op,
-        tally: ShardTally,
-    ) -> Result<MatrixHandle<V>> {
+        let pm = PartitionedMatrix::from_shards(nrows, ncols, shards, self.workers())?;
         let chosen = pm.dominant_format();
-        let convert = if tally.converted {
+        let convert = if converted {
             // Shards are split out as CSR, which converts directly to
             // every format (and the front door's move is direct too).
-            ConvertOutcome { path: ConvertPath::Direct, seconds: tally.convert_seconds }
+            ConvertOutcome { path: ConvertPath::Direct, seconds: convert_seconds }
         } else {
             ConvertOutcome::identity()
         };
@@ -1518,18 +1325,18 @@ impl<T> OracleService<T> {
             chosen,
             previous,
             predicted: chosen,
-            cost: tally.cost,
-            converted: tally.converted,
+            cost,
+            converted,
             op,
-            cache_hit: tally.cost.cache_hit,
-            plan: tally.plan,
+            cache_hit: cost.cache_hit,
+            plan: plan_status,
             serial_fallback: false,
             convert,
             shards: pm.num_shards(),
         };
         let id = self.next_handle_id.fetch_add(1, Ordering::Relaxed);
         self.matrices_registered.inc();
-        let stored = Stored::Partitioned { matrix: pm, param_codes: tally.param_codes.into() };
+        let stored = Stored::Partitioned { matrix: pm, param_codes: param_codes.into() };
         Ok(MatrixHandle { inner: Arc::new(Registered { id, stored, report }) })
     }
 
@@ -1664,7 +1471,6 @@ impl<T> OracleService<T> {
     pub fn clear_cache(&self) {
         self.decisions.clear();
         self.aliases.clear();
-        self.holds_imports.store(false, Ordering::Release);
     }
 }
 

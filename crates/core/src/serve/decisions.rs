@@ -9,7 +9,6 @@ use morpheus::format::FormatId;
 use morpheus_machine::Op;
 use morpheus_ml::serialize::LineParser;
 use std::io::{BufRead, Write};
-use std::sync::atomic::Ordering;
 
 impl<T> OracleService<T> {
     /// Writes every cached decision in a versioned, line-oriented text
@@ -95,7 +94,9 @@ impl<T> OracleService<T> {
             let v = lines.expect_kv("entries")?;
             v.parse().map_err(|_| lines.err(format!("bad entry count '{v}'")))?
         };
-        let mut parsed = Vec::with_capacity(n);
+        // Grown as the entries are read: the count is checked against them,
+        // never trusted to size an allocation.
+        let mut parsed = Vec::new();
         for _ in 0..n {
             let toks = lines.next_line()?.ok_or_else(|| lines.err("expected 'decision ...', got EOF"))?;
             if toks.len() != 6 || toks[0] != "decision" {
@@ -132,8 +133,6 @@ impl<T> OracleService<T> {
         for (key, decision) in parsed {
             self.decisions.insert(key, CachedDecision::new(decision));
         }
-        // After the inserts: a clear racing them can only leave the flag up.
-        self.holds_imports.fetch_or(count > 0, Ordering::Release);
         Ok(count)
     }
 }

@@ -77,11 +77,8 @@ pub trait FormatTuner<V: Scalar> {
 
     /// Selects a format for `op`.
     ///
-    /// `a` describes what is being decided; `m` is the storage it lives in.
-    /// They are the same matrix except when a partitioned registration
-    /// decides a shard before building it: `a` is then the shard's view and
-    /// `m` the matrix the shard is a row range of. **Read shapes, counts and
-    /// the structure from `a`, never from `m`**; `m` says which format the
+    /// `a` is the machine view of `m`. **Read shapes, counts and the
+    /// structure from `a`, never from `m`**; `m` says which format the
     /// features were extracted from, which is all the bundled tuners read
     /// of it (to price the extraction and, run-first, the trial
     /// conversions). The service hands every COO source over as CSR (its
@@ -105,11 +102,8 @@ pub trait FormatTuner<V: Scalar> {
     /// answers BSR or HDC on a view that cannot price its answer, the
     /// service takes the walks and calls `select` again — for the
     /// parameters the matrix is then converted with (BSR's block is priced
-    /// from the block counts).
-    /// The partition gate likewise walks for a whole matrix's exact
-    /// baseline only once a partition beats the bound it can compute
-    /// without. The default, `true`, is right for any tuner that asks the
-    /// engine about formats.
+    /// from the block counts). The default, `true`, is right for any tuner
+    /// that asks the engine about formats.
     fn prices_formats(&self) -> bool {
         true
     }
@@ -566,9 +560,9 @@ mod tests {
         assert_eq!(FormatTuner::<f64>::name(&tuner), "gradient-boosted");
     }
 
-    /// A shard is decided with the matrix it is a row range of as `m`: no
-    /// bundled tuner may read more of `m` than its format, and that only
-    /// for the cost.
+    /// A decision is read off the view: no bundled tuner may read more of
+    /// `m` than its format, and that only for the cost — which is what lets
+    /// the front door hand a COO source over as CSR.
     #[test]
     fn bundled_tuners_read_only_the_format_of_the_storage() {
         let ds = toy_dataset();

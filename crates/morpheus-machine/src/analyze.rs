@@ -17,16 +17,15 @@
 //! copy). A view assembled without them prices the other six formats
 //! exactly; a reader of an absent count or remainder panics naming itself —
 //! never a zero — and [`MatrixAnalysis::take_pricing_walks`] adds them
-//! later, bitwise what [`analyze_rows_from`] over a full [`Analysis`]
-//! gives. [`analyze`], [`analyze_from`] and [`analyze_rows_from`] compute
-//! everything their analysis allows.
+//! later, bitwise what [`analyze_from`] over a full [`Analysis`] gives.
+//! [`analyze`] and [`analyze_from`] compute everything their analysis
+//! allows.
 
 use morpheus::analysis::passes;
 use morpheus::hdc::true_diag_threshold;
 use morpheus::stats::{MatrixStats, RowLengthCounts};
-use morpheus::{for_each_row_pattern_in, Analysis, DynamicMatrix, FormatId, Scalar};
+use morpheus::{for_each_row_pattern, Analysis, DynamicMatrix, FormatId, Scalar};
 use std::borrow::Cow;
-use std::ops::Range;
 
 /// GPU warp width used by the SIMT model (both vendors schedule SpMV
 /// row-kernels in 32-wide groups; MI100 wavefronts are 64 but rocSPARSE maps
@@ -227,8 +226,7 @@ impl MatrixAnalysis {
     }
 
     /// `true` when the view holds what pricing `format` reads: everything
-    /// but BSR's block counts and HDC's remainder ([`needs_pricing_walk`])
-    /// is there always.
+    /// but BSR's block counts and HDC's remainder is there always.
     pub fn prices(&self, format: FormatId) -> bool {
         match format {
             FormatId::Bsr => self.bsr_blocks.is_some(),
@@ -239,31 +237,21 @@ impl MatrixAnalysis {
 
     /// Takes the pricing walks the view was assembled without — the block
     /// counts (into `shared` too: [`Analysis::take_block_counts`]) and, on a
-    /// mixed HDC split, the remainder histogram — each in a walk of rows
-    /// `rows_of_m` of `m` that does nothing else, and only if absent. The
-    /// view is then what [`analyze_rows_from`] gives over the full analysis.
-    /// `shared` must be the analysis the view was assembled from.
-    pub fn take_pricing_walks<V: Scalar>(
-        &mut self,
-        m: &DynamicMatrix<V>,
-        rows_of_m: Range<usize>,
-        shared: &mut Analysis,
-    ) {
-        shared.take_block_counts(m, rows_of_m.clone());
+    /// mixed HDC split, the remainder histogram — each in a walk of `m` that
+    /// does nothing else, and only if absent. The view is then what
+    /// [`analyze_from`] gives over the full analysis. `shared` must be the
+    /// analysis the view was assembled from.
+    pub fn take_pricing_walks<V: Scalar>(&mut self, m: &DynamicMatrix<V>, shared: &mut Analysis) {
+        shared.take_block_counts(m);
         self.bsr_blocks = shared.entries.bsr_blocks;
-        self.take_hdc_remainder(m, rows_of_m, shared);
+        self.take_hdc_remainder(m, shared);
     }
 
-    /// The remainder walk: one pass over the entries of rows `rows_of_m` of
-    /// `m`, subtracting from each row's length its entries on true
-    /// diagonals. A no-op when the remainder is there.
-    fn take_hdc_remainder<V: Scalar>(
-        &mut self,
-        m: &DynamicMatrix<V>,
-        rows_of_m: Range<usize>,
-        shared: &Analysis,
-    ) {
-        debug_assert_eq!((rows_of_m.len(), m.ncols()), (shared.nrows, shared.ncols));
+    /// The remainder walk: one pass over the entries of `m`, subtracting from
+    /// each row's length its entries on true diagonals. A no-op when the
+    /// remainder is there.
+    fn take_hdc_remainder<V: Scalar>(&mut self, m: &DynamicMatrix<V>, shared: &Analysis) {
+        debug_assert!(shared.matches(m), "analysis artifact does not describe this matrix");
         if self.hdc_remainder.is_some() {
             return;
         }
@@ -271,9 +259,7 @@ impl MatrixAnalysis {
         let (nrows, ncols) = (shared.nrows, shared.ncols);
         let threshold = true_diag_threshold(nrows, ncols, shared.stats.true_diag_alpha) as u32;
         let mut hist = shared.row_hist.clone();
-        let first = rows_of_m.start;
-        for_each_row_pattern_in(m, rows_of_m, |r, cols| {
-            let r = r - first;
+        for_each_row_pattern(m, |r, cols| {
             let slots = cols.iter().map(|&c| shared.diag_pop[c + nrows - 1 - r]);
             hist[r] -= slots.filter(|&p| p >= threshold).count() as u32;
         });
@@ -375,13 +361,6 @@ impl MatrixAnalysis {
     }
 }
 
-/// `true` for the two formats whose price reads a pricing walk — BSR its
-/// block counts, HDC its remainder — and which a view assembled without the
-/// walks may therefore be unable to price ([`MatrixAnalysis::prices`]).
-pub const fn needs_pricing_walk(format: FormatId) -> bool {
-    matches!(format, FormatId::Bsr | FormatId::Hdc)
-}
-
 /// Index of square block dim `b` in [`morpheus::BSR_BLOCK_DIMS`].
 fn bsr_dim_index(b: usize) -> usize {
     morpheus::BSR_BLOCK_DIMS
@@ -424,21 +403,8 @@ pub fn analyze_with_alpha<V: Scalar>(m: &DynamicMatrix<V>, alpha: f64) -> Matrix
 /// analysis' own (absent when its walk left them out), the HDC remainder is
 /// read from `m` when the split is mixed (`0 < true-diagonal entries < nnz`).
 pub fn analyze_from<V: Scalar>(m: &DynamicMatrix<V>, shared: &Analysis) -> MatrixAnalysis {
-    debug_assert!(shared.matches(m), "analysis artifact does not describe this matrix");
-    analyze_rows_from(m, 0..m.nrows(), shared)
-}
-
-/// [`analyze_from`] for rows `rows` of `m` taken as a matrix of their own —
-/// a shard not yet built — `shared` being that matrix's analysis
-/// ([`Analysis::of_partitioned`]). The view is the one the built shard
-/// would get.
-pub fn analyze_rows_from<V: Scalar>(
-    m: &DynamicMatrix<V>,
-    rows_of_m: Range<usize>,
-    shared: &Analysis,
-) -> MatrixAnalysis {
     let mut view = assemble(shared, std::mem::size_of::<V>());
-    view.take_hdc_remainder(m, rows_of_m, shared);
+    view.take_hdc_remainder(m, shared);
     view
 }
 
@@ -721,7 +687,7 @@ mod tests {
         assert_eq!(passes::count(), 0, "the assembly reads no matrix");
         assert!(!late.prices(FormatId::Hdc) && late.prices(FormatId::Bsr) && late.prices(FormatId::Bell));
         let mut shared = shared;
-        late.take_pricing_walks(&mixed, 0..300, &mut shared);
+        late.take_pricing_walks(&mixed, &mut shared);
         assert_eq!(passes::count(), 1, "the block counts were there: only the remainder is walked for");
         assert_eq!(late, a);
     }

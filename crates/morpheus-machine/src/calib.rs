@@ -38,11 +38,6 @@ pub struct Calibration {
     pub gather_miss_bytes: f64,
     /// Bytes fetched per hit `x` gather.
     pub gather_hit_bytes: f64,
-    /// Per-shard dispatch cost of a partitioned execution, seconds: the
-    /// scheduling, plan lookup and cache warm-up a worker pays each time it
-    /// switches to the next owned shard. Charged once per shard executed on
-    /// the critical-path worker when costing whether to shard at all.
-    pub cpu_shard_dispatch: f64,
 
     // -- GPU -------------------------------------------------------------
     /// Kernel launch latency, seconds.
@@ -89,7 +84,6 @@ impl Default for Calibration {
             cache_usable_fraction: 0.5,
             gather_miss_bytes: 64.0,
             gather_hit_bytes: 8.0,
-            cpu_shard_dispatch: 1.5e-7,
             gpu_launch_overhead: 5.0e-6,
             gpu_cycles_per_iter: 4.0,
             gpu_gather_miss_bytes: 32.0,
@@ -147,6 +141,5 @@ mod tests {
         assert!(c.simd_eff_dia() >= c.simd_eff_ell());
         assert!(c.simd_eff_coo() <= c.simd_eff_csr());
         assert!(c.simd_eff_coo() <= c.simd_eff_ell());
-        assert!(c.cpu_shard_dispatch > 0.0 && c.cpu_shard_dispatch < c.omp_base_overhead);
     }
 }

@@ -1,6 +1,6 @@
 //! The virtual execution engine: one per (system, backend) pair.
 
-use crate::analyze::{needs_pricing_walk, MatrixAnalysis};
+use crate::analyze::MatrixAnalysis;
 use crate::calib::Calibration;
 use crate::spec::{Backend, SystemBackend, SystemProfile};
 use crate::Op;
@@ -147,77 +147,6 @@ impl VirtualEngine {
             }
         };
         base * self.noise(a, fmt)
-    }
-
-    /// Modelled seconds for one SpMV in `fmt` at an explicit worker count
-    /// (clamped to the virtual CPU's cores). CPU backends honour
-    /// `threads`; GPU backends price as [`VirtualEngine::spmv_time`] — a
-    /// device kernel has no host worker count. This is the query the
-    /// partitioned cost gate compares both sides with: the serving pool's
-    /// real worker count rather than the virtual system's full core
-    /// complement.
-    pub fn spmv_time_at(&self, fmt: FormatId, a: &MatrixAnalysis, threads: usize) -> f64 {
-        let base = match self.backend {
-            Backend::Serial | Backend::OpenMp => {
-                cpu::spmv_time(&self.system.cpu, threads, &self.calib, fmt, a)
-            }
-            b => {
-                let dev = self.system.gpu_for(b).expect("backend support checked at construction");
-                gpu::spmv_time(dev, &self.calib, fmt, a)
-            }
-        };
-        base * self.noise(a, fmt)
-    }
-
-    /// The cheapest viable whole-matrix `(format, seconds)` at `threads`
-    /// workers — the single-format baseline a partitioned plan must beat.
-    /// Prices every format: `a` must hold both pricing walks.
-    pub fn best_spmv_time_at(&self, a: &MatrixAnalysis, threads: usize) -> (FormatId, f64) {
-        self.best_of(morpheus::FormatEntry::all().iter().map(|e| e.id), a, threads)
-    }
-
-    /// [`VirtualEngine::best_spmv_time_at`] over the six formats priced
-    /// without a pricing walk (all but BSR and HDC), for a view assembled
-    /// without them. A minimum over fewer candidates, so an upper bound of
-    /// the exact baseline: whatever loses to it loses to the exact one too.
-    pub fn best_walk_free_spmv_time_at(&self, a: &MatrixAnalysis, threads: usize) -> (FormatId, f64) {
-        let walk_free = morpheus::FormatEntry::all().iter().map(|e| e.id).filter(|&f| !needs_pricing_walk(f));
-        self.best_of(walk_free, a, threads)
-    }
-
-    fn best_of(
-        &self,
-        formats: impl Iterator<Item = FormatId>,
-        a: &MatrixAnalysis,
-        threads: usize,
-    ) -> (FormatId, f64) {
-        formats
-            .filter(|&f| self.is_viable(f, a))
-            .map(|f| (f, self.spmv_time_at(f, a, threads)))
-            .min_by(|x, y| x.1.total_cmp(&y.1))
-            .unwrap_or((FormatId::Csr, self.spmv_time_at(FormatId::Csr, a, threads)))
-    }
-
-    /// Critical-path model of a partitioned SpMV (§ROADMAP item 4): shards
-    /// run across `workers` with contiguous nnz-weighted ownership, so the
-    /// makespan is bounded below by both the mean per-worker load and the
-    /// longest single shard (a shard never splits). Each shard on the
-    /// critical path pays [`Calibration::cpu_shard_dispatch`]; a pooled
-    /// execution adds one fork-join. The tuner decides *whether* to shard
-    /// by comparing this against [`VirtualEngine::best_spmv_time_at`].
-    pub fn partitioned_spmv_time(&self, shard_times: &[f64], workers: usize) -> f64 {
-        if shard_times.is_empty() {
-            return 0.0;
-        }
-        let w = workers.clamp(1, self.system.cpu.cores) as f64;
-        let total: f64 = shard_times.iter().sum();
-        let longest = shard_times.iter().cloned().fold(0.0f64, f64::max);
-        let path_shards = (shard_times.len() as f64 / w).ceil();
-        let mut t = (total / w).max(longest) + self.calib.cpu_shard_dispatch * path_shards;
-        if w > 1.0 {
-            t += self.calib.omp_base_overhead + self.calib.omp_per_core_overhead * w;
-        }
-        t
     }
 
     /// Modelled seconds for one execution of `op` in `fmt`, including

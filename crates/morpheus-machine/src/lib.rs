@@ -58,10 +58,7 @@ pub mod gpu;
 pub mod spec;
 pub mod systems;
 
-pub use analyze::{
-    analyze, analyze_from, analyze_rows_from, analyze_with_alpha, assemble, needs_pricing_walk, HdcRemainder,
-    MatrixAnalysis,
-};
+pub use analyze::{analyze, analyze_from, analyze_with_alpha, assemble, HdcRemainder, MatrixAnalysis};
 pub use calib::Calibration;
 pub use engine::{ProfileResult, VirtualEngine};
 /// The operation a cost query is for — defined beside the kernels that

@@ -287,7 +287,9 @@ pub fn load_model<R: BufRead>(reader: R) -> Result<LoadedModel> {
         return Err(p.err("kind 'tree' requires exactly one tree"));
     }
 
-    let mut trees = Vec::with_capacity(n_trees);
+    // Every vector below grows as its lines are read: a count in the file is
+    // checked against what follows, never trusted to size an allocation.
+    let mut trees = Vec::new();
     for expect_idx in 0..n_trees {
         let toks = p.next_line()?.ok_or_else(|| p.err("expected 'tree ...', got EOF"))?;
         if toks.len() != 4 || toks[0] != "tree" || toks[2] != "nodes" {
@@ -301,7 +303,7 @@ pub fn load_model<R: BufRead>(reader: R) -> Result<LoadedModel> {
         if n_nodes == 0 {
             return Err(p.err("tree must have at least one node"));
         }
-        let mut nodes: Vec<Node> = Vec::with_capacity(n_nodes);
+        let mut nodes: Vec<Node> = Vec::new();
         for expect_node in 0..n_nodes {
             let toks = p.next_line()?.ok_or_else(|| p.err("expected 'node ...', got EOF"))?;
             if toks.len() < 3 || toks[0] != "node" {
@@ -429,7 +431,8 @@ pub fn load_gbt<R: BufRead>(reader: R) -> Result<GradientBoostedTrees> {
         priors.push(p.parse_f64(t)?);
     }
 
-    let mut rounds: Vec<Vec<RegressionTree>> = Vec::with_capacity(n_rounds);
+    // Grown as the lines are read, like the tree loader's trees and nodes.
+    let mut rounds: Vec<Vec<RegressionTree>> = Vec::new();
     for expect_round in 0..n_rounds {
         let mut round = Vec::with_capacity(n_classes);
         for expect_class in 0..n_classes {
@@ -445,7 +448,7 @@ pub fn load_gbt<R: BufRead>(reader: R) -> Result<GradientBoostedTrees> {
             if n_nodes == 0 {
                 return Err(p.err("regression tree must have at least one node"));
             }
-            let mut nodes: Vec<RNode> = Vec::with_capacity(n_nodes);
+            let mut nodes: Vec<RNode> = Vec::new();
             for expect_node in 0..n_nodes {
                 let toks = p.next_line()?.ok_or_else(|| p.err("expected 'node ...', got EOF"))?;
                 if toks.len() < 3 || toks[0] != "node" {

@@ -46,44 +46,6 @@
 //! index arrays (see [`DynamicMatrix::structure_hash`] for its four-lane
 //! definition).
 //!
-//! # One walk for a matrix and its shards
-//!
-//! A partitioned registration asks the same questions of the whole matrix
-//! and of every shard of a row partition of it, and a shard that is a row
-//! range of a COO or CSR source need not exist to be asked:
-//! [`Analysis::of_partitioned`] takes the row lengths first (a sweep of the
-//! COO row array, or CSR's offsets), lets the caller choose the
-//! [`Partition`] from their prefix sums, and then runs the entry walk **once,
-//! shard by shard** over row ranges of the source — the row body is the one
-//! above, the rows delimited by the prefix sums just taken — filling one
-//! diagonal-population array and one [`EntryFacts`] per shard. The
-//! whole-matrix artifact is assembled from the shards' by three identities:
-//!
-//! * its row histogram is the shards' concatenated (it was taken first);
-//! * entry `(r, c)` lies in slot `c + shard_rows - 1 - (r - r0)` of the
-//!   shard starting at row `r0` and in slot `c + nrows - 1 - r` of the whole
-//!   matrix, so the whole populations are the shards' added at a shift:
-//!   `slot_whole = slot_shard + nrows - r0 - shard_rows`;
-//! * gather hits are counted within rows and add up; so do the block counts,
-//!   **because interior seams are multiples of [`SEAM_ALIGN`] rows**: every
-//!   `b x b` block row of the whole matrix then lies inside one shard and is
-//!   a block row of that shard, and one set of stamps, numbered by the whole
-//!   matrix's rows, counts for both.
-//!
-//! The row side of every shard and of the whole is reduced in one loop over
-//! the row lengths, before the walk; the diagonal side once per shard and
-//! once for the whole, each over the run of slots its walk populated. Both
-//! sides are bitwise what [`Analysis::of`] gives on the whole matrix and on
-//! each built shard (`tests/analysis_differential.rs`) but for the shards'
-//! keys, which nothing before a partition's verdict reads: they are minted on
-//! demand ([`Analysis::mint_shard_keys`]), each shard hashed in place as the
-//! CSR matrix it would be built as. With `blocks` false both sides leave the
-//! block counts out as [`Analysis::without_block_counts`] does. The walk
-//! that needs no row lengths in advance is [`crate::for_each_row_pattern_in`],
-//! the ranged form [`crate::for_each_row_pattern`] is a call of; the two
-//! pricing walks use it to re-read a shard's rows of the source
-//! ([`Analysis::take_block_counts`], the machine view's remainder walk).
-//!
 //! The analysis runs on the calling thread whatever the matrix's size: at
 //! its per-entry cost, splitting the walk over a pool's threads did not beat
 //! the pool's wake-up on matrices of up to 2 M entries (README, "Cold
@@ -102,21 +64,13 @@
 //! extraction, cache keying and conversion planning add **zero** further
 //! traversals.
 
-use std::borrow::Cow;
 use std::ops::Range;
 
 use crate::bsr::BSR_BLOCK_DIMS;
-use crate::convert::kernels::coo_row_offsets;
-use crate::dynamic::{csr_rows_structure_hash, DynamicMatrix};
-use crate::error::MorpheusError;
-use crate::partition::{Partition, SEAM_ALIGN};
-use crate::rowmajor::{for_each_row_pattern, for_each_row_pattern_in};
+use crate::dynamic::DynamicMatrix;
+use crate::rowmajor::for_each_row_pattern;
 use crate::scalar::Scalar;
-use crate::stats::{
-    empty_diag_pop, empty_hists, reduce, reduce_diags, reduce_row_ranges, reduce_rows, MatrixStats, Reduced,
-    RowSummary,
-};
-use crate::Result;
+use crate::stats::{empty_hists, reduce, MatrixStats, Reduced, RowSummary};
 
 /// Columns a gathered `x` cache line spans at eight bytes a value: two
 /// consecutive entries of a row at most this far apart count as one line
@@ -199,21 +153,6 @@ pub struct Analysis {
     pub true_diag_nnz: usize,
 }
 
-/// A matrix's [`Analysis`] and the analyses of the shards of a row
-/// partition of it, all from one entry walk ([`Analysis::of_partitioned`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartitionedAnalysis {
-    /// The whole matrix's artifact.
-    pub whole: Analysis,
-    /// The partition that was chosen from the row lengths.
-    pub partition: Partition,
-    /// One artifact per shard, in row order — each what [`Analysis::of`]
-    /// gives on that shard built as a CSR matrix, but unkeyed (its
-    /// [`Analysis::structure_hash`] 0) until [`Analysis::mint_shard_keys`].
-    /// Empty when the partition is a single shard.
-    pub shards: Vec<Analysis>,
-}
-
 impl Analysis {
     /// Analyses `m`: one hash sweep, one entry walk, one loop over each
     /// histogram.
@@ -249,20 +188,18 @@ impl Analysis {
     }
 
     /// Counts the blocks a walk [`without_block_counts`](Self::without_block_counts)
-    /// left out, in one walk that does nothing else: the artifact is then
-    /// what the full walk would have built. `rows_of_m` are the rows of `m`
-    /// the artifact describes — all of them, or a shard's
-    /// ([`Analysis::of_partitioned`]). A no-op when the counts are there.
-    pub fn take_block_counts<V: Scalar>(&mut self, m: &DynamicMatrix<V>, rows_of_m: Range<usize>) {
-        debug_assert_eq!((rows_of_m.len(), m.ncols()), (self.nrows, self.ncols));
+    /// left out, in one walk of `m` that does nothing else: the artifact is
+    /// then what the full walk would have built. A no-op when the counts are
+    /// there.
+    pub fn take_block_counts<V: Scalar>(&mut self, m: &DynamicMatrix<V>) {
+        debug_assert!(self.matches(m), "analysis artifact does not describe this matrix");
         if self.entries.bsr_blocks.is_some() {
             return;
         }
         passes::record_traversal();
-        let first = rows_of_m.start;
         let mut stamps = Stamps::new(self.nrows, self.ncols);
         let mut blocks = [0usize; 3];
-        for_each_row_pattern_in(m, rows_of_m, |r, cols| stamps.count_row(r - first, cols, &mut blocks));
+        for_each_row_pattern(m, |r, cols| stamps.count_row(r, cols, &mut blocks));
         self.entries.bsr_blocks = Some(blocks);
     }
 
@@ -276,7 +213,7 @@ impl Analysis {
         let (nrows, ncols) = (m.nrows(), m.ncols());
         let (mut row_hist, mut diag_pop) = empty_hists(nrows, ncols);
         let mut stamps = if BLOCKS { Stamps::new(nrows, ncols) } else { Stamps::unused() };
-        let mut walk = stamps.over(0..nrows, &mut diag_pop);
+        let mut walk = stamps.over(nrows, &mut diag_pop);
         for_each_row_pattern(m, |r, cols| {
             // Added, not stored: were a COO matrix not sorted, a row met
             // twice would still count all its entries.
@@ -284,24 +221,11 @@ impl Analysis {
             walk.row::<BLOCKS>(r, cols);
         });
         let (entries, populated) = (walk.facts::<BLOCKS>(), walk.populated());
-        let reduced = reduce(ncols, &row_hist, &diag_pop[populated], alpha);
-        Analysis::assemble(m.nnz(), row_hist, diag_pop, structure_hash, entries, reduced)
-    }
-
-    /// Puts an artifact together from its histograms, its walk's facts and
-    /// their reduction.
-    fn assemble(
-        source_nnz: usize,
-        row_hist: Vec<u32>,
-        diag_pop: Vec<u32>,
-        structure_hash: u64,
-        entries: EntryFacts,
-        Reduced { stats, rows, true_diag_nnz }: Reduced,
-    ) -> Analysis {
+        let Reduced { stats, rows, true_diag_nnz } = reduce(ncols, &row_hist, &diag_pop[populated], alpha);
         Analysis {
-            nrows: stats.nrows,
-            ncols: stats.ncols,
-            source_nnz,
+            nrows,
+            ncols,
+            source_nnz: m.nnz(),
             row_hist,
             diag_pop,
             stats,
@@ -310,164 +234,6 @@ impl Analysis {
             entries,
             true_diag_nnz,
         }
-    }
-
-    /// Analyses `m` and every shard of a row partition of it in **one**
-    /// entry walk: `whole` is what [`Analysis::of_auto_with_hash`] gives on
-    /// `m` (`hash` being its structure hash), and `shards[i]` what
-    /// [`Analysis::of`] gives on the CSR matrix holding the partition's
-    /// `i`-th row range — all bitwise, with no shard built — except the
-    /// shard's key: its [`Analysis::structure_hash`] is 0 until
-    /// [`Analysis::mint_shard_keys`] hashes it in place, a sweep the serving
-    /// layer pays only for a partition it admits. See the
-    /// [module docs](self) for the identities.
-    ///
-    /// The row lengths come first (one sweep of a COO row array, CSR's
-    /// offsets) and `choose` picks the partition from their prefix sums
-    /// (`nrows + 1` of them) — [`Partition::from_row_prefix`] in the serving
-    /// layer. A single-shard partition yields no shard artifacts: the whole
-    /// matrix is that shard.
-    ///
-    /// With `blocks` false the walk leaves the block counts out of every
-    /// artifact, as [`Analysis::without_block_counts`] does, for
-    /// [`Analysis::take_block_counts`] to take later from the whole's rows
-    /// or a shard's.
-    ///
-    /// # Errors
-    /// [`MorpheusError::InvalidStructure`] when `m` is neither COO nor CSR
-    /// (no other format holds a row range's columns as one slice: convert
-    /// to CSR first), or when `choose` returns a partition of another row
-    /// count or with an interior boundary off a multiple of [`SEAM_ALIGN`].
-    pub fn of_partitioned<V: Scalar>(
-        m: &DynamicMatrix<V>,
-        alpha: f64,
-        hash: u64,
-        blocks: bool,
-        choose: impl FnOnce(&[u64]) -> Partition,
-    ) -> Result<PartitionedAnalysis> {
-        if blocks {
-            Self::build_partitioned::<V, true>(m, alpha, hash, choose)
-        } else {
-            Self::build_partitioned::<V, false>(m, alpha, hash, choose)
-        }
-    }
-
-    fn build_partitioned<V: Scalar, const BLOCKS: bool>(
-        m: &DynamicMatrix<V>,
-        alpha: f64,
-        hash: u64,
-        choose: impl FnOnce(&[u64]) -> Partition,
-    ) -> Result<PartitionedAnalysis> {
-        debug_assert_eq!(hash, m.structure_hash_raw(), "precomputed hash disagrees with the matrix");
-        let (nrows, ncols) = (m.nrows(), m.ncols());
-        // The row lengths: one sweep of CSR's offsets, or of a COO row array.
-        let (cols, offsets) = match m {
-            DynamicMatrix::Coo(a) => (a.col_indices(), Cow::Owned(coo_row_offsets(nrows, a.row_indices()))),
-            DynamicMatrix::Csr(a) => (a.col_indices(), Cow::Borrowed(a.row_offsets())),
-            other => return Err(no_row_ranges(other)),
-        };
-        passes::record_traversal();
-        let prefix: Vec<u64> = offsets.iter().map(|&o| o as u64).collect();
-        let row_hist: Vec<u32> = offsets.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
-        let partition = choose(&prefix);
-        let seams = &partition.boundaries()[1..partition.num_shards()];
-        if partition.nrows() != nrows || seams.iter().any(|b| b % SEAM_ALIGN != 0) {
-            return Err(MorpheusError::InvalidStructure(format!(
-                "boundaries {:?} do not partition {nrows} rows at multiples of {SEAM_ALIGN}",
-                partition.boundaries()
-            )));
-        }
-        // The row side of the whole and of every shard, in one loop.
-        let (rows, shard_rows) = if partition.num_shards() == 1 {
-            (reduce_rows(&row_hist), Vec::new())
-        } else {
-            reduce_row_ranges(&row_hist, prefix, partition.boundaries())
-        };
-        let prefix = &rows.summary.prefix;
-
-        passes::record_traversal();
-        let mut diag_pop = empty_diag_pop(nrows, ncols);
-        let mut stamps = if BLOCKS { Stamps::new(nrows, ncols) } else { Stamps::unused() };
-        // Rows are delimited by the prefix sums just taken from this very
-        // matrix: a COO source's row array is not read a second time.
-        let mut walk_rows = |rows: Range<usize>, diag: &mut [u32]| {
-            let mut walk = stamps.over(rows.clone(), diag);
-            for r in rows {
-                let row = &cols[prefix[r] as usize..prefix[r + 1] as usize];
-                if !row.is_empty() {
-                    walk.row::<BLOCKS>(r, row);
-                }
-            }
-            (walk.facts::<BLOCKS>(), walk.populated())
-        };
-        let mut shards = Vec::with_capacity(shard_rows.len());
-        let (entries, populated) = if partition.num_shards() == 1 {
-            walk_rows(0..nrows, &mut diag_pop)
-        } else {
-            let (mut gather_hits, mut bsr_blocks) = (0usize, [0usize; 3]);
-            let (mut first_slot, mut end_slot) = (usize::MAX, 0usize);
-            for (range, shard_rows) in partition.ranges().zip(shard_rows) {
-                let mut shard_diag = empty_diag_pop(range.len(), ncols);
-                let (facts, slots) = walk_rows(range.clone(), &mut shard_diag);
-                gather_hits += facts.gather_hits;
-                for (total, blocks) in bsr_blocks.iter_mut().zip(facts.bsr_blocks.unwrap_or_default()) {
-                    *total += blocks;
-                }
-                if !slots.is_empty() {
-                    // Entry (r, c) sits in shard slot `c + range.end - 1 - r`
-                    // and in the whole matrix's `c + nrows - 1 - r`.
-                    let whole_slots = slots.start + nrows - range.end..slots.end + nrows - range.end;
-                    first_slot = first_slot.min(whole_slots.start);
-                    end_slot = end_slot.max(whole_slots.end);
-                    let shard_pops = &shard_diag[slots.clone()];
-                    diag_pop[whole_slots]
-                        .iter_mut()
-                        .zip(shard_pops)
-                        .for_each(|(whole, shard)| *whole += shard);
-                }
-                let reduced = reduce_diags(shard_rows, ncols, &shard_diag[slots], alpha);
-                let (nnz, shard_hist) = (reduced.stats.nnz, row_hist[range].to_vec());
-                // Unkeyed until the shard is wanted: `Analysis::mint_shard_keys`.
-                shards.push(Analysis::assemble(nnz, shard_hist, shard_diag, 0, facts, reduced));
-            }
-            (
-                EntryFacts { gather_hits, bsr_blocks: BLOCKS.then_some(bsr_blocks) },
-                first_slot.min(end_slot)..end_slot,
-            )
-        };
-        let reduced = reduce_diags(rows, ncols, &diag_pop[populated], alpha);
-        let whole = Analysis::assemble(m.nnz(), row_hist, diag_pop, hash, entries, reduced);
-        Ok(PartitionedAnalysis { whole, partition, shards })
-    }
-
-    /// Mints the keys of the shard artifacts [`Analysis::of_partitioned`]
-    /// left unkeyed: each `shard`'s [`Analysis::structure_hash`] becomes what
-    /// [`DynamicMatrix::structure_hash`] gives on the CSR matrix holding rows
-    /// `rows` of `m`, hashed in place from the prefix sums of `whole` (`m`'s
-    /// artifact) and `m`'s column array — one sweep of it for every shard,
-    /// and no shard built. The serving layer mints them for a partition it
-    /// admits, or while a key could find a decision its tuner would not make.
-    ///
-    /// # Errors
-    /// [`MorpheusError::InvalidStructure`] when `m` is neither COO nor CSR.
-    pub fn mint_shard_keys<'a, V: Scalar>(
-        m: &DynamicMatrix<V>,
-        whole: &Analysis,
-        shards: impl IntoIterator<Item = (Range<usize>, &'a mut Analysis)>,
-    ) -> Result<()> {
-        let cols = match m {
-            DynamicMatrix::Coo(a) => a.col_indices(),
-            DynamicMatrix::Csr(a) => a.col_indices(),
-            other => return Err(no_row_ranges(other)),
-        };
-        debug_assert!(whole.matches(m));
-        // The shards' column slices tile the column array: one sweep.
-        passes::record_traversal();
-        for (rows, shard) in shards {
-            debug_assert_eq!(rows.len(), shard.nrows);
-            shard.structure_hash = csr_rows_structure_hash(&whole.rows.prefix, rows, m.ncols(), cols);
-        }
-        Ok(())
     }
 
     /// `true` when the artifact plausibly describes `m` (shape and the
@@ -507,16 +273,6 @@ impl Analysis {
     }
 }
 
-/// What [`Analysis::of_partitioned`] and [`Analysis::mint_shard_keys`] say
-/// of a format other than COO and CSR: none holds a row range's columns as
-/// one slice.
-fn no_row_ranges<V: Scalar>(m: &DynamicMatrix<V>) -> MorpheusError {
-    MorpheusError::InvalidStructure(format!(
-        "a {} matrix has no contiguous row ranges to analyse in place",
-        m.format_id()
-    ))
-}
-
 /// Populated-diagonal offsets (ascending) from a diagonal-population
 /// histogram. The single reduction both [`Analysis::dia_offsets`] and the
 /// converters' unplanned rescans go through, so the planned and unplanned
@@ -541,8 +297,7 @@ pub(crate) fn true_diag_slots_from_pop(diag_pop: &[u32], threshold: usize) -> (V
     (slots, entries)
 }
 
-/// The block-row stamps the entry walk carries from row to row — and, rows
-/// being numbered as the matrix numbers them, from one row range to the next.
+/// The block-row stamps the entry walk carries from row to row.
 struct Stamps {
     /// Per block dimension `b`, a stamp per block column `c / b`: one plus
     /// the last block row `r / b` that put an entry there; 0 means none has
@@ -562,15 +317,11 @@ impl Stamps {
         Stamps { seen: Default::default() }
     }
 
-    /// The walk over rows `rows` — ascending, none earlier than any row
-    /// walked before — filling `diag` as the diagonal populations of those
-    /// rows taken as a matrix of their own. The block counts are that
-    /// matrix's too when `rows.start` is a multiple of every block dimension:
-    /// its block rows are then the whole matrix's, and no stamp of an earlier
-    /// range can equal one of this range.
-    fn over<'a>(&'a mut self, rows: Range<usize>, diag: &'a mut [u32]) -> RowWalk<'a> {
+    /// The walk over the rows of an `nrows`-row matrix, in ascending order,
+    /// filling `diag` as its diagonal populations.
+    fn over<'a>(&'a mut self, nrows: usize, diag: &'a mut [u32]) -> RowWalk<'a> {
         RowWalk {
-            end: rows.end,
+            end: nrows,
             diag,
             stamps: self,
             gather_hits: 0,
@@ -602,11 +353,11 @@ impl Stamps {
     }
 }
 
-/// The per-row body of the entry walk over one row range.
+/// The per-row body of the entry walk.
 struct RowWalk<'a> {
-    /// One past the range's last row.
+    /// Rows of the matrix walked.
     end: usize,
-    /// Diagonal populations of the range.
+    /// Diagonal populations of the matrix.
     diag: &'a mut [u32],
     stamps: &'a mut Stamps,
     gather_hits: usize,

@@ -348,28 +348,6 @@ impl<V: Scalar> DynamicMatrix<V> {
     }
 }
 
-/// The [`DynamicMatrix::structure_hash`] of the CSR matrix that would hold
-/// rows `rows` of a row-major source, without building it: `prefix` are the
-/// source's entry prefix sums (`prefix[r]` entries lie in rows `< r`), `cols`
-/// its column array. The shard's offsets are the prefix sums less the first
-/// one, its columns the slice between the first and the last.
-pub(crate) fn csr_rows_structure_hash(
-    prefix: &[u64],
-    rows: std::ops::Range<usize>,
-    ncols: usize,
-    cols: &[usize],
-) -> u64 {
-    let (first, last) = (prefix[rows.start], prefix[rows.end]);
-    let mut h = StructureHasher::new();
-    h.word(FormatId::Csr.index() as u64);
-    h.word(rows.len() as u64);
-    h.word(ncols as u64);
-    h.word(last - first);
-    h.words_by(&prefix[rows.start..=rows.end], |&p| p - first);
-    h.words(&cols[first as usize..last as usize]);
-    h.finish()
-}
-
 /// Independent xor-multiply chains an index array is hashed by (see
 /// [`DynamicMatrix::structure_hash`]): a 64-bit multiply has a latency of
 /// three or four cycles and a throughput of one, so four chains keep the
@@ -424,13 +402,8 @@ impl StructureHasher {
     /// chain. (The runs are read through four separate slices on purpose:
     /// lanes fed from adjacent words invite a vectorised 64-bit multiply,
     /// which every x86 level below AVX-512 emulates at a loss.)
-    fn words<T: Word>(&mut self, ws: &[T]) {
-        self.words_by(ws, |w| w.widen())
-    }
-
-    /// [`Self::words`] over `word(w)` for each `w` of `ws`.
     #[inline(always)]
-    fn words_by<T>(&mut self, ws: &[T], word: impl Fn(&T) -> u64) {
+    fn words<T: Word>(&mut self, ws: &[T]) {
         let run = ws.len() / HASH_LANES;
         let (a, rest) = ws.split_at(run);
         let (b, rest) = rest.split_at(run);
@@ -440,13 +413,13 @@ impl StructureHasher {
         let seed = |l: u64| FNV_OFFSET ^ (l + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut lanes = [seed(0), seed(1), seed(2), seed(3)];
         for i in 0..run {
-            lanes[0] = mix(lanes[0], word(&a[i]));
-            lanes[1] = mix(lanes[1], word(&b[i]));
-            lanes[2] = mix(lanes[2], word(&c[i]));
-            lanes[3] = mix(lanes[3], word(&d[i]));
+            lanes[0] = mix(lanes[0], a[i].widen());
+            lanes[1] = mix(lanes[1], b[i].widen());
+            lanes[2] = mix(lanes[2], c[i].widen());
+            lanes[3] = mix(lanes[3], d[i].widen());
         }
         for w in remainder {
-            lanes[3] = mix(lanes[3], word(w));
+            lanes[3] = mix(lanes[3], w.widen());
         }
         self.word(ws.len() as u64);
         lanes.into_iter().for_each(|lane| self.word(lane));

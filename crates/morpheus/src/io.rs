@@ -102,7 +102,9 @@ pub fn read_matrix_market<V: Scalar, R: BufRead>(reader: R) -> Result<CooMatrix<
         break (parse(parts[0])?, parse(parts[1])?, parse(parts[2])?);
     };
 
-    let mut builder = CooBuilder::<V>::with_capacity(nrows, ncols, declared_nnz);
+    // Grown as the entries are read: the declared count is checked against
+    // them below, never trusted to size an allocation.
+    let mut builder = CooBuilder::<V>::new(nrows, ncols);
     let mut seen = 0usize;
     for (n, line) in lines {
         lineno = n + 1;

@@ -87,7 +87,7 @@ pub use params::{FormatParams, MAX_BELL_WIDTHS};
 pub use partition::{Partition, PartitionConfig, PartitionedMatrix, Shard, StreamingPartitioner};
 pub use plan::{ExecPlan, Workspace};
 pub use registry::{FormatEntry, FormatTraits, StructuralSummary};
-pub use rowmajor::{for_each_entry_row_major, for_each_row_pattern, for_each_row_pattern_in};
+pub use rowmajor::{for_each_entry_row_major, for_each_row_pattern};
 pub use scalar::Scalar;
 pub use spmv::cpu_features::CpuFeatures;
 pub use stats::MatrixStats;

@@ -2,9 +2,13 @@
 //!
 //! The paper selects **one** format for the whole matrix, but web-scale
 //! matrices are internally heterogeneous: a powerlaw matrix's hub rows want
-//! CSR/COO while its banded tail wants DIA/ELL. Per-shard selection is
-//! strictly stronger than whole-matrix selection — the whole-matrix optimum
-//! is the special case of one shard.
+//! CSR/COO while its banded tail wants DIA/ELL, and per-shard selection
+//! can give each regime its own format. Whether that pays is another
+//! question: measured end to end (README, "Partitioned handles"), serving
+//! the matrix whole in one format cost less at registration and ran no
+//! slower warm, so the serving layer shards only when a caller forces it
+//! (`PartitionPolicy::cost_gate: false`) or streams a matrix in shard by
+//! shard.
 //!
 //! Three artifacts live here:
 //!
@@ -82,7 +86,10 @@ impl PartitionConfig {
 
 /// Interior shard boundaries chosen by this module are multiples of this
 /// many rows: the BELL slice height ([`crate::bell::SLICE`]) and the largest
-/// of [`crate::BSR_BLOCK_DIMS`], every one of which divides it.
+/// of [`crate::BSR_BLOCK_DIMS`], every one of which divides it. No `b x b`
+/// block row of the whole matrix is then cut by a seam: a shard stored as
+/// BSR holds the whole matrix's blocks in its rows, with no block split in
+/// two and padded twice.
 pub const SEAM_ALIGN: usize = 8;
 
 const _: () = {
@@ -104,12 +111,9 @@ const _: () = {
 /// **The seam rule.** Every interior boundary a partition chosen here has
 /// is a multiple of [`SEAM_ALIGN`] rows (so a matrix of `n` rows has at
 /// most `ceil(n / SEAM_ALIGN)` shards, and one of up to [`SEAM_ALIGN`] rows
-/// has one). No block row of any BSR dimension and no 8-row BELL slice of
-/// the whole matrix then straddles a seam: a shard's blocks are the whole
-/// matrix's blocks in its rows, which is what lets one entry walk count
-/// them for both ([`Analysis::of_partitioned`]).
-/// [`Partition::from_boundaries`] takes boundaries as they come — a
-/// [`StreamingPartitioner`] seals where the stream fills.
+/// has one): no block row of any BSR dimension of the whole matrix
+/// straddles a seam. [`Partition::from_boundaries`] takes boundaries as
+/// they come — a [`StreamingPartitioner`] seals where the stream fills.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     nrows: usize,
@@ -258,12 +262,12 @@ impl Partition {
 /// Splits `m` into per-shard CSR sub-matrices in one row-major traversal.
 ///
 /// Each shard keeps the full column space (`ncols` unchanged), so shard
-/// SpMV reads the same `x` and writes a disjoint `y` slice. Pass the
-/// matrix's [`Analysis`] if one is at hand — its row histogram supplies
-/// exact per-row counts; otherwise a counting pass runs first. COO and CSR
-/// sources already hold every shard's columns and values as one contiguous
-/// run, so their shards are slice copies; other formats are walked entry
-/// by entry.
+/// SpMV reads the same `x` and writes a disjoint `y` slice. The per-row
+/// counts come from a CSR source's offsets or from the matrix's
+/// [`Analysis`], when one is at hand; otherwise a counting pass runs first.
+/// COO and CSR sources already hold every shard's columns and values as one
+/// contiguous run, so their shards are slice copies; other formats are
+/// walked entry by entry.
 pub fn split_rows<V: Scalar>(
     m: &DynamicMatrix<V>,
     p: &Partition,
@@ -275,10 +279,14 @@ pub fn split_rows<V: Scalar>(
             got: format!("matrix with {} rows", m.nrows()),
         });
     }
-    let counted;
-    let counts: &[u32] = match analysis.filter(|a| a.matches(m)) {
-        Some(a) => &a.row_hist,
-        None => {
+    let counted: Vec<u32>;
+    let counts: &[u32] = match (analysis.filter(|a| a.matches(m)), m) {
+        (Some(a), _) => &a.row_hist,
+        (None, DynamicMatrix::Csr(a)) => {
+            counted = a.row_offsets().windows(2).map(|w| (w[1] - w[0]) as u32).collect();
+            &counted
+        }
+        (None, _) => {
             let mut c = vec![0u32; m.nrows()];
             for_each_entry_row_major(m, |r, _, _| c[r] += 1);
             passes::record_traversal();

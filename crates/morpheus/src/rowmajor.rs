@@ -224,33 +224,17 @@ fn coo_row_runs(rows: &[usize]) -> impl Iterator<Item = (usize, std::ops::Range<
 /// Calls `f(row, cols)` for every row that holds entries, in ascending row
 /// order, `cols` being the row's structural column indices in ascending
 /// order — the pattern alone, a row at a time, which is what lets a consumer
-/// keep per-row state in registers. [`for_each_row_pattern_in`] over every
-/// row.
-pub fn for_each_row_pattern<V: Scalar>(m: &DynamicMatrix<V>, f: impl FnMut(usize, &[usize])) {
-    for_each_row_pattern_in(m, 0..m.nrows(), f)
-}
-
-/// [`for_each_row_pattern`] over the rows in `rows` alone (row numbers are
-/// the matrix's own): what a shard that is a row range of `m` would be
-/// walked as, without building it. Sorted COO is read by runs of equal row
-/// index between the two binary-searched ends of the range and CSR by its
-/// offsets, both straight from their arrays; every other format goes through
-/// its row-major walk into one reused buffer.
-pub fn for_each_row_pattern_in<V: Scalar>(
-    m: &DynamicMatrix<V>,
-    rows: std::ops::Range<usize>,
-    mut f: impl FnMut(usize, &[usize]),
-) {
+/// keep per-row state in registers. Sorted COO is read by runs of equal row
+/// index and CSR by its offsets, both straight from their arrays; every other
+/// format goes through its row-major walk into one reused buffer.
+pub fn for_each_row_pattern<V: Scalar>(m: &DynamicMatrix<V>, mut f: impl FnMut(usize, &[usize])) {
     match m {
         DynamicMatrix::Coo(a) => {
-            let of_row = a.row_indices();
-            let first = of_row.partition_point(|&r| r < rows.start);
-            let end = first + of_row[first..].partition_point(|&r| r < rows.end);
-            let cols = &a.col_indices()[first..end];
-            coo_row_runs(&of_row[first..end]).for_each(|(r, run)| f(r, &cols[run]));
+            let cols = a.col_indices();
+            coo_row_runs(a.row_indices()).for_each(|(r, run)| f(r, &cols[run]));
         }
         DynamicMatrix::Csr(a) => {
-            for r in rows {
+            for r in 0..a.nrows() {
                 let cols = a.row_cols(r);
                 if !cols.is_empty() {
                     f(r, cols);
@@ -260,7 +244,7 @@ pub fn for_each_row_pattern_in<V: Scalar>(
         other => {
             let src = crate::convert::as_rowmajor(other);
             let mut cols = Vec::new();
-            for r in rows {
+            for r in 0..src.nrows() {
                 cols.clear();
                 src.emit_row(r, &mut |c, _| cols.push(c));
                 if !cols.is_empty() {

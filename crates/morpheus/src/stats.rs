@@ -217,61 +217,13 @@ pub(crate) struct RowsReduced {
 /// the squared deviations, runs in row order; the integer sums are exact in
 /// any order, so the loops split them over independent counters). `diag_pop`
 /// may be any run of the diagonal slots that holds every populated one:
-/// empty slots contribute nothing. The two halves are callable on their own
-/// for the producer that needs the row side (the prefix sums a partition is
-/// chosen from) before the diagonal populations exist.
+/// empty slots contribute nothing.
 pub(crate) fn reduce(ncols: usize, row_counts: &[u32], diag_pop: &[u32], alpha: f64) -> Reduced {
     reduce_diags(reduce_rows(row_counts), ncols, diag_pop, alpha)
 }
 
 /// The row half of [`reduce`].
-pub(crate) fn reduce_rows(row_counts: &[u32]) -> RowsReduced {
-    reduce_range::<false>(row_counts, 0.0, &mut 0.0)
-}
-
-/// [`reduce_rows`] of a whole histogram and of each row range between
-/// consecutive `bounds`, in one loop over the rows: each range's loop carries
-/// the whole's squared deviations along, in row order, the whole's count
-/// table is the ranges' added, and its prefix sums are `prefix`, the ones the
-/// bounds were chosen from.
-pub(crate) fn reduce_row_ranges(
-    row_counts: &[u32],
-    prefix: Vec<u64>,
-    bounds: &[usize],
-) -> (RowsReduced, Vec<RowsReduced>) {
-    let nrows = row_counts.len();
-    let nnz = prefix[nrows] as usize;
-    let mean = mean_of(nnz, nrows);
-    let mut squares = 0.0f64;
-    let ranges: Vec<RowsReduced> = bounds
-        .windows(2)
-        .map(|b| reduce_range::<true>(&row_counts[b[0]..b[1]], mean, &mut squares))
-        .collect();
-    let min = ranges.iter().map(|r| r.min).min().unwrap_or(0);
-    let max = ranges.iter().map(|r| r.max).max().unwrap_or(0);
-    let mut rows_with_len = vec![0usize; max as usize + 1];
-    for range in &ranges {
-        let counts = &range.summary.lengths.rows_with_len;
-        rows_with_len.iter_mut().zip(counts).for_each(|(total, rows)| *total += rows);
-    }
-    let group_max_sum =
-        row_counts.chunks(ROW_GROUP).map(|g| u64::from(g.iter().copied().max().unwrap_or(0))).sum();
-    let whole = RowsReduced::new(nrows, nnz, [min, max], squares, prefix, group_max_sum, rows_with_len);
-    (whole, ranges)
-}
-
-fn mean_of(nnz: usize, nrows: usize) -> f64 {
-    if nrows == 0 {
-        0.0
-    } else {
-        nnz as f64 / nrows as f64
-    }
-}
-
-/// [`reduce_rows`] of `rows`; with `WHOLE`, also adds their squared
-/// deviations from `whole_mean` to `whole_squares`, in row order.
-#[inline(always)]
-fn reduce_range<const WHOLE: bool>(rows: &[u32], whole_mean: f64, whole_squares: &mut f64) -> RowsReduced {
+fn reduce_rows(rows: &[u32]) -> RowsReduced {
     let nrows = rows.len();
     let nnz: usize = rows.iter().map(|&c| c as usize).sum();
     let min = rows.iter().copied().min().unwrap_or(0);
@@ -294,9 +246,6 @@ fn reduce_range<const WHOLE: bool>(rows: &[u32], whole_mean: f64, whole_squares:
         for (pair, sums) in group.chunks(2).zip(sums.chunks_mut(2)) {
             for (k, (&c, sum)) in pair.iter().zip(sums).enumerate() {
                 squares += (c as f64 - mean).powi(2);
-                if WHOLE {
-                    *whole_squares += (c as f64 - whole_mean).powi(2);
-                }
                 entries += u64::from(c);
                 *sum = entries;
                 match odd.get_mut(c as usize).filter(|_| k == 1) {
@@ -312,7 +261,15 @@ fn reduce_range<const WHOLE: bool>(rows: &[u32], whole_mean: f64, whole_squares:
     RowsReduced::new(nrows, nnz, [min, max], squares, prefix, group_max_sum, rows_with_len)
 }
 
-/// Row lengths the odd rows of [`reduce_range`] count in a table of their
+fn mean_of(nnz: usize, nrows: usize) -> f64 {
+    if nrows == 0 {
+        0.0
+    } else {
+        nnz as f64 / nrows as f64
+    }
+}
+
+/// Row lengths the odd rows of [`reduce_rows`] count in a table of their
 /// own.
 const ODD_LENGTHS: usize = 256;
 
@@ -398,7 +355,7 @@ fn diag_sums<L: Lane>(diag_pop: &[u32], threshold: u32) -> [u64; 4] {
 }
 
 /// The diagonal half of [`reduce`], joined with the row half.
-pub(crate) fn reduce_diags(rows: RowsReduced, ncols: usize, diag_pop: &[u32], alpha: f64) -> Reduced {
+fn reduce_diags(rows: RowsReduced, ncols: usize, diag_pop: &[u32], alpha: f64) -> Reduced {
     let nrows = rows.summary.prefix.len() - 1;
     let nnz = rows.nnz;
     let threshold = true_diag_threshold(nrows, ncols, alpha) as u32;
@@ -431,16 +388,10 @@ pub(crate) fn reduce_diags(rows: RowsReduced, ncols: usize, diag_pop: &[u32], al
     Reduced { stats, rows: rows.summary, true_diag_nnz: true_diag_nnz as usize }
 }
 
-/// Zeroed diagonal populations for a matrix of this shape:
-/// `nrows + ncols - 1` slots (none for degenerate shapes).
-pub(crate) fn empty_diag_pop(nrows: usize, ncols: usize) -> Vec<u32> {
-    vec![0u32; if nrows == 0 || ncols == 0 { 0 } else { nrows + ncols - 1 }]
-}
-
-/// Zeroed histograms for a matrix of this shape: `nrows` row slots and its
-/// [`empty_diag_pop`].
+/// Zeroed histograms for a matrix of this shape: `nrows` row slots and
+/// `nrows + ncols - 1` diagonal slots (none for degenerate shapes).
 pub(crate) fn empty_hists(nrows: usize, ncols: usize) -> (Vec<u32>, Vec<u32>) {
-    (vec![0u32; nrows], empty_diag_pop(nrows, ncols))
+    (vec![0u32; nrows], vec![0u32; if nrows == 0 || ncols == 0 { 0 } else { nrows + ncols - 1 }])
 }
 
 /// Streams every structural entry of `m` (in its active format) into a
@@ -705,24 +656,14 @@ mod tests {
     }
 
     /// The reductions of `row_counts` and `diag_pop` (an `ncols`-column
-    /// matrix's), whole and for the ranges between `bounds`, against the
-    /// sequential definitions.
-    fn assert_reductions_match(row_counts: &[u32], ncols: usize, diag_pop: &[u32], bounds: &[usize]) {
+    /// matrix's) against the sequential definitions.
+    fn assert_reductions_match(row_counts: &[u32], ncols: usize, diag_pop: &[u32]) {
         let alpha = 0.2;
         let want = sequential_diags(sequential_rows(row_counts), ncols, diag_pop, alpha);
         assert_bitwise(&reduce(ncols, row_counts, diag_pop, alpha), &want, "whole");
         // The 64-bit lanes of matrices past 2^32 entries sum the same.
         let threshold = true_diag_threshold(row_counts.len(), ncols, alpha) as u32;
         assert_eq!(diag_sums::<u64>(diag_pop, threshold), diag_sums::<u32>(diag_pop, threshold), "lanes");
-        let (whole, ranges) =
-            reduce_row_ranges(row_counts, sequential_rows(row_counts).summary.prefix, bounds);
-        assert_bitwise(&reduce_diags(whole, ncols, diag_pop, alpha), &want, "whole, with ranges");
-        assert_eq!(ranges.len(), bounds.len().saturating_sub(1));
-        for (range, b) in ranges.into_iter().zip(bounds.windows(2)) {
-            let rows = &row_counts[b[0]..b[1]];
-            let want = sequential_diags(sequential_rows(rows), ncols, &[], alpha);
-            assert_bitwise(&reduce_diags(range, ncols, &[], alpha), &want, &format!("rows {b:?}"));
-        }
     }
 
     /// The shapes the chain-free loops have an edge at: no rows, one row,
@@ -732,22 +673,22 @@ mod tests {
     /// ragged tail.
     #[test]
     fn chain_free_reductions_equal_the_sequential_definitions_at_the_edges() {
-        assert_reductions_match(&[], 0, &[], &[0, 0]);
-        assert_reductions_match(&[3], 5, &[1, 0, 2], &[0, 1]);
-        assert_reductions_match(&[7; 100], 100, &[100; 7], &[0, 8, 40, 100]);
+        assert_reductions_match(&[], 0, &[]);
+        assert_reductions_match(&[3], 5, &[1, 0, 2]);
+        assert_reductions_match(&[7; 100], 100, &[100; 7]);
         let mut hub = vec![1u32; 37];
         hub[20] = 500;
         hub[21] = 500;
-        assert_reductions_match(&hub, 600, &[0, 5, 0, 9, 9, 1], &[0, 16, 37]);
+        assert_reductions_match(&hub, 600, &[0, 5, 0, 9, 9, 1]);
         // Odd rows either side of the short table's end.
         let edge = ODD_LENGTHS as u32;
         let around = [edge - 1, edge - 1, edge, edge, edge + 1, edge + 1, edge, edge - 1, edge];
-        assert_reductions_match(&around, 600, &[], &[0, 3, 9]);
+        assert_reductions_match(&around, 600, &[]);
         // 50 x 50 at alpha 0.2: the threshold is 10.
         let rows = [4u32; 50];
         for len in [0, 1, DIAG_LANES, DIAG_LANES + 1, 3 * DIAG_LANES + 5] {
             let pops: Vec<u32> = (0..len).map(|i| [10, 9, 11, 0, 10, 10][i % 6]).collect();
-            assert_reductions_match(&rows, 50, &pops, &[0, 24, 50]);
+            assert_reductions_match(&rows, 50, &pops);
         }
     }
 
@@ -795,27 +736,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The chain-free row and diagonal reductions, whole and over any
-        /// row ranges, equal the sequential definitions field for field.
+        /// The chain-free row and diagonal reductions equal the sequential
+        /// definitions field for field.
         #[test]
-        fn chain_free_reductions_equal_the_sequential_definitions(
-            rows in arb_rows(),
-            pops in arb_pops(),
-            cuts in proptest::collection::vec(0usize..1000, 0..6),
-        ) {
+        fn chain_free_reductions_equal_the_sequential_definitions(rows in arb_rows(), pops in arb_pops()) {
             // The threshold is `ceil(0.2 * min(nrows, ncols))`: columns that
             // put it where the populations were drawn around, rows allowing.
             let (pops, threshold) = pops;
             let ncols = 5 * threshold as usize;
-            let nrows = rows.len();
-            let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c % (nrows + 1)).collect();
-            bounds.extend([0, nrows]);
-            bounds.sort_unstable();
-            bounds.dedup();
-            if nrows == 0 {
-                bounds = vec![0, 0];
-            }
-            assert_reductions_match(&rows, ncols, &pops, &bounds);
+            assert_reductions_match(&rows, ncols, &pops);
         }
     }
 

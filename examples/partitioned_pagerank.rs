@@ -2,12 +2,12 @@
 //! heterogeneous graph (hub rows over a banded tail), sharded at
 //! registration so each row regime runs in its own format.
 //!
-//! The service decides *whether* to shard with its machine-model cost
-//! gate; here a small shard target plus `cost_gate: false` forces the
-//! partitioned path so the example is deterministic, and the printed
-//! shard table shows the format each shard ended up in. The iteration
-//! itself is ordinary `service.spmv` calls — partitioned execution is
-//! transparent to the caller.
+//! Under the default policy `register_partitioned` serves a matrix whole,
+//! like `register`; here a small shard target plus `cost_gate: false`
+//! forces shards, each decided, converted and planned on its own, and the
+//! printed shard table shows the format each shard ended up in. The
+//! iteration itself is ordinary `service.spmv` calls — partitioned
+//! execution is transparent to the caller.
 //!
 //! ```text
 //! cargo run --release --example partitioned_pagerank [nodes] [iterations]

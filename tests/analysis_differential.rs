@@ -1,11 +1,9 @@
 //! Differential test of the one-pass analysis: every field of the fused
 //! [`Analysis`] artifact — and of the machine view assembled from it —
-//! against an independent, naive definition, for every source format; the
-//! one walk that analyses a matrix and the shards of a row partition of it
-//! against analysing each shard built on its own; and the walks that can be
-//! left out — the block counts, the machine view's HDC remainder — with the
-//! ones that take them later, against the fused walk and the full view —
-//! down to a service that decides BSR or HDC off either.
+//! against an independent, naive definition, for every source format; and
+//! the walks that can be left out — the block counts, the machine view's HDC
+//! remainder — with the ones that take them later, against the fused walk
+//! and the full view — down to a service that decides BSR or HDC off either.
 //!
 //! The naive side knows nothing of the walk's mechanics (row runs, block-row
 //! stamps, the row-length count table): blocks are counted with sets,
@@ -13,7 +11,7 @@
 
 use morpheus_repro::corpus::{CorpusSpec, MatrixClass};
 use morpheus_repro::machine::{
-    analyze, analyze_from, analyze_rows_from, assemble, systems, Backend, HdcRemainder, VirtualEngine,
+    analyze, analyze_from, assemble, systems, Backend, HdcRemainder, VirtualEngine,
 };
 use morpheus_repro::ml::{Dataset, DecisionTree, TreeParams};
 use morpheus_repro::morpheus::analysis::{passes, Analysis, GATHER_LINE};
@@ -21,12 +19,8 @@ use morpheus_repro::morpheus::bell::default_bucket_widths;
 use morpheus_repro::morpheus::format::{FormatId, ALL_FORMATS};
 use morpheus_repro::morpheus::hdc::true_diag_threshold;
 use morpheus_repro::morpheus::hyb::optimal_hyb_width;
-use morpheus_repro::morpheus::partition::{split_rows, SEAM_ALIGN};
 use morpheus_repro::morpheus::stats::{row_nnz_histogram, stats_of, ROW_GROUP};
-use morpheus_repro::morpheus::{
-    for_each_entry_row_major, for_each_row_pattern_in, ConvertOptions, CooMatrix, DynamicMatrix, ExecPlan,
-    Partition, PartitionConfig, BSR_BLOCK_DIMS,
-};
+use morpheus_repro::morpheus::{ConvertOptions, CooMatrix, DynamicMatrix, ExecPlan, BSR_BLOCK_DIMS};
 use morpheus_repro::oracle::{
     propose_params, DecisionTreeTuner, FormatTuner, MatrixHandle, Op, Oracle, OracleService, PartitionPolicy,
     TuneDecision, TuningCost, NUM_FEATURES,
@@ -149,24 +143,19 @@ fn assert_matches_definitions(a: &Analysis, m: &DynamicMatrix<f64>, coo: &CooMat
 }
 
 /// The walk that leaves the block counts out is the fused walk in every
-/// other field, and the counts taken later — one walk of rows `rows_of_m` of
-/// `m` that does nothing else — complete it to `fused` bitwise.
-fn assert_counts_taken_later_equal_the_fused_walks(
-    m: &DynamicMatrix<f64>,
-    rows_of_m: std::ops::Range<usize>,
-    fused: &Analysis,
-    what: &str,
-) {
+/// other field, and the counts taken later — one walk of `m` that does
+/// nothing else — complete it to `fused` bitwise.
+fn assert_counts_taken_later_equal_the_fused_walks(m: &DynamicMatrix<f64>, fused: &Analysis, what: &str) {
     assert!(fused.entries.bsr_blocks.is_some(), "{what}: the fused walk counts blocks");
     let mut lazy = Analysis::without_block_counts(m, ALPHA, m.structure_hash());
     assert_eq!(lazy.entries.bsr_blocks, None, "{what}");
     let mut stripped = fused.clone();
     stripped.entries.bsr_blocks = None;
     assert_eq!(lazy, stripped, "{what}: every field but the counts");
-    lazy.take_block_counts(m, rows_of_m.clone());
+    lazy.take_block_counts(m);
     assert_eq!(&lazy, fused, "{what}: counts taken later");
     // Taking them twice takes them once.
-    lazy.take_block_counts(m, rows_of_m);
+    lazy.take_block_counts(m);
     assert_eq!(&lazy, fused, "{what}");
 }
 
@@ -183,7 +172,7 @@ proptest! {
             let a = Analysis::of(&m, ALPHA);
             assert_matches_definitions(&a, &m, &coo, &format!("{fmt}"));
             prop_assert_eq!(&Analysis::of_auto_with_hash(&m, ALPHA, m.structure_hash()), &a, "{}", fmt);
-            assert_counts_taken_later_equal_the_fused_walks(&m, 0..m.nrows(), &a, &format!("{fmt}"));
+            assert_counts_taken_later_equal_the_fused_walks(&m, &a, &format!("{fmt}"));
             // The machine view is a function of the pattern, whatever the
             // format it was walked in.
             prop_assert_eq!(&analyze_from(&m, &a), &reference_view, "{}: machine view", fmt);
@@ -214,187 +203,6 @@ fn blocks_shared_by_many_rows_are_counted_once() {
     }
 }
 
-/// Row `r` of `m` as the entry walk sees it, for every row in `rows`.
-fn patterns_in(m: &DynamicMatrix<f64>, rows: std::ops::Range<usize>) -> Vec<(usize, Vec<usize>)> {
-    let mut seen = Vec::new();
-    for_each_row_pattern_in(m, rows, |r, cols| seen.push((r, cols.to_vec())));
-    seen
-}
-
-/// Boundaries over `nrows` rows with every interior one a multiple of
-/// [`SEAM_ALIGN`]: `picks` chooses which of the candidate seams are taken.
-fn aligned_boundaries(nrows: usize, picks: &[usize]) -> Vec<usize> {
-    let seams: Vec<usize> = (1..nrows.div_ceil(SEAM_ALIGN)).map(|g| g * SEAM_ALIGN).collect();
-    let mut chosen: BTreeSet<usize> = BTreeSet::new();
-    if !seams.is_empty() {
-        chosen.extend(picks.iter().map(|p| seams[p % seams.len()]));
-    }
-    std::iter::once(0).chain(chosen).chain(std::iter::once(nrows)).collect()
-}
-
-/// The one-walk artifacts of `source` under `partition` against the
-/// definitions: each shard's against `Analysis::of` on the shard built as a
-/// CSR matrix (hash included, once minted), the merged one against
-/// `Analysis::of` on the whole, the machine views against the built shards'
-/// views.
-fn assert_one_walk_matches_built_shards(source: &DynamicMatrix<f64>, partition: &Partition, what: &str) {
-    let hash = source.structure_hash();
-    let mut got = Analysis::of_partitioned(source, ALPHA, hash, true, |_| partition.clone()).unwrap();
-    assert_eq!(&got.partition, partition, "{what}");
-    assert_eq!(got.whole, Analysis::of(source, ALPHA), "{what}: merged artifact");
-    if partition.num_shards() == 1 {
-        assert!(got.shards.is_empty(), "{what}: a single shard is the whole matrix");
-        return;
-    }
-    assert!(got.shards.iter().all(|shard| shard.structure_hash == 0), "{what}: unkeyed until minted");
-    Analysis::mint_shard_keys(source, &got.whole, partition.ranges().zip(&mut got.shards)).unwrap();
-    let built = split_rows(source, partition, Some(&got.whole)).unwrap();
-    assert_eq!(got.shards.len(), built.len(), "{what}");
-    for ((shard, rows), csr) in got.shards.iter().zip(partition.ranges()).zip(built) {
-        let csr = DynamicMatrix::from(csr);
-        assert_eq!(shard.structure_hash, csr.structure_hash(), "{what}: minted hash of rows {rows:?}");
-        assert_eq!(shard, &Analysis::of(&csr, ALPHA), "{what}: shard artifact of rows {rows:?}");
-        // The shard's counts, had its walk left them out: taken from the
-        // rows of the source it would be split from, on its 8-row seams.
-        let mut later = shard.clone();
-        later.entries.bsr_blocks = None;
-        later.take_block_counts(source, rows.clone());
-        assert_eq!(&later, shard, "{what}: block counts of rows {rows:?} taken later");
-        assert_eq!(
-            analyze_rows_from(source, rows.clone(), shard),
-            analyze_from(&csr, shard),
-            "{what}: machine view of rows {rows:?}"
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// One walk for a matrix and its shards, for random aligned partitions of
-    /// 1-8 shards and the ones `Partition::from_row_prefix` picks: every shard
-    /// artifact, the merged artifact, the in-place shard hashes and the ranged
-    /// machine views are the built shards'. The sources are the two formats
-    /// that hold a row range as one slice; every other format is refused (the
-    /// serving layer converts it to CSR first).
-    #[test]
-    fn one_walk_equals_analysing_each_built_shard(
-        base in arb_matrix(),
-        picks in proptest::collection::vec(0usize..64, 0..8),
-        max_shards in 1usize..9,
-        target in 1usize..200,
-    ) {
-        let opts = ConvertOptions { min_padded_allowance: 1 << 24, ..Default::default() };
-        let nrows = base.nrows();
-        let boundaries = aligned_boundaries(nrows, &picks);
-        for &fmt in &ALL_FORMATS {
-            let m = base.to_format(fmt, &opts).unwrap();
-            // The ranged walk, for every format: what the entry walk visits in
-            // those rows, and the whole walk when the ranges tile the matrix.
-            let mut entries: Vec<(usize, Vec<usize>)> = Vec::new();
-            for_each_entry_row_major(&m, |r, c, _| match entries.last_mut() {
-                Some((row, cols)) if *row == r => cols.push(c),
-                _ => entries.push((r, vec![c])),
-            });
-            prop_assert_eq!(&patterns_in(&m, 0..nrows), &entries, "{}: full range", fmt);
-            let tiled: Vec<_> = boundaries.windows(2).flat_map(|w| patterns_in(&m, w[0]..w[1])).collect();
-            prop_assert_eq!(&tiled, &entries, "{}: ranges {:?}", fmt, &boundaries);
-
-            if !matches!(fmt, FormatId::Coo | FormatId::Csr) {
-                let refused = Analysis::of_partitioned(&m, ALPHA, m.structure_hash(), true, |_| unreachable!());
-                prop_assert!(refused.is_err(), "{}: no contiguous row ranges", fmt);
-                continue;
-            }
-            let prefix = Analysis::of(&m, ALPHA).rows.prefix;
-            let shard_nnz = boundaries.windows(2).map(|w| (prefix[w[1]] - prefix[w[0]]) as usize).collect();
-            let random = Partition::from_boundaries(nrows, boundaries.clone(), shard_nnz).unwrap();
-            assert_one_walk_matches_built_shards(&m, &random, &format!("{fmt} at {boundaries:?}"));
-            let cfg = PartitionConfig { max_shards, target_shard_nnz: target, regime_window: 16, ..Default::default() };
-            let chosen = Partition::from_row_prefix(&prefix, &cfg);
-            assert_one_walk_matches_built_shards(&m, &chosen, &format!("{fmt} at chosen {:?}", chosen.boundaries()));
-        }
-    }
-}
-
-/// The shapes a seam can cut badly: empty rows on both sides of every seam, a
-/// shard none of whose entries lie on a true diagonal beside one that is all
-/// true diagonals, blocks of every dimension ending at a seam, and matrices
-/// too short to have a seam at all.
-#[test]
-fn seams_through_empty_rows_bands_and_scatter() {
-    let (nrows, ncols) = (64usize, 50usize);
-    let (mut rows, mut cols) = (Vec::new(), Vec::new());
-    for r in 0..nrows {
-        match r {
-            // Rows 0..16: a band (every entry on a true diagonal of the shard).
-            0..=15 => (0..3).for_each(|d| {
-                rows.push(r);
-                cols.push(r + d);
-            }),
-            // Empty rows around the seams at 16, 24 and 48.
-            16..=25 | 46..=49 => {}
-            // Rows 26..46: scatter, no diagonal holding more than one entry.
-            26..=45 => {
-                rows.push(r);
-                cols.push((r * r * 7 + 3) % ncols);
-            }
-            // 2x2, 4x4 and 8x8 blocks ending exactly at a seam, and a hub row.
-            _ => (0..ncols).filter(|c| (c / 8 + r / 8) % 2 == 0 || r == 63).for_each(|c| {
-                rows.push(r);
-                cols.push(c);
-            }),
-        }
-    }
-    let vals = vec![1.0f64; rows.len()];
-    let coo = DynamicMatrix::from(CooMatrix::from_triplets(nrows, ncols, &rows, &cols, &vals).unwrap());
-    let csr = coo.to_format(FormatId::Csr, &ConvertOptions::default()).unwrap();
-    for boundaries in [vec![0, 16, 24, 48, 64], vec![0, 8, 16, 24, 32, 40, 48, 56, 64], vec![0, 64]] {
-        for m in [&coo, &csr] {
-            let prefix = Analysis::of(m, ALPHA).rows.prefix;
-            let shard_nnz = boundaries.windows(2).map(|w| (prefix[w[1]] - prefix[w[0]]) as usize).collect();
-            let partition = Partition::from_boundaries(nrows, boundaries.clone(), shard_nnz).unwrap();
-            assert_one_walk_matches_built_shards(
-                m,
-                &partition,
-                &format!("{} at {boundaries:?}", m.format_id()),
-            );
-        }
-    }
-    let scatter = Analysis::of_partitioned(&coo, ALPHA, coo.structure_hash(), true, |_| {
-        Partition::from_boundaries(nrows, vec![0, 24, 48, 64], vec![48, 20, rows.len() - 68]).unwrap()
-    })
-    .unwrap();
-    assert_eq!(scatter.shards[0].true_diag_nnz, 48, "the band is all true diagonals");
-    assert_eq!(scatter.shards[1].true_diag_nnz, 0, "the scatter has none");
-
-    // A seam off the alignment is refused, not miscounted.
-    let off = Analysis::of_partitioned(&coo, ALPHA, coo.structure_hash(), true, |_| {
-        Partition::from_boundaries(nrows, vec![0, 20, 64], vec![0, 0]).unwrap()
-    });
-    assert!(off.is_err());
-
-    // Fewer rows than one group: one shard, whatever is asked for.
-    for nrows in 0..SEAM_ALIGN {
-        let m = DynamicMatrix::from(
-            CooMatrix::from_triplets(
-                nrows,
-                9,
-                &(0..nrows).collect::<Vec<_>>(),
-                &vec![4; nrows],
-                &vec![1.0; nrows],
-            )
-            .unwrap(),
-        );
-        let cfg = PartitionConfig { max_shards: 8, target_shard_nnz: 1, ..Default::default() };
-        let got = Analysis::of_partitioned(&m, ALPHA, m.structure_hash(), true, |prefix| {
-            Partition::from_row_prefix(prefix, &cfg)
-        })
-        .unwrap();
-        assert_eq!(got.partition.num_shards(), 1, "{nrows} rows");
-        assert_eq!(got.whole, Analysis::of(&m, ALPHA), "{nrows} rows");
-    }
-}
-
 /// One matrix of every corpus class, small enough for every format.
 fn one_of_every_class() -> Vec<(MatrixClass, DynamicMatrix<f64>)> {
     let spec = CorpusSpec { max_n: 400, ..CorpusSpec::small(400) };
@@ -414,9 +222,7 @@ fn one_of_every_class() -> Vec<(MatrixClass, DynamicMatrix<f64>)> {
 }
 
 /// Counts taken later equal the fused walk's for every corpus class in every
-/// source format — COO by runs, CSR by offsets, the six row-major walkers —
-/// and, on COO and CSR, for every shard of the partition the serving layer
-/// would pick (`assert_one_walk_matches_built_shards` takes each shard's).
+/// source format — COO by runs, CSR by offsets, the six row-major walkers.
 #[test]
 fn counts_taken_later_equal_the_fused_walks_for_every_class_and_format() {
     let opts =
@@ -426,29 +232,22 @@ fn counts_taken_later_equal_the_fused_walks_for_every_class_and_format() {
             let what = format!("{} as {fmt}", class.name());
             let m = base.to_format(fmt, &opts).unwrap_or_else(|e| panic!("{what}: {e}"));
             let fused = Analysis::of(&m, ALPHA);
-            assert_counts_taken_later_equal_the_fused_walks(&m, 0..m.nrows(), &fused, &what);
+            assert_counts_taken_later_equal_the_fused_walks(&m, &fused, &what);
             // The view off the late counts is the view off the fused walk.
             let mut lazy = Analysis::without_block_counts(&m, ALPHA, m.structure_hash());
             let mut view = analyze_from(&m, &lazy);
             assert_eq!(view.bsr_blocks, None, "{what}");
-            lazy.take_block_counts(&m, 0..m.nrows());
+            lazy.take_block_counts(&m);
             view.bsr_blocks = lazy.entries.bsr_blocks;
             assert_eq!(view, analyze_from(&m, &fused), "{what}: machine view");
-            if matches!(fmt, FormatId::Coo | FormatId::Csr) {
-                let cfg = PartitionConfig { max_shards: 5, target_shard_nnz: 1, ..Default::default() };
-                let chosen = Partition::from_row_prefix(&fused.rows.prefix, &cfg);
-                assert!(chosen.num_shards() > 1 || m.nrows() < 2 * SEAM_ALIGN, "{what}: one shard");
-                assert_one_walk_matches_built_shards(&m, &chosen, &what);
-            }
         }
     }
 }
 
 /// The machine view assembled from the analysis alone — no matrix read, no
 /// block counts, no remainder histogram — and completed later is the full
-/// view, bitwise: for every corpus class from COO and CSR sources, whole and
-/// for every shard on its 8-row seams (the walks re-read the shard's rows of
-/// the source). Each walk is taken once, and only when there is one to take.
+/// view, bitwise: for every corpus class from COO and CSR sources. Each walk
+/// is taken once, and only when there is one to take.
 #[test]
 fn views_completed_later_equal_the_full_views_for_every_class() {
     let opts = ConvertOptions::default();
@@ -457,40 +256,29 @@ fn views_completed_later_equal_the_full_views_for_every_class() {
         for fmt in [FormatId::Coo, FormatId::Csr] {
             let what = format!("{} as {fmt}", class.name());
             let m = base.to_format(fmt, &opts).unwrap();
-            let hash = m.structure_hash();
-            let cfg = PartitionConfig { max_shards: 5, target_shard_nnz: 1, ..Default::default() };
-            let choose = |prefix: &[u64]| Partition::from_row_prefix(prefix, &cfg);
-            let full = Analysis::of_partitioned(&m, ALPHA, hash, true, choose).unwrap();
-            let lazy = Analysis::of_partitioned(&m, ALPHA, hash, false, choose).unwrap();
-            assert_eq!(lazy.partition, full.partition, "{what}");
-            assert!(full.shards.len() > 1, "{what}: one shard");
+            let full = Analysis::of(&m, ALPHA);
+            let mut lazy = Analysis::without_block_counts(&m, ALPHA, m.structure_hash());
+            let mut stripped = full.clone();
+            stripped.entries.bsr_blocks = None;
+            assert_eq!(lazy, stripped, "{what}: the walk without counts");
 
-            let whole = (0..m.nrows(), lazy.whole, &full.whole);
-            let shards = full.partition.ranges().zip(lazy.shards).zip(&full.shards);
-            for (rows, mut lazy, full) in std::iter::once(whole).chain(shards.map(|((r, l), f)| (r, l, f))) {
-                let what = format!("{what}, rows {rows:?}");
-                let mut stripped = full.clone();
-                stripped.entries.bsr_blocks = None;
-                assert_eq!(lazy, stripped, "{what}: the walk without counts");
-
-                let want = analyze_rows_from(&m, rows.clone(), full);
-                let mixed = matches!(want.hdc_remainder, Some(HdcRemainder::Rows { .. }));
-                mixed_splits += usize::from(mixed);
-                passes::reset();
-                let mut view = assemble(&lazy, std::mem::size_of::<f64>());
-                assert_eq!(passes::count(), 0, "{what}: assembling reads no matrix");
-                assert!(!view.prices(FormatId::Bsr), "{what}");
-                assert_eq!(view.prices(FormatId::Hdc), !mixed, "{what}");
-                assert!(ALL_FORMATS.into_iter().filter(|f| !view.prices(*f)).count() <= 2, "{what}");
-                view.take_pricing_walks(&m, rows.clone(), &mut lazy);
-                assert_eq!(passes::count(), 1 + u64::from(mixed), "{what}: the walks taken");
-                assert_eq!(view, want, "{what}: view completed later");
-                assert_eq!(&lazy, full, "{what}: analysis completed with it");
-                // Taking them twice takes them once.
-                view.take_pricing_walks(&m, rows, &mut lazy);
-                assert_eq!(passes::count(), 1 + u64::from(mixed), "{what}");
-                assert_eq!(view, want, "{what}");
-            }
+            let want = analyze_from(&m, &full);
+            let mixed = matches!(want.hdc_remainder, Some(HdcRemainder::Rows { .. }));
+            mixed_splits += usize::from(mixed);
+            passes::reset();
+            let mut view = assemble(&lazy, std::mem::size_of::<f64>());
+            assert_eq!(passes::count(), 0, "{what}: assembling reads no matrix");
+            assert!(!view.prices(FormatId::Bsr), "{what}");
+            assert_eq!(view.prices(FormatId::Hdc), !mixed, "{what}");
+            assert!(ALL_FORMATS.into_iter().filter(|f| !view.prices(*f)).count() <= 2, "{what}");
+            view.take_pricing_walks(&m, &mut lazy);
+            assert_eq!(passes::count(), 1 + u64::from(mixed), "{what}: the walks taken");
+            assert_eq!(view, want, "{what}: view completed later");
+            assert_eq!(lazy, full, "{what}: analysis completed with it");
+            // Taking them twice takes them once.
+            view.take_pricing_walks(&m, &mut lazy);
+            assert_eq!(passes::count(), 1 + u64::from(mixed), "{what}");
+            assert_eq!(view, want, "{what}");
         }
     }
     assert!(mixed_splits >= 10, "the corpus must exercise the remainder walk: {mixed_splits} mixed splits");
@@ -571,7 +359,6 @@ fn reading_an_absent_remainder_panics_naming_the_reader() {
             panic_message(|| assert!(view.hdc_csr_balanced_imbalance(4) > 0.0)),
         ),
         ("src/cpu.rs", panic_message(|| assert!(cpu.spmv_time(FormatId::Hdc, &view) > 0.0))),
-        ("src/cpu.rs", panic_message(|| assert!(cpu.best_spmv_time_at(&view, 2).1 > 0.0))),
         ("src/gpu.rs", panic_message(|| assert!(gpu.spmv_time(FormatId::Hdc, &view) > 0.0))),
     ] {
         assert!(message.contains(absent) && message.contains(reader), "{reader}: {message}");
@@ -587,12 +374,6 @@ fn reading_an_absent_remainder_panics_naming_the_reader() {
         for fmt in ALL_FORMATS.into_iter().filter(|&f| f != FormatId::Hdc) {
             assert_eq!(engine.spmv_time(fmt, &view), engine.spmv_time(fmt, &full), "{fmt}");
         }
-        // The baseline over the formats that need no walk bounds the exact
-        // one from above, and is it when neither BSR nor HDC wins.
-        let (bound, exact) =
-            (engine.best_walk_free_spmv_time_at(&view, 2), engine.best_spmv_time_at(&full, 2));
-        assert!(bound.1 >= exact.1, "{bound:?} vs {exact:?}");
-        assert!(bound == exact || matches!(exact.0, FormatId::Bsr | FormatId::Hdc), "{bound:?} vs {exact:?}");
     }
     assert_eq!(propose_params(FormatId::Hdc, &view), propose_params(FormatId::Hdc, &full));
 }
@@ -666,8 +447,7 @@ fn exported<T>(service: &OracleService<T>) -> String {
 /// A BSR decision comes out the same whichever way the counts were taken:
 /// by the fused walk, for a tuner that prices from the view; by the walk of
 /// their own, once a model tuner has answered BSR off a view without them;
-/// or not until the gate numbers are wanted, for a decision seeded from a
-/// file. Same parameters (8x8 here, not the 4x4 default: the counts were
+/// or never, for a decision seeded from a file. Same parameters (8x8 here, not the 4x4 default: the counts were
 /// really read), same converted matrix, bitwise the same `y` — what
 /// analysing eagerly and converting by hand gives.
 #[test]
@@ -718,8 +498,8 @@ fn a_bsr_decision_is_the_same_however_late_its_counts_were_taken() {
 
 /// The HDC twin: the remainder walked for up front, for a tuner that prices
 /// from the view; after a model tuner has answered HDC off a view without
-/// it; or for the gate numbers of a decision seeded from a file. Same
-/// decision, same converted matrix, same gate numbers, bitwise the same `y`.
+/// it; or not at all, for a decision seeded from a file. Same decision, same
+/// converted matrix, bitwise the same `y`.
 #[test]
 fn an_hdc_decision_is_the_same_however_late_its_remainder_was_taken() {
     let m = band_with_strays(1_200);
@@ -773,8 +553,9 @@ fn an_hdc_decision_is_the_same_however_late_its_remainder_was_taken() {
 /// No sequence of public calls has a model tuner's service read a block
 /// count that was not taken (a panic): BSR and BELL answers; COO, CSR and
 /// BSR sources, the last priced for its extraction from block counts;
-/// whole, partitioned (gate on and off) and streamed registrations, per-call
-/// tunes, repeats, and decisions seeded from a file.
+/// whole, partitioned (served whole by default, sharded when forced) and
+/// streamed registrations, per-call tunes, repeats, and decisions seeded
+/// from a file.
 #[test]
 fn no_public_call_sequence_reads_an_absent_block_count() {
     let opts = ConvertOptions::default();

@@ -1,13 +1,14 @@
 //! Failure-injection integration tests: malformed model files, inconsistent
 //! matrices and degenerate inputs must produce errors, not corruption.
 
-use morpheus_repro::ml::serialize::load_model;
+use morpheus_repro::machine::{systems, Backend, VirtualEngine};
+use morpheus_repro::ml::serialize::{load_gbt, load_model};
 use morpheus_repro::morpheus::io::read_matrix_market;
 use morpheus_repro::morpheus::spmv::spmv_serial;
 use morpheus_repro::morpheus::{
     ConvertOptions, CooMatrix, CsrMatrix, DynamicMatrix, FormatId, MorpheusError,
 };
-use morpheus_repro::oracle::{DecisionTreeTuner, RandomForestTuner};
+use morpheus_repro::oracle::{DecisionTreeTuner, Oracle, OracleError, RandomForestTuner, RunFirstTuner};
 use std::io::Cursor;
 
 #[test]
@@ -61,6 +62,68 @@ fn matrix_market_failures_do_not_panic() {
     for text in bads {
         let r: Result<CooMatrix<f64>, _> = read_matrix_market(Cursor::new(text.as_bytes()));
         assert!(r.is_err());
+    }
+}
+
+/// Counts no machine could allocate room for: `2^60` overflows the
+/// capacity computation, `10^14` entries fail the allocation itself.
+const OVERSIZED: [&str; 2] = ["1152921504606846976", "100000000000000"];
+
+/// A header count sizes nothing before the entries it counts are read: a
+/// Matrix Market size line declaring more entries than any machine holds
+/// is the "declared N but found M" error, not a panic or an abort.
+#[test]
+fn an_oversized_matrix_market_entry_count_is_a_parse_error() {
+    for count in OVERSIZED {
+        let text = format!("%%MatrixMarket matrix coordinate real general\n2 2 {count}\n1 1 1.0\n");
+        let r: Result<CooMatrix<f64>, _> = read_matrix_market(Cursor::new(text.as_bytes()));
+        assert!(matches!(r, Err(MorpheusError::Parse { .. })), "{count}: {r:?}");
+    }
+}
+
+/// The model loaders' counts — `trees`, each tree's `nodes`, `rounds` and
+/// each regression tree's `nodes` — are checked against the lines that
+/// follow, never used to size an allocation first.
+#[test]
+fn oversized_model_file_counts_are_errors() {
+    let head = "morpheus-oracle-model v1\nkind forest\nclasses 2\nfeatures 10";
+    let gbt = "morpheus-oracle-model v1\nkind gbt\nclasses 2\nfeatures 10";
+    for count in OVERSIZED {
+        let trees = format!("{head}\ntrees {count}\ntree 0 nodes 1\nnode 0 leaf 0 1 0\nend\n");
+        let nodes = format!("{head}\ntrees 1\ntree 0 nodes {count}\nnode 0 leaf 0 1 0\nend\n");
+        for text in [trees, nodes] {
+            assert!(load_model(Cursor::new(text.as_bytes())).is_err(), "{text}");
+        }
+        let rounds = format!(
+            "{gbt}\nrounds {count}\nlearning_rate 1e-1\npriors 0 0\n\
+             rtree 0 0 nodes 1\nnode 0 leaf 1e0\nrtree 0 1 nodes 1\nnode 0 leaf 1e0\nend\n"
+        );
+        let nodes = format!(
+            "{gbt}\nrounds 1\nlearning_rate 1e-1\npriors 0 0\nrtree 0 0 nodes {count}\nnode 0 leaf 1e0\nend\n"
+        );
+        for text in [rounds, nodes] {
+            assert!(load_gbt(Cursor::new(text.as_bytes())).is_err(), "{text}");
+        }
+    }
+}
+
+/// A decisions file's `entries` count is checked against the decision
+/// lines, never used to size an allocation first.
+#[test]
+fn an_oversized_decisions_entry_count_is_invalid_config() {
+    let service = Oracle::builder()
+        .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
+        .tuner(RunFirstTuner::new(1))
+        .build_service()
+        .unwrap();
+    let mut exported = Vec::new();
+    service.export_decisions(&mut exported).unwrap();
+    let exported = String::from_utf8(exported).unwrap();
+    assert!(exported.contains("entries 0\n"), "{exported}");
+    for count in OVERSIZED {
+        let text = exported.replace("entries 0\n", &format!("entries {count}\n"));
+        let r = service.import_decisions(Cursor::new(text.as_bytes()));
+        assert!(matches!(r, Err(OracleError::InvalidConfig(_))), "{count}: {r:?}");
     }
 }
 

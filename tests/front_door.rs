@@ -12,6 +12,7 @@ use morpheus_repro::corpus::gen::random::hypersparse;
 use morpheus_repro::machine::{systems, Backend, MatrixAnalysis, VirtualEngine};
 use morpheus_repro::morpheus::analysis::passes;
 use morpheus_repro::morpheus::format::{FormatId, ALL_FORMATS};
+use morpheus_repro::morpheus::partition::SEAM_ALIGN;
 use morpheus_repro::morpheus::spmv::spmv_serial;
 use morpheus_repro::morpheus::{ConvertOptions, ConvertPath, DynamicMatrix, FormatParams};
 use morpheus_repro::oracle::{
@@ -138,28 +139,41 @@ fn every_stored_format_is_the_coo_conversion() {
     }
 }
 
-/// A source that wants shards goes through CSR whatever its format; when it
-/// is then served whole, its report still names the format it came in.
+/// A source that wants shards goes through CSR whatever its format; when its
+/// partition then comes out as a single shard it is served whole, and its
+/// report still names the format it came in. Under the default policy
+/// nothing wants shards: the DIA source is registered as `register` does.
 #[test]
 fn a_dia_source_served_whole_reports_dia() {
     let mut rng = StdRng::seed_from_u64(5);
-    let band = DynamicMatrix::from(hub_plus_banded(6_000, 0, 0, 4, &mut rng));
+    // One seam group of rows: one shard, however many are wanted.
+    let band = DynamicMatrix::from(hub_plus_banded(SEAM_ALIGN, 0, 0, 4, &mut rng));
     let dia = band.to_format(FormatId::Dia, &roomy()).unwrap();
-    let policy = PartitionPolicy { target_shard_nnz: Some(4_000), ..Default::default() };
-    let service = Oracle::builder()
-        .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
-        .tuner(RunFirstTuner::new(1))
-        .convert_options(roomy())
-        .workers(1)
-        .partition_policy(policy)
-        .build_service()
-        .unwrap();
-    let h = service.register_partitioned(dia.clone()).unwrap();
-    assert!(h.partition().is_none(), "a single-regime band is served whole at one worker");
+    let service = |cost_gate| {
+        Oracle::builder()
+            .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
+            .tuner(RunFirstTuner::new(1))
+            .convert_options(roomy())
+            .workers(1)
+            .partition_policy(PartitionPolicy { target_shard_nnz: Some(4), cost_gate, ..Default::default() })
+            .build_service()
+            .unwrap()
+    };
+    let forced = service(false);
+    let h = forced.register_partitioned(dia.clone()).unwrap();
+    assert!(h.partition().is_none(), "eight rows are one shard");
     assert_eq!(h.report().previous, FormatId::Dia);
     assert!(h.report().convert.seconds > 0.0, "DIA→CSR is part of the conversion");
-    let (x, mut y, mut want) = (vec![1.0f64; 6_000], vec![f64::NAN; 6_000], vec![0.0f64; 6_000]);
-    service.spmv(&h, &x, &mut y).unwrap();
+    let (x, mut y, mut want) =
+        (vec![1.0f64; SEAM_ALIGN], vec![f64::NAN; SEAM_ALIGN], vec![0.0f64; SEAM_ALIGN]);
+    forced.spmv(&h, &x, &mut y).unwrap();
     spmv_serial(h.matrix(), &x, &mut want).unwrap();
     assert_eq!(y, want);
+
+    let default = service(true);
+    let h = default.register_partitioned(dia.clone()).unwrap();
+    let plain = default.register(dia).unwrap();
+    assert!(plain.report().cache_hit, "decided under the key `register` looks up");
+    assert_eq!(h.report().previous, FormatId::Dia);
+    assert_eq!(h.matrix(), plain.matrix());
 }

@@ -1,19 +1,13 @@
 //! Partitioned-handle integration tests: shard boundary properties,
 //! partitioned execution vs. the serial reference (bitwise when
 //! order-preserving, ULP-bounded otherwise), streaming ingestion, and the
-//! service-level partitioned registration path — including that deciding
-//! before materialising admits exactly the partitions a
-//! convert-everything-first evaluation admits, at a bounded traversal
-//! cost when it rejects; and that a model tuner's gate, which walks for the
-//! whole matrix's exact baseline only once a partition beats a bound it can
-//! compute without, reaches the verdicts and handles of the same tuner
-//! handed full views throughout.
+//! service-level partitioned registration path — `register` itself under the
+//! default policy, and, forced, one per-shard pipeline whose traversals and
+//! shard keys are pinned.
 
-use morpheus_repro::corpus::gen::hetero::{hub_plus_banded, shifted_bands, three_regime};
-use morpheus_repro::corpus::gen::{banded, blocks, powerlaw, random, stencil};
-use morpheus_repro::corpus::CorpusSpec;
-use morpheus_repro::machine::{analyze, analyze_from, systems, Backend, MatrixAnalysis, VirtualEngine};
-use morpheus_repro::ml::{Dataset, ForestParams, RandomForest};
+use morpheus_repro::corpus::gen::hetero::{hub_plus_banded, three_regime};
+use morpheus_repro::corpus::gen::stencil;
+use morpheus_repro::machine::{systems, Backend, VirtualEngine};
 use morpheus_repro::morpheus::analysis::passes;
 use morpheus_repro::morpheus::format::FormatId;
 use morpheus_repro::morpheus::partition::{split_rows, SEAM_ALIGN};
@@ -21,12 +15,11 @@ use morpheus_repro::morpheus::spmm::spmm_serial;
 use morpheus_repro::morpheus::spmv::spmv_serial;
 use morpheus_repro::morpheus::{
     for_each_entry_row_major, Analysis, ConvertOptions, ConvertPath, CooBuilder, CooMatrix, DynamicMatrix,
-    ExecPlan, Op, Partition, PartitionConfig, PartitionedMatrix, Scalar, StreamingPartitioner,
+    Op, Partition, PartitionConfig, PartitionedMatrix, Scalar, StreamingPartitioner,
 };
 use morpheus_repro::oracle::adapt::{CollectorConfig, SampleCollector};
 use morpheus_repro::oracle::{
-    FeatureVector, FormatTuner, Oracle, OracleService, PartitionPolicy, PlanStatus, RandomForestTuner,
-    RunFirstTuner, TuneDecision, TuningCost, NUM_FEATURES,
+    Oracle, OracleService, PartitionPolicy, PlanStatus, RunFirstTuner, TuneReport, TuningCost,
 };
 use morpheus_repro::parallel::ThreadPool;
 use proptest::prelude::*;
@@ -279,6 +272,8 @@ fn service_registers_partitioned_handle_with_shard_telemetry() {
     assert_close(&yk, &wide, 1e-12);
 }
 
+/// `register` serves a matrix whole whatever the policy says of shards;
+/// the streaming front door shards it as it arrives.
 #[test]
 fn service_auto_shards_above_threshold_and_streams() {
     let service = Oracle::builder()
@@ -286,25 +281,19 @@ fn service_auto_shards_above_threshold_and_streams() {
         .tuner(RunFirstTuner::new(1))
         .workers(2)
         .partition_policy(PartitionPolicy {
-            auto_nnz_threshold: Some(10_000),
             target_shard_nnz: Some(5_000),
             cost_gate: false,
             ..Default::default()
         })
         .build_service()
         .unwrap();
-    // Below threshold: register() stays whole-matrix.
-    let small = hetero(300, 20, 20, 2);
-    let hs = service.register(small).unwrap();
-    assert!(!hs.is_partitioned());
-    assert_eq!(hs.report().shards, 1);
-    // Above threshold: register() shards automatically.
     let big = hetero(5_000, 200, 50, 2);
     let x = vec![1.0; 5_000];
     let mut want = vec![0.0; 5_000];
     spmv_serial(&big, &x, &mut want).unwrap();
     let hb = service.register(big).unwrap();
-    assert!(hb.is_partitioned(), "auto threshold must shard large matrices");
+    assert!(!hb.is_partitioned());
+    assert_eq!(hb.report().shards, 1);
     let mut y = vec![0.0; 5_000];
     service.spmv(&hb, &x, &mut y).unwrap();
     assert_close(&y, &want, 1e-12);
@@ -358,145 +347,92 @@ fn padded_sources_are_sharded_through_csr() {
     assert!(h.report().cache_hit, "decided under the structure `register` decided");
 }
 
-fn cirrus() -> VirtualEngine {
-    VirtualEngine::new(systems::cirrus(), Backend::OpenMp)
-}
-
-fn service_over<T>(tuner: T, workers: usize, policy: PartitionPolicy) -> OracleService<T> {
+fn gated_service(workers: usize, policy: PartitionPolicy) -> OracleService<RunFirstTuner> {
     Oracle::builder()
-        .engine(cirrus())
-        .tuner(tuner)
+        .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
+        .tuner(RunFirstTuner::new(1))
         .workers(workers)
         .partition_policy(policy)
         .build_service()
         .unwrap()
 }
 
-fn gated_service(workers: usize, policy: PartitionPolicy) -> OracleService<RunFirstTuner> {
-    service_over(RunFirstTuner::new(1), workers, policy)
+fn exported<T>(service: &OracleService<T>) -> String {
+    let mut buf = Vec::new();
+    service.export_decisions(&mut buf).unwrap();
+    String::from_utf8(buf).unwrap()
 }
 
-/// `register_partitioned` decides every shard, gates, and only then
-/// converts. Whatever it skips, the outcome must be the one obtained by
-/// tuning and converting every shard first and evaluating the gate on the
-/// realized shards: same verdict, same shard row ranges and formats, and
-/// bitwise the same `y`.
-#[test]
-fn gate_verdict_and_shards_match_convert_first_evaluation() {
-    let mut rng = StdRng::seed_from_u64(77);
-    let corpus: Vec<(&str, DynamicMatrix<f64>)> = vec![
-        ("hub+banded", DynamicMatrix::from(hub_plus_banded(6_000, 200, 80, 3, &mut rng))),
-        ("three-regime", DynamicMatrix::from(three_regime(6_000, 150, 90, 2_000, 9, 2, &mut rng))),
-        (
-            "shifted-bands",
-            DynamicMatrix::from(shifted_bands(6_000, 100, 60, &[(0, 2), (700, 5), (-900, 3)], &mut rng)),
-        ),
-        ("banded", DynamicMatrix::from(hub_plus_banded(6_000, 0, 0, 4, &mut rng))),
+/// `coo` with its values in `V`.
+fn in_scalar<V: Scalar>(coo: &CooMatrix<f64>) -> CooMatrix<V> {
+    let mut b = CooBuilder::with_capacity(coo.nrows(), coo.ncols(), coo.nnz());
+    for (r, c, v) in coo.iter() {
+        b.push(r, c, V::from_f64(v)).unwrap();
+    }
+    b.build()
+}
+
+/// Every field of a report but the seconds it measured.
+fn untimed(r: &TuneReport) -> TuneReport {
+    let cost = TuningCost { cache_hit: r.cost.cache_hit, ..TuningCost::default() };
+    TuneReport { cost, convert: morpheus_repro::morpheus::ConvertOutcome { seconds: 0.0, ..r.convert }, ..*r }
+}
+
+/// Under the default policy `register_partitioned` is `register`: from a COO
+/// and a DIA source, at `f64` and `f32`, the same format and parameters (the
+/// same stored arrays), the same report but for its timings — `previous`
+/// the caller's format — a whole-matrix handle, one decision-cache entry
+/// (`register`'s) and bitwise the same `y`. The matrices are ones a forced
+/// policy shards.
+fn register_partitioned_is_register<V: Scalar>() {
+    let policy = PartitionPolicy { target_shard_nnz: Some(4_000), ..Default::default() };
+    assert!(policy.cost_gate, "the default");
+    let mut rng = StdRng::seed_from_u64(31);
+    let opts = ConvertOptions::default();
+    let hub = DynamicMatrix::from(in_scalar::<V>(&hub_plus_banded(4_000, 150, 60, 2, &mut rng)));
+    let band = DynamicMatrix::from(in_scalar::<V>(&stencil::poisson3d(16, 16, 16)));
+    let sources = [
+        ("hub+banded", hub.clone()),
+        ("poisson3d", band.clone()),
+        ("poisson3d", band.to_format(FormatId::Dia, &opts).unwrap()),
     ];
-    let policy = PartitionPolicy { target_shard_nnz: Some(8_000), ..Default::default() };
-    let (mut admitted, mut rejected) = (0, 0);
-    for workers in 1..=4 {
-        for (name, m) in &corpus {
-            let what = format!("{name} at {workers} workers");
-            let n = m.nrows();
-            let x: Vec<f64> = (0..n).map(|i| ((i % 29) as f64 - 14.0) * 0.125).collect();
-            let service = gated_service(workers, policy);
-            let h = service.register_partitioned(m.clone()).unwrap();
-            let mut y = vec![f64::NAN; n];
-            service.spmv(&h, &x, &mut y).unwrap();
-
-            // Convert-first evaluation through public pieces, on a second
-            // service with cold caches.
-            let reference = gated_service(workers, policy);
-            let engine = cirrus();
-            let analysis = analysis_of(m);
-            let partition = Partition::from_analysis(&analysis, &policy.config(workers));
-            assert!(partition.num_shards() >= 2, "{what}: the corpus must ask the gate a question");
-            let mut shards = Vec::new();
-            let mut shard_times = Vec::new();
-            for csr in split_rows(m, &partition, Some(&analysis)).unwrap() {
-                let mut sm = DynamicMatrix::from(csr);
-                let sa = analysis_of(&sm);
-                let view = analyze_from(&sm, &sa);
-                reference.tune(&mut sm).unwrap();
-                shard_times.push(engine.spmv_time_at(sm.format_id(), &view, 1));
-                shards.push((sm, sa));
-            }
-            let best_whole = engine.best_spmv_time_at(&analyze_from(m, &analysis), workers).1;
-            let expect_partitioned = engine.partitioned_spmv_time(&shard_times, workers) < best_whole;
-
-            assert_eq!(h.is_partitioned(), expect_partitioned, "{what}: gate verdict");
-            let mut want = vec![f64::NAN; n];
-            if expect_partitioned {
-                admitted += 1;
-                let pm = h.partition().unwrap();
-                assert_eq!(pm.num_shards(), partition.num_shards(), "{what}");
-                for ((got, rows), (sm, sa)) in pm.shards().iter().zip(partition.ranges()).zip(&shards) {
-                    assert_eq!(got.rows(), rows, "{what}: shard rows");
-                    assert_eq!(got.format_id(), sm.format_id(), "{what}: shard format");
-                    assert_eq!(got.matrix(), sm, "{what}: shard arrays");
-                    ExecPlan::build(sm, 1, Some(sa)).spmv_unpooled(sm, &x, &mut want[rows]).unwrap();
-                }
-            } else {
-                rejected += 1;
-                let whole = reference.register(m.clone()).unwrap();
-                assert_eq!(h.format_id(), whole.format_id(), "{what}: whole-matrix format");
-                assert_eq!(h.matrix(), whole.matrix(), "{what}: whole-matrix arrays");
-                reference.spmv(&whole, &x, &mut want).unwrap();
-            }
-            assert!(bitwise_eq(&y, &want), "{what}: y must be bitwise what the convert-first path serves");
-        }
+    for (name, m) in sources {
+        let what = format!("{name} from {} at {} bytes", m.format_id(), std::mem::size_of::<V>());
+        let shards = Partition::from_analysis(&Analysis::of(&m, opts.true_diag_alpha), &policy.config(2));
+        assert!(shards.num_shards() >= 2, "{what}: a forced policy would shard it");
+        let x: Vec<V> = (0..m.ncols()).map(|i| V::from_f64(((i % 29) as f64 - 14.0) * 0.125)).collect();
+        let (plain, partitioned) = (gated_service(2, policy), gated_service(2, policy));
+        let want = plain.register(m.clone()).unwrap();
+        let got = partitioned.register_partitioned(m.clone()).unwrap();
+        assert!(!got.is_partitioned() && got.partition().is_none(), "{what}");
+        assert_eq!(got.format_id(), want.format_id(), "{what}");
+        assert_eq!(got.matrix(), want.matrix(), "{what}: format, parameters and arrays");
+        assert_eq!(untimed(got.report()), untimed(want.report()), "{what}: report");
+        assert_eq!(got.report().previous, m.format_id(), "{what}");
+        // One decision: `register`'s key, format and parameters.
+        assert_eq!(partitioned.cache_stats().len, 1, "{what}: one decision");
+        assert_eq!(exported(&partitioned), exported(&plain), "{what}: the decision cache");
+        let (mut y, mut y_want) = (vec![V::ZERO; m.nrows()], vec![V::ZERO; m.nrows()]);
+        partitioned.spmv(&got, &x, &mut y).unwrap();
+        plain.spmv(&want, &x, &mut y_want).unwrap();
+        assert!(bitwise_eq(&y, &y_want), "{what}: y");
     }
-    assert!(admitted > 0 && rejected > 0, "corpus must exercise both verdicts ({admitted}/{rejected})");
 }
 
-/// A gate-rejected `register_partitioned` decides its shards as row ranges
-/// of the source and hands its whole-matrix hash, analysis and machine view
-/// to the whole-matrix path: whatever the shard count, it traverses the
-/// matrix as often as a plain `register` plus the row-length sweep the
-/// partition is chosen from. No shard hashes (a declined shard is never
-/// keyed), no split (which counts as a traversal) and no per-shard walk —
-/// the machine view re-reads a shard only for a mixed HDC split, which a
-/// hub-free band does not have.
 #[test]
-fn rejected_partition_traversals_do_not_grow_with_the_shard_count() {
-    let mut rng = StdRng::seed_from_u64(5);
-    // One regime throughout: shards buy nothing at one worker.
-    let m = DynamicMatrix::from(hub_plus_banded(6_000, 0, 0, 4, &mut rng));
-    let plain = gated_service(1, PartitionPolicy::default());
-    passes::reset();
-    let whole = plain.register(m.clone()).unwrap();
-    let register_passes = passes::count();
-
-    let mut shard_counts = Vec::new();
-    for max_shards in [4, 6, 8] {
-        let policy = PartitionPolicy {
-            target_shard_nnz: Some(4_000),
-            max_shards: Some(max_shards),
-            ..Default::default()
-        };
-        let shards = Partition::from_analysis(&analysis_of(&m), &policy.config(1)).num_shards();
-        shard_counts.push(shards);
-        let service = gated_service(1, policy);
-        passes::reset();
-        let h = service.register_partitioned(m.clone()).unwrap();
-        let partitioned_passes = passes::count();
-        assert!(!h.is_partitioned(), "a single-regime band must be served whole ({shards} shards)");
-        assert_eq!(h.format_id(), whole.format_id());
-        assert_eq!(
-            partitioned_passes,
-            register_passes + 1,
-            "rejected register_partitioned over {shards} shards: {register_passes} for register, \
-             the row-length sweep"
-        );
-    }
-    assert_eq!(shard_counts, [4, 6, 8], "the policy must ask the gate about each shard count");
+fn register_partitioned_under_the_default_policy_is_register_f64() {
+    register_partitioned_is_register::<f64>();
 }
 
-/// A gate-declined `register_partitioned` leaves one decision behind: the
-/// whole matrix's, which it is served by. Its shards were decided without
-/// keys, so none of them is looked up, counted or given a slot of the
-/// decision cache — where, in a long-lived service, it could evict a live
+#[test]
+fn register_partitioned_under_the_default_policy_is_register_f32() {
+    register_partitioned_is_register::<f32>();
+}
+
+/// A `register_partitioned` under the default policy leaves one decision
+/// behind: the whole matrix's, keyed by its CSR form, which it is served
+/// by. No shard is looked up, counted or given a slot of the decision
+/// cache — where, in a long-lived service, it could evict a live
 /// whole-matrix decision. A repeat is a hit on that one entry.
 #[test]
 fn a_declined_partition_leaves_only_the_whole_matrix_decision() {
@@ -519,11 +455,15 @@ fn a_declined_partition_leaves_only_the_whole_matrix_decision() {
     }
 }
 
-/// An admitted partition pays the same front — hash, row-length sweep, the
-/// one walk — then the shard hashes, the split, and per shard at most one
-/// re-read for a mixed HDC view: the whole matrix is walked once, not once
-/// more per shard, and a converted shard is never hashed (a shard is keyed
-/// by the hash it was decided under).
+/// A forced `register_partitioned` traverses the matrix a bounded number of
+/// times, however it is sharded: the front door hashes the moved CSR matrix
+/// once (1), the partition is chosen from its offsets and the split reads
+/// its row lengths off them too (no walk), the split copies the pieces out
+/// (1), and each shard is then what `register_stream` makes of it — its hash,
+/// its analysis walk and, on a mixed HDC split, the remainder walk of its
+/// machine view (at most 3). The COO-to-CSR move is a conversion fill, not a
+/// traversal. A converted shard is never hashed: it is keyed by the hash of
+/// the CSR piece it was decided as.
 #[test]
 fn admitted_partition_traversals_are_one_walk_plus_one_per_shard() {
     let policy = PartitionPolicy { target_shard_nnz: Some(4_000), cost_gate: false, ..Default::default() };
@@ -540,283 +480,14 @@ fn admitted_partition_traversals_are_one_walk_plus_one_per_shard() {
     assert!(h.is_partitioned());
     let shards = h.num_shards() as u64;
     assert!(shards >= 2);
-    let budget = 5 + shards;
+    let budget = 2 + 3 * shards;
     assert!(
         admitted_passes <= budget,
-        "admitted register_partitioned made {admitted_passes} traversals over {shards} shards, budget {budget} \
-         (hash, row-length sweep, walk, shard hashes, split; a view re-read per shard)"
+        "forced register_partitioned made {admitted_passes} traversals over {shards} shards, budget {budget} \
+         (hash, split; per shard a hash, a walk and a remainder walk)"
     );
     let keyed: Vec<u64> = h.partition().unwrap().shards().iter().map(|s| s.structure()).collect();
     assert_eq!(keyed, decided_under, "each shard is keyed by the hash of the CSR piece it was decided as");
-}
-
-/// The benchmark's selector at test size: a forest fitted on the engine's
-/// profile of a 60-matrix corpus.
-fn fitted_forest() -> RandomForestTuner {
-    let engine = cirrus();
-    let mut train =
-        Dataset::empty(NUM_FEATURES, morpheus_repro::morpheus::format::FORMAT_COUNT, vec![]).unwrap();
-    for entry in CorpusSpec::small(60).iter() {
-        let view = analyze(&DynamicMatrix::from(entry.matrix));
-        let features = FeatureVector::from_stats(&view.stats);
-        train.push(features.as_slice(), engine.profile(&view).optimal.index()).unwrap();
-    }
-    let params = ForestParams { n_estimators: 15, seed: 1, ..Default::default() };
-    RandomForestTuner::new(RandomForest::fit(&train, &params).unwrap()).unwrap()
-}
-
-/// `T`'s decisions, declared as priced from the view: the service hands it
-/// full views and full analyses throughout, as it does a run-first tuner.
-struct HandedFullViews<T>(T);
-
-impl<T: FormatTuner<f64>> FormatTuner<f64> for HandedFullViews<T> {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn select(&self, m: &DynamicMatrix<f64>, a: &MatrixAnalysis, e: &VirtualEngine, op: Op) -> TuneDecision {
-        self.0.select(m, a, e, op)
-    }
-}
-
-fn exported<T>(service: &OracleService<T>) -> String {
-    let mut buf = Vec::new();
-    service.export_decisions(&mut buf).unwrap();
-    String::from_utf8(buf).unwrap()
-}
-
-/// The eight regimes of the benchmark's `solver_long` at a tenth of its
-/// size, and three matrices of several regimes each.
-fn gate_corpus() -> Vec<(&'static str, DynamicMatrix<f64>)> {
-    let mut rng = StdRng::seed_from_u64(23);
-    let rng = &mut rng;
-    let n = 4_000;
-    let corpus = vec![
-        ("poisson3d", stencil::poisson3d(17, 17, 17)),
-        ("banded_partial", banded::banded_partial(n, 12, 0.4, rng)),
-        ("aligned_blocks", blocks::aligned_blocks(n / 4, 4, 2, rng)),
-        ("bimodal_rows", random::bimodal_rows(n, 4, 64, 16, rng)),
-        ("zipf_rows", powerlaw::zipf_rows(n, n * 10, 1.4, rng)),
-        ("hub_rows", powerlaw::hub_rows(n, 3, n / 2, n * 6, rng)),
-        ("erdos_renyi", random::erdos_renyi(n, n * 8, rng)),
-        ("three_regime", three_regime(n, n / 50, 120, n * 3 / 10, 16, 4, rng)),
-        ("hub+banded", hub_plus_banded(6_000, 200, 80, 3, rng)),
-        ("three-regime, long hubs", three_regime(6_000, 150, 90, 2_000, 9, 2, rng)),
-        ("shifted-bands", shifted_bands(6_000, 100, 60, &[(0, 2), (700, 5), (-900, 3)], rng)),
-    ];
-    corpus.into_iter().map(|(name, coo)| (name, DynamicMatrix::from(coo))).collect()
-}
-
-/// A model tuner's gate decides on less: no block counts in its one walk, no
-/// remainder histograms in its views, and the whole matrix's exact baseline
-/// only for a partition that beats the walk-free bound. Its verdicts, shard
-/// boundaries and formats, cached decisions and every `y` are those of the
-/// same model handed full views throughout — COO and CSR sources, one worker
-/// and two, cold caches and warm ones.
-#[test]
-fn a_model_tuners_gate_reaches_the_verdicts_of_one_handed_full_views() {
-    let forest = fitted_forest();
-    assert!(!FormatTuner::<f64>::prices_formats(&forest));
-    assert!(FormatTuner::<f64>::prices_formats(&HandedFullViews(forest.clone())));
-    let policy = PartitionPolicy { target_shard_nnz: Some(8_000), ..Default::default() };
-    let (mut admitted, mut rejected) = (0, 0);
-    for workers in [1, 2] {
-        let lazy = service_over(forest.clone(), workers, policy);
-        let eager = service_over(HandedFullViews(forest.clone()), workers, policy);
-        for (name, coo) in gate_corpus() {
-            let csr = coo.to_format(FormatId::Csr, &ConvertOptions::default()).unwrap();
-            let x: Vec<f64> = (0..coo.ncols()).map(|i| ((i % 29) as f64 - 14.0) * 0.125).collect();
-            // The second round of each source hits the decisions of the first.
-            for (round, source) in [&coo, &csr, &coo, &csr].into_iter().enumerate() {
-                let what = format!("{name} from {} at {workers} workers, round {round}", source.format_id());
-                let got = lazy.register_partitioned(source.clone()).unwrap();
-                let want = eager.register_partitioned(source.clone()).unwrap();
-                assert_eq!(got.is_partitioned(), want.is_partitioned(), "{what}: gate verdict");
-                assert_eq!(got.format_id(), want.format_id(), "{what}");
-                match (got.partition(), want.partition()) {
-                    (Some(got), Some(want)) => {
-                        admitted += 1;
-                        assert_eq!(got.num_shards(), want.num_shards(), "{what}");
-                        for (g, w) in got.shards().iter().zip(want.shards()) {
-                            assert_eq!(g.rows(), w.rows(), "{what}: shard rows");
-                            assert_eq!(g.format_id(), w.format_id(), "{what}: shard format");
-                            assert_eq!(g.matrix(), w.matrix(), "{what}: shard arrays");
-                        }
-                    }
-                    (None, None) => {
-                        rejected += 1;
-                        assert_eq!(got.matrix(), want.matrix(), "{what}: whole-matrix arrays");
-                    }
-                    _ => unreachable!("verdicts agreed above"),
-                }
-                let (mut y, mut y_want) = (vec![f64::NAN; coo.nrows()], vec![f64::NAN; coo.nrows()]);
-                lazy.spmv(&got, &x, &mut y).unwrap();
-                eager.spmv(&want, &x, &mut y_want).unwrap();
-                assert!(bitwise_eq(&y, &y_want), "{what}: y");
-            }
-        }
-        assert_eq!(exported(&lazy), exported(&eager), "{workers} workers: the decisions cached");
-    }
-    assert!(admitted > 0 && rejected > 0, "corpus must exercise both verdicts ({admitted}/{rejected})");
-}
-
-/// What a model tuner's registrations traverse, on a matrix whose HDC split
-/// is mixed whole and in every shard (a band with strays off it): a plain
-/// `register` miss is the key hash and the analysis walk; a gate-declined
-/// `register_partitioned` those and the row-length sweep the partition is
-/// chosen from — no shard hashes, no block stamps, no remainder re-read,
-/// whole or per shard; an admitted one the two late walks of the whole
-/// matrix on top (block counts, remainder: the exact baseline), the one
-/// sweep of the column array that hashes the shards, and the split. Handed
-/// full views, the same decisions cost a remainder walk for the whole
-/// matrix and one per shard.
-#[test]
-fn a_model_tuners_gate_walks_only_for_a_partition_that_beats_the_bound() {
-    let forest = fitted_forest();
-    let mut rng = StdRng::seed_from_u64(5);
-    let opts = ConvertOptions::default();
-    let mixed = |m: &DynamicMatrix<f64>| {
-        let a = analysis_of(m);
-        0 < a.true_diag_nnz && a.true_diag_nnz < a.nnz()
-    };
-    // One regime throughout: shards buy nothing at one worker.
-    let band = DynamicMatrix::from(banded::diag_plus_scatter(6_000, 9_000, &mut rng));
-    let band = band.to_format(FormatId::Csr, &opts).unwrap();
-    assert!(mixed(&band));
-    let policy = PartitionPolicy { target_shard_nnz: Some(4_000), ..Default::default() };
-    let shards = Partition::from_analysis(&analysis_of(&band), &policy.config(1)).num_shards() as u64;
-    assert!(shards >= 3);
-
-    let lazy = service_over(forest.clone(), 1, policy);
-    passes::reset();
-    let whole = lazy.register(band.clone()).unwrap();
-    assert!(!whole.report().cache_hit);
-    assert_eq!(passes::count(), 2, "register: hash, walk");
-    lazy.clear_cache();
-    passes::reset();
-    let declined = lazy.register_partitioned(band.clone()).unwrap();
-    assert!(!declined.is_partitioned() && !declined.report().cache_hit);
-    assert_eq!(passes::count(), 3, "declined: hash, row lengths, walk");
-
-    let eager = service_over(HandedFullViews(forest.clone()), 1, policy);
-    passes::reset();
-    assert!(!eager.register_partitioned(band.clone()).unwrap().is_partitioned());
-    assert_eq!(passes::count(), 3 + 1 + shards, "handed full views: a remainder walk whole and per shard");
-
-    // Several regimes, two workers: admitted.
-    let several = hetero(4_000, 150, 60, 9).to_format(FormatId::Csr, &opts).unwrap();
-    assert!(mixed(&several));
-    let lazy = service_over(forest, 2, policy);
-    passes::reset();
-    let admitted = lazy.register_partitioned(several).unwrap();
-    assert!(admitted.is_partitioned());
-    let walked_for: Vec<FormatId> =
-        admitted.partition().unwrap().shards().iter().map(|s| s.format_id()).collect();
-    let late = walked_for.iter().filter(|f| matches!(f, FormatId::Bsr | FormatId::Hdc)).count() as u64;
-    assert_eq!(
-        passes::count(),
-        4 + 2 + 1 + 2 * late,
-        "admitted: hash, row lengths, walk, shard hashes; block counts and remainder of the whole; the split \
-         (and both walks of a shard decided BSR or HDC: {walked_for:?})"
-    );
-}
-
-/// Always the one format, at its default parameters.
-struct Always(FormatId);
-
-impl FormatTuner<f64> for Always {
-    fn name(&self) -> &'static str {
-        "always"
-    }
-
-    fn select(&self, _: &DynamicMatrix<f64>, _: &MatrixAnalysis, _: &VirtualEngine, op: Op) -> TuneDecision {
-        let params = morpheus_repro::morpheus::FormatParams::default();
-        TuneDecision { format: self.0, params, op, cost: TuningCost::default() }
-    }
-}
-
-/// A shard decision that reaches the gate from the decision cache or a
-/// decisions file is priced there like any other — and HDC, on a mixed split,
-/// from a remainder the model tuner's shard views were assembled without:
-/// the walk is taken on the hit path too. Seeded with HDC for every shard,
-/// the forest's service serves the handle of the one handed full views —
-/// verdict, shards, gate numbers, bitwise `y` — gate on and off, from the
-/// file (entries without gate numbers) and again from the cache.
-#[test]
-fn a_seeded_hdc_shard_decision_is_priced_as_for_a_tuner_handed_full_views() {
-    let mut rng = StdRng::seed_from_u64(41);
-    let m = DynamicMatrix::from(banded::diag_plus_scatter(6_000, 9_000, &mut rng));
-    let target = PartitionPolicy { target_shard_nnz: Some(4_000), ..Default::default() };
-    let seeding = service_over(Always(FormatId::Hdc), 2, PartitionPolicy { cost_gate: false, ..target });
-    let seeded = seeding.register_partitioned(m.clone()).unwrap();
-    let shards = seeded.partition().expect("the gate is off").shards();
-    assert!(shards.len() >= 3 && shards.iter().all(|s| s.format_id() == FormatId::Hdc));
-    for s in shards {
-        let a = analysis_of(s.matrix());
-        assert!(0 < a.true_diag_nnz && a.true_diag_nnz < a.nnz(), "rows {:?}: a mixed split", s.rows());
-    }
-    let decisions = exported(&seeding);
-
-    let forest = fitted_forest();
-    let x: Vec<f64> = (0..m.ncols()).map(|i| ((i % 29) as f64 - 14.0) * 0.125).collect();
-    for gate in [true, false] {
-        let policy = PartitionPolicy { cost_gate: gate, ..target };
-        let lazy = service_over(forest.clone(), 2, policy);
-        let eager = service_over(HandedFullViews(forest.clone()), 2, policy);
-        let imported = lazy.import_decisions(std::io::Cursor::new(decisions.as_bytes())).unwrap();
-        assert_eq!(imported, eager.import_decisions(std::io::Cursor::new(decisions.as_bytes())).unwrap());
-        assert_eq!(imported, shards.len());
-        for round in ["from the file", "from the cache"] {
-            let what = format!("gate {gate}, {round}");
-            let got = lazy.register_partitioned(m.clone()).unwrap();
-            let want = eager.register_partitioned(m.clone()).unwrap();
-            assert!(gate || got.is_partitioned(), "{what}");
-            assert_eq!(got.is_partitioned(), want.is_partitioned(), "{what}: gate verdict");
-            if let (Some(got), Some(want)) = (got.partition(), want.partition()) {
-                assert!(got.shards().iter().all(|s| s.format_id() == FormatId::Hdc), "{what}: seeded shards");
-                for (g, w) in got.shards().iter().zip(want.shards()) {
-                    assert_eq!((g.rows(), g.matrix()), (w.rows(), w.matrix()), "{what}: shard");
-                }
-            }
-            let (mut y, mut y_want) = (vec![f64::NAN; m.nrows()], vec![f64::NAN; m.nrows()]);
-            lazy.spmv(&got, &x, &mut y).unwrap();
-            eager.spmv(&want, &x, &mut y_want).unwrap();
-            assert!(bitwise_eq(&y, &y_want), "{what}: y");
-        }
-        assert_eq!(exported(&lazy), exported(&eager), "gate {gate}: the decisions cached");
-    }
-}
-
-/// The gate decides shards without keys, so nothing the service cached
-/// itself reaches it; a decision imported from a file — the one entry its
-/// own tuner would not make again — still does. A service whose tuner
-/// answers CSR for every shard declines a partition that a forest's
-/// service admits; with the forest's decisions imported it admits it, in
-/// the imported shard formats, and once its cache is cleared it declines
-/// again.
-#[test]
-fn imported_shard_decisions_steer_the_gate() {
-    let policy = PartitionPolicy { target_shard_nnz: Some(4_000), ..Default::default() };
-    let m = hetero(4_000, 150, 60, 9);
-    let seeding = service_over(fitted_forest(), 2, policy);
-    let seeded = seeding.register_partitioned(m.clone()).unwrap();
-    let formats = |h: &morpheus_repro::oracle::MatrixHandle<f64>| -> Vec<FormatId> {
-        h.partition().expect("admitted").shards().iter().map(|s| s.format_id()).collect()
-    };
-    let want = formats(&seeded);
-    assert!(want.iter().any(|&f| f != FormatId::Csr), "{want:?}");
-
-    let service = service_over(Always(FormatId::Csr), 2, policy);
-    passes::reset();
-    assert!(!service.register_partitioned(m.clone()).unwrap().is_partitioned(), "its own answers decline");
-    let declined = passes::count();
-    service.import_decisions(std::io::Cursor::new(exported(&seeding).as_bytes())).unwrap();
-    let steered = service.register_partitioned(m.clone()).unwrap();
-    assert_eq!(formats(&steered), want, "imported shard formats, admitted");
-    service.clear_cache();
-    passes::reset();
-    assert!(!service.register_partitioned(m).unwrap().is_partitioned(), "no imports left to steer it");
-    assert_eq!(passes::count(), declined, "and none to key the shards for");
 }
 
 /// The report of a partitioned handle says what registration did: summed
