@@ -429,6 +429,43 @@ fn register_partitioned_under_the_default_policy_is_register_f32() {
     register_partitioned_is_register::<f32>();
 }
 
+/// Under the default policy `register_partitioned` traverses the matrix
+/// exactly as often as `register`, whatever shard count the policy would
+/// ask for: no row-length sweep, no shard hash, no split and no per-shard
+/// walk — nothing is paid for shards that are not built.
+#[test]
+fn rejected_partition_traversals_do_not_grow_with_the_shard_count() {
+    let mut rng = StdRng::seed_from_u64(5);
+    // One regime throughout: shards buy nothing at one worker.
+    let m = DynamicMatrix::from(hub_plus_banded(6_000, 0, 0, 4, &mut rng));
+    let plain = gated_service(1, PartitionPolicy::default());
+    passes::reset();
+    let whole = plain.register(m.clone()).unwrap();
+    let register_passes = passes::count();
+
+    let mut shard_counts = Vec::new();
+    for max_shards in [4, 6, 8] {
+        let policy = PartitionPolicy {
+            target_shard_nnz: Some(4_000),
+            max_shards: Some(max_shards),
+            ..Default::default()
+        };
+        let shards = Partition::from_analysis(&analysis_of(&m), &policy.config(1)).num_shards();
+        shard_counts.push(shards);
+        let service = gated_service(1, policy);
+        passes::reset();
+        let h = service.register_partitioned(m.clone()).unwrap();
+        let partitioned_passes = passes::count();
+        assert!(!h.is_partitioned(), "a single-regime band must be served whole ({shards} shards)");
+        assert_eq!(h.format_id(), whole.format_id());
+        assert_eq!(
+            partitioned_passes, register_passes,
+            "register_partitioned under the default policy over {shards} shards: {register_passes} for register"
+        );
+    }
+    assert_eq!(shard_counts, [4, 6, 8], "the policy must ask for each shard count");
+}
+
 /// A `register_partitioned` under the default policy leaves one decision
 /// behind: the whole matrix's, keyed by its CSR form, which it is served
 /// by. No shard is looked up, counted or given a slot of the decision
