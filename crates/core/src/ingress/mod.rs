@@ -13,8 +13,8 @@
 //!   Backpressure::TenantQuota  │
 //!   Backpressure::QueueFull    │
 //!                              ▼
-//!               drained by the thread waiting on a ticket, or by the pump;
-//!               deadline expired while queued?
+//!               drained one request at a time, by the thread waiting on
+//!               a ticket and by the pump; deadline expired when it starts?
 //!               shed: Backpressure::DeadlineExpired
 //! ```
 //!
@@ -24,27 +24,31 @@
 //!   own quota, not the queue. The queue itself is bounded; both refusals
 //!   are immediate typed [`Backpressure`] errors, never blocking waits.
 //! * **Execution** — a thread waiting on a ticket is an executor.
-//!   [`Ticket::wait`] returns the reply if it is there; otherwise it drains
-//!   whatever is queued, without blocking, and runs that batch on the
-//!   calling thread; only when nothing was queued does it block on the
-//!   reply. A caller that just wrote `x` runs the kernel with `x` in its
-//!   own cache, and its request pays no thread hand-off. The pump thread
-//!   drains what nobody waits on: tickets polled with
-//!   [`Ticket::try_wait`], batches released by [`Ingress::resume`], and
-//!   everything still queued at shutdown. Every request of a drained batch
-//!   runs as its own planned SpMV over its [`MatrixHandle`]'s shared
-//!   [`ExecPlan`](morpheus::ExecPlan), in submission order, bitwise the
-//!   direct [`OracleService::spmv`]. Queued SpMVs are not merged into an
-//!   SpMM: on the ingress workload a coalesced column cost more than the
-//!   SpMV it replaced. A caller holding `k` vectors calls
-//!   [`OracleService::spmm`] itself.
+//!   [`Ticket::wait`] returns the reply if it is there; otherwise it takes
+//!   the oldest queued request, without blocking, runs it on the calling
+//!   thread and looks for its reply again; only when nothing is queued
+//!   does it block on the reply. A caller that just wrote `x` runs the
+//!   kernel with `x` in its own cache, and its request pays no thread
+//!   hand-off. The pump thread wakes on the first push and takes requests
+//!   the same way, one at a time, so the pump and a waiter run one burst's
+//!   requests at the same time; it alone runs what nobody waits on:
+//!   tickets polled with [`Ticket::try_wait`], work released by
+//!   [`Ingress::resume`] before anyone waits, and the shedding at
+//!   shutdown. Every request runs as its own planned SpMV over its
+//!   [`MatrixHandle`]'s shared [`ExecPlan`](morpheus::ExecPlan), started
+//!   in submission order, bitwise the direct [`OracleService::spmv`].
+//!   Queued SpMVs are not merged into an SpMM: on the ingress workload a
+//!   coalesced column cost more than the SpMV it replaced. A caller
+//!   holding `k` vectors calls [`OracleService::spmm`] itself.
 //! * **SLO enforcement** — requests carry deadlines (explicit, or
-//!   [`IngressConfig::default_slo`]). Work that expires while queued is
-//!   shed with [`Backpressure::DeadlineExpired`] *before* any kernel runs;
+//!   [`IngressConfig::default_slo`]). A request is checked against its
+//!   deadline when an executor takes it, just before its kernel would
+//!   start; one that expired while queued is shed with
+//!   [`Backpressure::DeadlineExpired`] *before* any kernel runs;
 //!   work that finishes late still delivers and is counted as a deadline
 //!   miss. See [`slo`] for the exact semantics.
 //!
-//! The pump and any number of waiters may run batches at the same time;
+//! The pump and any number of waiters may run requests at the same time;
 //! each request is drained exactly once, under the queue's mutex. Ingress
 //! work never takes the direct path's counted pool-busy serial fallback
 //! — overload surfaces as typed backpressure at admission instead — and
@@ -148,8 +152,8 @@ pub enum IngressError {
     /// Execution itself failed; nothing was delivered. Each failed request
     /// carries its own error.
     Exec(Arc<OracleError>),
-    /// The thread that ran the request's batch disappeared without
-    /// resolving the ticket (it panicked); a bug, not an overload signal.
+    /// The thread that ran the request disappeared without resolving the
+    /// ticket (it panicked); a bug, not an overload signal.
     Disconnected,
 }
 
@@ -159,7 +163,7 @@ impl fmt::Display for IngressError {
             IngressError::Backpressure(b) => write!(f, "backpressure: {b}"),
             IngressError::Rejected(why) => write!(f, "request rejected: {why}"),
             IngressError::Exec(e) => write!(f, "execution failed: {e}"),
-            IngressError::Disconnected => write!(f, "the thread running the request's batch disconnected"),
+            IngressError::Disconnected => write!(f, "the thread running the request disconnected"),
         }
     }
 }
@@ -360,10 +364,11 @@ impl<V: Scalar> Ticket<V> {
     /// Blocks until the request resolves: `y = A x` on success, typed
     /// backpressure or the execution error otherwise.
     ///
-    /// While the reply is not there, the calling thread drains whatever is
-    /// queued and runs it, exactly as the pump would — its own request and
-    /// any drained with it, other clients' included — and blocks only once
-    /// nothing is queued. A paused or closed ingress runs nothing here.
+    /// While the reply is not there, the calling thread takes the oldest
+    /// queued request and runs it, exactly as the pump would — its own or
+    /// another client's — one request at a time, looking for its reply
+    /// between them, and blocks only once nothing is queued. A paused or
+    /// closed ingress runs nothing here.
     pub fn wait(self) -> Result<Vec<V>, IngressError> {
         loop {
             if let Some(result) = self.try_wait() {
@@ -388,8 +393,8 @@ impl<V: Scalar> Ticket<V> {
 
 /// What a [`Ticket`] needs of its ingress, without its tuner type.
 trait Executor: Send + Sync {
-    /// Drains the queue without blocking and runs the batch on the calling
-    /// thread; `false` when there was nothing to run.
+    /// Takes the oldest queued request without blocking and runs it on the
+    /// calling thread; `false` when there was nothing to run.
     fn run_queued(&self) -> bool;
 }
 
@@ -402,36 +407,34 @@ struct Shared<T> {
 }
 
 impl<T: Send + Sync> Shared<T> {
-    /// Runs a drained batch on the calling thread — the pump's and every
-    /// waiter's one path: sheds the expired requests, then runs each of the
-    /// others as one planned SpMV, in submission order.
-    fn run_batch(&self, drained: Vec<QueuedRequest<T>>) {
+    /// Runs a drained request on the calling thread — the pump's and every
+    /// waiter's one path: sheds it if its deadline passed while it was
+    /// queued, else runs it as one planned SpMV.
+    fn run(&self, mut req: QueuedRequest<T>) {
         let stats = &self.stats;
         stats.queue_depth.set(self.queue.depth());
         let now = Instant::now();
-        for mut req in drained {
-            if slo::expired(req.meta.deadline, now) {
-                stats.shed_deadline.inc();
-                stats.resolve_request(&mut req.meta, 2);
-                req.job.shed(Backpressure::DeadlineExpired);
-                continue;
-            }
-            if req.meta.trace.is_some() {
-                let wait_ns =
-                    now.saturating_duration_since(req.meta.submitted).as_nanos().min(u64::MAX as u128) as u64;
-                stats.queue_wait_hist.record_ns(wait_ns);
-                let start_ns = stats.obs.instant_ns(req.meta.submitted);
-                stats.stage_span(&mut req.meta, Stage::QueueWait, start_ns, wait_ns, 0);
-            }
-            stats.direct_requests.inc();
-            req.job.run_direct(&self.service, stats, &mut req.meta);
+        if slo::expired(req.meta.deadline, now) {
+            stats.shed_deadline.inc();
+            stats.resolve_request(&mut req.meta, 2);
+            req.job.shed(Backpressure::DeadlineExpired);
+            return;
         }
+        if req.meta.trace.is_some() {
+            let wait_ns =
+                now.saturating_duration_since(req.meta.submitted).as_nanos().min(u64::MAX as u128) as u64;
+            stats.queue_wait_hist.record_ns(wait_ns);
+            let start_ns = stats.obs.instant_ns(req.meta.submitted);
+            stats.stage_span(&mut req.meta, Stage::QueueWait, start_ns, wait_ns, 0);
+        }
+        stats.direct_requests.inc();
+        req.job.run_direct(&self.service, stats, &mut req.meta);
     }
 }
 
 impl<T: Send + Sync> Executor for Shared<T> {
     fn run_queued(&self) -> bool {
-        self.queue.try_drain().map(|drained| self.run_batch(drained)).is_some()
+        self.queue.try_drain().map(|req| self.run(req)).is_some()
     }
 }
 
@@ -608,15 +611,16 @@ impl<T: Send + Sync + 'static> Ingress<T> {
     /// Holds queued work back from every executor. Submissions still
     /// admit (up to queue capacity and quotas); nothing executes until
     /// [`Ingress::resume`], not even on a thread blocked in
-    /// [`Ticket::wait`]. Deterministic-batch construction for tests and
-    /// benchmarks — paused queues do not shed on a timer, deadlines are
-    /// re-checked when the batch is drained after resuming.
+    /// [`Ticket::wait`]. Deterministic-burst construction for tests and
+    /// benchmarks — paused queues do not shed on a timer, each request's
+    /// deadline is checked when it is drained after resuming.
     pub fn pause(&self) {
         self.shared.queue.pause();
     }
 
-    /// Releases [`Ingress::pause`]; everything queued drains as one batch,
-    /// run by the pump unless a waiter gets to it first.
+    /// Releases [`Ingress::pause`]; what is queued drains one request at a
+    /// time, in submission order, run by the pump and by any thread waiting
+    /// on a ticket.
     pub fn resume(&self) {
         self.shared.queue.resume();
     }
@@ -631,21 +635,20 @@ impl<T: Send + Sync + 'static> Drop for Ingress<T> {
     }
 }
 
-/// The pump: drain → (run the batch | shed it on shutdown), until the queue
-/// closes and empties. Whether a batch is shed is what [`SubmissionQueue::drain`]
-/// saw under the lock it drained under: a batch drained while the queue was
-/// open runs, even if the queue closes before it does.
+/// The pump: drain one request → (run it | shed it on shutdown), until the
+/// queue closes and empties. Whether a request is shed is what
+/// [`SubmissionQueue::drain`] saw under the lock it drained under: a request
+/// drained while the queue was open runs, even if the queue closes before
+/// it does.
 fn pump_loop<T: Send + Sync>(shared: &Shared<T>) {
     while let Some(drained) = shared.queue.drain() {
         match drained {
-            Drained::Run(batch) => shared.run_batch(batch),
-            Drained::Shed(batch) => {
+            Drained::Run(req) => shared.run(req),
+            Drained::Shed(mut req) => {
                 shared.stats.queue_depth.set(shared.queue.depth());
-                for mut req in batch {
-                    shared.stats.shed_shutdown.inc();
-                    shared.stats.resolve_request(&mut req.meta, 2);
-                    req.job.shed(Backpressure::ShuttingDown);
-                }
+                shared.stats.shed_shutdown.inc();
+                shared.stats.resolve_request(&mut req.meta, 2);
+                req.job.shed(Backpressure::ShuttingDown);
             }
         }
     }

@@ -4,13 +4,14 @@
 //! The queue is a bounded `VecDeque` under a `std::sync::Mutex` with a
 //! `Condvar` pump wake-up — deliberately the plainest possible MPMC: the
 //! vendored channel exposes neither depth nor timed receives, and the
-//! executors need a drain-everything primitive, blocking for the pump and
+//! executors need a take-the-oldest primitive, blocking for the pump and
 //! non-blocking for a waiting ticket, plus a depth gauge (for the stats
-//! surface). Draining everything at once means one lock hold per batch,
-//! not per request, and a waiter that finds work queued runs all of it
-//! before it blocks. Submitters never block: a full queue is an immediate
-//! [`Backpressure::QueueFull`], the explicit replacement for queueing
-//! behind other clients.
+//! surface). Every drain hands out one request, in submission order: one
+//! lock hold per request, so the pump and a waiter pull one burst's
+//! requests between them and run them at the same time, and each request
+//! is checked against its deadline when it starts. Submitters never
+//! block: a full queue is an immediate [`Backpressure::QueueFull`], the
+//! explicit replacement for queueing behind other clients.
 //!
 //! Requests are stored type-erased ([`ErasedJob`]) so one queue carries
 //! `f32` and `f64` traffic at once; each runs through its own concrete
@@ -119,8 +120,8 @@ impl<V: Scalar> Job<V> {
     }
 }
 
-/// Scalar-erased view of a [`Job<V>`], so one queue and one batch runner
-/// carry every scalar type.
+/// Scalar-erased view of a [`Job<V>`], so one queue and one runner carry
+/// every scalar type.
 pub(crate) trait ErasedJob<T>: Send {
     /// Executes this single request through the service's queued-execution
     /// path, accounts the outcome (completed/failed/deadline-miss) in
@@ -170,13 +171,13 @@ pub(crate) struct QueuedRequest<T> {
     pub(crate) job: Box<dyn ErasedJob<T>>,
 }
 
-/// A batch [`SubmissionQueue::drain`] took, and what the queue's state said
-/// to do with it when it was taken.
+/// The request [`SubmissionQueue::drain`] took, and what the queue's state
+/// said to do with it when it was taken.
 pub(crate) enum Drained<T> {
     /// Drained while the queue was open: execute it.
-    Run(Vec<QueuedRequest<T>>),
+    Run(QueuedRequest<T>),
     /// Drained after [`SubmissionQueue::close`]: shed it, nothing executes.
-    Shed(Vec<QueuedRequest<T>>),
+    Shed(QueuedRequest<T>),
 }
 
 /// Outcome of a push attempt; the request is handed back on refusal so
@@ -230,43 +231,43 @@ impl<T> SubmissionQueue<T> {
     }
 
     /// Blocks until work is available (and the queue is not paused), then
-    /// drains **everything** queued at that instant, as [`Drained::Run`].
-    /// After close, remaining items are still handed out (paused or not),
-    /// as [`Drained::Shed`]: the verdict is taken under the same lock hold
-    /// as the items, so a close that lands after the drain cannot turn a
-    /// batch taken from an open queue into one to shed. Returns `None`
-    /// once the queue is closed and empty.
+    /// takes the **oldest** queued request, as [`Drained::Run`]. After
+    /// close, remaining requests are still handed out one at a time (paused
+    /// or not), as [`Drained::Shed`]: the verdict is taken under the same
+    /// lock hold as the request, so a close that lands after the drain
+    /// cannot turn a request taken from an open queue into one to shed.
+    /// Returns `None` once the queue is closed and empty.
     pub(crate) fn drain(&self) -> Option<Drained<T>> {
         let mut st = self.state.lock().expect("ingress queue poisoned");
         loop {
             if st.closed {
-                if st.items.is_empty() {
-                    return None;
-                }
-                return Some(Drained::Shed(self.take_all(&mut st)));
+                return self.take_one(&mut st).map(Drained::Shed);
             }
-            if !st.items.is_empty() && !st.paused {
-                return Some(Drained::Run(self.take_all(&mut st)));
+            if !st.paused {
+                if let Some(req) = self.take_one(&mut st) {
+                    return Some(Drained::Run(req));
+                }
             }
             st = self.wakeup.wait(st).expect("ingress queue poisoned");
         }
     }
 
     /// [`SubmissionQueue::drain`] without blocking, for a waiting ticket:
-    /// everything queued, or `None` when the queue is empty, paused or
-    /// closed — a paused queue runs nothing until resumed, and a closed
+    /// the oldest queued request, or `None` when the queue is empty, paused
+    /// or closed — a paused queue runs nothing until resumed, and a closed
     /// one is the pump's to shed.
-    pub(crate) fn try_drain(&self) -> Option<Vec<QueuedRequest<T>>> {
+    pub(crate) fn try_drain(&self) -> Option<QueuedRequest<T>> {
         let mut st = self.state.lock().expect("ingress queue poisoned");
-        if st.closed || st.paused || st.items.is_empty() {
+        if st.closed || st.paused {
             return None;
         }
-        Some(self.take_all(&mut st))
+        self.take_one(&mut st)
     }
 
-    fn take_all(&self, st: &mut QueueState<T>) -> Vec<QueuedRequest<T>> {
-        self.depth.store(0, Ordering::Relaxed);
-        st.items.drain(..).collect()
+    fn take_one(&self, st: &mut QueueState<T>) -> Option<QueuedRequest<T>> {
+        let req = st.items.pop_front()?;
+        self.depth.store(st.items.len() as u64, Ordering::Relaxed);
+        Some(req)
     }
 
     /// Current queue length (lock-free; the stats gauge).
@@ -281,7 +282,7 @@ impl<T> SubmissionQueue<T> {
     }
 
     /// Holds queued work back from every executor (used to build deterministic
-    /// batches; see [`Ingress::pause`](super::Ingress::pause)).
+    /// bursts; see [`Ingress::pause`](super::Ingress::pause)).
     pub(crate) fn pause(&self) {
         self.state.lock().expect("ingress queue poisoned").paused = true;
     }
@@ -296,6 +297,90 @@ impl<T> SubmissionQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A queue entry that never executes; its trace id is its tag.
+    struct Probe;
+
+    impl<T> ErasedJob<T> for Probe {
+        fn run_direct(&mut self, _: &OracleService<T>, _: &StatsCells, _: &mut JobMeta) {
+            unreachable!("the queue never executes a request");
+        }
+        fn shed(&mut self, _: Backpressure) {}
+    }
+
+    fn request(tag: u64) -> QueuedRequest<()> {
+        let meta =
+            JobMeta { deadline: None, trace: TraceId(tag), submitted: Instant::now(), spans: Vec::new() };
+        QueuedRequest { meta, job: Box::new(Probe) }
+    }
+
+    fn queue_of(tags: std::ops::Range<u64>) -> SubmissionQueue<()> {
+        let q = SubmissionQueue::new(16);
+        for tag in tags {
+            assert!(q.push(request(tag)).is_ok());
+        }
+        q
+    }
+
+    fn tag(req: &QueuedRequest<()>) -> u64 {
+        req.meta.trace.0
+    }
+
+    #[test]
+    fn each_drain_takes_one_request_in_submission_order() {
+        let q = queue_of(1..5);
+        assert_eq!(q.try_drain().as_ref().map(tag), Some(1));
+        assert_eq!(q.depth(), 3);
+        match q.drain() {
+            Some(Drained::Run(req)) => assert_eq!(tag(&req), 2),
+            _ => panic!("an open queue with work must hand out Run"),
+        }
+        assert_eq!(q.depth(), 2);
+        assert_eq!(q.try_drain().as_ref().map(tag), Some(3));
+        assert!(q.push(request(5)).is_ok());
+        assert_eq!(q.try_drain().as_ref().map(tag), Some(4));
+        assert_eq!(q.try_drain().as_ref().map(tag), Some(5));
+        assert!(q.try_drain().is_none());
+        assert_eq!(q.depth(), 0);
+    }
+
+    #[test]
+    fn a_paused_queue_hands_out_nothing_until_resumed() {
+        let q = queue_of(1..3);
+        q.pause();
+        assert!(q.try_drain().is_none());
+        assert_eq!(q.depth(), 2);
+        // A blocked pump stays blocked while paused and takes the oldest
+        // request once resumed.
+        std::thread::scope(|s| {
+            let pump = s.spawn(|| match q.drain() {
+                Some(Drained::Run(req)) => tag(&req),
+                _ => panic!("a resumed queue must hand out Run"),
+            });
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!pump.is_finished(), "a paused queue handed out a request");
+            q.resume();
+            assert_eq!(pump.join().unwrap(), 1);
+        });
+        assert_eq!(q.try_drain().as_ref().map(tag), Some(2));
+    }
+
+    #[test]
+    fn a_closed_queue_sheds_what_remains_one_request_at_a_time() {
+        let q = queue_of(1..4);
+        q.pause();
+        q.close();
+        assert!(q.try_drain().is_none(), "a closed queue is the pump's to shed");
+        assert!(matches!(q.push(request(9)), Err(PushRefused::Closed(_))));
+        for expect in 1..4 {
+            match q.drain() {
+                Some(Drained::Shed(req)) => assert_eq!(tag(&req), expect),
+                _ => panic!("a closed queue must shed request {expect}"),
+            }
+            assert_eq!(q.depth(), 3 - expect);
+        }
+        assert!(q.drain().is_none());
+    }
 
     #[test]
     fn tenant_quota_admits_up_to_limit_and_releases_on_drop() {

@@ -91,7 +91,7 @@ impl Histogram {
 }
 
 /// An owned point-in-time view of a [`Histogram`]: the quantile and
-/// merge/delta arithmetic lives here so summaries from different threads,
+/// merge arithmetic lives here so summaries from different threads,
 /// services or bench phases compose without touching the live cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistSummary {
@@ -180,24 +180,6 @@ impl HistSummary {
         self.sum_ns += other.sum_ns;
         self.max_ns = self.max_ns.max(other.max_ns);
     }
-
-    /// The samples recorded *since* `earlier` was taken of the same
-    /// histogram: per-bucket and count/sum subtraction (saturating, so a
-    /// mismatched pair degrades to zeros instead of wrapping). The
-    /// maximum is not subtractable — the delta keeps the current max,
-    /// which upper-bounds the window's true max.
-    pub fn delta_since(&self, earlier: &HistSummary) -> HistSummary {
-        let mut buckets = [0u64; HIST_BUCKETS];
-        for ((d, b), e) in buckets.iter_mut().zip(&self.buckets).zip(&earlier.buckets) {
-            *d = b.saturating_sub(*e);
-        }
-        HistSummary {
-            buckets,
-            count: self.count.saturating_sub(earlier.count),
-            sum_ns: self.sum_ns.saturating_sub(earlier.sum_ns),
-            max_ns: self.max_ns,
-        }
-    }
 }
 
 /// Linear-interpolation percentile of an *unsorted* sample (numpy's
@@ -267,7 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_and_delta_subtracts() {
+    fn merge_adds() {
         let a = Histogram::new();
         let b = Histogram::new();
         for ns in [10u64, 20, 30] {
@@ -279,15 +261,6 @@ mod tests {
         assert_eq!(m.count, 4);
         assert_eq!(m.sum_ns, 1060);
         assert_eq!(m.max_ns, 1000);
-
-        let before = a.summary();
-        a.record_ns(500);
-        a.record_ns(600);
-        let d = a.summary().delta_since(&before);
-        assert_eq!(d.count, 2);
-        assert_eq!(d.sum_ns, 1100);
-        let p50 = d.p50_ns();
-        assert!((256..=1024).contains(&p50), "windowed p50 {p50}");
     }
 
     #[test]

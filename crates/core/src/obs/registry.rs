@@ -113,10 +113,7 @@ impl MetricsRegistry {
     }
 }
 
-/// An owned, sorted copy of the registry at one instant. Two snapshots
-/// of the same registry can be compared (via [`HistSummary::delta_since`]
-/// and counter subtraction) to isolate a measurement window on a shared
-/// service.
+/// An owned, sorted copy of the registry at one instant.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// `(name, value)` pairs, sorted by name.

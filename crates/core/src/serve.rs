@@ -1047,7 +1047,7 @@ impl<T> OracleService<T> {
     }
 
     /// One queued SpMV through [`Self::execute`], on whichever thread
-    /// drained the ingress batch — the pump or a thread waiting on a
+    /// drained the ingress request — the pump or a thread waiting on a
     /// ticket: a busy pool is not dodged (see the ladder there), so two
     /// such executors at once run the later one's plan inline on its own
     /// thread (rung 2). `trace` feeds the fine-level per-shard spans of

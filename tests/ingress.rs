@@ -5,10 +5,12 @@
 //! partial results, and per-tenant admission must keep a greedy tenant
 //! from starving the rest.
 //!
-//! Determinism: every test that counts batches pauses the ingress before
-//! submitting, so one executor — the pump, or the first thread to wait —
-//! drains one exactly-known batch when resumed: batches are constructed,
-//! not raced for.
+//! Determinism: every test that counts requests pauses the ingress before
+//! submitting, so an exactly-known burst is queued when it resumes. The
+//! executors — the pump and any thread waiting on a ticket — then take it
+//! one request at a time, in submission order: which executor runs a
+//! request is raced for, what the burst holds and the order it starts in
+//! are not.
 
 use morpheus_repro::machine::{systems, Backend, MatrixAnalysis, Op, VirtualEngine};
 use morpheus_repro::morpheus::format::{FormatId, ALL_FORMATS};
@@ -243,6 +245,48 @@ fn expired_deadlines_shed_with_typed_backpressure_and_no_partial_results() {
     // The shed request never reached a kernel: only the healthy request
     // (plus the reference above) count as handle executions.
     assert_eq!(served(), executed_before + 2);
+}
+
+/// A request's deadline is checked when an executor takes it, not when
+/// the requests ahead of it were taken: queued behind sixteen SpMVs of a
+/// large handle, a request whose deadline passes while they run is shed
+/// before any kernel runs, not delivered late.
+#[test]
+fn a_deadline_that_passes_behind_earlier_requests_is_shed() {
+    let service = fixed_service(FormatId::Csr);
+    // About 2 M stored entries: sixteen SpMVs take far longer than 2 ms.
+    let n = 700_000usize;
+    let h = service.register(matrix::<f64>(n)).unwrap();
+    let x = input(n, 0);
+
+    let ingress = Ingress::start(Arc::clone(&service), IngressConfig::default());
+    ingress.pause();
+    let ahead: Vec<_> = (0..16).map(|_| ingress.submit("t", &h, x.clone()).unwrap()).collect();
+    let doomed =
+        ingress.submit_with_deadline("t", &h, x.clone(), Instant::now() + Duration::from_millis(2)).unwrap();
+    ingress.resume();
+
+    // Only polled, so only the pump executes: the queue is run in order.
+    let verdict = loop {
+        if let Some(result) = doomed.try_wait() {
+            break result;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    match verdict {
+        Err(IngressError::Backpressure(Backpressure::DeadlineExpired)) => {}
+        other => panic!(
+            "a request that expired behind earlier ones must be shed, got {:?}",
+            other.map(|y| y.len())
+        ),
+    }
+    for t in ahead {
+        t.wait().expect("requests without a deadline execute");
+    }
+    let stats = ingress.stats();
+    assert_eq!(stats.shed_deadline, 1, "{stats:?}");
+    assert_eq!(stats.deadline_misses, 0, "{stats:?}");
+    assert_eq!(stats.completed, 16, "{stats:?}");
 }
 
 #[test]
