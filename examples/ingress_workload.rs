@@ -53,9 +53,9 @@ fn main() {
     let x: Vec<f64> = (0..handle.ncols()).map(|i| 1.0 + (i % 11) as f64 * 0.5).collect();
 
     // Every tenant fires bursts of requests at the same handle, waiting
-    // each burst out before the next: the first wait drains whatever
-    // queued since the last drain, from every tenant, and runs it on the
-    // waiting thread, one planned SpMV per request.
+    // each burst out before the next: a waiting thread takes queued
+    // requests one at a time, from every tenant, and runs each as one
+    // planned SpMV, while the pump takes others alongside.
     let t0 = Instant::now();
     std::thread::scope(|s| {
         for t in 0..tenants {
