@@ -31,7 +31,7 @@
 //!   kernel with `x` in its own cache, and its request pays no thread
 //!   hand-off. The pump thread wakes on the first push and takes requests
 //!   the same way, one at a time, so the pump and a waiter run one burst's
-//!   requests at the same time; it alone runs what nobody waits on:
+//!   requests at the same time. The pump alone runs what nobody waits on:
 //!   tickets polled with [`Ticket::try_wait`], work released by
 //!   [`Ingress::resume`] before anyone waits, and the shedding at
 //!   shutdown. Every request runs as its own planned SpMV over its
