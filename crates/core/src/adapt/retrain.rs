@@ -18,7 +18,7 @@
 //!   picks between them by cross-validation ([`morpheus_ml::cv`]),
 //!   compares the winner to the incumbent on a common holdout split, and
 //!   only then swaps — persisting winners through
-//!   [`ModelDatabase`](crate::ModelDatabase) and falling back to the
+//!   [`ModelDatabase`] and falling back to the
 //!   analytical tuner when nothing meets the accuracy floor (the drift
 //!   guard).
 //!

@@ -13,10 +13,9 @@
 //! independently locked `LruMap` shards and owns the hit/miss accounting in
 //! atomics, so concurrent clients contend only when they hash to the same
 //! stripe, and `stats()` never blocks on the stripes for its counters. The
-//! decision cache of [`OracleService`](crate::OracleService) (and therefore
-//! of the [`Oracle`](crate::Oracle) facade over it) and its table of re-tune
-//! aliases are `ShardedLru`s; an execution plan lives in the decision entry
-//! it was built for.
+//! decision cache of an [`OracleService`](crate::OracleService) and its
+//! table of re-tune aliases are `ShardedLru`s; an execution plan lives in
+//! the decision entry it was built for.
 
 use morpheus_machine::Op;
 use std::collections::hash_map::Entry;
@@ -142,7 +141,7 @@ impl<K: Copy + Eq + Hash, V> LruMap<K, V> {
     }
 }
 
-/// Hit/miss counters and occupancy of an [`crate::Oracle`]'s cache.
+/// Hit/miss counters and occupancy of an [`crate::OracleService`]'s cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from cache.
@@ -167,8 +166,8 @@ impl CacheStats {
     }
 }
 
-/// Stripes a fresh [`ShardedLru`] uses unless overridden; a small power of
-/// two comfortably above typical client-thread counts.
+/// Stripes of a service's caches: a small power of two comfortably above
+/// typical client-thread counts.
 pub(crate) const DEFAULT_SHARDS: usize = 16;
 
 /// Fewest entries a stripe may be sized for: striping a small cache thin

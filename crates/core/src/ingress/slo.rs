@@ -8,7 +8,7 @@
 //! checks the deadline immediately before execution:
 //!
 //! * expired before execution → the request is **shed**: its ticket
-//!   resolves to [`IngressError::Backpressure`] with
+//!   resolves to [`IngressError::Backpressure`](crate::ingress::IngressError::Backpressure) with
 //!   [`Backpressure::DeadlineExpired`] and no kernel runs — a shed request
 //!   never observes partial results;
 //! * expired *during* execution → the result is still delivered (the work

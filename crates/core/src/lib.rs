@@ -3,11 +3,12 @@
 //!
 //! Oracle complements the dynamic format-switching of the `morpheus` crate
 //! by automating the *choice* of format for a sparse operation on a given
-//! target (system, backend). The public API is the [`Oracle`] **session
-//! facade**: one session owns the execution engine, a tuning strategy, the
-//! conversion policy and an LRU decision cache, and serves a stream of
-//! tuning requests — the shape of a production workload, where the cost of
-//! a prediction must amortise across many repeated executions (§VII-E).
+//! target (system, backend). The public API is one session type,
+//! [`OracleService`], also named [`Oracle`]: a session owns the execution
+//! engine, a tuning strategy, the conversion policy and an LRU decision
+//! cache, and serves a stream of tuning requests — the shape of a
+//! production workload, where the cost of a prediction must amortise across
+//! many repeated executions (§VII-E).
 //!
 //! Following the paper's design, "containers are separated from the
 //! algorithms": tuners encapsulate selection strategy and implement
@@ -21,10 +22,11 @@
 //! * [`RandomForestTuner`] — traverses an ensemble and majority-votes:
 //!   the paper's recommended operating point.
 //!
-//! Sessions are *operation-aware*: [`Oracle::tune`] targets SpMV,
-//! [`Oracle::tune_and_spmm`] targets the blocked product, and
-//! [`Oracle::tune_for`] takes any [`Op`] — the engine's cost model ranks
-//! formats differently per operation, and cached decisions are keyed by it.
+//! Sessions are *operation-aware*: [`OracleService::tune`] targets SpMV,
+//! [`OracleService::tune_and_spmm`] targets the blocked product, and
+//! [`OracleService::tune_for`] takes any [`Op`] — the engine's cost model
+//! ranks formats differently per operation, and cached decisions are keyed
+//! by it.
 //!
 //! Sessions are also *executors*: `tune_and_spmv` / `tune_and_spmm` run the
 //! operation on the backend matching the engine, and threaded execution
@@ -32,11 +34,11 @@
 //! schedules are computed once per matrix structure and replayed on every
 //! later call ([`TuneReport::plan`] reports `Built` vs `Reused`).
 //!
-//! For production serving, the session machinery is also available as the
-//! `Send + Sync` [`OracleService`] (module [`serve`]): sharded lock-striped
-//! caches shared by any number of client threads, plus a registered-matrix
-//! path ([`OracleService::register`] → [`MatrixHandle`]) that executes with
-//! zero locks and zero per-call allocation.
+//! Sessions are also *servers* (module [`serve`]): every method is `&self`
+//! and the session is `Send + Sync`, so one `Arc`'d session shares its
+//! sharded lock-striped caches with any number of client threads, and its
+//! registered-matrix path ([`OracleService::register`] → [`MatrixHandle`])
+//! executes with zero locks and zero per-call allocation.
 //!
 //! # Example: a tuning session
 //! ```
@@ -63,11 +65,11 @@
 //! let coo = CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap();
 //! let mut matrix = DynamicMatrix::from(coo);
 //!
-//! let mut oracle = Oracle::builder()
+//! let oracle = Oracle::builder()
 //!     .engine(VirtualEngine::new(systems::a64fx(), Backend::Serial))
 //!     .tuner(RunFirstTuner::new(10))
 //!     .cache_capacity(128)
-//!     .build()
+//!     .build_service()
 //!     .unwrap();
 //!
 //! let report = oracle.tune(&mut matrix).unwrap();
@@ -130,7 +132,7 @@ pub enum OracleError {
     Ml(morpheus_ml::MlError),
     /// A model incompatible with the tuner or feature schema was supplied.
     ModelMismatch(String),
-    /// An [`Oracle`] was misconfigured (e.g. built without an engine).
+    /// A session was misconfigured (e.g. built without an engine).
     InvalidConfig(String),
     /// I/O failure while exporting or importing cached decisions.
     Io(std::io::Error),

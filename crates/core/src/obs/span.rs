@@ -144,7 +144,7 @@ impl Slot {
 /// Lock-free fixed-capacity span ring (power-of-two capacity).
 ///
 /// Writers: `cursor.fetch_add(1)` claims slot `idx & mask`; the slot's
-/// sequence word is set to [`WRITING`], the payload stored, then the
+/// sequence word is set to `WRITING`, the payload stored, then the
 /// sequence published as `idx + 1` (release). Readers re-check the
 /// sequence around the payload read and drop torn records. A wrapped
 /// writer simply overwrites — recording never stalls a request.

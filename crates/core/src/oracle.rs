@@ -1,20 +1,15 @@
-//! The `Oracle` session facade: the crate's public tuning API.
+//! Building an Oracle session: [`OracleBuilder`] and the [`Oracle`] name.
 //!
 //! The paper's tuner pays for itself by amortising a cheap prediction over
-//! many repeated executions (§VI, §VII-E). A session object makes that
-//! amortisation real at the API level: one `Oracle` holds the engine, the
-//! tuner, the conversion policy and an LRU decision cache **whose entries
-//! own the execution plan of what they decided**, so a stream of tuning
-//! requests — the production shape of the workload — re-extracts features
-//! only for structures it has not seen before, and re-derives thread
-//! schedules only for decisions it has never executed.
-//!
-//! Since the serving-layer refactor, an `Oracle` is a thin single-owner
-//! wrapper over [`OracleService`] — the `Send + Sync` concurrent session in
-//! [`crate::serve`]. The facade keeps the familiar `&mut self` API (and the
-//! zero-surprise guarantee that nothing else touches its caches); call
-//! [`Oracle::into_service`] to promote a configured session into a shared
-//! service, or build one directly with [`OracleBuilder::build_service`].
+//! many repeated executions (§VI, §VII-E). One session object makes that
+//! amortisation real at the API level: an [`OracleService`] holds the
+//! engine, the tuner, the conversion policy and an LRU decision cache
+//! **whose entries own the execution plan of what they decided**, so a
+//! stream of tuning requests — the production shape of the workload —
+//! re-extracts features only for structures it has not seen before, and
+//! re-derives thread schedules only for decisions it has never executed.
+//! [`Oracle`] is the paper's name for that one type; every method is
+//! `&self`, so one session serves one caller or, behind an `Arc`, many.
 //!
 //! ```
 //! use morpheus::{CooMatrix, DynamicMatrix};
@@ -24,57 +19,46 @@
 //! let mut m = DynamicMatrix::from(
 //!     CooMatrix::<f32>::from_triplets(3, 3, &[0, 1, 2], &[0, 1, 2], &[1.0, 1.0, 1.0]).unwrap(),
 //! );
-//! let mut oracle = Oracle::builder()
+//! let oracle = Oracle::builder()
 //!     .engine(VirtualEngine::new(systems::a64fx(), Backend::Serial))
 //!     .tuner(RunFirstTuner::new(3))
-//!     .build()
+//!     .build_service()
 //!     .unwrap();
 //! let report = oracle.tune(&mut m).unwrap();
 //! assert_eq!(m.format_id(), report.chosen);
 //! ```
 
 use crate::adapt::SampleCollector;
-use crate::cache::{CacheStats, DEFAULT_SHARDS};
 use crate::obs::ObsConfig;
 use crate::serve::{OracleService, PartitionPolicy};
-use crate::tune::TuneReport;
-use crate::tuner::FormatTuner;
 use crate::{OracleError, Result};
-use morpheus::{ConvertOptions, DynamicMatrix, Scalar};
-use morpheus_machine::{Op, VirtualEngine};
+use morpheus::ConvertOptions;
+use morpheus_machine::VirtualEngine;
 
-/// Decisions a fresh [`Oracle`] keeps unless
+/// Decisions a fresh session keeps unless
 /// [`OracleBuilder::cache_capacity`] overrides it.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
-/// A tuning session: engine + tuner + conversion policy + decision cache
-/// (each entry with the execution plan of its decision).
+/// The tuning session of the paper: another name for [`OracleService`].
 ///
-/// Built via [`Oracle::builder`]. The tuner type `T` is generic so the
-/// session is zero-cost over concrete tuners and still accepts trait
-/// objects (`Box<dyn FormatTuner<f64>>`) when the strategy is chosen at
-/// runtime. Methods are generic over the matrix scalar: any `T`
-/// implementing [`FormatTuner`] for both `f32` and `f64` (all bundled
-/// tuners do) serves both precisions from one session, sharing one cache.
-///
-/// Internally this is a single-owner view of an [`OracleService`]; the
-/// `&mut self` receivers are an API guarantee (no aliasing of the session
-/// state), not a data-structure requirement.
-#[derive(Debug)]
-pub struct Oracle<T> {
-    service: OracleService<T>,
-}
+/// The tuner type `T` is generic so the session is zero-cost over concrete
+/// tuners and still accepts trait objects (`Box<dyn FormatTuner<f64>>`)
+/// when the strategy is chosen at runtime. Methods are generic over the
+/// matrix scalar: any `T` implementing [`crate::FormatTuner`] for both
+/// `f32` and `f64` (all bundled tuners do) serves both precisions from one
+/// session, sharing one cache.
+pub type Oracle<T = ()> = OracleService<T>;
 
-impl Oracle<()> {
+impl OracleService<()> {
     /// Starts building a session. [`OracleBuilder::engine`] and
-    /// [`OracleBuilder::tuner`] are mandatory.
+    /// [`OracleBuilder::tuner`] are mandatory; finish with
+    /// [`OracleBuilder::build_service`].
     pub fn builder() -> OracleBuilder<()> {
         OracleBuilder {
             engine: None,
             tuner: None,
             opts: ConvertOptions::default(),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            shards: DEFAULT_SHARDS,
             workers: None,
             collector: None,
             partition: PartitionPolicy::default(),
@@ -83,145 +67,13 @@ impl Oracle<()> {
     }
 }
 
-impl<T> Oracle<T> {
-    /// Tunes `m` for SpMV: selects a format (from cache when the structure
-    /// was seen before) and switches `m` to it in place.
-    ///
-    /// If the predicted format cannot be materialised (padding beyond
-    /// `ConvertOptions::max_fill`, which can happen when an ML model
-    /// mispredicts on an adversarial sparsity pattern), the matrix falls
-    /// back to CSR — the general-purpose default — rather than failing.
-    ///
-    /// A COO `m` is moved into CSR before it is hashed (see
-    /// [`OracleService::register`]): its decision is keyed by the CSR form,
-    /// and the report still names COO as `previous`.
-    pub fn tune<V>(&mut self, m: &mut DynamicMatrix<V>) -> Result<TuneReport>
-    where
-        V: Scalar,
-        T: FormatTuner<V>,
-    {
-        self.service.tune(m)
-    }
-
-    /// [`Oracle::tune`] for an arbitrary operation.
-    ///
-    /// On a cache miss the session builds one shared [`morpheus::Analysis`]
-    /// of the matrix (reusing the hash it just computed for the cache key)
-    /// and threads it through feature extraction *and* the eventual format
-    /// conversion, so planning the target layout never re-traverses the
-    /// matrix. On a hit, only the hash and the conversion are paid for.
-    pub fn tune_for<V>(&mut self, m: &mut DynamicMatrix<V>, op: Op) -> Result<TuneReport>
-    where
-        V: Scalar,
-        T: FormatTuner<V>,
-    {
-        self.service.tune_for(m, op)
-    }
-
-    /// Tunes `m` for SpMV, then executes `y = A x` in the selected format,
-    /// on the execution backend matching the session's engine (serial for
-    /// a Serial engine, the host thread pool otherwise).
-    ///
-    /// Threaded execution runs through the session's cached
-    /// [`morpheus::ExecPlan`] for the matrix structure: the first call
-    /// builds the plan (`report.plan == PlanStatus::Built`), subsequent
-    /// calls in an iterative loop replay it with zero scheduling work
-    /// (`PlanStatus::Reused`).
-    ///
-    /// Since the serving-layer refactor, sessions inherit the service's
-    /// latency-over-throughput policy: if the execution pool is busy with
-    /// *another* user's batch at call time (possible when the session runs
-    /// on the process-wide [`morpheus_parallel::global_pool`]; never from
-    /// this session's own calls, which are sequential), the plan's
-    /// bodies run inline on the calling thread — bitwise identical to the
-    /// pooled execution — instead of queueing, reported via
-    /// [`TuneReport::serial_fallback`]. Give the session a
-    /// private pool with [`OracleBuilder::workers`] to make the fallback
-    /// unreachable from outside.
-    pub fn tune_and_spmv<V>(&mut self, m: &mut DynamicMatrix<V>, x: &[V], y: &mut [V]) -> Result<TuneReport>
-    where
-        V: Scalar,
-        T: FormatTuner<V>,
-    {
-        self.service.tune_and_spmv(m, x, y)
-    }
-
-    /// Tunes `m` for SpMM with `k` right-hand sides, then executes
-    /// `Y = A X` (`x` row-major `ncols x k`, `y` row-major `nrows x k`) in
-    /// the selected format, serial or threaded-planned per the engine's
-    /// backend. SpMV and SpMM replay the *same* cached plan — the row
-    /// partition depends only on the structure. The busy-pool serial
-    /// fallback of [`Oracle::tune_and_spmv`] applies here too.
-    pub fn tune_and_spmm<V>(
-        &mut self,
-        m: &mut DynamicMatrix<V>,
-        x: &[V],
-        y: &mut [V],
-        k: usize,
-    ) -> Result<TuneReport>
-    where
-        V: Scalar,
-        T: FormatTuner<V>,
-    {
-        self.service.tune_and_spmm(m, x, y, k)
-    }
-
-    /// The engine decisions are made for.
-    pub fn engine(&self) -> &VirtualEngine {
-        self.service.engine()
-    }
-
-    /// The tuning strategy.
-    pub fn tuner(&self) -> &T {
-        self.service.tuner()
-    }
-
-    /// The conversion policy applied when switching formats.
-    pub fn convert_options(&self) -> &ConvertOptions {
-        self.service.convert_options()
-    }
-
-    /// Hit/miss counters and occupancy of the decision cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.service.cache_stats()
-    }
-
-    /// Plan reuse: plans found in their decision entry (hits), plans built
-    /// (misses), cached decisions holding one (`len`).
-    pub fn plan_cache_stats(&self) -> CacheStats {
-        self.service.plan_cache_stats()
-    }
-
-    /// Forgets every cached decision and execution plan (counters are
-    /// kept). Call after swapping model files on disk or recalibrating the
-    /// engine.
-    pub fn clear_cache(&mut self) {
-        self.service.clear_cache();
-    }
-
-    /// The underlying concurrent service, shared caches and all (read
-    /// access: stats, decision export, ...).
-    pub fn service(&self) -> &OracleService<T> {
-        &self.service
-    }
-
-    /// Promotes this session into its [`OracleService`], keeping every
-    /// cached decision and plan — wrap it in an `Arc` and serve it from as
-    /// many client threads as needed.
-    pub fn into_service(self) -> OracleService<T> {
-        self.service
-    }
-}
-
-/// Builder for [`Oracle`] sessions and [`OracleService`]s (see
-/// [`Oracle::builder`]).
+/// Builder for [`OracleService`]s (see [`OracleService::builder`]).
 #[derive(Debug)]
 pub struct OracleBuilder<T> {
     engine: Option<VirtualEngine>,
     tuner: Option<T>,
     opts: ConvertOptions,
     cache_capacity: usize,
-    shards: usize,
     workers: Option<usize>,
     collector: Option<std::sync::Arc<SampleCollector>>,
     partition: PartitionPolicy,
@@ -243,7 +95,6 @@ impl<T> OracleBuilder<T> {
             tuner: Some(tuner),
             opts: self.opts,
             cache_capacity: self.cache_capacity,
-            shards: self.shards,
             workers: self.workers,
             collector: self.collector,
             partition: self.partition,
@@ -269,7 +120,7 @@ impl<T> OracleBuilder<T> {
     }
 
     /// Attaches a measured-kernel [`SampleCollector`]: executions through
-    /// the built session/service are timestamped and attributed to the
+    /// the built session are timestamped and attributed to the
     /// collector's lock-free telemetry ring, and decision-cache misses
     /// note their feature vectors — the raw material of the
     /// [`crate::adapt`] subsystem. Share the same `Arc` with an
@@ -298,16 +149,7 @@ impl<T> OracleBuilder<T> {
         self
     }
 
-    /// Overrides the lock-stripe count of the sharded caches (default 16
-    /// stripes; minimum 1). More stripes reduce contention between
-    /// concurrent clients at the price of a slightly coarser global LRU
-    /// order.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Gives the session or service a *private* execution pool with
+    /// Gives the session a *private* execution pool with
     /// `workers` threads instead of the process-wide
     /// [`morpheus_parallel::global_pool`] — isolation from other pool
     /// users, and a pinned worker count for benchmarks and tests
@@ -317,16 +159,9 @@ impl<T> OracleBuilder<T> {
         self
     }
 
-    /// Finishes a single-owner session.
-    ///
-    /// # Errors
-    /// As [`Self::build_service`].
-    pub fn build(self) -> Result<Oracle<T>> {
-        self.build_service().map(|service| Oracle { service })
-    }
-
-    /// Finishes a `Send + Sync` concurrent service — wrap it in an `Arc`
-    /// and share it across client threads (see [`crate::serve`]).
+    /// Finishes the session: `Send + Sync`, used as is by one caller or
+    /// wrapped in an `Arc` and shared across client threads (see
+    /// [`crate::serve`]).
     ///
     /// # Errors
     /// [`OracleError::InvalidConfig`] when the engine or tuner was never
@@ -349,7 +184,6 @@ impl<T> OracleBuilder<T> {
             tuner,
             self.opts,
             self.cache_capacity,
-            self.shards,
             self.workers,
             self.collector,
             self.partition,
@@ -361,11 +195,12 @@ impl<T> OracleBuilder<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheStats;
     use crate::tune::PlanStatus;
-    use crate::tuner::{RunFirstTuner, TuneDecision, TuningCost};
+    use crate::tuner::{FormatTuner, RunFirstTuner, TuneDecision, TuningCost};
     use morpheus::format::FormatId;
-    use morpheus::CooMatrix;
-    use morpheus_machine::{systems, Backend, MatrixAnalysis};
+    use morpheus::{CooMatrix, DynamicMatrix};
+    use morpheus_machine::{systems, Backend, MatrixAnalysis, Op};
 
     fn tridiag(n: usize) -> DynamicMatrix<f64> {
         let mut rows = Vec::new();
@@ -387,18 +222,18 @@ mod tests {
         Oracle::builder()
             .engine(VirtualEngine::new(systems::a64fx(), Backend::Serial))
             .tuner(RunFirstTuner::new(3))
-            .build()
+            .build_service()
             .unwrap()
     }
 
     #[test]
     fn builder_requires_engine_and_tuner() {
         assert!(matches!(
-            Oracle::builder().tuner(RunFirstTuner::new(1)).build(),
+            Oracle::builder().tuner(RunFirstTuner::new(1)).build_service(),
             Err(OracleError::InvalidConfig(_))
         ));
         let no_tuner = Oracle::builder().engine(VirtualEngine::new(systems::a64fx(), Backend::Serial));
-        assert!(matches!(no_tuner.build(), Err(OracleError::InvalidConfig(_))));
+        assert!(matches!(no_tuner.build_service(), Err(OracleError::InvalidConfig(_))));
     }
 
     /// Layout parameters are a decision's: a service-wide set would replace
@@ -416,7 +251,7 @@ mod tests {
 
     #[test]
     fn second_tune_of_identical_structure_hits_the_cache() {
-        let mut oracle = session();
+        let oracle = session();
         let mut first = tridiag(2000);
         let r1 = oracle.tune(&mut first).unwrap();
         assert!(!r1.cache_hit);
@@ -443,7 +278,7 @@ mod tests {
     #[test]
     fn tune_switches_format_and_preserves_entries() {
         let mut m = tridiag(4000);
-        let mut oracle = session();
+        let oracle = session();
         let report = oracle.tune(&mut m).unwrap();
         assert_eq!(report.previous, FormatId::Coo);
         assert_eq!(m.format_id(), report.chosen);
@@ -488,10 +323,10 @@ mod tests {
         let vals = vec![1.0; rows.len()];
         let mut m = DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap());
 
-        let mut oracle = Oracle::builder()
+        let oracle = Oracle::builder()
             .engine(VirtualEngine::new(systems::cirrus(), Backend::Serial))
             .tuner(AlwaysEll)
-            .build()
+            .build_service()
             .unwrap();
         let report = oracle.tune(&mut m).unwrap();
         assert_eq!(report.predicted, FormatId::Ell);
@@ -501,7 +336,7 @@ mod tests {
 
     #[test]
     fn tune_and_execute_preserves_numerics() {
-        let mut oracle = session();
+        let oracle = session();
         let base = tridiag(600);
         let n = base.nrows();
         let x: Vec<f64> = (0..n).map(|i| (i % 5) as f64 - 2.0).collect();
@@ -526,10 +361,10 @@ mod tests {
 
     #[test]
     fn openmp_session_executes_threaded_with_identical_numerics() {
-        let mut oracle = Oracle::builder()
+        let oracle = Oracle::builder()
             .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
             .tuner(RunFirstTuner::new(3))
-            .build()
+            .build_service()
             .unwrap();
         let mut m = tridiag(800);
         let x: Vec<f64> = (0..800).map(|i| (i % 11) as f64 - 5.0).collect();
@@ -545,10 +380,10 @@ mod tests {
 
     #[test]
     fn iterative_loop_builds_the_plan_once_and_replays_it() {
-        let mut oracle = Oracle::builder()
+        let oracle = Oracle::builder()
             .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
             .tuner(RunFirstTuner::new(3))
-            .build()
+            .build_service()
             .unwrap();
         let mut m = tridiag(1500);
         let x = vec![1.0f64; 1500];
@@ -580,11 +415,11 @@ mod tests {
 
     #[test]
     fn disabled_cache_never_hits() {
-        let mut oracle = Oracle::builder()
+        let oracle = Oracle::builder()
             .engine(VirtualEngine::new(systems::a64fx(), Backend::Serial))
             .tuner(RunFirstTuner::new(2))
             .cache_capacity(0)
-            .build()
+            .build_service()
             .unwrap();
         for _ in 0..3 {
             let mut m = tridiag(900);
@@ -597,11 +432,11 @@ mod tests {
 
     #[test]
     fn disabled_cache_still_executes_threaded_with_fresh_plans() {
-        let mut oracle = Oracle::builder()
+        let oracle = Oracle::builder()
             .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
             .tuner(RunFirstTuner::new(2))
             .cache_capacity(0)
-            .build()
+            .build_service()
             .unwrap();
         let mut m = tridiag(700);
         let x = vec![2.0f64; 700];
@@ -617,10 +452,10 @@ mod tests {
 
     #[test]
     fn clear_cache_forces_fresh_decision_and_plan() {
-        let mut oracle = Oracle::builder()
+        let oracle = Oracle::builder()
             .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
             .tuner(RunFirstTuner::new(3))
-            .build()
+            .build_service()
             .unwrap();
         let mut a = tridiag(1200);
         let x = vec![1.0f64; 1200];
@@ -641,28 +476,12 @@ mod tests {
             .tuner(RunFirstTuner::new(7))
             .convert_options(opts)
             .cache_capacity(16)
-            .build()
+            .build_service()
             .unwrap();
         assert_eq!(oracle.engine().label(), "Cirrus/OpenMP");
         assert_eq!(oracle.tuner().reps(), 7);
         assert_eq!(oracle.convert_options().max_fill, 3.5);
         assert_eq!(oracle.cache_stats().capacity, 16);
         assert_eq!(oracle.plan_cache_stats().capacity, 16);
-    }
-
-    #[test]
-    fn into_service_keeps_the_warm_caches() {
-        let mut oracle = Oracle::builder()
-            .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
-            .tuner(RunFirstTuner::new(2))
-            .build()
-            .unwrap();
-        let mut m = tridiag(1000);
-        let chosen = oracle.tune(&mut m).unwrap().chosen;
-        let service = oracle.into_service();
-        let mut again = tridiag(1000);
-        let r = service.tune(&mut again).unwrap();
-        assert!(r.cache_hit, "promotion must not drop cached decisions");
-        assert_eq!(r.chosen, chosen);
     }
 }

@@ -9,8 +9,8 @@
 //! lock-striped LRU ([`crate::CacheStats`] aggregated atomically) whose
 //! entries own the execution plan of what they decided, so concurrent
 //! tuning requests contend only when they hash to the same stripe and a hit
-//! brings its plan with it; the [`Oracle`](crate::Oracle) session facade is
-//! a thin single-owner wrapper over this layer.
+//! brings its plan with it. [`Oracle`](crate::Oracle) is another name for
+//! this one session type.
 //!
 //! The registered-matrix path goes further: [`OracleService::register`]
 //! tunes, converts and plans once, returning a [`MatrixHandle`] — an `Arc`
@@ -67,7 +67,7 @@
 //! ```
 
 use crate::adapt::{SampleCollector, SampleKey};
-use crate::cache::{CacheKey, CacheStats, ShardedLru};
+use crate::cache::{CacheKey, CacheStats, ShardedLru, DEFAULT_SHARDS};
 use crate::features::FeatureVector;
 use crate::obs::{Counter, Gauge, Histogram, Obs, ObsConfig, ObsSnapshot, Stage, TraceId};
 use crate::tune::{PlanStatus, TuneReport};
@@ -395,14 +395,14 @@ impl<V: Scalar> MatrixHandle<V> {
     }
 }
 
-/// A concurrent tuning service: the session machinery of
-/// [`Oracle`](crate::Oracle) behind `&self` methods, shareable across any
-/// number of client threads via `Arc`.
+/// The tuning session ([`Oracle`](crate::Oracle) names the same type):
+/// engine, tuner, conversion policy and decision cache behind `&self`
+/// methods, used by one caller or shared across any number of client
+/// threads via `Arc`.
 ///
-/// Built with [`crate::OracleBuilder::build_service`] (or
-/// [`OracleService::builder`], an alias for [`crate::Oracle::builder`]).
-/// See the [module docs](self) for the serving model and a multi-threaded
-/// example.
+/// Built with [`OracleService::builder`], finished by
+/// [`crate::OracleBuilder::build_service`]. See the [module docs](self) for
+/// the serving model and a multi-threaded example.
 #[derive(Debug)]
 pub struct OracleService<T> {
     engine: VirtualEngine,
@@ -448,15 +448,6 @@ pub struct OracleService<T> {
     pool_queued_gauge: Gauge,
 }
 
-impl OracleService<()> {
-    /// Starts building a service — an alias for
-    /// [`crate::Oracle::builder`]; finish with
-    /// [`crate::OracleBuilder::build_service`].
-    pub fn builder() -> crate::OracleBuilder<()> {
-        crate::Oracle::builder()
-    }
-}
-
 impl<T> OracleService<T> {
     // Single call-site constructor mirroring the builder's fields 1:1.
     #[allow(clippy::too_many_arguments)]
@@ -465,7 +456,6 @@ impl<T> OracleService<T> {
         tuner: T,
         opts: ConvertOptions,
         cache_capacity: usize,
-        shards: usize,
         workers: Option<usize>,
         collector: Option<Arc<SampleCollector>>,
         partition: PartitionPolicy,
@@ -499,8 +489,8 @@ impl<T> OracleService<T> {
             engine,
             tuner,
             opts,
-            decisions: ShardedLru::new(cache_capacity, shards),
-            aliases: ShardedLru::new(cache_capacity, shards),
+            decisions: ShardedLru::new(cache_capacity, DEFAULT_SHARDS),
+            aliases: ShardedLru::new(cache_capacity, DEFAULT_SHARDS),
             plan_hits: AtomicU64::new(0),
             plan_misses: AtomicU64::new(0),
             engine_fingerprint,
@@ -534,8 +524,15 @@ impl<T> OracleService<T> {
     }
 
     /// Tunes `m` for SpMV: selects a format (from cache when the structure
-    /// was seen before) and switches `m` to it in place. Identical
-    /// semantics to [`crate::Oracle::tune`], callable from any thread.
+    /// was seen before) and switches `m` to it in place.
+    ///
+    /// If the predicted format cannot be materialised (padding beyond
+    /// `ConvertOptions::max_fill`, which can happen when an ML model
+    /// mispredicts on an adversarial sparsity pattern), the matrix falls
+    /// back to CSR — the general-purpose default — rather than failing.
+    /// A COO `m` is moved into CSR before it is hashed (see
+    /// [`OracleService::register`]): its decision is keyed by the CSR form,
+    /// and the report still names COO as `previous`.
     pub fn tune<V>(&self, m: &mut DynamicMatrix<V>) -> Result<TuneReport>
     where
         V: Scalar,
@@ -1107,8 +1104,18 @@ impl<T> OracleService<T> {
         Ok(report)
     }
 
-    /// Tunes `m` for SpMV, then executes `y = A x` in the selected format —
-    /// [`crate::Oracle::tune_and_spmv`], callable from any thread.
+    /// Tunes `m` for SpMV, then executes `y = A x` in the selected format,
+    /// on the execution backend matching the engine (serial for a Serial
+    /// engine, the service's pool otherwise).
+    ///
+    /// Threaded execution runs through the cached [`ExecPlan`] of the
+    /// decision: the first call builds it (`report.plan ==
+    /// PlanStatus::Built`), later calls in an iterative loop replay it with
+    /// zero scheduling work (`PlanStatus::Reused`). If the pool is busy
+    /// with another client's batch, the plan's bodies run inline on the
+    /// calling thread — bitwise identical to the pooled execution — and
+    /// [`TuneReport::serial_fallback`] says so; a private pool
+    /// ([`crate::OracleBuilder::workers`]) keeps other pool users out.
     pub fn tune_and_spmv<V>(&self, m: &mut DynamicMatrix<V>, x: &[V], y: &mut [V]) -> Result<TuneReport>
     where
         V: Scalar,
@@ -1118,8 +1125,10 @@ impl<T> OracleService<T> {
     }
 
     /// Tunes `m` for SpMM with `k` right-hand sides, then executes
-    /// `Y = A X` (`x` row-major `ncols x k`, `y` row-major `nrows x k`) —
-    /// [`crate::Oracle::tune_and_spmm`], callable from any thread.
+    /// `Y = A X` (`x` row-major `ncols x k`, `y` row-major `nrows x k`) as
+    /// [`OracleService::tune_and_spmv`] does for one. SpMV and SpMM replay
+    /// the same kind of plan — the row partition depends only on the
+    /// structure — each under its own decision.
     pub fn tune_and_spmm<V>(
         &self,
         m: &mut DynamicMatrix<V>,
@@ -1908,10 +1917,10 @@ mod tests {
         let service = std::sync::Arc::new(make_service(2));
         let reference = {
             let mut m = tridiag(1000);
-            let mut oracle = Oracle::builder()
+            let oracle = Oracle::builder()
                 .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
                 .tuner(RunFirstTuner::new(2))
-                .build()
+                .build_service()
                 .unwrap();
             oracle.tune(&mut m).unwrap().chosen
         };

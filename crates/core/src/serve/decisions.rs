@@ -8,6 +8,7 @@ use crate::{OracleError, Result};
 use morpheus::format::FormatId;
 use morpheus_machine::Op;
 use morpheus_ml::serialize::LineParser;
+use std::collections::HashSet;
 use std::io::{BufRead, Write};
 
 impl<T> OracleService<T> {
@@ -57,11 +58,12 @@ impl<T> OracleService<T> {
     }
 
     /// Loads decisions exported by [`export_decisions`](Self::export_decisions)
-    /// into the decision cache, returning how many were inserted. The file
-    /// must have been exported for an engine with the same fingerprint —
-    /// decisions are engine-specific, so a mismatch is
-    /// [`OracleError::ModelMismatch`], not a silent merge. Malformed input
-    /// is rejected before anything is inserted.
+    /// into the decision cache, returning how many were inserted (0 when
+    /// caching is disabled). The file must have been exported for an engine
+    /// with the same fingerprint — decisions are engine-specific, so a
+    /// mismatch is [`OracleError::ModelMismatch`], not a silent merge.
+    /// Malformed input, a key repeated within the file included (an export
+    /// never writes one), is rejected before anything is inserted.
     pub fn import_decisions<R: BufRead>(&self, reader: R) -> Result<usize> {
         let mut lines = DecisionLines { lines: LineParser::new(reader) };
         let header = lines.next_line()?.ok_or_else(|| lines.err("empty decisions file"))?;
@@ -97,6 +99,7 @@ impl<T> OracleService<T> {
         // Grown as the entries are read: the count is checked against them,
         // never trusted to size an allocation.
         let mut parsed = Vec::new();
+        let mut seen = HashSet::new();
         for _ in 0..n {
             let toks = lines.next_line()?.ok_or_else(|| lines.err("expected 'decision ...', got EOF"))?;
             if toks.len() != 6 || toks[0] != "decision" {
@@ -120,14 +123,18 @@ impl<T> OracleService<T> {
                 .ok_or_else(|| lines.err(format!("unknown format '{}'", toks[4])))?;
             let params = morpheus::FormatParams::parse_token(&toks[5])
                 .ok_or_else(|| lines.err(format!("bad format parameters '{}'", toks[5])))?;
-            parsed.push((
-                CacheKey { structure, scalar_bytes, engine, op },
-                TuneDecision { format, params, op, cost: TuningCost::default() },
-            ));
+            let key = CacheKey { structure, scalar_bytes, engine, op };
+            if !seen.insert(key) {
+                return Err(lines.err(format!("repeated decision for '{}'", toks[1..4].join(" "))));
+            }
+            parsed.push((key, TuneDecision { format, params, op, cost: TuningCost::default() }));
         }
         let toks = lines.next_line()?.ok_or_else(|| lines.err("expected 'end', got EOF"))?;
         if toks != ["end"] {
             return Err(lines.err(format!("expected 'end', got '{}'", toks.join(" "))));
+        }
+        if self.decisions.capacity() == 0 {
+            return Ok(0);
         }
         let count = parsed.len();
         for (key, decision) in parsed {

@@ -4,9 +4,8 @@
 //! tuner, along with the desired execution space ... Upon completion of the
 //! tuning operation, the tuner can be queried for the optimal format" —
 //! here the operation also performs the switch, returning a report with the
-//! decision and its cost. Tuning runs through [`crate::Oracle`] sessions;
-//! the pre-facade `tune_multiply` free function has been removed (build a
-//! session with `cache_capacity(0)` for one-shot behaviour).
+//! decision and its cost. Tuning runs through an [`crate::OracleService`]
+//! session (build one with `cache_capacity(0)` for one-shot behaviour).
 
 use crate::tuner::TuningCost;
 use morpheus::format::FormatId;
@@ -15,7 +14,7 @@ use morpheus_machine::Op;
 /// How the execution stage following a tune was scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanStatus {
-    /// No execution plan was involved: a pure [`crate::Oracle::tune`] (no
+    /// No execution plan was involved: a pure [`crate::OracleService::tune`] (no
     /// execution), or serial execution (nothing to schedule).
     Unplanned,
     /// An [`morpheus::ExecPlan`] was built for this call and cached for
@@ -33,7 +32,7 @@ impl PlanStatus {
     }
 }
 
-/// Outcome of one tuning call ([`crate::Oracle::tune`] and friends).
+/// Outcome of one tuning call ([`crate::OracleService::tune`] and friends).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TuneReport {
     /// Format the matrix ended up in.

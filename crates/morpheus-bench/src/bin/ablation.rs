@@ -109,7 +109,7 @@ fn main() {
         DecisionTree::fit(&train, &TreeParams { max_depth: Some(16), seed: spec.seed, ..Default::default() })
             .expect("tree fit");
 
-    // Every strategy runs through the same session facade, so decision
+    // Every strategy runs through the same kind of session, so decision
     // costs (conversions + trials for run-first, T_FE + T_PRED for the ML
     // tuners) come from the Oracle's own accounting.
     let mut t = Table::new(&[
@@ -145,22 +145,25 @@ fn main() {
 
     // Run-first: pays conversions + 10 trial iterations per viable format,
     // always lands on the optimum.
-    let mut run_first =
-        Oracle::builder().engine(engine.clone()).tuner(RunFirstTuner::new(10)).build().expect("configured");
+    let run_first = Oracle::builder()
+        .engine(engine.clone())
+        .tuner(RunFirstTuner::new(10))
+        .build_service()
+        .expect("configured");
     t.row(evaluate("run-first(10)", &mut |id| {
         run_first.tune(&mut pipeline::matrix_in_csr(&spec, id)).expect("tune")
     }));
 
-    let mut tree_session = Oracle::builder()
+    let tree_session = Oracle::builder()
         .engine(engine.clone())
         .tuner(DecisionTreeTuner::new(tree).expect("schema"))
-        .build()
+        .build_service()
         .expect("configured");
     t.row(evaluate("decision-tree", &mut |id| {
         tree_session.tune(&mut pipeline::matrix_in_csr(&spec, id)).expect("tune")
     }));
 
-    let mut forest_session = pipeline::oracle_for_pair(&pc, pi, &spec, &cache);
+    let forest_session = pipeline::oracle_for_pair(&pc, pi, &spec, &cache);
     t.row(evaluate("random-forest", &mut |id| {
         forest_session.tune(&mut pipeline::matrix_in_csr(&spec, id)).expect("tune")
     }));

@@ -255,10 +255,10 @@ fn main() {
     // rows marked `tuned`). The engine doubles as the
     // per-shard format chooser in the partitioned section.
     let engine = VirtualEngine::new(systems::cirrus(), Backend::OpenMp);
-    let mut selector = Oracle::builder()
+    let selector = Oracle::builder()
         .engine(engine.clone())
         .tuner(RunFirstTuner::new(1))
-        .build()
+        .build_service()
         .expect("engine and tuner set");
 
     for case in corpus(smoke) {

@@ -9,7 +9,7 @@
 //!
 //! The online stage runs through the public [`morpheus_oracle::Oracle`]
 //! session: every test matrix is regenerated in CSR and tuned by the
-//! facade, whose report supplies both the selected format (CSR fallback
+//! session, whose report supplies both the selected format (CSR fallback
 //! included) and the `T_FE + T_PRED` decision cost.
 
 use morpheus_bench::report::{sample_stats, Table};
@@ -35,7 +35,7 @@ fn main() {
     ]);
 
     for pi in 0..pc.pairs.len() {
-        let mut oracle = pipeline::oracle_for_pair(&pc, pi, &spec, &cache);
+        let oracle = pipeline::oracle_for_pair(&pc, pi, &spec, &cache);
         let mut speedups = Vec::new();
         let mut optimal_speedups = Vec::new();
         let mut mispredicted = 0usize;
@@ -45,7 +45,7 @@ fn main() {
             let mut m = pipeline::matrix_in_csr(&spec, e.id);
             let report = oracle.tune(&mut m).expect("tuning never fails on corpus matrices");
             // A prediction for a non-viable format has already fallen back
-            // to CSR inside the facade.
+            // to CSR inside the session.
             let t_run_format = profile.times[report.chosen.index()].unwrap_or(t_csr);
             if report.chosen != profile.optimal {
                 mispredicted += 1;

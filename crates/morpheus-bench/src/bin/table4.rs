@@ -7,7 +7,7 @@
 //! only a few repetitions while OpenMP pays the most.
 //!
 //! Costs come straight from [`morpheus_oracle::Oracle`] reports (each test
-//! matrix regenerated in CSR and tuned through the facade). A second tuning
+//! matrix regenerated in CSR and tuned through the session). A second tuning
 //! sweep over the same stream shows the session's decision cache driving
 //! the amortised cost to zero — the production picture for repeated
 //! traffic.
@@ -26,7 +26,7 @@ fn main() {
     let mut table =
         Table::new(&["system/backend", "mean", "std", "min", "q1", "q2", "q3", "max", "2nd pass (cached)"]);
     for pi in 0..pc.pairs.len() {
-        let mut oracle = pipeline::oracle_for_pair(&pc, pi, &spec, &cache);
+        let oracle = pipeline::oracle_for_pair(&pc, pi, &spec, &cache);
         let mut costs = Vec::new();
         for e in pc.split(true) {
             let t_csr = e.profiles[pi].csr_time();
@@ -61,5 +61,5 @@ fn main() {
     println!("{}", table.render());
     println!("paper reference: means 2-64, Q3 <= 100 for at least 75% of matrices,");
     println!("OpenMP pairs the most expensive, GPU pairs only a few repetitions;");
-    println!("the cached second pass shows the session facade amortising all of it.");
+    println!("the cached second pass shows the session amortising all of it.");
 }

@@ -42,10 +42,10 @@ fn main() {
         let n_nodes = tuner.model().n_nodes();
 
         // The loaded model must drive a session end-to-end.
-        let mut oracle = Oracle::builder()
+        let oracle = Oracle::builder()
             .engine(morpheus_machine::VirtualEngine::for_pair(&pair))
             .tuner(tuner)
-            .build()
+            .build_service()
             .unwrap_or_else(|e| panic!("{}: {e}", pair.label()));
         let mut m = probe_matrix();
         let report = oracle.tune(&mut m).unwrap_or_else(|e| panic!("{}: {e}", pair.label()));

@@ -342,7 +342,7 @@ pub fn oracle_for_pair(
         // Size the cache for the corpus stream so repeated sweeps (fig5,
         // table4's cached pass) hit instead of thrashing the LRU.
         .cache_capacity(pc.entries.len().max(morpheus_oracle::DEFAULT_CACHE_CAPACITY))
-        .build()
+        .build_service()
         .expect("engine and tuner are set")
 }
 
@@ -369,7 +369,7 @@ pub fn train_tuned_forest(train: &Dataset, seed: u64) -> (ForestParams, RandomFo
 }
 
 /// Distribution of optimal formats for one pair, as percentages in
-/// [`ALL_FORMATS`] order (Figure 2's y-axis).
+/// [`ALL_FORMATS`](morpheus::format::ALL_FORMATS) order (Figure 2's y-axis).
 pub fn format_distribution(pc: &ProfiledCorpus, pair_idx: usize) -> [f64; FORMAT_COUNT] {
     let mut counts = [0usize; FORMAT_COUNT];
     for e in &pc.entries {
@@ -454,7 +454,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("morpheus-bench-oracle-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let pc = profile_corpus_cached(&spec, &dir);
-        let mut oracle = oracle_for_pair(&pc, 0, &spec, &dir);
+        let oracle = oracle_for_pair(&pc, 0, &spec, &dir);
         for e in pc.split(true) {
             let mut m = matrix_in_csr(&spec, e.id);
             let report = oracle.tune(&mut m).expect("tune");

@@ -40,11 +40,11 @@
 //! a pad multiplies zero into an `x` element the row already reads, and
 //! never touches a column the row does not own. Because real columns
 //! strictly ascend, the first repeated column marks the start of a row's
-//! pads — that is how [`RowMajor`] recovers the row without a sentinel.
+//! pads — that is how `RowMajor` recovers the row without a sentinel.
 //!
 //! # Invariants
 //!
-//! Both constructors ([`BellMatrix::from_row_arrays`],
+//! Both constructors (`BellMatrix::from_row_arrays`,
 //! [`BellMatrix::from_parts`]) establish them; the fields are private and
 //! nothing mutates them afterwards. The SpMV walker (`crate::spmv::bell`)
 //! rests its unchecked `x` loads on (3):

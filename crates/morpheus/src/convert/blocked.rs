@@ -1,14 +1,14 @@
 //! Conversions for the parameterized block formats (BSR, BELL).
 //!
 //! Both formats are *array-built*: one builder each
-//! ([`BsrMatrix::from_row_arrays`], [`BellMatrix::from_row_arrays`]) reads
+//! (`BsrMatrix::from_row_arrays`, `BellMatrix::from_row_arrays`) reads
 //! contiguous row-major `(offsets, cols, vals)` arrays. CSR passes its own
 //! arrays; a sorted COO matrix's `cols`/`vals` already are such arrays and
 //! only its offsets are built (one pass of stores). BELL's builder also
 //! builds ELL and HYB's ELL part, one bucket each (`convert::kernels`).
 //! Padded sources — rare on the tuning path — are exported to CSR first
 //! (see the dispatcher in [`crate::convert`]). Both formats export back to
-//! COO/CSR through the generic [`RowMajor`] walk. Padding guards mirror the
+//! COO/CSR through the generic `RowMajor` walk. Padding guards mirror the
 //! DIA/ELL contract: conversions whose padded slabs exceed the
 //! [`ConvertOptions`] allowance fail with
 //! [`MorpheusError::ExcessivePadding`] (the tuner's non-viability signal),

@@ -65,7 +65,7 @@
 //!
 //! DIA and ELL "can suffer from excessive padding" (§II-B); conversions
 //! into them are guarded by [`ConvertOptions::max_fill`] and fail with
-//! [`MorpheusError::ExcessivePadding`] *before* allocating the padded
+//! [`crate::MorpheusError::ExcessivePadding`] *before* allocating the padded
 //! arrays — the behaviour the profiling harness relies on to mark a format
 //! non-viable for a matrix. Guards are applied identically on direct and
 //! hub paths. Caller-chosen widths (a HYB split width, a BELL ladder) are
@@ -106,7 +106,7 @@ use crate::Result;
 pub struct ConvertOptions {
     /// Maximum padded slots per structural non-zero allowed when converting
     /// into DIA or ELL. Conversions needing more fail with
-    /// [`MorpheusError::ExcessivePadding`].
+    /// [`crate::MorpheusError::ExcessivePadding`].
     pub max_fill: f64,
     /// Padding allowance floor in slots, so small matrices may always
     /// convert regardless of fill ratio.

@@ -36,9 +36,16 @@ enum Field {
 /// value 1) and `general`, `symmetric` and `skew-symmetric` qualifiers
 /// (symmetric halves are expanded; skew diagonals are rejected per the
 /// standard). `complex` matrices are rejected — the paper's dataset is
-/// real-valued.
-pub fn read_matrix_market<V: Scalar, R: BufRead>(reader: R) -> Result<CooMatrix<V>> {
-    let mut lines = reader.lines().enumerate();
+/// real-valued. Every entry line must end in a newline: a file cut inside
+/// its last value (`1.5e0` → `1.5`) would otherwise parse as a different
+/// matrix.
+pub fn read_matrix_market<V: Scalar, R: BufRead>(mut reader: R) -> Result<CooMatrix<V>> {
+    // Lines with their terminator, so an entry line cut short is seen.
+    let mut lines = std::iter::from_fn(move || {
+        let mut line = String::new();
+        reader.read_line(&mut line).map(|n| (n > 0).then_some(line)).transpose()
+    })
+    .enumerate();
 
     // Header line.
     let (mut lineno, header) = loop {
@@ -56,7 +63,7 @@ pub fn read_matrix_market<V: Scalar, R: BufRead>(reader: R) -> Result<CooMatrix<
     if tokens.len() < 5 || tokens[0] != "%%matrixmarket" || tokens[1] != "matrix" {
         return Err(MorpheusError::Parse {
             line: lineno,
-            msg: format!("not a MatrixMarket header: {header}"),
+            msg: format!("not a MatrixMarket header: {}", header.trim_end()),
         });
     }
     if tokens[2] != "coordinate" {
@@ -112,6 +119,9 @@ pub fn read_matrix_market<V: Scalar, R: BufRead>(reader: R) -> Result<CooMatrix<
         let t = line.trim();
         if t.is_empty() || t.starts_with('%') {
             continue;
+        }
+        if !line.ends_with('\n') {
+            return Err(MorpheusError::Parse { line: lineno, msg: format!("unterminated entry line: {t}") });
         }
         let parts: Vec<&str> = t.split_whitespace().collect();
         let expected_fields = match field {

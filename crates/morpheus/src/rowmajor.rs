@@ -3,7 +3,7 @@
 //! The shared analysis pass, the machine-model's locality walk and the
 //! direct conversion kernels all need to visit a matrix's structural
 //! entries row by row, in ascending column order, *in whatever format is
-//! currently active*. [`RowMajor`] provides exactly that: a per-row count
+//! currently active*. `RowMajor` provides exactly that: a per-row count
 //! (for prefix-sum output planning) and a per-row sorted emission (for
 //! filling target arrays or streaming statistics) — no COO materialisation,
 //! no triplet buffers.

@@ -1,5 +1,5 @@
 //! Runtime ISA detection for the two BELL loops with two forms: the slice
-//! walker ([`crate::spmv::bell`]) and the fill that builds the buckets
+//! walker (`crate::spmv::bell`) and the fill that builds the buckets
 //! (`crate::bell::fill`, behind every CSR/COO→BELL, ELL and HYB conversion)
 //! each have a portable body and AVX2 ones, and pick between them by
 //! [`CpuFeatures::detect`]. Every other kernel and builder has exactly one

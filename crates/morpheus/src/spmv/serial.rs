@@ -32,7 +32,7 @@ pub fn spmv_coo_acc<V: Scalar>(a: &CooMatrix<V>, x: &[V], y: &mut [V]) {
     }
 }
 
-/// CSR kernel: per-row gather and reduce ([`threaded::csr_rows`], the one
+/// CSR kernel: per-row gather and reduce (`threaded::csr_rows`, the one
 /// CSR row loop, over every row). Every row is written, no pre-zeroing
 /// needed.
 pub fn spmv_csr<V: Scalar>(a: &CsrMatrix<V>, x: &[V], y: &mut [V]) {
@@ -141,7 +141,7 @@ fn bsr_body_dyn<V: Scalar>(a: &BsrMatrix<V>, x: &[V], y: &mut [V]) {
 
 /// BELL kernel — ELL's too, a one-bucket BELL: zero the rows no bucket
 /// holds, then write every bucket's rows with the slice walker
-/// ([`bell::bell_segment`]).
+/// (`bell::bell_segment`).
 pub fn spmv_bell<V: Scalar>(a: &BellMatrix<V>, x: &[V], y: &mut [V]) {
     for run in a.empty_rows_in(0..a.nrows()) {
         y[run].fill(V::ZERO);

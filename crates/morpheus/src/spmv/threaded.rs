@@ -7,7 +7,7 @@
 //! order.
 //!
 //! There is one entry style: the `*_ranges` kernels replay the precomputed
-//! parts of a [`crate::plan::ExecPlan`] through [`for_each_part`] with no
+//! parts of a [`crate::plan::ExecPlan`] through `for_each_part` with no
 //! per-call scheduling work at all — one dispatch per pass over the matrix,
 //! part `p` on the same pool index every call, or inline in order without a
 //! pool. [`crate::plan::ExecPlan::run`] is their only caller outside this

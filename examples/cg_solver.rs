@@ -70,10 +70,10 @@ fn main() {
     // target (the session would also serve every further system matrix of a
     // time-dependent PDE, cache-amortised).
     let mut tuned = matrix.clone();
-    let mut oracle = Oracle::builder()
+    let oracle = Oracle::builder()
         .engine(VirtualEngine::new(systems::a64fx(), Backend::OpenMp))
         .tuner(RunFirstTuner::new(5))
-        .build()
+        .build_service()
         .unwrap();
     let engine = oracle.engine().clone();
     let report = oracle.tune(&mut tuned).unwrap();

@@ -42,10 +42,10 @@ fn main() {
     // 3. Open a tuning session for the A64FX Serial backend (simulated)
     //    with the run-first tuner: the Oracle picks the format, switches
     //    the matrix in place, and runs the SpMV in one call.
-    let mut oracle = Oracle::builder()
+    let oracle = Oracle::builder()
         .engine(VirtualEngine::new(systems::a64fx(), Backend::Serial))
         .tuner(RunFirstTuner::new(10))
-        .build()
+        .build_service()
         .expect("engine and tuner are set");
     let x = vec![1.0f64; n];
     let mut y = vec![0.0f64; n];

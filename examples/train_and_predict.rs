@@ -50,7 +50,7 @@ fn main() {
     // One session serves the whole held-out stream: load the model once,
     // let the decision cache absorb repeated structures.
     let tuner = db.load_forest_tuner("Cirrus", Backend::Cuda).expect("load model");
-    let mut oracle = Oracle::builder().engine(engine).tuner(tuner).build().expect("configured");
+    let oracle = Oracle::builder().engine(engine).tuner(tuner).build_service().expect("configured");
     let mut hits = 0usize;
     let mut total = 0usize;
     println!("\ntuning {} held-out matrices:", held_out.len());

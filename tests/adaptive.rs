@@ -285,10 +285,10 @@ fn adaptation_round_swaps_and_forced_drift_falls_back_without_restart() {
     assert!(fallback_report.cost.profiling > 0.0, "fallback must be the analytical tuner");
 
     // And the fallback decision matches a plain RunFirstTuner session.
-    let mut reference_session = Oracle::builder()
+    let reference_session = Oracle::builder()
         .engine(VirtualEngine::new(systems::cirrus(), Backend::Serial))
         .tuner(RunFirstTuner::new(1))
-        .build()
+        .build_service()
         .unwrap();
     let mut reference = tridiag(700);
     assert_eq!(fallback_report.chosen, reference_session.tune(&mut reference).unwrap().chosen);

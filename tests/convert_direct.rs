@@ -319,10 +319,10 @@ fn oracle_tune_traversal_budget() {
     let vals = vec![1.0f64; rows.len()];
     let base = DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap());
 
-    let mut oracle = Oracle::builder()
+    let oracle = Oracle::builder()
         .engine(VirtualEngine::new(systems::a64fx(), Backend::Serial))
         .tuner(RunFirstTuner::new(3))
-        .build()
+        .build_service()
         .unwrap();
 
     let mut first = base.clone();
@@ -345,14 +345,13 @@ fn oracle_tune_traversal_budget() {
 
     // A registration of a fresh structure: the hash and the walk, exactly —
     // whatever it converts to, the converted arrays are not hashed.
-    let service = oracle.into_service();
-    service.clear_cache();
+    oracle.clear_cache();
     passes::reset();
-    let handle = service.register(base.clone()).unwrap();
+    let handle = oracle.register(base.clone()).unwrap();
     assert!(!handle.report().cache_hit);
     assert_eq!(passes::count(), 2, "a registration's miss: the key hash and the analysis walk");
     passes::reset();
-    let again = service.register(base).unwrap();
+    let again = oracle.register(base).unwrap();
     assert!(again.report().cache_hit);
     let planning_scan = u64::from(again.report().converted);
     assert!(passes::count() <= 1 + planning_scan, "a repeat registration: the hash ({})", passes::count());
@@ -366,10 +365,10 @@ fn tune_report_carries_conversion_outcome() {
     let vals = vec![1.0f64; n];
     let mut m = DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap());
 
-    let mut oracle = Oracle::builder()
+    let oracle = Oracle::builder()
         .engine(VirtualEngine::new(systems::a64fx(), Backend::Serial))
         .tuner(RunFirstTuner::new(2))
-        .build()
+        .build_service()
         .unwrap();
     let report = oracle.tune(&mut m).unwrap();
     if report.converted {

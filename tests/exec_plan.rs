@@ -195,10 +195,10 @@ fn pooled_plans_match_unpooled_and_serial_at_one_to_four_workers() {
 /// loop pays planning once; SpMV and SpMM share the structure's plan.
 #[test]
 fn oracle_session_amortises_plans_across_iterations() {
-    let mut oracle = Oracle::builder()
+    let oracle = Oracle::builder()
         .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
         .tuner(RunFirstTuner::new(2))
-        .build()
+        .build_service()
         .unwrap();
     let n = 900usize;
     let mut rows = Vec::new();

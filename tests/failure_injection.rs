@@ -3,12 +3,14 @@
 
 use morpheus_repro::machine::{systems, Backend, VirtualEngine};
 use morpheus_repro::ml::serialize::{load_gbt, load_model};
-use morpheus_repro::morpheus::io::read_matrix_market;
+use morpheus_repro::morpheus::io::{read_matrix_market, write_matrix_market};
 use morpheus_repro::morpheus::spmv::spmv_serial;
 use morpheus_repro::morpheus::{
     ConvertOptions, CooMatrix, CsrMatrix, DynamicMatrix, FormatId, MorpheusError,
 };
-use morpheus_repro::oracle::{DecisionTreeTuner, Oracle, OracleError, RandomForestTuner, RunFirstTuner};
+use morpheus_repro::oracle::{
+    DecisionTreeTuner, Op, Oracle, OracleError, OracleService, RandomForestTuner, RunFirstTuner,
+};
 use std::io::Cursor;
 
 #[test]
@@ -125,6 +127,117 @@ fn an_oversized_decisions_entry_count_is_invalid_config() {
         let r = service.import_decisions(Cursor::new(text.as_bytes()));
         assert!(matches!(r, Err(OracleError::InvalidConfig(_))), "{count}: {r:?}");
     }
+}
+
+fn serial_session() -> OracleService<RunFirstTuner> {
+    Oracle::builder()
+        .engine(VirtualEngine::new(systems::a64fx(), Backend::Serial))
+        .tuner(RunFirstTuner::new(1))
+        .build_service()
+        .unwrap()
+}
+
+fn banded(n: usize, offsets: &[isize]) -> CooMatrix<f64> {
+    let (mut rows, mut cols, mut vals) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..n {
+        for &d in offsets {
+            let j = i as isize + d;
+            if (0..n as isize).contains(&j) {
+                rows.push(i);
+                cols.push(j as usize);
+                vals.push(1.5 + (i % 7) as f64);
+            }
+        }
+    }
+    CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap()
+}
+
+/// What a refused input must leave behind: an empty decision cache and a
+/// service that still registers and serves a matrix.
+fn assert_refusal_left_service_serving(service: &OracleService<RunFirstTuner>, cut: usize) {
+    assert_eq!(service.cache_stats().len, 0, "cut at byte {cut}: a refused input inserted decisions");
+    let m = DynamicMatrix::from(banded(30, &[-1, 0, 2]));
+    let x: Vec<f64> = (0..30).map(|i| i as f64 - 4.0).collect();
+    let mut want = vec![0.0; 30];
+    spmv_serial(&m, &x, &mut want).unwrap();
+    let handle = service.register(m).unwrap();
+    let mut y = vec![f64::NAN; 30];
+    service.spmv(&handle, &x, &mut y).unwrap();
+    assert_eq!(y, want, "cut at byte {cut}");
+}
+
+/// A decisions file and a Matrix Market file cut at every byte: each cut is
+/// a typed error, never a panic, except the cut that drops only the final
+/// newline, which may still parse. A refused decisions file inserts nothing
+/// and leaves the service serving.
+#[test]
+fn inputs_truncated_at_every_byte_are_typed_errors() {
+    let warm = serial_session();
+    warm.tune(&mut DynamicMatrix::from(banded(40, &[-1, 0, 1]))).unwrap();
+    warm.tune_for(&mut DynamicMatrix::from(banded(60, &[-3, 0, 5])), Op::Spmm { k: 4 }).unwrap();
+    let mut decisions = Vec::new();
+    warm.export_decisions(&mut decisions).unwrap();
+    assert!(decisions.ends_with(b"end\n"));
+    for cut in 0..decisions.len() {
+        let service = serial_session();
+        match service.import_decisions(Cursor::new(&decisions[..cut])) {
+            Err(OracleError::InvalidConfig(_) | OracleError::ModelMismatch(_)) => {}
+            Ok(_) if cut == decisions.len() - 1 => continue,
+            other => panic!("decisions cut at byte {cut}: {other:?}"),
+        }
+        assert_refusal_left_service_serving(&service, cut);
+    }
+    assert_eq!(serial_session().import_decisions(Cursor::new(&decisions)).unwrap(), 2);
+
+    let full = banded(12, &[-2, 0, 1]);
+    let mut mtx = Vec::new();
+    write_matrix_market(&mut mtx, &full).unwrap();
+    for cut in 0..mtx.len() {
+        match read_matrix_market::<f64, _>(Cursor::new(&mtx[..cut])) {
+            Err(MorpheusError::Parse { .. }) => {}
+            Ok(m) if cut == mtx.len() - 1 => {
+                assert_eq!(m.iter().collect::<Vec<_>>(), full.iter().collect::<Vec<_>>())
+            }
+            other => panic!("Matrix Market cut at byte {cut}: {other:?}"),
+        }
+    }
+    assert_refusal_left_service_serving(&serial_session(), mtx.len());
+    let back: CooMatrix<f64> = read_matrix_market(Cursor::new(&mtx)).unwrap();
+    assert_eq!(back.nnz(), full.nnz());
+}
+
+/// An empty export: the header of every decisions file this engine reads.
+fn decisions_header(service: &OracleService<RunFirstTuner>) -> String {
+    let mut exported = Vec::new();
+    service.export_decisions(&mut exported).unwrap();
+    String::from_utf8(exported).unwrap().replace("entries 0\nend\n", "")
+}
+
+/// A file that names one key twice is malformed — an export never writes
+/// one — and is refused before anything is inserted.
+#[test]
+fn a_repeated_decisions_key_is_invalid_config() {
+    let service = serial_session();
+    let file =
+        decisions_header(&service) + "entries 2\ndecision 1 8 spmv CSR -\ndecision 1 8 spmv DIA -\nend\n";
+    let r = service.import_decisions(Cursor::new(file.as_bytes()));
+    assert!(matches!(&r, Err(OracleError::InvalidConfig(why)) if why.contains("repeated")), "{r:?}");
+    assert_eq!(service.cache_stats().len, 0);
+}
+
+/// With caching disabled every insert is a no-op: the import reports none.
+#[test]
+fn importing_into_a_disabled_cache_reports_nothing_inserted() {
+    let disabled = Oracle::builder()
+        .engine(VirtualEngine::new(systems::a64fx(), Backend::Serial))
+        .tuner(RunFirstTuner::new(1))
+        .cache_capacity(0)
+        .build_service()
+        .unwrap();
+    let file = decisions_header(&disabled) + "entries 1\ndecision 1 8 spmv CSR -\nend\n";
+    assert_eq!(disabled.import_decisions(Cursor::new(file.as_bytes())).unwrap(), 0);
+    assert_eq!(serial_session().import_decisions(Cursor::new(file.as_bytes())).unwrap(), 1);
+    assert_eq!(disabled.cache_stats().len, 0);
 }
 
 #[test]

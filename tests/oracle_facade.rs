@@ -1,4 +1,4 @@
-//! Integration tests for the `Oracle` session facade: cache accounting,
+//! Integration tests for the `Oracle` session: cache accounting,
 //! `f32`/`f64` parity across the corpus generators, operation awareness and
 //! the CSR fallback path.
 
@@ -8,35 +8,6 @@ use morpheus_repro::morpheus::format::FormatId;
 use morpheus_repro::morpheus::spmm::spmm_serial;
 use morpheus_repro::morpheus::{ConvertOptions, CooMatrix, DynamicMatrix};
 use morpheus_repro::oracle::{FormatTuner, Oracle, RunFirstTuner, TuneDecision, TuningCost};
-
-#[test]
-fn facade_and_service_agree_on_every_corpus_decision() {
-    // The Oracle facade is a single-owner wrapper over OracleService; both
-    // paths must produce identical decisions, costs and realized formats
-    // for every structure in the corpus.
-    let spec = CorpusSpec::small(10);
-    let mut facade = Oracle::builder()
-        .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
-        .tuner(RunFirstTuner::new(2))
-        .build()
-        .unwrap();
-    let service = Oracle::builder()
-        .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
-        .tuner(RunFirstTuner::new(2))
-        .build_service()
-        .unwrap();
-    for entry in spec.iter() {
-        let mut via_facade = DynamicMatrix::from(entry.matrix.clone());
-        let mut via_service = DynamicMatrix::from(entry.matrix);
-        let rf = facade.tune(&mut via_facade).unwrap();
-        let rs = service.tune(&mut via_service).unwrap();
-        assert_eq!(rf.chosen, rs.chosen, "{}", entry.name);
-        assert_eq!(rf.predicted, rs.predicted, "{}", entry.name);
-        assert_eq!(rf.cache_hit, rs.cache_hit, "{}", entry.name);
-        assert_eq!(via_facade.format_id(), via_service.format_id(), "{}", entry.name);
-    }
-    assert_eq!(facade.cache_stats(), service.cache_stats(), "identical streams, identical accounting");
-}
 
 /// Rebuilds a corpus matrix with its values narrowed to `f32` (structure
 /// identical by construction).
@@ -52,11 +23,11 @@ fn to_f32(m: &DynamicMatrix<f64>) -> DynamicMatrix<f32> {
 #[test]
 fn cache_accounting_over_a_request_stream() {
     let spec = CorpusSpec::small(12);
-    let mut oracle = Oracle::builder()
+    let oracle = Oracle::builder()
         .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
         .tuner(RunFirstTuner::new(3))
         .cache_capacity(64)
-        .build()
+        .build_service()
         .unwrap();
 
     // First sweep: every structure is new.
@@ -98,10 +69,10 @@ fn retuning_the_same_matrix_is_a_free_cache_hit() {
     // The acceptance shape: tune the *same* matrix object twice. The first
     // call switches its format; the second must still be answered from
     // cache at zero cost.
-    let mut oracle = Oracle::builder()
+    let oracle = Oracle::builder()
         .engine(VirtualEngine::new(systems::a64fx(), Backend::Serial))
         .tuner(RunFirstTuner::new(5))
-        .build()
+        .build_service()
         .unwrap();
     let n = 3000usize;
     let mut rows = Vec::new();
@@ -136,10 +107,10 @@ fn f32_tunes_end_to_end_in_parity_with_f64() {
     let spec = CorpusSpec::small(20);
     // One session serves both precisions: the tuners implement
     // `FormatTuner<f32>` and `FormatTuner<f64>` alike.
-    let mut oracle = Oracle::builder()
+    let oracle = Oracle::builder()
         .engine(VirtualEngine::new(systems::a64fx(), Backend::Serial))
         .tuner(RunFirstTuner::new(3))
-        .build()
+        .build_service()
         .unwrap();
 
     for entry in spec.iter() {
@@ -172,10 +143,10 @@ fn f32_tunes_end_to_end_in_parity_with_f64() {
 #[test]
 fn f32_spmv_results_match_f64_within_precision() {
     let spec = CorpusSpec::small(6);
-    let mut oracle = Oracle::builder()
+    let oracle = Oracle::builder()
         .engine(VirtualEngine::new(systems::cirrus(), Backend::Serial))
         .tuner(RunFirstTuner::new(2))
-        .build()
+        .build_service()
         .unwrap();
     for entry in spec.iter() {
         let mut m64 = DynamicMatrix::from(entry.matrix);
@@ -237,10 +208,10 @@ fn csr_fallback_on_nonviable_prediction_through_the_facade() {
     }
     let vals = vec![1.0; rows.len()];
 
-    let mut oracle = Oracle::builder()
+    let oracle = Oracle::builder()
         .engine(VirtualEngine::new(systems::cirrus(), Backend::Serial))
         .tuner(AlwaysEll)
-        .build()
+        .build_service()
         .unwrap();
 
     let mut m = DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap());
@@ -261,10 +232,10 @@ fn csr_fallback_on_nonviable_prediction_through_the_facade() {
 
 #[test]
 fn spmm_tuning_is_a_distinct_cached_question() {
-    let mut oracle = Oracle::builder()
+    let oracle = Oracle::builder()
         .engine(VirtualEngine::new(systems::a64fx(), Backend::Serial))
         .tuner(RunFirstTuner::new(3))
-        .build()
+        .build_service()
         .unwrap();
 
     // A partially-filled banded matrix (padding-sensitive).
@@ -310,10 +281,10 @@ fn spmm_tuning_is_a_distinct_cached_question() {
 fn a_plan_belongs_to_its_decision_one_per_op_and_scalar() {
     use morpheus_repro::oracle::PlanStatus;
 
-    let mut oracle = Oracle::builder()
+    let oracle = Oracle::builder()
         .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
         .tuner(RunFirstTuner::new(2))
-        .build()
+        .build_service()
         .unwrap();
 
     // A scatter matrix that tunes to the same format for SpMV and SpMM.
@@ -358,10 +329,10 @@ fn boxed_trait_object_tuner_drives_a_session() {
     // Strategy chosen at runtime: the session accepts a boxed tuner
     // without a type parameter leaking to the caller.
     let tuner: Box<dyn FormatTuner<f64>> = Box::new(RunFirstTuner::new(2));
-    let mut oracle = Oracle::builder()
+    let oracle = Oracle::builder()
         .engine(VirtualEngine::new(systems::xci(), Backend::OpenMp))
         .tuner(tuner)
-        .build()
+        .build_service()
         .unwrap();
     let mut m = DynamicMatrix::from(
         CooMatrix::<f64>::from_triplets(
@@ -382,11 +353,11 @@ fn convert_options_are_honoured_by_the_session() {
     // A forgiving padding policy lets DIA materialise where the default
     // would refuse; the session must thread its options into conversions.
     let opts = ConvertOptions { min_padded_allowance: 1 << 24, ..Default::default() };
-    let mut oracle = Oracle::builder()
+    let oracle = Oracle::builder()
         .engine(VirtualEngine::new(systems::a64fx(), Backend::Serial))
         .tuner(RunFirstTuner::new(2))
         .convert_options(opts)
-        .build()
+        .build_service()
         .unwrap();
     assert_eq!(oracle.convert_options().min_padded_allowance, 1 << 24);
     let mut m = DynamicMatrix::from(

@@ -73,7 +73,7 @@ fn offline_stage_trains_useful_model_and_online_stage_uses_it() {
 
     // --- online: one session tunes + switches + executes, numerics
     //     preserved ---
-    let mut oracle = Oracle::builder().engine(engine).tuner(tuner).build().unwrap();
+    let oracle = Oracle::builder().engine(engine).tuner(tuner).build_service().unwrap();
     let mut tuned_matches_optimal = 0usize;
     for (m, _, optimal) in test_entries.iter().take(10) {
         let mut matrix = m.clone();
@@ -104,7 +104,8 @@ fn offline_stage_trains_useful_model_and_online_stage_uses_it() {
 fn run_first_tuner_always_lands_on_profiled_optimum() {
     let spec = CorpusSpec::small(30);
     let engine = VirtualEngine::new(systems::p3(), Backend::Cuda);
-    let mut oracle = Oracle::builder().engine(engine.clone()).tuner(RunFirstTuner::new(3)).build().unwrap();
+    let oracle =
+        Oracle::builder().engine(engine.clone()).tuner(RunFirstTuner::new(3)).build_service().unwrap();
     for entry in spec.iter() {
         let mut m = DynamicMatrix::from(entry.matrix);
         let analysis = analyze(&m);

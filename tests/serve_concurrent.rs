@@ -59,14 +59,14 @@ fn bitwise_eq(a: &[f64], b: &[f64]) -> bool {
 fn concurrent_tune_and_spmv_is_bitwise_identical_to_a_serial_session() {
     let corpus = corpus();
 
-    // Serial reference: one single-owner Oracle session over the same
+    // Serial reference: one Oracle session, used by one thread, over the same
     // engine, executing on a same-width private pool so the planned
     // partitions agree with the service's.
-    let mut reference = Oracle::builder()
+    let reference = Oracle::builder()
         .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
         .tuner(RunFirstTuner::new(2))
         .workers(workers())
-        .build()
+        .build_service()
         .unwrap();
     let mut expected = Vec::new();
     for (_, base) in &corpus {
