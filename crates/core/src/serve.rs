@@ -1253,7 +1253,11 @@ impl<T> OracleService<T> {
     /// Registers a matrix ingested shard-by-shard from a row-major entry
     /// stream — the huge-matrix front door: the whole matrix never
     /// materializes in one resident copy. Rows must arrive in
-    /// non-decreasing order; duplicate entries within a row are summed.
+    /// non-decreasing order, columns within a row in any order; duplicate
+    /// entries are summed in push order, as
+    /// [`CooBuilder::build`](morpheus::CooBuilder::build) sums them, so this
+    /// and [`OracleService::register`] of the same entries assembled through
+    /// a builder store the same bits.
     /// Shards seal along the policy's nnz target as the stream flows, and
     /// each sealed shard is tuned, converted and planned independently.
     /// Yields a single-shard (still CSR-planned) handle when the stream

@@ -1,5 +1,7 @@
 //! Incremental COO construction.
 
+use std::borrow::Cow;
+
 use crate::coo::CooMatrix;
 use crate::error::MorpheusError;
 use crate::scalar::Scalar;
@@ -9,7 +11,10 @@ use crate::Result;
 ///
 /// Entries may be pushed in any order; duplicates are summed on
 /// [`CooBuilder::build`] (the assembly convention of FEM codes and the
-/// MatrixMarket reader).
+/// MatrixMarket reader), in push order: the entries pushed at one
+/// coordinate are added left to right as they were pushed, so the same
+/// pushes always store the same bits, whatever else was pushed between
+/// them.
 #[derive(Debug, Clone)]
 pub struct CooBuilder<V> {
     nrows: usize,
@@ -60,10 +65,23 @@ impl<V: Scalar> CooBuilder<V> {
         self.vals.is_empty()
     }
 
-    /// Finalises into a sorted, duplicate-merged [`CooMatrix`].
+    /// Finalises into a sorted, duplicate-merged [`CooMatrix`], summing
+    /// duplicates in push order.
+    ///
+    /// Runs [`CooMatrix::from_triplets`]' linear-time assembly in the
+    /// builder's own arrays, without copying them: entries pushed row by
+    /// row keep their arrays and only rows with unsorted or repeated
+    /// columns are touched; entries pushed with rows out of order are
+    /// counted per row and scattered once into new column and value
+    /// arrays, and the row array is rewritten in place.
     pub fn build(self) -> CooMatrix<V> {
-        CooMatrix::from_triplets(self.nrows, self.ncols, &self.rows, &self.cols, &self.vals)
-            .expect("builder entries are pre-validated")
+        CooMatrix::assemble(
+            self.nrows,
+            self.ncols,
+            Cow::Owned(self.rows),
+            Cow::Owned(self.cols),
+            Cow::Owned(self.vals),
+        )
     }
 }
 

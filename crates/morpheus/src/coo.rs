@@ -1,5 +1,8 @@
 //! Coordinate (COO) format.
 
+use std::borrow::Cow;
+
+use crate::convert::kernels::coo_row_offsets;
 use crate::error::MorpheusError;
 use crate::format::FormatId;
 use crate::scalar::Scalar;
@@ -28,9 +31,18 @@ impl<V: Scalar> CooMatrix<V> {
         CooMatrix { nrows, ncols, row_indices: Vec::new(), col_indices: Vec::new(), values: Vec::new() }
     }
 
-    /// Builds from triplet arrays. Entries are sorted by `(row, col)`;
+    /// Builds from triplet arrays: entries are ordered by `(row, col)` and
     /// duplicate coordinates are summed (the SuiteSparse convention for
-    /// assembled matrices).
+    /// assembled matrices) in push order — `v₀ + v₁ + v₂ …` left to right,
+    /// in the order the triplets appear in the arrays, so assembling the
+    /// same triplets always stores the same bits.
+    ///
+    /// Linear time: a counting sort by row (skipped when the rows are
+    /// already non-decreasing), then a stable sort of the columns of only
+    /// those rows whose columns are not strictly increasing, then one
+    /// in-place merge of the duplicates. It allocates the three output
+    /// arrays and `nrows + 1` row offsets; [`crate::CooBuilder::build`]
+    /// runs the same assembly in the builder's own arrays.
     pub fn from_triplets(
         nrows: usize,
         ncols: usize,
@@ -51,26 +63,59 @@ impl<V: Scalar> CooMatrix<V> {
                 return Err(MorpheusError::IndexOutOfBounds { index: (r, c), shape: (nrows, ncols) });
             }
         }
-        let mut order: Vec<usize> = (0..rows.len()).collect();
-        order.sort_unstable_by_key(|&i| (rows[i], cols[i]));
+        Ok(Self::assemble(nrows, ncols, Cow::Borrowed(rows), Cow::Borrowed(cols), Cow::Borrowed(vals)))
+    }
 
-        let mut row_indices = Vec::with_capacity(rows.len());
-        let mut col_indices = Vec::with_capacity(rows.len());
-        let mut values: Vec<V> = Vec::with_capacity(rows.len());
-        for i in order {
-            let (r, c, v) = (rows[i], cols[i], vals[i]);
-            if let (Some(&lr), Some(&lc)) = (row_indices.last(), col_indices.last()) {
-                if lr == r && lc == c {
-                    let last = values.last_mut().expect("values tracks indices");
-                    *last += v;
-                    continue;
-                }
+    /// The one assembly routine behind [`CooMatrix::from_triplets`] and
+    /// [`crate::CooBuilder::build`]; every index must be in bounds and the
+    /// three arrays of one length. Owned arrays are reused in place, so the
+    /// builder's assembly copies nothing it does not have to move.
+    ///
+    /// 1. Row order: row offsets straight from the rows when they are
+    ///    non-decreasing, else a count per row, its exclusive prefix and a
+    ///    stable scatter of columns and values into two new arrays.
+    /// 2. Per row, [`sort_and_merge_row`]: rows whose columns are strictly
+    ///    increasing are left alone; the others are sorted stably by column
+    ///    and their duplicates summed in push order, compacted in place.
+    /// 3. The row array is rewritten from the merged offsets.
+    pub(crate) fn assemble(
+        nrows: usize,
+        ncols: usize,
+        rows: Cow<'_, [usize]>,
+        cols: Cow<'_, [usize]>,
+        vals: Cow<'_, [V]>,
+    ) -> Self {
+        let (mut offsets, mut cols, mut vals) = if rows.is_sorted() {
+            (coo_row_offsets(nrows, &rows), cols.into_owned(), vals.into_owned())
+        } else {
+            scatter_by_row(nrows, &rows, &cols, &vals)
+        };
+        let mut scratch = Vec::new();
+        let (mut start, mut merged) = (0, 0);
+        for r in 0..nrows {
+            let end = offsets[r + 1];
+            let len = sort_and_merge_row(&mut cols[start..end], &mut vals[start..end], &mut scratch);
+            if merged != start {
+                cols.copy_within(start..start + len, merged);
+                vals.copy_within(start..start + len, merged);
             }
-            row_indices.push(r);
-            col_indices.push(c);
-            values.push(v);
+            merged += len;
+            offsets[r + 1] = merged;
+            start = end;
         }
-        Ok(CooMatrix { nrows, ncols, row_indices, col_indices, values })
+        cols.truncate(merged);
+        vals.truncate(merged);
+        let mut rows = match rows {
+            Cow::Owned(mut rows) => {
+                rows.clear();
+                rows
+            }
+            Cow::Borrowed(_) => Vec::with_capacity(merged),
+        };
+        for (r, &end) in offsets[1..].iter().enumerate() {
+            rows.resize(end, r);
+        }
+        CooMatrix::from_sorted_parts_unchecked(nrows, ncols, rows, cols, vals)
     }
 
     /// Builds from already-sorted, duplicate-free parts without re-sorting.
@@ -187,6 +232,100 @@ impl<V: Scalar> CooMatrix<V> {
         CooMatrix::from_triplets(self.ncols, self.nrows, &self.col_indices, &self.row_indices, &self.values)
             .expect("transposing in-bounds entries stays in bounds")
     }
+}
+
+/// Rows up to this long have their columns sorted by insertion sort in
+/// place; a longer row goes through the caller's scratch buffer.
+const INSERTION_SORT_MAX: usize = 32;
+
+/// Step 1 of [`CooMatrix::assemble`] for rows out of order: counts the
+/// entries of each row, takes the exclusive prefix, and scatters columns
+/// and values stably (input order within a row) into two new arrays.
+/// Returns the row offsets (`nrows + 1`) with the scattered arrays.
+fn scatter_by_row<V: Scalar>(
+    nrows: usize,
+    rows: &[usize],
+    cols: &[usize],
+    vals: &[V],
+) -> (Vec<usize>, Vec<usize>, Vec<V>) {
+    // Row `r`'s count lands two slots up, so after the prefix sum
+    // `offsets[r + 1]` is the start of row `r`: the scatter's cursor for
+    // that row, which it leaves at the row's end — the final offset.
+    let mut offsets = vec![0usize; nrows + 1];
+    for &r in rows {
+        if let Some(slot) = offsets.get_mut(r + 2) {
+            *slot += 1;
+        }
+    }
+    for i in 1..offsets.len() {
+        offsets[i] += offsets[i - 1];
+    }
+    let mut scattered_cols = vec![0usize; rows.len()];
+    let mut scattered_vals = vec![V::ZERO; rows.len()];
+    for ((&r, &c), &v) in rows.iter().zip(cols).zip(vals) {
+        let at = offsets[r + 1];
+        offsets[r + 1] += 1;
+        scattered_cols[at] = c;
+        scattered_vals[at] = v;
+    }
+    (offsets, scattered_cols, scattered_vals)
+}
+
+/// Sorts one row's entries stably by column and sums duplicate columns in
+/// push order, in place; returns the merged length (the row's first
+/// `len` entries hold the result). A row whose columns are already
+/// strictly increasing is returned untouched. Rows up to
+/// [`INSERTION_SORT_MAX`] entries are insertion-sorted; a longer row is
+/// sorted through `scratch`, one buffer the caller reuses across rows.
+///
+/// The one per-row sort-and-merge of the crate: [`CooMatrix::assemble`]
+/// and the streaming partitioner's row flush both call it, so every front
+/// door sums duplicates in the same order.
+#[inline]
+pub(crate) fn sort_and_merge_row<V: Scalar>(
+    cols: &mut [usize],
+    vals: &mut [V],
+    scratch: &mut Vec<(usize, usize, V)>,
+) -> usize {
+    debug_assert_eq!(cols.len(), vals.len());
+    if cols.windows(2).all(|w| w[0] < w[1]) {
+        return cols.len();
+    }
+    if cols.len() <= INSERTION_SORT_MAX {
+        for i in 1..cols.len() {
+            let (c, v) = (cols[i], vals[i]);
+            let mut j = i;
+            while j > 0 && cols[j - 1] > c {
+                cols[j] = cols[j - 1];
+                vals[j] = vals[j - 1];
+                j -= 1;
+            }
+            cols[j] = c;
+            vals[j] = v;
+        }
+    } else if !cols.is_sorted() {
+        // Keyed by (column, position): unique keys, so the unstable sort
+        // keeps push order among equal columns and allocates nothing.
+        scratch.clear();
+        scratch.extend(cols.iter().zip(vals.iter()).enumerate().map(|(i, (&c, &v))| (c, i, v)));
+        scratch.sort_unstable_by_key(|&(c, i, _)| (c, i));
+        for ((c, v), &(sc, _, sv)) in cols.iter_mut().zip(vals.iter_mut()).zip(scratch.iter()) {
+            *c = sc;
+            *v = sv;
+        }
+    }
+    let mut last = 0;
+    for i in 1..cols.len() {
+        if cols[i] == cols[last] {
+            let v = vals[i];
+            vals[last] += v;
+        } else {
+            last += 1;
+            cols[last] = cols[i];
+            vals[last] = vals[i];
+        }
+    }
+    last + 1
 }
 
 #[cfg(test)]

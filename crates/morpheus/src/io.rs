@@ -226,6 +226,68 @@ mod tests {
         assert_eq!(m.nnz(), 3);
         let entries: Vec<_> = m.iter().collect();
         assert_eq!(entries, vec![(0, 0, 1.0), (0, 1, 5.0), (1, 0, 5.0)]);
+
+        // SuiteSparse order: the lower triangle column by column, so the
+        // expanded entries arrive with their rows out of order. Both files
+        // must read bitwise as their row-major `general` expansion.
+        let bits = |text: &str| -> Vec<(usize, usize, u64)> {
+            let m: CooMatrix<f64> = read_matrix_market(Cursor::new(text)).unwrap();
+            m.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect()
+        };
+        let column_major = "%%MatrixMarket matrix coordinate real symmetric\n\
+                            4 4 6\n\
+                            1 1 4.0\n\
+                            2 1 -1.5\n\
+                            4 1 0.25\n\
+                            2 2 3.0\n\
+                            3 2 -2.0\n\
+                            4 4 5.5\n";
+        let expanded = "%%MatrixMarket matrix coordinate real general\n\
+                        4 4 9\n\
+                        1 1 4.0\n\
+                        1 2 -1.5\n\
+                        1 4 0.25\n\
+                        2 1 -1.5\n\
+                        2 2 3.0\n\
+                        2 3 -2.0\n\
+                        3 2 -2.0\n\
+                        4 1 0.25\n\
+                        4 4 5.5\n";
+        assert_eq!(bits(column_major), bits(expanded));
+        assert_eq!(bits(column_major).len(), 9);
+
+        // A repeated entry is summed in file order: 1e16 + 1 - 1e16 is 0,
+        // where adding the 1 last would give 1.
+        let repeated = "%%MatrixMarket matrix coordinate real symmetric\n\
+                        3 3 5\n\
+                        3 1 1e16\n\
+                        2 2 7.0\n\
+                        3 1 1.0\n\
+                        3 2 2.0\n\
+                        3 1 -1e16\n";
+        let expanded = "%%MatrixMarket matrix coordinate real general\n\
+                        3 3 9\n\
+                        1 3 1e16\n\
+                        1 3 1.0\n\
+                        1 3 -1e16\n\
+                        2 2 7.0\n\
+                        2 3 2.0\n\
+                        3 1 1e16\n\
+                        3 1 1.0\n\
+                        3 1 -1e16\n\
+                        3 2 2.0\n";
+        assert_eq!(bits(repeated), bits(expanded));
+        let zero = 0f64.to_bits();
+        assert_eq!(
+            bits(repeated),
+            vec![
+                (0, 2, zero),
+                (1, 1, 7f64.to_bits()),
+                (1, 2, 2f64.to_bits()),
+                (2, 0, zero),
+                (2, 1, 2f64.to_bits())
+            ]
+        );
     }
 
     #[test]

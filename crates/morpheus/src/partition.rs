@@ -38,6 +38,7 @@ use morpheus_parallel::{weighted_partition_with, SharedSlice, ThreadPool};
 
 use crate::analysis::{passes, Analysis};
 use crate::convert::ConvertOptions;
+use crate::coo::sort_and_merge_row;
 use crate::csr::CsrMatrix;
 use crate::dynamic::DynamicMatrix;
 use crate::error::MorpheusError;
@@ -675,8 +676,10 @@ pub type StreamedParts<V> = (Partition, Vec<(Range<usize>, CsrMatrix<V>)>);
 /// stream without ever materializing the whole matrix.
 ///
 /// Rows must arrive in non-decreasing order; entries within a row may be
-/// in any column order (each row is buffered, sorted, and duplicate
-/// columns are summed when the row closes). A shard is sealed at a row
+/// in any column order. When a row closes its entries are sorted stably
+/// by column and duplicate columns summed in push order — the same
+/// per-row step as [`crate::CooBuilder::build`], so the two store the
+/// same bits for the same entries. A shard is sealed at a row
 /// boundary once it holds at least `target_shard_nnz` entries, until
 /// `max_shards - 1` shards are sealed; the remainder becomes the last
 /// shard.
@@ -686,11 +689,13 @@ pub struct StreamingPartitioner<V: Scalar> {
     target_nnz: usize,
     max_shards: usize,
     cur_row: usize,
-    row_buf: Vec<(usize, V)>,
     start_row: usize,
+    /// Row offsets of the open shard's closed rows; the open row's entries
+    /// follow the last of them in `cols`/`vals`, unmerged.
     offsets: Vec<usize>,
     cols: Vec<usize>,
     vals: Vec<V>,
+    scratch: Vec<(usize, usize, V)>,
     sealed: Vec<(Range<usize>, CsrMatrix<V>)>,
 }
 
@@ -704,11 +709,11 @@ impl<V: Scalar> StreamingPartitioner<V> {
             target_nnz: cfg.target_shard_nnz.max(1),
             max_shards: cfg.max_shards.max(1),
             cur_row: 0,
-            row_buf: Vec::new(),
             start_row: 0,
             offsets: vec![0],
             cols: Vec::new(),
             vals: Vec::new(),
+            scratch: Vec::new(),
             sealed: Vec::new(),
         }
     }
@@ -716,7 +721,7 @@ impl<V: Scalar> StreamingPartitioner<V> {
     /// Entries ingested so far (after duplicate merging in closed rows,
     /// before it in the open row).
     pub fn nnz(&self) -> usize {
-        self.sealed.iter().map(|(_, c)| c.nnz()).sum::<usize>() + self.cols.len() + self.row_buf.len()
+        self.sealed.iter().map(|(_, c)| c.nnz()).sum::<usize>() + self.cols.len()
     }
 
     /// Shards sealed so far (the open shard is not counted).
@@ -741,30 +746,20 @@ impl<V: Scalar> StreamingPartitioner<V> {
         if row > self.cur_row {
             self.close_rows_through(row);
         }
-        self.row_buf.push((col, val));
+        self.cols.push(col);
+        self.vals.push(val);
         Ok(())
     }
 
-    /// Closes rows `cur_row..next` (flushing the open row buffer and
-    /// emitting empty rows), sealing the open shard at any row boundary
-    /// where it has reached the nnz target.
+    /// Closes rows `cur_row..next` (sorting and merging the open row in
+    /// place and emitting empty rows), sealing the open shard at any row
+    /// boundary where it has reached the nnz target.
     fn close_rows_through(&mut self, next: usize) {
         while self.cur_row < next {
-            if !self.row_buf.is_empty() {
-                self.row_buf.sort_unstable_by_key(|&(c, _)| c);
-                let mut merged: Vec<(usize, V)> = Vec::with_capacity(self.row_buf.len());
-                for &(c, v) in &self.row_buf {
-                    match merged.last_mut() {
-                        Some(last) if last.0 == c => last.1 += v,
-                        _ => merged.push((c, v)),
-                    }
-                }
-                for (c, v) in merged {
-                    self.cols.push(c);
-                    self.vals.push(v);
-                }
-                self.row_buf.clear();
-            }
+            let start = *self.offsets.last().expect("offsets start at [0]");
+            let len = sort_and_merge_row(&mut self.cols[start..], &mut self.vals[start..], &mut self.scratch);
+            self.cols.truncate(start + len);
+            self.vals.truncate(start + len);
             self.offsets.push(self.cols.len());
             self.cur_row += 1;
             if self.cols.len() >= self.target_nnz && self.sealed.len() + 1 < self.max_shards {

@@ -309,6 +309,37 @@ fn service_auto_shards_above_threshold_and_streams() {
     assert_close(&ys, &want, 1e-12);
 }
 
+/// `register_stream` stores the bits `register` stores for the same entries
+/// assembled through `CooBuilder`: both sum a coordinate's duplicates in
+/// push order. Every row holds two coordinates, each pushed as the triple
+/// `1e16, 1, -1e16` (0 in push order, 1 if the 1 is added last), the
+/// triples interleaved and the larger column first.
+#[test]
+fn stream_and_builder_sum_duplicates_in_push_order() {
+    let n = 64;
+    let mut entries = Vec::new();
+    for r in 0..n {
+        let other = (7 * r + 3) % n;
+        for v in [1e16, 1.0, -1e16] {
+            entries.push((r, r.max(other), v));
+            entries.push((r, r.min(other), v));
+        }
+    }
+    let mut b = CooBuilder::<f64>::new(n, n);
+    for &(r, c, v) in &entries {
+        b.push(r, c, v).unwrap();
+    }
+    let coo = b.build();
+    assert!(coo.values().iter().all(|v| v.to_bits() == 0), "push order sums every triple to +0");
+    let service = gated_service(1, PartitionPolicy::default());
+    let hr = service.register(DynamicMatrix::from(coo)).unwrap();
+    let hs = service.register_stream(n, n, entries).unwrap();
+    assert!(!hr.is_partitioned() && !hs.is_partitioned());
+    assert_eq!(hs.format_id(), hr.format_id(), "the stream's CSR hits the register's decision");
+    let bits = |m: &DynamicMatrix<f64>| m.to_coo().values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(hs.matrix()), bits(hr.matrix()));
+}
+
 /// A source that holds no row range as one slice (anything but COO and CSR)
 /// is converted to CSR once and sharded like one: same shard rows, formats
 /// and arrays as registering the CSR matrix, bitwise the same `y`. One with
