@@ -523,6 +523,15 @@ impl<T> OracleService<T> {
         }
     }
 
+    /// The pool a cold registration's analysis walk and BELL/ELL/HYB fill
+    /// run on: the service's own pool, when it executes on one. A service
+    /// on the process-wide pool keeps its cold path on the calling thread:
+    /// that pool is shared, and a fork onto its parked workers cost the
+    /// analysis what the split saved (README, "Cold path").
+    fn cold_pool(&self) -> Option<&ThreadPool> {
+        self.exec_pool().filter(|_| matches!(self.pool, ServicePool::Owned(_)))
+    }
+
     /// Tunes `m` for SpMV: selects a format (from cache when the structure
     /// was seen before) and switches `m` to it in place.
     ///
@@ -588,12 +597,13 @@ impl<T> OracleService<T> {
 
     /// `m`'s shared analysis, `hash` being its structure hash — with the BSR
     /// block counts only when `blocks` (two thirds of the walk, read by
-    /// nothing but BSR pricing).
+    /// nothing but BSR pricing). The walk without them runs on the
+    /// [cold pool](Self::cold_pool).
     fn analyse<V: Scalar>(&self, m: &DynamicMatrix<V>, hash: u64, blocks: bool) -> Analysis {
         if blocks {
             Analysis::of_auto_with_hash(m, self.opts.true_diag_alpha, hash)
         } else {
-            Analysis::without_block_counts(m, self.opts.true_diag_alpha, hash)
+            Analysis::without_block_counts(m, self.opts.true_diag_alpha, hash, self.cold_pool())
         }
     }
 
@@ -690,7 +700,8 @@ impl<T> OracleService<T> {
     }
 
     /// Second half of a tune: converts `m` to the decided format with the
-    /// decision's parameters (CSR when that proves non-viable), caches the
+    /// decision's parameters (a BELL, ELL or HYB fill on the
+    /// [cold pool](Self::cold_pool); CSR when that proves non-viable), caches the
     /// realized decision and notes the features for adaptive sampling.
     /// `kept` says the caller keeps the switched matrix
     /// (`tune`/`tune_and_*`): only then is the converted
@@ -720,7 +731,7 @@ impl<T> OracleService<T> {
         let opts = ConvertOptions { params: decision.params, ..self.opts };
         let converted = match &layout {
             Some(offsets) => m.convert_to_diagonals(predicted, &opts, offsets),
-            None => m.convert_to_with(predicted, &opts, analysis.as_ref()),
+            None => m.convert_on(predicted, &opts, analysis.as_ref(), self.cold_pool()),
         };
         let (chosen, convert) = match converted {
             Ok(outcome) => (predicted, outcome),

@@ -45,7 +45,7 @@ use std::sync::{Arc, OnceLock};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 thread_local! {
     /// Set on worker threads and around the caller's own share; a parallel
@@ -323,6 +323,33 @@ impl ThreadPool {
             body(p, parts[p].clone());
         });
     }
+
+    /// Runs `body(job)` for each of `jobs`, job `p` on index `p`, and
+    /// returns the results in job order. Each job is moved to the index
+    /// that runs it, so it can carry `&mut` pieces of one output cut apart
+    /// beforehand (`split_at_mut`). One job runs on the calling thread
+    /// without a dispatch. A panic in a job is re-raised here, with its own
+    /// payload, once every job has finished: the lowest-indexed job's, so a
+    /// loop cut into jobs in its own order panics with what the uncut loop
+    /// would. The pool stays usable.
+    ///
+    /// # Panics
+    /// Also if there are more jobs than [`ThreadPool::num_threads`].
+    pub fn run_jobs<J: Send, R: Send>(&self, jobs: Vec<J>, body: impl Fn(J) -> R + Sync) -> Vec<R> {
+        assert!(jobs.len() <= self.n_threads, "{} jobs for a pool of {}", jobs.len(), self.n_threads);
+        if jobs.len() <= 1 {
+            return jobs.into_iter().map(body).collect();
+        }
+        let jobs: Vec<Mutex<Option<J>>> = jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
+        let done: Vec<Mutex<Option<thread::Result<R>>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+        self.run_on_all(&|p| {
+            if let Some(job) = jobs.get(p).and_then(|job| job.lock().take()) {
+                *done[p].lock() = Some(catch_unwind(AssertUnwindSafe(|| body(job))));
+            }
+        });
+        let results = done.into_iter().map(|d| d.into_inner().expect("every job ran"));
+        results.map(|r| r.unwrap_or_else(|payload| resume_unwind(payload))).collect()
+    }
 }
 
 impl Drop for ThreadPool {
@@ -531,6 +558,37 @@ mod tests {
         let counts = counters(20);
         pool.parallel_over_parts(&parts, |_p, r| r.for_each(|i| bump(&counts[i])));
         assert!(all_equal(&counts, 1));
+    }
+
+    #[test]
+    fn run_jobs_moves_each_job_to_its_index_and_keeps_job_order() {
+        let pool = ThreadPool::new(3);
+        let mut out = [0usize; 9];
+        let jobs: Vec<(usize, &mut [usize])> = out.chunks_mut(3).enumerate().collect();
+        let ran_on = pool.run_jobs(jobs, |(p, chunk)| {
+            chunk.iter_mut().for_each(|c| *c = p + 1);
+            thread::current().id()
+        });
+        assert_eq!(out, [1, 1, 1, 2, 2, 2, 3, 3, 3]);
+        assert_eq!(ran_on[0], thread::current().id(), "job 0 is the caller's");
+        // One job: no dispatch, on the caller.
+        let (observer, observed) = counting_observer();
+        pool.set_queue_wait_observer(Some(observer));
+        assert_eq!(pool.run_jobs(vec![7], |j| (j, thread::current().id())), [(7, thread::current().id())]);
+        assert_eq!(observed.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn run_jobs_re_raises_the_lowest_panicking_job_with_its_payload() {
+        let pool = ThreadPool::new(3);
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_jobs(vec![0, 1, 2], |j| assert!(j == 0, "job {j} failed"));
+        }));
+        let payload = r.expect_err("jobs 1 and 2 panicked");
+        assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("job 1 failed"));
+        // The pool runs the next dispatch normally.
+        assert_eq!(pool.run_jobs(vec![1, 2, 3], |j| j * 2), [2, 4, 6]);
+        assert!(!pool.is_busy());
     }
 
     #[test]

@@ -46,17 +46,29 @@
 //! index arrays (see [`DynamicMatrix::structure_hash`] for its four-lane
 //! definition).
 //!
-//! The analysis runs on the calling thread whatever the matrix's size: at
-//! its per-entry cost, splitting the walk over a pool's threads did not beat
-//! the pool's wake-up on matrices of up to 2 M entries (README, "Cold
-//! path"), and this way a service's analysis can never run on a pool the
-//! service does not own.
+//! # Where the walk runs
+//!
+//! On the calling thread, with one exception: the walk a service's
+//! registration runs — a CSR matrix, no block counts
+//! ([`Analysis::without_block_counts`]) — takes the pool the caller hands
+//! it, and at [`PARALLEL_CONVERT_THRESHOLD`] entries or more splits over
+//! it. The rows are cut at multiples of eight, balanced by the offsets;
+//! each share fills its own rows of `row_hist`, the first share the
+//! diagonal populations and every other share a diagonal array of its own,
+//! of which only the slots it populated are added in; the gather hits and
+//! the populated range are combined. Every field is a sum of counts, so the
+//! artifact is bitwise the serial walk's. A service hands in the pool it
+//! owns, never the process-wide one (an earlier split walk forked onto
+//! that pool and its wake-up cost what the split saved: README, "Cold
+//! path"). The block counts ([`Analysis::take_block_counts`]) and the walks
+//! of every other format stay serial.
 //!
 //! # Instrumentation: the traversal counter
 //!
 //! [`passes`] maintains a thread-local count of *analysis-class full
 //! traversals* — walks of the whole matrix performed to answer an analysis
-//! or planning question (constructing an `Analysis`, `stats_of`,
+//! or planning question, recorded once on the thread that asked, however
+//! many threads walked (constructing an `Analysis`, `stats_of`,
 //! `structure_hash`, `row_nnz_histogram`, converter planning scans, the
 //! machine model's HDC-remainder walk). Conversion *fill* passes are not
 //! counted: they are inherent to producing the target arrays. Tests use the
@@ -67,10 +79,13 @@
 use std::ops::Range;
 
 use crate::bsr::BSR_BLOCK_DIMS;
+use crate::convert::kernels::PARALLEL_CONVERT_THRESHOLD;
+use crate::csr::CsrMatrix;
 use crate::dynamic::DynamicMatrix;
 use crate::rowmajor::for_each_row_pattern;
 use crate::scalar::Scalar;
 use crate::stats::{empty_hists, reduce, MatrixStats, Reduced, RowSummary};
+use morpheus_parallel::ThreadPool;
 
 /// Columns a gathered `x` cache line spans at eight bytes a value: two
 /// consecutive entries of a row at most this far apart count as one line
@@ -157,7 +172,7 @@ impl Analysis {
     /// Analyses `m`: one hash sweep, one entry walk, one loop over each
     /// histogram.
     pub fn of<V: Scalar>(m: &DynamicMatrix<V>, alpha: f64) -> Analysis {
-        Self::build::<V, true>(m, alpha, None)
+        Self::build::<V, true>(m, alpha, None, None)
     }
 
     /// [`Analysis::of`], for callers that leave how the analysis runs to the
@@ -173,7 +188,7 @@ impl Analysis {
     /// format (debug builds verify it) — the Oracle uses this after keying
     /// its decision cache, so a cache miss pays for the hash exactly once.
     pub fn of_auto_with_hash<V: Scalar>(m: &DynamicMatrix<V>, alpha: f64, hash: u64) -> Analysis {
-        Self::build::<V, true>(m, alpha, Some(hash))
+        Self::build::<V, true>(m, alpha, Some(hash), None)
     }
 
     /// [`Analysis::of_auto_with_hash`] whose walk leaves the block counts
@@ -183,8 +198,18 @@ impl Analysis {
     /// BSR come up after all, takes them with
     /// [`Analysis::take_block_counts`]. Every other field is bitwise what
     /// the full walk gives.
-    pub fn without_block_counts<V: Scalar>(m: &DynamicMatrix<V>, alpha: f64, hash: u64) -> Analysis {
-        Self::build::<V, false>(m, alpha, Some(hash))
+    ///
+    /// Given a `pool`, the walk of a CSR matrix of at least
+    /// [`PARALLEL_CONVERT_THRESHOLD`] entries runs on it (see the
+    /// [module docs](self)); the artifact is bitwise the same. `None`, a
+    /// pool of one, and every other format walk on the calling thread.
+    pub fn without_block_counts<V: Scalar>(
+        m: &DynamicMatrix<V>,
+        alpha: f64,
+        hash: u64,
+        pool: Option<&ThreadPool>,
+    ) -> Analysis {
+        Self::build::<V, false>(m, alpha, Some(hash), pool)
     }
 
     /// Counts the blocks a walk [`without_block_counts`](Self::without_block_counts)
@@ -203,7 +228,12 @@ impl Analysis {
         self.entries.bsr_blocks = Some(blocks);
     }
 
-    fn build<V: Scalar, const BLOCKS: bool>(m: &DynamicMatrix<V>, alpha: f64, hash: Option<u64>) -> Analysis {
+    fn build<V: Scalar, const BLOCKS: bool>(
+        m: &DynamicMatrix<V>,
+        alpha: f64,
+        hash: Option<u64>,
+        pool: Option<&ThreadPool>,
+    ) -> Analysis {
         passes::record_traversal();
         debug_assert!(
             hash.is_none_or(|h| h == m.structure_hash_raw()),
@@ -212,15 +242,20 @@ impl Analysis {
         let structure_hash = hash.unwrap_or_else(|| m.structure_hash_raw());
         let (nrows, ncols) = (m.nrows(), m.ncols());
         let (mut row_hist, mut diag_pop) = empty_hists(nrows, ncols);
-        let mut stamps = if BLOCKS { Stamps::new(nrows, ncols) } else { Stamps::unused() };
-        let mut walk = stamps.over(nrows, &mut diag_pop);
-        for_each_row_pattern(m, |r, cols| {
-            // Added, not stored: were a COO matrix not sorted, a row met
-            // twice would still count all its entries.
-            row_hist[r] += cols.len() as u32;
-            walk.row::<BLOCKS>(r, cols);
-        });
-        let (entries, populated) = (walk.facts::<BLOCKS>(), walk.populated());
+        let (entries, populated) = match m {
+            DynamicMatrix::Csr(csr) if !BLOCKS => walk_csr(csr, &mut row_hist, &mut diag_pop, pool),
+            _ => {
+                let mut stamps = if BLOCKS { Stamps::new(nrows, ncols) } else { Stamps::unused() };
+                let mut walk = stamps.over(nrows, &mut diag_pop);
+                for_each_row_pattern(m, |r, cols| {
+                    // Added, not stored: were a COO matrix not sorted, a row
+                    // met twice would still count all its entries.
+                    row_hist[r] += cols.len() as u32;
+                    walk.row::<BLOCKS>(r, cols);
+                });
+                (walk.facts::<BLOCKS>(), walk.populated())
+            }
+        };
         let Reduced { stats, rows, true_diag_nnz } = reduce(ncols, &row_hist, &diag_pop[populated], alpha);
         Analysis {
             nrows,
@@ -410,6 +445,96 @@ impl RowWalk<'_> {
     }
 }
 
+/// Rows of a share of the split walk come in multiples of this: a share's
+/// first row starts a fresh group of eight `row_hist` slots.
+const ROW_GRAIN: usize = 8;
+
+/// The entry walk of a CSR matrix without block counts, on `pool` when it
+/// is given, wider than one and the matrix has at least
+/// [`PARALLEL_CONVERT_THRESHOLD`] entries: the rows are cut at multiples of
+/// [`ROW_GRAIN`] balanced by the offsets, each share fills its own rows of
+/// `row_hist`, share 0 the diagonal populations `diag` and every other its
+/// own array, of which only the slots it populated are added into `diag`.
+/// Sums of counts, so every field is bitwise the one-share walk's. Returns
+/// the entry facts and the populated slots.
+fn walk_csr<V: Scalar>(
+    csr: &CsrMatrix<V>,
+    row_hist: &mut [u32],
+    diag: &mut [u32],
+    pool: Option<&ThreadPool>,
+) -> (EntryFacts, Range<usize>) {
+    let parts = pool.filter(|_| csr.nnz() >= PARALLEL_CONVERT_THRESHOLD).map_or(1, ThreadPool::num_threads);
+    let cuts = row_cuts(csr.row_offsets(), parts);
+    let slots = diag.len();
+    let mut jobs = Vec::with_capacity(parts);
+    let (mut rest, mut first_diag) = (row_hist, Some(&mut *diag));
+    for bounds in cuts.windows(2) {
+        let (hist, tail) = std::mem::take(&mut rest).split_at_mut(bounds[1] - bounds[0]);
+        rest = tail;
+        jobs.push((bounds[0]..bounds[1], hist, first_diag.take()));
+    }
+    let walk_share = |(rows, hist, diag): (Range<usize>, &mut [u32], Option<&mut [u32]>)| match diag {
+        Some(diag) => (walk_rows(csr, rows, hist, diag), None),
+        None => {
+            let mut own = vec![0u32; slots];
+            (walk_rows(csr, rows, hist, &mut own), Some(own))
+        }
+    };
+    let walked = match pool {
+        Some(pool) => pool.run_jobs(jobs, walk_share),
+        None => jobs.into_iter().map(walk_share).collect(),
+    };
+    let (mut gather_hits, mut first_slot, mut end_slot) = (0usize, usize::MAX, 0usize);
+    for ((hits, populated), own) in walked {
+        gather_hits += hits;
+        if let Some(own) = own {
+            diag[populated.clone()].iter_mut().zip(&own[populated.clone()]).for_each(|(d, o)| *d += o);
+        }
+        if !populated.is_empty() {
+            first_slot = first_slot.min(populated.start);
+            end_slot = end_slot.max(populated.end);
+        }
+    }
+    (EntryFacts { gather_hits, bsr_blocks: None }, first_slot.min(end_slot)..end_slot)
+}
+
+/// One share of [`walk_csr`]: rows `rows` of `csr`, whose lengths go to
+/// `hist` (from its first slot) and whose diagonals to `diag`. Returns the
+/// share's gather hits and populated slots.
+fn walk_rows<V: Scalar>(
+    csr: &CsrMatrix<V>,
+    rows: Range<usize>,
+    hist: &mut [u32],
+    diag: &mut [u32],
+) -> (usize, Range<usize>) {
+    let mut stamps = Stamps::unused();
+    let mut walk = stamps.over(csr.nrows(), diag);
+    for (r, len) in rows.zip(hist) {
+        let cols = csr.row_cols(r);
+        if !cols.is_empty() {
+            *len = cols.len() as u32;
+            walk.row::<false>(r, cols);
+        }
+    }
+    (walk.gather_hits, walk.populated())
+}
+
+/// `parts + 1` ascending row bounds from 0 to the last row: bound `p` is
+/// the multiple of [`ROW_GRAIN`] nearest the row at which `p / parts` of
+/// the entries have passed, by the CSR `offsets`.
+fn row_cuts(offsets: &[usize], parts: usize) -> Vec<usize> {
+    let nrows = offsets.len() - 1;
+    let nnz = offsets[nrows] as u128;
+    let mut cuts = vec![0usize; parts + 1];
+    for p in 1..parts {
+        let target = (nnz * p as u128 / parts as u128) as usize;
+        let row = offsets.partition_point(|&o| o < target);
+        cuts[p] = ((row + ROW_GRAIN / 2) / ROW_GRAIN * ROW_GRAIN).min(nrows).max(cuts[p - 1]);
+    }
+    cuts[parts] = nrows;
+    cuts
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,6 +620,48 @@ mod tests {
             // And the tuning-path derivation must not panic on it.
             let _ = conv.to_format_with(crate::FormatId::Csr, &opts, Some(&a)).unwrap();
         }
+    }
+
+    #[test]
+    fn the_split_walk_is_bitwise_the_serial_one_and_one_traversal_on_the_caller() {
+        let opts = ConvertOptions::default();
+        // Random, a single over-long row, empty rows, and just either side
+        // of the size at which the walk splits.
+        let base = random_coo::<f64>(2000, 3000, 20_000, 3);
+        let (mut rows, mut cols) = (base.row_indices().to_vec(), base.col_indices().to_vec());
+        let mut vals = base.values().to_vec();
+        rows.extend([17; 3000]);
+        cols.extend(0..3000);
+        vals.extend([1.0; 3000]);
+        let cases = [
+            random_coo::<f64>(4000, 3500, 60_000, 9),
+            crate::CooMatrix::from_triplets(2000, 3000, &rows, &cols, &vals).unwrap(),
+            random_coo::<f64>(50_000, 400, PARALLEL_CONVERT_THRESHOLD - 1, 4),
+            random_coo::<f64>(300, 300, 20_000, 2),
+        ];
+        for coo in cases {
+            let m = DynamicMatrix::from(coo).to_format(crate::FormatId::Csr, &opts).unwrap();
+            let hash = m.structure_hash();
+            let serial = Analysis::without_block_counts(&m, 0.2, hash, None);
+            for w in 1..=4 {
+                let pool = ThreadPool::new(w);
+                passes::reset();
+                let split = Analysis::without_block_counts(&m, 0.2, hash, Some(&pool));
+                assert_eq!(passes::count(), 1, "one traversal, recorded on the calling thread");
+                assert_eq!(split, serial, "{} rows on {w} threads", m.nrows());
+            }
+        }
+    }
+
+    #[test]
+    fn row_cuts_are_grain_multiples_balanced_by_the_offsets() {
+        // 64 rows of one entry, then one row of 64: half the entries are in
+        // the last row.
+        let offsets: Vec<usize> = (0..=64).chain([128]).collect();
+        assert_eq!(row_cuts(&offsets, 1), [0, 65]);
+        assert_eq!(row_cuts(&offsets, 2), [0, 64, 65]);
+        assert_eq!(row_cuts(&offsets, 4), [0, 32, 64, 64, 65]);
+        assert!(row_cuts(&[0, 0, 0], 3).iter().all(|&c| c <= 2));
     }
 
     #[test]

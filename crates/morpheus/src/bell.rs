@@ -62,13 +62,14 @@
 //! Values are stored at `V`'s width and indices at 4 bytes: an `f64` cell is
 //! 12 bytes where the `usize` layout took 16.
 
+use crate::convert::kernels::PARALLEL_CONVERT_THRESHOLD;
 use crate::error::MorpheusError;
 use crate::format::FormatId;
 use crate::rowmajor::RowMajor;
 use crate::scalar::Scalar;
 use crate::spmv::cpu_features::CpuFeatures;
 use crate::Result;
-use morpheus_parallel::static_partition;
+use morpheus_parallel::{static_partition, ThreadPool};
 use std::ops::Range;
 
 mod fill;
@@ -322,14 +323,23 @@ impl<V: Scalar> BellMatrix<V> {
     /// allocate (`usize::MAX` when their count overflows) before anything
     /// of that size is: a ladder width can be any `usize`.
     ///
-    /// The fill (`fill::fill_bucket`) writes every cell, pads included —
-    /// a pad's column and its `V::ZERO` — so nothing stored is left over
-    /// from the allocation. It runs in the form `cpu` selects: AVX2 gathers
-    /// for the full slices of an `f64`/`f32` matrix's buckets wider than one
-    /// where `cpu` and the executing CPU have them, the portable lane loop
-    /// otherwise and for every ragged slice. The forms store bitwise the same arrays;
-    /// conversions pass [`CpuFeatures::detect`], tests
-    /// [`CpuFeatures::none`] too.
+    /// Bucket planning and the zero-filled allocation run on the calling
+    /// thread. The fill (`fill::fill_share`) writes every cell, pads
+    /// included — a pad's column and its `V::ZERO` — so nothing stored is
+    /// left over from the allocation. Given a `pool` and at least
+    /// [`PARALLEL_CONVERT_THRESHOLD`] entries, it runs on the pool, cut by
+    /// the rule that cuts a planned execution on that pool
+    /// ([`BellMatrix::shares`] at the pool's width: it reads only bucket
+    /// widths and row counts, so it is known before the fill), and each
+    /// index writes — and first touches — exactly the cells it will
+    /// execute. Otherwise, and on a pool of one, the whole fill is one
+    /// share on the calling thread. Every slice is filled alone, so the
+    /// arrays are bitwise the same either way. It runs in the form `cpu`
+    /// selects: AVX2 gathers for the full slices of an `f64`/`f32` matrix's
+    /// buckets wider than one where `cpu` and the executing CPU have them,
+    /// the portable lane loop otherwise and for every ragged slice. The
+    /// forms store bitwise the same arrays; conversions pass
+    /// [`CpuFeatures::detect`], tests [`CpuFeatures::none`] too.
     ///
     /// Fails with [`MorpheusError::IndexOverflow`] when a dimension does not
     /// fit the stored index width, and with whatever `guard` returns.
@@ -337,19 +347,23 @@ impl<V: Scalar> BellMatrix<V> {
     /// # Panics
     /// If the runs do not lie inside `cols`/`vals` or a column index is
     /// `>= ncols` (after the fill: the largest column stored is checked).
+    /// A split fill panics with the message the unsplit one would (the
+    /// first failing share's, see [`ThreadPool::run_jobs`]).
     // Called once per conversion, and kept out of its callers on purpose:
     // whether the inliner folds it into `bell_from_arrays` flips with edits
     // elsewhere in the crate, and folded in, its fills ran slower (5 % of a
     // `solver_short` registration).
     #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_row_arrays(
         (nrows, ncols): (usize, usize),
-        run: impl Fn(usize) -> (usize, usize),
+        run: impl Fn(usize) -> (usize, usize) + Sync,
         cols: &[usize],
         vals: &[V],
         widths: &[usize],
         guard: impl FnOnce(usize, usize) -> Result<()>,
         cpu: CpuFeatures,
+        pool: Option<&ThreadPool>,
     ) -> Result<Self> {
         check_index_width(nrows, ncols)?;
         let row_len = |r: usize| run(r).1;
@@ -397,19 +411,37 @@ impl<V: Scalar> BellMatrix<V> {
         for r in (0..nrows).filter(|&r| row_len(r) > 0) {
             members[bucket_of[row_len(r)]].push(r as u32); // fits: invariant 5
         }
-        let mut max_col = 0usize;
-        let mut buckets = Vec::new();
-        for (b, rows) in members.into_iter().enumerate() {
-            if rows.is_empty() {
-                continue;
+        let mut buckets: Vec<BellBucket<V>> = (members.into_iter().zip(ladder))
+            .filter(|(rows, _)| !rows.is_empty())
+            .map(|(rows, width)| {
+                let cells = width * rows.len();
+                BellBucket { width, rows, cols: vec![0u32; cells], vals: vec![V::ZERO; cells] }
+            })
+            .collect();
+        // The fill is cut as execution will be (`shares`): pool index `p`
+        // first writes the cells it will later read.
+        let parts = pool.filter(|_| nnz >= PARALLEL_CONVERT_THRESHOLD).map_or(1, ThreadPool::num_threads);
+        let shares = cut(nrows, buckets.iter().map(|b| (b.width, b.rows.len())), parts);
+        let mut jobs: Vec<Vec<fill::Piece<'_, V>>> = shares.iter().map(|_| Vec::new()).collect();
+        for (b, BellBucket { width, rows, cols: bcols, vals: bvals }) in buckets.iter_mut().enumerate() {
+            let (rows, mut bcols, mut bvals) = (rows.as_slice(), bcols.as_mut_slice(), bvals.as_mut_slice());
+            for (job, share) in jobs.iter_mut().zip(&shares) {
+                for seg in share.segs.iter().filter(|seg| seg.bucket == b) {
+                    let rows = &rows[seg.slices.start * SLICE..rows.len().min(seg.slices.end * SLICE)];
+                    let (piece_cols, rest) = std::mem::take(&mut bcols).split_at_mut(*width * rows.len());
+                    bcols = rest;
+                    let (piece_vals, rest) = std::mem::take(&mut bvals).split_at_mut(*width * rows.len());
+                    bvals = rest;
+                    job.push((*width, rows, piece_cols, piece_vals));
+                }
             }
-            let width = ladder[b];
-            let mut bcols = vec![0u32; width * rows.len()];
-            let mut bvals = vec![V::ZERO; width * rows.len()];
-            let stored = fill::fill_bucket(width, &rows, &run, (cols, vals), (&mut bcols, &mut bvals), cpu);
-            max_col = max_col.max(stored);
-            buckets.push(BellBucket { width, rows, cols: bcols, vals: bvals });
         }
+        let fill_share = |pieces| fill::fill_share(pieces, &run, (cols, vals), cpu);
+        let stored = match pool {
+            Some(pool) => pool.run_jobs(jobs, fill_share),
+            None => jobs.into_iter().map(fill_share).collect(),
+        };
+        let max_col = stored.into_iter().max().unwrap_or(0);
         // Invariant 3, and with invariant 5 the reason the fill's narrowing
         // of the columns to `u32` lost nothing.
         assert!(buckets.is_empty() || max_col < ncols, "column index {max_col} out of range");
@@ -559,33 +591,11 @@ impl<V: Scalar> BellMatrix<V> {
     /// share; a share may be empty). Segments never overlap within a bucket
     /// and buckets hold disjoint rows, so every stored row has one writer;
     /// each empty row has one too, the share whose `rows` contain it.
+    ///
+    /// The cut reads the buckets' widths and row counts and nothing else,
+    /// so the builder cuts its fill by it before a cell is written.
     pub(crate) fn shares(&self, parts: usize) -> Vec<BellShare> {
-        let parts = parts.max(1);
-        let rows = static_partition(self.nrows, parts);
-        let mut shares: Vec<BellShare> = (0..parts)
-            .map(|p| BellShare { segs: Vec::new(), rows: rows.get(p).cloned().unwrap_or(0..0) })
-            .collect();
-        let total = self.padded_len();
-        let mut base = 0usize; // cells of the buckets before this one
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            let (slices, cells) = (bucket.num_slices(), SLICE * bucket.width);
-            let mut lo = 0usize;
-            for (p, share) in shares.iter_mut().enumerate() {
-                // Slice `s` has its middle at `base + s*cells + cells/2` (the
-                // ragged one is counted at full height: it is the bucket's
-                // last, so only its own share can be off by that); count
-                // the slices whose middle lies before the end of share `p`.
-                let quota = total * (p + 1) / parts;
-                let before_quota = (2 * quota).saturating_sub(2 * base + cells).div_ceil(2 * cells);
-                let hi = if p + 1 == parts { slices } else { before_quota.clamp(lo, slices) };
-                if hi > lo {
-                    share.segs.push(BellSegment { bucket: b, slices: lo..hi });
-                    lo = hi;
-                }
-            }
-            base += bucket.padded_len();
-        }
-        shares
+        cut(self.nrows, self.buckets.iter().map(|b| (b.width, b.rows.len())), parts)
     }
 
     /// `true` when the segments of `shares`, taken in share order, tile
@@ -605,6 +615,37 @@ impl<V: Scalar> BellMatrix<V> {
                 in_order && next == bucket.num_slices()
             })
     }
+}
+
+/// [`BellMatrix::shares`] of an `nrows`-row matrix whose buckets have the
+/// `(width, rows)` of `buckets`, in order.
+fn cut(nrows: usize, buckets: impl Iterator<Item = (usize, usize)> + Clone, parts: usize) -> Vec<BellShare> {
+    let parts = parts.max(1);
+    let rows = static_partition(nrows, parts);
+    let mut shares: Vec<BellShare> = (0..parts)
+        .map(|p| BellShare { segs: Vec::new(), rows: rows.get(p).cloned().unwrap_or(0..0) })
+        .collect();
+    let total: usize = buckets.clone().map(|(width, len)| width * len).sum();
+    let mut base = 0usize; // cells of the buckets before this one
+    for (b, (width, len)) in buckets.enumerate() {
+        let (slices, cells) = (len.div_ceil(SLICE), SLICE * width);
+        let mut lo = 0usize;
+        for (p, share) in shares.iter_mut().enumerate() {
+            // Slice `s` has its middle at `base + s*cells + cells/2` (the
+            // ragged one is counted at full height: it is the bucket's
+            // last, so only its own share can be off by that); count the
+            // slices whose middle lies before the end of share `p`.
+            let quota = total * (p + 1) / parts;
+            let before_quota = (2 * quota).saturating_sub(2 * base + cells).div_ceil(2 * cells);
+            let hi = if p + 1 == parts { slices } else { before_quota.clamp(lo, slices) };
+            if hi > lo {
+                share.segs.push(BellSegment { bucket: b, slices: lo..hi });
+                lo = hi;
+            }
+        }
+        base += width * len;
+    }
+    shares
 }
 
 /// A run of consecutive slices of one bucket.
@@ -658,6 +699,7 @@ mod tests {
             widths,
             |_, _| Ok(()),
             CpuFeatures::detect(),
+            None,
         )
     }
 
@@ -818,5 +860,64 @@ mod tests {
         // tiled by them.
         let (pow2, one) = (bell_of(&coo, &[]), bell_of(&coo, &[64]));
         assert!(!pow2.tiled_by(&one.shares(3)) && !one.tiled_by(&pow2.shares(3)));
+    }
+
+    #[test]
+    fn a_fill_on_a_pool_is_bitwise_the_unsplit_one() {
+        let coo = random_coo::<f64>(3000, 2500, 40_000, 11);
+        assert!(coo.nnz() >= PARALLEL_CONVERT_THRESHOLD);
+        let offsets = crate::convert::kernels::coo_row_offsets(coo.nrows(), coo.row_indices());
+        let (cols, vals) = (coo.col_indices(), coo.values());
+        for widths in [vec![], vec![64], vec![1, 3, 9, 14]] {
+            let build = |pool: Option<&ThreadPool>| {
+                let run = runs_of(&offsets);
+                let (guard, cpu) = (|_, _| Ok(()), CpuFeatures::detect());
+                BellMatrix::from_row_arrays((3000, 2500), run, cols, vals, &widths, guard, cpu, pool).unwrap()
+            };
+            let serial = build(None);
+            for w in 2..=4 {
+                let pool = ThreadPool::new(w);
+                assert_eq!(build(Some(&pool)), serial, "widths {widths:?} on {w} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_outside_the_arrays_panics_as_unsplit_and_leaves_the_pool_serving() {
+        // 2 048 rows of ten entries, the arrays one short: the last row's run
+        // reaches past them. It lies in the second share of a 2-wide cut.
+        let offsets: Vec<usize> = (0..=2048).map(|r| 10 * r).collect();
+        let cols: Vec<usize> = (0..offsets[2048] - 1).map(|i| i % 10 * 7).collect();
+        let vals = vec![1.0f64; cols.len()];
+        let fill = |pool: Option<&ThreadPool>| {
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let (guard, cpu) = (|_, _| Ok(()), CpuFeatures::detect());
+                BellMatrix::from_row_arrays(
+                    (2048, 70),
+                    runs_of(&offsets),
+                    &cols,
+                    &vals,
+                    &[],
+                    guard,
+                    cpu,
+                    pool,
+                )
+            }));
+            let payload = panicked.expect_err("the run lies outside the arrays");
+            payload.downcast_ref::<String>().cloned().expect("a formatted message")
+        };
+        let unsplit = fill(None);
+        assert_eq!(unsplit, "row 2047's run of 10 entries at 20470 lies outside the 20479 entries");
+        let pool = ThreadPool::new(2);
+        assert_eq!(fill(Some(&pool)), unsplit);
+        // The same pool runs the next dispatch normally.
+        let coo = random_coo::<f64>(3000, 2500, 40_000, 5);
+        let offsets = crate::convert::kernels::coo_row_offsets(coo.nrows(), coo.row_indices());
+        let (guard, cpu) = (|_, _| Ok(()), CpuFeatures::detect());
+        let (run, cols, vals) = (runs_of(&offsets), coo.col_indices(), coo.values());
+        let m =
+            BellMatrix::from_row_arrays((3000, 2500), run, cols, vals, &[], guard, cpu, Some(&pool)).unwrap();
+        assert_eq!(m, bell_of(&coo, &[]));
+        assert!(!pool.is_busy());
     }
 }

@@ -1,6 +1,11 @@
 //! The BELL fill: one bucket's cells written from the source runs of its
 //! rows, in a portable and an AVX2 form.
 //!
+//! A build hands each pool index one share ([`fill_share`]): the slices it
+//! will execute, as pieces of the buckets (see `BellMatrix::from_row_arrays`).
+//! Every slice's cells depend on its own rows alone, so a piece fills as it
+//! would inside the whole bucket.
+//!
 //! Both forms share one skeleton ([`fill`]): slice by slice, it checks that
 //! every lane's run lies inside the source arrays, hands a full slice to the
 //! form's body and fills the ragged last one with the portable lane loop
@@ -22,6 +27,27 @@ use crate::spmv::cpu_features::CpuFeatures;
 /// One lane of a slice: its run's first entry in the source arrays and its
 /// last real `k` (the run's length less one).
 type Lane = (usize, usize);
+
+/// Consecutive slices of one bucket, as one pool index fills them: the
+/// bucket's width, the slices' rows, and their cells of `cols` and `vals`.
+pub(super) type Piece<'a, V> = (usize, &'a [u32], &'a mut [u32], &'a mut [V]);
+
+/// Fills one share of a build — its pieces, in the order
+/// `BellMatrix::shares` cuts the buckets — and returns the largest column
+/// it stored. `#[inline(always)]`: it is the body of every pool index's job
+/// and of the unsplit build alike.
+#[inline(always)]
+pub(super) fn fill_share<V: Scalar>(
+    pieces: Vec<Piece<'_, V>>,
+    run: &impl Fn(usize) -> (usize, usize),
+    (cols, vals): (&[usize], &[V]),
+    cpu: CpuFeatures,
+) -> usize {
+    let filled = pieces
+        .into_iter()
+        .map(|(width, rows, bcols, bvals)| fill_bucket(width, rows, run, (cols, vals), (bcols, bvals), cpu));
+    filled.max().unwrap_or(0)
+}
 
 /// Fills a bucket of `width` from the runs `run(r)` = `(first entry,
 /// length)` of its `rows` in `cols`/`vals`, into `bcols`/`bvals` (`width *

@@ -29,6 +29,7 @@ use crate::rowmajor::RowMajor;
 use crate::scalar::Scalar;
 use crate::spmv::cpu_features::CpuFeatures;
 use crate::Result;
+use morpheus_parallel::ThreadPool;
 
 /// Exports any row-major-walkable source to COO (sorted by construction).
 pub(crate) fn rowmajor_to_coo<V: Scalar>(src: &dyn RowMajor<V>, ncols: usize) -> CooMatrix<V> {
@@ -93,7 +94,8 @@ fn bsr_from_arrays<V: Scalar>(
 
 /// Builds a BELL matrix with the options' bucket ladder from contiguous
 /// row-major arrays, enforcing the padding allowance before the buckets are
-/// allocated, with the fill form `cpu` selects.
+/// allocated, with the fill form `cpu` selects, on `pool` when given (see
+/// [`BellMatrix::from_row_arrays`]).
 pub(crate) fn bell_from_arrays<V: Scalar>(
     shape: (usize, usize),
     offsets: &[usize],
@@ -101,9 +103,11 @@ pub(crate) fn bell_from_arrays<V: Scalar>(
     vals: &[V],
     opts: &ConvertOptions,
     cpu: CpuFeatures,
+    pool: Option<&ThreadPool>,
 ) -> Result<BellMatrix<V>> {
     let guard = |padded, nnz| guard_padding(FormatId::Bell, padded, nnz, opts);
-    BellMatrix::from_row_arrays(shape, runs_of(offsets), cols, vals, opts.params.bell_ladder(), guard, cpu)
+    let ladder = opts.params.bell_ladder();
+    BellMatrix::from_row_arrays(shape, runs_of(offsets), cols, vals, ladder, guard, cpu, pool)
 }
 
 /// COO → BSR with the options' block dimensions.
@@ -129,21 +133,33 @@ pub fn bsr_to_csr<V: Scalar>(a: &BsrMatrix<V>) -> CsrMatrix<V> {
 
 /// COO → BELL with the options' bucket ladder.
 pub fn coo_to_bell<V: Scalar>(a: &CooMatrix<V>, opts: &ConvertOptions) -> Result<BellMatrix<V>> {
+    coo_to_bell_on(a, opts, None)
+}
+
+/// [`coo_to_bell`] with the fill on `pool` when given.
+pub(crate) fn coo_to_bell_on<V: Scalar>(
+    a: &CooMatrix<V>,
+    opts: &ConvertOptions,
+    pool: Option<&ThreadPool>,
+) -> Result<BellMatrix<V>> {
     let offsets = coo_row_offsets(a.nrows(), a.row_indices());
-    bell_from_arrays(
-        (a.nrows(), a.ncols()),
-        &offsets,
-        a.col_indices(),
-        a.values(),
-        opts,
-        CpuFeatures::detect(),
-    )
+    let shape = (a.nrows(), a.ncols());
+    bell_from_arrays(shape, &offsets, a.col_indices(), a.values(), opts, CpuFeatures::detect(), pool)
 }
 
 /// CSR → BELL with the options' bucket ladder.
 pub fn csr_to_bell<V: Scalar>(a: &CsrMatrix<V>, opts: &ConvertOptions) -> Result<BellMatrix<V>> {
+    csr_to_bell_on(a, opts, None)
+}
+
+/// [`csr_to_bell`] with the fill on `pool` when given.
+pub(crate) fn csr_to_bell_on<V: Scalar>(
+    a: &CsrMatrix<V>,
+    opts: &ConvertOptions,
+    pool: Option<&ThreadPool>,
+) -> Result<BellMatrix<V>> {
     let shape = (a.nrows(), a.ncols());
-    bell_from_arrays(shape, a.row_offsets(), a.col_indices(), a.values(), opts, CpuFeatures::detect())
+    bell_from_arrays(shape, a.row_offsets(), a.col_indices(), a.values(), opts, CpuFeatures::detect(), pool)
 }
 
 /// BELL → COO (row-major export; exact structural roundtrip).

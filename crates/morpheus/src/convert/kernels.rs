@@ -3,13 +3,18 @@
 //! Every kernel here writes the target format's arrays straight from the
 //! source format's arrays — no intermediate COO triplet buffers, no sorting.
 //! ELL and HYB are one-bucket BELL: BELL's builder reads the source's
-//! row-major arrays (a sorted COO matrix's through one offsets pass) on the
-//! calling thread, HYB's ELL part as the first `K` entries of each row. The
-//! DIA and HDC fills and the row-major export run on the process
-//! [`ThreadPool`] with nnz-weighted, row-disjoint partitions once a matrix
-//! is large enough to amortise fork/join overhead; below
-//! [`PARALLEL_CONVERT_THRESHOLD`] they run serially on the calling thread
-//! with identical results.
+//! row-major arrays (a sorted COO matrix's through one offsets pass), HYB's
+//! ELL part as the first `K` entries of each row. It plans and allocates on
+//! the calling thread and fills there too, unless the caller hands it a
+//! pool (a service hands in its own, through
+//! [`crate::DynamicMatrix::convert_on`]): from
+//! [`PARALLEL_CONVERT_THRESHOLD`] entries on, the fill is then cut as a
+//! planned execution on that pool cuts the matrix, each index filling the
+//! slices it will execute. The DIA and HDC fills and the row-major export
+//! run on the process [`ThreadPool`] with nnz-weighted, row-disjoint
+//! partitions once a matrix is large enough to amortise fork/join overhead;
+//! below [`PARALLEL_CONVERT_THRESHOLD`] they run serially on the calling
+//! thread. Either way the results are identical.
 //!
 //! Planning steps (ELL width, DIA offset discovery, HYB split width, HDC
 //! diagonal selection) read a caller-supplied [`Analysis`] when available.
@@ -37,7 +42,9 @@ use super::ConvertOptions;
 use morpheus_parallel::{global_pool, row_aligned_partition, weighted_partition, SharedSlice, ThreadPool};
 
 /// Conversions touching at least this many structural non-zeros run their
-/// row-partitionable passes on the process pool.
+/// row-partitionable passes on a pool: the DIA/HDC fills and the
+/// row-major export on the process pool, a BELL/ELL/HYB fill and a
+/// service's analysis walk on the pool their caller hands in.
 pub const PARALLEL_CONVERT_THRESHOLD: usize = 1 << 14;
 
 /// The pool to run a conversion of `nnz` entries on, if any.
@@ -249,44 +256,39 @@ pub fn csr_into_coo<V: Scalar>(csr: CsrMatrix<V>) -> CooMatrix<V> {
 
 /// COO → ELL. Fails if padding would exceed the configured fill limit.
 pub fn coo_to_ell<V: Scalar>(coo: &CooMatrix<V>, opts: &ConvertOptions) -> Result<EllMatrix<V>> {
-    coo_to_ell_planned(coo, opts, None)
+    coo_to_ell_planned(coo, opts, None, None)
 }
 
 pub(crate) fn coo_to_ell_planned<V: Scalar>(
     coo: &CooMatrix<V>,
     opts: &ConvertOptions,
     plan: Option<&Analysis>,
+    pool: Option<&ThreadPool>,
 ) -> Result<EllMatrix<V>> {
     let offsets = coo_row_offsets(coo.nrows(), coo.row_indices());
-    let shape = (coo.nrows(), coo.ncols());
-    ell_from_arrays(shape, &offsets, coo.col_indices(), coo.values(), opts, plan, CpuFeatures::detect())
+    let (shape, cpu) = ((coo.nrows(), coo.ncols()), CpuFeatures::detect());
+    ell_from_arrays(shape, &offsets, coo.col_indices(), coo.values(), opts, plan, cpu, pool)
 }
 
 /// CSR → ELL, building the bucket straight from the CSR rows.
 pub fn csr_to_ell<V: Scalar>(csr: &CsrMatrix<V>, opts: &ConvertOptions) -> Result<EllMatrix<V>> {
-    csr_to_ell_planned(csr, opts, None)
+    csr_to_ell_planned(csr, opts, None, None)
 }
 
 pub(crate) fn csr_to_ell_planned<V: Scalar>(
     csr: &CsrMatrix<V>,
     opts: &ConvertOptions,
     plan: Option<&Analysis>,
+    pool: Option<&ThreadPool>,
 ) -> Result<EllMatrix<V>> {
-    let shape = (csr.nrows(), csr.ncols());
-    ell_from_arrays(
-        shape,
-        csr.row_offsets(),
-        csr.col_indices(),
-        csr.values(),
-        opts,
-        plan,
-        CpuFeatures::detect(),
-    )
+    let (shape, cpu) = ((csr.nrows(), csr.ncols()), CpuFeatures::detect());
+    ell_from_arrays(shape, csr.row_offsets(), csr.col_indices(), csr.values(), opts, plan, cpu, pool)
 }
 
 /// ELL from contiguous row-major arrays: one bucket as wide as the longest
 /// row (the plan's width when one is supplied), guarded at `width × nrows`,
-/// filled in the form `cpu` selects.
+/// filled in the form `cpu` selects, on `pool` when given.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn ell_from_arrays<V: Scalar>(
     (nrows, ncols): (usize, usize),
     offsets: &[usize],
@@ -295,60 +297,56 @@ pub(crate) fn ell_from_arrays<V: Scalar>(
     opts: &ConvertOptions,
     plan: Option<&Analysis>,
     cpu: CpuFeatures,
+    pool: Option<&ThreadPool>,
 ) -> Result<EllMatrix<V>> {
     let run = runs_of(offsets);
     let width = plan.map_or_else(|| (0..nrows).map(|r| run(r).1).max().unwrap_or(0), Analysis::ell_width);
     let nnz = offsets[nrows];
     guard_padding(FormatId::Ell, width.saturating_mul(nrows), nnz, opts)?;
     let guard = |padded, _| guard_padding(FormatId::Ell, padded, nnz, opts);
-    EllMatrix::from_runs((nrows, ncols), width, run, cols, vals, guard, cpu)
+    EllMatrix::from_runs((nrows, ncols), width, run, cols, vals, guard, cpu, pool)
 }
 
 /// COO → HYB under the given split policy. The ELL portion never exceeds the
 /// fill limit by construction when the policy is [`HybSplit::Auto`]; a fixed
 /// width is still guarded.
 pub fn coo_to_hyb<V: Scalar>(coo: &CooMatrix<V>, opts: &ConvertOptions) -> Result<HybMatrix<V>> {
-    coo_to_hyb_planned(coo, opts, None)
+    coo_to_hyb_planned(coo, opts, None, None)
 }
 
 pub(crate) fn coo_to_hyb_planned<V: Scalar>(
     coo: &CooMatrix<V>,
     opts: &ConvertOptions,
     plan: Option<&Analysis>,
+    pool: Option<&ThreadPool>,
 ) -> Result<HybMatrix<V>> {
     let offsets = coo_row_offsets(coo.nrows(), coo.row_indices());
-    let shape = (coo.nrows(), coo.ncols());
-    hyb_from_arrays(shape, &offsets, coo.col_indices(), coo.values(), opts, plan, CpuFeatures::detect())
+    let (shape, cpu) = ((coo.nrows(), coo.ncols()), CpuFeatures::detect());
+    hyb_from_arrays(shape, &offsets, coo.col_indices(), coo.values(), opts, plan, cpu, pool)
 }
 
 /// CSR → HYB, splitting each row straight into the ELL bucket and the COO
 /// spill.
 pub fn csr_to_hyb<V: Scalar>(csr: &CsrMatrix<V>, opts: &ConvertOptions) -> Result<HybMatrix<V>> {
-    csr_to_hyb_planned(csr, opts, None)
+    csr_to_hyb_planned(csr, opts, None, None)
 }
 
 pub(crate) fn csr_to_hyb_planned<V: Scalar>(
     csr: &CsrMatrix<V>,
     opts: &ConvertOptions,
     plan: Option<&Analysis>,
+    pool: Option<&ThreadPool>,
 ) -> Result<HybMatrix<V>> {
-    let shape = (csr.nrows(), csr.ncols());
-    hyb_from_arrays(
-        shape,
-        csr.row_offsets(),
-        csr.col_indices(),
-        csr.values(),
-        opts,
-        plan,
-        CpuFeatures::detect(),
-    )
+    let (shape, cpu) = ((csr.nrows(), csr.ncols()), CpuFeatures::detect());
+    hyb_from_arrays(shape, csr.row_offsets(), csr.col_indices(), csr.values(), opts, plan, cpu, pool)
 }
 
 /// HYB from contiguous row-major arrays: the split width `K` from the row
 /// lengths (the plan's histogram when one is supplied, checked against the
 /// arrays), the first `K` entries of each row as a one-bucket ELL built in
-/// place (filled in the form `cpu` selects), the rest copied into the spill
-/// in row order.
+/// place (filled in the form `cpu` selects, on `pool` when given), the rest
+/// copied into the spill in row order.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn hyb_from_arrays<V: Scalar>(
     (nrows, ncols): (usize, usize),
     offsets: &[usize],
@@ -357,6 +355,7 @@ pub(crate) fn hyb_from_arrays<V: Scalar>(
     opts: &ConvertOptions,
     plan: Option<&Analysis>,
     cpu: CpuFeatures,
+    pool: Option<&ThreadPool>,
 ) -> Result<HybMatrix<V>> {
     let run = runs_of(offsets);
     let nnz = offsets[nrows];
@@ -384,7 +383,7 @@ pub(crate) fn hyb_from_arrays<V: Scalar>(
         (first, len.min(k))
     };
     let guard = |padded, _| guard_padding(FormatId::Hyb, padded, nnz, opts);
-    let ell = EllMatrix::from_runs((nrows, ncols), k, head, cols, vals, guard, cpu)?;
+    let ell = EllMatrix::from_runs((nrows, ncols), k, head, cols, vals, guard, cpu, pool)?;
     let spill_nnz = nnz - ell.nnz();
     let (mut sp_rows, mut sp_cols, mut sp_vals) =
         (Vec::with_capacity(spill_nnz), Vec::with_capacity(spill_nnz), Vec::with_capacity(spill_nnz));

@@ -21,13 +21,15 @@
 //!   builder each over row-major `(offsets, cols, vals)` — CSR hands over
 //!   its own arrays, COO its `cols`/`vals` plus offsets from one pass that
 //!   only stores (each entry writes its row's end, a running maximum fills
-//!   the empty rows) — on the calling thread, so the formats the tuner
-//!   picks most often convert at memory speed, without a per-row search or
-//!   a per-entry indirect call. (The serving layer moves every COO source
-//!   into CSR at its front door, so what it converts is CSR.) The DIA and
-//!   HDC fills and the row-major export run in parallel on the process
-//!   pool with nnz-weighted, row-disjoint partitions once the matrix
-//!   exceeds [`kernels::PARALLEL_CONVERT_THRESHOLD`] entries.
+//!   the empty rows) — so the formats the tuner picks most often convert
+//!   at memory speed, without a per-row search or a per-entry indirect
+//!   call. (The serving layer moves every COO source into CSR at its front
+//!   door, so what it converts is CSR.) They build on the calling thread;
+//!   the ELL family's fill runs on a pool the caller hands in
+//!   ([`crate::DynamicMatrix::convert_on`]: a service's own) once the
+//!   matrix has [`kernels::PARALLEL_CONVERT_THRESHOLD`] entries. The DIA
+//!   and HDC fills and the row-major export run in parallel on the process
+//!   pool with nnz-weighted, row-disjoint partitions from that size on.
 //! * **Hub** — every other pair materialises an interchange copy first.
 //!   Conversions between two padded formats
 //!   ({ELL, DIA, HYB, HDC} × {ELL, DIA, HYB, HDC}) export to COO and
@@ -100,6 +102,7 @@ use crate::rowmajor::RowMajor;
 use crate::scalar::Scalar;
 use crate::spmv::cpu_features::CpuFeatures;
 use crate::Result;
+use morpheus_parallel::ThreadPool;
 
 /// Options controlling format conversions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -183,13 +186,16 @@ impl ConvertOutcome {
 /// taken. `analysis`, when supplied and matching, answers all planning
 /// questions without re-traversing the matrix; `diagonals`, when supplied,
 /// are the ones a DIA or HDC `target` stores (see
-/// [`DynamicMatrix::convert_to_diagonals`]).
+/// [`DynamicMatrix::convert_to_diagonals`]); `pool`, when given, is where
+/// a BELL, ELL or HYB target is filled (see
+/// [`DynamicMatrix::convert_on`]).
 pub(crate) fn convert_timed<V: Scalar>(
     m: &DynamicMatrix<V>,
     target: FormatId,
     opts: &ConvertOptions,
     analysis: Option<&Analysis>,
     diagonals: Option<&[isize]>,
+    pool: Option<&ThreadPool>,
 ) -> Result<(DynamicMatrix<V>, ConvertOutcome)> {
     let start = std::time::Instant::now();
     if target == m.format_id() {
@@ -197,7 +203,7 @@ pub(crate) fn convert_timed<V: Scalar>(
     }
     // Trust the plan only if it plausibly describes this matrix.
     let plan = analysis.filter(|a| a.matches(m));
-    let (converted, path) = dispatch(m, target, opts, plan, diagonals)?;
+    let (converted, path) = dispatch(m, target, opts, plan, diagonals, pool)?;
     Ok((converted, ConvertOutcome { path, seconds: start.elapsed().as_secs_f64() }))
 }
 
@@ -222,6 +228,7 @@ fn dispatch<V: Scalar>(
     opts: &ConvertOptions,
     plan: Option<&Analysis>,
     diagonals: Option<&[isize]>,
+    pool: Option<&ThreadPool>,
 ) -> Result<(DynamicMatrix<V>, ConvertPath)> {
     use DynamicMatrix as D;
     // Diagonals handed in win over the analysis': a miss of this structure
@@ -242,30 +249,30 @@ fn dispatch<V: Scalar>(
         // COO and CSR sources convert into the padded and block formats
         // directly.
         (D::Coo(a), FormatId::Bsr) => direct(D::Bsr(coo_to_bsr(a, opts)?)),
-        (D::Coo(a), FormatId::Bell) => direct(D::Bell(coo_to_bell(a, opts)?)),
+        (D::Coo(a), FormatId::Bell) => direct(D::Bell(blocked::coo_to_bell_on(a, opts, pool)?)),
         (D::Csr(a), FormatId::Bsr) => direct(D::Bsr(csr_to_bsr(a, opts)?)),
-        (D::Csr(a), FormatId::Bell) => direct(D::Bell(csr_to_bell(a, opts)?)),
+        (D::Csr(a), FormatId::Bell) => direct(D::Bell(blocked::csr_to_bell_on(a, opts, pool)?)),
         (D::Coo(a), FormatId::Dia) => direct(D::Dia(kernels::coo_to_dia_planned(a, opts, diags)?)),
-        (D::Coo(a), FormatId::Ell) => direct(D::Ell(kernels::coo_to_ell_planned(a, opts, plan)?)),
-        (D::Coo(a), FormatId::Hyb) => direct(D::Hyb(kernels::coo_to_hyb_planned(a, opts, plan)?)),
+        (D::Coo(a), FormatId::Ell) => direct(D::Ell(kernels::coo_to_ell_planned(a, opts, plan, pool)?)),
+        (D::Coo(a), FormatId::Hyb) => direct(D::Hyb(kernels::coo_to_hyb_planned(a, opts, plan, pool)?)),
         (D::Coo(a), FormatId::Hdc) => direct(D::Hdc(kernels::coo_to_hdc_planned(a, opts, diags)?)),
         (D::Csr(a), FormatId::Dia) => direct(D::Dia(kernels::csr_to_dia_planned(a, opts, diags)?)),
-        (D::Csr(a), FormatId::Ell) => direct(D::Ell(kernels::csr_to_ell_planned(a, opts, plan)?)),
-        (D::Csr(a), FormatId::Hyb) => direct(D::Hyb(kernels::csr_to_hyb_planned(a, opts, plan)?)),
+        (D::Csr(a), FormatId::Ell) => direct(D::Ell(kernels::csr_to_ell_planned(a, opts, plan, pool)?)),
+        (D::Csr(a), FormatId::Hyb) => direct(D::Hyb(kernels::csr_to_hyb_planned(a, opts, plan, pool)?)),
         (D::Csr(a), FormatId::Hdc) => direct(D::Hdc(kernels::csr_to_hdc_planned(a, opts, diags)?)),
         // Everything else goes through a materialised interchange copy
         // (both legs are direct kernels): CSR for the array-built block
         // formats, COO for the padded ones.
         (_, FormatId::Bsr | FormatId::Bell) => {
             let csr = D::Csr(blocked::rowmajor_to_csr(as_rowmajor(m), m.ncols()));
-            (dispatch(&csr, target, opts, plan, None)?.0, ConvertPath::Hub)
+            (dispatch(&csr, target, opts, plan, None, pool)?.0, ConvertPath::Hub)
         }
         (_, _) => {
             let coo = m.to_coo();
             let rebuilt = match target {
                 FormatId::Dia => D::Dia(kernels::coo_to_dia_planned(&coo, opts, diags)?),
-                FormatId::Ell => D::Ell(kernels::coo_to_ell_planned(&coo, opts, plan)?),
-                FormatId::Hyb => D::Hyb(kernels::coo_to_hyb_planned(&coo, opts, plan)?),
+                FormatId::Ell => D::Ell(kernels::coo_to_ell_planned(&coo, opts, plan, pool)?),
+                FormatId::Hyb => D::Hyb(kernels::coo_to_hyb_planned(&coo, opts, plan, pool)?),
                 FormatId::Hdc => D::Hdc(kernels::coo_to_hdc_planned(&coo, opts, diags)?),
                 FormatId::Coo | FormatId::Csr | FormatId::Bsr | FormatId::Bell => {
                     unreachable!("handled by the arms above")
@@ -321,13 +328,13 @@ pub fn padded_from_arrays<V: Scalar>(
 ) -> Result<DynamicMatrix<V>> {
     Ok(match target {
         FormatId::Bell => {
-            DynamicMatrix::Bell(blocked::bell_from_arrays(shape, offsets, cols, vals, opts, cpu)?)
+            DynamicMatrix::Bell(blocked::bell_from_arrays(shape, offsets, cols, vals, opts, cpu, None)?)
         }
         FormatId::Ell => {
-            DynamicMatrix::Ell(kernels::ell_from_arrays(shape, offsets, cols, vals, opts, None, cpu)?)
+            DynamicMatrix::Ell(kernels::ell_from_arrays(shape, offsets, cols, vals, opts, None, cpu, None)?)
         }
         FormatId::Hyb => {
-            DynamicMatrix::Hyb(kernels::hyb_from_arrays(shape, offsets, cols, vals, opts, None, cpu)?)
+            DynamicMatrix::Hyb(kernels::hyb_from_arrays(shape, offsets, cols, vals, opts, None, cpu, None)?)
         }
         other => panic!("{other} is not filled by BELL's builder"),
     })
@@ -550,7 +557,7 @@ mod tests {
         let a = Analysis::of(&m, opts.true_diag_alpha);
         let csr = coo_to_csr(&coo);
         assert_eq!(
-            kernels::coo_to_ell_planned(&coo, &opts, Some(&a)).unwrap(),
+            kernels::coo_to_ell_planned(&coo, &opts, Some(&a), None).unwrap(),
             coo_to_ell(&coo, &opts).unwrap()
         );
         assert_eq!(
@@ -558,7 +565,7 @@ mod tests {
             coo_to_dia(&coo, &opts).unwrap()
         );
         assert_eq!(
-            kernels::coo_to_hyb_planned(&coo, &opts, Some(&a)).unwrap(),
+            kernels::coo_to_hyb_planned(&coo, &opts, Some(&a), None).unwrap(),
             coo_to_hyb(&coo, &opts).unwrap()
         );
         assert_eq!(
@@ -566,7 +573,7 @@ mod tests {
             coo_to_hdc(&coo, &opts).unwrap()
         );
         assert_eq!(
-            kernels::csr_to_ell_planned(&csr, &opts, Some(&a)).unwrap(),
+            kernels::csr_to_ell_planned(&csr, &opts, Some(&a), None).unwrap(),
             csr_to_ell(&csr, &opts).unwrap()
         );
         assert_eq!(
@@ -581,19 +588,19 @@ mod tests {
         let opts = ConvertOptions { min_padded_allowance: 1 << 20, ..Default::default() };
         let m = DynamicMatrix::from(coo);
 
-        let (_, same) = convert_timed(&m, FormatId::Coo, &opts, None, None).unwrap();
+        let (_, same) = convert_timed(&m, FormatId::Coo, &opts, None, None, None).unwrap();
         assert_eq!(same.path, ConvertPath::Identity);
 
-        let (ell, out) = convert_timed(&m, FormatId::Ell, &opts, None, None).unwrap();
+        let (ell, out) = convert_timed(&m, FormatId::Ell, &opts, None, None, None).unwrap();
         assert_eq!(out.path, ConvertPath::Direct);
         assert!(out.seconds >= 0.0);
 
         // Padded -> padded goes through the hub.
-        let (_, out) = convert_timed(&ell, FormatId::Dia, &opts, None, None).unwrap();
+        let (_, out) = convert_timed(&ell, FormatId::Dia, &opts, None, None, None).unwrap();
         assert_eq!(out.path, ConvertPath::Hub);
 
         // Padded -> CSR is a direct export.
-        let (_, out) = convert_timed(&ell, FormatId::Csr, &opts, None, None).unwrap();
+        let (_, out) = convert_timed(&ell, FormatId::Csr, &opts, None, None, None).unwrap();
         assert_eq!(out.path, ConvertPath::Direct);
     }
 
@@ -604,7 +611,7 @@ mod tests {
         let m = DynamicMatrix::from(coo);
         for target in crate::format::ALL_FORMATS {
             let via_hub = convert_via_hub(&m, target, &opts).unwrap();
-            let (dispatched, _) = convert_timed(&m, target, &opts, None, None).unwrap();
+            let (dispatched, _) = convert_timed(&m, target, &opts, None, None, None).unwrap();
             assert_eq!(via_hub, dispatched, "{target}");
         }
     }

@@ -16,6 +16,7 @@ use crate::hdc::HdcMatrix;
 use crate::hyb::HybMatrix;
 use crate::scalar::Scalar;
 use crate::Result;
+use morpheus_parallel::ThreadPool;
 
 /// A sparse matrix whose storage format is chosen — and changed — at
 /// runtime.
@@ -155,7 +156,7 @@ impl<V: Scalar> DynamicMatrix<V> {
         opts: &ConvertOptions,
         analysis: Option<&Analysis>,
     ) -> Result<(DynamicMatrix<V>, ConvertOutcome)> {
-        convert::convert_timed(self, target, opts, analysis, None)
+        convert::convert_timed(self, target, opts, analysis, None, None)
     }
 
     /// Switches the active format in place. On failure the matrix is left
@@ -173,10 +174,29 @@ impl<V: Scalar> DynamicMatrix<V> {
         opts: &ConvertOptions,
         analysis: Option<&Analysis>,
     ) -> Result<ConvertOutcome> {
+        self.convert_on(target, opts, analysis, None)
+    }
+
+    /// [`DynamicMatrix::convert_to_with`] whose BELL, ELL or HYB fill runs
+    /// on `pool` once the matrix has
+    /// [`PARALLEL_CONVERT_THRESHOLD`](crate::convert::kernels::PARALLEL_CONVERT_THRESHOLD)
+    /// entries, cut as a planned execution on that pool cuts the result (see
+    /// `BellMatrix::from_row_arrays`): the arrays are bitwise what the
+    /// conversion without a pool stores. `None`, and a pool of one thread,
+    /// fill on the calling thread. The DIA and HDC fills fork onto
+    /// [`morpheus_parallel::global_pool`] either way. A serving layer passes
+    /// the pool it owns. On failure the matrix is left unchanged.
+    pub fn convert_on(
+        &mut self,
+        target: FormatId,
+        opts: &ConvertOptions,
+        analysis: Option<&Analysis>,
+        pool: Option<&ThreadPool>,
+    ) -> Result<ConvertOutcome> {
         if target == self.format_id() {
             return Ok(ConvertOutcome::identity());
         }
-        let (converted, outcome) = self.to_format_with(target, opts, analysis)?;
+        let (converted, outcome) = convert::convert_timed(self, target, opts, analysis, None, pool)?;
         *self = converted;
         Ok(outcome)
     }
@@ -216,7 +236,7 @@ impl<V: Scalar> DynamicMatrix<V> {
         let (nrows, ncols) = (self.nrows() as isize, self.ncols() as isize);
         let on_shape = offsets.iter().all(|&off| off > -nrows && off < ncols);
         assert!(on_shape && offsets.is_sorted_by(|a, b| a < b), "{offsets:?}: not diagonals of this shape");
-        let (converted, outcome) = convert::convert_timed(self, target, opts, None, Some(offsets))?;
+        let (converted, outcome) = convert::convert_timed(self, target, opts, None, Some(offsets), None)?;
         *self = converted;
         Ok(outcome)
     }

@@ -12,6 +12,7 @@ use crate::format::FormatId;
 use crate::scalar::Scalar;
 use crate::spmv::cpu_features::CpuFeatures;
 use crate::Result;
+use morpheus_parallel::ThreadPool;
 
 /// ELLPACK-format sparse matrix (§II-B): every non-empty row padded to
 /// `width` (the paper's *K*) entries.
@@ -34,24 +35,26 @@ impl<V: Scalar> EllMatrix<V> {
 
     /// Builds the one bucket of `width` from the row runs `run(r)` =
     /// `(first entry, length)` in `cols`/`vals` (see
-    /// [`BellMatrix::from_row_arrays`], which `guard` and `cpu` are handed
-    /// to).
+    /// [`BellMatrix::from_row_arrays`], which `guard`, `cpu` and `pool` are
+    /// handed to).
     ///
     /// # Panics
     /// If a run is longer than `width` (a stale plan's width), before
     /// anything is allocated.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_runs(
         shape: (usize, usize),
         width: usize,
-        run: impl Fn(usize) -> (usize, usize),
+        run: impl Fn(usize) -> (usize, usize) + Sync,
         cols: &[usize],
         vals: &[V],
         guard: impl FnOnce(usize, usize) -> Result<()>,
         cpu: CpuFeatures,
+        pool: Option<&ThreadPool>,
     ) -> Result<Self> {
         let longest = (0..shape.0).map(|r| run(r).1).max().unwrap_or(0);
         assert!(longest <= width, "a row of {longest} entries in an ELL of width {width}: stale analysis?");
-        let bell = BellMatrix::from_row_arrays(shape, run, cols, vals, &[width], guard, cpu)?;
+        let bell = BellMatrix::from_row_arrays(shape, run, cols, vals, &[width], guard, cpu, pool)?;
         debug_assert!(bell.buckets().iter().all(|b| b.width() == width));
         Ok(EllMatrix { width, bell })
     }
@@ -116,8 +119,17 @@ mod tests {
         // [4 0 5]
         let offsets = [0, 2, 3, 5];
         let (cols, vals) = ([0, 1, 1, 0, 2], [1.0, 2.0, 3.0, 4.0, 5.0]);
-        EllMatrix::from_runs((3, 3), 2, runs_of(&offsets), &cols, &vals, |_, _| Ok(()), CpuFeatures::detect())
-            .unwrap()
+        EllMatrix::from_runs(
+            (3, 3),
+            2,
+            runs_of(&offsets),
+            &cols,
+            &vals,
+            |_, _| Ok(()),
+            CpuFeatures::detect(),
+            None,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -147,6 +159,7 @@ mod tests {
             &[1.0, 2.0],
             |_, _| Ok(()),
             CpuFeatures::detect(),
+            None,
         )
         .unwrap();
     }
@@ -165,6 +178,7 @@ mod tests {
             &[],
             |_, _| Ok(()),
             CpuFeatures::detect(),
+            None,
         )
         .unwrap();
         assert_eq!(empty, m);

@@ -18,12 +18,13 @@ binary="${1:-oracle_bench/target/release/oracle_bench}"
 # counts) and its stamp helpers; the opener of the BELL slice loops; the DIA
 # row body (one registration in eight executes it) and the cut of its tiles;
 # the BELL fill's skeleton and its portable lane loop, which fold into each
-# fill body (`fill_bucket` and the AVX2 bodies are functions of their own).
-forbidden='RowWalk(<.*>)?::row|Stamps::count_(row|entry)|full_slices|dia_rows|row_tiles|bell::fill::fill(_lanes)?($|::|<)'
+# fill body (`fill_bucket` and the AVX2 bodies are functions of their own),
+# and the fill's share body, which folds into each pool index's job.
+forbidden='RowWalk(<.*>)?::row|Stamps::count_(row|entry)|full_slices|dia_rows|row_tiles|bell::fill::fill(_lanes|_share)?($|::|<)'
 
 if found=$(nm -C "$binary" | grep -E "$forbidden"); then
     echo "check_inlined_symbols: out-of-line copies in $binary:" >&2
     echo "$found" >&2
     exit 1
 fi
-echo "check_inlined_symbols: $binary: no out-of-line RowWalk::row, Stamps::count_*, full_slices, dia_rows, row_tiles, bell::fill::fill, fill_lanes"
+echo "check_inlined_symbols: $binary: no out-of-line RowWalk::row, Stamps::count_*, full_slices, dia_rows, row_tiles, bell::fill::fill, fill_lanes, fill_share"

@@ -147,7 +147,7 @@ fn assert_matches_definitions(a: &Analysis, m: &DynamicMatrix<f64>, coo: &CooMat
 /// nothing else — complete it to `fused` bitwise.
 fn assert_counts_taken_later_equal_the_fused_walks(m: &DynamicMatrix<f64>, fused: &Analysis, what: &str) {
     assert!(fused.entries.bsr_blocks.is_some(), "{what}: the fused walk counts blocks");
-    let mut lazy = Analysis::without_block_counts(m, ALPHA, m.structure_hash());
+    let mut lazy = Analysis::without_block_counts(m, ALPHA, m.structure_hash(), None);
     assert_eq!(lazy.entries.bsr_blocks, None, "{what}");
     let mut stripped = fused.clone();
     stripped.entries.bsr_blocks = None;
@@ -234,7 +234,7 @@ fn counts_taken_later_equal_the_fused_walks_for_every_class_and_format() {
             let fused = Analysis::of(&m, ALPHA);
             assert_counts_taken_later_equal_the_fused_walks(&m, &fused, &what);
             // The view off the late counts is the view off the fused walk.
-            let mut lazy = Analysis::without_block_counts(&m, ALPHA, m.structure_hash());
+            let mut lazy = Analysis::without_block_counts(&m, ALPHA, m.structure_hash(), None);
             let mut view = analyze_from(&m, &lazy);
             assert_eq!(view.bsr_blocks, None, "{what}");
             lazy.take_block_counts(&m);
@@ -257,7 +257,7 @@ fn views_completed_later_equal_the_full_views_for_every_class() {
             let what = format!("{} as {fmt}", class.name());
             let m = base.to_format(fmt, &opts).unwrap();
             let full = Analysis::of(&m, ALPHA);
-            let mut lazy = Analysis::without_block_counts(&m, ALPHA, m.structure_hash());
+            let mut lazy = Analysis::without_block_counts(&m, ALPHA, m.structure_hash(), None);
             let mut stripped = full.clone();
             stripped.entries.bsr_blocks = None;
             assert_eq!(lazy, stripped, "{what}: the walk without counts");
@@ -299,7 +299,7 @@ fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
 #[test]
 fn reading_an_absent_block_count_panics_naming_the_reader() {
     let m = dense_blocks(8, 6);
-    let view = analyze_from(&m, &Analysis::without_block_counts(&m, ALPHA, m.structure_hash()));
+    let view = analyze_from(&m, &Analysis::without_block_counts(&m, ALPHA, m.structure_hash(), None));
     let engine = VirtualEngine::new(systems::cirrus(), Backend::OpenMp);
     let absent = "read a BSR block count from a machine view assembled without block counts";
     for (reader, message) in [

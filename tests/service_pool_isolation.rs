@@ -1,7 +1,10 @@
 //! A service built with its own pool keeps its cold path on it — as far as
 //! the analysis and the array-built conversions (CSR, BSR, and the ELL
-//! family: BELL, ELL, HYB) go. The DIA/HDC conversion *fills* still run on
-//! the process-wide pool at `PARALLEL_CONVERT_THRESHOLD` entries and above
+//! family: BELL, ELL, HYB) go. On a one-worker service they run on the
+//! calling thread; on a wider one the analysis walk and the BELL/ELL/HYB
+//! fill of a large enough matrix run on the service's own pool, never on
+//! the process-wide one. The DIA/HDC conversion *fills* still run on the
+//! process-wide pool at `PARALLEL_CONVERT_THRESHOLD` entries and above
 //! (`convert::kernels`'s `pool_for`); the ignored test below states that
 //! remaining escape.
 //!
@@ -49,6 +52,14 @@ fn banded_50k() -> DynamicMatrix<f64> {
 /// `workers(1)` service whose tuner always picks `format`, and returns how
 /// many shares the process-wide pool handed to its workers meanwhile.
 fn global_dispatches_while_serving(format: FormatId) -> usize {
+    global_and_own_dispatches(format, 1).0
+}
+
+/// [`global_dispatches_while_serving`] on a `workers(workers)` service,
+/// and how many shares the service's own pool handed to its workers — as
+/// its queue-wait observer (`pool.queue_wait_ns`) counts them — during the
+/// cold registration alone.
+fn global_and_own_dispatches(format: FormatId, workers: usize) -> (usize, u64) {
     let _turn = GLOBAL_POOL.lock().unwrap_or_else(|e| e.into_inner());
     let global = global_pool();
     let dispatched = Arc::new(AtomicUsize::new(0));
@@ -61,10 +72,12 @@ fn global_dispatches_while_serving(format: FormatId) -> usize {
     let service = Oracle::builder()
         .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
         .tuner(Always(format))
-        .workers(1)
+        .workers(workers)
         .build_service()
         .unwrap();
+    let handed_off = || service.obs_snapshot().metrics.hist("pool.queue_wait_ns").count;
     let first = service.register(m.clone()).unwrap();
+    let own = handed_off();
     assert!(!first.report().cache_hit);
     assert_eq!(first.format_id(), format);
     // The hit path builds no analysis at all; the per-call path plans too.
@@ -80,16 +93,28 @@ fn global_dispatches_while_serving(format: FormatId) -> usize {
     global.run_on_all(&|_| {});
     assert_eq!(dispatched.load(Ordering::SeqCst) - while_serving, global.num_threads() - 1);
     global.set_queue_wait_observer(None);
-    while_serving
+    (while_serving, own)
 }
 
-/// BELL — and ELL and HYB, one-bucket BELL — are array-built on the calling
-/// thread, so every dispatch the registration could make is the analysis's.
+/// BELL — and ELL and HYB, one-bucket BELL — are array-built, and on a
+/// one-worker service the analysis and the fill run on the calling thread.
 #[test]
 fn a_one_worker_service_registers_without_waking_the_global_pool() {
     for format in [FormatId::Bell, FormatId::Ell, FormatId::Hyb] {
         let dispatches = global_dispatches_while_serving(format);
         assert_eq!(dispatches, 0, "{format}: the service's cold path ran on the process-wide pool");
+    }
+}
+
+/// On a two-worker service the fill of a 50 k-entry matrix is split over
+/// the service's own pool: it dispatches there, and still never on the
+/// process-wide pool.
+#[test]
+fn a_two_worker_service_fills_on_its_own_pool_and_never_on_the_global_one() {
+    for format in [FormatId::Bell, FormatId::Ell, FormatId::Hyb] {
+        let (global, own) = global_and_own_dispatches(format, 2);
+        assert_eq!(global, 0, "{format}: the service's cold path ran on the process-wide pool");
+        assert!(own >= 1, "{format}: the cold registration never dispatched on the service's pool");
     }
 }
 
