@@ -192,14 +192,16 @@ impl SampleCollector {
     /// a copy to every viable format — with the parameters a decision for
     /// it would carry ([`crate::propose_params`]; `opts` supplies the rest),
     /// so a trial is the kernel serving stores, under the same
-    /// [`SampleKey::param_code`] — executes the real serial kernel
-    /// `reps` times each with wall-clock timing, and records the
-    /// measurements (under `workers: 1`) so the next
+    /// [`SampleKey::param_code`] — executes each trial `reps` times with
+    /// `spmv_serial` (`spmm_serial`) under wall-clock timing, and records
+    /// the measurements (under `workers: 1`) so the next
     /// [`build_dataset`](Self::build_dataset) can label this structure
     /// with its *measured*-fastest format. The spent kernel seconds are
     /// charged to the returned [`TuningCost::measured`].
     ///
-    /// Trials run the **serial** kernels and are recorded under
+    /// Those run each format's one ranged body over a single part: the
+    /// bodies serving runs, so a trial times the arithmetic a served
+    /// matrix executes. Trials run on one thread and are recorded under
     /// `workers: 1`: dataset groups are per worker count, so on a
     /// threaded engine the sweep labels the serial group rather than
     /// filling the threaded serving group — labels then reflect serial

@@ -923,36 +923,12 @@ impl<T> OracleService<T> {
         }
     }
 
-    /// One whole matrix, executed: the serial kernel when there is no
-    /// `plan`, otherwise the plan's bodies ([`ExecPlan::run`]) across `pool`
-    /// or, without one, inline on the calling thread. Returns the worker
-    /// count the execution's telemetry population is keyed by.
-    fn run_whole<V: Scalar>(
-        &self,
-        m: &DynamicMatrix<V>,
-        plan: Option<&ExecPlan<V>>,
-        op: Op,
-        x: &[V],
-        y: &mut [V],
-        pool: Option<&ThreadPool>,
-    ) -> morpheus::Result<usize> {
-        let Some(plan) = plan else {
-            match op {
-                Op::Spmv => morpheus::spmv::spmv_serial(m, x, y)?,
-                Op::Spmm { k } => morpheus::spmm::spmm_serial(m, x, y, k)?,
-            }
-            return Ok(1);
-        };
-        plan.run(m, op, x, y, pool)?;
-        Ok(pool.map_or(1, ThreadPool::num_threads))
-    }
-
     /// Executes `op` through a registered handle — the one way a handle
     /// runs, and where **the ladder** is written down:
     ///
-    /// 1. **Serial backend** ([`Self::exec_pool`] is `None`): a whole
-    ///    matrix runs the serial kernel (population `1 worker`);
-    ///    shards run their single-threaded plans one after another.
+    /// 1. **Serial backend** ([`Self::exec_pool`] is `None`): the stored
+    ///    plan, inline — rung 3's form, population `1 worker`; shards run
+    ///    their single-threaded plans one after another.
     /// 2. **`pool: Some`**: the plan's parts (the shards, by owner) in one
     ///    dispatch across the pool. Should another client's batch be
     ///    dispatched at that instant the pool runs them inline on this
@@ -962,8 +938,9 @@ impl<T> OracleService<T> {
     ///    ([`Self::take_serial_fallback`]): the same plan's bodies inline on
     ///    the calling thread, bitwise identical to rung 2, population
     ///    `1 worker`. (`tune_and_*`, which has a plan to *build* first, skips
-    ///    building one on this rung when caching is off and runs the serial
-    ///    kernel: [`Self::tune_and_run`].)
+    ///    building one on this rung when caching is off and runs
+    ///    `spmv_serial`, the same bodies over one part:
+    ///    [`Self::tune_and_run`].)
     ///
     /// Which of 2 and 3 is the callers' whole difference:
     /// [`spmv`](Self::spmv)/[`spmm`](Self::spmm) dodge a busy pool, queued
@@ -993,8 +970,8 @@ impl<T> OracleService<T> {
         let t0 = (self.collector.is_some() || self.obs.enabled()).then(Instant::now);
         let sample = match &handle.inner.stored {
             Stored::Single { matrix, structure, param_code, plan } => {
-                let plan = self.exec_pool().map(|_| &**plan);
-                let workers = self.run_whole(matrix, plan, op, x, y, pool)?;
+                plan.run(matrix, op, x, y, pool)?;
+                let workers = pool.map_or(1, ThreadPool::num_threads);
                 Some((*structure, matrix.format_id(), *param_code, workers))
             }
             Stored::Partitioned { matrix: p, param_codes } => {
@@ -1074,9 +1051,10 @@ impl<T> OracleService<T> {
     /// Tunes `m` for `op`, then executes it in the selected format: the
     /// body of `tune_and_spmv`/`tune_and_spmm`. The ladder is
     /// [`Self::execute`]'s, with the plan acquired (from its decision entry,
-    /// or built and left there) on the way — except on a busy pool with
-    /// caching off, where a plan would be built to be thrown away and the
-    /// serial kernel runs instead. [`TuneReport::serial_fallback`] reports a
+    /// or built and left there) on the way — except on a serial backend, and
+    /// on a busy pool with caching off, where a plan would be built to be
+    /// thrown away: `spmv_serial`/`spmm_serial` run the same bodies over one
+    /// part instead. [`TuneReport::serial_fallback`] reports a
     /// busy pool; a plan acquired then still keeps the cache warm for the
     /// next uncontended call.
     ///
@@ -1102,7 +1080,12 @@ impl<T> OracleService<T> {
             plan
         });
         let pool = pool.filter(|_| !report.serial_fallback);
-        let workers = self.run_whole(m, plan.as_deref(), op, x, y, pool)?;
+        match (plan, op) {
+            (Some(plan), op) => plan.run(m, op, x, y, pool)?,
+            (None, Op::Spmv) => morpheus::spmv::spmv_serial(m, x, y)?,
+            (None, Op::Spmm { k }) => morpheus::spmm::spmm_serial(m, x, y, k)?,
+        }
+        let workers = pool.map_or(1, ThreadPool::num_threads);
         if let Some(t0) = t0 {
             let elapsed = t0.elapsed();
             if report.plan != PlanStatus::Built {
@@ -1365,10 +1348,10 @@ impl<T> OracleService<T> {
     }
 
     /// `y = A x` through a registered handle: the zero-lock steady state.
-    /// Serial engines run the serial kernel; threaded engines replay the
-    /// handle's plan, or — when the pool is busy with another client's
-    /// batch — replay the same plan's kernel bodies inline on the calling
-    /// thread, bitwise identical to the pooled execution.
+    /// Serial engines replay the handle's plan inline; threaded engines
+    /// replay it across the pool, or — when the pool is busy with another
+    /// client's batch — inline on the calling thread, bitwise identical to
+    /// the pooled execution.
     /// With a [`SampleCollector`] attached, each execution is additionally
     /// timestamped and its measured wall time attributed to the handle's
     /// `(structure, format, op, scalar, workers)` telemetry population —
@@ -1711,15 +1694,19 @@ mod tests {
             .unwrap();
         assert_eq!(service.workers(), 1);
         let m = tridiag(300);
-        let x = vec![1.0f64; 300];
-        let mut y_ref = vec![0.0; 300];
-        morpheus::spmv::spmv_serial(&m, &x, &mut y_ref).unwrap();
+        let x: Vec<f64> = (0..300).map(|i| (i as f64 * 0.37).sin()).collect();
         let handle = service.register(m).unwrap();
         let mut y = vec![f64::NAN; 300];
         service.spmv(&handle, &x, &mut y).unwrap();
         let mut y_conv = vec![0.0; 300];
         morpheus::spmv::spmv_serial(handle.matrix(), &x, &mut y_conv).unwrap();
         assert_eq!(y, y_conv);
+        // Rung 1 of the ladder: the stored plan, inline.
+        assert_eq!(handle.plan().threads(), 1);
+        let mut y_plan = vec![f64::NAN; 300];
+        handle.plan().spmv_unpooled(handle.matrix(), &x, &mut y_plan).unwrap();
+        let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y), bits(&y_plan), "a Serial-engine handle runs its stored plan");
     }
 
     /// Rung 3 of the ladder (see `OracleService::execute`), direct and

@@ -67,7 +67,7 @@ pub struct TuneReport {
     /// `true` when a threaded execution found the pool busy with another
     /// client's batch and ran inline on the calling thread — the plan's
     /// kernel bodies (bitwise identical to the pooled execution) when a
-    /// plan was acquired, the serial kernel otherwise — instead of
+    /// plan was acquired, `spmv_serial`'s one part otherwise — instead of
     /// queueing behind it (counted in the registry counter
     /// `serve.fallbacks_taken`, see [`crate::OracleService::obs_snapshot`]).
     /// Always `false` for tune-only calls and serial engines.

@@ -37,6 +37,7 @@
 //! batch. Callers with a cheaper serial kernel than the inline loop (the
 //! Oracle serving layer) can consult [`ThreadPool::is_busy`] first.
 
+use std::any::Any;
 use std::cell::{Cell, UnsafeCell};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -87,7 +88,9 @@ struct Shared {
     remaining: AtomicUsize,
     /// Worker shares of the current epoch not yet started.
     queued: AtomicUsize,
-    panicked: AtomicBool,
+    /// The payload of the lowest-indexed worker share of this epoch that
+    /// panicked, with its index.
+    panic: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
     /// Whether waiters poll before parking (the pool fits the machine).
     spin: bool,
     /// The installed queue-wait observer; `observing` mirrors the slot so an
@@ -144,10 +147,13 @@ fn worker_loop(shared: &Shared, index: usize) {
             }
         }
         shared.queued.fetch_sub(1, Ordering::Relaxed);
-        if catch_unwind(AssertUnwindSafe(|| func(index))).is_err() {
-            shared.panicked.store(true, Ordering::Relaxed);
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| func(index))) {
+            let mut slot = shared.panic.lock();
+            if slot.as_ref().is_none_or(|&(first, _)| index < first) {
+                *slot = Some((index, payload));
+            }
         }
-        // Release: the share's writes (and `panicked`) happen-before the
+        // Release: the share's writes (and its panic) happen-before the
         // owner's acquire load of zero.
         if shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             caller.unpark();
@@ -187,7 +193,7 @@ impl ThreadPool {
             epoch: AtomicUsize::new(0),
             remaining: AtomicUsize::new(0),
             queued: AtomicUsize::new(0),
-            panicked: AtomicBool::new(false),
+            panic: Mutex::new(None),
             spin: n_threads <= cores,
             observer: RwLock::new(None),
             observing: AtomicBool::new(false),
@@ -250,8 +256,10 @@ impl ThreadPool {
     /// From inside a parallel region (nested parallelism), on a pool of
     /// width 1, or while another client's batch is dispatched, every index
     /// runs inline on the calling thread instead — same semantics, no
-    /// waiting. A panic in any share is re-raised here once all shares have
-    /// finished; the pool stays usable.
+    /// waiting. A panic in a share is re-raised here with that share's own
+    /// payload — the lowest-indexed panicking share's — once every share
+    /// has finished (inline, the indices after it never start); the pool
+    /// stays usable.
     pub fn run_on_all(&self, f: &(dyn Fn(usize) + Sync)) {
         let n = self.n_threads;
         let taken = n > 1
@@ -280,13 +288,10 @@ impl ThreadPool {
         let mine = catch_unwind(AssertUnwindSafe(|| f(0)));
         IN_WORKER.with(|g| g.set(false));
         wait_until(shared.spin, || shared.remaining.load(Ordering::Acquire) == 0);
-        let worker_panicked = shared.panicked.swap(false, Ordering::Relaxed);
+        let worker_panic = shared.panic.lock().take();
         self.inflight.store(0, Ordering::Release);
-        if let Err(payload) = mine {
+        if let Some(payload) = mine.err().or(worker_panic.map(|(_, payload)| payload)) {
             resume_unwind(payload);
-        }
-        if worker_panicked {
-            panic!("a morpheus-parallel worker panicked");
         }
     }
 
@@ -329,8 +334,8 @@ impl ThreadPool {
     /// that runs it, so it can carry `&mut` pieces of one output cut apart
     /// beforehand (`split_at_mut`). One job runs on the calling thread
     /// without a dispatch. A panic in a job is re-raised here, with its own
-    /// payload, once every job has finished: the lowest-indexed job's, so a
-    /// loop cut into jobs in its own order panics with what the uncut loop
+    /// payload, by [`ThreadPool::run_on_all`]: the lowest-indexed job's, so
+    /// a loop cut into jobs in its own order panics with what the uncut loop
     /// would. The pool stays usable.
     ///
     /// # Panics
@@ -341,14 +346,13 @@ impl ThreadPool {
             return jobs.into_iter().map(body).collect();
         }
         let jobs: Vec<Mutex<Option<J>>> = jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
-        let done: Vec<Mutex<Option<thread::Result<R>>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+        let done: Vec<Mutex<Option<R>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
         self.run_on_all(&|p| {
             if let Some(job) = jobs.get(p).and_then(|job| job.lock().take()) {
-                *done[p].lock() = Some(catch_unwind(AssertUnwindSafe(|| body(job))));
+                *done[p].lock() = Some(body(job));
             }
         });
-        let results = done.into_iter().map(|d| d.into_inner().expect("every job ran"));
-        results.map(|r| r.unwrap_or_else(|payload| resume_unwind(payload))).collect()
+        done.into_iter().map(|d| d.into_inner().expect("every job ran")).collect()
     }
 }
 
@@ -467,7 +471,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "worker panicked")]
+    #[should_panic(expected = "boom")]
     fn worker_panic_propagates() {
         let pool = ThreadPool::new(2);
         pool.run_owned(&[0..2, 2..4], &|_, i| assert_ne!(i, 2, "boom"));
@@ -504,7 +508,9 @@ mod tests {
                     bump(&done);
                 })
             }));
-            assert!(r.is_err(), "share {bad}: the panic must reach the caller");
+            let payload = r.expect_err("the panic must reach the caller");
+            let boom = format!("boom {bad}");
+            assert_eq!(payload.downcast_ref::<String>(), Some(&boom), "share {bad}: its own payload");
             assert_eq!(done.load(Ordering::Relaxed), 2, "share {bad}: returned before every share finished");
             assert!(!pool.is_busy());
         }

@@ -32,10 +32,12 @@
 //! the matrix — one for every format but the two-pass composites HYB and HDC
 //! — with part `p` on the same pool index, hence the same core, every call.
 //!
-//! Every format has exactly one ranged body and it keeps the serial
-//! kernel's per-row accumulation order, so every planned execution — any
-//! worker count, pooled or inline — is **bitwise identical** to
-//! [`crate::spmv::spmv_serial`] of the same stored matrix.
+//! Every format has exactly one ranged body, and there are two entry styles
+//! that run it: a plan's parts, or one part covering every unit inline
+//! ([`crate::spmv::spmv_serial`], [`crate::spmm::spmm_serial`]). Parts write
+//! disjoint rows and a row sums in the same order however the rows are cut,
+//! so every planned execution — any worker count, pooled or inline — is
+//! **bitwise identical** to the one-part run of the same stored matrix.
 //!
 //! A plan is immutable: [`ExecPlan::run`] takes `&self`, so any number of
 //! threads can replay one `Arc<ExecPlan>` concurrently (the serving layer
@@ -113,7 +115,7 @@ impl<V: Scalar> Workspace<V> {
 
     /// Sizes the buffer to `len` (zeroing fresh elements) and runs `f` on
     /// it, returning the filled slice — `f` is typically a closure over
-    /// [`ExecPlan::run`], or over a serial kernel.
+    /// [`ExecPlan::run`], or over [`crate::spmv::spmv_serial`].
     pub fn run(&mut self, len: usize, f: impl FnOnce(&mut [V]) -> Result<()>) -> Result<&[V]> {
         self.buf.resize(len, V::ZERO);
         f(&mut self.buf)?;
@@ -290,9 +292,9 @@ impl<V: Scalar> ExecPlan<V> {
     /// identical**; the serving layer's busy-pool fallback is the `None`
     /// form.
     ///
-    /// Every body keeps the serial per-row accumulation order: SpMV is
-    /// bitwise identical to [`crate::spmv::spmv_serial`] and SpMM to
-    /// [`crate::spmm::spmm_serial`] of the same stored matrix.
+    /// [`crate::spmv::spmv_serial`] and [`crate::spmm::spmm_serial`] run the
+    /// same bodies over one part covering every unit, so SpMV and SpMM here
+    /// are bitwise identical to them on the same stored matrix.
     ///
     /// The numeric policy behind "bitwise": it holds for finite `x`. Formats
     /// that multiply padding through add `0 * x[j]` terms, which are
@@ -303,7 +305,7 @@ impl<V: Scalar> ExecPlan<V> {
     /// NaN where the CSR kernel reads `±Inf`.
     ///
     /// This is the only function that matches the plan's parts to execute
-    /// them, and the only caller of the ranged kernels outside their modules.
+    /// them; the one-part entries are the ranged kernels' only other callers.
     pub fn run(
         &self,
         m: &DynamicMatrix<V>,
@@ -357,7 +359,7 @@ impl<V: Scalar> ExecPlan<V> {
                 let (bell, coo) = bell_parts(m).expect("a BELL, ELL or HYB matrix: `check` saw the format");
                 // SAFETY (both): `check` saw the shares tile `bell`'s slices.
                 match op {
-                    Op::Spmv => unsafe { threaded::spmv_bell_shares(bell, x, y, pool, shares) },
+                    Op::Spmv => unsafe { threaded::spmv_bell_shares(bell, x, y, pool, Some(shares)) },
                     Op::Spmm { k } => unsafe { spmm::spmm_bell(bell, x, y, k, pool, Some(shares)) },
                 }
                 match (coo, op) {

@@ -1,18 +1,17 @@
 //! The BELL SpMV body: one walker over slice-major buckets, in a portable
 //! and an AVX2 form.
 //!
-//! Everything that executes a BELL SpMV — the serial kernels, planned
-//! shares and (through their plans) partitioned shards — runs
-//! [`bell_segment`] over runs of a bucket's slices, and so does every ELL
-//! and HYB SpMV: their ELL part is a BELL of one bucket. A full
+//! Everything that executes a BELL SpMV — `spmv_serial`, planned shares
+//! and (through their plans) partitioned shards — runs [`bell_segment`]
+//! over runs of a bucket's slices, and so does every ELL and HYB SpMV: their ELL part is a BELL of one bucket. A full
 //! slice is eight rows stored k-major ([`crate::bell`]), so the walker keeps
 //! eight independent sums in flight and each k-level is one contiguous load
 //! of eight column indices and eight values: no per-row loop exit to
 //! mispredict, no single add chain, and — pads hold a zero value and the
 //! row's own last column — no pad test. Products are rounded before they are
 //! added (never fused) and each row sums in `k` order from zero, which is
-//! the serial CSR kernel's order, so both forms are bitwise identical to it
-//! and to each other on finite inputs.
+//! the CSR body's order, so both forms are bitwise identical to it and to
+//! each other on finite inputs.
 
 use crate::bell::{BellBucket, BellMatrix, BellSegment, BellSlice, SLICE};
 use crate::scalar::Scalar;
@@ -21,7 +20,7 @@ use morpheus_parallel::SharedSlice;
 use std::ops::Range;
 
 /// Computes the rows of `seg` — a run of slices of one bucket of `a` — and
-/// writes them to `out` (adds them, for `ACC`). `cpu` picks the form: the
+/// writes them to `out`. `cpu` picks the form: the
 /// AVX2 gathers for `f64`/`f32` where it has them, the portable loop
 /// otherwise.
 ///
@@ -34,7 +33,7 @@ use std::ops::Range;
 /// (the rows of distinct slices are disjoint), and `cpu` must not claim a
 /// feature the executing CPU lacks.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) unsafe fn bell_segment<V: Scalar, const ACC: bool>(
+pub(crate) unsafe fn bell_segment<V: Scalar>(
     a: &BellMatrix<V>,
     x: &[V],
     out: &SharedSlice<V>,
@@ -65,15 +64,15 @@ pub(crate) unsafe fn bell_segment<V: Scalar, const ACC: bool>(
         if cpu.avx2 && x.len() <= i32::MAX as usize + 1 {
             if TypeId::of::<V>() == TypeId::of::<f64>() {
                 // SAFETY: `V` is `f64`, so the casts are identities.
-                return walk_f64_avx2::<ACC>(same(bucket), cast_slice(x), same(out), seg.slices.clone());
+                return walk_f64_avx2(same(bucket), cast_slice(x), same(out), seg.slices.clone());
             }
             if TypeId::of::<V>() == TypeId::of::<f32>() {
                 // SAFETY: `V` is `f32`, so the casts are identities.
-                return walk_f32_avx2::<ACC>(same(bucket), cast_slice(x), same(out), seg.slices.clone());
+                return walk_f32_avx2(same(bucket), cast_slice(x), same(out), seg.slices.clone());
             }
         }
     }
-    walk_portable::<V, ACC>(bucket, x, out, seg.slices.clone())
+    walk_portable(bucket, x, out, seg.slices.clone())
 }
 
 /// `&T` as `&U`.
@@ -90,13 +89,9 @@ unsafe fn same<T, U>(t: &T) -> &U {
 /// # Safety
 /// As [`bell_segment`]: `rows` are a span's, and the caller owns them.
 #[inline(always)]
-unsafe fn store<V: Scalar, const ACC: bool>(out: &SharedSlice<V>, rows: &[u32], sums: &[V]) {
+unsafe fn store<V: Scalar>(out: &SharedSlice<V>, rows: &[u32], sums: &[V]) {
     for (&r, &sum) in rows.iter().zip(sums) {
-        if ACC {
-            out.add(r as usize, sum);
-        } else {
-            out.set(r as usize, sum);
-        }
+        out.set(r as usize, sum);
     }
 }
 
@@ -125,7 +120,7 @@ unsafe fn lanes<V: Scalar, const L: usize>(slice: &BellSlice<'_, V>, x: &[V]) ->
 /// # Safety
 /// As [`bell_segment`].
 #[inline(always)]
-unsafe fn walk<V: Scalar, const ACC: bool>(
+unsafe fn walk<V: Scalar>(
     bucket: &BellBucket<V>,
     x: &[V],
     out: &SharedSlice<V>,
@@ -134,13 +129,13 @@ unsafe fn walk<V: Scalar, const ACC: bool>(
 ) {
     let span = bucket.span(slices);
     for slice in span.full_slices() {
-        store::<V, ACC>(out, slice.rows, &full(&slice));
+        store(out, slice.rows, &full(&slice));
     }
     if let Some(slice) = span.ragged() {
         macro_rules! ragged {
             ($($l:literal),+) => {
                 match slice.rows.len() {
-                    $($l => store::<V, ACC>(out, slice.rows, &lanes::<V, $l>(&slice, x)),)+
+                    $($l => store(out, slice.rows, &lanes::<V, $l>(&slice, x)),)+
                     n => unreachable!("a ragged slice of {n} rows"),
                 }
             };
@@ -153,13 +148,13 @@ unsafe fn walk<V: Scalar, const ACC: bool>(
 ///
 /// # Safety
 /// As [`bell_segment`].
-unsafe fn walk_portable<V: Scalar, const ACC: bool>(
+unsafe fn walk_portable<V: Scalar>(
     bucket: &BellBucket<V>,
     x: &[V],
     out: &SharedSlice<V>,
     slices: Range<usize>,
 ) {
-    walk::<V, ACC>(bucket, x, out, slices, |slice| lanes::<V, SLICE>(slice, x))
+    walk(bucket, x, out, slices, |slice| lanes::<V, SLICE>(slice, x))
 }
 
 /// The walker with `_mm256_i32gather_pd`: a k-level is two gathers of four
@@ -169,14 +164,9 @@ unsafe fn walk_portable<V: Scalar, const ACC: bool>(
 /// As [`bell_segment`]; AVX2 must be available and `x.len() <= 2^31`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn walk_f64_avx2<const ACC: bool>(
-    bucket: &BellBucket<f64>,
-    x: &[f64],
-    out: &SharedSlice<f64>,
-    slices: Range<usize>,
-) {
+unsafe fn walk_f64_avx2(bucket: &BellBucket<f64>, x: &[f64], out: &SharedSlice<f64>, slices: Range<usize>) {
     use std::arch::x86_64::*;
-    walk::<f64, ACC>(bucket, x, out, slices, |slice| {
+    walk(bucket, x, out, slices, |slice| {
         let (mut lo, mut hi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
         for (c, v) in slice.levels::<SLICE>() {
             // SAFETY: `c` and `v` are eight elements each, and the gathers
@@ -199,14 +189,9 @@ unsafe fn walk_f64_avx2<const ACC: bool>(
 /// As [`walk_f64_avx2`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn walk_f32_avx2<const ACC: bool>(
-    bucket: &BellBucket<f32>,
-    x: &[f32],
-    out: &SharedSlice<f32>,
-    slices: Range<usize>,
-) {
+unsafe fn walk_f32_avx2(bucket: &BellBucket<f32>, x: &[f32], out: &SharedSlice<f32>, slices: Range<usize>) {
     use std::arch::x86_64::*;
-    walk::<f32, ACC>(bucket, x, out, slices, |slice| {
+    walk(bucket, x, out, slices, |slice| {
         let mut acc = _mm256_setzero_ps();
         for (c, v) in slice.levels::<SLICE>() {
             // SAFETY: as in `walk_f64_avx2`.
@@ -219,29 +204,18 @@ unsafe fn walk_f32_avx2<const ACC: bool>(
     })
 }
 
-/// Every bucket of `a`, whole, on the calling thread: the serial kernels.
-pub(crate) fn bell_buckets<V: Scalar, const ACC: bool>(a: &BellMatrix<V>, x: &[V], y: &mut [V]) {
-    let out = SharedSlice::new(y);
-    for (i, bucket) in a.buckets().iter().enumerate() {
-        let seg = BellSegment { bucket: i, slices: 0..bucket.num_slices() };
-        // SAFETY: one thread, and the detected features are the CPU's.
-        unsafe { bell_segment::<V, ACC>(a, x, &out, &seg, CpuFeatures::detect()) };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convert::{coo_to_bell, coo_to_csr, coo_to_ell, coo_to_hyb, csr_to_coo, ConvertOptions};
+    use crate::convert::{coo_to_bell, coo_to_csr, coo_to_ell, coo_to_hyb, ConvertOptions};
     use crate::coo::CooMatrix;
-    use crate::csr::CsrMatrix;
     use crate::dynamic::DynamicMatrix;
     use crate::hyb::HybSplit;
     use crate::params::FormatParams;
     use crate::plan::ExecPlan;
     use crate::rowmajor::RowMajor;
     use crate::spmm::spmm_serial;
-    use crate::spmv::{serial, spmv_serial};
+    use crate::spmv::spmv_serial;
     use morpheus_parallel::ThreadPool;
 
     /// `row_len(r)` entries in row `r`, columns spread over `ncols` but never
@@ -278,13 +252,20 @@ mod tests {
         for (i, bucket) in a.buckets().iter().enumerate() {
             let seg = BellSegment { bucket: i, slices: 0..bucket.num_slices() };
             // SAFETY: one thread; `cpu` is `none()` or what was detected.
-            unsafe { bell_segment::<V, false>(a, x, &out, &seg, cpu) };
+            unsafe { bell_segment(a, x, &out, &seg, cpu) };
         }
         y
     }
 
-    /// Everything that executes BELL agrees bit for bit with the serial CSR
-    /// kernel on `coo` under `ladder` — observed through `y` only, so the
+    /// `spmv_serial` of `coo`'s CSR form: the independent reference.
+    fn csr_spmv<V: Scalar>(csr: &DynamicMatrix<V>, x: &[V]) -> Vec<V> {
+        let mut y = vec![V::from_f64(f64::NAN); csr.nrows()];
+        spmv_serial(csr, x, &mut y).unwrap();
+        y
+    }
+
+    /// Everything that executes BELL agrees bit for bit with the CSR body
+    /// on `coo` under `ladder` — observed through `y` only, so the
     /// check survives a change of layout — and so does everything that
     /// executes ELL and HYB.
     fn check<V: Scalar>(what: &str, coo: &CooMatrix<V>, ladder: &[usize], x: &[V]) {
@@ -302,23 +283,14 @@ mod tests {
         }
         assert!(walked.iter().copied().eq(coo.iter()), "{what}: row-major walk");
 
-        let csr = coo_to_csr(coo);
-        let mut want = vec![V::ZERO; coo.nrows()];
-        serial::spmv_csr(&csr, x, &mut want);
-        let want = bits(&want);
+        let csr = DynamicMatrix::Csr(coo_to_csr(coo));
+        let want = bits(&csr_spmv(&csr, x));
         assert_eq!(bits(&walk(&bell, x, CpuFeatures::none())), want, "{what}: portable body");
         if CpuFeatures::detect().avx2 {
             assert_eq!(bits(&walk(&bell, x, CpuFeatures::detect())), want, "{what}: AVX2 body");
         } else {
             println!("{what}: AVX2 not detected, AVX2 body not run");
         }
-        let mut y = vec![V::from_f64(f64::NAN); coo.nrows()];
-        serial::spmv_bell(&bell, x, &mut y);
-        assert_eq!(bits(&y), want, "{what}: serial kernel");
-        let mut y = vec![V::ONE; coo.nrows()];
-        serial::spmv_bell_acc(&bell, x, &mut y);
-        let plus_one: Vec<V> = want.iter().map(|&b| V::ONE + V::from_f64(f64::from_bits(b))).collect();
-        assert_eq!(bits(&y), bits(&plus_one), "{what}: accumulating kernel");
         executions(&what, &DynamicMatrix::Bell(bell), x, &want, &csr);
 
         // ELL and HYB are one-bucket BELL: the same walker, the same bits,
@@ -338,10 +310,16 @@ mod tests {
     }
 
     /// `m` — which holds the matrix of `csr` — executed every way, serial,
-    /// planned and as SpMM: each bitwise the serial CSR kernel (`want`).
-    fn executions<V: Scalar>(what: &str, m: &DynamicMatrix<V>, x: &[V], want: &[u64], csr: &CsrMatrix<V>) {
+    /// planned and as SpMM: each bitwise the CSR reference (`want`).
+    fn executions<V: Scalar>(
+        what: &str,
+        m: &DynamicMatrix<V>,
+        x: &[V],
+        want: &[u64],
+        csr: &DynamicMatrix<V>,
+    ) {
         let nrows = m.nrows();
-        assert_eq!(m.to_coo(), csr_to_coo(csr), "{what}: row-major walk");
+        assert_eq!(m.to_coo(), csr.to_coo(), "{what}: row-major walk");
         let mut y = vec![V::from_f64(f64::NAN); nrows];
         spmv_serial(m, x, &mut y).unwrap();
         assert_eq!(bits(&y), want, "{what}: serial");
@@ -355,7 +333,7 @@ mod tests {
             plan.spmv_unpooled(m, x, &mut y).unwrap();
             assert_eq!(bits(&y), want, "{what}: planned inline x{workers}");
         }
-        // Column `j` of an SpMM is the serial CSR SpMV of column `j`.
+        // Column `j` of an SpMM is the CSR reference SpMV of column `j`.
         for k in [1usize, 2, 3, 8, 15, 16, 17] {
             let columns: Vec<Vec<V>> =
                 (0..k).map(|j| x.iter().map(|&v| v * V::from_f64(1.0 + j as f64)).collect()).collect();
@@ -363,10 +341,8 @@ mod tests {
             let mut yk = vec![V::from_f64(f64::NAN); nrows * k];
             spmm_serial(m, &block, &mut yk, k).unwrap();
             for (j, column) in columns.iter().enumerate() {
-                let mut yj = vec![V::ZERO; nrows];
-                serial::spmv_csr(csr, column, &mut yj);
                 let got: Vec<V> = (0..nrows).map(|r| yk[r * k + j]).collect();
-                assert_eq!(bits(&got), bits(&yj), "{what}: SpMM k={k} column {j}");
+                assert_eq!(bits(&got), bits(&csr_spmv(csr, column)), "{what}: SpMM k={k} column {j}");
             }
         }
     }
@@ -428,8 +404,7 @@ mod tests {
             for ladder in [&[2usize, 8][..], &[]] {
                 check("poisoned x[0]", &coo, ladder, &x);
             }
-            let mut y = vec![V::ZERO; coo.nrows()];
-            serial::spmv_csr(&coo_to_csr(&coo), &x, &mut y);
+            let y = csr_spmv(&DynamicMatrix::Csr(coo_to_csr(&coo)), &x);
             assert!(y.iter().all(|v| v.is_finite()), "CSR itself never reads x[0]");
         }
     }
@@ -446,7 +421,6 @@ mod tests {
     #[should_panic(expected = "BELL SpMV of a 5x9 matrix")]
     fn the_walker_refuses_vectors_of_another_shape() {
         let bell = coo_to_bell(&matrix::<f64>(5, 9, |_| 2), &ConvertOptions::default()).unwrap();
-        let mut y = vec![0.0; 5];
-        serial::spmv_bell(&bell, &[1.0; 8], &mut y);
+        walk(&bell, &[1.0; 8], CpuFeatures::detect());
     }
 }

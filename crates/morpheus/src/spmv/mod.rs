@@ -2,21 +2,29 @@
 //!
 //! SpMV is "the operation that often dominates the runtime of computing the
 //! solution to linear systems" (§I) and the operation all of the paper's
-//! tuners optimise for. There are two ways to run it: [`spmv_serial`], the
-//! reference every other execution is checked against, and a
-//! [`crate::plan::ExecPlan`] built once for the matrix, whose
-//! [`run`](crate::plan::ExecPlan::run) replays precomputed ranges across a
-//! pool or inline ([`threaded`] holds the ranged bodies).
+//! tuners optimise for. Each format has **one** body, run over ranges of
+//! its work units ([`threaded`], and the BELL slice walker in `bell`), and
+//! there are two entry styles: [`spmv_serial`] runs it over one part
+//! covering every unit, inline with no pool, and a
+//! [`crate::plan::ExecPlan`] built once for the matrix replays its
+//! precomputed parts across a pool or inline
+//! ([`run`](crate::plan::ExecPlan::run)). Parts write disjoint rows and a
+//! row sums in the same order either way, so the two are bitwise identical.
 
 pub(crate) mod bell;
 pub mod cpu_features;
-pub mod serial;
 pub mod threaded;
 
+use crate::bell::BellMatrix;
 use crate::dynamic::DynamicMatrix;
 use crate::error::MorpheusError;
 use crate::scalar::Scalar;
 use crate::Result;
+use std::ops::Range;
+use threaded::{
+    spmv_bell_shares, spmv_bsr_ranges, spmv_coo_acc_ranges, spmv_coo_ranges, spmv_csr_acc_ranges,
+    spmv_csr_ranges, spmv_dia_ranges,
+};
 
 pub(crate) fn check_shapes<V: Scalar>(m: &DynamicMatrix<V>, x: &[V], y: &[V]) -> Result<()> {
     if x.len() != m.ncols() || y.len() != m.nrows() {
@@ -28,18 +36,30 @@ pub(crate) fn check_shapes<V: Scalar>(m: &DynamicMatrix<V>, x: &[V], y: &[V]) ->
     Ok(())
 }
 
-/// `y = A x` on the serial backend.
+/// `y = A x` on the calling thread, with no plan and no pool.
 pub fn spmv_serial<V: Scalar>(m: &DynamicMatrix<V>, x: &[V], y: &mut [V]) -> Result<()> {
     check_shapes(m, x, y)?;
+    // One part covering every unit: the ranged bodies are the serial kernels.
+    let one = std::slice::from_ref::<Range<usize>>;
+    let rows = &(0..m.nrows());
+    let rows = one(rows);
+    // SAFETY: no shares, so none to trust.
+    let bell = |a: &BellMatrix<V>, y: &mut [V]| unsafe { spmv_bell_shares(a, x, y, None, None) };
     match m {
-        DynamicMatrix::Coo(a) => serial::spmv_coo(a, x, y),
-        DynamicMatrix::Csr(a) => serial::spmv_csr(a, x, y),
-        DynamicMatrix::Dia(a) => serial::spmv_dia(a, x, y),
-        DynamicMatrix::Ell(a) => serial::spmv_bell(a.bell(), x, y),
-        DynamicMatrix::Hyb(a) => serial::spmv_hyb(a, x, y),
-        DynamicMatrix::Hdc(a) => serial::spmv_hdc(a, x, y),
-        DynamicMatrix::Bsr(a) => serial::spmv_bsr(a, x, y),
-        DynamicMatrix::Bell(a) => serial::spmv_bell(a, x, y),
+        DynamicMatrix::Coo(a) => spmv_coo_ranges(a, x, y, None, one(&(0..a.nnz()))),
+        DynamicMatrix::Csr(a) => spmv_csr_ranges(a, x, y, None, rows),
+        DynamicMatrix::Dia(a) => spmv_dia_ranges(a, x, y, None, rows),
+        DynamicMatrix::Ell(a) => bell(a.bell(), y),
+        DynamicMatrix::Hyb(a) => {
+            bell(a.ell().bell(), y);
+            spmv_coo_acc_ranges(a.coo(), x, y, None, one(&(0..a.coo().nnz())));
+        }
+        DynamicMatrix::Hdc(a) => {
+            spmv_dia_ranges(a.dia(), x, y, None, rows);
+            spmv_csr_acc_ranges(a.csr(), x, y, None, rows);
+        }
+        DynamicMatrix::Bsr(a) => spmv_bsr_ranges(a, x, y, None, one(&(0..a.nblockrows()))),
+        DynamicMatrix::Bell(a) => bell(a, y),
     }
     Ok(())
 }
@@ -75,6 +95,7 @@ mod tests {
             let expect = dense_reference(&base, &x);
             for &f in &ALL_FORMATS {
                 let m = base.to_format(f, &ConvertOptions::default()).unwrap();
+                // A stale `y`: a row left unwritten or added to reads NaN.
                 let mut y = vec![f64::NAN; 57];
                 spmv_serial(&m, &x, &mut y).unwrap();
                 assert_close(&y, &expect, &format!("serial {f} seed {seed}"));

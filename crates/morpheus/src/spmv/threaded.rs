@@ -1,26 +1,22 @@
-//! Multithreaded SpMV kernels (the "OpenMP" backend).
+//! The ranged SpMV bodies: one per format, and the two entry styles that
+//! run them.
 //!
-//! Every kernel partitions the *rows* of the matrix across workers so each
-//! element of `y` has exactly one writer — no atomics are needed, and
-//! results are bitwise identical to the serial kernels: every format has
-//! exactly one ranged body, and it keeps the serial per-row accumulation
-//! order.
+//! Every body covers a range of its format's work units (rows, block rows,
+//! row-aligned entries, or a BELL share's slices), so each element of `y`
+//! has exactly one writer — no atomics are needed. The `*_ranges` kernels
+//! run a body over a list of parts through `for_each_part`: a
+//! [`crate::plan::ExecPlan`]'s precomputed parts, replayed in one dispatch
+//! per pass over the matrix (part `p` on the same pool index every call, or
+//! inline in order without a pool), or one part covering every unit with no
+//! pool, which is [`crate::spmv::spmv_serial`]. Those two and
+//! [`crate::spmm`] are their only callers; nothing here derives a partition.
 //!
-//! There is one entry style: the `*_ranges` kernels replay the precomputed
-//! parts of a [`crate::plan::ExecPlan`] through `for_each_part` with no
-//! per-call scheduling work at all — one dispatch per pass over the matrix,
-//! part `p` on the same pool index every call, or inline in order without a
-//! pool. [`crate::plan::ExecPlan::run`] is their only caller outside this
-//! module and [`crate::spmm`]; nothing here derives a partition.
-//!
-//! Two bodies are shared beyond this module. `csr_rows` is the one CSR row
-//! loop: the serial kernels run it over every row. The ELL family's (BELL,
-//! and ELL and HYB's ELL part, one bucket each) is the slice walker
-//! `crate::spmv::bell::bell_segment` (portable and AVX2 forms, chosen by
-//! [`CpuFeatures`]): `spmv_bell_shares` here, the serial kernels and —
-//! through their plans — partitioned shards all run it.
+//! The ELL family's body (BELL, and ELL and HYB's ELL part, one bucket
+//! each) is the slice walker `crate::spmv::bell::bell_segment` (portable
+//! and AVX2 forms, chosen by [`CpuFeatures`]), which `spmv_bell_shares`
+//! runs over a plan's shares or over every bucket.
 
-use crate::bell::{BellMatrix, BellShare};
+use crate::bell::{BellMatrix, BellSegment, BellShare};
 use crate::bsr::BsrMatrix;
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
@@ -40,10 +36,8 @@ type SharedOut<V> = SharedSlice<V>;
 // ---------------------------------------------------------------------------
 
 /// CSR rows `rows`: per-row gather/reduce, written (or accumulated) into
-/// `out` — the one CSR row loop, which the serial kernels run over
-/// every row, so results are bitwise identical by construction. The loads
-/// carry no per-entry bounds checks (at 2–24 entries a row the checks, not
-/// the memory, set the pace).
+/// `out` — the one CSR row loop. The loads carry no per-entry bounds checks
+/// (at 2–24 entries a row the checks, not the memory, set the pace).
 ///
 /// # Panics
 /// If `x`/`out` are not `a.ncols()`/`a.nrows()` long or `rows` reaches past
@@ -51,8 +45,8 @@ type SharedOut<V> = SharedSlice<V>;
 ///
 /// # Safety
 /// No concurrent caller may receive an overlapping row range.
-#[inline]
-pub(crate) unsafe fn csr_rows<V: Scalar, const ACC: bool>(
+#[inline(always)]
+unsafe fn csr_rows<V: Scalar, const ACC: bool>(
     a: &CsrMatrix<V>,
     x: &[V],
     out: &SharedOut<V>,
@@ -94,7 +88,7 @@ pub(crate) unsafe fn csr_rows<V: Scalar, const ACC: bool>(
 /// # Safety
 /// Concurrent callers' entry ranges must be aligned to row boundaries and
 /// disjoint, so each `y` element has exactly one writer.
-#[inline]
+#[inline(always)]
 unsafe fn coo_entries<V: Scalar>(a: &CooMatrix<V>, x: &[V], out: &SharedOut<V>, entries: Range<usize>) {
     let rows = a.row_indices();
     let cols = a.col_indices();
@@ -123,8 +117,7 @@ fn row_tiles(rows: Range<usize>, tiled: bool) -> impl Iterator<Item = Range<usiz
 }
 
 /// DIA rows `rows`: zero the rows, then stream every diagonal's
-/// intersection with them — the serial kernel's per-row accumulation order
-/// (diagonals ascending) — tile by tile from [`BLOCK_MIN_DIAGS`] diagonals
+/// intersection with them — diagonals ascending within a row — tile by tile from [`BLOCK_MIN_DIAGS`] diagonals
 /// up, so a tile's output and its `x` windows stay cache-resident across
 /// all diagonals. DIA and HDC's DIA portion both run this.
 ///
@@ -160,17 +153,16 @@ unsafe fn dia_rows<V: Scalar>(a: &DiaMatrix<V>, x: &[V], out: &SharedOut<V>, row
 }
 
 /// BSR block rows `brows`: accumulate each block row's dense blocks into a
-/// local register tile, then write the covered output rows. Per-row
-/// accumulation order (blocks ascending, block columns ascending) matches
-/// the serial kernel — bitwise identical.
+/// local register tile, then write the covered output rows, each summed
+/// blocks ascending, block columns ascending.
 ///
 /// # Safety
 /// No concurrent caller may receive an overlapping block-row range (block
 /// rows own disjoint output rows by construction).
-#[inline]
+#[inline(always)]
 unsafe fn bsr_block_rows<V: Scalar>(a: &BsrMatrix<V>, x: &[V], out: &SharedOut<V>, brows: Range<usize>) {
-    // Monomorphise the supported square dims, as the serial kernel does:
-    // fixed-trip-count inner loops keep the accumulator tile in registers.
+    // Monomorphise the supported square dims: fixed-trip-count inner loops
+    // keep the accumulator tile in registers.
     match (a.block_r(), a.block_c()) {
         (2, 2) => bsr_block_rows_body::<V, 2, 2>(a, x, out, brows),
         (4, 4) => bsr_block_rows_body::<V, 4, 4>(a, x, out, brows),
@@ -180,7 +172,7 @@ unsafe fn bsr_block_rows<V: Scalar>(a: &BsrMatrix<V>, x: &[V], out: &SharedOut<V
 }
 
 /// [`bsr_block_rows`] with compile-time block dims. Same accumulation
-/// order as the dynamic body and the serial kernel.
+/// order as the dynamic body.
 ///
 /// # Safety
 /// See [`bsr_block_rows`].
@@ -257,7 +249,7 @@ unsafe fn bsr_block_rows_dyn<V: Scalar>(a: &BsrMatrix<V>, x: &[V], out: &SharedO
 }
 
 // ---------------------------------------------------------------------------
-// Planned kernels: thin loops over precomputed `ExecPlan` parts
+// Ranged kernels: thin loops over a plan's parts, or one part covering all
 // ---------------------------------------------------------------------------
 
 /// Runs `body(p)` for every part `p < n` of a plan in **one dispatch**: part
@@ -379,42 +371,54 @@ pub(crate) fn spmv_bsr_ranges<V: Scalar>(
     for_each_part(pool, brows.len(), |p| unsafe { bsr_block_rows(a, x, &out, brows[p].clone()) });
 }
 
-/// BELL over precomputed shares: each zeroes the empty rows of its row range
-/// and writes the rows of its segments with the slice walker. ELL and HYB's
-/// ELL part, one-bucket BELL matrices, run this too.
+/// BELL over plan shares, or (`shares: None`) over every bucket in turn:
+/// each share zeroes the empty rows of its row range and writes the rows of
+/// its segments with the slice walker. ELL and HYB's ELL part, one-bucket
+/// BELL matrices, run this too.
 ///
 /// # Safety
-/// `shares` must tile `a`'s slices ([`BellMatrix::tiled_by`]) — shares are
-/// per-matrix, and the walker takes a share's word for what it owns.
+/// `shares`, when given, must tile `a`'s slices ([`BellMatrix::tiled_by`]) —
+/// shares are per-matrix, and the walker takes a share's word for what it
+/// owns.
 pub(crate) unsafe fn spmv_bell_shares<V: Scalar>(
     a: &BellMatrix<V>,
     x: &[V],
     y: &mut [V],
     pool: Option<&ThreadPool>,
-    shares: &[BellShare],
+    shares: Option<&[BellShare]>,
 ) {
     let cpu = CpuFeatures::detect();
     let out = SharedOut::new(y);
-    for_each_part(pool, shares.len(), |p| {
-        // SAFETY: the shares' row ranges are disjoint and their empty rows
-        // are in no bucket; the segments tile the slices, so no two share
-        // one; `cpu` is what was detected.
-        unsafe {
-            for run in a.empty_rows_in(shares[p].rows.clone()) {
-                out.slice_mut(run.start, run.len()).fill(V::ZERO);
-            }
-            for seg in &shares[p].segs {
-                bell_segment::<V, false>(a, x, &out, seg, cpu);
+    let zero = |rows: Range<usize>| {
+        for run in a.empty_rows_in(rows) {
+            // SAFETY: no bucket holds these rows, and concurrent shares are
+            // handed disjoint row ranges.
+            unsafe { out.slice_mut(run.start, run.len()).fill(V::ZERO) };
+        }
+    };
+    // SAFETY: buckets hold disjoint rows and segments share no slice within
+    // a bucket; `cpu` is what was detected.
+    let segment = |seg: &BellSegment| unsafe { bell_segment(a, x, &out, seg, cpu) };
+    match shares {
+        None => {
+            zero(0..a.nrows());
+            for (bucket, b) in a.buckets().iter().enumerate() {
+                segment(&BellSegment { bucket, slices: 0..b.num_slices() });
             }
         }
-    });
+        Some(shares) => for_each_part(pool, shares.len(), |p| {
+            zero(shares[p].rows.clone());
+            shares[p].segs.iter().for_each(segment);
+        }),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::convert::coo_to_csr;
-    use crate::spmv::serial;
+    use crate::dynamic::DynamicMatrix;
+    use crate::spmv::spmv_serial;
     use crate::test_util::random_coo;
     use morpheus_parallel::{row_aligned_partition, weighted_partition};
 
@@ -459,8 +463,9 @@ mod tests {
         let csr = coo_to_csr(&coo);
         let x: Vec<f64> = (0..150).map(|i| (i as f64 * 0.21).cos()).collect();
 
-        let mut y_ref = vec![0.0; 150];
-        serial::spmv_csr(&csr, &x, &mut y_ref);
+        // `spmv_serial` of the CSR form is the reference for both.
+        let mut y_ref = vec![f64::NAN; 150];
+        spmv_serial(&DynamicMatrix::Csr(csr.clone()), &x, &mut y_ref).unwrap();
 
         let weights = csr.row_nnz_counts();
         let rows = weighted_partition(&weights, pool.num_threads());
@@ -468,8 +473,6 @@ mod tests {
         spmv_csr_ranges(&csr, &x, &mut y, Some(&pool), &rows);
         assert_eq!(y, y_ref);
 
-        let mut y_ref = vec![0.0; 150];
-        serial::spmv_coo(&coo, &x, &mut y_ref);
         let entries = row_aligned_partition(coo.row_indices(), pool.num_threads());
         let mut y = vec![f64::NAN; 150];
         spmv_coo_ranges(&coo, &x, &mut y, Some(&pool), &entries);

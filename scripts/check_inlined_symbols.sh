@@ -19,12 +19,14 @@ binary="${1:-oracle_bench/target/release/oracle_bench}"
 # row body (one registration in eight executes it) and the cut of its tiles;
 # the BELL fill's skeleton and its portable lane loop, which fold into each
 # fill body (`fill_bucket` and the AVX2 bodies are functions of their own),
-# and the fill's share body, which folds into each pool index's job.
-forbidden='RowWalk(<.*>)?::row|Stamps::count_(row|entry)|full_slices|dia_rows|row_tiles|bell::fill::fill(_lanes|_share)?($|::|<)'
+# and the fill's share body, which folds into each pool index's job; the CSR,
+# COO and BSR ranged SpMV bodies, which fold into each ranged kernel's part
+# loop, whether a plan or `spmv_serial`'s one part runs it.
+forbidden='RowWalk(<.*>)?::row|Stamps::count_(row|entry)|full_slices|dia_rows|row_tiles|bell::fill::fill(_lanes|_share)?($|::|<)|threaded::(coo_entries|csr_rows|bsr_block_rows)($|::|<)'
 
 if found=$(nm -C "$binary" | grep -E "$forbidden"); then
     echo "check_inlined_symbols: out-of-line copies in $binary:" >&2
     echo "$found" >&2
     exit 1
 fi
-echo "check_inlined_symbols: $binary: no out-of-line RowWalk::row, Stamps::count_*, full_slices, dia_rows, row_tiles, bell::fill::fill, fill_lanes, fill_share"
+echo "check_inlined_symbols: $binary: no out-of-line RowWalk::row, Stamps::count_*, full_slices, dia_rows, row_tiles, bell::fill::fill, fill_lanes, fill_share, coo_entries, csr_rows, bsr_block_rows"
