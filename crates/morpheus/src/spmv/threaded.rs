@@ -117,9 +117,9 @@ fn row_tiles(rows: Range<usize>, tiled: bool) -> impl Iterator<Item = Range<usiz
 }
 
 /// DIA rows `rows`: zero the rows, then stream every diagonal's
-/// intersection with them — diagonals ascending within a row — tile by tile from [`BLOCK_MIN_DIAGS`] diagonals
-/// up, so a tile's output and its `x` windows stay cache-resident across
-/// all diagonals. DIA and HDC's DIA portion both run this.
+/// intersection with them — diagonals ascending within a row — tile by
+/// tile from [`BLOCK_MIN_DIAGS`] diagonals up, so a tile's output and its
+/// `x` windows stay cache-resident across all diagonals. DIA and HDC's DIA portion both run this.
 ///
 /// The sweep of one diagonal runs over three plain slices (the tile of
 /// `out`, the diagonal's values, its window of `x`): indexed through
