@@ -13,6 +13,8 @@
 
 pub(crate) mod bell;
 pub mod cpu_features;
+#[cfg(test)]
+mod serial;
 pub mod threaded;
 
 use crate::bell::BellMatrix;
