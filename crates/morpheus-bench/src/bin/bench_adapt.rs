@@ -15,7 +15,9 @@
 //!   restart.
 //!
 //! Results go to stdout and `BENCH_adapt.json` (override with `--out`).
-//! `--smoke` shrinks sizes for CI.
+//! `--smoke` shrinks sizes for CI, and without `--out` writes
+//! `${CARGO_TARGET_DIR:-target}/BENCH_adapt.json`, so it never replaces the
+//! tracked full-run snapshot.
 
 use morpheus::format::FormatId;
 use morpheus::{CooMatrix, DynamicMatrix};
@@ -179,12 +181,17 @@ fn quality(
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_adapt.json".to_string());
+    let out_path = match args.iter().position(|a| a == "--out").and_then(|i| args.get(i + 1)) {
+        Some(path) => path.clone(),
+        // A smoke run writes beside the build: the tracked snapshot is a full run's.
+        None if smoke => {
+            format!(
+                "{}/BENCH_adapt.json",
+                std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into())
+            )
+        }
+        None => "BENCH_adapt.json".to_string(),
+    };
     let rounds: usize = args
         .iter()
         .position(|a| a == "--rounds")
@@ -353,6 +360,9 @@ fn main() {
         json.push_str(&format!("    {line}{}\n", if i + 1 < round_lines.len() { "," } else { "" }));
     }
     json.push_str("  ]\n}\n");
+    if let Some(dir) = std::path::Path::new(&out_path).parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).expect("create the snapshot's directory");
+    }
     std::fs::write(&out_path, json).expect("write snapshot");
     println!("snapshot written to {out_path}");
 }

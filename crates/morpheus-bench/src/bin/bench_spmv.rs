@@ -10,7 +10,9 @@
 //! * **Partitioned**: per-shard formats against the best whole-matrix plan.
 //!
 //! Results go to stdout as a table and to `BENCH_spmv.json` (override with
-//! `--out PATH`). `--smoke` shrinks sizes and iteration counts for CI.
+//! `--out PATH`). `--smoke` shrinks sizes and iteration counts for CI, and
+//! without `--out` writes `${CARGO_TARGET_DIR:-target}/BENCH_spmv.json`, so
+//! it never replaces the tracked full-run snapshot.
 //! Worker count defaults to the host parallelism; override with
 //! `MORPHEUS_BENCH_THREADS` (the snapshot records it — single-core hosts
 //! cannot show parallel SpMM speedups).
@@ -226,12 +228,17 @@ fn json_geo(g: Option<f64>) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_spmv.json".to_string());
+    let out_path = match args.iter().position(|a| a == "--out").and_then(|i| args.get(i + 1)) {
+        Some(path) => path.clone(),
+        // A smoke run writes beside the build: the tracked snapshot is a full run's.
+        None if smoke => {
+            format!(
+                "{}/BENCH_spmv.json",
+                std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into())
+            )
+        }
+        None => "BENCH_spmv.json".to_string(),
+    };
     let iters_override = args
         .iter()
         .position(|a| a == "--iters")
@@ -858,6 +865,9 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
+    if let Some(dir) = std::path::Path::new(&out_path).parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).expect("create the snapshot's directory");
+    }
     std::fs::write(&out_path, json).expect("write snapshot");
     println!("snapshot written to {out_path}");
 }

@@ -2,15 +2,16 @@
 //!
 //! Both formats are *array-built*: one builder each
 //! (`BsrMatrix::from_row_arrays`, `BellMatrix::from_row_arrays`) reads
-//! contiguous row-major `(offsets, cols, vals)` arrays. CSR passes its own
-//! arrays; a sorted COO matrix's `cols`/`vals` already are such arrays and
-//! only its offsets are built (one pass of stores). BELL's builder also
-//! builds ELL and HYB's ELL part, one bucket each (`convert::kernels`).
-//! Padded sources — rare on the tuning path — are exported to CSR first
-//! (see the dispatcher in [`crate::convert`]). Both formats export back to
-//! COO/CSR through the generic `RowMajor` walk. Padding guards mirror the
-//! DIA/ELL contract: conversions whose padded slabs exceed the
-//! [`ConvertOptions`] allowance fail with
+//! contiguous row-major `(offsets, cols, vals)` arrays — a
+//! `RowArrays` as every builder in [`crate::convert`] does. CSR lends
+//! its own arrays; a sorted COO matrix's `cols`/`vals` already are such
+//! arrays and only its offsets are built (one pass of stores). BELL's
+//! builder also builds ELL and HYB's ELL part, one bucket each
+//! ([`super::kernels`]). Every other source reaches them through its CSR
+//! copy (see the dispatcher in [`crate::convert`]). Both formats export
+//! back to COO/CSR through the one row-major export, as every format does.
+//! Padding guards mirror the DIA/ELL contract: conversions whose padded
+//! slabs exceed the [`ConvertOptions`] allowance fail with
 //! [`MorpheusError::ExcessivePadding`] (the tuner's non-viability signal),
 //! although block padding is structurally bounded (at worst
 //! `block_r * block_c` per entry for BSR, the ladder gap for BELL — whose
@@ -19,55 +20,16 @@
 
 use crate::bell::{runs_of, BellMatrix};
 use crate::bsr::BsrMatrix;
-use crate::convert::kernels::coo_row_offsets;
+use crate::convert::kernels::{export_to_coo, export_to_csr, RowArrays};
 use crate::convert::ConvertOptions;
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::error::MorpheusError;
 use crate::format::FormatId;
-use crate::rowmajor::RowMajor;
 use crate::scalar::Scalar;
 use crate::spmv::cpu_features::CpuFeatures;
 use crate::Result;
 use morpheus_parallel::ThreadPool;
-
-/// Exports any row-major-walkable source to COO (sorted by construction).
-pub(crate) fn rowmajor_to_coo<V: Scalar>(src: &dyn RowMajor<V>, ncols: usize) -> CooMatrix<V> {
-    let nrows = src.nrows();
-    let nnz: usize = (0..nrows).map(|r| src.row_count(r)).sum();
-    let mut rows = Vec::with_capacity(nnz);
-    let mut cols = Vec::with_capacity(nnz);
-    let mut vals = Vec::with_capacity(nnz);
-    for r in 0..nrows {
-        src.emit_row(r, &mut |c, v| {
-            rows.push(r);
-            cols.push(c);
-            vals.push(v);
-        });
-    }
-    CooMatrix::from_sorted_parts_unchecked(nrows, ncols, rows, cols, vals)
-}
-
-/// Exports any row-major-walkable source to CSR.
-pub(crate) fn rowmajor_to_csr<V: Scalar>(src: &dyn RowMajor<V>, ncols: usize) -> CsrMatrix<V> {
-    let nrows = src.nrows();
-    let mut offsets = Vec::with_capacity(nrows + 1);
-    offsets.push(0usize);
-    let mut acc = 0usize;
-    for r in 0..nrows {
-        acc += src.row_count(r);
-        offsets.push(acc);
-    }
-    let mut cols = Vec::with_capacity(acc);
-    let mut vals = Vec::with_capacity(acc);
-    for r in 0..nrows {
-        src.emit_row(r, &mut |c, v| {
-            cols.push(c);
-            vals.push(v);
-        });
-    }
-    CsrMatrix::from_parts_unchecked(nrows, ncols, offsets, cols, vals)
-}
 
 fn guard_padding(format: FormatId, padded: usize, nnz: usize, opts: &ConvertOptions) -> Result<()> {
     let limit = opts.padded_allowance(nnz);
@@ -77,99 +39,73 @@ fn guard_padding(format: FormatId, padded: usize, nnz: usize, opts: &ConvertOpti
     Ok(())
 }
 
-/// Builds a BSR matrix with the options' block dimensions from contiguous
-/// row-major arrays, enforcing the padding allowance.
-fn bsr_from_arrays<V: Scalar>(
-    (nrows, ncols): (usize, usize),
-    offsets: &[usize],
-    cols: &[usize],
-    vals: &[V],
+/// Builds a BSR matrix with the options' block dimensions from row-major
+/// arrays, enforcing the padding allowance.
+pub(crate) fn bsr_from_arrays<V: Scalar>(
+    a: &RowArrays<'_, V>,
     opts: &ConvertOptions,
 ) -> Result<BsrMatrix<V>> {
-    let (r, c) = opts.params.normalized_block();
-    let m = BsrMatrix::from_row_arrays(nrows, ncols, offsets, cols, vals, r, c);
+    let ((nrows, ncols), (r, c)) = (a.shape, opts.params.normalized_block());
+    let m = BsrMatrix::from_row_arrays(nrows, ncols, &a.offsets, a.cols, a.vals, r, c);
     guard_padding(FormatId::Bsr, m.padded_len(), m.nnz(), opts)?;
     Ok(m)
 }
 
-/// Builds a BELL matrix with the options' bucket ladder from contiguous
-/// row-major arrays, enforcing the padding allowance before the buckets are
+/// Builds a BELL matrix with the options' bucket ladder from row-major
+/// arrays, enforcing the padding allowance before the buckets are
 /// allocated, with the fill form `cpu` selects, on `pool` when given (see
 /// [`BellMatrix::from_row_arrays`]).
 pub(crate) fn bell_from_arrays<V: Scalar>(
-    shape: (usize, usize),
-    offsets: &[usize],
-    cols: &[usize],
-    vals: &[V],
+    a: &RowArrays<'_, V>,
     opts: &ConvertOptions,
     cpu: CpuFeatures,
     pool: Option<&ThreadPool>,
 ) -> Result<BellMatrix<V>> {
     let guard = |padded, nnz| guard_padding(FormatId::Bell, padded, nnz, opts);
     let ladder = opts.params.bell_ladder();
-    BellMatrix::from_row_arrays(shape, runs_of(offsets), cols, vals, ladder, guard, cpu, pool)
+    BellMatrix::from_row_arrays(a.shape, runs_of(&a.offsets), a.cols, a.vals, ladder, guard, cpu, pool)
 }
 
-/// COO → BSR with the options' block dimensions.
+/// COO → BSR with the options' block dimensions: the COO matrix's
+/// offsets, then the BSR builder.
 pub fn coo_to_bsr<V: Scalar>(a: &CooMatrix<V>, opts: &ConvertOptions) -> Result<BsrMatrix<V>> {
-    let offsets = coo_row_offsets(a.nrows(), a.row_indices());
-    bsr_from_arrays((a.nrows(), a.ncols()), &offsets, a.col_indices(), a.values(), opts)
+    bsr_from_arrays(&RowArrays::of_coo(a), opts)
 }
 
 /// CSR → BSR with the options' block dimensions.
 pub fn csr_to_bsr<V: Scalar>(a: &CsrMatrix<V>, opts: &ConvertOptions) -> Result<BsrMatrix<V>> {
-    bsr_from_arrays((a.nrows(), a.ncols()), a.row_offsets(), a.col_indices(), a.values(), opts)
+    bsr_from_arrays(&RowArrays::of_csr(a), opts)
 }
 
 /// BSR → COO (row-major export; exact structural roundtrip).
 pub fn bsr_to_coo<V: Scalar>(a: &BsrMatrix<V>) -> CooMatrix<V> {
-    rowmajor_to_coo(a, a.ncols())
+    export_to_coo(a, a.ncols(), a.nnz())
 }
 
 /// BSR → CSR (row-major export).
 pub fn bsr_to_csr<V: Scalar>(a: &BsrMatrix<V>) -> CsrMatrix<V> {
-    rowmajor_to_csr(a, a.ncols())
+    export_to_csr(a, a.ncols(), a.nnz())
 }
 
-/// COO → BELL with the options' bucket ladder.
+/// COO → BELL with the options' bucket ladder: the COO matrix's offsets,
+/// then the BELL builder.
 pub fn coo_to_bell<V: Scalar>(a: &CooMatrix<V>, opts: &ConvertOptions) -> Result<BellMatrix<V>> {
-    coo_to_bell_on(a, opts, None)
-}
-
-/// [`coo_to_bell`] with the fill on `pool` when given.
-pub(crate) fn coo_to_bell_on<V: Scalar>(
-    a: &CooMatrix<V>,
-    opts: &ConvertOptions,
-    pool: Option<&ThreadPool>,
-) -> Result<BellMatrix<V>> {
-    let offsets = coo_row_offsets(a.nrows(), a.row_indices());
-    let shape = (a.nrows(), a.ncols());
-    bell_from_arrays(shape, &offsets, a.col_indices(), a.values(), opts, CpuFeatures::detect(), pool)
+    bell_from_arrays(&RowArrays::of_coo(a), opts, CpuFeatures::detect(), None)
 }
 
 /// CSR → BELL with the options' bucket ladder.
 pub fn csr_to_bell<V: Scalar>(a: &CsrMatrix<V>, opts: &ConvertOptions) -> Result<BellMatrix<V>> {
-    csr_to_bell_on(a, opts, None)
-}
-
-/// [`csr_to_bell`] with the fill on `pool` when given.
-pub(crate) fn csr_to_bell_on<V: Scalar>(
-    a: &CsrMatrix<V>,
-    opts: &ConvertOptions,
-    pool: Option<&ThreadPool>,
-) -> Result<BellMatrix<V>> {
-    let shape = (a.nrows(), a.ncols());
-    bell_from_arrays(shape, a.row_offsets(), a.col_indices(), a.values(), opts, CpuFeatures::detect(), pool)
+    bell_from_arrays(&RowArrays::of_csr(a), opts, CpuFeatures::detect(), None)
 }
 
 /// BELL → COO (row-major export; exact structural roundtrip).
 pub fn bell_to_coo<V: Scalar>(a: &BellMatrix<V>) -> CooMatrix<V> {
-    rowmajor_to_coo(a, a.ncols())
+    export_to_coo(a, a.ncols(), a.nnz())
 }
 
 /// BELL → CSR (row-major export).
 pub fn bell_to_csr<V: Scalar>(a: &BellMatrix<V>) -> CsrMatrix<V> {
-    rowmajor_to_csr(a, a.ncols())
+    export_to_csr(a, a.ncols(), a.nnz())
 }
 
 #[cfg(test)]

@@ -1,13 +1,15 @@
-//! Conversion kernels: direct, parallel, zero-intermediate.
+//! Conversion kernels: one builder per target format, over row-major
+//! arrays, and one row-major export.
 //!
-//! Every kernel here writes the target format's arrays straight from the
-//! source format's arrays — no intermediate COO triplet buffers, no sorting.
-//! ELL and HYB are one-bucket BELL: BELL's builder reads the source's
-//! row-major arrays (a sorted COO matrix's through one offsets pass), HYB's
-//! ELL part as the first `K` entries of each row. It plans and allocates on
-//! the calling thread and fills there too, unless the caller hands it a
-//! pool (a service hands in its own, through
-//! [`crate::DynamicMatrix::convert_on`]): from
+//! Every builder reads a source as contiguous row-major `(offsets, cols,
+//! vals)` arrays (`RowArrays`) and writes the target format's arrays
+//! straight from them — no intermediate COO triplet buffers, no sorting.
+//! CSR lends its own arrays; a sorted COO matrix lends its `cols`/`vals`
+//! plus the offsets of one pass (`coo_row_offsets`). ELL and HYB are
+//! one-bucket BELL: BELL's builder fills them, HYB's ELL part as the first
+//! `K` entries of each row. It plans and allocates on the calling thread
+//! and fills there too, unless the caller hands it a pool (a service hands
+//! in its own, through [`crate::DynamicMatrix::convert_on`]): from
 //! [`PARALLEL_CONVERT_THRESHOLD`] entries on, the fill is then cut as a
 //! planned execution on that pool cuts the matrix, each index filling the
 //! slices it will execute. The DIA and HDC fills and the row-major export
@@ -18,15 +20,16 @@
 //!
 //! Planning steps (ELL width, DIA offset discovery, HYB split width, HDC
 //! diagonal selection) read a caller-supplied [`Analysis`] when available.
-//! Without one, DIA and HDC rescan the source's entries, recorded on the
+//! Without one, DIA and HDC rescan the rows, recorded on the
 //! [`crate::analysis::passes`] traversal counter; ELL and HYB read the row
-//! lengths off the offsets the builder reads anyway.
+//! lengths off the offsets.
 
 use crate::analysis::{passes, Analysis};
 use crate::bell::runs_of;
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::dia::DiaMatrix;
+use crate::dynamic::DynamicMatrix;
 use crate::ell::EllMatrix;
 use crate::error::MorpheusError;
 use crate::format::FormatId;
@@ -37,9 +40,10 @@ use crate::scalar::Scalar;
 use crate::spmv::cpu_features::CpuFeatures;
 use crate::Result;
 use std::borrow::Cow;
+use std::ops::Range;
 
 use super::ConvertOptions;
-use morpheus_parallel::{global_pool, row_aligned_partition, weighted_partition, SharedSlice, ThreadPool};
+use morpheus_parallel::{global_pool, weighted_partition, weighted_partition_with, SharedSlice, ThreadPool};
 
 /// Conversions touching at least this many structural non-zeros run their
 /// row-partitionable passes on a pool: the DIA/HDC fills and the
@@ -59,11 +63,7 @@ fn pool_for(nnz: usize) -> Option<&'static ThreadPool> {
 
 /// Runs `body` once per part of `parts`, on the pool when given, serially
 /// otherwise. Parts must describe row-disjoint work.
-fn run_parts(
-    pool: Option<&ThreadPool>,
-    parts: &[std::ops::Range<usize>],
-    body: impl Fn(std::ops::Range<usize>) + Sync,
-) {
+fn run_parts(pool: Option<&ThreadPool>, parts: &[Range<usize>], body: impl Fn(Range<usize>) + Sync) {
     match pool {
         Some(pool) => pool.parallel_over_parts(parts, |_p, r| body(r)),
         None => {
@@ -97,25 +97,107 @@ fn prefix_sum(counts: &[usize]) -> Vec<usize> {
 }
 
 // ---------------------------------------------------------------------------
+// The builders' input: a COO or CSR matrix as row-major arrays
+// ---------------------------------------------------------------------------
+
+/// A matrix's entries as contiguous row-major arrays: row `r` holds
+/// `cols[offsets[r]..offsets[r + 1]]` (ascending) and the values beside
+/// them; `offsets` has `nrows + 1` entries. Every builder reads its source
+/// through one of these.
+pub(crate) struct RowArrays<'a, V> {
+    pub(crate) shape: (usize, usize),
+    pub(crate) offsets: Cow<'a, [usize]>,
+    pub(crate) cols: &'a [usize],
+    pub(crate) vals: &'a [V],
+}
+
+impl<'a, V: Scalar> RowArrays<'a, V> {
+    /// A CSR matrix's own arrays.
+    pub(crate) fn of_csr(csr: &'a CsrMatrix<V>) -> Self {
+        let shape = (csr.nrows(), csr.ncols());
+        RowArrays {
+            shape,
+            offsets: Cow::Borrowed(csr.row_offsets()),
+            cols: csr.col_indices(),
+            vals: csr.values(),
+        }
+    }
+
+    /// A sorted COO matrix's `cols`/`vals`, with offsets from one pass over
+    /// its row indices ([`coo_row_offsets`]).
+    pub(crate) fn of_coo(coo: &'a CooMatrix<V>) -> Self {
+        let offsets = Cow::Owned(coo_row_offsets(coo.nrows(), coo.row_indices()));
+        RowArrays { shape: (coo.nrows(), coo.ncols()), offsets, cols: coo.col_indices(), vals: coo.values() }
+    }
+
+    /// The arrays of a COO or CSR matrix; `None` for every other format.
+    pub(crate) fn of(m: &'a DynamicMatrix<V>) -> Option<Self> {
+        match m {
+            DynamicMatrix::Coo(a) => Some(Self::of_coo(a)),
+            DynamicMatrix::Csr(a) => Some(Self::of_csr(a)),
+            _ => None,
+        }
+    }
+
+    fn nnz(&self) -> usize {
+        self.offsets[self.shape.0]
+    }
+
+    /// Row `r`'s columns and values.
+    #[inline]
+    fn row(&self, r: usize) -> (&[usize], &[V]) {
+        let span = self.offsets[r]..self.offsets[r + 1];
+        (&self.cols[span.clone()], &self.vals[span])
+    }
+
+    /// nnz-weighted, row-disjoint parts for `pool`; one part without one.
+    fn row_parts(&self, pool: Option<&ThreadPool>) -> Vec<Range<usize>> {
+        let (nrows, offsets) = (self.shape.0, &self.offsets);
+        match pool {
+            Some(pool) => weighted_partition_with(nrows, pool.num_threads(), |r| offsets[r + 1] - offsets[r]),
+            None => std::iter::once(0..nrows).collect(),
+        }
+    }
+
+    /// CSR: the arrays themselves (the offsets moved when owned).
+    pub(crate) fn into_csr(self) -> CsrMatrix<V> {
+        let ((nrows, ncols), offsets) = (self.shape, self.offsets.into_owned());
+        CsrMatrix::from_parts_unchecked(nrows, ncols, offsets, self.cols.to_vec(), self.vals.to_vec())
+    }
+
+    /// COO: the offsets expanded into explicit row indices.
+    pub(crate) fn to_coo(&self) -> CooMatrix<V> {
+        let (nrows, ncols) = self.shape;
+        let rows = row_indices(&self.offsets);
+        CooMatrix::from_sorted_parts_unchecked(nrows, ncols, rows, self.cols.to_vec(), self.vals.to_vec())
+    }
+}
+
+/// Row offsets expanded into one row index per entry.
+fn row_indices(offsets: &[usize]) -> Vec<usize> {
+    let mut rows = Vec::with_capacity(offsets.last().map_or(0, |&n| n));
+    for (r, w) in offsets.windows(2).enumerate() {
+        rows.extend(std::iter::repeat_n(r, w[1] - w[0]));
+    }
+    rows
+}
+
+// ---------------------------------------------------------------------------
 // Planning scans (used only when no `Analysis` is supplied)
 // ---------------------------------------------------------------------------
 
-/// Diagonal populations (`diag[col + nrows - 1 - row]`) from an entry walk.
-fn diag_population(nrows: usize, ncols: usize, entries: impl Iterator<Item = (usize, usize)>) -> Vec<u32> {
+/// Diagonal populations (`diag[col + nrows - 1 - row]`) from a walk over
+/// the rows.
+fn diag_population<V: Scalar>(a: &RowArrays<'_, V>) -> Vec<u32> {
     passes::record_traversal();
+    let (nrows, ncols) = a.shape;
     let mut pop = vec![0u32; nrows + ncols - 1];
-    for (r, c) in entries {
-        pop[c + nrows - 1 - r] += 1;
+    for r in 0..nrows {
+        for &c in a.row(r).0 {
+            pop[c + nrows - 1 - r] += 1;
+        }
     }
     pop
-}
-
-fn coo_entry_indices<V: Scalar>(coo: &CooMatrix<V>) -> impl Iterator<Item = (usize, usize)> + '_ {
-    coo.row_indices().iter().copied().zip(coo.col_indices().iter().copied())
-}
-
-fn csr_entry_indices<V: Scalar>(csr: &CsrMatrix<V>) -> impl Iterator<Item = (usize, usize)> + '_ {
-    (0..csr.nrows()).flat_map(move |r| csr.row_cols(r).iter().map(move |&c| (r, c)))
 }
 
 /// Where a DIA or HDC conversion learns which diagonals to store without
@@ -131,38 +213,29 @@ pub(crate) enum Diagonals<'a> {
 }
 
 /// Populated-diagonal offsets, ascending: as stored, from the analysis, or
-/// from an entry scan. The last two reduce through
+/// from a scan of the rows. The last two reduce through
 /// [`crate::analysis::dia_offsets_from_pop`], so planned and unplanned
 /// layouts are identical by construction, and a stored layout is one of
 /// them.
-fn plan_dia_offsets(
-    plan: Option<Diagonals<'_>>,
-    nrows: usize,
-    ncols: usize,
-    entries: impl Iterator<Item = (usize, usize)>,
-) -> Vec<isize> {
+fn plan_dia_offsets<V: Scalar>(plan: Option<Diagonals<'_>>, a: &RowArrays<'_, V>) -> Vec<isize> {
     match plan {
         Some(Diagonals::Stored(offsets)) => offsets.to_vec(),
-        Some(Diagonals::Analysis(a)) => a.dia_offsets(),
-        None => crate::analysis::dia_offsets_from_pop(&diag_population(nrows, ncols, entries), nrows),
+        Some(Diagonals::Analysis(an)) => an.dia_offsets(),
+        None => crate::analysis::dia_offsets_from_pop(&diag_population(a), a.shape.0),
     }
 }
 
 /// True-diagonal slots (ascending); same contract as [`plan_dia_offsets`].
-fn plan_true_diag_slots(
+fn plan_true_diag_slots<V: Scalar>(
     plan: Option<Diagonals<'_>>,
-    nrows: usize,
-    ncols: usize,
+    a: &RowArrays<'_, V>,
     threshold: usize,
-    entries: impl Iterator<Item = (usize, usize)>,
 ) -> Vec<usize> {
-    let base = nrows as isize - 1;
+    let base = a.shape.0 as isize - 1;
     match plan {
         Some(Diagonals::Stored(offsets)) => offsets.iter().map(|&off| (off + base) as usize).collect(),
-        Some(Diagonals::Analysis(a)) => a.true_diag_slots(threshold).0,
-        None => {
-            crate::analysis::true_diag_slots_from_pop(&diag_population(nrows, ncols, entries), threshold).0
-        }
+        Some(Diagonals::Analysis(an)) => an.true_diag_slots(threshold).0,
+        None => crate::analysis::true_diag_slots_from_pop(&diag_population(a), threshold).0,
     }
 }
 
@@ -181,8 +254,7 @@ fn slot_to_diag_map(slots_len: usize, stored: impl Iterator<Item = usize>) -> Ve
 
 /// CSR-style row offsets (`nrows + 1` entries) of a sorted COO row-index
 /// array. With these, a sorted COO matrix's `cols`/`vals` *are* CSR arrays
-/// — every array-based builder (CSR, BSR, BELL) reads COO sources through
-/// them.
+/// — every builder reads COO sources through them ([`RowArrays`]).
 ///
 /// One pass of stores, no loads: entry `i` writes `i + 1` as the end of its
 /// row, so the last entry of each row leaves the row's end (an increment
@@ -203,30 +275,16 @@ pub(crate) fn coo_row_offsets(nrows: usize, rows: &[usize]) -> Vec<usize> {
     offsets
 }
 
-/// COO → CSR. O(nnz); relies on COO's sorted invariant.
+/// COO → CSR: the offsets of one pass over the row indices, the columns
+/// and values copied as they are. O(nnz); relies on COO's sorted
+/// invariant.
 pub fn coo_to_csr<V: Scalar>(coo: &CooMatrix<V>) -> CsrMatrix<V> {
-    CsrMatrix::from_parts_unchecked(
-        coo.nrows(),
-        coo.ncols(),
-        coo_row_offsets(coo.nrows(), coo.row_indices()),
-        coo.col_indices().to_vec(),
-        coo.values().to_vec(),
-    )
+    RowArrays::of_coo(coo).into_csr()
 }
 
 /// CSR → COO. O(nnz).
 pub fn csr_to_coo<V: Scalar>(csr: &CsrMatrix<V>) -> CooMatrix<V> {
-    let mut rows = Vec::with_capacity(csr.nnz());
-    for r in 0..csr.nrows() {
-        rows.extend(std::iter::repeat_n(r, csr.row_nnz(r)));
-    }
-    CooMatrix::from_sorted_parts_unchecked(
-        csr.nrows(),
-        csr.ncols(),
-        rows,
-        csr.col_indices().to_vec(),
-        csr.values().to_vec(),
-    )
+    RowArrays::of_csr(csr).to_coo()
 }
 
 /// COO → CSR consuming the source: the column-index and value allocations
@@ -243,131 +301,77 @@ pub fn coo_into_csr<V: Scalar>(coo: CooMatrix<V>) -> CsrMatrix<V> {
 /// offsets array is expanded into explicit row indices.
 pub fn csr_into_coo<V: Scalar>(csr: CsrMatrix<V>) -> CooMatrix<V> {
     let (nrows, ncols, offsets, cols, vals) = csr.into_parts();
-    let mut rows = Vec::with_capacity(cols.len());
-    for r in 0..nrows {
-        rows.extend(std::iter::repeat_n(r, offsets[r + 1] - offsets[r]));
-    }
-    CooMatrix::from_sorted_parts_unchecked(nrows, ncols, rows, cols, vals)
+    CooMatrix::from_sorted_parts_unchecked(nrows, ncols, row_indices(&offsets), cols, vals)
 }
 
 // ---------------------------------------------------------------------------
-// {COO, CSR} -> {ELL, HYB}: one-bucket BELL
+// -> ELL, HYB: one-bucket BELL
 // ---------------------------------------------------------------------------
 
-/// COO → ELL. Fails if padding would exceed the configured fill limit.
+/// COO → ELL: the COO matrix's offsets, then the ELL builder. Fails if
+/// padding would exceed the configured fill limit.
 pub fn coo_to_ell<V: Scalar>(coo: &CooMatrix<V>, opts: &ConvertOptions) -> Result<EllMatrix<V>> {
-    coo_to_ell_planned(coo, opts, None, None)
-}
-
-pub(crate) fn coo_to_ell_planned<V: Scalar>(
-    coo: &CooMatrix<V>,
-    opts: &ConvertOptions,
-    plan: Option<&Analysis>,
-    pool: Option<&ThreadPool>,
-) -> Result<EllMatrix<V>> {
-    let offsets = coo_row_offsets(coo.nrows(), coo.row_indices());
-    let (shape, cpu) = ((coo.nrows(), coo.ncols()), CpuFeatures::detect());
-    ell_from_arrays(shape, &offsets, coo.col_indices(), coo.values(), opts, plan, cpu, pool)
+    ell_from_arrays(&RowArrays::of_coo(coo), opts, None, CpuFeatures::detect(), None)
 }
 
 /// CSR → ELL, building the bucket straight from the CSR rows.
 pub fn csr_to_ell<V: Scalar>(csr: &CsrMatrix<V>, opts: &ConvertOptions) -> Result<EllMatrix<V>> {
-    csr_to_ell_planned(csr, opts, None, None)
+    ell_from_arrays(&RowArrays::of_csr(csr), opts, None, CpuFeatures::detect(), None)
 }
 
-pub(crate) fn csr_to_ell_planned<V: Scalar>(
-    csr: &CsrMatrix<V>,
-    opts: &ConvertOptions,
-    plan: Option<&Analysis>,
-    pool: Option<&ThreadPool>,
-) -> Result<EllMatrix<V>> {
-    let (shape, cpu) = ((csr.nrows(), csr.ncols()), CpuFeatures::detect());
-    ell_from_arrays(shape, csr.row_offsets(), csr.col_indices(), csr.values(), opts, plan, cpu, pool)
-}
-
-/// ELL from contiguous row-major arrays: one bucket as wide as the longest
-/// row (the plan's width when one is supplied), guarded at `width × nrows`,
-/// filled in the form `cpu` selects, on `pool` when given.
-#[allow(clippy::too_many_arguments)]
+/// ELL from row-major arrays: one bucket as wide as the longest row (the
+/// plan's width when one is supplied), guarded at `width × nrows`, filled
+/// in the form `cpu` selects, on `pool` when given.
 pub(crate) fn ell_from_arrays<V: Scalar>(
-    (nrows, ncols): (usize, usize),
-    offsets: &[usize],
-    cols: &[usize],
-    vals: &[V],
+    a: &RowArrays<'_, V>,
     opts: &ConvertOptions,
     plan: Option<&Analysis>,
     cpu: CpuFeatures,
     pool: Option<&ThreadPool>,
 ) -> Result<EllMatrix<V>> {
-    let run = runs_of(offsets);
+    let (nrows, nnz, run) = (a.shape.0, a.nnz(), runs_of(&a.offsets));
     let width = plan.map_or_else(|| (0..nrows).map(|r| run(r).1).max().unwrap_or(0), Analysis::ell_width);
-    let nnz = offsets[nrows];
     guard_padding(FormatId::Ell, width.saturating_mul(nrows), nnz, opts)?;
     let guard = |padded, _| guard_padding(FormatId::Ell, padded, nnz, opts);
-    EllMatrix::from_runs((nrows, ncols), width, run, cols, vals, guard, cpu, pool)
+    EllMatrix::from_runs(a.shape, width, run, a.cols, a.vals, guard, cpu, pool)
 }
 
-/// COO → HYB under the given split policy. The ELL portion never exceeds the
-/// fill limit by construction when the policy is [`HybSplit::Auto`]; a fixed
-/// width is still guarded.
+/// COO → HYB under the given split policy: the COO matrix's offsets, then
+/// the HYB builder. The ELL portion never exceeds the fill limit by
+/// construction when the policy is [`HybSplit::Auto`]; a fixed width is
+/// still guarded.
 pub fn coo_to_hyb<V: Scalar>(coo: &CooMatrix<V>, opts: &ConvertOptions) -> Result<HybMatrix<V>> {
-    coo_to_hyb_planned(coo, opts, None, None)
-}
-
-pub(crate) fn coo_to_hyb_planned<V: Scalar>(
-    coo: &CooMatrix<V>,
-    opts: &ConvertOptions,
-    plan: Option<&Analysis>,
-    pool: Option<&ThreadPool>,
-) -> Result<HybMatrix<V>> {
-    let offsets = coo_row_offsets(coo.nrows(), coo.row_indices());
-    let (shape, cpu) = ((coo.nrows(), coo.ncols()), CpuFeatures::detect());
-    hyb_from_arrays(shape, &offsets, coo.col_indices(), coo.values(), opts, plan, cpu, pool)
+    hyb_from_arrays(&RowArrays::of_coo(coo), opts, None, CpuFeatures::detect(), None)
 }
 
 /// CSR → HYB, splitting each row straight into the ELL bucket and the COO
 /// spill.
 pub fn csr_to_hyb<V: Scalar>(csr: &CsrMatrix<V>, opts: &ConvertOptions) -> Result<HybMatrix<V>> {
-    csr_to_hyb_planned(csr, opts, None, None)
+    hyb_from_arrays(&RowArrays::of_csr(csr), opts, None, CpuFeatures::detect(), None)
 }
 
-pub(crate) fn csr_to_hyb_planned<V: Scalar>(
-    csr: &CsrMatrix<V>,
-    opts: &ConvertOptions,
-    plan: Option<&Analysis>,
-    pool: Option<&ThreadPool>,
-) -> Result<HybMatrix<V>> {
-    let (shape, cpu) = ((csr.nrows(), csr.ncols()), CpuFeatures::detect());
-    hyb_from_arrays(shape, csr.row_offsets(), csr.col_indices(), csr.values(), opts, plan, cpu, pool)
-}
-
-/// HYB from contiguous row-major arrays: the split width `K` from the row
-/// lengths (the plan's histogram when one is supplied, checked against the
-/// arrays), the first `K` entries of each row as a one-bucket ELL built in
-/// place (filled in the form `cpu` selects, on `pool` when given), the rest
-/// copied into the spill in row order.
-#[allow(clippy::too_many_arguments)]
+/// HYB from row-major arrays: the split width `K` from the row lengths (the
+/// plan's histogram when one is supplied, checked against the arrays), the
+/// first `K` entries of each row as a one-bucket ELL built in place (filled
+/// in the form `cpu` selects, on `pool` when given), the rest copied into
+/// the spill in row order.
 pub(crate) fn hyb_from_arrays<V: Scalar>(
-    (nrows, ncols): (usize, usize),
-    offsets: &[usize],
-    cols: &[usize],
-    vals: &[V],
+    a: &RowArrays<'_, V>,
     opts: &ConvertOptions,
     plan: Option<&Analysis>,
     cpu: CpuFeatures,
     pool: Option<&ThreadPool>,
 ) -> Result<HybMatrix<V>> {
-    let run = runs_of(offsets);
-    let nnz = offsets[nrows];
+    let ((nrows, ncols), nnz, run) = (a.shape, a.nnz(), runs_of(&a.offsets));
     let k = match opts.hyb_split {
         HybSplit::Auto => {
             let lens: Cow<'_, [u32]> = match plan {
-                Some(a) => {
+                Some(an) => {
                     // A stale plan is refused, as every planned fill refuses one.
-                    if let Some(r) = (0..nrows).find(|&r| a.row_hist[r] as usize != run(r).1) {
+                    if let Some(r) = (0..nrows).find(|&r| an.row_hist[r] as usize != run(r).1) {
                         panic!("HYB plan misstates row {r}: stale analysis?");
                     }
-                    Cow::Borrowed(&a.row_hist)
+                    Cow::Borrowed(&an.row_hist)
                 }
                 None => Cow::Owned((0..nrows).map(|r| run(r).1 as u32).collect()),
             };
@@ -383,97 +387,64 @@ pub(crate) fn hyb_from_arrays<V: Scalar>(
         (first, len.min(k))
     };
     let guard = |padded, _| guard_padding(FormatId::Hyb, padded, nnz, opts);
-    let ell = EllMatrix::from_runs((nrows, ncols), k, head, cols, vals, guard, cpu, pool)?;
+    let ell = EllMatrix::from_runs(a.shape, k, head, a.cols, a.vals, guard, cpu, pool)?;
     let spill_nnz = nnz - ell.nnz();
     let (mut sp_rows, mut sp_cols, mut sp_vals) =
         (Vec::with_capacity(spill_nnz), Vec::with_capacity(spill_nnz), Vec::with_capacity(spill_nnz));
     for r in 0..nrows {
         let (first, len) = head(r);
-        let rest = first + len..offsets[r + 1];
+        let rest = first + len..a.offsets[r + 1];
         sp_rows.extend(std::iter::repeat_n(r, rest.len()));
-        sp_cols.extend_from_slice(&cols[rest.clone()]);
-        sp_vals.extend_from_slice(&vals[rest]);
+        sp_cols.extend_from_slice(&a.cols[rest.clone()]);
+        sp_vals.extend_from_slice(&a.vals[rest]);
     }
     let spill = CooMatrix::from_sorted_parts_unchecked(nrows, ncols, sp_rows, sp_cols, sp_vals);
     HybMatrix::from_parts(ell, spill)
 }
 
 // ---------------------------------------------------------------------------
-// {COO, CSR} -> DIA
+// -> DIA
 // ---------------------------------------------------------------------------
 
-/// nnz-weighted row partition of a CSR matrix for the available pool.
-fn csr_row_parts<V: Scalar>(csr: &CsrMatrix<V>, pool: Option<&ThreadPool>) -> Vec<std::ops::Range<usize>> {
-    match pool {
-        Some(pool) => weighted_partition(&csr.row_nnz_counts(), pool.num_threads()),
-        None => std::iter::once(0..csr.nrows()).collect(),
-    }
-}
-
-/// COO → DIA. Fails if padding would exceed the configured fill limit.
+/// COO → DIA: the COO matrix's offsets, then the DIA builder. Fails if
+/// padding would exceed the configured fill limit.
 pub fn coo_to_dia<V: Scalar>(coo: &CooMatrix<V>, opts: &ConvertOptions) -> Result<DiaMatrix<V>> {
-    coo_to_dia_planned(coo, opts, None)
-}
-
-pub(crate) fn coo_to_dia_planned<V: Scalar>(
-    coo: &CooMatrix<V>,
-    opts: &ConvertOptions,
-    plan: Option<Diagonals<'_>>,
-) -> Result<DiaMatrix<V>> {
-    let (nrows, ncols, nnz) = (coo.nrows(), coo.ncols(), coo.nnz());
-    if nrows == 0 || ncols == 0 || nnz == 0 {
-        return Ok(DiaMatrix::new(nrows, ncols));
-    }
-    let offsets = plan_dia_offsets(plan, nrows, ncols, coo_entry_indices(coo));
-    guard_padding(FormatId::Dia, offsets.len() * nrows, nnz, opts)?;
-    let base = nrows as isize - 1;
-    let slot_to_diag = slot_to_diag_map(nrows + ncols - 1, offsets.iter().map(|&off| (off + base) as usize));
-    let mut values = vec![V::ZERO; offsets.len() * nrows];
-    {
-        let (src_rows, src_cols, src_vals) = (coo.row_indices(), coo.col_indices(), coo.values());
-        let pool = pool_for(nnz);
-        let parts = row_aligned_partition(src_rows, pool.map_or(1, ThreadPool::num_threads));
-        let out = SharedSlice::new(&mut values);
-        run_parts(pool, &parts, |entries| {
-            for i in entries {
-                let (r, c) = (src_rows[i], src_cols[i]);
-                let d = slot_to_diag[c + nrows - 1 - r];
-                assert_ne!(d, usize::MAX, "DIA plan omits a populated diagonal: stale analysis?");
-                // SAFETY: rows are disjoint across parts and each (r, c) is
-                // unique, so each diagonal slot has one writer.
-                unsafe { out.set(d * nrows + r, src_vals[i]) };
-            }
-        });
-    }
-    Ok(DiaMatrix::from_parts_unchecked(nrows, ncols, offsets, values, nnz))
+    dia_from_arrays(&RowArrays::of_coo(coo), opts, None)
 }
 
 /// CSR → DIA, scattering rows straight into the diagonal slabs.
 pub fn csr_to_dia<V: Scalar>(csr: &CsrMatrix<V>, opts: &ConvertOptions) -> Result<DiaMatrix<V>> {
-    csr_to_dia_planned(csr, opts, None)
+    dia_from_arrays(&RowArrays::of_csr(csr), opts, None)
 }
 
-pub(crate) fn csr_to_dia_planned<V: Scalar>(
-    csr: &CsrMatrix<V>,
+/// DIA from row-major arrays: the diagonals from `plan` (a scan of the rows
+/// without one), guarded at `ndiags × nrows`, each row scattered into its
+/// slots, on the process pool from [`PARALLEL_CONVERT_THRESHOLD`] entries.
+///
+/// # Panics
+/// If an entry lies on none of the planned diagonals (a stale plan).
+pub(crate) fn dia_from_arrays<V: Scalar>(
+    a: &RowArrays<'_, V>,
     opts: &ConvertOptions,
     plan: Option<Diagonals<'_>>,
 ) -> Result<DiaMatrix<V>> {
-    let (nrows, ncols, nnz) = (csr.nrows(), csr.ncols(), csr.nnz());
+    let ((nrows, ncols), nnz) = (a.shape, a.nnz());
     if nrows == 0 || ncols == 0 || nnz == 0 {
         return Ok(DiaMatrix::new(nrows, ncols));
     }
-    let offsets = plan_dia_offsets(plan, nrows, ncols, csr_entry_indices(csr));
+    let offsets = plan_dia_offsets(plan, a);
     guard_padding(FormatId::Dia, offsets.len() * nrows, nnz, opts)?;
     let base = nrows as isize - 1;
     let slot_to_diag = slot_to_diag_map(nrows + ncols - 1, offsets.iter().map(|&off| (off + base) as usize));
     let mut values = vec![V::ZERO; offsets.len() * nrows];
     {
         let pool = pool_for(nnz);
-        let parts = csr_row_parts(csr, pool);
+        let parts = a.row_parts(pool);
         let out = SharedSlice::new(&mut values);
         run_parts(pool, &parts, |rows| {
             for r in rows {
-                for (&c, &v) in csr.row_cols(r).iter().zip(csr.row_vals(r)) {
+                let (cols, vals) = a.row(r);
+                for (&c, &v) in cols.iter().zip(vals) {
                     let d = slot_to_diag[c + nrows - 1 - r];
                     assert_ne!(d, usize::MAX, "DIA plan omits a populated diagonal: stale analysis?");
                     // SAFETY: row-disjoint parts, unique coordinates.
@@ -486,104 +457,33 @@ pub(crate) fn csr_to_dia_planned<V: Scalar>(
 }
 
 // ---------------------------------------------------------------------------
-// {COO, CSR} -> HDC
+// -> HDC
 // ---------------------------------------------------------------------------
 
-/// COO → HDC: true diagonals (population ≥ `alpha * min(M, N)`) go to DIA,
-/// the remainder to CSR.
+/// COO → HDC: the COO matrix's offsets, then the HDC builder. True
+/// diagonals (population ≥ `alpha * min(M, N)`) go to DIA, the remainder to
+/// CSR.
 pub fn coo_to_hdc<V: Scalar>(coo: &CooMatrix<V>, opts: &ConvertOptions) -> Result<HdcMatrix<V>> {
-    coo_to_hdc_planned(coo, opts, None)
-}
-
-pub(crate) fn coo_to_hdc_planned<V: Scalar>(
-    coo: &CooMatrix<V>,
-    opts: &ConvertOptions,
-    plan: Option<Diagonals<'_>>,
-) -> Result<HdcMatrix<V>> {
-    let (nrows, ncols, nnz) = (coo.nrows(), coo.ncols(), coo.nnz());
-    if nrows == 0 || ncols == 0 || nnz == 0 {
-        return HdcMatrix::from_parts(
-            DiaMatrix::new(nrows, ncols),
-            CsrMatrix::new(nrows, ncols),
-            opts.true_diag_alpha,
-        );
-    }
-    let threshold = true_diag_threshold(nrows, ncols, opts.true_diag_alpha);
-    let true_slots = plan_true_diag_slots(plan, nrows, ncols, threshold, coo_entry_indices(coo));
-    guard_padding(FormatId::Hdc, true_slots.len() * nrows, nnz, opts)?;
-    let base = nrows as isize - 1;
-    let slot_to_diag = slot_to_diag_map(nrows + ncols - 1, true_slots.iter().copied());
-    let offsets: Vec<isize> = true_slots.iter().map(|&s| s as isize - base).collect();
-
-    let (src_rows, src_cols, src_vals) = (coo.row_indices(), coo.col_indices(), coo.values());
-    let pool = pool_for(nnz);
-    let parts = row_aligned_partition(src_rows, pool.map_or(1, ThreadPool::num_threads));
-
-    // Pass 1: per-row CSR-remainder counts (index-only).
-    let mut rem_counts = vec![0usize; nrows];
-    {
-        let counts = SharedSlice::new(&mut rem_counts);
-        run_parts(pool, &parts, |entries| {
-            for i in entries {
-                let (r, c) = (src_rows[i], src_cols[i]);
-                if slot_to_diag[c + nrows - 1 - r] == usize::MAX {
-                    // SAFETY: row-disjoint parts.
-                    unsafe { counts.add(r, 1) };
-                }
-            }
-        });
-    }
-    let csr_offsets = prefix_sum(&rem_counts);
-    let csr_nnz = *csr_offsets.last().expect("prefix sum is non-empty");
-    let dia_nnz = nnz - csr_nnz;
-
-    // Pass 2: scatter diagonals, pack the remainder.
-    let mut dia_vals = vec![V::ZERO; offsets.len() * nrows];
-    let mut csr_cols = vec![0usize; csr_nnz];
-    let mut csr_vals = vec![V::ZERO; csr_nnz];
-    {
-        let od = SharedSlice::new(&mut dia_vals);
-        let (oc, ov) = (SharedSlice::new(&mut csr_cols), SharedSlice::new(&mut csr_vals));
-        run_parts(pool, &parts, |entries| {
-            let mut prev = usize::MAX;
-            let mut cursor = 0usize;
-            for i in entries {
-                let (r, c) = (src_rows[i], src_cols[i]);
-                if r != prev {
-                    cursor = csr_offsets[r];
-                    prev = r;
-                }
-                let d = slot_to_diag[c + nrows - 1 - r];
-                // SAFETY: row-disjoint parts; unique coordinates.
-                unsafe {
-                    if d != usize::MAX {
-                        od.set(d * nrows + r, src_vals[i]);
-                    } else {
-                        oc.set(cursor, c);
-                        ov.set(cursor, src_vals[i]);
-                        cursor += 1;
-                    }
-                }
-            }
-        });
-    }
-    let dia = DiaMatrix::from_parts_unchecked(nrows, ncols, offsets, dia_vals, dia_nnz);
-    let csr = CsrMatrix::from_parts_unchecked(nrows, ncols, csr_offsets, csr_cols, csr_vals);
-    HdcMatrix::from_parts(dia, csr, opts.true_diag_alpha)
+    hdc_from_arrays(&RowArrays::of_coo(coo), opts, None)
 }
 
 /// CSR → HDC, splitting rows straight into the DIA slab and the CSR
 /// remainder.
 pub fn csr_to_hdc<V: Scalar>(csr: &CsrMatrix<V>, opts: &ConvertOptions) -> Result<HdcMatrix<V>> {
-    csr_to_hdc_planned(csr, opts, None)
+    hdc_from_arrays(&RowArrays::of_csr(csr), opts, None)
 }
 
-pub(crate) fn csr_to_hdc_planned<V: Scalar>(
-    csr: &CsrMatrix<V>,
+/// HDC from row-major arrays: the true diagonals from `plan` (a scan of the
+/// rows without one), guarded at `ntrue × nrows`; each row's entries on
+/// them scattered into the DIA slab, the rest packed into the CSR
+/// remainder (a count pass, a prefix sum, a fill pass), on the process pool
+/// from [`PARALLEL_CONVERT_THRESHOLD`] entries.
+pub(crate) fn hdc_from_arrays<V: Scalar>(
+    a: &RowArrays<'_, V>,
     opts: &ConvertOptions,
     plan: Option<Diagonals<'_>>,
 ) -> Result<HdcMatrix<V>> {
-    let (nrows, ncols, nnz) = (csr.nrows(), csr.ncols(), csr.nnz());
+    let ((nrows, ncols), nnz) = (a.shape, a.nnz());
     if nrows == 0 || ncols == 0 || nnz == 0 {
         return HdcMatrix::from_parts(
             DiaMatrix::new(nrows, ncols),
@@ -592,25 +492,21 @@ pub(crate) fn csr_to_hdc_planned<V: Scalar>(
         );
     }
     let threshold = true_diag_threshold(nrows, ncols, opts.true_diag_alpha);
-    let true_slots = plan_true_diag_slots(plan, nrows, ncols, threshold, csr_entry_indices(csr));
+    let true_slots = plan_true_diag_slots(plan, a, threshold);
     guard_padding(FormatId::Hdc, true_slots.len() * nrows, nnz, opts)?;
     let base = nrows as isize - 1;
     let slot_to_diag = slot_to_diag_map(nrows + ncols - 1, true_slots.iter().copied());
     let offsets: Vec<isize> = true_slots.iter().map(|&s| s as isize - base).collect();
 
     let pool = pool_for(nnz);
-    let parts = csr_row_parts(csr, pool);
+    let parts = a.row_parts(pool);
 
     let mut rem_counts = vec![0usize; nrows];
     {
         let counts = SharedSlice::new(&mut rem_counts);
         run_parts(pool, &parts, |rows| {
             for r in rows {
-                let n = csr
-                    .row_cols(r)
-                    .iter()
-                    .filter(|&&c| slot_to_diag[c + nrows - 1 - r] == usize::MAX)
-                    .count();
+                let n = a.row(r).0.iter().filter(|&&c| slot_to_diag[c + nrows - 1 - r] == usize::MAX).count();
                 // SAFETY: row-disjoint parts.
                 unsafe { counts.set(r, n) };
             }
@@ -629,7 +525,8 @@ pub(crate) fn csr_to_hdc_planned<V: Scalar>(
         run_parts(pool, &parts, |rows| {
             for r in rows {
                 let mut cursor = csr_offsets[r];
-                for (&c, &v) in csr.row_cols(r).iter().zip(csr.row_vals(r)) {
+                let (cols, vals) = a.row(r);
+                for (&c, &v) in cols.iter().zip(vals) {
                     let d = slot_to_diag[c + nrows - 1 - r];
                     // SAFETY: row-disjoint parts; unique coordinates.
                     unsafe {
@@ -651,13 +548,13 @@ pub(crate) fn csr_to_hdc_planned<V: Scalar>(
 }
 
 // ---------------------------------------------------------------------------
-// {ELL, DIA, HYB, HDC} -> {CSR, COO}: row-major export
+// Every other format -> {CSR, COO}: the row-major export
 // ---------------------------------------------------------------------------
 
 /// Exports any [`RowMajor`] source straight into CSR arrays: one parallel
 /// per-row count pass, a prefix sum, one parallel fill pass. No triplet
 /// buffers, no sort (sources emit rows in ascending column order).
-pub(crate) fn export_to_csr<V: Scalar, S: RowMajor<V>>(
+pub(crate) fn export_to_csr<V: Scalar, S: RowMajor<V> + ?Sized>(
     src: &S,
     ncols: usize,
     nnz_hint: usize,
@@ -667,7 +564,7 @@ pub(crate) fn export_to_csr<V: Scalar, S: RowMajor<V>>(
 }
 
 /// Exports any [`RowMajor`] source straight into sorted COO arrays.
-pub(crate) fn export_to_coo<V: Scalar, S: RowMajor<V>>(
+pub(crate) fn export_to_coo<V: Scalar, S: RowMajor<V> + ?Sized>(
     src: &S,
     ncols: usize,
     nnz_hint: usize,
@@ -676,7 +573,7 @@ pub(crate) fn export_to_coo<V: Scalar, S: RowMajor<V>>(
     CooMatrix::from_sorted_parts_unchecked(src.nrows(), ncols, rows, cols, vals)
 }
 
-fn export_row_major<V: Scalar, S: RowMajor<V>>(
+fn export_row_major<V: Scalar, S: RowMajor<V> + ?Sized>(
     src: &S,
     nnz_hint: usize,
     want_rows: bool,

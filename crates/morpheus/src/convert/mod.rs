@@ -7,37 +7,34 @@
 //! intermediate. That round-trip sits on the tuning hot path — the paper's
 //! Oracle only pays off once "the cost of conversion is amortized after a
 //! number of SpMV iterations" (§VII) — so it is now the *fallback*, not the
-//! rule. The dispatcher ([`crate::DynamicMatrix::to_format_with`]) picks:
+//! rule. Each target format has one builder, and each reads its source as
+//! row-major `(offsets, cols, vals)` arrays: CSR lends its own, a sorted COO
+//! its `cols`/`vals` plus offsets from one pass that only stores (each
+//! entry writes its row's end, a running maximum fills the empty rows). The
+//! dispatcher ([`crate::DynamicMatrix::to_format_with`]) picks:
 //!
 //! * **Identity** — source and target formats coincide: a clone (or a move,
 //!   for [`crate::DynamicMatrix::into_format`]).
-//! * **Direct** — whenever the source or the target is COO or CSR, a
-//!   dedicated kernel in [`kernels`] / [`blocked`] writes the target arrays
-//!   straight from the source arrays: CSR↔{COO, ELL, DIA, HYB, HDC, BSR,
-//!   BELL} and COO↔{CSR, ELL, DIA, HYB, HDC, BSR, BELL}. No intermediate
-//!   triplet buffers are allocated and nothing is sorted (sources are
-//!   exported row-major in ascending column order). BSR and the ELL family
-//!   (BELL; ELL and HYB's ELL part, one bucket each) are *array-built*: one
-//!   builder each over row-major `(offsets, cols, vals)` — CSR hands over
-//!   its own arrays, COO its `cols`/`vals` plus offsets from one pass that
-//!   only stores (each entry writes its row's end, a running maximum fills
-//!   the empty rows) — so the formats the tuner picks most often convert
-//!   at memory speed, without a per-row search or a per-entry indirect
-//!   call. (The serving layer moves every COO source into CSR at its front
-//!   door, so what it converts is CSR.) They build on the calling thread;
-//!   the ELL family's fill runs on a pool the caller hands in
-//!   ([`crate::DynamicMatrix::convert_on`]: a service's own) once the
-//!   matrix has [`kernels::PARALLEL_CONVERT_THRESHOLD`] entries. The DIA
-//!   and HDC fills and the row-major export run in parallel on the process
-//!   pool with nnz-weighted, row-disjoint partitions from that size on.
-//! * **Hub** — every other pair materialises an interchange copy first.
-//!   Conversions between two padded formats
-//!   ({ELL, DIA, HYB, HDC} × {ELL, DIA, HYB, HDC}) export to COO and
-//!   rebuild from there; conversions from a padded or block format *into*
-//!   BSR or BELL export to CSR (the arrays their builders read). Both legs
-//!   are themselves direct kernels, but the intermediate is materialised;
-//!   these pairs are rare on the tuning path (the Oracle almost always
-//!   switches from an ingestion format).
+//! * **Direct** — a COO or CSR source is handed to the target's builder
+//!   (COO↔CSR, and both into ELL, DIA, HYB, HDC, BSR and BELL), and every
+//!   other source exports straight to COO or CSR through the one row-major
+//!   export. No triplet buffers are allocated and nothing is sorted
+//!   (sources export rows in ascending column order), and no builder
+//!   searches a row or calls through a pointer per entry, so the formats
+//!   the tuner picks convert at memory speed. (The serving layer moves
+//!   every COO source into CSR at its front door, so what it converts is
+//!   CSR.) The builders plan and allocate on the calling thread; the ELL
+//!   family's fill (BELL; ELL and HYB's ELL part, one bucket each) runs on
+//!   a pool the caller hands in ([`crate::DynamicMatrix::convert_on`]: a
+//!   service's own) once the matrix has
+//!   [`kernels::PARALLEL_CONVERT_THRESHOLD`] entries. The DIA and HDC fills
+//!   and the export run in parallel on the process pool with nnz-weighted,
+//!   row-disjoint partitions from that size on.
+//! * **Hub** — every other pair (a padded or block source into a padded or
+//!   block target) exports the source to CSR first and hands that copy to
+//!   the target's builder. Both legs are the direct kernels above, but the
+//!   intermediate is materialised; these pairs are rare on the tuning path
+//!   (the Oracle almost always switches from an ingestion format).
 //!
 //! Which path ran, and how long it took on the wall clock, is reported in
 //! [`ConvertOutcome`] and surfaced by the Oracle in its `TuneReport`.
@@ -78,11 +75,10 @@
 pub mod blocked;
 pub mod kernels;
 
-pub(crate) use blocked::rowmajor_to_coo;
 pub use blocked::{
     bell_to_coo, bell_to_csr, bsr_to_coo, bsr_to_csr, coo_to_bell, coo_to_bsr, csr_to_bell, csr_to_bsr,
 };
-use kernels::Diagonals;
+use kernels::{export_to_coo, export_to_csr, Diagonals, RowArrays};
 
 pub use kernels::{
     coo_to_csr, coo_to_dia, coo_to_ell, coo_to_hdc, coo_to_hyb, csr_to_coo, csr_to_dia, csr_to_ell,
@@ -150,8 +146,7 @@ pub enum ConvertPath {
     Identity,
     /// A direct kernel wrote the target arrays straight from the source.
     Direct,
-    /// The conversion went through a materialised interchange copy (COO,
-    /// or CSR when the target is array-built BSR/BELL).
+    /// The conversion went through a materialised CSR copy of the source.
     Hub,
 }
 
@@ -230,61 +225,58 @@ fn dispatch<V: Scalar>(
     diagonals: Option<&[isize]>,
     pool: Option<&ThreadPool>,
 ) -> Result<(DynamicMatrix<V>, ConvertPath)> {
-    use DynamicMatrix as D;
-    // Diagonals handed in win over the analysis': a miss of this structure
-    // stored exactly them.
-    let diags = diagonals.map(Diagonals::Stored).or(plan.map(Diagonals::Analysis));
-    let direct = |m: DynamicMatrix<V>| (m, ConvertPath::Direct);
-    Ok(match (m, target) {
-        // Everything exports to COO and CSR directly (row-major export for
-        // the padded formats, array moves/expansions for COO<->CSR).
-        (_, FormatId::Coo) => direct(D::Coo(m.to_coo())),
-        (D::Coo(a), FormatId::Csr) => direct(D::Csr(coo_to_csr(a))),
-        (D::Dia(a), FormatId::Csr) => direct(D::Csr(dia_to_csr(a))),
-        (D::Ell(a), FormatId::Csr) => direct(D::Csr(ell_to_csr(a))),
-        (D::Hyb(a), FormatId::Csr) => direct(D::Csr(hyb_to_csr(a))),
-        (D::Hdc(a), FormatId::Csr) => direct(D::Csr(hdc_to_csr(a))),
-        (D::Bsr(a), FormatId::Csr) => direct(D::Csr(bsr_to_csr(a))),
-        (D::Bell(a), FormatId::Csr) => direct(D::Csr(bell_to_csr(a))),
-        // COO and CSR sources convert into the padded and block formats
-        // directly.
-        (D::Coo(a), FormatId::Bsr) => direct(D::Bsr(coo_to_bsr(a, opts)?)),
-        (D::Coo(a), FormatId::Bell) => direct(D::Bell(blocked::coo_to_bell_on(a, opts, pool)?)),
-        (D::Csr(a), FormatId::Bsr) => direct(D::Bsr(csr_to_bsr(a, opts)?)),
-        (D::Csr(a), FormatId::Bell) => direct(D::Bell(blocked::csr_to_bell_on(a, opts, pool)?)),
-        (D::Coo(a), FormatId::Dia) => direct(D::Dia(kernels::coo_to_dia_planned(a, opts, diags)?)),
-        (D::Coo(a), FormatId::Ell) => direct(D::Ell(kernels::coo_to_ell_planned(a, opts, plan, pool)?)),
-        (D::Coo(a), FormatId::Hyb) => direct(D::Hyb(kernels::coo_to_hyb_planned(a, opts, plan, pool)?)),
-        (D::Coo(a), FormatId::Hdc) => direct(D::Hdc(kernels::coo_to_hdc_planned(a, opts, diags)?)),
-        (D::Csr(a), FormatId::Dia) => direct(D::Dia(kernels::csr_to_dia_planned(a, opts, diags)?)),
-        (D::Csr(a), FormatId::Ell) => direct(D::Ell(kernels::csr_to_ell_planned(a, opts, plan, pool)?)),
-        (D::Csr(a), FormatId::Hyb) => direct(D::Hyb(kernels::csr_to_hyb_planned(a, opts, plan, pool)?)),
-        (D::Csr(a), FormatId::Hdc) => direct(D::Hdc(kernels::csr_to_hdc_planned(a, opts, diags)?)),
-        // Everything else goes through a materialised interchange copy
-        // (both legs are direct kernels): CSR for the array-built block
-        // formats, COO for the padded ones.
-        (_, FormatId::Bsr | FormatId::Bell) => {
-            let csr = D::Csr(blocked::rowmajor_to_csr(as_rowmajor(m), m.ncols()));
-            (dispatch(&csr, target, opts, plan, None, pool)?.0, ConvertPath::Hub)
+    let cpu = CpuFeatures::detect();
+    let (ncols, nnz) = (m.ncols(), m.nnz());
+    Ok(match (RowArrays::of(m), target) {
+        // COO and CSR sources lend their arrays to the target's builder.
+        (Some(rows), _) => (build(target, rows, opts, plan, diagonals, pool, cpu)?, ConvertPath::Direct),
+        // Every other format exports to COO and CSR directly...
+        (None, FormatId::Coo) => {
+            (DynamicMatrix::Coo(export_to_coo(as_rowmajor(m), ncols, nnz)), ConvertPath::Direct)
         }
-        (_, _) => {
-            let coo = m.to_coo();
-            let rebuilt = match target {
-                FormatId::Dia => D::Dia(kernels::coo_to_dia_planned(&coo, opts, diags)?),
-                FormatId::Ell => D::Ell(kernels::coo_to_ell_planned(&coo, opts, plan, pool)?),
-                FormatId::Hyb => D::Hyb(kernels::coo_to_hyb_planned(&coo, opts, plan, pool)?),
-                FormatId::Hdc => D::Hdc(kernels::coo_to_hdc_planned(&coo, opts, diags)?),
-                FormatId::Coo | FormatId::Csr | FormatId::Bsr | FormatId::Bell => {
-                    unreachable!("handled by the arms above")
-                }
-            };
-            (rebuilt, ConvertPath::Hub)
+        (None, FormatId::Csr) => {
+            (DynamicMatrix::Csr(export_to_csr(as_rowmajor(m), ncols, nnz)), ConvertPath::Direct)
+        }
+        // ...and reaches the rest through that one CSR copy.
+        (None, _) => {
+            let csr = export_to_csr(as_rowmajor(m), ncols, nnz);
+            let rows = RowArrays::of_csr(&csr);
+            (build(target, rows, opts, plan, diagonals, pool, cpu)?, ConvertPath::Hub)
         }
     })
 }
 
+/// The one builder of each target format, over row-major arrays. `plan`
+/// answers the padded formats' planning questions; `diagonals`, when
+/// given, win over the plan's for DIA and HDC (a miss of this structure
+/// stored exactly them); `pool` is where a BELL, ELL or HYB fill runs, in
+/// the form `cpu` selects.
+fn build<V: Scalar>(
+    target: FormatId,
+    rows: RowArrays<'_, V>,
+    opts: &ConvertOptions,
+    plan: Option<&Analysis>,
+    diagonals: Option<&[isize]>,
+    pool: Option<&ThreadPool>,
+    cpu: CpuFeatures,
+) -> Result<DynamicMatrix<V>> {
+    use DynamicMatrix as D;
+    let diags = diagonals.map(Diagonals::Stored).or(plan.map(Diagonals::Analysis));
+    Ok(match target {
+        FormatId::Coo => D::Coo(rows.to_coo()),
+        FormatId::Csr => D::Csr(rows.into_csr()),
+        FormatId::Dia => D::Dia(kernels::dia_from_arrays(&rows, opts, diags)?),
+        FormatId::Ell => D::Ell(kernels::ell_from_arrays(&rows, opts, plan, cpu, pool)?),
+        FormatId::Hyb => D::Hyb(kernels::hyb_from_arrays(&rows, opts, plan, cpu, pool)?),
+        FormatId::Hdc => D::Hdc(kernels::hdc_from_arrays(&rows, opts, diags)?),
+        FormatId::Bsr => D::Bsr(blocked::bsr_from_arrays(&rows, opts)?),
+        FormatId::Bell => D::Bell(blocked::bell_from_arrays(&rows, opts, cpu, pool)?),
+    })
+}
+
 /// Converts `m` to `target` strictly through a materialised COO
-/// intermediate, regardless of whether a direct kernel exists.
+/// intermediate, regardless of whether a direct kernel exists: the COO
+/// copy's arrays go to the target's builder.
 ///
 /// This is the reference path the tests compare the direct kernels
 /// against; production code should go through
@@ -295,17 +287,7 @@ pub fn convert_via_hub<V: Scalar>(
     target: FormatId,
     opts: &ConvertOptions,
 ) -> Result<DynamicMatrix<V>> {
-    let coo = m.to_coo();
-    Ok(match target {
-        FormatId::Coo => DynamicMatrix::Coo(coo),
-        FormatId::Csr => DynamicMatrix::Csr(coo_to_csr(&coo)),
-        FormatId::Dia => DynamicMatrix::Dia(coo_to_dia(&coo, opts)?),
-        FormatId::Ell => DynamicMatrix::Ell(coo_to_ell(&coo, opts)?),
-        FormatId::Hyb => DynamicMatrix::Hyb(coo_to_hyb(&coo, opts)?),
-        FormatId::Hdc => DynamicMatrix::Hdc(coo_to_hdc(&coo, opts)?),
-        FormatId::Bsr => DynamicMatrix::Bsr(coo_to_bsr(&coo, opts)?),
-        FormatId::Bell => DynamicMatrix::Bell(coo_to_bell(&coo, opts)?),
-    })
+    build(target, RowArrays::of_coo(&m.to_coo()), opts, None, None, None, CpuFeatures::detect())
 }
 
 /// Builds `target` — BELL, ELL or HYB, the formats BELL's builder fills —
@@ -326,18 +308,12 @@ pub fn padded_from_arrays<V: Scalar>(
     opts: &ConvertOptions,
     cpu: CpuFeatures,
 ) -> Result<DynamicMatrix<V>> {
-    Ok(match target {
-        FormatId::Bell => {
-            DynamicMatrix::Bell(blocked::bell_from_arrays(shape, offsets, cols, vals, opts, cpu, None)?)
-        }
-        FormatId::Ell => {
-            DynamicMatrix::Ell(kernels::ell_from_arrays(shape, offsets, cols, vals, opts, None, cpu, None)?)
-        }
-        FormatId::Hyb => {
-            DynamicMatrix::Hyb(kernels::hyb_from_arrays(shape, offsets, cols, vals, opts, None, cpu, None)?)
-        }
-        other => panic!("{other} is not filled by BELL's builder"),
-    })
+    assert!(
+        matches!(target, FormatId::Bell | FormatId::Ell | FormatId::Hyb),
+        "{target} is not filled by BELL's builder"
+    );
+    let rows = RowArrays { shape, offsets: offsets.into(), cols, vals };
+    build(target, rows, opts, None, None, None, cpu)
 }
 
 #[cfg(test)]
@@ -556,28 +532,24 @@ mod tests {
         let m = DynamicMatrix::from(coo.clone());
         let a = Analysis::of(&m, opts.true_diag_alpha);
         let csr = coo_to_csr(&coo);
+        let (rows, csr_rows, cpu) = (RowArrays::of_coo(&coo), RowArrays::of_csr(&csr), CpuFeatures::detect());
+        let diags = Some(Diagonals::Analysis(&a));
         assert_eq!(
-            kernels::coo_to_ell_planned(&coo, &opts, Some(&a), None).unwrap(),
+            kernels::ell_from_arrays(&rows, &opts, Some(&a), cpu, None).unwrap(),
             coo_to_ell(&coo, &opts).unwrap()
         );
+        assert_eq!(kernels::dia_from_arrays(&rows, &opts, diags).unwrap(), coo_to_dia(&coo, &opts).unwrap());
         assert_eq!(
-            kernels::coo_to_dia_planned(&coo, &opts, Some(Diagonals::Analysis(&a))).unwrap(),
-            coo_to_dia(&coo, &opts).unwrap()
-        );
-        assert_eq!(
-            kernels::coo_to_hyb_planned(&coo, &opts, Some(&a), None).unwrap(),
+            kernels::hyb_from_arrays(&rows, &opts, Some(&a), cpu, None).unwrap(),
             coo_to_hyb(&coo, &opts).unwrap()
         );
+        assert_eq!(kernels::hdc_from_arrays(&rows, &opts, diags).unwrap(), coo_to_hdc(&coo, &opts).unwrap());
         assert_eq!(
-            kernels::coo_to_hdc_planned(&coo, &opts, Some(Diagonals::Analysis(&a))).unwrap(),
-            coo_to_hdc(&coo, &opts).unwrap()
-        );
-        assert_eq!(
-            kernels::csr_to_ell_planned(&csr, &opts, Some(&a), None).unwrap(),
+            kernels::ell_from_arrays(&csr_rows, &opts, Some(&a), cpu, None).unwrap(),
             csr_to_ell(&csr, &opts).unwrap()
         );
         assert_eq!(
-            kernels::csr_to_hdc_planned(&csr, &opts, Some(Diagonals::Analysis(&a))).unwrap(),
+            kernels::hdc_from_arrays(&csr_rows, &opts, diags).unwrap(),
             csr_to_hdc(&csr, &opts).unwrap()
         );
     }

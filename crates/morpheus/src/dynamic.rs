@@ -4,7 +4,8 @@ use crate::analysis::Analysis;
 use crate::bell::BellMatrix;
 use crate::bsr::BsrMatrix;
 use crate::convert::{
-    self, csr_to_coo, dia_to_coo, ell_to_coo, hdc_to_coo, hyb_to_coo, ConvertOptions, ConvertOutcome,
+    self, bell_to_coo, bsr_to_coo, csr_to_coo, dia_to_coo, ell_to_coo, hdc_to_coo, hyb_to_coo,
+    ConvertOptions, ConvertOutcome,
 };
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
@@ -127,8 +128,8 @@ impl<V: Scalar> DynamicMatrix<V> {
             DynamicMatrix::Ell(m) => ell_to_coo(m),
             DynamicMatrix::Hyb(m) => hyb_to_coo(m),
             DynamicMatrix::Hdc(m) => hdc_to_coo(m),
-            DynamicMatrix::Bsr(m) => convert::rowmajor_to_coo(m, m.ncols()),
-            DynamicMatrix::Bell(m) => convert::rowmajor_to_coo(m, m.ncols()),
+            DynamicMatrix::Bsr(m) => bsr_to_coo(m),
+            DynamicMatrix::Bell(m) => bell_to_coo(m),
         }
     }
 
@@ -139,7 +140,7 @@ impl<V: Scalar> DynamicMatrix<V> {
     /// run-first tuner) should treat that format as non-viable.
     ///
     /// Dispatches to a direct conversion kernel when one exists (source or
-    /// target is COO/CSR) and through the COO hub otherwise; see the
+    /// target is COO/CSR) and through a CSR copy otherwise; see the
     /// [`crate::convert`] module docs. Use
     /// [`DynamicMatrix::to_format_with`] to learn which path ran or to
     /// supply a precomputed [`Analysis`] for planning.

@@ -15,15 +15,19 @@
 //!    walk kept in this file, from COO and from CSR, for every ladder and
 //!    block-dimension shape (BELL through its bucket assignment and its
 //!    row-major walk, not its cell layout).
+//! 5. The DIA and HDC conversions equal a per-entry reference kept in this
+//!    file, from COO and from CSR, unplanned, planned by an [`Analysis`] and
+//!    into stored diagonals, on small, edge-shaped and pool-sized inputs.
 
 use morpheus_repro::machine::{systems, Backend, VirtualEngine};
 use morpheus_repro::morpheus::analysis::{passes, Analysis};
+use morpheus_repro::morpheus::convert::kernels::PARALLEL_CONVERT_THRESHOLD;
 use morpheus_repro::morpheus::convert::{coo_to_bell, coo_to_bsr, coo_to_csr, csr_to_bell, csr_to_bsr};
 use morpheus_repro::morpheus::format::{FormatId, ALL_FORMATS};
 use morpheus_repro::morpheus::stats::stats_of;
 use morpheus_repro::morpheus::{
     convert_via_hub, for_each_entry_row_major, BellMatrix, BsrMatrix, ConvertOptions, ConvertPath, CooMatrix,
-    DynamicMatrix, FormatParams,
+    CsrMatrix, DiaMatrix, DynamicMatrix, FormatParams, HdcMatrix,
 };
 use morpheus_repro::oracle::{FeatureVector, Oracle, RunFirstTuner};
 use proptest::prelude::*;
@@ -180,8 +184,92 @@ fn assert_block_builders_match_reference(coo: &CooMatrix<f64>) {
     }
 }
 
+/// Per-entry reference for DIA: the diagonals are the distinct `c - r` of
+/// the entries, ascending, and each entry finds its slot by searching them.
+fn dia_reference(coo: &CooMatrix<f64>) -> DiaMatrix<f64> {
+    let nrows = coo.nrows();
+    let mut offsets: Vec<isize> = coo.iter().map(|(r, c, _)| c as isize - r as isize).collect();
+    offsets.sort_unstable();
+    offsets.dedup();
+    let mut values = vec![0.0; offsets.len() * nrows];
+    for (r, c, v) in coo.iter() {
+        let d = offsets.binary_search(&(c as isize - r as isize)).unwrap();
+        values[d * nrows + r] = v;
+    }
+    DiaMatrix::from_parts(nrows, coo.ncols(), offsets, values, coo.nnz()).unwrap()
+}
+
+/// Per-entry reference for HDC: a diagonal is true when it holds at least
+/// `ceil(alpha * min(nrows, ncols))` entries (and at least one); entries on
+/// a true diagonal go to the DIA part, every other entry, in row-major
+/// order, to the CSR remainder.
+fn hdc_reference(coo: &CooMatrix<f64>, alpha: f64) -> HdcMatrix<f64> {
+    let (nrows, ncols) = (coo.nrows(), coo.ncols());
+    let threshold = ((alpha * nrows.min(ncols) as f64).ceil() as usize).max(1);
+    let mut population = std::collections::BTreeMap::<isize, usize>::new();
+    for (r, c, _) in coo.iter() {
+        *population.entry(c as isize - r as isize).or_default() += 1;
+    }
+    let offsets: Vec<isize> =
+        population.into_iter().filter(|&(_, n)| n >= threshold).map(|(off, _)| off).collect();
+    let mut values = vec![0.0; offsets.len() * nrows];
+    let (mut rem_offsets, mut rem_cols, mut rem_vals) = (vec![0usize; nrows + 1], Vec::new(), Vec::new());
+    for (r, c, v) in coo.iter() {
+        match offsets.binary_search(&(c as isize - r as isize)) {
+            Ok(d) => values[d * nrows + r] = v,
+            Err(_) => {
+                rem_offsets[r + 1] += 1;
+                rem_cols.push(c);
+                rem_vals.push(v);
+            }
+        }
+    }
+    for r in 0..nrows {
+        rem_offsets[r + 1] += rem_offsets[r];
+    }
+    let dia_nnz = coo.nnz() - rem_cols.len();
+    let dia = DiaMatrix::from_parts(nrows, ncols, offsets, values, dia_nnz).unwrap();
+    let rem = CsrMatrix::from_parts(nrows, ncols, rem_offsets, rem_cols, rem_vals).unwrap();
+    HdcMatrix::from_parts(dia, rem, alpha).unwrap()
+}
+
+/// DIA and HDC (under several `alpha`s), from COO and from CSR, each in
+/// three modes — unplanned, planned by an [`Analysis`] of the source, and
+/// into the reference's stored diagonals — against the references.
+fn assert_diagonal_builders_match_reference(coo: &CooMatrix<f64>) {
+    let csr = DynamicMatrix::Csr(coo_to_csr(coo));
+    let dia = dia_reference(coo);
+    let cases =
+        std::iter::once((FormatId::Dia, 0.2, DynamicMatrix::Dia(dia.clone()), dia.offsets().to_vec())).chain(
+            [0.02, 0.1, 0.2, 0.6].map(|alpha| {
+                let hdc = hdc_reference(coo, alpha);
+                let stored = hdc.dia().offsets().to_vec();
+                (FormatId::Hdc, alpha, DynamicMatrix::Hdc(hdc), stored)
+            }),
+        );
+    for (target, alpha, expect, stored) in cases {
+        let opts = ConvertOptions { true_diag_alpha: alpha, ..tolerant_opts() };
+        for src in [DynamicMatrix::from(coo.clone()), csr.clone()] {
+            let what = format!("{} -> {target} alpha {alpha}", src.format_id());
+            let (unplanned, outcome) = src.to_format_with(target, &opts, None).unwrap();
+            assert_eq!(outcome.path, ConvertPath::Direct, "{what}");
+            assert_eq!(unplanned, expect, "{what}: unplanned");
+            let a = Analysis::of(&src, alpha);
+            assert_eq!(src.to_format_with(target, &opts, Some(&a)).unwrap().0, expect, "{what}: planned");
+            let mut into_stored = src.clone();
+            into_stored.convert_to_diagonals(target, &opts, &stored).unwrap();
+            assert_eq!(into_stored, expect, "{what}: stored diagonals");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn diagonal_builders_match_per_entry_reference(base in arb_matrix()) {
+        assert_diagonal_builders_match_reference(&base.to_coo());
+    }
 
     #[test]
     fn direct_equals_hub_for_all_pairs(base in arb_matrix()) {
@@ -293,6 +381,75 @@ fn block_builders_match_reference_on_edge_shapes() {
     ];
     for coo in &shapes {
         assert_block_builders_match_reference(coo);
+    }
+}
+
+#[test]
+fn diagonal_builders_match_reference_on_edge_shapes() {
+    let t = |nr: usize, nc: usize, rows: &[usize], cols: &[usize]| {
+        let vals: Vec<f64> = (0..rows.len()).map(|i| 1.5 + i as f64).collect();
+        CooMatrix::from_triplets(nr, nc, rows, cols, &vals).unwrap()
+    };
+    let n = 12usize;
+    let diagonal: Vec<usize> = (0..n).collect();
+    let shapes = [
+        // Empty matrices, with and without rows and columns.
+        CooMatrix::<f64>::new(6, 4),
+        CooMatrix::new(0, 5),
+        CooMatrix::new(5, 0),
+        CooMatrix::new(0, 0),
+        // The two extreme diagonals alone.
+        t(7, 5, &[0, 6], &[4, 0]),
+        // One dense row, one dense column, and a full diagonal.
+        t(n, n, &vec![3; n], &diagonal),
+        t(n, n, &diagonal, &vec![0; n]),
+        t(n, n, &diagonal, &diagonal),
+        // Leading, interior and trailing empty rows, wide and tall.
+        t(9, 20, &[2, 2, 2, 5, 6, 6], &[0, 4, 19, 3, 1, 2]),
+        t(20, 3, &[1, 4, 4, 9, 17], &[2, 0, 1, 0, 2]),
+    ];
+    for coo in &shapes {
+        assert_diagonal_builders_match_reference(coo);
+    }
+}
+
+/// A matrix with at least [`PARALLEL_CONVERT_THRESHOLD`] entries, where the
+/// DIA and HDC fills and the row-major export run on the process pool's
+/// row parts: a band of nine diagonals, a wide row, and a scatter off the
+/// band that HDC keeps in its remainder.
+#[test]
+fn diagonal_builders_and_export_match_reference_at_pool_size() {
+    let n = 2_400usize;
+    let (mut rows, mut cols) = (Vec::new(), Vec::new());
+    for i in 0..n {
+        for d in -4isize..=4 {
+            let j = i as isize + d;
+            if (0..n as isize).contains(&j) && (i + d.unsigned_abs()) % 7 != 0 {
+                rows.push(i);
+                cols.push(j as usize);
+            }
+        }
+        if i % 5 == 0 {
+            rows.push(i);
+            cols.push((i * 37 + 11) % n);
+        }
+    }
+    rows.extend(std::iter::repeat_n(n / 2, 300));
+    cols.extend((0..300).map(|k| k * 6 + 1));
+    let vals: Vec<f64> = (0..rows.len()).map(|i| (i % 23) as f64 - 11.5).collect();
+    let coo = CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap();
+    assert!(coo.nnz() >= PARALLEL_CONVERT_THRESHOLD, "{} entries", coo.nnz());
+    assert_diagonal_builders_match_reference(&coo);
+    let opts = tolerant_opts();
+    let source = DynamicMatrix::from(coo.clone());
+    for target in [FormatId::Dia, FormatId::Hdc] {
+        let m = source.to_format(target, &opts).unwrap();
+        assert_eq!(m.to_format(FormatId::Coo, &opts).unwrap(), source, "{target} -> COO");
+        assert_eq!(
+            m.to_format(FormatId::Csr, &opts).unwrap(),
+            DynamicMatrix::Csr(coo_to_csr(&coo)),
+            "{target} -> CSR"
+        );
     }
 }
 
