@@ -59,8 +59,5 @@ pub mod retrain;
 pub mod telemetry;
 
 pub use collector::{Collected, CollectorConfig, CollectorStats, SampleCollector, SweepReport};
-pub use retrain::{
-    AdaptiveConfig, AdaptiveEngine, AdaptiveTuner, LearnedKind, LearnedModel, ModelEpoch, RetrainOutcome,
-    RetrainReport,
-};
+pub use retrain::{AdaptiveConfig, AdaptiveEngine, AdaptiveTuner, ModelEpoch, RetrainOutcome, RetrainReport};
 pub use telemetry::{MeasuredKernel, SampleKey, Telemetry, TelemetryStats};

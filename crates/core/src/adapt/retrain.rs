@@ -26,92 +26,32 @@
 //! same observations reproduces the same serialized model bit for bit.
 
 use super::collector::SweepReport;
-use crate::features::FeatureVector;
 use crate::model_db::ModelDatabase;
 use crate::serve::OracleService;
-use crate::tuner::{ml_decision, FormatTuner, TuneDecision};
+use crate::tuner::{FormatTuner, ModelTuner, TuneDecision};
 use crate::{OracleError, Result};
 use morpheus::{DynamicMatrix, Scalar};
 use morpheus_machine::{MatrixAnalysis, Op, VirtualEngine};
 use morpheus_ml::metrics::accuracy;
-use morpheus_ml::{cv, Dataset, ForestParams, GbtParams, GradientBoostedTrees, RandomForest};
+use morpheus_ml::{
+    cv, Dataset, ForestParams, GbtParams, GradientBoostedTrees, Model, ModelKind, RandomForest,
+};
 use parking_lot::RwLock;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Which model family a retrain produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LearnedKind {
-    /// [`RandomForest`].
-    Forest,
-    /// [`GradientBoostedTrees`].
-    Gbt,
-}
-
-/// A fitted model of either family.
-#[derive(Debug, Clone)]
-pub enum LearnedModel {
-    /// Bagged ensemble with majority voting.
-    Forest(RandomForest),
-    /// Boosted ensemble with softmax scoring.
-    Gbt(GradientBoostedTrees),
-}
-
-impl LearnedModel {
-    /// The family.
-    pub fn kind(&self) -> LearnedKind {
-        match self {
-            LearnedModel::Forest(_) => LearnedKind::Forest,
-            LearnedModel::Gbt(_) => LearnedKind::Gbt,
-        }
-    }
-
-    /// Predicted class (format ID) for one feature row.
-    pub fn predict(&self, x: &[f64]) -> usize {
-        match self {
-            LearnedModel::Forest(m) => m.predict(x),
-            LearnedModel::Gbt(m) => m.predict(x),
-        }
-    }
-
-    /// Nodes visited for one prediction (prediction-cost accounting).
-    pub fn decision_path_len(&self, x: &[f64]) -> usize {
-        match self {
-            LearnedModel::Forest(m) => m.decision_path_len(x),
-            LearnedModel::Gbt(m) => m.decision_path_len(x),
-        }
-    }
-
-    /// Predicted class and nodes visited, from one walk of the model.
-    pub fn predict_with_path(&self, x: &[f64]) -> (usize, usize) {
-        match self {
-            LearnedModel::Forest(m) => m.predict_with_path(x),
-            LearnedModel::Gbt(m) => m.predict_with_path(x),
-        }
-    }
-
-    /// Serializes the model in the Model-Database text format.
-    pub fn save<W: std::io::Write>(&self, w: &mut W) -> Result<()> {
-        match self {
-            LearnedModel::Forest(m) => morpheus_ml::serialize::save_forest(w, m)?,
-            LearnedModel::Gbt(m) => morpheus_ml::serialize::save_gbt(w, m)?,
-        }
-        Ok(())
-    }
-
-    fn accuracy_on(&self, ds: &Dataset) -> f64 {
-        let preds: Vec<usize> = (0..ds.len()).map(|i| self.predict(ds.row(i))).collect();
-        accuracy(ds.targets(), &preds)
-    }
+fn accuracy_on(model: &Model, ds: &Dataset) -> f64 {
+    let preds: Vec<usize> = (0..ds.len()).map(|i| model.predict(ds.row(i))).collect();
+    accuracy(ds.targets(), &preds)
 }
 
 /// One installed model generation: everything a selection needs, bundled
 /// so concurrent tuners always see a consistent whole.
 #[derive(Debug)]
 pub struct ModelEpoch {
-    /// The learned model.
-    pub model: LearnedModel,
+    /// The tuner over the learned model: every selection for `op` is its.
+    pub tuner: ModelTuner,
     /// The operation it was trained for (selections for other operations
     /// use the fallback tuner).
     pub op: Op,
@@ -129,9 +69,9 @@ struct TunerState {
 /// threads are selecting through it.
 ///
 /// The swap is an epoch-pointer replacement: `select` clones the current
-/// `Arc` snapshot under a brief read lock and predicts from that snapshot,
-/// so a decision is always made by *exactly one* model generation — the
-/// old or the new, never a torn mix. With no learned model (fresh service,
+/// `Arc` snapshot under a brief read lock and selects through that
+/// snapshot's [`ModelTuner`], so a decision is always made by *exactly one*
+/// model generation — the old or the new, never a torn mix. With no learned model (fresh service,
 /// or after a drift fallback), decisions come from the wrapped analytical
 /// `fallback` tuner.
 ///
@@ -202,11 +142,7 @@ impl<V: Scalar, F: FormatTuner<V>> FormatTuner<V> for AdaptiveTuner<F> {
         // One consistent snapshot; the lock is held only for the clone.
         let state: Arc<TunerState> = self.state.read().clone();
         match &state.learned {
-            Some(epoch) if epoch.op == op => {
-                let fv = FeatureVector::from_stats(&a.stats);
-                let (predicted, visited) = epoch.model.predict_with_path(fv.as_slice());
-                ml_decision(predicted, visited, m, a, engine, op)
-            }
+            Some(epoch) if epoch.op == op => epoch.tuner.select(m, a, engine, op),
             _ => self.fallback.select(m, a, engine, op),
         }
     }
@@ -295,7 +231,7 @@ pub struct RetrainReport {
     /// Holdout-split size.
     pub holdout_len: usize,
     /// Family of the winning fresh candidate (even when not installed).
-    pub candidate: Option<LearnedKind>,
+    pub candidate: Option<ModelKind>,
     /// Holdout accuracy of the fresh candidate.
     pub candidate_accuracy: Option<f64>,
     /// Holdout accuracy of the incumbent learned model (None when the
@@ -433,42 +369,45 @@ impl<F> AdaptiveEngine<F> {
         let fit_gbt = |ds: &Dataset| GradientBoostedTrees::fit(ds, &self.config.gbt);
         let candidate = if train.len() >= 9 {
             let forest_score = cv::cross_val_score(&train, 3, self.config.seed, |tr, val| {
-                fit_forest(tr).map(|m| LearnedModel::Forest(m).accuracy_on(val)).unwrap_or(0.0)
+                fit_forest(tr).map(|m| accuracy_on(&m.into(), val)).unwrap_or(0.0)
             });
             let gbt_score = cv::cross_val_score(&train, 3, self.config.seed, |tr, val| {
-                fit_gbt(tr).map(|m| LearnedModel::Gbt(m).accuracy_on(val)).unwrap_or(0.0)
+                fit_gbt(tr).map(|m| accuracy_on(&m.into(), val)).unwrap_or(0.0)
             });
             if gbt_score > forest_score {
-                LearnedModel::Gbt(fit_gbt(&train)?)
+                Model::Gbt(fit_gbt(&train)?)
             } else {
-                LearnedModel::Forest(fit_forest(&train)?)
+                Model::Forest(fit_forest(&train)?)
             }
         } else {
-            let forest = LearnedModel::Forest(fit_forest(&train)?);
-            let gbt = LearnedModel::Gbt(fit_gbt(&train)?);
-            if gbt.accuracy_on(&train) > forest.accuracy_on(&train) {
+            let forest = Model::Forest(fit_forest(&train)?);
+            let gbt = Model::Gbt(fit_gbt(&train)?);
+            if accuracy_on(&gbt, &train) > accuracy_on(&forest, &train) {
                 gbt
             } else {
                 forest
             }
         };
         let candidate_kind = candidate.kind();
-        let candidate_accuracy = candidate.accuracy_on(&holdout);
+        let candidate_accuracy = accuracy_on(&candidate, &holdout);
 
         let tuner = self.service.tuner();
         let incumbent = tuner.current().filter(|e| e.op == self.config.op);
-        let incumbent_accuracy = incumbent.as_ref().map(|e| e.model.accuracy_on(&holdout));
+        let incumbent_accuracy = incumbent.as_ref().map(|e| accuracy_on(e.tuner.model(), &holdout));
 
         let floor = self.config.accuracy_floor;
         let (outcome, persisted) = if candidate_accuracy >= floor
             && incumbent_accuracy.is_none_or(|inc| candidate_accuracy >= inc)
         {
             let persisted = match &self.db {
-                Some(db) => Some(self.persist(db, &candidate)?),
+                Some(db) => {
+                    let engine = self.service.engine();
+                    Some(db.save(engine.system().name, engine.backend(), &candidate)?)
+                }
                 None => None,
             };
             let epoch = tuner.install(ModelEpoch {
-                model: candidate,
+                tuner: ModelTuner::new(candidate)?,
                 op: self.config.op,
                 holdout_accuracy: candidate_accuracy,
             });
@@ -502,15 +441,6 @@ impl<F> AdaptiveEngine<F> {
             persisted,
         })
     }
-
-    fn persist(&self, db: &ModelDatabase, model: &LearnedModel) -> Result<PathBuf> {
-        let system = self.service.engine().system().name;
-        let backend = self.service.engine().backend();
-        match model {
-            LearnedModel::Forest(m) => db.save_forest(system, backend, m),
-            LearnedModel::Gbt(m) => db.save_gbt(system, backend, m),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -543,7 +473,7 @@ mod tests {
         assert!(tuner.current().is_none());
         let ds = dataset(false, 40);
         let e1 = tuner.install(ModelEpoch {
-            model: LearnedModel::Forest(toy_forest(&ds)),
+            tuner: ModelTuner::new(toy_forest(&ds)).unwrap(),
             op: Op::Spmv,
             holdout_accuracy: 1.0,
         });
@@ -558,17 +488,17 @@ mod tests {
     #[test]
     fn learned_model_save_dispatches_by_kind() {
         let ds = dataset(false, 30);
-        let forest = LearnedModel::Forest(toy_forest(&ds));
-        let gbt = LearnedModel::Gbt(
+        let forest = Model::Forest(toy_forest(&ds));
+        let gbt = Model::Gbt(
             GradientBoostedTrees::fit(&ds, &GbtParams { n_rounds: 2, ..Default::default() }).unwrap(),
         );
-        assert_eq!(forest.kind(), LearnedKind::Forest);
-        assert_eq!(gbt.kind(), LearnedKind::Gbt);
+        assert_eq!(forest.kind(), ModelKind::Forest);
+        assert_eq!(gbt.kind(), ModelKind::Gbt);
         let mut f_buf = Vec::new();
-        forest.save(&mut f_buf).unwrap();
+        morpheus_ml::serialize::save_model(&mut f_buf, &forest).unwrap();
         assert!(String::from_utf8(f_buf).unwrap().contains("kind forest"));
         let mut g_buf = Vec::new();
-        gbt.save(&mut g_buf).unwrap();
+        morpheus_ml::serialize::save_model(&mut g_buf, &gbt).unwrap();
         assert!(String::from_utf8(g_buf).unwrap().contains("kind gbt"));
         assert!(forest.decision_path_len(ds.row(0)) >= 1);
     }

@@ -17,10 +17,11 @@
 //!
 //! * [`RunFirstTuner`] — converts to every viable format and times the
 //!   actual operation: most accurate, most expensive;
-//! * [`DecisionTreeTuner`] — extracts the ten features of Table I and
-//!   traverses a single tree: cheapest, least accurate;
-//! * [`RandomForestTuner`] — traverses an ensemble and majority-votes:
-//!   the paper's recommended operating point.
+//! * [`ModelTuner`] — extracts the features of Table I and walks a learned
+//!   [`morpheus_ml::Model`] once: a single tree is cheapest and least
+//!   accurate, a random forest majority-votes (the paper's recommended
+//!   operating point), a gradient-boosted ensemble argmaxes its scores.
+//!   [`ModelDatabase`] saves a model of any kind and loads it back into one.
 //!
 //! Sessions are *operation-aware*: [`OracleService::tune`] targets SpMV,
 //! [`OracleService::tune_and_spmm`] targets the blocked product, and
@@ -115,9 +116,7 @@ pub use oracle::{Oracle, OracleBuilder, DEFAULT_CACHE_CAPACITY};
 pub use params::propose_params;
 pub use serve::{MatrixHandle, OracleService, PartitionPolicy};
 pub use tune::{PlanStatus, TuneReport};
-pub use tuner::{
-    DecisionTreeTuner, FormatTuner, GbtTuner, RandomForestTuner, RunFirstTuner, TuneDecision, TuningCost,
-};
+pub use tuner::{FormatTuner, ModelTuner, RandomForestTuner, RunFirstTuner, TuneDecision, TuningCost};
 
 /// Re-exported so downstream code can name operations without depending on
 /// `morpheus-machine` directly.

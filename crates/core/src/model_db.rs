@@ -5,33 +5,17 @@
 //! names follow `<system>_<backend>.<kind>.model` (lower-case), e.g.
 //! `p3_cuda.forest.model`.
 
-use crate::tuner::{DecisionTreeTuner, GbtTuner, RandomForestTuner};
+use crate::tuner::ModelTuner;
 use crate::{OracleError, Result};
 use morpheus_machine::Backend;
-use morpheus_ml::{DecisionTree, GradientBoostedTrees, RandomForest};
-use std::io::{BufReader, BufWriter};
+use morpheus_ml::serialize::{load_model, save_model};
+use morpheus_ml::{MlError, Model};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-/// Model kind stored in the database.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelKind {
-    /// Single decision tree.
-    Tree,
-    /// Random forest.
-    Forest,
-    /// Gradient-boosted tree ensemble.
-    Gbt,
-}
-
-impl ModelKind {
-    fn ext(self) -> &'static str {
-        match self {
-            ModelKind::Tree => "tree",
-            ModelKind::Forest => "forest",
-            ModelKind::Gbt => "gbt",
-        }
-    }
-}
+/// Model kind stored in the database; its token is the `<kind>` of the
+/// file name.
+pub use morpheus_ml::ModelKind;
 
 /// A directory of trained models, keyed by (system, backend, kind).
 #[derive(Debug, Clone)]
@@ -56,7 +40,7 @@ impl ModelDatabase {
             "{}_{}.{}.model",
             system.to_ascii_lowercase().replace([' ', '/'], "-"),
             backend.name().to_ascii_lowercase(),
-            kind.ext()
+            kind.token()
         )
     }
 
@@ -65,67 +49,37 @@ impl ModelDatabase {
         self.dir.join(Self::file_name(system, backend, kind))
     }
 
-    /// Saves a forest model for the pair.
-    pub fn save_forest(&self, system: &str, backend: Backend, model: &RandomForest) -> Result<PathBuf> {
-        std::fs::create_dir_all(&self.dir).map_err(morpheus_ml::MlError::Io)?;
-        let path = self.path_for(system, backend, ModelKind::Forest);
-        let file = std::fs::File::create(&path).map_err(morpheus_ml::MlError::Io)?;
-        morpheus_ml::serialize::save_forest(&mut BufWriter::new(file), model)?;
+    /// Saves `model` as the pair's model of its kind; returns the path.
+    pub fn save(&self, system: &str, backend: Backend, model: &Model) -> Result<PathBuf> {
+        std::fs::create_dir_all(&self.dir).map_err(MlError::Io)?;
+        let path = self.path_for(system, backend, model.kind());
+        let mut w = BufWriter::new(std::fs::File::create(&path).map_err(MlError::Io)?);
+        save_model(&mut w, model)?;
+        w.flush().map_err(MlError::Io)?;
         Ok(path)
     }
 
-    /// Saves a tree model for the pair.
-    pub fn save_tree(&self, system: &str, backend: Backend, model: &DecisionTree) -> Result<PathBuf> {
-        std::fs::create_dir_all(&self.dir).map_err(morpheus_ml::MlError::Io)?;
-        let path = self.path_for(system, backend, ModelKind::Tree);
-        let file = std::fs::File::create(&path).map_err(morpheus_ml::MlError::Io)?;
-        morpheus_ml::serialize::save_tree(&mut BufWriter::new(file), model)?;
-        Ok(path)
-    }
-
-    /// Saves a gradient-boosted ensemble for the pair.
-    pub fn save_gbt(&self, system: &str, backend: Backend, model: &GradientBoostedTrees) -> Result<PathBuf> {
-        std::fs::create_dir_all(&self.dir).map_err(morpheus_ml::MlError::Io)?;
-        let path = self.path_for(system, backend, ModelKind::Gbt);
-        let file = std::fs::File::create(&path).map_err(morpheus_ml::MlError::Io)?;
-        morpheus_ml::serialize::save_gbt(&mut BufWriter::new(file), model)?;
-        Ok(path)
-    }
-
-    /// Loads the forest tuner for a pair.
-    pub fn load_forest_tuner(&self, system: &str, backend: Backend) -> Result<RandomForestTuner> {
-        let path = self.path_for(system, backend, ModelKind::Forest);
-        let file = std::fs::File::open(&path).map_err(|e| {
-            OracleError::Ml(morpheus_ml::MlError::Io(std::io::Error::new(
-                e.kind(),
-                format!("{}: {e}", path.display()),
-            )))
-        })?;
-        RandomForestTuner::from_reader(BufReader::new(file))
-    }
-
-    /// Loads the tree tuner for a pair.
-    pub fn load_tree_tuner(&self, system: &str, backend: Backend) -> Result<DecisionTreeTuner> {
-        let path = self.path_for(system, backend, ModelKind::Tree);
-        let file = std::fs::File::open(&path).map_err(|e| {
-            OracleError::Ml(morpheus_ml::MlError::Io(std::io::Error::new(
-                e.kind(),
-                format!("{}: {e}", path.display()),
-            )))
-        })?;
-        DecisionTreeTuner::from_reader(BufReader::new(file))
-    }
-
-    /// Loads the gradient-boosted tuner for a pair.
-    pub fn load_gbt_tuner(&self, system: &str, backend: Backend) -> Result<GbtTuner> {
-        let path = self.path_for(system, backend, ModelKind::Gbt);
-        let file = std::fs::File::open(&path).map_err(|e| {
-            OracleError::Ml(morpheus_ml::MlError::Io(std::io::Error::new(
-                e.kind(),
-                format!("{}: {e}", path.display()),
-            )))
-        })?;
-        GbtTuner::from_reader(BufReader::new(file))
+    /// Loads the pair's model of `kind` into a tuner (§III-B: "loads an ML
+    /// model from a file specified at runtime").
+    ///
+    /// # Errors
+    /// A missing or malformed file is [`OracleError::Ml`] naming the path;
+    /// a file whose `kind` line names another kind than its file name, or
+    /// whose model does not fit the feature schema, is
+    /// [`OracleError::ModelMismatch`].
+    pub fn load_tuner(&self, system: &str, backend: Backend, kind: ModelKind) -> Result<ModelTuner> {
+        let path = self.path_for(system, backend, kind);
+        let file = std::fs::File::open(&path)
+            .map_err(|e| MlError::Io(std::io::Error::new(e.kind(), format!("{}: {e}", path.display()))))?;
+        let model = load_model(BufReader::new(file))?;
+        if model.kind() != kind {
+            return Err(OracleError::ModelMismatch(format!(
+                "{} holds a {} model",
+                path.display(),
+                model.kind().token()
+            )));
+        }
+        ModelTuner::new(model)
     }
 
     /// Lists the (file-name) entries present in the database.
@@ -147,7 +101,9 @@ impl ModelDatabase {
 mod tests {
     use super::*;
     use morpheus::format::FORMAT_COUNT;
-    use morpheus_ml::{Dataset, ForestParams, TreeParams};
+    use morpheus_ml::{
+        Dataset, DecisionTree, ForestParams, GbtParams, GradientBoostedTrees, RandomForest, TreeParams,
+    };
 
     fn toy_dataset() -> Dataset {
         let mut ds = Dataset::empty(crate::NUM_FEATURES, FORMAT_COUNT, vec![]).unwrap();
@@ -189,55 +145,66 @@ mod tests {
     }
 
     #[test]
-    fn gbt_save_load_roundtrip() {
-        let dir = tempdir("gbt-roundtrip");
-        let db = ModelDatabase::new(&dir);
-        let ds = toy_dataset();
-        let model = morpheus_ml::GradientBoostedTrees::fit(&ds, &morpheus_ml::GbtParams::default()).unwrap();
-        let path = db.save_gbt("Cirrus", Backend::OpenMp, &model).unwrap();
-        assert!(path.ends_with("cirrus_openmp.gbt.model"));
-
-        let loaded = db.load_gbt_tuner("Cirrus", Backend::OpenMp).unwrap();
-        for i in 0..ds.len() {
-            assert_eq!(loaded.model().predict(ds.row(i)), model.predict(ds.row(i)), "sample {i}");
-        }
-        assert!(db.list().contains(&"cirrus_openmp.gbt.model".to_string()));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn missing_gbt_model_reports_path() {
         let db = ModelDatabase::new(tempdir("missing-gbt"));
-        let err = db.load_gbt_tuner("P3", Backend::Cuda).unwrap_err();
+        let err = db.load_tuner("P3", Backend::Cuda, ModelKind::Gbt).unwrap_err();
         assert!(err.to_string().contains("p3_cuda.gbt.model"), "{err}");
     }
 
+    /// Every kind saves under its own name and loads back into a tuner
+    /// that predicts as the saved model does.
     #[test]
     fn save_load_roundtrip() {
         let dir = tempdir("roundtrip");
         let db = ModelDatabase::new(&dir);
         let ds = toy_dataset();
-        let forest = RandomForest::fit(&ds, &ForestParams { n_estimators: 4, ..Default::default() }).unwrap();
-        let tree = DecisionTree::fit(&ds, &TreeParams::default()).unwrap();
-        db.save_forest("Cirrus", Backend::Cuda, &forest).unwrap();
-        db.save_tree("Cirrus", Backend::Cuda, &tree).unwrap();
-
-        let loaded = db.load_forest_tuner("Cirrus", Backend::Cuda).unwrap();
-        let probe = ds.row(0);
-        assert_eq!(loaded.model().predict(probe), forest.predict(probe));
-        let loaded_tree = db.load_tree_tuner("Cirrus", Backend::Cuda).unwrap();
-        assert_eq!(loaded_tree.model().predict(probe), tree.predict(probe));
-
+        let models = [
+            Model::from(DecisionTree::fit(&ds, &TreeParams::default()).unwrap()),
+            Model::from(
+                RandomForest::fit(&ds, &ForestParams { n_estimators: 4, ..Default::default() }).unwrap(),
+            ),
+            Model::from(GradientBoostedTrees::fit(&ds, &GbtParams::default()).unwrap()),
+        ];
+        for model in &models {
+            let path = db.save("Cirrus", Backend::Cuda, model).unwrap();
+            let name = format!("cirrus_cuda.{}.model", model.kind().token());
+            assert!(path.ends_with(&name), "{}", path.display());
+            let loaded = db.load_tuner("Cirrus", Backend::Cuda, model.kind()).unwrap();
+            assert_eq!(loaded.model().kind(), model.kind());
+            for i in 0..ds.len() {
+                assert_eq!(loaded.model().predict(ds.row(i)), model.predict(ds.row(i)), "{name}, sample {i}");
+            }
+        }
         let listing = db.list();
-        assert_eq!(listing.len(), 2);
-        assert!(listing.contains(&"cirrus_cuda.forest.model".to_string()));
+        assert_eq!(listing, ["cirrus_cuda.forest.model", "cirrus_cuda.gbt.model", "cirrus_cuda.tree.model"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The file name says which kind a file holds, and its `kind` line must
+    /// agree: a forest file under a tree's name is refused, not walked.
+    #[test]
+    fn a_file_whose_kind_line_differs_from_its_name_is_refused() {
+        let dir = tempdir("wrong-kind");
+        let db = ModelDatabase::new(&dir);
+        let ds = toy_dataset();
+        let forest = RandomForest::fit(&ds, &ForestParams { n_estimators: 3, ..Default::default() }).unwrap();
+        let gbt = GradientBoostedTrees::fit(&ds, &GbtParams { n_rounds: 2, ..Default::default() }).unwrap();
+        for (model, posing_as) in
+            [(Model::from(forest), ModelKind::Tree), (Model::from(gbt), ModelKind::Forest)]
+        {
+            let saved = db.save("XCI", Backend::Serial, &model).unwrap();
+            std::fs::rename(&saved, db.path_for("XCI", Backend::Serial, posing_as)).unwrap();
+            let err = db.load_tuner("XCI", Backend::Serial, posing_as).unwrap_err();
+            assert!(matches!(err, OracleError::ModelMismatch(_)), "{err}");
+            assert!(err.to_string().contains(model.kind().token()), "{err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn missing_model_reports_path() {
         let db = ModelDatabase::new(tempdir("missing"));
-        let err = db.load_forest_tuner("XCI", Backend::Serial).unwrap_err();
+        let err = db.load_tuner("XCI", Backend::Serial, ModelKind::Forest).unwrap_err();
         assert!(err.to_string().contains("xci_serial.forest.model"), "{err}");
     }
 

@@ -14,7 +14,7 @@ use morpheus_bench::{cache_dir_from_env, corpus_spec_from_env, pipeline};
 use morpheus_machine::VirtualEngine;
 use morpheus_ml::metrics::{accuracy, balanced_accuracy};
 use morpheus_ml::{DecisionTree, GbtParams, GradientBoostedTrees, RandomForest, TreeParams};
-use morpheus_oracle::{DecisionTreeTuner, Oracle, RunFirstTuner, FEATURE_NAMES};
+use morpheus_oracle::{ModelTuner, Oracle, RunFirstTuner, FEATURE_NAMES};
 
 const REPS: f64 = 1000.0;
 
@@ -156,7 +156,7 @@ fn main() {
 
     let tree_session = Oracle::builder()
         .engine(engine.clone())
-        .tuner(DecisionTreeTuner::new(tree).expect("schema"))
+        .tuner(ModelTuner::new(tree).expect("schema"))
         .build_service()
         .expect("configured");
     t.row(evaluate("decision-tree", &mut |id| {

@@ -3,8 +3,8 @@
 //!
 //! Runs the complete offline stage of Figure 1: corpus → profiling runs →
 //! feature extraction → training + tuning → model database export. The
-//! produced model files are what `DecisionTreeTuner`/`RandomForestTuner`
-//! load at runtime.
+//! produced model files are what `ModelDatabase::load_tuner` loads into a
+//! `ModelTuner` at runtime.
 //!
 //! ```text
 //! sparse_tree [--out <dir>] [--full-grid] [--also-trees]
@@ -81,7 +81,7 @@ fn main() {
             .expect("grid search");
         let preds = out.best_model.predict_dataset(&test);
         let path =
-            db.save_forest(pair.system.name, pair.backend, &out.best_model).expect("save forest model");
+            db.save(pair.system.name, pair.backend, &out.best_model.into()).expect("save forest model");
         table.row(vec![
             pair.label(),
             "forest".into(),
@@ -103,7 +103,7 @@ fn main() {
             .expect("tree grid search");
             let preds = out.best_model.predict_dataset(&test);
             let path =
-                db.save_tree(pair.system.name, pair.backend, &out.best_model).expect("save tree model");
+                db.save(pair.system.name, pair.backend, &out.best_model.into()).expect("save tree model");
             table.row(vec![
                 pair.label(),
                 "tree".into(),
@@ -116,5 +116,6 @@ fn main() {
     }
     println!("== Sparse.Tree: model database written to {out_dir}/ ==\n");
     println!("{}", table.render());
-    println!("load these with `ModelDatabase::load_forest_tuner(system, backend)`.");
+    println!("load these with `ModelDatabase::load_tuner(system, backend, ModelKind::Forest)` (or `Tree`),");
+    println!("and check them all with `verify_models {out_dir}`.");
 }

@@ -6,8 +6,8 @@ use morpheus::format::{FormatId, FORMAT_COUNT};
 use morpheus::{ConvertOptions, DynamicMatrix};
 use morpheus_corpus::CorpusSpec;
 use morpheus_machine::{analyze, systems, ProfileResult, SystemBackend, VirtualEngine};
-use morpheus_ml::{Criterion, Dataset, ForestGrid, ForestParams, RandomForest, Scoring};
-use morpheus_oracle::{FeatureVector, Oracle, RandomForestTuner, FEATURE_NAMES, NUM_FEATURES};
+use morpheus_ml::{Criterion, Dataset, ForestGrid, ForestParams, Model, RandomForest, Scoring};
+use morpheus_oracle::{FeatureVector, ModelTuner, Oracle, FEATURE_NAMES, NUM_FEATURES};
 use std::io::{BufRead, BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -262,9 +262,7 @@ pub fn tuned_forest_cached(
     let path = cache_dir.join(&key);
     let meta_path = cache_dir.join(format!("{key}.meta"));
     if let (Ok(file), Ok(meta)) = (std::fs::File::open(&path), std::fs::read_to_string(&meta_path)) {
-        if let Ok(morpheus_ml::serialize::LoadedModel::Forest(model)) =
-            morpheus_ml::serialize::load_model(std::io::BufReader::new(file))
-        {
+        if let Ok(Model::Forest(model)) = morpheus_ml::serialize::load_model(std::io::BufReader::new(file)) {
             // A model trained under an older feature/format schema (e.g.
             // before a new format or feature landed) is stale, not corrupt:
             // retrain instead of letting the tuner reject it downstream.
@@ -280,7 +278,7 @@ pub fn tuned_forest_cached(
     let (params, model, cv_score) = train_tuned_forest(&train, spec.seed ^ pair_idx as u64);
     let _ = std::fs::create_dir_all(cache_dir);
     if let Ok(file) = std::fs::File::create(&path) {
-        let _ = morpheus_ml::serialize::save_forest(&mut BufWriter::new(file), &model);
+        let _ = morpheus_ml::serialize::save_model(&mut BufWriter::new(file), &Model::Forest(model.clone()));
         let _ = std::fs::write(&meta_path, render_meta(&params, cv_score));
     }
     TunedModel { params, model, cv_score }
@@ -333,9 +331,9 @@ pub fn oracle_for_pair(
     pair_idx: usize,
     spec: &CorpusSpec,
     cache_dir: &Path,
-) -> Oracle<RandomForestTuner> {
+) -> Oracle<ModelTuner> {
     let tuned = tuned_forest_cached(pc, pair_idx, spec, cache_dir);
-    let tuner = RandomForestTuner::new(tuned.model).expect("tuned model matches the feature schema");
+    let tuner = ModelTuner::new(tuned.model).expect("tuned model matches the feature schema");
     Oracle::builder()
         .engine(VirtualEngine::for_pair(&pc.pairs[pair_idx]))
         .tuner(tuner)

@@ -306,7 +306,7 @@ impl GradientBoostedTrees {
     }
 
     /// Reassembles an ensemble from deserialized parts (the inverse of
-    /// [`crate::serialize::save_gbt`]). Only the learning rate of `params`
+    /// [`crate::serialize::save_model`]). Only the learning rate of `params`
     /// affects predictions; the remaining hyperparameters are metadata.
     pub(crate) fn from_parts(
         trees: Vec<Vec<RegressionTree>>,

@@ -13,6 +13,8 @@
 //!   space;
 //! * [`metrics`] — accuracy and *balanced accuracy*, the metric the paper
 //!   argues is the honest one under class imbalance (§VII-B);
+//! * [`Model`] — one fitted model of any of the three kinds, the type a
+//!   model file holds and a tuner walks;
 //! * [`serialize`] — the versioned text model format the Oracle tuners load
 //!   at runtime ("extract the ML model in a file", §III-A).
 //!
@@ -26,6 +28,7 @@ pub mod forest;
 pub mod gbt;
 pub mod grid;
 pub mod metrics;
+mod model;
 pub mod serialize;
 pub mod tree;
 
@@ -33,6 +36,7 @@ pub use dataset::Dataset;
 pub use forest::{ForestParams, RandomForest};
 pub use gbt::{GbtParams, GradientBoostedTrees};
 pub use grid::{ForestGrid, GridSearchOutcome, Scoring, TreeGrid};
+pub use model::{Model, ModelKind};
 pub use tree::{Criterion, DecisionTree, TreeParams};
 
 /// Errors produced by model training, evaluation and (de)serialisation.

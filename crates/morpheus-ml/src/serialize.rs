@@ -2,7 +2,10 @@
 //!
 //! The offline stage exports tuned models to files; the online tuners load
 //! them at runtime ("loads an ML model from a file specified at runtime",
-//! §III-B). The format is a versioned, line-oriented text format:
+//! §III-B). One versioned, line-oriented text format holds every kind of
+//! [`Model`]: a header names the kind and its shape, then each tree follows
+//! as a count line and one line per node. A `tree` file holds one tree, a
+//! `forest` file many:
 //!
 //! ```text
 //! morpheus-oracle-model v1
@@ -12,94 +15,87 @@
 //! trees 40
 //! tree 0 nodes 5
 //! node 0 split <feature> <threshold> <left> <right> [<gain> <n_samples>]
-//! node 1 leaf <class> <count_0> ... <count_{classes-1}>
+//! node 1 leaf <class> [<count_0> ... <count_{classes-1}>]
 //! ...
 //! end
 //! ```
 //!
+//! A `gbt` file counts boosting rounds instead of trees, adds the learning
+//! rate (the only hyperparameter prediction reads) and the class priors,
+//! and holds one regression tree per round and class, whose leaves carry a
+//! value instead of a class:
+//!
+//! ```text
+//! kind gbt
+//! classes 6
+//! features 10
+//! rounds 40
+//! learning_rate 1e-1
+//! priors <p_0> ... <p_{classes-1}>
+//! rtree <round> <class> nodes <n>
+//! node 0 split <feature> <threshold> <left> <right>
+//! node 1 leaf <value>
+//! ```
+//!
 //! Whitespace-separated, `#` comments allowed, resilient to trailing
-//! newlines. Parsing is strict: structural errors (dangling child ids,
-//! wrong counts) are rejected rather than patched.
+//! newlines. Floats are written with `{:e}`, which keeps full `f64`
+//! precision: a loaded model predicts exactly as the saved one, and saving
+//! it again writes the same bytes. Parsing is strict: structural errors
+//! (dangling child ids, wrong counts) are rejected rather than patched, and
+//! no count in a file sizes an allocation before the lines it counts are
+//! read.
 
 use crate::forest::{ForestParams, RandomForest};
 use crate::gbt::{GbtParams, GradientBoostedTrees, RNode, RegressionTree};
 use crate::tree::{Criterion, DecisionTree, Node, TreeParams};
-use crate::{MlError, Result};
+use crate::{MlError, Model, ModelKind, Result};
 use std::io::{BufRead, Write};
 
 const MAGIC: &str = "morpheus-oracle-model";
 const VERSION: &str = "v1";
 
-/// Writes a decision tree as a single-tree model file.
-pub fn save_tree<W: Write>(w: &mut W, tree: &DecisionTree) -> Result<()> {
-    writeln!(w, "{MAGIC} {VERSION}")?;
-    writeln!(w, "kind tree")?;
-    writeln!(w, "classes {}", tree.n_classes())?;
-    writeln!(w, "features {}", tree.n_features())?;
-    writeln!(w, "trees 1")?;
-    write_one_tree(w, 0, tree)?;
-    writeln!(w, "end")?;
-    Ok(())
-}
+/// Most classes a model file may declare. A class is a label index, and
+/// each one is a count in every leaf of a tree and a vote slot in every
+/// forest prediction, so the declared count is checked before it sizes
+/// either.
+const MAX_CLASSES: usize = 1 << 16;
 
-/// Writes a random forest model file.
-pub fn save_forest<W: Write>(w: &mut W, forest: &RandomForest) -> Result<()> {
+/// Writes `model` as a model file of its kind.
+pub fn save_model<W: Write>(w: &mut W, model: &Model) -> Result<()> {
     writeln!(w, "{MAGIC} {VERSION}")?;
-    writeln!(w, "kind forest")?;
-    writeln!(w, "classes {}", forest.n_classes())?;
-    writeln!(w, "features {}", forest.n_features())?;
-    writeln!(w, "trees {}", forest.trees().len())?;
-    for (i, tree) in forest.trees().iter().enumerate() {
-        write_one_tree(w, i, tree)?;
-    }
-    writeln!(w, "end")?;
-    Ok(())
-}
-
-/// Writes a gradient-boosted ensemble as a model file. The layout mirrors
-/// the tree/forest format (same magic, same tokenizer) with `kind gbt`:
-/// per-round, per-class *regression* trees whose leaves carry `f64` values
-/// instead of class votes, plus the class priors and the learning rate —
-/// the only hyperparameter that participates in prediction:
-///
-/// ```text
-/// morpheus-oracle-model v1
-/// kind gbt
-/// classes 6
-/// features 10
-/// rounds 40
-/// learning_rate 1e-1
-/// priors <p_0> ... <p_{classes-1}>
-/// rtree <round> <class> nodes <n>
-/// node 0 split <feature> <threshold> <left> <right>
-/// node 1 leaf <value>
-/// ...
-/// end
-/// ```
-///
-/// `{:e}` formatting keeps full `f64` precision, so save/load round-trips
-/// are exact and serialized output is byte-stable for a given model.
-pub fn save_gbt<W: Write>(w: &mut W, model: &GradientBoostedTrees) -> Result<()> {
-    writeln!(w, "{MAGIC} {VERSION}")?;
-    writeln!(w, "kind gbt")?;
+    writeln!(w, "kind {}", model.kind().token())?;
     writeln!(w, "classes {}", model.n_classes())?;
     writeln!(w, "features {}", model.n_features())?;
-    writeln!(w, "rounds {}", model.n_rounds())?;
-    writeln!(w, "learning_rate {:e}", model.params().learning_rate)?;
-    write!(w, "priors")?;
-    for p in &model.priors {
-        write!(w, " {p:e}")?;
-    }
-    writeln!(w)?;
-    for (r, round) in model.trees.iter().enumerate() {
-        for (c, tree) in round.iter().enumerate() {
-            writeln!(w, "rtree {r} {c} nodes {}", tree.nodes.len())?;
-            for (i, node) in tree.nodes.iter().enumerate() {
-                match node {
-                    RNode::Split { feature, threshold, left, right } => {
-                        writeln!(w, "node {i} split {feature} {threshold:e} {left} {right}")?;
+    match model {
+        Model::Tree(tree) => {
+            writeln!(w, "trees 1")?;
+            write_tree(w, 0, tree)?;
+        }
+        Model::Forest(forest) => {
+            writeln!(w, "trees {}", forest.trees().len())?;
+            for (i, tree) in forest.trees().iter().enumerate() {
+                write_tree(w, i, tree)?;
+            }
+        }
+        Model::Gbt(gbt) => {
+            writeln!(w, "rounds {}", gbt.n_rounds())?;
+            writeln!(w, "learning_rate {:e}", gbt.params().learning_rate)?;
+            write!(w, "priors")?;
+            for p in &gbt.priors {
+                write!(w, " {p:e}")?;
+            }
+            writeln!(w)?;
+            for (r, round) in gbt.trees.iter().enumerate() {
+                for (c, tree) in round.iter().enumerate() {
+                    writeln!(w, "rtree {r} {c} nodes {}", tree.nodes.len())?;
+                    for (i, node) in tree.nodes.iter().enumerate() {
+                        match node {
+                            RNode::Split { feature, threshold, left, right } => {
+                                writeln!(w, "node {i} split {feature} {threshold:e} {left} {right}")?;
+                            }
+                            RNode::Leaf { value } => writeln!(w, "node {i} leaf {value:e}")?,
+                        }
                     }
-                    RNode::Leaf { value } => writeln!(w, "node {i} leaf {value:e}")?,
                 }
             }
         }
@@ -108,12 +104,11 @@ pub fn save_gbt<W: Write>(w: &mut W, model: &GradientBoostedTrees) -> Result<()>
     Ok(())
 }
 
-fn write_one_tree<W: Write>(w: &mut W, index: usize, tree: &DecisionTree) -> Result<()> {
+fn write_tree<W: Write>(w: &mut W, index: usize, tree: &DecisionTree) -> Result<()> {
     writeln!(w, "tree {index} nodes {}", tree.nodes.len())?;
     for (i, node) in tree.nodes.iter().enumerate() {
         match node {
             Node::Split { feature, threshold, left, right, n_samples, gain } => {
-                // `{:e}` keeps full f64 precision and parses back exactly.
                 // The trailing gain/sample fields preserve feature
                 // importances across save/load; readers may omit them.
                 writeln!(w, "node {i} split {feature} {threshold:e} {left} {right} {gain:e} {n_samples}")?;
@@ -128,57 +123,6 @@ fn write_one_tree<W: Write>(w: &mut W, index: usize, tree: &DecisionTree) -> Res
         }
     }
     Ok(())
-}
-
-/// A model loaded from a file: either kind.
-#[derive(Debug, Clone)]
-pub enum LoadedModel {
-    /// Single decision tree.
-    Tree(DecisionTree),
-    /// Random forest.
-    Forest(RandomForest),
-}
-
-impl LoadedModel {
-    /// Predicted class.
-    pub fn predict(&self, x: &[f64]) -> usize {
-        match self {
-            LoadedModel::Tree(t) => t.predict(x),
-            LoadedModel::Forest(f) => f.predict(x),
-        }
-    }
-
-    /// Nodes visited for one prediction.
-    pub fn decision_path_len(&self, x: &[f64]) -> usize {
-        match self {
-            LoadedModel::Tree(t) => t.decision_path_len(x),
-            LoadedModel::Forest(f) => f.decision_path_len(x),
-        }
-    }
-
-    /// Predicted class and nodes visited, from one walk.
-    pub fn predict_with_path(&self, x: &[f64]) -> (usize, usize) {
-        match self {
-            LoadedModel::Tree(t) => t.predict_with_path(x),
-            LoadedModel::Forest(f) => f.predict_with_path(x),
-        }
-    }
-
-    /// Number of features the model expects.
-    pub fn n_features(&self) -> usize {
-        match self {
-            LoadedModel::Tree(t) => t.n_features(),
-            LoadedModel::Forest(f) => f.n_features(),
-        }
-    }
-
-    /// Number of classes.
-    pub fn n_classes(&self) -> usize {
-        match self {
-            LoadedModel::Tree(t) => t.n_classes(),
-            LoadedModel::Forest(f) => f.n_classes(),
-        }
-    }
 }
 
 /// Line tokenizer shared by the workspace's versioned text formats (the
@@ -222,6 +166,14 @@ impl<R: BufRead> LineParser<R> {
     }
 }
 
+/// The part of a `node <i> split|leaf ...` line every kind shares, checked
+/// against its tree: a split's feature in range and both children after it
+/// and inside the tree. The tokens after them are the kind's to read.
+enum NodeLine {
+    Split { feature: usize, threshold: f64, left: usize, right: usize, rest: Vec<String> },
+    Leaf(Vec<String>),
+}
+
 struct Parser<R: BufRead> {
     lines: LineParser<R>,
 }
@@ -243,6 +195,15 @@ impl<R: BufRead> Parser<R> {
         Ok(toks[1].clone())
     }
 
+    /// A `<key> <count>` line whose count must be positive.
+    fn count(&mut self, key: &str) -> Result<usize> {
+        let v = self.expect_kv(key)?;
+        match self.parse_usize(&v)? {
+            0 => Err(self.err(format!("'{key}' must be positive"))),
+            n => Ok(n),
+        }
+    }
+
     fn parse_usize(&self, s: &str) -> Result<usize> {
         s.parse().map_err(|_| self.err(format!("bad integer '{s}'")))
     }
@@ -250,14 +211,86 @@ impl<R: BufRead> Parser<R> {
     fn parse_f64(&self, s: &str) -> Result<f64> {
         let v: f64 = s.parse().map_err(|_| self.err(format!("bad float '{s}'")))?;
         if !v.is_finite() {
-            return Err(self.err(format!("non-finite threshold '{s}'")));
+            return Err(self.err(format!("non-finite value '{s}'")));
         }
         Ok(v)
     }
+
+    fn expect_end(&mut self) -> Result<()> {
+        let toks = self.next_line()?.ok_or_else(|| self.err("expected 'end', got EOF"))?;
+        if toks != ["end"] {
+            return Err(self.err(format!("expected 'end', got '{}'", toks.join(" "))));
+        }
+        Ok(())
+    }
+
+    /// One tree: its `<tag> <ids..> nodes <n>` line, whose ids must be
+    /// `ids`, then its `n` node lines, each made a node by `node`. The
+    /// nodes grow as their lines are read: `n` is checked against them,
+    /// never trusted to size an allocation.
+    fn tree<N>(
+        &mut self,
+        tag: &str,
+        ids: &[usize],
+        n_features: usize,
+        node: impl Fn(&Self, NodeLine) -> Result<N>,
+    ) -> Result<Vec<N>> {
+        let toks = self.next_line()?.ok_or_else(|| self.err(format!("expected '{tag} ...', got EOF")))?;
+        let k = ids.len();
+        if toks.len() != k + 3 || toks[0] != tag || toks[k + 1] != "nodes" {
+            return Err(self.err(format!("expected '{tag} <id..> nodes <n>', got '{}'", toks.join(" "))));
+        }
+        for (t, &want) in toks[1..=k].iter().zip(ids) {
+            if self.parse_usize(t)? != want {
+                return Err(self.err(format!("{tag} {}, expected {ids:?}", toks[1..=k].join(" "))));
+            }
+        }
+        let n_nodes = self.parse_usize(&toks[k + 2])?;
+        if n_nodes == 0 {
+            return Err(self.err("a tree must have at least one node"));
+        }
+        let mut nodes = Vec::new();
+        for expect in 0..n_nodes {
+            let line = self.node_line(expect, n_nodes, n_features)?;
+            nodes.push(node(self, line)?);
+        }
+        Ok(nodes)
+    }
+
+    fn node_line(&mut self, expect: usize, n_nodes: usize, n_features: usize) -> Result<NodeLine> {
+        let mut toks = self.next_line()?.ok_or_else(|| self.err("expected 'node ...', got EOF"))?;
+        if toks.len() < 4 || toks[0] != "node" {
+            return Err(self.err(format!("expected 'node <i> split|leaf ...', got '{}'", toks.join(" "))));
+        }
+        let ni = self.parse_usize(&toks[1])?;
+        if ni != expect {
+            return Err(self.err(format!("node index {ni}, expected {expect}")));
+        }
+        let mut rest = toks.split_off(3);
+        match toks[2].as_str() {
+            "split" => {
+                if rest.len() < 4 {
+                    return Err(self.err("split node needs: feature threshold left right"));
+                }
+                let feature = self.parse_usize(&rest[0])?;
+                if feature >= n_features {
+                    return Err(self.err(format!("feature {feature} out of range")));
+                }
+                let threshold = self.parse_f64(&rest[1])?;
+                let (left, right) = (self.parse_usize(&rest[2])?, self.parse_usize(&rest[3])?);
+                if left >= n_nodes || right >= n_nodes || left <= ni || right <= ni {
+                    return Err(self.err(format!("child ids ({left}, {right}) invalid for node {ni}")));
+                }
+                Ok(NodeLine::Split { feature, threshold, left, right, rest: rest.split_off(4) })
+            }
+            "leaf" => Ok(NodeLine::Leaf(rest)),
+            other => Err(self.err(format!("unknown node type '{other}'"))),
+        }
+    }
 }
 
-/// Loads a model file (either kind), validating structure.
-pub fn load_model<R: BufRead>(reader: R) -> Result<LoadedModel> {
+/// Loads a model file of any kind, validating structure.
+pub fn load_model<R: BufRead>(reader: R) -> Result<Model> {
     let mut p = Parser { lines: LineParser::new(reader) };
 
     let header = p.next_line()?.ok_or_else(|| p.err("empty model file"))?;
@@ -267,247 +300,120 @@ pub fn load_model<R: BufRead>(reader: R) -> Result<LoadedModel> {
     if header[1] != VERSION {
         return Err(p.err(format!("unsupported model version '{}'", header[1])));
     }
-    let kind = p.expect_kv("kind")?;
-    if kind == "gbt" {
-        return Err(p.err("file contains a gradient-boosted ensemble; use load_gbt"));
+    let token = p.expect_kv("kind")?;
+    let kind = ModelKind::from_token(&token).ok_or_else(|| p.err(format!("unknown model kind '{token}'")))?;
+    let n_classes = p.count("classes")?;
+    if n_classes > MAX_CLASSES {
+        return Err(p.err(format!("{n_classes} classes, at most {MAX_CLASSES} are allowed")));
     }
-    if kind != "tree" && kind != "forest" {
-        return Err(p.err(format!("unknown model kind '{kind}'")));
-    }
-    let classes_str = p.expect_kv("classes")?;
-    let n_classes = p.parse_usize(&classes_str)?;
-    let features_str = p.expect_kv("features")?;
-    let n_features = p.parse_usize(&features_str)?;
-    let trees_str = p.expect_kv("trees")?;
-    let n_trees = p.parse_usize(&trees_str)?;
-    if n_classes == 0 || n_features == 0 || n_trees == 0 {
-        return Err(p.err("classes, features and trees must be positive"));
-    }
-    if kind == "tree" && n_trees != 1 {
+    let n_features = p.count("features")?;
+    let model = match kind {
+        ModelKind::Tree | ModelKind::Forest => {
+            let trees = load_trees(&mut p, kind, n_classes, n_features)?;
+            if kind == ModelKind::Tree {
+                Model::Tree(trees.into_iter().next().expect("one tree"))
+            } else {
+                let params = ForestParams { criterion: Criterion::Gini, ..ForestParams::default() };
+                Model::Forest(RandomForest::from_parts(trees, n_features, n_classes, params))
+            }
+        }
+        ModelKind::Gbt => Model::Gbt(load_rounds(&mut p, n_classes, n_features)?),
+    };
+    p.expect_end()?;
+    Ok(model)
+}
+
+/// The `trees` count and the classification trees of a tree or forest file.
+fn load_trees<R: BufRead>(
+    p: &mut Parser<R>,
+    kind: ModelKind,
+    n_classes: usize,
+    n_features: usize,
+) -> Result<Vec<DecisionTree>> {
+    let n_trees = p.count("trees")?;
+    if kind == ModelKind::Tree && n_trees != 1 {
         return Err(p.err("kind 'tree' requires exactly one tree"));
     }
-
-    // Every vector below grows as its lines are read: a count in the file is
-    // checked against what follows, never trusted to size an allocation.
     let mut trees = Vec::new();
-    for expect_idx in 0..n_trees {
-        let toks = p.next_line()?.ok_or_else(|| p.err("expected 'tree ...', got EOF"))?;
-        if toks.len() != 4 || toks[0] != "tree" || toks[2] != "nodes" {
-            return Err(p.err(format!("expected 'tree <i> nodes <n>', got '{}'", toks.join(" "))));
-        }
-        let idx = p.parse_usize(&toks[1])?;
-        if idx != expect_idx {
-            return Err(p.err(format!("tree index {idx}, expected {expect_idx}")));
-        }
-        let n_nodes = p.parse_usize(&toks[3])?;
-        if n_nodes == 0 {
-            return Err(p.err("tree must have at least one node"));
-        }
-        let mut nodes: Vec<Node> = Vec::new();
-        for expect_node in 0..n_nodes {
-            let toks = p.next_line()?.ok_or_else(|| p.err("expected 'node ...', got EOF"))?;
-            if toks.len() < 3 || toks[0] != "node" {
-                return Err(p.err(format!("expected 'node ...', got '{}'", toks.join(" "))));
+    for i in 0..n_trees {
+        let nodes = p.tree("tree", &[i], n_features, |p, line| match line {
+            NodeLine::Split { feature, threshold, left, right, rest } => {
+                let (gain, n_samples) = match rest.as_slice() {
+                    [] => (0.0, 0),
+                    [gain, n] => (p.parse_f64(gain)?, p.parse_usize(n)?),
+                    _ => return Err(p.err("split node needs: feature threshold left right [gain n_samples]")),
+                };
+                Ok(Node::Split { feature, threshold, left, right, n_samples, gain })
             }
-            let ni = p.parse_usize(&toks[1])?;
-            if ni != expect_node {
-                return Err(p.err(format!("node index {ni}, expected {expect_node}")));
-            }
-            match toks[2].as_str() {
-                "split" => {
-                    if toks.len() != 7 && toks.len() != 9 {
-                        return Err(p.err("split node needs: feature threshold left right [gain n_samples]"));
-                    }
-                    let feature = p.parse_usize(&toks[3])?;
-                    if feature >= n_features {
-                        return Err(p.err(format!("feature {feature} out of range")));
-                    }
-                    let threshold = p.parse_f64(&toks[4])?;
-                    let left = p.parse_usize(&toks[5])?;
-                    let right = p.parse_usize(&toks[6])?;
-                    if left >= n_nodes || right >= n_nodes || left <= ni || right <= ni {
-                        return Err(p.err(format!("child ids ({left}, {right}) invalid for node {ni}")));
-                    }
-                    let (gain, n_samples) = if toks.len() == 9 {
-                        (p.parse_f64(&toks[7])?, p.parse_usize(&toks[8])?)
-                    } else {
-                        (0.0, 0)
-                    };
-                    nodes.push(Node::Split { feature, threshold, left, right, n_samples, gain });
+            NodeLine::Leaf(rest) => {
+                // A bare class, or the class and its per-class counts.
+                if rest.len() != 1 && rest.len() != 1 + n_classes {
+                    return Err(p.err(format!(
+                        "leaf node needs class (+ optional {n_classes} counts), got {} fields",
+                        rest.len()
+                    )));
                 }
-                "leaf" => {
-                    if toks.len() != 4 + n_classes && toks.len() != 4 {
-                        // Accept either bare class or class + per-class counts.
-                        if toks.len() != 4 + n_classes {
-                            return Err(p.err(format!(
-                                "leaf node needs class (+ optional {n_classes} counts), got {} fields",
-                                toks.len() - 3
-                            )));
-                        }
-                    }
-                    let class = p.parse_usize(&toks[3])?;
-                    if class >= n_classes {
-                        return Err(p.err(format!("class {class} out of range")));
-                    }
-                    let mut counts = vec![0u32; n_classes];
-                    if toks.len() == 4 + n_classes {
-                        for c in 0..n_classes {
-                            counts[c] = toks[4 + c]
-                                .parse()
-                                .map_err(|_| p.err(format!("bad count '{}'", toks[4 + c])))?;
-                        }
-                    } else {
-                        counts[class] = 1;
-                    }
-                    nodes.push(Node::Leaf { class, counts });
+                let class = p.parse_usize(&rest[0])?;
+                if class >= n_classes {
+                    return Err(p.err(format!("class {class} out of range")));
                 }
-                other => return Err(p.err(format!("unknown node type '{other}'"))),
+                let mut counts = vec![0u32; n_classes];
+                if rest.len() == 1 {
+                    counts[class] = 1;
+                }
+                for (slot, t) in counts.iter_mut().zip(&rest[1..]) {
+                    *slot = t.parse().map_err(|_| p.err(format!("bad count '{t}'")))?;
+                }
+                Ok(Node::Leaf { class, counts })
             }
-        }
+        })?;
         trees.push(DecisionTree::from_parts(nodes, n_features, n_classes, TreeParams::default()));
     }
-    let toks = p.next_line()?.ok_or_else(|| p.err("expected 'end', got EOF"))?;
-    if toks != ["end"] {
-        return Err(p.err(format!("expected 'end', got '{}'", toks.join(" "))));
-    }
-
-    if kind == "tree" {
-        Ok(LoadedModel::Tree(trees.into_iter().next().expect("one tree")))
-    } else {
-        Ok(LoadedModel::Forest(RandomForest::from_parts(
-            trees,
-            n_features,
-            n_classes,
-            ForestParams { criterion: Criterion::Gini, ..ForestParams::default() },
-        )))
-    }
+    Ok(trees)
 }
 
-/// Loads a `kind gbt` model file written by [`save_gbt`], validating
-/// structure the same way [`load_model`] does for trees and forests.
-pub fn load_gbt<R: BufRead>(reader: R) -> Result<GradientBoostedTrees> {
-    let mut p = Parser { lines: LineParser::new(reader) };
-
-    let header = p.next_line()?.ok_or_else(|| p.err("empty model file"))?;
-    if header.len() != 2 || header[0] != MAGIC {
-        return Err(p.err(format!("bad header: expected '{MAGIC} {VERSION}'")));
+/// Everything after `features` in a gbt file but `end`.
+fn load_rounds<R: BufRead>(
+    p: &mut Parser<R>,
+    n_classes: usize,
+    n_features: usize,
+) -> Result<GradientBoostedTrees> {
+    let n_rounds = p.count("rounds")?;
+    let v = p.expect_kv("learning_rate")?;
+    let learning_rate = p.parse_f64(&v)?;
+    if learning_rate <= 0.0 {
+        return Err(p.err(format!("learning rate must be positive, got {learning_rate}")));
     }
-    if header[1] != VERSION {
-        return Err(p.err(format!("unsupported model version '{}'", header[1])));
-    }
-    let kind = p.expect_kv("kind")?;
-    if kind != "gbt" {
-        return Err(p.err(format!("expected kind 'gbt', found '{kind}' (use load_model)")));
-    }
-    let n_classes = {
-        let v = p.expect_kv("classes")?;
-        p.parse_usize(&v)?
-    };
-    let n_features = {
-        let v = p.expect_kv("features")?;
-        p.parse_usize(&v)?
-    };
-    let n_rounds = {
-        let v = p.expect_kv("rounds")?;
-        p.parse_usize(&v)?
-    };
-    if n_classes == 0 || n_features == 0 || n_rounds == 0 {
-        return Err(p.err("classes, features and rounds must be positive"));
-    }
-    let learning_rate = {
-        let v = p.expect_kv("learning_rate")?;
-        let lr = p.parse_f64(&v)?;
-        if lr <= 0.0 {
-            return Err(p.err(format!("learning rate must be positive, got {lr}")));
-        }
-        lr
-    };
     let toks = p.next_line()?.ok_or_else(|| p.err("expected 'priors ...', got EOF"))?;
     if toks.len() != 1 + n_classes || toks[0] != "priors" {
         return Err(p.err(format!("expected 'priors' with {n_classes} values, got '{}'", toks.join(" "))));
     }
-    let mut priors = Vec::with_capacity(n_classes);
-    for t in &toks[1..] {
-        priors.push(p.parse_f64(t)?);
-    }
+    let priors = toks[1..].iter().map(|t| p.parse_f64(t)).collect::<Result<Vec<f64>>>()?;
 
-    // Grown as the lines are read, like the tree loader's trees and nodes.
-    let mut rounds: Vec<Vec<RegressionTree>> = Vec::new();
-    for expect_round in 0..n_rounds {
-        let mut round = Vec::with_capacity(n_classes);
-        for expect_class in 0..n_classes {
-            let toks = p.next_line()?.ok_or_else(|| p.err("expected 'rtree ...', got EOF"))?;
-            if toks.len() != 5 || toks[0] != "rtree" || toks[3] != "nodes" {
-                return Err(p.err(format!("expected 'rtree <r> <c> nodes <n>', got '{}'", toks.join(" "))));
-            }
-            let (r, c) = (p.parse_usize(&toks[1])?, p.parse_usize(&toks[2])?);
-            if r != expect_round || c != expect_class {
-                return Err(p.err(format!("rtree ({r}, {c}), expected ({expect_round}, {expect_class})")));
-            }
-            let n_nodes = p.parse_usize(&toks[4])?;
-            if n_nodes == 0 {
-                return Err(p.err("regression tree must have at least one node"));
-            }
-            let mut nodes: Vec<RNode> = Vec::new();
-            for expect_node in 0..n_nodes {
-                let toks = p.next_line()?.ok_or_else(|| p.err("expected 'node ...', got EOF"))?;
-                if toks.len() < 3 || toks[0] != "node" {
-                    return Err(p.err(format!("expected 'node ...', got '{}'", toks.join(" "))));
+    let mut rounds = Vec::new();
+    for r in 0..n_rounds {
+        let mut round = Vec::new();
+        for c in 0..n_classes {
+            let nodes = p.tree("rtree", &[r, c], n_features, |p, line| match line {
+                NodeLine::Split { feature, threshold, left, right, rest } if rest.is_empty() => {
+                    Ok(RNode::Split { feature, threshold, left, right })
                 }
-                let ni = p.parse_usize(&toks[1])?;
-                if ni != expect_node {
-                    return Err(p.err(format!("node index {ni}, expected {expect_node}")));
-                }
-                match toks[2].as_str() {
-                    "split" => {
-                        if toks.len() != 7 {
-                            return Err(p.err("split node needs: feature threshold left right"));
-                        }
-                        let feature = p.parse_usize(&toks[3])?;
-                        if feature >= n_features {
-                            return Err(p.err(format!("feature {feature} out of range")));
-                        }
-                        let threshold = p.parse_f64(&toks[4])?;
-                        let left = p.parse_usize(&toks[5])?;
-                        let right = p.parse_usize(&toks[6])?;
-                        if left >= n_nodes || right >= n_nodes || left <= ni || right <= ni {
-                            return Err(p.err(format!("child ids ({left}, {right}) invalid for node {ni}")));
-                        }
-                        nodes.push(RNode::Split { feature, threshold, left, right });
-                    }
-                    "leaf" => {
-                        if toks.len() != 4 {
-                            return Err(p.err("leaf node needs exactly one value"));
-                        }
-                        nodes.push(RNode::Leaf { value: p.parse_f64(&toks[3])? });
-                    }
-                    other => return Err(p.err(format!("unknown node type '{other}'"))),
-                }
-            }
+                NodeLine::Split { .. } => Err(p.err("split node needs: feature threshold left right")),
+                NodeLine::Leaf(rest) if rest.len() == 1 => Ok(RNode::Leaf { value: p.parse_f64(&rest[0])? }),
+                NodeLine::Leaf(_) => Err(p.err("leaf node needs exactly one value")),
+            })?;
             round.push(RegressionTree { nodes });
         }
         rounds.push(round);
     }
-    let toks = p.next_line()?.ok_or_else(|| p.err("expected 'end', got EOF"))?;
-    if toks != ["end"] {
-        return Err(p.err(format!("expected 'end', got '{}'", toks.join(" "))));
-    }
-
-    Ok(GradientBoostedTrees::from_parts(
-        rounds,
-        priors,
-        n_features,
-        n_classes,
-        GbtParams { n_rounds, learning_rate, ..GbtParams::default() },
-    ))
+    let params = GbtParams { n_rounds, learning_rate, ..GbtParams::default() };
+    Ok(GradientBoostedTrees::from_parts(rounds, priors, n_features, n_classes, params))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
-    use crate::forest::ForestParams;
-    use crate::tree::TreeParams;
     use std::io::Cursor;
 
     fn toy() -> Dataset {
@@ -524,18 +430,22 @@ mod tests {
         ds
     }
 
+    fn saved(model: &Model) -> Vec<u8> {
+        let mut buf = Vec::new();
+        save_model(&mut buf, model).unwrap();
+        buf
+    }
+
     #[test]
     fn tree_roundtrip_preserves_predictions() {
         let ds = toy();
         let tree = DecisionTree::fit(&ds, &TreeParams::default()).unwrap();
-        let mut buf = Vec::new();
-        save_tree(&mut buf, &tree).unwrap();
-        let loaded = load_model(Cursor::new(&buf)).unwrap();
+        let loaded = load_model(Cursor::new(saved(&tree.clone().into()))).unwrap();
         for i in 0..ds.len() {
             assert_eq!(loaded.predict(ds.row(i)), tree.predict(ds.row(i)), "sample {i}");
             assert_eq!(loaded.decision_path_len(ds.row(i)), tree.decision_path_len(ds.row(i)));
         }
-        assert!(matches!(loaded, LoadedModel::Tree(_)));
+        assert_eq!(loaded.kind(), ModelKind::Tree);
     }
 
     #[test]
@@ -543,12 +453,11 @@ mod tests {
         let ds = toy();
         let forest =
             RandomForest::fit(&ds, &ForestParams { n_estimators: 7, seed: 1, ..Default::default() }).unwrap();
-        let mut buf = Vec::new();
-        save_forest(&mut buf, &forest).unwrap();
-        let loaded = load_model(Cursor::new(&buf)).unwrap();
+        let loaded = load_model(Cursor::new(saved(&forest.clone().into()))).unwrap();
         for i in 0..ds.len() {
             assert_eq!(loaded.predict(ds.row(i)), forest.predict(ds.row(i)), "sample {i}");
         }
+        assert_eq!(loaded.kind(), ModelKind::Forest);
         assert_eq!(loaded.n_features(), 3);
         assert_eq!(loaded.n_classes(), 4);
     }
@@ -557,9 +466,8 @@ mod tests {
     fn gbt_roundtrip_preserves_scores_and_paths() {
         let ds = toy();
         let model = GradientBoostedTrees::fit(&ds, &GbtParams { n_rounds: 6, ..Default::default() }).unwrap();
-        let mut buf = Vec::new();
-        save_gbt(&mut buf, &model).unwrap();
-        let loaded = load_gbt(Cursor::new(&buf)).unwrap();
+        let buf = saved(&model.clone().into());
+        let Model::Gbt(loaded) = load_model(Cursor::new(&buf)).unwrap() else { panic!("saved a GBT") };
         assert_eq!(loaded.n_features(), model.n_features());
         assert_eq!(loaded.n_classes(), model.n_classes());
         assert_eq!(loaded.n_rounds(), model.n_rounds());
@@ -570,24 +478,23 @@ mod tests {
         }
         // Serialization is byte-stable: saving the loaded model reproduces
         // the file exactly.
-        let mut buf2 = Vec::new();
-        save_gbt(&mut buf2, &loaded).unwrap();
-        assert_eq!(buf, buf2);
+        assert_eq!(saved(&loaded.into()), buf);
     }
 
+    /// A file is read as the kind its `kind` line names: a forest's body
+    /// under `kind gbt` and a GBT's under `kind forest` are malformed.
     #[test]
     fn gbt_loader_rejects_wrong_kind_and_malformed_files() {
         let ds = toy();
         let forest = RandomForest::fit(&ds, &ForestParams { n_estimators: 3, ..Default::default() }).unwrap();
-        let mut forest_buf = Vec::new();
-        save_forest(&mut forest_buf, &forest).unwrap();
-        assert!(load_gbt(Cursor::new(&forest_buf)).is_err(), "forest file must be rejected");
-
-        let model = GradientBoostedTrees::fit(&ds, &GbtParams { n_rounds: 2, ..Default::default() }).unwrap();
-        let mut gbt_buf = Vec::new();
-        save_gbt(&mut gbt_buf, &model).unwrap();
-        let err = load_model(Cursor::new(&gbt_buf)).unwrap_err();
-        assert!(err.to_string().contains("load_gbt"), "{err}");
+        let forest_text = String::from_utf8(saved(&forest.into())).unwrap();
+        let gbt = GradientBoostedTrees::fit(&ds, &GbtParams { n_rounds: 2, ..Default::default() }).unwrap();
+        let gbt_text = String::from_utf8(saved(&gbt.into())).unwrap();
+        for relabeled in
+            [forest_text.replace("kind forest", "kind gbt"), gbt_text.replace("kind gbt", "kind forest")]
+        {
+            assert!(load_model(Cursor::new(relabeled.as_bytes())).is_err(), "accepted: {relabeled}");
+        }
 
         let header =
             "morpheus-oracle-model v1\nkind gbt\nclasses 2\nfeatures 1\nrounds 1\nlearning_rate 1e-1\n";
@@ -598,8 +505,9 @@ mod tests {
             format!("{header}priors -0.7 -0.7\nrtree 0 0 nodes 1\nnode 0 leaf 1.0\n"),
             format!("{header}priors -0.7 -0.7\nrtree 0 0 nodes 1\nnode 0 split 0 1.0 0 0\nend\n"),
             format!("{header}priors -0.7 -0.7\nrtree 0 0 nodes 1\nnode 0 leaf 1.0\nrtree 0 0 nodes 1\nnode 0 leaf 1.0\nend\n"),
+            format!("{header}priors -0.7 -0.7\nrtree 0 0 nodes 1\nnode 0 leaf 1.0 2.0\nrtree 0 1 nodes 1\nnode 0 leaf 1.0\nend\n"),
         ] {
-            assert!(load_gbt(Cursor::new(bad.as_bytes())).is_err(), "accepted: {bad:?}");
+            assert!(load_model(Cursor::new(bad.as_bytes())).is_err(), "accepted: {bad:?}");
         }
     }
 
@@ -630,6 +538,10 @@ mod tests {
                 "morpheus-oracle-model v1\nkind tree\nclasses 2\nfeatures 2\ntrees 1\ntree 0 nodes 1\nnode 0 leaf 0 1 2\n",
                 "missing end",
             ),
+            (
+                "morpheus-oracle-model v1\nkind tree\nclasses 70000\nfeatures 2\ntrees 1\ntree 0 nodes 1\nnode 0 leaf 0\nend\n",
+                "more classes than the loader allows",
+            ),
         ];
         for (text, why) in cases {
             assert!(load_model(Cursor::new(text)).is_err(), "expected failure: {why}");
@@ -650,5 +562,71 @@ mod tests {
         let text = "morpheus-oracle-model v1\nkind tree\nclasses 2\nfeatures 1\ntrees 1\ntree 0 nodes 1\nnode 0 leaf 1\nend\n";
         let m = load_model(Cursor::new(text)).unwrap();
         assert_eq!(m.predict(&[0.0]), 1);
+    }
+
+    /// The bytes the per-kind writers wrote before there was one writer:
+    /// model databases and cached models written then load, and are
+    /// written again, unchanged.
+    #[test]
+    fn save_model_writes_the_v1_bytes_of_every_kind() {
+        let tree = DecisionTree::from_parts(
+            vec![
+                Node::Split { feature: 1, threshold: 0.5, left: 1, right: 2, n_samples: 10, gain: 0.25 },
+                Node::Leaf { class: 0, counts: vec![4, 1] },
+                Node::Leaf { class: 1, counts: vec![0, 5] },
+            ],
+            2,
+            2,
+            TreeParams::default(),
+        );
+        let stump = DecisionTree::from_parts(
+            vec![Node::Leaf { class: 1, counts: vec![2, 3] }],
+            2,
+            2,
+            TreeParams::default(),
+        );
+        let forest = RandomForest::from_parts(vec![tree.clone(), stump], 2, 2, ForestParams::default());
+        let gbt = GradientBoostedTrees::from_parts(
+            vec![vec![
+                RegressionTree {
+                    nodes: vec![
+                        RNode::Split { feature: 0, threshold: -1.5, left: 1, right: 2 },
+                        RNode::Leaf { value: 0.75 },
+                        RNode::Leaf { value: -0.125 },
+                    ],
+                },
+                RegressionTree { nodes: vec![RNode::Leaf { value: 0.1 }] },
+            ]],
+            vec![-std::f64::consts::LN_2, -std::f64::consts::LN_2],
+            2,
+            2,
+            GbtParams { n_rounds: 1, learning_rate: 0.1, ..GbtParams::default() },
+        );
+        let golden = [
+            (
+                Model::from(tree),
+                "morpheus-oracle-model v1\nkind tree\nclasses 2\nfeatures 2\ntrees 1\ntree 0 nodes 3\n\
+                 node 0 split 1 5e-1 1 2 2.5e-1 10\nnode 1 leaf 0 4 1\nnode 2 leaf 1 0 5\nend\n",
+            ),
+            (
+                Model::from(forest),
+                "morpheus-oracle-model v1\nkind forest\nclasses 2\nfeatures 2\ntrees 2\ntree 0 nodes 3\n\
+                 node 0 split 1 5e-1 1 2 2.5e-1 10\nnode 1 leaf 0 4 1\nnode 2 leaf 1 0 5\n\
+                 tree 1 nodes 1\nnode 0 leaf 1 2 3\nend\n",
+            ),
+            (
+                Model::from(gbt),
+                "morpheus-oracle-model v1\nkind gbt\nclasses 2\nfeatures 2\nrounds 1\nlearning_rate 1e-1\n\
+                 priors -6.931471805599453e-1 -6.931471805599453e-1\nrtree 0 0 nodes 3\n\
+                 node 0 split 0 -1.5e0 1 2\nnode 1 leaf 7.5e-1\nnode 2 leaf -1.25e-1\n\
+                 rtree 0 1 nodes 1\nnode 0 leaf 1e-1\nend\n",
+            ),
+        ];
+        for (model, bytes) in golden {
+            assert_eq!(String::from_utf8(saved(&model)).unwrap(), bytes, "{:?}", model.kind());
+            let loaded = load_model(Cursor::new(bytes)).unwrap();
+            assert_eq!(loaded.kind(), model.kind());
+            assert_eq!(String::from_utf8(saved(&loaded)).unwrap(), bytes, "{:?} reloaded", model.kind());
+        }
     }
 }

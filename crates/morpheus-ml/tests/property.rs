@@ -1,8 +1,8 @@
 //! Property-based tests of the ML stack: model behaviour and serialisation
 //! under randomly generated datasets and trees.
 
-use morpheus_ml::serialize::{load_model, save_forest, save_tree, LoadedModel};
-use morpheus_ml::{Criterion, Dataset, DecisionTree, ForestParams, RandomForest, TreeParams};
+use morpheus_ml::serialize::{load_model, save_model};
+use morpheus_ml::{Criterion, Dataset, DecisionTree, ForestParams, Model, RandomForest, TreeParams};
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -53,13 +53,10 @@ proptest! {
     fn tree_serialisation_canonical(ds in arb_dataset()) {
         let tree = DecisionTree::fit(&ds, &TreeParams { max_depth: Some(6), ..Default::default() }).unwrap();
         let mut first = Vec::new();
-        save_tree(&mut first, &tree).unwrap();
-        let loaded = match load_model(Cursor::new(&first)).unwrap() {
-            LoadedModel::Tree(t) => t,
-            LoadedModel::Forest(_) => unreachable!("saved a tree"),
-        };
+        save_model(&mut first, &Model::Tree(tree.clone())).unwrap();
+        let loaded = load_model(Cursor::new(&first)).unwrap();
         let mut second = Vec::new();
-        save_tree(&mut second, &loaded).unwrap();
+        save_model(&mut second, &loaded).unwrap();
         prop_assert_eq!(&first, &second, "serialisation must be canonical");
         for i in 0..ds.len() {
             prop_assert_eq!(loaded.predict(ds.row(i)), tree.predict(ds.row(i)));
@@ -94,7 +91,7 @@ proptest! {
         )
         .unwrap();
         let mut buf = Vec::new();
-        save_forest(&mut buf, &forest).unwrap();
+        save_model(&mut buf, &Model::Forest(forest.clone())).unwrap();
         let loaded = load_model(Cursor::new(&buf)).unwrap();
         for i in 0..ds.len().min(10) {
             prop_assert_eq!(loaded.predict(ds.row(i)), forest.predict(ds.row(i)));

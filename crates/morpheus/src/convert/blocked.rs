@@ -12,7 +12,7 @@
 //! back to COO/CSR through the one row-major export, as every format does.
 //! Padding guards mirror the DIA/ELL contract: conversions whose padded
 //! slabs exceed the [`ConvertOptions`] allowance fail with
-//! [`MorpheusError::ExcessivePadding`] (the tuner's non-viability signal),
+//! [`crate::MorpheusError::ExcessivePadding`] (the tuner's non-viability signal),
 //! although block padding is structurally bounded (at worst
 //! `block_r * block_c` per entry for BSR, the ladder gap for BELL — whose
 //! ladder is a parameter, hence BELL's guard runs inside its builder,
@@ -21,23 +21,16 @@
 use crate::bell::{runs_of, BellMatrix};
 use crate::bsr::BsrMatrix;
 use crate::convert::kernels::{export_to_coo, export_to_csr, RowArrays};
-use crate::convert::ConvertOptions;
+use crate::convert::{guard_padding, ConvertOptions};
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
+#[cfg(test)]
 use crate::error::MorpheusError;
 use crate::format::FormatId;
 use crate::scalar::Scalar;
 use crate::spmv::cpu_features::CpuFeatures;
 use crate::Result;
 use morpheus_parallel::ThreadPool;
-
-fn guard_padding(format: FormatId, padded: usize, nnz: usize, opts: &ConvertOptions) -> Result<()> {
-    let limit = opts.padded_allowance(nnz);
-    if padded > nnz && padded - nnz > limit {
-        return Err(MorpheusError::ExcessivePadding { format, padded, nnz, limit });
-    }
-    Ok(())
-}
 
 /// Builds a BSR matrix with the options' block dimensions from row-major
 /// arrays, enforcing the padding allowance.
@@ -47,7 +40,7 @@ pub(crate) fn bsr_from_arrays<V: Scalar>(
 ) -> Result<BsrMatrix<V>> {
     let ((nrows, ncols), (r, c)) = (a.shape, opts.params.normalized_block());
     let m = BsrMatrix::from_row_arrays(nrows, ncols, &a.offsets, a.cols, a.vals, r, c);
-    guard_padding(FormatId::Bsr, m.padded_len(), m.nnz(), opts)?;
+    guard_padding(FormatId::Bsr, m.padded_len(), m.nnz(), opts.padded_allowance(m.nnz()))?;
     Ok(m)
 }
 
@@ -61,7 +54,7 @@ pub(crate) fn bell_from_arrays<V: Scalar>(
     cpu: CpuFeatures,
     pool: Option<&ThreadPool>,
 ) -> Result<BellMatrix<V>> {
-    let guard = |padded, nnz| guard_padding(FormatId::Bell, padded, nnz, opts);
+    let guard = |padded, nnz| guard_padding(FormatId::Bell, padded, nnz, opts.padded_allowance(nnz));
     let ladder = opts.params.bell_ladder();
     BellMatrix::from_row_arrays(a.shape, runs_of(&a.offsets), a.cols, a.vals, ladder, guard, cpu, pool)
 }

@@ -31,7 +31,6 @@ use crate::csr::CsrMatrix;
 use crate::dia::DiaMatrix;
 use crate::dynamic::DynamicMatrix;
 use crate::ell::EllMatrix;
-use crate::error::MorpheusError;
 use crate::format::FormatId;
 use crate::hdc::{true_diag_threshold, HdcMatrix};
 use crate::hyb::{optimal_hyb_width_u32, HybMatrix, HybSplit};
@@ -42,7 +41,7 @@ use crate::Result;
 use std::borrow::Cow;
 use std::ops::Range;
 
-use super::ConvertOptions;
+use super::{guard_padding, ConvertOptions};
 use morpheus_parallel::{global_pool, weighted_partition, weighted_partition_with, SharedSlice, ThreadPool};
 
 /// Conversions touching at least this many structural non-zeros run their
@@ -71,15 +70,6 @@ fn run_parts(pool: Option<&ThreadPool>, parts: &[Range<usize>], body: impl Fn(Ra
                 body(r.clone());
             }
         }
-    }
-}
-
-fn guard_padding(format: FormatId, padded: usize, nnz: usize, opts: &ConvertOptions) -> Result<()> {
-    let limit = opts.padded_allowance(nnz);
-    if padded > limit {
-        Err(MorpheusError::ExcessivePadding { format, padded, nnz, limit })
-    } else {
-        Ok(())
     }
 }
 
@@ -331,8 +321,9 @@ pub(crate) fn ell_from_arrays<V: Scalar>(
 ) -> Result<EllMatrix<V>> {
     let (nrows, nnz, run) = (a.shape.0, a.nnz(), runs_of(&a.offsets));
     let width = plan.map_or_else(|| (0..nrows).map(|r| run(r).1).max().unwrap_or(0), Analysis::ell_width);
-    guard_padding(FormatId::Ell, width.saturating_mul(nrows), nnz, opts)?;
-    let guard = |padded, _| guard_padding(FormatId::Ell, padded, nnz, opts);
+    let limit = opts.padded_allowance(nnz);
+    guard_padding(FormatId::Ell, width.saturating_mul(nrows), nnz, limit)?;
+    let guard = |padded, _| guard_padding(FormatId::Ell, padded, nnz, limit);
     EllMatrix::from_runs(a.shape, width, run, a.cols, a.vals, guard, cpu, pool)
 }
 
@@ -378,7 +369,7 @@ pub(crate) fn hyb_from_arrays<V: Scalar>(
             optimal_hyb_width_u32(&lens, std::mem::size_of::<V>())
         }
         HybSplit::Width(w) => {
-            guard_padding(FormatId::Hyb, w.saturating_mul(nrows), nnz, opts)?;
+            guard_padding(FormatId::Hyb, w.saturating_mul(nrows), nnz, opts.padded_allowance(nnz))?;
             w
         }
     };
@@ -386,7 +377,7 @@ pub(crate) fn hyb_from_arrays<V: Scalar>(
         let (first, len) = run(r);
         (first, len.min(k))
     };
-    let guard = |padded, _| guard_padding(FormatId::Hyb, padded, nnz, opts);
+    let guard = |padded, _| guard_padding(FormatId::Hyb, padded, nnz, opts.padded_allowance(nnz));
     let ell = EllMatrix::from_runs(a.shape, k, head, a.cols, a.vals, guard, cpu, pool)?;
     let spill_nnz = nnz - ell.nnz();
     let (mut sp_rows, mut sp_cols, mut sp_vals) =
@@ -433,7 +424,7 @@ pub(crate) fn dia_from_arrays<V: Scalar>(
         return Ok(DiaMatrix::new(nrows, ncols));
     }
     let offsets = plan_dia_offsets(plan, a);
-    guard_padding(FormatId::Dia, offsets.len() * nrows, nnz, opts)?;
+    guard_padding(FormatId::Dia, offsets.len() * nrows, nnz, opts.padded_allowance(nnz))?;
     let base = nrows as isize - 1;
     let slot_to_diag = slot_to_diag_map(nrows + ncols - 1, offsets.iter().map(|&off| (off + base) as usize));
     let mut values = vec![V::ZERO; offsets.len() * nrows];
@@ -493,7 +484,7 @@ pub(crate) fn hdc_from_arrays<V: Scalar>(
     }
     let threshold = true_diag_threshold(nrows, ncols, opts.true_diag_alpha);
     let true_slots = plan_true_diag_slots(plan, a, threshold);
-    guard_padding(FormatId::Hdc, true_slots.len() * nrows, nnz, opts)?;
+    guard_padding(FormatId::Hdc, true_slots.len() * nrows, nnz, opts.padded_allowance(nnz))?;
     let base = nrows as isize - 1;
     let slot_to_diag = slot_to_diag_map(nrows + ncols - 1, true_slots.iter().copied());
     let offsets: Vec<isize> = true_slots.iter().map(|&s| s as isize - base).collect();

@@ -66,8 +66,10 @@
 //! into them are guarded by [`ConvertOptions::max_fill`] and fail with
 //! [`crate::MorpheusError::ExcessivePadding`] *before* allocating the padded
 //! arrays — the behaviour the profiling harness relies on to mark a format
-//! non-viable for a matrix. Guards are applied identically on direct and
-//! hub paths. Caller-chosen widths (a HYB split width, a BELL ladder) are
+//! non-viable for a matrix. One guard, `guard_padding`, serves every
+//! padded target and [`crate::FormatEntry::is_viable`], so a structure the
+//! registry calls viable is one the conversion accepts. Guards are applied
+//! identically on direct and hub paths. Caller-chosen widths (a HYB split width, a BELL ladder) are
 //! priced with saturating or checked arithmetic: any `usize` the options or
 //! a decisions file carry is an error, never a wrapped count or an
 //! allocation the process cannot survive.
@@ -88,7 +90,6 @@ pub use kernels::{
 
 use crate::analysis::Analysis;
 use crate::dynamic::DynamicMatrix;
-#[cfg(test)]
 use crate::error::MorpheusError;
 use crate::format::FormatId;
 use crate::hdc::DEFAULT_TRUE_DIAG_ALPHA;
@@ -104,7 +105,9 @@ use morpheus_parallel::ThreadPool;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvertOptions {
     /// Maximum padded slots per structural non-zero allowed when converting
-    /// into DIA or ELL. Conversions needing more fail with
+    /// into a padded format (DIA, ELL, HYB's ELL part, HDC's DIA part, BSR,
+    /// BELL). The slots are all the format stores, the structural
+    /// non-zeros among them. Conversions needing more fail with
     /// [`crate::MorpheusError::ExcessivePadding`].
     pub max_fill: f64,
     /// Padding allowance floor in slots, so small matrices may always
@@ -134,9 +137,20 @@ impl Default for ConvertOptions {
 }
 
 impl ConvertOptions {
+    /// The slots a padded format may store for `nnz` structural non-zeros.
     pub(crate) fn padded_allowance(&self, nnz: usize) -> usize {
         ((self.max_fill * nnz as f64) as usize).max(self.min_padded_allowance)
     }
+}
+
+/// The padding guard: a `format` storing `padded` slots in all (its `nnz`
+/// structural non-zeros among them) fits when they are at most `limit`
+/// ([`ConvertOptions::padded_allowance`]).
+pub(crate) fn guard_padding(format: FormatId, padded: usize, nnz: usize, limit: usize) -> Result<()> {
+    if padded > limit {
+        return Err(MorpheusError::ExcessivePadding { format, padded, nnz, limit });
+    }
+    Ok(())
 }
 
 /// Which route a conversion took through the dispatcher.

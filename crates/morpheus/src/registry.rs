@@ -155,15 +155,13 @@ impl FormatEntry {
     }
 
     /// Whether the format can hold this structure within the given padding
-    /// allowance (mirrors the conversion guards: padding beyond the
-    /// allowance means the conversion itself would fail, so the tuner
-    /// must not predict the format).
+    /// allowance, in slots: the conversions' own guard
+    /// ([`crate::convert`]'s "Padding guards") applied to the estimated
+    /// slots. Padding beyond the allowance means the conversion itself
+    /// would fail, so the tuner must not predict the format.
     pub fn is_viable(&self, s: &StructuralSummary, allowance: usize) -> bool {
-        if !self.traits.padded {
-            return true;
-        }
-        let padded = self.padded_slots(s);
-        padded <= s.nnz || padded - s.nnz <= allowance
+        !self.traits.padded
+            || crate::convert::guard_padding(self.id, self.padded_slots(s), s.nnz, allowance).is_ok()
     }
 
     /// Estimated heap bytes per structural non-zero when storing a matrix
@@ -286,6 +284,57 @@ mod tests {
         assert!(!FormatEntry::of(FormatId::Ell).is_viable(&s, allowance));
         assert!(FormatEntry::of(FormatId::Csr).is_viable(&s, allowance));
         assert!(FormatEntry::of(FormatId::Bell).is_viable(&s, allowance));
+    }
+
+    /// One guard with one meaning: at `padded == allowance + 1` slots every
+    /// padded conversion is refused and the registry calls the structure
+    /// non-viable; at `padded == allowance` the conversion goes through.
+    /// Each format gets a structure its estimate bounds from above.
+    #[test]
+    fn padding_one_slot_over_the_allowance_is_refused_and_not_viable() {
+        let (r, c) = crate::params::FormatParams::default().normalized_block();
+        let n = 48usize;
+        let coo_of = |entries: Vec<(usize, usize)>| {
+            let (rows, cols): (Vec<usize>, Vec<usize>) = entries.into_iter().unzip();
+            let vals = vec![1.0f64; rows.len()];
+            DynamicMatrix::from(crate::CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap())
+        };
+        let band = |i: usize| (i.saturating_sub(1)..(i + 2).min(n)).map(move |j| (i, j));
+        for entry in FormatEntry::all().iter().filter(|e| e.traits.padded) {
+            let m = match entry.id {
+                // Ragged rows: one to four entries each.
+                FormatId::Ell => coo_of((0..n).flat_map(|i| (0..i % 4 + 1).map(move |j| (i, j))).collect()),
+                // Three entries in every row: no spill, no padding.
+                FormatId::Hyb => coo_of((0..n).flat_map(|i| (0..3).map(move |d| (i, (i + d) % n))).collect()),
+                // The main diagonal: one true diagonal, no remainder.
+                FormatId::Hdc => coo_of((0..n).map(|i| (i, i)).collect()),
+                // One entry per block.
+                FormatId::Bsr => coo_of((0..n / r.max(c)).map(|k| (k * r, k * c)).collect()),
+                _ => coo_of((0..n).flat_map(band).collect()),
+            };
+            let s = StructuralSummary::from_stats(&crate::stats::stats_of(&m, 0.2));
+            let with_allowance =
+                |slots| ConvertOptions { max_fill: 0.0, min_padded_allowance: slots, ..Default::default() };
+            let padded = match m.to_format(entry.id, &with_allowance(0)) {
+                Err(crate::MorpheusError::ExcessivePadding { padded, .. }) => padded,
+                other => panic!("{}: expected a refusal at allowance 0, got {other:?}", entry.id),
+            };
+            assert!(padded >= s.nnz, "{}: {padded} slots hold {} entries", entry.id, s.nnz);
+            match m.to_format(entry.id, &with_allowance(padded - 1)) {
+                Err(crate::MorpheusError::ExcessivePadding { padded: p, limit, .. }) => {
+                    assert_eq!((p, limit), (padded, padded - 1), "{}", entry.id)
+                }
+                other => {
+                    panic!("{}: {padded} slots over an allowance of {}: {other:?}", entry.id, padded - 1)
+                }
+            }
+            assert!(!entry.is_viable(&s, padded - 1), "{}: viable one slot over the allowance", entry.id);
+            assert!(
+                m.to_format(entry.id, &with_allowance(padded)).is_ok(),
+                "{}: refused at the allowance",
+                entry.id
+            );
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! **offline** — generate a small corpus, run profiling, extract features,
 //! train a random forest, export it to a model file;
-//! **online** — load the model into a `RandomForestTuner`, tune unseen
-//! matrices, and compare its picks against the true (profiled) optimum.
+//! **online** — load the model file into a `ModelTuner` (the one tuner for
+//! trees, forests and boosted ensembles alike), tune unseen matrices, and
+//! compare its picks against the true (profiled) optimum.
 //!
 //! ```text
 //! cargo run --release --example train_and_predict
@@ -14,7 +15,7 @@ use morpheus_repro::machine::{analyze, systems, Backend, VirtualEngine};
 use morpheus_repro::ml::{Dataset, ForestParams, RandomForest};
 use morpheus_repro::morpheus::format::FORMAT_COUNT;
 use morpheus_repro::morpheus::DynamicMatrix;
-use morpheus_repro::oracle::model_db::ModelDatabase;
+use morpheus_repro::oracle::model_db::{ModelDatabase, ModelKind};
 use morpheus_repro::oracle::{FeatureVector, Oracle, NUM_FEATURES};
 
 fn main() {
@@ -43,13 +44,14 @@ fn main() {
     // Export to the model database, exactly as Sparse.Tree would.
     let db_dir = std::env::temp_dir().join("morpheus-example-models");
     let db = ModelDatabase::new(&db_dir);
-    let path = db.save_forest("Cirrus", Backend::Cuda, &forest).expect("save model");
+    let path = db.save("Cirrus", Backend::Cuda, &forest.into()).expect("save model");
     println!("model written to {}", path.display());
 
     // ---------------- online stage ----------------
     // One session serves the whole held-out stream: load the model once,
     // let the decision cache absorb repeated structures.
-    let tuner = db.load_forest_tuner("Cirrus", Backend::Cuda).expect("load model");
+    // The file name says which kind to load; its `kind` line must agree.
+    let tuner = db.load_tuner("Cirrus", Backend::Cuda, ModelKind::Forest).expect("load model");
     let oracle = Oracle::builder().engine(engine).tuner(tuner).build_service().expect("configured");
     let mut hits = 0usize;
     let mut total = 0usize;

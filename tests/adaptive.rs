@@ -4,15 +4,17 @@
 //! the forced-drift fallback to the analytical tuner.
 
 use morpheus_repro::machine::{systems, Backend, MatrixAnalysis, Op, VirtualEngine};
+use morpheus_repro::ml::serialize::save_model;
 use morpheus_repro::ml::Dataset;
 use morpheus_repro::morpheus::format::{FormatId, FORMAT_COUNT};
 use morpheus_repro::morpheus::{ConvertOptions, CooMatrix, DynamicMatrix};
 use morpheus_repro::oracle::adapt::{
-    AdaptiveConfig, AdaptiveEngine, AdaptiveTuner, CollectorConfig, LearnedModel, ModelEpoch, RetrainOutcome,
+    AdaptiveConfig, AdaptiveEngine, AdaptiveTuner, CollectorConfig, ModelEpoch, RetrainOutcome,
     SampleCollector, SampleKey,
 };
 use morpheus_repro::oracle::{
-    propose_params, FormatTuner, Oracle, OracleService, RunFirstTuner, TuneDecision, TuningCost, NUM_FEATURES,
+    propose_params, FormatTuner, ModelTuner, Oracle, OracleService, RunFirstTuner, TuneDecision, TuningCost,
+    NUM_FEATURES,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -101,7 +103,7 @@ fn seeded_collector_and_retrain_are_bitwise_deterministic() {
         );
         let epoch = service.tuner().current().expect("installed");
         let mut buf = Vec::new();
-        epoch.model.save(&mut buf).unwrap();
+        save_model(&mut buf, epoch.tuner.model()).unwrap();
         (buf, epoch.holdout_accuracy)
     };
     let (a, acc_a) = serialize_after_round();
@@ -123,13 +125,14 @@ fn hot_swap_under_concurrent_clients_is_never_torn() {
             let row = [50.0 + i as f64, 50.0, 150.0, 3.0, 0.06, 3.0, 1.0, 0.5, 3.0, 3.0, 0.4, 1.1];
             ds.push(&row, fmt.index()).unwrap();
         }
-        LearnedModel::Forest(
+        ModelTuner::new(
             morpheus_repro::ml::RandomForest::fit(
                 &ds,
                 &morpheus_repro::ml::ForestParams { n_estimators: 3, ..Default::default() },
             )
             .unwrap(),
         )
+        .unwrap()
     };
 
     let collector = Arc::new(SampleCollector::new(CollectorConfig::default()));
@@ -137,7 +140,7 @@ fn hot_swap_under_concurrent_clients_is_never_torn() {
     // the live model on every call.
     let service = adaptive_service(&collector, 0);
     service.tuner().install(ModelEpoch {
-        model: constant_model(FormatId::Ell),
+        tuner: constant_model(FormatId::Ell),
         op: Op::Spmv,
         holdout_accuracy: 1.0,
     });
@@ -163,7 +166,7 @@ fn hot_swap_under_concurrent_clients_is_never_torn() {
         let mut next = FormatId::Hyb;
         while service.tuner().epoch() < swaps {
             service.tuner().install(ModelEpoch {
-                model: constant_model(next),
+                tuner: constant_model(next),
                 op: Op::Spmv,
                 holdout_accuracy: 1.0,
             });
@@ -248,7 +251,8 @@ fn adaptation_round_swaps_and_forced_drift_falls_back_without_restart() {
         defaults.holdout_fraction,
         defaults.seed,
         |_, held| {
-            let preds: Vec<usize> = (0..held.len()).map(|i| installed.model.predict(held.row(i))).collect();
+            let preds: Vec<usize> =
+                (0..held.len()).map(|i| installed.tuner.model().predict(held.row(i))).collect();
             morpheus_repro::ml::metrics::accuracy(held.targets(), &preds)
         },
     );
@@ -322,7 +326,7 @@ fn retained_incumbent_survives_weaker_candidates() {
         fv[8] = 3.0;
         fv[9] = 3.0;
         // Labels agree with what the incumbent already predicts.
-        noisy.push(&fv, incumbent.model.predict(&fv)).unwrap();
+        noisy.push(&fv, incumbent.tuner.model().predict(&fv)).unwrap();
     }
     let second = engine.round_with(noisy).unwrap();
     assert!(

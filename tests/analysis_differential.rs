@@ -22,7 +22,7 @@ use morpheus_repro::morpheus::hyb::optimal_hyb_width;
 use morpheus_repro::morpheus::stats::{row_nnz_histogram, stats_of, ROW_GROUP};
 use morpheus_repro::morpheus::{ConvertOptions, CooMatrix, DynamicMatrix, ExecPlan, BSR_BLOCK_DIMS};
 use morpheus_repro::oracle::{
-    propose_params, DecisionTreeTuner, FormatTuner, MatrixHandle, Op, Oracle, OracleService, PartitionPolicy,
+    propose_params, FormatTuner, MatrixHandle, ModelTuner, Op, Oracle, OracleService, PartitionPolicy,
     TuneDecision, TuningCost, NUM_FEATURES,
 };
 use proptest::prelude::*;
@@ -398,14 +398,14 @@ fn dense_blocks(b: usize, nblocks: usize) -> DynamicMatrix<f64> {
 /// A model tuner answering `format` for everything: a tree fitted on one
 /// label. It declares `prices_formats() == false`, so the service hands
 /// it views without block counts.
-fn tree_answering(format: FormatId) -> DecisionTreeTuner {
+fn tree_answering(format: FormatId) -> ModelTuner {
     let mut ds =
         Dataset::empty(NUM_FEATURES, morpheus_repro::morpheus::format::FORMAT_COUNT, vec![]).unwrap();
     for i in 0..8 {
         let row: Vec<f64> = (0..NUM_FEATURES).map(|f| (i * f) as f64).collect();
         ds.push(&row, format.index()).unwrap();
     }
-    DecisionTreeTuner::new(DecisionTree::fit(&ds, &TreeParams::default()).unwrap()).unwrap()
+    ModelTuner::new(DecisionTree::fit(&ds, &TreeParams::default()).unwrap()).unwrap()
 }
 
 /// A tuner answering `format` with the parameters proposed off the view it

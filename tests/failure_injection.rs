@@ -2,15 +2,13 @@
 //! matrices and degenerate inputs must produce errors, not corruption.
 
 use morpheus_repro::machine::{systems, Backend, VirtualEngine};
-use morpheus_repro::ml::serialize::{load_gbt, load_model};
+use morpheus_repro::ml::serialize::load_model;
 use morpheus_repro::morpheus::io::{read_matrix_market, write_matrix_market};
 use morpheus_repro::morpheus::spmv::spmv_serial;
 use morpheus_repro::morpheus::{
     ConvertOptions, CooMatrix, CsrMatrix, DynamicMatrix, FormatId, MorpheusError,
 };
-use morpheus_repro::oracle::{
-    DecisionTreeTuner, Op, Oracle, OracleError, OracleService, RandomForestTuner, RunFirstTuner,
-};
+use morpheus_repro::oracle::{ModelTuner, Op, Oracle, OracleError, OracleService, RunFirstTuner};
 use std::io::Cursor;
 
 #[test]
@@ -47,10 +45,12 @@ fn corrupted_node_references_rejected() {
 fn tuner_constructors_reject_mismatched_models() {
     // 3-feature model: incompatible with the 10-feature extractor.
     let text = "morpheus-oracle-model v1\nkind tree\nclasses 2\nfeatures 3\ntrees 1\ntree 0 nodes 1\nnode 0 leaf 0 1 0\nend\n";
-    assert!(DecisionTreeTuner::from_reader(Cursor::new(text.as_bytes())).is_err());
+    let tree = load_model(Cursor::new(text.as_bytes())).unwrap();
+    assert!(matches!(ModelTuner::new(tree), Err(OracleError::ModelMismatch(_))));
     // 10 features but 9 classes: more classes than formats.
     let text = "morpheus-oracle-model v1\nkind forest\nclasses 9\nfeatures 10\ntrees 1\ntree 0 nodes 1\nnode 0 leaf 0 1 0 0 0 0 0 0 0 0\nend\n";
-    assert!(RandomForestTuner::from_reader(Cursor::new(text.as_bytes())).is_err());
+    let forest = load_model(Cursor::new(text.as_bytes())).unwrap();
+    assert!(matches!(ModelTuner::new(forest), Err(OracleError::ModelMismatch(_))));
 }
 
 #[test]
@@ -83,14 +83,26 @@ fn an_oversized_matrix_market_entry_count_is_a_parse_error() {
     }
 }
 
-/// The model loaders' counts — `trees`, each tree's `nodes`, `rounds` and
+/// The model loader's counts — `trees`, each tree's `nodes`, `rounds` and
 /// each regression tree's `nodes` — are checked against the lines that
-/// follow, never used to size an allocation first.
+/// follow, never used to size an allocation first; `classes`, which sizes
+/// every leaf of a tree, is checked before any is read.
 #[test]
 fn oversized_model_file_counts_are_errors() {
     let head = "morpheus-oracle-model v1\nkind forest\nclasses 2\nfeatures 10";
     let gbt = "morpheus-oracle-model v1\nkind gbt\nclasses 2\nfeatures 10";
     for count in OVERSIZED {
+        let classes = [
+            format!("morpheus-oracle-model v1\nkind tree\nclasses {count}\nfeatures 10\ntrees 1\ntree 0 nodes 1\nnode 0 leaf 0\nend\n"),
+            format!("morpheus-oracle-model v1\nkind forest\nclasses {count}\nfeatures 10\ntrees 1\ntree 0 nodes 1\nnode 0 leaf 0\nend\n"),
+            format!(
+                "morpheus-oracle-model v1\nkind gbt\nclasses {count}\nfeatures 10\nrounds 1\nlearning_rate 1e-1\n\
+                 priors 0 0\nrtree 0 0 nodes 1\nnode 0 leaf 1e0\nrtree 0 1 nodes 1\nnode 0 leaf 1e0\nend\n"
+            ),
+        ];
+        for text in classes {
+            assert!(load_model(Cursor::new(text.as_bytes())).is_err(), "{text}");
+        }
         let trees = format!("{head}\ntrees {count}\ntree 0 nodes 1\nnode 0 leaf 0 1 0\nend\n");
         let nodes = format!("{head}\ntrees 1\ntree 0 nodes {count}\nnode 0 leaf 0 1 0\nend\n");
         for text in [trees, nodes] {
@@ -104,7 +116,7 @@ fn oversized_model_file_counts_are_errors() {
             "{gbt}\nrounds 1\nlearning_rate 1e-1\npriors 0 0\nrtree 0 0 nodes {count}\nnode 0 leaf 1e0\nend\n"
         );
         for text in [rounds, nodes] {
-            assert!(load_gbt(Cursor::new(text.as_bytes())).is_err(), "{text}");
+            assert!(load_model(Cursor::new(text.as_bytes())).is_err(), "{text}");
         }
     }
 }

@@ -5,15 +5,14 @@
 use morpheus_repro::corpus::CorpusSpec;
 use morpheus_repro::machine::{analyze, systems, Backend, VirtualEngine};
 use morpheus_repro::ml::metrics::accuracy;
-use morpheus_repro::ml::serialize::{load_gbt, load_model, save_forest, save_gbt, save_tree};
+use morpheus_repro::ml::serialize::{load_model, save_model};
 use morpheus_repro::ml::{
-    Dataset, DecisionTree, ForestParams, GbtParams, GradientBoostedTrees, RandomForest, TreeParams,
+    Dataset, DecisionTree, ForestParams, GbtParams, GradientBoostedTrees, Model, RandomForest, TreeParams,
 };
 use morpheus_repro::morpheus::format::{FormatId, FORMAT_COUNT};
 use morpheus_repro::morpheus::spmv::spmv_serial;
 use morpheus_repro::morpheus::DynamicMatrix;
-use morpheus_repro::oracle::adapt::LearnedModel;
-use morpheus_repro::oracle::model_db::ModelDatabase;
+use morpheus_repro::oracle::model_db::{ModelDatabase, ModelKind};
 use morpheus_repro::oracle::{FeatureVector, Oracle, RunFirstTuner, NUM_FEATURES};
 
 #[test]
@@ -46,8 +45,8 @@ fn offline_stage_trains_useful_model_and_online_stage_uses_it() {
         RandomForest::fit(&train, &ForestParams { n_estimators: 25, seed: 7, ..Default::default() }).unwrap();
     let dir = std::env::temp_dir().join(format!("morpheus-pipeline-test-{}", std::process::id()));
     let db = ModelDatabase::new(&dir);
-    db.save_forest("Cirrus", Backend::Serial, &forest).unwrap();
-    let tuner = db.load_forest_tuner("Cirrus", Backend::Serial).unwrap();
+    db.save("Cirrus", Backend::Serial, &forest.clone().into()).unwrap();
+    let tuner = db.load_tuner("Cirrus", Backend::Serial, ModelKind::Forest).unwrap();
 
     // The exported/reloaded model must agree with the in-memory one.
     for (_, fv, _) in &test_entries {
@@ -147,34 +146,25 @@ fn one_walk_gives_the_class_and_the_path_of_two() {
     let forest =
         RandomForest::fit(&ds, &ForestParams { n_estimators: 12, seed: 3, ..Default::default() }).unwrap();
     let gbt = GradientBoostedTrees::fit(&ds, &GbtParams { n_rounds: 6, ..Default::default() }).unwrap();
-    let written = |save: &dyn Fn(&mut Vec<u8>)| {
+    let models = [Model::from(tree.clone()), Model::from(forest.clone()), Model::from(gbt.clone())];
+    let reloaded = models.clone().map(|model| {
         let mut buf = Vec::new();
-        save(&mut buf);
-        buf
-    };
-    let loaded_tree = load_model(&written(&|w| save_tree(w, &tree).unwrap())[..]).unwrap();
-    let loaded_forest = load_model(&written(&|w| save_forest(w, &forest).unwrap())[..]).unwrap();
-    let loaded_gbt = load_gbt(&written(&|w| save_gbt(w, &gbt).unwrap())[..]).unwrap();
-    let (learned_forest, learned_gbt) =
-        (LearnedModel::Forest(forest.clone()), LearnedModel::Gbt(gbt.clone()));
+        save_model(&mut buf, &model).unwrap();
+        load_model(&buf[..]).unwrap()
+    });
+    let [loaded_tree, loaded_forest, loaded_gbt] = &reloaded;
     for i in 0..ds.len() {
         let x = ds.row(i);
         assert_eq!(tree.predict_with_path(x), (tree.predict(x), tree.decision_path_len(x)), "tree, row {i}");
         let fitted = (forest.predict(x), forest.decision_path_len(x));
         assert_eq!(forest.predict_with_path(x), fitted, "forest, row {i}");
         assert_eq!(gbt.predict_with_path(x), (gbt.predict(x), gbt.decision_path_len(x)), "GBT, row {i}");
-        for (name, loaded) in [("tree", &loaded_tree), ("forest", &loaded_forest)] {
-            let two = (loaded.predict(x), loaded.decision_path_len(x));
-            assert_eq!(loaded.predict_with_path(x), two, "loaded {name}, row {i}");
+        for model in models.iter().chain(&reloaded) {
+            let two = (model.predict(x), model.decision_path_len(x));
+            assert_eq!(model.predict_with_path(x), two, "{:?}, row {i}", model.kind());
         }
         assert_eq!(loaded_tree.predict_with_path(x), tree.predict_with_path(x), "loaded tree, row {i}");
         assert_eq!(loaded_forest.predict_with_path(x), fitted, "loaded forest, row {i}");
-        let two = (loaded_gbt.predict(x), loaded_gbt.decision_path_len(x));
-        assert_eq!(loaded_gbt.predict_with_path(x), two, "loaded GBT, row {i}");
         assert_eq!(loaded_gbt.predict_with_path(x), gbt.predict_with_path(x), "loaded GBT, row {i}");
-        for (name, learned) in [("forest", &learned_forest), ("GBT", &learned_gbt)] {
-            let two = (learned.predict(x), learned.decision_path_len(x));
-            assert_eq!(learned.predict_with_path(x), two, "learned {name}, row {i}");
-        }
     }
 }
