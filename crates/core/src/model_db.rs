@@ -151,32 +151,41 @@ mod tests {
         assert!(err.to_string().contains("p3_cuda.gbt.model"), "{err}");
     }
 
-    /// Every kind saves under its own name and loads back into a tuner
-    /// that predicts as the saved model does.
+    /// Saves `model` under its own name and checks that it loads back into
+    /// a tuner that predicts as the saved model does.
+    fn assert_roundtrip(db: &ModelDatabase, backend: Backend, model: &Model, ds: &Dataset) {
+        let path = db.save("Cirrus", backend, model).unwrap();
+        let name = ModelDatabase::file_name("Cirrus", backend, model.kind());
+        assert!(path.ends_with(&name), "{}", path.display());
+        let loaded = db.load_tuner("Cirrus", backend, model.kind()).unwrap();
+        assert_eq!(loaded.model().kind(), model.kind());
+        for i in 0..ds.len() {
+            assert_eq!(loaded.model().predict(ds.row(i)), model.predict(ds.row(i)), "{name}, sample {i}");
+        }
+    }
+
     #[test]
     fn save_load_roundtrip() {
         let dir = tempdir("roundtrip");
         let db = ModelDatabase::new(&dir);
         let ds = toy_dataset();
-        let models = [
-            Model::from(DecisionTree::fit(&ds, &TreeParams::default()).unwrap()),
-            Model::from(
-                RandomForest::fit(&ds, &ForestParams { n_estimators: 4, ..Default::default() }).unwrap(),
-            ),
-            Model::from(GradientBoostedTrees::fit(&ds, &GbtParams::default()).unwrap()),
-        ];
-        for model in &models {
-            let path = db.save("Cirrus", Backend::Cuda, model).unwrap();
-            let name = format!("cirrus_cuda.{}.model", model.kind().token());
-            assert!(path.ends_with(&name), "{}", path.display());
-            let loaded = db.load_tuner("Cirrus", Backend::Cuda, model.kind()).unwrap();
-            assert_eq!(loaded.model().kind(), model.kind());
-            for i in 0..ds.len() {
-                assert_eq!(loaded.model().predict(ds.row(i)), model.predict(ds.row(i)), "{name}, sample {i}");
-            }
-        }
-        let listing = db.list();
-        assert_eq!(listing, ["cirrus_cuda.forest.model", "cirrus_cuda.gbt.model", "cirrus_cuda.tree.model"]);
+        let tree = Model::from(DecisionTree::fit(&ds, &TreeParams::default()).unwrap());
+        let forest =
+            Model::from(RandomForest::fit(&ds, &ForestParams { n_estimators: 4, ..Default::default() }).unwrap());
+        assert_roundtrip(&db, Backend::Cuda, &tree, &ds);
+        assert_roundtrip(&db, Backend::Cuda, &forest, &ds);
+        assert_eq!(db.list(), ["cirrus_cuda.forest.model", "cirrus_cuda.tree.model"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn gbt_save_load_roundtrip() {
+        let dir = tempdir("gbt-roundtrip");
+        let db = ModelDatabase::new(&dir);
+        let ds = toy_dataset();
+        let gbt = Model::from(GradientBoostedTrees::fit(&ds, &GbtParams::default()).unwrap());
+        assert_roundtrip(&db, Backend::OpenMp, &gbt, &ds);
+        assert_eq!(db.list(), ["cirrus_openmp.gbt.model"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
