@@ -8,6 +8,7 @@
 //! ELL-suitability signals) and the diagonal structure (ND, NTD — the
 //! DIA/HDC-suitability signals).
 
+use morpheus::analysis::WalkBounds;
 use morpheus::hdc::DEFAULT_TRUE_DIAG_ALPHA;
 use morpheus::stats::{stats_of, MatrixStats};
 use morpheus::{DynamicMatrix, Scalar};
@@ -33,6 +34,10 @@ pub const FEATURE_NAMES: [&str; NUM_FEATURES] = [
     "bucket_skew",   // default-ladder BELL padding over nnz (BELL signal)
 ];
 
+/// Positions of the features only the entry walk counts — `ndiags`,
+/// `ntrue_diags`, `block_density` — in [`FEATURE_NAMES`] order.
+const WALK_FEATURES: [usize; 3] = [8, 9, 10];
+
 /// A Table-I feature vector for one matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeatureVector(pub [f64; NUM_FEATURES]);
@@ -54,6 +59,22 @@ impl FeatureVector {
             s.block_density,
             s.bucket_skew,
         ])
+    }
+
+    /// The box of vectors a matrix can have whose statistics are `s` but for
+    /// the three the entry walk counts, which lie within `walk`: `[lo, hi]`,
+    /// the nine row features exact in both. A walked artifact's bounds give
+    /// `lo == hi == from_stats(s)`.
+    pub fn bounded(s: &MatrixStats, walk: &WalkBounds) -> [FeatureVector; 2] {
+        let (mut lo, mut hi) = (Self::from_stats(s), Self::from_stats(s));
+        for (slot, [least, most]) in [
+            (WALK_FEATURES[0], walk.ndiags.map(|d| d as f64)),
+            (WALK_FEATURES[1], walk.ntrue_diags.map(|d| d as f64)),
+            (WALK_FEATURES[2], walk.block_density),
+        ] {
+            (lo.0[slot], hi.0[slot]) = (least, most);
+        }
+        [lo, hi]
     }
 
     /// Builds the vector from a shared [`morpheus::Analysis`] — zero
@@ -145,6 +166,12 @@ mod tests {
         let strict = FeatureVector::extract_with_alpha(&m, 1.0);
         assert_eq!(loose.0[..9], strict.0[..9]);
         assert!(strict.0[9] <= loose.0[9]);
+    }
+
+    #[test]
+    fn walk_features_are_the_three_the_walk_counts() {
+        let names = WALK_FEATURES.map(|i| FEATURE_NAMES[i]);
+        assert_eq!(names, ["ndiags", "ntrue_diags", "block_density"]);
     }
 
     #[test]

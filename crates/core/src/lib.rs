@@ -30,10 +30,13 @@
 //! by it.
 //!
 //! Sessions are also *executors*: `tune_and_spmv` / `tune_and_spmm` run the
-//! operation on the backend matching the engine, and threaded execution
-//! goes through a cached per-structure [`morpheus::ExecPlan`] — thread
-//! schedules are computed once per matrix structure and replayed on every
-//! later call ([`TuneReport::plan`] reports `Built` vs `Reused`).
+//! operation once, on the backend matching the engine. A per-call tune
+//! serves one execution, so it converts only when that execution repays the
+//! conversion (Eq. 2 at N = 1) and otherwise runs the matrix as it came; an
+//! iterating caller registers once ([`OracleService::register`]) and runs
+//! the handle, whose [`morpheus::ExecPlan`] is built once per structure and
+//! replayed on every later call ([`TuneReport::plan`] reports `Built` vs
+//! `Reused`).
 //!
 //! Sessions are also *servers* (module [`serve`]): every method is `&self`
 //! and the session is `Send + Sync`, so one `Arc`'d session shares its

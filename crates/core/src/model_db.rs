@@ -170,8 +170,9 @@ mod tests {
         let db = ModelDatabase::new(&dir);
         let ds = toy_dataset();
         let tree = Model::from(DecisionTree::fit(&ds, &TreeParams::default()).unwrap());
-        let forest =
-            Model::from(RandomForest::fit(&ds, &ForestParams { n_estimators: 4, ..Default::default() }).unwrap());
+        let forest = Model::from(
+            RandomForest::fit(&ds, &ForestParams { n_estimators: 4, ..Default::default() }).unwrap(),
+        );
         assert_roundtrip(&db, Backend::Cuda, &tree, &ds);
         assert_roundtrip(&db, Backend::Cuda, &forest, &ds);
         assert_eq!(db.list(), ["cirrus_cuda.forest.model", "cirrus_cuda.tree.model"]);

@@ -378,6 +378,10 @@ mod tests {
         assert_eq!(y, y_serial);
     }
 
+    /// A per-call tune serves one execution: on a tridiagonal the horizon
+    /// keeps the source, so neither call converts nor plans. An iterative
+    /// loop registers once — converting, planning once — and replays the
+    /// handle's plan.
     #[test]
     fn iterative_loop_builds_the_plan_once_and_replays_it() {
         let oracle = Oracle::builder()
@@ -390,13 +394,23 @@ mod tests {
         let mut y = vec![0.0f64; 1500];
 
         let first = oracle.tune_and_spmv(&mut m, &x, &mut y).unwrap();
-        assert_eq!(first.plan, PlanStatus::Built, "first execution plans the structure");
+        assert_eq!(first.plan, PlanStatus::Unplanned, "one execution pays for no plan");
+        assert_eq!((first.chosen, m.format_id()), (FormatId::Csr, FormatId::Csr), "nor for a conversion");
+        assert_ne!(first.predicted, FormatId::Csr);
         for _ in 0..3 {
             let next = oracle.tune_and_spmv(&mut m, &x, &mut y).unwrap();
             assert!(next.cache_hit);
-            assert_eq!(next.plan, PlanStatus::Reused, "steady state must replay the plan");
-            assert!(next.plan.is_hit());
+            assert_eq!(next.plan, PlanStatus::Unplanned, "the per-call path stays unplanned");
+            assert!(!next.plan.is_hit());
         }
+        let handle = oracle.register(tridiag(1500)).unwrap();
+        assert!(handle.report().cache_hit);
+        assert_eq!(handle.format_id(), first.predicted, "a registration converts");
+        assert_eq!(handle.report().plan, PlanStatus::Built, "first registration plans the structure");
+        for _ in 0..3 {
+            oracle.spmv(&handle, &x, &mut y).unwrap();
+        }
+        assert_eq!(oracle.register(tridiag(1500)).unwrap().report().plan, PlanStatus::Reused);
         // SpMM on the same structure is a new decision, and a decision owns
         // its plan: built once under it, replayed from then on.
         let k = 4usize;
@@ -404,12 +418,14 @@ mod tests {
         let mut yk = vec![0.0f64; 1500 * k];
         let mm = oracle.tune_and_spmm(&mut m, &xk, &mut yk, k).unwrap();
         assert!(!mm.cache_hit);
-        assert_eq!(mm.plan, PlanStatus::Built);
-        let again = oracle.tune_and_spmm(&mut m, &xk, &mut yk, k).unwrap();
-        assert!(again.cache_hit);
-        assert_eq!(again.plan, PlanStatus::Reused);
+        assert_eq!(mm.plan, PlanStatus::Unplanned);
+        let spmm = Op::Spmm { k };
+        assert_eq!(oracle.register_for(tridiag(1500), spmm).unwrap().report().plan, PlanStatus::Built);
+        let again = oracle.register_for(tridiag(1500), spmm).unwrap();
+        assert!(again.report().cache_hit);
+        assert_eq!(again.report().plan, PlanStatus::Reused);
         let stats = oracle.plan_cache_stats();
-        assert_eq!((stats.hits, stats.misses), (4, 2), "one build per decision: {stats:?}");
+        assert_eq!((stats.hits, stats.misses), (2, 2), "one build per decision: {stats:?}");
         assert_eq!(stats.len, 2);
     }
 
@@ -441,8 +457,13 @@ mod tests {
         let mut m = tridiag(700);
         let x = vec![2.0f64; 700];
         let mut y = vec![0.0f64; 700];
+        // Already in the format it is decided into, the matrix runs in it:
+        // planned, on the pool.
+        let chosen = oracle.tune(&mut m).unwrap().chosen;
+        assert_ne!(chosen, FormatId::Csr);
         for _ in 0..2 {
             let r = oracle.tune_and_spmv(&mut m, &x, &mut y).unwrap();
+            assert_eq!((r.predicted, r.chosen), (chosen, chosen));
             assert_eq!(r.plan, PlanStatus::Built, "no cache: every call rebuilds its plan");
         }
         let mut y_ref = vec![0.0f64; 700];
@@ -460,12 +481,51 @@ mod tests {
         let mut a = tridiag(1200);
         let x = vec![1.0f64; 1200];
         let mut y = vec![0.0f64; 1200];
-        oracle.tune_and_spmv(&mut a, &x, &mut y).unwrap();
+        // Switched by `tune`, the matrix is in its decided format: a per-call
+        // tune of it runs planned, and leaves the plan in the entry.
+        oracle.tune(&mut a).unwrap();
+        let warm = oracle.tune_and_spmv(&mut a, &x, &mut y).unwrap();
+        assert!(warm.cache_hit);
+        assert_eq!(warm.plan, PlanStatus::Built);
+        assert_eq!(oracle.tune_and_spmv(&mut a, &x, &mut y).unwrap().plan, PlanStatus::Reused);
         oracle.clear_cache();
         let r = oracle.tune_and_spmv(&mut a, &x, &mut y).unwrap();
         assert!(!r.cache_hit);
         assert_eq!(r.plan, PlanStatus::Built, "a cleared cache forgets its plans too");
         assert_eq!(oracle.cache_stats().misses, 2);
+    }
+
+    /// A service's engine prices what its conversions admit: built with a
+    /// tighter `max_fill`, its tuners see the formats that options refuse as
+    /// non-viable, so run-first never predicts one it cannot store.
+    #[test]
+    fn engine_viability_follows_the_service_padding_guard() {
+        let n = 6000usize;
+        let (mut rows, mut cols) = (Vec::new(), Vec::new());
+        for r in 0..n {
+            let len = if r % 8 == 0 { 8 } else { 1 };
+            rows.extend(std::iter::repeat_n(r, len));
+            cols.extend((0..len).map(|k| (r + 37 * k) % n));
+        }
+        let vals = vec![1.0f64; rows.len()];
+        let m = DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap());
+        let view = morpheus_machine::analyze(&m);
+        for max_fill in [20.0, 1.5] {
+            let opts = ConvertOptions { max_fill, ..Default::default() };
+            let oracle = Oracle::builder()
+                .engine(VirtualEngine::new(systems::cirrus(), Backend::Serial))
+                .tuner(RunFirstTuner::new(2))
+                .convert_options(opts)
+                .build_service()
+                .unwrap();
+            for fmt in morpheus::format::ALL_FORMATS {
+                let converts = m.to_format(fmt, &opts).is_ok();
+                assert_eq!(oracle.engine().is_viable(fmt, &view), converts, "{fmt} at max_fill {max_fill}");
+            }
+            let report = oracle.tune(&mut m.clone()).unwrap();
+            assert_eq!(report.predicted, report.chosen, "max_fill {max_fill}: no CSR fallback");
+            assert!(m.to_format(report.chosen, &opts).is_ok(), "max_fill {max_fill}");
+        }
     }
 
     #[test]

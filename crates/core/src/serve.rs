@@ -25,6 +25,34 @@
 //! another client's batch: latency over throughput, per Elafrou et al.'s
 //! observation that runtime overhead decides whether online selection wins.
 //!
+//! # What a decision pays for
+//!
+//! Each decision pays only for what its horizon repays (Eq. 2: speed-up
+//! *after* tuning cost).
+//!
+//! * **A per-call tune serves one execution.** `tune_and_spmv` /
+//!   `tune_and_spmm` convert only when `c + r < 1` — `c` the engine's
+//!   predicted conversion cost, `r` its predicted per-execution ratio, both
+//!   in executions of the ingested source for the call's op, recorded with
+//!   the decision when the tuner answered, so a cache hit gates without a
+//!   view. Otherwise the matrix stays as it was ingested and runs its own
+//!   body once; the report's `predicted` is the decision, its `chosen` the
+//!   source. To iterate, [`OracleService::register`] once and call
+//!   [`OracleService::spmv`]: registration (and [`OracleService::tune`])
+//!   converts and plans as decided, whatever the horizon.
+//! * **The entry walk runs when the decision needs it.** Under a tuner that
+//!   does not price formats ([`FormatTuner::prices_formats`] `false`) and
+//!   with no collector attached, a CSR source (a COO one enters as CSR) is
+//!   first decided on its row side alone ([`Analysis::of_rows`]: the
+//!   offsets are the row histogram) and on sound bounds of the three
+//!   features only the walk counts ([`Analysis::walk_bounds`]). When the
+//!   bounds settle the model on COO, CSR, ELL, HYB or BELL — formats whose
+//!   parameters read row facts only — that is the decision, bitwise what
+//!   the walk would give, and a cold registration reads the matrix once,
+//!   for its key. Otherwise the walk completes the same artifact
+//!   ([`Analysis::take_entry_walk`]) and the tuner answers as always; DIA,
+//!   HDC and BSR answers always walk.
+//!
 //! ```
 //! use morpheus::{CooMatrix, DynamicMatrix, Workspace};
 //! use morpheus_machine::{systems, Backend, VirtualEngine};
@@ -71,7 +99,7 @@ use crate::cache::{CacheKey, CacheStats, ShardedLru, DEFAULT_SHARDS};
 use crate::features::FeatureVector;
 use crate::obs::{Counter, Gauge, Histogram, Obs, ObsConfig, ObsSnapshot, Stage, TraceId};
 use crate::tune::{PlanStatus, TuneReport};
-use crate::tuner::{FormatTuner, TuneDecision, TuningCost};
+use crate::tuner::{row_parameterized, FormatTuner, TuneDecision, TuningCost};
 use crate::{OracleError, Result};
 use morpheus::format::FormatId;
 use morpheus::partition::{split_rows, Partition, Shard, StreamingPartitioner};
@@ -79,7 +107,7 @@ use morpheus::{
     Analysis, ConvertOptions, ConvertOutcome, ConvertPath, CooMatrix, CsrMatrix, DynamicMatrix, ExecPlan,
     FormatParams, PartitionConfig, PartitionedMatrix, Scalar, Workspace,
 };
-use morpheus_machine::{assemble, MatrixAnalysis, Op, VirtualEngine};
+use morpheus_machine::{assemble, MatrixAnalysis, Op, Payback, VirtualEngine};
 use morpheus_parallel::ThreadPool;
 use std::any::Any;
 use std::ops::Range;
@@ -114,11 +142,43 @@ struct CachedDecision {
     /// all; dropped with the last of them — on eviction,
     /// [`OracleService::clear_cache`] and a model hot-swap.
     plan: Arc<PlanSlot>,
+    /// What converting into the decided format repays at a horizon of one,
+    /// priced on the view the tuner answered on: what a per-call tune gates
+    /// its conversion on, hit or miss, without a view. `None` for an
+    /// imported decision, a CSR fallback and a view that could not price it:
+    /// the per-call path then converts.
+    horizon: Option<Horizon>,
 }
 
 impl CachedDecision {
-    fn new(decision: TuneDecision) -> Self {
-        CachedDecision { decision, layout: None, plan: Arc::default() }
+    fn new(decision: TuneDecision, horizon: Option<Horizon>) -> Self {
+        CachedDecision { decision, layout: None, plan: Arc::default(), horizon }
+    }
+}
+
+/// Eq. 2 at N = 1 for one decision: the engine's [`Payback`] of converting
+/// out of `source`, the format the decided matrix was in — the conversion's
+/// predicted cost `c` and the per-execution ratio `r`, both in executions of
+/// `source` for the decision's op. Exact, or — decided without the entry
+/// walk — floors whose sum is at least one: the conversion cannot pay.
+#[derive(Debug, Clone, Copy)]
+struct Horizon {
+    source: FormatId,
+    payback: Payback,
+}
+
+impl Horizon {
+    /// A matrix already in the decided format: nothing to convert, `c = 0`
+    /// and `r = 1`.
+    fn stay(source: FormatId) -> Self {
+        Horizon { source, payback: Payback { convert: 0.0, ratio: 1.0 } }
+    }
+
+    /// `true` when a per-call tune of a matrix in `format` keeps it there:
+    /// the horizon was priced from that format, the decision names another,
+    /// and one execution does not repay converting to it.
+    fn keeps(&self, format: FormatId, decided: FormatId) -> bool {
+        self.source == format && decided != format && !self.payback.repays_one()
     }
 }
 
@@ -152,10 +212,12 @@ impl Facts {
     }
 }
 
-/// The tuner's decision for one matrix, and the generations of the decision
-/// cache and of the alias table it was consulted under.
+/// The tuner's decision for one matrix, what it repays at a horizon of one,
+/// and the generations of the decision cache and of the alias table it was
+/// consulted under.
 struct Answer {
     decision: TuneDecision,
+    horizon: Option<Horizon>,
     generation: [u64; 2],
 }
 
@@ -170,6 +232,8 @@ struct Decided {
     /// The entry's plan slot: whatever the entry holds on a hit, empty on a
     /// miss.
     plan: Arc<PlanSlot>,
+    /// The entry's horizon (see [`CachedDecision::horizon`]).
+    horizon: Option<Horizon>,
     cache_hit: bool,
     /// Generations of the decision cache and of the alias table the tuner
     /// was consulted under (they gate the follow-up inserts of `realize`);
@@ -462,6 +526,8 @@ impl<T> OracleService<T> {
         obs: ObsConfig,
     ) -> Self {
         let engine_fingerprint = fingerprint_engine(&engine);
+        // The tuners price what this service's conversions admit.
+        let engine = engine.with_padding_guard(&opts);
         let obs = Arc::new(Obs::new(obs));
         let pool = match workers {
             Some(n) => ServicePool::Owned(ThreadPool::new(n)),
@@ -553,10 +619,11 @@ impl<T> OracleService<T> {
     /// [`OracleService::tune`] for an arbitrary operation.
     ///
     /// On a cache miss the service builds one shared [`Analysis`] of the
-    /// matrix (reusing the hash it just computed for the cache key) and
-    /// threads it through feature extraction *and* the eventual format
-    /// conversion, so planning the target layout never re-traverses the
-    /// matrix. On a hit, only the hash and the conversion are paid for.
+    /// matrix (reusing the hash it just computed for the cache key; its row
+    /// side alone when the decision needs no entry walk, see the
+    /// [module docs](self)) and threads it through feature extraction *and*
+    /// the eventual format conversion, so planning the target layout never
+    /// re-traverses the matrix. On a hit, only the hash and the conversion are paid for.
     /// A COO `m` enters as CSR, as in [`OracleService::register`].
     /// Concurrent misses on the same key may each run the tuner; the
     /// bundled tuners are deterministic, so the duplicated inserts agree
@@ -566,18 +633,10 @@ impl<T> OracleService<T> {
         V: Scalar,
         T: FormatTuner<V>,
     {
-        self.tune_with_artifacts(m, op).map(|(report, _)| report)
-    }
-
-    fn tune_with_artifacts<V>(&self, m: &mut DynamicMatrix<V>, op: Op) -> Result<(TuneReport, TuneArtifacts)>
-    where
-        V: Scalar,
-        T: FormatTuner<V>,
-    {
         let facts = self.ingest(m, false)?;
         let decided = self.decide(m, op, facts);
         // The caller keeps the switched matrix and may tune it again.
-        self.realize(m, decided, op, true)
+        self.realize(m, decided, op, true).map(|(report, _)| report)
     }
 
     /// The front door of every serving entry point: moves a COO source (when
@@ -649,6 +708,10 @@ impl<T> OracleService<T> {
     /// is priced from block counts), and only a BSR or HDC answer has them
     /// taken, each in a walk of its own, before its parameters are proposed:
     /// the layout [`Self::realize`] converts with.
+    ///
+    /// A CSR source under such a tuner, with no collector attached, is first
+    /// decided on the row side alone ([`Self::answer_unwalked`]); only a
+    /// decision that needs the entry walk pays for it.
     fn answer<V>(&self, m: &DynamicMatrix<V>, op: Op, facts: &mut Facts) -> Answer
     where
         V: Scalar,
@@ -659,6 +722,9 @@ impl<T> OracleService<T> {
         // the generation-gated inserts drop it instead of resurrecting the
         // superseded model's choice.
         let generation = [self.decisions.generation(), self.aliases.generation()];
+        if let Some((decision, horizon)) = self.answer_unwalked(m, op, facts) {
+            return Answer { decision, horizon: Some(horizon), generation };
+        }
         let walks = self.tuner.prices_formats() || m.format_id() == FormatId::Bsr;
         let mut decision = self.tuner.select(m, self.view_of(m, facts, walks), &self.engine, op);
         if !self.view_of(m, facts, walks).prices(decision.format) {
@@ -667,7 +733,68 @@ impl<T> OracleService<T> {
             facts.take_pricing_walks(m);
             decision = self.tuner.select(m, self.view_of(m, facts, walks), &self.engine, op);
         }
-        Answer { decision, generation }
+        let horizon = self.horizon(op, m.format_id(), decision.format, self.view_of(m, facts, walks));
+        Answer { decision, horizon, generation }
+    }
+
+    /// The horizon of converting out of `source` into `decided`, priced on
+    /// `view` — `None` when the view cannot price both.
+    fn horizon(&self, op: Op, source: FormatId, decided: FormatId, view: &MatrixAnalysis) -> Option<Horizon> {
+        if source == decided {
+            return Some(Horizon::stay(source));
+        }
+        (view.prices(source) && view.prices(decided))
+            .then(|| Horizon { source, payback: self.engine.payback(op, source, decided, view) })
+    }
+
+    /// The tuner's decision for a CSR `m` from the row side of its analysis
+    /// alone ([`Analysis::of_rows`]) and the walk features' bounds
+    /// ([`FormatTuner::select_unwalked`]): the format and parameters the
+    /// walked view gives, on COO, CSR, ELL, HYB or BELL, without walking the
+    /// entries. Its horizon is the engine's floor over what the walk would
+    /// tell ([`VirtualEngine::payback_floor`]); when that floor cannot rule
+    /// the conversion out, the walk is taken after all and the horizon priced
+    /// exactly. `None` — the artifact then completed by the walk, for the
+    /// tuner to answer as usual — when the tuner prices formats, a collector
+    /// is attached (it notes every feature), or the bounds do not settle the
+    /// answer on one of those formats. `facts` keeps the artifact either way.
+    fn answer_unwalked<V>(
+        &self,
+        m: &DynamicMatrix<V>,
+        op: Op,
+        facts: &mut Facts,
+    ) -> Option<(TuneDecision, Horizon)>
+    where
+        V: Scalar,
+        T: FormatTuner<V>,
+    {
+        let DynamicMatrix::Csr(csr) = m else { return None };
+        if self.tuner.prices_formats() || self.collector.is_some() {
+            return None;
+        }
+        let mut rows = Analysis::of_rows(csr, self.opts.true_diag_alpha, facts.hash);
+        let view = assemble(&rows, std::mem::size_of::<V>());
+        let walk = rows.walk_bounds(csr);
+        let decision = self.tuner.select_unwalked(m, &view, &walk, &self.engine, op);
+        let Some(decision) = decision.filter(|d| row_parameterized(d.format)) else {
+            rows.take_entry_walk(csr, self.cold_pool());
+            facts.analysis = Some(rows);
+            return None;
+        };
+        let source = FormatId::Csr;
+        let mut horizon =
+            Horizon { source, payback: self.engine.payback_floor(op, source, decision.format, &view) };
+        if decision.format == source {
+            horizon = Horizon::stay(source);
+        } else if horizon.payback.repays_one() {
+            // The floor leaves the conversion open: price it on the walk.
+            rows.take_entry_walk(csr, self.cold_pool());
+            let view = assemble(&rows, std::mem::size_of::<V>());
+            horizon.payback = self.engine.payback(op, source, decision.format, &view);
+            facts.view = Some(view);
+        }
+        facts.analysis = Some(rows);
+        Some((decision, horizon))
     }
 
     /// First half of a tune: decision-cache lookup under the facts' hash →
@@ -682,19 +809,19 @@ impl<T> OracleService<T> {
         let (key, found) = self.lookup::<V>(facts.hash, op);
         self.decisions.count(found.is_some());
         match found {
-            Some(CachedDecision { decision: mut cached, layout, plan }) => {
+            Some(CachedDecision { decision: mut cached, layout, plan, horizon }) => {
                 // Same structure, scalar, engine and op: the tuner would
                 // reproduce this decision, so charge nothing for it.
                 cached.cost = TuningCost::cached();
                 let generation = [0; 2];
-                Decided { facts, key, decision: cached, layout, plan, cache_hit: true, generation }
+                Decided { facts, key, decision: cached, layout, plan, horizon, cache_hit: true, generation }
             }
             None => {
-                let Answer { decision, generation } = self.answer(m, op, &mut facts);
-                let undecided = CachedDecision::new(decision);
+                let Answer { decision, horizon, generation } = self.answer(m, op, &mut facts);
+                let undecided = CachedDecision::new(decision, horizon);
                 let plan = Arc::clone(&undecided.plan);
                 self.decisions.insert_if_generation(key, undecided, generation[0]);
-                Decided { facts, key, decision, layout: None, plan, cache_hit: false, generation }
+                Decided { facts, key, decision, layout: None, plan, horizon, cache_hit: false, generation }
             }
         }
     }
@@ -720,6 +847,7 @@ impl<T> OracleService<T> {
             decision,
             layout,
             plan,
+            horizon,
             cache_hit,
             generation,
         } = decided;
@@ -751,6 +879,8 @@ impl<T> OracleService<T> {
                 decision: TuneDecision { format: chosen, params, ..decision },
                 layout: m.diagonal_layout().map(Arc::from),
                 plan: Arc::clone(&plan),
+                // A fallback's horizon was priced for the prediction.
+                horizon: horizon.filter(|_| chosen == predicted),
             };
             if kept && chosen != hashed {
                 // Alias the decision under the matrix's *post-conversion*
@@ -770,13 +900,7 @@ impl<T> OracleService<T> {
                 }
             }
             self.decisions.insert_if_generation(key, done, generation[0]);
-            if let (Some(col), Some(a)) = (&self.collector, analysis.as_ref()) {
-                // Adaptive sampling, off the execution hot path: note the
-                // Table-I features under the hash the tuner saw (features
-                // are format-invariant) — the hash every execution under
-                // this decision is attributed to.
-                col.note_features(hash, &FeatureVector::from_analysis(a));
-            }
+            self.note_features(hash, analysis.as_ref());
         }
         let report = TuneReport {
             chosen,
@@ -799,10 +923,22 @@ impl<T> OracleService<T> {
         Ok((report, TuneArtifacts { structure: hash, param_code, analysis, plan }))
     }
 
-    /// The analysis a plan is built on by a hit that found its entry
-    /// without one — a decision imported or never executed, a plan for
-    /// another worker count. A miss carries the analysis it decided on;
-    /// otherwise the realized `m` is hashed and walked here.
+    /// Adaptive sampling, off the execution hot path: notes the Table-I
+    /// features of a miss's analysis under the hash the tuner saw (features
+    /// are format-invariant) — the hash every execution under its decision
+    /// is attributed to. A service with a collector always walks, so the
+    /// analysis is complete.
+    fn note_features(&self, hash: u64, analysis: Option<&Analysis>) {
+        if let (Some(col), Some(a)) = (&self.collector, analysis) {
+            col.note_features(hash, &FeatureVector::from_analysis(a));
+        }
+    }
+
+    /// The analysis a COO or HYB plan is built on by a hit that found its
+    /// entry without one — a decision imported, never executed or served
+    /// per call from its source, a plan for another worker count. A miss
+    /// carries the analysis it decided on; otherwise the realized `m` is
+    /// hashed and walked here.
     fn late_analysis<'a, V: Scalar>(
         &self,
         m: &DynamicMatrix<V>,
@@ -839,7 +975,11 @@ impl<T> OracleService<T> {
                 (plan, PlanStatus::Reused)
             }
             None => {
-                let plan = Arc::new(ExecPlan::build(m, threads, Some(self.late_analysis(m, artifacts))));
+                // Only COO and HYB plans read an analysis (their entry ranges
+                // from its row histogram); every other plan reads the arrays.
+                let reads = matches!(m.format_id(), FormatId::Coo | FormatId::Hyb);
+                let analysis = if reads { Some(self.late_analysis(m, artifacts)) } else { None };
+                let plan = Arc::new(ExecPlan::build(m, threads, analysis));
                 *artifacts.plan.lock() = Some(plan.clone() as Arc<dyn Any + Send + Sync>);
                 self.plan_misses.fetch_add(u64::from(caching), Ordering::Relaxed);
                 (plan, PlanStatus::Built)
@@ -1062,12 +1202,24 @@ impl<T> OracleService<T> {
     /// (their elapsed time includes plan construction and would poison the
     /// kernel mean); the steady state — reused plans and serial executions —
     /// is what the adaptive subsystem learns from.
+    ///
+    /// The call serves one execution, and pays for a conversion only when
+    /// that execution repays it (Eq. 2 at N = 1: `c + r < 1`, the decision's
+    /// [`Horizon`]). Otherwise the matrix stays in the format it was
+    /// ingested in and runs that format's own body, `spmv_serial`/
+    /// `spmm_serial` of the source ([`Self::run_source`]).
     fn tune_and_run<V>(&self, m: &mut DynamicMatrix<V>, op: Op, x: &[V], y: &mut [V]) -> Result<TuneReport>
     where
         V: Scalar,
         T: FormatTuner<V>,
     {
-        let (mut report, mut artifacts) = self.tune_with_artifacts(m, op)?;
+        let facts = self.ingest(m, false)?;
+        let decided = self.decide(m, op, facts);
+        if decided.horizon.is_some_and(|h| h.keeps(m.format_id(), decided.decision.format)) {
+            return self.run_source(m, decided, op, x, y);
+        }
+        // The caller keeps the switched matrix and may tune it again.
+        let (mut report, mut artifacts) = self.realize(m, decided, op, true)?;
         let trace = self.obs.mint_trace();
         let t0 = (self.collector.is_some() || self.obs.enabled()).then(Instant::now);
         let pool = self.exec_pool();
@@ -1098,18 +1250,82 @@ impl<T> OracleService<T> {
         Ok(report)
     }
 
-    /// Tunes `m` for SpMV, then executes `y = A x` in the selected format,
-    /// on the execution backend matching the engine (serial for a Serial
-    /// engine, the service's pool otherwise).
+    /// A per-call tune whose horizon keeps the source: `m` stays as it was
+    /// ingested and `op` runs its own body over one part on the calling
+    /// thread — no conversion, no alias hash, no plan, nothing stored in the
+    /// decision's plan slot. The report names the decision as `predicted`
+    /// and the source as `chosen`; a miss left the decision (with its
+    /// horizon) in the cache, for a later registration or `tune` to convert.
+    fn run_source<V: Scalar>(
+        &self,
+        m: &DynamicMatrix<V>,
+        decided: Decided,
+        op: Op,
+        x: &[V],
+        y: &mut [V],
+    ) -> Result<TuneReport> {
+        let Decided { facts: Facts { hash, analysis, moved, .. }, decision, cache_hit, .. } = decided;
+        if !cache_hit {
+            self.note_features(hash, analysis.as_ref());
+        }
+        let chosen = m.format_id();
+        let (previous, moved) = moved.unwrap_or((chosen, 0.0));
+        let trace = self.obs.mint_trace();
+        let t0 = (self.collector.is_some() || self.obs.enabled()).then(Instant::now);
+        match op {
+            Op::Spmv => morpheus::spmv::spmv_serial(m, x, y)?,
+            Op::Spmm { k } => morpheus::spmm::spmm_serial(m, x, y, k)?,
+        }
+        if let Some(t0) = t0 {
+            let elapsed = t0.elapsed();
+            let param_code = FormatParams::default().code();
+            self.record_execution::<V>(hash, chosen, param_code, op, 1, elapsed);
+            self.observe_request(trace, t0, elapsed);
+        }
+        // Only the front door's move into CSR converted anything.
+        let convert = if previous == chosen {
+            ConvertOutcome::identity()
+        } else {
+            ConvertOutcome { path: ConvertPath::Direct, seconds: moved }
+        };
+        Ok(TuneReport {
+            chosen,
+            previous,
+            predicted: decision.format,
+            cost: decision.cost,
+            converted: chosen != previous,
+            op,
+            cache_hit,
+            plan: PlanStatus::Unplanned,
+            serial_fallback: false,
+            convert,
+            shards: 1,
+        })
+    }
+
+    /// Tunes `m` for SpMV, then executes `y = A x` once.
     ///
-    /// Threaded execution runs through the cached [`ExecPlan`] of the
-    /// decision: the first call builds it (`report.plan ==
-    /// PlanStatus::Built`), later calls in an iterative loop replay it with
-    /// zero scheduling work (`PlanStatus::Reused`). If the pool is busy
-    /// with another client's batch, the plan's bodies run inline on the
-    /// calling thread — bitwise identical to the pooled execution — and
-    /// [`TuneReport::serial_fallback`] says so; a private pool
-    /// ([`crate::OracleBuilder::workers`]) keeps other pool users out.
+    /// The call serves one execution, so it pays for a conversion only when
+    /// that execution repays it: `c + r < 1`, the engine's predicted
+    /// conversion cost and per-execution ratio in executions of the ingested
+    /// source, recorded with the decision (see the [module docs](self)).
+    /// Otherwise `m` stays in the format it was ingested in (a COO source
+    /// moves into CSR at the front door) and `y` is that format's own body,
+    /// `spmv_serial` of it: no conversion, no alias hash, no plan, and the
+    /// report has `predicted` = the decision, `chosen` = the source and
+    /// [`PlanStatus::Unplanned`]. To iterate, [`register`](Self::register)
+    /// once and call [`spmv`](Self::spmv); [`tune`](Self::tune) converts as
+    /// decided.
+    ///
+    /// A matrix that converts — or is already in the decided format — runs
+    /// on the execution backend matching the engine (serial for a Serial
+    /// engine, the service's pool otherwise) through the decision's cached
+    /// [`ExecPlan`]: the first such call builds it (`report.plan ==
+    /// PlanStatus::Built`), later ones replay it (`PlanStatus::Reused`). If
+    /// the pool is busy with another client's batch, the plan's bodies run
+    /// inline on the calling thread — bitwise identical to the pooled
+    /// execution — and [`TuneReport::serial_fallback`] says so; a private
+    /// pool ([`crate::OracleBuilder::workers`]) keeps other pool users out.
     pub fn tune_and_spmv<V>(&self, m: &mut DynamicMatrix<V>, x: &[V], y: &mut [V]) -> Result<TuneReport>
     where
         V: Scalar,
@@ -1119,9 +1335,13 @@ impl<T> OracleService<T> {
     }
 
     /// Tunes `m` for SpMM with `k` right-hand sides, then executes
-    /// `Y = A X` (`x` row-major `ncols x k`, `y` row-major `nrows x k`) as
-    /// [`OracleService::tune_and_spmv`] does for one. SpMV and SpMM replay
-    /// the same kind of plan — the row partition depends only on the
+    /// `Y = A X` (`x` row-major `ncols x k`, `y` row-major `nrows x k`) once,
+    /// as [`OracleService::tune_and_spmv`] does for one: converting only
+    /// when one SpMM repays it (its decision's `c` and `r` are priced for
+    /// SpMM with `k` right-hand sides), `spmm_serial` of the source
+    /// otherwise. To iterate, [`register_for`](Self::register_for)
+    /// `Op::Spmm { k }` once and call [`spmm`](Self::spmm). SpMV and SpMM
+    /// replay the same kind of plan — the row partition depends only on the
     /// structure — each under its own decision.
     pub fn tune_and_spmm<V>(
         &self,
@@ -1570,7 +1790,7 @@ mod tests {
             };
             let decision =
                 TuneDecision { format, params: Default::default(), op: Op::Spmv, cost: TuningCost::cached() };
-            let seeded = CachedDecision::new(decision);
+            let seeded = CachedDecision::new(decision, None);
             service.decisions.insert_if_generation(key, seeded, service.decisions.generation());
 
             let report = service.tune(&mut m).unwrap();
@@ -1718,6 +1938,10 @@ mod tests {
         let x = vec![1.0f64; 400];
         let mut y_free = vec![0.0f64; 400];
         service.spmv(&handle, &x, &mut y_free).unwrap();
+        // Switched by `tune`, a matrix is in its decided format, and a
+        // per-call tune of it executes planned.
+        let mut m = tridiag(400);
+        assert_eq!(service.tune(&mut m).unwrap().chosen, handle.format_id());
 
         // Occupy the service's own pool from a "client" thread, then
         // execute: the request must complete (the plan's bodies inline), be
@@ -1739,7 +1963,6 @@ mod tests {
             service.spmv(&handle, &x, &mut y_busy).unwrap();
             // Per-call tuning under a busy pool also falls back — and says
             // so in the report, while still warming the plan cache.
-            let mut m = tridiag(400);
             let mut y_tuned = vec![0.0f64; 400];
             let r = service.tune_and_spmv(&mut m, &x, &mut y_tuned).unwrap();
             assert!(r.serial_fallback, "busy pool must be reported on the tune path");

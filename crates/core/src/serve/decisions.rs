@@ -138,7 +138,8 @@ impl<T> OracleService<T> {
         }
         let count = parsed.len();
         for (key, decision) in parsed {
-            self.decisions.insert(key, CachedDecision::new(decision));
+            // The file carries no horizon: a per-call tune converts.
+            self.decisions.insert(key, CachedDecision::new(decision, None));
         }
         Ok(count)
     }

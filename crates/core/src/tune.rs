@@ -15,7 +15,9 @@ use morpheus_machine::Op;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanStatus {
     /// No execution plan was involved: a pure [`crate::OracleService::tune`] (no
-    /// execution), or serial execution (nothing to schedule).
+    /// execution), serial execution (nothing to schedule), or a per-call
+    /// tune that ran its source once, one execution not repaying the
+    /// conversion.
     Unplanned,
     /// An [`morpheus::ExecPlan`] was built for this call and cached for
     /// the structure.
@@ -43,7 +45,9 @@ pub struct TuneReport {
     /// decision it differs from `chosen` only when the conversion failed
     /// and the matrix fell back to CSR; on a cache hit the *realized*
     /// decision is served, so `predicted == chosen` even if the original
-    /// prediction had been non-viable.
+    /// prediction had been non-viable. A per-call tune (`tune_and_*`) that
+    /// kept its source, one execution not repaying the conversion, reports
+    /// the decision here and the source as `chosen`.
     pub predicted: FormatId,
     /// Cost of the tuning decision on the engine's virtual clock (all
     /// components zero on a cache hit).

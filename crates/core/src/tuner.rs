@@ -4,6 +4,7 @@
 
 use crate::features::FeatureVector;
 use crate::{OracleError, Result};
+use morpheus::analysis::WalkBounds;
 use morpheus::format::FormatId;
 use morpheus::{DynamicMatrix, Scalar};
 use morpheus_machine::{MatrixAnalysis, Op, VirtualEngine};
@@ -107,6 +108,28 @@ pub trait FormatTuner<V: Scalar> {
     fn prices_formats(&self) -> bool {
         true
     }
+
+    /// The decision [`select`](FormatTuner::select) would take on the walked
+    /// view, taken without the entry walk — when the tuner can prove it.
+    /// `a` is a view of the row side alone ([`MatrixAnalysis::walked`] is
+    /// `false`: its diagonal counts, block density and locality stand for
+    /// nothing) and `walk` bounds the three features the walk would count.
+    /// `Some` only when every matrix within the bounds gets the same format
+    /// and parameters — those `select` gives on the walked view, bitwise —
+    /// and the parameters read row facts only; the service then decides
+    /// without walking the entries. The default, `None`, has the service
+    /// walk and call `select`, as every tuner that prices formats must.
+    fn select_unwalked(
+        &self,
+        m: &DynamicMatrix<V>,
+        a: &MatrixAnalysis,
+        walk: &WalkBounds,
+        engine: &VirtualEngine,
+        op: Op,
+    ) -> Option<TuneDecision> {
+        let _ = (m, a, walk, engine, op);
+        None
+    }
 }
 
 impl<V: Scalar, T: FormatTuner<V> + ?Sized> FormatTuner<V> for &T {
@@ -127,6 +150,17 @@ impl<V: Scalar, T: FormatTuner<V> + ?Sized> FormatTuner<V> for &T {
     fn prices_formats(&self) -> bool {
         (**self).prices_formats()
     }
+
+    fn select_unwalked(
+        &self,
+        m: &DynamicMatrix<V>,
+        a: &MatrixAnalysis,
+        walk: &WalkBounds,
+        engine: &VirtualEngine,
+        op: Op,
+    ) -> Option<TuneDecision> {
+        (**self).select_unwalked(m, a, walk, engine, op)
+    }
 }
 
 impl<V: Scalar, T: FormatTuner<V> + ?Sized> FormatTuner<V> for Box<T> {
@@ -146,6 +180,17 @@ impl<V: Scalar, T: FormatTuner<V> + ?Sized> FormatTuner<V> for Box<T> {
 
     fn prices_formats(&self) -> bool {
         (**self).prices_formats()
+    }
+
+    fn select_unwalked(
+        &self,
+        m: &DynamicMatrix<V>,
+        a: &MatrixAnalysis,
+        walk: &WalkBounds,
+        engine: &VirtualEngine,
+        op: Op,
+    ) -> Option<TuneDecision> {
+        (**self).select_unwalked(m, a, walk, engine, op)
     }
 }
 
@@ -287,6 +332,32 @@ impl<V: Scalar> FormatTuner<V> for ModelTuner {
     fn prices_formats(&self) -> bool {
         false
     }
+
+    /// The model over the box of feature vectors the walk bounds allow: a
+    /// decision when the box settles the model's answer
+    /// ([`Model::predict_over`]) on COO, CSR, ELL, HYB or BELL — the formats
+    /// whose parameters read row facts only. The prediction cost charges
+    /// the nodes the box walk examined.
+    fn select_unwalked(
+        &self,
+        m: &DynamicMatrix<V>,
+        a: &MatrixAnalysis,
+        walk: &WalkBounds,
+        engine: &VirtualEngine,
+        op: Op,
+    ) -> Option<TuneDecision> {
+        let [lo, hi] = FeatureVector::bounded(&a.stats, walk);
+        let (settled, examined) = self.model.predict_over(lo.as_slice(), hi.as_slice());
+        let predicted = settled?;
+        let format = FormatId::from_index(predicted).unwrap_or(FormatId::Csr);
+        row_parameterized(format).then(|| ml_decision(predicted, examined, m, a, engine, op))
+    }
+}
+
+/// `true` for the formats whose parameters and conversion read row facts
+/// only — what a decision taken without the entry walk may name.
+pub(crate) fn row_parameterized(format: FormatId) -> bool {
+    matches!(format, FormatId::Coo | FormatId::Csr | FormatId::Ell | FormatId::Hyb | FormatId::Bell)
 }
 
 fn ml_decision<V: Scalar>(

@@ -110,6 +110,13 @@ pub struct MatrixAnalysis {
     /// How many rows hold each number of entries — what parameter proposal
     /// prices bucket ladders and reads row-length quantiles from.
     pub row_lengths: RowLengthCounts,
+    /// `false` when assembled from an artifact without the entry walk
+    /// ([`Analysis::walked`]): `locality`, the diagonal counts of `stats`,
+    /// `hdc_ntrue` and the HDC split read zero and stand for nothing, so no
+    /// format's time is priced exactly — [`crate::VirtualEngine::payback_floor`]
+    /// bounds what it leaves open — and DIA, HDC and BSR not at all
+    /// ([`MatrixAnalysis::prices`]). The row side is exact.
+    pub walked: bool,
 }
 
 impl MatrixAnalysis {
@@ -226,11 +233,15 @@ impl MatrixAnalysis {
     }
 
     /// `true` when the view holds what pricing `format` reads: everything
-    /// but BSR's block counts and HDC's remainder is there always.
+    /// but BSR's block counts and HDC's remainder is there always — on a
+    /// walked view; one without the entry walk holds nothing of DIA's
+    /// either, and prices the others' layouts, not their times (see
+    /// [`MatrixAnalysis::walked`]).
     pub fn prices(&self, format: FormatId) -> bool {
         match format {
             FormatId::Bsr => self.bsr_blocks.is_some(),
             FormatId::Hdc => self.hdc_remainder.is_some(),
+            FormatId::Dia => self.walked,
             _ => true,
         }
     }
@@ -242,6 +253,7 @@ impl MatrixAnalysis {
     /// [`analyze_from`] gives over the full analysis. `shared` must be the
     /// analysis the view was assembled from.
     pub fn take_pricing_walks<V: Scalar>(&mut self, m: &DynamicMatrix<V>, shared: &mut Analysis) {
+        assert!(shared.walked, "pricing walks are taken on an artifact with the entry walk");
         shared.take_block_counts(m);
         self.bsr_blocks = shared.entries.bsr_blocks;
         self.take_hdc_remainder(m, shared);
@@ -410,8 +422,8 @@ pub fn analyze_from<V: Scalar>(m: &DynamicMatrix<V>, shared: &Analysis) -> Matri
 
 /// The machine view of the matrix `shared` describes (entries of
 /// `value_bytes` each), from the analysis alone: no matrix is read. It holds
-/// the block counts when the analysis does and the HDC remainder when that is
-/// the whole matrix or nothing; what is left out is said by
+/// the block counts when the analysis does and — the analysis walked — the
+/// HDC remainder when that is the whole matrix or nothing; what is left out is said by
 /// [`MatrixAnalysis::prices`] and added by
 /// [`MatrixAnalysis::take_pricing_walks`].
 pub fn assemble(shared: &Analysis, value_bytes: usize) -> MatrixAnalysis {
@@ -422,7 +434,9 @@ pub fn assemble(shared: &Analysis, value_bytes: usize) -> MatrixAnalysis {
     let hyb_width = rows.lengths.hyb_width(value_bytes);
     let hdc_dia_nnz = shared.true_diag_nnz;
     let hdc_csr_nnz = nnz - hdc_dia_nnz;
-    let hdc_remainder = if hdc_dia_nnz == 0 {
+    let hdc_remainder = if !shared.walked {
+        None
+    } else if hdc_dia_nnz == 0 {
         Some(HdcRemainder::Whole)
     } else if hdc_csr_nnz == 0 {
         Some(HdcRemainder::Empty)
@@ -449,6 +463,7 @@ pub fn assemble(shared: &Analysis, value_bytes: usize) -> MatrixAnalysis {
         bell_nbuckets: rows.bell.buckets,
         bell_rows: rows.lengths.nonempty_rows(),
         row_lengths: rows.lengths.clone(),
+        walked: shared.walked,
     }
 }
 

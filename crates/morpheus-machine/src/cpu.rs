@@ -54,17 +54,20 @@ fn row_partition_imbalance(nnz: f64, max_row: f64, threads: usize) -> f64 {
     (max_row.max(ideal)) / ideal
 }
 
+// One argument per modelled quantity; `locality` overrides the view's.
+#[allow(clippy::too_many_arguments)]
 fn coo_part(
     nnz: f64,
     rows_touched: f64,
     max_row: f64,
     a: &MatrixAnalysis,
+    locality: f64,
     spec: &CpuSpec,
     threads: usize,
     calib: &Calibration,
 ) -> PartCost {
     let bytes = nnz * (VAL + 2.0 * IDX)
-        + gather_x_bytes(nnz, a.ncols() as f64, a.locality, spec.cache_bytes(), calib)
+        + gather_x_bytes(nnz, a.ncols() as f64, locality, spec.cache_bytes(), calib)
         + rows_touched * 3.0 * VAL; // zero + read-modify-write of y
     PartCost {
         bytes,
@@ -80,12 +83,13 @@ fn csr_part(
     nrows: f64,
     imbalance: f64,
     a: &MatrixAnalysis,
+    locality: f64,
     spec: &CpuSpec,
     calib: &Calibration,
 ) -> PartCost {
     let bytes = nnz * (VAL + IDX)
         + (nrows + 1.0) * IDX
-        + gather_x_bytes(nnz, a.ncols() as f64, a.locality, spec.cache_bytes(), calib)
+        + gather_x_bytes(nnz, a.ncols() as f64, locality, spec.cache_bytes(), calib)
         + nrows * 2.0 * VAL;
     PartCost {
         bytes,
@@ -118,10 +122,17 @@ fn dia_part(padded: f64, ndiags: f64, a: &MatrixAnalysis, spec: &CpuSpec, calib:
     }
 }
 
-fn ell_part(padded: f64, nnz: f64, a: &MatrixAnalysis, spec: &CpuSpec, calib: &Calibration) -> PartCost {
+fn ell_part(
+    padded: f64,
+    nnz: f64,
+    a: &MatrixAnalysis,
+    locality: f64,
+    spec: &CpuSpec,
+    calib: &Calibration,
+) -> PartCost {
     let nrows = a.nrows() as f64;
     let bytes = padded * (VAL + IDX)
-        + gather_x_bytes(nnz, a.ncols() as f64, a.locality, spec.cache_bytes(), calib)
+        + gather_x_bytes(nnz, a.ncols() as f64, locality, spec.cache_bytes(), calib)
         + nrows * 2.0 * VAL;
     PartCost {
         bytes,
@@ -132,11 +143,14 @@ fn ell_part(padded: f64, nnz: f64, a: &MatrixAnalysis, spec: &CpuSpec, calib: &C
     }
 }
 
+// One argument per modelled quantity; `locality` overrides the view's.
+#[allow(clippy::too_many_arguments)]
 fn bsr_part(
     padded: f64,
     nblocks: f64,
     block_dim: f64,
     a: &MatrixAnalysis,
+    locality: f64,
     spec: &CpuSpec,
     threads: usize,
     calib: &Calibration,
@@ -146,7 +160,7 @@ fn bsr_part(
     // each gathered x line serves the whole block column, so misses are
     // amortised over the block width.
     let nnz = a.nnz() as f64;
-    let block_local = 1.0 - (1.0 - a.locality) / block_dim;
+    let block_local = 1.0 - (1.0 - locality) / block_dim;
     let bytes = padded * VAL
         + nblocks * (IDX + 8.0)
         + (nbrows + 1.0) * IDX
@@ -167,12 +181,13 @@ fn bell_part(
     padded: f64,
     nbuckets: f64,
     a: &MatrixAnalysis,
+    locality: f64,
     spec: &CpuSpec,
     calib: &Calibration,
 ) -> PartCost {
     let nnz = a.nnz() as f64;
     let bytes = a.bell_storage_bytes() as f64
-        + gather_x_bytes(nnz, a.ncols() as f64, a.locality, spec.cache_bytes(), calib)
+        + gather_x_bytes(nnz, a.ncols() as f64, locality, spec.cache_bytes(), calib)
         + a.nrows() as f64 * 2.0 * VAL;
     PartCost {
         bytes,
@@ -210,6 +225,19 @@ pub fn spmv_time(
     fmt: FormatId,
     a: &MatrixAnalysis,
 ) -> f64 {
+    spmv_time_at(spec, threads, calib, fmt, a, a.locality)
+}
+
+/// [`spmv_time`] with the gathers' `locality` given instead of read off the
+/// view: what bounding a price over an unknown locality evaluates.
+pub(crate) fn spmv_time_at(
+    spec: &CpuSpec,
+    threads: usize,
+    calib: &Calibration,
+    fmt: FormatId,
+    a: &MatrixAnalysis,
+    locality: f64,
+) -> f64 {
     let threads = threads.clamp(1, spec.cores);
     let nnz = a.nnz() as f64;
     let nrows = a.nrows() as f64;
@@ -217,11 +245,11 @@ pub fn spmv_time(
 
     let kernel_time = match fmt {
         FormatId::Coo => {
-            let p = coo_part(nnz, nrows, max_row, a, spec, threads, calib);
+            let p = coo_part(nnz, nrows, max_row, a, locality, spec, threads, calib);
             part_time(&p, calib.simd_eff_coo(), spec, threads, calib)
         }
         FormatId::Csr => {
-            let p = csr_part(nnz, nrows, a.balanced_row_imbalance(threads), a, spec, calib);
+            let p = csr_part(nnz, nrows, a.balanced_row_imbalance(threads), a, locality, spec, calib);
             part_time(&p, calib.simd_eff_csr(), spec, threads, calib)
         }
         FormatId::Dia => {
@@ -229,30 +257,38 @@ pub fn spmv_time(
             part_time(&p, calib.simd_eff_dia(), spec, threads, calib)
         }
         FormatId::Ell => {
-            let p = ell_part(a.ell_padded() as f64, nnz, a, spec, calib);
+            let p = ell_part(a.ell_padded() as f64, nnz, a, locality, spec, calib);
             part_time(&p, calib.simd_eff_ell(), spec, threads, calib)
         }
         FormatId::Hyb => {
             let ell_nnz = nnz - a.hyb_coo_nnz as f64;
-            let ell = ell_part(a.hyb_padded() as f64, ell_nnz, a, spec, calib);
+            let ell = ell_part(a.hyb_padded() as f64, ell_nnz, a, locality, spec, calib);
             let surplus = a.hyb_coo_nnz as f64;
             let rows_touched = surplus.min(nrows);
             // Surplus rows were all truncated at K_H, so the largest COO row
             // is max_row - K_H.
             let coo_max = (max_row - a.hyb_width as f64).max(0.0);
-            let coo = coo_part(surplus, rows_touched, coo_max, a, spec, threads, calib);
+            let coo = coo_part(surplus, rows_touched, coo_max, a, locality, spec, threads, calib);
             part_time(&ell, calib.simd_eff_ell(), spec, threads, calib)
                 + part_time(&coo, calib.simd_eff_coo(), spec, threads, calib)
         }
         FormatId::Bsr => {
             let (b, _) = morpheus::FormatParams::default().normalized_block();
-            let p =
-                bsr_part(a.bsr_padded(b) as f64, a.bsr_nblocks(b) as f64, b as f64, a, spec, threads, calib);
+            let p = bsr_part(
+                a.bsr_padded(b) as f64,
+                a.bsr_nblocks(b) as f64,
+                b as f64,
+                a,
+                locality,
+                spec,
+                threads,
+                calib,
+            );
             // Dense register blocks vectorise like diagonal slabs.
             part_time(&p, calib.simd_eff_dia(), spec, threads, calib)
         }
         FormatId::Bell => {
-            let p = bell_part(a.bell_padded as f64, a.bell_nbuckets as f64, a, spec, calib);
+            let p = bell_part(a.bell_padded as f64, a.bell_nbuckets as f64, a, locality, spec, calib);
             part_time(&p, calib.simd_eff_ell(), spec, threads, calib)
         }
         FormatId::Hdc => {
@@ -264,8 +300,15 @@ pub fn spmv_time(
             // and not a closed-form bound (would rank HDC inconsistently
             // against standalone CSR when the remainder is the whole
             // matrix).
-            let csr =
-                csr_part(a.hdc_csr_nnz as f64, nrows, a.hdc_csr_balanced_imbalance(threads), a, spec, calib);
+            let csr = csr_part(
+                a.hdc_csr_nnz as f64,
+                nrows,
+                a.hdc_csr_balanced_imbalance(threads),
+                a,
+                locality,
+                spec,
+                calib,
+            );
             part_time(&dia, calib.simd_eff_dia(), spec, threads, calib)
                 + part_time(&csr, calib.simd_eff_csr(), spec, threads, calib)
         }
@@ -439,7 +482,7 @@ mod tests {
         let a = analyze(&m);
         let stored = m.to_format(FormatId::Bell, &Default::default()).unwrap().storage_bytes() as f64;
         let (cpu, calib) = (systems::cirrus().cpu, Calibration::default());
-        let part = bell_part(a.bell_padded as f64, a.bell_nbuckets as f64, &a, &cpu, &calib);
+        let part = bell_part(a.bell_padded as f64, a.bell_nbuckets as f64, &a, a.locality, &cpu, &calib);
         let vectors = gather_x_bytes(a.nnz() as f64, n as f64, a.locality, cpu.cache_bytes(), &calib)
             + n as f64 * 2.0 * VAL;
         assert!(a.bell_padded > a.nnz(), "the case pads");

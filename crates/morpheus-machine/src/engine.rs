@@ -6,13 +6,33 @@ use crate::spec::{Backend, SystemBackend, SystemProfile};
 use crate::Op;
 use crate::{cpu, gpu};
 use morpheus::format::{FormatId, FORMAT_COUNT};
+use morpheus::ConvertOptions;
 
-/// Padding-viability rule shared with `morpheus::ConvertOptions`: DIA/ELL
-/// style storage is considered non-viable when it would need more than
-/// `max(20 * nnz, 4096)` padded slots. The profiling harness skips such
-/// formats, exactly as a conversion failure would on the real systems.
-pub fn padding_viable(padded: usize, nnz: usize) -> bool {
-    padded <= (20usize.saturating_mul(nnz)).max(4096)
+/// Largest `|z|` the noise's Box–Muller draw reaches: its first uniform is
+/// at least `2^-53`, so `z` is at most `sqrt(2 · 53 · ln 2) = 8.5718…`.
+const NOISE_Z_MAX: f64 = 8.572;
+
+/// Relative slack [`VirtualEngine::payback_floor`] widens the noise range
+/// by, covering the rounding of the prices it bounds.
+const BOUND_SLACK: f64 = 1e-9;
+
+/// Eq. 2 at a horizon of one: what converting a matrix out of `from` into
+/// `to` costs and saves for one operation, both measured in executions of
+/// `from` ([`VirtualEngine::payback`]). A single execution in `to` repays
+/// the conversion when `c + r < 1`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Payback {
+    /// `c`: predicted seconds of the conversion over one execution in `from`.
+    pub convert: f64,
+    /// `r`: predicted seconds of one execution in `to` over one in `from`.
+    pub ratio: f64,
+}
+
+impl Payback {
+    /// `c + r < 1`: one execution in the target repays converting to it.
+    pub fn repays_one(&self) -> bool {
+        self.convert + self.ratio < 1.0
+    }
 }
 
 /// Result of profiling one matrix on one engine: the per-format runtimes of
@@ -56,6 +76,9 @@ pub struct VirtualEngine {
     calib: Calibration,
     noise_sigma: f64,
     noise_seed: u64,
+    /// The conversion options whose padding guard [`VirtualEngine::is_viable`]
+    /// applies.
+    guard: ConvertOptions,
 }
 
 impl VirtualEngine {
@@ -71,6 +94,7 @@ impl VirtualEngine {
             calib: Calibration::default(),
             noise_sigma: 0.02,
             noise_seed: 0x5EED,
+            guard: ConvertOptions::default(),
         }
     }
 
@@ -89,6 +113,15 @@ impl VirtualEngine {
     pub fn with_noise(mut self, sigma: f64, seed: u64) -> Self {
         self.noise_sigma = sigma;
         self.noise_seed = seed;
+        self
+    }
+
+    /// Applies `opts`' padding guard in [`VirtualEngine::is_viable`]: a
+    /// format is then viable exactly when a conversion under `opts` admits
+    /// its padding. A service hands its own conversion options here, so its
+    /// tuners price what it can store.
+    pub fn with_padding_guard(mut self, opts: &ConvertOptions) -> Self {
+        self.guard = *opts;
         self
     }
 
@@ -135,18 +168,31 @@ impl VirtualEngine {
         (self.noise_sigma * z).exp()
     }
 
+    /// The range of the noise factor over every draw, widened by
+    /// [`BOUND_SLACK`].
+    fn noise_range(&self) -> [f64; 2] {
+        let spread = (self.noise_sigma.abs() * NOISE_Z_MAX).exp();
+        [(1.0 - BOUND_SLACK) / spread, (1.0 + BOUND_SLACK) * spread]
+    }
+
     /// Modelled seconds for one SpMV in `fmt`, including noise. Does not
     /// check viability — see [`VirtualEngine::is_viable`].
     pub fn spmv_time(&self, fmt: FormatId, a: &MatrixAnalysis) -> f64 {
-        let base = match self.backend {
-            Backend::Serial => cpu::spmv_time(&self.system.cpu, 1, &self.calib, fmt, a),
-            Backend::OpenMp => cpu::spmv_time(&self.system.cpu, self.system.cpu.cores, &self.calib, fmt, a),
+        self.noiseless_spmv_time(fmt, a, a.locality) * self.noise(a, fmt)
+    }
+
+    /// [`VirtualEngine::spmv_time`] before noise, at gather `locality`.
+    fn noiseless_spmv_time(&self, fmt: FormatId, a: &MatrixAnalysis, locality: f64) -> f64 {
+        match self.backend {
+            Backend::Serial => cpu::spmv_time_at(&self.system.cpu, 1, &self.calib, fmt, a, locality),
+            Backend::OpenMp => {
+                cpu::spmv_time_at(&self.system.cpu, self.system.cpu.cores, &self.calib, fmt, a, locality)
+            }
             b => {
                 let dev = self.system.gpu_for(b).expect("backend support checked at construction");
-                gpu::spmv_time(dev, &self.calib, fmt, a)
+                gpu::spmv_time_at(dev, &self.calib, fmt, a, locality)
             }
-        };
-        base * self.noise(a, fmt)
+        }
     }
 
     /// Modelled seconds for one execution of `op` in `fmt`, including
@@ -204,6 +250,11 @@ impl VirtualEngine {
     /// modelled as a win exactly when this is below
     /// [`VirtualEngine::spmv_time`], whatever `k` is.
     pub fn spmm_per_rhs_time(&self, fmt: FormatId, a: &MatrixAnalysis) -> f64 {
+        self.noiseless_per_rhs_time(fmt, a) * self.noise(a, fmt)
+    }
+
+    /// [`VirtualEngine::spmm_per_rhs_time`] before noise.
+    fn noiseless_per_rhs_time(&self, fmt: FormatId, a: &MatrixAnalysis) -> f64 {
         let work = Self::op_work_slots(fmt, a);
         let bytes = (work + 2.0 * a.nrows() as f64) * 8.0;
         let per_rhs = match self.backend {
@@ -214,21 +265,57 @@ impl VirtualEngine {
                 bytes / dev.bandwidth()
             }
         };
-        per_rhs * self.noise(a, fmt)
+        per_rhs
     }
 
-    /// `true` when the format's padded storage passes the fill guard.
-    pub fn is_viable(&self, fmt: FormatId, a: &MatrixAnalysis) -> bool {
-        let nnz = a.nnz();
-        match fmt {
-            FormatId::Dia => padding_viable(a.dia_padded(), nnz),
-            FormatId::Ell => padding_viable(a.ell_padded(), nnz),
-            FormatId::Hyb => padding_viable(a.hyb_padded(), nnz),
-            FormatId::Hdc => padding_viable(a.hdc_padded(), nnz),
-            FormatId::Bsr => padding_viable(a.bsr_padded(Self::bsr_dim()), nnz),
-            FormatId::Bell => padding_viable(a.bell_padded, nnz),
-            _ => true,
+    /// [`VirtualEngine::op_time`]'s form at gather `locality` and noise
+    /// factor `noise`, for bounding it over both.
+    fn op_time_at(&self, op: Op, fmt: FormatId, a: &MatrixAnalysis, locality: f64, noise: f64) -> f64 {
+        let spmv = self.noiseless_spmv_time(fmt, a, locality) * noise;
+        match op {
+            Op::Spmv | Op::Spmm { k: 0 | 1 } => spmv,
+            Op::Spmm { k } => spmv + (k - 1) as f64 * (self.noiseless_per_rhs_time(fmt, a) * noise),
         }
+    }
+
+    /// What converting the matrix `a` describes from `from` into `to` costs
+    /// and saves for `op`, in executions of `from`: the conversion's and
+    /// `to`'s predicted seconds over `from`'s.
+    pub fn payback(&self, op: Op, from: FormatId, to: FormatId, a: &MatrixAnalysis) -> Payback {
+        let t = self.op_time(op, from, a);
+        Payback { convert: self.conversion_time(from, to, a) / t, ratio: self.op_time(op, to, a) / t }
+    }
+
+    /// Lower bounds of [`VirtualEngine::payback`]'s two terms over what a
+    /// view assembled without the entry walk leaves open: any gather
+    /// locality (`from` priced at none, `to` at all) and any noise draw (the
+    /// noise hashes the diagonal count). For `from` and `to` among the
+    /// formats priced from row facts otherwise — COO, CSR, ELL, HYB and BELL
+    /// — `c + r ≥ 1` here means it holds on the walked view too.
+    pub fn payback_floor(&self, op: Op, from: FormatId, to: FormatId, a: &MatrixAnalysis) -> Payback {
+        let [least, most] = self.noise_range();
+        let slowest = self.op_time_at(op, from, a, 0.0, most);
+        Payback {
+            convert: self.conversion_time(from, to, a) / slowest,
+            ratio: self.op_time_at(op, to, a, 1.0, least) / slowest,
+        }
+    }
+
+    /// `true` when the format's padded storage passes the padding guard of
+    /// the engine's conversion options ([`VirtualEngine::with_padding_guard`];
+    /// the defaults otherwise): the profiling harness and run-first skip a
+    /// format a conversion would refuse.
+    pub fn is_viable(&self, fmt: FormatId, a: &MatrixAnalysis) -> bool {
+        let padded = match fmt {
+            FormatId::Dia => a.dia_padded(),
+            FormatId::Ell => a.ell_padded(),
+            FormatId::Hyb => a.hyb_padded(),
+            FormatId::Hdc => a.hdc_padded(),
+            FormatId::Bsr => a.bsr_padded(Self::bsr_dim()),
+            FormatId::Bell => a.bell_padded,
+            FormatId::Coo | FormatId::Csr => return true,
+        };
+        self.guard.admits_padding(fmt, padded, a.nnz())
     }
 
     /// Profiles all formats on this engine (the paper's "profiling runs",
@@ -392,7 +479,7 @@ mod tests {
         }
         let vals = vec![1.0f64; rows.len()];
         let a = analyze(&DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap()));
-        assert!(!padding_viable(a.ell_padded(), a.nnz()));
+        assert!(!ConvertOptions::default().admits_padding(FormatId::Ell, a.ell_padded(), a.nnz()));
         let e = VirtualEngine::new(systems::cirrus(), Backend::Cuda);
         let p = e.profile(&a);
         assert!(p.times[FormatId::Ell.index()].is_none());
@@ -423,6 +510,41 @@ mod tests {
             let ratio = fe / spmv;
             assert!(ratio > 0.1 && ratio < 400.0, "{}: FE/SpMV = {ratio}", e.label());
         }
+    }
+
+    /// Viability is the conversions' padding guard under the engine's
+    /// options: a padded format is viable exactly when a conversion under
+    /// them admits its padding — under the defaults and under a tighter
+    /// `max_fill` a service may be built with.
+    #[test]
+    fn viability_is_the_conversion_guard_under_the_engine_options() {
+        // Rows of one or two entries, every eighth row eight: ELL pads about
+        // four slots per entry, a band of near diagonals keeps DIA tight.
+        let n = 6000usize;
+        let (mut rows, mut cols) = (Vec::new(), Vec::new());
+        for r in 0..n {
+            let len = if r % 8 == 0 { 8 } else { 1 + r % 2 };
+            for k in 0..len {
+                rows.push(r);
+                cols.push((r + k) % n);
+            }
+        }
+        let vals = vec![1.0f64; rows.len()];
+        let m = DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap());
+        let a = analyze(&m);
+        let tight = ConvertOptions { max_fill: 2.0, ..Default::default() };
+        let mut ell = Vec::new();
+        for opts in [ConvertOptions::default(), tight] {
+            let engine = VirtualEngine::new(systems::cirrus(), Backend::OpenMp).with_padding_guard(&opts);
+            for fmt in morpheus::format::ALL_FORMATS {
+                let converts = m.to_format(fmt, &opts).is_ok();
+                assert_eq!(engine.is_viable(fmt, &a), converts, "{fmt} at max_fill {}", opts.max_fill);
+            }
+            ell.push(engine.is_viable(FormatId::Ell, &a));
+        }
+        assert_eq!(ell, [true, false], "the tighter guard refuses ELL's padding");
+        let unguarded = VirtualEngine::new(systems::cirrus(), Backend::OpenMp);
+        assert!(unguarded.is_viable(FormatId::Ell, &a), "the defaults' guard without options");
     }
 
     #[test]

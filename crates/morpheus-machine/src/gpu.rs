@@ -55,10 +55,13 @@ struct GpuPart {
     tail_iters: f64,
 }
 
+// One argument per modelled quantity; `locality` overrides the view's.
+#[allow(clippy::too_many_arguments)]
 fn csr_scalar_part(
     spec: &GpuSpec,
     calib: &Calibration,
     a: &MatrixAnalysis,
+    locality: f64,
     nnz: f64,
     mean_row: f64,
     max_row: f64,
@@ -67,9 +70,9 @@ fn csr_scalar_part(
     let nrows = a.nrows() as f64;
     // Coalescing waste grows with column irregularity; row-contiguous data
     // with good locality caches well even under the scalar thread mapping.
-    let waste = 1.0 + calib.gpu_csr_locality_waste * (1.0 - a.locality);
+    let waste = 1.0 + calib.gpu_csr_locality_waste * (1.0 - locality);
     let bytes = nnz * (VAL + IDX) * waste
-        + gather_x_bytes(spec, calib, nnz, a.ncols() as f64, a.locality)
+        + gather_x_bytes(spec, calib, nnz, a.ncols() as f64, locality)
         + nrows * (VAL + 2.0 * IDX); // y write + row offsets
                                      // A row much longer than its warp peers serialises on one lane; rows
                                      // within ~a warp-quantum of the mean are hidden by scheduling.
@@ -77,17 +80,20 @@ fn csr_scalar_part(
     GpuPart { bytes, warp_iters, threads: nrows, tail_iters }
 }
 
+// One argument per modelled quantity; `locality` overrides the view's.
+#[allow(clippy::too_many_arguments)]
 fn ell_part(
     spec: &GpuSpec,
     calib: &Calibration,
     a: &MatrixAnalysis,
+    locality: f64,
     padded: f64,
     width: f64,
     nnz: f64,
 ) -> GpuPart {
     let nrows = a.nrows() as f64;
     let bytes =
-        padded * (VAL + IDX) + gather_x_bytes(spec, calib, nnz, a.ncols() as f64, a.locality) + nrows * VAL;
+        padded * (VAL + IDX) + gather_x_bytes(spec, calib, nnz, a.ncols() as f64, locality) + nrows * VAL;
     GpuPart {
         bytes,
         warp_iters: (nrows / WARP as f64).ceil() * width,
@@ -111,9 +117,16 @@ fn dia_part(spec: &GpuSpec, a: &MatrixAnalysis, padded: f64, ndiags: f64) -> Gpu
     }
 }
 
-fn coo_part(spec: &GpuSpec, calib: &Calibration, a: &MatrixAnalysis, nnz: f64, rows_touched: f64) -> GpuPart {
+fn coo_part(
+    spec: &GpuSpec,
+    calib: &Calibration,
+    a: &MatrixAnalysis,
+    locality: f64,
+    nnz: f64,
+    rows_touched: f64,
+) -> GpuPart {
     let bytes = nnz * (VAL + 2.0 * IDX + calib.gpu_coo_seg_bytes)
-        + gather_x_bytes(spec, calib, nnz, a.ncols() as f64, a.locality)
+        + gather_x_bytes(spec, calib, nnz, a.ncols() as f64, locality)
         + rows_touched * calib.gpu_coo_row_flush_bytes;
     GpuPart {
         bytes,
@@ -140,6 +153,18 @@ fn part_time(spec: &GpuSpec, calib: &Calibration, part: &GpuPart) -> f64 {
 
 /// Modelled runtime, in seconds, of one SpMV in format `fmt` on the device.
 pub fn spmv_time(spec: &GpuSpec, calib: &Calibration, fmt: FormatId, a: &MatrixAnalysis) -> f64 {
+    spmv_time_at(spec, calib, fmt, a, a.locality)
+}
+
+/// [`spmv_time`] with the gathers' `locality` given instead of read off the
+/// view: what bounding a price over an unknown locality evaluates.
+pub(crate) fn spmv_time_at(
+    spec: &GpuSpec,
+    calib: &Calibration,
+    fmt: FormatId,
+    a: &MatrixAnalysis,
+    locality: f64,
+) -> f64 {
     let nnz = a.nnz() as f64;
     let nrows = a.nrows() as f64;
     let launch = calib.gpu_launch_overhead;
@@ -149,6 +174,7 @@ pub fn spmv_time(spec: &GpuSpec, calib: &Calibration, fmt: FormatId, a: &MatrixA
                 spec,
                 calib,
                 a,
+                locality,
                 nnz,
                 a.mean_row(),
                 a.stats.row_nnz_max as f64,
@@ -157,7 +183,7 @@ pub fn spmv_time(spec: &GpuSpec, calib: &Calibration, fmt: FormatId, a: &MatrixA
             part_time(spec, calib, &p) * spec.csr_quality + launch
         }
         FormatId::Coo => {
-            let p = coo_part(spec, calib, a, nnz, nrows.min(nnz));
+            let p = coo_part(spec, calib, a, locality, nnz, nrows.min(nnz));
             part_time(spec, calib, &p) + launch
         }
         FormatId::Dia => {
@@ -165,14 +191,14 @@ pub fn spmv_time(spec: &GpuSpec, calib: &Calibration, fmt: FormatId, a: &MatrixA
             part_time(spec, calib, &p) + launch
         }
         FormatId::Ell => {
-            let p = ell_part(spec, calib, a, a.ell_padded() as f64, a.ell_width as f64, nnz);
+            let p = ell_part(spec, calib, a, locality, a.ell_padded() as f64, a.ell_width as f64, nnz);
             part_time(spec, calib, &p) + launch
         }
         FormatId::Hyb => {
             let ell_nnz = nnz - a.hyb_coo_nnz as f64;
-            let ell = ell_part(spec, calib, a, a.hyb_padded() as f64, a.hyb_width as f64, ell_nnz);
+            let ell = ell_part(spec, calib, a, locality, a.hyb_padded() as f64, a.hyb_width as f64, ell_nnz);
             let surplus = a.hyb_coo_nnz as f64;
-            let coo = coo_part(spec, calib, a, surplus, surplus.min(nrows));
+            let coo = coo_part(spec, calib, a, locality, surplus, surplus.min(nrows));
             // The second kernel's launch partially overlaps the first.
             part_time(spec, calib, &ell) + part_time(spec, calib, &coo) + 1.5 * launch
         }
@@ -183,7 +209,7 @@ pub fn spmv_time(spec: &GpuSpec, calib: &Calibration, fmt: FormatId, a: &MatrixA
             let b = morpheus::FormatParams::default().normalized_block().0;
             let padded = a.bsr_padded(b) as f64;
             let width = if nrows > 0.0 { padded / nrows } else { 0.0 };
-            let p = ell_part(spec, calib, a, padded, width, nnz);
+            let p = ell_part(spec, calib, a, locality, padded, width, nnz);
             part_time(spec, calib, &p) + launch
         }
         FormatId::Bell => {
@@ -191,7 +217,7 @@ pub fn spmv_time(spec: &GpuSpec, calib: &Calibration, fmt: FormatId, a: &MatrixA
             // count inside a bucket so divergence stays bounded by bucketing.
             let padded = a.bell_padded as f64;
             let width = if nrows > 0.0 { padded / nrows } else { 0.0 };
-            let p = ell_part(spec, calib, a, padded, width, nnz);
+            let p = ell_part(spec, calib, a, locality, padded, width, nnz);
             part_time(spec, calib, &p) + launch * (a.bell_nbuckets.max(1) as f64) * 0.5 + launch
         }
         FormatId::Hdc => {
@@ -200,6 +226,7 @@ pub fn spmv_time(spec: &GpuSpec, calib: &Calibration, fmt: FormatId, a: &MatrixA
                 spec,
                 calib,
                 a,
+                locality,
                 a.hdc_csr_nnz as f64,
                 a.hdc_csr_mean_row,
                 a.hdc_csr_max_row() as f64,

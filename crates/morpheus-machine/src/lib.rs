@@ -60,7 +60,7 @@ pub mod systems;
 
 pub use analyze::{analyze, analyze_from, analyze_with_alpha, assemble, HdcRemainder, MatrixAnalysis};
 pub use calib::Calibration;
-pub use engine::{ProfileResult, VirtualEngine};
+pub use engine::{Payback, ProfileResult, VirtualEngine};
 /// The operation a cost query is for — defined beside the kernels that
 /// execute it, re-exported here for the engine's callers.
 pub use morpheus::Op;

@@ -172,6 +172,34 @@ impl RandomForest {
         (best, visited)
     }
 
+    /// The class every feature row in the box `lo ..= hi` is voted, when the
+    /// box settles the vote, and the nodes examined across all trees: each
+    /// tree votes for one of the classes of the leaves it reaches, so a
+    /// class's votes lie between the trees reaching only it and the trees
+    /// reaching it at all; the vote is settled when one class beats every
+    /// other in the worst case (ties go to the lower class, as in
+    /// [`RandomForest::predict`]). A point box settles on the point's class.
+    pub fn predict_over(&self, lo: &[f64], hi: &[f64]) -> (Option<usize>, usize) {
+        let (mut least, mut most) = (vec![0usize; self.n_classes], vec![0usize; self.n_classes]);
+        let mut examined = 0usize;
+        let mut classes = Vec::new();
+        for tree in &self.trees {
+            classes.clear();
+            examined += tree.reach(lo, hi, |leaf| {
+                if let crate::tree::Node::Leaf { class, .. } = &tree.nodes[leaf] {
+                    if !classes.contains(class) {
+                        classes.push(*class);
+                    }
+                }
+            });
+            if let [only] = classes[..] {
+                least[only] += 1;
+            }
+            classes.iter().for_each(|&c| most[c] += 1);
+        }
+        (crate::model::settled_argmax(&least, &most), examined)
+    }
+
     /// Per-class vote fractions.
     pub fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
         let mut votes = vec![0.0f64; self.n_classes];

@@ -8,6 +8,7 @@
 //! applies a Newton-style leaf update.
 
 use crate::dataset::Dataset;
+use crate::tree::split_ways;
 use crate::{MlError, Result};
 
 /// Hyperparameters of [`GradientBoostedTrees`].
@@ -129,6 +130,29 @@ impl<'a> RegBuilder<'a> {
 }
 
 impl RegressionTree {
+    /// The least and the greatest leaf value a row in the box `lo ..= hi`
+    /// reaches, and the nodes examined.
+    fn reach(&self, lo: &[f64], hi: &[f64]) -> ([f64; 2], usize) {
+        let (mut stack, mut examined) = (vec![0usize], 0usize);
+        let mut values = [f64::INFINITY, f64::NEG_INFINITY];
+        while let Some(node) = stack.pop() {
+            examined += 1;
+            match &self.nodes[node] {
+                RNode::Split { feature, threshold, left, right } => {
+                    let [goes_left, goes_right] = split_ways(lo[*feature], hi[*feature], *threshold);
+                    if goes_right {
+                        stack.push(*right);
+                    }
+                    if goes_left {
+                        stack.push(*left);
+                    }
+                }
+                RNode::Leaf { value } => values = [values[0].min(*value), values[1].max(*value)],
+            }
+        }
+        (values, examined)
+    }
+
     /// The leaf value for one feature vector and the nodes visited to reach
     /// it, counting the leaf (the convention of
     /// [`crate::DecisionTree::decision_path_len`]).
@@ -251,6 +275,31 @@ impl GradientBoostedTrees {
             }
         }
         (scores, visited)
+    }
+
+    /// The class every feature row in the box `lo ..= hi` scores highest,
+    /// when the box settles it, and the regression-tree nodes examined:
+    /// each class's score is bounded by summing, in the order
+    /// [`GradientBoostedTrees::decision_scores`] sums, the least and the
+    /// greatest contribution of the leaves each of its trees reaches
+    /// (rounding is monotone, so the bounds hold in floating point); the
+    /// argmax is settled when one class beats every other in the worst case
+    /// (ties go to the lower class). A point box settles on the point's class.
+    pub fn predict_over(&self, lo: &[f64], hi: &[f64]) -> (Option<usize>, usize) {
+        assert!(lo.len() == self.n_features && hi.len() == self.n_features, "feature box length");
+        let (mut least, mut most) = (self.priors.clone(), self.priors.clone());
+        let mut examined = 0usize;
+        let rate = self.params.learning_rate;
+        for round in &self.trees {
+            for (c, tree) in round.iter().enumerate() {
+                let ([low, high], nodes) = tree.reach(lo, hi);
+                let (a, b) = (rate * low, rate * high);
+                least[c] += a.min(b);
+                most[c] += a.max(b);
+                examined += nodes;
+            }
+        }
+        (crate::model::settled_argmax(&least, &most), examined)
     }
 
     /// Predicted class (argmax of scores).

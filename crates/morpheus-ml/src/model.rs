@@ -77,6 +77,16 @@ impl Model {
         each!(self, m => m.predict_with_path(x))
     }
 
+    /// The class every feature row in the box `lo ..= hi` (per feature) is
+    /// predicted as, when the box settles it, and the nodes examined: a tree
+    /// settles when the leaves it reaches agree, a forest when its votes
+    /// do, a GBT when its scores do. `None` says only that the box does not
+    /// settle the answer. A point box (`lo == hi`) settles on
+    /// [`Model::predict`]'s class.
+    pub fn predict_over(&self, lo: &[f64], hi: &[f64]) -> (Option<usize>, usize) {
+        each!(self, m => m.predict_over(lo, hi))
+    }
+
     /// Nodes visited for one prediction.
     pub fn decision_path_len(&self, x: &[f64]) -> usize {
         each!(self, m => m.decision_path_len(x))
@@ -91,6 +101,16 @@ impl Model {
     pub fn n_classes(&self) -> usize {
         each!(self, m => m.n_classes())
     }
+}
+
+/// The class every assignment of per-class totals within `least ..= most`
+/// argmaxes to — the first of equal maxima, the rule of every kind's
+/// `predict` — when one does: it must beat each lower class strictly and tie
+/// or beat each higher one, in the worst case. A NaN bound settles nothing.
+pub(crate) fn settled_argmax<T: PartialOrd>(least: &[T], most: &[T]) -> Option<usize> {
+    (0..least.len()).find(|&c| {
+        (0..least.len()).all(|d| d == c || if d < c { least[c] > most[d] } else { least[c] >= most[d] })
+    })
 }
 
 impl From<DecisionTree> for Model {
@@ -114,6 +134,18 @@ impl From<GradientBoostedTrees> for Model {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The first of equal maxima wins, in the worst case over the bounds:
+    /// a lower class must be beaten strictly, a higher one only tied.
+    #[test]
+    fn settled_argmax_takes_the_first_maximum_in_every_case() {
+        assert_eq!(settled_argmax(&[3, 1], &[3, 3]), Some(0), "a tie goes to the lower class");
+        assert_eq!(settled_argmax(&[1, 3], &[3, 3]), None, "a tie at the bound may go to class 0");
+        assert_eq!(settled_argmax(&[1, 4], &[3, 4]), Some(1));
+        assert_eq!(settled_argmax(&[0.5, 2.0, 1.0], &[1.9, 2.0, 2.0]), Some(1));
+        assert_eq!(settled_argmax(&[1.0, f64::NAN], &[1.0, f64::NAN]), None, "a NaN settles nothing");
+        assert_eq!(settled_argmax::<u32>(&[], &[]), None);
+    }
 
     #[test]
     fn tokens_round_trip() {

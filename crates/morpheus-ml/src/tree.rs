@@ -119,6 +119,14 @@ pub(crate) enum Node {
     },
 }
 
+/// The ways a split on `threshold` sends the box `lo ..= hi` of its
+/// feature: left when some value in it is `<= threshold`, right when some is
+/// not — a point goes exactly one way, the one [`DecisionTree::predict`]
+/// takes (a NaN goes right).
+pub(crate) fn split_ways(lo: f64, hi: f64, threshold: f64) -> [bool; 2] {
+    [lo <= threshold, hi > threshold || hi.is_nan() || threshold.is_nan()]
+}
+
 /// A fitted CART decision tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
@@ -292,6 +300,46 @@ impl DecisionTree {
     /// Nodes visited for a prediction (the tuner's cost accounting input).
     pub fn decision_path_len(&self, x: &[f64]) -> usize {
         self.walk(x).1
+    }
+
+    /// The class every feature row in the box `lo ..= hi` (per feature) is
+    /// predicted as, when the leaves the box reaches agree on one, and the
+    /// nodes examined finding them. A point box (`lo == hi`) reaches the
+    /// one leaf [`DecisionTree::predict_with_path`] walks to, examining the
+    /// nodes it visits.
+    pub fn predict_over(&self, lo: &[f64], hi: &[f64]) -> (Option<usize>, usize) {
+        let mut classes = Vec::new();
+        let examined = self.reach(lo, hi, |leaf| {
+            if let Node::Leaf { class, .. } = &self.nodes[leaf] {
+                if !classes.contains(class) {
+                    classes.push(*class);
+                }
+            }
+        });
+        ((classes.len() == 1).then(|| classes[0]), examined)
+    }
+
+    /// Calls `leaf` with every leaf a row in the box `lo ..= hi` can reach
+    /// ([`split_ways`]) and returns the nodes examined.
+    pub(crate) fn reach(&self, lo: &[f64], hi: &[f64], mut leaf: impl FnMut(usize)) -> usize {
+        assert!(lo.len() == self.n_features && hi.len() == self.n_features, "feature box length");
+        let (mut stack, mut examined) = (vec![0usize], 0usize);
+        while let Some(node) = stack.pop() {
+            examined += 1;
+            match &self.nodes[node] {
+                Node::Split { feature, threshold, left, right, .. } => {
+                    let [goes_left, goes_right] = split_ways(lo[*feature], hi[*feature], *threshold);
+                    if goes_right {
+                        stack.push(*right);
+                    }
+                    if goes_left {
+                        stack.push(*left);
+                    }
+                }
+                Node::Leaf { .. } => leaf(node),
+            }
+        }
+        examined
     }
 
     fn walk(&self, x: &[f64]) -> (usize, usize) {

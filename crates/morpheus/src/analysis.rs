@@ -40,6 +40,16 @@
 //! maxima, the row-length count table BELL/HYB/quantile questions are
 //! answered from in O(longest row)) and once over the diagonal populations.
 //!
+//! **The row side** needs no walk at all for a CSR matrix: its offsets are
+//! the row histogram. [`Analysis::of_rows`] builds that side alone (the
+//! row statistics of Table I, the prefix sums, the group maxima, the count
+//! table) and leaves out everything the walk counts; [`Analysis::walk_bounds`]
+//! bounds the three features it would have given (`ndiags`, `ntrue_diags`,
+//! `block_density`) from a sample of 64 rows, and
+//! [`Analysis::take_entry_walk`] completes the artifact — bitwise
+//! [`Analysis::without_block_counts`]' — should a decision need the walk
+//! after all.
+//!
 //! **The structure hash** is not part of the walk: a decision-cache lookup
 //! needs it before anything else is known, so callers that hold it pass it
 //! in ([`Analysis::of_auto_with_hash`]) and the others pay one sweep of the
@@ -82,9 +92,10 @@ use crate::bsr::BSR_BLOCK_DIMS;
 use crate::convert::kernels::PARALLEL_CONVERT_THRESHOLD;
 use crate::csr::CsrMatrix;
 use crate::dynamic::DynamicMatrix;
+use crate::hdc::true_diag_threshold;
 use crate::rowmajor::for_each_row_pattern;
 use crate::scalar::Scalar;
-use crate::stats::{empty_hists, reduce, MatrixStats, Reduced, RowSummary};
+use crate::stats::{empty_hists, reduce, reduce_diagonals, MatrixStats, Reduced, RowSummary};
 use morpheus_parallel::ThreadPool;
 
 /// Columns a gathered `x` cache line spans at eight bytes a value: two
@@ -166,7 +177,33 @@ pub struct Analysis {
     pub entries: EntryFacts,
     /// Entries lying on true diagonals (HDC's DIA portion).
     pub true_diag_nnz: usize,
+    /// `false` for the row side alone ([`Analysis::of_rows`]): `diag_pop` is
+    /// empty, and `stats.ndiags`, `stats.ntrue_diags`, `stats.block_density`,
+    /// `entries` and `true_diag_nnz` read zero, not what the walk would
+    /// count, until [`Analysis::take_entry_walk`] completes the artifact.
+    pub walked: bool,
 }
+
+/// Sound bounds of the three features only the entry walk counts — each
+/// `[lo, hi]`, the walked value inside — for an artifact built without the
+/// walk; points for a walked one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WalkBounds {
+    /// Non-empty diagonals: at least the distinct diagonals of
+    /// [`DIAGONAL_SAMPLE_ROWS`] rows spread over the matrix (and the longest
+    /// row, whose entries lie on distinct diagonals), at most
+    /// `min(nnz, nrows + ncols - 1)`.
+    pub ndiags: [usize; 2],
+    /// True diagonals: at most the diagonals there can be, and `nnz / T` for
+    /// the true-diagonal threshold `T` (each holds at least `T` entries).
+    pub ntrue_diags: [usize; 2],
+    /// Entry fraction on adjacent-diagonal runs: a fraction.
+    pub block_density: [f64; 2],
+}
+
+/// Rows the diagonal sample of [`Analysis::walk_bounds`] reads, spread evenly
+/// over the matrix.
+pub const DIAGONAL_SAMPLE_ROWS: usize = 64;
 
 impl Analysis {
     /// Analyses `m`: one hash sweep, one entry walk, one loop over each
@@ -210,6 +247,86 @@ impl Analysis {
         pool: Option<&ThreadPool>,
     ) -> Analysis {
         Self::build::<V, false>(m, alpha, Some(hash), pool)
+    }
+
+    /// The row side of `csr`'s artifact, from its offsets alone: the row
+    /// histogram, the row statistics and the row summary, with nothing the
+    /// entry walk counts ([`Analysis::walked`] is `false`). No entry is read
+    /// and no traversal is counted. `hash` must be `csr`'s structure hash.
+    pub fn of_rows<V: Scalar>(csr: &CsrMatrix<V>, alpha: f64, hash: u64) -> Analysis {
+        let (nrows, ncols) = (csr.nrows(), csr.ncols());
+        // The lengths the walk stores, one per row.
+        let row_hist: Vec<u32> = csr.row_offsets().windows(2).map(|w| (w[1] - w[0]) as u32).collect();
+        let Reduced { stats, rows, true_diag_nnz } = reduce(ncols, &row_hist, &[], alpha);
+        Analysis {
+            nrows,
+            ncols,
+            source_nnz: csr.nnz(),
+            row_hist,
+            diag_pop: Vec::new(),
+            stats,
+            structure_hash: hash,
+            rows,
+            entries: EntryFacts::default(),
+            true_diag_nnz,
+            walked: false,
+        }
+    }
+
+    /// Completes an artifact [`of_rows`](Self::of_rows) built from `csr`
+    /// with one walk of its entries, on `pool` as
+    /// [`Analysis::without_block_counts`] walks, and one loop over the
+    /// diagonal populations; the row side is kept. The artifact is then
+    /// bitwise what `without_block_counts` gives. A no-op on a walked
+    /// artifact.
+    pub fn take_entry_walk<V: Scalar>(&mut self, csr: &CsrMatrix<V>, pool: Option<&ThreadPool>) {
+        if self.walked {
+            return;
+        }
+        passes::record_traversal();
+        debug_assert!(
+            (self.nrows, self.ncols, self.source_nnz) == (csr.nrows(), csr.ncols(), csr.nnz()),
+            "analysis artifact does not describe this matrix"
+        );
+        let (_, mut diag_pop) = empty_hists(self.nrows, self.ncols);
+        // The walk stores each row's length again: the ones the offsets gave.
+        let (entries, populated) = walk_csr(csr, &mut self.row_hist, &mut diag_pop, pool);
+        let diagonals = reduce_diagonals(
+            self.nrows,
+            self.ncols,
+            self.stats.nnz,
+            &diag_pop[populated],
+            self.stats.true_diag_alpha,
+        );
+        self.stats.ndiags = diagonals.ndiags;
+        self.stats.ntrue_diags = diagonals.ntrue_diags;
+        self.stats.block_density = diagonals.block_density;
+        self.true_diag_nnz = diagonals.true_diag_nnz;
+        (self.diag_pop, self.entries, self.walked) = (diag_pop, entries, true);
+    }
+
+    /// Bounds of the features the entry walk counts, `csr` being the matrix
+    /// the artifact describes: the walked values themselves when it was
+    /// walked; otherwise read off the row side and a diagonal sample of
+    /// [`DIAGONAL_SAMPLE_ROWS`] rows (not a traversal).
+    pub fn walk_bounds<V: Scalar>(&self, csr: &CsrMatrix<V>) -> WalkBounds {
+        let s = &self.stats;
+        if self.walked {
+            return WalkBounds {
+                ndiags: [s.ndiags; 2],
+                ntrue_diags: [s.ntrue_diags; 2],
+                block_density: [s.block_density; 2],
+            };
+        }
+        let slots = if self.nrows == 0 || self.ncols == 0 { 0 } else { self.nrows + self.ncols - 1 };
+        let most = s.nnz.min(slots);
+        let least = sampled_diagonals(csr).max(s.row_nnz_max).min(most);
+        let threshold = true_diag_threshold(self.nrows, self.ncols, s.true_diag_alpha);
+        WalkBounds {
+            ndiags: [least, most],
+            ntrue_diags: [0, most.min(s.nnz / threshold)],
+            block_density: [0.0, 1.0],
+        }
     }
 
     /// Counts the blocks a walk [`without_block_counts`](Self::without_block_counts)
@@ -268,6 +385,7 @@ impl Analysis {
             rows,
             entries,
             true_diag_nnz,
+            walked: true,
         }
     }
 
@@ -306,6 +424,20 @@ impl Analysis {
     pub fn true_diag_slots(&self, threshold: usize) -> (Vec<usize>, usize) {
         true_diag_slots_from_pop(&self.diag_pop, threshold)
     }
+}
+
+/// Distinct diagonals among the entries of [`DIAGONAL_SAMPLE_ROWS`] rows of
+/// `csr` spread evenly over it (all of them when it has fewer).
+fn sampled_diagonals<V: Scalar>(csr: &CsrMatrix<V>) -> usize {
+    let nrows = csr.nrows();
+    let sample = nrows.min(DIAGONAL_SAMPLE_ROWS);
+    let mut slots: Vec<usize> = (0..sample)
+        .map(|i| i * nrows / sample)
+        .flat_map(|r| csr.row_cols(r).iter().map(move |&c| c + nrows - 1 - r))
+        .collect();
+    slots.sort_unstable();
+    slots.dedup();
+    slots.len()
 }
 
 /// Populated-diagonal offsets (ascending) from a diagonal-population

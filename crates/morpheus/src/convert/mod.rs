@@ -141,6 +141,14 @@ impl ConvertOptions {
     pub(crate) fn padded_allowance(&self, nnz: usize) -> usize {
         ((self.max_fill * nnz as f64) as usize).max(self.min_padded_allowance)
     }
+
+    /// `true` when the padding guard admits a `format` storing `padded`
+    /// slots in all for `nnz` structural non-zeros: the rule every padded
+    /// conversion under these options applies, for callers that price a
+    /// format without converting (the machine model's viability).
+    pub fn admits_padding(&self, format: FormatId, padded: usize, nnz: usize) -> bool {
+        guard_padding(format, padded, nnz, self.padded_allowance(nnz)).is_ok()
+    }
 }
 
 /// The padding guard: a `format` storing `padded` slots in all (its `nnz`
@@ -275,7 +283,10 @@ fn build<V: Scalar>(
     cpu: CpuFeatures,
 ) -> Result<DynamicMatrix<V>> {
     use DynamicMatrix as D;
-    let diags = diagonals.map(Diagonals::Stored).or(plan.map(Diagonals::Analysis));
+    // An artifact without the entry walk holds no diagonals: DIA and HDC
+    // then find theirs in a scan of the arrays.
+    let walked = plan.filter(|a| a.walked);
+    let diags = diagonals.map(Diagonals::Stored).or(walked.map(Diagonals::Analysis));
     Ok(match target {
         FormatId::Coo => D::Coo(rows.to_coo()),
         FormatId::Csr => D::Csr(rows.into_csr()),

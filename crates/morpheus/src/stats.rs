@@ -354,10 +354,26 @@ fn diag_sums<L: Lane>(diag_pop: &[u32], threshold: u32) -> [u64; 4] {
     sums
 }
 
-/// The diagonal half of [`reduce`], joined with the row half.
-fn reduce_diags(rows: RowsReduced, ncols: usize, diag_pop: &[u32], alpha: f64) -> Reduced {
-    let nrows = rows.summary.prefix.len() - 1;
-    let nnz = rows.nnz;
+/// What the diagonal populations of an `nrows x ncols` matrix of `nnz`
+/// entries give: Table I's diagonal counts, the block density and HDC's
+/// true-diagonal entries.
+#[derive(Debug, PartialEq)]
+pub(crate) struct DiagonalFacts {
+    pub ndiags: usize,
+    pub ntrue_diags: usize,
+    pub block_density: f64,
+    pub true_diag_nnz: usize,
+}
+
+/// The diagonal half of [`reduce`]: one loop over `diag_pop` (any run of the
+/// diagonal slots that holds every populated one).
+pub(crate) fn reduce_diagonals(
+    nrows: usize,
+    ncols: usize,
+    nnz: usize,
+    diag_pop: &[u32],
+    alpha: f64,
+) -> DiagonalFacts {
     let threshold = true_diag_threshold(nrows, ncols, alpha) as u32;
     // Each sum is at most the slot count (the diagonal counts) or the entry
     // count (the populations, which add up to `nnz`): while both fit in 32
@@ -370,7 +386,19 @@ fn reduce_diags(rows: RowsReduced, ncols: usize, diag_pop: &[u32], alpha: f64) -
         diag_sums::<u64>(diag_pop, threshold)
     };
     let block_density = if nnz == 0 { 0.0 } else { adjacent_pop as f64 / nnz as f64 };
+    DiagonalFacts {
+        ndiags: ndiags as usize,
+        ntrue_diags: ntrue as usize,
+        block_density,
+        true_diag_nnz: true_diag_nnz as usize,
+    }
+}
 
+/// The diagonal half of [`reduce`], joined with the row half.
+fn reduce_diags(rows: RowsReduced, ncols: usize, diag_pop: &[u32], alpha: f64) -> Reduced {
+    let nrows = rows.summary.prefix.len() - 1;
+    let nnz = rows.nnz;
+    let diagonals = reduce_diagonals(nrows, ncols, nnz, diag_pop, alpha);
     let stats = MatrixStats {
         nrows,
         ncols,
@@ -379,13 +407,13 @@ fn reduce_diags(rows: RowsReduced, ncols: usize, diag_pop: &[u32], alpha: f64) -
         row_nnz_max: rows.max as usize,
         row_nnz_mean: rows.mean,
         row_nnz_std: rows.std,
-        ndiags: ndiags as usize,
-        ntrue_diags: ntrue as usize,
+        ndiags: diagonals.ndiags,
+        ntrue_diags: diagonals.ntrue_diags,
         true_diag_alpha: alpha,
-        block_density,
+        block_density: diagonals.block_density,
         bucket_skew: rows.bucket_skew,
     };
-    Reduced { stats, rows: rows.summary, true_diag_nnz: true_diag_nnz as usize }
+    Reduced { stats, rows: rows.summary, true_diag_nnz: diagonals.true_diag_nnz }
 }
 
 /// Zeroed histograms for a matrix of this shape: `nrows` row slots and

@@ -40,8 +40,11 @@ fn main() {
     println!("features: {features}");
 
     // 3. Open a tuning session for the A64FX Serial backend (simulated)
-    //    with the run-first tuner: the Oracle picks the format, switches
-    //    the matrix in place, and runs the SpMV in one call.
+    //    with the run-first tuner: the Oracle picks the format and runs the
+    //    SpMV in one call. That call serves one execution, so it switches the
+    //    matrix only when the one execution repays the conversion; here it
+    //    does not, and the COO source runs as CSR, the format it entered in.
+    //    A loop would `register` the matrix once and `spmv` the handle.
     let oracle = Oracle::builder()
         .engine(VirtualEngine::new(systems::a64fx(), Backend::Serial))
         .tuner(RunFirstTuner::new(10))
@@ -51,8 +54,9 @@ fn main() {
     let mut y = vec![0.0f64; n];
     let report = oracle.tune_and_spmv(&mut matrix, &x, &mut y).expect("tuning succeeds");
     println!(
-        "tuned for {}: {} -> {} (decision cost {:.2} us on the virtual clock)",
+        "tuned for {}: decided {}, ran {} -> {} (decision cost {:.2} us on the virtual clock)",
         oracle.engine().label(),
+        report.predicted,
         report.previous,
         report.chosen,
         report.cost.total() * 1e6
@@ -61,7 +65,8 @@ fn main() {
     println!("y = A*1 checksum: {checksum:.1} (boundary rows keep a positive residue)");
 
     // 4. The session caches its decisions: tuning a structurally identical
-    //    matrix again costs nothing.
+    //    matrix again costs nothing (and `tune` switches it to the decided
+    //    format, whatever the horizon).
     let mut twin = DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap());
     let cached = oracle.tune(&mut twin).expect("tuning succeeds");
     let stats = oracle.cache_stats();

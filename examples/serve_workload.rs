@@ -8,7 +8,9 @@
 //! every thread replays the shared `ExecPlan` with zero locks and zero
 //! allocation (outputs go to per-thread workspaces). A slice of requests
 //! also goes down the per-call `tune_and_spmv` path to show the decision
-//! cache absorbing repeat structures.
+//! cache absorbing repeat structures: a per-call tune serves one execution,
+//! so it converts only when that execution repays the conversion and
+//! otherwise runs the matrix as it came — iterating clients hold handles.
 //!
 //! The per-stage report at the end comes from the service's unified
 //! metrics registry (`serve.request_ns`, `serve.plan_ns`,
@@ -94,6 +96,8 @@ fn main() {
                 for r in 0..requests_per_client {
                     let mi = (r + c) % handles.len();
                     if r % 16 == 15 {
+                        // One execution: served from the matrix as it came
+                        // unless that execution repays converting it.
                         let mut m = matrices[mi].1.clone();
                         let mut y = vec![0.0f64; m.nrows()];
                         let report =

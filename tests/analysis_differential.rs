@@ -8,6 +8,12 @@
 //! The naive side knows nothing of the walk's mechanics (row runs, block-row
 //! stamps, the row-length count table): blocks are counted with sets,
 //! locality entry by entry, padding and spill row by row.
+//!
+//! The walk itself can be left out too: a CSR matrix's row side comes from
+//! its offsets ([`Analysis::of_rows`]), and a model tuner decides off it
+//! when the bounds of the three walk features settle its answer. The last
+//! tests hold those bounds, those decisions and the artifact the walk
+//! completes to the full walk's.
 
 use morpheus_repro::corpus::{CorpusSpec, MatrixClass};
 use morpheus_repro::machine::{
@@ -27,6 +33,7 @@ use morpheus_repro::oracle::{
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 const ALPHA: f64 = 0.2;
 
@@ -535,12 +542,12 @@ fn an_hdc_decision_is_the_same_however_late_its_remainder_was_taken() {
     served_as_by_hand("modelled", &by_model, &y);
     assert_eq!(exported(&modelled), decisions, "the decision, parameters included");
 
-    // Any other answer walks for neither: a plain registration's miss on a
-    // mixed split is the key hash and the analysis walk.
+    // Any other answer walks for neither — and a BELL one, settled off the
+    // row side, not even for the analysis: the key hash.
     let elsewhere = service_over(tree_answering(FormatId::Bell));
     passes::reset();
     assert_eq!(elsewhere.register(m.clone()).unwrap().format_id(), FormatId::Bell);
-    assert_eq!(passes::count(), 2, "hash, walk");
+    assert_eq!(passes::count(), 1, "hash");
 
     let seeded = service_over(tree_answering(FormatId::Csr));
     assert_eq!(seeded.import_decisions(std::io::Cursor::new(decisions.as_bytes())).unwrap(), 1);
@@ -603,6 +610,186 @@ fn no_public_call_sequence_reads_an_absent_block_count() {
                 let handle = restarted.register(source.clone()).unwrap();
                 assert!(handle.report().cache_hit && handle.format_id() == answer, "{answer}");
             }
+        }
+    }
+}
+
+/// The CSR matrices the walk-free path is held to: the small corpus and one
+/// matrix of every corpus class (each a `morpheus_corpus::gen` generator's).
+fn walk_free_cases() -> Vec<(String, DynamicMatrix<f64>)> {
+    let opts = ConvertOptions::default();
+    let spec = CorpusSpec::small(48);
+    let corpus = spec.iter().map(|e| (e.name, DynamicMatrix::from(e.matrix)));
+    let classes = one_of_every_class().into_iter().map(|(class, m)| (class.name().to_string(), m));
+    let mut cases: Vec<(String, DynamicMatrix<f64>)> =
+        corpus.chain(classes).map(|(name, m)| (name, m.to_format(FormatId::Csr, &opts).unwrap())).collect();
+    cases.push((
+        "empty".into(),
+        DynamicMatrix::from(CooMatrix::<f64>::new(7, 5)).to_format(FormatId::Csr, &opts).unwrap(),
+    ));
+    cases.push(("tall".into(), band_with_strays(300).to_format(FormatId::Csr, &opts).unwrap()));
+    cases
+}
+
+/// The row side reads no entry and agrees with the full walk on every row
+/// fact; the bounds contain the walked features (and are points on a walked
+/// artifact); and the walk completes the row side to the full walk's
+/// artifact bitwise — in one traversal, on one worker or four.
+#[test]
+fn the_walk_bounds_hold_and_the_walk_completes_the_row_side_bitwise() {
+    let pool = morpheus_repro::parallel::ThreadPool::new(4);
+    for (name, m) in walk_free_cases() {
+        let DynamicMatrix::Csr(csr) = &m else { unreachable!("the cases are CSR") };
+        let hash = m.structure_hash();
+        let full = Analysis::without_block_counts(&m, ALPHA, hash, None);
+        passes::reset();
+        let rows = Analysis::of_rows(csr, ALPHA, hash);
+        let bounds = rows.walk_bounds(csr);
+        assert_eq!(passes::count(), 0, "{name}: the row side and the sample read no traversal");
+        assert!(!rows.walked && full.walked, "{name}");
+        assert_eq!((rows.row_hist.as_slice(), &rows.rows), (full.row_hist.as_slice(), &full.rows), "{name}");
+        let (a, b) = (&rows.stats, &full.stats);
+        let row_facts = |s: &morpheus_repro::morpheus::stats::MatrixStats| {
+            let floats = [s.row_nnz_mean, s.row_nnz_std, s.bucket_skew, s.true_diag_alpha].map(f64::to_bits);
+            ([s.nrows, s.ncols, s.nnz, s.row_nnz_min, s.row_nnz_max], floats)
+        };
+        assert_eq!(row_facts(a), row_facts(b), "{name}: row statistics");
+
+        let within = |[lo, hi]: [usize; 2], v: usize| lo <= v && v <= hi;
+        assert!(within(bounds.ndiags, b.ndiags), "{name}: ndiags {} in {:?}", b.ndiags, bounds.ndiags);
+        assert!(within(bounds.ntrue_diags, b.ntrue_diags), "{name}: {} in {:?}", b.ntrue_diags, bounds);
+        let [lo, hi] = bounds.block_density;
+        assert!(lo <= b.block_density && b.block_density <= hi, "{name}: block density");
+        let points = full.walk_bounds(csr);
+        assert_eq!(points.ndiags, [b.ndiags; 2], "{name}");
+        assert_eq!(points.ntrue_diags, [b.ntrue_diags; 2], "{name}");
+        assert_eq!(points.block_density.map(f64::to_bits), [b.block_density.to_bits(); 2], "{name}");
+
+        for pool in [None, Some(&pool)] {
+            let mut completed = rows.clone();
+            passes::reset();
+            completed.take_entry_walk(csr, pool);
+            assert_eq!(passes::count(), 1, "{name}: one walk");
+            assert_eq!(completed, full, "{name}: the completed artifact");
+            assert_eq!(format!("{completed:?}"), format!("{full:?}"), "{name}: bit for bit");
+            completed.take_entry_walk(csr, pool);
+            assert_eq!(passes::count(), 1, "{name}: a walked artifact is not walked again");
+        }
+    }
+}
+
+/// A tree, a forest and a GBT fitted like the benchmark's selector: host
+/// labels of the engine the services below run on, over a small corpus.
+fn fitted_models() -> Vec<morpheus_repro::ml::Model> {
+    use morpheus_repro::ml::{ForestParams, GbtParams, GradientBoostedTrees, RandomForest};
+    use morpheus_repro::oracle::FeatureVector;
+    let engine = VirtualEngine::new(systems::cirrus(), Backend::OpenMp);
+    let mut ds =
+        Dataset::empty(NUM_FEATURES, morpheus_repro::morpheus::format::FORMAT_COUNT, vec![]).unwrap();
+    for entry in CorpusSpec::small(120).iter() {
+        let view = analyze(&DynamicMatrix::from(entry.matrix));
+        ds.push(FeatureVector::from_stats(&view.stats).as_slice(), engine.profile(&view).optimal.index())
+            .unwrap();
+    }
+    vec![
+        DecisionTree::fit(&ds, &TreeParams::default()).unwrap().into(),
+        RandomForest::fit(&ds, &ForestParams { n_estimators: 12, seed: 1, ..Default::default() })
+            .unwrap()
+            .into(),
+        GradientBoostedTrees::fit(&ds, &GbtParams { n_rounds: 12, ..Default::default() }).unwrap().into(),
+    ]
+}
+
+/// Every decision taken without the walk is the walked decision — format and
+/// parameters — for all three model kinds, directly and through a service:
+/// one without a collector (which decides off the row side where it can)
+/// registers every case into the decisions a service with a collector
+/// (which always walks) registers them into. The row side settles at least
+/// one case in eight for every kind.
+#[test]
+fn every_decision_without_the_walk_is_the_walked_one_for_every_model_kind() {
+    use morpheus_repro::oracle::adapt::{CollectorConfig, SampleCollector};
+    let engine = VirtualEngine::new(systems::cirrus(), Backend::OpenMp);
+    let cases = walk_free_cases();
+    for model in fitted_models() {
+        let kind = model.kind().token();
+        let tuner = ModelTuner::new(model).unwrap();
+        let mut settled = 0usize;
+        for (name, m) in &cases {
+            let DynamicMatrix::Csr(csr) = m else { unreachable!("the cases are CSR") };
+            let hash = m.structure_hash();
+            let walked = assemble(&Analysis::without_block_counts(m, ALPHA, hash, None), 8);
+            let want = tuner.select(m, &walked, &engine, Op::Spmv);
+            let rows = Analysis::of_rows(csr, ALPHA, hash);
+            let view = assemble(&rows, 8);
+            assert!(!view.walked && !view.prices(FormatId::Dia) && !view.prices(FormatId::Hdc), "{name}");
+            if let Some(got) = tuner.select_unwalked(m, &view, &rows.walk_bounds(csr), &engine, Op::Spmv) {
+                assert_eq!((got.format, got.params), (want.format, want.params), "{kind} {name}");
+                assert!(
+                    !matches!(got.format, FormatId::Dia | FormatId::Hdc | FormatId::Bsr),
+                    "{kind} {name}"
+                );
+                settled += 1;
+            }
+        }
+        assert!(settled * 8 >= cases.len(), "{kind}: the row side settled only {settled} of {}", cases.len());
+
+        let plain = service_over(tuner.clone());
+        let collector = Arc::new(SampleCollector::new(CollectorConfig::default()));
+        let walking = Oracle::builder()
+            .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
+            .tuner(tuner)
+            .workers(1)
+            .collector(collector)
+            .build_service()
+            .unwrap();
+        for (name, m) in &cases {
+            let (a, b) = (plain.register(m.clone()).unwrap(), walking.register(m.clone()).unwrap());
+            assert_eq!((a.format_id(), a.matrix()), (b.format_id(), b.matrix()), "{kind} {name}");
+        }
+        assert_eq!(exported(&plain), exported(&walking), "{kind}: the decisions, parameters included");
+    }
+}
+
+/// DIA and HDC never plan from an artifact without the walk: a conversion
+/// handed one finds its diagonals in a scan of the arrays (one counted
+/// traversal) and stores what a walked plan stores. A service walks for DIA,
+/// HDC and BSR answers, and a walk-free answer's registration of a CSR or
+/// COO source reads the matrix once, for its key.
+#[test]
+fn dia_and_hdc_are_never_planned_from_an_unwalked_artifact() {
+    let opts =
+        ConvertOptions { min_padded_allowance: 1 << 26, max_fill: f64::INFINITY, ..Default::default() };
+    for (name, m) in walk_free_cases().into_iter().step_by(3) {
+        let DynamicMatrix::Csr(csr) = &m else { unreachable!("the cases are CSR") };
+        let hash = m.structure_hash();
+        let (rows, full) = (Analysis::of_rows(csr, ALPHA, hash), Analysis::of(&m, ALPHA));
+        for format in [FormatId::Dia, FormatId::Hdc] {
+            passes::reset();
+            let (planned, _) = m.to_format_with(format, &opts, Some(&full)).unwrap();
+            assert_eq!(passes::count(), 0, "{name} {format}: planned off the walked artifact");
+            let (scanned, _) = m.to_format_with(format, &opts, Some(&rows)).unwrap();
+            let scans = u64::from(m.nnz() > 0);
+            assert_eq!(passes::count(), scans, "{name} {format}: the unwalked artifact is not a plan");
+            assert_eq!(format!("{scanned:?}"), format!("{planned:?}"), "{name} {format}");
+        }
+    }
+
+    let m = band_with_strays(1_200);
+    let csr = m.to_format(FormatId::Csr, &ConvertOptions::default()).unwrap();
+    for format in [FormatId::Dia, FormatId::Hdc, FormatId::Bsr] {
+        let service = service_over(tree_answering(format));
+        passes::reset();
+        assert_eq!(service.register(m.clone()).unwrap().report().predicted, format);
+        assert!(passes::count() >= 2, "{format}: the key hash and the walk, at least");
+    }
+    for format in [FormatId::Coo, FormatId::Csr, FormatId::Bell] {
+        for source in [&m, &csr] {
+            let service = service_over(tree_answering(format));
+            passes::reset();
+            let handle = service.register(source.clone()).unwrap();
+            assert_eq!(handle.format_id(), format);
+            assert_eq!(passes::count(), 1, "{format} from {}: the key hash alone", source.format_id());
         }
     }
 }

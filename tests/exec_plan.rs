@@ -214,6 +214,12 @@ fn oracle_session_amortises_plans_across_iterations() {
     let x = vec![1.0f64; n];
     let mut y = vec![0.0f64; n];
 
+    // A per-call tune serves one execution and converts only when that
+    // execution repays it: an iterating caller switches the matrix once,
+    // and its per-call loop then runs in the decided format.
+    let gated = oracle.tune_and_spmv(&mut m.clone(), &x, &mut y).unwrap();
+    assert_eq!(gated.plan, PlanStatus::Unplanned, "one execution pays for no plan");
+    oracle.tune(&mut m).unwrap();
     let first = oracle.tune_and_spmv(&mut m, &x, &mut y).unwrap();
     assert_eq!(first.plan, PlanStatus::Built);
     let mut y_ref = vec![0.0f64; n];

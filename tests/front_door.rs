@@ -89,8 +89,9 @@ fn a_coo_source_and_its_csr_copy_share_one_decision_and_one_plan() {
 }
 
 /// `tune_and_spmv` on a COO matrix: the report names COO, the caller's
-/// matrix is left in the chosen format, and the move is in the conversion
-/// time — also when CSR is what was chosen and nothing else converted.
+/// matrix is left in CSR — the format it entered in: one execution repays
+/// no conversion into BELL — and the move is in the conversion time, also
+/// when CSR is what was decided.
 #[test]
 fn tune_and_spmv_on_coo_reports_the_callers_format_and_the_move() {
     for format in [FormatId::Bell, FormatId::Csr] {
@@ -98,7 +99,8 @@ fn tune_and_spmv_on_coo_reports_the_callers_format_and_the_move() {
         let mut m = DynamicMatrix::from(tridiagonal(3_000));
         let (x, mut y) = (vec![1.0f64; 3_000], vec![f64::NAN; 3_000]);
         let report = service.tune_and_spmv(&mut m, &x, &mut y).unwrap();
-        assert_eq!((report.previous, report.chosen), (FormatId::Coo, format));
+        assert_eq!((report.previous, report.chosen), (FormatId::Coo, FormatId::Csr));
+        assert_eq!(report.predicted, format);
         assert_eq!(m.format_id(), report.chosen);
         assert!(report.converted, "{format}: the caller's COO is gone");
         assert_eq!(report.convert.path, ConvertPath::Direct, "{format}");

@@ -2,8 +2,11 @@
 //!
 //! A hit reads the matrix once, for its key: the decision entry owns the
 //! execution plan, a registered handle is keyed by the hash it was decided
-//! under, and the re-tune aliases `tune`/`tune_and_*` leave live in a table
-//! of their own. The traversal counts are exact
+//! under, and the re-tune aliases `tune` leaves live in a table of their
+//! own. A per-call tune (`tune_and_*`) serves one execution: it converts
+//! only when that execution repays the conversion (Eq. 2 at N = 1, the
+//! horizon its decision records), and otherwise runs the matrix as it was
+//! ingested. The traversal counts are exact
 //! ([`passes`](morpheus_repro::morpheus::analysis::passes)): BELL is built
 //! from arrays and plans nothing, so every traversal counted is a hash or an
 //! analysis.
@@ -11,6 +14,7 @@
 use morpheus_repro::machine::{systems, Backend, MatrixAnalysis, VirtualEngine};
 use morpheus_repro::morpheus::analysis::passes;
 use morpheus_repro::morpheus::format::FormatId;
+use morpheus_repro::morpheus::spmm::spmm_serial;
 use morpheus_repro::morpheus::spmv::spmv_serial;
 use morpheus_repro::morpheus::{CooMatrix, DynamicMatrix, FormatParams};
 use morpheus_repro::oracle::adapt::{CollectorConfig, SampleCollector};
@@ -96,7 +100,10 @@ fn a_hit_hashes_the_source_and_nothing_else() {
     passes::reset();
     let (x, mut y) = (vec![1.0f64; 700], vec![0.0f64; 700]);
     let report = service.tune_and_spmv(&mut tridiag(700), &x, &mut y).unwrap();
-    assert!(report.cache_hit && report.converted && report.plan == PlanStatus::Reused);
+    // One execution repays no conversion into BELL: the COO source is moved
+    // into CSR (the front door) and runs there, unplanned.
+    assert!(report.cache_hit && report.converted && report.plan == PlanStatus::Unplanned);
+    assert_eq!((report.predicted, report.chosen), (FormatId::Bell, FormatId::Csr));
     assert_eq!(passes::count(), 1, "a per-call hit hashes the source only");
 
     // A per-call miss hashes what it converted, for the alias re-tuning
@@ -158,64 +165,188 @@ fn a_hit_is_one_traversal_after_the_cache_has_cycled() {
     // Registrations and per-call tunes interleaved, in groups that fit the
     // cache with little to spare — each group seen once (misses: the
     // earlier groups pushed it out), then once more (hits) — and the whole
-    // sequence twice over.
+    // sequence twice over. A per-call tune keeps its source (one execution
+    // repays no conversion), so it plans nothing and leaves no plan.
+    let (mut registered_hits, mut registered_misses) = (0u64, 0u64);
     for round in 0..2 {
         for group in sizes.chunks(capacity - 2) {
             for hit in [false, true] {
                 for (i, &n) in group.iter().enumerate() {
                     passes::reset();
-                    let report = if i % 2 == 0 {
-                        *service.register(tridiag(n)).unwrap().report()
-                    } else {
+                    let per_call = i % 2 == 1;
+                    let report = if per_call {
                         service.tune_and_spmv(&mut tridiag(n), &x[..n], &mut y[..n]).unwrap()
+                    } else {
+                        *service.register(tridiag(n)).unwrap().report()
                     };
                     assert_eq!(report.cache_hit, hit, "round {round}, structure {n}");
-                    if hit {
+                    if per_call {
+                        assert_eq!(
+                            report.plan,
+                            PlanStatus::Unplanned,
+                            "structure {n}: served from its source"
+                        );
+                    } else if hit {
                         assert_eq!(report.plan, PlanStatus::Reused, "structure {n}: a hit brings its plan");
+                    }
+                    if hit {
                         assert_eq!(passes::count(), 1, "structure {n}: a hit is the source hash");
                     }
+                    registered_hits += u64::from(!per_call && hit);
+                    registered_misses += u64::from(!per_call && !hit);
                 }
             }
         }
     }
     let (decisions, plans) = (service.cache_stats(), service.plan_cache_stats());
     assert_eq!(decisions.len, capacity, "the cache is full and has cycled");
-    assert_eq!((plans.len, plans.capacity), (capacity, capacity), "every cached decision holds its plan");
-    assert_eq!(plans.hits, decisions.hits, "every decision hit found its plan");
-    assert_eq!(plans.misses, decisions.misses, "every miss built one");
+    assert_eq!(plans.capacity, capacity);
+    assert!(0 < plans.len && plans.len < capacity, "the registered decisions hold their plans: {plans:?}");
+    assert_eq!(plans.hits, registered_hits, "every registration hit found its plan");
+    assert_eq!(plans.misses, registered_misses, "every registration miss built one");
 }
 
 /// Re-tune aliases live in a table of their own: a capacity-`C` cache holds
 /// `C` converted structures, not `C / 2`. `C` distinct COO structures tuned
-/// through `tune_and_spmv`, then all again: every second sight is a hit, and
-/// so is re-tuning a matrix already switched.
+/// through `tune`, then all again: every second sight is a hit, and so is
+/// re-tuning a matrix already switched.
 #[test]
 fn aliases_take_no_decision_slots() {
     let capacity = 12usize;
     let service = always(FormatId::Bell, capacity, None);
     let sizes: Vec<usize> = (0..capacity).map(|i| 200 + 8 * i).collect();
-    let (x, mut y) = (vec![1.0f64; 400], vec![0.0f64; 400]);
     let mut switched = Vec::new();
     for &n in &sizes {
         let mut m = tridiag(n);
-        let report = service.tune_and_spmv(&mut m, &x[..n], &mut y[..n]).unwrap();
+        let report = service.tune(&mut m).unwrap();
         assert!(!report.cache_hit && report.converted, "first sight of {n}");
+        assert_eq!(m.format_id(), FormatId::Bell);
         switched.push(m);
     }
     assert_eq!(service.cache_stats().len, capacity, "one slot per structure");
     for &n in &sizes {
-        let report = service.tune_and_spmv(&mut tridiag(n), &x[..n], &mut y[..n]).unwrap();
+        let report = service.tune(&mut tridiag(n)).unwrap();
         assert!(report.cache_hit, "second sight of {n}: no alias pushed its decision out");
-        assert_eq!(report.plan, PlanStatus::Reused);
     }
     for m in &mut switched {
         let n = m.nrows();
-        let report = service.tune_and_spmv(m, &x[..n], &mut y[..n]).unwrap();
+        let report = service.tune(m).unwrap();
         assert!(report.cache_hit && !report.converted, "re-tuning the switched {n} hits its alias");
-        assert_eq!(report.plan, PlanStatus::Reused, "and shares the entry's plan");
     }
     let stats = service.cache_stats();
     assert_eq!((stats.hits, stats.misses, stats.len), (2 * capacity as u64, capacity as u64, capacity));
+}
+
+/// A per-call tune serves one execution from its source when that execution
+/// does not repay the conversion (here, BELL on a tridiagonal): `y` is the
+/// source's serial result bit for bit, the report predicts BELL and chose
+/// CSR, and nothing is converted, aliased or planned — the matrix stays in
+/// CSR and no plan lands in the decision's slot. The decision it left is a
+/// registration's hit: converted, planned once, nothing walked; `tune`
+/// still converts; and a matrix already in BELL runs in it, planned.
+#[test]
+fn a_per_call_tune_serves_one_execution_from_its_source() {
+    let n = 700usize;
+    let x: Vec<f64> = (0..3 * n).map(|i| 1.0 + (i % 7) as f64 * 0.5).collect();
+    let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for op in [Op::Spmv, Op::Spmm { k: 3 }] {
+        let k = op.rhs_count();
+        let service = always(FormatId::Bell, DEFAULT_CACHE_CAPACITY, None);
+        let source = tridiag(n).to_format(FormatId::Csr, &Default::default()).unwrap();
+        let run = |m: &mut DynamicMatrix<f64>, y: &mut [f64]| match op {
+            Op::Spmv => service.tune_and_spmv(m, &x[..n], y).unwrap(),
+            Op::Spmm { k } => service.tune_and_spmm(m, &x[..n * k], y, k).unwrap(),
+        };
+        let serial = |m: &DynamicMatrix<f64>| {
+            let mut want = vec![0.0f64; n * k];
+            match op {
+                Op::Spmv => spmv_serial(m, &x[..n], &mut want).unwrap(),
+                Op::Spmm { k } => spmm_serial(m, &x[..n * k], &mut want, k).unwrap(),
+            }
+            want
+        };
+        let want = serial(&source);
+        for hit in [false, true] {
+            let (mut m, mut y) = (tridiag(n), vec![f64::NAN; n * k]);
+            passes::reset();
+            let report = run(&mut m, &mut y);
+            let walked = if hit { 1 } else { 2 };
+            assert_eq!(passes::count(), walked, "{op:?}: key hash{}", if hit { "" } else { ", analysis" });
+            assert_eq!(report.cache_hit, hit, "{op:?}");
+            assert_eq!((report.predicted, report.chosen), (FormatId::Bell, FormatId::Csr), "{op:?}");
+            assert_eq!((report.plan, report.serial_fallback), (PlanStatus::Unplanned, false), "{op:?}");
+            assert_eq!(m.format_id(), FormatId::Csr, "{op:?}: no BELL arrays were built");
+            assert_eq!(bits(&y), bits(&want), "{op:?}: the source's serial result");
+        }
+        assert_eq!(service.plan_cache_stats().len, 0, "{op:?}: no plan in the decision's slot");
+
+        // A registration of the structure hits the decision, converts,
+        // plans once and walks nothing: the plan-less entry costs the hash.
+        passes::reset();
+        let handle = service.register_for(tridiag(n), op).unwrap();
+        assert_eq!(passes::count(), 1, "{op:?}: a plan-less hit is the key hash");
+        assert!(handle.report().cache_hit, "{op:?}");
+        assert_eq!((handle.format_id(), handle.report().plan), (FormatId::Bell, PlanStatus::Built));
+        passes::reset();
+        assert_eq!(service.register_for(tridiag(n), op).unwrap().report().plan, PlanStatus::Reused);
+        assert_eq!(passes::count(), 1, "{op:?}");
+
+        // `tune` converts, and the switched matrix runs in BELL per call.
+        let mut switched = tridiag(n);
+        assert_eq!(service.tune_for(&mut switched, op).unwrap().chosen, FormatId::Bell, "{op:?}");
+        let mut y = vec![f64::NAN; n * k];
+        for plan in [PlanStatus::Built, PlanStatus::Reused] {
+            let report = run(&mut switched, &mut y);
+            assert!(!report.converted, "{op:?}");
+            assert_eq!((report.predicted, report.chosen), (FormatId::Bell, FormatId::Bell), "{op:?}");
+            assert_eq!(report.plan, plan, "{op:?}: planned under the BELL structure's own decision");
+            assert_eq!(bits(&y), bits(&serial(&switched)), "{op:?}");
+        }
+    }
+}
+
+/// Rows of one entry or two and one hub row half as long as the matrix is
+/// wide: CSR's row partition cannot split the hub, so BELL's cell-balanced
+/// shares run it several times faster on a threaded engine.
+fn hub(n: usize) -> DynamicMatrix<f64> {
+    let (mut rows, mut cols) = (Vec::new(), Vec::new());
+    for i in 0..n {
+        if i == n / 2 {
+            rows.extend([i; 2000]);
+            cols.extend((0..2000).map(|j| j * (n / 2000)));
+        } else {
+            rows.extend([i, i]);
+            cols.extend([i, (i * 7 + 3) % n]);
+        }
+    }
+    let vals: Vec<f64> = (0..rows.len()).map(|k| 1.0 + (k % 5) as f64 * 0.25).collect();
+    DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap())
+}
+
+/// A per-call tune converts when one execution repays it (`c + r < 1`): on
+/// the hub matrix BELL does, for SpMV and SpMM, and the call is the
+/// planned BELL execution, as before the horizon.
+#[test]
+fn a_per_call_tune_converts_when_one_execution_repays_it() {
+    let n = 4000usize;
+    let x: Vec<f64> = (0..2 * n).map(|i| 0.5 + (i % 3) as f64).collect();
+    for op in [Op::Spmv, Op::Spmm { k: 2 }] {
+        let k = op.rhs_count();
+        let service = always(FormatId::Bell, DEFAULT_CACHE_CAPACITY, None);
+        let (mut m, mut y) = (hub(n), vec![f64::NAN; n * k]);
+        let report = match op {
+            Op::Spmv => service.tune_and_spmv(&mut m, &x[..n], &mut y).unwrap(),
+            Op::Spmm { k } => service.tune_and_spmm(&mut m, &x[..n * k], &mut y, k).unwrap(),
+        };
+        assert_eq!((report.predicted, report.chosen), (FormatId::Bell, FormatId::Bell), "{op:?}");
+        assert_eq!((m.format_id(), report.plan), (FormatId::Bell, PlanStatus::Built), "{op:?}");
+        let mut want = vec![0.0f64; n * k];
+        match op {
+            Op::Spmv => spmv_serial(&m, &x[..n], &mut want).unwrap(),
+            Op::Spmm { k } => spmm_serial(&m, &x[..n * k], &mut want, k).unwrap(),
+        }
+        assert!(y.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()), "{op:?}");
+    }
 }
 
 /// A handle is keyed by the hash its matrix was decided under — the

@@ -296,6 +296,9 @@ fn a_plan_belongs_to_its_decision_one_per_op_and_scalar() {
     let x = vec![1.0f64; n];
     let mut y = vec![0.0f64; n];
 
+    // Switched once, the matrix is in its decided format, and per-call
+    // tunes of it execute planned (a source the horizon keeps plans nothing).
+    oracle.tune(&mut m64).unwrap();
     let first = oracle.tune_and_spmv(&mut m64, &x, &mut y).unwrap();
     assert_eq!(first.plan, PlanStatus::Built);
     let second = oracle.tune_and_spmv(&mut m64, &x, &mut y).unwrap();
@@ -314,6 +317,7 @@ fn a_plan_belongs_to_its_decision_one_per_op_and_scalar() {
     // An f32 matrix of the same structure needs its own plan: the scalar
     // width is part of the decision key.
     let mut m32 = to_f32(&m64);
+    oracle.tune(&mut m32).unwrap();
     let x32 = vec![1.0f32; n];
     let mut y32 = vec![0.0f32; n];
     let r32 = oracle.tune_and_spmv(&mut m32, &x32, &mut y32).unwrap();

@@ -9,7 +9,7 @@
 
 use morpheus_repro::machine::{systems, Backend, Op, VirtualEngine};
 use morpheus_repro::morpheus::{CooMatrix, DynamicMatrix, Workspace};
-use morpheus_repro::oracle::{Oracle, OracleService, RunFirstTuner};
+use morpheus_repro::oracle::{Oracle, OracleService, PlanStatus, RunFirstTuner};
 use morpheus_repro::parallel::ThreadPool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,7 +57,17 @@ fn bitwise_eq(a: &[f64], b: &[f64]) -> bool {
 
 #[test]
 fn concurrent_tune_and_spmv_is_bitwise_identical_to_a_serial_session() {
-    let corpus = corpus();
+    // Every structure twice: as generated, which a per-call tune serves from
+    // its source (one execution repays no conversion), and switched by
+    // `tune` into its decided format, which it serves planned.
+    let mut inputs = Vec::new();
+    let switcher = service();
+    for (name, base) in corpus() {
+        let mut switched = base.clone();
+        switcher.tune(&mut switched).unwrap();
+        inputs.push((format!("{name} (switched)"), switched));
+        inputs.push((name, base));
+    }
 
     // Serial reference: one Oracle session, used by one thread, over the same
     // engine, executing on a same-width private pool so the planned
@@ -69,7 +79,7 @@ fn concurrent_tune_and_spmv_is_bitwise_identical_to_a_serial_session() {
         .build_service()
         .unwrap();
     let mut expected = Vec::new();
-    for (_, base) in &corpus {
+    for (_, base) in &inputs {
         let mut m = base.clone();
         let x = input_for(base);
         let mut y = vec![0.0f64; base.nrows()];
@@ -80,14 +90,14 @@ fn concurrent_tune_and_spmv_is_bitwise_identical_to_a_serial_session() {
     let service = Arc::new(service());
     let clients = 4usize;
     let rounds = 3usize;
+    let planned = std::sync::atomic::AtomicU64::new(0);
     std::thread::scope(|s| {
         for c in 0..clients {
             let service = Arc::clone(&service);
-            let corpus = &corpus;
-            let expected = &expected;
+            let (inputs, expected, planned) = (&inputs, &expected, &planned);
             s.spawn(move || {
                 for round in 0..rounds {
-                    for (i, (name, base)) in corpus.iter().enumerate() {
+                    for (i, (name, base)) in inputs.iter().enumerate() {
                         let mut m = base.clone();
                         let x = input_for(base);
                         let mut y = vec![f64::NAN; base.nrows()];
@@ -98,6 +108,9 @@ fn concurrent_tune_and_spmv_is_bitwise_identical_to_a_serial_session() {
                             "client {c} round {round}: {name} format diverged"
                         );
                         assert!(bitwise_eq(&y, expect_y), "client {c} round {round}: {name} result diverged");
+                        if report.plan != PlanStatus::Unplanned {
+                            planned.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        }
                     }
                 }
             });
@@ -107,17 +120,20 @@ fn concurrent_tune_and_spmv_is_bitwise_identical_to_a_serial_session() {
     // Aggregate accounting under contention: every tune does exactly one
     // counted decision lookup; nothing may be lost.
     let stats = service.cache_stats();
-    let total_tunes = (clients * rounds * corpus.len()) as u64;
+    let total_tunes = (clients * rounds * inputs.len()) as u64;
     assert_eq!(stats.hits + stats.misses, total_tunes, "decision lookups lost under contention: {stats:?}");
     // At most the first round per client can miss; everything after the
-    // corpus is cached must hit.
-    let first_round_lookups = (clients * corpus.len()) as u64;
+    // inputs are cached must hit.
+    let first_round_lookups = (clients * inputs.len()) as u64;
     assert!(stats.hits >= total_tunes - first_round_lookups, "too few hits: {stats:?}");
-    assert!(stats.len <= corpus.len(), "one entry per structure: aliases take no decision slots");
+    assert!(stats.len <= inputs.len(), "one entry per structure: aliases take no decision slots");
 
-    // Plan accounting: one counted plan lookup per threaded execution.
+    // Plan accounting: one counted plan lookup per planned execution — the
+    // switched inputs', at least.
     let plan = service.plan_cache_stats();
-    assert_eq!(plan.hits + plan.misses, total_tunes, "plan lookups lost under contention: {plan:?}");
+    let planned = planned.into_inner();
+    assert!(planned >= (clients * rounds * inputs.len() / 2) as u64, "{planned} planned executions");
+    assert_eq!(plan.hits + plan.misses, planned, "plan lookups lost under contention: {plan:?}");
 }
 
 #[test]
