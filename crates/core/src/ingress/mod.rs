@@ -7,14 +7,15 @@
 //! that degradation with an explicit request lifecycle:
 //!
 //! ```text
-//!   submit ──► admit ──────► queue ──────────► execute ──────► Ticket
+//!   submit ──► admit ──────► queue ──────────► start ─────────► Ticket
 //!              │  │            │               (one planned    resolves
-//!   tenant quota  queue cap    │                SpMV each)
-//!   Backpressure::TenantQuota  │
-//!   Backpressure::QueueFull    │
+//!   tenant quota  queue cap    │                SpMV each,     (once, by
+//!   Backpressure::TenantQuota  │                whole or in    whoever ran
+//!   Backpressure::QueueFull    │                plan parts)    the last part)
 //!                              ▼
 //!               drained one request at a time, by the thread waiting on
-//!               a ticket and by the pump; deadline expired when it starts?
+//!               a ticket and by the pump, after the parts of the oldest
+//!               started request; deadline expired when it starts?
 //!               shed: Backpressure::DeadlineExpired
 //! ```
 //!
@@ -23,38 +24,54 @@
 //!   ([`IngressConfig::tenant_quota`]), so a greedy client saturates its
 //!   own quota, not the queue. The queue itself is bounded; both refusals
 //!   are immediate typed [`Backpressure`] errors, never blocking waits.
-//! * **Execution** — a thread waiting on a ticket is an executor.
-//!   [`Ticket::wait`] returns the reply if it is there; otherwise it takes
-//!   the oldest queued request, without blocking, runs it on the calling
-//!   thread and looks for its reply again; only when nothing is queued
-//!   does it block on the reply. A caller that just wrote `x` runs the
-//!   kernel with `x` in its own cache, and its request pays no thread
-//!   hand-off. The pump thread wakes on the first push and takes requests
-//!   the same way, one at a time, so the pump and a waiter run one burst's
-//!   requests at the same time. The pump alone runs what nobody waits on:
-//!   tickets polled with [`Ticket::try_wait`], work released by
-//!   [`Ingress::resume`] before anyone waits, and the shedding at
-//!   shutdown. Every request runs as its own planned SpMV over its
-//!   [`MatrixHandle`]'s shared [`ExecPlan`](morpheus::ExecPlan), started
-//!   in submission order, bitwise the direct [`OracleService::spmv`].
-//!   Queued SpMVs are not merged into an SpMM: on the ingress workload a
-//!   coalesced column cost more than the SpMV it replaced. A caller
-//!   holding `k` vectors calls [`OracleService::spmm`] itself.
+//! * **Execution** — a thread waiting on a ticket is an executor, and so
+//!   is the pump thread, which wakes on the first push. Every request runs
+//!   as its own planned SpMV over its [`MatrixHandle`]'s shared
+//!   [`ExecPlan`](morpheus::ExecPlan), started in submission order, bitwise
+//!   the direct [`OracleService::spmv`]. The executor that takes a request
+//!   dispatches its plan on the service's pool when the pool is free and
+//!   wider than one. A run that would be inline instead — a one-wide pool,
+//!   or a pool another executor holds — is shared: the plan's parts (the
+//!   disjoint row ranges, or BELL slice shares, of a matrix with 2^14
+//!   entries or more; HYB and HDC run whole) are published, and every
+//!   executor claims a part of the oldest started request before it takes
+//!   a new one, so even a one-request burst runs on the pump and the
+//!   waiter together. Claimed parts run into the request's one output, and
+//!   whichever executor finishes the last part resolves the ticket.
+//!   [`Ticket::wait`] returns the reply if it is there; otherwise it claims
+//!   parts or takes the oldest queued request, without blocking, and looks
+//!   for its reply again; only when there is neither does it block, until
+//!   its reply comes or parts are published. A caller that just wrote `x`
+//!   runs the kernel with `x` in its own cache, and its request pays no
+//!   thread hand-off. The pump alone runs what nobody waits on: tickets
+//!   polled with [`Ticket::try_wait`], work released by [`Ingress::resume`]
+//!   before anyone waits, and the shedding at shutdown. Queued SpMVs are
+//!   not merged into an SpMM: on the ingress workload a coalesced column
+//!   cost more than the SpMV it replaced. A caller holding `k` vectors
+//!   calls [`OracleService::spmm`] itself.
 //! * **SLO enforcement** — requests carry deadlines (explicit, or
 //!   [`IngressConfig::default_slo`]). A request is checked against its
 //!   deadline when an executor takes it, just before its kernel would
 //!   start; one that expired while queued is shed with
-//!   [`Backpressure::DeadlineExpired`] *before* any kernel runs;
+//!   [`Backpressure::DeadlineExpired`] *before* any part of it runs;
 //!   work that finishes late still delivers and is counted as a deadline
 //!   miss. See [`slo`] for the exact semantics.
 //!
-//! The pump and any number of waiters may run requests at the same time;
-//! each request is drained exactly once, under the queue's mutex. Ingress
-//! work never takes the direct path's counted pool-busy serial fallback
-//! — overload surfaces as typed backpressure at admission instead — and
-//! an execution that finds the pool dispatched by another executor runs
-//! its plan inline on its own thread, bitwise the same (rung 2 of the
-//! ladder on [`OracleService`]'s `execute`).
+//! The pump and any number of waiters may run requests and parts at the
+//! same time; each request is drained exactly once, under the queue's
+//! mutex, and each part claimed once. What counts a request counts it once,
+//! however many executors ran its parts: `ingress.direct_served` when it
+//! is taken, and `ingress.requests_completed`, the `ingress.exec_ns`
+//! sample, the telemetry sample, the quota release and the reply when its
+//! last part finishes; `ingress.parts_shared` counts the parts run by an
+//! executor other than the one that took their request. A kernel that
+//! panics — in a part, or in a whole run — resolves its ticket once with
+//! [`IngressError::Panicked`], after the request's other parts finish; the
+//! executors carry on. A started request always finishes: a paused or
+//! closed queue starts nothing new, but its started parts are still
+//! claimed. Ingress work never takes the direct path's counted pool-busy
+//! serial fallback — overload surfaces as typed backpressure at admission
+//! instead.
 //! Executions are timestamped into the adaptive-sampling
 //! [`Telemetry`](crate::adapt::Telemetry) under `Op::Spmv` keys exactly
 //! like direct handle calls, so retraining learns from queued traffic too.
@@ -93,7 +110,10 @@ use crate::obs::{Counter, Gauge, Histogram, Obs, SlowRequest, SpanRecord, Stage,
 use crate::serve::{MatrixHandle, OracleService};
 use crate::OracleError;
 use morpheus::Scalar;
-use queue::{Drained, Job, JobMeta, PushRefused, QueuedRequest, SubmissionQueue, TenantTable};
+use queue::{
+    Drained, ErasedParts, Job, JobMeta, PushRefused, QueuedRequest, Reply, Started, SubmissionQueue,
+    TenantTable,
+};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::mpsc::{sync_channel, Receiver, TryRecvError};
@@ -152,8 +172,12 @@ pub enum IngressError {
     /// Execution itself failed; nothing was delivered. Each failed request
     /// carries its own error.
     Exec(Arc<OracleError>),
-    /// The thread that ran the request disappeared without resolving the
-    /// ticket (it panicked); a bug, not an overload signal.
+    /// A kernel panicked while running the request — in any of its plan's
+    /// parts, whichever executor ran it; nothing was delivered. Carries the
+    /// panic's message. The executors and the other requests carry on.
+    Panicked(String),
+    /// The request was dropped without resolving its ticket; a bug, not an
+    /// overload signal.
     Disconnected,
 }
 
@@ -163,7 +187,8 @@ impl fmt::Display for IngressError {
             IngressError::Backpressure(b) => write!(f, "backpressure: {b}"),
             IngressError::Rejected(why) => write!(f, "request rejected: {why}"),
             IngressError::Exec(e) => write!(f, "execution failed: {e}"),
-            IngressError::Disconnected => write!(f, "the thread running the request disconnected"),
+            IngressError::Panicked(why) => write!(f, "execution panicked: {why}"),
+            IngressError::Disconnected => write!(f, "the request was dropped without a reply"),
         }
     }
 }
@@ -256,12 +281,16 @@ pub(crate) struct StatsCells {
     pub(crate) direct_requests: Counter,
     /// `ingress.deadlines_missed`
     pub(crate) deadline_misses: Counter,
+    /// `ingress.parts_shared` — plan parts run by an executor other than
+    /// the one that took their request.
+    pub(crate) parts_shared: Counter,
     /// `ingress.queue_depth`
     pub(crate) queue_depth: Gauge,
     /// `ingress.queue_wait_ns` — submission to drain (by the pump or a
     /// waiting ticket).
     pub(crate) queue_wait_hist: Arc<Histogram>,
-    /// `ingress.exec_ns` — one sample per request's kernel execution.
+    /// `ingress.exec_ns` — one sample per request's kernel execution, from
+    /// its start to its last part.
     pub(crate) exec_hist: Arc<Histogram>,
 }
 
@@ -278,6 +307,7 @@ impl StatsCells {
             failed: r.counter("ingress.requests_failed"),
             direct_requests: r.counter("ingress.direct_served"),
             deadline_misses: r.counter("ingress.deadlines_missed"),
+            parts_shared: r.counter("ingress.parts_shared"),
             queue_depth: r.gauge("ingress.queue_depth"),
             queue_wait_hist: r.histogram("ingress.queue_wait_ns"),
             exec_hist: r.histogram("ingress.exec_ns"),
@@ -364,18 +394,28 @@ impl<V: Scalar> Ticket<V> {
     /// Blocks until the request resolves: `y = A x` on success, typed
     /// backpressure or the execution error otherwise.
     ///
-    /// While the reply is not there, the calling thread takes the oldest
-    /// queued request and runs it, exactly as the pump would — its own or
-    /// another client's — one request at a time, looking for its reply
-    /// between them, and blocks only once nothing is queued. A paused or
-    /// closed ingress runs nothing here.
+    /// While the reply is not there, the calling thread works as the pump
+    /// does, one piece at a time, looking for its reply between them: it
+    /// claims a part of the oldest started request whose plan runs in parts
+    /// — its own or another client's — or, with none left to claim, takes
+    /// the oldest queued request and starts it. Only when there is neither
+    /// does it block, until its reply comes or a started request publishes
+    /// parts. A paused or closed ingress starts nothing here, but the parts
+    /// of a request already started are still claimed.
     pub fn wait(self) -> Result<Vec<V>, IngressError> {
         loop {
             if let Some(result) = self.try_wait() {
                 return result;
             }
             if !self.ingress.run_queued() {
-                return self.rx.recv().unwrap_or(Err(IngressError::Disconnected));
+                let mut reply = None;
+                self.ingress.park(&mut || {
+                    reply = self.try_wait();
+                    reply.is_some()
+                });
+                if let Some(result) = reply {
+                    return result;
+                }
             }
         }
     }
@@ -393,9 +433,12 @@ impl<V: Scalar> Ticket<V> {
 
 /// What a [`Ticket`] needs of its ingress, without its tuner type.
 trait Executor: Send + Sync {
-    /// Takes the oldest queued request without blocking and runs it on the
-    /// calling thread; `false` when there was nothing to run.
+    /// Claims parts of a started request, or takes the oldest queued request
+    /// and starts it, without blocking, on the calling thread; `false` when
+    /// there was nothing to do.
     fn run_queued(&self) -> bool;
+    /// Blocks until `done()` holds or a started request has parts to claim.
+    fn park(&self, done: &mut dyn FnMut() -> bool);
 }
 
 struct Shared<T> {
@@ -406,11 +449,28 @@ struct Shared<T> {
     cfg: IngressConfig,
 }
 
-impl<T: Send + Sync> Shared<T> {
-    /// Runs a drained request on the calling thread — the pump's and every
-    /// waiter's one path: sheds it if its deadline passed while it was
-    /// queued, else runs it as one planned SpMV.
-    fn run(&self, mut req: QueuedRequest<T>) {
+impl<T: Send + Sync + 'static> Shared<T> {
+    /// Runs a piece of drained work on the calling thread — the pump's and
+    /// every waiter's one path.
+    fn run(&self, drained: Drained<T>) {
+        match drained {
+            Drained::Parts(parts) => self.claim(&*parts, false),
+            Drained::Run(req) => self.start(req),
+            Drained::Shed(mut req) => {
+                self.stats.queue_depth.set(self.queue.depth());
+                self.stats.shed_shutdown.inc();
+                self.stats.resolve_request(&mut req.meta, 2);
+                req.job.shed(Backpressure::ShuttingDown);
+                self.queue.wake_parked();
+            }
+        }
+    }
+
+    /// Starts a request taken from the queue: sheds it if its deadline
+    /// passed while it was queued — the whole request, before any part —
+    /// else runs it through the service, whole, or in parts it publishes for
+    /// every executor and then claims itself.
+    fn start(&self, mut req: QueuedRequest<T>) {
         let stats = &self.stats;
         stats.queue_depth.set(self.queue.depth());
         let now = Instant::now();
@@ -418,6 +478,7 @@ impl<T: Send + Sync> Shared<T> {
             stats.shed_deadline.inc();
             stats.resolve_request(&mut req.meta, 2);
             req.job.shed(Backpressure::DeadlineExpired);
+            self.queue.wake_parked();
             return;
         }
         if req.meta.trace.is_some() {
@@ -428,13 +489,33 @@ impl<T: Send + Sync> Shared<T> {
             stats.stage_span(&mut req.meta, Stage::QueueWait, start_ns, wait_ns, 0);
         }
         stats.direct_requests.inc();
-        req.job.run_direct(&self.service, stats, &mut req.meta);
+        match req.job.start(req.meta, &self.service, stats) {
+            Started::Resolved => self.queue.wake_parked(),
+            Started::Parts(parts) => {
+                if parts.unclaimed() > 1 {
+                    self.queue.publish(Arc::clone(&parts));
+                }
+                self.claim(&*parts, true);
+            }
+        }
+    }
+
+    /// Claims parts of a started request; wakes the parked threads when
+    /// this claim resolved its ticket.
+    fn claim(&self, parts: &dyn ErasedParts<T>, taker: bool) {
+        if parts.claim(&self.service, &self.stats, taker) {
+            self.queue.wake_parked();
+        }
     }
 }
 
-impl<T: Send + Sync> Executor for Shared<T> {
+impl<T: Send + Sync + 'static> Executor for Shared<T> {
     fn run_queued(&self) -> bool {
-        self.queue.try_drain().map(|req| self.run(req)).is_some()
+        self.queue.try_drain().map(|drained| self.run(drained)).is_some()
+    }
+
+    fn park(&self, done: &mut dyn FnMut() -> bool) {
+        self.queue.park(done);
     }
 }
 
@@ -550,7 +631,7 @@ impl<T: Send + Sync + 'static> Ingress<T> {
             meta.spans.push(rec);
             rec
         });
-        let job = Job { handle: handle.clone(), x, tx, tenant: Some(tenant_slot) };
+        let job = Job { handle: handle.clone(), x, reply: Reply { tx, tenant: Some(tenant_slot) } };
         let req = QueuedRequest { meta, job: Box::new(job) };
         match shared.queue.push(req) {
             Ok(()) => {
@@ -609,9 +690,10 @@ impl<T: Send + Sync + 'static> Ingress<T> {
     }
 
     /// Holds queued work back from every executor. Submissions still
-    /// admit (up to queue capacity and quotas); nothing executes until
+    /// admit (up to queue capacity and quotas); no request starts until
     /// [`Ingress::resume`], not even on a thread blocked in
-    /// [`Ticket::wait`]. Deterministic-burst construction for tests and
+    /// [`Ticket::wait`] — but the parts of a request already started are
+    /// still claimed, so it finishes. Deterministic-burst construction for tests and
     /// benchmarks — paused queues do not shed on a timer, each request's
     /// deadline is checked when it is drained after resuming.
     pub fn pause(&self) {
@@ -635,21 +717,87 @@ impl<T: Send + Sync + 'static> Drop for Ingress<T> {
     }
 }
 
-/// The pump: drain one request → (run it | shed it on shutdown), until the
-/// queue closes and empties. Whether a request is shed is what
-/// [`SubmissionQueue::drain`] saw under the lock it drained under: a request
-/// drained while the queue was open runs, even if the queue closes before
-/// it does.
-fn pump_loop<T: Send + Sync>(shared: &Shared<T>) {
+/// The pump: drain one piece of work → (claim parts | start a request |
+/// shed it on shutdown), until the queue closes and empties. Whether a
+/// request is shed is what [`SubmissionQueue::drain`] saw under the lock it
+/// drained under: a request drained while the queue was open runs, even if
+/// the queue closes before it does.
+fn pump_loop<T: Send + Sync + 'static>(shared: &Shared<T>) {
     while let Some(drained) = shared.queue.drain() {
-        match drained {
-            Drained::Run(req) => shared.run(req),
-            Drained::Shed(mut req) => {
-                shared.stats.queue_depth.set(shared.queue.depth());
-                shared.stats.shed_shutdown.inc();
-                shared.stats.resolve_request(&mut req.meta, 2);
-                req.job.shed(Backpressure::ShuttingDown);
+        shared.run(drained);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Oracle, RunFirstTuner};
+    use morpheus::{CooMatrix, DynamicMatrix};
+    use morpheus_machine::{systems, Backend, VirtualEngine};
+
+    /// Dropping the front door while requests run in parts on the pump and
+    /// on three waiting threads: every ticket resolves once — delivered,
+    /// bitwise the direct SpMV, or shed as shutting down — the counters add
+    /// up to the submissions, and each quota slot is released once.
+    #[test]
+    fn dropping_the_ingress_with_parts_in_flight_resolves_every_ticket_once() {
+        let service = Arc::new(
+            Oracle::builder()
+                .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
+                .tuner(RunFirstTuner::new(1))
+                .workers(1)
+                .build_service()
+                .unwrap(),
+        );
+        let n = 100_000usize;
+        let (mut rows, mut cols) = (Vec::new(), Vec::new());
+        for i in 0..n {
+            for j in [i.wrapping_sub(1), i, i + 1].into_iter().filter(|&j| j < n) {
+                rows.push(i);
+                cols.push(j);
             }
+        }
+        let vals: Vec<f64> = (0..rows.len()).map(|e| 0.5 + (e % 13) as f64 * 0.25).collect();
+        let m = DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap());
+        let handle = service.register(m).unwrap();
+        assert!(handle.plan().num_parts() >= 2, "a plan with parts to share");
+        let x: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
+        let mut expect = vec![0.0; n];
+        service.spmv(&handle, &x, &mut expect).unwrap();
+
+        let ingress = Ingress::start(Arc::clone(&service), IngressConfig::default());
+        let shared = Arc::clone(&ingress.shared);
+        let tenants = ["a", "b"];
+        let mut tickets: Vec<_> =
+            (0..24).map(|c| ingress.submit(tenants[c % 2], &handle, x.clone()).unwrap()).collect();
+        let results: Vec<_> = std::thread::scope(|s| {
+            let waiters: Vec<_> = (0..3)
+                .map(|_| {
+                    let mine: Vec<_> = tickets.drain(..8).collect();
+                    s.spawn(move || mine.into_iter().map(Ticket::wait).collect::<Vec<_>>())
+                })
+                .collect();
+            std::thread::sleep(Duration::from_millis(2));
+            drop(ingress);
+            waiters.into_iter().flat_map(|w| w.join().unwrap()).collect()
+        });
+        let mut delivered = 0u64;
+        for (c, result) in results.into_iter().enumerate() {
+            match result {
+                Ok(y) => {
+                    delivered += 1;
+                    assert!(y.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits()), "request {c}");
+                }
+                Err(IngressError::Backpressure(Backpressure::ShuttingDown)) => {}
+                Err(e) => panic!("request {c}: {e}"),
+            }
+        }
+        let stats = &shared.stats;
+        assert_eq!(stats.completed.get(), delivered);
+        assert_eq!(stats.completed.get() + stats.shed_shutdown.get(), 24, "each ticket resolved once");
+        assert_eq!(stats.failed.get() + stats.shed_deadline.get(), 0);
+        for tenant in tenants {
+            assert_eq!(shared.tenants.inflight(tenant), 0, "tenant {tenant}: each slot released once");
         }
     }
 }

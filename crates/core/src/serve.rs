@@ -36,10 +36,12 @@
 //!   in executions of the ingested source for the call's op, recorded with
 //!   the decision when the tuner answered, so a cache hit gates without a
 //!   view. Otherwise the matrix stays as it was ingested and runs its own
-//!   body once; the report's `predicted` is the decision, its `chosen` the
-//!   source. To iterate, [`OracleService::register`] once and call
-//!   [`OracleService::spmv`]: registration (and [`OracleService::tune`])
-//!   converts and plans as decided, whatever the horizon.
+//!   body once — across the service's pool when it has several workers,
+//!   the width `c` and `r` were priced for; the report's `predicted` is
+//!   the decision, its `chosen` the source. To iterate,
+//!   [`OracleService::register`] once and call [`OracleService::spmv`]:
+//!   registration (and [`OracleService::tune`]) converts and plans as
+//!   decided, whatever the horizon.
 //! * **The entry walk runs when the decision needs it.** Under a tuner that
 //!   does not price formats ([`FormatTuner::prices_formats`] `false`) and
 //!   with no collector attached, a CSR source (a COO one enters as CSR) is
@@ -49,9 +51,14 @@
 //!   bounds settle the model on COO, CSR, ELL, HYB or BELL — formats whose
 //!   parameters read row facts only — that is the decision, bitwise what
 //!   the walk would give, and a cold registration reads the matrix once,
-//!   for its key. Otherwise the walk completes the same artifact
-//!   ([`Analysis::take_entry_walk`]) and the tuner answers as always; DIA,
-//!   HDC and BSR answers always walk.
+//!   for its key. The horizon of such a decision is the engine's floor;
+//!   where the floor leaves the conversion open, a registration or `tune`
+//!   stores it marked open, and the first per-call tune of the structure —
+//!   the one reader of a horizon — walks its own matrix to price it
+//!   exactly and stores that. Otherwise the walk completes the same
+//!   artifact ([`Analysis::take_entry_walk`]) and the view assembled from
+//!   its row side, and the tuner answers as always; DIA, HDC and BSR
+//!   answers always walk.
 //!
 //! ```
 //! use morpheus::{CooMatrix, DynamicMatrix, Workspace};
@@ -105,13 +112,13 @@ use morpheus::format::FormatId;
 use morpheus::partition::{split_rows, Partition, Shard, StreamingPartitioner};
 use morpheus::{
     Analysis, ConvertOptions, ConvertOutcome, ConvertPath, CooMatrix, CsrMatrix, DynamicMatrix, ExecPlan,
-    FormatParams, PartitionConfig, PartitionedMatrix, Scalar, Workspace,
+    FormatParams, PartitionConfig, PartitionedMatrix, Scalar, SharedRun, Workspace,
 };
 use morpheus_machine::{assemble, MatrixAnalysis, Op, Payback, VirtualEngine};
 use morpheus_parallel::ThreadPool;
 use std::any::Any;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -148,11 +155,15 @@ struct CachedDecision {
     /// imported decision, a CSR fallback and a view that could not price it:
     /// the per-call path then converts.
     horizon: Option<Horizon>,
+    /// Set once a `tune` that kept its switched matrix aliased the decision
+    /// under the switched structure; shared by the copies of one entry, so
+    /// the switched structure is hashed at most once per entry.
+    aliased: Arc<AtomicBool>,
 }
 
 impl CachedDecision {
     fn new(decision: TuneDecision, horizon: Option<Horizon>) -> Self {
-        CachedDecision { decision, layout: None, plan: Arc::default(), horizon }
+        CachedDecision { decision, layout: None, plan: Arc::default(), horizon, aliased: Arc::default() }
     }
 }
 
@@ -160,18 +171,22 @@ impl CachedDecision {
 /// out of `source`, the format the decided matrix was in — the conversion's
 /// predicted cost `c` and the per-execution ratio `r`, both in executions of
 /// `source` for the decision's op. Exact, or — decided without the entry
-/// walk — floors whose sum is at least one: the conversion cannot pay.
+/// walk — floors: whose sum is at least one (the conversion cannot pay), or
+/// below one, `open`, when a registration or `tune`, which converts
+/// whatever the horizon, left it for the first per-call tune to price
+/// ([`OracleService::price_open_horizon`]).
 #[derive(Debug, Clone, Copy)]
 struct Horizon {
     source: FormatId,
     payback: Payback,
+    open: bool,
 }
 
 impl Horizon {
     /// A matrix already in the decided format: nothing to convert, `c = 0`
     /// and `r = 1`.
     fn stay(source: FormatId) -> Self {
-        Horizon { source, payback: Payback { convert: 0.0, ratio: 1.0 } }
+        Horizon { source, payback: Payback { convert: 0.0, ratio: 1.0 }, open: false }
     }
 
     /// `true` when a per-call tune of a matrix in `format` keeps it there:
@@ -234,11 +249,24 @@ struct Decided {
     plan: Arc<PlanSlot>,
     /// The entry's horizon (see [`CachedDecision::horizon`]).
     horizon: Option<Horizon>,
+    /// The entry's alias flag (see [`CachedDecision::aliased`]).
+    aliased: Arc<AtomicBool>,
     cache_hit: bool,
-    /// Generations of the decision cache and of the alias table the tuner
-    /// was consulted under (they gate the follow-up inserts of `realize`);
-    /// unused on a hit.
+    /// Generations of the decision cache and of the alias table the entry
+    /// was found or the tuner consulted under: they gate the follow-up
+    /// inserts (`realize`'s, an open horizon's price).
     generation: [u64; 2],
+}
+
+/// Who asks for a decision: what it is used for decides what it pays for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Asker {
+    /// `register*`: converts whatever the horizon, and consumes its matrix.
+    Register,
+    /// `tune`: converts whatever the horizon, and keeps the switched matrix.
+    Tune,
+    /// `tune_and_*`: serves one execution, gated on the horizon.
+    PerCall,
 }
 
 /// What one tuning call learned beyond the report: the structure hash the
@@ -255,6 +283,23 @@ struct TuneArtifacts {
     param_code: u8,
     analysis: Option<Analysis>,
     plan: Arc<PlanSlot>,
+}
+
+/// How a queued SpMV started ([`OracleService::start_queued`]).
+pub(crate) enum QueuedStart<V: Scalar> {
+    /// It ran whole on the executor that took it: the reply.
+    Ran(Vec<V>),
+    /// It runs inline, in parts that every ingress executor may claim.
+    Shared(QueuedParts<V>),
+}
+
+/// A queued SpMV's shared run, with what its one telemetry sample needs.
+pub(crate) struct QueuedParts<V: Scalar> {
+    pub(crate) run: SharedRun<V>,
+    /// When the run was opened, with a collector attached or tracing on.
+    t0: Option<Instant>,
+    /// Executors that ran at least one part.
+    executors: AtomicUsize,
 }
 
 /// Which pool threaded executions run on.
@@ -477,8 +522,10 @@ pub struct OracleService<T> {
     /// a copy of the entry it was switched under, so tuning the switched
     /// matrix again is a hit. A table of its own (of the decision cache's
     /// capacity): kept among the decisions, each converted structure held
-    /// two of their slots. Only `tune`/`tune_and_*` write it — a
-    /// registration consumes its matrix, which cannot come back.
+    /// two of their slots. Only `tune`/`tune_and_*` write it, on a miss or
+    /// a hit, once per entry — a registration consumes its matrix, which
+    /// cannot come back (one that hits an alias stores it among the
+    /// decisions).
     aliases: ShardedLru<CacheKey, CachedDecision>,
     /// Plans found in their decision entry / built, as
     /// [`OracleService::plan_cache_stats`] reports them.
@@ -634,7 +681,7 @@ impl<T> OracleService<T> {
         T: FormatTuner<V>,
     {
         let facts = self.ingest(m, false)?;
-        let decided = self.decide(m, op, facts);
+        let decided = self.decide(m, op, facts, Asker::Tune);
         // The caller keeps the switched matrix and may tune it again.
         self.realize(m, decided, op, true).map(|(report, _)| report)
     }
@@ -687,14 +734,29 @@ impl<T> OracleService<T> {
 
     /// The key of `structure` for `op` at `V`, and the entry it finds: in
     /// the decisions or, for a matrix `tune` switched earlier, the aliases.
-    fn lookup<V>(&self, structure: u64, op: Op) -> (CacheKey, Option<CachedDecision>) {
+    /// A registration that finds an alias stores it among the decisions
+    /// too, under `generation`: a registered source's decision is one of the
+    /// decisions, and exported with them.
+    fn lookup<V>(
+        &self,
+        structure: u64,
+        op: Op,
+        asker: Asker,
+        generation: [u64; 2],
+    ) -> (CacheKey, Option<CachedDecision>) {
         let key = CacheKey {
             structure,
             scalar_bytes: std::mem::size_of::<V>(),
             engine: self.engine_fingerprint,
             op,
         };
-        let found = self.decisions.probe(&key).or_else(|| self.aliases.probe(&key));
+        let found = self.decisions.probe(&key).or_else(|| {
+            let alias = self.aliases.probe(&key)?;
+            if asker == Asker::Register {
+                self.decisions.insert_if_generation(key, alias.clone(), generation[0]);
+            }
+            Some(alias)
+        });
         (key, found)
     }
 
@@ -712,7 +774,7 @@ impl<T> OracleService<T> {
     /// A CSR source under such a tuner, with no collector attached, is first
     /// decided on the row side alone ([`Self::answer_unwalked`]); only a
     /// decision that needs the entry walk pays for it.
-    fn answer<V>(&self, m: &DynamicMatrix<V>, op: Op, facts: &mut Facts) -> Answer
+    fn answer<V>(&self, m: &DynamicMatrix<V>, op: Op, facts: &mut Facts, asker: Asker) -> Answer
     where
         V: Scalar,
         T: FormatTuner<V>,
@@ -721,8 +783,8 @@ impl<T> OracleService<T> {
         // model hot-swap clears the caches while this decision is in flight,
         // the generation-gated inserts drop it instead of resurrecting the
         // superseded model's choice.
-        let generation = [self.decisions.generation(), self.aliases.generation()];
-        if let Some((decision, horizon)) = self.answer_unwalked(m, op, facts) {
+        let generation = self.generations();
+        if let Some((decision, horizon)) = self.answer_unwalked(m, op, facts, asker) {
             return Answer { decision, horizon: Some(horizon), generation };
         }
         let walks = self.tuner.prices_formats() || m.format_id() == FormatId::Bsr;
@@ -737,14 +799,22 @@ impl<T> OracleService<T> {
         Answer { decision, horizon, generation }
     }
 
+    /// The generations of the decision cache and of the alias table.
+    fn generations(&self) -> [u64; 2] {
+        [self.decisions.generation(), self.aliases.generation()]
+    }
+
     /// The horizon of converting out of `source` into `decided`, priced on
     /// `view` — `None` when the view cannot price both.
     fn horizon(&self, op: Op, source: FormatId, decided: FormatId, view: &MatrixAnalysis) -> Option<Horizon> {
         if source == decided {
             return Some(Horizon::stay(source));
         }
-        (view.prices(source) && view.prices(decided))
-            .then(|| Horizon { source, payback: self.engine.payback(op, source, decided, view) })
+        (view.prices(source) && view.prices(decided)).then(|| Horizon {
+            source,
+            payback: self.engine.payback(op, source, decided, view),
+            open: false,
+        })
     }
 
     /// The tuner's decision for a CSR `m` from the row side of its analysis
@@ -752,17 +822,21 @@ impl<T> OracleService<T> {
     /// ([`FormatTuner::select_unwalked`]): the format and parameters the
     /// walked view gives, on COO, CSR, ELL, HYB or BELL, without walking the
     /// entries. Its horizon is the engine's floor over what the walk would
-    /// tell ([`VirtualEngine::payback_floor`]); when that floor cannot rule
-    /// the conversion out, the walk is taken after all and the horizon priced
-    /// exactly. `None` — the artifact then completed by the walk, for the
-    /// tuner to answer as usual — when the tuner prices formats, a collector
-    /// is attached (it notes every feature), or the bounds do not settle the
-    /// answer on one of those formats. `facts` keeps the artifact either way.
+    /// tell ([`VirtualEngine::payback_floor`]). When that floor cannot rule
+    /// the conversion out, a per-call tune takes the walk after all and
+    /// prices the horizon exactly; a registration or `tune`, which
+    /// converts whatever the horizon, stores the floor marked open for the
+    /// first per-call tune to price. `None` — the artifact and the view then
+    /// completed by the walk, for the tuner to answer as usual — when the
+    /// tuner prices formats, a collector is attached (it notes every
+    /// feature), or the bounds do not settle the answer on one of those
+    /// formats. `facts` keeps the artifact either way.
     fn answer_unwalked<V>(
         &self,
         m: &DynamicMatrix<V>,
         op: Op,
         facts: &mut Facts,
+        asker: Asker,
     ) -> Option<(TuneDecision, Horizon)>
     where
         V: Scalar,
@@ -773,55 +847,106 @@ impl<T> OracleService<T> {
             return None;
         }
         let mut rows = Analysis::of_rows(csr, self.opts.true_diag_alpha, facts.hash);
-        let view = assemble(&rows, std::mem::size_of::<V>());
+        let mut view = assemble(&rows, std::mem::size_of::<V>());
         let walk = rows.walk_bounds(csr);
         let decision = self.tuner.select_unwalked(m, &view, &walk, &self.engine, op);
         let Some(decision) = decision.filter(|d| row_parameterized(d.format)) else {
+            // Unsettled: the walk completes the artifact and the view.
             rows.take_entry_walk(csr, self.cold_pool());
-            facts.analysis = Some(rows);
+            view.complete_walk(&rows);
+            (facts.analysis, facts.view) = (Some(rows), Some(view));
             return None;
         };
         let source = FormatId::Csr;
-        let mut horizon =
-            Horizon { source, payback: self.engine.payback_floor(op, source, decision.format, &view) };
-        if decision.format == source {
-            horizon = Horizon::stay(source);
-        } else if horizon.payback.repays_one() {
-            // The floor leaves the conversion open: price it on the walk.
-            rows.take_entry_walk(csr, self.cold_pool());
-            let view = assemble(&rows, std::mem::size_of::<V>());
-            horizon.payback = self.engine.payback(op, source, decision.format, &view);
-            facts.view = Some(view);
+        let mut horizon = Horizon::stay(source);
+        if decision.format != source {
+            horizon.payback = self.engine.payback_floor(op, source, decision.format, &view);
+            // The floor leaves the conversion open: price it on the walk, or
+            // leave it open for a per-call tune to.
+            horizon.open = horizon.payback.repays_one();
+            if horizon.open && asker == Asker::PerCall {
+                rows.take_entry_walk(csr, self.cold_pool());
+                view.complete_walk(&rows);
+                horizon = Horizon {
+                    payback: self.engine.payback(op, source, decision.format, &view),
+                    open: false,
+                    ..horizon
+                };
+                facts.view = Some(view);
+            }
         }
         facts.analysis = Some(rows);
         Some((decision, horizon))
     }
 
+    /// Prices a hit's open horizon exactly, for a per-call tune of `m` — the
+    /// CSR source its floor was priced from: walks `m` (the analysis is kept
+    /// for the conversion) and stores the exact horizon in the decision's
+    /// entry, so the next per-call tune of the structure walks nothing.
+    fn price_open_horizon<V: Scalar>(&self, m: &DynamicMatrix<V>, op: Op, decided: &mut Decided) {
+        let Some(horizon) = decided.horizon.filter(|h| h.open && h.source == m.format_id()) else { return };
+        let analysis =
+            decided.facts.analysis.get_or_insert_with(|| self.analyse(m, decided.facts.hash, false));
+        let view = assemble(analysis, std::mem::size_of::<V>());
+        let payback = self.engine.payback(op, horizon.source, decided.decision.format, &view);
+        let exact = Horizon { payback, open: false, ..horizon };
+        decided.horizon = Some(exact);
+        let priced = CachedDecision {
+            decision: decided.decision,
+            layout: decided.layout.clone(),
+            plan: Arc::clone(&decided.plan),
+            horizon: Some(exact),
+            aliased: Arc::clone(&decided.aliased),
+        };
+        self.decisions.insert_if_generation(decided.key, priced, decided.generation[0]);
+    }
+
     /// First half of a tune: decision-cache lookup under the facts' hash →
-    /// (on a miss) the tuner's [answer](Self::answer). Facts the caller
-    /// holds are used, never recomputed.
-    fn decide<V>(&self, m: &DynamicMatrix<V>, op: Op, mut facts: Facts) -> Decided
+    /// (on a miss) the tuner's [answer](Self::answer), for `asker`.
+    /// Facts the caller holds are used, never recomputed.
+    fn decide<V>(&self, m: &DynamicMatrix<V>, op: Op, mut facts: Facts, asker: Asker) -> Decided
     where
         V: Scalar,
         T: FormatTuner<V>,
     {
-        // One question, one counted lookup.
-        let (key, found) = self.lookup::<V>(facts.hash, op);
+        // One question, one counted lookup, under the generations it was
+        // asked under.
+        let generation = self.generations();
+        let (key, found) = self.lookup::<V>(facts.hash, op, asker, generation);
         self.decisions.count(found.is_some());
         match found {
-            Some(CachedDecision { decision: mut cached, layout, plan, horizon }) => {
+            Some(CachedDecision { decision: mut cached, layout, plan, horizon, aliased }) => {
                 // Same structure, scalar, engine and op: the tuner would
                 // reproduce this decision, so charge nothing for it.
                 cached.cost = TuningCost::cached();
-                let generation = [0; 2];
-                Decided { facts, key, decision: cached, layout, plan, horizon, cache_hit: true, generation }
+                Decided {
+                    facts,
+                    key,
+                    decision: cached,
+                    layout,
+                    plan,
+                    horizon,
+                    aliased,
+                    cache_hit: true,
+                    generation,
+                }
             }
             None => {
-                let Answer { decision, horizon, generation } = self.answer(m, op, &mut facts);
+                let Answer { decision, horizon, generation } = self.answer(m, op, &mut facts, asker);
                 let undecided = CachedDecision::new(decision, horizon);
-                let plan = Arc::clone(&undecided.plan);
+                let (plan, aliased) = (Arc::clone(&undecided.plan), Arc::clone(&undecided.aliased));
                 self.decisions.insert_if_generation(key, undecided, generation[0]);
-                Decided { facts, key, decision, layout: None, plan, horizon, cache_hit: false, generation }
+                Decided {
+                    facts,
+                    key,
+                    decision,
+                    layout: None,
+                    plan,
+                    horizon,
+                    aliased,
+                    cache_hit: false,
+                    generation,
+                }
             }
         }
     }
@@ -831,9 +956,11 @@ impl<T> OracleService<T> {
     /// [cold pool](Self::cold_pool); CSR when that proves non-viable), caches the
     /// realized decision and notes the features for adaptive sampling.
     /// `kept` says the caller keeps the switched matrix
-    /// (`tune`/`tune_and_*`): only then is the converted
-    /// structure hashed, to alias the decision under it — a registration
-    /// consumes its matrix, and nothing of it can come back to be tuned.
+    /// (`tune`/`tune_and_*`): only then is the converted structure hashed —
+    /// on a miss or a hit, at most once per entry — to alias the decision
+    /// under it, so tuning the switched matrix again is a hit. A
+    /// registration consumes its matrix, and nothing of it can come back to
+    /// be tuned.
     fn realize<V: Scalar>(
         &self,
         m: &mut DynamicMatrix<V>,
@@ -848,6 +975,7 @@ impl<T> OracleService<T> {
             layout,
             plan,
             horizon,
+            aliased,
             cache_hit,
             generation,
         } = decided;
@@ -871,35 +999,32 @@ impl<T> OracleService<T> {
         };
         // CSR has no parameters: a fallback stored none of the decision's.
         let params = if chosen == predicted { decision.params } else { FormatParams::default() };
-        if !cache_hit {
-            // Cache the *realized* format: if the prediction proved
-            // non-viable, later hits must not re-pay the failing conversion
-            // attempt before falling back.
-            let done = CachedDecision {
-                decision: TuneDecision { format: chosen, params, ..decision },
-                layout: m.diagonal_layout().map(Arc::from),
-                plan: Arc::clone(&plan),
-                // A fallback's horizon was priced for the prediction.
-                horizon: horizon.filter(|_| chosen == predicted),
-            };
-            if kept && chosen != hashed {
-                // Alias the decision under the matrix's *post-conversion*
-                // structure too, so re-tuning the same (already switched)
-                // matrix — the repeated-execution loop of §VII-E — is a
-                // hit: the one reason left to hash what was just written.
-                let switched = m.structure_hash();
-                self.aliases.insert_if_generation(
-                    CacheKey { structure: switched, ..key },
-                    done.clone(),
-                    generation[1],
-                );
-                if let Some(col) = &self.collector {
-                    // Executions of the switched matrix are keyed by its
-                    // own hash when it comes back: the same population.
-                    col.alias(switched, hash);
-                }
+        // Cache the *realized* format: if the prediction proved non-viable,
+        // later hits must not re-pay the failing conversion attempt before
+        // falling back.
+        let done = || CachedDecision {
+            decision: TuneDecision { format: chosen, params, ..decision },
+            layout: layout.clone().or_else(|| m.diagonal_layout().map(Arc::from)),
+            plan: Arc::clone(&plan),
+            // A fallback's horizon was priced for the prediction.
+            horizon: horizon.filter(|_| chosen == predicted),
+            aliased: Arc::clone(&aliased),
+        };
+        if kept && chosen != hashed && !aliased.swap(true, Ordering::Relaxed) {
+            // Alias the decision under the matrix's *post-conversion*
+            // structure too, so re-tuning the same (already switched) matrix
+            // — the repeated-execution loop of §VII-E — is a hit: the one
+            // reason left to hash what was just written.
+            let switched = m.structure_hash();
+            self.aliases.insert_if_generation(CacheKey { structure: switched, ..key }, done(), generation[1]);
+            if let Some(col) = &self.collector {
+                // Executions of the switched matrix are keyed by its own
+                // hash when it comes back: the same population.
+                col.alias(switched, hash);
             }
-            self.decisions.insert_if_generation(key, done, generation[0]);
+        }
+        if !cache_hit {
+            self.decisions.insert_if_generation(key, done(), generation[0]);
             self.note_features(hash, analysis.as_ref());
         }
         let report = TuneReport {
@@ -1064,7 +1189,7 @@ impl<T> OracleService<T> {
     }
 
     /// Executes `op` through a registered handle — the one way a handle
-    /// runs, and where **the ladder** is written down:
+    /// runs whole, and where **the ladder** is written down:
     ///
     /// 1. **Serial backend** ([`Self::exec_pool`] is `None`): the stored
     ///    plan, inline — rung 3's form, population `1 worker`; shards run
@@ -1084,8 +1209,10 @@ impl<T> OracleService<T> {
     ///
     /// Which of 2 and 3 is the callers' whole difference:
     /// [`spmv`](Self::spmv)/[`spmm`](Self::spmm) dodge a busy pool, queued
-    /// ingress work ([`Self::execute_queued`]) never does — overload is
-    /// refused earlier, at admission, as typed backpressure.
+    /// ingress work ([`Self::start_queued`]) never does — overload is
+    /// refused earlier, at admission, as typed backpressure. A queued run
+    /// that would be inline (a one-wide pool, or rung 2) is not run here but
+    /// shared: every ingress executor claims parts of its plan.
     ///
     /// No lock, no cache, no allocation. The clock is read (once here, once
     /// after) only with a collector attached or tracing on; the measured
@@ -1171,21 +1298,72 @@ impl<T> OracleService<T> {
         Ok(())
     }
 
-    /// One queued SpMV through [`Self::execute`], on whichever thread
-    /// drained the ingress request — the pump or a thread waiting on a
-    /// ticket: a busy pool is not dodged (see the ladder there), so two
-    /// such executors at once run the later one's plan inline on its own
-    /// thread (rung 2). `trace` feeds the fine-level per-shard spans of
-    /// partitioned handles (request-level ingress spans are the executor's
-    /// job).
-    pub(crate) fn execute_queued<V: Scalar>(
+    /// Starts one queued SpMV on whichever thread took the ingress request —
+    /// the pump or a thread waiting on a ticket. An executor that finds the
+    /// pool free dispatches the plan there through [`Self::execute`], as a
+    /// direct call would, and has the reply. A run that would be inline — a
+    /// one-wide pool, or a pool another executor holds (rung 2 of the ladder:
+    /// a busy pool is not dodged, overload was refused at admission) — is
+    /// opened as a [`SharedRun`] instead: nothing runs yet, and every
+    /// executor may claim its parts ([`Self::run_queued_parts`]). So are a
+    /// serial backend's and a partitioned handle's runs not: they run whole
+    /// here. `trace` feeds the fine-level per-shard spans of partitioned
+    /// handles (request-level ingress spans are the executor's job).
+    pub(crate) fn start_queued<V: Scalar>(
         &self,
         handle: &MatrixHandle<V>,
         x: &[V],
-        y: &mut [V],
         trace: TraceId,
-    ) -> morpheus::Result<()> {
-        self.execute(handle, Op::Spmv, x, y, self.exec_pool(), trace).map(drop)
+    ) -> morpheus::Result<QueuedStart<V>> {
+        let pool = self.exec_pool();
+        if let (Stored::Single { matrix, plan, .. }, Some(pool)) = (&handle.inner.stored, pool) {
+            if plan.num_parts() > 1 && (pool.num_threads() == 1 || pool.is_busy()) {
+                let run = plan.share(matrix, Op::Spmv)?;
+                let t0 = (self.collector.is_some() || self.obs.enabled()).then(Instant::now);
+                return Ok(QueuedStart::Shared(QueuedParts { run, t0, executors: AtomicUsize::new(0) }));
+            }
+        }
+        let mut y = vec![V::ZERO; handle.nrows()];
+        self.execute(handle, Op::Spmv, x, &mut y, pool, trace)?;
+        Ok(QueuedStart::Ran(y))
+    }
+
+    /// Runs, on the calling executor, the parts of a queued SpMV's shared
+    /// run that it claims ([`ExecPlan::run_claimed`]), and returns how many.
+    pub(crate) fn run_queued_parts<V: Scalar>(
+        &self,
+        handle: &MatrixHandle<V>,
+        x: &[V],
+        parts: &QueuedParts<V>,
+    ) -> morpheus::Result<usize> {
+        let Stored::Single { matrix, plan, .. } = &handle.inner.stored else {
+            unreachable!("only a whole matrix's run is shared")
+        };
+        let ran = plan.run_claimed(matrix, Op::Spmv, x, &parts.run)?;
+        if ran > 0 {
+            parts.executors.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(ran)
+    }
+
+    /// What [`Self::execute`] does after its kernel, once for a shared run:
+    /// counts the request served and attributes its time to the handle's
+    /// population, under as many workers as executors ran its parts.
+    pub(crate) fn finish_queued_parts<V: Scalar>(&self, handle: &MatrixHandle<V>, parts: &QueuedParts<V>) {
+        self.requests_served.inc();
+        if let (Some(t0), Stored::Single { matrix, structure, param_code, .. }) =
+            (parts.t0, &handle.inner.stored)
+        {
+            let workers = parts.executors.load(Ordering::Relaxed).max(1);
+            self.record_execution::<V>(
+                *structure,
+                matrix.format_id(),
+                *param_code,
+                Op::Spmv,
+                workers,
+                t0.elapsed(),
+            );
+        }
     }
 
     /// Tunes `m` for `op`, then executes it in the selected format: the
@@ -1214,7 +1392,8 @@ impl<T> OracleService<T> {
         T: FormatTuner<V>,
     {
         let facts = self.ingest(m, false)?;
-        let decided = self.decide(m, op, facts);
+        let mut decided = self.decide(m, op, facts, Asker::PerCall);
+        self.price_open_horizon(m, op, &mut decided);
         if decided.horizon.is_some_and(|h| h.keeps(m.format_id(), decided.decision.format)) {
             return self.run_source(m, decided, op, x, y);
         }
@@ -1251,11 +1430,16 @@ impl<T> OracleService<T> {
     }
 
     /// A per-call tune whose horizon keeps the source: `m` stays as it was
-    /// ingested and `op` runs its own body over one part on the calling
-    /// thread — no conversion, no alias hash, no plan, nothing stored in the
-    /// decision's plan slot. The report names the decision as `predicted`
-    /// and the source as `chosen`; a miss left the decision (with its
-    /// horizon) in the cache, for a later registration or `tune` to convert.
+    /// ingested and `op` runs its own bodies — no conversion, no alias hash,
+    /// nothing stored in the decision's plan slot. On a pool of several
+    /// workers (the width the horizon's `r` and `c` were priced for) it runs
+    /// through a plan built for them and dropped after the call — O(rows)
+    /// for a CSR source — or, on a busy pool, `spmv_serial`/`spmm_serial`
+    /// on the calling thread, counted as [`Self::tune_and_run`] counts it;
+    /// on one worker it is that serial run. The report names the decision as
+    /// `predicted` and the source as `chosen`; a miss left the decision
+    /// (with its horizon) in the cache, for a later registration or `tune`
+    /// to convert.
     fn run_source<V: Scalar>(
         &self,
         m: &DynamicMatrix<V>,
@@ -1272,14 +1456,21 @@ impl<T> OracleService<T> {
         let (previous, moved) = moved.unwrap_or((chosen, 0.0));
         let trace = self.obs.mint_trace();
         let t0 = (self.collector.is_some() || self.obs.enabled()).then(Instant::now);
-        match op {
-            Op::Spmv => morpheus::spmv::spmv_serial(m, x, y)?,
-            Op::Spmm { k } => morpheus::spmm::spmm_serial(m, x, y, k)?,
+        let pool = self.exec_pool().filter(|pool| pool.num_threads() > 1);
+        let serial_fallback = pool.is_some_and(|pool| self.take_serial_fallback(pool));
+        let pool = pool.filter(|_| !serial_fallback);
+        match (pool, op) {
+            (Some(pool), op) => {
+                ExecPlan::build(m, pool.num_threads(), analysis.as_ref()).run(m, op, x, y, Some(pool))?
+            }
+            (None, Op::Spmv) => morpheus::spmv::spmv_serial(m, x, y)?,
+            (None, Op::Spmm { k }) => morpheus::spmm::spmm_serial(m, x, y, k)?,
         }
         if let Some(t0) = t0 {
             let elapsed = t0.elapsed();
             let param_code = FormatParams::default().code();
-            self.record_execution::<V>(hash, chosen, param_code, op, 1, elapsed);
+            let workers = pool.map_or(1, ThreadPool::num_threads);
+            self.record_execution::<V>(hash, chosen, param_code, op, workers, elapsed);
             self.observe_request(trace, t0, elapsed);
         }
         // Only the front door's move into CSR converted anything.
@@ -1297,7 +1488,7 @@ impl<T> OracleService<T> {
             op,
             cache_hit,
             plan: PlanStatus::Unplanned,
-            serial_fallback: false,
+            serial_fallback,
             convert,
             shards: 1,
         })
@@ -1400,7 +1591,7 @@ impl<T> OracleService<T> {
         V: Scalar,
         T: FormatTuner<V>,
     {
-        let decided = self.decide(&m, op, facts);
+        let decided = self.decide(&m, op, facts, Asker::Register);
         let (mut report, mut artifacts) = self.realize(&mut m, decided, op, false)?;
         let (plan, status) = self.acquire_plan_observed(&m, &mut artifacts, self.workers(), TraceId::NONE);
         report.plan = status;
@@ -1523,7 +1714,7 @@ impl<T> OracleService<T> {
         let (mut shards, mut param_codes) = (Vec::new(), Vec::new());
         for (rows, csr) in pieces {
             let mut sm = DynamicMatrix::from(csr);
-            let decided = self.decide(&sm, op, Facts::hashed(&sm));
+            let decided = self.decide(&sm, op, Facts::hashed(&sm), Asker::Register);
             let (report, mut artifacts) = self.realize(&mut sm, decided, op, false)?;
             convert_seconds += report.convert.seconds;
             converted |= report.converted;

@@ -430,40 +430,68 @@ pub fn assemble(shared: &Analysis, value_bytes: usize) -> MatrixAnalysis {
     let nrows = shared.nrows;
     let nnz = shared.nnz();
     let rows = &shared.rows;
-
     let hyb_width = rows.lengths.hyb_width(value_bytes);
-    let hdc_dia_nnz = shared.true_diag_nnz;
-    let hdc_csr_nnz = nnz - hdc_dia_nnz;
-    let hdc_remainder = if !shared.walked {
-        None
-    } else if hdc_dia_nnz == 0 {
-        Some(HdcRemainder::Whole)
-    } else if hdc_csr_nnz == 0 {
-        Some(HdcRemainder::Empty)
-    } else {
-        None
-    };
-
-    MatrixAnalysis {
+    let mut view = MatrixAnalysis {
         warp_iters_csr: rows.group_max_sum,
         stats: shared.stats.clone(),
         row_hist: shared.row_hist.clone(),
-        locality: if nnz == 0 { 1.0 } else { shared.entries.gather_hits as f64 / nnz as f64 },
+        locality: 0.0,
         ell_width: shared.stats.row_nnz_max,
         hyb_width,
         hyb_coo_nnz: rows.lengths.spill_beyond(hyb_width),
-        hdc_ntrue: shared.stats.ntrue_diags,
-        hdc_dia_nnz,
-        hdc_csr_nnz,
-        hdc_csr_mean_row: if nrows == 0 { 0.0 } else { hdc_csr_nnz as f64 / nrows as f64 },
-        hdc_remainder,
+        hdc_ntrue: 0,
+        hdc_dia_nnz: 0,
+        hdc_csr_nnz: nnz,
+        hdc_csr_mean_row: 0.0,
+        hdc_remainder: None,
         row_prefix: rows.prefix.clone(),
-        bsr_blocks: shared.entries.bsr_blocks,
+        bsr_blocks: None,
         bell_padded: rows.bell.padded,
         bell_nbuckets: rows.bell.buckets,
         bell_rows: rows.lengths.nonempty_rows(),
         row_lengths: rows.lengths.clone(),
-        walked: shared.walked,
+        walked: false,
+    };
+    view.set_walk_fields(shared, nrows);
+    view
+}
+
+impl MatrixAnalysis {
+    /// Completes a view [assembled](assemble) from an artifact without the
+    /// entry walk, once that artifact has taken it
+    /// ([`Analysis::take_entry_walk`]): the fields the walk counts, as
+    /// [`assemble`] of the walked artifact holds them, with the row side —
+    /// the histogram, its prefix sums and the length counts — kept rather
+    /// than cloned again.
+    pub fn complete_walk(&mut self, shared: &Analysis) {
+        debug_assert_eq!(self.row_hist, shared.row_hist, "a view completed from another matrix's walk");
+        self.set_walk_fields(shared, shared.nrows);
+    }
+
+    /// The fields the entry walk counts: the diagonal counts and block
+    /// density of `stats`, the gather locality, the HDC split and the BSR
+    /// block counts.
+    fn set_walk_fields(&mut self, shared: &Analysis, nrows: usize) {
+        let nnz = shared.nnz();
+        let hdc_dia_nnz = shared.true_diag_nnz;
+        let hdc_csr_nnz = nnz - hdc_dia_nnz;
+        self.stats = shared.stats.clone();
+        self.locality = if nnz == 0 { 1.0 } else { shared.entries.gather_hits as f64 / nnz as f64 };
+        self.hdc_ntrue = shared.stats.ntrue_diags;
+        self.hdc_dia_nnz = hdc_dia_nnz;
+        self.hdc_csr_nnz = hdc_csr_nnz;
+        self.hdc_csr_mean_row = if nrows == 0 { 0.0 } else { hdc_csr_nnz as f64 / nrows as f64 };
+        self.hdc_remainder = if !shared.walked {
+            None
+        } else if hdc_dia_nnz == 0 {
+            Some(HdcRemainder::Whole)
+        } else if hdc_csr_nnz == 0 {
+            Some(HdcRemainder::Empty)
+        } else {
+            None
+        };
+        self.bsr_blocks = shared.entries.bsr_blocks;
+        self.walked = shared.walked;
     }
 }
 
@@ -487,6 +515,25 @@ mod tests {
             }
         }
         DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap())
+    }
+
+    /// A view assembled before the entry walk and completed after it is the
+    /// view assembled from the walked artifact, field for field.
+    #[test]
+    fn a_view_completed_after_the_walk_is_the_walked_view() {
+        for m in [tridiag(300), DynamicMatrix::from(morpheus::CooMatrix::<f64>::new(0, 0))] {
+            let DynamicMatrix::Csr(csr) =
+                m.to_format(morpheus::format::FormatId::Csr, &Default::default()).unwrap()
+            else {
+                unreachable!()
+            };
+            let mut rows = Analysis::of_rows(&csr, 0.2, 7);
+            let mut view = assemble(&rows, 8);
+            assert!(!view.walked);
+            rows.take_entry_walk(&csr, None);
+            view.complete_walk(&rows);
+            assert_eq!(view, assemble(&rows, 8));
+        }
     }
 
     #[test]

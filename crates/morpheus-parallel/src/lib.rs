@@ -43,7 +43,7 @@
 mod pool;
 mod shared;
 
-pub use pool::{global_pool, QueueWaitObserver, ThreadPool};
+pub use pool::{global_pool, panic_message, QueueWaitObserver, ThreadPool};
 pub use shared::SharedSlice;
 
 /// Splits `0..len` into at most `parts` contiguous, nearly-equal ranges.

@@ -370,6 +370,14 @@ impl Drop for ThreadPool {
     }
 }
 
+/// The message a panic carried: its `&str` or `String` payload, or a note
+/// that it carried neither.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    (payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "a panic with a non-string payload".into())
+}
+
 /// The process-wide default pool, as wide as the number of available cores.
 pub fn global_pool() -> &'static ThreadPool {
     static POOL: OnceLock<ThreadPool> = OnceLock::new();

@@ -85,7 +85,7 @@ pub use hyb::{HybMatrix, HybSplit};
 pub use op::Op;
 pub use params::{FormatParams, MAX_BELL_WIDTHS};
 pub use partition::{Partition, PartitionConfig, PartitionedMatrix, Shard, StreamingPartitioner};
-pub use plan::{ExecPlan, Workspace};
+pub use plan::{ExecPlan, Settled, SharedRun, Workspace};
 pub use registry::{FormatEntry, FormatTraits, StructuralSummary};
 pub use rowmajor::{for_each_entry_row_major, for_each_row_pattern};
 pub use scalar::Scalar;

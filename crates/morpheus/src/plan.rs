@@ -32,12 +32,20 @@
 //! the matrix — one for every format but the two-pass composites HYB and HDC
 //! — with part `p` on the same pool index, hence the same core, every call.
 //!
+//! A plan of a matrix with [`PARALLEL_CONVERT_THRESHOLD`] entries or more
+//! has at least two parts, whatever the worker count, so that threads which
+//! are not a pool's can share one execution: [`ExecPlan::share`] opens a
+//! [`SharedRun`], and every thread that calls [`ExecPlan::run_claimed`] on
+//! it claims parts one at a time and runs them into the run's one output
+//! (the serving layer's ingress executors do). HYB and HDC are claimed
+//! whole: their second pass adds into rows the first pass wrote.
+//!
 //! Every format has exactly one ranged body, and there are two entry styles
 //! that run it: a plan's parts, or one part covering every unit inline
 //! ([`crate::spmv::spmv_serial`], [`crate::spmm::spmm_serial`]). Parts write
 //! disjoint rows and a row sums in the same order however the rows are cut,
-//! so every planned execution — any worker count, pooled or inline — is
-//! **bitwise identical** to the one-part run of the same stored matrix.
+//! so every planned execution — any worker count, pooled, inline or claimed
+//! — is **bitwise identical** to the one-part run of the same stored matrix.
 //!
 //! A plan is immutable: [`ExecPlan::run`] takes `&self`, so any number of
 //! threads can replay one `Arc<ExecPlan>` concurrently (the serving layer
@@ -51,6 +59,7 @@
 
 use crate::analysis::Analysis;
 use crate::bell::{BellMatrix, BellShare};
+use crate::convert::kernels::PARALLEL_CONVERT_THRESHOLD;
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::dynamic::DynamicMatrix;
@@ -58,10 +67,16 @@ use crate::error::MorpheusError;
 use crate::format::FormatId;
 use crate::hyb::HybMatrix;
 use crate::scalar::Scalar;
-use crate::spmv::threaded;
+use crate::spmv::threaded::{self, Runner};
 use crate::{spmm, Op, Result};
-use morpheus_parallel::{row_aligned_partition, static_partition, weighted_partition_with, ThreadPool};
+use morpheus_parallel::{
+    panic_message, row_aligned_partition, static_partition, weighted_partition_with, SharedSlice, ThreadPool,
+};
+use std::cell::{Cell, UnsafeCell};
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Precomputed thread schedule for one matrix structure, built once per
 /// (matrix structure, format, thread count).
@@ -154,7 +169,10 @@ fn bell_parts<V: Scalar>(m: &DynamicMatrix<V>) -> Option<(&BellMatrix<V>, Option
 
 impl<V: Scalar> ExecPlan<V> {
     /// Builds the plan for `m` as it is currently stored, for a pool of
-    /// `threads` workers.
+    /// `threads` workers: one part per worker, and at least two from
+    /// [`PARALLEL_CONVERT_THRESHOLD`] entries on, so that an execution
+    /// outside the pool can be shared ([`ExecPlan::share`]). A one-worker
+    /// pool runs the two inline, in order: the same rows, the same sums.
     ///
     /// When `analysis` describes `m` (see [`Analysis::matches`]), COO entry
     /// boundaries are derived from its row histogram — zero additional
@@ -163,26 +181,23 @@ impl<V: Scalar> ExecPlan<V> {
     /// sorted row index array once.
     pub fn build(m: &DynamicMatrix<V>, threads: usize, analysis: Option<&Analysis>) -> ExecPlan<V> {
         let threads = threads.max(1);
+        let n = if m.nnz() >= PARALLEL_CONVERT_THRESHOLD { threads.max(2) } else { threads };
         let analysis = analysis.filter(|a| a.matches(m));
         let parts = match m {
-            DynamicMatrix::Csr(a) => Parts::Csr { rows: csr_row_ranges(a, threads) },
-            DynamicMatrix::Coo(a) => Parts::Coo { entries: coo_entry_ranges(a, threads, analysis) },
-            DynamicMatrix::Dia(a) => Parts::Rows { rows: static_partition(a.nrows(), threads) },
-            DynamicMatrix::Bell(a) => Parts::Bell { shares: a.shares(threads), spill: Vec::new() },
-            DynamicMatrix::Ell(a) => Parts::Bell { shares: a.bell().shares(threads), spill: Vec::new() },
-            DynamicMatrix::Hyb(a) => Parts::Bell {
-                shares: a.ell().bell().shares(threads),
-                spill: hyb_coo_entry_ranges(a, threads, analysis),
-            },
-            DynamicMatrix::Hdc(a) => Parts::Hdc {
-                rows: static_partition(a.nrows(), threads),
-                csr_rows: csr_row_ranges(a.csr(), threads),
-            },
+            DynamicMatrix::Csr(a) => Parts::Csr { rows: csr_row_ranges(a, n) },
+            DynamicMatrix::Coo(a) => Parts::Coo { entries: coo_entry_ranges(a, n, analysis) },
+            DynamicMatrix::Dia(a) => Parts::Rows { rows: static_partition(a.nrows(), n) },
+            DynamicMatrix::Bell(a) => Parts::Bell { shares: a.shares(n), spill: Vec::new() },
+            DynamicMatrix::Ell(a) => Parts::Bell { shares: a.bell().shares(n), spill: Vec::new() },
+            DynamicMatrix::Hyb(a) => {
+                Parts::Bell { shares: a.ell().bell().shares(n), spill: hyb_coo_entry_ranges(a, n, analysis) }
+            }
+            DynamicMatrix::Hdc(a) => {
+                Parts::Hdc { rows: static_partition(a.nrows(), n), csr_rows: csr_row_ranges(a.csr(), n) }
+            }
             DynamicMatrix::Bsr(a) => {
                 let offs = a.block_row_offsets();
-                Parts::Bsr {
-                    brows: weighted_partition_with(a.nblockrows(), threads, |br| offs[br + 1] - offs[br]),
-                }
+                Parts::Bsr { brows: weighted_partition_with(a.nblockrows(), n, |br| offs[br + 1] - offs[br]) }
             }
         };
         ExecPlan {
@@ -201,12 +216,15 @@ impl<V: Scalar> ExecPlan<V> {
         self.format
     }
 
-    /// Worker count the ranges were balanced for.
+    /// Worker count the plan was built for — what a cached plan is matched
+    /// on. The parts may outnumber it (see [`ExecPlan::build`]).
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Number of precomputed ranges in the primary partition.
+    /// Number of precomputed ranges in the primary partition: what a pool
+    /// dispatch spreads over its indices and, for every format but HYB and
+    /// HDC (claimed whole), what a [`SharedRun`] hands out.
     pub fn num_parts(&self) -> usize {
         match &self.parts {
             Parts::Csr { rows } | Parts::Rows { rows } => rows.len(),
@@ -290,7 +308,8 @@ impl<V: Scalar> ExecPlan<V> {
     /// inline in part order on the calling thread. The same bodies run
     /// either way and parts write disjoint rows, so the two are **bitwise
     /// identical**; the serving layer's busy-pool fallback is the `None`
-    /// form.
+    /// form. It is [`ExecPlan::run_claimed`] with every part claimed by the
+    /// pool or by the caller.
     ///
     /// [`crate::spmv::spmv_serial`] and [`crate::spmm::spmm_serial`] run the
     /// same bodies over one part covering every unit, so SpMV and SpMM here
@@ -303,9 +322,6 @@ impl<V: Scalar> ExecPlan<V> {
     /// that does not store column `j`; the one divergence left is a
     /// *padded* row whose own last column holds `±Inf` in `x`, which reads
     /// NaN where the CSR kernel reads `±Inf`.
-    ///
-    /// This is the only function that matches the plan's parts to execute
-    /// them; the one-part entries are the ranged kernels' only other callers.
     pub fn run(
         &self,
         m: &DynamicMatrix<V>,
@@ -315,62 +331,126 @@ impl<V: Scalar> ExecPlan<V> {
         pool: Option<&ThreadPool>,
     ) -> Result<()> {
         self.check(m)?;
-        match op {
-            Op::Spmv => crate::spmv::check_shapes(m, x, y)?,
-            Op::Spmm { k } => spmm::check_spmm_shapes(m, x, y, k)?,
+        check_op_shapes(m, op, x, y.len())?;
+        self.run_parts(m, op, x, &SharedSlice::new(y), pool.map_or(Runner::Inline, Runner::Pool));
+        Ok(())
+    }
+
+    /// Opens an execution of `op` on `m` that any number of threads share:
+    /// each calls [`ExecPlan::run_claimed`] with the same plan and matrix,
+    /// and the run's parts — this plan's, or the whole plan as one part for
+    /// HYB, HDC and a plan of one part — are handed out one at a time, each
+    /// to one thread, into the one output the run owns. Nothing runs here.
+    pub fn share(&self, m: &DynamicMatrix<V>, op: Op) -> Result<SharedRun<V>> {
+        self.check(m)?;
+        let whole = matches!(self.format, FormatId::Hyb | FormatId::Hdc) || self.num_parts() < 2;
+        let mut buf = vec![V::ZERO; m.nrows() * op.rhs_count()];
+        let out = SharedSlice::new(&mut buf);
+        Ok(SharedRun {
+            // Moving the vector does not move its elements: `out` stays valid.
+            buf: UnsafeCell::new(buf),
+            out,
+            bound: (self as *const Self as usize, m as *const DynamicMatrix<V> as usize, op),
+            whole,
+            claims: Claims {
+                parts: if whole { 1 } else { self.num_parts() },
+                next: AtomicUsize::new(0),
+                done: AtomicUsize::new(0),
+                abandoned: AtomicBool::new(false),
+                why: Mutex::new(None),
+            },
+            settled: AtomicBool::new(false),
+        })
+    }
+
+    /// Runs, on the calling thread, the parts of `run` that it claims, one
+    /// at a time until none is left, and returns how many it ran. `run` must
+    /// have been opened by [`ExecPlan::share`] on this plan, `m` and `op`
+    /// (otherwise [`MorpheusError::PlanMismatch`]); `x` is read by every
+    /// part, so every caller passes the same. A part that panics is caught
+    /// here and [abandons](SharedRun::abandon) the run with its message:
+    /// the parts nobody claimed never start, the ones other threads run
+    /// finish, and the run settles as [`Settled::Abandoned`].
+    ///
+    /// Parts write disjoint rows and each part is handed out once, so the
+    /// run's output is bitwise [`ExecPlan::run`]'s.
+    pub fn run_claimed(&self, m: &DynamicMatrix<V>, op: Op, x: &[V], run: &SharedRun<V>) -> Result<usize> {
+        if run.bound != (self as *const Self as usize, m as *const DynamicMatrix<V> as usize, op) {
+            return Err(MorpheusError::PlanMismatch {
+                expected: "the plan, matrix and op the shared run was opened on".into(),
+                got: "another plan, matrix or op".into(),
+            });
         }
+        self.check(m)?;
+        check_op_shapes(m, op, x, run.out.len())?;
+        let claimer = Claimer { claims: &run.claims, ran: Cell::new(0) };
+        if run.whole {
+            claimer.run(1, |_| self.run_parts(m, op, x, &run.out, Runner::Inline));
+        } else {
+            self.run_parts(m, op, x, &run.out, Runner::Claims(&claimer));
+        }
+        Ok(claimer.ran.get())
+    }
+
+    /// Runs the parts of `op` that `runner` hands out into `out` — every
+    /// part across a pool or inline, or the ones the calling thread claims.
+    /// This is the only function that matches the plan's parts to the kernel
+    /// bodies; the one-part entries are the ranged kernels' only other
+    /// callers. The caller checked the plan against `m` and the shapes, and
+    /// any thread writing `out` at the same time claims from the same run
+    /// (a two-pass plan never runs on claims).
+    fn run_parts(&self, m: &DynamicMatrix<V>, op: Op, x: &[V], out: &SharedSlice<V>, runner: Runner<'_>) {
         // No one-worker serial shortcut: the ranged kernels execute their
         // ranges inline without a pool (or on a one-worker pool).
         match (m, &self.parts, op) {
             (DynamicMatrix::Csr(a), Parts::Csr { rows }, Op::Spmv) => {
-                threaded::spmv_csr_ranges(a, x, y, pool, rows)
+                threaded::spmv_csr_ranges(a, x, out, runner, rows)
             }
             (DynamicMatrix::Csr(a), Parts::Csr { rows }, Op::Spmm { k }) => {
-                spmm::spmm_csr::<V, false>(a, x, y, k, pool, rows)
+                spmm::spmm_csr::<V, false>(a, x, out, k, runner, rows)
             }
             (DynamicMatrix::Coo(a), Parts::Coo { entries }, Op::Spmv) => {
-                threaded::spmv_coo_ranges(a, x, y, pool, entries)
+                threaded::spmv_coo_ranges(a, x, out, runner, entries)
             }
             (DynamicMatrix::Coo(a), Parts::Coo { entries }, Op::Spmm { k }) => {
-                spmm::spmm_coo::<V, false>(a, x, y, k, pool, entries)
+                spmm::spmm_coo::<V, false>(a, x, out, k, runner, entries)
             }
             (DynamicMatrix::Dia(a), Parts::Rows { rows }, Op::Spmv) => {
-                threaded::spmv_dia_ranges(a, x, y, pool, rows)
+                threaded::spmv_dia_ranges(a, x, out, runner, rows)
             }
             (DynamicMatrix::Dia(a), Parts::Rows { rows }, Op::Spmm { k }) => {
-                spmm::spmm_dia(a, x, y, k, pool, rows)
+                spmm::spmm_dia(a, x, out, k, runner, rows)
             }
             (DynamicMatrix::Hdc(a), Parts::Hdc { rows, csr_rows }, Op::Spmv) => {
-                threaded::spmv_dia_ranges(a.dia(), x, y, pool, rows);
-                threaded::spmv_csr_acc_ranges(a.csr(), x, y, pool, csr_rows);
+                threaded::spmv_dia_ranges(a.dia(), x, out, runner, rows);
+                threaded::spmv_csr_acc_ranges(a.csr(), x, out, runner, csr_rows);
             }
             (DynamicMatrix::Hdc(a), Parts::Hdc { rows, csr_rows }, Op::Spmm { k }) => {
-                spmm::spmm_dia(a.dia(), x, y, k, pool, rows);
-                spmm::spmm_csr::<V, true>(a.csr(), x, y, k, pool, csr_rows);
+                spmm::spmm_dia(a.dia(), x, out, k, runner, rows);
+                spmm::spmm_csr::<V, true>(a.csr(), x, out, k, runner, csr_rows);
             }
             (DynamicMatrix::Bsr(a), Parts::Bsr { brows }, Op::Spmv) => {
-                threaded::spmv_bsr_ranges(a, x, y, pool, brows)
+                threaded::spmv_bsr_ranges(a, x, out, runner, brows)
             }
             (DynamicMatrix::Bsr(a), Parts::Bsr { brows }, Op::Spmm { k }) => {
-                spmm::spmm_bsr(a, x, y, k, pool, brows)
+                spmm::spmm_bsr(a, x, out, k, runner, brows)
             }
             // The ELL family: the buckets' slices, then HYB's spill on top.
             (m, Parts::Bell { shares, spill }, op) => {
                 let (bell, coo) = bell_parts(m).expect("a BELL, ELL or HYB matrix: `check` saw the format");
                 // SAFETY (both): `check` saw the shares tile `bell`'s slices.
                 match op {
-                    Op::Spmv => unsafe { threaded::spmv_bell_shares(bell, x, y, pool, Some(shares)) },
-                    Op::Spmm { k } => unsafe { spmm::spmm_bell(bell, x, y, k, pool, Some(shares)) },
+                    Op::Spmv => unsafe { threaded::spmv_bell_shares(bell, x, out, runner, Some(shares)) },
+                    Op::Spmm { k } => unsafe { spmm::spmm_bell(bell, x, out, k, runner, Some(shares)) },
                 }
                 match (coo, op) {
                     (None, _) => {}
-                    (Some(coo), Op::Spmv) => threaded::spmv_coo_acc_ranges(coo, x, y, pool, spill),
-                    (Some(coo), Op::Spmm { k }) => spmm::spmm_coo::<V, true>(coo, x, y, k, pool, spill),
+                    (Some(coo), Op::Spmv) => threaded::spmv_coo_acc_ranges(coo, x, out, runner, spill),
+                    (Some(coo), Op::Spmm { k }) => spmm::spmm_coo::<V, true>(coo, x, out, k, runner, spill),
                 }
             }
             _ => unreachable!("plan/matrix format agreement checked above"),
         }
-        Ok(())
     }
 
     /// [`ExecPlan::run`] of `y = A x` across `pool`.
@@ -393,6 +473,161 @@ impl<V: Scalar> ExecPlan<V> {
         pool: &ThreadPool,
     ) -> Result<()> {
         self.run(m, Op::Spmm { k }, x, y, Some(pool))
+    }
+}
+
+/// Checks `x` and an output of `y_len` elements against `m` and `op`.
+fn check_op_shapes<V: Scalar>(m: &DynamicMatrix<V>, op: Op, x: &[V], y_len: usize) -> Result<()> {
+    match op {
+        Op::Spmv => crate::spmv::check_shapes(m, x, y_len),
+        Op::Spmm { k } => spmm::check_spmm_shapes(m, x, y_len, k),
+    }
+}
+
+/// One execution of a plan whose parts any number of threads claim — see
+/// [`ExecPlan::share`] — and the output they write. Each part is handed out
+/// once ([`ExecPlan::run_claimed`]); once every part has finished, exactly
+/// one caller of [`SharedRun::settle`] receives the output.
+pub struct SharedRun<V: Scalar> {
+    /// The output, written through `out` by the parts and moved out by
+    /// `settle`.
+    buf: UnsafeCell<Vec<V>>,
+    out: SharedSlice<V>,
+    /// The addresses of the plan and matrix the run was opened on, and the
+    /// op: every claimer runs the same partition of the same arrays.
+    bound: (usize, usize, Op),
+    /// Claimed as one part that runs the whole plan inline.
+    whole: bool,
+    claims: Claims,
+    settled: AtomicBool,
+}
+
+// SAFETY: `buf` is the only field that is not `Sync` (`out` is a
+// `SharedSlice`, the rest atomics, a mutex and plain values). Threads write
+// it only through `out`, in the rows of the parts they claimed — each part
+// is claimed once, and a bound run's parts are one plan's disjoint
+// partition, checked against the matrix each claimer runs — and `settle`
+// moves it out once, after every part has finished and none is left to
+// claim. `V: Scalar` is `Send + Sync`.
+unsafe impl<V: Scalar> Sync for SharedRun<V> {}
+
+impl<V: Scalar> std::fmt::Debug for SharedRun<V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SharedRun")
+            .field("parts", &self.claims.parts)
+            .field("unclaimed", &self.unclaimed())
+            .field("abandoned", &self.claims.abandoned.load(Ordering::Relaxed))
+            .finish_non_exhaustive()
+    }
+}
+
+/// What [`SharedRun::settle`] hands its one caller.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Settled<V> {
+    /// Every part ran: the output.
+    Output(Vec<V>),
+    /// The run was [abandoned](SharedRun::abandon) — a part panicked, or a
+    /// claimer gave up — for the reason given: its output is incomplete and
+    /// was dropped.
+    Abandoned(String),
+}
+
+impl<V: Scalar> SharedRun<V> {
+    /// Parts the run hands out.
+    pub fn parts(&self) -> usize {
+        self.claims.parts
+    }
+
+    /// Parts no thread has claimed yet.
+    pub fn unclaimed(&self) -> usize {
+        self.claims.parts.saturating_sub(self.claims.next.load(Ordering::Relaxed))
+    }
+
+    /// Claims every part not claimed yet without running it, and marks the
+    /// run failed for `why` (the first reason given is kept): what a part
+    /// that panics does, and what a thread that cannot run its claims does.
+    /// The parts other threads are running finish; then the run settles as
+    /// [`Settled::Abandoned`].
+    pub fn abandon(&self, why: String) {
+        self.claims.abandon(why);
+    }
+
+    /// `Some` for exactly one caller, once every part has finished: the
+    /// output, or [`Settled::Abandoned`]. `None` before that, and for every
+    /// other caller. Each thread that ran parts calls this after its
+    /// [`ExecPlan::run_claimed`] (or its [`SharedRun::abandon`]); the one
+    /// that finished the last part is sure to get `Some`.
+    pub fn settle(&self) -> Option<Settled<V>> {
+        if self.claims.done.load(Ordering::Acquire) < self.claims.parts
+            || self.settled.swap(true, Ordering::AcqRel)
+        {
+            return None;
+        }
+        if self.claims.abandoned.load(Ordering::Acquire) {
+            let why = self.claims.why.lock().unwrap_or_else(PoisonError::into_inner).take();
+            return Some(Settled::Abandoned(why.unwrap_or_default()));
+        }
+        // SAFETY: every part has finished (the acquire load above saw each
+        // part's release count), none is left to claim, and `settled` lets
+        // one caller through: no thread writes the buffer any more.
+        Some(Settled::Output(std::mem::take(unsafe { &mut *self.buf.get() })))
+    }
+}
+
+/// Which parts of a [`SharedRun`] were handed out, how many finished, and
+/// whether — and why — the run was abandoned.
+#[derive(Debug)]
+pub(crate) struct Claims {
+    parts: usize,
+    next: AtomicUsize,
+    done: AtomicUsize,
+    abandoned: AtomicBool,
+    why: Mutex<Option<String>>,
+}
+
+impl Claims {
+    /// See [`SharedRun::abandon`]. The reason and the flag are stored before
+    /// the parts are counted, so whoever settles the run finds both.
+    fn abandon(&self, why: String) {
+        self.why.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(why);
+        self.abandoned.store(true, Ordering::Release);
+        let before = self.next.fetch_max(self.parts, Ordering::AcqRel);
+        if before < self.parts {
+            self.done.fetch_add(self.parts - before, Ordering::AcqRel);
+        }
+    }
+}
+
+/// One thread's claims on a [`SharedRun`] within one
+/// [`ExecPlan::run_claimed`] call.
+pub(crate) struct Claimer<'a> {
+    claims: &'a Claims,
+    ran: Cell<usize>,
+}
+
+impl Claimer<'_> {
+    /// Runs `body(p)` for each part `p` of `n` this thread claims, until none
+    /// is left — or until one panics: that abandons the run with the panic's
+    /// message, and this thread claims no more.
+    pub(crate) fn run(&self, n: usize, body: impl Fn(usize)) {
+        debug_assert_eq!(n, self.claims.parts, "a shared run claims the plan's primary parts");
+        loop {
+            let p = self.claims.next.fetch_add(1, Ordering::Relaxed);
+            if p >= self.claims.parts {
+                return;
+            }
+            let ran = catch_unwind(AssertUnwindSafe(|| body(p)));
+            if let Err(payload) = &ran {
+                self.claims.abandon(panic_message(&**payload));
+            } else {
+                self.ran.set(self.ran.get() + 1);
+            }
+            // Counted last: whoever sees every part finished sees why too.
+            self.claims.done.fetch_add(1, Ordering::AcqRel);
+            if ran.is_err() {
+                return;
+            }
+        }
     }
 }
 
@@ -647,6 +882,104 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn plans_from_the_threshold_have_two_parts_whatever_the_worker_count() {
+        let opts = ConvertOptions::default();
+        let small = DynamicMatrix::from(random_coo::<f64>(900, 900, PARALLEL_CONVERT_THRESHOLD - 1, 3));
+        let large = DynamicMatrix::from(random_coo::<f64>(900, 900, 2 * PARALLEL_CONVERT_THRESHOLD, 3));
+        for &fmt in &ALL_FORMATS {
+            let (Ok(s), Ok(l)) = (small.to_format(fmt, &opts), large.to_format(fmt, &opts)) else { continue };
+            if s.nnz() < PARALLEL_CONVERT_THRESHOLD {
+                assert_eq!(ExecPlan::build(&s, 1, None).num_parts(), 1, "{fmt} below the threshold");
+            }
+            let plan = ExecPlan::build(&l, 1, None);
+            assert_eq!((plan.threads(), plan.num_parts()), (1, 2), "{fmt} from the threshold");
+            assert_eq!(ExecPlan::build(&l, 3, None).num_parts(), 3, "{fmt} on three workers");
+        }
+    }
+
+    /// Claimed by two threads, by one, or one part abandoned: every run
+    /// settles once, and a run whose parts all ran is bitwise `run`'s output
+    /// — split for the one-pass formats, whole for HYB and HDC.
+    #[test]
+    fn a_shared_run_is_bitwise_the_plan_and_settles_once() {
+        let opts = ConvertOptions { min_padded_allowance: 1 << 22, ..Default::default() };
+        // Three diagonals and a sparse one: every format converts, and HDC
+        // keeps a remainder.
+        let n = 7000usize;
+        let (mut rows, mut cols) = (Vec::new(), Vec::new());
+        for i in 0..n {
+            let scattered = (i % 50 == 0).then_some(i + 500);
+            for j in [i.wrapping_sub(1), i, i + 1].into_iter().chain(scattered).filter(|&j| j < n) {
+                rows.push(i);
+                cols.push(j);
+            }
+        }
+        let vals: Vec<f64> = (0..rows.len()).map(|e| 0.5 + (e % 23) as f64 * 0.25).collect();
+        let base = DynamicMatrix::from(crate::CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap());
+        assert!(base.nnz() >= PARALLEL_CONVERT_THRESHOLD);
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).sin()).collect();
+        for &fmt in &ALL_FORMATS {
+            let m = base.to_format(fmt, &opts).unwrap();
+            let plan = ExecPlan::build(&m, 1, None);
+            let mut expect = vec![f64::NAN; m.nrows()];
+            plan.spmv_unpooled(&m, &x, &mut expect).unwrap();
+            let whole = matches!(fmt, FormatId::Hyb | FormatId::Hdc);
+            for claimers in [1usize, 2] {
+                let run = plan.share(&m, Op::Spmv).unwrap();
+                assert_eq!(run.parts(), if whole { 1 } else { 2 }, "{fmt}");
+                let ran: usize = std::thread::scope(|s| {
+                    let workers: Vec<_> = (0..claimers)
+                        .map(|_| s.spawn(|| plan.run_claimed(&m, Op::Spmv, &x, &run).unwrap()))
+                        .collect();
+                    workers.into_iter().map(|w| w.join().unwrap()).sum()
+                });
+                assert_eq!((ran, run.unclaimed()), (run.parts(), 0), "{fmt}: each part runs once");
+                let Some(Settled::Output(y)) = run.settle() else { panic!("{fmt}: the run settles") };
+                assert!(bitwise_eq(&y, &expect), "{fmt} with {claimers} claimers");
+                assert!(run.settle().is_none(), "{fmt}: a run settles once");
+            }
+            // A claimer that gave up abandons the rest.
+            let run = plan.share(&m, Op::Spmv).unwrap();
+            run.abandon("gave up".into());
+            assert_eq!(plan.run_claimed(&m, Op::Spmv, &x, &run).unwrap(), 0, "{fmt}: nothing left to claim");
+            assert_eq!(run.settle(), Some(Settled::Abandoned("gave up".into())), "{fmt}");
+            assert!(run.settle().is_none());
+        }
+    }
+
+    #[test]
+    fn a_panicking_part_abandons_the_run_with_its_message_and_still_settles() {
+        let m = DynamicMatrix::from(random_coo::<f64>(2000, 2000, 2 * PARALLEL_CONVERT_THRESHOLD, 4));
+        let plan = ExecPlan::build(&m, 1, None);
+        let run = plan.share(&m, Op::Spmv).unwrap();
+        assert_eq!(run.parts(), 2);
+        let claimer = Claimer { claims: &run.claims, ran: Cell::new(0) };
+        claimer.run(2, |p| assert!(p != 0, "part {p} trips"));
+        // The panicking part was the first claimed: the second never starts.
+        assert_eq!((claimer.ran.get(), run.unclaimed()), (0, 0));
+        assert_eq!(run.settle(), Some(Settled::Abandoned("part 0 trips".into())));
+        assert!(run.settle().is_none());
+    }
+
+    #[test]
+    fn a_shared_run_refuses_another_plan_or_matrix() {
+        let m = DynamicMatrix::from(random_coo::<f64>(2000, 2000, 2 * PARALLEL_CONVERT_THRESHOLD, 2));
+        let copy = m.clone();
+        let plan = ExecPlan::build(&m, 1, None);
+        let other = ExecPlan::build(&m, 1, None);
+        let run = plan.share(&m, Op::Spmv).unwrap();
+        let x = vec![1.0; 2000];
+        for (p, mm) in [(&other, &m), (&plan, &copy)] {
+            assert!(matches!(p.run_claimed(mm, Op::Spmv, &x, &run), Err(MorpheusError::PlanMismatch { .. })));
+        }
+        assert!(plan.run_claimed(&m, Op::Spmm { k: 1 }, &x, &run).is_err(), "another op");
+        assert!(plan.run_claimed(&m, Op::Spmv, &x[1..], &run).is_err(), "a short x");
+        assert_eq!(run.unclaimed(), 2, "a refused call claims nothing");
+        assert_eq!(plan.run_claimed(&m, Op::Spmv, &x, &run).unwrap(), 2);
+        assert!(matches!(run.settle(), Some(Settled::Output(_))));
     }
 
     #[test]

@@ -28,22 +28,28 @@ use crate::dia::DiaMatrix;
 use crate::dynamic::DynamicMatrix;
 use crate::error::MorpheusError;
 use crate::scalar::Scalar;
-use crate::spmv::threaded::{coo_owned_rows, for_each_part};
+use crate::spmv::threaded::{coo_owned_rows, for_each_part, Runner};
 use crate::Result;
-use morpheus_parallel::{SharedSlice, ThreadPool};
+use morpheus_parallel::SharedSlice;
 use std::ops::Range;
 
-pub(crate) fn check_spmm_shapes<V: Scalar>(m: &DynamicMatrix<V>, x: &[V], y: &[V], k: usize) -> Result<()> {
+/// Checks `x` and an output of `y_len` elements against `m`'s shape and `k`.
+pub(crate) fn check_spmm_shapes<V: Scalar>(
+    m: &DynamicMatrix<V>,
+    x: &[V],
+    y_len: usize,
+    k: usize,
+) -> Result<()> {
     if k == 0 {
         return Err(MorpheusError::ShapeMismatch {
             expected: "k >= 1 right-hand sides".into(),
             got: "k = 0".into(),
         });
     }
-    if x.len() != m.ncols() * k || y.len() != m.nrows() * k {
+    if x.len() != m.ncols() * k || y_len != m.nrows() * k {
         return Err(MorpheusError::ShapeMismatch {
             expected: format!("x: {}x{k}, y: {}x{k}", m.ncols(), m.nrows()),
-            got: format!("x len {}, y len {}", x.len(), y.len()),
+            got: format!("x len {}, y len {y_len}", x.len()),
         });
     }
     Ok(())
@@ -52,34 +58,31 @@ pub(crate) fn check_spmm_shapes<V: Scalar>(m: &DynamicMatrix<V>, x: &[V], y: &[V
 /// `Y = A X` on the serial backend (`x` row-major `ncols x k`, `y` row-major
 /// `nrows x k`).
 pub fn spmm_serial<V: Scalar>(m: &DynamicMatrix<V>, x: &[V], y: &mut [V], k: usize) -> Result<()> {
-    check_spmm_shapes(m, x, y, k)?;
+    check_spmm_shapes(m, x, y.len(), k)?;
     // One part covering every unit: the ranged bodies are the serial kernels.
     let one = std::slice::from_ref::<Range<usize>>;
     let rows = &(0..m.nrows());
     let rows = one(rows);
+    let (out, inline) = (&SharedSlice::new(y), Runner::Inline);
+    // SAFETY: no shares, so none to trust.
+    let bell = |a: &BellMatrix<V>| unsafe { spmm_bell(a, x, out, k, inline, None) };
     match m {
-        DynamicMatrix::Coo(a) => spmm_coo::<V, false>(a, x, y, k, None, one(&(0..a.nnz()))),
-        DynamicMatrix::Csr(a) => spmm_csr::<V, false>(a, x, y, k, None, rows),
-        DynamicMatrix::Dia(a) => spmm_dia(a, x, y, k, None, rows),
-        DynamicMatrix::Ell(a) => spmm_bell_serial(a.bell(), x, y, k),
+        DynamicMatrix::Coo(a) => spmm_coo::<V, false>(a, x, out, k, inline, one(&(0..a.nnz()))),
+        DynamicMatrix::Csr(a) => spmm_csr::<V, false>(a, x, out, k, inline, rows),
+        DynamicMatrix::Dia(a) => spmm_dia(a, x, out, k, inline, rows),
+        DynamicMatrix::Ell(a) => bell(a.bell()),
         DynamicMatrix::Hyb(a) => {
-            spmm_bell_serial(a.ell().bell(), x, y, k);
-            spmm_coo::<V, true>(a.coo(), x, y, k, None, one(&(0..a.coo().nnz())));
+            bell(a.ell().bell());
+            spmm_coo::<V, true>(a.coo(), x, out, k, inline, one(&(0..a.coo().nnz())));
         }
         DynamicMatrix::Hdc(a) => {
-            spmm_dia(a.dia(), x, y, k, None, rows);
-            spmm_csr::<V, true>(a.csr(), x, y, k, None, rows);
+            spmm_dia(a.dia(), x, out, k, inline, rows);
+            spmm_csr::<V, true>(a.csr(), x, out, k, inline, rows);
         }
-        DynamicMatrix::Bsr(a) => spmm_bsr(a, x, y, k, None, one(&(0..a.nblockrows()))),
-        DynamicMatrix::Bell(a) => spmm_bell_serial(a, x, y, k),
+        DynamicMatrix::Bsr(a) => spmm_bsr(a, x, out, k, inline, one(&(0..a.nblockrows()))),
+        DynamicMatrix::Bell(a) => bell(a),
     }
     Ok(())
-}
-
-/// [`spmm_bell`] over every bucket in turn, on the calling thread.
-fn spmm_bell_serial<V: Scalar>(a: &BellMatrix<V>, x: &[V], y: &mut [V], k: usize) {
-    // SAFETY: no shares.
-    unsafe { spmm_bell(a, x, y, k, None, None) }
 }
 
 // ---------------------------------------------------------------------------
@@ -221,23 +224,22 @@ unsafe fn run_blocks<V: Scalar, B: Body<V>>(
     }
 }
 
-/// Runs `body` over precomputed `parts` in one dispatch across the pool, or
-/// — without one — inline in order on the calling thread ([`for_each_part`]).
-/// The serial entry point is this with one part covering everything.
+/// Runs `body` over the precomputed `parts` that `runner` hands out
+/// ([`for_each_part`]). The serial entry point is this with one part
+/// covering everything.
 ///
 /// # Safety
 /// The output rows of distinct parts must be disjoint.
 unsafe fn run<V: Scalar, B: Body<V>>(
     body: &B,
     x: &[V],
-    y: &mut [V],
+    out: &SharedSlice<V>,
     k: usize,
-    pool: Option<&ThreadPool>,
+    runner: Runner<'_>,
     parts: &[Range<usize>],
 ) {
-    let out = SharedSlice::new(y);
     // SAFETY: each part's rows have this one writer.
-    for_each_part(pool, parts.len(), |p| unsafe { run_blocks(body, x, &out, k, parts[p].clone()) });
+    for_each_part(runner, parts.len(), |p| unsafe { run_blocks(body, x, out, k, parts[p].clone()) });
 }
 
 /// CSR rows; `ACC` adds each row's sum to `y` (the HDC remainder, whose
@@ -413,18 +415,18 @@ impl<V: Scalar> Body<V> for BsrBlockRows<'_, V> {
 }
 
 // The per-format entry points below take the parts to run (plan ranges, or
-// one range over everything for the serial kernels) and an optional pool.
+// one range over everything for the serial kernels) and who runs them.
 
 pub(crate) fn spmm_csr<V: Scalar, const ACC: bool>(
     a: &CsrMatrix<V>,
     x: &[V],
-    y: &mut [V],
+    out: &SharedSlice<V>,
     k: usize,
-    pool: Option<&ThreadPool>,
+    runner: Runner<'_>,
     rows: &[Range<usize>],
 ) {
     // SAFETY: row ranges tile the rows disjointly.
-    unsafe { run(&CsrRows::<V, ACC>(a), x, y, k, pool, rows) }
+    unsafe { run(&CsrRows::<V, ACC>(a), x, out, k, runner, rows) }
 }
 
 /// `ACC = false` defines `y`: each range first zeroes the rows it owns
@@ -432,16 +434,17 @@ pub(crate) fn spmm_csr<V: Scalar, const ACC: bool>(
 pub(crate) fn spmm_coo<V: Scalar, const ACC: bool>(
     a: &CooMatrix<V>,
     x: &[V],
-    y: &mut [V],
+    out: &SharedSlice<V>,
     k: usize,
-    pool: Option<&ThreadPool>,
+    runner: Runner<'_>,
     entries: &[Range<usize>],
 ) {
     if !ACC && entries.is_empty() {
-        return y.fill(V::ZERO);
+        // SAFETY: with no entries there are no parts: this caller is the
+        // output's one writer.
+        return unsafe { out.slice_mut(0, out.len()).fill(V::ZERO) };
     }
-    let out = SharedSlice::new(y);
-    for_each_part(pool, entries.len(), |p| {
+    for_each_part(runner, entries.len(), |p| {
         // SAFETY: entry ranges are row-aligned and disjoint, and so are the
         // rows they own.
         unsafe {
@@ -449,7 +452,7 @@ pub(crate) fn spmm_coo<V: Scalar, const ACC: bool>(
                 let owned = coo_owned_rows(a, entries, p);
                 out.slice_mut(owned.start * k, owned.len() * k).fill(V::ZERO);
             }
-            run_blocks(&CooEntries(a), x, &out, k, entries[p].clone());
+            run_blocks(&CooEntries(a), x, out, k, entries[p].clone());
         }
     });
 }
@@ -457,25 +460,25 @@ pub(crate) fn spmm_coo<V: Scalar, const ACC: bool>(
 pub(crate) fn spmm_dia<V: Scalar>(
     a: &DiaMatrix<V>,
     x: &[V],
-    y: &mut [V],
+    out: &SharedSlice<V>,
     k: usize,
-    pool: Option<&ThreadPool>,
+    runner: Runner<'_>,
     rows: &[Range<usize>],
 ) {
     // SAFETY: row ranges tile the rows disjointly.
-    unsafe { run(&DiaRows(a), x, y, k, pool, rows) }
+    unsafe { run(&DiaRows(a), x, out, k, runner, rows) }
 }
 
 pub(crate) fn spmm_bsr<V: Scalar>(
     a: &BsrMatrix<V>,
     x: &[V],
-    y: &mut [V],
+    out: &SharedSlice<V>,
     k: usize,
-    pool: Option<&ThreadPool>,
+    runner: Runner<'_>,
     brows: &[Range<usize>],
 ) {
     // SAFETY: block-row ranges tile the block rows disjointly.
-    unsafe { run(&BsrBlockRows(a), x, y, k, pool, brows) }
+    unsafe { run(&BsrBlockRows(a), x, out, k, runner, brows) }
 }
 
 /// BELL over plan shares, or (`shares: None`) over every bucket in turn.
@@ -487,12 +490,11 @@ pub(crate) fn spmm_bsr<V: Scalar>(
 pub(crate) unsafe fn spmm_bell<V: Scalar>(
     a: &BellMatrix<V>,
     x: &[V],
-    y: &mut [V],
+    out: &SharedSlice<V>,
     k: usize,
-    pool: Option<&ThreadPool>,
+    runner: Runner<'_>,
     shares: Option<&[BellShare]>,
 ) {
-    let out = SharedSlice::new(y);
     let zero = |rows: Range<usize>| {
         for run in a.empty_rows_in(rows) {
             // SAFETY: no bucket holds these rows, and the callers below hand
@@ -503,14 +505,14 @@ pub(crate) unsafe fn spmm_bell<V: Scalar>(
     let segment = |bucket: usize, slices: Range<usize>| {
         // SAFETY: buckets hold disjoint rows and segments share no slice
         // within a bucket (see `BellMatrix::shares`).
-        unsafe { run_blocks(&BellSlices(&a.buckets()[bucket]), x, &out, k, slices) }
+        unsafe { run_blocks(&BellSlices(&a.buckets()[bucket]), x, out, k, slices) }
     };
     match shares {
         None => {
             zero(0..a.nrows());
             a.buckets().iter().enumerate().for_each(|(b, bucket)| segment(b, 0..bucket.num_slices()));
         }
-        Some(shares) => for_each_part(pool, shares.len(), |p| {
+        Some(shares) => for_each_part(runner, shares.len(), |p| {
             zero(shares[p].rows.clone());
             shares[p].segs.iter().for_each(|s| segment(s.bucket, s.slices.clone()));
         }),
@@ -525,6 +527,7 @@ mod tests {
     use crate::plan::ExecPlan;
     use crate::spmv::spmv_serial;
     use crate::test_util::random_coo;
+    use morpheus_parallel::ThreadPool;
 
     /// Column `j` of an SpMM is the SpMV of `x_j` bit for bit, in every
     /// format, at every panel width and past the widest panel.

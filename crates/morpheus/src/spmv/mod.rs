@@ -8,8 +8,10 @@
 //! covering every unit, inline with no pool, and a
 //! [`crate::plan::ExecPlan`] built once for the matrix replays its
 //! precomputed parts across a pool or inline
-//! ([`run`](crate::plan::ExecPlan::run)). Parts write disjoint rows and a
-//! row sums in the same order either way, so the two are bitwise identical.
+//! ([`run`](crate::plan::ExecPlan::run)), or hands them to the threads that
+//! claim them ([`run_claimed`](crate::plan::ExecPlan::run_claimed)). Parts
+//! write disjoint rows and a row sums in the same order however they are
+//! run, so all of these are bitwise identical.
 
 pub(crate) mod bell;
 pub mod cpu_features;
@@ -25,14 +27,15 @@ use crate::Result;
 use std::ops::Range;
 use threaded::{
     spmv_bell_shares, spmv_bsr_ranges, spmv_coo_acc_ranges, spmv_coo_ranges, spmv_csr_acc_ranges,
-    spmv_csr_ranges, spmv_dia_ranges,
+    spmv_csr_ranges, spmv_dia_ranges, Runner, SharedOut,
 };
 
-pub(crate) fn check_shapes<V: Scalar>(m: &DynamicMatrix<V>, x: &[V], y: &[V]) -> Result<()> {
-    if x.len() != m.ncols() || y.len() != m.nrows() {
+/// Checks `x` and an output of `y_len` elements against `m`'s shape.
+pub(crate) fn check_shapes<V: Scalar>(m: &DynamicMatrix<V>, x: &[V], y_len: usize) -> Result<()> {
+    if x.len() != m.ncols() || y_len != m.nrows() {
         return Err(MorpheusError::ShapeMismatch {
             expected: format!("x: {}, y: {}", m.ncols(), m.nrows()),
-            got: format!("x: {}, y: {}", x.len(), y.len()),
+            got: format!("x: {}, y: {}", x.len(), y_len),
         });
     }
     Ok(())
@@ -40,28 +43,29 @@ pub(crate) fn check_shapes<V: Scalar>(m: &DynamicMatrix<V>, x: &[V], y: &[V]) ->
 
 /// `y = A x` on the calling thread, with no plan and no pool.
 pub fn spmv_serial<V: Scalar>(m: &DynamicMatrix<V>, x: &[V], y: &mut [V]) -> Result<()> {
-    check_shapes(m, x, y)?;
+    check_shapes(m, x, y.len())?;
     // One part covering every unit: the ranged bodies are the serial kernels.
     let one = std::slice::from_ref::<Range<usize>>;
     let rows = &(0..m.nrows());
     let rows = one(rows);
+    let (out, inline) = (&SharedOut::new(y), Runner::Inline);
     // SAFETY: no shares, so none to trust.
-    let bell = |a: &BellMatrix<V>, y: &mut [V]| unsafe { spmv_bell_shares(a, x, y, None, None) };
+    let bell = |a: &BellMatrix<V>| unsafe { spmv_bell_shares(a, x, out, inline, None) };
     match m {
-        DynamicMatrix::Coo(a) => spmv_coo_ranges(a, x, y, None, one(&(0..a.nnz()))),
-        DynamicMatrix::Csr(a) => spmv_csr_ranges(a, x, y, None, rows),
-        DynamicMatrix::Dia(a) => spmv_dia_ranges(a, x, y, None, rows),
-        DynamicMatrix::Ell(a) => bell(a.bell(), y),
+        DynamicMatrix::Coo(a) => spmv_coo_ranges(a, x, out, inline, one(&(0..a.nnz()))),
+        DynamicMatrix::Csr(a) => spmv_csr_ranges(a, x, out, inline, rows),
+        DynamicMatrix::Dia(a) => spmv_dia_ranges(a, x, out, inline, rows),
+        DynamicMatrix::Ell(a) => bell(a.bell()),
         DynamicMatrix::Hyb(a) => {
-            bell(a.ell().bell(), y);
-            spmv_coo_acc_ranges(a.coo(), x, y, None, one(&(0..a.coo().nnz())));
+            bell(a.ell().bell());
+            spmv_coo_acc_ranges(a.coo(), x, out, inline, one(&(0..a.coo().nnz())));
         }
         DynamicMatrix::Hdc(a) => {
-            spmv_dia_ranges(a.dia(), x, y, None, rows);
-            spmv_csr_acc_ranges(a.csr(), x, y, None, rows);
+            spmv_dia_ranges(a.dia(), x, out, inline, rows);
+            spmv_csr_acc_ranges(a.csr(), x, out, inline, rows);
         }
-        DynamicMatrix::Bsr(a) => spmv_bsr_ranges(a, x, y, None, one(&(0..a.nblockrows()))),
-        DynamicMatrix::Bell(a) => bell(a, y),
+        DynamicMatrix::Bsr(a) => spmv_bsr_ranges(a, x, out, inline, one(&(0..a.nblockrows()))),
+        DynamicMatrix::Bell(a) => bell(a),
     }
     Ok(())
 }

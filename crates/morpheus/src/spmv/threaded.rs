@@ -1,14 +1,16 @@
-//! The ranged SpMV bodies: one per format, and the two entry styles that
-//! run them.
+//! The ranged SpMV bodies: one per format, and the entry styles that run
+//! them.
 //!
 //! Every body covers a range of its format's work units (rows, block rows,
 //! row-aligned entries, or a BELL share's slices), so each element of `y`
 //! has exactly one writer — no atomics are needed. The `*_ranges` kernels
-//! run a body over a list of parts through `for_each_part`: a
-//! [`crate::plan::ExecPlan`]'s precomputed parts, replayed in one dispatch
-//! per pass over the matrix (part `p` on the same pool index every call, or
-//! inline in order without a pool), or one part covering every unit with no
-//! pool, which is [`crate::spmv::spmv_serial`]. Those two and
+//! run a body over a list of parts through `for_each_part`, as a `Runner`
+//! hands them out: a [`crate::plan::ExecPlan`]'s precomputed parts,
+//! replayed in one dispatch per pass over the matrix (part `p` on the same
+//! pool index every call), inline in order without a pool, or claimed one
+//! at a time by the threads sharing one run
+//! ([`crate::plan::ExecPlan::run_claimed`]); or one part covering every
+//! unit with no pool, which is [`crate::spmv::spmv_serial`]. Those two and
 //! [`crate::spmm`] are their only callers; nothing here derives a partition.
 //!
 //! The ELL family's body (BELL, and ELL and HYB's ELL part, one bucket
@@ -21,6 +23,7 @@ use crate::bsr::BsrMatrix;
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::dia::DiaMatrix;
+use crate::plan::Claimer;
 use crate::scalar::Scalar;
 use crate::spmv::bell::bell_segment;
 use crate::spmv::cpu_features::CpuFeatures;
@@ -29,7 +32,7 @@ use std::ops::Range;
 
 /// Shared mutable output vector. Soundness contract: concurrent callers must
 /// write disjoint index sets, which the row partitioning guarantees.
-type SharedOut<V> = SharedSlice<V>;
+pub(crate) type SharedOut<V> = SharedSlice<V>;
 
 // ---------------------------------------------------------------------------
 // Per-range loop bodies
@@ -252,14 +255,29 @@ unsafe fn bsr_block_rows_dyn<V: Scalar>(a: &BsrMatrix<V>, x: &[V], out: &SharedO
 // Ranged kernels: thin loops over a plan's parts, or one part covering all
 // ---------------------------------------------------------------------------
 
-/// Runs `body(p)` for every part `p < n` of a plan in **one dispatch**: part
-/// `p` on pool index `p % width` — the same thread every call, with no
-/// scheduling state — or, without a pool, inline in order on the calling
-/// thread (which is also what a pool of width 1, a nested region and a busy
-/// pool do). Same bodies either way, so results are bitwise identical.
-pub(crate) fn for_each_part(pool: Option<&ThreadPool>, n: usize, body: impl Fn(usize) + Sync) {
-    match pool {
-        Some(pool) if n > 0 => pool.run_on_all(&|w| (w..n).step_by(pool.num_threads()).for_each(&body)),
+/// Who runs the parts of one pass over a matrix.
+#[derive(Clone, Copy)]
+pub(crate) enum Runner<'a> {
+    /// Every part in **one dispatch** across the pool: part `p` on pool
+    /// index `p % width` — the same thread every call, with no scheduling
+    /// state (inline in order when the pool cannot be taken: a pool of
+    /// width 1, a nested region, a busy pool).
+    Pool(&'a ThreadPool),
+    /// Every part, in order, on the calling thread.
+    Inline,
+    /// The parts the calling thread claims from a run it shares with other
+    /// threads, one at a time until none is left.
+    Claims(&'a Claimer<'a>),
+}
+
+/// Runs `body(p)` for the parts `p < n` of a pass that `runner` hands out.
+/// Same bodies whoever runs them, so results are bitwise identical.
+pub(crate) fn for_each_part(runner: Runner<'_>, n: usize, body: impl Fn(usize) + Sync) {
+    match runner {
+        Runner::Pool(pool) if n > 0 => {
+            pool.run_on_all(&|w| (w..n).step_by(pool.num_threads()).for_each(&body))
+        }
+        Runner::Claims(claimer) => claimer.run(n, body),
         _ => (0..n).for_each(body),
     }
 }
@@ -268,26 +286,24 @@ pub(crate) fn for_each_part(pool: Option<&ThreadPool>, n: usize, body: impl Fn(u
 pub(crate) fn spmv_csr_ranges<V: Scalar>(
     a: &CsrMatrix<V>,
     x: &[V],
-    y: &mut [V],
-    pool: Option<&ThreadPool>,
+    out: &SharedOut<V>,
+    runner: Runner<'_>,
     rows: &[Range<usize>],
 ) {
-    let out = SharedOut::new(y);
     // SAFETY: plan row ranges tile the rows disjointly.
-    for_each_part(pool, rows.len(), |p| unsafe { csr_rows::<V, false>(a, x, &out, rows[p].clone()) });
+    for_each_part(runner, rows.len(), |p| unsafe { csr_rows::<V, false>(a, x, out, rows[p].clone()) });
 }
 
 /// CSR over precomputed row ranges (accumulate), for the HDC composite.
 pub(crate) fn spmv_csr_acc_ranges<V: Scalar>(
     a: &CsrMatrix<V>,
     x: &[V],
-    y: &mut [V],
-    pool: Option<&ThreadPool>,
+    out: &SharedOut<V>,
+    runner: Runner<'_>,
     rows: &[Range<usize>],
 ) {
-    let out = SharedOut::new(y);
     // SAFETY: plan row ranges tile the rows disjointly.
-    for_each_part(pool, rows.len(), |p| unsafe { csr_rows::<V, true>(a, x, &out, rows[p].clone()) });
+    for_each_part(runner, rows.len(), |p| unsafe { csr_rows::<V, true>(a, x, out, rows[p].clone()) });
 }
 
 /// The rows range `p` of a plan's row-aligned COO entry ranges (contiguous,
@@ -312,21 +328,22 @@ pub(crate) fn coo_owned_rows<V: Scalar>(
 pub(crate) fn spmv_coo_ranges<V: Scalar>(
     a: &CooMatrix<V>,
     x: &[V],
-    y: &mut [V],
-    pool: Option<&ThreadPool>,
+    out: &SharedOut<V>,
+    runner: Runner<'_>,
     entries: &[Range<usize>],
 ) {
     if entries.is_empty() {
-        return y.fill(V::ZERO);
+        // SAFETY: with no entries there are no parts: this caller is the
+        // output's one writer.
+        return unsafe { out.slice_mut(0, out.len()).fill(V::ZERO) };
     }
-    let out = SharedOut::new(y);
-    for_each_part(pool, entries.len(), |p| {
+    for_each_part(runner, entries.len(), |p| {
         let owned = coo_owned_rows(a, entries, p);
         // SAFETY: the ranges are row-aligned, so `owned` and the rows of this
         // range's entries belong to no other part.
         unsafe {
             out.slice_mut(owned.start, owned.len()).fill(V::ZERO);
-            coo_entries(a, x, &out, entries[p].clone());
+            coo_entries(a, x, out, entries[p].clone());
         }
     });
 }
@@ -336,39 +353,36 @@ pub(crate) fn spmv_coo_ranges<V: Scalar>(
 pub(crate) fn spmv_coo_acc_ranges<V: Scalar>(
     a: &CooMatrix<V>,
     x: &[V],
-    y: &mut [V],
-    pool: Option<&ThreadPool>,
+    out: &SharedOut<V>,
+    runner: Runner<'_>,
     entries: &[Range<usize>],
 ) {
-    let out = SharedOut::new(y);
     // SAFETY: plan entry ranges are row-aligned and disjoint.
-    for_each_part(pool, entries.len(), |p| unsafe { coo_entries(a, x, &out, entries[p].clone()) });
+    for_each_part(runner, entries.len(), |p| unsafe { coo_entries(a, x, out, entries[p].clone()) });
 }
 
 /// DIA over precomputed row ranges.
 pub(crate) fn spmv_dia_ranges<V: Scalar>(
     a: &DiaMatrix<V>,
     x: &[V],
-    y: &mut [V],
-    pool: Option<&ThreadPool>,
+    out: &SharedOut<V>,
+    runner: Runner<'_>,
     rows: &[Range<usize>],
 ) {
-    let out = SharedOut::new(y);
     // SAFETY: plan row ranges tile the rows disjointly.
-    for_each_part(pool, rows.len(), |p| unsafe { dia_rows(a, x, &out, rows[p].clone()) });
+    for_each_part(runner, rows.len(), |p| unsafe { dia_rows(a, x, out, rows[p].clone()) });
 }
 
 /// BSR over precomputed block-row ranges.
 pub(crate) fn spmv_bsr_ranges<V: Scalar>(
     a: &BsrMatrix<V>,
     x: &[V],
-    y: &mut [V],
-    pool: Option<&ThreadPool>,
+    out: &SharedOut<V>,
+    runner: Runner<'_>,
     brows: &[Range<usize>],
 ) {
-    let out = SharedOut::new(y);
     // SAFETY: plan block-row ranges tile the block rows disjointly.
-    for_each_part(pool, brows.len(), |p| unsafe { bsr_block_rows(a, x, &out, brows[p].clone()) });
+    for_each_part(runner, brows.len(), |p| unsafe { bsr_block_rows(a, x, out, brows[p].clone()) });
 }
 
 /// BELL over plan shares, or (`shares: None`) over every bucket in turn:
@@ -383,12 +397,11 @@ pub(crate) fn spmv_bsr_ranges<V: Scalar>(
 pub(crate) unsafe fn spmv_bell_shares<V: Scalar>(
     a: &BellMatrix<V>,
     x: &[V],
-    y: &mut [V],
-    pool: Option<&ThreadPool>,
+    out: &SharedOut<V>,
+    runner: Runner<'_>,
     shares: Option<&[BellShare]>,
 ) {
     let cpu = CpuFeatures::detect();
-    let out = SharedOut::new(y);
     let zero = |rows: Range<usize>| {
         for run in a.empty_rows_in(rows) {
             // SAFETY: no bucket holds these rows, and concurrent shares are
@@ -398,7 +411,7 @@ pub(crate) unsafe fn spmv_bell_shares<V: Scalar>(
     };
     // SAFETY: buckets hold disjoint rows and segments share no slice within
     // a bucket; `cpu` is what was detected.
-    let segment = |seg: &BellSegment| unsafe { bell_segment(a, x, &out, seg, cpu) };
+    let segment = |seg: &BellSegment| unsafe { bell_segment(a, x, out, seg, cpu) };
     match shares {
         None => {
             zero(0..a.nrows());
@@ -406,7 +419,7 @@ pub(crate) unsafe fn spmv_bell_shares<V: Scalar>(
                 segment(&BellSegment { bucket, slices: 0..b.num_slices() });
             }
         }
-        Some(shares) => for_each_part(pool, shares.len(), |p| {
+        Some(shares) => for_each_part(runner, shares.len(), |p| {
             zero(shares[p].rows.clone());
             shares[p].segs.iter().for_each(segment);
         }),
@@ -449,10 +462,10 @@ mod tests {
         let coo = CooMatrix::<f64>::new(4, 4);
         let x = vec![1.0; 4];
         let mut y = vec![3.0; 4];
-        spmv_coo_acc_ranges(&coo, &x, &mut y, Some(&pool), &[]);
+        spmv_coo_acc_ranges(&coo, &x, &SharedOut::new(&mut y), Runner::Pool(&pool), &[]);
         assert_eq!(y, vec![3.0; 4]);
         // The defining kernel still has every row to zero.
-        spmv_coo_ranges(&coo, &x, &mut y, Some(&pool), &[]);
+        spmv_coo_ranges(&coo, &x, &SharedOut::new(&mut y), Runner::Pool(&pool), &[]);
         assert_eq!(y, vec![0.0; 4]);
     }
 
@@ -470,12 +483,12 @@ mod tests {
         let weights = csr.row_nnz_counts();
         let rows = weighted_partition(&weights, pool.num_threads());
         let mut y = vec![f64::NAN; 150];
-        spmv_csr_ranges(&csr, &x, &mut y, Some(&pool), &rows);
+        spmv_csr_ranges(&csr, &x, &SharedOut::new(&mut y), Runner::Pool(&pool), &rows);
         assert_eq!(y, y_ref);
 
         let entries = row_aligned_partition(coo.row_indices(), pool.num_threads());
         let mut y = vec![f64::NAN; 150];
-        spmv_coo_ranges(&coo, &x, &mut y, Some(&pool), &entries);
+        spmv_coo_ranges(&coo, &x, &SharedOut::new(&mut y), Runner::Pool(&pool), &entries);
         assert_eq!(y, y_ref);
     }
 }

@@ -13,6 +13,7 @@
 
 use morpheus_repro::machine::{systems, Backend, MatrixAnalysis, VirtualEngine};
 use morpheus_repro::morpheus::analysis::passes;
+use morpheus_repro::morpheus::analysis::WalkBounds;
 use morpheus_repro::morpheus::format::FormatId;
 use morpheus_repro::morpheus::spmm::spmm_serial;
 use morpheus_repro::morpheus::spmv::spmv_serial;
@@ -291,15 +292,19 @@ fn a_per_call_tune_serves_one_execution_from_its_source() {
         assert_eq!(service.register_for(tridiag(n), op).unwrap().report().plan, PlanStatus::Reused);
         assert_eq!(passes::count(), 1, "{op:?}");
 
-        // `tune` converts, and the switched matrix runs in BELL per call.
+        // `tune` converts on a hit and aliases the switched structure, so
+        // the switched matrix runs in BELL per call as a hit, on the plan
+        // the registration left in the entry, walking nothing.
         let mut switched = tridiag(n);
         assert_eq!(service.tune_for(&mut switched, op).unwrap().chosen, FormatId::Bell, "{op:?}");
         let mut y = vec![f64::NAN; n * k];
-        for plan in [PlanStatus::Built, PlanStatus::Reused] {
+        for _ in 0..2 {
+            passes::reset();
             let report = run(&mut switched, &mut y);
-            assert!(!report.converted, "{op:?}");
+            assert_eq!(passes::count(), 1, "{op:?}: the key hash");
+            assert!(report.cache_hit && !report.converted, "{op:?}");
             assert_eq!((report.predicted, report.chosen), (FormatId::Bell, FormatId::Bell), "{op:?}");
-            assert_eq!(report.plan, plan, "{op:?}: planned under the BELL structure's own decision");
+            assert_eq!(report.plan, PlanStatus::Reused, "{op:?}: the registration's plan, through the alias");
             assert_eq!(bits(&y), bits(&serial(&switched)), "{op:?}");
         }
     }
@@ -426,4 +431,127 @@ fn a_tune_miss_aliases_what_it_converted_and_a_hit_hashes_nothing_more() {
         let after = service.cache_stats();
         assert_eq!((after.hits - before.hits, after.misses - before.misses), (1, 1), "{format}");
     }
+}
+
+/// Answers its format from the row side alone, as a model tuner whose box
+/// of walk bounds settles on it does: the walk-free path decides.
+struct Unwalked(FormatId);
+
+impl FormatTuner<f64> for Unwalked {
+    fn name(&self) -> &'static str {
+        "unwalked"
+    }
+
+    fn select(&self, _: &DynamicMatrix<f64>, _: &MatrixAnalysis, _: &VirtualEngine, op: Op) -> TuneDecision {
+        TuneDecision { format: self.0, params: FormatParams::default(), op, cost: TuningCost::default() }
+    }
+
+    fn prices_formats(&self) -> bool {
+        false
+    }
+
+    fn select_unwalked(
+        &self,
+        m: &DynamicMatrix<f64>,
+        a: &MatrixAnalysis,
+        _: &WalkBounds,
+        engine: &VirtualEngine,
+        op: Op,
+    ) -> Option<TuneDecision> {
+        Some(self.select(m, a, engine, op))
+    }
+}
+
+/// A registration converts whatever the horizon, so when the walk-free
+/// floor leaves the conversion open it stores the floor, marked open, and
+/// reads the matrix once, for its key. The first per-call tune of the
+/// structure meets the open horizon: it walks its own matrix, prices the
+/// horizon exactly — on the hub matrix one execution repays BELL, so it
+/// converts, and hashes the switched matrix for the entry's alias — and
+/// stores it; the next per-call tune walks nothing.
+#[test]
+fn a_registration_leaves_an_open_horizon_for_the_first_per_call_tune_to_price() {
+    let n = 4000usize;
+    let service = Oracle::builder()
+        .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
+        .tuner(Unwalked(FormatId::Bell))
+        .workers(1)
+        .build_service()
+        .unwrap();
+    passes::reset();
+    let handle = service.register(hub(n)).unwrap();
+    assert_eq!(passes::count(), 1, "the key hash: no walk for a horizon registration never reads");
+    assert!(!handle.report().cache_hit && handle.format_id() == FormatId::Bell);
+    let x: Vec<f64> = (0..n).map(|i| 0.5 + (i % 3) as f64).collect();
+    for reads in [3, 1] {
+        let (mut m, mut y) = (hub(n), vec![f64::NAN; n]);
+        passes::reset();
+        let report = service.tune_and_spmv(&mut m, &x, &mut y).unwrap();
+        let what = if reads == 3 { "the key hash, the walk, the alias hash" } else { "the key hash" };
+        assert_eq!(passes::count(), reads, "{what}");
+        assert!(report.cache_hit);
+        let planned = (report.predicted, report.chosen, report.plan);
+        assert_eq!(planned, (FormatId::Bell, FormatId::Bell, PlanStatus::Reused), "the registration's plan");
+        let mut want = vec![0.0f64; n];
+        spmv_serial(&m, &x, &mut want).unwrap();
+        assert!(y.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+}
+
+/// `tune` of a copy of a registered structure is a hit that switches the
+/// copy, and aliases the switched structure — hashing it once for the
+/// entry — so tuning the switched matrix again is a hit that walks and
+/// converts nothing; a second copy switched on the same entry hashes only
+/// its key.
+#[test]
+fn a_tune_hit_aliases_the_switched_structure_once_per_entry() {
+    let service = always(FormatId::Bell, DEFAULT_CACHE_CAPACITY, None);
+    service.register(tridiag(700)).unwrap();
+    let mut copy = tridiag(700);
+    passes::reset();
+    let switched = service.tune(&mut copy).unwrap();
+    assert!(switched.cache_hit && copy.format_id() == FormatId::Bell);
+    assert_eq!(passes::count(), 2, "the key hash, the hash of the switched structure");
+    passes::reset();
+    let again = service.tune(&mut copy).unwrap();
+    assert!(again.cache_hit && !again.converted, "the switched matrix hits its alias");
+    assert_eq!(passes::count(), 1, "the key hash: no walk");
+    let mut second = tridiag(700);
+    passes::reset();
+    assert!(service.tune(&mut second).unwrap().cache_hit);
+    assert_eq!(passes::count(), 1, "the entry's alias is stored: the key hash only");
+}
+
+/// On a two-worker service a per-call tune that keeps its source runs it on
+/// the service's pool — the width its horizon was priced for — through a
+/// plan built for the call, bitwise the serial kernel of the source.
+#[test]
+fn a_kept_source_runs_on_the_service_pool() {
+    let n = 8000usize;
+    let service = Oracle::builder()
+        .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
+        .tuner(Always(FormatId::Bell))
+        .workers(2)
+        .build_service()
+        .unwrap();
+    let handed_off = || service.obs_snapshot().metrics.hist("pool.queue_wait_ns").count;
+    let x: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.5).collect();
+    let source = tridiag(n).to_format(FormatId::Csr, &Default::default()).unwrap();
+    assert!(source.nnz() >= 1 << 14);
+    let mut want = vec![0.0f64; n];
+    spmv_serial(&source, &x, &mut want).unwrap();
+    for hit in [false, true] {
+        let (mut m, mut y) = (tridiag(n), vec![f64::NAN; n]);
+        // The miss's analysis walk runs on the pool too: count the hit's.
+        let before = handed_off();
+        let report = service.tune_and_spmv(&mut m, &x, &mut y).unwrap();
+        assert_eq!(report.cache_hit, hit);
+        assert_eq!((report.predicted, report.chosen), (FormatId::Bell, FormatId::Csr), "the source is kept");
+        assert_eq!((report.plan, report.serial_fallback), (PlanStatus::Unplanned, false));
+        assert!(y.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()), "hit {hit}");
+        if hit {
+            assert!(handed_off() > before, "the kept source ran on the calling thread");
+        }
+    }
+    assert_eq!(service.plan_cache_stats().len, 0, "no plan in the decision's slot");
 }

@@ -1,18 +1,20 @@
 //! Integration tests for the async ingress layer: every queued request
-//! runs as its own planned SpMV, bitwise identical to a direct SpMV on the
-//! same handle across every storage format and scalar width,
-//! deadline-shed requests must surface typed backpressure and never
-//! partial results, and per-tenant admission must keep a greedy tenant
+//! runs as its own planned SpMV — whole, or in plan parts that every
+//! executor claims — bitwise identical to a direct SpMV on the same handle
+//! across every storage format and scalar width; deadline-shed requests
+//! must surface typed backpressure and never partial results, a panicking
+//! part a typed error; and per-tenant admission must keep a greedy tenant
 //! from starving the rest.
 //!
 //! Determinism: every test that counts requests pauses the ingress before
 //! submitting, so an exactly-known burst is queued when it resumes. The
 //! executors — the pump and any thread waiting on a ticket — then take it
 //! one request at a time, in submission order: which executor runs a
-//! request is raced for, what the burst holds and the order it starts in
-//! are not.
+//! request or claims a part is raced for, what the burst holds and the
+//! order it starts in are not.
 
 use morpheus_repro::machine::{systems, Backend, MatrixAnalysis, Op, VirtualEngine};
+use morpheus_repro::morpheus::convert::kernels::PARALLEL_CONVERT_THRESHOLD;
 use morpheus_repro::morpheus::format::{FormatId, ALL_FORMATS};
 use morpheus_repro::morpheus::spmm::spmm_serial;
 use morpheus_repro::morpheus::spmv::spmv_serial;
@@ -620,4 +622,285 @@ fn stress_waiters<V: Scalar>() {
 fn concurrent_waiters_and_the_pump_serve_every_request_once_and_bitwise() {
     stress_waiters::<f64>();
     stress_waiters::<f32>();
+}
+
+/// A banded matrix of at least [`PARALLEL_CONVERT_THRESHOLD`] entries: its
+/// plans have at least two parts on any pool.
+const LARGE: usize = 6000;
+
+fn counter<T>(service: &OracleService<T>, name: &str) -> u64 {
+    service.obs_snapshot().metrics.counter(name)
+}
+
+/// Bursts on handles of at least 2^14 entries, in every format at `f64` and
+/// `f32`, on one- and two-wide pools, with four clients waiting: a
+/// one-pass format runs split into parts that the pump and the waiters
+/// claim, HYB and HDC whole on the executor that took them, and every reply
+/// is the direct SpMV on its handle bit for bit. Counters count requests,
+/// not parts.
+#[test]
+fn replies_on_large_handles_are_bitwise_the_direct_spmv_split_or_whole() {
+    fn check<V: Scalar>(fmt: FormatId, w: usize) {
+        // A service per front door: ingress counters live in its registry.
+        let service = &fixed_service_with(fmt, w, PartitionPolicy::default());
+        let h = service.register(matrix::<V>(LARGE)).unwrap();
+        assert_eq!(h.format_id(), fmt);
+        assert!(h.nnz() >= PARALLEL_CONVERT_THRESHOLD, "{fmt}: {} entries", h.nnz());
+        assert!(h.plan().num_parts() >= 2, "{fmt} w={w}: a large plan has parts to share");
+        let xs: Vec<Vec<V>> =
+            (0..8).map(|c| input(LARGE, c).into_iter().map(V::from_f64).collect()).collect();
+        let refs = direct_replies(service, &h, &xs);
+        for (x, r) in xs.iter().zip(&refs) {
+            assert_bitwise(r, &serial_reference(&h, x), &format!("{fmt} w={w}: direct"));
+        }
+        let served = counter(service, "serve.requests_served");
+        let ingress = Ingress::start(Arc::clone(service), IngressConfig::default());
+        ingress.pause();
+        let tickets: Vec<_> = xs.iter().map(|x| ingress.submit("t", &h, x.clone()).unwrap()).collect();
+        ingress.resume();
+        let mut tickets = tickets.into_iter();
+        std::thread::scope(|s| {
+            for chunk in refs.chunks(2) {
+                let mine: Vec<_> = tickets.by_ref().take(chunk.len()).collect();
+                s.spawn(move || {
+                    for (c, (t, r)) in mine.into_iter().zip(chunk).enumerate() {
+                        let ctx = format!("{fmt} w={w} {}-bit request {c}", std::mem::size_of::<V>() * 8);
+                        assert_bitwise(&t.wait().unwrap_or_else(|e| panic!("{ctx}: {e}")), r, &ctx);
+                    }
+                });
+            }
+        });
+        let stats = ingress.stats();
+        assert_eq!((stats.completed, stats.direct_requests, stats.failed), (8, 8, 0), "{fmt} w={w}");
+        assert_eq!(counter(service, "serve.requests_served"), served + 8, "{fmt} w={w}");
+        let metrics = service.obs_snapshot().metrics;
+        if matches!(fmt, FormatId::Hyb | FormatId::Hdc) {
+            assert_eq!(metrics.counter("ingress.parts_shared"), 0, "{fmt} w={w}: claimed whole");
+        }
+    }
+    for fmt in ALL_FORMATS {
+        for w in [1usize, 2] {
+            check::<f64>(fmt, w);
+            check::<f32>(fmt, w);
+        }
+    }
+}
+
+/// A one-request burst on a one-worker service runs on two threads when
+/// the pump is free: the waiter and the pump each claim a part of its
+/// plan. Which thread takes the request is raced for, so this looks at a
+/// few bursts.
+#[test]
+fn a_one_request_burst_on_one_worker_runs_on_two_threads() {
+    let service = fixed_service_with(FormatId::Csr, 1, PartitionPolicy::default());
+    // About 600 k entries: a part takes far longer than the pump's wake-up.
+    let n = 200_000usize;
+    let h = service.register(matrix::<f64>(n)).unwrap();
+    let ingress = Ingress::start(Arc::clone(&service), IngressConfig::default());
+    let x = input(n, 3);
+    let expect = serial_reference(&h, &x);
+    for burst in 0..50 {
+        let y = ingress.submit("t", &h, x.clone()).unwrap().wait().unwrap();
+        assert_bitwise(&y, &expect, &format!("burst {burst}"));
+        if counter(&service, "ingress.parts_shared") > 0 {
+            let stats = ingress.stats();
+            assert_eq!((stats.completed, stats.direct_requests), (burst + 1, burst + 1));
+            return;
+        }
+    }
+    panic!("no part of fifty one-request bursts ran on a second executor");
+}
+
+/// A deadline that passes while its request is queued sheds the whole
+/// request: no part of it runs, and its neighbours are served whole.
+#[test]
+fn a_shed_request_runs_no_part() {
+    for w in [1usize, 2] {
+        let service = fixed_service_with(FormatId::Bell, w, PartitionPolicy::default());
+        let h = service.register(matrix::<f64>(LARGE)).unwrap();
+        assert!(h.plan().num_parts() >= 2);
+        let served = counter(&service, "serve.requests_served");
+        let ingress = Ingress::start(Arc::clone(&service), IngressConfig::default());
+        ingress.pause();
+        let doomed = ingress.submit_with_deadline("t", &h, input(LARGE, 0), Instant::now()).unwrap();
+        let healthy = ingress.submit("t", &h, input(LARGE, 1)).unwrap();
+        ingress.resume();
+        match doomed.wait() {
+            Err(IngressError::Backpressure(Backpressure::DeadlineExpired)) => {}
+            other => panic!("w={w}: a shed request must surface DeadlineExpired, got {other:?}"),
+        }
+        assert_bitwise(&healthy.wait().unwrap(), &serial_reference(&h, &input(LARGE, 1)), "healthy");
+        let stats = ingress.stats();
+        assert_eq!((stats.shed_deadline, stats.direct_requests, stats.completed), (1, 1, 1), "w={w}");
+        assert_eq!(counter(&service, "serve.requests_served"), served + 1, "w={w}: one request ran");
+        assert_eq!(ingress.tenant_inflight("t"), 0, "w={w}");
+    }
+}
+
+/// A paused ingress starts no new request, but a request already started
+/// finishes — its parts are claimed by the pump and by a thread waiting on
+/// a request that has not started.
+#[test]
+fn a_paused_ingress_finishes_a_started_request_and_starts_no_other() {
+    let service = fixed_service_with(FormatId::Csr, 1, PartitionPolicy::default());
+    let n = 300_000usize;
+    let h = service.register(matrix::<f64>(n)).unwrap();
+    let ingress = Ingress::start(Arc::clone(&service), IngressConfig::default());
+    ingress.pause();
+    let xs: Vec<Vec<f64>> = (0..4).map(|c| input(n, c)).collect();
+    let mut tickets: Vec<_> = xs.iter().map(|x| ingress.submit("t", &h, x.clone()).unwrap()).collect();
+    ingress.resume();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while ingress.stats().direct_requests == 0 {
+        assert!(Instant::now() < deadline, "the pump never started a request");
+        std::hint::spin_loop();
+    }
+    ingress.pause();
+    let started = ingress.stats().direct_requests;
+    assert!(started < 4, "the pump started the whole burst before the pause");
+    let last = tickets.pop().unwrap();
+    std::thread::scope(|s| {
+        // Waits on a request that does not start while paused; until then it
+        // claims parts of the started ones.
+        let waiter = s.spawn(|| last.wait());
+        while ingress.stats().completed < started {
+            assert!(Instant::now() < deadline, "a started request did not finish while paused");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(30));
+        let stats = ingress.stats();
+        assert_eq!(
+            (stats.direct_requests, stats.completed),
+            (started, started),
+            "paused: nothing new starts"
+        );
+        assert!(!waiter.is_finished());
+        ingress.resume();
+        assert_bitwise(&waiter.join().unwrap().unwrap(), &serial_reference(&h, &xs[3]), "last");
+    });
+    for (c, t) in tickets.into_iter().enumerate() {
+        assert_bitwise(&t.wait().unwrap(), &serial_reference(&h, &xs[c]), &format!("request {c}"));
+    }
+    assert_eq!(ingress.stats().completed, 4);
+    assert_eq!(ingress.tenant_inflight("t"), 0);
+}
+
+/// A scalar whose multiplication panics on one value: a kernel that reaches
+/// it panics inside whichever part holds that row.
+#[derive(Clone, Copy, Debug, Default, PartialEq, PartialOrd)]
+struct Trap(f64);
+
+const TRAP: f64 = 1234.5;
+
+impl std::fmt::Display for Trap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+macro_rules! trap_op {
+    ($tr:ident, $m:ident, $atr:ident, $am:ident, $op:tt) => {
+        impl std::ops::$tr for Trap {
+            type Output = Trap;
+            fn $m(self, o: Trap) -> Trap {
+                Trap(self.0 $op o.0)
+            }
+        }
+        impl std::ops::$atr for Trap {
+            fn $am(&mut self, o: Trap) {
+                self.0 = self.0 $op o.0;
+            }
+        }
+    };
+}
+trap_op!(Add, add, AddAssign, add_assign, +);
+trap_op!(Sub, sub, SubAssign, sub_assign, -);
+
+impl std::ops::Mul for Trap {
+    type Output = Trap;
+    fn mul(self, o: Trap) -> Trap {
+        assert!(self.0 != TRAP && o.0 != TRAP, "trapped a multiplication by {TRAP}");
+        Trap(self.0 * o.0)
+    }
+}
+
+impl std::ops::Div for Trap {
+    type Output = Trap;
+    fn div(self, o: Trap) -> Trap {
+        Trap(self.0 / o.0)
+    }
+}
+
+impl std::ops::Neg for Trap {
+    type Output = Trap;
+    fn neg(self) -> Trap {
+        Trap(-self.0)
+    }
+}
+
+impl Scalar for Trap {
+    const ZERO: Self = Trap(0.0);
+    const ONE: Self = Trap(1.0);
+    fn from_f64(v: f64) -> Self {
+        Trap(v)
+    }
+    fn to_f64(self) -> f64 {
+        self.0
+    }
+    fn abs(self) -> Self {
+        Trap(self.0.abs())
+    }
+    fn sqrt(self) -> Self {
+        Trap(self.0.sqrt())
+    }
+    fn mul_add(self, a: Self, b: Self) -> Self {
+        self * a + b
+    }
+    fn is_finite(self) -> bool {
+        self.0.is_finite()
+    }
+}
+
+/// A request whose kernel panics — in one part of a shared run on a
+/// one-wide pool, in a pool dispatch on a two-wide one — resolves its
+/// ticket once, with a typed error, releases its quota slot, and leaves the
+/// executors serving: the requests around it are delivered bitwise.
+#[test]
+fn a_panicking_part_resolves_its_ticket_once_with_a_typed_error() {
+    for w in [1usize, 2] {
+        let service = fixed_service_with(FormatId::Csr, w, PartitionPolicy::default());
+        let h = service.register(matrix::<Trap>(LARGE)).unwrap();
+        assert!(h.plan().num_parts() >= 2);
+        let good: Vec<Trap> = input(LARGE, 5).into_iter().map(Trap).collect();
+        // Only the last rows read the last column: one part trips.
+        let mut bad = good.clone();
+        bad[LARGE - 1] = Trap(TRAP);
+        let expect = serial_reference(&h, &good);
+        let ingress = Ingress::start(Arc::clone(&service), IngressConfig::default());
+        ingress.pause();
+        let before = ingress.submit("t", &h, good.clone()).unwrap();
+        let trapped = ingress.submit("t", &h, bad).unwrap();
+        let after = ingress.submit("t", &h, good.clone()).unwrap();
+        ingress.resume();
+        assert_bitwise(&before.wait().unwrap(), &expect, "before");
+        match trapped.wait() {
+            Err(IngressError::Panicked(why)) => assert!(why.contains("trapped"), "w={w}: {why}"),
+            other => {
+                panic!("w={w}: a panicking kernel must resolve as Panicked, got {:?}", other.map(|y| y.len()))
+            }
+        }
+        assert_bitwise(&after.wait().unwrap(), &expect, "after");
+        // The pump still serves what nobody waits on.
+        let polled = ingress.submit("t", &h, good.clone()).unwrap();
+        let polled = loop {
+            if let Some(result) = polled.try_wait() {
+                break result;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert_bitwise(&polled.unwrap(), &expect, "polled");
+        let stats = ingress.stats();
+        assert_eq!((stats.completed, stats.failed, stats.direct_requests), (3, 1, 4), "w={w}");
+        assert_eq!(ingress.tenant_inflight("t"), 0, "w={w}: each slot released once");
+    }
 }
