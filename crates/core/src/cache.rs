@@ -128,6 +128,11 @@ impl<K: Copy + Eq + Hash, V> LruMap<K, V> {
         }
     }
 
+    /// `true` when `key` is held.
+    pub fn contains(&self, key: &K) -> bool {
+        self.slots.contains_key(key)
+    }
+
     /// Drops every slot.
     pub fn clear(&mut self) {
         self.slots.clear();
@@ -275,15 +280,6 @@ impl<K: Copy + Eq + Hash, V: Clone> ShardedLru<K, V> {
         }
     }
 
-    /// Stores a value in the key's stripe, evicting that stripe's
-    /// least-recently-used entry at capacity. No-op when disabled.
-    pub fn insert(&self, key: K, value: V) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.shard_of(&key).lock().insert(key, value);
-    }
-
     /// The current clear-generation; read it *before* computing a value
     /// whose validity a concurrent [`ShardedLru::clear`] would revoke, and
     /// pass it to [`ShardedLru::insert_if_generation`].
@@ -291,17 +287,20 @@ impl<K: Copy + Eq + Hash, V: Clone> ShardedLru<K, V> {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// [`ShardedLru::insert`], but only if no [`ShardedLru::clear`] has
-    /// happened since `observed` was read — checked *under the stripe
+    /// Stores a value in the key's stripe, evicting that stripe's
+    /// least-recently-used entry at capacity (no-op when disabled) — but
+    /// only if no [`ShardedLru::clear`] has happened since `observed` was
+    /// read — checked *under the stripe
     /// lock*, so an insert racing a clear either lands before it (and is
-    /// cleared with everything else) or is rejected. Returns whether the
-    /// value was stored.
-    pub fn insert_if_generation(&self, key: K, value: V, observed: u64) -> bool {
+    /// cleared with everything else) or is rejected — and, unless `replace`,
+    /// only if the key is not held already. Returns whether the value was
+    /// stored.
+    pub fn insert_if_generation(&self, key: K, value: V, observed: u64, replace: bool) -> bool {
         if self.capacity == 0 {
             return false;
         }
         let mut shard = self.shard_of(&key).lock();
-        if self.generation.load(Ordering::Acquire) != observed {
+        if self.generation.load(Ordering::Acquire) != observed || (!replace && shard.contains(&key)) {
             return false;
         }
         shard.insert(key, value);
@@ -437,6 +436,10 @@ mod tests {
     // ---------------- ShardedLru ----------------
 
     /// One counted lookup, as the service makes it.
+    fn put<K: Copy + Eq + Hash, V: Clone>(c: &ShardedLru<K, V>, key: K, value: V) {
+        c.insert_if_generation(key, value, c.generation(), true);
+    }
+
     fn get<K: Copy + Eq + Hash, V: Clone>(c: &ShardedLru<K, V>, key: &K) -> Option<V> {
         let found = c.probe(key);
         c.count(found.is_some());
@@ -447,7 +450,7 @@ mod tests {
     fn hit_and_miss_accounting() {
         let c: ShardedLru<CacheKey, TuneDecision> = ShardedLru::new(4, 2);
         assert_eq!(get(&c, &key(1)), None);
-        c.insert(key(1), decision(FormatId::Dia));
+        put(&c, key(1), decision(FormatId::Dia));
         assert_eq!(get(&c, &key(1)).map(|d| d.format), Some(FormatId::Dia));
         assert_eq!(get(&c, &key(2)), None);
         let s = c.stats();
@@ -461,9 +464,9 @@ mod tests {
         let spmv = CacheKey { structure: 9, scalar_bytes: 8, engine: 1, op: Op::Spmv };
         let spmm = CacheKey { structure: 9, scalar_bytes: 8, engine: 1, op: Op::Spmm { k: 8 } };
         let f32key = CacheKey { structure: 9, scalar_bytes: 4, engine: 1, op: Op::Spmv };
-        c.insert(spmv, decision(FormatId::Dia));
-        c.insert(spmm, decision(FormatId::Csr));
-        c.insert(f32key, decision(FormatId::Ell));
+        put(&c, spmv, decision(FormatId::Dia));
+        put(&c, spmm, decision(FormatId::Csr));
+        put(&c, f32key, decision(FormatId::Ell));
         assert_eq!(get(&c, &spmv).map(|d| d.format), Some(FormatId::Dia));
         assert_eq!(get(&c, &spmm).map(|d| d.format), Some(FormatId::Csr));
         assert_eq!(get(&c, &f32key).map(|d| d.format), Some(FormatId::Ell));
@@ -472,7 +475,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_everything() {
         let c: ShardedLru<CacheKey, TuneDecision> = ShardedLru::new(0, 4);
-        c.insert(key(1), decision(FormatId::Csr));
+        put(&c, key(1), decision(FormatId::Csr));
         assert_eq!(get(&c, &key(1)), None);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.len, s.capacity), (0, 0, 0, 0));
@@ -482,7 +485,7 @@ mod tests {
     #[test]
     fn clear_keeps_counters() {
         let c: ShardedLru<CacheKey, TuneDecision> = ShardedLru::new(4, 2);
-        c.insert(key(1), decision(FormatId::Csr));
+        put(&c, key(1), decision(FormatId::Csr));
         let _ = get(&c, &key(1));
         c.clear();
         let s = c.stats();
@@ -497,7 +500,7 @@ mod tests {
         // is bounded by the requested capacity exactly.
         let c: ShardedLru<u64, u32> = ShardedLru::new(8, 4);
         for i in 0..1000u64 {
-            c.insert(i, i as u32);
+            put(&c, i, i as u32);
         }
         assert!(c.stats().len <= 8, "len {} exceeds capacity", c.stats().len);
         assert_eq!(c.capacity(), 8);
@@ -509,7 +512,7 @@ mod tests {
         for (capacity, shards) in [(64usize, 4usize), (100, 16), (70, 3)] {
             let big: ShardedLru<u64, u32> = ShardedLru::new(capacity, shards);
             for i in 0..2000u64 {
-                big.insert(i, i as u32);
+                put(&big, i, i as u32);
             }
             assert!(
                 big.stats().len <= capacity,
@@ -527,7 +530,7 @@ mod tests {
         // 24 distinct keys fit a 64-entry cache.
         let c: ShardedLru<u64, u64> = ShardedLru::new(64, 16);
         for i in 0..24u64 {
-            c.insert(i.wrapping_mul(0x9e37_79b9_7f4a_7c15), i);
+            put(&c, i.wrapping_mul(0x9e37_79b9_7f4a_7c15), i);
         }
         assert_eq!(c.stats().len, 24, "no entry may be evicted below capacity");
 
@@ -538,7 +541,7 @@ mod tests {
         for capacity in [17usize, 20, 30] {
             let c: ShardedLru<u64, u64> = ShardedLru::new(capacity, 16);
             for i in 0..capacity as u64 {
-                c.insert(i.wrapping_mul(0x9e37_79b9_7f4a_7c15), i);
+                put(&c, i.wrapping_mul(0x9e37_79b9_7f4a_7c15), i);
             }
             assert_eq!(c.stats().len, capacity, "capacity {capacity} must be fully usable");
         }
@@ -549,7 +552,7 @@ mod tests {
         let c: ShardedLru<u64, u32> = ShardedLru::new(8, 2);
         // Normal flow: no clear between read and insert -> stored.
         let gen = c.generation();
-        assert!(c.insert_if_generation(1, 10, gen));
+        assert!(c.insert_if_generation(1, 10, gen, true));
         assert_eq!(get(&c, &1), Some(10));
 
         // A clear between reading the generation and inserting must reject
@@ -557,23 +560,33 @@ mod tests {
         // was computed by a model that no longer serves).
         let stale_gen = c.generation();
         c.clear();
-        assert!(!c.insert_if_generation(2, 20, stale_gen));
+        assert!(!c.insert_if_generation(2, 20, stale_gen, true));
         assert_eq!(get(&c, &2), None);
 
         // The post-clear generation works again.
-        assert!(c.insert_if_generation(2, 21, c.generation()));
+        assert!(c.insert_if_generation(2, 21, c.generation(), true));
         assert_eq!(get(&c, &2), Some(21));
 
         // Disabled caches reject everything.
         let off: ShardedLru<u64, u32> = ShardedLru::new(0, 2);
-        assert!(!off.insert_if_generation(1, 1, off.generation()));
+        assert!(!off.insert_if_generation(1, 1, off.generation(), true));
+    }
+
+    #[test]
+    fn an_insert_without_replace_keeps_a_held_key() {
+        let c: ShardedLru<u64, u32> = ShardedLru::new(8, 2);
+        assert!(c.insert_if_generation(1, 10, c.generation(), false));
+        assert!(!c.insert_if_generation(1, 11, c.generation(), false));
+        assert_eq!(get(&c, &1), Some(10));
+        assert!(c.insert_if_generation(1, 12, c.generation(), true));
+        assert_eq!(get(&c, &1), Some(12));
     }
 
     #[test]
     fn sharded_for_each_and_clear() {
         let c: ShardedLru<u64, u32> = ShardedLru::new(32, 4);
         for i in 0..10u64 {
-            c.insert(i, i as u32 * 2);
+            put(&c, i, i as u32 * 2);
         }
         let mut seen = Vec::new();
         c.for_each(|k, v| seen.push((*k, *v)));
@@ -598,7 +611,7 @@ mod tests {
                     for i in 0..per_thread {
                         let k = i % 32;
                         if get(&c, &k).is_none() {
-                            c.insert(k, k + t);
+                            put(&c, k, k + t);
                         }
                     }
                 });

@@ -27,7 +27,8 @@
 use super::slo::Backpressure;
 use super::{IngressError, StatsCells};
 use crate::obs::{SpanRecord, Stage, TraceId};
-use crate::serve::{MatrixHandle, OracleService, QueuedParts, QueuedStart};
+use crate::serve::execute::{QueuedParts, QueuedStart};
+use crate::serve::{MatrixHandle, OracleService};
 use crate::OracleError;
 use morpheus::{Scalar, Settled};
 use morpheus_parallel::panic_message;

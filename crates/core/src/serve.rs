@@ -25,6 +25,16 @@
 //! another client's batch: latency over throughput, per Elafrou et al.'s
 //! observation that runtime overhead decides whether online selection wins.
 //!
+//! This file holds the handle types, the service and its public calls; three
+//! submodules hold the rest:
+//!
+//! * `decide` — the cold path of one decision: the decision-cache entry that
+//!   carries it from lookup to report, and `store`, the one write of an entry;
+//! * `execute` — every execution through a handle, direct or queued by the
+//!   ingress: the ladder, a queued SpMV's shared run, and their telemetry;
+//! * `decisions` — the warm-start file the cached decisions are exported to
+//!   and imported from.
+//!
 //! # What a decision pays for
 //!
 //! Each decision pays only for what its horizon repays (Eq. 2: speed-up
@@ -45,9 +55,9 @@
 //! * **The entry walk runs when the decision needs it.** Under a tuner that
 //!   does not price formats ([`FormatTuner::prices_formats`] `false`) and
 //!   with no collector attached, a CSR source (a COO one enters as CSR) is
-//!   first decided on its row side alone ([`Analysis::of_rows`]: the
+//!   first decided on its row side alone ([`Analysis::of_rows`](morpheus::Analysis::of_rows): the
 //!   offsets are the row histogram) and on sound bounds of the three
-//!   features only the walk counts ([`Analysis::walk_bounds`]). When the
+//!   features only the walk counts ([`Analysis::walk_bounds`](morpheus::Analysis::walk_bounds)). When the
 //!   bounds settle the model on COO, CSR, ELL, HYB or BELL — formats whose
 //!   parameters read row facts only — that is the decision, bitwise what
 //!   the walk would give, and a cold registration reads the matrix once,
@@ -56,7 +66,7 @@
 //!   stores it marked open, and the first per-call tune of the structure —
 //!   the one reader of a horizon — walks its own matrix to price it
 //!   exactly and stores that. Otherwise the walk completes the same
-//!   artifact ([`Analysis::take_entry_walk`]) and the view assembled from
+//!   artifact ([`Analysis::take_entry_walk`](morpheus::Analysis::take_entry_walk)) and the view assembled from
 //!   its row side, and the tuner answers as always; DIA, HDC and BSR
 //!   answers always walk.
 //!
@@ -101,206 +111,29 @@
 //! assert_eq!(service.obs_snapshot().metrics.counter("serve.requests_served"), 8);
 //! ```
 
-use crate::adapt::{SampleCollector, SampleKey};
+use crate::adapt::SampleCollector;
 use crate::cache::{CacheKey, CacheStats, ShardedLru, DEFAULT_SHARDS};
-use crate::features::FeatureVector;
-use crate::obs::{Counter, Gauge, Histogram, Obs, ObsConfig, ObsSnapshot, Stage, TraceId};
+use crate::obs::{Counter, Gauge, Histogram, Obs, ObsConfig, ObsSnapshot, TraceId};
 use crate::tune::{PlanStatus, TuneReport};
-use crate::tuner::{row_parameterized, FormatTuner, TuneDecision, TuningCost};
+use crate::tuner::{FormatTuner, TuningCost};
 use crate::{OracleError, Result};
+use decide::{Asker, CachedDecision, Facts};
 use morpheus::format::FormatId;
 use morpheus::partition::{split_rows, Partition, Shard, StreamingPartitioner};
 use morpheus::{
-    Analysis, ConvertOptions, ConvertOutcome, ConvertPath, CooMatrix, CsrMatrix, DynamicMatrix, ExecPlan,
-    FormatParams, PartitionConfig, PartitionedMatrix, Scalar, SharedRun, Workspace,
+    ConvertOptions, ConvertOutcome, ConvertPath, CooMatrix, CsrMatrix, DynamicMatrix, ExecPlan, FormatParams,
+    PartitionConfig, PartitionedMatrix, Scalar, Workspace,
 };
-use morpheus_machine::{assemble, MatrixAnalysis, Op, Payback, VirtualEngine};
+use morpheus_machine::{Op, VirtualEngine};
 use morpheus_parallel::ThreadPool;
-use std::any::Any;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+mod decide;
 mod decisions;
-
-/// Where a decision-cache entry keeps its execution plan: empty until the
-/// first registration or execution under the decision builds one. The plan
-/// is an `ExecPlan<V>`, `V` being the scalar of the entry's key — erased
-/// because the scalar is part of the key, not of the cache's type.
-type PlanSlot = parking_lot::Mutex<Option<Arc<dyn Any + Send + Sync>>>;
-
-/// A decision-cache entry: the decision, the diagonals a DIA or HDC
-/// realization stored and the plan of the keyed structure realized in that
-/// format. What a hit needs comes with the lookup: no analysis, no
-/// second cache, and — the layout being known — no walk to find diagonals.
-#[derive(Debug, Clone)]
-struct CachedDecision {
-    decision: TuneDecision,
-    /// [`DynamicMatrix::diagonal_layout`] of the matrix the miss realized,
-    /// which a hit converts into ([`DynamicMatrix::convert_to_diagonals`]);
-    /// `None` for the other formats, until the entry's conversion is known
-    /// to hold, and for an imported decision (never written to a decisions
-    /// file), whose hit finds the diagonals in a walk.
-    layout: Option<Arc<[isize]>>,
-    /// Shared by the copies of one entry (the one inserted when the tuner
-    /// answered, the one that replaces it once the conversion is known to
-    /// hold, the re-tune alias), so a plan built under any of them serves
-    /// all; dropped with the last of them — on eviction,
-    /// [`OracleService::clear_cache`] and a model hot-swap.
-    plan: Arc<PlanSlot>,
-    /// What converting into the decided format repays at a horizon of one,
-    /// priced on the view the tuner answered on: what a per-call tune gates
-    /// its conversion on, hit or miss, without a view. `None` for an
-    /// imported decision, a CSR fallback and a view that could not price it:
-    /// the per-call path then converts.
-    horizon: Option<Horizon>,
-    /// Set once a `tune` that kept its switched matrix aliased the decision
-    /// under the switched structure; shared by the copies of one entry, so
-    /// the switched structure is hashed at most once per entry.
-    aliased: Arc<AtomicBool>,
-}
-
-impl CachedDecision {
-    fn new(decision: TuneDecision, horizon: Option<Horizon>) -> Self {
-        CachedDecision { decision, layout: None, plan: Arc::default(), horizon, aliased: Arc::default() }
-    }
-}
-
-/// Eq. 2 at N = 1 for one decision: the engine's [`Payback`] of converting
-/// out of `source`, the format the decided matrix was in — the conversion's
-/// predicted cost `c` and the per-execution ratio `r`, both in executions of
-/// `source` for the decision's op. Exact, or — decided without the entry
-/// walk — floors: whose sum is at least one (the conversion cannot pay), or
-/// below one, `open`, when a registration or `tune`, which converts
-/// whatever the horizon, left it for the first per-call tune to price
-/// ([`OracleService::price_open_horizon`]).
-#[derive(Debug, Clone, Copy)]
-struct Horizon {
-    source: FormatId,
-    payback: Payback,
-    open: bool,
-}
-
-impl Horizon {
-    /// A matrix already in the decided format: nothing to convert, `c = 0`
-    /// and `r = 1`.
-    fn stay(source: FormatId) -> Self {
-        Horizon { source, payback: Payback { convert: 0.0, ratio: 1.0 }, open: false }
-    }
-
-    /// `true` when a per-call tune of a matrix in `format` keeps it there:
-    /// the horizon was priced from that format, the decision names another,
-    /// and one execution does not repay converting to it.
-    fn keeps(&self, format: FormatId, decided: FormatId) -> bool {
-        self.source == format && decided != format && !self.payback.repays_one()
-    }
-}
-
-/// What the cold path knows about one matrix before converting it: the
-/// structure hash it is keyed by and, once computed, the shared analysis
-/// and the machine model's view of it. Each fact is computed at most once
-/// per registration and handed from stage to stage (decide → realize →
-/// plan) instead of being re-derived from the matrix.
-struct Facts {
-    hash: u64,
-    analysis: Option<Analysis>,
-    view: Option<MatrixAnalysis>,
-    /// The caller's format and the seconds the front door took to move the
-    /// matrix into CSR, when it did: the report's `previous` and `convert`.
-    moved: Option<(FormatId, f64)>,
-}
-
-impl Facts {
-    /// Only the structure hash (one index traversal) of `m`.
-    fn hashed<V: Scalar>(m: &DynamicMatrix<V>) -> Facts {
-        Facts { hash: m.structure_hash(), analysis: None, view: None, moved: None }
-    }
-
-    /// Takes the pricing walks (block counts, HDC remainder) the view lacks,
-    /// each in a walk of `m`.
-    fn take_pricing_walks<V: Scalar>(&mut self, m: &DynamicMatrix<V>) {
-        let (Some(analysis), Some(view)) = (self.analysis.as_mut(), self.view.as_mut()) else {
-            panic!("pricing walks are taken for a view that exists");
-        };
-        view.take_pricing_walks(m, analysis);
-    }
-}
-
-/// The tuner's decision for one matrix, what it repays at a horizon of one,
-/// and the generations of the decision cache and of the alias table it was
-/// consulted under.
-struct Answer {
-    decision: TuneDecision,
-    horizon: Option<Horizon>,
-    generation: [u64; 2],
-}
-
-/// A format decision for one matrix, not yet acted on — what
-/// `OracleService::decide` hands to `OracleService::realize`.
-struct Decided {
-    facts: Facts,
-    key: CacheKey,
-    decision: TuneDecision,
-    /// The entry's diagonal layout, on a hit whose entry carries one.
-    layout: Option<Arc<[isize]>>,
-    /// The entry's plan slot: whatever the entry holds on a hit, empty on a
-    /// miss.
-    plan: Arc<PlanSlot>,
-    /// The entry's horizon (see [`CachedDecision::horizon`]).
-    horizon: Option<Horizon>,
-    /// The entry's alias flag (see [`CachedDecision::aliased`]).
-    aliased: Arc<AtomicBool>,
-    cache_hit: bool,
-    /// Generations of the decision cache and of the alias table the entry
-    /// was found or the tuner consulted under: they gate the follow-up
-    /// inserts (`realize`'s, an open horizon's price).
-    generation: [u64; 2],
-}
-
-/// Who asks for a decision: what it is used for decides what it pays for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Asker {
-    /// `register*`: converts whatever the horizon, and consumes its matrix.
-    Register,
-    /// `tune`: converts whatever the horizon, and keeps the switched matrix.
-    Tune,
-    /// `tune_and_*`: serves one execution, gated on the horizon.
-    PerCall,
-}
-
-/// What one tuning call learned beyond the report: the structure hash the
-/// matrix was decided under — the key its features are noted under, so the
-/// one its measured executions are attributed to — the parameters it was
-/// converted with, the entry's plan slot, and the shared analysis when the
-/// decision needed one (on a decision-cache miss), reused for plan
-/// construction.
-struct TuneArtifacts {
-    structure: u64,
-    /// [`FormatParams::code`] of the decision's parameters, or of the
-    /// defaults after a CSR fallback: the layout that was stored, as the
-    /// label of its telemetry population.
-    param_code: u8,
-    analysis: Option<Analysis>,
-    plan: Arc<PlanSlot>,
-}
-
-/// How a queued SpMV started ([`OracleService::start_queued`]).
-pub(crate) enum QueuedStart<V: Scalar> {
-    /// It ran whole on the executor that took it: the reply.
-    Ran(Vec<V>),
-    /// It runs inline, in parts that every ingress executor may claim.
-    Shared(QueuedParts<V>),
-}
-
-/// A queued SpMV's shared run, with what its one telemetry sample needs.
-pub(crate) struct QueuedParts<V: Scalar> {
-    pub(crate) run: SharedRun<V>,
-    /// When the run was opened, with a collector attached or tracing on.
-    t0: Option<Instant>,
-    /// Executors that ran at least one part.
-    executors: AtomicUsize,
-}
+pub(crate) mod execute;
 
 /// Which pool threaded executions run on.
 #[derive(Debug)]
@@ -665,7 +498,7 @@ impl<T> OracleService<T> {
 
     /// [`OracleService::tune`] for an arbitrary operation.
     ///
-    /// On a cache miss the service builds one shared [`Analysis`] of the
+    /// On a cache miss the service builds one shared [`Analysis`](morpheus::Analysis) of the
     /// matrix (reusing the hash it just computed for the cache key; its row
     /// side alone when the decision needs no entry walk, see the
     /// [module docs](self)) and threads it through feature extraction *and*
@@ -683,7 +516,7 @@ impl<T> OracleService<T> {
         let facts = self.ingest(m, false)?;
         let decided = self.decide(m, op, facts, Asker::Tune);
         // The caller keeps the switched matrix and may tune it again.
-        self.realize(m, decided, op, true).map(|(report, _)| report)
+        self.realize(m, decided, op).map(|(report, _)| report)
     }
 
     /// The front door of every serving entry point: moves a COO source (when
@@ -701,691 +534,36 @@ impl<T> OracleService<T> {
         Ok(Facts { moved: Some((previous, t0.elapsed().as_secs_f64())), ..Facts::hashed(m) })
     }
 
-    /// `m`'s shared analysis, `hash` being its structure hash — with the BSR
-    /// block counts only when `blocks` (two thirds of the walk, read by
-    /// nothing but BSR pricing). The walk without them runs on the
-    /// [cold pool](Self::cold_pool).
-    fn analyse<V: Scalar>(&self, m: &DynamicMatrix<V>, hash: u64, blocks: bool) -> Analysis {
-        if blocks {
-            Analysis::of_auto_with_hash(m, self.opts.true_diag_alpha, hash)
-        } else {
-            Analysis::without_block_counts(m, self.opts.true_diag_alpha, hash, self.cold_pool())
-        }
-    }
-
-    /// The machine model's view of `m`, computed — with the analysis it
-    /// derives from — on first use and kept in `facts`: with both pricing
-    /// walks when `walks`, else from the analysis alone.
-    fn view_of<'f, V: Scalar>(
-        &self,
-        m: &DynamicMatrix<V>,
-        facts: &'f mut Facts,
-        walks: bool,
-    ) -> &'f MatrixAnalysis {
-        if facts.view.is_none() {
-            let analysis = facts.analysis.get_or_insert_with(|| self.analyse(m, facts.hash, walks));
-            facts.view = Some(assemble(analysis, std::mem::size_of::<V>()));
-            if walks {
-                facts.take_pricing_walks(m);
-            }
-        }
-        facts.view.as_ref().expect("view computed above")
-    }
-
-    /// The key of `structure` for `op` at `V`, and the entry it finds: in
-    /// the decisions or, for a matrix `tune` switched earlier, the aliases.
-    /// A registration that finds an alias stores it among the decisions
-    /// too, under `generation`: a registered source's decision is one of the
-    /// decisions, and exported with them.
-    fn lookup<V>(
-        &self,
-        structure: u64,
-        op: Op,
-        asker: Asker,
-        generation: [u64; 2],
-    ) -> (CacheKey, Option<CachedDecision>) {
-        let key = CacheKey {
-            structure,
-            scalar_bytes: std::mem::size_of::<V>(),
-            engine: self.engine_fingerprint,
-            op,
-        };
-        let found = self.decisions.probe(&key).or_else(|| {
-            let alias = self.aliases.probe(&key)?;
-            if asker == Asker::Register {
-                self.decisions.insert_if_generation(key, alias.clone(), generation[0]);
-            }
-            Some(alias)
-        });
-        (key, found)
-    }
-
-    /// The tuner's decision for `m`: on the machine view (computed first,
-    /// unless held), and again should that view not price the answer.
-    /// Nothing is converted; `m` is only read.
+    /// Tunes `m` for `op`, then executes it once: the body of
+    /// `tune_and_spmv`/`tune_and_spmm`. The call serves one execution, and
+    /// pays for a conversion only when that execution repays it (Eq. 2 at
+    /// N = 1: `c + r < 1`, the decision's horizon).
     ///
-    /// It pays for what the decision reads: a tuner that does not price
-    /// formats from the view ([`FormatTuner::prices_formats`]) gets one
-    /// without the pricing walks (unless the source is BSR, whose extraction
-    /// is priced from block counts), and only a BSR or HDC answer has them
-    /// taken, each in a walk of its own, before its parameters are proposed:
-    /// the layout [`Self::realize`] converts with.
+    /// A matrix that converts (or is in the decided format already) runs
+    /// [`Self::execute`]'s ladder, with the plan acquired (from its decision
+    /// entry, or built and left there) on the way — except on a serial
+    /// backend, and on a busy pool with caching off, where a plan would be
+    /// built to be thrown away: `spmv_serial`/`spmm_serial` run the same
+    /// bodies over one part instead. [`TuneReport::serial_fallback`]
+    /// reports a busy pool; a plan acquired then still keeps the cache warm
+    /// for the next uncontended call.
     ///
-    /// A CSR source under such a tuner, with no collector attached, is first
-    /// decided on the row side alone ([`Self::answer_unwalked`]); only a
-    /// decision that needs the entry walk pays for it.
-    fn answer<V>(&self, m: &DynamicMatrix<V>, op: Op, facts: &mut Facts, asker: Asker) -> Answer
-    where
-        V: Scalar,
-        T: FormatTuner<V>,
-    {
-        // Read the cache generations *before* consulting the tuner: if a
-        // model hot-swap clears the caches while this decision is in flight,
-        // the generation-gated inserts drop it instead of resurrecting the
-        // superseded model's choice.
-        let generation = self.generations();
-        if let Some((decision, horizon)) = self.answer_unwalked(m, op, facts, asker) {
-            return Answer { decision, horizon: Some(horizon), generation };
-        }
-        let walks = self.tuner.prices_formats() || m.format_id() == FormatId::Bsr;
-        let mut decision = self.tuner.select(m, self.view_of(m, facts, walks), &self.engine, op);
-        if !self.view_of(m, facts, walks).prices(decision.format) {
-            // Answered on a view that cannot price the answer: again, now
-            // that it and its parameters can be.
-            facts.take_pricing_walks(m);
-            decision = self.tuner.select(m, self.view_of(m, facts, walks), &self.engine, op);
-        }
-        let horizon = self.horizon(op, m.format_id(), decision.format, self.view_of(m, facts, walks));
-        Answer { decision, horizon, generation }
-    }
-
-    /// The generations of the decision cache and of the alias table.
-    fn generations(&self) -> [u64; 2] {
-        [self.decisions.generation(), self.aliases.generation()]
-    }
-
-    /// The horizon of converting out of `source` into `decided`, priced on
-    /// `view` — `None` when the view cannot price both.
-    fn horizon(&self, op: Op, source: FormatId, decided: FormatId, view: &MatrixAnalysis) -> Option<Horizon> {
-        if source == decided {
-            return Some(Horizon::stay(source));
-        }
-        (view.prices(source) && view.prices(decided)).then(|| Horizon {
-            source,
-            payback: self.engine.payback(op, source, decided, view),
-            open: false,
-        })
-    }
-
-    /// The tuner's decision for a CSR `m` from the row side of its analysis
-    /// alone ([`Analysis::of_rows`]) and the walk features' bounds
-    /// ([`FormatTuner::select_unwalked`]): the format and parameters the
-    /// walked view gives, on COO, CSR, ELL, HYB or BELL, without walking the
-    /// entries. Its horizon is the engine's floor over what the walk would
-    /// tell ([`VirtualEngine::payback_floor`]). When that floor cannot rule
-    /// the conversion out, a per-call tune takes the walk after all and
-    /// prices the horizon exactly; a registration or `tune`, which
-    /// converts whatever the horizon, stores the floor marked open for the
-    /// first per-call tune to price. `None` — the artifact and the view then
-    /// completed by the walk, for the tuner to answer as usual — when the
-    /// tuner prices formats, a collector is attached (it notes every
-    /// feature), or the bounds do not settle the answer on one of those
-    /// formats. `facts` keeps the artifact either way.
-    fn answer_unwalked<V>(
-        &self,
-        m: &DynamicMatrix<V>,
-        op: Op,
-        facts: &mut Facts,
-        asker: Asker,
-    ) -> Option<(TuneDecision, Horizon)>
-    where
-        V: Scalar,
-        T: FormatTuner<V>,
-    {
-        let DynamicMatrix::Csr(csr) = m else { return None };
-        if self.tuner.prices_formats() || self.collector.is_some() {
-            return None;
-        }
-        let mut rows = Analysis::of_rows(csr, self.opts.true_diag_alpha, facts.hash);
-        let mut view = assemble(&rows, std::mem::size_of::<V>());
-        let walk = rows.walk_bounds(csr);
-        let decision = self.tuner.select_unwalked(m, &view, &walk, &self.engine, op);
-        let Some(decision) = decision.filter(|d| row_parameterized(d.format)) else {
-            // Unsettled: the walk completes the artifact and the view.
-            rows.take_entry_walk(csr, self.cold_pool());
-            view.complete_walk(&rows);
-            (facts.analysis, facts.view) = (Some(rows), Some(view));
-            return None;
-        };
-        let source = FormatId::Csr;
-        let mut horizon = Horizon::stay(source);
-        if decision.format != source {
-            horizon.payback = self.engine.payback_floor(op, source, decision.format, &view);
-            // The floor leaves the conversion open: price it on the walk, or
-            // leave it open for a per-call tune to.
-            horizon.open = horizon.payback.repays_one();
-            if horizon.open && asker == Asker::PerCall {
-                rows.take_entry_walk(csr, self.cold_pool());
-                view.complete_walk(&rows);
-                horizon = Horizon {
-                    payback: self.engine.payback(op, source, decision.format, &view),
-                    open: false,
-                    ..horizon
-                };
-                facts.view = Some(view);
-            }
-        }
-        facts.analysis = Some(rows);
-        Some((decision, horizon))
-    }
-
-    /// Prices a hit's open horizon exactly, for a per-call tune of `m` — the
-    /// CSR source its floor was priced from: walks `m` (the analysis is kept
-    /// for the conversion) and stores the exact horizon in the decision's
-    /// entry, so the next per-call tune of the structure walks nothing.
-    fn price_open_horizon<V: Scalar>(&self, m: &DynamicMatrix<V>, op: Op, decided: &mut Decided) {
-        let Some(horizon) = decided.horizon.filter(|h| h.open && h.source == m.format_id()) else { return };
-        let analysis =
-            decided.facts.analysis.get_or_insert_with(|| self.analyse(m, decided.facts.hash, false));
-        let view = assemble(analysis, std::mem::size_of::<V>());
-        let payback = self.engine.payback(op, horizon.source, decided.decision.format, &view);
-        let exact = Horizon { payback, open: false, ..horizon };
-        decided.horizon = Some(exact);
-        let priced = CachedDecision {
-            decision: decided.decision,
-            layout: decided.layout.clone(),
-            plan: Arc::clone(&decided.plan),
-            horizon: Some(exact),
-            aliased: Arc::clone(&decided.aliased),
-        };
-        self.decisions.insert_if_generation(decided.key, priced, decided.generation[0]);
-    }
-
-    /// First half of a tune: decision-cache lookup under the facts' hash →
-    /// (on a miss) the tuner's [answer](Self::answer), for `asker`.
-    /// Facts the caller holds are used, never recomputed.
-    fn decide<V>(&self, m: &DynamicMatrix<V>, op: Op, mut facts: Facts, asker: Asker) -> Decided
-    where
-        V: Scalar,
-        T: FormatTuner<V>,
-    {
-        // One question, one counted lookup, under the generations it was
-        // asked under.
-        let generation = self.generations();
-        let (key, found) = self.lookup::<V>(facts.hash, op, asker, generation);
-        self.decisions.count(found.is_some());
-        match found {
-            Some(CachedDecision { decision: mut cached, layout, plan, horizon, aliased }) => {
-                // Same structure, scalar, engine and op: the tuner would
-                // reproduce this decision, so charge nothing for it.
-                cached.cost = TuningCost::cached();
-                Decided {
-                    facts,
-                    key,
-                    decision: cached,
-                    layout,
-                    plan,
-                    horizon,
-                    aliased,
-                    cache_hit: true,
-                    generation,
-                }
-            }
-            None => {
-                let Answer { decision, horizon, generation } = self.answer(m, op, &mut facts, asker);
-                let undecided = CachedDecision::new(decision, horizon);
-                let (plan, aliased) = (Arc::clone(&undecided.plan), Arc::clone(&undecided.aliased));
-                self.decisions.insert_if_generation(key, undecided, generation[0]);
-                Decided {
-                    facts,
-                    key,
-                    decision,
-                    layout: None,
-                    plan,
-                    horizon,
-                    aliased,
-                    cache_hit: false,
-                    generation,
-                }
-            }
-        }
-    }
-
-    /// Second half of a tune: converts `m` to the decided format with the
-    /// decision's parameters (a BELL, ELL or HYB fill on the
-    /// [cold pool](Self::cold_pool); CSR when that proves non-viable), caches the
-    /// realized decision and notes the features for adaptive sampling.
-    /// `kept` says the caller keeps the switched matrix
-    /// (`tune`/`tune_and_*`): only then is the converted structure hashed —
-    /// on a miss or a hit, at most once per entry — to alias the decision
-    /// under it, so tuning the switched matrix again is a hit. A
-    /// registration consumes its matrix, and nothing of it can come back to
-    /// be tuned.
-    fn realize<V: Scalar>(
-        &self,
-        m: &mut DynamicMatrix<V>,
-        decided: Decided,
-        op: Op,
-        kept: bool,
-    ) -> Result<(TuneReport, TuneArtifacts)> {
-        let Decided {
-            facts: Facts { hash, analysis, moved, .. },
-            key,
-            decision,
-            layout,
-            plan,
-            horizon,
-            aliased,
-            cache_hit,
-            generation,
-        } = decided;
-        let hashed = m.format_id();
-        let (previous, moved) = moved.unwrap_or((hashed, 0.0));
-        let predicted = decision.format;
-        // The layout is the decision's; the guards are the service's. A hit
-        // whose entry knows the diagonals converts into them.
-        let opts = ConvertOptions { params: decision.params, ..self.opts };
-        let converted = match &layout {
-            Some(offsets) => m.convert_to_diagonals(predicted, &opts, offsets),
-            None => m.convert_on(predicted, &opts, analysis.as_ref(), self.cold_pool()),
-        };
-        let (chosen, convert) = match converted {
-            Ok(outcome) => (predicted, outcome),
-            Err(_) => {
-                // Mispredicted into a non-viable format: fall back to CSR.
-                let outcome = m.convert_to_with(FormatId::Csr, &self.opts, analysis.as_ref())?;
-                (FormatId::Csr, outcome)
-            }
-        };
-        // CSR has no parameters: a fallback stored none of the decision's.
-        let params = if chosen == predicted { decision.params } else { FormatParams::default() };
-        // Cache the *realized* format: if the prediction proved non-viable,
-        // later hits must not re-pay the failing conversion attempt before
-        // falling back.
-        let done = || CachedDecision {
-            decision: TuneDecision { format: chosen, params, ..decision },
-            layout: layout.clone().or_else(|| m.diagonal_layout().map(Arc::from)),
-            plan: Arc::clone(&plan),
-            // A fallback's horizon was priced for the prediction.
-            horizon: horizon.filter(|_| chosen == predicted),
-            aliased: Arc::clone(&aliased),
-        };
-        if kept && chosen != hashed && !aliased.swap(true, Ordering::Relaxed) {
-            // Alias the decision under the matrix's *post-conversion*
-            // structure too, so re-tuning the same (already switched) matrix
-            // — the repeated-execution loop of §VII-E — is a hit: the one
-            // reason left to hash what was just written.
-            let switched = m.structure_hash();
-            self.aliases.insert_if_generation(CacheKey { structure: switched, ..key }, done(), generation[1]);
-            if let Some(col) = &self.collector {
-                // Executions of the switched matrix are keyed by its own
-                // hash when it comes back: the same population.
-                col.alias(switched, hash);
-            }
-        }
-        if !cache_hit {
-            self.decisions.insert_if_generation(key, done(), generation[0]);
-            self.note_features(hash, analysis.as_ref());
-        }
-        let report = TuneReport {
-            chosen,
-            previous,
-            predicted,
-            cost: decision.cost,
-            converted: chosen != previous,
-            op,
-            cache_hit,
-            plan: PlanStatus::Unplanned,
-            serial_fallback: false,
-            // After a move, CSR→chosen is direct or nothing: the whole is direct.
-            convert: ConvertOutcome {
-                path: if previous == hashed { convert.path } else { ConvertPath::Direct },
-                seconds: moved + convert.seconds,
-            },
-            shards: 1,
-        };
-        let param_code = params.code();
-        Ok((report, TuneArtifacts { structure: hash, param_code, analysis, plan }))
-    }
-
-    /// Adaptive sampling, off the execution hot path: notes the Table-I
-    /// features of a miss's analysis under the hash the tuner saw (features
-    /// are format-invariant) — the hash every execution under its decision
-    /// is attributed to. A service with a collector always walks, so the
-    /// analysis is complete.
-    fn note_features(&self, hash: u64, analysis: Option<&Analysis>) {
-        if let (Some(col), Some(a)) = (&self.collector, analysis) {
-            col.note_features(hash, &FeatureVector::from_analysis(a));
-        }
-    }
-
-    /// The analysis a COO or HYB plan is built on by a hit that found its
-    /// entry without one — a decision imported, never executed or served
-    /// per call from its source, a plan for another worker count. A miss
-    /// carries the analysis it decided on; otherwise the realized `m` is
-    /// hashed and walked here.
-    fn late_analysis<'a, V: Scalar>(
-        &self,
-        m: &DynamicMatrix<V>,
-        artifacts: &'a mut TuneArtifacts,
-    ) -> &'a Analysis {
-        artifacts
-            .analysis
-            .get_or_insert_with(|| self.analyse(m, m.structure_hash(), m.format_id() == FormatId::Bsr))
-    }
-
-    /// The execution plan for `m` in its realized format: the one its
-    /// decision entry holds, or — when it holds none yet, one for another
-    /// worker count, or one `m` does not match (two sources of one key can
-    /// realize differently in DIA/HDC, where an explicit zero is padding) —
-    /// one built now and left in the entry. The single plan path of
-    /// `tune_and_*`, registration and shards. Concurrent builders each
-    /// store theirs and the last wins: plans for one structure and worker
-    /// count are interchangeable. With caching disabled the slot dies with
-    /// the call and every call builds — still the planned kernels.
-    fn acquire_plan<V: Scalar>(
-        &self,
-        m: &DynamicMatrix<V>,
-        artifacts: &mut TuneArtifacts,
-        threads: usize,
-    ) -> (Arc<ExecPlan<V>>, PlanStatus) {
-        let held = artifacts.plan.lock().clone();
-        let held = held
-            .and_then(|p| p.downcast::<ExecPlan<V>>().ok())
-            .filter(|p| p.threads() == threads.max(1) && p.matches(m));
-        let caching = self.decisions.capacity() > 0;
-        match held {
-            Some(plan) => {
-                self.plan_hits.fetch_add(u64::from(caching), Ordering::Relaxed);
-                (plan, PlanStatus::Reused)
-            }
-            None => {
-                // Only COO and HYB plans read an analysis (their entry ranges
-                // from its row histogram); every other plan reads the arrays.
-                let reads = matches!(m.format_id(), FormatId::Coo | FormatId::Hyb);
-                let analysis = if reads { Some(self.late_analysis(m, artifacts)) } else { None };
-                let plan = Arc::new(ExecPlan::build(m, threads, analysis));
-                *artifacts.plan.lock() = Some(plan.clone() as Arc<dyn Any + Send + Sync>);
-                self.plan_misses.fetch_add(u64::from(caching), Ordering::Relaxed);
-                (plan, PlanStatus::Built)
-            }
-        }
-    }
-
-    /// [`Self::acquire_plan`] wrapped in the `serve.plan_ns` histogram and
-    /// a [`Stage::Plan`] span (`detail` = 1 when reused, 0 when built)
-    /// when tracing is on. Pass [`TraceId::NONE`] outside a request (e.g.
-    /// registration) to get the histogram sample without a span.
-    fn acquire_plan_observed<V: Scalar>(
-        &self,
-        m: &DynamicMatrix<V>,
-        artifacts: &mut TuneArtifacts,
-        threads: usize,
-        trace: TraceId,
-    ) -> (Arc<ExecPlan<V>>, PlanStatus) {
-        let t0 = self.obs.enabled().then(Instant::now);
-        let acquired = self.acquire_plan(m, artifacts, threads);
-        if let Some(t0) = t0 {
-            let dur = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            self.plan_hist.record_ns(dur);
-            let hit = u64::from(acquired.1 == PlanStatus::Reused);
-            self.obs.span(trace, Stage::Plan, self.obs.instant_ns(t0), dur, hit);
-        }
-        acquired
-    }
-
-    /// Attributes one measured execution to its telemetry population —
-    /// a no-op (no timestamps taken by callers either) when the service
-    /// has no collector.
-    #[inline]
-    fn record_execution<V: Scalar>(
-        &self,
-        structure: u64,
-        format: FormatId,
-        param_code: u8,
-        op: Op,
-        workers: usize,
-        elapsed: std::time::Duration,
-    ) {
-        if let Some(col) = &self.collector {
-            col.record(
-                SampleKey {
-                    structure,
-                    format,
-                    op,
-                    scalar_bytes: std::mem::size_of::<V>(),
-                    workers,
-                    param_code,
-                },
-                elapsed,
-            );
-        }
-    }
-
-    /// `true` when the pool is busy with another client's batch, counting
-    /// the fallback the caller then takes in the registry counter
-    /// `serve.fallbacks_taken`.
-    fn take_serial_fallback(&self, pool: &ThreadPool) -> bool {
-        if pool.is_busy() {
-            self.fallbacks_taken.inc();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Request-level observation of a direct call (`spmv`/`spmm`/
-    /// `tune_and_*`; the ingress records its own): the
-    /// `serve.request_ns` histogram plus one coarse [`Stage::Exec`] span.
-    /// Free (not even reached — callers gate the `Instant` reads) when
-    /// tracing is off.
-    #[inline]
-    fn observe_request(&self, trace: TraceId, t0: Instant, elapsed: std::time::Duration) {
-        if self.obs.enabled() {
-            let dur = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-            self.request_hist.record_ns(dur);
-            self.obs.span(trace, Stage::Exec, self.obs.instant_ns(t0), dur, 0);
-        }
-    }
-
-    /// Executes `op` through a registered handle — the one way a handle
-    /// runs whole, and where **the ladder** is written down:
-    ///
-    /// 1. **Serial backend** ([`Self::exec_pool`] is `None`): the stored
-    ///    plan, inline — rung 3's form, population `1 worker`; shards run
-    ///    their single-threaded plans one after another.
-    /// 2. **`pool: Some`**: the plan's parts (the shards, by owner) in one
-    ///    dispatch across the pool. Should another client's batch be
-    ///    dispatched at that instant the pool runs them inline on this
-    ///    thread; nobody queues behind a batch.
-    /// 3. **`pool: None` on a threaded backend** — a direct call that found
-    ///    the pool busy and counted it in `serve.fallbacks_taken`
-    ///    ([`Self::take_serial_fallback`]): the same plan's bodies inline on
-    ///    the calling thread, bitwise identical to rung 2, population
-    ///    `1 worker`. (`tune_and_*`, which has a plan to *build* first, skips
-    ///    building one on this rung when caching is off and runs
-    ///    `spmv_serial`, the same bodies over one part:
-    ///    [`Self::tune_and_run`].)
-    ///
-    /// Which of 2 and 3 is the callers' whole difference:
-    /// [`spmv`](Self::spmv)/[`spmm`](Self::spmm) dodge a busy pool, queued
-    /// ingress work ([`Self::start_queued`]) never does — overload is
-    /// refused earlier, at admission, as typed backpressure. A queued run
-    /// that would be inline (a one-wide pool, or rung 2) is not run here but
-    /// shared: every ingress executor claims parts of its plan.
-    ///
-    /// No lock, no cache, no allocation. The clock is read (once here, once
-    /// after) only with a collector attached or tracing on; the measured
-    /// `(start, elapsed)` is returned for the caller's request-level
-    /// observation. A whole matrix's time is attributed to its `(structure,
-    /// format, op, scalar, workers)` population; a partitioned
-    /// handle's shards are each timed and attributed on their own, as
-    /// `(shard structure, shard format, op, scalar, 1 worker)` —
-    /// shard kernels are single-threaded, parallelism comes from running
-    /// shards concurrently — and, at the *fine* trace level (one span per
-    /// shard per request is too hot for the always-on default), each gets an
-    /// [`Stage::Exec`] span under `trace` whose `detail` is the shard index.
-    fn execute<V: Scalar>(
-        &self,
-        handle: &MatrixHandle<V>,
-        op: Op,
-        x: &[V],
-        y: &mut [V],
-        pool: Option<&ThreadPool>,
-        trace: TraceId,
-    ) -> morpheus::Result<Option<(Instant, std::time::Duration)>> {
-        let t0 = (self.collector.is_some() || self.obs.enabled()).then(Instant::now);
-        let sample = match &handle.inner.stored {
-            Stored::Single { matrix, structure, param_code, plan } => {
-                plan.run(matrix, op, x, y, pool)?;
-                let workers = pool.map_or(1, ThreadPool::num_threads);
-                Some((*structure, matrix.format_id(), *param_code, workers))
-            }
-            Stored::Partitioned { matrix: p, param_codes } => {
-                let fine = self.obs.fine() && trace.is_some();
-                // Capture the collector and the obs hub, not `self`: the
-                // closure is handed across shard worker threads and must
-                // stay `Sync` independently of `T`.
-                let collector = self.collector.as_deref();
-                let obs = &*self.obs;
-                let observe = move |si: usize, elapsed: std::time::Duration| {
-                    if let Some(col) = collector {
-                        let s = p.shard(si);
-                        col.record(
-                            SampleKey {
-                                structure: s.structure(),
-                                format: s.format_id(),
-                                op,
-                                scalar_bytes: std::mem::size_of::<V>(),
-                                workers: 1,
-                                param_code: param_codes[si],
-                            },
-                            elapsed,
-                        );
-                    }
-                    if fine {
-                        // The span start is reconstructed from the shard
-                        // kernel's own elapsed time (same clock as the
-                        // request span — the Obs epoch).
-                        let dur = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-                        obs.span(trace, Stage::Exec, obs.now_ns().saturating_sub(dur), dur, si as u64);
-                    }
-                };
-                let observe: Option<&(dyn Fn(usize, std::time::Duration) + Sync)> =
-                    if collector.is_some() || fine { Some(&observe) } else { None };
-                p.run(op, x, y, pool, observe)?;
-                None
-            }
-        };
-        self.requests_served.inc();
-        Ok(t0.map(|t0| {
-            let elapsed = t0.elapsed();
-            if let Some((structure, format, param_code, workers)) = sample {
-                self.record_execution::<V>(structure, format, param_code, op, workers, elapsed);
-            }
-            (t0, elapsed)
-        }))
-    }
-
-    /// A direct request through a handle: [`Self::execute`] on the pool
-    /// unless it is busy, then the request-level observation.
-    fn request<V: Scalar>(&self, handle: &MatrixHandle<V>, op: Op, x: &[V], y: &mut [V]) -> Result<()> {
-        let trace = self.obs.mint_trace();
-        let pool = self.exec_pool().filter(|pool| !self.take_serial_fallback(pool));
-        if let Some((t0, elapsed)) = self.execute(handle, op, x, y, pool, trace)? {
-            self.observe_request(trace, t0, elapsed);
-        }
-        Ok(())
-    }
-
-    /// Starts one queued SpMV on whichever thread took the ingress request —
-    /// the pump or a thread waiting on a ticket. An executor that finds the
-    /// pool free dispatches the plan there through [`Self::execute`], as a
-    /// direct call would, and has the reply. A run that would be inline — a
-    /// one-wide pool, or a pool another executor holds (rung 2 of the ladder:
-    /// a busy pool is not dodged, overload was refused at admission) — is
-    /// opened as a [`SharedRun`] instead: nothing runs yet, and every
-    /// executor may claim its parts ([`Self::run_queued_parts`]). So are a
-    /// serial backend's and a partitioned handle's runs not: they run whole
-    /// here. `trace` feeds the fine-level per-shard spans of partitioned
-    /// handles (request-level ingress spans are the executor's job).
-    pub(crate) fn start_queued<V: Scalar>(
-        &self,
-        handle: &MatrixHandle<V>,
-        x: &[V],
-        trace: TraceId,
-    ) -> morpheus::Result<QueuedStart<V>> {
-        let pool = self.exec_pool();
-        if let (Stored::Single { matrix, plan, .. }, Some(pool)) = (&handle.inner.stored, pool) {
-            if plan.num_parts() > 1 && (pool.num_threads() == 1 || pool.is_busy()) {
-                let run = plan.share(matrix, Op::Spmv)?;
-                let t0 = (self.collector.is_some() || self.obs.enabled()).then(Instant::now);
-                return Ok(QueuedStart::Shared(QueuedParts { run, t0, executors: AtomicUsize::new(0) }));
-            }
-        }
-        let mut y = vec![V::ZERO; handle.nrows()];
-        self.execute(handle, Op::Spmv, x, &mut y, pool, trace)?;
-        Ok(QueuedStart::Ran(y))
-    }
-
-    /// Runs, on the calling executor, the parts of a queued SpMV's shared
-    /// run that it claims ([`ExecPlan::run_claimed`]), and returns how many.
-    pub(crate) fn run_queued_parts<V: Scalar>(
-        &self,
-        handle: &MatrixHandle<V>,
-        x: &[V],
-        parts: &QueuedParts<V>,
-    ) -> morpheus::Result<usize> {
-        let Stored::Single { matrix, plan, .. } = &handle.inner.stored else {
-            unreachable!("only a whole matrix's run is shared")
-        };
-        let ran = plan.run_claimed(matrix, Op::Spmv, x, &parts.run)?;
-        if ran > 0 {
-            parts.executors.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(ran)
-    }
-
-    /// What [`Self::execute`] does after its kernel, once for a shared run:
-    /// counts the request served and attributes its time to the handle's
-    /// population, under as many workers as executors ran its parts.
-    pub(crate) fn finish_queued_parts<V: Scalar>(&self, handle: &MatrixHandle<V>, parts: &QueuedParts<V>) {
-        self.requests_served.inc();
-        if let (Some(t0), Stored::Single { matrix, structure, param_code, .. }) =
-            (parts.t0, &handle.inner.stored)
-        {
-            let workers = parts.executors.load(Ordering::Relaxed).max(1);
-            self.record_execution::<V>(
-                *structure,
-                matrix.format_id(),
-                *param_code,
-                Op::Spmv,
-                workers,
-                t0.elapsed(),
-            );
-        }
-    }
-
-    /// Tunes `m` for `op`, then executes it in the selected format: the
-    /// body of `tune_and_spmv`/`tune_and_spmm`. The ladder is
-    /// [`Self::execute`]'s, with the plan acquired (from its decision entry,
-    /// or built and left there) on the way — except on a serial backend, and
-    /// on a busy pool with caching off, where a plan would be built to be
-    /// thrown away: `spmv_serial`/`spmm_serial` run the same bodies over one
-    /// part instead. [`TuneReport::serial_fallback`] reports a
-    /// busy pool; a plan acquired then still keeps the cache warm for the
-    /// next uncontended call.
+    /// A matrix whose horizon keeps it stays as it was ingested and runs its
+    /// own bodies — no conversion, no alias hash, nothing stored in the
+    /// decision's plan slot: on a pool of several workers (the width the
+    /// horizon's `c` and `r` were priced for) through a plan built for them
+    /// and dropped after the call, O(rows) for a CSR source, and on one
+    /// worker or a busy pool `spmv_serial`/`spmm_serial`. The report names
+    /// the decision as `predicted` and the source as `chosen`; a miss left
+    /// the decision (with its horizon) in the cache, for a later
+    /// registration or `tune` to convert.
     ///
     /// Telemetry skips calls that built a fresh plan inside the timed window
     /// (their elapsed time includes plan construction and would poison the
     /// kernel mean); the steady state — reused plans and serial executions —
-    /// is what the adaptive subsystem learns from.
-    ///
-    /// The call serves one execution, and pays for a conversion only when
-    /// that execution repays it (Eq. 2 at N = 1: `c + r < 1`, the decision's
-    /// [`Horizon`]). Otherwise the matrix stays in the format it was
-    /// ingested in and runs that format's own body, `spmv_serial`/
-    /// `spmm_serial` of the source ([`Self::run_source`]).
+    /// is what the adaptive subsystem learns from. A kept source's samples
+    /// carry the default parameters' code: the source has none of the
+    /// decision's.
     fn tune_and_run<V>(&self, m: &mut DynamicMatrix<V>, op: Op, x: &[V], y: &mut [V]) -> Result<TuneReport>
     where
         V: Scalar,
@@ -1394,19 +572,27 @@ impl<T> OracleService<T> {
         let facts = self.ingest(m, false)?;
         let mut decided = self.decide(m, op, facts, Asker::PerCall);
         self.price_open_horizon(m, op, &mut decided);
-        if decided.horizon.is_some_and(|h| h.keeps(m.format_id(), decided.decision.format)) {
-            return self.run_source(m, decided, op, x, y);
-        }
-        // The caller keeps the switched matrix and may tune it again.
-        let (mut report, mut artifacts) = self.realize(m, decided, op, true)?;
+        let source = m.format_id();
+        let keeps = decided.entry.horizon.is_some_and(|h| h.keeps(source, decided.entry.decision.format));
+        let mut report = if keeps {
+            decided.report(op, source, source, ConvertOutcome::identity())
+        } else {
+            // The caller keeps the switched matrix and may tune it again.
+            let (report, realized) = self.realize(m, decided, op)?;
+            decided = realized;
+            report
+        };
         let trace = self.obs.mint_trace();
         let t0 = (self.collector.is_some() || self.obs.enabled()).then(Instant::now);
-        let pool = self.exec_pool();
+        let pool = self.exec_pool().filter(|pool| !keeps || pool.num_threads() > 1);
         report.serial_fallback = pool.is_some_and(|pool| self.take_serial_fallback(pool));
         // Busy with no cache to warm: skip the wasted plan construction.
-        let planned = pool.filter(|_| !report.serial_fallback || self.decisions.capacity() > 0);
+        let planned = pool.filter(|_| !report.serial_fallback || (!keeps && self.decisions.capacity() > 0));
         let plan = planned.map(|pool| {
-            let (plan, status) = self.acquire_plan_observed(m, &mut artifacts, pool.num_threads(), trace);
+            if keeps {
+                return Arc::new(ExecPlan::build(m, pool.num_threads(), decided.facts.analysis.as_ref()));
+            }
+            let (plan, status) = self.acquire_plan(m, &mut decided, pool.num_threads(), Some(trace));
             report.plan = status;
             plan
         });
@@ -1416,82 +602,16 @@ impl<T> OracleService<T> {
             (None, Op::Spmv) => morpheus::spmv::spmv_serial(m, x, y)?,
             (None, Op::Spmm { k }) => morpheus::spmm::spmm_serial(m, x, y, k)?,
         }
-        let workers = pool.map_or(1, ThreadPool::num_threads);
         if let Some(t0) = t0 {
             let elapsed = t0.elapsed();
             if report.plan != PlanStatus::Built {
-                let (structure, format, param_code) =
-                    (artifacts.structure, m.format_id(), artifacts.param_code);
-                self.record_execution::<V>(structure, format, param_code, op, workers, elapsed);
+                let params = if keeps { FormatParams::default() } else { decided.entry.decision.params };
+                let (structure, workers) = (decided.facts.hash, pool.map_or(1, ThreadPool::num_threads));
+                self.record_execution::<V>(structure, m.format_id(), params.code(), op, workers, elapsed);
             }
             self.observe_request(trace, t0, elapsed);
         }
         Ok(report)
-    }
-
-    /// A per-call tune whose horizon keeps the source: `m` stays as it was
-    /// ingested and `op` runs its own bodies — no conversion, no alias hash,
-    /// nothing stored in the decision's plan slot. On a pool of several
-    /// workers (the width the horizon's `r` and `c` were priced for) it runs
-    /// through a plan built for them and dropped after the call — O(rows)
-    /// for a CSR source — or, on a busy pool, `spmv_serial`/`spmm_serial`
-    /// on the calling thread, counted as [`Self::tune_and_run`] counts it;
-    /// on one worker it is that serial run. The report names the decision as
-    /// `predicted` and the source as `chosen`; a miss left the decision
-    /// (with its horizon) in the cache, for a later registration or `tune`
-    /// to convert.
-    fn run_source<V: Scalar>(
-        &self,
-        m: &DynamicMatrix<V>,
-        decided: Decided,
-        op: Op,
-        x: &[V],
-        y: &mut [V],
-    ) -> Result<TuneReport> {
-        let Decided { facts: Facts { hash, analysis, moved, .. }, decision, cache_hit, .. } = decided;
-        if !cache_hit {
-            self.note_features(hash, analysis.as_ref());
-        }
-        let chosen = m.format_id();
-        let (previous, moved) = moved.unwrap_or((chosen, 0.0));
-        let trace = self.obs.mint_trace();
-        let t0 = (self.collector.is_some() || self.obs.enabled()).then(Instant::now);
-        let pool = self.exec_pool().filter(|pool| pool.num_threads() > 1);
-        let serial_fallback = pool.is_some_and(|pool| self.take_serial_fallback(pool));
-        let pool = pool.filter(|_| !serial_fallback);
-        match (pool, op) {
-            (Some(pool), op) => {
-                ExecPlan::build(m, pool.num_threads(), analysis.as_ref()).run(m, op, x, y, Some(pool))?
-            }
-            (None, Op::Spmv) => morpheus::spmv::spmv_serial(m, x, y)?,
-            (None, Op::Spmm { k }) => morpheus::spmm::spmm_serial(m, x, y, k)?,
-        }
-        if let Some(t0) = t0 {
-            let elapsed = t0.elapsed();
-            let param_code = FormatParams::default().code();
-            let workers = pool.map_or(1, ThreadPool::num_threads);
-            self.record_execution::<V>(hash, chosen, param_code, op, workers, elapsed);
-            self.observe_request(trace, t0, elapsed);
-        }
-        // Only the front door's move into CSR converted anything.
-        let convert = if previous == chosen {
-            ConvertOutcome::identity()
-        } else {
-            ConvertOutcome { path: ConvertPath::Direct, seconds: moved }
-        };
-        Ok(TuneReport {
-            chosen,
-            previous,
-            predicted: decision.format,
-            cost: decision.cost,
-            converted: chosen != previous,
-            op,
-            cache_hit,
-            plan: PlanStatus::Unplanned,
-            serial_fallback,
-            convert,
-            shards: 1,
-        })
     }
 
     /// Tunes `m` for SpMV, then executes `y = A x` once.
@@ -1592,10 +712,10 @@ impl<T> OracleService<T> {
         T: FormatTuner<V>,
     {
         let decided = self.decide(&m, op, facts, Asker::Register);
-        let (mut report, mut artifacts) = self.realize(&mut m, decided, op, false)?;
-        let (plan, status) = self.acquire_plan_observed(&m, &mut artifacts, self.workers(), TraceId::NONE);
+        let (mut report, mut decided) = self.realize(&mut m, decided, op)?;
+        let (plan, status) = self.acquire_plan(&m, &mut decided, self.workers(), Some(TraceId::NONE));
         report.plan = status;
-        let (structure, param_code) = (artifacts.structure, artifacts.param_code);
+        let (structure, param_code) = (decided.facts.hash, decided.entry.decision.params.code());
         let id = self.next_handle_id.fetch_add(1, Ordering::Relaxed);
         self.matrices_registered.inc();
         let stored = Stored::Single { matrix: m, structure, param_code, plan };
@@ -1715,7 +835,7 @@ impl<T> OracleService<T> {
         for (rows, csr) in pieces {
             let mut sm = DynamicMatrix::from(csr);
             let decided = self.decide(&sm, op, Facts::hashed(&sm), Asker::Register);
-            let (report, mut artifacts) = self.realize(&mut sm, decided, op, false)?;
+            let (report, mut decided) = self.realize(&mut sm, decided, op)?;
             convert_seconds += report.convert.seconds;
             converted |= report.converted;
             cost.feature_extraction += report.cost.feature_extraction;
@@ -1723,12 +843,12 @@ impl<T> OracleService<T> {
             cost.profiling += report.cost.profiling;
             cost.measured += report.cost.measured;
             cost.cache_hit &= report.cache_hit;
-            let (plan, status) = self.acquire_plan(&sm, &mut artifacts, 1);
+            let (plan, status) = self.acquire_plan(&sm, &mut decided, 1, None);
             if status != PlanStatus::Reused {
                 plan_status = PlanStatus::Built;
             }
-            param_codes.push(artifacts.param_code);
-            shards.push(Shard::new(rows, sm, plan, artifacts.structure));
+            param_codes.push(decided.entry.decision.params.code());
+            shards.push(Shard::new(rows, sm, plan, decided.facts.hash));
         }
         let pm = PartitionedMatrix::from_shards(nrows, ncols, shards, self.workers())?;
         let chosen = pm.dominant_format();
@@ -1914,13 +1034,14 @@ pub(crate) fn fingerprint_engine(engine: &VirtualEngine) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use super::decide::Table;
     use super::*;
-    use crate::tuner::RunFirstTuner;
+    use crate::tuner::{RunFirstTuner, TuneDecision};
     use crate::Oracle;
     use morpheus::CooMatrix;
     use morpheus_machine::{systems, Backend};
 
-    fn tridiag(n: usize) -> DynamicMatrix<f64> {
+    pub(super) fn tridiag(n: usize) -> DynamicMatrix<f64> {
         let mut rows = Vec::new();
         let mut cols = Vec::new();
         for i in 0..n {
@@ -1936,7 +1057,7 @@ mod tests {
         DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap())
     }
 
-    fn make_service(workers: usize) -> OracleService<RunFirstTuner> {
+    pub(super) fn make_service(workers: usize) -> OracleService<RunFirstTuner> {
         Oracle::builder()
             .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
             .tuner(RunFirstTuner::new(2))
@@ -1982,7 +1103,7 @@ mod tests {
             let decision =
                 TuneDecision { format, params: Default::default(), op: Op::Spmv, cost: TuningCost::cached() };
             let seeded = CachedDecision::new(decision, None);
-            service.decisions.insert_if_generation(key, seeded, service.decisions.generation());
+            service.store(Table::Decisions, key, seeded, service.generations(), true);
 
             let report = service.tune(&mut m).unwrap();
             assert!(report.cache_hit);
@@ -2013,7 +1134,7 @@ mod tests {
         assert!(handle.report().cache_hit);
         assert_eq!((handle.report().predicted, handle.format_id()), (FormatId::Bell, FormatId::Csr));
         let report = service.tune(&mut m.clone()).unwrap();
-        assert_eq!((report.predicted, report.chosen), (FormatId::Bell, FormatId::Csr));
+        assert_eq!((report.predicted, report.chosen), (FormatId::Csr, FormatId::Csr));
         let (x, mut y) = (vec![1.0f64; 300], vec![0.0f64; 300]);
         service.spmv(&handle, &x, &mut y).unwrap();
         assert_eq!((y[0], y[150], y[299]), (2.0, 3.0, 2.0), "row sums of the tridiagonal");
@@ -2205,115 +1326,6 @@ mod tests {
         let mut buf2 = Vec::new();
         restarted.export_decisions(&mut buf2).unwrap();
         assert_eq!(buf, buf2, "round trip must be lossless");
-    }
-
-    #[test]
-    fn import_rejects_wrong_engine_and_malformed_files() {
-        let service = make_service(2);
-        let mut m = tridiag(500);
-        service.tune(&mut m).unwrap();
-        let mut buf = Vec::new();
-        service.export_decisions(&mut buf).unwrap();
-
-        let other_engine = Oracle::builder()
-            .engine(VirtualEngine::new(systems::a64fx(), Backend::Serial))
-            .tuner(RunFirstTuner::new(2))
-            .build_service()
-            .unwrap();
-        assert!(matches!(
-            other_engine.import_decisions(std::io::Cursor::new(&buf)),
-            Err(OracleError::ModelMismatch(_))
-        ));
-
-        for bad in [
-            "",
-            "wrong-magic v1\n",
-            "morpheus-oracle-decisions v9\n",
-            "morpheus-oracle-decisions v1\nengine zz\n",
-            "morpheus-oracle-decisions v1\nengine 0\nentries 1\nend\n",
-            "morpheus-oracle-decisions v1\nengine 0\nentries 1\ndecision 1 8 spmv XYZ\nend\n",
-            "morpheus-oracle-decisions v1\nengine 0\nentries 1\ndecision 1 8 spmq CSR\nend\n",
-            "morpheus-oracle-decisions v1\nengine 0\nentries 1\ndecision 1 8 spmv CSR\n",
-            // v2 lines must carry a params token, and it must parse.
-            "morpheus-oracle-decisions v2\nengine 0\nentries 1\ndecision 1 8 spmv CSR\nend\n",
-            "morpheus-oracle-decisions v2\nengine 0\nentries 1\ndecision 1 8 spmv CSR bogus\nend\n",
-        ] {
-            assert!(service.import_decisions(std::io::Cursor::new(bad)).is_err(), "accepted: {bad:?}");
-        }
-    }
-
-    /// Files written under format v1 (no params token) or v2 are keyed by
-    /// the structure hash this version superseded: importing one is a typed
-    /// refusal naming the scheme, and inserts nothing.
-    #[test]
-    fn v1_and_v2_decisions_files_are_refused() {
-        let service = make_service(2);
-        let mut a = tridiag(800);
-        service.tune(&mut a).unwrap();
-        let mut buf = Vec::new();
-        service.export_decisions(&mut buf).unwrap();
-        let v3 = String::from_utf8(buf).unwrap();
-
-        // The export downgraded to each older wire format: old header, and
-        // for v1 no trailing params token on decision lines.
-        let downgrade = |version: &str| {
-            let lines = v3.lines().map(|l| {
-                if l.starts_with("morpheus-oracle-decisions") {
-                    format!("morpheus-oracle-decisions {version}")
-                } else if l.starts_with("decision ") && version == "v1" {
-                    l.rsplit_once(' ').unwrap().0.to_string()
-                } else {
-                    l.to_string()
-                }
-            });
-            lines.collect::<Vec<_>>().join("\n") + "\n"
-        };
-        for version in ["v1", "v2"] {
-            let restarted = make_service(2);
-            let err =
-                restarted.import_decisions(std::io::Cursor::new(downgrade(version).as_bytes())).unwrap_err();
-            assert!(
-                matches!(&err, OracleError::InvalidConfig(why) if why.contains(version) && why.contains("structure hash")),
-                "{version}: {err}"
-            );
-            assert_eq!(restarted.cache_stats().len, 0, "{version}: a refused file inserts nothing");
-            let mut a2 = tridiag(800);
-            assert!(!restarted.tune(&mut a2).unwrap().cache_hit);
-        }
-        // The current version of the same file does warm-start.
-        let restarted = make_service(2);
-        assert!(restarted.import_decisions(std::io::Cursor::new(v3.as_bytes())).unwrap() >= 1);
-        assert!(restarted.tune(&mut tridiag(800)).unwrap().cache_hit);
-    }
-
-    /// The line checks the malformed-file cases above make under their old
-    /// headers, under the current one: a decision line carries a params
-    /// token, and it must parse — HYB's split and DIA's fill are conversion
-    /// options, not tokens. A refused file inserts nothing.
-    #[test]
-    fn current_version_lines_must_carry_a_parsable_params_token() {
-        let service = make_service(2);
-        let engine = format!("{:016x}", service.engine_fingerprint);
-        // A valid line first: a refused file inserts that one neither.
-        let head =
-            format!("morpheus-oracle-decisions v3\nengine {engine}\nentries 2\ndecision 5 8 spmv CSR -");
-        for line in [
-            "decision 1 8 spmv CSR",
-            "decision 1 8 spmv CSR bogus",
-            "decision 1 8 spmq CSR -",
-            "decision 2 8 spmv HYB hyb=12",
-            "decision 3 8 spmv DIA dia=40",
-            "decision 4 8 spmv BELL bell=3;hyb=2",
-        ] {
-            let file = format!("{head}\n{line}\nend\n");
-            let err = service.import_decisions(std::io::Cursor::new(file.as_bytes())).unwrap_err();
-            assert!(matches!(err, OracleError::InvalidConfig(_)), "{line}: {err}");
-            assert_eq!(service.cache_stats().len, 0, "{line}: a refused file inserts nothing");
-        }
-        let file = format!(
-            "morpheus-oracle-decisions v3\nengine {engine}\nentries 1\ndecision 1 8 spmv CSR -\nend\n"
-        );
-        assert_eq!(service.import_decisions(std::io::Cursor::new(file.as_bytes())).unwrap(), 1);
     }
 
     #[test]

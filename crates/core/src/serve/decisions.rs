@@ -1,7 +1,8 @@
 //! The decision-cache warm start: a service's cached decisions written to,
 //! and read back from, a versioned line-oriented text file.
 
-use super::{CachedDecision, OracleService};
+use super::decide::{CachedDecision, Table};
+use super::OracleService;
 use crate::cache::CacheKey;
 use crate::tuner::{TuneDecision, TuningCost};
 use crate::{OracleError, Result};
@@ -59,7 +60,9 @@ impl<T> OracleService<T> {
 
     /// Loads decisions exported by [`export_decisions`](Self::export_decisions)
     /// into the decision cache, returning how many were inserted (0 when
-    /// caching is disabled). The file must have been exported for an engine
+    /// caching is disabled). A key the cache already holds keeps its entry —
+    /// with the plan and the horizon it carries — so importing over a live
+    /// service inserts only what it lacks. The file must have been exported for an engine
     /// with the same fingerprint — decisions are engine-specific, so a
     /// mismatch is [`OracleError::ModelMismatch`], not a silent merge.
     /// Malformed input, a key repeated within the file included (an export
@@ -133,15 +136,12 @@ impl<T> OracleService<T> {
         if toks != ["end"] {
             return Err(lines.err(format!("expected 'end', got '{}'", toks.join(" "))));
         }
-        if self.decisions.capacity() == 0 {
-            return Ok(0);
-        }
-        let count = parsed.len();
-        for (key, decision) in parsed {
-            // The file carries no horizon: a per-call tune converts.
-            self.decisions.insert(key, CachedDecision::new(decision, None));
-        }
-        Ok(count)
+        // The file carries no horizon: a per-call tune converts.
+        let generation = self.generations();
+        let inserted = parsed.into_iter().filter(|&(key, decision)| {
+            self.store(Table::Decisions, key, CachedDecision::new(decision, None), generation, false)
+        });
+        Ok(inserted.count())
     }
 }
 
@@ -170,5 +170,122 @@ impl<R: BufRead> DecisionLines<R> {
             return Err(self.err(format!("expected '{key} <value>', got '{}'", toks.join(" "))));
         }
         Ok(toks[1].clone())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::serve::tests::{make_service, tridiag};
+    use crate::tuner::RunFirstTuner;
+    use crate::{Oracle, OracleError};
+    use morpheus_machine::{systems, Backend, VirtualEngine};
+
+    #[test]
+    fn import_rejects_wrong_engine_and_malformed_files() {
+        let service = make_service(2);
+        let mut m = tridiag(500);
+        service.tune(&mut m).unwrap();
+        let mut buf = Vec::new();
+        service.export_decisions(&mut buf).unwrap();
+
+        let other_engine = Oracle::builder()
+            .engine(VirtualEngine::new(systems::a64fx(), Backend::Serial))
+            .tuner(RunFirstTuner::new(2))
+            .build_service()
+            .unwrap();
+        assert!(matches!(
+            other_engine.import_decisions(std::io::Cursor::new(&buf)),
+            Err(OracleError::ModelMismatch(_))
+        ));
+
+        for bad in [
+            "",
+            "wrong-magic v1\n",
+            "morpheus-oracle-decisions v9\n",
+            "morpheus-oracle-decisions v1\nengine zz\n",
+            "morpheus-oracle-decisions v1\nengine 0\nentries 1\nend\n",
+            "morpheus-oracle-decisions v1\nengine 0\nentries 1\ndecision 1 8 spmv XYZ\nend\n",
+            "morpheus-oracle-decisions v1\nengine 0\nentries 1\ndecision 1 8 spmq CSR\nend\n",
+            "morpheus-oracle-decisions v1\nengine 0\nentries 1\ndecision 1 8 spmv CSR\n",
+            // v2 lines must carry a params token, and it must parse.
+            "morpheus-oracle-decisions v2\nengine 0\nentries 1\ndecision 1 8 spmv CSR\nend\n",
+            "morpheus-oracle-decisions v2\nengine 0\nentries 1\ndecision 1 8 spmv CSR bogus\nend\n",
+        ] {
+            assert!(service.import_decisions(std::io::Cursor::new(bad)).is_err(), "accepted: {bad:?}");
+        }
+    }
+
+    /// Files written under format v1 (no params token) or v2 are keyed by
+    /// the structure hash this version superseded: importing one is a typed
+    /// refusal naming the scheme, and inserts nothing.
+    #[test]
+    fn v1_and_v2_decisions_files_are_refused() {
+        let service = make_service(2);
+        let mut a = tridiag(800);
+        service.tune(&mut a).unwrap();
+        let mut buf = Vec::new();
+        service.export_decisions(&mut buf).unwrap();
+        let v3 = String::from_utf8(buf).unwrap();
+
+        // The export downgraded to each older wire format: old header, and
+        // for v1 no trailing params token on decision lines.
+        let downgrade = |version: &str| {
+            let lines = v3.lines().map(|l| {
+                if l.starts_with("morpheus-oracle-decisions") {
+                    format!("morpheus-oracle-decisions {version}")
+                } else if l.starts_with("decision ") && version == "v1" {
+                    l.rsplit_once(' ').unwrap().0.to_string()
+                } else {
+                    l.to_string()
+                }
+            });
+            lines.collect::<Vec<_>>().join("\n") + "\n"
+        };
+        for version in ["v1", "v2"] {
+            let restarted = make_service(2);
+            let err =
+                restarted.import_decisions(std::io::Cursor::new(downgrade(version).as_bytes())).unwrap_err();
+            assert!(
+                matches!(&err, OracleError::InvalidConfig(why) if why.contains(version) && why.contains("structure hash")),
+                "{version}: {err}"
+            );
+            assert_eq!(restarted.cache_stats().len, 0, "{version}: a refused file inserts nothing");
+            let mut a2 = tridiag(800);
+            assert!(!restarted.tune(&mut a2).unwrap().cache_hit);
+        }
+        // The current version of the same file does warm-start.
+        let restarted = make_service(2);
+        assert!(restarted.import_decisions(std::io::Cursor::new(v3.as_bytes())).unwrap() >= 1);
+        assert!(restarted.tune(&mut tridiag(800)).unwrap().cache_hit);
+    }
+
+    /// The line checks the malformed-file cases above make under their old
+    /// headers, under the current one: a decision line carries a params
+    /// token, and it must parse — HYB's split and DIA's fill are conversion
+    /// options, not tokens. A refused file inserts nothing.
+    #[test]
+    fn current_version_lines_must_carry_a_parsable_params_token() {
+        let service = make_service(2);
+        let engine = format!("{:016x}", service.engine_fingerprint);
+        // A valid line first: a refused file inserts that one neither.
+        let head =
+            format!("morpheus-oracle-decisions v3\nengine {engine}\nentries 2\ndecision 5 8 spmv CSR -");
+        for line in [
+            "decision 1 8 spmv CSR",
+            "decision 1 8 spmv CSR bogus",
+            "decision 1 8 spmq CSR -",
+            "decision 2 8 spmv HYB hyb=12",
+            "decision 3 8 spmv DIA dia=40",
+            "decision 4 8 spmv BELL bell=3;hyb=2",
+        ] {
+            let file = format!("{head}\n{line}\nend\n");
+            let err = service.import_decisions(std::io::Cursor::new(file.as_bytes())).unwrap_err();
+            assert!(matches!(err, OracleError::InvalidConfig(_)), "{line}: {err}");
+            assert_eq!(service.cache_stats().len, 0, "{line}: a refused file inserts nothing");
+        }
+        let file = format!(
+            "morpheus-oracle-decisions v3\nengine {engine}\nentries 1\ndecision 1 8 spmv CSR -\nend\n"
+        );
+        assert_eq!(service.import_decisions(std::io::Cursor::new(file.as_bytes())).unwrap(), 1);
     }
 }

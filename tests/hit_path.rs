@@ -555,3 +555,362 @@ fn a_kept_source_runs_on_the_service_pool() {
     }
     assert_eq!(service.plan_cache_stats().len, 0, "no plan in the decision's slot");
 }
+
+/// Answers `format` without pricing formats, as a model tuner does: on the
+/// row side alone when `settles` (the walk-free path decides), after the
+/// entry walk otherwise.
+struct Fixed {
+    format: FormatId,
+    settles: bool,
+}
+
+impl FormatTuner<f64> for Fixed {
+    fn name(&self) -> &'static str {
+        "fixed"
+    }
+
+    fn select(&self, _: &DynamicMatrix<f64>, _: &MatrixAnalysis, _: &VirtualEngine, op: Op) -> TuneDecision {
+        TuneDecision { format: self.format, params: FormatParams::default(), op, cost: TuningCost::default() }
+    }
+
+    fn prices_formats(&self) -> bool {
+        false
+    }
+
+    fn select_unwalked(
+        &self,
+        m: &DynamicMatrix<f64>,
+        a: &MatrixAnalysis,
+        _: &WalkBounds,
+        engine: &VirtualEngine,
+        op: Op,
+    ) -> Option<TuneDecision> {
+        self.settles.then(|| self.select(m, a, engine, op))
+    }
+}
+
+/// Who asks for the decision in a cell of the transition table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Asker {
+    Register,
+    Tune,
+    PerCall,
+}
+
+/// Where the asker's key finds its entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Found {
+    Miss,
+    Decision,
+    Alias,
+    Imported,
+}
+
+/// The horizon of the entry found, or of the tuner's answer on a miss.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Horizon {
+    /// The decision is the source's own format.
+    Stays,
+    /// Priced exactly, and one execution repays the conversion.
+    Converting,
+    /// Priced (exactly or by a floor that rules it out), and one execution
+    /// does not repay the conversion.
+    Keeping,
+    /// A walk-free floor that left the conversion open.
+    Open,
+    /// None: an imported decision, or one whose conversion fell back.
+    Absent,
+}
+
+/// A call that puts the entry a cell finds in place before the asker runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    Register,
+    Tune,
+    PerCall,
+    /// A decisions file naming the tuner's format for the source's key.
+    Import,
+}
+
+/// The tuner's format, the source (`true`: `hub(4000)`, `false`:
+/// `tridiag(700)`) and the steps that prepare a cell, or `None` where no
+/// call sequence reaches it:
+/// - a miss has no absent horizon: the tuner's answer is priced on the view
+///   it was given (a walk-free one by the engine's floor);
+/// - an open horizon comes only from the row side, so never when it does
+///   not settle; a per-call miss prices its own open floor (that is the
+///   converting cell), and a register or `tune` miss leaves it open (so
+///   with the row side settling a converting miss is the per-call tune's);
+/// - a file carries no horizon: an imported entry's is absent;
+/// - an alias is stored only for a matrix that was switched, so never for
+///   a decision that stays.
+///
+/// BELL's walk-free floor on the tridiagonal leaves the conversion open;
+/// COO's rules it out, so a keeping horizon that settles is COO's. An
+/// alias of a COO matrix is never found (the front door moves COO into
+/// CSR), so that cell's alias is BELL's, priced by a per-call tune first.
+/// ELL on the hub is past every guard: its fallback to CSR is what leaves a
+/// decision hit without a horizon.
+fn recipe(
+    asker: Asker,
+    found: Found,
+    horizon: Horizon,
+    settles: bool,
+) -> Option<(FormatId, bool, &'static [Step])> {
+    use FormatId::{Bell, Coo, Csr, Ell};
+    use Horizon::*;
+    use Step::{Import, PerCall, Register, Tune};
+    Some(match (found, horizon, settles) {
+        (Found::Miss, Absent, _) | (Found::Alias, Stays, _) | (_, Open, false) => return None,
+        (Found::Imported, Stays | Converting | Keeping | Open, _) => return None,
+        (Found::Miss, Open, true) if asker == Asker::PerCall => return None,
+        (Found::Miss, Converting, true) if asker != Asker::PerCall => return None,
+        (Found::Miss, Stays, _) => (Csr, false, &[]),
+        (Found::Miss, Converting | Open, _) => (Bell, true, &[]),
+        (Found::Miss, Keeping, false) => (Bell, false, &[]),
+        (Found::Miss, Keeping, true) => (Coo, false, &[]),
+        (Found::Decision, Stays, _) => (Csr, false, &[Register]),
+        (Found::Decision, Converting, false) | (Found::Decision, Open, true) => (Bell, true, &[Register]),
+        (Found::Decision, Converting, true) => (Bell, true, &[PerCall]),
+        (Found::Decision, Keeping, false) => (Bell, false, &[Register]),
+        (Found::Decision, Keeping, true) => (Coo, false, &[Register]),
+        (Found::Decision, Absent, _) => (Ell, true, &[Register]),
+        (Found::Alias, Converting, false) | (Found::Alias, Open, true) => (Bell, true, &[Tune]),
+        (Found::Alias, Converting, true) => (Bell, true, &[PerCall]),
+        (Found::Alias, Keeping, false) => (Bell, false, &[Tune]),
+        (Found::Alias, Keeping, true) => (Bell, false, &[PerCall, Tune]),
+        (Found::Alias, Absent, _) => (Bell, false, &[Import, Tune]),
+        (Found::Imported, Absent, _) => (Ell, true, &[Import]),
+    })
+}
+
+/// One cell run on a `workers`-wide service, as a line of the table:
+/// traversals, `predicted>chosen`, hit or miss, plan | decisions held,
+/// plans held | the exported decisions (`src` the source's key, `sw` the
+/// switched matrix's) | whether `tune` of the matrix the call left is a hit.
+fn run_cell(workers: usize, asker: Asker, found: Found, horizon: Horizon, settles: bool) -> Option<String> {
+    let (format, on_hub, steps) = recipe(asker, found, horizon, settles)?;
+    let service = Oracle::builder()
+        .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
+        .tuner(Fixed { format, settles })
+        .workers(workers)
+        .build_service()
+        .unwrap();
+    let source = if on_hub { hub(4000) } else { tridiag(700) };
+    let n = source.nrows();
+    let key = source.to_format(FormatId::Csr, &Default::default()).unwrap().structure_hash();
+    let x: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.5).collect();
+    let mut y = vec![f64::NAN; n];
+    let import = || {
+        let engine = {
+            let mut file = Vec::new();
+            service.export_decisions(&mut file).unwrap();
+            String::from_utf8(file).unwrap().lines().nth(1).unwrap().to_string()
+        };
+        let file = format!(
+            "morpheus-oracle-decisions v3\n{engine}\nentries 1\ndecision {key:016x} 8 spmv {} -\nend\n",
+            format.name()
+        );
+        assert_eq!(service.import_decisions(std::io::Cursor::new(file.as_bytes())).unwrap(), 1);
+    };
+    let mut presented = source.clone();
+    for step in steps {
+        match step {
+            Step::Register => drop(service.register(source.clone()).unwrap()),
+            Step::Tune => drop(service.tune(&mut presented).unwrap()),
+            Step::PerCall => drop(service.tune_and_spmv(&mut presented, &x, &mut y).unwrap()),
+            Step::Import => import(),
+        }
+    }
+    if found != Found::Alias {
+        presented = source.clone();
+    }
+    passes::reset();
+    let (report, after) = match asker {
+        Asker::Register => {
+            let handle = service.register(presented).unwrap();
+            (*handle.report(), handle.matrix().clone())
+        }
+        Asker::Tune => (service.tune(&mut presented).unwrap(), presented),
+        Asker::PerCall => (service.tune_and_spmv(&mut presented, &x, &mut y).unwrap(), presented),
+    };
+    let traversals = passes::count();
+    if asker == Asker::PerCall {
+        let mut want = vec![0.0f64; n];
+        spmv_serial(&after, &x, &mut want).unwrap();
+        let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y), bits(&want), "{asker:?} {found:?} {horizon:?}: the matrix that ran");
+    }
+    let switched = after.structure_hash();
+    let mut file = Vec::new();
+    service.export_decisions(&mut file).unwrap();
+    let exported: Vec<String> = String::from_utf8(file)
+        .unwrap()
+        .lines()
+        .filter_map(|l| l.strip_prefix("decision "))
+        .map(|l| {
+            let t: Vec<&str> = l.split(' ').collect();
+            let k = u64::from_str_radix(t[0], 16).unwrap();
+            let which = if k == key {
+                "src"
+            } else if k == switched {
+                "sw"
+            } else {
+                "other"
+            };
+            format!("{which}:{}", t[3])
+        })
+        .collect();
+    let (decisions, plans) = (service.cache_stats().len, service.plan_cache_stats().len);
+    let retune = if service.tune(&mut after.clone()).unwrap().cache_hit { "hit" } else { "miss" };
+    Some(format!(
+        "{traversals} {}>{} {} {:?} | {decisions} {plans} | {} | {retune}",
+        report.predicted,
+        report.chosen,
+        if report.cache_hit { "hit" } else { "miss" },
+        report.plan,
+        exported.join(" "),
+    ))
+}
+
+/// Every reachable cell of the decision-cache entry's transitions — asker ×
+/// entry found × horizon × whether the row side settles — on one and two
+/// workers: what the call traverses and reports, what the caches hold and
+/// export after it, and whether the matrix it left tunes as a hit. The
+/// unreachable cells are named in [`recipe`]. The two worker counts read
+/// alike: every matrix here is below the size a cold walk splits at.
+///
+/// An imported entry whose conversion falls back is replaced by the CSR it
+/// realized, in the table it came from, so it exports CSR and a later hit
+/// predicts CSR instead of paying the failing conversion again.
+#[test]
+fn every_reachable_entry_transition() {
+    use Horizon::*;
+    // Cell: asker, entry found, horizon, whether the row side settles.
+    // Outcome: traversals, predicted>chosen, hit, plan | decisions held,
+    // plans held | exported decisions | `tune` of the matrix left.
+    #[rustfmt::skip]
+    const TABLE: &[(&str, &str)] = &[
+        ("Register Miss Stays settles",          "1 CSR>CSR miss Built | 1 1 | src:CSR | hit"),
+        ("Register Miss Stays walks",            "2 CSR>CSR miss Built | 1 1 | src:CSR | hit"),
+        ("Register Miss Converting walks",       "2 BELL>BELL miss Built | 1 1 | src:BELL | miss"),
+        ("Register Miss Keeping settles",        "1 COO>COO miss Built | 1 1 | src:COO | hit"),
+        ("Register Miss Keeping walks",          "2 BELL>BELL miss Built | 1 1 | src:BELL | miss"),
+        ("Register Miss Open settles",           "1 BELL>BELL miss Built | 1 1 | src:BELL | miss"),
+        ("Register Decision Stays settles",      "1 CSR>CSR hit Reused | 1 1 | src:CSR | hit"),
+        ("Register Decision Stays walks",        "1 CSR>CSR hit Reused | 1 1 | src:CSR | hit"),
+        ("Register Decision Converting settles", "1 BELL>BELL hit Reused | 1 1 | src:BELL | hit"),
+        ("Register Decision Converting walks",   "1 BELL>BELL hit Reused | 1 1 | src:BELL | miss"),
+        ("Register Decision Keeping settles",    "1 COO>COO hit Reused | 1 1 | src:COO | hit"),
+        ("Register Decision Keeping walks",      "1 BELL>BELL hit Reused | 1 1 | src:BELL | miss"),
+        ("Register Decision Open settles",       "1 BELL>BELL hit Reused | 1 1 | src:BELL | miss"),
+        ("Register Decision Absent settles",     "1 CSR>CSR hit Reused | 1 1 | src:CSR | hit"),
+        ("Register Decision Absent walks",       "1 CSR>CSR hit Reused | 1 1 | src:CSR | hit"),
+        ("Register Alias Converting settles",    "1 BELL>BELL hit Reused | 2 2 | sw:BELL src:BELL | hit"),
+        ("Register Alias Converting walks",      "1 BELL>BELL hit Built | 2 2 | sw:BELL src:BELL | hit"),
+        ("Register Alias Keeping settles",       "1 BELL>BELL hit Built | 2 2 | sw:BELL src:BELL | hit"),
+        ("Register Alias Keeping walks",         "1 BELL>BELL hit Built | 2 2 | sw:BELL src:BELL | hit"),
+        ("Register Alias Open settles",          "1 BELL>BELL hit Built | 2 2 | sw:BELL src:BELL | hit"),
+        ("Register Alias Absent settles",        "1 BELL>BELL hit Built | 2 2 | sw:BELL src:BELL | hit"),
+        ("Register Alias Absent walks",          "1 BELL>BELL hit Built | 2 2 | sw:BELL src:BELL | hit"),
+        ("Register Imported Absent settles",     "1 ELL>CSR hit Built | 1 1 | src:CSR | hit"),
+        ("Register Imported Absent walks",       "1 ELL>CSR hit Built | 1 1 | src:CSR | hit"),
+        ("Tune Miss Stays settles",              "1 CSR>CSR miss Unplanned | 1 0 | src:CSR | hit"),
+        ("Tune Miss Stays walks",                "2 CSR>CSR miss Unplanned | 1 0 | src:CSR | hit"),
+        ("Tune Miss Converting walks",           "3 BELL>BELL miss Unplanned | 1 0 | src:BELL | hit"),
+        ("Tune Miss Keeping settles",            "2 COO>COO miss Unplanned | 1 0 | src:COO | hit"),
+        ("Tune Miss Keeping walks",              "3 BELL>BELL miss Unplanned | 1 0 | src:BELL | hit"),
+        ("Tune Miss Open settles",               "2 BELL>BELL miss Unplanned | 1 0 | src:BELL | hit"),
+        ("Tune Decision Stays settles",          "1 CSR>CSR hit Unplanned | 1 1 | src:CSR | hit"),
+        ("Tune Decision Stays walks",            "1 CSR>CSR hit Unplanned | 1 1 | src:CSR | hit"),
+        ("Tune Decision Converting settles",     "1 BELL>BELL hit Unplanned | 1 1 | src:BELL | hit"),
+        ("Tune Decision Converting walks",       "2 BELL>BELL hit Unplanned | 1 1 | src:BELL | hit"),
+        ("Tune Decision Keeping settles",        "2 COO>COO hit Unplanned | 1 1 | src:COO | hit"),
+        ("Tune Decision Keeping walks",          "2 BELL>BELL hit Unplanned | 1 1 | src:BELL | hit"),
+        ("Tune Decision Open settles",           "2 BELL>BELL hit Unplanned | 1 1 | src:BELL | hit"),
+        ("Tune Decision Absent settles",         "1 CSR>CSR hit Unplanned | 1 1 | src:CSR | hit"),
+        ("Tune Decision Absent walks",           "1 CSR>CSR hit Unplanned | 1 1 | src:CSR | hit"),
+        ("Tune Alias Converting settles",        "1 BELL>BELL hit Unplanned | 1 1 | src:BELL | hit"),
+        ("Tune Alias Converting walks",          "1 BELL>BELL hit Unplanned | 1 0 | src:BELL | hit"),
+        ("Tune Alias Keeping settles",           "1 BELL>BELL hit Unplanned | 1 0 | src:BELL | hit"),
+        ("Tune Alias Keeping walks",             "1 BELL>BELL hit Unplanned | 1 0 | src:BELL | hit"),
+        ("Tune Alias Open settles",              "1 BELL>BELL hit Unplanned | 1 0 | src:BELL | hit"),
+        ("Tune Alias Absent settles",            "1 BELL>BELL hit Unplanned | 1 0 | src:BELL | hit"),
+        ("Tune Alias Absent walks",              "1 BELL>BELL hit Unplanned | 1 0 | src:BELL | hit"),
+        ("Tune Imported Absent settles",         "1 ELL>CSR hit Unplanned | 1 0 | src:CSR | hit"),
+        ("Tune Imported Absent walks",           "1 ELL>CSR hit Unplanned | 1 0 | src:CSR | hit"),
+        ("PerCall Miss Stays settles",           "1 CSR>CSR miss Built | 1 1 | src:CSR | hit"),
+        ("PerCall Miss Stays walks",             "2 CSR>CSR miss Built | 1 1 | src:CSR | hit"),
+        ("PerCall Miss Converting settles",      "3 BELL>BELL miss Built | 1 1 | src:BELL | hit"),
+        ("PerCall Miss Converting walks",        "3 BELL>BELL miss Built | 1 1 | src:BELL | hit"),
+        ("PerCall Miss Keeping settles",         "1 COO>CSR miss Unplanned | 1 0 | src:COO | hit"),
+        ("PerCall Miss Keeping walks",           "2 BELL>CSR miss Unplanned | 1 0 | src:BELL | hit"),
+        ("PerCall Decision Stays settles",       "1 CSR>CSR hit Reused | 1 1 | src:CSR | hit"),
+        ("PerCall Decision Stays walks",         "1 CSR>CSR hit Reused | 1 1 | src:CSR | hit"),
+        ("PerCall Decision Converting settles",  "1 BELL>BELL hit Reused | 1 1 | src:BELL | hit"),
+        ("PerCall Decision Converting walks",    "2 BELL>BELL hit Reused | 1 1 | src:BELL | hit"),
+        ("PerCall Decision Keeping settles",     "1 COO>CSR hit Unplanned | 1 1 | src:COO | hit"),
+        ("PerCall Decision Keeping walks",       "1 BELL>CSR hit Unplanned | 1 1 | src:BELL | hit"),
+        ("PerCall Decision Open settles",        "3 BELL>BELL hit Reused | 1 1 | src:BELL | hit"),
+        ("PerCall Decision Absent settles",      "1 CSR>CSR hit Reused | 1 1 | src:CSR | hit"),
+        ("PerCall Decision Absent walks",        "1 CSR>CSR hit Reused | 1 1 | src:CSR | hit"),
+        ("PerCall Alias Converting settles",     "1 BELL>BELL hit Reused | 1 1 | src:BELL | hit"),
+        ("PerCall Alias Converting walks",       "1 BELL>BELL hit Built | 1 1 | src:BELL | hit"),
+        ("PerCall Alias Keeping settles",        "1 BELL>BELL hit Built | 1 1 | src:BELL | hit"),
+        ("PerCall Alias Keeping walks",          "1 BELL>BELL hit Built | 1 1 | src:BELL | hit"),
+        ("PerCall Alias Open settles",           "1 BELL>BELL hit Built | 1 1 | src:BELL | hit"),
+        ("PerCall Alias Absent settles",         "1 BELL>BELL hit Built | 1 1 | src:BELL | hit"),
+        ("PerCall Alias Absent walks",           "1 BELL>BELL hit Built | 1 1 | src:BELL | hit"),
+        ("PerCall Imported Absent settles",      "1 ELL>CSR hit Built | 1 1 | src:CSR | hit"),
+        ("PerCall Imported Absent walks",        "1 ELL>CSR hit Built | 1 1 | src:CSR | hit"),
+    ];
+    let mut wrong = Vec::new();
+    let mut seen = 0;
+    for workers in [1, 2] {
+        for asker in [Asker::Register, Asker::Tune, Asker::PerCall] {
+            for found in [Found::Miss, Found::Decision, Found::Alias, Found::Imported] {
+                for horizon in [Stays, Converting, Keeping, Open, Absent] {
+                    for settles in [true, false] {
+                        let cell = format!(
+                            "{asker:?} {found:?} {horizon:?} {}",
+                            if settles { "settles" } else { "walks" }
+                        );
+                        let want = TABLE.iter().find(|(c, _)| *c == cell).map(|(_, o)| *o);
+                        let got = run_cell(workers, asker, found, horizon, settles);
+                        seen += usize::from(got.is_some() && workers == 1);
+                        if got.as_deref() != want {
+                            wrong.push(format!(
+                                "{workers} workers: (\"{cell}\", \"{}\"),",
+                                got.unwrap_or_default()
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{} cells differ:\n{}", wrong.len(), wrong.join("\n"));
+    assert_eq!(seen, TABLE.len(), "one row per reachable cell");
+}
+
+/// Importing a decisions file over a live service inserts only the keys
+/// the cache does not hold: a live entry keeps its plan and its horizon, so
+/// a per-call tune after the import still keeps its source instead of
+/// converting as if the decision had no horizon.
+#[test]
+fn an_import_keeps_the_live_entries_it_finds() {
+    let service = always(FormatId::Bell, DEFAULT_CACHE_CAPACITY, None);
+    let (x, mut y) = (vec![1.0f64; 700], vec![0.0f64; 700]);
+    service.register(tridiag(700)).unwrap();
+    let per_call = |y: &mut [f64]| {
+        let report = service.tune_and_spmv(&mut tridiag(700), &x, y).unwrap();
+        (report.chosen, report.plan)
+    };
+    assert_eq!(per_call(&mut y), (FormatId::Csr, PlanStatus::Unplanned));
+    assert_eq!(service.plan_cache_stats().len, 1);
+    let mut file = Vec::new();
+    service.export_decisions(&mut file).unwrap();
+    assert_eq!(service.import_decisions(std::io::Cursor::new(&file)).unwrap(), 0, "the key is held");
+    assert_eq!(service.plan_cache_stats().len, 1, "the entry keeps its plan");
+    assert_eq!(per_call(&mut y), (FormatId::Csr, PlanStatus::Unplanned), "and its horizon");
+}
