@@ -32,7 +32,7 @@ use super::telemetry::{MeasuredKernel, SampleKey, Telemetry, TelemetryStats};
 use crate::features::FeatureVector;
 use crate::tuner::TuningCost;
 use crate::{Result, NUM_FEATURES};
-use morpheus::format::{FormatId, FORMAT_COUNT};
+use morpheus::format::{FormatId, ALL_FORMATS, FORMAT_COUNT};
 use morpheus::{Analysis, ConvertOptions, DynamicMatrix, Scalar};
 use morpheus_machine::{analyze_from, Op, VirtualEngine};
 use morpheus_ml::Dataset;
@@ -235,7 +235,7 @@ impl SampleCollector {
         // freshly converted data) and biases micro-matrix labels.
         let mut formats_skipped = 0usize;
         let mut trials: Vec<(SampleKey, DynamicMatrix<V>)> = Vec::new();
-        for fmt in morpheus::FormatEntry::all().iter().map(|e| e.id) {
+        for fmt in ALL_FORMATS {
             if !engine.is_viable(fmt, &machine_view) {
                 continue;
             }

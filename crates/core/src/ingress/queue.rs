@@ -208,7 +208,7 @@ impl<T: Send + Sync + 'static, V: Scalar> ErasedJob<T> for Job<V> {
     ) -> Started<T> {
         let Job { handle, x, reply } = *self;
         let t0 = meta.trace.is_some().then(Instant::now);
-        let started = catch_unwind(AssertUnwindSafe(|| service.start_queued(&handle, &x, meta.trace)));
+        let started = catch_unwind(AssertUnwindSafe(|| service.start_queued(&handle, &x)));
         let result = match started {
             Ok(Ok(QueuedStart::Shared(parts))) => {
                 let tail = PlMutex::new(Some((meta, reply)));

@@ -15,8 +15,7 @@
 //! Overhead discipline: with [`TraceLevel::Off`] the hot path takes the
 //! same no-clock-read route it took before this subsystem existed (the
 //! `Instant::now` calls are gated exactly like the adapt collector's).
-//! [`TraceLevel::Coarse`] — the default — records request-level spans and
-//! histograms only; per-shard spans need [`TraceLevel::Fine`].
+//! [`TraceLevel::Coarse`] — the default — records request-level spans.
 
 mod hist;
 mod registry;
@@ -40,8 +39,6 @@ pub enum TraceLevel {
     /// Request-level spans (admit/queue_wait/plan/exec/resolve). The default: cheap enough to leave on in production.
     #[default]
     Coarse,
-    /// Coarse plus per-shard `Exec` spans on partitioned handles.
-    Fine,
 }
 
 /// Observability configuration, passed to the oracle builder.
@@ -106,12 +103,6 @@ impl Obs {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.level != TraceLevel::Off
-    }
-
-    /// Whether per-shard spans are recorded.
-    #[inline]
-    pub fn fine(&self) -> bool {
-        self.level == TraceLevel::Fine
     }
 
     /// Mints a fresh trace id ([`TraceId::NONE`] when tracing is off, so
@@ -227,7 +218,7 @@ mod tests {
     fn coarse_level_traces_but_not_fine() {
         let obs = Obs::default();
         assert!(obs.enabled());
-        assert!(!obs.fine());
+        assert_eq!(obs.level(), TraceLevel::Coarse);
         let t = obs.mint_trace();
         assert!(t.is_some());
         obs.span(t, Stage::Exec, obs.now_ns(), 42, 0);

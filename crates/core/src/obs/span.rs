@@ -44,9 +44,8 @@ impl TraceId {
 
 /// The stage a span measures. A complete ingress request produces the
 /// tree `Admit → QueueWait → Exec → Resolve`
-/// (plus `Plan` when a plan is fetched or built, and per-shard `Exec`
-/// spans at `TraceLevel::Fine`); a direct registered-path request
-/// produces `Plan → Exec`.
+/// (plus `Plan` when a plan is fetched or built); a direct
+/// registered-path request produces `Plan → Exec`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Request accepted by `Ingress::submit`; `detail` = queue depth at
@@ -57,8 +56,7 @@ pub enum Stage {
     QueueWait,
     /// Plan acquisition; `detail` = 1 on cache hit, 0 when built.
     Plan,
-    /// Kernel execution. Request-level on the coarse path; `detail`
-    /// carries the shard index on fine-level per-shard spans.
+    /// Kernel execution, one span per request; `detail` = 0.
     Exec,
     /// End of the request's life; duration = submit→resolve, `detail` =
     /// 0 delivered, 1 delivered after its deadline, 2 shed, 3 failed.

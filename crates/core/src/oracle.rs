@@ -105,7 +105,7 @@ impl<T> OracleBuilder<T> {
     /// Configures the observability subsystem ([`crate::obs`]): trace
     /// level, span ring capacity, flight-recorder capacity and the
     /// slow-request threshold. The default is [`ObsConfig::default`] —
-    /// coarse request spans on, per-shard spans off.
+    /// request spans on.
     pub fn observability(mut self, obs: ObsConfig) -> Self {
         self.obs = obs;
         self
@@ -452,6 +452,7 @@ mod tests {
             .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
             .tuner(RunFirstTuner::new(2))
             .cache_capacity(0)
+            .workers(2)
             .build_service()
             .unwrap();
         let mut m = tridiag(700);

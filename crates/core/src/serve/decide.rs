@@ -475,7 +475,9 @@ impl<T> OracleService<T> {
     /// matrix (`tune`/`tune_and_*`) hashes the converted structure — on a
     /// miss or a hit, at most once per entry — to alias the entry under it,
     /// so tuning the switched matrix again is a hit. A registration
-    /// consumes its matrix, and nothing of it can come back to be tuned.
+    /// consumes its matrix, and nothing of it can come back to be tuned; a
+    /// matrix switched into COO comes back through the front door's CSR
+    /// copy, under the key it already has, so it is not aliased either.
     pub(super) fn realize<V: Scalar>(
         &self,
         m: &mut DynamicMatrix<V>,
@@ -500,6 +502,7 @@ impl<T> OracleService<T> {
         decided.entry.realized(chosen, m);
         if decided.asker != Asker::Register
             && chosen != hashed
+            && chosen != FormatId::Coo
             && !decided.entry.aliased.swap(true, Ordering::Relaxed)
         {
             // Alias the decision under the matrix's *post-conversion*

@@ -120,9 +120,7 @@ impl<T> OracleService<T> {
     /// handle's shards are each timed and attributed on their own, as
     /// `(shard structure, shard format, op, scalar, 1 worker)` —
     /// shard kernels are single-threaded, parallelism comes from running
-    /// shards concurrently — and, at the *fine* trace level (one span per
-    /// shard per request is too hot for the always-on default), each gets an
-    /// [`Stage::Exec`] span under `trace` whose `detail` is the shard index.
+    /// shards concurrently.
     fn execute<V: Scalar>(
         &self,
         handle: &MatrixHandle<V>,
@@ -130,7 +128,6 @@ impl<T> OracleService<T> {
         x: &[V],
         y: &mut [V],
         pool: Option<&ThreadPool>,
-        trace: TraceId,
     ) -> morpheus::Result<Option<(Instant, std::time::Duration)>> {
         let t0 = (self.collector.is_some() || self.obs.enabled()).then(Instant::now);
         let sample = match &handle.inner.stored {
@@ -140,12 +137,10 @@ impl<T> OracleService<T> {
                 Some((*structure, matrix.format_id(), *param_code, workers))
             }
             Stored::Partitioned { matrix: p, param_codes } => {
-                let fine = self.obs.fine() && trace.is_some();
-                // Capture the collector and the obs hub, not `self`: the
-                // closure is handed across shard worker threads and must
-                // stay `Sync` independently of `T`.
+                // Capture the collector, not `self`: the closure is handed
+                // across shard worker threads and must stay `Sync`
+                // independently of `T`.
                 let collector = self.collector.as_deref();
-                let obs = &*self.obs;
                 let observe = move |si: usize, elapsed: std::time::Duration| {
                     if let Some(col) = collector {
                         let s = p.shard(si);
@@ -161,16 +156,9 @@ impl<T> OracleService<T> {
                             elapsed,
                         );
                     }
-                    if fine {
-                        // The span start is reconstructed from the shard
-                        // kernel's own elapsed time (same clock as the
-                        // request span — the Obs epoch).
-                        let dur = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-                        obs.span(trace, Stage::Exec, obs.now_ns().saturating_sub(dur), dur, si as u64);
-                    }
                 };
                 let observe: Option<&(dyn Fn(usize, std::time::Duration) + Sync)> =
-                    if collector.is_some() || fine { Some(&observe) } else { None };
+                    if collector.is_some() { Some(&observe) } else { None };
                 p.run(op, x, y, pool, observe)?;
                 None
             }
@@ -196,7 +184,7 @@ impl<T> OracleService<T> {
     ) -> Result<()> {
         let trace = self.obs.mint_trace();
         let pool = self.exec_pool().filter(|pool| !self.take_serial_fallback(pool));
-        if let Some((t0, elapsed)) = self.execute(handle, op, x, y, pool, trace)? {
+        if let Some((t0, elapsed)) = self.execute(handle, op, x, y, pool)? {
             self.observe_request(trace, t0, elapsed);
         }
         Ok(())
@@ -211,13 +199,11 @@ impl<T> OracleService<T> {
     /// opened as a [`SharedRun`] instead: nothing runs yet, and every
     /// executor may claim its parts ([`Self::run_queued_parts`]). So are a
     /// serial backend's and a partitioned handle's runs not: they run whole
-    /// here. `trace` feeds the fine-level per-shard spans of partitioned
-    /// handles (request-level ingress spans are the executor's job).
+    /// here. Request-level ingress spans are the executor's job.
     pub(crate) fn start_queued<V: Scalar>(
         &self,
         handle: &MatrixHandle<V>,
         x: &[V],
-        trace: TraceId,
     ) -> morpheus::Result<QueuedStart<V>> {
         let pool = self.exec_pool();
         if let (Stored::Single { matrix, plan, .. }, Some(pool)) = (&handle.inner.stored, pool) {
@@ -228,7 +214,7 @@ impl<T> OracleService<T> {
             }
         }
         let mut y = vec![V::ZERO; handle.nrows()];
-        self.execute(handle, Op::Spmv, x, &mut y, pool, trace)?;
+        self.execute(handle, Op::Spmv, x, &mut y, pool)?;
         Ok(QueuedStart::Ran(y))
     }
 

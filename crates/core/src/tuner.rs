@@ -5,7 +5,7 @@
 use crate::features::FeatureVector;
 use crate::{OracleError, Result};
 use morpheus::analysis::WalkBounds;
-use morpheus::format::FormatId;
+use morpheus::format::{FormatId, ALL_FORMATS};
 use morpheus::{DynamicMatrix, Scalar};
 use morpheus_machine::{MatrixAnalysis, Op, VirtualEngine};
 use morpheus_ml::{Model, ModelKind};
@@ -236,7 +236,7 @@ impl<V: Scalar> FormatTuner<V> for RunFirstTuner {
         let mut best = FormatId::Csr;
         let mut best_time = f64::INFINITY;
         let mut profiling = 0.0;
-        for fmt in morpheus::FormatEntry::all().iter().map(|e| e.id) {
+        for fmt in ALL_FORMATS {
             if !engine.is_viable(fmt, a) {
                 continue;
             }

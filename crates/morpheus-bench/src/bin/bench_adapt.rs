@@ -19,7 +19,7 @@
 //! `${CARGO_TARGET_DIR:-target}/BENCH_adapt.json`, so it never replaces the
 //! tracked full-run snapshot.
 
-use morpheus::format::FormatId;
+use morpheus::format::{FormatId, ALL_FORMATS};
 use morpheus::{CooMatrix, DynamicMatrix};
 use morpheus_bench::report::json_escape;
 use morpheus_corpus::gen::banded::{multi_diagonal, tridiagonal};
@@ -101,7 +101,7 @@ fn measured_fastest(engine: &VirtualEngine, m: &DynamicMatrix<f64>, reps: usize)
     // cache warmth doesn't bias later formats (mirrors the collector's
     // sweep methodology).
     let mut trials: Vec<(FormatId, DynamicMatrix<f64>, f64)> = Vec::new();
-    for fmt in morpheus::FormatEntry::all().iter().map(|e| e.id) {
+    for fmt in ALL_FORMATS {
         if !engine.is_viable(fmt, &view) {
             continue;
         }

@@ -2,7 +2,7 @@
 //! dataset assembly and model training — with a disk cache so every
 //! experiment binary shares one profiling pass.
 
-use morpheus::format::{FormatId, FORMAT_COUNT};
+use morpheus::format::{FormatId, ALL_FORMATS, FORMAT_COUNT};
 use morpheus::{ConvertOptions, DynamicMatrix};
 use morpheus_corpus::CorpusSpec;
 use morpheus_machine::{analyze, systems, ProfileResult, SystemBackend, VirtualEngine};
@@ -367,7 +367,7 @@ pub fn train_tuned_forest(train: &Dataset, seed: u64) -> (ForestParams, RandomFo
 }
 
 /// Distribution of optimal formats for one pair, as percentages in
-/// [`ALL_FORMATS`](morpheus::format::ALL_FORMATS) order (Figure 2's y-axis).
+/// [`ALL_FORMATS`] order (Figure 2's y-axis).
 pub fn format_distribution(pc: &ProfiledCorpus, pair_idx: usize) -> [f64; FORMAT_COUNT] {
     let mut counts = [0usize; FORMAT_COUNT];
     for e in &pc.entries {
@@ -392,10 +392,9 @@ pub fn optimal_speedups(pc: &ProfiledCorpus, pair_idx: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Convenience: all format names in ID order (registry-driven, so new
-/// formats show up as bench columns without edits here).
+/// Convenience: all format names in ID order.
 pub fn format_names() -> Vec<&'static str> {
-    morpheus::FormatEntry::all().iter().map(|e| e.id.name()).collect()
+    ALL_FORMATS.iter().map(|f| f.name()).collect()
 }
 
 #[cfg(test)]

@@ -330,7 +330,7 @@ impl VirtualEngine {
         let mut times = [None; FORMAT_COUNT];
         let mut best = FormatId::Csr;
         let mut best_t = f64::INFINITY;
-        for fmt in morpheus::FormatEntry::all().iter().map(|e| e.id) {
+        for fmt in morpheus::format::ALL_FORMATS {
             if !self.is_viable(fmt, a) {
                 continue;
             }

@@ -67,9 +67,11 @@
 //! [`crate::MorpheusError::ExcessivePadding`] *before* allocating the padded
 //! arrays — the behaviour the profiling harness relies on to mark a format
 //! non-viable for a matrix. One guard, `guard_padding`, serves every
-//! padded target and [`crate::FormatEntry::is_viable`], so a structure the
-//! registry calls viable is one the conversion accepts. Guards are applied
-//! identically on direct and hub paths. Caller-chosen widths (a HYB split width, a BELL ladder) are
+//! padded target, and [`ConvertOptions::admits_padding`] asks it without
+//! converting: the machine model's `VirtualEngine::is_viable` prices a
+//! format's exact padded slots through it, so a structure the engine calls
+//! viable is one the conversion under the same options accepts. Guards are
+//! applied identically on direct and hub paths. Caller-chosen widths (a HYB split width, a BELL ladder) are
 //! priced with saturating or checked arithmetic: any `usize` the options or
 //! a decisions file carry is an error, never a wrapped count or an
 //! allocation the process cannot survive.
@@ -479,6 +481,53 @@ mod tests {
                     MorpheusError::ExcessivePadding { format: FormatId::Hyb, padded: usize::MAX, nnz: 2, .. }
                 ),
                 "{err}"
+            );
+        }
+    }
+
+    /// One guard with one meaning: at `padded == allowance + 1` slots every
+    /// padded conversion is refused with the exact `(padded, limit)`; at
+    /// `padded == allowance` the conversion goes through.
+    #[test]
+    fn padding_one_slot_over_the_allowance_is_refused() {
+        let (r, c) = FormatParams::default().normalized_block();
+        let n = 48usize;
+        let coo_of = |entries: Vec<(usize, usize)>| {
+            let (rows, cols): (Vec<usize>, Vec<usize>) = entries.into_iter().unzip();
+            let vals = vec![1.0f64; rows.len()];
+            DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap())
+        };
+        let band = |i: usize| (i.saturating_sub(1)..(i + 2).min(n)).map(move |j| (i, j));
+        let padded_formats =
+            [FormatId::Dia, FormatId::Ell, FormatId::Hyb, FormatId::Hdc, FormatId::Bsr, FormatId::Bell];
+        for format in padded_formats {
+            let m = match format {
+                // Ragged rows: one to four entries each.
+                FormatId::Ell => coo_of((0..n).flat_map(|i| (0..i % 4 + 1).map(move |j| (i, j))).collect()),
+                // Three entries in every row: no spill, no padding.
+                FormatId::Hyb => coo_of((0..n).flat_map(|i| (0..3).map(move |d| (i, (i + d) % n))).collect()),
+                // The main diagonal: one true diagonal, no remainder.
+                FormatId::Hdc => coo_of((0..n).map(|i| (i, i)).collect()),
+                // One entry per block.
+                FormatId::Bsr => coo_of((0..n / r.max(c)).map(|k| (k * r, k * c)).collect()),
+                _ => coo_of((0..n).flat_map(band).collect()),
+            };
+            let with_allowance =
+                |slots| ConvertOptions { max_fill: 0.0, min_padded_allowance: slots, ..Default::default() };
+            let padded = match m.to_format(format, &with_allowance(0)) {
+                Err(MorpheusError::ExcessivePadding { padded, .. }) => padded,
+                other => panic!("{format}: expected a refusal at allowance 0, got {other:?}"),
+            };
+            assert!(padded >= m.nnz(), "{format}: {padded} slots hold {} entries", m.nnz());
+            match m.to_format(format, &with_allowance(padded - 1)) {
+                Err(MorpheusError::ExcessivePadding { padded: p, limit, .. }) => {
+                    assert_eq!((p, limit), (padded, padded - 1), "{format}")
+                }
+                other => panic!("{format}: {padded} slots over an allowance of {}: {other:?}", padded - 1),
+            }
+            assert!(
+                m.to_format(format, &with_allowance(padded)).is_ok(),
+                "{format}: refused at the allowance"
             );
         }
     }

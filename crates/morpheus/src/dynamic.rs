@@ -540,6 +540,7 @@ impl<V: Scalar> From<BellMatrix<V>> for DynamicMatrix<V> {
 mod tests {
     use super::*;
     use crate::format::ALL_FORMATS;
+    use crate::spmv::spmv_serial;
     use crate::test_util::random_coo;
 
     #[test]
@@ -795,6 +796,56 @@ mod tests {
         let m = DynamicMatrix::from(coo).into_format(FormatId::Coo, &ConvertOptions::default()).unwrap();
         let DynamicMatrix::Coo(ref c) = m else { panic!("expected COO") };
         assert_eq!(c.values().as_ptr(), ptr);
+    }
+
+    /// The completeness gate: every format must have a working converter
+    /// (COO roundtrip), a serial SpMV kernel, SpMM kernels, an `ExecPlan`
+    /// builder with its ranged kernels, and a name. A format that compiles
+    /// but was not wired end to end fails here, not in production dispatch.
+    #[test]
+    fn every_format_is_wired_end_to_end() {
+        let coo = random_coo::<f64>(48, 40, 340, 17);
+        let base = DynamicMatrix::from(coo.clone());
+        let opts = ConvertOptions { min_padded_allowance: 1 << 22, ..Default::default() };
+        let pool = morpheus_parallel::ThreadPool::new(3);
+        let x: Vec<f64> = (0..40).map(|i| (i % 7) as f64 - 3.0).collect();
+        let mut y_ref = vec![0.0f64; 48];
+        spmv_serial(&base, &x, &mut y_ref).unwrap();
+
+        for fmt in ALL_FORMATS {
+            // Converter: reachable from COO and exact on the way back.
+            let m = base
+                .to_format(fmt, &opts)
+                .unwrap_or_else(|e| panic!("{fmt}: registered format lacks a conversion path: {e}"));
+            assert_eq!(m.format_id(), fmt);
+            assert_eq!(m.to_coo(), coo, "{fmt}: COO roundtrip");
+
+            // Serial kernel.
+            let mut y = vec![f64::NAN; 48];
+            spmv_serial(&m, &x, &mut y).unwrap();
+            for i in 0..48 {
+                assert!((y[i] - y_ref[i]).abs() <= 1e-10 * (1.0 + y_ref[i].abs()), "{fmt}");
+            }
+
+            // Plan builder + planned execution.
+            let plan = crate::plan::ExecPlan::build(&m, 3, None);
+            assert!(plan.matches(&m), "{fmt}: plan does not fit its own matrix");
+            let mut yp = vec![f64::NAN; 48];
+            plan.spmv(&m, &x, &mut yp, &pool).unwrap();
+            for i in 0..48 {
+                assert!((yp[i] - y_ref[i]).abs() <= 1e-10 * (1.0 + y_ref[i].abs()), "{fmt}");
+            }
+
+            // SpMM kernel.
+            let k = 3usize;
+            let xb = vec![1.0f64; 40 * k];
+            let mut yb = vec![f64::NAN; 48 * k];
+            crate::spmm::spmm_serial(&m, &xb, &mut yb, k).unwrap();
+            assert!(yb.iter().all(|v| v.is_finite()), "{fmt}");
+
+            // Name table.
+            assert_eq!(FormatId::from_name(fmt.name()), Some(fmt));
+        }
     }
 
     #[test]

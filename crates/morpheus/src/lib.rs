@@ -59,7 +59,6 @@ pub mod op;
 pub mod params;
 pub mod partition;
 pub mod plan;
-pub mod registry;
 pub mod rowmajor;
 pub mod scalar;
 pub mod spmm;
@@ -86,7 +85,6 @@ pub use op::Op;
 pub use params::{FormatParams, MAX_BELL_WIDTHS};
 pub use partition::{Partition, PartitionConfig, PartitionedMatrix, Shard, StreamingPartitioner};
 pub use plan::{ExecPlan, Settled, SharedRun, Workspace};
-pub use registry::{FormatEntry, FormatTraits, StructuralSummary};
 pub use rowmajor::{for_each_entry_row_major, for_each_row_pattern};
 pub use scalar::Scalar;
 pub use spmv::cpu_features::CpuFeatures;

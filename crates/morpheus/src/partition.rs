@@ -42,7 +42,7 @@ use crate::coo::sort_and_merge_row;
 use crate::csr::CsrMatrix;
 use crate::dynamic::DynamicMatrix;
 use crate::error::MorpheusError;
-use crate::format::FormatId;
+use crate::format::{FormatId, ALL_FORMATS, FORMAT_COUNT};
 use crate::plan::ExecPlan;
 use crate::rowmajor::for_each_entry_row_major;
 use crate::scalar::Scalar;
@@ -572,24 +572,20 @@ impl<V: Scalar> PartitionedMatrix<V> {
 
     /// The format covering the most stored non-zeros (ties: first shard).
     pub fn dominant_format(&self) -> FormatId {
-        let mut by_fmt = [0usize; crate::format::FORMAT_COUNT];
+        let mut by_fmt = [0usize; FORMAT_COUNT];
         for s in &self.shards {
             by_fmt[s.matrix.format_id().index()] += s.matrix.nnz();
         }
-        crate::registry::FormatEntry::all()
-            .iter()
-            .map(|e| e.id)
-            .max_by_key(|f| by_fmt[f.index()])
-            .unwrap_or(FormatId::Csr)
+        ALL_FORMATS.into_iter().max_by_key(|f| by_fmt[f.index()]).unwrap_or(FormatId::Csr)
     }
 
     /// Distinct realized formats across shards, in format-id order.
     pub fn formats(&self) -> Vec<FormatId> {
-        let mut present = [false; crate::format::FORMAT_COUNT];
+        let mut present = [false; FORMAT_COUNT];
         for s in &self.shards {
             present[s.matrix.format_id().index()] = true;
         }
-        crate::registry::FormatEntry::all().iter().map(|e| e.id).filter(|f| present[f.index()]).collect()
+        ALL_FORMATS.into_iter().filter(|f| present[f.index()]).collect()
     }
 
     /// Executes `op` — `y = A x`, or `Y = A X` on row-major blocks of `k`

@@ -818,14 +818,14 @@ fn every_reachable_entry_transition() {
         ("Tune Miss Stays settles",              "1 CSR>CSR miss Unplanned | 1 0 | src:CSR | hit"),
         ("Tune Miss Stays walks",                "2 CSR>CSR miss Unplanned | 1 0 | src:CSR | hit"),
         ("Tune Miss Converting walks",           "3 BELL>BELL miss Unplanned | 1 0 | src:BELL | hit"),
-        ("Tune Miss Keeping settles",            "2 COO>COO miss Unplanned | 1 0 | src:COO | hit"),
+        ("Tune Miss Keeping settles",            "1 COO>COO miss Unplanned | 1 0 | src:COO | hit"),
         ("Tune Miss Keeping walks",              "3 BELL>BELL miss Unplanned | 1 0 | src:BELL | hit"),
         ("Tune Miss Open settles",               "2 BELL>BELL miss Unplanned | 1 0 | src:BELL | hit"),
         ("Tune Decision Stays settles",          "1 CSR>CSR hit Unplanned | 1 1 | src:CSR | hit"),
         ("Tune Decision Stays walks",            "1 CSR>CSR hit Unplanned | 1 1 | src:CSR | hit"),
         ("Tune Decision Converting settles",     "1 BELL>BELL hit Unplanned | 1 1 | src:BELL | hit"),
         ("Tune Decision Converting walks",       "2 BELL>BELL hit Unplanned | 1 1 | src:BELL | hit"),
-        ("Tune Decision Keeping settles",        "2 COO>COO hit Unplanned | 1 1 | src:COO | hit"),
+        ("Tune Decision Keeping settles",        "1 COO>COO hit Unplanned | 1 1 | src:COO | hit"),
         ("Tune Decision Keeping walks",          "2 BELL>BELL hit Unplanned | 1 1 | src:BELL | hit"),
         ("Tune Decision Open settles",           "2 BELL>BELL hit Unplanned | 1 1 | src:BELL | hit"),
         ("Tune Decision Absent settles",         "1 CSR>CSR hit Unplanned | 1 1 | src:CSR | hit"),
