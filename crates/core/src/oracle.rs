@@ -111,9 +111,9 @@ impl<T> OracleBuilder<T> {
         self
     }
 
-    /// Sets when and how registrations shard into partitioned handles
-    /// (default: [`PartitionPolicy::default`] — no automatic sharding;
-    /// `register_partitioned` / `register_stream` still work).
+    /// Sets whether and how `register_partitioned` shards into partitioned
+    /// handles (default: [`PartitionPolicy::default`] — it registers whole,
+    /// like every other front door; `cost_gate: false` forces shards).
     pub fn partition_policy(mut self, policy: PartitionPolicy) -> Self {
         self.partition = policy;
         self

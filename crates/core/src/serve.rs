@@ -119,10 +119,10 @@ use crate::tuner::{FormatTuner, TuningCost};
 use crate::{OracleError, Result};
 use decide::{Asker, CachedDecision, Facts};
 use morpheus::format::FormatId;
-use morpheus::partition::{split_rows, Partition, Shard, StreamingPartitioner};
+use morpheus::partition::{split_rows, Partition, Shard};
 use morpheus::{
-    ConvertOptions, ConvertOutcome, ConvertPath, CooMatrix, CsrMatrix, DynamicMatrix, ExecPlan, FormatParams,
-    PartitionConfig, PartitionedMatrix, Scalar, Workspace,
+    ConvertOptions, ConvertOutcome, ConvertPath, CooMatrix, CsrBuilder, CsrMatrix, DynamicMatrix, ExecPlan,
+    FormatParams, PartitionConfig, PartitionedMatrix, Scalar, Workspace,
 };
 use morpheus_machine::{Op, VirtualEngine};
 use morpheus_parallel::ThreadPool;
@@ -146,13 +146,15 @@ enum ServicePool {
 }
 
 /// Whether [`OracleService::register_partitioned`] shards a matrix, and
-/// how [`OracleService::register_stream`] and a forced
-/// `register_partitioned` size their shards.
+/// how a forced `register_partitioned` sizes its shards — the one place a
+/// sharded handle comes from.
 ///
 /// Under the default policy `register_partitioned` is `register`: the
 /// matrix is served whole, in one format. Measured end to end, that cost
 /// less at registration than sharding and ran no slower warm (README,
-/// "Partitioned handles"), so nothing decides per matrix whether to shard.
+/// "Partitioned handles"), so nothing decides per matrix whether to shard,
+/// and every other front door ([`OracleService::register_stream`]
+/// included) registers whole.
 #[derive(Debug, Clone, Copy)]
 pub struct PartitionPolicy {
     /// Upper bound on shards per matrix. `None`: `max(4, 2 * workers)` of
@@ -726,8 +728,8 @@ impl<T> OracleService<T> {
     /// [`PartitionPolicy`] forces shards (`cost_gate: false`): then the
     /// matrix is served as row-range shards cut along the row-nnz histogram
     /// (balanced nnz, boundaries snapped to regime shifts), each decided,
-    /// converted and planned on its own, as [`OracleService::register_stream`]
-    /// does with the shards it seals.
+    /// converted and planned on its own. This is the only way to a sharded
+    /// handle.
     ///
     /// Under the default policy it *is* `register`: the same decision, the
     /// same handle, the same report. Nothing weighs whether sharding would
@@ -770,42 +772,31 @@ impl<T> OracleService<T> {
         if partition.num_shards() <= 1 {
             return self.register_single_for(m, op, whole);
         }
-        let pieces = partition.ranges().zip(split_rows(&m, &partition, None)?);
+        let pieces = partition.ranges().zip(split_rows(csr, &partition)?);
         let moved = whole.moved.unwrap_or((FormatId::Csr, 0.0));
         self.register_shards(m.nrows(), m.ncols(), pieces, moved, op)
     }
 
-    /// Registers a matrix ingested shard-by-shard from a row-major entry
-    /// stream — the huge-matrix front door: the whole matrix never
-    /// materializes in one resident copy. Rows must arrive in
-    /// non-decreasing order, columns within a row in any order; duplicate
-    /// entries are summed in push order, as
-    /// [`CooBuilder::build`](morpheus::CooBuilder::build) sums them, so this
-    /// and [`OracleService::register`] of the same entries assembled through
-    /// a builder store the same bits.
-    /// Shards seal along the policy's nnz target as the stream flows, and
-    /// each sealed shard is tuned, converted and planned independently.
-    /// Yields a single-shard (still CSR-planned) handle when the stream
-    /// fits one shard; there is no whole-matrix fallback — that copy is
-    /// exactly what streaming avoids.
+    /// Registers a matrix from a row-major entry stream, whole. Rows must
+    /// arrive in non-decreasing order, columns within a row in any order;
+    /// the entries go straight into one CSR matrix ([`CsrBuilder`]: no row
+    /// array, no COO copy), duplicates summed in push order as
+    /// [`CooBuilder::build`](morpheus::CooBuilder::build) sums them. So
+    /// this is [`OracleService::register`] of the same entries assembled
+    /// through a builder, bit for bit: the same key, decision, format and
+    /// arrays. An entry out of bounds or a row after a later one is a typed
+    /// error.
     pub fn register_stream<V, I>(&self, nrows: usize, ncols: usize, entries: I) -> Result<MatrixHandle<V>>
     where
         V: Scalar,
         T: FormatTuner<V>,
         I: IntoIterator<Item = (usize, usize, V)>,
     {
-        let mut sp = StreamingPartitioner::new(nrows, ncols, &self.partition.config(self.workers()));
+        let mut builder = CsrBuilder::new(nrows, ncols);
         for (r, c, v) in entries {
-            sp.push(r, c, v)?;
+            builder.push(r, c, v)?;
         }
-        let (_, mut parts) = sp.finish()?;
-        if parts.len() == 1 {
-            let (_, csr) = parts.pop().expect("finish yields >= 1 shard");
-            let m = DynamicMatrix::from(csr);
-            let facts = Facts::hashed(&m);
-            return self.register_single_for(m, Op::Spmv, facts);
-        }
-        self.register_shards(nrows, ncols, parts, (FormatId::Csr, 0.0), Op::Spmv)
+        self.register(DynamicMatrix::from(builder.build()))
     }
 
     /// The one per-shard pipeline of a sharded registration: each

@@ -85,11 +85,10 @@ pub struct TuneReport {
     /// any shard converted and the identity outcome when none did.
     pub convert: morpheus::ConvertOutcome,
     /// Shards of the registered matrix: 1 for a whole-matrix registration
-    /// (and for all tune-only calls), ≥ 2 for a registration the service's
-    /// [`crate::PartitionPolicy`] forced into shards (`cost_gate: false`,
-    /// see `OracleService::register_partitioned`) or
-    /// `OracleService::register_stream` sealed several. For partitioned handles
-    /// [`TuneReport::chosen`] reports the nnz-dominant shard; per-shard
-    /// detail lives on the handle.
+    /// (every front door but one, and all tune-only calls), ≥ 2 only for a
+    /// registration the service's [`crate::PartitionPolicy`] forced into
+    /// shards (`cost_gate: false`, see `OracleService::register_partitioned`).
+    /// For partitioned handles [`TuneReport::chosen`] reports the
+    /// nnz-dominant shard; per-shard detail lives on the handle.
     pub shards: usize,
 }

@@ -7,7 +7,6 @@
 //!   for several right-hand-side counts.
 //! * **Blocked parameters**: BSR/BELL under proposed parameters against the
 //!   best plan of every other format.
-//! * **Partitioned**: per-shard formats against the best whole-matrix plan.
 //!
 //! Results go to stdout as a table and to `BENCH_spmv.json` (override with
 //! `--out PATH`). `--smoke` shrinks sizes and iteration counts for CI, and
@@ -18,14 +17,10 @@
 //! cannot show parallel SpMM speedups).
 
 use morpheus::format::FormatId;
-use morpheus::{
-    spmm, Analysis, ConvertOptions, CooMatrix, CpuFeatures, DynamicMatrix, ExecPlan, Op, Partition,
-    PartitionConfig, PartitionedMatrix,
-};
+use morpheus::{spmm, Analysis, ConvertOptions, CooMatrix, CpuFeatures, DynamicMatrix, ExecPlan};
 use morpheus_bench::report::json_escape;
 use morpheus_corpus::gen::banded::tridiagonal;
 use morpheus_corpus::gen::blocks::{aligned_blocks, fem_blocks};
-use morpheus_corpus::gen::hetero::{hub_plus_banded, shifted_bands};
 use morpheus_corpus::gen::powerlaw::{hub_rows, zipf_rows};
 use morpheus_corpus::gen::random::{bimodal_rows, variable_degree};
 use morpheus_corpus::gen::stencil::poisson2d;
@@ -127,13 +122,6 @@ struct SpmmRow {
     speedup: f64,
 }
 
-/// One shard of a partitioned case in the snapshot.
-struct ShardCol {
-    rows: std::ops::Range<usize>,
-    nnz: usize,
-    format: FormatId,
-}
-
 /// One parameterized-format candidate (BSR or BELL) on a blocked case.
 struct BlockedCand {
     format: FormatId,
@@ -180,18 +168,6 @@ fn ulp_check(got: &[f64], reference: &[f64], label: &str) {
         let ok = ulp_distance(*a, *b) <= 512 || (a - b).abs() <= 1e-11 * b.abs().max(1.0);
         assert!(ok, "{label}: row {i} diverged from serial reference: {a} vs {b}");
     }
-}
-
-/// Partitioned execution vs. the best whole-matrix single-format plan.
-struct PartRow {
-    matrix: &'static str,
-    nrows: usize,
-    nnz: usize,
-    shards: Vec<ShardCol>,
-    best_single_format: FormatId,
-    best_single_s: f64,
-    partitioned_s: f64,
-    speedup: f64,
 }
 
 /// `None` when the class has no rows: a vacuous geomean must read as
@@ -259,11 +235,9 @@ fn main() {
     let mut spmm_rows: Vec<SpmmRow> = Vec::new();
 
     // Session used only to name the steady-state format per matrix (the
-    // rows marked `tuned`). The engine doubles as the
-    // per-shard format chooser in the partitioned section.
-    let engine = VirtualEngine::new(systems::cirrus(), Backend::OpenMp);
+    // rows marked `tuned`) and the blocked cases' Oracle choice.
     let selector = Oracle::builder()
-        .engine(engine.clone())
+        .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
         .tuner(RunFirstTuner::new(1))
         .build_service()
         .expect("engine and tuner set");
@@ -347,153 +321,6 @@ fn main() {
         }
     }
 
-    // --- partitioned handles: per-shard formats vs the best single plan ---
-    //
-    // Internally heterogeneous matrices where every whole-matrix format is
-    // wrong for one regime. The contest is fair: the single-format side
-    // gets every viable format converted, planned at the same worker count
-    // and timed, and its *best* loop time is the baseline.
-    let mut part_rows: Vec<PartRow> = Vec::new();
-    {
-        let mut rng = StdRng::seed_from_u64(23);
-        let scale = |full: usize, small: usize| if smoke { small } else { full };
-        let hetero_cases: Vec<(&'static str, CooMatrix<f64>)> = vec![
-            ("hetero", hub_plus_banded(scale(48_000, 3_000), scale(800, 120), scale(160, 64), 4, &mut rng)),
-            (
-                "hetero-tail",
-                hub_plus_banded(scale(48_000, 3_000), scale(96, 24), scale(512, 96), 4, &mut rng),
-            ),
-            (
-                // Domain-decomposition shape: two band blocks at different
-                // diagonal offsets and widths. Whole-matrix DIA/HDC store
-                // the union of both blocks' diagonals at half fill, ELL
-                // pads to the wide block, CSR runs scalar short rows —
-                // per-shard DIA is the only format that fits both blocks.
-                // Offsets point inward (positive for low rows, negative
-                // for high rows) so no edge row loses entries.
-                "hetero-bands",
-                shifted_bands(
-                    scale(48_000, 3_000),
-                    scale(400, 60),
-                    scale(160, 64),
-                    &[(scale(4_000, 250) as isize, 2), (-(scale(2_000, 125) as isize), 6)],
-                    &mut rng,
-                ),
-            ),
-        ];
-        for (name, coo) in hetero_cases {
-            let base = DynamicMatrix::from(coo);
-            let x: Vec<f64> = (0..base.ncols()).map(|i| 1.0 + (i % 13) as f64 * 0.25).collect();
-            let analysis = Analysis::of_auto(&base, opts.true_diag_alpha);
-            // Shard targets sized to the regime count (hub / mid / tail),
-            // not the worker count: per-shard specialization wins by
-            // matching formats to regimes, and over-sharding only buys
-            // dispatch overhead. The explicit target also keeps smoke
-            // inputs splitting — the module default (64k nnz) would leave
-            // them as one shard and bench nothing.
-            let cfg = PartitionConfig {
-                max_shards: 4,
-                target_shard_nnz: (base.nnz() / 3).max(4_096),
-                ..Default::default()
-            };
-            let partition = Partition::from_analysis(&analysis, &cfg);
-            // Per-shard formats are *measured*, the RunFirstTuner idea at
-            // shard granularity: convert each candidate, replay its
-            // single-threaded plan a few times, keep the fastest.
-            let pm = PartitionedMatrix::build(
-                &base,
-                &partition,
-                &opts,
-                pool.num_threads(),
-                Some(&analysis),
-                |_, sm, _| {
-                    let mut best = (FormatId::Csr, f64::INFINITY);
-                    for fmt in [FormatId::Csr, FormatId::Ell, FormatId::Dia, FormatId::Hyb, FormatId::Hdc] {
-                        let Ok(mf) = sm.to_format(fmt, &opts) else { continue };
-                        let fa = Analysis::of_auto(&mf, opts.true_diag_alpha);
-                        let plan = ExecPlan::build(&mf, 1, Some(&fa));
-                        let mut y = vec![0.0f64; mf.nrows()];
-                        let s = time_loop(16, || plan.spmv_unpooled(&mf, &x, &mut y).expect("plan matches"));
-                        if s < best.1 {
-                            best = (fmt, s);
-                        }
-                    }
-                    best.0
-                },
-            )
-            .expect("partitioned build");
-            assert!(pm.num_shards() >= 2, "{name}: hetero case must shard (got 1)");
-            // Which formats the shards end up in is a measured pick, so it
-            // is reported, not asserted: CSR wins every smoke-sized shard on
-            // some hosts. What must hold is the result, checked below.
-            let mut distinct = pm.formats();
-            distinct.sort_unstable();
-            distinct.dedup();
-            println!("{name}: per-shard tuning realized {distinct:?} over {} shards", pm.num_shards());
-
-            let mut y_part = vec![0.0f64; base.nrows()];
-            pm.run(Op::Spmv, &x, &mut y_part, Some(&pool), None).expect("shapes agree");
-            let mut y_ref = vec![0.0f64; base.nrows()];
-            morpheus::spmv::spmv_serial(&base, &x, &mut y_ref).expect("shapes agree");
-            assert!(
-                y_part.iter().zip(&y_ref).all(|(a, b)| (a - b).abs() <= 1e-9 * b.abs().max(1.0)),
-                "{name}: partitioned result diverged from serial reference"
-            );
-
-            // Interleaved min-of-reps scoring: this box is one core and
-            // bursty, so a single best-of-3 loop wears whatever the
-            // neighbors were doing when it ran. Alternating the
-            // partitioned loop with every single-format loop across
-            // several reps and keeping each side's minimum scores both
-            // at their uncontended speed.
-            let singles: Vec<(FormatId, DynamicMatrix<f64>, ExecPlan<f64>)> =
-                [FormatId::Csr, FormatId::Ell, FormatId::Dia, FormatId::Hyb, FormatId::Coo, FormatId::Hdc]
-                    .into_iter()
-                    .filter_map(|fmt| {
-                        let mf = base.to_format(fmt, &opts).ok()?;
-                        let fa = Analysis::of_auto(&mf, opts.true_diag_alpha);
-                        let plan = ExecPlan::build(&mf, pool.num_threads(), Some(&fa));
-                        Some((fmt, mf, plan))
-                    })
-                    .collect();
-            let reps = if smoke { 2 } else { 5 };
-            let mut partitioned_s = f64::INFINITY;
-            let mut single_s = vec![f64::INFINITY; singles.len()];
-            let mut y = vec![0.0f64; base.nrows()];
-            for _ in 0..reps {
-                partitioned_s = partitioned_s.min(time_loop(spmv_iters, || {
-                    pm.run(Op::Spmv, &x, &mut y_part, Some(&pool), None).expect("shapes agree")
-                }));
-                for ((_, mf, plan), slot) in singles.iter().zip(single_s.iter_mut()) {
-                    let s = time_loop(spmv_iters, || plan.spmv(mf, &x, &mut y, &pool).expect("plan matches"));
-                    *slot = slot.min(s);
-                }
-            }
-            let (best_single_format, best_single_s) = singles
-                .iter()
-                .zip(&single_s)
-                .map(|((fmt, _, _), s)| (*fmt, *s))
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("CSR is always viable");
-
-            part_rows.push(PartRow {
-                matrix: name,
-                nrows: base.nrows(),
-                nnz: base.nnz(),
-                shards: pm
-                    .shards()
-                    .iter()
-                    .map(|s| ShardCol { rows: s.rows(), nnz: s.nnz(), format: s.format_id() })
-                    .collect(),
-                best_single_format,
-                best_single_s,
-                partitioned_s,
-                speedup: best_single_s / partitioned_s,
-            });
-        }
-    }
-    let partitioned_geo = geomean(part_rows.iter().map(|r| r.speedup));
-
     // --- parameterized block formats: BSR/BELL vs the best legacy plan ---
     //
     // The PR-9 contest: on block-structured and heavy-tail inputs, the
@@ -572,8 +399,10 @@ fn main() {
                 ulp_check(&y, &y_ref, &format!("{name}/{fmt}[{tok}]"));
             }
 
-            // Interleaved min-of-reps scoring (same rationale as the
-            // partitioned section: bursty shared host).
+            // Interleaved min-of-reps scoring: on a bursty shared host a
+            // single loop wears whatever the neighbours were doing when it
+            // ran. Alternating every loop across several reps and keeping
+            // each one's minimum scores them all at their uncontended speed.
             let reps = if smoke { 2 } else { 5 };
             let mut legacy_s = vec![f64::INFINITY; legacy_plans.len()];
             let mut cand_s = vec![f64::INFINITY; block_plans.len()];
@@ -683,31 +512,6 @@ fn main() {
 
     println!();
     println!(
-        "{:<12} {:>9} {:>9} {:>7} {:>11} | {:>13} {:>13} {:>8}",
-        "matrix", "nrows", "nnz", "shards", "best-single", "best_single_s", "partitioned_s", "speedup"
-    );
-    for r in &part_rows {
-        println!(
-            "{:<12} {:>9} {:>9} {:>7} {:>11} | {:>13.6} {:>13.6} {:>7.2}x",
-            r.matrix,
-            r.nrows,
-            r.nnz,
-            r.shards.len(),
-            r.best_single_format.to_string(),
-            r.best_single_s,
-            r.partitioned_s,
-            r.speedup
-        );
-        for (i, s) in r.shards.iter().enumerate() {
-            println!(
-                "    shard {i:<2} rows {:>7}..{:<7} nnz {:>8}  {}",
-                s.rows.start, s.rows.end, s.nnz, s.format
-            );
-        }
-    }
-
-    println!();
-    println!(
         "{:<14} {:>9} {:>9} {:>7} {:>11} | {:>13} {:>7} {:>14} {:>13} {:>8}",
         "matrix",
         "nrows",
@@ -751,20 +555,18 @@ fn main() {
         "threaded SpMM geomean speedup over serial:                     {}  ({threads} worker(s))",
         show_geo(spmm_all)
     );
-    println!("partitioned SpMV geomean speedup over best single-format plan: {}", show_geo(partitioned_geo));
     println!("blocked-corpus BSR/BELL geomean speedup over best legacy plan: {}", show_geo(blocked_geo));
 
     // --- snapshot ---
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"bench_spmv/v6\",\n");
+    json.push_str("  \"schema\": \"bench_spmv/v7\",\n");
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
     json.push_str(&format!("  \"threads\": {threads},\n"));
     json.push_str(&format!("  \"cpu\": {{\"avx2\": {}, \"fma\": {}}},\n", cpu.avx2, cpu.fma));
     json.push_str(&format!("  \"spmv_iters\": {spmv_iters},\n"));
     json.push_str(&format!("  \"spmm_iters\": {spmm_iters},\n"));
     json.push_str(&format!("  \"spmm_geomean_speedup\": {},\n", json_geo(spmm_all)));
-    json.push_str(&format!("  \"partitioned_geomean_speedup\": {},\n", json_geo(partitioned_geo)));
     json.push_str(&format!("  \"blocked_geomean_speedup\": {},\n", json_geo(blocked_geo)));
     json.push_str("  \"blocked\": [\n");
     for (i, r) in blocked_rows.iter().enumerate() {
@@ -799,35 +601,6 @@ fn main() {
             r.speedup,
             cands.join(", "),
             if i + 1 < blocked_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"partitioned\": [\n");
-    for (i, r) in part_rows.iter().enumerate() {
-        let shards: Vec<String> = r
-            .shards
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"rows\": [{}, {}], \"nnz\": {}, \"format\": \"{}\"}}",
-                    s.rows.start, s.rows.end, s.nnz, s.format
-                )
-            })
-            .collect();
-        json.push_str(&format!(
-            "    {{\"matrix\": \"{}\", \"nrows\": {}, \"nnz\": {}, \"num_shards\": {}, \
-             \"best_single_format\": \"{}\", \"best_single_s\": {:.6e}, \"partitioned_s\": {:.6e}, \
-             \"speedup\": {:.4}, \"shards\": [{}]}}{}\n",
-            json_escape(r.matrix),
-            r.nrows,
-            r.nnz,
-            r.shards.len(),
-            r.best_single_format,
-            r.best_single_s,
-            r.partitioned_s,
-            r.speedup,
-            shards.join(", "),
-            if i + 1 < part_rows.len() { "," } else { "" }
         ));
     }
     json.push_str("  ],\n");

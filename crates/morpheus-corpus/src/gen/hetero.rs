@@ -3,8 +3,9 @@
 //!
 //! These are the shapes whole-matrix format selection loses on by
 //! construction — every single format is wrong for one of the regimes —
-//! and the shapes partitioned handles (`morpheus::PartitionedMatrix`)
-//! exist for: the row-nnz histogram shifts regime at the block seams, so
+//! and the shapes a forced partitioned registration
+//! (`OracleService::register_partitioned` with `cost_gate: false`) is
+//! tested on: the row-nnz histogram shifts regime at the block seams, so
 //! boundary refinement splits the regimes into shards that each get their
 //! own format.
 

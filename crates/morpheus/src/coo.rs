@@ -279,8 +279,8 @@ fn scatter_by_row<V: Scalar>(
 /// sorted through `scratch`, one buffer the caller reuses across rows.
 ///
 /// The one per-row sort-and-merge of the crate: [`CooMatrix::assemble`]
-/// and the streaming partitioner's row flush both call it, so every front
-/// door sums duplicates in the same order.
+/// and [`crate::CsrBuilder`]'s row close both call it, so every front door
+/// sums duplicates in the same order.
 #[inline]
 pub(crate) fn sort_and_merge_row<V: Scalar>(
     cols: &mut [usize],

@@ -69,7 +69,7 @@ pub mod vecops;
 pub use analysis::Analysis;
 pub use bell::{BellBucket, BellMatrix};
 pub use bsr::{BsrMatrix, BSR_BLOCK_DIMS};
-pub use builder::CooBuilder;
+pub use builder::{CooBuilder, CsrBuilder};
 pub use convert::{convert_via_hub, ConvertOptions, ConvertOutcome, ConvertPath};
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
@@ -83,7 +83,7 @@ pub use hdc::HdcMatrix;
 pub use hyb::{HybMatrix, HybSplit};
 pub use op::Op;
 pub use params::{FormatParams, MAX_BELL_WIDTHS};
-pub use partition::{Partition, PartitionConfig, PartitionedMatrix, Shard, StreamingPartitioner};
+pub use partition::{Partition, PartitionConfig, PartitionedMatrix, Shard};
 pub use plan::{ExecPlan, Settled, SharedRun, Workspace};
 pub use rowmajor::{for_each_entry_row_major, for_each_row_pattern};
 pub use scalar::Scalar;

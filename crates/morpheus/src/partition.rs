@@ -7,28 +7,25 @@
 //! question: measured end to end (README, "Partitioned handles"), serving
 //! the matrix whole in one format cost less at registration and ran no
 //! slower warm, so the serving layer shards only when a caller forces it
-//! (`PartitionPolicy::cost_gate: false`) or streams a matrix in shard by
-//! shard.
+//! (`PartitionPolicy::cost_gate: false`). A forced registration cuts its
+//! CSR form here ([`Partition::from_row_prefix`] on the row offsets, then
+//! [`split_rows`]) and decides, converts and plans each piece itself.
 //!
-//! Three artifacts live here:
+//! Two artifacts live here:
 //!
 //! * [`Partition`] — row-range shard boundaries picked from the prefix
 //!   sums of the row lengths: balanced nnz per shard, with each boundary
 //!   nudged to the largest nearby *regime shift* in mean row length so a
 //!   hub block and a regular tail land in different shards, every interior
 //!   boundary on a multiple of [`SEAM_ALIGN`] rows.
-//! * [`PartitionedMatrix`] — the shards, each independently converted
-//!   (direct conversion kernels, CSR fallback) and independently planned
-//!   (each shard gets its own single-part [`ExecPlan`]). Execution runs
-//!   shard plans across a
+//! * [`PartitionedMatrix`] — the shards, each independently converted and
+//!   independently planned (each shard gets its own single-part
+//!   [`ExecPlan`]). Execution runs shard plans across a
 //!   [`ThreadPool`] with stable shard→worker ownership — a worker always
 //!   executes the same contiguous run of shards, so each shard's arrays
 //!   stay hot in one core's cache — writing disjoint output slices through
 //!   [`SharedSlice`]. The pooled and unpooled paths run the same
 //!   single-threaded kernel bodies per shard and are bitwise identical.
-//! * [`StreamingPartitioner`] — ingests a row-major entry stream and seals
-//!   CSR shards at row boundaries as the nnz target fills, so a matrix
-//!   larger than one resident copy never materializes whole.
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -36,19 +33,16 @@ use std::time::{Duration, Instant};
 
 use morpheus_parallel::{weighted_partition_with, SharedSlice, ThreadPool};
 
-use crate::analysis::{passes, Analysis};
-use crate::convert::ConvertOptions;
-use crate::coo::sort_and_merge_row;
+use crate::analysis::passes;
 use crate::csr::CsrMatrix;
 use crate::dynamic::DynamicMatrix;
 use crate::error::MorpheusError;
 use crate::format::{FormatId, ALL_FORMATS, FORMAT_COUNT};
 use crate::plan::ExecPlan;
-use crate::rowmajor::for_each_entry_row_major;
 use crate::scalar::Scalar;
 use crate::{Op, Result};
 
-/// Controls shard boundary selection in [`Partition::from_analysis`].
+/// Controls shard boundary selection in [`Partition::from_row_prefix`].
 #[derive(Debug, Clone, Copy)]
 pub struct PartitionConfig {
     /// Upper bound on shard count. The actual count is
@@ -113,8 +107,7 @@ const _: () = {
 /// is a multiple of [`SEAM_ALIGN`] rows (so a matrix of `n` rows has at
 /// most `ceil(n / SEAM_ALIGN)` shards, and one of up to [`SEAM_ALIGN`] rows
 /// has one): no block row of any BSR dimension of the whole matrix
-/// straddles a seam. [`Partition::from_boundaries`] takes boundaries as
-/// they come — a [`StreamingPartitioner`] seals where the stream fills.
+/// straddles a seam.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     nrows: usize,
@@ -123,12 +116,6 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// Picks shard boundaries from the row-nnz histogram of `a`:
-    /// [`Partition::from_row_prefix`] on its prefix sums.
-    pub fn from_analysis(a: &Analysis, cfg: &PartitionConfig) -> Partition {
-        Partition::from_row_prefix(&a.rows.prefix, cfg)
-    }
-
     /// Picks shard boundaries from the prefix sums of the row lengths
     /// (`prefix[r]` entries lie in rows `< r`; `nrows + 1` of them), in units
     /// of [`SEAM_ALIGN`]-row groups (the last one ragged).
@@ -210,24 +197,6 @@ impl Partition {
         Partition { nrows, boundaries, shard_nnz }
     }
 
-    /// Builds a partition from explicit boundaries (e.g. sealed by a
-    /// [`StreamingPartitioner`]). `boundaries` must start at 0, end at
-    /// `nrows`, be strictly increasing, and `shard_nnz` must have one
-    /// entry per shard.
-    pub fn from_boundaries(nrows: usize, boundaries: Vec<usize>, shard_nnz: Vec<usize>) -> Result<Partition> {
-        let ok = boundaries.len() >= 2
-            && boundaries[0] == 0
-            && *boundaries.last().unwrap() == nrows
-            && boundaries.windows(2).all(|w| w[0] < w[1] || (nrows == 0 && w[0] == w[1]))
-            && shard_nnz.len() == boundaries.len() - 1;
-        if !ok {
-            return Err(MorpheusError::InvalidStructure(format!(
-                "invalid partition boundaries {boundaries:?} for {nrows} rows"
-            )));
-        }
-        Ok(Partition { nrows, boundaries, shard_nnz })
-    }
-
     /// Rows of the partitioned matrix.
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -260,93 +229,31 @@ impl Partition {
     }
 }
 
-/// Splits `m` into per-shard CSR sub-matrices in one row-major traversal.
+/// Splits `m` into per-shard CSR sub-matrices: each shard's columns and
+/// values are one contiguous run of `m`'s, copied out, and its offsets are
+/// `m`'s over the shard's rows, rebased to its first entry.
 ///
 /// Each shard keeps the full column space (`ncols` unchanged), so shard
-/// SpMV reads the same `x` and writes a disjoint `y` slice. The per-row
-/// counts come from a CSR source's offsets or from the matrix's
-/// [`Analysis`], when one is at hand; otherwise a counting pass runs first.
-/// COO and CSR sources already hold every shard's columns and values as one
-/// contiguous run, so their shards are slice copies; other formats are
-/// walked entry by entry.
-pub fn split_rows<V: Scalar>(
-    m: &DynamicMatrix<V>,
-    p: &Partition,
-    analysis: Option<&Analysis>,
-) -> Result<Vec<CsrMatrix<V>>> {
+/// SpMV reads the same `x` and writes a disjoint `y` slice.
+pub fn split_rows<V: Scalar>(m: &CsrMatrix<V>, p: &Partition) -> Result<Vec<CsrMatrix<V>>> {
     if p.nrows != m.nrows() {
         return Err(MorpheusError::ShapeMismatch {
             expected: format!("partition over {} rows", p.nrows),
             got: format!("matrix with {} rows", m.nrows()),
         });
     }
-    let counted: Vec<u32>;
-    let counts: &[u32] = match (analysis.filter(|a| a.matches(m)), m) {
-        (Some(a), _) => &a.row_hist,
-        (None, DynamicMatrix::Csr(a)) => {
-            counted = a.row_offsets().windows(2).map(|w| (w[1] - w[0]) as u32).collect();
-            &counted
-        }
-        (None, _) => {
-            let mut c = vec![0u32; m.nrows()];
-            for_each_entry_row_major(m, |r, _, _| c[r] += 1);
-            passes::record_traversal();
-            counted = c;
-            &counted
-        }
-    };
-    let contiguous = match m {
-        DynamicMatrix::Coo(a) => Some((a.col_indices(), a.values())),
-        DynamicMatrix::Csr(a) => Some((a.col_indices(), a.values())),
-        _ => None,
-    };
-    struct Fill<V> {
-        rows: Range<usize>,
-        offsets: Vec<usize>,
-        cols: Vec<usize>,
-        vals: Vec<V>,
-    }
-    let mut first_entry = 0usize;
-    let mut fills = Vec::with_capacity(p.num_shards());
-    for rows in p.ranges() {
-        let mut offsets = Vec::with_capacity(rows.len() + 1);
-        offsets.push(0usize);
-        for r in rows.clone() {
-            offsets.push(offsets.last().unwrap() + counts[r] as usize);
-        }
-        let nnz = *offsets.last().unwrap();
-        let entries = first_entry..first_entry + nnz;
-        first_entry += nnz;
-        let (cols, vals) = match contiguous {
-            Some((cols, vals)) => match (cols.get(entries.clone()), vals.get(entries)) {
-                (Some(c), Some(v)) => (c.to_vec(), v.to_vec()),
-                _ => {
-                    return Err(MorpheusError::InvalidStructure(
-                        "row histogram counts more entries than the matrix stores".into(),
-                    ))
-                }
-            },
-            None => (Vec::with_capacity(nnz), Vec::with_capacity(nnz)),
-        };
-        fills.push(Fill { rows, offsets, cols, vals });
-    }
-    if contiguous.is_none() {
-        // Entries arrive row-major with ascending columns, i.e. exactly in
-        // each shard's CSR order — appending is enough.
-        let mut si = 0usize;
-        for_each_entry_row_major(m, |r, c, v| {
-            while r >= fills[si].rows.end {
-                si += 1;
-            }
-            fills[si].cols.push(c);
-            fills[si].vals.push(v);
-        });
-    }
+    let offsets = m.row_offsets();
+    let pieces = p
+        .ranges()
+        .map(|rows| {
+            let entries = offsets[rows.start]..offsets[rows.end];
+            let local = offsets[rows.start..=rows.end].iter().map(|o| o - entries.start).collect();
+            let (cols, vals) = (&m.col_indices()[entries.clone()], &m.values()[entries]);
+            CsrMatrix::from_parts(rows.len(), m.ncols(), local, cols.to_vec(), vals.to_vec())
+        })
+        .collect();
     passes::record_traversal();
-    fills
-        .into_iter()
-        .map(|f| CsrMatrix::from_parts(f.rows.len(), m.ncols(), f.offsets, f.cols, f.vals))
-        .collect()
+    pieces
 }
 
 /// One shard of a [`PartitionedMatrix`]: its row range, its independently
@@ -425,72 +332,6 @@ pub struct PartitionedMatrix<V: Scalar> {
 }
 
 impl<V: Scalar> PartitionedMatrix<V> {
-    /// Splits `m` by `partition`, converts each shard to the format chosen
-    /// by `choose(shard_index, &shard, &shard_analysis)` (falling back to
-    /// CSR when the chosen conversion is not viable, e.g. excessive DIA
-    /// padding), and plans each shard for single-threaded execution.
-    ///
-    /// `threads` is the worker count shard ownership is balanced for.
-    pub fn build(
-        m: &DynamicMatrix<V>,
-        partition: &Partition,
-        opts: &ConvertOptions,
-        threads: usize,
-        analysis: Option<&Analysis>,
-        mut choose: impl FnMut(usize, &DynamicMatrix<V>, &Analysis) -> FormatId,
-    ) -> Result<PartitionedMatrix<V>> {
-        let subs = split_rows(m, partition, analysis)?;
-        let parts: Vec<(Range<usize>, CsrMatrix<V>)> = partition.ranges().zip(subs).collect();
-        Self::assemble(m.ncols(), parts, threads, |i, sm, sa| {
-            let fmt = choose(i, sm, sa);
-            if fmt != sm.format_id() && sm.convert_to_with(fmt, opts, Some(sa)).is_err() {
-                // Chosen format not viable for this shard; CSR always is.
-                let _ = sm.convert_to_with(FormatId::Csr, opts, Some(sa));
-            }
-            Ok(())
-        })
-    }
-
-    /// Assembles a partitioned matrix from per-shard CSR pieces (e.g. from
-    /// [`StreamingPartitioner::finish`]), applying `tune` to each shard
-    /// (convert in place; the shard is re-analysed and planned afterwards).
-    pub fn assemble(
-        ncols: usize,
-        parts: Vec<(Range<usize>, CsrMatrix<V>)>,
-        threads: usize,
-        mut tune: impl FnMut(usize, &mut DynamicMatrix<V>, &Analysis) -> Result<()>,
-    ) -> Result<PartitionedMatrix<V>> {
-        if parts.is_empty() {
-            return Err(MorpheusError::InvalidStructure(
-                "partitioned matrix needs at least one shard".into(),
-            ));
-        }
-        let mut shards = Vec::with_capacity(parts.len());
-        let mut expect = 0usize;
-        let alpha = ConvertOptions::default().true_diag_alpha;
-        for (i, (rows, csr)) in parts.into_iter().enumerate() {
-            if rows.start != expect || csr.nrows() != rows.len() || csr.ncols() != ncols {
-                return Err(MorpheusError::InvalidStructure(format!(
-                    "shard {i} rows {rows:?} do not tile the matrix contiguously"
-                )));
-            }
-            expect = rows.end;
-            let mut sm = DynamicMatrix::from(csr);
-            let hash = sm.structure_hash();
-            let sa = Analysis::of_auto_with_hash(&sm, alpha, hash);
-            tune(i, &mut sm, &sa)?;
-            let plan = if sm.format_id() == FormatId::Csr {
-                ExecPlan::build(&sm, 1, Some(&sa))
-            } else {
-                // Re-analyse in the realized format: DIA/ELL padding can
-                // change the stored-entry histogram the plan keys on.
-                ExecPlan::build(&sm, 1, Some(&Analysis::of_auto(&sm, alpha)))
-            };
-            shards.push(Shard { rows, matrix: sm, plan: Arc::new(plan), structure: hash });
-        }
-        Self::from_shards(expect, ncols, shards, threads)
-    }
-
     /// Wraps already converted-and-planned shards. Shard row ranges must
     /// tile `0..nrows` contiguously; every plan must match its shard.
     pub fn from_shards(
@@ -579,15 +420,6 @@ impl<V: Scalar> PartitionedMatrix<V> {
         ALL_FORMATS.into_iter().max_by_key(|f| by_fmt[f.index()]).unwrap_or(FormatId::Csr)
     }
 
-    /// Distinct realized formats across shards, in format-id order.
-    pub fn formats(&self) -> Vec<FormatId> {
-        let mut present = [false; FORMAT_COUNT];
-        for s in &self.shards {
-            present[s.matrix.format_id().index()] = true;
-        }
-        ALL_FORMATS.into_iter().filter(|f| present[f.index()]).collect()
-    }
-
     /// Executes `op` — `y = A x`, or `Y = A X` on row-major blocks of `k`
     /// right-hand sides — as every shard's own plan run inline
     /// ([`ExecPlan::run`] without a pool) against the shared `x` and the
@@ -664,145 +496,15 @@ fn owner_ranges<V: Scalar>(shards: &[Shard<V>], threads: usize) -> Vec<Range<usi
     weighted_partition_with(shards.len(), threads.max(1), |i| shards[i].matrix.nnz() + 1)
 }
 
-/// What a [`StreamingPartitioner`] yields: the partition plus the
-/// per-shard CSR pieces, each tagged with its row range.
-pub type StreamedParts<V> = (Partition, Vec<(Range<usize>, CsrMatrix<V>)>);
-
-/// Builds a [`Partition`] and per-shard CSR pieces from a row-major entry
-/// stream without ever materializing the whole matrix.
-///
-/// Rows must arrive in non-decreasing order; entries within a row may be
-/// in any column order. When a row closes its entries are sorted stably
-/// by column and duplicate columns summed in push order — the same
-/// per-row step as [`crate::CooBuilder::build`], so the two store the
-/// same bits for the same entries. A shard is sealed at a row
-/// boundary once it holds at least `target_shard_nnz` entries, until
-/// `max_shards - 1` shards are sealed; the remainder becomes the last
-/// shard.
-pub struct StreamingPartitioner<V: Scalar> {
-    nrows: usize,
-    ncols: usize,
-    target_nnz: usize,
-    max_shards: usize,
-    cur_row: usize,
-    start_row: usize,
-    /// Row offsets of the open shard's closed rows; the open row's entries
-    /// follow the last of them in `cols`/`vals`, unmerged.
-    offsets: Vec<usize>,
-    cols: Vec<usize>,
-    vals: Vec<V>,
-    scratch: Vec<(usize, usize, V)>,
-    sealed: Vec<(Range<usize>, CsrMatrix<V>)>,
-}
-
-impl<V: Scalar> StreamingPartitioner<V> {
-    /// A partitioner for an `nrows x ncols` stream under `cfg`'s shard
-    /// sizing.
-    pub fn new(nrows: usize, ncols: usize, cfg: &PartitionConfig) -> Self {
-        StreamingPartitioner {
-            nrows,
-            ncols,
-            target_nnz: cfg.target_shard_nnz.max(1),
-            max_shards: cfg.max_shards.max(1),
-            cur_row: 0,
-            start_row: 0,
-            offsets: vec![0],
-            cols: Vec::new(),
-            vals: Vec::new(),
-            scratch: Vec::new(),
-            sealed: Vec::new(),
-        }
-    }
-
-    /// Entries ingested so far (after duplicate merging in closed rows,
-    /// before it in the open row).
-    pub fn nnz(&self) -> usize {
-        self.sealed.iter().map(|(_, c)| c.nnz()).sum::<usize>() + self.cols.len()
-    }
-
-    /// Shards sealed so far (the open shard is not counted).
-    pub fn sealed_shards(&self) -> usize {
-        self.sealed.len()
-    }
-
-    /// Feeds one entry. Rows must be non-decreasing across calls.
-    pub fn push(&mut self, row: usize, col: usize, val: V) -> Result<()> {
-        if row >= self.nrows || col >= self.ncols {
-            return Err(MorpheusError::IndexOutOfBounds {
-                index: (row, col),
-                shape: (self.nrows, self.ncols),
-            });
-        }
-        if row < self.cur_row {
-            return Err(MorpheusError::InvalidStructure(format!(
-                "streaming ingestion requires non-decreasing rows (row {row} after {})",
-                self.cur_row
-            )));
-        }
-        if row > self.cur_row {
-            self.close_rows_through(row);
-        }
-        self.cols.push(col);
-        self.vals.push(val);
-        Ok(())
-    }
-
-    /// Closes rows `cur_row..next` (sorting and merging the open row in
-    /// place and emitting empty rows), sealing the open shard at any row
-    /// boundary where it has reached the nnz target.
-    fn close_rows_through(&mut self, next: usize) {
-        while self.cur_row < next {
-            let start = *self.offsets.last().expect("offsets start at [0]");
-            let len = sort_and_merge_row(&mut self.cols[start..], &mut self.vals[start..], &mut self.scratch);
-            self.cols.truncate(start + len);
-            self.vals.truncate(start + len);
-            self.offsets.push(self.cols.len());
-            self.cur_row += 1;
-            if self.cols.len() >= self.target_nnz && self.sealed.len() + 1 < self.max_shards {
-                self.seal();
-            }
-        }
-    }
-
-    /// Seals the open shard (rows `start_row..cur_row`) into a CSR piece.
-    fn seal(&mut self) {
-        let rows = self.start_row..self.cur_row;
-        let offsets = std::mem::replace(&mut self.offsets, vec![0]);
-        let cols = std::mem::take(&mut self.cols);
-        let vals = std::mem::take(&mut self.vals);
-        let csr = CsrMatrix::from_parts(rows.len(), self.ncols, offsets, cols, vals)
-            .expect("streamed shard rows are sorted and merged");
-        self.sealed.push((rows, csr));
-        self.start_row = self.cur_row;
-    }
-
-    /// Closes remaining rows and returns the partition plus the per-shard
-    /// CSR pieces, ready for [`PartitionedMatrix::assemble`].
-    pub fn finish(mut self) -> Result<StreamedParts<V>> {
-        self.close_rows_through(self.nrows);
-        if self.start_row < self.nrows || self.sealed.is_empty() {
-            self.seal();
-        }
-        let mut boundaries = Vec::with_capacity(self.sealed.len() + 1);
-        boundaries.push(0);
-        let mut shard_nnz = Vec::with_capacity(self.sealed.len());
-        for (rows, csr) in &self.sealed {
-            boundaries.push(rows.end);
-            shard_nnz.push(csr.nnz());
-        }
-        let partition = Partition::from_boundaries(self.nrows, boundaries, shard_nnz)?;
-        Ok((partition, self.sealed))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::CooBuilder;
+    use crate::convert::ConvertOptions;
     use crate::coo::CooMatrix;
-    use crate::spmv::spmv_serial;
 
-    fn hetero_coo(nrows: usize, hub_rows: usize, hub_deg: usize) -> CooMatrix<f64> {
-        let mut b = crate::builder::CooBuilder::new(nrows, nrows);
+    fn hetero_csr(nrows: usize, hub_rows: usize, hub_deg: usize) -> CsrMatrix<f64> {
+        let mut b = CooBuilder::new(nrows, nrows);
         let mut state = 0x2545F4914F6CDD1Du64;
         let mut rng = move || {
             state ^= state << 13;
@@ -824,21 +526,27 @@ mod tests {
                 }
             }
         }
-        b.build()
+        csr_of(b.build())
     }
 
-    fn analysis_of(m: &DynamicMatrix<f64>) -> Analysis {
-        let alpha = ConvertOptions::default().true_diag_alpha;
-        Analysis::of_auto_with_hash(m, alpha, m.structure_hash())
+    fn csr_of(coo: CooMatrix<f64>) -> CsrMatrix<f64> {
+        match DynamicMatrix::from(coo).into_format(FormatId::Csr, &ConvertOptions::default()).unwrap() {
+            DynamicMatrix::Csr(csr) => csr,
+            _ => unreachable!("converted to CSR"),
+        }
+    }
+
+    fn partition_of(m: &CsrMatrix<f64>, cfg: &PartitionConfig) -> Partition {
+        let prefix: Vec<u64> = m.row_offsets().iter().map(|&o| o as u64).collect();
+        Partition::from_row_prefix(&prefix, cfg)
     }
 
     #[test]
     fn partition_invariants_and_determinism() {
-        let m = DynamicMatrix::from(hetero_coo(600, 40, 30));
-        let a = analysis_of(&m);
+        let m = hetero_csr(600, 40, 30);
         let cfg = PartitionConfig { target_shard_nnz: 300, regime_window: 32, ..Default::default() };
-        let p1 = Partition::from_analysis(&a, &cfg);
-        let p2 = Partition::from_analysis(&a, &cfg);
+        let p1 = partition_of(&m, &cfg);
+        let p2 = partition_of(&m, &cfg);
         assert_eq!(p1, p2, "partitioning must be deterministic");
         assert!(p1.num_shards() >= 2);
         assert_eq!(p1.boundaries()[0], 0);
@@ -851,10 +559,9 @@ mod tests {
     fn regime_refinement_snaps_to_hub_edge() {
         // 40 hub rows of ~30 nnz then a tridiagonal tail: the first interior
         // boundary should land exactly on the regime shift at row 40.
-        let m = DynamicMatrix::from(hetero_coo(600, 40, 30));
-        let a = analysis_of(&m);
+        let m = hetero_csr(600, 40, 30);
         let cfg = PartitionConfig { target_shard_nnz: m.nnz() / 2, regime_window: 128, ..Default::default() };
-        let p = Partition::from_analysis(&a, &cfg);
+        let p = partition_of(&m, &cfg);
         assert!(
             p.boundaries().contains(&40),
             "expected a boundary at the hub/tail regime shift, got {:?}",
@@ -862,92 +569,42 @@ mod tests {
         );
     }
 
+    /// The pieces are the matrix's rows, in order: laid end to end they give
+    /// back its columns, values and (rebased) offsets, in one traversal.
     #[test]
-    fn split_and_execute_matches_serial() {
-        let m = DynamicMatrix::from(hetero_coo(500, 30, 25));
-        let a = analysis_of(&m);
-        let cfg = PartitionConfig { target_shard_nnz: 250, ..Default::default() };
-        let p = Partition::from_analysis(&a, &cfg);
-        let pm = PartitionedMatrix::build(&m, &p, &ConvertOptions::default(), 3, Some(&a), |_, _, sa| {
-            // Alternate shard formats to exercise heterogeneous execution.
-            if sa.stats.nnz % 2 == 0 {
-                FormatId::Csr
-            } else {
-                FormatId::Ell
-            }
-        })
-        .unwrap();
-        assert_eq!(pm.nnz(), m.nnz());
-        let x: Vec<f64> = (0..500).map(|i| (i as f64).sin()).collect();
-        let mut want = vec![0.0; 500];
-        spmv_serial(&m, &x, &mut want).unwrap();
-        let mut got = vec![0.0; 500];
-        pm.run(Op::Spmv, &x, &mut got, None, None).unwrap();
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() <= 1e-12 * w.abs().max(1.0), "{g} vs {w}");
+    fn split_pieces_concatenate_to_the_matrix() {
+        let m = hetero_csr(500, 30, 25);
+        let p = partition_of(&m, &PartitionConfig { target_shard_nnz: 250, ..Default::default() });
+        assert!(p.num_shards() >= 2);
+        passes::reset();
+        let pieces = split_rows(&m, &p).unwrap();
+        assert_eq!(passes::count(), 1);
+        let (mut offsets, mut cols, mut vals) = (vec![0], Vec::new(), Vec::new());
+        for ((rows, piece), &nnz) in p.ranges().zip(&pieces).zip(p.shard_nnz()) {
+            assert_eq!((piece.nrows(), piece.ncols(), piece.nnz()), (rows.len(), 500, nnz));
+            offsets.extend(piece.row_offsets()[1..].iter().map(|o| o + cols.len()));
+            cols.extend_from_slice(piece.col_indices());
+            vals.extend_from_slice(piece.values());
         }
-        let pool = ThreadPool::new(3);
-        let mut pooled = vec![1.0; 500];
-        pm.run(Op::Spmv, &x, &mut pooled, Some(&pool), None).unwrap();
-        assert_eq!(pooled, got, "pooled and unpooled shard paths must be bitwise equal");
-    }
-
-    #[test]
-    fn streaming_matches_batch() {
-        let coo = hetero_coo(400, 20, 20);
-        let m = DynamicMatrix::from(coo);
-        let cfg = PartitionConfig { target_shard_nnz: 200, ..Default::default() };
-        let mut sp = StreamingPartitioner::new(400, 400, &cfg);
-        for_each_entry_row_major(&m, |r, c, v| sp.push(r, c, v).unwrap());
-        let (partition, parts) = sp.finish().unwrap();
-        assert!(partition.num_shards() >= 2);
-        assert_eq!(partition.shard_nnz().iter().sum::<usize>(), m.nnz());
-        let pm = PartitionedMatrix::assemble(400, parts, 2, |_, _, _| Ok(())).unwrap();
-        let x = vec![0.5; 400];
-        let mut want = vec![0.0; 400];
-        spmv_serial(&m, &x, &mut want).unwrap();
-        let mut got = vec![0.0; 400];
-        pm.run(Op::Spmv, &x, &mut got, None, None).unwrap();
-        assert_eq!(got, want, "all-CSR streamed shards are bitwise equal to serial CSR-per-shard");
-    }
-
-    #[test]
-    fn streaming_rejects_decreasing_rows_and_merges_duplicates() {
-        let cfg = PartitionConfig::default();
-        let mut sp = StreamingPartitioner::<f64>::new(4, 4, &cfg);
-        sp.push(1, 2, 1.0).unwrap();
-        assert!(sp.push(0, 0, 1.0).is_err());
-        let mut sp = StreamingPartitioner::<f64>::new(2, 4, &cfg);
-        sp.push(0, 3, 1.0).unwrap();
-        sp.push(0, 1, 2.0).unwrap();
-        sp.push(0, 3, 0.5).unwrap();
-        let (_, parts) = sp.finish().unwrap();
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].1.nnz(), 2, "duplicate columns merge");
+        assert_eq!((offsets.as_slice(), cols.as_slice()), (m.row_offsets(), m.col_indices()));
+        assert!(vals.iter().zip(m.values()).all(|(a, b)| a.to_bits() == b.to_bits()));
+        let short = Partition::from_row_prefix(&[0, 1], &PartitionConfig::default());
+        assert!(matches!(split_rows(&m, &short), Err(MorpheusError::ShapeMismatch { .. })));
     }
 
     #[test]
     fn degenerate_shapes() {
         // Empty matrix.
-        let m = DynamicMatrix::from(CooMatrix::<f64>::from_triplets(0, 0, &[], &[], &[]).unwrap());
-        let a = analysis_of(&m);
-        let p = Partition::from_analysis(&a, &PartitionConfig::default());
+        let m = csr_of(CooMatrix::<f64>::from_triplets(0, 0, &[], &[], &[]).unwrap());
+        let p = partition_of(&m, &PartitionConfig::default());
         assert_eq!(p.num_shards(), 1);
+        assert_eq!(split_rows(&m, &p).unwrap(), vec![m.clone()]);
         // Shard count request far above row count.
-        let m = DynamicMatrix::from(hetero_coo(3, 1, 2));
-        let a = analysis_of(&m);
+        let m = hetero_csr(3, 1, 2);
         let cfg = PartitionConfig { max_shards: 16, target_shard_nnz: 1, ..Default::default() };
-        let p = Partition::from_analysis(&a, &cfg);
+        let p = partition_of(&m, &cfg);
         assert!(p.num_shards() <= 3);
-        let pm = PartitionedMatrix::build(&m, &p, &ConvertOptions::default(), 8, Some(&a), |_, _, _| {
-            FormatId::Csr
-        })
-        .unwrap();
-        let x = vec![1.0; 3];
-        let mut y = vec![9.0; 3];
-        pm.run(Op::Spmv, &x, &mut y, None, None).unwrap();
-        let mut want = vec![0.0; 3];
-        spmv_serial(&m, &x, &mut want).unwrap();
-        assert_eq!(y, want);
+        let pieces = split_rows(&m, &p).unwrap();
+        assert_eq!(pieces.iter().map(CsrMatrix::nnz).sum::<usize>(), m.nnz());
     }
 }

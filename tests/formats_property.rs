@@ -3,15 +3,15 @@
 //! the execution differential: every way there is to execute a matrix
 //! against the serial CSR kernel.
 
+use morpheus_repro::machine::{systems, Backend, MatrixAnalysis, VirtualEngine};
 use morpheus_repro::morpheus::format::{FormatId, ALL_FORMATS};
 use morpheus_repro::morpheus::spmm::spmm_serial;
 use morpheus_repro::morpheus::spmv::spmv_serial;
 use morpheus_repro::morpheus::stats::stats_of;
-use morpheus_repro::morpheus::{
-    Analysis, ConvertOptions, CooMatrix, DynamicMatrix, ExecPlan, Op, Partition, PartitionConfig,
-    PartitionedMatrix,
+use morpheus_repro::morpheus::{Analysis, ConvertOptions, CooMatrix, DynamicMatrix, ExecPlan, Op};
+use morpheus_repro::oracle::{
+    FeatureVector, FormatTuner, Oracle, OracleService, PartitionPolicy, TuneDecision, TuningCost,
 };
-use morpheus_repro::oracle::FeatureVector;
 use morpheus_repro::parallel::ThreadPool;
 use proptest::prelude::*;
 
@@ -106,6 +106,37 @@ fn arb_band() -> impl Strategy<Value = DynamicMatrix<f64>> {
     })
 }
 
+/// Answers one format for every matrix (every shard of a sharded one).
+struct Fixed(FormatId);
+
+impl FormatTuner<f64> for Fixed {
+    fn name(&self) -> &'static str {
+        "fixed"
+    }
+
+    fn select(&self, _: &DynamicMatrix<f64>, _: &MatrixAnalysis, _: &VirtualEngine, op: Op) -> TuneDecision {
+        TuneDecision { format: self.0, params: Default::default(), op, cost: TuningCost::default() }
+    }
+}
+
+/// A service on `workers` storing every shard of a forced
+/// `register_partitioned` in `format`: at most `shards` shards of
+/// `target` entries each, converted under `tolerant_opts`.
+fn sharding_service(format: FormatId, workers: usize, shards: usize, target: usize) -> OracleService<Fixed> {
+    Oracle::builder()
+        .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
+        .tuner(Fixed(format))
+        .workers(workers)
+        .convert_options(tolerant_opts())
+        .partition_policy(PartitionPolicy {
+            max_shards: Some(shards),
+            target_shard_nnz: Some(target),
+            cost_gate: false,
+        })
+        .build_service()
+        .unwrap()
+}
+
 /// `y` against `y_ref`: bit for bit, or — against the kernel of another
 /// format, whose own order of a row's sum differs — within
 /// `1e-9 * (1 + |y_ref|)`.
@@ -158,10 +189,12 @@ proptest! {
     }
 
     /// The execution differential. Every execution there is — each format,
-    /// whole (its plan built with or without an analysis) or partitioned on
-    /// 8-row seams, SpMV or SpMM, balanced for 1–5 workers and run inline or
-    /// across a pool of any width from 1 to 5 (so with more parts than
-    /// workers, and fewer) — against the serial kernel on CSR, bit for bit:
+    /// whole (its plan built with or without an analysis) or sharded on
+    /// 8-row seams by a forced `register_partitioned` (served by its
+    /// service, and its shards run inline or on the drawn pool), SpMV or
+    /// SpMM, balanced for 1–5 workers and run inline or across a pool of
+    /// any width from 1 to 5 (so with more parts than workers, and fewer) —
+    /// against the serial kernel on CSR, bit for bit:
     /// every body keeps the serial order of a row's sum. HDC is the one
     /// format whose own order is not CSR's — a row's true-diagonal entries
     /// are summed before the rest — so it is bitwise against its own serial
@@ -194,13 +227,7 @@ proptest! {
                 y
             };
             let y_csr = serial(&m.to_format(FormatId::Csr, &opts).unwrap());
-            let analysis = Analysis::of(m, opts.true_diag_alpha);
-            let config = PartitionConfig {
-                max_shards: shards,
-                target_shard_nnz: (m.nnz() / shards).max(1),
-                ..Default::default()
-            };
-            let partition = Partition::from_row_prefix(&analysis.rows.prefix, &config);
+            let target = (m.nnz() / shards).max(1);
             for &fmt in &ALL_FORMATS {
                 let how = format!("{}x{} {fmt} {op} for {workers} on {pool_width}", m.nrows(), m.ncols());
                 let csr_order = fmt != FormatId::Hdc;
@@ -213,12 +240,20 @@ proptest! {
                 assert_agrees(&y, &serial(&whole), true, &format!("{how}, whole, own serial"));
                 assert_agrees(&y, &y_csr, csr_order, &format!("{how}, whole, CSR serial"));
 
-                let pm =
-                    PartitionedMatrix::build(m, &partition, &opts, workers, Some(&analysis), |_, _, _| fmt)
-                        .unwrap();
+                let service = sharding_service(fmt, workers, shards, target);
+                let h = service.register_partitioned_for(m.clone(), op).unwrap();
+                let how = format!("{how}, {} shards", h.num_shards());
                 let mut y = vec![f64::NAN; m.nrows() * k];
-                pm.run(op, &x, &mut y, pool, None).unwrap();
-                assert_agrees(&y, &y_csr, csr_order, &format!("{how}, {} shards", pm.num_shards()));
+                match op {
+                    Op::Spmv => service.spmv(&h, &x, &mut y).unwrap(),
+                    Op::Spmm { k } => service.spmm(&h, &x, &mut y, k).unwrap(),
+                }
+                assert_agrees(&y, &y_csr, csr_order, &format!("{how}, served"));
+                if let Some(pm) = h.partition() {
+                    let mut y = vec![f64::NAN; m.nrows() * k];
+                    pm.run(op, &x, &mut y, pool, None).unwrap();
+                    assert_agrees(&y, &y_csr, csr_order, &format!("{how}, shards on the pool"));
+                }
             }
         }
     }

@@ -1,34 +1,91 @@
 //! Partitioned-handle integration tests: shard boundary properties,
 //! partitioned execution vs. the serial reference (bitwise when
-//! order-preserving, ULP-bounded otherwise), streaming ingestion, and the
-//! service-level partitioned registration path — `register` itself under the
-//! default policy, and, forced, one per-shard pipeline whose traversals and
-//! shard keys are pinned.
+//! order-preserving, ULP-bounded otherwise), streaming ingestion (whole: a
+//! stream is `register` of its assembled entries), and the service-level
+//! partitioned registration path — `register` itself under the default
+//! policy, and, forced, the one per-shard pipeline whose traversals and
+//! shard keys are pinned. Every sharded handle here comes from a forced
+//! `register_partitioned`.
 
 use morpheus_repro::corpus::gen::hetero::{hub_plus_banded, three_regime};
 use morpheus_repro::corpus::gen::stencil;
-use morpheus_repro::machine::{systems, Backend, VirtualEngine};
+use morpheus_repro::machine::{systems, Backend, MatrixAnalysis, VirtualEngine};
 use morpheus_repro::morpheus::analysis::passes;
 use morpheus_repro::morpheus::format::FormatId;
 use morpheus_repro::morpheus::partition::{split_rows, SEAM_ALIGN};
 use morpheus_repro::morpheus::spmm::spmm_serial;
 use morpheus_repro::morpheus::spmv::spmv_serial;
 use morpheus_repro::morpheus::{
-    for_each_entry_row_major, Analysis, ConvertOptions, ConvertPath, CooBuilder, CooMatrix, DynamicMatrix,
-    Op, Partition, PartitionConfig, PartitionedMatrix, Scalar, StreamingPartitioner,
+    for_each_entry_row_major, ConvertOptions, ConvertPath, CooBuilder, CooMatrix, CsrMatrix, DynamicMatrix,
+    MorpheusError, Op, Partition, PartitionConfig, Scalar,
 };
 use morpheus_repro::oracle::adapt::{CollectorConfig, SampleCollector};
 use morpheus_repro::oracle::{
-    Oracle, OracleService, PartitionPolicy, PlanStatus, RunFirstTuner, TuneReport, TuningCost,
+    FormatTuner, Oracle, OracleError, OracleService, PartitionPolicy, PlanStatus, RunFirstTuner,
+    TuneDecision, TuneReport, TuningCost,
 };
 use morpheus_repro::parallel::ThreadPool;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-fn analysis_of<V: Scalar>(m: &DynamicMatrix<V>) -> Analysis {
-    Analysis::of_auto_with_hash(m, ConvertOptions::default().true_diag_alpha, m.structure_hash())
+/// `m` in CSR, the form a forced registration cuts.
+fn csr_of<V: Scalar>(m: &DynamicMatrix<V>) -> CsrMatrix<V> {
+    match m.to_format(FormatId::Csr, &ConvertOptions::default()).unwrap() {
+        DynamicMatrix::Csr(csr) => csr,
+        _ => unreachable!("converted to CSR"),
+    }
+}
+
+/// The partition a forced registration under `cfg` chooses for `m`: from
+/// its CSR offsets.
+fn partition_of<V: Scalar>(m: &DynamicMatrix<V>, cfg: &PartitionConfig) -> Partition {
+    let prefix: Vec<u64> = csr_of(m).row_offsets().iter().map(|&o| o as u64).collect();
+    Partition::from_row_prefix(&prefix, cfg)
+}
+
+/// Answers its formats in turn, one per decision: a forced registration
+/// decides its shards in row order, so shard `i` of a first registration
+/// (with no two shards of one structure) is asked for `formats[i % len]`.
+struct Cycle {
+    formats: Vec<FormatId>,
+    next: AtomicUsize,
+}
+
+impl Cycle {
+    fn new(formats: &[FormatId]) -> Cycle {
+        Cycle { formats: formats.to_vec(), next: AtomicUsize::new(0) }
+    }
+}
+
+impl<V: Scalar> FormatTuner<V> for Cycle {
+    fn name(&self) -> &'static str {
+        "cycle"
+    }
+
+    fn select(&self, _: &DynamicMatrix<V>, _: &MatrixAnalysis, _: &VirtualEngine, op: Op) -> TuneDecision {
+        let format = self.formats[self.next.fetch_add(1, Ordering::Relaxed) % self.formats.len()];
+        TuneDecision { format, params: Default::default(), op, cost: TuningCost::default() }
+    }
+}
+
+/// A service on `workers` that shards every matrix `register_partitioned`
+/// is given along `target` entries per shard (at most `max_shards`), each
+/// shard in the format `tuner` answers.
+fn forced_service<T>(tuner: T, workers: usize, max_shards: usize, target: usize) -> OracleService<T> {
+    Oracle::builder()
+        .engine(VirtualEngine::new(systems::cirrus(), Backend::OpenMp))
+        .tuner(tuner)
+        .workers(workers)
+        .partition_policy(PartitionPolicy {
+            max_shards: Some(max_shards),
+            target_shard_nnz: Some(target),
+            cost_gate: false,
+        })
+        .build_service()
+        .unwrap()
 }
 
 fn hetero(n: usize, hub_rows: usize, hub_deg: usize, seed: u64) -> DynamicMatrix<f64> {
@@ -54,8 +111,8 @@ fn partition_is_deterministic_across_runs() {
     // Two independently generated (same seed) matrices must partition
     // identically: boundary selection is a pure function of the analysis.
     let cfg = PartitionConfig { target_shard_nnz: 2_000, ..Default::default() };
-    let p1 = Partition::from_analysis(&analysis_of(&hetero(2_000, 100, 40, 11)), &cfg);
-    let p2 = Partition::from_analysis(&analysis_of(&hetero(2_000, 100, 40, 11)), &cfg);
+    let p1 = partition_of(&hetero(2_000, 100, 40, 11), &cfg);
+    let p2 = partition_of(&hetero(2_000, 100, 40, 11), &cfg);
     assert_eq!(p1, p2);
     assert!(p1.num_shards() >= 2);
 }
@@ -69,17 +126,15 @@ fn degenerate_all_nnz_in_first_shard_and_empty_rows() {
     let rows = vec![0usize; n];
     let vals = vec![1.5f64; n];
     let m = DynamicMatrix::from(CooMatrix::from_triplets(n, n, &rows, &cols, &vals).unwrap());
-    let a = analysis_of(&m);
-    let cfg = PartitionConfig { max_shards: 4, target_shard_nnz: 8, ..Default::default() };
-    let p = Partition::from_analysis(&a, &cfg);
-    assert_eq!(p.shard_nnz()[0], n, "all nnz in the first shard");
-    assert_eq!(p.shard_nnz()[1..].iter().sum::<usize>(), 0);
-    let pm =
-        PartitionedMatrix::build(&m, &p, &ConvertOptions::default(), 4, Some(&a), |_, _, _| FormatId::Csr)
-            .unwrap();
+    let service = forced_service(Cycle::new(&[FormatId::Csr]), 4, 4, 8);
+    let h = service.register_partitioned(m).unwrap();
+    let shard_nnz: Vec<usize> = h.partition().unwrap().shards().iter().map(|s| s.nnz()).collect();
+    assert!(shard_nnz.len() >= 2);
+    assert_eq!(shard_nnz[0], n, "all nnz in the first shard");
+    assert_eq!(shard_nnz[1..].iter().sum::<usize>(), 0);
     let x = vec![2.0; n];
     let mut y = vec![f64::NAN; n];
-    pm.run(Op::Spmv, &x, &mut y, None, None).unwrap();
+    service.spmv(&h, &x, &mut y).unwrap();
     assert_eq!(y[0], 2.0 * 1.5 * n as f64);
     assert!(y[1..].iter().all(|&v| v == 0.0), "empty shards must still zero y");
 }
@@ -88,16 +143,16 @@ fn degenerate_all_nnz_in_first_shard_and_empty_rows() {
 fn shard_count_capped_by_rows() {
     // Asking for far more shards than rows must cap at one row per shard.
     let m = hetero(5, 2, 3, 3);
-    let a = analysis_of(&m);
     let cfg = PartitionConfig { max_shards: 64, target_shard_nnz: 1, ..Default::default() };
-    let p = Partition::from_analysis(&a, &cfg);
+    let p = partition_of(&m, &cfg);
     assert!(p.num_shards() <= 5);
-    let subs = split_rows(&m, &p, Some(&a)).unwrap();
+    let subs = split_rows(&csr_of(&m), &p).unwrap();
     assert_eq!(subs.iter().map(|s| s.nnz()).sum::<usize>(), m.nnz());
 }
 
 /// Partitioned SpMV with per-shard formats matches the serial reference on
-/// the same converted shards, bitwise. Exercised for f64 and f32.
+/// the same converted shards, bitwise, through the service and through the
+/// stored shards on pools of any width. Exercised for f64 and f32.
 fn partitioned_matches_reference<V: Scalar>() {
     let mut rng = StdRng::seed_from_u64(21);
     let coo = three_regime(1_200, 60, 50, 400, 8, 2, &mut rng);
@@ -106,20 +161,20 @@ fn partitioned_matches_reference<V: Scalar>() {
         b.push(r, c, V::from_f64(v)).unwrap();
     }
     let m = DynamicMatrix::from(b.build());
-    let a = analysis_of(&m);
-    let cfg = PartitionConfig { target_shard_nnz: m.nnz() / 5, ..Default::default() };
-    let p = Partition::from_analysis(&a, &cfg);
-    assert!(p.num_shards() >= 3);
+    let target = m.nnz() / 5;
 
     let x: Vec<V> = (0..1_200).map(|i| V::from_f64(((i % 23) as f64 - 11.0) * 0.25)).collect();
     for fmts in [
         vec![FormatId::Csr],
         vec![FormatId::Csr, FormatId::Ell, FormatId::Dia, FormatId::Hyb, FormatId::Coo, FormatId::Hdc],
     ] {
-        let pm = PartitionedMatrix::build(&m, &p, &ConvertOptions::default(), 3, Some(&a), |i, _, _| {
-            fmts[i % fmts.len()]
-        })
-        .unwrap();
+        let service = forced_service(Cycle::new(&fmts), 3, 8, target);
+        let h = service.register_partitioned(m.clone()).unwrap();
+        let pm = h.partition().unwrap();
+        assert!(pm.num_shards() >= 3);
+        if fmts.len() > 1 {
+            assert!(pm.shards().iter().any(|s| s.format_id() != FormatId::Csr), "shards in several formats");
+        }
         // Reference: serial SpMV over the *converted* shards, row range by
         // row range — the unsharded accumulation order per row.
         let mut want = vec![V::ZERO; 1_200];
@@ -132,6 +187,9 @@ fn partitioned_matches_reference<V: Scalar>() {
         let mut got = vec![V::ZERO; 1_200];
         pm.run(Op::Spmv, &x, &mut got, None, None).unwrap();
         assert!(bitwise_eq(&got, &want), "shard plans must match their serial kernels bitwise");
+        let mut served = vec![V::from_f64(9.0); 1_200];
+        service.spmv(&h, &x, &mut served).unwrap();
+        assert!(bitwise_eq(&served, &got), "the service runs the stored shards");
         // Pooled path is bitwise identical to unpooled, at any pool width.
         for threads in [1, 3, 7] {
             let pool = ThreadPool::new(threads);
@@ -174,12 +232,9 @@ fn partitioned_matches_reference_f32() {
 #[test]
 fn run_owned_runs_each_shard_on_the_same_thread_every_call() {
     let m = hetero(1_200, 40, 300, 5);
-    let a = analysis_of(&m);
-    let cfg = PartitionConfig { target_shard_nnz: m.nnz() / 6, ..Default::default() };
-    let p = Partition::from_analysis(&a, &cfg);
-    let pm =
-        PartitionedMatrix::build(&m, &p, &ConvertOptions::default(), 3, Some(&a), |_, _, _| FormatId::Csr)
-            .unwrap();
+    let service = forced_service(Cycle::new(&[FormatId::Csr]), 3, 8, m.nnz() / 6);
+    let h = service.register_partitioned(m).unwrap();
+    let pm = h.partition().unwrap();
     assert!(pm.shards().len() >= 3);
     let pool = ThreadPool::new(3);
     let x = vec![1.0f64; 1_200];
@@ -206,21 +261,29 @@ fn run_owned_runs_each_shard_on_the_same_thread_every_call() {
     assert_eq!(distinct.len(), 3, "three owner ranges, three threads");
 }
 
+/// A stream is registered whole, even under a policy that forces shards:
+/// the same handle and `y` as registering the batch-built matrix.
 #[test]
 fn streaming_ingestion_equals_batch_build() {
     let m = hetero(1_500, 80, 40, 5);
-    let cfg = PartitionConfig { target_shard_nnz: m.nnz() / 4, ..Default::default() };
-    let mut sp = StreamingPartitioner::new(1_500, 1_500, &cfg);
-    for_each_entry_row_major(&m, |r, c, v| sp.push(r, c, v).unwrap());
-    let (partition, parts) = sp.finish().unwrap();
-    assert!(partition.num_shards() >= 2);
-    assert_eq!(partition.shard_nnz().iter().sum::<usize>(), m.nnz());
-    let pm = PartitionedMatrix::assemble(1_500, parts, 2, |_, _, _| Ok(())).unwrap();
+    let service = gated_service(
+        2,
+        PartitionPolicy { target_shard_nnz: Some(m.nnz() / 4), cost_gate: false, ..Default::default() },
+    );
+    let mut entries = Vec::new();
+    for_each_entry_row_major(&m, |r, c, v| entries.push((r, c, v)));
+    let streamed = service.register_stream(1_500, 1_500, entries).unwrap();
+    assert!(!streamed.is_partitioned());
+    assert_eq!(streamed.report().shards, 1);
+    let batch = service.register(m.clone()).unwrap();
+    assert_eq!(streamed.matrix(), batch.matrix());
     let x: Vec<f64> = (0..1_500).map(|i| (i as f64 * 0.01).cos()).collect();
     let mut want = vec![0.0; 1_500];
     spmv_serial(&m, &x, &mut want).unwrap();
-    let mut got = vec![0.0; 1_500];
-    pm.run(Op::Spmv, &x, &mut got, None, None).unwrap();
+    let (mut got, mut got_batch) = (vec![f64::NAN; 1_500], vec![f64::NAN; 1_500]);
+    service.spmv(&streamed, &x, &mut got).unwrap();
+    service.spmv(&batch, &x, &mut got_batch).unwrap();
+    assert!(bitwise_eq(&got, &got_batch));
     assert_close(&got, &want, 1e-12);
 }
 
@@ -272,8 +335,8 @@ fn service_registers_partitioned_handle_with_shard_telemetry() {
     assert_close(&yk, &wide, 1e-12);
 }
 
-/// `register` serves a matrix whole whatever the policy says of shards;
-/// the streaming front door shards it as it arrives.
+/// `register` serves a matrix whole whatever the policy says of shards, and
+/// so does the streaming front door.
 #[test]
 fn service_auto_shards_above_threshold_and_streams() {
     let service = Oracle::builder()
@@ -298,46 +361,88 @@ fn service_auto_shards_above_threshold_and_streams() {
     service.spmv(&hb, &x, &mut y).unwrap();
     assert_close(&y, &want, 1e-12);
 
-    // Streaming front door: same matrix fed row-major, never held whole.
+    // Streaming front door: same matrix fed row-major.
     let big2 = hetero(5_000, 200, 50, 2);
     let mut entries = Vec::new();
     for_each_entry_row_major(&big2, |r, c, v| entries.push((r, c, v)));
     let hstream = service.register_stream(5_000, 5_000, entries).unwrap();
-    assert!(hstream.is_partitioned());
+    assert!(!hstream.is_partitioned());
+    assert_eq!(hstream.report().shards, 1);
     let mut ys = vec![0.0; 5_000];
     service.spmv(&hstream, &x, &mut ys).unwrap();
     assert_close(&ys, &want, 1e-12);
 }
 
-/// `register_stream` stores the bits `register` stores for the same entries
-/// assembled through `CooBuilder`: both sum a coordinate's duplicates in
-/// push order. Every row holds two coordinates, each pushed as the triple
-/// `1e16, 1, -1e16` (0 in push order, 1 if the 1 is added last), the
-/// triples interleaved and the larger column first.
-#[test]
-fn stream_and_builder_sum_duplicates_in_push_order() {
+/// `register_stream` is `register` of the same entries assembled through
+/// `CooBuilder`, bit for bit: a whole handle (one shard, even under a
+/// policy that forces shards) of the same format and arrays, whose values
+/// carry the same bits, decided under the same key — whichever registers
+/// second hits the other's decision. Both sum a coordinate's duplicates in
+/// push order. Every non-empty row holds two coordinates, each pushed as
+/// the triple `1e16, 1, -1e16` (0 in push order, 1 if the 1 is added last),
+/// the triples interleaved and the larger column first; rows at either end
+/// and in the middle stay empty. A zero-entry stream is the empty matrix;
+/// a row after a later one and an entry out of bounds are typed errors.
+fn stream_and_builder_agree<V: Scalar>() {
     let n = 64;
     let mut entries = Vec::new();
-    for r in 0..n {
+    for r in (2..n - 3).filter(|r| r % 10 != 5) {
         let other = (7 * r + 3) % n;
         for v in [1e16, 1.0, -1e16] {
-            entries.push((r, r.max(other), v));
-            entries.push((r, r.min(other), v));
+            entries.push((r, r.max(other), V::from_f64(v)));
+            entries.push((r, r.min(other), V::from_f64(v)));
         }
     }
-    let mut b = CooBuilder::<f64>::new(n, n);
-    for &(r, c, v) in &entries {
-        b.push(r, c, v).unwrap();
+    let bits =
+        |m: &DynamicMatrix<V>| m.to_coo().values().iter().map(|v| v.to_f64().to_bits()).collect::<Vec<_>>();
+    let policy = PartitionPolicy { target_shard_nnz: Some(8), cost_gate: false, ..Default::default() };
+    for entries in [entries, Vec::new()] {
+        let what = format!("{} entries at {} bytes", entries.len(), std::mem::size_of::<V>());
+        let mut b = CooBuilder::<V>::new(n, n);
+        for &(r, c, v) in &entries {
+            b.push(r, c, v).unwrap();
+        }
+        let coo = DynamicMatrix::from(b.build());
+        assert!(bits(&coo).iter().all(|&v| v == 0), "{what}: push order sums every triple to +0");
+        for stream_first in [false, true] {
+            let service = gated_service(1, policy);
+            let (hs, hr) = if stream_first {
+                let hs = service.register_stream(n, n, entries.iter().copied()).unwrap();
+                (hs, service.register(coo.clone()).unwrap())
+            } else {
+                let hr = service.register(coo.clone()).unwrap();
+                (service.register_stream(n, n, entries.iter().copied()).unwrap(), hr)
+            };
+            let what = format!("{what}, stream first: {stream_first}");
+            assert!(!hs.is_partitioned() && !hr.is_partitioned(), "{what}");
+            assert_eq!((hs.report().shards, hr.report().shards), (1, 1), "{what}");
+            assert_eq!(hs.format_id(), hr.format_id(), "{what}");
+            assert_eq!(hs.matrix(), hr.matrix(), "{what}: format, parameters and arrays");
+            assert_eq!(bits(hs.matrix()), bits(hr.matrix()), "{what}: value bits");
+            let second = if stream_first { &hr } else { &hs };
+            assert!(second.report().cache_hit, "{what}: the second registration hits the first's decision");
+            assert_eq!(service.cache_stats().len, 1, "{what}: one decision");
+        }
     }
-    let coo = b.build();
-    assert!(coo.values().iter().all(|v| v.to_bits() == 0), "push order sums every triple to +0");
-    let service = gated_service(1, PartitionPolicy::default());
-    let hr = service.register(DynamicMatrix::from(coo)).unwrap();
-    let hs = service.register_stream(n, n, entries).unwrap();
-    assert!(!hr.is_partitioned() && !hs.is_partitioned());
-    assert_eq!(hs.format_id(), hr.format_id(), "the stream's CSR hits the register's decision");
-    let bits = |m: &DynamicMatrix<f64>| m.to_coo().values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(hs.matrix()), bits(hr.matrix()));
+
+    let service = gated_service(1, policy);
+    let decreasing = [(1, 0, V::ONE), (0, 0, V::ONE)];
+    assert!(matches!(
+        service.register_stream(n, n, decreasing),
+        Err(OracleError::Morpheus(MorpheusError::InvalidStructure(_)))
+    ));
+    for outside in [(n, 0, V::ONE), (0, n, V::ONE)] {
+        assert!(matches!(
+            service.register_stream(n, n, [outside]),
+            Err(OracleError::Morpheus(MorpheusError::IndexOutOfBounds { .. }))
+        ));
+    }
+}
+
+#[test]
+fn stream_and_builder_sum_duplicates_in_push_order() {
+    stream_and_builder_agree::<f64>();
+    stream_and_builder_agree::<f32>();
 }
 
 /// A source that holds no row range as one slice (anything but COO and CSR)
@@ -429,7 +534,7 @@ fn register_partitioned_is_register<V: Scalar>() {
     ];
     for (name, m) in sources {
         let what = format!("{name} from {} at {} bytes", m.format_id(), std::mem::size_of::<V>());
-        let shards = Partition::from_analysis(&Analysis::of(&m, opts.true_diag_alpha), &policy.config(2));
+        let shards = partition_of(&m, &policy.config(2));
         assert!(shards.num_shards() >= 2, "{what}: a forced policy would shard it");
         let x: Vec<V> = (0..m.ncols()).map(|i| V::from_f64(((i % 29) as f64 - 14.0) * 0.125)).collect();
         let (plain, partitioned) = (gated_service(2, policy), gated_service(2, policy));
@@ -481,7 +586,7 @@ fn rejected_partition_traversals_do_not_grow_with_the_shard_count() {
             max_shards: Some(max_shards),
             ..Default::default()
         };
-        let shards = Partition::from_analysis(&analysis_of(&m), &policy.config(1)).num_shards();
+        let shards = partition_of(&m, &policy.config(1)).num_shards();
         shard_counts.push(shards);
         let service = gated_service(1, policy);
         passes::reset();
@@ -507,7 +612,7 @@ fn a_declined_partition_leaves_only_the_whole_matrix_decision() {
     let mut rng = StdRng::seed_from_u64(5);
     let m = DynamicMatrix::from(hub_plus_banded(6_000, 0, 0, 4, &mut rng));
     let policy = PartitionPolicy { target_shard_nnz: Some(4_000), ..Default::default() };
-    assert!(Partition::from_analysis(&analysis_of(&m), &policy.config(1)).num_shards() >= 4);
+    assert!(partition_of(&m, &policy.config(1)).num_shards() >= 4);
     let key = m.to_format(FormatId::Csr, &ConvertOptions::default()).unwrap().structure_hash();
     let service = gated_service(1, policy);
     for round in 0..2u64 {
@@ -538,8 +643,8 @@ fn admitted_partition_traversals_are_one_walk_plus_one_per_shard() {
     let service = gated_service(2, policy);
     let m = hetero(4_000, 150, 60, 9);
     let decided_under: Vec<u64> = {
-        let partition = Partition::from_analysis(&analysis_of(&m), &policy.config(2));
-        let pieces = split_rows(&m, &partition, None).unwrap();
+        let partition = partition_of(&m, &policy.config(2));
+        let pieces = split_rows(&csr_of(&m), &partition).unwrap();
         pieces.into_iter().map(|csr| DynamicMatrix::from(csr).structure_hash()).collect()
     };
     passes::reset();
@@ -595,7 +700,9 @@ proptest! {
 
     /// Partition invariants on random row histograms: boundaries strictly
     /// increasing, tiling 0..nrows, shard nnz summing to the total, shard
-    /// count within bounds, determinism, and split+execute ≡ serial.
+    /// count within bounds, determinism; and a forced registration over the
+    /// same histogram cuts the partition its policy asks for and executes
+    /// like the serial kernel.
     #[test]
     fn partition_invariants(
         hist in proptest::collection::vec(0u32..120, 1..300),
@@ -612,14 +719,13 @@ proptest! {
             }
         }
         let m = DynamicMatrix::from(b.build());
-        let a = analysis_of(&m);
         let cfg = PartitionConfig {
             max_shards,
             target_shard_nnz: target,
             regime_window: window,
             ..Default::default()
         };
-        let p = Partition::from_analysis(&a, &cfg);
+        let p = partition_of(&m, &cfg);
         prop_assert!(p.num_shards() >= 1 && p.num_shards() <= max_shards.min(n));
         prop_assert_eq!(p.boundaries()[0], 0);
         prop_assert_eq!(*p.boundaries().last().unwrap(), n);
@@ -629,15 +735,27 @@ proptest! {
         prop_assert!(p.boundaries()[1..p.num_shards()].iter().all(|b| b % SEAM_ALIGN == 0), "{:?}", p.boundaries());
         prop_assert!(p.num_shards() <= n.div_ceil(SEAM_ALIGN));
         prop_assert_eq!(p.shard_nnz().iter().sum::<usize>(), m.nnz());
-        prop_assert_eq!(&p, &Partition::from_analysis(&a, &cfg));
-        let pm = PartitionedMatrix::build(
-            &m, &p, &ConvertOptions::default(), 3, Some(&a), |_, _, _| FormatId::Csr,
-        ).unwrap();
+        prop_assert_eq!(&p, &partition_of(&m, &cfg));
+
+        let service = forced_service(Cycle::new(&[FormatId::Csr]), 3, max_shards, target);
+        let h = service.register_partitioned(m.clone()).unwrap();
+        let asked = partition_of(&m, &PartitionPolicy {
+            max_shards: Some(max_shards),
+            target_shard_nnz: Some(target),
+            cost_gate: false,
+        }.config(3));
+        match h.partition() {
+            Some(pm) => {
+                let rows: Vec<_> = pm.shards().iter().map(|s| s.rows()).collect();
+                prop_assert_eq!(rows, asked.ranges().collect::<Vec<_>>());
+            }
+            None => prop_assert_eq!(asked.num_shards(), 1),
+        }
         let x: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
         let mut want = vec![0.0; n];
         spmv_serial(&m, &x, &mut want).unwrap();
-        let mut got = vec![0.0; n];
-        pm.run(Op::Spmv, &x, &mut got, None, None).unwrap();
+        let mut got = vec![f64::NAN; n];
+        service.spmv(&h, &x, &mut got).unwrap();
         // ULP-bounded: planned kernel bodies may fuse multiply-adds.
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             prop_assert!((g - w).abs() <= 1e-12 * w.abs().max(1.0), "row {}: {} vs {}", i, g, w);
